@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench fmt vet lint determinism perf-gate serve smoke distributed-smoke crash-smoke chaos-smoke check
+.PHONY: all build test race crash-stress bench bench-paper fmt vet lint determinism perf-gate serve smoke distributed-smoke crash-smoke chaos-smoke check
 
 all: check
 
@@ -16,6 +16,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# crash-stress repeats, under the race detector, the tests that kill a
+# coordinator in-process (Server.Abort) and restart another on the same
+# data directory: the journal compaction tests (checkpoint recovery,
+# crash mid-swap) and the mid-campaign restart. A goroutine of the "dead" instance touching the
+# journal shows up here as a failure, not as a one-in-three flake.
+crash-stress:
+	$(GO) test -race -count=20 -run 'TestCompaction|TestRestart' ./internal/server
+	$(GO) test -race -count=20 -run 'TestCoordinatorRestart' ./internal/worker
 
 # Benchmark smoke: one iteration of every benchmark on the small world,
 # exercising the full artefact pipeline (campaign engine, analysis,
@@ -38,6 +47,13 @@ race:
 bench:
 	REPRO_SCALE=small $(GO) test -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/benchreport -o BENCH_10.json
+
+# bench-paper runs the declared benchmark's engine-only workload
+# (BENCHMARK.json, bench/README.md) the way the acceptance driver does:
+# untraced repetitions of the paper-scale campaign at the pinned seed,
+# dataset hash checked against bench/golden.json.
+bench-paper:
+	$(GO) run ./bench -workload paper-direct -seed 2015 -seconds 15 -trace 0
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -210,8 +210,8 @@ type Report struct {
 	Servers            int             `json:"servers"`
 	Shards             int             `json:"shards"`
 	Events             uint64          `json:"events"`
-	PhantomEvents      uint64          `json:"phantom_events"`
-	ReplayedBoundaries uint64          `json:"replayed_boundaries"`
+	PhantomEvents      uint64          `json:"events_phantom"`
+	ReplayedBoundaries uint64          `json:"boundaries_replayed"`
 	WallSeconds        float64         `json:"wall_seconds"`
 	CompletedAt        time.Time       `json:"completed_at"`
 	Congestion         json.RawMessage `json:"congestion,omitempty"`

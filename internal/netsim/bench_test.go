@@ -67,38 +67,39 @@ func BenchmarkEventLoop(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkForwardingPath measures one packet crossing a five-router
-// path: the simulator's hottest loop (parse, TTL, checksum, route).
-func BenchmarkForwardingPath(b *testing.B) {
+// BenchmarkRouterForward is the bare forwarding path at the smallest
+// packet the campaign sends — the shape of the bench kernel behind
+// netsim.forward_ns_per_hop: one host sends 48-byte UDP datagrams in
+// bursts of 64 through a chain of five routers to another host, 1 ms
+// links, no loss, no queues, no middleboxes. One op is one packet
+// end to end (six link events); ns/hop divides by the five routers.
+// Registered in scripts/perf_gate.sh: it must stay at 0 allocs/op.
+func BenchmarkRouterForward(b *testing.B) {
+	const routers, burst = 5, 64
 	sim := NewSim(1)
-	n := NewNetwork(sim)
-	routers := make([]*Router, 5)
-	for i := range routers {
-		routers[i] = n.AddRouter("r", packet.AddrFrom4(10, 255, byte(i), 1), uint32(i))
-	}
-	for i := 0; i+1 < len(routers); i++ {
-		n.Connect(routers[i], routers[i+1], 0, 0)
-	}
-	h1, _ := n.AddHost("h1", packet.AddrFrom4(10, 0, 0, 1))
-	h2, _ := n.AddHost("h2", packet.AddrFrom4(10, 0, 1, 1))
-	n.Attach(h1, routers[0], 0, 0)
-	n.Attach(h2, routers[4], 0, 0)
-	if err := n.ComputeRoutes(); err != nil {
-		b.Fatal(err)
-	}
+	_, h1, h2, _ := lineTopology(b, sim, routers, time.Millisecond)
 	delivered := 0
-	h2.BindUDP(9, func(*Host, packet.IPv4Header, packet.UDPHeader, []byte) { delivered++ })
+	h2.BindUDP(123, func(*Host, packet.IPv4Header, packet.UDPHeader, []byte) { delivered++ })
 
 	payload := make([]byte, 48)
+	send := func(packets int) {
+		for sent := 0; sent < packets; sent += burst {
+			for i := 0; i < min(burst, packets-sent); i++ {
+				h1.SendUDP(h2.Addr(), 40000, 123, 64, ecn.ECT0, payload)
+			}
+			sim.Run()
+		}
+	}
+	send(4 * burst) // warm the buffer pool, the slab and the wheel
+	delivered = 0
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h1.SendUDP(h2.Addr(), 1, 9, 64, ecn.ECT0, payload)
-		sim.Run()
-	}
+	send(b.N)
+	b.StopTimer()
 	if delivered != b.N {
 		b.Fatalf("delivered %d of %d", delivered, b.N)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*routers), "ns/hop")
 }
 
 func BenchmarkComputeRoutes(b *testing.B) {

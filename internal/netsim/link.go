@@ -32,6 +32,10 @@ type Node interface {
 type Link struct {
 	sim  *Sim
 	a, b Node
+	// rtr holds the endpoints that are routers (nil for a host end), so
+	// the forwarding path finds its egress direction with a pointer
+	// comparison instead of an interface one.
+	rtr [2]*Router
 	// Directional properties, indexed by direction (a→b = 0, b→a = 1).
 	delay [2]time.Duration
 	loss  [2]float64
@@ -45,13 +49,16 @@ type Link struct {
 // newLink wires two nodes together. Use Network helpers instead of
 // constructing links directly.
 func newLink(sim *Sim, a, b Node, delay time.Duration, loss float64) *Link {
-	return &Link{
+	l := &Link{
 		sim:   sim,
 		a:     a,
 		b:     b,
 		delay: [2]time.Duration{delay, delay},
 		loss:  [2]float64{loss, loss},
 	}
+	l.rtr[0], _ = a.(*Router)
+	l.rtr[1], _ = b.(*Router)
+	return l
 }
 
 // Peer returns the node on the other end from n.
@@ -103,6 +110,17 @@ func (l *Link) dir(from Node) int {
 	panic("netsim: node not on link " + from.Label())
 }
 
+// dirFrom is dir for a router endpoint.
+func (l *Link) dirFrom(r *Router) int {
+	if l.rtr[0] == r {
+		return 0
+	}
+	if l.rtr[1] == r {
+		return 1
+	}
+	panic("netsim: node not on link " + r.label)
+}
+
 // peerOf returns the receiving node for direction d.
 func (l *Link) peerOf(d int) Node {
 	if d == 1 {
@@ -115,8 +133,10 @@ func (l *Link) peerOf(d int) Node {
 // delivered to the peer after the link delay unless the loss draw
 // discards it, or — on a bottlenecked direction — the AQM queue drops
 // it. Send takes ownership of the caller's buffer reference.
-func (l *Link) Send(from Node, b *packet.Buf) {
-	d := l.dir(from)
+func (l *Link) Send(from Node, b *packet.Buf) { l.send(l.dir(from), b) }
+
+// send is Send with the direction already resolved.
+func (l *Link) send(d int, b *packet.Buf) {
 	l.sent[d]++
 	if l.loss[d] > 0 && l.sim.rng.Float64() < l.loss[d] {
 		l.dropped[d]++

@@ -17,8 +17,11 @@ type Network struct {
 	hosts   []*Host
 	links   []*Link
 
-	// hostAttach maps a host address to its host and attachment router.
-	hostAttach map[packet.Addr]hostAttachment
+	// index resolves any address — host or router — to dense indices
+	// into routers and hosts (addrindex.go). indexShared marks it as
+	// referenced by a RouteTable: mutators copy it first (ownIndex).
+	index       *addrIndex
+	indexShared bool
 
 	// nextHop[src][dst] is the index (into links) of the link router
 	// #src uses toward router #dst; -1 means unreachable. Built by
@@ -31,46 +34,54 @@ type Network struct {
 
 // RouteTable is a frozen forwarding table: for every (source router,
 // destination router) pair, the index of the egress link in the owning
-// Network's creation-order link slice. It is immutable once exported and
-// safe to share across concurrently-running Networks whose graphs were
-// built by an identical construction sequence.
+// Network's creation-order link slice, plus the address index that maps
+// a destination to its router and host. It is immutable once exported
+// and safe to share across concurrently-running Networks whose graphs
+// were built by an identical construction sequence.
 type RouteTable struct {
 	nextHop [][]int32
+	index   *addrIndex
 	routers int
+	hosts   int
 	links   int
-}
-
-type hostAttachment struct {
-	host     *Host
-	routerID int
 }
 
 // NewNetwork creates an empty network on sim.
 func NewNetwork(sim *Sim) *Network {
-	return &Network{
-		Sim:        sim,
-		hostAttach: make(map[packet.Addr]hostAttachment),
+	return &Network{Sim: sim, index: &addrIndex{}}
+}
+
+// ownIndex returns the address index for writing, detaching it first
+// from any RouteTable that shares it.
+func (n *Network) ownIndex() *addrIndex {
+	if n.indexShared {
+		n.index = n.index.clone()
+		n.indexShared = false
 	}
+	return n.index
 }
 
 // AddRouter registers a router with its own address and AS number.
 func (n *Network) AddRouter(label string, addr packet.Addr, asn uint32) *Router {
 	r := &Router{
-		net:       n,
-		id:        len(n.routers),
-		label:     label,
-		addr:      addr,
-		asn:       asn,
-		hostLinks: make(map[packet.Addr]*Link),
+		net:   n,
+		id:    len(n.routers),
+		label: label,
+		addr:  addr,
+		asn:   asn,
 	}
 	n.routers = append(n.routers, r)
+	if e := n.ownIndex().slotFor(addr); e.router == 0 && e.host == 0 {
+		e.router = int32(r.id) + 1
+	}
 	n.routed = false
 	return r
 }
 
 // AddHost registers a host. It starts online but unattached; call Attach.
 func (n *Network) AddHost(label string, addr packet.Addr) (*Host, error) {
-	if _, dup := n.hostAttach[addr]; dup {
+	e := n.ownIndex().slotFor(addr)
+	if e.host != 0 {
 		return nil, fmt.Errorf("netsim: duplicate host address %s", addr)
 	}
 	h := &Host{
@@ -83,7 +94,7 @@ func (n *Network) AddHost(label string, addr packet.Addr) (*Host, error) {
 		protos:   make(map[packet.Protocol]ProtoHandler),
 	}
 	n.hosts = append(n.hosts, h)
-	n.hostAttach[addr] = hostAttachment{host: h} // router set on Attach
+	e.host, e.router = int32(len(n.hosts)), 0 // router set on Attach
 	return h, nil
 }
 
@@ -105,11 +116,8 @@ func (n *Network) Attach(h *Host, r *Router, delay time.Duration, loss float64) 
 	}
 	l := newLink(n.Sim, h, r, delay, loss)
 	h.uplink = l
-	r.hostLinks[h.addr] = l
 	n.links = append(n.links, l)
-	att := n.hostAttach[h.addr]
-	att.routerID = r.id
-	n.hostAttach[h.addr] = att
+	n.ownIndex().slotFor(h.addr).router = int32(r.id) + 1
 	return l, nil
 }
 
@@ -119,9 +127,6 @@ func (n *Network) Attach(h *Host, r *Router, delay time.Duration, loss float64) 
 func (n *Network) ReplaceAttachment(h *Host, to *Router, delay time.Duration) (*Link, error) {
 	if h.uplink == nil {
 		return nil, fmt.Errorf("netsim: host %s not attached", h.label)
-	}
-	if old, ok := h.uplink.Peer(h).(*Router); ok {
-		delete(old.hostLinks, h.addr)
 	}
 	for i, l := range n.links {
 		if l == h.uplink {
@@ -141,20 +146,20 @@ func (n *Network) Hosts() []*Host { return n.hosts }
 
 // HostByAddr finds a host by address.
 func (n *Network) HostByAddr(a packet.Addr) (*Host, bool) {
-	att, ok := n.hostAttach[a]
-	if !ok || att.host == nil {
+	e := n.index.lookup(a)
+	if e.host == 0 {
 		return nil, false
 	}
-	return att.host, true
+	return n.hosts[e.host-1], true
 }
 
 // AttachmentRouter returns the router a host address hangs off.
 func (n *Network) AttachmentRouter(a packet.Addr) (*Router, bool) {
-	att, ok := n.hostAttach[a]
-	if !ok || att.host == nil || att.host.uplink == nil {
+	e := n.index.lookup(a)
+	if e.host == 0 || e.router == 0 {
 		return nil, false
 	}
-	return n.routers[att.routerID], true
+	return n.routers[e.router-1], true
 }
 
 // ComputeRoutes builds shortest-path next-hop tables with one BFS per
@@ -214,59 +219,44 @@ func (n *Network) ComputeRoutes() error {
 	return nil
 }
 
-// ExportRoutes freezes the computed forwarding tables for reuse. The
-// returned table shares this Network's backing arrays; neither may be
-// mutated afterwards (the Network never does — routes are only ever
-// recomputed wholesale, which allocates fresh rows).
+// ExportRoutes freezes the computed forwarding tables and the address
+// index for reuse. The returned table shares this Network's backing
+// arrays; neither side writes them afterwards — routes are only ever
+// recomputed wholesale, which allocates fresh rows, and a graph
+// mutation copies the index first (ownIndex).
 func (n *Network) ExportRoutes() (*RouteTable, error) {
 	if !n.routed {
 		return nil, fmt.Errorf("netsim: ExportRoutes before ComputeRoutes")
 	}
-	return &RouteTable{nextHop: n.nextHop, routers: len(n.routers), links: len(n.links)}, nil
+	n.indexShared = true
+	return &RouteTable{
+		nextHop: n.nextHop,
+		index:   n.index,
+		routers: len(n.routers),
+		hosts:   len(n.hosts),
+		links:   len(n.links),
+	}, nil
 }
 
 // ImportRoutes installs a shared forwarding table instead of running
-// ComputeRoutes. The Network's graph must have been built by the same
-// construction sequence as the table's origin — same routers, same links,
-// in the same creation order — which the router and link counts check
-// cheaply; the topology blueprint guarantees the rest by replaying one
-// recorded build.
+// ComputeRoutes, and the table's address index in place of the one this
+// Network built while its graph was assembled. The Network's graph must
+// have been built by the same construction sequence as the table's
+// origin — same routers, hosts and links, in the same creation order —
+// which the counts check cheaply; the topology blueprint guarantees the
+// rest by replaying one recorded build.
 func (n *Network) ImportRoutes(rt *RouteTable) error {
 	if rt == nil {
 		return fmt.Errorf("netsim: ImportRoutes with nil table")
 	}
-	if len(n.routers) != rt.routers || len(n.links) != rt.links {
-		return fmt.Errorf("netsim: route table shape mismatch: network has %d routers / %d links, table %d / %d",
-			len(n.routers), len(n.links), rt.routers, rt.links)
+	if len(n.routers) != rt.routers || len(n.hosts) != rt.hosts || len(n.links) != rt.links {
+		return fmt.Errorf("netsim: route table shape mismatch: network has %d routers / %d hosts / %d links, table %d / %d / %d",
+			len(n.routers), len(n.hosts), len(n.links), rt.routers, rt.hosts, rt.links)
 	}
 	n.nextHop = rt.nextHop
+	n.index, n.indexShared = rt.index, true
 	n.routed = true
 	return nil
-}
-
-// nextHopLink resolves the egress link from router r toward the
-// attachment router of dst. Returns nil when dst is unknown or
-// unreachable.
-func (n *Network) nextHopLink(r *Router, dst packet.Addr) *Link {
-	if !n.routed {
-		panic("netsim: ComputeRoutes not called")
-	}
-	att, ok := n.hostAttach[dst]
-	if !ok || att.host == nil || att.host.uplink == nil {
-		// Not a host address: maybe a router address (for ICMP replies to
-		// traceroute we must route *toward* routers too).
-		if rid, ok := n.routerIDByAddr(dst); ok {
-			if rid == r.id {
-				return nil
-			}
-			return n.linkAt(n.nextHop[r.id][rid])
-		}
-		return nil
-	}
-	if att.routerID == r.id {
-		return r.hostLinks[dst]
-	}
-	return n.linkAt(n.nextHop[r.id][att.routerID])
 }
 
 // linkAt resolves a next-hop index to the link object, nil for -1.
@@ -275,19 +265,6 @@ func (n *Network) linkAt(idx int32) *Link {
 		return nil
 	}
 	return n.links[idx]
-}
-
-// routerIDByAddr performs a linear scan; router-addressed traffic (ICMP
-// from traceroute replies toward routers) is rare, and topologies keep a
-// few hundred routers, so this stays off any hot path. A map would work
-// too, but the scan keeps construction allocation-free.
-func (n *Network) routerIDByAddr(a packet.Addr) (int, bool) {
-	for _, r := range n.routers {
-		if r.addr == a {
-			return r.id, true
-		}
-	}
-	return 0, false
 }
 
 // PathRouters traces the routing-table path from a source host to a
@@ -305,13 +282,10 @@ func (n *Network) PathRouters(from *Host, dst packet.Addr) ([]*Router, error) {
 	var path []*Router
 	for hops := 0; cur != nil && hops < 1024; hops++ {
 		path = append(path, cur)
-		if _, direct := cur.hostLinks[dst]; direct {
-			return path, nil
-		}
 		if dst == cur.addr {
 			return path, nil
 		}
-		link := n.nextHopLink(cur, dst)
+		link := cur.route(dst)
 		if link == nil {
 			return path, fmt.Errorf("netsim: no route from %s to %s", cur.label, dst)
 		}

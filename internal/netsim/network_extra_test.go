@@ -52,9 +52,13 @@ func TestReplaceAttachment(t *testing.T) {
 		t.Error("no delivery after rehoming")
 	}
 
-	// The old attachment must be fully gone: r2 has no host link.
-	if _, stale := r2.hostLinks[server.Addr()]; stale {
+	// The old attachment must be fully gone: r2 reaches the server
+	// through fw, not over a stale access link.
+	if l := r2.route(server.Addr()); l == nil || l.Peer(r2) != Node(fw) {
 		t.Error("stale host link on previous router")
+	}
+	if at, ok := n.AttachmentRouter(server.Addr()); !ok || at != fw {
+		t.Errorf("AttachmentRouter = %v, want fw", at)
 	}
 }
 

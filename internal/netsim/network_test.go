@@ -10,7 +10,7 @@ import (
 
 // lineTopology builds H1 - R0 - R1 - ... - R(n-1) - H2 and returns the
 // pieces. Each link has the given delay and zero loss.
-func lineTopology(t *testing.T, sim *Sim, nRouters int, delay time.Duration) (*Network, *Host, *Host, []*Router) {
+func lineTopology(t testing.TB, sim *Sim, nRouters int, delay time.Duration) (*Network, *Host, *Host, []*Router) {
 	t.Helper()
 	n := NewNetwork(sim)
 	routers := make([]*Router, nRouters)

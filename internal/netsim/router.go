@@ -36,9 +36,6 @@ type Router struct {
 	asn      uint32
 	links    []*Link
 	policies []Policy
-	// hostLinks maps directly attached host addresses to their access
-	// links; the general routing table handles everything else.
-	hostLinks map[packet.Addr]*Link
 
 	ipID uint16
 
@@ -70,6 +67,13 @@ func (r *Router) Policies() []Policy { return r.policies }
 // Receive implements Node: the router forwarding path. The buffer
 // reference is forwarded along the route when the packet survives and
 // released on every drop path.
+//
+// A transit hop reads the wire bytes at fixed offsets and never builds
+// an IPv4Header: packet.PeekIPv4 makes every check the full parse
+// makes (length, version, IHL, total length, header checksum) and
+// yields the destination; the TTL decrement and its RFC 1624 checksum
+// update happen in place. Only a TTL expiry runs packet.ParseIPv4 —
+// the ICMP error needs the source address and protocol.
 func (r *Router) Receive(b *packet.Buf, from *Link) {
 	wire := b.Bytes()
 	for _, p := range r.policies {
@@ -80,15 +84,15 @@ func (r *Router) Receive(b *packet.Buf, from *Link) {
 		}
 	}
 
-	ip, _, err := packet.ParseIPv4(wire)
-	if err != nil {
+	dst, ok := packet.PeekIPv4(wire)
+	if !ok {
 		b.Release()
 		return // corrupt packets die here, as in a real forwarding plane
 	}
 
 	// Local delivery to the router's own address: routers terminate no
 	// transport protocols in this model, so such packets are absorbed.
-	if ip.Dst == r.addr {
+	if dst == r.addr {
 		b.Release()
 		return
 	}
@@ -100,29 +104,47 @@ func (r *Router) Receive(b *packet.Buf, from *Link) {
 	}
 	if ttl == 0 {
 		r.TTLExpiries++
-		r.sendTimeExceeded(ip, wire)
+		// The decrement kept the header checksum valid, so the datagram
+		// still parses; it is quoted as it arrived, TTL update applied.
+		if ip, _, err := packet.ParseIPv4(wire); err == nil {
+			r.sendTimeExceeded(ip, wire)
+		}
 		b.Release()
 		return
 	}
 
-	link := r.route(ip.Dst)
+	link := r.route(dst)
 	if link == nil {
 		r.NoRouteDrops++
 		b.Release()
 		return
 	}
 	r.Forwarded++
-	link.Send(r, b)
+	link.send(link.dirFrom(r), b)
 }
 
-// route picks the egress link for dst: a directly attached host wins,
-// otherwise the network's next-hop table toward the destination's
-// attachment router decides.
+// route resolves the egress link toward dst through the network's
+// address index: the access link when dst is a host attached here,
+// otherwise the next hop toward dst's attachment router — or toward the
+// router dst itself names, since ICMP replies to traceroute must route
+// *toward* routers too. It returns nil when dst is unknown, unattached,
+// unreachable, or this router's own address.
 func (r *Router) route(dst packet.Addr) *Link {
-	if l, ok := r.hostLinks[dst]; ok {
-		return l
+	n := r.net
+	e := n.index.lookup(dst)
+	if e.router == 0 {
+		return nil
 	}
-	return r.net.nextHopLink(r, dst)
+	if int(e.router-1) == r.id {
+		if e.host == 0 {
+			return nil
+		}
+		return n.hosts[e.host-1].uplink
+	}
+	if !n.routed {
+		panic("netsim: ComputeRoutes not called")
+	}
+	return n.linkAt(n.nextHop[r.id][e.router-1])
 }
 
 // sendTimeExceeded emits the ICMP error that traceroute elicits. Per
@@ -145,7 +167,7 @@ func (r *Router) sendTimeExceeded(ip packet.IPv4Header, dropped []byte) {
 		return
 	}
 	if link := r.route(ip.Src); link != nil {
-		link.Send(r, reply)
+		link.send(link.dirFrom(r), reply)
 		return
 	}
 	reply.Release()

@@ -450,3 +450,125 @@ func TestSchedulerStress(t *testing.T) {
 		}
 	})
 }
+
+// TestSchedulerEquivalenceSingletonCascade aims the wheel-vs-heap
+// differential at the cascade's singleton hand-off (a higher-level slot
+// whose chain holds one live event goes straight to the due buffer):
+// scripted cases for a lone event per slot at several levels, a
+// same-nanosecond tie scheduled while the handed-off event is firing, a
+// cancelled singleton, and a two-entry chain whose other entry is dead
+// — then a sparse random workload in which most chains are singletons.
+// A far timer keeps the wheel out of its register mode throughout, so
+// every pop goes through wheelAdvance.
+func TestSchedulerEquivalenceSingletonCascade(t *testing.T) {
+	type fire struct {
+		id int
+		at time.Duration
+	}
+	scripted := func(sched Scheduler) []fire {
+		s := NewSimSched(1, sched)
+		var log []fire
+		mark := func(id int) func() { return func() { log = append(log, fire{id, s.Now()}) } }
+		s.After(400*24*time.Hour, mark(99)) // far anchor: never alone in the wheel until the end
+
+		// One event per slot, at levels 1, 2, 3 and 4.
+		s.After(300, mark(1))
+		s.After(70_000, mark(2))
+		s.After(20*time.Millisecond, mark(3))
+		s.After(5*time.Second, mark(4))
+
+		// A tie arriving while a singleton fires: the handler schedules
+		// two zero-delay events for its own nanosecond (they must run
+		// after it, in FIFO order), and one a nanosecond later.
+		s.After(time.Minute, func() {
+			mark(5)()
+			s.After(0, mark(6))
+			s.After(1, mark(8))
+			s.After(0, mark(7))
+		})
+
+		// A cancelled singleton, alone in its slot; the cascade must
+		// step over it to the next slot's singleton.
+		dead := s.After(2*time.Minute, mark(-1))
+		s.After(3*time.Minute, mark(9))
+		dead.Stop()
+
+		// Two entries in one slot, one cancelled: the purge leaves a
+		// chain of one, which takes the hand-off.
+		shared := s.After(10*time.Minute, mark(-2))
+		s.After(10*time.Minute+5, mark(10))
+		shared.Stop()
+
+		// Same slot, same nanosecond, both live: not a singleton — the
+		// ordinary re-file and seq-ordered drain.
+		s.After(time.Hour, mark(11))
+		s.After(time.Hour, mark(12))
+
+		// RunUntil stops exactly on a singleton's instant, peeks past
+		// it, then the tie is scheduled from outside any handler.
+		s.After(2*time.Hour, mark(13))
+		s.RunUntil(2 * time.Hour)
+		s.After(0, mark(14))
+		s.Run()
+		return log
+	}
+	sparse := func(sched Scheduler, seed int64) []fire {
+		s := NewSimSched(1, sched)
+		rng := rand.New(rand.NewSource(seed))
+		var log []fire
+		s.After(400*24*time.Hour, func() {})
+		id, budget := 0, 400
+		var spawn func()
+		spawn = func() {
+			for n := 1 + rng.Intn(2); n > 0 && budget > 0; n-- {
+				budget--
+				me := id
+				id++
+				// Mostly whole windows apart; now and then a tie.
+				d := time.Duration(rng.Int63n(1 << uint(8+rng.Intn(36))))
+				if rng.Intn(6) == 0 {
+					d = 0
+				}
+				tm := s.After(d, func() {
+					log = append(log, fire{me, s.Now()})
+					spawn()
+				})
+				if rng.Intn(5) == 0 {
+					tm.Stop()
+					spawn() // keep the chain alive past the cancellation
+				}
+			}
+		}
+		spawn()
+		if rng.Intn(2) == 0 {
+			s.RunUntil(time.Duration(rng.Int63n(int64(time.Hour))))
+		}
+		s.Run()
+		return log
+	}
+	compare := func(name string, w, h []fire) {
+		t.Helper()
+		if len(w) != len(h) {
+			t.Fatalf("%s: wheel fired %d events, heap %d", name, len(w), len(h))
+		}
+		for i := range w {
+			if w[i] != h[i] {
+				t.Fatalf("%s: divergence at %d: wheel=%v heap=%v", name, i, w[i], h[i])
+			}
+		}
+	}
+	w := scripted(SchedWheel)
+	compare("scripted", w, scripted(SchedHeap))
+	want := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 99}
+	if len(w) != len(want) {
+		t.Fatalf("scripted: fired %d events, want %d: %v", len(w), len(want), w)
+	}
+	for i, f := range w {
+		if f.id != want[i] {
+			t.Fatalf("scripted: fire %d is event %d, want %d", i, f.id, want[i])
+		}
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		compare("sparse", sparse(SchedWheel, seed), sparse(SchedHeap, seed))
+	}
+}

@@ -262,15 +262,28 @@ func (s *Sim) wheelAdvance() bool {
 			w.cascades++
 			if live >= 0 {
 				w.cur = minAt
+				if s.slab[live].next < 0 {
+					// Singleton hand-off: the chain's one live event is
+					// the earliest pending (level 0 was exhausted and no
+					// finer level holds a slot ahead of the cursor), so
+					// re-filing it would put it alone in the level-0
+					// slot at the new cursor, where the next pass would
+					// find it, drain it and sort a batch of one. Hand
+					// it to the due buffer directly — the same cursor,
+					// the same batch, the same (time, seq) order.
+					w.due = append(w.due[:0], live)
+					w.duePos = 0
+					w.dueAt = minAt
+					return true
+				}
 				for idx := live; idx >= 0; {
 					next := s.slab[idx].next
 					s.wheelFile(idx, s.slab[idx].at)
 					idx = next
 				}
-				cascaded = true
-			} else {
-				cascaded = true // chain was all dead; rescan from here
 			}
+			// An all-dead chain leaves nothing to file; rescan from here.
+			cascaded = true
 			break
 		}
 		if !cascaded {

@@ -1,5 +1,10 @@
 package packet
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // Checksum computes the Internet checksum (RFC 1071) over data: the ones'
 // complement of the ones'-complement sum of the data taken as big-endian
 // 16-bit words, with a trailing odd byte padded with zero.
@@ -7,16 +12,67 @@ func Checksum(data []byte) uint16 {
 	return finishChecksum(sumWords(0, data))
 }
 
-// sumWords folds data into an ongoing 32-bit ones'-complement accumulator.
+// sumWords folds data into an ongoing ones'-complement accumulator and
+// returns it reduced to 16 bits, so callers may keep adding words to
+// the result. It sums eight bytes per step into a 64-bit accumulator
+// with end-around carry (2^16 ≡ 1 mod 0xFFFF, so a big-endian 64-bit
+// load is worth the sum of its four 16-bit words, and a carry out of
+// bit 63 is worth 1); a trailing odd byte is padded with zero, as
+// RFC 1071 prescribes. End-around addition never turns a non-zero sum
+// into zero, so the result is 0 only when sum and every data byte are —
+// the one distinction finishChecksum's fold preserves (0 vs 0xFFFF).
 func sumWords(sum uint32, data []byte) uint32 {
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(data[i])<<8 | uint32(data[i+1])
+	acc, carry := uint64(sum), uint64(0)
+	for len(data) >= 32 {
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(data), carry)
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(data[8:]), carry)
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(data[16:]), carry)
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(data[24:]), carry)
+		data = data[32:]
 	}
-	if n%2 == 1 {
-		sum += uint32(data[n-1]) << 8
+	for len(data) >= 8 {
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(data), carry)
+		data = data[8:]
 	}
-	return sum
+	// At most seven bytes remain: 4 + 2 + 1, none of which can carry
+	// out of 64 bits on its own, so one shared end-around add suffices.
+	var tail uint64
+	if len(data) >= 4 {
+		tail = uint64(binary.BigEndian.Uint32(data))
+		data = data[4:]
+	}
+	if len(data) >= 2 {
+		tail += uint64(binary.BigEndian.Uint16(data))
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		tail += uint64(data[0]) << 8
+	}
+	acc, carry = bits.Add64(acc, tail, carry)
+	acc, carry = bits.Add64(acc, 0, carry)
+	acc += carry
+	acc = acc>>32 + acc&0xFFFFFFFF // ≤ 33 bits
+	acc = acc>>32 + acc&0xFFFFFFFF // ≤ 32 bits
+	acc = acc>>16 + acc&0xFFFF     // ≤ 17 bits
+	acc = acc>>16 + acc&0xFFFF     // ≤ 16 bits
+	return uint32(acc)
+}
+
+// headerChecksumOK verifies an option-less IPv4 header's checksum: the
+// ones'-complement sum of its ten words, checksum field included, must
+// be 0xFFFF. Five 32-bit loads cannot overflow 64 bits, so the sum needs
+// no carry handling until the final fold; hdr must hold IPv4HeaderLen
+// bytes. Equivalent to Checksum(hdr[:IPv4HeaderLen]) == 0.
+func headerChecksumOK(hdr []byte) bool {
+	_ = hdr[IPv4HeaderLen-1]
+	s := uint64(binary.BigEndian.Uint32(hdr[0:])) + uint64(binary.BigEndian.Uint32(hdr[4:])) +
+		uint64(binary.BigEndian.Uint32(hdr[8:])) + uint64(binary.BigEndian.Uint32(hdr[12:])) +
+		uint64(binary.BigEndian.Uint32(hdr[16:]))
+	s = s>>32 + s&0xFFFFFFFF // < 2^32 + 5
+	s = s>>16 + s&0xFFFF     // ≤ 0x1FFFF
+	s = s>>16 + s&0xFFFF     // ≤ 0x10000
+	s = s>>16 + s&0xFFFF     // ≤ 0xFFFF
+	return s == 0xFFFF
 }
 
 // finishChecksum folds the carries and complements the accumulator.

@@ -3,6 +3,10 @@ package packet
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/ecn"
@@ -212,4 +216,93 @@ func roundTripICMP(t *testing.T, ip IPv4Header, body, wire []byte) {
 	if !bytes.Equal(rebuilt, wire) {
 		t.Errorf("ICMP round trip differs:\n got %x\nwant %x", rebuilt, wire)
 	}
+}
+
+// corpusWires reads the byte-slice inputs the fuzzer has saved under
+// testdata/fuzz/<name> (Go's "go test fuzz v1" corpus format), so one
+// fuzz target's findings seed another.
+func corpusWires(tb testing.TB, name string) [][]byte {
+	tb.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", name, "*"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var wires [][]byte
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(lines) != 2 || !strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+			tb.Fatalf("%s: not a single-[]byte corpus entry", file)
+		}
+		s, err := strconv.Unquote(lines[1][len("[]byte(") : len(lines[1])-1])
+		if err != nil {
+			tb.Fatalf("%s: %v", file, err)
+		}
+		wires = append(wires, []byte(s))
+	}
+	return wires
+}
+
+// FuzzPeekMatchesParseIPv4 is the forwarding fast path's differential
+// oracle: PeekIPv4 — what a router runs per hop — must accept exactly
+// the inputs ParseIPv4 accepts and agree with it on the destination, so
+// a datagram is forwarded only if it would have survived the full
+// parse. Seeds: the round-trip fuzzer's valid datagrams and saved
+// corpus, plus one mutation per check the parser makes.
+func FuzzPeekMatchesParseIPv4(f *testing.F) {
+	corpus := corpusWires(f, "FuzzWireRoundTrip")
+	if len(corpus) == 0 {
+		f.Fatal("no saved corpus found under testdata/fuzz/FuzzWireRoundTrip")
+	}
+	for _, w := range append(fuzzSeedWires(f), corpus...) {
+		f.Add(w)
+		mutate := func(fn func(b []byte) []byte) { f.Add(fn(append([]byte(nil), w...))) }
+		mutate(func(b []byte) []byte { return b[:IPv4HeaderLen-1] })          // truncated header
+		mutate(func(b []byte) []byte { return b[:len(b)-1] })                 // shorter than total length
+		mutate(func(b []byte) []byte { b[0] = 6<<4 | 5; return b })           // bad version
+		mutate(func(b []byte) []byte { b[0] = 4<<4 | 6; return b })           // IHL != 5
+		mutate(func(b []byte) []byte { b[2], b[3] = 0, 19; return b })        // total < header
+		mutate(func(b []byte) []byte { b[11] ^= 0x01; return b })             // flipped checksum bit
+		mutate(func(b []byte) []byte { b[10], b[11] = 0xFF, 0xFF; return b }) // all-ones checksum
+		mutate(func(b []byte) []byte { return append(b, 0xAA, 0xBB) })        // trailing bytes past total
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0x45})
+	f.Add(bytes.Repeat([]byte{0xFF}, 40))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ip, _, err := ParseIPv4(data)
+		dst, ok := PeekIPv4(data)
+		if ok != (err == nil) {
+			t.Fatalf("PeekIPv4 ok=%v but ParseIPv4 err=%v on %x", ok, err, data)
+		}
+		if ok && dst != ip.Dst {
+			t.Fatalf("PeekIPv4 dst %s, ParseIPv4 dst %s on %x", dst, ip.Dst, data)
+		}
+		if !ok {
+			return
+		}
+		// What a forwarding router does next must keep the datagram
+		// parseable: the TTL decrement's incremental checksum update
+		// leaves a header the full parse (run on expiry, for the ICMP
+		// quotation) still accepts, with every other field untouched.
+		if data[8] == 0 {
+			return
+		}
+		wire := append([]byte(nil), data...)
+		if _, err := DecrementWireTTL(wire); err != nil {
+			t.Fatal(err)
+		}
+		after, _, err := ParseIPv4(wire)
+		if err != nil {
+			t.Fatalf("header no longer parses after TTL decrement: %v", err)
+		}
+		ip.TTL--
+		if after != ip {
+			t.Fatalf("TTL decrement changed more than TTL: %v -> %v", ip, after)
+		}
+	})
 }

@@ -102,7 +102,7 @@ func ParseIPv4(data []byte) (IPv4Header, []byte, error) {
 	if total < ihl || total > len(data) {
 		return h, nil, fmt.Errorf("%w: total %d of %d available", ErrBadTotalLen, total, len(data))
 	}
-	if Checksum(data[:ihl]) != 0 {
+	if !headerChecksumOK(data) {
 		return h, nil, ErrBadChecksum
 	}
 	h.TOS = data[1]
@@ -116,6 +116,27 @@ func ParseIPv4(data []byte) (IPv4Header, []byte, error) {
 	copy(h.Src[:], data[12:16])
 	copy(h.Dst[:], data[16:20])
 	return h, data[ihl:total], nil
+}
+
+// PeekIPv4 is the forwarding plane's view of a datagram: it applies every
+// check ParseIPv4 makes — length, version 4, IHL 5, 20 ≤ total length ≤
+// len(data), header checksum — reading fixed header offsets, and returns
+// the destination address without building an IPv4Header. ok is true for
+// exactly the inputs ParseIPv4 accepts (FuzzPeekMatchesParseIPv4 holds
+// the two together); a router that needs more than dst — the source and
+// protocol for an ICMP error — runs the full parse.
+func PeekIPv4(data []byte) (dst Addr, ok bool) {
+	if len(data) < IPv4HeaderLen || data[0] != 4<<4|5 {
+		return dst, false
+	}
+	hdr := data[:IPv4HeaderLen]
+	if total := int(binary.BigEndian.Uint16(hdr[2:])); total < IPv4HeaderLen || total > len(data) {
+		return dst, false
+	}
+	if !headerChecksumOK(hdr) {
+		return dst, false
+	}
+	return Addr(hdr[16:20]), true
 }
 
 // SetWireECN rewrites the ECN bits of a serialized IPv4 packet in place

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -200,6 +201,9 @@ type jobMgr struct {
 	nextID  int
 	running int
 	closed  bool
+	// aborted makes the run and compactor goroutines drop what is still
+	// queued instead of draining it (Abort); they read it off the lock.
+	aborted atomic.Bool
 	// draining rejects new submissions and claims with 503 unavailable
 	// + Retry-After while in-flight shard uploads still land — the
 	// graceful-shutdown window (BeginDrain).
@@ -247,7 +251,9 @@ func newJobMgr(store *Store, workers int, met *serverMetrics, logger *slog.Logge
 		go func() {
 			defer m.wg.Done()
 			for j := range m.queue {
-				m.runJob(j)
+				if !m.aborted.Load() {
+					m.runJob(j)
+				}
 			}
 		}()
 	}
@@ -255,7 +261,9 @@ func newJobMgr(store *Store, workers int, met *serverMetrics, logger *slog.Logge
 	go func() {
 		defer m.wg.Done()
 		for req := range m.compactCh {
-			m.compactJob(req)
+			if !m.aborted.Load() {
+				m.compactJob(req)
+			}
 		}
 	}()
 	return m
@@ -264,13 +272,25 @@ func newJobMgr(store *Store, workers int, met *serverMetrics, logger *slog.Logge
 // Close stops accepting jobs and waits for in-flight runs to finish,
 // then journals a clean-shutdown marker: the next startup knows this
 // process exited deliberately rather than crashed.
-func (m *jobMgr) Close() {
+func (m *jobMgr) Close() { m.stop(true) }
+
+// Abort stops the manager the way a crash would, as far as one process
+// can do that to itself: queued jobs and backlogged compactions are
+// dropped, the run or compaction in flight finishes its current step,
+// every goroutine exits, the job journals are closed as they stand and
+// no clean-shutdown marker is written — so the next coordinator on the
+// same data dir recovers, and nothing of this one is left to unlink
+// segments under it.
+func (m *jobMgr) Abort() { m.stop(false) }
+
+func (m *jobMgr) stop(clean bool) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return
 	}
 	m.closed = true
+	m.aborted.Store(!clean)
 	m.mu.Unlock()
 	close(m.queue)
 	close(m.compactCh)
@@ -284,7 +304,7 @@ func (m *jobMgr) Close() {
 			j.wal = nil
 		}
 	}
-	if m.wal != nil {
+	if clean && m.wal != nil {
 		if err := m.wal.markCleanShutdown(m.now()); err != nil {
 			m.logger.Error("clean-shutdown marker", "error", err)
 		}

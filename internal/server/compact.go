@@ -52,8 +52,8 @@ type compactReq struct {
 // Callers hold m.mu and have already synced their appends (a sealed
 // segment must be fully durable).
 func (m *jobMgr) maybeSealLocked(j *job) {
-	if j.wal == nil || m.wal == nil || j.compacting {
-		return
+	if j.wal == nil || m.wal == nil || j.compacting || m.closed {
+		return // closed: compactCh is gone
 	}
 	if j.wal.size < m.wal.capBytes() {
 		return

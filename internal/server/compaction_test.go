@@ -32,9 +32,9 @@ const bigSpec = `{"spec": 1, "scale": "small", "traces": 3, "slices_per_vantage"
   "seed": 2015, "stride": 0, "execution": "distributed"}`
 
 // startSegServer opens a coordinator with a tuned journal segment cap
-// on an existing data dir; like startCrashServer it registers only
-// listener cleanup so tests can crash it.
-func startSegServer(t *testing.T, dir string, fc *fakeClock, segBytes int64) (*httptest.Server, *apiclient.Client) {
+// on an existing data dir; like startCrashServer it registers no clean
+// shutdown, so tests can crash it.
+func startSegServer(t *testing.T, dir string, fc *fakeClock, segBytes int64) (*server.Server, *httptest.Server, *apiclient.Client) {
 	t.Helper()
 	srv, err := server.New(server.Config{
 		DataDir:             dir,
@@ -47,8 +47,8 @@ func startSegServer(t *testing.T, dir string, fc *fakeClock, segBytes int64) (*h
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return ts, apiclient.New(ts.URL)
+	t.Cleanup(func() { crash(ts, srv) })
+	return srv, ts, apiclient.New(ts.URL)
 }
 
 // journalBytes sums the on-disk footprint of one job's journal
@@ -143,7 +143,7 @@ func TestJournalCompactionBoundsSize(t *testing.T) {
 	// Baseline: a cap so large nothing ever seals — PR 9's single-file
 	// journal, byte for byte.
 	baseDir := t.TempDir()
-	_, baseClient := startSegServer(t, baseDir, newFakeClock(), 1<<30)
+	_, _, baseClient := startSegServer(t, baseDir, newFakeClock(), 1<<30)
 	baseJob, _, err := baseClient.SubmitRaw(ctx, []byte(bigSpec))
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestJournalCompactionBoundsSize(t *testing.T) {
 
 	// Segmented: a small cap seals and checkpoints throughout the run.
 	segDir := t.TempDir()
-	_, segClient := startSegServer(t, segDir, newFakeClock(), 2048)
+	_, _, segClient := startSegServer(t, segDir, newFakeClock(), 2048)
 	segJob, _, err := segClient.SubmitRaw(ctx, []byte(bigSpec))
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestRecoveryFromCheckpoint(t *testing.T) {
 			ctx := context.Background()
 			dir := t.TempDir()
 			fc := newFakeClock()
-			ts1, client1 := startSegServer(t, dir, fc, 2048)
+			srv1, ts1, client1 := startSegServer(t, dir, fc, 2048)
 
 			job, _, err := client1.SubmitRaw(ctx, []byte(bigSpec))
 			if err != nil {
@@ -238,8 +238,8 @@ func TestRecoveryFromCheckpoint(t *testing.T) {
 			}
 
 			// Crash; restart on the same journal.
-			ts1.Close()
-			_, client2 := startSegServer(t, dir, fc, 2048)
+			crash(ts1, srv1)
+			_, _, client2 := startSegServer(t, dir, fc, 2048)
 
 			resumed, err := client2.Job(ctx, job.ID)
 			if err != nil {
@@ -286,7 +286,7 @@ func TestCompactionCrashMidSwap(t *testing.T) {
 	})
 	defer remove()
 
-	ts1, client1 := startSegServer(t, dir, fc, 2048)
+	srv1, ts1, client1 := startSegServer(t, dir, fc, 2048)
 	job, _, err := client1.SubmitRaw(ctx, []byte(bigSpec))
 	if err != nil {
 		t.Fatal(err)
@@ -325,9 +325,9 @@ func TestCompactionCrashMidSwap(t *testing.T) {
 
 	// Crash, disarm, restart: recovery picks the checkpoint base and
 	// tidies the superseded chain below it.
-	ts1.Close()
+	crash(ts1, srv1)
 	remove()
-	_, client2 := startSegServer(t, dir, fc, 2048)
+	_, _, client2 := startSegServer(t, dir, fc, 2048)
 
 	if barePresent() {
 		t.Fatalf("recovery left the superseded chain: %v", jobSegments(t, dir, job.ID))

@@ -2,7 +2,7 @@ package server_test
 
 // Crash-recovery tests: every path through the write-ahead journal and
 // the startup replay, driven end to end through the HTTP API. A
-// "crash" abandons the first server instance without Close() — its
+// "crash" aborts the first server instance without Close() — its
 // journal is exactly what a killed process would leave — and a second
 // instance is opened on the same data directory. The shared fake clock
 // survives the restart, so lease expiry across the crash is stepped,
@@ -29,9 +29,10 @@ import (
 
 // startCrashServer opens a coordinator on an existing data directory
 // with the shared fake clock. Unlike newLeaseServer it does NOT
-// register srv.Close as cleanup: tests that simulate a crash abandon
-// the instance (no clean-shutdown marker, journals left as-is) by
-// closing only the listener.
+// register srv.Close as cleanup: tests that simulate a crash kill the
+// instance with crash (no clean-shutdown marker, journals left as-is).
+// Cleanup aborts whatever is still running, so no manager goroutine
+// outlives the test's temp dir.
 func startCrashServer(t *testing.T, dir string, fc *fakeClock) (*server.Server, *httptest.Server, *apiclient.Client) {
 	t.Helper()
 	srv, err := server.New(server.Config{
@@ -44,8 +45,18 @@ func startCrashServer(t *testing.T, dir string, fc *fakeClock) (*server.Server, 
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() { crash(ts, srv) })
 	return srv, ts, apiclient.New(ts.URL)
+}
+
+// crash kills a coordinator the way a process death would: the listener
+// goes away, every manager goroutine — the journal compactor included —
+// stops where it is, and nothing marks the shutdown clean. Closing only
+// the listener would leave the "dead" instance's compactor free to
+// unlink segments under the coordinator restarted on the same data dir.
+func crash(ts *httptest.Server, srv *server.Server) {
+	ts.Close()
+	srv.Abort()
 }
 
 // directDataset computes the in-process engine's dataset bytes for
@@ -115,7 +126,7 @@ func TestRecoveryResumesPartialJob(t *testing.T) {
 			fc := newFakeClock()
 			ctx := context.Background()
 
-			_, ts1, c1 := startCrashServer(t, dir, fc)
+			srv1, ts1, c1 := startCrashServer(t, dir, fc)
 			job, _, err := c1.SubmitRaw(ctx, []byte(distSpec))
 			if err != nil {
 				t.Fatal(err)
@@ -131,7 +142,7 @@ func TestRecoveryResumesPartialJob(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ts1.Close() // crash: no drain, no clean-shutdown marker
+			crash(ts1, srv1) // crash: no drain, no clean-shutdown marker
 
 			_, _, c2 := startCrashServer(t, dir, fc)
 			st, err := c2.Stats(ctx)
@@ -207,7 +218,7 @@ func TestRecoveryOldTokenAcceptedSeqAdvances(t *testing.T) {
 	fc := newFakeClock()
 	ctx := context.Background()
 
-	_, ts1, c1 := startCrashServer(t, dir, fc)
+	srv1, ts1, c1 := startCrashServer(t, dir, fc)
 	job, _, err := c1.SubmitRaw(ctx, []byte(distSpec))
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +228,7 @@ func TestRecoveryOldTokenAcceptedSeqAdvances(t *testing.T) {
 		t.Fatal(err)
 	}
 	wires := execWires(t, distSpec, claim.SpecHash)
-	ts1.Close() // crash with every shard leased, none uploaded
+	crash(ts1, srv1) // crash with every shard leased, none uploaded
 
 	_, _, c2 := startCrashServer(t, dir, fc)
 
@@ -271,7 +282,7 @@ func TestRecoveryCompletesJournaledMerge(t *testing.T) {
 	})
 	defer remove()
 
-	_, ts1, c1 := startCrashServer(t, dir, fc)
+	srv1, ts1, c1 := startCrashServer(t, dir, fc)
 	job, _, err := c1.SubmitRaw(ctx, []byte(distSpec))
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +307,7 @@ func TestRecoveryCompletesJournaledMerge(t *testing.T) {
 	if mid.State == "done" {
 		t.Fatal("finalize failpoint did not abort the merge")
 	}
-	ts1.Close()
+	crash(ts1, srv1)
 	remove()
 
 	_, _, c2 := startCrashServer(t, dir, fc)
@@ -319,7 +330,7 @@ func TestRecoveryAlreadyDone(t *testing.T) {
 	fc := newFakeClock()
 	ctx := context.Background()
 
-	_, ts1, c1 := startCrashServer(t, dir, fc)
+	srv1, ts1, c1 := startCrashServer(t, dir, fc)
 	job, _, err := c1.SubmitRaw(ctx, []byte(distSpec))
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +359,7 @@ func TestRecoveryAlreadyDone(t *testing.T) {
 	if err != nil || done.State != "done" {
 		t.Fatalf("job = %+v, %v, want done", done, err)
 	}
-	ts1.Close()
+	crash(ts1, srv1)
 	// The crash window: run filed, journal still on disk.
 	if err := os.WriteFile(walPath(dir, job.ID), snap, 0o644); err != nil {
 		t.Fatal(err)
@@ -378,7 +389,7 @@ func TestRecoveryDuplicateResultRecords(t *testing.T) {
 	fc := newFakeClock()
 	ctx := context.Background()
 
-	_, ts1, c1 := startCrashServer(t, dir, fc)
+	srv1, ts1, c1 := startCrashServer(t, dir, fc)
 	job, _, err := c1.SubmitRaw(ctx, []byte(distSpec))
 	if err != nil {
 		t.Fatal(err)
@@ -409,7 +420,7 @@ func TestRecoveryDuplicateResultRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts1.Close()
+	crash(ts1, srv1)
 
 	_, _, c2 := startCrashServer(t, dir, fc)
 	got, err := c2.Job(ctx, job.ID)
@@ -443,7 +454,7 @@ func TestRecoveryTornTail(t *testing.T) {
 	fc := newFakeClock()
 	ctx := context.Background()
 
-	_, ts1, c1 := startCrashServer(t, dir, fc)
+	srv1, ts1, c1 := startCrashServer(t, dir, fc)
 	job, _, err := c1.SubmitRaw(ctx, []byte(distSpec))
 	if err != nil {
 		t.Fatal(err)
@@ -456,7 +467,7 @@ func TestRecoveryTornTail(t *testing.T) {
 	if _, err := c1.PushShardResult(ctx, job.ID, claim.Shards[0].Index, "wA", claim.Shards[0].Lease, wires[claim.Shards[0].Index]); err != nil {
 		t.Fatal(err)
 	}
-	ts1.Close()
+	crash(ts1, srv1)
 
 	// The torn append: a half-written record with no trailing newline.
 	f, err := os.OpenFile(walPath(dir, job.ID), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -506,7 +517,7 @@ func TestRecoveryMidFileCorruption(t *testing.T) {
 	fc := newFakeClock()
 	ctx := context.Background()
 
-	_, ts1, c1 := startCrashServer(t, dir, fc)
+	srv1, ts1, c1 := startCrashServer(t, dir, fc)
 	job, _, err := c1.SubmitRaw(ctx, []byte(distSpec))
 	if err != nil {
 		t.Fatal(err)
@@ -521,7 +532,7 @@ func TestRecoveryMidFileCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts1.Close()
+	crash(ts1, srv1)
 
 	// Flip one byte in the middle of line 2; later lines stay valid.
 	path := walPath(dir, job.ID)
@@ -572,12 +583,12 @@ func TestRecoveryTruncatedJournal(t *testing.T) {
 	fc := newFakeClock()
 	ctx := context.Background()
 
-	_, ts1, c1 := startCrashServer(t, dir, fc)
+	srv1, ts1, c1 := startCrashServer(t, dir, fc)
 	job, _, err := c1.SubmitRaw(ctx, []byte(distSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts1.Close()
+	crash(ts1, srv1)
 	if err := os.Truncate(walPath(dir, job.ID), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -602,12 +613,12 @@ func TestRecoveryFreshIDsAboveRecovered(t *testing.T) {
 	fc := newFakeClock()
 	ctx := context.Background()
 
-	_, ts1, c1 := startCrashServer(t, dir, fc)
+	srv1, ts1, c1 := startCrashServer(t, dir, fc)
 	job, _, err := c1.SubmitRaw(ctx, []byte(distSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts1.Close()
+	crash(ts1, srv1)
 
 	_, _, c2 := startCrashServer(t, dir, fc)
 	// A different spec (seed differs) so it is a fresh job, not a cache

@@ -248,6 +248,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // cached, and a clean-shutdown marker is journaled.
 func (s *Server) Close() { s.mgr.Close() }
 
+// Abort stops the server as a crash would: every manager goroutine —
+// runners and the journal compactor — exits without draining its
+// backlog, and no clean-shutdown marker is journaled. Tests that
+// restart a coordinator on the same data directory in one process use
+// it after closing the listener, so the "dead" instance cannot touch
+// the journal the new one is recovering.
+func (s *Server) Abort() { s.mgr.Abort() }
+
 // BeginDrain opens the graceful-shutdown window: new submissions and
 // shard claims are refused with 503 unavailable + Retry-After,
 // heartbeats and in-flight shard uploads keep landing, and healthz

@@ -183,7 +183,6 @@ func TestSpeculationSurvivesRestart(t *testing.T) {
 	ctx := context.Background()
 
 	srv1, ts1, client1 := startCrashServer(t, dir, fc)
-	_ = srv1
 	job, _, err := client1.SubmitRaw(ctx, []byte(distSpec))
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +221,7 @@ func TestSpeculationSurvivesRestart(t *testing.T) {
 	}
 
 	// Crash with the race in flight; both tokens were journaled.
-	ts1.Close()
+	crash(ts1, srv1)
 	_, _, client2 := startCrashServer(t, dir, fc)
 
 	if ack, err := client2.PushShardResult(ctx, job.ID, specIdx, "wB", specLease, wires[specIdx]); err != nil || ack.Status != "accepted" {

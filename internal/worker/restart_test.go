@@ -45,7 +45,10 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 	if statsA.Accepted != 2 {
 		t.Fatalf("worker A stats = %+v, want exactly 2 accepted", statsA)
 	}
-	ts1.Close() // the coordinator crashes: srv1 is never Close()d
+	// The coordinator crashes: srv1 is never Close()d, and Abort leaves
+	// none of its goroutines behind on the data dir srv2 takes over.
+	ts1.Close()
+	srv1.Abort()
 
 	// A fresh coordinator on the same store recovers the job from its
 	// journal: worker A's accepted shards are already done, its orphaned

@@ -11,9 +11,10 @@
 #     setup cost (BenchmarkShardBuild) — shared frozen blueprints
 #     collapsed it from a full generation + all-pairs routing to a
 #     lightweight instantiation, and this gate keeps it collapsed;
-#   * any allocs/op > 0 on the pooled packet-path, scheduler and
-#     telemetry benchmarks (BenchmarkCEMarkThroughput,
-#     BenchmarkBuildUDPBuf, BenchmarkSimSchedule,
+#   * any allocs/op > 0 on the pooled packet-path, forwarding,
+#     scheduler and telemetry benchmarks (BenchmarkCEMarkThroughput,
+#     BenchmarkBuildUDPBuf, BenchmarkChecksum1500,
+#     BenchmarkRouterForward, BenchmarkSimSchedule,
 #     BenchmarkSimScheduleSparse, BenchmarkTelemetryHotPath — the
 #     flight recorder's write path must stay allocation-free);
 #   * campaign-level allocations above PERF_GATE_MAX_CAMPAIGN_ALLOCS
@@ -46,7 +47,7 @@ MAX_TELEMETRY_PCT="${PERF_GATE_MAX_TELEMETRY_PCT:-2}"
 # and scheduler hot-path benches run many so pool warmup amortises to a
 # true 0 allocs/op steady state.
 CAMPAIGN_FILTER='BenchmarkCampaignWorkers/workers=4$|BenchmarkShardBuild$|BenchmarkCampaignTelemetry$'
-HOTPATH_FILTER='BenchmarkCEMarkThroughput|BenchmarkBuildUDPBuf$|BenchmarkSimSchedule|BenchmarkSimScheduleSparse|BenchmarkTelemetryHotPath$'
+HOTPATH_FILTER='BenchmarkCEMarkThroughput|BenchmarkBuildUDPBuf$|BenchmarkChecksum1500$|BenchmarkRouterForward$|BenchmarkSimSchedule|BenchmarkSimScheduleSparse|BenchmarkTelemetryHotPath$'
 
 root="$(git rev-parse --show-toplevel)"
 cd "$root"
@@ -85,13 +86,13 @@ fi
 
 fail=0
 
-# Gate 1: zero allocs/op on the pooled packet-path, scheduler and
-# telemetry-write-path benchmarks.
-bad_allocs="$(awk '/^Benchmark(CEMarkThroughput|BuildUDPBuf|SimSchedule|TelemetryHotPath)/ {
+# Gate 1: zero allocs/op on the pooled packet-path, forwarding,
+# scheduler and telemetry-write-path benchmarks.
+bad_allocs="$(awk '/^Benchmark(CEMarkThroughput|BuildUDPBuf|Checksum1500|RouterForward|SimSchedule|TelemetryHotPath)/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op" && $i+0 > 0) print $1, $i, "allocs/op"
 }' "$work/head.txt" | sort -u)"
 if [ -n "$bad_allocs" ]; then
-    echo "perf-gate: FAIL — pooled packet-path, scheduler and telemetry benchmarks must report 0 allocs/op:"
+    echo "perf-gate: FAIL — pooled packet-path, forwarding, scheduler and telemetry benchmarks must report 0 allocs/op:"
     echo "$bad_allocs"
     fail=1
 fi
