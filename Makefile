@@ -19,11 +19,13 @@ race:
 
 # crash-stress repeats, under the race detector, the tests that kill a
 # coordinator in-process (Server.Abort) and restart another on the same
-# data directory: the journal compaction tests (checkpoint recovery,
-# crash mid-swap) and the mid-campaign restart. A goroutine of the "dead" instance touching the
-# journal shows up here as a failure, not as a one-in-three flake.
+# data directory: the journal recovery matrix and the mid-campaign
+# restart. Anything of the "dead" instance touching the journal or
+# still holding the data-dir lock shows up here as a failure, not as a
+# one-in-three flake. The recovery matrix executes its shards under
+# -race, ~9 min on two cores — hence the explicit timeout.
 crash-stress:
-	$(GO) test -race -count=20 -run 'TestCompaction|TestRestart' ./internal/server
+	$(GO) test -race -count=20 -timeout 30m -run 'TestRecovery|TestRestart' ./internal/server
 	$(GO) test -race -count=20 -run 'TestCoordinatorRestart' ./internal/worker
 
 # Benchmark smoke: one iteration of every benchmark on the small world,
@@ -41,9 +43,8 @@ crash-stress:
 # vs the lease/worker protocol with four in-process workers, with and
 # without the write-ahead journal — the journal-overhead pair — and the
 # straggler pair: the same fan-out with a dead two-shard claimant, with
-# straggler speculation on vs off), plus journal-footprint rows
-# (segmented-with-compaction vs single-file, same job) — which CI
-# uploads as the perf-trajectory artifact.
+# straggler speculation on vs off) — which CI uploads as the
+# perf-trajectory artifact.
 bench:
 	REPRO_SCALE=small $(GO) test -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/benchreport -o BENCH_10.json

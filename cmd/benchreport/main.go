@@ -41,12 +41,7 @@
 //     dies: with straggler speculation on, healthy workers race
 //     speculative twins of the dead worker's shards and finish early;
 //     with it off, the job waits out the full lease TTL — the pair's
-//     wall-clock gap is what speculation buys;
-//   - journal footprint: the same ≥32-shard distributed job journaled
-//     under the segmented write-ahead log with compaction (the
-//     production default) vs a single never-sealed segment (the
-//     PR 9 layout), with the on-disk byte ratio — the O(pending) vs
-//     O(history) claim, measured.
+//     wall-clock gap is what speculation buys.
 //
 // Campaign knobs come from the shared spec flag surface
 // (campaign.BindSpecFlags): explicit flags > REPRO_* env > the small
@@ -67,9 +62,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -140,24 +133,12 @@ type serviceRow struct {
 	JournalOverheadVsNoJournal float64 `json:"journal_overhead_vs_nojournal,omitempty"`
 }
 
-// journalRow records one journal layout's on-disk footprint for the
-// same almost-complete distributed job.
-type journalRow struct {
-	Name   string `json:"name"`
-	Shards int    `json:"shards"`
-	Bytes  int64  `json:"bytes"`
-	// RatioVsSingleFile, on the segmented row, is segmented bytes /
-	// single-file bytes; the compaction acceptance keeps it under 0.5.
-	RatioVsSingleFile float64 `json:"ratio_vs_single_file,omitempty"`
-}
-
 type report struct {
 	Schema     string        `json:"schema"`
 	GoMaxProcs int           `json:"go_max_procs"`
 	Campaigns  []campaignRow `json:"campaigns"`
 	HotPaths   []hotPathRow  `json:"hot_paths"`
 	Service    []serviceRow  `json:"service"`
-	Journal    []journalRow  `json:"journal"`
 }
 
 func main() {
@@ -212,10 +193,6 @@ func main() {
 	// service vs direct through the engine, then resubmitted for the
 	// cache-hit path.
 	rep.Service = benchService(spec)
-
-	// Journal-footprint rows: segmented-with-compaction vs the single
-	// never-sealed segment, same job, byte for byte.
-	rep.Journal = benchJournalFootprint(spec)
 
 	w := os.Stdout
 	if *out != "-" {
@@ -598,106 +575,6 @@ func benchStraggler(spec campaign.Spec, direct float64, speculateOn bool) servic
 		WallSeconds:      wall,
 		OverheadVsDirect: (wall - direct) / direct,
 	}
-}
-
-// benchJournalFootprint journals the same almost-complete ≥32-shard
-// distributed job twice — under the segmented layout with compaction
-// (small segment cap, the production mechanism) and as one never-
-// sealed segment (the pre-compaction layout) — and reports the on-disk
-// bytes of each. The job is left one shard short of done so the
-// journal is still alive to measure.
-func benchJournalFootprint(spec campaign.Spec) []journalRow {
-	dspec := spec.Normalized()
-	dspec.Execution = campaign.ExecutionDistributed
-	if dspec.SlicesPerVantage < 3 {
-		dspec.SlicesPerVantage = 3 // 13 vantages × 3 slices ≥ the 32-shard floor
-	}
-	if dspec.Traces < dspec.SlicesPerVantage {
-		dspec.Traces = dspec.SlicesPerVantage
-	}
-
-	run := func(name string, segBytes int64) journalRow {
-		dir, err := os.MkdirTemp("", "benchreport-journal-*")
-		if err != nil {
-			fatal("journal: %v", err)
-		}
-		defer os.RemoveAll(dir)
-		srv, err := server.New(server.Config{
-			DataDir:             dir,
-			Jobs:                1,
-			JournalSegmentBytes: segBytes,
-		})
-		if err != nil {
-			fatal("journal: %v", err)
-		}
-		defer srv.Close()
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
-
-		ctx := context.Background()
-		client := apiclient.New(ts.URL)
-		job, _, err := client.Submit(ctx, dspec)
-		if err != nil {
-			fatal("journal submit: %v", err)
-		}
-		claim, err := client.Claim(ctx, job.ID, "bench-journal", job.ShardsTotal)
-		if err != nil {
-			fatal("journal claim: %v", err)
-		}
-		cfg, err := claim.Spec.Config()
-		if err != nil {
-			fatal("journal spec: %v", err)
-		}
-		bp, err := cfg.CompileBlueprint()
-		if err != nil {
-			fatal("journal blueprint: %v", err)
-		}
-		for _, s := range claim.Shards[:len(claim.Shards)-1] {
-			w, err := campaign.ExecuteShard(cfg, bp, s.Shard, s.Slice)
-			if err != nil {
-				fatal("journal shard %d: %v", s.Index, err)
-			}
-			w.SpecHash = claim.SpecHash
-			if _, err := client.PushShardResult(ctx, job.ID, s.Index, "bench-journal", s.Lease, w); err != nil {
-				fatal("journal upload %d: %v", s.Index, err)
-			}
-		}
-		// Compaction is asynchronous: settle on a stable footprint.
-		size := journalBytes(dir, job.ID)
-		for settle := 0; settle < 40; settle++ {
-			time.Sleep(50 * time.Millisecond)
-			if next := journalBytes(dir, job.ID); next != size {
-				size, settle = next, -1
-			}
-		}
-		return journalRow{Name: name, Shards: job.ShardsTotal, Bytes: size}
-	}
-
-	single := run("journal/single-file", 1<<40)
-	segmented := run("journal/segmented", 64<<10)
-	if single.Bytes > 0 {
-		segmented.RatioVsSingleFile = float64(segmented.Bytes) / float64(single.Bytes)
-	}
-	return []journalRow{single, segmented}
-}
-
-// journalBytes sums one job's journal segment sizes under the store's
-// journal directory.
-func journalBytes(dataDir, jobID string) int64 {
-	entries, err := os.ReadDir(filepath.Join(dataDir, "journal"))
-	if err != nil {
-		return 0
-	}
-	var total int64
-	for _, e := range entries {
-		if !strings.HasPrefix(e.Name(), jobID+".") {
-			continue
-		}
-		if info, err := e.Info(); err == nil {
-			total += info.Size()
-		}
-	}
-	return total
 }
 
 // benchDistributed farms the same campaign out over the worker

@@ -48,7 +48,6 @@ func runServe(args []string) {
 		drainFor  = fs.Duration("drain", 30*time.Second, "graceful-shutdown window for in-flight work")
 		speculate = fs.Float64("speculate-after", 3.0, "re-expose a leased shard after this multiple of the job's typical shard duration (0 disables straggler speculation)")
 		quarAfter = fs.Int("quarantine-threshold", 3, "wasteful-event strikes before a worker's claims are refused (0 disables quarantine)")
-		segBytes  = fs.Int64("journal-segment-bytes", 1<<20, "journal active-segment cap before a seal-and-compact cycle")
 		maxOpen   = fs.Int("max-open-shards", 4096, "shed new submissions once queued jobs plus running distributed shards reach this watermark (0 disables shedding)")
 	)
 	fs.Parse(args)
@@ -82,7 +81,6 @@ func runServe(args []string) {
 		DisableJournal:      !*journal,
 		SpeculateAfter:      disableZero(*speculate),
 		QuarantineThreshold: int(disableZero(float64(*quarAfter))),
-		JournalSegmentBytes: *segBytes,
 		MaxOpenShards:       int(disableZero(float64(*maxOpen))),
 	})
 	if err != nil {

@@ -120,9 +120,4 @@ const (
 	// merged run's filing. Crashing here leaves a complete journal and
 	// no store entry; recovery must finish the merge by itself.
 	FinalizeBeforeStore = "server.finalize:crash-before-store"
-	// CompactMidSwap sits between a journal checkpoint segment's atomic
-	// rename and the unlink of the segments it supersedes. Crashing here
-	// leaves BOTH the old segment chain and the new checkpoint on disk;
-	// recovery must pick the checkpoint and tidy the stale chain.
-	CompactMidSwap = "server.compact:crash-mid-swap"
 )

@@ -132,9 +132,6 @@ type job struct {
 	durEWMA  float64
 	durMax   float64
 	durCount int
-	// compacting latches while a checkpoint for this job is queued or
-	// being written, so seals never stack concurrent compactions.
-	compacting bool
 	// wal is the job's open write-ahead journal (journal.go); nil for
 	// in-process jobs and when journaling is disabled. Appends are
 	// serialized by mgr.mu like the state they shadow.
@@ -167,6 +164,10 @@ func (j *job) view() JobView {
 }
 
 const maxQueuedJobs = 1024
+
+// defaultMaxOpenShards is the admission watermark over queued jobs plus
+// running distributed shards; Config.MaxOpenShards overrides.
+const defaultMaxOpenShards = 4096
 
 type jobMgr struct {
 	store  *Store
@@ -201,14 +202,14 @@ type jobMgr struct {
 	nextID  int
 	running int
 	closed  bool
-	// aborted makes the run and compactor goroutines drop what is still
-	// queued instead of draining it (Abort); they read it off the lock.
+	// aborted makes the run goroutines drop what is still queued instead
+	// of draining it (Abort); they read it off the lock.
 	aborted atomic.Bool
 	// draining rejects new submissions and claims with 503 unavailable
 	// + Retry-After while in-flight shard uploads still land — the
 	// graceful-shutdown window (BeginDrain).
 	draining bool
-	// workerNames interns worker IDs so journal appends can carry a
+	// workerNames interns worker IDs so event-ring appends can carry a
 	// heap-stable *string without allocating per event.
 	workerNames map[string]*string
 	// workers is the health scoreboard (workers.go), keyed by worker ID.
@@ -218,10 +219,7 @@ type jobMgr struct {
 	openShards int
 
 	queue chan *job
-	// compactCh feeds the single compactor goroutine (compact.go) the
-	// checkpoint segments reserved by seals.
-	compactCh chan compactReq
-	wg        sync.WaitGroup
+	wg    sync.WaitGroup
 }
 
 // newJobMgr starts a manager draining its queue with `workers`
@@ -244,7 +242,6 @@ func newJobMgr(store *Store, workers int, met *serverMetrics, logger *slog.Logge
 		workerNames:    make(map[string]*string),
 		workers:        make(map[string]*workerHealth),
 		queue:          make(chan *job, maxQueuedJobs),
-		compactCh:      make(chan compactReq, maxCompactBacklog),
 	}
 	for w := 0; w < workers; w++ {
 		m.wg.Add(1)
@@ -257,15 +254,6 @@ func newJobMgr(store *Store, workers int, met *serverMetrics, logger *slog.Logge
 			}
 		}()
 	}
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		for req := range m.compactCh {
-			if !m.aborted.Load() {
-				m.compactJob(req)
-			}
-		}
-	}()
 	return m
 }
 
@@ -275,12 +263,10 @@ func newJobMgr(store *Store, workers int, met *serverMetrics, logger *slog.Logge
 func (m *jobMgr) Close() { m.stop(true) }
 
 // Abort stops the manager the way a crash would, as far as one process
-// can do that to itself: queued jobs and backlogged compactions are
-// dropped, the run or compaction in flight finishes its current step,
-// every goroutine exits, the job journals are closed as they stand and
-// no clean-shutdown marker is written — so the next coordinator on the
-// same data dir recovers, and nothing of this one is left to unlink
-// segments under it.
+// can do that to itself: queued jobs are dropped, the run in flight
+// finishes, every goroutine exits, the job journals are closed as they
+// stand and no clean-shutdown marker is written — so the next
+// coordinator on the same data dir recovers.
 func (m *jobMgr) Abort() { m.stop(false) }
 
 func (m *jobMgr) stop(clean bool) {
@@ -293,7 +279,6 @@ func (m *jobMgr) stop(clean bool) {
 	m.aborted.Store(!clean)
 	m.mu.Unlock()
 	close(m.queue)
-	close(m.compactCh)
 	m.wg.Wait()
 
 	m.mu.Lock()
@@ -399,7 +384,7 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view JobView, created bool, err err
 	if j, ok := m.active[key]; ok {
 		m.stats.Joined++
 		m.met.jobsJoined.Inc()
-		m.met.journal.Append(telemetry.EventJobJoined, &j.id, nil, -1, -1)
+		m.met.events.Append(telemetry.EventJobJoined, &j.id, nil, -1, -1)
 		return j.view(), false, nil
 	}
 	if m.store.Has(key) {
@@ -414,7 +399,7 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view JobView, created bool, err err
 		}
 		j.shardsDone = len(j.shards)
 		j.tracesDone = j.tracesTotal
-		m.met.journal.Append(telemetry.EventJobCacheHit, &j.id, nil, -1, -1)
+		m.met.events.Append(telemetry.EventJobCacheHit, &j.id, nil, -1, -1)
 		return j.view(), false, nil
 	}
 	m.met.storeMisses.Inc()
@@ -459,8 +444,8 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view JobView, created bool, err err
 		m.stats.RunsStarted++
 		m.met.jobsStarted.Inc()
 		m.met.jobsRunning.Add(1)
-		m.met.journal.Append(telemetry.EventJobQueued, &j.id, nil, -1, -1)
-		m.met.journal.Append(telemetry.EventJobRunning, &j.id, nil, -1, -1)
+		m.met.events.Append(telemetry.EventJobQueued, &j.id, nil, -1, -1)
+		m.met.events.Append(telemetry.EventJobRunning, &j.id, nil, -1, -1)
 		return j.view(), true, nil
 	}
 	select {
@@ -471,7 +456,7 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view JobView, created bool, err err
 		return JobView{}, false, faultf(503, codeQueueFull, "server: job queue full (%d queued)", maxQueuedJobs)
 	}
 	m.active[key] = j
-	m.met.journal.Append(telemetry.EventJobQueued, &j.id, nil, -1, -1)
+	m.met.events.Append(telemetry.EventJobQueued, &j.id, nil, -1, -1)
 	return j.view(), true, nil
 }
 
@@ -560,7 +545,7 @@ func (m *jobMgr) failJob(j *job, err error, pool bool) {
 	m.mu.Unlock()
 	m.met.jobsFailed.Inc()
 	m.met.jobsRunning.Add(-1)
-	m.met.journal.Append(telemetry.EventJobFailed, &j.id, &j.err, -1, -1)
+	m.met.events.Append(telemetry.EventJobFailed, &j.id, &j.err, -1, -1)
 	m.logger.Error("job failed", "job", j.id, "error", err)
 }
 
@@ -612,7 +597,7 @@ func (m *jobMgr) runJob(j *job) {
 	m.mu.Unlock()
 	m.met.jobsStarted.Inc()
 	m.met.jobsRunning.Add(1)
-	m.met.journal.Append(telemetry.EventJobRunning, &j.id, nil, -1, -1)
+	m.met.events.Append(telemetry.EventJobRunning, &j.id, nil, -1, -1)
 	m.logger.Info("job start", "job", j.id, "key", j.key[:12])
 
 	fail := func(err error) { m.failJob(j, err, true) }
@@ -652,13 +637,13 @@ func (m *jobMgr) runJob(j *job) {
 	m.mu.Unlock()
 	m.met.jobsDone.Inc()
 	m.met.jobsRunning.Add(-1)
-	m.met.journal.Append(telemetry.EventJobDone, &j.id, nil, -1, -1)
+	m.met.events.Append(telemetry.EventJobDone, &j.id, nil, -1, -1)
 	m.logger.Info("job done", "job", j.id, "key", j.key[:12],
 		"traces", len(res.Dataset.Traces), "dataset_bytes", n, "wall_seconds", wall.Seconds())
 }
 
 // setShardState updates one (vantage-index, slice) shard's progress
-// and journals the transition. The journal's job and detail pointers
+// and records the transition. The event's job and detail pointers
 // are &j.id and &sh.Vantage: both are heap-stable for the job's
 // lifetime (a job's shards slice is allocated once and never grows).
 func (m *jobMgr) setShardState(j *job, shard, slice int, state string, stats *campaign.ShardStats) {
@@ -678,7 +663,7 @@ func (m *jobMgr) setShardState(j *job, shard, slice int, state string, stats *ca
 			j.shardsDone++
 			j.tracesDone += stats.Traces
 		}
-		m.met.journal.Append(kind, &j.id, &sh.Vantage, int32(shard), int32(slice))
+		m.met.events.Append(kind, &j.id, &sh.Vantage, int32(shard), int32(slice))
 		return
 	}
 }

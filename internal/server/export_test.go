@@ -1,0 +1,10 @@
+package server
+
+// SetMaxResultBytes lowers the upload and journal-replay size bound
+// for tests that pin it — inflating a real 256 MiB bomb costs seconds
+// and a gigabyte — and returns the func that restores it.
+func SetMaxResultBytes(n int64) (restore func()) {
+	old := maxResultBytes
+	maxResultBytes = n
+	return func() { maxResultBytes = old }
+}

@@ -10,13 +10,18 @@ package server_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -33,7 +38,7 @@ import (
 // instance with crash (no clean-shutdown marker, journals left as-is).
 // Cleanup aborts whatever is still running, so no manager goroutine
 // outlives the test's temp dir.
-func startCrashServer(t *testing.T, dir string, fc *fakeClock) (*server.Server, *httptest.Server, *apiclient.Client) {
+func startCrashServer(t testing.TB, dir string, fc *fakeClock) (*server.Server, *httptest.Server, *apiclient.Client) {
 	t.Helper()
 	srv, err := server.New(server.Config{
 		DataDir:  dir,
@@ -50,10 +55,8 @@ func startCrashServer(t *testing.T, dir string, fc *fakeClock) (*server.Server, 
 }
 
 // crash kills a coordinator the way a process death would: the listener
-// goes away, every manager goroutine — the journal compactor included —
-// stops where it is, and nothing marks the shutdown clean. Closing only
-// the listener would leave the "dead" instance's compactor free to
-// unlink segments under the coordinator restarted on the same data dir.
+// goes away, the manager's goroutines stop, nothing marks the shutdown
+// clean, and the data-dir lock is dropped for the restarted instance.
 func crash(ts *httptest.Server, srv *server.Server) {
 	ts.Close()
 	srv.Abort()
@@ -86,6 +89,26 @@ func walPath(dir, jobID string) string {
 	return filepath.Join(dir, "journal", jobID+".wal")
 }
 
+// walLine frames one record the way the journal does: version prefix,
+// CRC-32 of the JSON, the JSON, newline.
+func walLine(prefix, recordJSON string) string {
+	return fmt.Sprintf("%s %08x %s\n", prefix, crc32.ChecksumIEEE([]byte(recordJSON)), recordJSON)
+}
+
+// journalFiles lists what is in the data dir's journal directory.
+func journalFiles(t testing.TB, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(dir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
 // wantDatasetMatch asserts the job is done and serves exactly the
 // bytes the in-process engine produces.
 func wantDatasetMatch(t *testing.T, client *apiclient.Client, jobID string) {
@@ -109,17 +132,20 @@ func wantDatasetMatch(t *testing.T, client *apiclient.Client, jobID string) {
 }
 
 // TestRecoveryResumesPartialJob is the recovery matrix over how many
-// shard results the crash had already journaled: none, and some. In
-// both cases the restarted coordinator re-exposes exactly the pending
-// shards, the accepted ones are never re-executed, and the final
-// dataset is byte-identical to the in-process engine.
+// shard results the crash had already journaled — none, and some — and
+// how they arrived: gzipped (the worker default) or identity-encoded.
+// In every case the restarted coordinator re-exposes exactly the
+// pending shards, the accepted ones are never re-executed, and the
+// final dataset is byte-identical to the in-process engine.
 func TestRecoveryResumesPartialJob(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		accepted func(total int) int
+		identity bool
 	}{
-		{"zero-accepted", func(int) int { return 0 }},
-		{"some-accepted", func(total int) int { return total / 2 }},
+		{"zero-accepted", func(int) int { return 0 }, false},
+		{"some-accepted", func(total int) int { return total / 2 }, false},
+		{"identity-accepted", func(total int) int { return total / 2 }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -137,10 +163,18 @@ func TestRecoveryResumesPartialJob(t *testing.T) {
 			}
 			wires := execWires(t, distSpec, claim.SpecHash)
 			n := tc.accepted(len(claim.Shards))
+			push := c1
+			if tc.identity {
+				push = c1.WithUploadCompression(false)
+			}
 			for _, sh := range claim.Shards[:n] {
-				if _, err := c1.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index]); err != nil {
+				if _, err := push.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index]); err != nil {
 					t.Fatal(err)
 				}
+			}
+			// However far the job got, its journal is one file.
+			if got := journalFiles(t, dir); len(got) != 1 || got[0] != job.ID+".wal" {
+				t.Fatalf("journal dir = %v, want exactly %s.wal", got, job.ID)
 			}
 			crash(ts1, srv1) // crash: no drain, no clean-shutdown marker
 
@@ -474,12 +508,12 @@ func TestRecoveryTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`w1 00000000 {"t":"result","idx":`); err != nil {
+	if _, err := f.WriteString(`w2 00000000 {"t":"result","idx":`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
-	_, _, c2 := startCrashServer(t, dir, fc)
+	srv2, ts2, c2 := startCrashServer(t, dir, fc)
 	got, err := c2.Job(ctx, job.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -500,12 +534,19 @@ func TestRecoveryTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The torn bytes were cut off before these grants were appended: a
+	// second crash replays a clean file, not a grant fused onto the tail.
+	crash(ts2, srv2)
+	_, _, c3 := startCrashServer(t, dir, fc)
+	if got, err := c3.Job(ctx, job.ID); err != nil || got.State != "running" || got.ShardsDone != 1 {
+		t.Fatalf("job after second crash = %+v, %v, want running with 1 accepted", got, err)
+	}
 	for _, sh := range reclaim.Shards {
-		if _, err := c2.PushShardResult(ctx, job.ID, sh.Index, "wB", sh.Lease, wires[sh.Index]); err != nil {
+		if _, err := c3.PushShardResult(ctx, job.ID, sh.Index, "wB", sh.Lease, wires[sh.Index]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wantDatasetMatch(t, c2, job.ID)
+	wantDatasetMatch(t, c3, job.ID)
 }
 
 // TestRecoveryMidFileCorruption: a damaged line with valid records
@@ -603,6 +644,303 @@ func TestRecoveryTruncatedJournal(t *testing.T) {
 	}
 	_, err = c2.JobReport(ctx, job.ID)
 	wantCode(t, err, 502, "job_failed")
+}
+
+// wantRecoveryFailed asserts a restarted coordinator surfaced the job
+// as failed — job_failed on the artifact routes, counted as a failed
+// recovery — while staying up for other work.
+func wantRecoveryFailed(t *testing.T, client *apiclient.Client, jobID string) {
+	t.Helper()
+	ctx := context.Background()
+	got, err := client.Job(ctx, jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != "failed" {
+		t.Fatalf("job state = %s, want failed", got.State)
+	}
+	_, err = client.JobDataset(ctx, jobID)
+	wantCode(t, err, 502, "job_failed")
+	text, err := client.MetricsText(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !contains(text, `repro_recovery_jobs_total{outcome="failed"} 1`) {
+		t.Errorf("metrics missing the failed-recovery outcome:\n%s", text)
+	}
+}
+
+// TestRecoveryOldFormatJournal: a journal written by a build with the
+// previous line format (w1 framing, checksums intact) is unrecognised
+// bytes to this one. The job fails cleanly — nothing is guessed at,
+// nothing merged — and the file stays on disk as evidence.
+func TestRecoveryOldFormatJournal(t *testing.T) {
+	dir := t.TempDir()
+	fc := newFakeClock()
+	ctx := context.Background()
+
+	srv1, ts1, c1 := startCrashServer(t, dir, fc)
+	job, _, err := c1.SubmitRaw(ctx, []byte(distSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Claim(ctx, job.ID, "wA", 1000); err != nil {
+		t.Fatal(err)
+	}
+	crash(ts1, srv1)
+
+	path := walPath(dir, job.ID)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := "w1 " + strings.ReplaceAll(strings.TrimPrefix(string(data), "w2 "), "\nw2 ", "\nw1 ")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, c2 := startCrashServer(t, dir, fc)
+	wantRecoveryFailed(t, c2, job.ID)
+	if kept, err := os.ReadFile(path); err != nil || string(kept) != old {
+		t.Fatalf("old-format journal must stay on disk untouched: %v", err)
+	}
+}
+
+// TestRecoveryReopenFailure: a journal that replays but cannot be
+// reopened for appending must fail its job. Resuming it un-journaled
+// would ack every later upload without durability. The file vanishes
+// between replay and reopen — the injected clock, first read in that
+// window, removes it.
+func TestRecoveryReopenFailure(t *testing.T) {
+	dir := t.TempDir()
+	fc := newFakeClock()
+	ctx := context.Background()
+
+	srv1, ts1, c1 := startCrashServer(t, dir, fc)
+	job, _, err := c1.SubmitRaw(ctx, []byte(distSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash(ts1, srv1)
+
+	var once sync.Once
+	srv2, err := server.New(server.Config{
+		DataDir: dir,
+		Jobs:    1,
+		Clock: func() time.Time {
+			once.Do(func() { os.Remove(walPath(dir, job.ID)) })
+			return fc.Now()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(srv2)
+	t.Cleanup(func() { crash(ts2, srv2) })
+	wantRecoveryFailed(t, apiclient.New(ts2.URL), job.ID)
+}
+
+// TestDataDirLock: one data directory, one coordinator. A second
+// server.New on a live directory fails fast naming the lock; once the
+// first instance is gone — cleanly or not — the directory opens again.
+func TestDataDirLock(t *testing.T) {
+	dir := t.TempDir()
+	first, err := server.New(server.Config{DataDir: dir, Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Abort()
+	if second, err := server.New(server.Config{DataDir: dir, Jobs: 1}); err == nil {
+		second.Abort()
+		t.Fatal("second coordinator opened a data dir the first still holds")
+	} else if !contains(err.Error(), filepath.Join(dir, "LOCK")) {
+		t.Fatalf("lock error does not name the lock file: %v", err)
+	}
+	first.Abort()
+	second, err := server.New(server.Config{DataDir: dir, Jobs: 1})
+	if err != nil {
+		t.Fatalf("data dir still locked after Abort: %v", err)
+	}
+	second.Close()
+	third, err := server.New(server.Config{DataDir: dir, Jobs: 1})
+	if err != nil {
+		t.Fatalf("data dir still locked after Close: %v", err)
+	}
+	third.Close()
+}
+
+// bigSpec slices every vantage three ways for a 39-shard plan.
+const bigSpec = `{"spec": 1, "scale": "small", "traces": 3, "slices_per_vantage": 3,
+  "seed": 2015, "stride": 0, "execution": "distributed"}`
+
+// TestJournalBoundsSize: the journal keeps each upload's own
+// (compressed) bytes, so with all but one shard of a 39-shard job
+// accepted it is one file, well under half the size of the payloads it
+// guarantees — with nothing running behind the requests to shrink it.
+func TestJournalBoundsSize(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	_, _, client := startCrashServer(t, dir, newFakeClock())
+
+	job, _, err := client.SubmitRaw(ctx, []byte(bigSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.ShardsTotal < 32 {
+		t.Fatalf("plan = %d shards, want >= 32", job.ShardsTotal)
+	}
+	claim, err := client.Claim(ctx, job.ID, "w1", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wires := execWires(t, bigSpec, claim.SpecHash)
+	var payload int
+	for _, s := range claim.Shards[:len(claim.Shards)-1] {
+		ack, err := client.PushShardResult(ctx, job.ID, s.Index, "w1", s.Lease, wires[s.Index])
+		if err != nil || ack.Status != "accepted" {
+			t.Fatalf("upload %d = %v %v, want accepted", s.Index, ack, err)
+		}
+		raw, err := json.Marshal(wires[s.Index])
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload += len(raw)
+	}
+
+	if got := journalFiles(t, dir); len(got) != 1 || got[0] != job.ID+".wal" {
+		t.Fatalf("journal dir = %v, want exactly %s.wal", got, job.ID)
+	}
+	info, err := os.Stat(walPath(dir, job.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("journal: %d bytes for %d bytes of accepted payload", info.Size(), payload)
+	if info.Size()*2 >= int64(payload) {
+		t.Fatalf("journal is %d bytes, want under half of the %d payload bytes", info.Size(), payload)
+	}
+}
+
+// FuzzWALReplay feeds arbitrary bytes to startup recovery as a job's
+// journal. Whatever they are, the coordinator comes up, the job is
+// either recovered or failed with job_failed, and no shard is ever
+// counted twice or beyond the plan.
+func FuzzWALReplay(f *testing.F) {
+	// A bound the bomb seed can cross in kilobytes, not 256 MiB.
+	f.Cleanup(server.SetMaxResultBytes(1 << 20))
+
+	// A real journal: submission, a full claim, three accepted uploads.
+	dir := f.TempDir()
+	ctx := context.Background()
+	srv, ts, client := startCrashServer(f, dir, newFakeClock())
+	job, _, err := client.SubmitRaw(ctx, []byte(distSpec))
+	if err != nil {
+		f.Fatal(err)
+	}
+	claim, err := client.Claim(ctx, job.ID, "wA", 1000)
+	if err != nil {
+		f.Fatal(err)
+	}
+	wires := execWires(f, distSpec, claim.SpecHash)
+	for _, sh := range claim.Shards[:3] {
+		if _, err := client.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index]); err != nil {
+			f.Fatal(err)
+		}
+	}
+	crash(ts, srv)
+	valid, err := os.ReadFile(walPath(dir, job.ID))
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := bytes.SplitAfter(valid, []byte("\n")) // the final element is empty
+	lastLine := lines[len(lines)-2]
+
+	// resultLine frames a result record for a still-pending shard.
+	pending := claim.Shards[len(claim.Shards)-1]
+	resultLine := func(body []byte, enc string) string {
+		rec, err := json.Marshal(map[string]any{
+			"t": "result", "idx": pending.Index, "worker": "wA", "token": pending.Lease,
+			"body": body, "enc": enc,
+		})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return walLine("w2", string(rec))
+	}
+	var bomb bytes.Buffer
+	gz := gzip.NewWriter(&bomb)
+	gz.Write(bytes.Repeat([]byte(" "), 2<<20))
+	gz.Close()
+	flipped := bytes.Clone(valid)
+	flipped[len(lines[0])+3] ^= 0x01 // first checksum digit of line 2
+
+	f.Add(valid)
+	f.Add(valid[:len(valid)-len(lastLine)/2])                                               // torn tail
+	f.Add(flipped)                                                                          // bad CRC mid-file
+	f.Add(append(bytes.Clone(valid), lastLine...))                                          // duplicated result record
+	f.Add(append([]byte(walLine("w1", `{"t":"submit","job":"j-000001"}`)), valid...))       // older build's line
+	f.Add(append(bytes.Clone(valid), resultLine([]byte("this is not gzip"), "gzip")...))    // body is not gzip
+	f.Add(append(bytes.Clone(valid), resultLine(bomb.Bytes(), "gzip")...))                  // inflates past the bound
+	f.Add(append(bytes.Clone(valid), resultLine([]byte(`{"worker":"wA"}`), "identity")...)) // no payload
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, "journal"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(walPath(dir, job.ID), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(server.Config{DataDir: dir, Jobs: 1})
+		if err != nil {
+			t.Fatalf("recovery refused to start: %v", err)
+		}
+		defer srv.Abort()
+		get := func(path string, v any) int {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+			if v != nil {
+				if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+					t.Fatalf("GET %s: %v", path, err)
+				}
+			}
+			return rec.Code
+		}
+
+		var view server.JobView
+		if code := get("/v1/jobs/"+job.ID, &view); code != 200 {
+			t.Fatalf("job lookup = %d, want the recovered or failed job", code)
+		}
+		var shards struct{ Shards []server.ShardProgress }
+		get("/v1/jobs/"+job.ID+"/shards", &shards)
+		done := 0
+		for _, sh := range shards.Shards {
+			if sh.State == "done" {
+				done++
+			}
+		}
+		if view.ShardsDone != done || done > view.ShardsTotal || view.TracesDone > view.TracesTotal {
+			t.Fatalf("shards done %d (%d marked) of %d, traces %d of %d",
+				view.ShardsDone, done, view.ShardsTotal, view.TracesDone, view.TracesTotal)
+		}
+		dataset := get("/v1/jobs/"+job.ID+"/dataset", nil)
+		switch view.State {
+		case server.JobRunning:
+			if dataset != 409 {
+				t.Fatalf("running job's dataset = %d, want 409", dataset)
+			}
+		case server.JobDone:
+			if dataset != 200 {
+				t.Fatalf("done job's dataset = %d, want 200", dataset)
+			}
+		case server.JobFailed:
+			if dataset != 502 {
+				t.Fatalf("failed job's dataset = %d, want 502 job_failed", dataset)
+			}
+		default:
+			t.Fatalf("recovered job in state %q", view.State)
+		}
+	})
 }
 
 // TestRecoveryFreshIDsAboveRecovered: a restarted coordinator must

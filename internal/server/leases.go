@@ -141,7 +141,7 @@ func (m *jobMgr) distributedJobLocked(jobID string) (*job, error) {
 }
 
 // internWorkerLocked returns a heap-stable pointer to the worker's
-// name for allocation-free journal appends; callers hold m.mu.
+// name for allocation-free event-ring appends; callers hold m.mu.
 func (m *jobMgr) internWorkerLocked(worker string) *string {
 	if p, ok := m.workerNames[worker]; ok {
 		return p
@@ -200,7 +200,7 @@ func (m *jobMgr) evictLeaseLocked(j *job, i int) {
 	// separate promote record.
 	_ = m.walAppend(j, &walRecord{Type: walLease, Idx: i, Event: walExpire, Time: m.now()})
 	m.met.leaseExpiries.Inc()
-	m.met.journal.Append(telemetry.EventLeaseExpired, &j.id,
+	m.met.events.Append(telemetry.EventLeaseExpired, &j.id,
 		m.internWorkerLocked(expired), int32(sh.Shard), int32(sh.Slice))
 	if l.specToken != "" {
 		l.token, l.worker, l.expires = l.specToken, l.specWorker, l.specExpires
@@ -312,7 +312,7 @@ func (m *jobMgr) Claim(jobID, worker string, max int) (ClaimResponse, error) {
 			if l.seq > 1 {
 				m.met.leaseReissues.Inc()
 			}
-			m.met.journal.Append(telemetry.EventShardLeased, &j.id, wp,
+			m.met.events.Append(telemetry.EventShardLeased, &j.id, wp,
 				int32(sh.Shard), int32(sh.Slice))
 			resp.Shards = append(resp.Shards, ShardClaim{
 				Index:     i,
@@ -348,7 +348,7 @@ func (m *jobMgr) Claim(jobID, worker string, max int) (ClaimResponse, error) {
 			l.specExpires = now.Add(m.leaseTTL)
 			m.met.leaseGrants.Inc()
 			m.met.specIssued.Inc()
-			m.met.journal.Append(telemetry.EventShardLeased, &j.id, wp,
+			m.met.events.Append(telemetry.EventShardLeased, &j.id, wp,
 				int32(sh.Shard), int32(sh.Slice))
 			m.logger.Info("speculative lease issued", "job", j.id, "shard", i,
 				"straggler", l.worker, "speculator", worker)
@@ -390,7 +390,6 @@ func (m *jobMgr) Claim(jobID, worker string, max int) (ClaimResponse, error) {
 			if err := m.walSync(j); err != nil {
 				m.logger.Error("journal lease grants", "job", j.id, "error", err)
 			}
-			m.maybeSealLocked(j)
 		}
 	}
 	resp.State = j.state
@@ -446,15 +445,17 @@ func (m *jobMgr) Heartbeat(jobID string, idx int, token string) (HeartbeatRespon
 // a duplicate of the winning upload is an idempotent success; a result
 // computed for a different spec, a mismatched shard, or an evicted
 // lease never reaches the merge. The accepted upload that completes
-// the plan triggers the canonical merge and files the run.
-func (m *jobMgr) ShardResult(jobID string, idx int, worker, token string, wire *campaign.ShardResultWire) (ResultResponse, error) {
+// the plan triggers the canonical merge and files the run. body is the
+// upload as received (enc its Content-Encoding) and wire what it
+// decoded to: the journal keeps the former, the merge the latter.
+func (m *jobMgr) ShardResult(jobID string, idx int, worker, token string, wire *campaign.ShardResultWire, body []byte, enc string) (ResultResponse, error) {
 	m.mu.Lock()
 	j, err := m.distributedJobLocked(jobID)
 	if err != nil {
 		m.mu.Unlock()
 		return ResultResponse{}, err
 	}
-	resp, finalize, err := m.shardResultLocked(j, idx, worker, token, wire)
+	resp, finalize, err := m.shardResultLocked(j, idx, worker, token, wire, body, enc)
 	m.mu.Unlock()
 	if err != nil {
 		return ResultResponse{}, err
@@ -471,27 +472,40 @@ func (m *jobMgr) ShardResult(jobID string, idx int, worker, token string, wire *
 	return resp, nil
 }
 
-func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, wire *campaign.ShardResultWire) (ResultResponse, bool, error) {
+// checkWire reports why a payload cannot be shard idx of job j — another
+// wire version, another spec, another shard — or nil. The accept path
+// and journal replay share it; idx is within the plan.
+func checkWire(j *job, idx int, wire *campaign.ShardResultWire) *apiFault {
+	sh := &j.shards[idx]
+	if wire.Version != campaign.ShardWireVersion {
+		return faultf(http.StatusBadRequest, codeResultInvalid,
+			"shard result has wire version %d (this server speaks %d)",
+			wire.Version, campaign.ShardWireVersion)
+	}
+	if wire.SpecHash != j.key {
+		return faultf(http.StatusConflict, codeStaleResult,
+			"result computed for spec %.12s, job %s wants %.12s", wire.SpecHash, j.id, j.key)
+	}
+	if wire.Shard != sh.Shard || wire.Slice != sh.Slice {
+		return faultf(http.StatusBadRequest, codeResultInvalid,
+			"payload is for shard (%d,%d) but was posted to (%d,%d)",
+			wire.Shard, wire.Slice, sh.Shard, sh.Slice)
+	}
+	return nil
+}
+
+func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, wire *campaign.ShardResultWire, body []byte, enc string) (ResultResponse, bool, error) {
 	if idx < 0 || idx >= len(j.shards) {
 		return ResultResponse{}, false, faultf(http.StatusNotFound, codeShardNotFound,
 			"job %s has no shard %d (plan has %d)", j.id, idx, len(j.shards))
 	}
 	sh := &j.shards[idx]
 	l := &j.leases[idx]
-	if wire.Version != campaign.ShardWireVersion {
-		return ResultResponse{}, false, faultf(http.StatusBadRequest, codeResultInvalid,
-			"shard result has wire version %d (this server speaks %d)",
-			wire.Version, campaign.ShardWireVersion)
-	}
-	if wire.SpecHash != j.key {
-		m.met.resultsStale.Inc()
-		return ResultResponse{}, false, faultf(http.StatusConflict, codeStaleResult,
-			"result computed for spec %.12s, job %s wants %.12s", wire.SpecHash, j.id, j.key)
-	}
-	if wire.Shard != sh.Shard || wire.Slice != sh.Slice {
-		return ResultResponse{}, false, faultf(http.StatusBadRequest, codeResultInvalid,
-			"payload is for shard (%d,%d) but was posted to (%d,%d)",
-			wire.Shard, wire.Slice, sh.Shard, sh.Slice)
+	if f := checkWire(j, idx, wire); f != nil {
+		if f.code == codeStaleResult {
+			m.met.resultsStale.Inc()
+		}
+		return ResultResponse{}, false, f
 	}
 	resp := ResultResponse{Job: j.id, Index: idx, ShardsTotal: len(j.shards)}
 	if sh.State == "done" {
@@ -526,14 +540,14 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, wire *
 	// makes the slow worker's bytes as good as anyone's.
 	//
 	// WAL discipline: the accept is durable before it is visible. The
-	// full wire payload is journaled and fsync'd here, before any
+	// upload's own bytes are journaled and fsync'd here, before any
 	// in-memory state changes and before the 200 — so a crash at any
 	// later instant leaves a coordinator that still owns this result.
 	// A journal failure refuses the upload (500, internal); the worker
 	// retries and the re-journaled duplicate replays first-wins.
 	if j.wal != nil {
 		if err := m.walAppend(j, &walRecord{
-			Type: walResult, Idx: idx, Worker: worker, Token: token, Wire: wire, Time: m.now(),
+			Type: walResult, Idx: idx, Worker: worker, Token: token, Body: body, Enc: enc, Time: m.now(),
 		}); err != nil {
 			return ResultResponse{}, false, faultf(http.StatusInternalServerError, codeInternal,
 				"server: journal shard result: %v", err)
@@ -542,7 +556,6 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, wire *
 			return ResultResponse{}, false, faultf(http.StatusInternalServerError, codeInternal,
 				"server: journal shard result: %v", err)
 		}
-		m.maybeSealLocked(j)
 	}
 	if err := failpoint.Check(failpoint.AcceptResultAfterJournal); err != nil {
 		// Hook-simulated crash: the result is journaled but the worker
@@ -593,7 +606,7 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, wire *
 	}
 	m.met.resultsAccepted.Inc()
 	m.met.workerShardSeconds(worker).Observe(wire.Stats.Elapsed.Seconds())
-	m.met.journal.Append(telemetry.EventShardDone, &j.id,
+	m.met.events.Append(telemetry.EventShardDone, &j.id,
 		m.internWorkerLocked(worker), int32(sh.Shard), int32(sh.Slice))
 	resp.Status = "accepted"
 	resp.ShardsDone = j.shardsDone
@@ -646,7 +659,7 @@ func (m *jobMgr) finalizeDistributed(j *job) {
 	m.mu.Unlock()
 	m.met.jobsDone.Inc()
 	m.met.jobsRunning.Add(-1)
-	m.met.journal.Append(telemetry.EventJobDone, &j.id, nil, -1, -1)
+	m.met.events.Append(telemetry.EventJobDone, &j.id, nil, -1, -1)
 	m.logger.Info("job done", "job", j.id, "key", j.key[:12],
 		"execution", "distributed", "dataset_bytes", n, "wall_seconds", wall.Seconds())
 }

@@ -72,7 +72,7 @@ func newLeaseServer(t *testing.T) (*server.Server, *apiclient.Client, *fakeClock
 
 // execWires executes the campaign's full plan locally via the worker
 // code path and returns one stamped wire result per plan index.
-func execWires(t *testing.T, specJSON, specHash string) []*campaign.ShardResultWire {
+func execWires(t testing.TB, specJSON, specHash string) []*campaign.ShardResultWire {
 	t.Helper()
 	spec, err := campaign.ParseSpec([]byte(specJSON))
 	if err != nil {

@@ -5,11 +5,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// journalSize bounds the flight-recorder event ring: at ~64 bytes a
+// eventRingSize bounds the flight-recorder event ring: at ~64 bytes a
 // slot this is a few hundred KiB of fixed memory for the last 4096
 // job/shard lifecycle transitions — enough to reconstruct any recent
 // job's timeline via GET /v1/jobs/{id}/events.
-const journalSize = 4096
+const eventRingSize = 4096
 
 // serverMetrics is the control plane's instrument set: HTTP request
 // accounting (fed by the middleware in middleware.go), job lifecycle
@@ -18,7 +18,7 @@ const journalSize = 4096
 // per Server; /v1/metrics renders its registry.
 type serverMetrics struct {
 	reg      *telemetry.Registry
-	journal  *telemetry.Journal
+	events   *telemetry.EventRing
 	campaign *campaign.Metrics
 
 	httpInflight *telemetry.Gauge
@@ -54,10 +54,9 @@ type serverMetrics struct {
 	journalTorn    *telemetry.Counter
 
 	// Self-healing instruments: straggler speculation dispositions,
-	// worker health-scoreboard transitions, adaptive claim caps, shed
-	// submissions, and journal compaction. The chaos-smoke CI job
-	// asserts speculation and quarantine series are non-zero after a
-	// wedged-worker run.
+	// worker health-scoreboard transitions, adaptive claim caps, and
+	// shed submissions. The chaos-smoke CI job asserts speculation and
+	// quarantine series are non-zero after a wedged-worker run.
 	specIssued *telemetry.Counter
 	specWon    *telemetry.Counter
 	specWasted *telemetry.Counter
@@ -70,9 +69,6 @@ type serverMetrics struct {
 
 	claimsCapped *telemetry.Counter
 	submitShed   *telemetry.Counter
-
-	journalCompactions     *telemetry.Counter
-	journalCheckpointBytes *telemetry.Counter
 
 	recoveryResumed   *telemetry.Counter
 	recoveryCompleted *telemetry.Counter
@@ -87,7 +83,7 @@ type serverMetrics struct {
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	return &serverMetrics{
 		reg:      reg,
-		journal:  telemetry.NewJournal(journalSize),
+		events:   telemetry.NewEventRing(eventRingSize),
 		campaign: campaign.NewMetrics(reg),
 		httpInflight: reg.Gauge("repro_http_requests_inflight",
 			"HTTP requests currently being served."),
@@ -169,10 +165,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 			"Claim batches shrunk by adaptive sizing (observed shard duration vs lease TTL)."),
 		submitShed: reg.Counter("repro_submissions_shed_total",
 			"Submissions refused 429 overloaded by the admission watermark."),
-		journalCompactions: reg.Counter("repro_journal_compactions_total",
-			"Journal checkpoint segments durably written (superseded segments unlinked)."),
-		journalCheckpointBytes: reg.Counter("repro_journal_checkpoint_bytes_total",
-			"Bytes written as journal checkpoint segments."),
 		recoveryResumed: reg.Counter("repro_recovery_jobs_total",
 			"Distributed jobs reconstructed from the journal at startup, by outcome.",
 			telemetry.Label{Name: "outcome", Value: "resumed"}),

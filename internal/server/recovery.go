@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/campaign"
@@ -17,15 +16,16 @@ import (
 //	              Put's atomic rename, before journal removal) — the
 //	              job is registered done and its journal deleted.
 //	failed        a terminal failed record, mid-file corruption, a
-//	              truncated/unparseable submission record, or records
-//	              inconsistent with the plan — the job is registered
+//	              truncated/unparseable submission record, records
+//	              inconsistent with the plan, or a journal that cannot
+//	              be reopened for appending — the job is registered
 //	              failed (clients see job_failed, never a panic) and
 //	              the journal kept as evidence.
 //	completed     every shard's result was journaled but the merge
 //	              never filed — recovery finishes the merge itself;
 //	              no worker runs again.
 //	resumed       the common case: accepted shards restored from their
-//	              journaled wire payloads, the lease table restored
+//	              journaled upload bodies, the lease table restored
 //	              (tokens, holders, per-shard seq high-water), and only
 //	              the genuinely pending shards re-exposed for claiming.
 //
@@ -46,9 +46,6 @@ func (m *jobMgr) recover() error {
 		return nil
 	}
 	clean := m.wal.consumeCleanShutdown()
-	// A crash before a checkpoint's rename abandons its temp file; the
-	// journal reads correctly without it.
-	m.wal.tidyTemp()
 	ids, err := m.wal.jobIDs()
 	if err != nil {
 		return err
@@ -96,79 +93,33 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 		m.met.journalTorn.Inc()
 		m.logger.Warn("dropped torn journal tail", "job", id)
 	}
-	if len(rep.stale) > 0 {
-		// Segments below the replay base: a renamed checkpoint made them
-		// redundant before the crash could unlink them (the mid-swap
-		// window). Finish the unlink the compactor started.
-		m.logger.Info("tidying segments superseded by checkpoint",
-			"job", id, "segments", len(rep.stale))
-		for _, p := range rep.stale {
-			_ = os.Remove(p)
-		}
-		m.wal.syncDir()
-	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.bumpNextIDLocked(id)
 
-	// The replay base's first record carries everything the plan rebuild
-	// needs: a submission record (canonical spec) or a checkpoint record
-	// (spec inside the snapshot, plus the summarized state to seed).
+	// The first record carries everything the plan rebuild needs: the
+	// submission's canonical spec and cache key.
 	var (
-		spec campaign.Spec
-		key  string
-		plan []campaign.ShardInfo
-		cp   *cpState
+		spec  campaign.Spec
+		key   string
+		plan  []campaign.ShardInfo
+		cause error
 	)
-	var cause error
-	parseSpecPlan := func(raw []byte, what string) {
-		parsed, perr := campaign.ParseSpec(raw)
-		if perr != nil {
-			cause = fmt.Errorf("journal %s record: %w", what, perr)
-			return
-		}
-		spec = parsed.Normalized()
-		cfg, cerr := spec.Config()
-		if cerr != nil {
-			cause = fmt.Errorf("journal %s record: %w", what, cerr)
-			return
-		}
-		plan = cfg.Shards()
-		if key == "" || len(plan) == 0 {
-			cause = fmt.Errorf("journal %s record: empty key or plan", what)
-		}
-	}
-	switch {
-	case len(rep.records) == 0 || rep.records[0].Job != id:
+	if len(rep.records) == 0 || rep.records[0].Type != walSubmit || rep.records[0].Job != id {
 		cause = fmt.Errorf("journal truncated: no submission record for %s", id)
-	case rep.records[0].Type == walSubmit:
+	} else {
 		key = rep.records[0].Key
-		parseSpecPlan(rep.records[0].Spec, "submission")
-	case rep.records[0].Type == walCheckpoint:
-		st, derr := decodeCheckpoint(rep.records[0].Snap)
-		if derr != nil {
-			cause = fmt.Errorf("journal %s: %w", id, derr)
-		} else {
-			cp = st
-			key = st.Key
-			parseSpecPlan(st.Spec, "checkpoint")
-			if cause == nil && len(st.Shards) != len(plan) {
-				cause = fmt.Errorf("journal checkpoint record: %d shards, plan has %d",
-					len(st.Shards), len(plan))
-			}
+		spec, plan, cause = submittedPlan(rep.records[0].Spec)
+		if cause == nil && (key == "" || len(plan) == 0) {
+			cause = fmt.Errorf("journal submission record: empty key or plan")
 		}
-	default:
-		cause = fmt.Errorf("journal truncated: no submission record for %s", id)
 	}
-	if cause == nil && rep.corrupt != nil {
-		cause = rep.corrupt
+	if rep.corrupt != nil {
+		cause = rep.corrupt // says more than "truncated" when line 1 is the damage
 	}
 
 	j = m.registerRecoveredLocked(id, key, spec, plan)
-	if cause == nil && cp != nil {
-		m.applyCheckpointLocked(j, cp)
-	}
 	if cause == nil {
 		cause = m.replayLocked(j, rep.records[1:])
 	}
@@ -176,6 +127,13 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 		if _, dup := m.active[j.key]; dup {
 			cause = fmt.Errorf("journal replay: a second journal already recovered key %.12s", j.key)
 		}
+	}
+	filed := cause == nil && m.store.Has(j.key)
+	if cause == nil && !filed {
+		// The job is about to be live again and must keep journaling. One
+		// whose file cannot be reopened is failed, not resumed: every
+		// later ack would promise durability the coordinator cannot give.
+		j.wal, cause = m.wal.openAppend(id, rep.size)
 	}
 
 	switch {
@@ -187,11 +145,11 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 		j.err = cause.Error()
 		j.finished = m.now()
 		m.met.recoveryFailed.Inc()
-		m.met.journal.Append(telemetry.EventJobFailed, &j.id, &j.err, -1, -1)
+		m.met.events.Append(telemetry.EventJobFailed, &j.id, &j.err, -1, -1)
 		m.logger.Error("journal replay failed", "job", id, "error", cause)
 		return j, false, nil
 
-	case m.store.Has(j.key):
+	case filed:
 		// The run is filed — the crash hit between the store's atomic
 		// rename and journal removal. Nothing left to do but tidy.
 		j.state = JobDone
@@ -210,14 +168,8 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 	// The job is live again: it owns its cache key, counts as running,
 	// and keeps journaling into its reopened file.
 	m.active[j.key] = j
-	w, werr := m.wal.openAppend(id)
-	if werr != nil {
-		m.logger.Error("journal reopen", "job", id, "error", werr)
-	} else {
-		j.wal = w
-	}
 	m.met.jobsRunning.Add(1)
-	m.met.journal.Append(telemetry.EventJobRunning, &j.id, nil, -1, -1)
+	m.met.events.Append(telemetry.EventJobRunning, &j.id, nil, -1, -1)
 
 	if j.shardsDone == len(j.shards) {
 		// Every shard landed pre-crash; only the merge is missing.
@@ -234,43 +186,19 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 	return j, false, nil
 }
 
-// applyCheckpointLocked seeds a freshly registered job with a
-// checkpoint's summarized state: shard states, the full lease table
-// (primary and speculative tokens, seq high-water, grant timestamps),
-// accepted wires, and the duration statistics feeding speculation.
-// Tail records replay on top, idempotently. Callers hold m.mu.
-func (m *jobMgr) applyCheckpointLocked(j *job, st *cpState) {
-	j.durEWMA = st.DurEWMA
-	j.durMax = st.DurMax
-	j.durCount = st.DurCount
-	for i := range st.Shards {
-		cs := &st.Shards[i]
-		sh, l := &j.shards[i], &j.leases[i]
-		l.seq = cs.Seq
-		l.token = cs.Token
-		l.worker = cs.Worker
-		l.expires = cs.Expires
-		l.granted = cs.Granted
-		l.batchN = cs.BatchN
-		l.doneToken = cs.DoneToken
-		l.specToken = cs.SpecToken
-		l.specWorker = cs.SpecWorker
-		l.specExpires = cs.SpecExpires
-		switch {
-		case cs.Wire != nil:
-			j.wires[i] = cs.Wire
-			sh.State = "done"
-			sh.Worker = cs.Worker
-			sh.Events = cs.Wire.Stats.Events
-			sh.ElapsedSeconds = cs.Wire.Stats.Elapsed.Seconds()
-			j.shardsDone++
-			j.tracesDone += sh.Traces
-			m.met.recoveryShards.Inc()
-		case cs.State == "leased":
-			sh.State = "leased"
-			sh.Worker = cs.Worker
-		}
+// submittedPlan rebuilds the normalized spec and shard plan a
+// submission record's canonical spec bytes describe.
+func submittedPlan(raw []byte) (campaign.Spec, []campaign.ShardInfo, error) {
+	parsed, err := campaign.ParseSpec(raw)
+	if err != nil {
+		return campaign.Spec{}, nil, fmt.Errorf("journal submission record: %w", err)
 	}
+	spec := parsed.Normalized()
+	cfg, err := spec.Config()
+	if err != nil {
+		return campaign.Spec{}, nil, fmt.Errorf("journal submission record: %w", err)
+	}
+	return spec, cfg.Shards(), nil
 }
 
 // replayLocked applies the post-submission records to a freshly
@@ -330,19 +258,29 @@ func (m *jobMgr) replayLocked(j *job, recs []walRecord) error {
 				return fmt.Errorf("journal replay: result record for shard %d outside plan of %d",
 					rec.Idx, len(j.shards))
 			}
-			if rec.Wire == nil {
-				return fmt.Errorf("journal replay: result record for shard %d has no payload", rec.Idx)
-			}
 			if j.wires[rec.Idx] != nil {
 				continue // duplicate append from a retried upload; first wins
 			}
+			// The body goes back through the upload path's own bounded
+			// decoder and payload checks: bytes that would not be accepted
+			// over HTTP are not accepted off disk either.
+			var req leaseRequest
+			if err := decodeJSON(rec.Body, rec.Enc, maxResultBytes, &req); err != nil {
+				return fmt.Errorf("journal replay: result record for shard %d: %w", rec.Idx, err)
+			}
+			if req.Result == nil {
+				return fmt.Errorf("journal replay: result record for shard %d has no payload", rec.Idx)
+			}
+			if f := checkWire(j, rec.Idx, req.Result); f != nil {
+				return fmt.Errorf("journal replay: result record for shard %d: %w", rec.Idx, f)
+			}
 			sh, l := &j.shards[rec.Idx], &j.leases[rec.Idx]
-			j.wires[rec.Idx] = rec.Wire
+			j.wires[rec.Idx] = req.Result
 			l.doneToken = rec.Token
 			sh.State = "done"
 			sh.Worker = rec.Worker
-			sh.Events = rec.Wire.Stats.Events
-			sh.ElapsedSeconds = rec.Wire.Stats.Elapsed.Seconds()
+			sh.Events = req.Result.Stats.Events
+			sh.ElapsedSeconds = req.Result.Stats.Elapsed.Seconds()
 			j.shardsDone++
 			j.tracesDone += sh.Traces
 			m.met.recoveryShards.Inc()

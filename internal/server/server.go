@@ -21,7 +21,7 @@
 //	GET  /v1/healthz              readiness: build info, store writability, queue depth
 //	GET  /v1/metrics              flight-recorder metrics, Prometheus text format
 //	GET  /v1/metrics.json         the same snapshot as JSON
-//	GET  /v1/jobs/{id}/events     one job's journal: lifecycle + shard transitions
+//	GET  /v1/jobs/{id}/events     one job's event ring: lifecycle + shard transitions
 //	GET  /debug/pprof/...         run-time profiles (only with Config.EnablePprof)
 //
 // The worker protocol (distributed execution; see leases.go and
@@ -44,6 +44,7 @@
 package server
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -54,9 +55,11 @@ import (
 	"net/http/pprof"
 	"net/url"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/campaign"
@@ -98,10 +101,6 @@ type Config struct {
 	// limit (workers.go). Zero means the default of 3; negative
 	// disables quarantine.
 	QuarantineThreshold int
-	// JournalSegmentBytes caps the journal's active segment before it
-	// is sealed and compacted (journal.go, compact.go). Zero means the
-	// 1 MiB default.
-	JournalSegmentBytes int64
 	// MaxOpenShards is the submission admission watermark over queued
 	// jobs plus running distributed shards. Zero means the default of
 	// 4096; negative disables shedding.
@@ -119,11 +118,37 @@ type Server struct {
 	metrics *serverMetrics
 	dataDir string
 	start   time.Time
+	// lock is the open <data dir>/LOCK file holding this coordinator's
+	// exclusive claim on the directory; closing it releases the claim.
+	lock *os.File
 }
 
-// New opens the result store under cfg.DataDir and starts the job pool.
+// lockDataDir takes the exclusive advisory lock a coordinator holds on
+// its data directory for as long as it runs. Two coordinators on one
+// directory would each replay, append to and unlink the other's
+// journals, so the second one fails here, before it reads anything. The
+// kernel drops the lock when the holder dies, however it dies.
+func lockDataDir(dir string) (*os.File, error) {
+	path := filepath.Join(dir, "LOCK")
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("server: data dir is in use by another coordinator (lock %s): %w", path, err)
+	}
+	return f, nil
+}
+
+// New opens the result store under cfg.DataDir, locks the directory
+// and starts the job pool.
 func New(cfg Config) (*Server, error) {
 	store, err := OpenStore(cfg.DataDir)
+	if err != nil {
+		return nil, err
+	}
+	lock, err := lockDataDir(cfg.DataDir)
 	if err != nil {
 		return nil, err
 	}
@@ -140,6 +165,7 @@ func New(cfg Config) (*Server, error) {
 		metrics: met,
 		dataDir: cfg.DataDir,
 		start:   time.Now(),
+		lock:    lock,
 	}
 	if cfg.LeaseTTL > 0 {
 		s.mgr.leaseTTL = cfg.LeaseTTL
@@ -160,16 +186,15 @@ func New(cfg Config) (*Server, error) {
 	if !cfg.DisableJournal {
 		wd, err := openWALDir(cfg.DataDir)
 		if err != nil {
+			s.Abort()
 			return nil, err
-		}
-		if cfg.JournalSegmentBytes > 0 {
-			wd.segmentCap = cfg.JournalSegmentBytes
 		}
 		s.mgr.wal = wd
 		// Replay before any route is reachable: recovered jobs exist —
 		// with their accepted shards and lease table — from the first
 		// request the restarted coordinator answers.
 		if err := s.mgr.recover(); err != nil {
+			s.Abort()
 			return nil, err
 		}
 	}
@@ -224,16 +249,16 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
 	_ = s.metrics.reg.WriteJSON(w)
 }
 
-// handleJobEvents serves one job's slice of the flight-recorder
-// journal: every lifecycle and shard transition the ring still holds,
+// handleJobEvents serves one job's slice of the flight-recorder event
+// ring: every lifecycle and shard transition the ring still holds,
 // oldest first. A long-retired job yields an empty list, not a 404 —
-// the journal is a bounded recorder, not a database.
+// the ring is a bounded recorder, not a database.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	view, ok := s.jobOr404(w, r)
 	if !ok {
 		return
 	}
-	events := s.metrics.journal.JobEvents(view.ID)
+	events := s.metrics.events.JobEvents(view.ID)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"id":     view.ID,
 		"state":  view.State,
@@ -245,16 +270,22 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Close drains the job pool; in-flight campaigns finish and are
-// cached, and a clean-shutdown marker is journaled.
-func (s *Server) Close() { s.mgr.Close() }
+// cached, a clean-shutdown marker is journaled, and the data-dir lock
+// is released.
+func (s *Server) Close() {
+	s.mgr.Close()
+	s.lock.Close()
+}
 
-// Abort stops the server as a crash would: every manager goroutine —
-// runners and the journal compactor — exits without draining its
-// backlog, and no clean-shutdown marker is journaled. Tests that
-// restart a coordinator on the same data directory in one process use
-// it after closing the listener, so the "dead" instance cannot touch
-// the journal the new one is recovering.
-func (s *Server) Abort() { s.mgr.Abort() }
+// Abort stops the server as a crash would: the job runners exit
+// without draining their queue, no clean-shutdown marker is journaled,
+// and the data-dir lock is released as the kernel would release a dead
+// process's. Tests that restart a coordinator on the same data
+// directory in one process use it after closing the listener.
+func (s *Server) Abort() {
+	s.mgr.Abort()
+	s.lock.Close()
+}
 
 // BeginDrain opens the graceful-shutdown window: new submissions and
 // shard claims are refused with 503 unavailable + Retry-After,
@@ -274,28 +305,36 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // the status line is already out; nothing to recover
 }
 
-// decodeBody reads and unmarshals a bounded JSON request body into v,
-// classifying failures as bad_request faults. A Content-Encoding: gzip
-// body is decoded transparently (net/http does not decompress request
-// bodies); the byte budget applies to the decompressed stream too, so
-// a compression bomb is a 400, not an allocation.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
-	var reader io.Reader = http.MaxBytesReader(w, r.Body, limit)
-	if gzipRequest(r) {
-		gz, err := gzip.NewReader(reader)
+// readBody reads a bounded request body exactly as it arrived — still
+// compressed, if the client compressed it.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		return nil, faultf(http.StatusBadRequest, codeBadRequest, "read body: %v", err)
+	}
+	return raw, nil
+}
+
+// decodeJSON unmarshals a JSON body into v, classifying failures as
+// bad_request faults. An encGzip body is inflated first (net/http does
+// not decompress request bodies); the byte budget applies to the
+// inflated stream, so a compression bomb is a 400, not an allocation.
+// Journal replay decodes stored upload bodies through here too.
+func decodeJSON(raw []byte, enc string, limit int64, v any) error {
+	body := raw
+	if enc == encGzip {
+		gz, err := gzip.NewReader(bytes.NewReader(raw))
 		if err != nil {
 			return faultf(http.StatusBadRequest, codeBadRequest, "gzip body: %v", err)
 		}
 		defer gz.Close()
-		reader = io.LimitReader(gz, limit+1)
-	}
-	body, err := io.ReadAll(reader)
-	if err != nil {
-		return faultf(http.StatusBadRequest, codeBadRequest, "read body: %v", err)
-	}
-	if int64(len(body)) > limit {
-		return faultf(http.StatusBadRequest, codeBadRequest,
-			"decompressed body exceeds the %d-byte limit", limit)
+		if body, err = io.ReadAll(io.LimitReader(gz, limit+1)); err != nil {
+			return faultf(http.StatusBadRequest, codeBadRequest, "read body: %v", err)
+		}
+		if int64(len(body)) > limit {
+			return faultf(http.StatusBadRequest, codeBadRequest,
+				"decompressed body exceeds the %d-byte limit", limit)
+		}
 	}
 	if err := json.Unmarshal(body, v); err != nil {
 		return faultf(http.StatusBadRequest, codeBadRequest, "parse body: %v", err)
@@ -303,9 +342,23 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) erro
 	return nil
 }
 
-// gzipRequest reports whether the request body is gzip-compressed.
-func gzipRequest(r *http.Request) bool {
-	return strings.EqualFold(r.Header.Get("Content-Encoding"), "gzip")
+// decodeBody reads and unmarshals a bounded JSON request body into v,
+// transparently inflating a Content-Encoding: gzip one.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	raw, err := readBody(w, r, limit)
+	if err != nil {
+		return err
+	}
+	return decodeJSON(raw, bodyEncoding(r), limit, v)
+}
+
+// bodyEncoding names the request body's encoding: encGzip or
+// encIdentity.
+func bodyEncoding(r *http.Request) string {
+	if strings.EqualFold(r.Header.Get("Content-Encoding"), "gzip") {
+		return encGzip
+	}
+	return encIdentity
 }
 
 // submitResponse is POST /v1/campaigns' body: the job serving the spec
@@ -562,7 +615,7 @@ func (s *Server) serveDataset(w http.ResponseWriter, key string) {
 // ClaimRequest is POST /v1/jobs/{id}/shards/claim's body.
 type ClaimRequest struct {
 	// Worker identifies the claiming worker; it labels leases,
-	// journal events and the per-worker shard-duration histogram.
+	// ring events and the per-worker shard-duration histogram.
 	Worker string `json:"worker"`
 	// MaxShards bounds the leased batch; zero or negative means 1.
 	MaxShards int `json:"max_shards"`
@@ -630,10 +683,11 @@ func (s *Server) handleShardHeartbeat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// maxResultBytes bounds a shard-result upload. Paper-scale shards are
-// single-digit MiB of JSON; 256 MiB leaves room without letting one
-// request buffer unbounded memory.
-const maxResultBytes = 256 << 20
+// maxResultBytes bounds a shard-result upload, compressed and inflated
+// alike. Paper-scale shards are single-digit MiB of JSON; 256 MiB
+// leaves room without letting one request buffer unbounded memory. A
+// var only so tests can pin the bound without a 256 MiB payload.
+var maxResultBytes int64 = 256 << 20
 
 func (s *Server) handleShardResult(w http.ResponseWriter, r *http.Request) {
 	idx, err := shardIndex(r)
@@ -641,13 +695,21 @@ func (s *Server) handleShardResult(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, err)
 		return
 	}
-	if gzipRequest(r) {
+	enc := bodyEncoding(r)
+	if enc == encGzip {
 		s.metrics.uploadsGzip.Inc()
 	} else {
 		s.metrics.uploadsIdentity.Inc()
 	}
+	// The body is read once and kept as received: it is decoded here for
+	// validation and the merge, and journaled verbatim on accept.
+	raw, err := readBody(w, r, maxResultBytes)
+	if err != nil {
+		writeFault(w, err)
+		return
+	}
 	var req leaseRequest
-	if err := decodeBody(w, r, maxResultBytes, &req); err != nil {
+	if err := decodeJSON(raw, enc, maxResultBytes, &req); err != nil {
 		writeFault(w, err)
 		return
 	}
@@ -655,7 +717,7 @@ func (s *Server) handleShardResult(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, faultf(http.StatusBadRequest, codeResultInvalid, "result is required"))
 		return
 	}
-	resp, err := s.mgr.ShardResult(r.PathValue("id"), idx, req.Worker, req.Lease, req.Result)
+	resp, err := s.mgr.ShardResult(r.PathValue("id"), idx, req.Worker, req.Lease, req.Result, raw, enc)
 	if err != nil {
 		writeFault(w, err)
 		return

@@ -5,7 +5,7 @@ import (
 )
 
 // BenchmarkTelemetryHotPath is the perf-gated write path: one counter
-// add, one gauge set, one histogram observation and one journal append
+// add, one gauge set, one histogram observation and one event-ring append
 // per op. scripts/perf_gate.sh pins it at 0 allocs/op — the guarantee
 // that lets instrumentation sit on the engine's hot paths without
 // reintroducing the allocations PR 3 removed.
@@ -14,7 +14,7 @@ func BenchmarkTelemetryHotPath(b *testing.B) {
 	c := r.Counter("repro_bench_total", "bench counter")
 	g := r.Gauge("repro_bench_gauge", "bench gauge")
 	h := r.Histogram("repro_bench_seconds", "bench histogram", DurationBuckets())
-	j := NewJournal(4096)
+	j := NewEventRing(4096)
 	job := "j-000001"
 	b.ReportAllocs()
 	b.ResetTimer()

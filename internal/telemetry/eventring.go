@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// The journal is the flight-recorder half of the package: a fixed-size
+// The event ring is the flight-recorder half of the package: a fixed-size
 // ring of recent lifecycle events (job queued → running → done, shard
 // start/finish) that writers append to without locks and readers
 // snapshot without stopping the writers.
@@ -33,10 +33,10 @@ import (
 // identity fields, pointing at strings that already live on the heap
 // (a job's ID, an interned vantage name).
 
-// EventKind classifies a journal event.
+// EventKind classifies a ring event.
 type EventKind uint32
 
-// The journal event kinds, covering the control plane's job and shard
+// The event kinds, covering the control plane's job and shard
 // lifecycle.
 const (
 	EventNone EventKind = iota
@@ -77,7 +77,7 @@ func (k EventKind) String() string {
 // Event is one recorded lifecycle transition, as read back from a
 // snapshot.
 type Event struct {
-	// Seq is the journal-wide ticket: a strictly increasing append
+	// Seq is the ring-wide ticket: a strictly increasing append
 	// index, so consumers can order and dedupe across snapshots.
 	Seq  uint64    `json:"seq"`
 	Time time.Time `json:"time"`
@@ -93,7 +93,7 @@ type Event struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-type journalSlot struct {
+type ringSlot struct {
 	ver    atomic.Uint64
 	wall   atomic.Int64
 	kind   atomic.Uint32
@@ -103,35 +103,35 @@ type journalSlot struct {
 	detail atomic.Pointer[string]
 }
 
-// Journal is the lock-free ring buffer. Create with NewJournal.
-type Journal struct {
-	slots []journalSlot
+// EventRing is the lock-free ring buffer. Create with NewEventRing.
+type EventRing struct {
+	slots []ringSlot
 	mask  uint64
 	head  atomic.Uint64
 }
 
-// NewJournal returns a journal retaining the most recent size events
+// NewEventRing returns a ring retaining the most recent size events
 // (rounded up to a power of two, minimum 64).
-func NewJournal(size int) *Journal {
+func NewEventRing(size int) *EventRing {
 	n := 64
 	for n < size {
 		n <<= 1
 	}
-	return &Journal{slots: make([]journalSlot, n), mask: uint64(n - 1)}
+	return &EventRing{slots: make([]ringSlot, n), mask: uint64(n - 1)}
 }
 
-// Cap returns the journal's retention capacity in events.
-func (j *Journal) Cap() int { return len(j.slots) }
+// Cap returns the ring's retention capacity in events.
+func (j *EventRing) Cap() int { return len(j.slots) }
 
 // Len returns the number of events appended so far (not the number
 // retained).
-func (j *Journal) Len() uint64 { return j.head.Load() }
+func (j *EventRing) Len() uint64 { return j.head.Load() }
 
 // Append records one event. job and detail may be nil; when non-nil
-// they must point at strings that outlive the journal entry (a field
+// they must point at strings that outlive the ring entry (a field
 // of a live object, a package constant — not a loop variable about to
 // be reused). Append performs no allocation and takes no lock.
-func (j *Journal) Append(kind EventKind, job, detail *string, shard, slice int32) {
+func (j *EventRing) Append(kind EventKind, job, detail *string, shard, slice int32) {
 	t := j.head.Add(1) - 1
 	sl := &j.slots[t&j.mask]
 	// Wait out the previous lap's writer (ver must have reached its
@@ -158,7 +158,7 @@ func (j *Journal) Append(kind EventKind, job, detail *string, shard, slice int32
 // Snapshot returns the retained events in append order (oldest first).
 // Events being overwritten or mid-append during the walk are skipped;
 // everything returned is internally consistent.
-func (j *Journal) Snapshot() []Event {
+func (j *EventRing) Snapshot() []Event {
 	head := j.head.Load()
 	size := uint64(len(j.slots))
 	start := uint64(0)
@@ -195,7 +195,7 @@ func (j *Journal) Snapshot() []Event {
 }
 
 // JobEvents returns the retained events for one job ID, oldest first.
-func (j *Journal) JobEvents(id string) []Event {
+func (j *EventRing) JobEvents(id string) []Event {
 	all := j.Snapshot()
 	out := all[:0]
 	for _, ev := range all {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestJournalAppendSnapshot(t *testing.T) {
-	j := NewJournal(64)
+	j := NewEventRing(64)
 	job := "j-000001"
 	vant := "ams-nl"
 	j.Append(EventJobQueued, &job, nil, -1, -1)
@@ -41,7 +41,7 @@ func TestJournalAppendSnapshot(t *testing.T) {
 }
 
 func TestJournalWrapKeepsNewest(t *testing.T) {
-	j := NewJournal(64) // rounds to exactly 64
+	j := NewEventRing(64) // rounds to exactly 64
 	if j.Cap() != 64 {
 		t.Fatalf("cap = %d, want 64", j.Cap())
 	}
@@ -63,7 +63,7 @@ func TestJournalWrapKeepsNewest(t *testing.T) {
 }
 
 func TestJournalJobFilter(t *testing.T) {
-	j := NewJournal(64)
+	j := NewEventRing(64)
 	a, b := "j-000001", "j-000002"
 	j.Append(EventJobQueued, &a, nil, -1, -1)
 	j.Append(EventJobQueued, &b, nil, -1, -1)
@@ -79,7 +79,7 @@ func TestJournalJobFilter(t *testing.T) {
 // protocol is data-race-free; the assertions prove no snapshot ever
 // observes a torn entry (a ticket whose fields disagree with its seq).
 func TestJournalConcurrent(t *testing.T) {
-	j := NewJournal(64)
+	j := NewEventRing(64)
 	const writers = 8
 	const perWriter = 5000
 
@@ -130,7 +130,7 @@ func TestJournalConcurrent(t *testing.T) {
 	readerWg.Wait()
 
 	if j.Len() != writers*perWriter {
-		t.Fatalf("journal len = %d, want %d", j.Len(), writers*perWriter)
+		t.Fatalf("ring len = %d, want %d", j.Len(), writers*perWriter)
 	}
 	// After quiescence every retained entry is readable.
 	if got := len(j.Snapshot()); got != j.Cap() {

@@ -1,7 +1,7 @@
 // Package telemetry is the engine's flight-recorder core: an
 // allocation-free metrics substrate (atomic counters, gauges and
 // fixed-bucket histograms behind a registry) plus a lock-free
-// ring-buffer event journal, with snapshot-based exposition in both
+// ring buffer of recent events, with snapshot-based exposition in both
 // Prometheus text and JSON form.
 //
 // Two constraints shape the design (DESIGN.md §12):
@@ -13,7 +13,7 @@
 //     hashes identically with telemetry attached or absent — the
 //     property internal/campaign's out-of-band test pins.
 //   - Zero allocation on the write path. Counter.Add, Gauge.Set,
-//     Histogram.Observe and Journal.Append allocate nothing once the
+//     Histogram.Observe and EventRing.Append allocate nothing once the
 //     instrument exists (scripts/perf_gate.sh pins
 //     BenchmarkTelemetryHotPath at 0 allocs/op), so instrumentation can
 //     sit next to the packet hot path without re-introducing the

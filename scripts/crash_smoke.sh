@@ -19,6 +19,9 @@
 #      non-zero retries, runs_started exactly 1 (the resumed job — no
 #      shard executes twice beyond what lease re-issue forces), and the
 #      journal directory empty once the run files.
+#   5. While the job is in flight its journal is exactly one file, and
+#      a second coordinator pointed at the live -data directory exits
+#      non-zero naming the lock instead of sharing it.
 #
 # CI runs this as the crash-smoke job; locally: make crash-smoke.
 set -euo pipefail
@@ -71,6 +74,20 @@ say "submitting distributed campaign"
 JOB="$(curl -fsS -X POST "$BASE/v1/campaigns" -d "$SPEC" \
     | python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])')"
 say "job $JOB"
+
+say "in-flight job: one journal file, one coordinator per data directory"
+WALS="$(cd "$WORK/data/journal" && ls *.wal)"
+if [ "$WALS" != "$JOB.wal" ]; then
+    say "FAIL: journal/ holds [$WALS] for in-flight job $JOB, want exactly $JOB.wal"
+    exit 1
+fi
+RC=0
+timeout 10 "$WORK/reprod" serve -addr 127.0.0.1:0 -data "$WORK/data" 2> "$WORK/intruder.log" || RC=$?
+if [ "$RC" = 0 ] || ! grep -q "$WORK/data/LOCK" "$WORK/intruder.log"; then
+    say "FAIL: second coordinator on the live data dir exited $RC without naming the lock"
+    cat "$WORK/intruder.log"
+    exit 1
+fi
 
 say "starting two workers (they must ride through the crash on retries)"
 "$WORK/reprod" worker -coordinator "$BASE" -id w1 -batch 2 -exit-when-idle \
