@@ -30,24 +30,11 @@ crash-stress:
 
 # Benchmark smoke: one iteration of every benchmark on the small world,
 # exercising the full artefact pipeline (campaign engine, analysis,
-# extensions, ablations) without paper-scale cost. Also writes
-# BENCH_10.json — campaign wall-clock for all three scenarios under both
-# cross-traffic drives (lazy replay vs event-per-phantom-boundary, with
-# the phantom/replayed event split) with instrumented twins of the lazy
-# rows (full flight-recorder Metrics attached, for the telemetry
-# overhead pair) plus worker × slice scaling rows, world
-# compile/instantiate fixed costs, scheduler (wheel vs heap, dense and
-# sparse kernels) throughput, pooled AQM CE-mark throughput, pooled
-# packet-build cost, telemetry write path (all with allocs/op), and
-# control-plane rows (cold submit vs direct campaign.Run vs cache hit
-# vs the lease/worker protocol with four in-process workers, with and
-# without the write-ahead journal — the journal-overhead pair — and the
-# straggler pair: the same fan-out with a dead two-shard claimant, with
-# straggler speculation on vs off) — which CI uploads as the
-# perf-trajectory artifact.
+# extensions, ablations) without paper-scale cost. Performance numbers
+# come from the declared benchmark (bench-paper below, bench/README.md),
+# not from this target.
 bench:
 	REPRO_SCALE=small $(GO) test -bench=. -benchtime=1x ./...
-	$(GO) run ./cmd/benchreport -o BENCH_10.json
 
 # bench-paper runs the declared benchmark's engine-only workload
 # (BENCHMARK.json, bench/README.md) the way the acceptance driver does:
@@ -96,7 +83,7 @@ serve:
 # smoke drives a real reprod process over HTTP: submit → poll → fetch,
 # asserts the served dataset's SHA-256 equals cmd/determinism's hash
 # for the same spec, and that resubmission is a pure cache hit (no
-# second simulation, per /v1/stats).
+# second simulation, per the job series on /v1/metrics).
 smoke:
 	./scripts/service_smoke.sh
 

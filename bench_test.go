@@ -448,18 +448,15 @@ func BenchmarkAblationNoMiddleboxes(b *testing.B) {
 	b.ResetTimer()
 	var avg float64
 	for i := 0; i < b.N; i++ {
-		sim := netsim.NewSim(99)
-		w, err := topology.Build(sim, cfg)
+		res, err := campaign.Run(campaign.Config{
+			Topology:  &cfg,
+			TracePlan: map[string]int{"EC2 Ireland": 2},
+			Seed:      99,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		c := core.NewCampaign(w, core.CampaignConfig{
-			TracesPerVantage: map[string]int{"EC2 Ireland": 2},
-		})
-		var d *dataset.Dataset
-		c.Run(func(got *dataset.Dataset) { d = got })
-		sim.Run()
-		avg = analysis.ComputeFigure2a(d).Average
+		avg = analysis.ComputeFigure2a(res.Dataset).Average
 	}
 	b.StopTimer()
 	printOnce("ablation-nomb", fmt.Sprintf(
@@ -476,18 +473,19 @@ func BenchmarkAblationHeavyBleaching(b *testing.B) {
 	b.ResetTimer()
 	var preserved float64
 	for i := 0; i < b.N; i++ {
-		sim := netsim.NewSim(7)
-		w, err := topology.Build(sim, cfg)
+		// One trace carries the vantage's sweep: the engine runs the
+		// traceroute campaign from the slice that owns trace 0.
+		res, err := campaign.Run(campaign.Config{
+			Topology:   &cfg,
+			TracePlan:  map[string]int{"EC2 Tokyo": 1},
+			Stride:     1,
+			Traceroute: traceroute.Config{ProbesPerHop: 1, StopAfterSilent: 2},
+			Seed:       7,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		var obs []traceroute.PathObservation
-		core.RunTracerouteCampaign(w, core.TracerouteCampaignConfig{
-			Vantages: []string{"EC2 Tokyo"},
-			Config:   traceroute.Config{ProbesPerHop: 1, StopAfterSilent: 2},
-		}, func(o []traceroute.PathObservation) { obs = o })
-		sim.Run()
-		f4 := analysis.ComputeFigure4(obs, w.ASN)
+		f4 := analysis.ComputeFigure4(res.PathObs, res.World.ASN)
 		preserved = 100 * float64(f4.PreservedObservations) / float64(f4.RespondedObservations)
 	}
 	b.StopTimer()

@@ -6,16 +6,20 @@
 // canonical JSON-lines encoding), and exits non-zero on any divergence.
 //
 // CI runs it as the `determinism` job; locally `make determinism` does
-// the same. The grid comes from the shared campaign flag surface
-// (campaign.BindSpecFlags in grid mode): -workers/-slices/-sched/
-// -xtraffic/-scenario accept comma-separated axis values, a REPRO_*
-// variable narrows its axis to one value, and the defaults — slices ∈
-// {1, 2, 8} × workers ∈ {1, 4, 13} × schedulers {wheel, heap} ×
-// cross-traffic drives {lazy, events} × all scenarios — span
-// one-shard-per-vantage through more-slices-than-traces, sequential
-// through one-goroutine-per-vantage, and both differential oracles
-// (the heap scheduler and the event-per-boundary cross-traffic drive),
-// whose hashes must all be equal.
+// the same. The spec axes come from the shared campaign flag surface
+// (campaign.BindSpecFlags in grid mode): -workers/-slices/-scenario
+// accept comma-separated axis values, a REPRO_* variable narrows its
+// axis to one value, and the defaults — slices ∈ {1, 2, 8} × workers ∈
+// {1, 4, 13} × all scenarios — span one-shard-per-vantage through
+// more-slices-than-traces and sequential through
+// one-goroutine-per-vantage. Every spec cell then runs four times: on
+// the production timing wheel and the heap scheduler, under the
+// production lazy cross-traffic replay and the event-per-boundary
+// drive. The two oracles are not on the spec or any flag — they cannot
+// change a byte, and this command is what proves it — so the sweep
+// sets campaign.Config's typed Scheduler/XTraffic fields itself. All
+// hashes of a scenario must be equal; the first line printed is always
+// the wheel + lazy reference.
 //
 // The hash this command prints for a spec is the control plane's
 // correctness contract: a dataset served by cmd/reprod for the same
@@ -30,7 +34,7 @@
 //
 // Usage:
 //
-//	determinism [-seed N] [-traces N] [-workers 1,4,13] [-slices 1,2,8] [-scenario a,b] [-sched wheel,heap] [-xtraffic lazy,events]
+//	determinism [-seed N] [-traces N] [-workers 1,4,13] [-slices 1,2,8] [-scenario a,b]
 package main
 
 import (
@@ -41,6 +45,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/dataset"
+	"repro/internal/netsim"
 	"repro/internal/telemetry"
 )
 
@@ -52,11 +57,9 @@ func main() {
 	spec := campaign.BindSpecFlags(flag.CommandLine, campaign.FlagOptions{
 		Base: base,
 		Grid: &campaign.GridDefaults{
-			Scenarios:  campaign.Scenarios(),
-			Schedulers: []string{"wheel", "heap"},
-			XTraffics:  []string{"lazy", "events"},
-			Workers:    []int{1, 4, 13},
-			Slices:     []int{1, 2, 8},
+			Scenarios: campaign.Scenarios(),
+			Workers:   []int{1, 4, 13},
+			Slices:    []int{1, 2, 8},
 		},
 	})
 	flag.Parse()
@@ -66,44 +69,49 @@ func main() {
 		fatal("%v", err)
 	}
 
-	// Cells arrive scenario-outermost; each scenario's first cell sets
-	// the reference hash the rest of its block must match.
+	// Cells arrive scenario-outermost; each scenario's first run (wheel
+	// + lazy) sets the reference hash the rest of its block must match.
 	failed := false
+	runs := 0
 	scenario, ref := "", ""
 	for _, cell := range cells {
 		if cell.Scenario != scenario {
 			scenario, ref = cell.Scenario, ""
 		}
-		sum, err := runHash(cell)
-		if err != nil {
-			fatal("scenario %s sched=%s xtraffic=%s slices=%d workers=%d: %v",
-				cell.Scenario, cell.Scheduler, cell.XTraffic, cell.SlicesPerVantage, cell.Workers, err)
-		}
-		fmt.Printf("%s  scenario=%s sched=%s xtraffic=%s slices=%d workers=%d\n",
-			sum, cell.Scenario, cell.Scheduler, cell.XTraffic, cell.SlicesPerVantage, cell.Workers)
-		if ref == "" {
-			ref = sum
-		} else if sum != ref {
-			fmt.Fprintf(os.Stderr,
-				"determinism: FAIL: scenario %s diverges at sched=%s xtraffic=%s slices=%d workers=%d\n",
-				cell.Scenario, cell.Scheduler, cell.XTraffic, cell.SlicesPerVantage, cell.Workers)
-			failed = true
+		for _, xmode := range []netsim.XTrafficMode{netsim.XTrafficLazy, netsim.XTrafficEvents} {
+			for _, sched := range []netsim.Scheduler{netsim.SchedWheel, netsim.SchedHeap} {
+				label := fmt.Sprintf("scenario=%s sched=%s xtraffic=%s slices=%d workers=%d",
+					cell.Scenario, sched.Name(), xmode.Name(), cell.SlicesPerVantage, cell.Workers)
+				sum, err := runHash(cell, sched, xmode)
+				if err != nil {
+					fatal("%s: %v", label, err)
+				}
+				fmt.Printf("%s  %s\n", sum, label)
+				runs++
+				if ref == "" {
+					ref = sum
+				} else if sum != ref {
+					fmt.Fprintf(os.Stderr, "determinism: FAIL: diverges at %s\n", label)
+					failed = true
+				}
+			}
 		}
 	}
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("determinism: OK — %d merged datasets identical across the slices × workers × scheduler × cross-traffic grid\n", len(cells))
+	fmt.Printf("determinism: OK — %d merged datasets identical across the slices × workers × scheduler × cross-traffic grid\n", runs)
 }
 
-// runHash executes one grid cell's campaign — telemetry attached — and
-// returns the SHA-256 of its merged dataset in canonical JSON-lines
-// form.
-func runHash(spec campaign.Spec) (string, error) {
+// runHash executes one grid cell's campaign on the given scheduler and
+// cross-traffic drive — telemetry attached — and returns the SHA-256 of
+// its merged dataset in canonical JSON-lines form.
+func runHash(spec campaign.Spec, sched netsim.Scheduler, xmode netsim.XTrafficMode) (string, error) {
 	cfg, err := spec.Config()
 	if err != nil {
 		return "", err
 	}
+	cfg.Scheduler, cfg.XTraffic = sched, xmode
 	cfg.Metrics = campaign.NewMetrics(telemetry.NewRegistry())
 	res, err := campaign.Run(cfg)
 	if err != nil {

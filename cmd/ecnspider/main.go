@@ -20,12 +20,10 @@
 // plan). -scenario selects the congestion scenario (uncongested, the
 // default; congested-edge; congested-transit) — congested runs append a
 // CE-mark report to stderr. -slices N lifts campaign parallelism past
-// the 13 vantage points (13×N shards); -sched heap selects the
-// simulator's binary-heap fallback instead of the default timing wheel,
-// and -xtraffic events the legacy event-per-phantom-boundary
-// cross-traffic drive instead of the default lazy catch-up replay, both
-// for differential runs. -cpuprofile/-memprofile write pprof profiles
-// of the campaign for hot-path work.
+// the 13 vantage points (13×N shards). -cpuprofile/-memprofile write
+// pprof profiles of the campaign for hot-path work. The campaign always
+// runs on the production engine (timing wheel, lazy cross-traffic
+// replay); the differential oracles are swept by cmd/determinism.
 package main
 
 import (

@@ -188,17 +188,6 @@ type RunsPage struct {
 	NextCursor string   `json:"next_cursor,omitempty"`
 }
 
-// Stats are the job manager's lifetime counters.
-type Stats struct {
-	Submitted   int `json:"submitted"`
-	CacheHits   int `json:"cache_hits"`
-	Joined      int `json:"joined"`
-	RunsStarted int `json:"runs_started"`
-	RunsFailed  int `json:"runs_failed"`
-	Jobs        int `json:"jobs"`
-	Recovered   int `json:"recovered"`
-}
-
 // Report is a run's stored metadata (GET .../report). Congestion, when
 // present, is the CE-mark report left raw for callers that render it.
 type Report struct {
@@ -527,13 +516,6 @@ func (c *Client) Workers(ctx context.Context) ([]Worker, error) {
 	}
 	_, err := c.do(ctx, http.MethodGet, "/v1/workers", nil, &resp)
 	return resp.Workers, err
-}
-
-// Stats fetches the job manager's lifetime counters.
-func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	var st Stats
-	_, err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &st)
-	return st, err
 }
 
 // MetricsText fetches /v1/metrics in the Prometheus text exposition.

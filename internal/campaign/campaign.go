@@ -74,11 +74,6 @@ type Config struct {
 	// Batch2Fraction is the share of each vantage's traces run under
 	// batch-2 (July/August) conditions. Default 0.5.
 	Batch2Fraction float64
-	// SettleTime separates consecutive traces in the sequential
-	// core.Campaign loop. The sharded engine ignores it: traces are
-	// pinned to fixed virtual epochs instead, which is what keeps their
-	// start times independent of how the campaign is sliced.
-	SettleTime time.Duration
 
 	// Discover enumerates the pool via DNS inside each shard before
 	// probing (each shard discovers independently, as a real distributed
@@ -108,18 +103,15 @@ type Config struct {
 	// keeps a single shard per vantage. The merged result does not
 	// depend on the slice count.
 	SlicesPerVantage int
-	// Scheduler selects the simulator's pending-event structure:
-	// "wheel" (the default O(1) hierarchical timing wheel) or "heap"
-	// (the legacy binary heap, kept for differential testing; env
-	// REPRO_SCHED). The merged result does not depend on the choice.
-	Scheduler string
-	// XTraffic selects the congestion substrate's cross-traffic drive:
-	// "lazy" (the default — phantom serialization boundaries replay in
-	// an arithmetic catch-up loop, never as events) or "events" (the
-	// legacy one-event-per-boundary path, kept as a differential
-	// oracle; env REPRO_XTRAFFIC). The merged result does not depend on
-	// the choice.
-	XTraffic string
+	// Scheduler and XTraffic select the differential oracles: the
+	// binary-heap scheduler and the one-event-per-phantom-boundary
+	// cross-traffic drive. The zero values are the production timing
+	// wheel and lazy replay. They are Go-only — no spec field, flag or
+	// environment variable reaches them — because the merged result
+	// does not depend on either; only the differential tests and
+	// cmd/determinism set them, to prove exactly that.
+	Scheduler netsim.Scheduler
+	XTraffic  netsim.XTrafficMode
 
 	// ShardHook, when non-nil, runs in the worker goroutine after a
 	// shard's world is built and reseeded but before its campaign starts
@@ -284,6 +276,14 @@ func sweepSeed(seed int64, vantage int) int64 {
 // bottleneck burst phases align identically in every epoch.
 const shardEpoch = 7 * 24 * time.Hour
 
+// MaxTracesPerVantage bounds a vantage's trace quota — and, since a
+// slice beyond the quota is empty, the useful slice count. It keeps
+// every epoch representable: the sweep of a full quota starts at
+// shardEpoch × (MaxTracesPerVantage+1), inside time.Duration's int64
+// nanoseconds (which overflow at 15 250 epochs). Spec.Validate enforces
+// it; the paper's largest quota is 25.
+const MaxTracesPerVantage = 10_000
+
 // traceStartAt pins trace k (per-vantage index) to its virtual epoch.
 func traceStartAt(k int) time.Duration {
 	return shardEpoch * time.Duration(k+1)
@@ -436,14 +436,6 @@ func (cfg Config) Shards() []ShardInfo {
 // only the frozen world blueprint, every measurement phase is
 // history-free, and the merge runs in canonical order.
 func Run(cfg Config) (*Result, error) {
-	sched, ok := netsim.SchedulerByName(cfg.Scheduler)
-	if !ok {
-		return nil, fmt.Errorf("campaign: unknown scheduler %q (want wheel or heap)", cfg.Scheduler)
-	}
-	xmode, ok := netsim.XTrafficModeByName(cfg.XTraffic)
-	if !ok {
-		return nil, fmt.Errorf("campaign: unknown cross-traffic drive %q (want lazy or events)", cfg.XTraffic)
-	}
 	shards := cfg.shardSpecs()
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("campaign: trace plan selects no vantages")
@@ -477,12 +469,12 @@ func Run(cfg Config) (*Result, error) {
 					cfg.ShardStart(sh.shard, sh.slice, sh.vantage)
 				}
 				cfg.Metrics.shardStarted()
-				results[i], errs[i] = runShard(cfg, bp, sh, sched, xmode)
+				results[i], errs[i] = runShard(cfg, bp, sh)
 				if errs[i] != nil {
 					cfg.Metrics.shardFailed()
 					continue
 				}
-				cfg.Metrics.shardFinished(results[i].stats, results[i].world, sched.Name())
+				cfg.Metrics.shardFinished(results[i].stats, results[i].world, cfg.Scheduler.Name())
 				if cfg.ShardDone != nil {
 					cfg.ShardDone(results[i].stats)
 				}
@@ -507,13 +499,13 @@ func Run(cfg Config) (*Result, error) {
 // frozen world, then run the shard's trace block — every trace in its
 // own reseeded, transient-reset, epoch-pinned context — and, on the
 // vantage's first slice, the traceroute sweep.
-func runShard(cfg Config, bp *topology.Blueprint, sh shardSpec, sched netsim.Scheduler, xmode netsim.XTrafficMode) (shardResult, error) {
+func runShard(cfg Config, bp *topology.Blueprint, sh shardSpec) (shardResult, error) {
 	start := time.Now()
 	fail := func(err error) (shardResult, error) {
 		return shardResult{}, fmt.Errorf("campaign: shard %d/%d (%s): %w", sh.shard, sh.slice, sh.vantage, err)
 	}
-	sim := netsim.NewSimSched(cfg.Seed, sched)
-	sim.SetXTrafficMode(xmode)
+	sim := netsim.NewSimSched(cfg.Seed, cfg.Scheduler)
+	sim.SetXTrafficMode(cfg.XTraffic)
 	w, err := bp.Instantiate(sim)
 	if err != nil {
 		return fail(err)

@@ -6,9 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/netsim"
 	"repro/internal/topology"
 	"repro/internal/traceroute"
 )
@@ -170,8 +170,7 @@ func TestSameSeedReproduces(t *testing.T) {
 // naming the offending variable instead of a silent default.
 func TestFromEnv(t *testing.T) {
 	allKnobs := []string{"REPRO_SCALE", "REPRO_SCENARIO", "REPRO_TRACES",
-		"REPRO_STRIDE", "REPRO_SEED", "REPRO_WORKERS", "REPRO_SLICES", "REPRO_SCHED",
-		"REPRO_XTRAFFIC"}
+		"REPRO_STRIDE", "REPRO_SEED", "REPRO_WORKERS", "REPRO_SLICES"}
 	cases := []struct {
 		name    string
 		env     map[string]string
@@ -186,7 +185,7 @@ func TestFromEnv(t *testing.T) {
 				if cfg.Scale != "paper" || cfg.Scenario != ScenarioUncongested ||
 					cfg.Traces != 6 || cfg.Stride != 3 || cfg.Seed != 2015 ||
 					cfg.Workers != 0 || cfg.SlicesPerVantage != 1 ||
-					cfg.Scheduler != "wheel" || cfg.XTraffic != "lazy" {
+					cfg.Scheduler != netsim.SchedWheel || cfg.XTraffic != netsim.XTrafficLazy {
 					t.Fatalf("defaults = %+v", cfg)
 				}
 			},
@@ -195,12 +194,11 @@ func TestFromEnv(t *testing.T) {
 			name: "all set",
 			env: map[string]string{"REPRO_SCALE": "small", "REPRO_TRACES": "4",
 				"REPRO_STRIDE": "5", "REPRO_SEED": "-99", "REPRO_WORKERS": "3",
-				"REPRO_SCENARIO": "congested-edge", "REPRO_SLICES": "4", "REPRO_SCHED": "heap",
-				"REPRO_XTRAFFIC": "events"},
+				"REPRO_SCENARIO": "congested-edge", "REPRO_SLICES": "4"},
 			check: func(t *testing.T, cfg Config) {
 				if cfg.Scale != "small" || cfg.Traces != 4 || cfg.Stride != 5 ||
 					cfg.Seed != -99 || cfg.Workers != 3 || cfg.Scenario != "congested-edge" ||
-					cfg.SlicesPerVantage != 4 || cfg.Scheduler != "heap" || cfg.XTraffic != "events" {
+					cfg.SlicesPerVantage != 4 {
 					t.Fatalf("FromEnv = %+v", cfg)
 				}
 			},
@@ -235,8 +233,6 @@ func TestFromEnv(t *testing.T) {
 		{name: "workers negative", env: map[string]string{"REPRO_WORKERS": "-4"}, wantErr: "REPRO_WORKERS"},
 		{name: "slices garbage", env: map[string]string{"REPRO_SLICES": "many"}, wantErr: "REPRO_SLICES"},
 		{name: "slices negative", env: map[string]string{"REPRO_SLICES": "-1"}, wantErr: "REPRO_SLICES"},
-		{name: "bad scheduler", env: map[string]string{"REPRO_SCHED": "fibheap"}, wantErr: "REPRO_SCHED"},
-		{name: "bad cross-traffic drive", env: map[string]string{"REPRO_XTRAFFIC": "fluid"}, wantErr: "REPRO_XTRAFFIC"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -301,9 +297,8 @@ func TestPartialPlanKeepsVantageSeeds(t *testing.T) {
 	}
 }
 
-func TestSettleTimeAndBatchKnobs(t *testing.T) {
+func TestBatch2FractionKnob(t *testing.T) {
 	cfg := testConfig()
-	cfg.SettleTime = 5 * time.Minute
 	cfg.Batch2Fraction = 1.0
 	res := runOrFatal(t, cfg)
 	for i, tr := range res.Dataset.Traces {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/netsim"
 	"repro/internal/topology"
 )
 
@@ -199,7 +200,7 @@ func TestSchedulerDifferential(t *testing.T) {
 	for _, scenario := range Scenarios() {
 		var ref []byte
 		var refObs int
-		for _, sched := range []string{"wheel", "heap"} {
+		for _, sched := range []netsim.Scheduler{netsim.SchedWheel, netsim.SchedHeap} {
 			cfg := testConfig()
 			cfg.Scenario = scenario
 			cfg.Scheduler = sched

@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the one flag surface shared by every campaign-driving
-// command (ecnspider, determinism, benchreport, reprod). Each tool used
-// to register and interpret its own -scenario/-workers/-slices flags;
-// consolidating them here makes the vocabulary, defaults and precedence
-// identical everywhere:
+// command (ecnspider, determinism). Each tool used to register and
+// interpret its own -scenario/-workers/-slices flags; consolidating
+// them here makes the vocabulary, defaults and precedence identical
+// everywhere:
 //
 //	explicit flags  >  REPRO_* environment  >  the tool's base Spec
 //
@@ -44,27 +44,23 @@ var envVarFor = map[string]string{
 	"stride":   "REPRO_STRIDE",
 	"workers":  "REPRO_WORKERS",
 	"slices":   "REPRO_SLICES",
-	"sched":    "REPRO_SCHED",
-	"xtraffic": "REPRO_XTRAFFIC",
 }
 
 // GridDefaults are the axis values a grid-mode tool (cmd/determinism)
 // sweeps when neither flag nor environment narrows an axis.
 type GridDefaults struct {
-	Scenarios  []string
-	Schedulers []string
-	XTraffics  []string
-	Workers    []int
-	Slices     []int
+	Scenarios []string
+	Workers   []int
+	Slices    []int
 }
 
 // FlagOptions configures BindSpecFlags for one tool.
 type FlagOptions struct {
 	// Base is the tool's default campaign (lowest precedence layer).
 	Base Spec
-	// Grid, when non-nil, registers -scenario/-sched/-xtraffic/
-	// -workers/-slices as comma-separated list flags sweeping a grid
-	// (ResolveGrid) instead of single values (Resolve).
+	// Grid, when non-nil, registers -scenario/-workers/-slices as
+	// comma-separated list flags sweeping a grid (ResolveGrid) instead
+	// of single values (Resolve).
 	Grid *GridDefaults
 }
 
@@ -79,8 +75,6 @@ type SpecFlags struct {
 	seed     int64
 	scale    string
 	scenario string
-	sched    string
-	xtraffic string
 	traces   int
 	stride   int
 	discover bool
@@ -101,10 +95,6 @@ func BindSpecFlags(fs *flag.FlagSet, opts FlagOptions) *SpecFlags {
 	if f.grid != nil {
 		fs.StringVar(&f.scenario, "scenario", strings.Join(f.grid.Scenarios, ","),
 			"comma-separated congestion scenarios (env REPRO_SCENARIO narrows to one)")
-		fs.StringVar(&f.sched, "sched", strings.Join(f.grid.Schedulers, ","),
-			"comma-separated simulator schedulers: wheel, heap (env REPRO_SCHED)")
-		fs.StringVar(&f.xtraffic, "xtraffic", strings.Join(f.grid.XTraffics, ","),
-			"comma-separated cross-traffic drives: lazy, events (env REPRO_XTRAFFIC)")
 		fs.StringVar(&f.workers, "workers", joinInts(f.grid.Workers),
 			"comma-separated parallel shard worker counts (env REPRO_WORKERS)")
 		fs.StringVar(&f.slices, "slices", joinInts(f.grid.Slices),
@@ -112,8 +102,6 @@ func BindSpecFlags(fs *flag.FlagSet, opts FlagOptions) *SpecFlags {
 	} else {
 		fs.StringVar(&f.scenario, "scenario", b.Scenario,
 			"congestion scenario: "+strings.Join(Scenarios(), ", ")+" (env REPRO_SCENARIO)")
-		fs.StringVar(&f.sched, "sched", b.Scheduler, "simulator scheduler: wheel (default) or heap (env REPRO_SCHED)")
-		fs.StringVar(&f.xtraffic, "xtraffic", b.XTraffic, "cross-traffic drive: lazy (default) or events (env REPRO_XTRAFFIC)")
 		fs.StringVar(&f.workers, "workers", strconv.Itoa(b.Workers), "parallel shard workers, 0 = GOMAXPROCS (env REPRO_WORKERS)")
 		fs.StringVar(&f.slices, "slices", strconv.Itoa(b.SlicesPerVantage), "sub-vantage slices per vantage (env REPRO_SLICES)")
 	}
@@ -165,12 +153,6 @@ func (f *SpecFlags) Resolve() (Spec, error) {
 	if set["scenario"] {
 		s.Scenario = f.scenario
 	}
-	if set["sched"] {
-		s.Scheduler = f.sched
-	}
-	if set["xtraffic"] {
-		s.XTraffic = f.xtraffic
-	}
 	if set["traces"] {
 		s.Traces = f.traces
 	}
@@ -209,11 +191,10 @@ func singleCount(name, v string) (int, error) {
 }
 
 // ResolveGrid resolves the base knobs like Resolve, then expands the
-// grid axes — scenarios × cross-traffic drives × schedulers × slices ×
-// workers, in cmd/determinism's canonical nesting order — into one Spec
-// per cell. Axis values come from the flag list when set, else the
-// knob's REPRO_* variable (narrowing the axis to one value), else the
-// tool's GridDefaults. Every cell is validated.
+// grid axes — scenarios × slices × workers, scenario outermost — into
+// one Spec per cell. Axis values come from the flag list when set, else
+// the knob's REPRO_* variable (narrowing the axis to one value), else
+// the tool's GridDefaults. Every cell is validated.
 func (f *SpecFlags) ResolveGrid() ([]Spec, error) {
 	if f.grid == nil {
 		return nil, fmt.Errorf("campaign: ResolveGrid on a single-valued flag set")
@@ -239,18 +220,13 @@ func (f *SpecFlags) ResolveGrid() ([]Spec, error) {
 		base.Discover = f.discover
 	}
 
-	axis := func(name, flagVal string, envSet bool, envVal string, def []string) []string {
-		if set[name] {
-			return splitList(flagVal)
-		}
-		if envSet {
-			return []string{envVal}
-		}
-		return def
+	scenarios := f.grid.Scenarios
+	switch {
+	case set["scenario"]:
+		scenarios = splitList(f.scenario)
+	case os.Getenv("REPRO_SCENARIO") != "":
+		scenarios = []string{base.Scenario}
 	}
-	scenarios := axis("scenario", f.scenario, os.Getenv("REPRO_SCENARIO") != "", base.Scenario, f.grid.Scenarios)
-	xtraffics := axis("xtraffic", f.xtraffic, os.Getenv("REPRO_XTRAFFIC") != "", base.XTraffic, f.grid.XTraffics)
-	scheds := axis("sched", f.sched, os.Getenv("REPRO_SCHED") != "", base.Scheduler, f.grid.Schedulers)
 
 	intAxis := func(name, flagVal string, envSet bool, envVal int, def []int) ([]int, error) {
 		if set[name] {
@@ -283,22 +259,16 @@ func (f *SpecFlags) ResolveGrid() ([]Spec, error) {
 
 	var cells []Spec
 	for _, scenario := range scenarios {
-		for _, xtraffic := range xtraffics {
-			for _, sched := range scheds {
-				for _, sl := range sliceCounts {
-					for _, w := range workerCounts {
-						s := base
-						s.Scenario = scenario
-						s.XTraffic = xtraffic
-						s.Scheduler = sched
-						s.SlicesPerVantage = sl
-						s.Workers = w
-						if err := s.Validate(); err != nil {
-							return nil, err
-						}
-						cells = append(cells, s)
-					}
+		for _, sl := range sliceCounts {
+			for _, w := range workerCounts {
+				s := base
+				s.Scenario = scenario
+				s.SlicesPerVantage = sl
+				s.Workers = w
+				if err := s.Validate(); err != nil {
+					return nil, err
 				}
+				cells = append(cells, s)
 			}
 		}
 	}

@@ -9,8 +9,7 @@ import (
 // allReproKnobs clears every REPRO_* variable a test doesn't set, so
 // the ambient environment cannot leak into precedence cases.
 var allReproKnobs = []string{"REPRO_SCALE", "REPRO_SCENARIO", "REPRO_TRACES",
-	"REPRO_STRIDE", "REPRO_SEED", "REPRO_WORKERS", "REPRO_SLICES", "REPRO_SCHED",
-	"REPRO_XTRAFFIC"}
+	"REPRO_STRIDE", "REPRO_SEED", "REPRO_WORKERS", "REPRO_SLICES"}
 
 func setEnv(t *testing.T, env map[string]string) {
 	t.Helper()
@@ -51,10 +50,9 @@ func TestSpecFlagsPrecedence(t *testing.T) {
 		{
 			name: "env overrides base",
 			env: map[string]string{"REPRO_SCENARIO": "congested-edge",
-				"REPRO_TRACES": "5", "REPRO_WORKERS": "3", "REPRO_SCHED": "heap"},
+				"REPRO_TRACES": "5", "REPRO_WORKERS": "3"},
 			check: func(t *testing.T, s Spec, f *SpecFlags) {
-				if s.Scenario != "congested-edge" || s.Traces != 5 ||
-					s.Workers != 3 || s.Scheduler != "heap" {
+				if s.Scenario != "congested-edge" || s.Traces != 5 || s.Workers != 3 {
 					t.Fatalf("spec = %+v", s)
 				}
 				if f.Source("traces") != SourceEnv {
@@ -65,17 +63,16 @@ func TestSpecFlagsPrecedence(t *testing.T) {
 		{
 			name: "flags override env",
 			env: map[string]string{"REPRO_SCENARIO": "congested-edge",
-				"REPRO_TRACES": "5", "REPRO_SLICES": "4", "REPRO_XTRAFFIC": "events"},
+				"REPRO_TRACES": "5", "REPRO_SLICES": "4"},
 			args: []string{"-scenario", "congested-transit", "-traces", "7",
-				"-slices", "2", "-xtraffic", "lazy", "-workers", "9", "-seed", "-1"},
+				"-slices", "2", "-workers", "9", "-seed", "-1"},
 			check: func(t *testing.T, s Spec, f *SpecFlags) {
 				if s.Scenario != "congested-transit" || s.Traces != 7 ||
-					s.SlicesPerVantage != 2 || s.XTraffic != "lazy" ||
-					s.Workers != 9 || s.Seed != -1 {
+					s.SlicesPerVantage != 2 || s.Workers != 9 || s.Seed != -1 {
 					t.Fatalf("spec = %+v", s)
 				}
-				if f.Source("scenario") != SourceFlag || f.Source("sched") != SourceDefault {
-					t.Fatalf("sources: scenario=%v sched=%v", f.Source("scenario"), f.Source("sched"))
+				if f.Source("scenario") != SourceFlag || f.Source("stride") != SourceDefault {
+					t.Fatalf("sources: scenario=%v stride=%v", f.Source("scenario"), f.Source("stride"))
 				}
 			},
 		},
@@ -94,11 +91,6 @@ func TestSpecFlagsPrecedence(t *testing.T) {
 			env:     map[string]string{"REPRO_TRACES": "1O"},
 			args:    []string{"-traces", "7"},
 			wantErr: "REPRO_TRACES",
-		},
-		{
-			name:    "bad env scheduler",
-			env:     map[string]string{"REPRO_SCHED": "fibheap"},
-			wantErr: "REPRO_SCHED",
 		},
 		{
 			name:    "list value rejected by single-valued tool",
@@ -148,11 +140,9 @@ func TestSpecFlagsPrecedence(t *testing.T) {
 // REPRO_* variable narrows its axis to one value.
 func TestSpecFlagsGrid(t *testing.T) {
 	grid := &GridDefaults{
-		Scenarios:  Scenarios(),
-		Schedulers: []string{"wheel", "heap"},
-		XTraffics:  []string{"lazy", "events"},
-		Workers:    []int{1, 4, 13},
-		Slices:     []int{1, 2, 8},
+		Scenarios: Scenarios(),
+		Workers:   []int{1, 4, 13},
+		Slices:    []int{1, 2, 8},
 	}
 	base := DefaultSpec()
 	base.Scale = "small"
@@ -175,7 +165,7 @@ func TestSpecFlagsGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := 3 * 2 * 2 * 3 * 3
+		want := 3 * 3 * 3
 		if len(cells) != want {
 			t.Fatalf("grid = %d cells, want %d", len(cells), want)
 		}
@@ -195,7 +185,7 @@ func TestSpecFlagsGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := 1 * 2 * 2 * 3 * 2; len(cells) != want {
+		if want := 1 * 3 * 2; len(cells) != want {
 			t.Fatalf("grid = %d cells, want %d", len(cells), want)
 		}
 		for _, c := range cells {
@@ -206,25 +196,25 @@ func TestSpecFlagsGrid(t *testing.T) {
 	})
 
 	t.Run("env narrows an axis to one value", func(t *testing.T) {
-		setEnv(t, map[string]string{"REPRO_SCHED": "heap"})
+		setEnv(t, map[string]string{"REPRO_SLICES": "2"})
 		cells, err := bind(t, nil).ResolveGrid()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := 3 * 2 * 1 * 3 * 3; len(cells) != want {
+		if want := 3 * 1 * 3; len(cells) != want {
 			t.Fatalf("grid = %d cells, want %d", len(cells), want)
 		}
 		for _, c := range cells {
-			if c.Scheduler != "heap" {
-				t.Fatalf("cell scheduler = %q", c.Scheduler)
+			if c.SlicesPerVantage != 2 {
+				t.Fatalf("cell slices = %d", c.SlicesPerVantage)
 			}
 		}
 	})
 
 	t.Run("invalid axis value rejected", func(t *testing.T) {
 		setEnv(t, nil)
-		if _, err := bind(t, []string{"-sched", "wheel,fibheap"}).ResolveGrid(); err == nil {
-			t.Fatal("want error for unknown scheduler in the grid")
+		if _, err := bind(t, []string{"-scenario", "uncongested,congested"}).ResolveGrid(); err == nil {
+			t.Fatal("want error for unknown scenario in the grid")
 		}
 		if _, err := bind(t, []string{"-workers", "1,zero"}).ResolveGrid(); err == nil {
 			t.Fatal("want error for malformed worker count")

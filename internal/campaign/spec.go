@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/netsim"
 	"repro/internal/topology"
 	"repro/internal/traceroute"
 )
@@ -40,8 +39,8 @@ const (
 //   - Submitted form: any subset of fields; zero values mean "default".
 //     Validate reports field-level errors for out-of-vocabulary values.
 //   - Canonical form: Normalized fills every default explicitly
-//     (version, scale, scenario, scheduler, cross-traffic drive, slice
-//     count, batch-2 fraction, discovery rounds), so Canonical bytes —
+//     (version, scale, scenario, slice count, batch-2 fraction,
+//     discovery rounds), so Canonical bytes —
 //     encoding/json with fixed field order and sorted trace-plan keys —
 //     are identical for every submitted spelling of the same campaign.
 //
@@ -104,12 +103,6 @@ type Spec struct {
 	// SlicesPerVantage splits each vantage's quota into contiguous
 	// sub-shards (0 normalizes to 1).
 	SlicesPerVantage int `json:"slices_per_vantage"`
-	// Scheduler is the simulator's pending-event structure: "wheel"
-	// (default) or "heap".
-	Scheduler string `json:"scheduler"`
-	// XTraffic is the cross-traffic drive: "lazy" (default) or
-	// "events".
-	XTraffic string `json:"xtraffic"`
 }
 
 // DefaultSpec is the fully-explicit default campaign: the paper plan’s
@@ -127,8 +120,6 @@ func DefaultSpec() Spec {
 		Execution:        ExecutionLocal,
 		Workers:          0,
 		SlicesPerVantage: 1,
-		Scheduler:        netsim.SchedWheel.Name(),
-		XTraffic:         netsim.XTrafficLazy.Name(),
 	}
 }
 
@@ -167,12 +158,6 @@ func (s Spec) Normalized() Spec {
 	}
 	if s.SlicesPerVantage == 0 {
 		s.SlicesPerVantage = 1
-	}
-	if s.Scheduler == "" {
-		s.Scheduler = netsim.SchedWheel.Name()
-	}
-	if s.XTraffic == "" {
-		s.XTraffic = netsim.XTrafficLazy.Name()
 	}
 	return s
 }
@@ -218,6 +203,8 @@ func (s Spec) Validate() error {
 	}
 	if s.Traces < 0 {
 		add("traces", "must not be negative (0 selects the paper plan)")
+	} else if s.Traces > MaxTracesPerVantage {
+		add("traces", "must not exceed %d per vantage, got %d", MaxTracesPerVantage, s.Traces)
 	}
 	if s.TracePlan != nil {
 		known := make(map[string]bool, len(topology.VantageNames()))
@@ -232,8 +219,10 @@ func (s Spec) Validate() error {
 		for _, name := range names {
 			if !known[name] {
 				add("trace_plan", "unknown vantage %q", name)
-			} else if s.TracePlan[name] < 0 {
-				add("trace_plan", "vantage %q: negative trace count %d", name, s.TracePlan[name])
+			} else if n := s.TracePlan[name]; n < 0 {
+				add("trace_plan", "vantage %q: negative trace count %d", name, n)
+			} else if n > MaxTracesPerVantage {
+				add("trace_plan", "vantage %q: trace count %d exceeds %d", name, n, MaxTracesPerVantage)
 			}
 		}
 	}
@@ -256,12 +245,11 @@ func (s Spec) Validate() error {
 	}
 	if s.SlicesPerVantage < 0 {
 		add("slices_per_vantage", "must not be negative")
-	}
-	if _, ok := netsim.SchedulerByName(s.Scheduler); !ok {
-		add("scheduler", "unknown scheduler %q: want wheel or heap", s.Scheduler)
-	}
-	if _, ok := netsim.XTrafficModeByName(s.XTraffic); !ok {
-		add("xtraffic", "unknown cross-traffic drive %q: want lazy or events", s.XTraffic)
+	} else if s.SlicesPerVantage > MaxTracesPerVantage {
+		// More slices than traces is legal (the surplus slices are
+		// empty), but the planner walks every slice of every vantage:
+		// past the trace bound the walk is pure waste on the submit path.
+		add("slices_per_vantage", "must not exceed %d, got %d", MaxTracesPerVantage, s.SlicesPerVantage)
 	}
 	if len(errs) > 0 {
 		return &ValidationError{Fields: errs}
@@ -282,18 +270,16 @@ func (s Spec) Canonical() ([]byte, error) {
 
 // CacheKey returns the content address of the spec's result: the hex
 // SHA-256 of the canonical bytes with the execution-shape knobs
-// (workers, slices, scheduler, cross-traffic drive) reset to their
-// defaults. Those knobs are excluded because the merged dataset is
-// proven byte-identical across all of them — the determinism grid that
-// cmd/determinism checks in CI — so a campaign re-submitted with a
-// different worker count must hit the cache, not re-simulate.
+// (execution strategy, workers, slices) reset to their defaults. Those
+// knobs are excluded because the merged dataset is proven byte-identical
+// across all of them — the determinism grid that cmd/determinism checks
+// in CI — so a campaign re-submitted with a different worker count must
+// hit the cache, not re-simulate.
 func (s Spec) CacheKey() (string, error) {
 	s = s.Normalized()
 	s.Execution = ExecutionLocal
 	s.Workers = 0
 	s.SlicesPerVantage = 1
-	s.Scheduler = netsim.SchedWheel.Name()
-	s.XTraffic = netsim.XTrafficLazy.Name()
 	b, err := s.Canonical()
 	if err != nil {
 		return "", err
@@ -330,8 +316,6 @@ func (s Spec) Config() (Config, error) {
 		Seed:             s.Seed,
 		Workers:          s.Workers,
 		SlicesPerVantage: s.SlicesPerVantage,
-		Scheduler:        s.Scheduler,
-		XTraffic:         s.XTraffic,
 	}, nil
 }
 
@@ -371,8 +355,6 @@ func ParseSpec(data []byte) (Spec, error) {
 //	REPRO_SEED=N               campaign seed          (default 2015)
 //	REPRO_WORKERS=N            parallel shard workers (default GOMAXPROCS)
 //	REPRO_SLICES=N             sub-shards per vantage (default 1)
-//	REPRO_SCHED=wheel|heap     simulator scheduler    (default wheel)
-//	REPRO_XTRAFFIC=lazy|events cross-traffic drive    (default lazy)
 //
 // Malformed values are an error, not a silent fallback: these knobs
 // select entire measurement campaigns, and a typo'd REPRO_TRACES=1O
@@ -399,18 +381,6 @@ func (s *Spec) applyEnv(getenv func(string) string) error {
 			return fmt.Errorf("REPRO_SCENARIO: %w", err)
 		}
 		s.Scenario = v
-	}
-	if v := getenv("REPRO_SCHED"); v != "" {
-		if _, ok := netsim.SchedulerByName(v); !ok {
-			return fmt.Errorf("campaign: REPRO_SCHED=%q: want wheel or heap", v)
-		}
-		s.Scheduler = v
-	}
-	if v := getenv("REPRO_XTRAFFIC"); v != "" {
-		if _, ok := netsim.XTrafficModeByName(v); !ok {
-			return fmt.Errorf("campaign: REPRO_XTRAFFIC=%q: want lazy or events", v)
-		}
-		s.XTraffic = v
 	}
 	var err error
 	if s.Seed, err = envInt64(getenv, "REPRO_SEED", s.Seed); err != nil {

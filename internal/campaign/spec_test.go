@@ -3,9 +3,12 @@ package campaign
 import (
 	"encoding/json"
 	"errors"
+	"flag"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/topology"
 )
 
@@ -23,8 +26,6 @@ func TestSpecCanonicalIdentical(t *testing.T) {
 		DiscoveryRounds:  50,
 		Seed:             7,
 		SlicesPerVantage: 1,
-		Scheduler:        "wheel",
-		XTraffic:         "lazy",
 	}
 	a, err := implicit.Canonical()
 	if err != nil {
@@ -85,9 +86,8 @@ func TestSpecCanonicalRoundTrip(t *testing.T) {
 }
 
 // TestSpecCacheKeyIgnoresExecutionShape: knobs the determinism grid
-// proves irrelevant to the merged bytes (workers, slices, scheduler,
-// cross-traffic drive) must not change the cache key; semantic knobs
-// must.
+// proves irrelevant to the merged bytes (execution strategy, workers,
+// slices) must not change the cache key; semantic knobs must.
 func TestSpecCacheKeyIgnoresExecutionShape(t *testing.T) {
 	base := Spec{Scale: "small", Traces: 2, Seed: 7}
 	ref, err := base.CacheKey()
@@ -98,8 +98,7 @@ func TestSpecCacheKeyIgnoresExecutionShape(t *testing.T) {
 	same := []Spec{
 		{Scale: "small", Traces: 2, Seed: 7, Workers: 13},
 		{Scale: "small", Traces: 2, Seed: 7, SlicesPerVantage: 8},
-		{Scale: "small", Traces: 2, Seed: 7, Scheduler: "heap"},
-		{Scale: "small", Traces: 2, Seed: 7, XTraffic: "events"},
+		{Scale: "small", Traces: 2, Seed: 7, Execution: ExecutionDistributed},
 	}
 	for _, s := range same {
 		k, err := s.CacheKey()
@@ -142,8 +141,6 @@ func TestSpecValidateFieldErrors(t *testing.T) {
 		Stride:           -2,
 		Workers:          -4,
 		SlicesPerVantage: -1,
-		Scheduler:        "fibheap",
-		XTraffic:         "fluid",
 		TracePlan:        map[string]int{"Atlantis": 3},
 	}
 	err := s.Validate()
@@ -155,7 +152,7 @@ func TestSpecValidateFieldErrors(t *testing.T) {
 		t.Fatalf("want *ValidationError, got %T: %v", err, err)
 	}
 	want := []string{"spec", "scale", "scenario", "traces", "batch2_fraction",
-		"stride", "workers", "slices_per_vantage", "scheduler", "xtraffic", "trace_plan"}
+		"stride", "workers", "slices_per_vantage", "trace_plan"}
 	got := map[string]bool{}
 	for _, f := range verr.Fields {
 		got[f.Field] = true
@@ -198,8 +195,6 @@ func TestSpecConfigDerivation(t *testing.T) {
 		Seed:             -99,
 		Workers:          3,
 		SlicesPerVantage: 2,
-		Scheduler:        "heap",
-		XTraffic:         "events",
 		Stride:           5,
 		Discover:         true,
 	}
@@ -209,8 +204,8 @@ func TestSpecConfigDerivation(t *testing.T) {
 	}
 	if cfg.Scale != "small" || cfg.Scenario != ScenarioCongestedTransit ||
 		cfg.Traces != 4 || cfg.Seed != -99 || cfg.Workers != 3 ||
-		cfg.SlicesPerVantage != 2 || cfg.Scheduler != "heap" ||
-		cfg.XTraffic != "events" || cfg.Stride != 5 || !cfg.Discover {
+		cfg.SlicesPerVantage != 2 || cfg.Stride != 5 || !cfg.Discover ||
+		cfg.Scheduler != netsim.SchedWheel || cfg.XTraffic != netsim.XTrafficLazy {
 		t.Fatalf("Config = %+v", cfg)
 	}
 	if cfg.Traceroute.ProbesPerHop != 1 || cfg.Traceroute.StopAfterSilent != 2 {
@@ -264,4 +259,144 @@ func TestConfigShards(t *testing.T) {
 	if sweeps != vantages {
 		t.Errorf("sweep slices = %d, want one per vantage (%d)", sweeps, vantages)
 	}
+}
+
+// TestSpecSurfaceIsTheExperiment pins the public spec surface: the
+// canonical default spec has exactly these keys, and the differential
+// oracles (heap scheduler, event-per-boundary cross-traffic) are not
+// among them — not as JSON fields, not as flags. They are reachable
+// only through Config's typed fields.
+func TestSpecSurfaceIsTheExperiment(t *testing.T) {
+	b, err := DefaultSpec().Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"spec", "scale", "scenario", "traces", "batch2_fraction",
+		"discover", "discovery_rounds", "stride", "seed", "execution", "workers",
+		"slices_per_vantage"}
+	if len(doc) != len(want) {
+		t.Errorf("canonical default spec has %d keys, want %d: %s", len(doc), len(want), b)
+	}
+	for _, k := range want {
+		if _, ok := doc[k]; !ok {
+			t.Errorf("canonical default spec lacks %q: %s", k, b)
+		}
+	}
+
+	for _, body := range []string{`{"scheduler":"heap"}`, `{"xtraffic":"events"}`} {
+		_, err := ParseSpec([]byte(body))
+		var verr *ValidationError
+		if !errors.As(err, &verr) || len(verr.Fields) != 1 || verr.Fields[0].Msg != "unknown field" ||
+			!strings.Contains(body, verr.Fields[0].Field) {
+			t.Errorf("ParseSpec(%s) = %v, want an unknown-field error", body, err)
+		}
+	}
+
+	for _, grid := range []*GridDefaults{nil, {Scenarios: Scenarios(), Workers: []int{1}, Slices: []int{1}}} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		BindSpecFlags(fs, FlagOptions{Base: DefaultSpec(), Grid: grid})
+		for _, name := range []string{"sched", "xtraffic"} {
+			if fs.Lookup(name) != nil {
+				t.Errorf("flag -%s is registered (grid=%v)", name, grid != nil)
+			}
+		}
+	}
+}
+
+// TestSpecValidateBounds: per-vantage trace and slice counts are
+// bounded so that every virtual epoch is representable and the planner
+// cannot be made to spin on the submit path; everything inside the
+// bound — including more slices than traces — stays legal.
+func TestSpecValidateBounds(t *testing.T) {
+	if at := sweepStartAt(MaxTracesPerVantage); at <= traceStartAt(MaxTracesPerVantage-1) {
+		t.Fatalf("epoch of a full quota overflows: sweep at %v", at)
+	}
+	cases := []struct {
+		name  string
+		spec  Spec
+		field string // offending field; empty = valid
+	}{
+		{"slices far past the bound", Spec{Scale: "small", Traces: 2, SlicesPerVantage: 300_000_000}, "slices_per_vantage"},
+		{"slices just past the bound", Spec{Scale: "small", Traces: 2, SlicesPerVantage: MaxTracesPerVantage + 1}, "slices_per_vantage"},
+		{"traces overflow the epoch clock", Spec{Scale: "small", Traces: 15_250}, "traces"},
+		{"traces just past the bound", Spec{Scale: "small", Traces: MaxTracesPerVantage + 1}, "traces"},
+		{"plan count past the bound", Spec{Scale: "small", TracePlan: map[string]int{"EC2 Tokyo": MaxTracesPerVantage + 1}}, "trace_plan"},
+		{"more slices than traces", Spec{Scale: "small", Traces: 2, SlicesPerVantage: 8}, ""},
+		{"at the bound", Spec{Scale: "small", Traces: MaxTracesPerVantage, SlicesPerVantage: MaxTracesPerVantage}, ""},
+		{"plan at the bound", Spec{Scale: "small", TracePlan: map[string]int{"EC2 Tokyo": MaxTracesPerVantage}}, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.spec.Validate()
+			if tc.field == "" {
+				if err != nil {
+					t.Fatalf("want valid, got %v", err)
+				}
+				if cfg, err := tc.spec.Config(); err != nil || len(cfg.Shards()) == 0 {
+					t.Fatalf("valid spec does not plan: %v", err)
+				}
+				return
+			}
+			var verr *ValidationError
+			if !errors.As(err, &verr) || len(verr.Fields) != 1 || verr.Fields[0].Field != tc.field {
+				t.Fatalf("want one field error on %q, got %v", tc.field, err)
+			}
+		})
+	}
+}
+
+// FuzzParseSpec: any bytes on the spec boundary yield either a typed
+// error or a spec whose canonical form is idempotent and whose shard
+// plan computes promptly — never a panic, never a spin. The largest
+// legal plan (MaxTracesPerVantage slices × 13 vantages) computes in
+// tens of milliseconds; a second is the spin alarm.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"spec":1,"scale":"small","traces":2,"seed":2015,"stride":0}`,
+		`{"scale":"small","traces":2,"slices_per_vantage":300000000}`,
+		`{"scale":"small","traces":15250}`,
+		`{"scale":"small","trace_plan":{"EC2 Tokyo":3,"Perkins home":1},"execution":"distributed"}`,
+		`{"scheduler":"heap"}`,
+		`{"traces":1e3}`,
+		`{"seed":-9223372036854775808,"batch2_fraction":1}`,
+		`{}{}`,
+		`[`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		b1, err := s.Canonical()
+		if err != nil {
+			t.Fatalf("parsed spec has no canonical form: %v", err)
+		}
+		back, err := ParseSpec(b1)
+		if err != nil {
+			t.Fatalf("canonical bytes do not parse: %v\n%s", err, b1)
+		}
+		b2, err := back.Canonical()
+		if err != nil || string(b1) != string(b2) {
+			t.Fatalf("canonical not idempotent (%v):\n  first:  %s\n  second: %s", err, b1, b2)
+		}
+		if _, err := s.CacheKey(); err != nil {
+			t.Fatalf("parsed spec has no cache key: %v", err)
+		}
+		cfg, err := s.Config()
+		if err != nil {
+			t.Fatalf("parsed spec derives no config: %v", err)
+		}
+		start := time.Now()
+		n := len(cfg.Shards())
+		if d := time.Since(start); d > time.Second || n > MaxTracesPerVantage*len(topology.VantageNames()) {
+			t.Fatalf("plan of %d shards took %v", n, d)
+		}
+	})
 }

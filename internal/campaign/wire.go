@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/dataset"
-	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/topology"
 )
@@ -116,19 +115,11 @@ func (cfg Config) CompileBlueprint() (*topology.Blueprint, error) {
 // merges exact. SpecHash is left empty; the uploading caller stamps
 // the hash of the spec it derived cfg from.
 func ExecuteShard(cfg Config, bp *topology.Blueprint, shard, slice int) (*ShardResultWire, error) {
-	sched, ok := netsim.SchedulerByName(cfg.Scheduler)
-	if !ok {
-		return nil, fmt.Errorf("campaign: unknown scheduler %q (want wheel or heap)", cfg.Scheduler)
-	}
-	xmode, ok := netsim.XTrafficModeByName(cfg.XTraffic)
-	if !ok {
-		return nil, fmt.Errorf("campaign: unknown cross-traffic drive %q (want lazy or events)", cfg.XTraffic)
-	}
 	for _, sh := range cfg.shardSpecs() {
 		if sh.shard != shard || sh.slice != slice {
 			continue
 		}
-		r, err := runShard(cfg, bp, sh, sched, xmode)
+		r, err := runShard(cfg, bp, sh)
 		if err != nil {
 			return nil, err
 		}

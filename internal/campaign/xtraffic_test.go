@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/netsim"
 )
 
 // TestXTrafficDifferential is the lazy catch-up replay's end-to-end
@@ -19,7 +21,7 @@ func TestXTrafficDifferential(t *testing.T) {
 		// The oracle: one event-driven run per scenario.
 		cfg := testConfig()
 		cfg.Scenario = scenario
-		cfg.XTraffic = "events"
+		cfg.XTraffic = netsim.XTrafficEvents
 		oracle := runOrFatal(t, cfg)
 		ref := encode(t, oracle.Dataset)
 		refObs := len(oracle.PathObs)
@@ -28,7 +30,7 @@ func TestXTrafficDifferential(t *testing.T) {
 			for _, slices := range []int{1, 2, 8} {
 				cfg := testConfig()
 				cfg.Scenario = scenario
-				cfg.XTraffic = "lazy"
+				cfg.XTraffic = netsim.XTrafficLazy
 				cfg.Workers = workers
 				cfg.SlicesPerVantage = slices
 				res := runOrFatal(t, cfg)
@@ -61,15 +63,15 @@ func TestXTrafficDifferential(t *testing.T) {
 // boundaries and schedules none — and the two counts are equal, packet
 // for packet.
 func TestXTrafficEventAccounting(t *testing.T) {
-	run := func(xtraffic string) *Result {
+	run := func(xtraffic netsim.XTrafficMode) *Result {
 		cfg := testConfig()
 		cfg.Scenario = ScenarioCongestedEdge
 		cfg.Stride = 0 // traceroute sweep adds nothing to this check
 		cfg.XTraffic = xtraffic
 		return runOrFatal(t, cfg)
 	}
-	events := run("events")
-	lazy := run("lazy")
+	events := run(netsim.XTrafficEvents)
+	lazy := run(netsim.XTrafficLazy)
 	if events.PhantomEvents == 0 {
 		t.Fatal("events drive saw no phantom boundaries on a congested scenario")
 	}

@@ -14,19 +14,18 @@
 //  4. the same with an ECN-setup SYN, recording whether an ECN-setup
 //     SYN-ACK comes back.
 //
-// A campaign runs a configured number of such traces from each of the 13
-// vantage points across two batches, rolling pool churn and access-line
-// conditions between traces, and emits a dataset.Dataset. A separate
-// traceroute campaign (Section 4.2) probes every vantage→server path
-// with TTL-limited ECT(0) UDP packets.
+// RunTrace is one such pass over the whole pool; the campaign engine
+// (package campaign) runs a configured number of them from each of the
+// 13 vantage points across two batches, rolling pool churn and
+// access-line conditions between traces, and merges a dataset.Dataset.
+// A separate traceroute campaign (Section 4.2, RunTracerouteCampaign)
+// probes every vantage→server path with TTL-limited ECT(0) UDP packets.
 package core
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/dnspool"
 	"repro/internal/ecn"
 	"repro/internal/httpmin"
 	"repro/internal/netsim"
@@ -153,30 +152,6 @@ func (t *traceRun) observed(obs dataset.Observation) {
 	t.sim.After(0, t.nextFn)
 }
 
-// CampaignConfig sizes a measurement campaign.
-type CampaignConfig struct {
-	// TracesPerVantage maps vantage name → number of traces. Vantages
-	// absent from the map are skipped. Use PaperTracePlan for the full
-	// 210-trace campaign.
-	TracesPerVantage map[string]int
-	// Batch2Fraction is the share of each vantage's traces that run
-	// under batch-2 (July/August) conditions. Default 0.5.
-	Batch2Fraction float64
-	// SettleTime separates consecutive traces (virtual time).
-	SettleTime time.Duration
-	// DiscoverServers uses pool DNS discovery to enumerate targets.
-	// When false the campaign probes the world's ground-truth list —
-	// faster for tests; discovery itself is exercised separately.
-	DiscoverServers bool
-	// DiscoveryRounds overrides the DNS polling rounds (default 50,
-	// enough to enumerate the full pool through round-robin answers).
-	DiscoveryRounds int
-	// DiscoveryVantage names the vantage point discovery runs from;
-	// empty means the world's first vantage (the paper discovered from
-	// the authors' institution).
-	DiscoveryVantage string
-}
-
 // PaperTracePlan allocates the paper's 210 traces across the 13 vantage
 // points: the homes and the Glasgow wireless network collected both
 // batches, EC2 only the later one. The exact split is not given in the
@@ -200,109 +175,15 @@ func PaperTracePlan() map[string]int {
 
 // BatchFor assigns trace k of a vantage's n-trace quota to a collection
 // batch: the final floor(n×batch2Fraction) traces belong to batch 2
-// (July/August conditions), the rest to batch 1. Both the sequential
-// campaign loop below and the sharded engine use this, so slicing a
-// vantage's quota across shards cannot move a trace between batches.
+// (July/August conditions), the rest to batch 1. The assignment depends
+// only on the trace's per-vantage index, so slicing a vantage's quota
+// across shards cannot move a trace between batches.
 func BatchFor(k, n int, batch2Fraction float64) topology.Batch {
 	batch2 := int(float64(n) * batch2Fraction)
 	if k >= n-batch2 {
 		return topology.Batch2
 	}
 	return topology.Batch1
-}
-
-// Campaign drives a full measurement campaign over a generated world.
-type Campaign struct {
-	World *topology.World
-	Cfg   CampaignConfig
-
-	// Servers is the probed target list (discovered or ground truth).
-	Servers []packet.Addr
-	// Dataset accumulates completed traces.
-	Dataset dataset.Dataset
-}
-
-// NewCampaign prepares a campaign.
-func NewCampaign(w *topology.World, cfg CampaignConfig) *Campaign {
-	if cfg.Batch2Fraction == 0 {
-		cfg.Batch2Fraction = 0.5
-	}
-	if cfg.SettleTime == 0 {
-		cfg.SettleTime = time.Minute
-	}
-	if cfg.DiscoveryRounds == 0 {
-		cfg.DiscoveryRounds = 50
-	}
-	return &Campaign{World: w, Cfg: cfg}
-}
-
-// Run executes discovery (optionally) and all traces, then invokes done.
-// Drive the simulation to completion for the result.
-func (c *Campaign) Run(done func(*dataset.Dataset)) {
-	start := func(servers []packet.Addr) {
-		c.Servers = servers
-		c.runTraces(done)
-	}
-	if !c.Cfg.DiscoverServers {
-		start(c.World.ServerAddrs())
-		return
-	}
-	// The paper discovered servers from the authors' institution; the
-	// first vantage stands in for it unless the caller names another
-	// (the sharded engine has each shard discover from its own vantage).
-	v := c.World.Vantages[0]
-	if c.Cfg.DiscoveryVantage != "" {
-		if named, ok := c.World.VantageByName(c.Cfg.DiscoveryVantage); ok {
-			v = named
-		}
-	}
-	dnspool.Discover(v.Host, dnspool.DiscoverConfig{
-		Resolver:      c.World.DNSAddr,
-		Zones:         c.World.CountryZones,
-		Rounds:        c.Cfg.DiscoveryRounds,
-		QueryGap:      100 * time.Millisecond,
-		RoundInterval: time.Minute,
-	}, func(r dnspool.DiscoverResult) {
-		start(r.Servers)
-	})
-}
-
-// runTraces iterates the trace plan: for each vantage in paper order,
-// batch 1 then batch 2.
-func (c *Campaign) runTraces(done func(*dataset.Dataset)) {
-	type job struct {
-		v     *topology.Vantage
-		batch topology.Batch
-		index int
-	}
-	var jobs []job
-	index := 0
-	for _, v := range c.World.Vantages {
-		n := c.Cfg.TracesPerVantage[v.Name]
-		if n == 0 {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			jobs = append(jobs, job{v: v, batch: BatchFor(i, n, c.Cfg.Batch2Fraction), index: index})
-			index++
-		}
-	}
-
-	sim := c.World.Sim
-	var next func(i int)
-	next = func(i int) {
-		if i == len(jobs) {
-			done(&c.Dataset)
-			return
-		}
-		j := jobs[i]
-		c.World.ApplyTraceConditions(j.v, j.batch, sim.RNG())
-		RunTrace(j.v, c.Servers, j.batch, j.index, func(t dataset.Trace) {
-			c.Dataset.Traces = append(c.Dataset.Traces, t)
-			sim.After(c.Cfg.SettleTime, func() { next(i + 1) })
-		})
-	}
-	next(0)
 }
 
 // --- traceroute campaign (Section 4.2) ----------------------------------
@@ -391,7 +272,3 @@ func RunTracerouteCampaign(w *topology.World, cfg TracerouteCampaignConfig, done
 	}
 	nextVantage(0)
 }
-
-// Run drains the world's simulator — a convenience so callers don't need
-// to import netsim.
-func Run(w *topology.World) { w.Sim.Run() }

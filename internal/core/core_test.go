@@ -120,69 +120,6 @@ func TestRunTraceCoversAllServers(t *testing.T) {
 	}
 }
 
-func TestCampaignMini(t *testing.T) {
-	w := smallWorld(t, 5)
-	c := NewCampaign(w, CampaignConfig{
-		TracesPerVantage: map[string]int{
-			"Perkins home": 2,
-			"EC2 Tokyo":    2,
-		},
-	})
-	var got *dataset.Dataset
-	c.Run(func(d *dataset.Dataset) { got = d })
-	w.Sim.Run()
-
-	if got == nil {
-		t.Fatal("campaign never completed")
-	}
-	if len(got.Traces) != 4 {
-		t.Fatalf("traces = %d", len(got.Traces))
-	}
-	vantages := got.Vantages()
-	if len(vantages) != 2 {
-		t.Errorf("vantages = %v", vantages)
-	}
-	// Batch structure: first half batch 1, second half batch 2.
-	perkins := got.TracesFrom("Perkins home")
-	if perkins[0].Batch != 1 || perkins[1].Batch != 2 {
-		t.Errorf("batches = %d,%d", perkins[0].Batch, perkins[1].Batch)
-	}
-	// Reachability sanity: most servers answer not-ECT UDP.
-	udp, udpECT, tcp, _ := perkins[0].CountReachable()
-	n := len(perkins[0].Observations)
-	if udp < n*3/4 {
-		t.Errorf("UDP reachable = %d of %d", udp, n)
-	}
-	if udpECT > udp {
-		t.Errorf("ECT reachable (%d) exceeds not-ECT (%d)", udpECT, udp)
-	}
-	if tcp >= udp {
-		t.Errorf("TCP reachable (%d) should trail UDP (%d): not all hosts run web servers", tcp, udp)
-	}
-}
-
-func TestCampaignWithDiscovery(t *testing.T) {
-	w := smallWorld(t, 6)
-	c := NewCampaign(w, CampaignConfig{
-		TracesPerVantage: map[string]int{"U. Glasgow wired": 1},
-		DiscoverServers:  true,
-		DiscoveryRounds:  12,
-	})
-	var got *dataset.Dataset
-	c.Run(func(d *dataset.Dataset) { got = d })
-	w.Sim.Run()
-	if got == nil {
-		t.Fatal("campaign never completed")
-	}
-	// Round-robin discovery over 12 rounds must find most of the pool.
-	if len(c.Servers) < len(w.Servers)*8/10 {
-		t.Errorf("discovered %d of %d servers", len(c.Servers), len(w.Servers))
-	}
-	if len(got.Traces[0].Observations) != len(c.Servers) {
-		t.Error("trace does not cover discovered set")
-	}
-}
-
 func TestTracerouteCampaign(t *testing.T) {
 	w := smallWorld(t, 7)
 	var obs []PathObservation
@@ -222,31 +159,5 @@ func TestTracerouteCampaign(t *testing.T) {
 	frac := float64(preserved) / float64(preserved+bleached)
 	if frac < 0.80 {
 		t.Errorf("preserved fraction = %.3f; bleaching should be rare", frac)
-	}
-}
-
-func TestCampaignDeterminism(t *testing.T) {
-	run := func() *dataset.Dataset {
-		w := smallWorld(t, 99)
-		c := NewCampaign(w, CampaignConfig{
-			TracesPerVantage: map[string]int{"EC2 Sydney": 2},
-		})
-		var got *dataset.Dataset
-		c.Run(func(d *dataset.Dataset) { got = d })
-		w.Sim.Run()
-		return got
-	}
-	a, b := run(), run()
-	if len(a.Traces) != len(b.Traces) {
-		t.Fatal("trace counts differ")
-	}
-	for i := range a.Traces {
-		ta, tb := a.Traces[i], b.Traces[i]
-		for j := range ta.Observations {
-			if ta.Observations[j] != tb.Observations[j] {
-				t.Fatalf("trace %d observation %d differs:\n%+v\n%+v",
-					i, j, ta.Observations[j], tb.Observations[j])
-			}
-		}
 	}
 }

@@ -3,29 +3,22 @@ package core_test
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/netsim"
-	"repro/internal/topology"
+	"repro/internal/campaign"
 )
 
-// A complete miniature reproduction: build a world, run a one-vantage
-// campaign, and read off the headline comparison.
+// A complete miniature reproduction: run a one-vantage campaign over
+// the small world and read off the headline comparison.
 func Example() {
-	sim := netsim.NewSim(2015)
-	world, err := topology.Build(sim, topology.SmallConfig())
+	res, err := campaign.Run(campaign.Config{
+		Scale:     "small",
+		TracePlan: map[string]int{"EC2 Ireland": 1},
+		Seed:      2015,
+	})
 	if err != nil {
 		panic(err)
 	}
 
-	campaign := core.NewCampaign(world, core.CampaignConfig{
-		TracesPerVantage: map[string]int{"EC2 Ireland": 1},
-	})
-	var d *dataset.Dataset
-	campaign.Run(func(got *dataset.Dataset) { d = got })
-	sim.Run()
-
-	udp, udpECT, _, _ := d.Traces[0].CountReachable()
+	udp, udpECT, _, _ := res.Dataset.Traces[0].CountReachable()
 	fmt.Printf("ECT(0) reachability is within a few percent of not-ECT: %v\n",
 		float64(udpECT)/float64(udp) > 0.9)
 	// Output: ECT(0) reachability is within a few percent of not-ECT: true

@@ -1,16 +1,17 @@
-package core
+package core_test
 
 import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/dataset"
-	"repro/internal/netsim"
+	"repro/internal/campaign"
 	"repro/internal/topology"
 	"repro/internal/traceroute"
 )
 
-// TestPaperShapeEndToEnd runs a reduced campaign over a small world and
+// TestPaperShapeEndToEnd runs a reduced campaign over a small world —
+// four traces from every vantage plus the full traceroute sweep, through
+// campaign.Run, the engine every command and the service run — and
 // asserts the qualitative results of every section of the paper. This is
 // the repository's keystone test: if it passes, the substrate,
 // measurement engine and analysis agree with the study's findings.
@@ -18,22 +19,15 @@ func TestPaperShapeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test in -short mode")
 	}
-	sim := netsim.NewSim(2015)
-	w, err := topology.Build(sim, topology.SmallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	plan := map[string]int{}
-	for _, v := range w.Vantages {
-		plan[v.Name] = 4
-	}
-	c := NewCampaign(w, CampaignConfig{TracesPerVantage: plan})
-	var d *dataset.Dataset
-	c.Run(func(got *dataset.Dataset) { d = got })
-	sim.Run()
-	if d == nil || len(d.Traces) != 4*13 {
-		t.Fatalf("campaign incomplete: %v", d)
+	res := runSmall(t, campaign.Config{
+		Traces:     4,
+		Stride:     1,
+		Traceroute: traceroute.Config{ProbesPerHop: 1, StopAfterSilent: 2},
+		Seed:       2015,
+	})
+	d, w := res.Dataset, res.World
+	if len(d.Traces) != 4*13 {
+		t.Fatalf("campaign incomplete: %d traces", len(d.Traces))
 	}
 
 	// §4.1 / Figure 2a: high but sub-100% ECT reachability; every trace
@@ -109,13 +103,8 @@ func TestPaperShapeEndToEnd(t *testing.T) {
 		}
 	}
 
-	// §4.2 / Figure 4: traceroute campaign on the same world.
-	var pobs []PathObservation
-	RunTracerouteCampaign(w, TracerouteCampaignConfig{
-		Config: traceroute.Config{ProbesPerHop: 1, StopAfterSilent: 2},
-	}, func(o []PathObservation) { pobs = o })
-	sim.Run()
-	f4 := analysis.ComputeFigure4(pobs, w.ASN)
+	// §4.2 / Figure 4: the traceroute sweep of the same campaign.
+	f4 := analysis.ComputeFigure4(res.PathObs, w.ASN)
 	if f4.RespondedObservations == 0 {
 		t.Fatal("no traceroute observations")
 	}

@@ -1,11 +1,10 @@
-package core
+package core_test
 
 import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/dataset"
-	"repro/internal/topology"
+	"repro/internal/campaign"
 )
 
 // TestCampaignProse covers the §4.1 prose observations that are not in
@@ -15,18 +14,13 @@ func TestCampaignProse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-trace campaign in -short mode")
 	}
-	w := smallWorld(t, 77)
-	plan := map[string]int{
-		"U. Glasgow wired":    8,
-		"U. Glasgow wireless": 8,
-	}
-	c := NewCampaign(w, CampaignConfig{TracesPerVantage: plan})
-	var d *dataset.Dataset
-	c.Run(func(got *dataset.Dataset) { d = got })
-	w.Sim.Run()
-	if d == nil {
-		t.Fatal("campaign incomplete")
-	}
+	d := runSmall(t, campaign.Config{
+		TracePlan: map[string]int{
+			"U. Glasgow wired":    8,
+			"U. Glasgow wireless": 8,
+		},
+		Seed: 77,
+	}).Dataset
 
 	// Batch 1 vs batch 2 not-ECT reachability (pool churn).
 	var batch1, batch2, n1, n2 float64
@@ -70,5 +64,4 @@ func TestCampaignProse(t *testing.T) {
 	if (wlHi - wlLo) <= (wiredHi - wiredLo) {
 		t.Errorf("wireless spread %.2f ≤ wired spread %.2f", wlHi-wlLo, wiredHi-wiredLo)
 	}
-	_ = topology.Batch1
 }

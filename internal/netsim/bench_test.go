@@ -10,7 +10,7 @@ import (
 
 // BenchmarkSimSchedule compares the timing wheel against the heap
 // fallback on the mixed near/far timer workload (ScheduleBenchWorkload,
-// shared with cmd/benchreport). Registered in scripts/perf_gate.sh:
+// shared with bench/'s scheduler kernel). Registered in scripts/perf_gate.sh:
 // both variants must stay at 0 allocs/op.
 func BenchmarkSimSchedule(b *testing.B) {
 	for _, sched := range []Scheduler{SchedWheel, SchedHeap} {

@@ -8,8 +8,8 @@ import "time"
 // coexist with protocol timeouts (ms–s) and long-lived idle timers
 // (minutes+), and far timers mostly cancel, as retransmission timers
 // usually do. BenchmarkSimSchedule (gated by scripts/perf_gate.sh) and
-// cmd/benchreport's sim/sched rows both run exactly this function, so
-// the CI artifact and the perf gate cannot drift apart.
+// bench/'s netsim.sched_ns_per_event kernel both run exactly this
+// function, so the ledger and the perf gate cannot drift apart.
 // ScheduleBenchWorkloadSparse is the second scheduler-benchmark kernel:
 // a sparse timeline, where the pending set stays small and consecutive
 // events sit whole windows apart — the shape an idle-heavy measurement

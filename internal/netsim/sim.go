@@ -54,20 +54,8 @@ const (
 	SchedHeap
 )
 
-// SchedulerByName maps the REPRO_SCHED / -sched vocabulary ("wheel",
-// "heap", "" = default) to a Scheduler. Unknown names report ok=false.
-func SchedulerByName(name string) (Scheduler, bool) {
-	switch name {
-	case "", "wheel":
-		return SchedWheel, true
-	case "heap":
-		return SchedHeap, true
-	default:
-		return SchedWheel, false
-	}
-}
-
-// Name returns the scheduler's REPRO_SCHED vocabulary name.
+// Name returns the scheduler's name ("wheel" or "heap") — the sched
+// label on repro_sim_events_total.
 func (s Scheduler) Name() string {
 	if s == SchedHeap {
 		return "heap"
@@ -81,7 +69,7 @@ func (s Scheduler) Name() string {
 // boundary (the legacy path, kept as a differential oracle). Both modes
 // drive the AQM through the identical per-packet decision sequence and
 // PRNG draw order, so campaign datasets are byte-identical either way —
-// the property cmd/determinism's REPRO_XTRAFFIC grid verifies.
+// the property cmd/determinism's grid verifies.
 type XTrafficMode uint8
 
 // The available cross-traffic drive modes.
@@ -90,21 +78,7 @@ const (
 	XTrafficEvents
 )
 
-// XTrafficModeByName maps the REPRO_XTRAFFIC / -xtraffic vocabulary
-// ("lazy", "events", "" = default) to a mode. Unknown names report
-// ok=false.
-func XTrafficModeByName(name string) (XTrafficMode, bool) {
-	switch name {
-	case "", "lazy":
-		return XTrafficLazy, true
-	case "events":
-		return XTrafficEvents, true
-	default:
-		return XTrafficLazy, false
-	}
-}
-
-// Name returns the mode's REPRO_XTRAFFIC vocabulary name.
+// Name returns the mode's name ("lazy" or "events").
 func (m XTrafficMode) Name() string {
 	if m == XTrafficEvents {
 		return "events"
@@ -130,8 +104,8 @@ type Sim struct {
 	executed uint64
 
 	// xtrafficEvents selects the legacy one-event-per-phantom-boundary
-	// transmitter drive (REPRO_XTRAFFIC=events); the default is lazy
-	// catch-up replay.
+	// transmitter drive (XTrafficEvents); the default is lazy catch-up
+	// replay.
 	xtrafficEvents bool
 	// lazy lists the bottlenecks currently serializing without events;
 	// Step replays their boundaries, in exact (time, seq) order, before
@@ -163,14 +137,6 @@ func NewSimSched(seed int64, sched Scheduler) *Sim {
 	return s
 }
 
-// SchedulerName reports which scheduler the Sim runs on.
-func (s *Sim) SchedulerName() string {
-	if s.wheel != nil {
-		return SchedWheel.Name()
-	}
-	return SchedHeap.Name()
-}
-
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration { return s.now }
 
@@ -195,14 +161,6 @@ func (s *Sim) Executed() uint64 { return s.executed }
 // on this simulator. Call it before any traffic flows; switching modes
 // mid-flight on an active bottleneck is not supported.
 func (s *Sim) SetXTrafficMode(m XTrafficMode) { s.xtrafficEvents = m == XTrafficEvents }
-
-// XTrafficModeName reports the active cross-traffic drive mode.
-func (s *Sim) XTrafficModeName() string {
-	if s.xtrafficEvents {
-		return XTrafficEvents.Name()
-	}
-	return XTrafficLazy.Name()
-}
 
 // ReplayedBoundaries reports how many phantom serialization boundaries
 // were replayed arithmetically — work the event loop never saw.

@@ -20,17 +20,20 @@ func forEachSched(t *testing.T, f func(t *testing.T, newSim func(seed int64) *Si
 	}
 }
 
-func TestSchedulerByName(t *testing.T) {
-	for name, want := range map[string]Scheduler{"": SchedWheel, "wheel": SchedWheel, "heap": SchedHeap} {
-		got, ok := SchedulerByName(name)
-		if !ok || got != want {
-			t.Errorf("SchedulerByName(%q) = %v, %v", name, got, ok)
-		}
+// TestSelectorZeroValues pins what campaign.Config relies on: the zero
+// Scheduler and XTrafficMode are the production wheel and lazy drive,
+// and the names that label repro_sim_events_total stay put.
+func TestSelectorZeroValues(t *testing.T) {
+	var sched Scheduler
+	var mode XTrafficMode
+	if sched != SchedWheel || mode != XTrafficLazy {
+		t.Fatalf("zero values = %v, %v; want the wheel and the lazy drive", sched, mode)
 	}
-	if _, ok := SchedulerByName("fibheap"); ok {
-		t.Error("unknown scheduler name accepted")
+	if SchedWheel.Name() != "wheel" || SchedHeap.Name() != "heap" ||
+		XTrafficLazy.Name() != "lazy" || XTrafficEvents.Name() != "events" {
+		t.Error("selector names changed")
 	}
-	if NewSim(1).SchedulerName() != "wheel" {
+	if NewSim(1).wheel == nil {
 		t.Error("default scheduler is not the wheel")
 	}
 }

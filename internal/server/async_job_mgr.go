@@ -79,25 +79,6 @@ type JobView struct {
 	TracesDone  int `json:"traces_done"`
 }
 
-// Stats are the manager's lifetime counters; the service-smoke CI job
-// asserts cache correctness through them.
-type Stats struct {
-	// Submitted counts POST /v1/campaigns acceptances; CacheHits the
-	// submissions served from the store; Joined the submissions deduped
-	// onto an in-flight identical job; RunsStarted the campaigns that
-	// actually simulated; RunsFailed the subset that errored.
-	Submitted   int `json:"submitted"`
-	CacheHits   int `json:"cache_hits"`
-	Joined      int `json:"joined"`
-	RunsStarted int `json:"runs_started"`
-	RunsFailed  int `json:"runs_failed"`
-	Jobs        int `json:"jobs"`
-	// Recovered counts jobs reconstructed from the write-ahead journal
-	// at startup (whatever their recovered state); the crash-smoke CI
-	// job asserts it is non-zero after a mid-campaign kill.
-	Recovered int `json:"recovered"`
-}
-
 type job struct {
 	id     string
 	key    string
@@ -198,7 +179,6 @@ type jobMgr struct {
 	jobs    map[string]*job
 	order   []*job          // submission order, for listing
 	active  map[string]*job // cache key → queued/running job
-	stats   Stats
 	nextID  int
 	running int
 	closed  bool
@@ -378,17 +358,14 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view JobView, created bool, err err
 		return JobView{}, false, faultRetryf(503, codeUnavailable, drainRetryAfterSeconds,
 			"server: draining for shutdown; resubmit shortly")
 	}
-	m.stats.Submitted++
 	m.met.jobsSubmitted.Inc()
 
 	if j, ok := m.active[key]; ok {
-		m.stats.Joined++
 		m.met.jobsJoined.Inc()
 		m.met.events.Append(telemetry.EventJobJoined, &j.id, nil, -1, -1)
 		return j.view(), false, nil
 	}
 	if m.store.Has(key) {
-		m.stats.CacheHits++
 		m.met.storeHits.Inc()
 		j := m.newJobLocked(key, norm, plan)
 		j.state = JobDone
@@ -441,7 +418,6 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view JobView, created bool, err err
 		}
 		m.active[key] = j
 		m.openShards += len(j.shards)
-		m.stats.RunsStarted++
 		m.met.jobsStarted.Inc()
 		m.met.jobsRunning.Add(1)
 		m.met.events.Append(telemetry.EventJobQueued, &j.id, nil, -1, -1)
@@ -478,7 +454,6 @@ func (m *jobMgr) newJobLocked(key string, spec campaign.Spec, plan []campaign.Sh
 	}
 	m.jobs[j.id] = j
 	m.order = append(m.order, j)
-	m.stats.Jobs++
 	return j
 }
 
@@ -521,7 +496,6 @@ func (m *jobMgr) failJob(j *job, err error, pool bool) {
 	j.err = err.Error()
 	j.finished = m.now()
 	delete(m.active, j.key)
-	m.stats.RunsFailed++
 	if pool {
 		m.running--
 	}
@@ -592,7 +566,6 @@ func (m *jobMgr) runJob(j *job) {
 	m.mu.Lock()
 	j.state = JobRunning
 	j.started = m.now()
-	m.stats.RunsStarted++
 	m.running++
 	m.mu.Unlock()
 	m.met.jobsStarted.Inc()
@@ -742,11 +715,4 @@ func (m *jobMgr) Shards(id string) ([]ShardProgress, bool) {
 	out := make([]ShardProgress, len(j.shards))
 	copy(out, j.shards)
 	return out, true
-}
-
-// StatsSnapshot returns the lifetime counters.
-func (m *jobMgr) StatsSnapshot() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
 }

@@ -1,5 +1,9 @@
 package server
 
+// Counter lends the /v1/metrics.json reader (server_test.go) to the
+// external test package.
+var Counter = counter
+
 // SetMaxResultBytes lowers the upload and journal-replay size bound
 // for tests that pin it — inflating a real 256 MiB bomb costs seconds
 // and a gigabyte — and returns the func that restores it.

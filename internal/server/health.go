@@ -29,8 +29,6 @@ type healthResponse struct {
 	QueueDepth  int `json:"queue_depth"`
 	QueueCap    int `json:"queue_cap"`
 	JobsRunning int `json:"jobs_running"`
-
-	Stats Stats `json:"stats"`
 }
 
 // buildVersion reads the binary's module version and VCS stamp; all
@@ -79,7 +77,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		QueueDepth:    s.mgr.QueueDepth(),
 		QueueCap:      maxQueuedJobs,
 		JobsRunning:   s.mgr.Running(),
-		Stats:         s.mgr.StatsSnapshot(),
 	}
 	status := http.StatusOK
 	if !resp.StoreWritable || resp.QueueDepth >= maxQueuedJobs {

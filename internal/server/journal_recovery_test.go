@@ -178,13 +178,9 @@ func TestRecoveryResumesPartialJob(t *testing.T) {
 			}
 			crash(ts1, srv1) // crash: no drain, no clean-shutdown marker
 
-			_, _, c2 := startCrashServer(t, dir, fc)
-			st, err := c2.Stats(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Recovered != 1 {
-				t.Fatalf("stats.Recovered = %d, want 1", st.Recovered)
+			_, ts2, c2 := startCrashServer(t, dir, fc)
+			if n := server.Counter(t, ts2, "repro_recovery_jobs_total", "resumed"); n != 1 {
+				t.Fatalf("resumed recoveries = %d, want 1", n)
 			}
 			got, err := c2.Job(ctx, job.ID)
 			if err != nil {
@@ -590,7 +586,7 @@ func TestRecoveryMidFileCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, c2 := startCrashServer(t, dir, fc)
+	_, ts2, c2 := startCrashServer(t, dir, fc)
 	got, err := c2.Job(ctx, job.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -603,16 +599,10 @@ func TestRecoveryMidFileCorruption(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("corrupt journal must stay on disk as evidence: %v", err)
 	}
-	text, err := c2.MetricsText(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !contains(text, `repro_recovery_jobs_total{outcome="failed"} 1`) {
-		t.Errorf("metrics missing the failed-recovery outcome:\n%s", text)
-	}
-	// A damaged journal never takes the server down: fresh work runs.
-	if _, err := c2.Stats(ctx); err != nil {
-		t.Fatal(err)
+	// A damaged journal never takes the server down: it keeps serving,
+	// and says what it recovered.
+	if n := server.Counter(t, ts2, "repro_recovery_jobs_total", "failed"); n != 1 {
+		t.Errorf("failed recoveries = %d, want 1", n)
 	}
 }
 
@@ -703,6 +693,55 @@ func TestRecoveryOldFormatJournal(t *testing.T) {
 	wantRecoveryFailed(t, c2, job.ID)
 	if kept, err := os.ReadFile(path); err != nil || string(kept) != old {
 		t.Fatalf("old-format journal must stay on disk untouched: %v", err)
+	}
+}
+
+// TestRecoveryOlderBuildSpec: a journal whose submission record carries
+// a canonical spec from a build that still had the scheduler/xtraffic
+// keys (framing and checksum valid) is an undecodable submission to this
+// one: the job fails cleanly with the unknown field named, and the file
+// stays as evidence. This is the whole compatibility story for the spec
+// change — there is no migration code to test.
+func TestRecoveryOlderBuildSpec(t *testing.T) {
+	dir := t.TempDir()
+	fc := newFakeClock()
+	ctx := context.Background()
+
+	srv1, ts1, c1 := startCrashServer(t, dir, fc)
+	job, _, err := c1.SubmitRaw(ctx, []byte(distSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash(ts1, srv1)
+
+	path := walPath(dir, job.ID)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One submit line: "w2 <crc32-hex8> <json>\n". Re-spell the spec the
+	// way the older build canonicalised it and re-frame.
+	body, ok := strings.CutPrefix(strings.TrimSuffix(string(data), "\n"), "w2 ")
+	if !ok || len(body) < 9 {
+		t.Fatalf("unexpected journal framing: %q", data)
+	}
+	body = strings.Replace(body[9:], `"slices_per_vantage":1`,
+		`"slices_per_vantage":1,"scheduler":"wheel","xtraffic":"lazy"`, 1)
+	old := fmt.Sprintf("w2 %08x %s\n", crc32.ChecksumIEEE([]byte(body)), body)
+	if !strings.Contains(old, `"scheduler"`) {
+		t.Fatalf("submission record has no canonical spec to re-spell: %q", data)
+	}
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, c2 := startCrashServer(t, dir, fc)
+	wantRecoveryFailed(t, c2, job.ID)
+	if got, _ := c2.Job(ctx, job.ID); !strings.Contains(got.Error, "scheduler: unknown field") {
+		t.Errorf("job error = %q, want the unknown spec field named", got.Error)
+	}
+	if kept, err := os.ReadFile(path); err != nil || string(kept) != old {
+		t.Fatalf("older-build journal must stay on disk untouched: %v", err)
 	}
 }
 
@@ -1034,9 +1073,9 @@ func TestDrainRejectsNewWorkAcceptsInFlight(t *testing.T) {
 	if _, err := os.Stat(marker); err != nil {
 		t.Fatalf("clean-shutdown marker not written: %v", err)
 	}
-	_, _, c2 := startCrashServer(t, dir, fc)
-	if _, err := c2.Stats(ctx); err != nil {
-		t.Fatal(err)
+	_, ts2, _ := startCrashServer(t, dir, fc)
+	if n := server.Counter(t, ts2, "repro_recovery_jobs_total", "resumed"); n != 0 {
+		t.Fatalf("restart after a clean drain resumed %d jobs, want 0", n)
 	}
 	if _, err := os.Stat(marker); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("clean-shutdown marker not consumed on restart: %v", err)

@@ -180,7 +180,6 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 	// Pending shards will be claimed and executed: this process runs
 	// (part of) a campaign.
 	m.openShards += len(j.shards) - j.shardsDone
-	m.stats.RunsStarted++
 	m.met.jobsStarted.Inc()
 	m.met.recoveryResumed.Inc()
 	return j, false, nil
@@ -319,8 +318,6 @@ func (m *jobMgr) registerRecoveredLocked(id, key string, spec campaign.Spec, pla
 	}
 	m.jobs[j.id] = j
 	m.order = append(m.order, j)
-	m.stats.Jobs++
-	m.stats.Recovered++
 	return j
 }
 

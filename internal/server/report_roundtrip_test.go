@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/campaign"
+	"repro/internal/netsim"
 )
 
 // TestReportRoundTripCrossTrafficCounters runs a congested campaign
@@ -14,21 +17,56 @@ import (
 // JSON tags, so both fields read 0 over HTTP). The lazy drive replays
 // boundaries without events and the events drive runs each as an
 // event, so between them both fields are seen non-zero.
+//
+// The lazy run is an ordinary local job. The events drive is a Go-only
+// oracle — no spec can select it — so for that run the test is the
+// worker: it claims a distributed job's plan and executes every shard
+// with Config.XTraffic set.
 func TestReportRoundTripCrossTrafficCounters(t *testing.T) {
 	srv, client, _ := newLeaseServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	// The drive is not part of the cache key (it cannot change a byte),
-	// so each run gets its own seed to be a cold job.
-	for i, drive := range []string{"lazy", "events"} {
-		spec := fmt.Sprintf(`{"spec": 1, "scale": "small", "scenario": "congested-edge", "traces": 1,
-		  "seed": %d, "stride": 0, "xtraffic": %q}`, 2015+i, drive)
-		job, _, err := client.SubmitRaw(ctx, []byte(spec))
+	// The drive cannot change a byte, so each run gets its own seed to
+	// be a cold job.
+	const specFmt = `{"spec": 1, "scale": "small", "scenario": "congested-edge", "traces": 1,
+	  "seed": %d, "stride": 0, "execution": %q}`
+	lazy, _, err := client.SubmitRaw(ctx, []byte(fmt.Sprintf(specFmt, 2015, campaign.ExecutionLocal)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	events, _, err := client.SubmitRaw(ctx, []byte(fmt.Sprintf(specFmt, 2016, campaign.ExecutionDistributed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	claim, err := client.Claim(ctx, events.ID, "w", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := claim.Spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.XTraffic = netsim.XTrafficEvents
+	bp, err := cfg.CompileBlueprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range claim.Shards {
+		wire, err := campaign.ExecuteShard(cfg, bp, sh.Shard, sh.Slice)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if job, err = client.AwaitJob(ctx, job.ID, 10*time.Millisecond); err != nil || job.State != "done" {
+		wire.SpecHash = claim.SpecHash
+		if _, err := client.PushShardResult(ctx, events.ID, sh.Index, "w", sh.Lease, wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for drive, id := range map[string]string{"lazy": lazy.ID, "events": events.ID} {
+		job, err := client.AwaitJob(ctx, id, 10*time.Millisecond)
+		if err != nil || job.State != "done" {
 			t.Fatalf("%s: job = %+v, %v", drive, job, err)
 		}
 		rep, err := client.JobReport(ctx, job.ID)

@@ -17,7 +17,6 @@
 //	GET  /v1/runs/{key}           one cached run's RunMeta
 //	GET  /v1/runs/{key}/dataset   cached dataset, JSON lines
 //	GET  /v1/workers              worker health scoreboard: states, strikes
-//	GET  /v1/stats                job-manager lifetime counters
 //	GET  /v1/healthz              readiness: build info, store writability, queue depth
 //	GET  /v1/metrics              flight-recorder metrics, Prometheus text format
 //	GET  /v1/metrics.json         the same snapshot as JSON
@@ -215,7 +214,6 @@ func New(cfg Config) (*Server, error) {
 	handle("GET /v1/runs/{key}", s.handleRun)
 	handle("GET /v1/runs/{key}/dataset", s.handleRunDataset)
 	handle("GET /v1/workers", s.handleWorkers)
-	handle("GET /v1/stats", s.handleStats)
 	handle("GET /v1/healthz", s.handleHealthz)
 	handle("GET /v1/metrics", s.handleMetrics)
 	handle("GET /v1/metrics.json", s.handleMetricsJSON)
@@ -569,10 +567,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRunDataset(w http.ResponseWriter, r *http.Request) {
 	s.serveDataset(w, r.PathValue("key"))
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.mgr.StatsSnapshot())
 }
 
 // handleWorkers serves the worker health scoreboard (workers.go):

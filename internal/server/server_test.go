@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/dataset"
+	"repro/internal/telemetry"
 )
 
 // testSpec is the small, fast campaign every test submits: one trace
@@ -90,6 +91,30 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, body
+}
+
+// counter reads one counter off /v1/metrics.json: the series called
+// name whose label value is label ("" for an unlabelled series).
+func counter(t *testing.T, ts *httptest.Server, name, label string) uint64 {
+	t.Helper()
+	status, body := get(t, ts, "/v1/metrics.json")
+	if status != http.StatusOK {
+		t.Fatalf("GET /v1/metrics.json = %d", status)
+	}
+	var doc struct {
+		Metrics []telemetry.Sample `json:"metrics"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("metrics.json: %v", err)
+	}
+	for _, s := range doc.Metrics {
+		if s.Name == name && (label == "" && len(s.Labels) == 0 ||
+			len(s.Labels) == 1 && s.Labels[0].Value == label) {
+			return s.Uint
+		}
+	}
+	t.Fatalf("metrics.json has no series %s{%s}", name, label)
+	return 0
 }
 
 // TestSubmitPollFetchRoundTrip is the core lifecycle: submit → poll →
@@ -211,7 +236,7 @@ func TestCacheHit(t *testing.T) {
 	// Same campaign, different execution shape: must hit the cache.
 	status, second := submit(t, ts,
 		`{"spec": 1, "scale": "small", "traces": 1, "seed": 2015, "stride": 0,
-		  "workers": 13, "slices_per_vantage": 4, "scheduler": "heap", "xtraffic": "events"}`)
+		  "workers": 13, "slices_per_vantage": 4, "execution": "distributed"}`)
 	if status != http.StatusOK {
 		t.Fatalf("cache-hit submit status = %d, want 200", status)
 	}
@@ -240,16 +265,12 @@ func TestCacheHit(t *testing.T) {
 		t.Fatal("cache hit changed the determinism hash")
 	}
 
-	_, body := get(t, ts, "/v1/stats")
-	var stats Stats
-	if err := json.Unmarshal(body, &stats); err != nil {
-		t.Fatal(err)
+	if n := counter(t, ts, "repro_jobs_total", "started"); n != 1 {
+		t.Fatalf("runs started = %d, want 1 (cache must not re-simulate)", n)
 	}
-	if stats.RunsStarted != 1 {
-		t.Fatalf("runs started = %d, want 1 (cache must not re-simulate)", stats.RunsStarted)
-	}
-	if stats.CacheHits != 1 || stats.Submitted != 2 {
-		t.Fatalf("stats = %+v", stats)
+	if hits, submitted := counter(t, ts, "repro_store_requests_total", "hit"),
+		counter(t, ts, "repro_jobs_total", "submitted"); hits != 1 || submitted != 2 {
+		t.Fatalf("store hits = %d, submitted = %d; want 1, 2", hits, submitted)
 	}
 }
 
@@ -310,14 +331,38 @@ func TestMalformedSpec(t *testing.T) {
 		t.Fatalf("empty-plan response: %d %+v", status, envelope)
 	}
 
-	// Nothing should have been queued.
-	_, body := get(t, ts, "/v1/stats")
-	var stats Stats
-	if err := json.Unmarshal(body, &stats); err != nil {
-		t.Fatal(err)
+	// The differential oracles are not on the spec: naming one is an
+	// unknown field like any other typo.
+	for _, knob := range []string{"scheduler", "xtraffic"} {
+		status, envelope = post(`{"scale": "small", "` + knob + `": "heap"}`)
+		if status != http.StatusBadRequest || len(envelope.Error.Fields) != 1 ||
+			envelope.Error.Fields[0].Field != knob {
+			t.Fatalf("%s response: %d %+v", knob, status, envelope)
+		}
 	}
-	if stats.Submitted != 0 || stats.RunsStarted != 0 {
-		t.Fatalf("invalid specs reached the job manager: %+v", stats)
+
+	// Counts that would spin the shard planner or overflow the epoch
+	// clock are refused by validation — on the handler goroutine, so the
+	// 400 must come back at once, not after the plan was computed.
+	for field, body := range map[string]string{
+		"slices_per_vantage": `{"scale":"small","traces":2,"slices_per_vantage":300000000}`,
+		"traces":             `{"scale":"small","traces":15250}`,
+	} {
+		start := time.Now()
+		status, envelope = post(body)
+		if status != http.StatusBadRequest || envelope.Error.Code != "spec_invalid" ||
+			len(envelope.Error.Fields) != 1 || envelope.Error.Fields[0].Field != field {
+			t.Fatalf("oversized %s response: %d %+v", field, status, envelope)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("oversized %s took %v to refuse", field, d)
+		}
+	}
+
+	// Nothing should have been queued.
+	if submitted, started := counter(t, ts, "repro_jobs_total", "submitted"),
+		counter(t, ts, "repro_jobs_total", "started"); submitted != 0 || started != 0 {
+		t.Fatalf("invalid specs reached the job manager: %d submitted, %d started", submitted, started)
 	}
 }
 
@@ -370,17 +415,11 @@ func TestConcurrentSubmissionsRunOnce(t *testing.T) {
 		}
 	}
 
-	_, body := get(t, ts, "/v1/stats")
-	var stats Stats
-	if err := json.Unmarshal(body, &stats); err != nil {
-		t.Fatal(err)
+	if n := counter(t, ts, "repro_jobs_total", "started"); n != 1 {
+		t.Fatalf("runs started = %d, want 1 for %d identical submissions", n, clients)
 	}
-	if stats.RunsStarted != 1 {
-		t.Fatalf("runs started = %d, want 1 for %d identical submissions (stats %+v)",
-			stats.RunsStarted, clients, stats)
-	}
-	if stats.Submitted != clients {
-		t.Fatalf("submitted = %d, want %d", stats.Submitted, clients)
+	if n := counter(t, ts, "repro_jobs_total", "submitted"); n != clients {
+		t.Fatalf("submitted = %d, want %d", n, clients)
 	}
 }
 

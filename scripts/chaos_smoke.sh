@@ -53,7 +53,7 @@ go build -o "$WORK/determinism" ./cmd/determinism
 
 say "reference hash from cmd/determinism (direct engine run)"
 "$WORK/determinism" \
-    -scenario uncongested -sched wheel -xtraffic lazy -workers 1 -slices 1 \
+    -scenario uncongested -workers 1 -slices 1 \
     > "$WORK/determinism.out"
 REF_HASH="$(head -n1 "$WORK/determinism.out" | cut -d' ' -f1)"
 say "reference $REF_HASH"

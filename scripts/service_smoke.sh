@@ -6,8 +6,8 @@
 #      for the same spec — the engine's determinism invariant carried
 #      over HTTP — and to the hash reprod's own run report claims.
 #   2. Resubmitting the spec must be a cache hit: byte-identical
-#      dataset, and the job-manager counters prove no second simulation
-#      ran (runs_started stays 1, cache_hits becomes 1).
+#      dataset, and the job series on /v1/metrics prove no second
+#      simulation ran (one job started, one store hit).
 #   3. The flight recorder works end to end: /v1/metrics serves the key
 #      Prometheus series with values matching the run that just
 #      happened, and /v1/jobs/{id}/events replays the job's lifecycle.
@@ -39,7 +39,7 @@ go build -o "$WORK/determinism" ./cmd/determinism
 
 say "reference hash from cmd/determinism (direct engine run)"
 "$WORK/determinism" \
-    -scenario uncongested -sched wheel -xtraffic lazy -workers 1 -slices 1 \
+    -scenario uncongested -workers 1 -slices 1 \
     > "$WORK/determinism.out"
 REF_HASH="$(head -n1 "$WORK/determinism.out" | cut -d' ' -f1)"
 say "reference $REF_HASH"
@@ -98,15 +98,6 @@ curl -fsS "$BASE/v1/jobs/$JOB2/dataset" -o "$WORK/dataset2.jsonl"
 cmp -s "$WORK/dataset1.jsonl" "$WORK/dataset2.jsonl" \
     || { say "FAIL: cache hit served different bytes"; exit 1; }
 
-STATS="$(curl -fsS "$BASE/v1/stats")"
-echo "$STATS" | python3 -c '
-import json, sys
-s = json.load(sys.stdin)
-assert s["runs_started"] == 1, f"cache did not prevent a re-run: {s}"
-assert s["cache_hits"] == 1, f"resubmission was not a store hit: {s}"
-assert s["submitted"] == 2, s
-' || { say "FAIL: job-manager counters wrong: $STATS"; exit 1; }
-
 say "metrics scrape"
 curl -fsS "$BASE/v1/metrics" -o "$WORK/metrics.txt"
 python3 - "$WORK/metrics.txt" <<'EOF'
@@ -124,7 +115,8 @@ def get(name):
     assert name in series, f"missing series {name}"
     return series[name]
 
-# One run simulated, one store hit, nothing in flight.
+# Two submissions, one run simulated, one store hit, nothing in flight.
+assert get('repro_jobs_total{event="submitted"}') == 2, series
 assert get('repro_jobs_total{event="started"}') == 1, series
 assert get('repro_jobs_total{event="done"}') == 1, series
 assert get('repro_store_requests_total{result="hit"}') == 1, series
@@ -164,11 +156,11 @@ cmp -s "$WORK/dataset1.jsonl" "$WORK/dataset3.jsonl" \
 CLIENT_HASH="$(jsonval '"dataset_sha256"' < "$WORK/report3.json")"
 [ "$CLIENT_HASH" = "$REF_HASH" ] \
     || { say "FAIL: typed-client report hash $CLIENT_HASH != $REF_HASH"; exit 1; }
-curl -fsS "$BASE/v1/stats" | python3 -c '
-import json, sys
-s = json.load(sys.stdin)
-assert s["runs_started"] == 1, f"typed-client resubmit re-ran the campaign: {s}"
-assert s["cache_hits"] == 2, s
+curl -fsS "$BASE/v1/metrics" | python3 -c '
+import sys
+series = dict(l.strip().rpartition(" ")[::2] for l in sys.stdin if l.strip() and not l.startswith("#"))
+assert series["repro_jobs_total{event=\"started\"}"] == "1", "typed-client resubmit re-ran the campaign"
+assert series["repro_store_requests_total{result=\"hit\"}"] == "2", series
 ' || { say "FAIL: typed-client resubmit was not a cache hit"; exit 1; }
 
 say "OK: dataset over HTTP == cmd/determinism ($REF_HASH); cache hit did not re-simulate; flight recorder live"
