@@ -475,6 +475,12 @@ func Run(cfg Config) (*Result, error) {
 					continue
 				}
 				cfg.Metrics.shardFinished(results[i].stats, results[i].world, cfg.Scheduler.Name())
+				if i > 0 {
+					// Only the first shard's world becomes Result.World;
+					// holding the rest until the merge kept every world,
+					// simulator slab and connection free list live.
+					results[i].world = nil
+				}
 				if cfg.ShardDone != nil {
 					cfg.ShardDone(results[i].stats)
 				}
@@ -688,6 +694,11 @@ func runShard(cfg Config, bp *topology.Blueprint, sh shardSpec) (shardResult, er
 // independent of how the campaign was sliced.
 func merge(results []shardResult) *Result {
 	res := &Result{Shards: make([]ShardStats, 0, len(results))}
+	rows := 0
+	for i := range results {
+		rows += len(results[i].obs)
+	}
+	res.PathObs = make([]traceroute.PathObservation, 0, rows)
 	parts := make([]*dataset.Dataset, 0, len(results))
 	seen := make(map[packet.Addr]bool)
 	for i := range results {

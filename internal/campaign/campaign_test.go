@@ -3,9 +3,11 @@ package campaign
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/dataset"
 	"repro/internal/netsim"
@@ -119,6 +121,34 @@ func TestIdenticalWorldsAcrossShards(t *testing.T) {
 				t.Fatalf("shard %d server %d ground truth diverges from shard 0", shard, i)
 			}
 		}
+	}
+}
+
+// TestOnlyFirstWorldRetained: Result.World is the first shard's world, and
+// it is the only one the engine holds on to. Every other shard's world
+// (with its simulator slab and connection free lists) must be garbage as
+// soon as its metrics are flushed — not kept for the merge, where it
+// would sit in the live heap for every remaining shard's GC cycles.
+func TestOnlyFirstWorldRetained(t *testing.T) {
+	cfg := testConfig()
+	cfg.Stride = 0
+	cfg.Workers = 1 // shards run one after another, in plan order
+	var worlds []weak.Pointer[topology.World]
+	cfg.ShardHook = func(shard int, vantage string, w *topology.World) {
+		runtime.GC()
+		for i, prev := range worlds {
+			if live := prev.Value() != nil; live != (i == 0) {
+				t.Errorf("as shard %d starts, world %d reachable = %v", shard, i, live)
+			}
+		}
+		worlds = append(worlds, weak.Make(w))
+	}
+	res := runOrFatal(t, cfg)
+	if len(worlds) != len(res.Shards) {
+		t.Fatalf("hook saw %d worlds for %d shards", len(worlds), len(res.Shards))
+	}
+	if worlds[0].Value() != res.World {
+		t.Error("Result.World is not the first shard's world")
 	}
 }
 

@@ -238,10 +238,27 @@ func RunTracerouteCampaign(w *topology.World, cfg TracerouteCampaignConfig, done
 		}
 	}
 
-	var out []PathObservation
+	// Finished traces wait here, in completion order, and are flattened
+	// into one exactly-sized slice at the end: appending rows as they
+	// arrive regrew that slice through twice its final size per sweep.
+	type vantageResult struct {
+		vantage string
+		traceroute.Result
+	}
+	results := make([]vantageResult, 0, len(vantages)*len(targets))
 	var nextVantage func(vi int)
 	nextVantage = func(vi int) {
 		if vi == len(vantages) {
+			rows := 0
+			for _, r := range results {
+				rows += len(r.Observations)
+			}
+			out := make([]PathObservation, 0, rows)
+			for _, r := range results {
+				for _, o := range r.Observations {
+					out = append(out, PathObservation{Vantage: r.vantage, Target: r.Target, Observation: o})
+				}
+			}
 			done(out)
 			return
 		}
@@ -257,9 +274,7 @@ func RunTracerouteCampaign(w *topology.World, cfg TracerouteCampaignConfig, done
 				idx++
 				pending++
 				mux.Run(target, cfg.Config, func(r traceroute.Result) {
-					for _, o := range r.Observations {
-						out = append(out, PathObservation{Vantage: v.Name, Target: r.Target, Observation: o})
-					}
+					results = append(results, vantageResult{v.Name, r})
 					pending--
 					pump()
 				})

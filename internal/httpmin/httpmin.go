@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 )
 
@@ -26,89 +25,74 @@ var (
 
 // Request is an HTTP request (only GET is exercised).
 type Request struct {
-	Method  string
-	Path    string
-	Headers map[string]string
+	Method string
+	Path   string
+	headers
 }
 
 // Response is an HTTP response.
 type Response struct {
 	StatusCode int
 	Status     string
-	Headers    map[string]string
 	Body       []byte
+	headers
+	// wire caches Marshal's output for the package's own immutable
+	// PoolHandler response.
+	wire []byte
 }
 
+// headers is a message's raw header block — CRLF-terminated
+// "Name: value" lines, as on the wire. Nobody reads most headers, so
+// none is decoded until Header asks for it.
+type headers struct{ head []byte }
+
+// Header returns the value of the named header (matched
+// case-insensitively), or "" when it is absent.
+func (h *headers) Header(name string) string {
+	for block := h.head; len(block) > 0; {
+		n, value, rest, _ := cutHeader(block)
+		if compareFold(n, name) == 0 {
+			return string(value)
+		}
+		block = rest
+	}
+	return ""
+}
+
+// SetHeader sets the named header, replacing any earlier value.
+func (h *headers) SetHeader(name, value string) { h.head = setHeader(nil, h.head, name, value) }
+
 // Marshal renders the request on the wire. The message is assembled
-// with plain appends into one exact buffer — no fmt machinery — since
-// the campaign marshals one request per HTTP probe.
+// with plain appends into one exact buffer — no fmt machinery.
 func (r *Request) Marshal() []byte {
-	b := make([]byte, 0, len(r.Method)+len(r.Path)+12+headersLen(r.Headers)+2)
+	b := make([]byte, 0, len(r.Method)+len(r.Path)+12+len(r.head)+2)
 	b = append(b, r.Method...)
 	b = append(b, ' ')
 	b = append(b, r.Path...)
 	b = append(b, " HTTP/1.1\r\n"...)
-	b = appendHeaders(b, r.Headers, "", "")
+	b = append(b, r.head...)
 	return append(b, "\r\n"...)
 }
 
 // Marshal renders the response on the wire, always emitting an accurate
 // Content-Length so the peer can find the message end.
 func (r *Response) Marshal() []byte {
+	if r.wire != nil {
+		return r.wire
+	}
 	status := r.Status
 	if status == "" {
 		status = defaultStatusText(r.StatusCode)
 	}
-	var clBuf [20]byte
-	cl := strconv.AppendInt(clBuf[:0], int64(len(r.Body)), 10)
-	b := make([]byte, 0, 9+4+len(status)+2+headersLen(r.Headers)+16+len(cl)+4+2+len(r.Body))
+	b := make([]byte, 0, 9+4+len(status)+2+len(r.head)+16+20+4+len(r.Body))
 	b = append(b, "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(r.StatusCode), 10)
 	b = append(b, ' ')
 	b = append(b, status...)
 	b = append(b, "\r\n"...)
-	b = appendHeaders(b, r.Headers, "Content-Length", string(cl))
+	b = setHeader(b, r.head, "Content-Length", strconv.Itoa(len(r.Body)))
 	b = append(b, "\r\n"...)
 	return append(b, r.Body...)
-}
-
-// headersLen sizes the serialized header block.
-func headersLen(h map[string]string) int {
-	n := 0
-	for k, v := range h {
-		n += len(k) + 2 + len(v) + 2
-	}
-	return n
-}
-
-// appendHeaders emits headers in sorted order for deterministic wire
-// output (the simulator's reproducibility guarantee extends to payload
-// bytes). A non-empty extraKey is merged into the sort order as if it
-// were in the map, which lets Response.Marshal add Content-Length
-// without copying the header map.
-func appendHeaders(b []byte, h map[string]string, extraKey, extraVal string) []byte {
-	var arr [8]string
-	keys := arr[:0]
-	for k := range h {
-		keys = append(keys, k)
-	}
-	if extraKey != "" {
-		if _, exists := h[extraKey]; !exists {
-			keys = append(keys, extraKey)
-		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		v := h[k]
-		if extraKey != "" && k == extraKey {
-			v = extraVal // computed value wins, as an explicit overwrite would
-		}
-		b = append(b, k...)
-		b = append(b, ": "...)
-		b = append(b, v...)
-		b = append(b, "\r\n"...)
-	}
-	return b
 }
 
 func defaultStatusText(code int) string {
@@ -125,74 +109,112 @@ func defaultStatusText(code int) string {
 }
 
 // ParseRequest decodes a request once fully buffered. It returns
-// ErrIncomplete while more bytes are needed. Parsing walks the raw
-// bytes; only the retained values (method, path, header keys and
-// values) become strings.
+// ErrIncomplete while more bytes are needed. The result's headers alias
+// data.
 func ParseRequest(data []byte) (*Request, error) {
-	head, _, ok := splitHead(data)
-	if !ok {
-		return nil, ErrIncomplete
-	}
-	first, rest := cutLine(head)
-	method, after, ok1 := bytes.Cut(first, []byte(" "))
-	path, proto, ok2 := bytes.Cut(after, []byte(" "))
-	if !ok1 || !ok2 || !bytes.HasPrefix(proto, []byte("HTTP/1.")) {
-		return nil, fmt.Errorf("%w: request line %q", ErrMalformed, first)
-	}
-	headers, err := parseHeaders(rest)
-	if err != nil {
+	r := new(Request)
+	if err := r.parse(data); err != nil {
 		return nil, err
 	}
-	return &Request{Method: string(method), Path: string(path), Headers: headers}, nil
+	return r, nil
 }
 
 // ParseResponse decodes a response. It returns ErrIncomplete until the
-// header block and the Content-Length-delimited body have arrived.
+// header block and the Content-Length-delimited body have arrived. The
+// result's headers and Body alias data.
 func ParseResponse(data []byte) (*Response, error) {
-	head, rest, ok := splitHead(data)
-	if !ok {
-		return nil, ErrIncomplete
-	}
-	first, hdrLines := cutLine(head)
-	proto, after, ok1 := bytes.Cut(first, []byte(" "))
-	if !ok1 || !bytes.HasPrefix(proto, []byte("HTTP/1.")) {
-		return nil, fmt.Errorf("%w: status line %q", ErrMalformed, first)
-	}
-	codeBytes, statusBytes, _ := bytes.Cut(after, []byte(" "))
-	code, err := strconv.Atoi(string(codeBytes))
-	if err != nil {
-		return nil, fmt.Errorf("%w: status code %q", ErrMalformed, codeBytes)
-	}
-	headers, err := parseHeaders(hdrLines)
-	if err != nil {
+	r := new(Response)
+	if err := r.parse(data); err != nil {
 		return nil, err
 	}
-	bodyLen := 0
-	if cl, ok := headers["Content-Length"]; ok {
-		bodyLen, err = strconv.Atoi(cl)
-		if err != nil || bodyLen < 0 {
-			return nil, fmt.Errorf("%w: content-length %q", ErrMalformed, cl)
-		}
-	}
-	if len(rest) < bodyLen {
-		return nil, ErrIncomplete
-	}
-	return &Response{
-		StatusCode: code,
-		Status:     string(statusBytes),
-		Headers:    headers,
-		Body:       append([]byte(nil), rest[:bodyLen]...),
-	}, nil
+	return r, nil
 }
 
-// splitHead separates the header block from the body at the first blank
-// line.
-func splitHead(data []byte) (head, rest []byte, ok bool) {
+// parse is ParseRequest into an existing Request. It walks the raw
+// bytes and builds nothing: the probe's own "GET" and "/" convert to
+// strings without allocating.
+func (r *Request) parse(data []byte) error {
+	first, head, _, ok := splitMessage(data)
+	if !ok {
+		return ErrIncomplete
+	}
+	method, after, ok1 := bytes.Cut(first, []byte(" "))
+	path, proto, ok2 := bytes.Cut(after, []byte(" "))
+	if !ok1 || !ok2 || !bytes.HasPrefix(proto, []byte("HTTP/1.")) {
+		return fmt.Errorf("%w: request line %q", ErrMalformed, first)
+	}
+	if _, err := checkHeaders(head); err != nil {
+		return err
+	}
+	*r = Request{Method: knownOr(method, "GET"), Path: knownOr(path, "/"), headers: headers{head}}
+	return nil
+}
+
+// parse is ParseResponse into an existing Response: status code and
+// Content-Length are read from the bytes, and Body is a view of data.
+func (r *Response) parse(data []byte) error {
+	first, head, rest, ok := splitMessage(data)
+	if !ok {
+		return ErrIncomplete
+	}
+	proto, after, ok1 := bytes.Cut(first, []byte(" "))
+	if !ok1 || !bytes.HasPrefix(proto, []byte("HTTP/1.")) {
+		return fmt.Errorf("%w: status line %q", ErrMalformed, first)
+	}
+	codeBytes, statusBytes, _ := bytes.Cut(after, []byte(" "))
+	code, ok := atoi(codeBytes)
+	if !ok {
+		return fmt.Errorf("%w: status code %q", ErrMalformed, codeBytes)
+	}
+	bodyLen, err := checkHeaders(head)
+	if err != nil {
+		return err
+	}
+	if len(rest) < bodyLen {
+		return ErrIncomplete
+	}
+	*r = Response{
+		StatusCode: code,
+		Status:     knownOr(statusBytes, defaultStatusText(code)),
+		Body:       rest[:bodyLen],
+		headers:    headers{head},
+	}
+	return nil
+}
+
+// knownOr converts b to a string, without allocating when it is the
+// expected value.
+func knownOr(b []byte, expected string) string {
+	if string(b) == expected {
+		return expected
+	}
+	return string(b)
+}
+
+// atoi parses a non-negative decimal number.
+func atoi(b []byte) (int, bool) {
+	if len(b) == 0 || len(b) > 18 {
+		return 0, false
+	}
+	n := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, true
+}
+
+// splitMessage separates the start line, the header block (each line
+// with its CRLF) and whatever follows the blank line.
+func splitMessage(data []byte) (first, head, rest []byte, ok bool) {
 	idx := bytes.Index(data, []byte("\r\n\r\n"))
 	if idx < 0 {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
-	return data[:idx], data[idx+4:], true
+	first, head = cutLine(data[:idx+2])
+	return first, head, data[idx+4:], true
 }
 
 // cutLine splits off the first CRLF-terminated line.
@@ -203,61 +225,81 @@ func cutLine(data []byte) (line, rest []byte) {
 	return data, nil
 }
 
-// parseHeaders decodes "Key: Value" lines, canonicalising the key's
-// first letters (enough for the handful of headers in play).
-func parseHeaders(block []byte) (map[string]string, error) {
-	h := make(map[string]string, 4)
-	for len(block) > 0 {
-		var line []byte
-		line, block = cutLine(block)
-		if len(line) == 0 {
-			continue
-		}
-		colon := bytes.IndexByte(line, ':')
-		if colon < 0 {
-			return nil, fmt.Errorf("%w: header %q", ErrMalformed, line)
-		}
-		key := canonicalKey(bytes.TrimSpace(line[:colon]))
-		h[key] = string(bytes.TrimSpace(line[colon+1:]))
-	}
-	return h, nil
+// cutHeader splits the first line off a header block into its trimmed
+// name and value; ok is false for a line without a colon.
+func cutHeader(block []byte) (name, value, rest []byte, ok bool) {
+	line, rest := cutLine(block)
+	name, value, ok = bytes.Cut(line, []byte(":"))
+	return bytes.TrimSpace(name), bytes.TrimSpace(value), rest, ok
 }
 
-// canonicalKey title-cases dash-separated tokens: content-length →
-// Content-Length. Keys that are already canonical — every header this
-// system itself emits — convert with a single allocation and no
-// intermediate splitting.
-func canonicalKey(k []byte) string {
-	canonical := true
-	startOfToken := true
-	for _, c := range k {
-		if startOfToken {
-			if c >= 'a' && c <= 'z' {
-				canonical = false
-				break
+// checkHeaders checks that every line of a header block is
+// "Name: value" and returns the Content-Length (0 when absent).
+func checkHeaders(block []byte) (contentLength int, err error) {
+	for len(block) > 0 {
+		name, value, rest, ok := cutHeader(block)
+		if !ok {
+			line, _ := cutLine(block)
+			return 0, fmt.Errorf("%w: header %q", ErrMalformed, line)
+		}
+		if compareFold(name, "Content-Length") == 0 {
+			if contentLength, ok = atoi(value); !ok {
+				return 0, fmt.Errorf("%w: content-length %q", ErrMalformed, value)
 			}
-		} else if c >= 'A' && c <= 'Z' {
-			canonical = false
-			break
 		}
-		startOfToken = c == '-'
+		block = rest
 	}
-	if canonical {
-		return string(k)
-	}
-	b := make([]byte, len(k))
-	startOfToken = true
-	for i, c := range k {
-		switch {
-		case startOfToken && c >= 'a' && c <= 'z':
-			c -= 'a' - 'A'
-		case !startOfToken && c >= 'A' && c <= 'Z':
-			c += 'a' - 'A'
+	return contentLength, nil
+}
+
+// setHeader appends block to b with the line "name: value" placed in
+// name order — blocks built by setHeader alone are sorted, which keeps
+// wire output deterministic (the simulator's reproducibility guarantee
+// extends to payload bytes) — and any earlier line of that name dropped.
+func setHeader(b, block []byte, name, value string) []byte {
+	placed := false
+	for len(block) > 0 {
+		n, _, rest, _ := cutHeader(block)
+		line := block[:len(block)-len(rest)]
+		block = rest
+		c := compareFold(n, name)
+		if c == 0 {
+			continue
 		}
-		b[i] = c
-		startOfToken = c == '-'
+		if c > 0 && !placed {
+			b = appendHeader(b, name, value)
+			placed = true
+		}
+		b = append(b, line...)
 	}
-	return string(b)
+	if !placed {
+		b = appendHeader(b, name, value)
+	}
+	return b
+}
+
+func appendHeader(b []byte, name, value string) []byte {
+	b = append(b, name...)
+	b = append(b, ": "...)
+	b = append(b, value...)
+	return append(b, "\r\n"...)
+}
+
+// compareFold orders a header name against another, ignoring ASCII case.
+func compareFold(a []byte, b string) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if x, y := lower(a[i]), lower(b[i]); x != y {
+			return int(x) - int(y)
+		}
+	}
+	return len(a) - len(b)
+}
+
+func lower(c byte) byte {
+	if c >= 'A' && c <= 'Z' {
+		c += 'a' - 'A'
+	}
+	return c
 }
 
 // RedirectTarget is where pool-member web servers redirect.
@@ -265,18 +307,20 @@ const RedirectTarget = "http://www.pool.ntp.org/"
 
 // PoolHandler answers as a pool host's web server does: a 302 redirect
 // to the pool website for any path. The response is one shared
-// immutable value — Serve only marshals it — so answering costs no
-// allocation in the campaign's per-server request loop.
+// immutable value, marshalled once, so answering costs no allocation in
+// the campaign's per-server request loop.
 func PoolHandler(req *Request) *Response {
 	return poolResponse
 }
 
-var poolResponse = &Response{
-	StatusCode: 302,
-	Headers: map[string]string{
-		"Location":   RedirectTarget,
-		"Connection": "close",
-		"Server":     "pool-member/1.0",
-	},
-	Body: []byte("<a href=\"" + RedirectTarget + "\">Moved</a>\n"),
-}
+var poolResponse = func() *Response {
+	r := &Response{
+		StatusCode: 302,
+		Body:       []byte("<a href=\"" + RedirectTarget + "\">Moved</a>\n"),
+	}
+	r.SetHeader("Location", RedirectTarget)
+	r.SetHeader("Connection", "close")
+	r.SetHeader("Server", "pool-member/1.0")
+	r.wire = r.Marshal()
+	return r
+}()

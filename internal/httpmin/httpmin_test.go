@@ -3,7 +3,6 @@ package httpmin
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -13,43 +12,44 @@ import (
 )
 
 func TestRequestRoundTrip(t *testing.T) {
-	req := &Request{
-		Method:  "GET",
-		Path:    "/",
-		Headers: map[string]string{"Host": "192.0.2.1", "Connection": "close"},
-	}
+	req := &Request{Method: "GET", Path: "/"}
+	req.SetHeader("Host", "192.0.2.1")
+	req.SetHeader("Connection", "close")
 	wire := req.Marshal()
-	if !strings.HasPrefix(string(wire), "GET / HTTP/1.1\r\n") {
-		t.Errorf("request line wrong: %q", wire[:20])
+	if want := "GET / HTTP/1.1\r\nConnection: close\r\nHost: 192.0.2.1\r\n\r\n"; string(wire) != want {
+		t.Errorf("request on the wire = %q, want %q (headers in name order)", wire, want)
 	}
 	got, err := ParseRequest(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Method != "GET" || got.Path != "/" || got.Headers["Host"] != "192.0.2.1" {
+	if got.Method != "GET" || got.Path != "/" || got.Header("host") != "192.0.2.1" {
 		t.Errorf("parsed = %+v", got)
 	}
 }
 
 func TestResponseRoundTrip(t *testing.T) {
-	resp := &Response{
-		StatusCode: 302,
-		Headers:    map[string]string{"Location": RedirectTarget},
-		Body:       []byte("moved"),
-	}
+	resp := &Response{StatusCode: 302, Body: []byte("moved")}
+	resp.SetHeader("Location", RedirectTarget)
 	wire := resp.Marshal()
 	got, err := ParseResponse(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.StatusCode != 302 || got.Headers["Location"] != RedirectTarget {
+	if got.StatusCode != 302 || got.Header("Location") != RedirectTarget {
 		t.Errorf("parsed = %+v", got)
 	}
 	if string(got.Body) != "moved" {
 		t.Errorf("body = %q", got.Body)
 	}
-	if got.Headers["Content-Length"] != "5" {
-		t.Errorf("content-length = %q", got.Headers["Content-Length"])
+	if got.Header("Content-Length") != "5" {
+		t.Errorf("content-length = %q", got.Header("Content-Length"))
+	}
+	// Marshalling what was parsed replaces the length, never repeats it.
+	got.Body = []byte("moved again")
+	if again := got.Marshal(); bytes.Count(again, []byte("Content-Length")) != 1 ||
+		!bytes.Contains(again, []byte("Content-Length: 11\r\n")) {
+		t.Errorf("re-marshalled = %q", again)
 	}
 }
 
@@ -96,8 +96,11 @@ func TestHeaderCanonicalisation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Headers["Content-Length"] != "0" || got.Headers["Location"] != "x" {
-		t.Errorf("headers = %v", got.Headers)
+	if got.Header("Content-Length") != "0" || got.Header("Location") != "x" {
+		t.Errorf("headers = %q", got.head)
+	}
+	if got.Header("Server") != "" {
+		t.Errorf("absent header = %q", got.Header("Server"))
 	}
 }
 
@@ -106,8 +109,14 @@ func TestPoolHandler(t *testing.T) {
 	if resp.StatusCode != 302 {
 		t.Errorf("status = %d", resp.StatusCode)
 	}
-	if resp.Headers["Location"] != RedirectTarget {
-		t.Errorf("location = %q", resp.Headers["Location"])
+	if resp.Header("Location") != RedirectTarget {
+		t.Errorf("location = %q", resp.Header("Location"))
+	}
+	want := "HTTP/1.1 302 Found\r\nConnection: close\r\nContent-Length: 45\r\n" +
+		"Location: http://www.pool.ntp.org/\r\nServer: pool-member/1.0\r\n\r\n" +
+		"<a href=\"http://www.pool.ntp.org/\">Moved</a>\n"
+	if got := string(resp.Marshal()); got != want {
+		t.Errorf("pool response on the wire = %q, want %q", got, want)
 	}
 }
 
@@ -119,7 +128,21 @@ type httpFixture struct {
 	cs, ss         *tcpsim.Stack
 }
 
-func newHTTPFixture(t *testing.T, seed int64) *httpFixture {
+// keep returns a done callback that stores a deep copy of the result: a
+// GetResult is only valid during the callback.
+func keep(dst *GetResult) func(GetResult) {
+	return func(r GetResult) {
+		*dst = r
+		if r.Response != nil {
+			cp := *r.Response
+			cp.Body = append([]byte(nil), cp.Body...)
+			cp.head = append([]byte(nil), cp.head...)
+			dst.Response = &cp
+		}
+	}
+}
+
+func newHTTPFixture(t testing.TB, seed int64) *httpFixture {
 	t.Helper()
 	sim := netsim.NewSim(seed)
 	n := netsim.NewNetwork(sim)
@@ -141,7 +164,7 @@ func TestGetAgainstPoolServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got GetResult
-	Get(f.cs, f.server.Addr(), Port, "/", false, func(r GetResult) { got = r })
+	Get(f.cs, f.server.Addr(), Port, "/", false, keep(&got))
 	f.sim.Run()
 
 	if got.Err != nil {
@@ -159,7 +182,7 @@ func TestGetWithECN(t *testing.T) {
 	f := newHTTPFixture(t, 2)
 	Serve(f.ss, Port, true, PoolHandler)
 	var got GetResult
-	Get(f.cs, f.server.Addr(), Port, "/", true, func(r GetResult) { got = r })
+	Get(f.cs, f.server.Addr(), Port, "/", true, keep(&got))
 	f.sim.Run()
 	if got.Err != nil {
 		t.Fatal(got.Err)
@@ -176,7 +199,7 @@ func TestGetECNRefusedStillWorks(t *testing.T) {
 	f := newHTTPFixture(t, 3)
 	Serve(f.ss, Port, false, PoolHandler) // web server, ECN-unwilling
 	var got GetResult
-	Get(f.cs, f.server.Addr(), Port, "/", true, func(r GetResult) { got = r })
+	Get(f.cs, f.server.Addr(), Port, "/", true, keep(&got))
 	f.sim.Run()
 	if got.Err != nil {
 		t.Fatal(got.Err)
@@ -192,7 +215,7 @@ func TestGetECNRefusedStillWorks(t *testing.T) {
 func TestGetNoWebServer(t *testing.T) {
 	f := newHTTPFixture(t, 4)
 	var got GetResult
-	Get(f.cs, f.server.Addr(), Port, "/", false, func(r GetResult) { got = r })
+	Get(f.cs, f.server.Addr(), Port, "/", false, keep(&got))
 	f.sim.Run()
 	if !errors.Is(got.Err, tcpsim.ErrRefused) {
 		t.Errorf("err = %v, want refused", got.Err)
@@ -203,7 +226,7 @@ func TestGetOfflineHost(t *testing.T) {
 	f := newHTTPFixture(t, 5)
 	f.server.SetOnline(false)
 	var got GetResult
-	Get(f.cs, f.server.Addr(), Port, "/", false, func(r GetResult) { got = r })
+	Get(f.cs, f.server.Addr(), Port, "/", false, keep(&got))
 	f.sim.Run()
 	if !errors.Is(got.Err, tcpsim.ErrTimeout) {
 		t.Errorf("err = %v, want timeout", got.Err)
@@ -244,7 +267,7 @@ func TestLargeResponseBody(t *testing.T) {
 		return &Response{StatusCode: 200, Body: big}
 	})
 	var got GetResult
-	Get(f.cs, f.server.Addr(), Port, "/big", false, func(r GetResult) { got = r })
+	Get(f.cs, f.server.Addr(), Port, "/big", false, keep(&got))
 	f.sim.Run()
 	if got.Err != nil {
 		t.Fatal(got.Err)

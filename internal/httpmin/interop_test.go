@@ -34,14 +34,9 @@ func TestInteropWithStdlibServer(t *testing.T) {
 	}
 	defer conn.Close()
 
-	req := Request{
-		Method: "GET",
-		Path:   "/",
-		Headers: map[string]string{
-			"Host":       ln.Addr().String(),
-			"Connection": "close",
-		},
-	}
+	req := Request{Method: "GET", Path: "/"}
+	req.SetHeader("Host", ln.Addr().String())
+	req.SetHeader("Connection", "close")
 	if _, err := conn.Write(req.Marshal()); err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +51,8 @@ func TestInteropWithStdlibServer(t *testing.T) {
 			if resp.StatusCode != 302 {
 				t.Fatalf("status = %d", resp.StatusCode)
 			}
-			if resp.Headers["Location"] != RedirectTarget {
-				t.Fatalf("location = %q", resp.Headers["Location"])
+			if resp.Header("Location") != RedirectTarget {
+				t.Fatalf("location = %q", resp.Header("Location"))
 			}
 			if !strings.Contains(string(resp.Body), "moved") {
 				t.Fatalf("body = %q", resp.Body)

@@ -118,6 +118,7 @@ func (t *TCPHeader) Marshal(b []byte, src, dst Addr, payload []byte) ([]byte, er
 
 // ParseTCP decodes a TCP header from seg (the IPv4 payload), verifying the
 // checksum against the pseudo-header, and returns the header and payload.
+// The header's Options, like the payload, alias seg.
 func ParseTCP(seg []byte, src, dst Addr) (TCPHeader, []byte, error) {
 	var t TCPHeader
 	if len(seg) < TCPHeaderLen {
@@ -140,7 +141,7 @@ func ParseTCP(seg []byte, src, dst Addr) (TCPHeader, []byte, error) {
 	t.Window = binary.BigEndian.Uint16(seg[14:])
 	t.Urgent = binary.BigEndian.Uint16(seg[18:])
 	if dataOff > TCPHeaderLen {
-		t.Options = append([]byte(nil), seg[TCPHeaderLen:dataOff]...)
+		t.Options = seg[TCPHeaderLen:dataOff]
 	}
 	return t, seg[dataOff:], nil
 }

@@ -69,24 +69,34 @@ type Conn struct {
 	// progress — enough of RFC 5681/3168 for the endpoints to *react*
 	// to CE, which is what makes the HTTP probes RFC 3168 endpoints
 	// rather than mere negotiators.
-	cwnd    int
-	sendBuf []byte // stream bytes accepted but not yet segmented
+	cwnd int
+	// sendBuf holds the stream bytes the application has written:
+	// sendBuf[:sendOff] is segmented and sent (rtxQueue payloads alias
+	// it), sendBuf[sendOff:] waits for the window. Write only ever
+	// appends — or rewinds to the start when rtxQueue is empty — so bytes
+	// a retransmission may still need are never overwritten; when append
+	// outgrows the array the old one lives on through rtxQueue.
+	sendBuf []byte
+	sendOff int
+	// sendArr is sendBuf's first backing array: it holds a probe-sized
+	// request or response, so such a connection costs one allocation.
+	sendArr [256]byte
 	// recover marks sndNxt at the last window reduction: at most one
 	// reduction per window of data (RFC 3168 §6.1.2).
 	recover uint32
 
-	// Retransmission: segments in flight, oldest first.
+	// Retransmission: segments in flight, oldest first (rtxArr is the
+	// queue's first backing array: a request or response and its FIN).
 	rtxQueue []sentSegment
+	rtxArr   [4]sentSegment
 	rtxTimer netsim.Timer
 	rto      time.Duration
 
-	// rtoFn and synFn are the timer callbacks, bound once at
-	// construction so re-arming a timer allocates no closure. hdrScratch
-	// backs header(): the header is marshalled into the wire buffer
-	// before the next segment is built, so one scratch per connection
-	// suffices.
-	rtoFn      func()
-	synFn      func()
+	// timerFn is the timer callback, bound once per shell so re-arming
+	// the timer allocates no closure. hdrScratch backs header(): the
+	// header is marshalled into the wire buffer before the next segment
+	// is built, so one scratch per connection suffices.
+	timerFn    func()
 	hdrScratch packet.TCPHeader
 
 	// SYN handling.
@@ -97,8 +107,6 @@ type Conn struct {
 	// progress; the connection aborts after too many.
 	stalls int
 
-	// Pending application writes queued before ESTABLISHED.
-	pendingWrites [][]byte
 	// FIN requested by the application (sent once queue drains).
 	closeRequested bool
 	finSent        bool
@@ -109,6 +117,9 @@ type Conn struct {
 	// Application callbacks.
 	onData  func([]byte)
 	onClose func(error)
+
+	// nextFree links released shells on the stack's free list.
+	nextFree *Conn
 
 	// Telemetry.
 	Retransmits    uint64
@@ -135,23 +146,53 @@ const initialCwnd = 10 * MSS
 // minCwnd is the reduction floor (two segments, RFC 5681).
 const minCwnd = 2 * MSS
 
+// newConn is the one connection constructor: it takes a shell from the
+// stack's free list (or makes one, binding its timer callback) and
+// resets everything but that callback and the capacity of sendBuf and
+// rtxQueue. The free list fills as connections close, never ahead of
+// time, and belongs to one single-goroutine stack, so reuse order — and
+// with it allocation — is as deterministic as the simulation.
 func newConn(s *Stack, key connKey, st state) *Conn {
 	iss := s.host.Sim().RNG().Uint32()
-	c := &Conn{
-		stack:      s,
-		key:        key,
-		st:         st,
-		iss:        iss,
-		sndNxt:     iss,
-		sndUna:     iss,
-		cwnd:       initialCwnd,
-		recover:    iss,
-		rto:        time.Second,
-		synBackoff: time.Second,
+	c := s.free
+	if c != nil {
+		s.free = c.nextFree
+		*c = Conn{timerFn: c.timerFn, sendBuf: c.sendBuf[:0], rtxQueue: c.rtxQueue[:0]}
+	} else {
+		c = new(Conn)
+		c.timerFn = c.onTimer
+		c.sendBuf = c.sendArr[:0]
+		c.rtxQueue = c.rtxArr[:0]
 	}
-	c.rtoFn = c.onRTO
-	c.synFn = c.onSYNTimer
+	c.stack = s
+	c.key = key
+	c.st = st
+	c.iss = iss
+	c.sndNxt = iss
+	c.sndUna = iss
+	c.cwnd = initialCwnd
+	c.recover = iss
+	c.rto = time.Second
+	c.synBackoff = time.Second
 	return c
+}
+
+// release returns a closed connection's shell to its stack. It is the
+// last act of teardown, after the application's final callback has
+// returned: nothing the stack still holds (demux entry, timer) can reach
+// the shell again. The references are scrubbed so that a stale holder
+// fails on a nil stack or callback instead of corrupting the next
+// connection; st stays CLOSED (every entry point checks it) and the
+// telemetry counters stay readable until the shell is reused.
+func (c *Conn) release() {
+	s := c.stack
+	c.stack = nil
+	c.listener = nil
+	c.dialDone = nil
+	c.onData = nil
+	c.onClose = nil
+	c.nextFree = s.free
+	s.free = c
 }
 
 // --- Public API ---------------------------------------------------------
@@ -178,18 +219,23 @@ func (c *Conn) OnData(fn func([]byte)) { c.onData = fn }
 // err is nil for a graceful FIN exchange, ErrReset for a RST.
 func (c *Conn) OnClose(fn func(error)) { c.onClose = fn }
 
-// Write queues stream data. Data written before the handshake completes
-// is sent upon ESTABLISHED.
+// Write queues stream data, copying it into the connection's send
+// buffer (the caller may reuse data at once). Data written before the
+// handshake completes is sent upon ESTABLISHED.
 func (c *Conn) Write(data []byte) {
 	if c.st == stateClosed || c.closeRequested {
 		return
 	}
-	cp := append([]byte(nil), data...)
-	if c.st != stateEstablished && c.st != stateCloseWait {
-		c.pendingWrites = append(c.pendingWrites, cp)
-		return
+	if len(c.rtxQueue) == 0 && c.sendOff == len(c.sendBuf) {
+		// Everything written so far is acknowledged: start over at the
+		// front of the array instead of growing it.
+		c.sendBuf = c.sendBuf[:0]
+		c.sendOff = 0
 	}
-	c.sendData(cp)
+	c.sendBuf = append(c.sendBuf, data...)
+	if c.st == stateEstablished || c.st == stateCloseWait {
+		c.pump()
+	}
 }
 
 // Close initiates a graceful shutdown (FIN after pending data).
@@ -277,14 +323,22 @@ func (c *Conn) sendSYNACK() {
 // armSYNTimer retransmits handshake segments with exponential backoff.
 func (c *Conn) armSYNTimer() {
 	c.stopTimer()
-	c.rtxTimer = c.stack.after(c.synBackoff, c.synFn)
+	c.rtxTimer = c.stack.after(c.synBackoff, c.timerFn)
 }
 
-// onSYNTimer is the handshake retransmission callback.
-func (c *Conn) onSYNTimer() {
-	if c.st != stateSynSent && c.st != stateSynRcvd {
-		return
+// onTimer is the connection's one timer callback. The handshake and
+// retransmission timers share rtxTimer — arming one stops the other, and
+// leaving the handshake stops it — so the state says which one is due.
+func (c *Conn) onTimer() {
+	if c.st == stateSynSent || c.st == stateSynRcvd {
+		c.onSYNTimer()
+	} else {
+		c.onRTO()
 	}
+}
+
+// onSYNTimer retransmits the handshake segment or gives up.
+func (c *Conn) onSYNTimer() {
 	if c.synRetriesLeft <= 0 {
 		c.teardown(ErrTimeout)
 		return
@@ -299,13 +353,6 @@ func (c *Conn) onSYNTimer() {
 	}
 }
 
-// sendData accepts application bytes into the send buffer and pumps as
-// much as the congestion window allows.
-func (c *Conn) sendData(data []byte) {
-	c.sendBuf = append(c.sendBuf, data...)
-	c.pump()
-}
-
 // inFlight is the unacknowledged byte count.
 func (c *Conn) inFlight() int { return int(c.sndNxt - c.sndUna) }
 
@@ -314,16 +361,16 @@ func (c *Conn) inFlight() int { return int(c.sndNxt - c.sndUna) }
 // window can stall but never deadlock the stream.
 func (c *Conn) pump() {
 	sentAny := false
-	for len(c.sendBuf) > 0 {
-		n := len(c.sendBuf)
+	for c.sendOff < len(c.sendBuf) {
+		n := len(c.sendBuf) - c.sendOff
 		if n > MSS {
 			n = MSS
 		}
 		if fl := c.inFlight(); fl > 0 && fl+n > c.cwnd {
 			break // window full; ACKs re-open it
 		}
-		chunk := c.sendBuf[:n]
-		c.sendBuf = c.sendBuf[n:]
+		chunk := c.sendBuf[c.sendOff : c.sendOff+n]
+		c.sendOff += n
 
 		flags := uint8(packet.TCPAck | packet.TCPPsh)
 		if c.cwrPending {
@@ -361,7 +408,7 @@ func (c *Conn) reduceWindow() {
 
 // maybeSendFIN emits the FIN once all data is acknowledged-or-queued.
 func (c *Conn) maybeSendFIN() {
-	if c.finSent || !c.closeRequested || len(c.sendBuf) > 0 {
+	if c.finSent || !c.closeRequested || c.sendOff < len(c.sendBuf) {
 		return
 	}
 	switch c.st {
@@ -400,7 +447,7 @@ func (c *Conn) armRTO() {
 		return
 	}
 	c.stopTimer()
-	c.rtxTimer = c.stack.after(c.rto, c.rtoFn)
+	c.rtxTimer = c.stack.after(c.rto, c.timerFn)
 }
 
 func (c *Conn) onRTO() {
@@ -518,6 +565,9 @@ func (c *Conn) handleSegment(ip packet.IPv4Header, hdr packet.TCPHeader, payload
 					c.listener.accept(c)
 				}
 			}
+			if c.st == stateClosed {
+				return // accept aborted the connection
+			}
 			c.flushPending()
 			// Fall through: the handshake ACK may carry data.
 		} else {
@@ -528,6 +578,9 @@ func (c *Conn) handleSegment(ip packet.IPv4Header, hdr packet.TCPHeader, payload
 	// ACK processing for data/FIN states.
 	if hdr.Flags&packet.TCPAck != 0 {
 		c.processACK(hdr.Ack)
+		if c.st == stateClosed {
+			return // that was the ACK of our FIN
+		}
 	}
 
 	// In-order payload delivery; out-of-order segments are dropped and
@@ -582,19 +635,21 @@ func (c *Conn) processACK(ack uint32) {
 	if c.cwnd < 64*MSS {
 		c.cwnd += MSS * acked / c.cwnd
 	}
-	// Drop fully acknowledged segments from the queue.
-	for len(c.rtxQueue) > 0 {
-		seg := c.rtxQueue[0]
+	// Drop fully acknowledged segments from the queue, sliding the rest
+	// to the front so the array's capacity survives for the next
+	// connection.
+	n := 0
+	for ; n < len(c.rtxQueue); n++ {
+		seg := c.rtxQueue[n]
 		segEnd := seg.seq + uint32(len(seg.payload))
 		if seg.flags&(packet.TCPSyn|packet.TCPFin) != 0 {
 			segEnd++
 		}
-		if seqLEQ(segEnd, ack) {
-			c.rtxQueue = c.rtxQueue[1:]
-		} else {
+		if !seqLEQ(segEnd, ack) {
 			break
 		}
 	}
+	c.rtxQueue = c.rtxQueue[:copy(c.rtxQueue, c.rtxQueue[n:])]
 	if len(c.rtxQueue) == 0 {
 		c.stopTimer()
 	} else {
@@ -615,16 +670,16 @@ func (c *Conn) processACK(ack uint32) {
 	c.maybeSendFIN()
 }
 
-// flushPending sends writes queued during the handshake.
+// flushPending sends what was written (and closed) during the handshake.
 func (c *Conn) flushPending() {
-	for _, w := range c.pendingWrites {
-		c.sendData(w)
-	}
-	c.pendingWrites = nil
+	c.pump()
 	c.maybeSendFIN()
 }
 
-// teardown finalises the connection and notifies the application.
+// teardown finalises the connection, notifies the application — dialDone
+// for a connection that never established, onClose otherwise — and
+// recycles the shell. The CLOSED check makes it idempotent, so an Abort
+// from inside either callback cannot release twice.
 func (c *Conn) teardown(err error) {
 	if c.st == stateClosed {
 		return
@@ -632,18 +687,15 @@ func (c *Conn) teardown(err error) {
 	c.st = stateClosed
 	c.stopTimer()
 	c.stack.drop(c)
-	if c.dialDone != nil {
-		done := c.dialDone
+	if done := c.dialDone; done != nil {
 		c.dialDone = nil
 		if err == nil {
 			err = ErrClosed
 		}
 		done(nil, err)
-		return
-	}
-	if c.onClose != nil {
-		fn := c.onClose
+	} else if fn := c.onClose; fn != nil {
 		c.onClose = nil
 		fn(err)
 	}
+	c.release()
 }

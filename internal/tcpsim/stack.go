@@ -63,6 +63,13 @@ type Stack struct {
 	// listeners by local port.
 	listeners map[uint16]*Listener
 	ephemeral uint16
+	// free heads the list of closed connections' shells (linked through
+	// Conn.nextFree) that newConn reuses.
+	free *Conn
+	// UserData belongs to the layer above: httpmin keeps its own
+	// recycled per-probe and per-connection shells here, next to the
+	// connections they drive.
+	UserData any
 
 	// TTL for outgoing segments (64 unless overridden).
 	TTL uint8

@@ -12,16 +12,20 @@
 #     collapsed it from a full generation + all-pairs routing to a
 #     lightweight instantiation, and this gate keeps it collapsed;
 #   * any allocs/op > 0 on the pooled packet-path, forwarding,
-#     scheduler and telemetry benchmarks (BenchmarkCEMarkThroughput,
-#     BenchmarkBuildUDPBuf, BenchmarkChecksum1500,
-#     BenchmarkRouterForward, BenchmarkSimSchedule,
-#     BenchmarkSimScheduleSparse, BenchmarkTelemetryHotPath — the
-#     flight recorder's write path must stay allocation-free);
+#     scheduler, telemetry and TCP/HTTP exchange benchmarks
+#     (BenchmarkCEMarkThroughput, BenchmarkBuildUDPBuf,
+#     BenchmarkChecksum1500, BenchmarkRouterForward,
+#     BenchmarkSimSchedule, BenchmarkSimScheduleSparse,
+#     BenchmarkTelemetryHotPath — the flight recorder's write path must
+#     stay allocation-free — and BenchmarkHandshakeAndExchange,
+#     BenchmarkGetExchange: a whole connect → GET → 302 → close cycle
+#     runs in recycled connection and probe shells);
 #   * campaign-level allocations above PERF_GATE_MAX_CAMPAIGN_ALLOCS
-#     (default 300000) per BenchmarkCampaignWorkers run — the pooled
-#     probe/trace state machines hold a small congested campaign around
-#     ~250k allocs, and this gate keeps closure-per-probe regressions
-#     out;
+#     (default 90000) per BenchmarkCampaignWorkers run — with probes,
+#     connections and the HTTP codec allocation-free in steady state a
+#     small congested campaign reads ~75k allocs (world instantiation
+#     and each host's first exchange), and this gate keeps
+#     closure-per-probe and garbage-per-exchange regressions out;
 #   * >PERF_GATE_MAX_TELEMETRY_PCT (default 2) instrumentation
 #     overhead, from BenchmarkCampaignTelemetry's `overhead-%` metric:
 #     the benchmark runs plain/instrumented campaign pairs back to back
@@ -34,20 +38,20 @@
 #   PERF_GATE_BASE                base ref to compare against (default origin/main)
 #   PERF_GATE_COUNT               benchmark repetitions (default 5)
 #   PERF_GATE_MAX_REGRESSION_PCT  wall-clock slowdown tolerance (default 10)
-#   PERF_GATE_MAX_CAMPAIGN_ALLOCS campaign allocs/op ceiling (default 300000)
+#   PERF_GATE_MAX_CAMPAIGN_ALLOCS campaign allocs/op ceiling (default 90000)
 #   PERF_GATE_MAX_TELEMETRY_PCT   instrumented-campaign overhead tolerance (default 2)
 set -euo pipefail
 
 BASE_REF="${PERF_GATE_BASE:-origin/main}"
 COUNT="${PERF_GATE_COUNT:-5}"
 MAX_PCT="${PERF_GATE_MAX_REGRESSION_PCT:-10}"
-MAX_CAMPAIGN_ALLOCS="${PERF_GATE_MAX_CAMPAIGN_ALLOCS:-300000}"
+MAX_CAMPAIGN_ALLOCS="${PERF_GATE_MAX_CAMPAIGN_ALLOCS:-90000}"
 MAX_TELEMETRY_PCT="${PERF_GATE_MAX_TELEMETRY_PCT:-2}"
 # Campaign runs few iterations (each is a whole campaign); the packet
 # and scheduler hot-path benches run many so pool warmup amortises to a
 # true 0 allocs/op steady state.
 CAMPAIGN_FILTER='BenchmarkCampaignWorkers/workers=4$|BenchmarkShardBuild$|BenchmarkCampaignTelemetry$'
-HOTPATH_FILTER='BenchmarkCEMarkThroughput|BenchmarkBuildUDPBuf$|BenchmarkChecksum1500$|BenchmarkRouterForward$|BenchmarkSimSchedule|BenchmarkSimScheduleSparse|BenchmarkTelemetryHotPath$'
+HOTPATH_FILTER='BenchmarkCEMarkThroughput|BenchmarkBuildUDPBuf$|BenchmarkChecksum1500$|BenchmarkRouterForward$|BenchmarkSimSchedule|BenchmarkSimScheduleSparse|BenchmarkTelemetryHotPath$|BenchmarkHandshakeAndExchange$|BenchmarkGetExchange$'
 
 root="$(git rev-parse --show-toplevel)"
 cd "$root"
@@ -64,7 +68,8 @@ run_bench() (
     REPRO_SCALE=small REPRO_TRACES=2 go test -run='^$' -bench="$CAMPAIGN_FILTER" \
         -benchmem -benchtime=2x -count="$COUNT" ./internal/campaign/
     go test -run='^$' -bench="$HOTPATH_FILTER" \
-        -benchmem -benchtime=20000x -count="$COUNT" ./internal/aqm/ ./internal/packet/ ./internal/netsim/ ./internal/telemetry/
+        -benchmem -benchtime=20000x -count="$COUNT" ./internal/aqm/ ./internal/packet/ ./internal/netsim/ ./internal/telemetry/ \
+        ./internal/tcpsim/ ./internal/httpmin/
 )
 
 echo "perf-gate: benchmarking working tree (count=$COUNT)..."
@@ -87,20 +92,20 @@ fi
 fail=0
 
 # Gate 1: zero allocs/op on the pooled packet-path, forwarding,
-# scheduler and telemetry-write-path benchmarks.
-bad_allocs="$(awk '/^Benchmark(CEMarkThroughput|BuildUDPBuf|Checksum1500|RouterForward|SimSchedule|TelemetryHotPath)/ {
+# scheduler, telemetry-write-path and TCP/HTTP exchange benchmarks.
+bad_allocs="$(awk '/^Benchmark(CEMarkThroughput|BuildUDPBuf|Checksum1500|RouterForward|SimSchedule|TelemetryHotPath|HandshakeAndExchange|GetExchange)/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op" && $i+0 > 0) print $1, $i, "allocs/op"
 }' "$work/head.txt" | sort -u)"
 if [ -n "$bad_allocs" ]; then
-    echo "perf-gate: FAIL — pooled packet-path, forwarding, scheduler and telemetry benchmarks must report 0 allocs/op:"
+    echo "perf-gate: FAIL — pooled packet-path, forwarding, scheduler, telemetry and TCP/HTTP exchange benchmarks must report 0 allocs/op:"
     echo "$bad_allocs"
     fail=1
 fi
 
-# Gate 2: campaign-level allocations. The pooled probe and trace state
-# machines keep a small campaign around ~250k allocs/op; the ceiling
-# catches a reintroduced closure-per-probe (or per-phantom) pattern
-# long before it shows up as wall-clock.
+# Gate 2: campaign-level allocations. Recycled probe, connection and
+# codec state keeps a small campaign around ~75k allocs/op; the ceiling
+# catches a reintroduced closure-per-probe, per-phantom or
+# garbage-per-exchange pattern long before it shows up as wall-clock.
 bad_campaign_allocs="$(awk -v max="$MAX_CAMPAIGN_ALLOCS" '/^BenchmarkCampaignWorkers/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op" && $i+0 > max) print $1, $i, "allocs/op >", max
 }' "$work/head.txt" | sort -u)"
