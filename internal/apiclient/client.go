@@ -12,7 +12,6 @@ package apiclient
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -38,18 +37,21 @@ type Client struct {
 	// plainUploads disables gzip on shard-result uploads
 	// (WithUploadCompression(false)); uploads compress by default.
 	plainUploads bool
+	// encoders recycles shard-upload encoding state (upload.go); the
+	// With* copies of a client share it.
+	encoders *encoderList
 }
 
 // New returns a client for the coordinator at base (e.g.
 // "http://127.0.0.1:8080").
 func New(base string) *Client {
-	return &Client{base: strings.TrimRight(base, "/"), hc: http.DefaultClient}
+	return NewWithHTTPClient(base, http.DefaultClient)
 }
 
 // NewWithHTTPClient uses a caller-supplied http.Client (timeouts,
 // transports, test instrumentation).
 func NewWithHTTPClient(base string, hc *http.Client) *Client {
-	return &Client{base: strings.TrimRight(base, "/"), hc: hc}
+	return &Client{base: strings.TrimRight(base, "/"), hc: hc, encoders: &encoderList{}}
 }
 
 // WithTimeout returns a copy of the client whose every request carries
@@ -264,6 +266,57 @@ type ResultAck struct {
 	State       string `json:"state"`
 }
 
+// Reply size bounds. The client buffers every reply whole, so each read
+// is capped: a coordinator (or a proxy in front of it) that misbehaves
+// costs a request, not the process. JSON replies are job views, listing
+// pages and claims; raw replies are datasets (27 MB at paper scale) and
+// the metrics text. replyHintBytes is the most a Content-Length header
+// reserves before the bytes it promises arrive — enough for a
+// paper-scale dataset in one allocation, far below maxDatasetBytes.
+const (
+	maxReplyBytes   = 16 << 20
+	maxDatasetBytes = 1 << 30
+	replyHintBytes  = 32 << 20
+)
+
+// ReplyTooLargeError is a reply the client refused to buffer: its
+// Content-Length, or the bytes that actually arrived, passed the bound
+// for that kind of request.
+type ReplyTooLargeError struct {
+	Limit int64
+}
+
+func (e *ReplyTooLargeError) Error() string {
+	return fmt.Sprintf("api: reply exceeds the %d-byte limit", e.Limit)
+}
+
+// readReply buffers a response body of at most limit bytes. A declared
+// Content-Length up to replyHintBytes sizes the buffer exactly (one
+// allocation, no doubling and no tail copy); past that the header is
+// only a hint — replyHintBytes are reserved and the rest grows as bytes
+// arrive, like an undeclared length — and one past limit is refused
+// before a byte is reserved.
+func readReply(resp *http.Response, limit int64) ([]byte, error) {
+	n := resp.ContentLength
+	if n > limit {
+		return nil, &ReplyTooLargeError{Limit: limit}
+	}
+	if n >= 0 && n <= replyHintBytes {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, buf)
+		return buf, err
+	}
+	buf := new(bytes.Buffer)
+	if n > 0 {
+		buf = bytes.NewBuffer(make([]byte, 0, replyHintBytes))
+	}
+	_, err := buf.ReadFrom(io.LimitReader(resp.Body, limit+1))
+	if err == nil && int64(buf.Len()) > limit {
+		return nil, &ReplyTooLargeError{Limit: limit}
+	}
+	return buf.Bytes(), err
+}
+
 // do issues one request: in (when non-nil) is marshaled as the JSON
 // body, a non-2xx response becomes an *APIError decoded from the
 // envelope, and out (when non-nil) receives the decoded 2xx body.
@@ -277,51 +330,41 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) (int,
 		}
 		body = bytes.NewReader(raw)
 	}
-	return c.send(ctx, method, path, body, "", out)
-}
-
-// doGzip is do with a gzip-compressed request body — the shard-result
-// upload path, where the payload is large repetitive JSON.
-func (c *Client) doGzip(ctx context.Context, method, path string, in, out any) (int, error) {
-	raw, err := json.Marshal(in)
+	req, cancel, err := c.newRequest(ctx, method, path, body)
 	if err != nil {
 		return 0, err
 	}
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(raw); err != nil {
-		return 0, err
-	}
-	if err := zw.Close(); err != nil {
-		return 0, err
-	}
-	return c.send(ctx, method, path, &buf, "gzip", out)
+	defer cancel()
+	return c.exchange(req, out)
 }
 
-// send issues one request with an optional per-request deadline and
-// optional Content-Encoding, decoding errors and output like do.
-func (c *Client) send(ctx context.Context, method, path string, body io.Reader, encoding string, out any) (int, error) {
+// newRequest builds a request under the client's per-request deadline,
+// if it has one; the caller defers cancel. A non-nil body is JSON.
+func (c *Client) newRequest(ctx context.Context, method, path string, body io.Reader) (*http.Request, context.CancelFunc, error) {
+	cancel := context.CancelFunc(func() {})
 	if c.timeout > 0 {
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
-		defer cancel()
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return 0, err
+		cancel()
+		return nil, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if encoding != "" {
-		req.Header.Set("Content-Encoding", encoding)
-	}
+	return req, cancel, nil
+}
+
+// exchange sends req and reads its bounded JSON reply, decoding errors
+// and output like do.
+func (c *Client) exchange(req *http.Request, out any) (int, error) {
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := readReply(resp, maxReplyBytes)
 	if err != nil {
 		return resp.StatusCode, err
 	}
@@ -330,7 +373,7 @@ func (c *Client) send(ctx context.Context, method, path string, body io.Reader, 
 	}
 	if out != nil {
 		if err := json.Unmarshal(raw, out); err != nil {
-			return resp.StatusCode, fmt.Errorf("api: decode %s %s: %w", method, path, err)
+			return resp.StatusCode, fmt.Errorf("api: decode %s %s: %w", req.Method, req.URL.Path, err)
 		}
 	}
 	return resp.StatusCode, nil
@@ -373,7 +416,7 @@ func (c *Client) raw(ctx context.Context, path string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readReply(resp, maxDatasetBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -552,20 +595,13 @@ func (c *Client) Heartbeat(ctx context.Context, jobID string, index int, worker,
 // body is gzip-compressed by default (trace wire payloads are large,
 // repetitive JSON); WithUploadCompression(false) sends it plain. The
 // upload is idempotent — the server's first-writer-wins dedup makes
-// re-sending after an ambiguous failure safe.
+// re-sending after an ambiguous failure safe; a caller that does
+// re-send should PrepareShardResult once and Send it per attempt.
 func (c *Client) PushShardResult(ctx context.Context, jobID string, index int, worker, lease string, res *campaign.ShardResultWire) (ResultAck, error) {
-	req := struct {
-		Worker string                    `json:"worker"`
-		Lease  string                    `json:"lease"`
-		Result *campaign.ShardResultWire `json:"result"`
-	}{Worker: worker, Lease: lease, Result: res}
-	path := fmt.Sprintf("/v1/jobs/%s/shards/%d/result", url.PathEscape(jobID), index)
-	var ack ResultAck
-	var err error
-	if c.plainUploads {
-		_, err = c.do(ctx, http.MethodPost, path, req, &ack)
-	} else {
-		_, err = c.doGzip(ctx, http.MethodPost, path, req, &ack)
+	up, err := c.PrepareShardResult(jobID, index, worker, lease, res)
+	if err != nil {
+		return ResultAck{}, err
 	}
-	return ack, err
+	defer up.Release()
+	return up.Send(ctx)
 }

@@ -1,0 +1,239 @@
+package apiclient
+
+import (
+	"bytes"
+	"compress/gzip"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/url"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/campaign"
+)
+
+// Shard-result uploads are the one large thing a worker sends: ≈ 2 MB
+// of JSON at paper scale, ≈ 100 KB once gzipped. Encoding one used to
+// cost a json.Marshal copy of the payload, a fresh gzip.Writer (≈ 1 MB
+// of deflate state) and a buffer grown by doubling — per attempt. Here
+// the payload is encoded once, straight into a gzip stream, into state
+// the client keeps between uploads, and every attempt resends the same
+// bytes.
+//
+// Ownership: an uploadEncoder belongs to exactly one ShardUpload from
+// PrepareShardResult until Release, and to the client's free list in
+// between. Release hands it back only when no request body built over
+// its buffer can still be read by the transport (see sentBody);
+// otherwise it is left to the garbage collector.
+
+const (
+	// maxFreeEncoders bounds the free list. A worker uploads one shard
+	// at a time; the slack is for callers that share a client.
+	maxFreeEncoders = 4
+	// maxRetainedUploadBytes is the largest body buffer a freed encoder
+	// keeps. A paper-scale upload gzips to ≈ 100 KB (≈ 2 MB sent
+	// plain); one oversized upload must not pin its buffer for the life
+	// of the client.
+	maxRetainedUploadBytes = 8 << 20
+)
+
+// uploadEncoder is one upload's encoding state, reused via Reset.
+type uploadEncoder struct {
+	buf bytes.Buffer // the request body
+	zw  *gzip.Writer // writes into buf; nil until the first gzip upload
+}
+
+// encoderList is a bounded free list. A mutex and a slice rather than a
+// sync.Pool: the pool is emptied by every GC cycle, which would make
+// what an upload allocates depend on when the collector last ran. The
+// coordinator's ingestPool (internal/server/ingest.go) is its twin, a
+// deliberate second copy; DESIGN.md §13.2 tabulates both.
+type encoderList struct {
+	mu   sync.Mutex
+	free []*uploadEncoder
+}
+
+func (l *encoderList) get() *uploadEncoder {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		e := l.free[n-1]
+		l.free = l.free[:n-1]
+		return e
+	}
+	return &uploadEncoder{}
+}
+
+func (l *encoderList) put(e *uploadEncoder) {
+	if e.buf.Cap() > maxRetainedUploadBytes {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < maxFreeEncoders {
+		l.free = append(l.free, e)
+	}
+}
+
+// chompWriter drops the newline json.Encoder ends a value with:
+// json.Marshal writes none, and the body must stay byte-identical to
+// gzip(json.Marshal(req)) — coordinators journal upload bodies verbatim
+// and the benchmark counts their bytes. Compact JSON holds no raw
+// newline (strings escape theirs), so the only one Encode can write is
+// that terminator, at the end of its one Write;
+// TestUploadBodyMatchesMarshal holds the result to json.Marshal.
+type chompWriter struct{ w io.Writer }
+
+func (c chompWriter) Write(p []byte) (int, error) {
+	n := len(p)
+	if n > 0 && p[n-1] == '\n' {
+		if _, err := c.w.Write(p[:n-1]); err != nil {
+			return 0, err
+		}
+		return n, nil
+	}
+	return c.w.Write(p)
+}
+
+// encode builds the request body for v in e.buf: v's JSON, gzipped at
+// the default level when compress is set. The JSON goes from the
+// encoder's own scratch straight into the stream: json.Marshal's final
+// copy of the payload out of that scratch is what is saved.
+func (e *uploadEncoder) encode(v any, compress bool) error {
+	e.buf.Reset()
+	if !compress {
+		return json.NewEncoder(chompWriter{&e.buf}).Encode(v)
+	}
+	if e.zw == nil {
+		e.zw = gzip.NewWriter(&e.buf)
+	} else {
+		e.zw.Reset(&e.buf)
+	}
+	if err := json.NewEncoder(chompWriter{e.zw}).Encode(v); err != nil {
+		return err
+	}
+	return e.zw.Close()
+}
+
+// ShardUpload is one shard result encoded for the wire: prepared once,
+// sent as many times as delivery takes — every attempt carries the same
+// bytes — and released when the caller is done with it. It is not safe
+// for concurrent use.
+type ShardUpload struct {
+	c        *Client
+	path     string
+	encoding string // Content-Encoding; empty for a plain upload
+	enc      *uploadEncoder
+	// unread counts request bodies over enc.buf that were handed out and
+	// have been neither drained nor closed yet.
+	unread atomic.Int32
+}
+
+// PrepareShardResult encodes one executed shard's upload under its
+// lease. The caller must Release the result.
+func (c *Client) PrepareShardResult(jobID string, index int, worker, lease string, res *campaign.ShardResultWire) (*ShardUpload, error) {
+	req := struct {
+		Worker string                    `json:"worker"`
+		Lease  string                    `json:"lease"`
+		Result *campaign.ShardResultWire `json:"result"`
+	}{Worker: worker, Lease: lease, Result: res}
+	u := &ShardUpload{
+		c:    c,
+		path: fmt.Sprintf("/v1/jobs/%s/shards/%d/result", url.PathEscape(jobID), index),
+		enc:  c.encoders.get(),
+	}
+	if !c.plainUploads {
+		u.encoding = "gzip"
+	}
+	if err := u.enc.encode(req, !c.plainUploads); err != nil {
+		// The half-written encoder is not worth keeping: it goes with u.
+		return nil, fmt.Errorf("api: encode shard result: %w", err)
+	}
+	return u, nil
+}
+
+// Send posts the prepared body and returns the coordinator's ack.
+func (u *ShardUpload) Send(ctx context.Context) (ResultAck, error) {
+	req, cancel, err := u.c.newRequest(ctx, http.MethodPost, u.path, nil)
+	if err != nil {
+		return ResultAck{}, err
+	}
+	defer cancel()
+	body := u.enc.buf.Bytes()
+	req.Body = u.newBody(body)
+	req.ContentLength = int64(len(body))
+	// The transport rewinds through GetBody when it retries on a
+	// connection the server had already closed.
+	req.GetBody = func() (io.ReadCloser, error) { return u.newBody(body), nil }
+	req.Header.Set("Content-Type", "application/json")
+	if u.encoding != "" {
+		req.Header.Set("Content-Encoding", u.encoding)
+	}
+	var ack ResultAck
+	_, err = u.c.exchange(req, &ack)
+	return ack, err
+}
+
+// Release ends the upload's use of its encoder. The encoder returns to
+// the client's free list unless a request body over its buffer is still
+// unread — net/http may close a body from its own goroutine after the
+// exchange has returned (an early error reply, a timed-out attempt) —
+// in which case the buffer must not be overwritten and is dropped.
+func (u *ShardUpload) Release() {
+	e := u.enc
+	u.enc = nil
+	if e != nil && u.unread.Load() == 0 {
+		u.c.encoders.put(e)
+	}
+}
+
+// sentBody is one request body over an upload's buffer. It counts
+// itself out of ShardUpload.unread at the first of end-of-data or
+// Close, and reads nothing afterwards: net/http may Close a body from
+// one goroutine while another is still inside Read, so the two are
+// serialized and a Read that loses the race touches no bytes.
+type sentBody struct {
+	u *ShardUpload
+
+	mu   sync.Mutex
+	r    bytes.Reader
+	done bool
+}
+
+func (u *ShardUpload) newBody(data []byte) *sentBody {
+	u.unread.Add(1)
+	b := &sentBody{u: u}
+	b.r.Reset(data)
+	return b
+}
+
+// finish marks the body unreadable; callers hold b.mu.
+func (b *sentBody) finish() {
+	if !b.done {
+		b.done = true
+		b.u.unread.Add(-1)
+	}
+}
+
+func (b *sentBody) Read(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.done {
+		return 0, io.EOF
+	}
+	n, err := b.r.Read(p)
+	if err == io.EOF {
+		b.finish()
+	}
+	return n, err
+}
+
+func (b *sentBody) Close() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.finish()
+	return nil
+}

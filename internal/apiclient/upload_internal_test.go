@@ -1,0 +1,90 @@
+package apiclient
+
+import (
+	"bytes"
+	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"repro/internal/campaign"
+)
+
+// TestChompWriterDropsTheTerminator: a write's final newline is
+// withheld, everything else passes.
+func TestChompWriterDropsTheTerminator(t *testing.T) {
+	for in, want := range map[string]string{"{}\n": "{}", "{}": "{}", "\n": "", "": ""} {
+		var out bytes.Buffer
+		if n, err := (chompWriter{&out}).Write([]byte(in)); err != nil || n != len(in) {
+			t.Fatalf("Write(%q) = %d, %v", in, n, err)
+		}
+		if out.String() != want {
+			t.Errorf("Write(%q) came out as %q, want %q", in, out.String(), want)
+		}
+	}
+}
+
+// TestEncoderRecycling pins the free list's rules: an encoder comes back
+// after a completed exchange and is the one the next upload uses; it
+// does not come back while a request body over its buffer is unread;
+// clients derived with With* share one list.
+func TestEncoderRecycling(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		io.WriteString(w, `{"status":"accepted"}`)
+	}))
+	defer ts.Close()
+	client := New(ts.URL)
+	wire := &campaign.ShardResultWire{Version: campaign.ShardWireVersion}
+	ctx := context.Background()
+
+	up, err := client.PrepareShardResult("j", 0, "w", "l", wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := up.enc
+	if _, err := up.Send(ctx); err != nil {
+		t.Fatal(err)
+	}
+	up.Release()
+	up.Release() // idempotent
+	if n := len(client.encoders.free); n != 1 {
+		t.Fatalf("free list holds %d encoders after one completed upload, want 1", n)
+	}
+
+	up, err = client.WithUploadCompression(false).PrepareShardResult("j", 1, "w", "l", wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up.enc != first {
+		t.Error("the second upload did not reuse the first one's encoder")
+	}
+	// A body the transport still holds: neither drained nor closed.
+	body := up.newBody(up.enc.buf.Bytes())
+	up.Release()
+	if n := len(client.encoders.free); n != 0 {
+		t.Fatalf("an encoder with an unread request body went back on the free list (%d free)", n)
+	}
+	// Closing it later must not resurrect anything, and reads nothing.
+	body.Close()
+	if n, err := body.Read(make([]byte, 8)); n != 0 || err != io.EOF {
+		t.Errorf("Read after Close = %d, %v; want 0, EOF", n, err)
+	}
+
+	// Over the retention cap: dropped.
+	big := &uploadEncoder{}
+	big.buf.Grow(maxRetainedUploadBytes + 1)
+	client.encoders.put(big)
+	for i := 0; i < maxFreeEncoders+2; i++ {
+		client.encoders.put(&uploadEncoder{})
+	}
+	if n := len(client.encoders.free); n != maxFreeEncoders {
+		t.Fatalf("free list holds %d encoders, want it bounded at %d", n, maxFreeEncoders)
+	}
+	for _, e := range client.encoders.free {
+		if e == big {
+			t.Error("an encoder above the retention cap was kept")
+		}
+	}
+}

@@ -153,16 +153,27 @@ func Merge(parts ...*Dataset) *Dataset {
 	return merged
 }
 
-// Write streams the dataset as JSON lines, one trace per line.
+// writeChunk is how many encoded bytes Write gathers before handing
+// them to the writer: small-world traces are a few KB each and would
+// otherwise cost a write call apiece.
+const writeChunk = 64 << 10
+
+// Write streams the dataset as JSON lines, one trace per line, through
+// one reused buffer: it holds a chunk of lines at a time, never the
+// dataset, and w sees whole lines only.
 func Write(w io.Writer, d *Dataset) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	buf := make([]byte, 0, writeChunk)
 	for i := range d.Traces {
-		if err := enc.Encode(&d.Traces[i]); err != nil {
-			return fmt.Errorf("dataset: encode trace %d: %w", i, err)
+		buf = appendTrace(buf, &d.Traces[i])
+		if len(buf) < writeChunk && i < len(d.Traces)-1 {
+			continue
 		}
+		if _, err := w.Write(buf); err != nil {
+			return fmt.Errorf("dataset: write trace %d: %w", i, err)
+		}
+		buf = buf[:0]
 	}
-	return bw.Flush()
+	return nil
 }
 
 // Read parses a JSON-lines dataset.

@@ -1,9 +1,8 @@
 package server
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -527,11 +526,7 @@ func (m *jobMgr) failJob(j *job, err error, pool bool) {
 // the content-addressed store — the single path shared by in-process
 // runs and distributed merges, so both produce identical RunMeta and
 // identical dataset bytes. Returns the dataset size.
-func (m *jobMgr) fileRun(j *job, res *campaign.Result, wall time.Duration) (int, error) {
-	var buf bytes.Buffer
-	if err := dataset.Write(&buf, res.Dataset); err != nil {
-		return 0, err
-	}
+func (m *jobMgr) fileRun(j *job, res *campaign.Result, wall time.Duration) (int64, error) {
 	specBytes, err := j.spec.Canonical()
 	if err != nil {
 		return 0, err
@@ -539,8 +534,6 @@ func (m *jobMgr) fileRun(j *job, res *campaign.Result, wall time.Duration) (int,
 	meta := RunMeta{
 		Key:                j.key,
 		Spec:               j.spec,
-		DatasetSHA256:      fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())),
-		DatasetBytes:       int64(buf.Len()),
 		Traces:             len(res.Dataset.Traces),
 		Servers:            len(res.Servers),
 		Shards:             len(res.Shards),
@@ -554,11 +547,16 @@ func (m *jobMgr) fileRun(j *job, res *campaign.Result, wall time.Duration) (int,
 		rep := analysis.ComputeCEMarkReport(res.Congestion)
 		meta.Congestion = &rep
 	}
-	if err := m.store.Put(j.key, specBytes, meta, buf.Bytes()); err != nil {
+	// The dataset streams a chunk of trace lines at a time into the
+	// store's temp file; Put hashes and sizes it on the way through.
+	n, err := m.store.Put(j.key, specBytes, meta, func(w io.Writer) error {
+		return dataset.Write(w, res.Dataset)
+	})
+	if err != nil {
 		return 0, err
 	}
-	m.met.storeBytesWritten.Add(uint64(buf.Len()))
-	return buf.Len(), nil
+	m.met.storeBytesWritten.Add(uint64(n))
+	return n, nil
 }
 
 // runJob executes one queued campaign on a worker goroutine.

@@ -12,3 +12,7 @@ func SetMaxResultBytes(n int64) (restore func()) {
 	maxResultBytes = n
 	return func() { maxResultBytes = old }
 }
+
+// IngestSlots is the request-buffer free list's size: the concurrent
+// upload test runs more uploaders than this.
+const IngestSlots = ingestSlots

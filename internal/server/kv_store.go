@@ -1,7 +1,10 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -131,46 +134,67 @@ func (st *Store) Keys() []string {
 // are written to a temp directory which is renamed into place. If the
 // key is already present (a concurrent writer won), the new copy is
 // discarded — content addressing guarantees the bytes are equivalent.
-func (st *Store) Put(key string, spec []byte, meta RunMeta, dataset []byte) error {
+//
+// The dataset is whatever writeDataset writes: it streams to the temp
+// file and through a SHA-256 at once, so the store never holds a
+// dataset in memory, and Put — the only party that sees the bytes that
+// actually land — fills meta.DatasetSHA256 and meta.DatasetBytes from
+// them. It returns the dataset's size.
+func (st *Store) Put(key string, spec []byte, meta RunMeta, writeDataset func(io.Writer) error) (int64, error) {
 	if len(key) < 3 {
-		return fmt.Errorf("server: store: malformed key %q", key)
-	}
-	metaBytes, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		return fmt.Errorf("server: store: marshal meta: %w", err)
+		return 0, fmt.Errorf("server: store: malformed key %q", key)
 	}
 	fan := filepath.Join(st.dir, key[:2])
 	if err := os.MkdirAll(fan, 0o755); err != nil {
-		return fmt.Errorf("server: store: %w", err)
+		return 0, fmt.Errorf("server: store: %w", err)
 	}
 	tmp, err := os.MkdirTemp(fan, ".put-*")
 	if err != nil {
-		return fmt.Errorf("server: store: %w", err)
+		return 0, fmt.Errorf("server: store: %w", err)
 	}
 	defer os.RemoveAll(tmp) // no-op after a successful rename
-	for _, f := range []struct {
+
+	f, err := os.Create(filepath.Join(tmp, datasetFile))
+	if err != nil {
+		return 0, fmt.Errorf("server: store: %w", err)
+	}
+	sum := sha256.New()
+	err = writeDataset(io.MultiWriter(sum, f))
+	info, statErr := f.Stat()
+	if closeErr := f.Close(); err == nil {
+		err = errors.Join(statErr, closeErr)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("server: store: write dataset: %w", err)
+	}
+	meta.DatasetSHA256 = hex.EncodeToString(sum.Sum(nil))
+	meta.DatasetBytes = info.Size()
+	metaBytes, err := json.MarshalIndent(meta, "", "  ")
+	if err != nil {
+		return 0, fmt.Errorf("server: store: marshal meta: %w", err)
+	}
+	for _, a := range []struct {
 		name string
 		data []byte
 	}{
 		{specFile, spec},
 		{metaFile, metaBytes},
-		{datasetFile, dataset},
 	} {
-		if err := os.WriteFile(filepath.Join(tmp, f.name), f.data, 0o644); err != nil {
-			return fmt.Errorf("server: store: %w", err)
+		if err := os.WriteFile(filepath.Join(tmp, a.name), a.data, 0o644); err != nil {
+			return 0, fmt.Errorf("server: store: %w", err)
 		}
 	}
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.keys[key] {
-		return nil // lost the race; identical content is already filed
+		return meta.DatasetBytes, nil // lost the race; identical content is already filed
 	}
 	if err := os.Rename(tmp, st.path(key)); err != nil {
-		return fmt.Errorf("server: store: %w", err)
+		return 0, fmt.Errorf("server: store: %w", err)
 	}
 	st.keys[key] = true
-	return nil
+	return meta.DatasetBytes, nil
 }
 
 // Meta loads a cached run's metadata.

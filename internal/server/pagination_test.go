@@ -7,6 +7,7 @@ package server_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -128,7 +129,11 @@ func TestRunsPagination(t *testing.T) {
 	keys := []string{"cc44", "aa11", "bb33", "bb22"}
 	for _, k := range keys {
 		meta := server.RunMeta{Key: k, CompletedAt: time.Now().UTC()}
-		if err := srv.Store().Put(k, []byte(`{}`), meta, []byte("{}\n")); err != nil {
+		_, err := srv.Store().Put(k, []byte(`{}`), meta, func(w io.Writer) error {
+			_, err := io.WriteString(w, "{}\n")
+			return err
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -205,6 +205,7 @@ func submittedPlan(raw []byte) (campaign.Spec, []campaign.ShardInfo, error) {
 // duplicates (the crash-between-journal-and-ack retry) replay
 // first-wins, exactly like the live accept path.
 func (m *jobMgr) replayLocked(j *job, recs []walRecord) error {
+	var scratch ingestBuf // one inflate buffer for all of the job's result records
 	for _, rec := range recs {
 		switch rec.Type {
 		case walLease:
@@ -264,7 +265,7 @@ func (m *jobMgr) replayLocked(j *job, recs []walRecord) error {
 			// decoder and payload checks: bytes that would not be accepted
 			// over HTTP are not accepted off disk either.
 			var req leaseRequest
-			if err := decodeJSON(rec.Body, rec.Enc, maxResultBytes, &req); err != nil {
+			if err := scratch.decodeJSON(rec.Body, rec.Enc, maxResultBytes, &req); err != nil {
 				return fmt.Errorf("journal replay: result record for shard %d: %w", rec.Idx, err)
 			}
 			if req.Result == nil {

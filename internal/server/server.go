@@ -43,8 +43,6 @@
 package server
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -120,6 +118,8 @@ type Server struct {
 	// lock is the open <data dir>/LOCK file holding this coordinator's
 	// exclusive claim on the directory; closing it releases the claim.
 	lock *os.File
+	// ingest recycles request-body read/inflate buffers (ingest.go).
+	ingest ingestPool
 }
 
 // lockDataDir takes the exclusive advisory lock a coordinator holds on
@@ -301,53 +301,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v) // the status line is already out; nothing to recover
-}
-
-// readBody reads a bounded request body exactly as it arrived — still
-// compressed, if the client compressed it.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		return nil, faultf(http.StatusBadRequest, codeBadRequest, "read body: %v", err)
-	}
-	return raw, nil
-}
-
-// decodeJSON unmarshals a JSON body into v, classifying failures as
-// bad_request faults. An encGzip body is inflated first (net/http does
-// not decompress request bodies); the byte budget applies to the
-// inflated stream, so a compression bomb is a 400, not an allocation.
-// Journal replay decodes stored upload bodies through here too.
-func decodeJSON(raw []byte, enc string, limit int64, v any) error {
-	body := raw
-	if enc == encGzip {
-		gz, err := gzip.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			return faultf(http.StatusBadRequest, codeBadRequest, "gzip body: %v", err)
-		}
-		defer gz.Close()
-		if body, err = io.ReadAll(io.LimitReader(gz, limit+1)); err != nil {
-			return faultf(http.StatusBadRequest, codeBadRequest, "read body: %v", err)
-		}
-		if int64(len(body)) > limit {
-			return faultf(http.StatusBadRequest, codeBadRequest,
-				"decompressed body exceeds the %d-byte limit", limit)
-		}
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return faultf(http.StatusBadRequest, codeBadRequest, "parse body: %v", err)
-	}
-	return nil
-}
-
-// decodeBody reads and unmarshals a bounded JSON request body into v,
-// transparently inflating a Content-Encoding: gzip one.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
-	raw, err := readBody(w, r, limit)
-	if err != nil {
-		return err
-	}
-	return decodeJSON(raw, bodyEncoding(r), limit, v)
 }
 
 // bodyEncoding names the request body's encoding: encGzip or
@@ -638,7 +591,7 @@ func shardIndex(r *http.Request) (int, error) {
 
 func (s *Server) handleShardClaim(w http.ResponseWriter, r *http.Request) {
 	var req ClaimRequest
-	if err := decodeBody(w, r, 1<<20, &req); err != nil {
+	if err := s.decodeBody(w, r, 1<<20, &req); err != nil {
 		writeFault(w, err)
 		return
 	}
@@ -665,7 +618,7 @@ func (s *Server) handleShardHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req leaseRequest
-	if err := decodeBody(w, r, 1<<20, &req); err != nil {
+	if err := s.decodeBody(w, r, 1<<20, &req); err != nil {
 		writeFault(w, err)
 		return
 	}
@@ -696,14 +649,19 @@ func (s *Server) handleShardResult(w http.ResponseWriter, r *http.Request) {
 		s.metrics.uploadsIdentity.Inc()
 	}
 	// The body is read once and kept as received: it is decoded here for
-	// validation and the merge, and journaled verbatim on accept.
-	raw, err := readBody(w, r, maxResultBytes)
+	// validation and the merge, and journaled verbatim on accept. Its
+	// buffers go back only when ShardResult has returned — the journal
+	// append in there is the last reader of raw, and req.Result aliases
+	// neither buffer.
+	buf := s.ingest.get()
+	defer s.ingest.put(buf)
+	raw, err := buf.readBody(w, r, maxResultBytes)
 	if err != nil {
 		writeFault(w, err)
 		return
 	}
 	var req leaseRequest
-	if err := decodeJSON(raw, enc, maxResultBytes, &req); err != nil {
+	if err := buf.decodeJSON(raw, enc, maxResultBytes, &req); err != nil {
 		writeFault(w, err)
 		return
 	}

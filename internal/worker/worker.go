@@ -377,11 +377,17 @@ func executeAndUpload(ctx context.Context, cfg Config, logger *slog.Logger, clai
 
 	// The upload retries through transient failures: it is idempotent
 	// under the coordinator's first-writer-wins dedup, so the ambiguous
-	// applied-but-unacked case resolves to a harmless "duplicate".
+	// applied-but-unacked case resolves to a harmless "duplicate". The
+	// body is encoded once; every attempt resends the same bytes.
+	up, err := cfg.Client.PrepareShardResult(claim.Job, sh.Index, cfg.ID, sh.Lease, wire)
+	if err != nil {
+		return fmt.Errorf("worker: shard (%d,%d) of %s: %w", sh.Shard, sh.Slice, claim.Job, err)
+	}
+	defer up.Release()
 	var ack apiclient.ResultAck
 	err = retry(ctx, cfg, logger, stats, "upload", func() error {
 		var uerr error
-		ack, uerr = cfg.Client.PushShardResult(ctx, claim.Job, sh.Index, cfg.ID, sh.Lease, wire)
+		ack, uerr = up.Send(ctx)
 		return uerr
 	})
 	if err != nil {

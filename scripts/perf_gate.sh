@@ -26,6 +26,19 @@
 #     small congested campaign reads ~75k allocs (world instantiation
 #     and each host's first exchange), and this gate keeps
 #     closure-per-probe and garbage-per-exchange regressions out;
+#   * shard-result path allocations above their ceilings —
+#     BenchmarkPushShardResult (one upload in steady state, client and
+#     coordinator both; ~35 KB/op) above 54000 B/op,
+#     BenchmarkDecodeShardResult (the coordinator's inflate + parse
+#     through a recycled buffer; ~16.5 KB/op, all of it the decoded
+#     wire) above 25000 B/op, and BenchmarkDatasetWrite (13 × 2500
+#     observations through the hand-written encoder; ~9 allocs/op, its
+#     one growing buffer) above 32 allocs/op. A per-upload
+#     gzip.NewWriter is ~900 KB, an io.ReadAll of a body or an
+#     inflate-by-doubling hundreds of KB, reflective encoding/json two
+#     allocations per observation: each fails here, not in the ledger.
+#     The three ceilings are constants below, not knobs: a PR that
+#     changes the path edits them in the same diff;
 #   * >PERF_GATE_MAX_TELEMETRY_PCT (default 2) instrumentation
 #     overhead, from BenchmarkCampaignTelemetry's `overhead-%` metric:
 #     the benchmark runs plain/instrumented campaign pairs back to back
@@ -47,10 +60,15 @@ COUNT="${PERF_GATE_COUNT:-5}"
 MAX_PCT="${PERF_GATE_MAX_REGRESSION_PCT:-10}"
 MAX_CAMPAIGN_ALLOCS="${PERF_GATE_MAX_CAMPAIGN_ALLOCS:-90000}"
 MAX_TELEMETRY_PCT="${PERF_GATE_MAX_TELEMETRY_PCT:-2}"
+# Shard-result path ceilings (~1.5x what the path measures): fixed.
+MAX_PUSH_BYTES=54000
+MAX_DECODE_BYTES=25000
+MAX_DATASET_WRITE_ALLOCS=32
 # Campaign runs few iterations (each is a whole campaign); the packet
 # and scheduler hot-path benches run many so pool warmup amortises to a
 # true 0 allocs/op steady state.
 CAMPAIGN_FILTER='BenchmarkCampaignWorkers/workers=4$|BenchmarkShardBuild$|BenchmarkCampaignTelemetry$'
+RESULT_PATH_FILTER='BenchmarkPushShardResult$|BenchmarkDecodeShardResult$|BenchmarkDatasetWrite$'
 HOTPATH_FILTER='BenchmarkCEMarkThroughput|BenchmarkBuildUDPBuf$|BenchmarkChecksum1500$|BenchmarkRouterForward$|BenchmarkSimSchedule|BenchmarkSimScheduleSparse|BenchmarkTelemetryHotPath$|BenchmarkHandshakeAndExchange$|BenchmarkGetExchange$'
 
 root="$(git rev-parse --show-toplevel)"
@@ -70,6 +88,10 @@ run_bench() (
     go test -run='^$' -bench="$HOTPATH_FILTER" \
         -benchmem -benchtime=20000x -count="$COUNT" ./internal/aqm/ ./internal/packet/ ./internal/netsim/ ./internal/telemetry/ \
         ./internal/tcpsim/ ./internal/httpmin/
+    # The shard-result path: steady-state uploads and a paper-sized
+    # dataset encode; 200 iterations amortise the free lists' first fill.
+    go test -run='^$' -bench="$RESULT_PATH_FILTER" \
+        -benchmem -benchtime=200x -count="$COUNT" ./internal/server/ ./internal/dataset/
 )
 
 echo "perf-gate: benchmarking working tree (count=$COUNT)..."
@@ -114,6 +136,27 @@ if [ -n "$bad_campaign_allocs" ]; then
     echo "$bad_campaign_allocs"
     fail=1
 fi
+
+# Gate 2b: the shard-result path's per-operation allocation. The
+# ceilings sit ~1.5x above what recycled encoders, sized reads and the
+# hand-written dataset encoder measure (the comment at the top has the
+# numbers), far below what any one reintroduced copy costs.
+bad_result_path="$(awk -v push="$MAX_PUSH_BYTES" -v decode="$MAX_DECODE_BYTES" -v write="$MAX_DATASET_WRITE_ALLOCS" '
+    function check(unit, max) {
+        for (i = 2; i < NF; i++) if ($(i+1) == unit && $i+0 > max) print $1, $i, unit, ">", max
+    }
+    /^BenchmarkPushShardResult/   { check("B/op", push) }
+    /^BenchmarkDecodeShardResult/ { check("B/op", decode) }
+    /^BenchmarkDatasetWrite/      { check("allocs/op", write) }
+' "$work/head.txt" | sort -u)"
+if [ -n "$bad_result_path" ]; then
+    echo "perf-gate: FAIL — shard-result path allocations exceed their ceilings:"
+    echo "$bad_result_path"
+    fail=1
+fi
+for b in BenchmarkPushShardResult BenchmarkDecodeShardResult BenchmarkDatasetWrite; do
+    grep -q "^$b" "$work/head.txt" || { echo "perf-gate: FAIL — $b did not run"; fail=1; }
+done
 
 # Gate 3: instrumentation overhead. BenchmarkCampaignTelemetry reports
 # the paired plain-vs-instrumented difference itself (order-alternated
