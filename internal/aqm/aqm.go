@@ -233,6 +233,12 @@ type Queue interface {
 	// happened to share the simulator — the invariant that lets traces
 	// be regrouped into shards without changing a byte of output.
 	ResetTransient()
+	// Reset returns the queue to its just-constructed state: control
+	// state as ResetTransient leaves it, lifetime Stats zeroed, and any
+	// packet still queued freed. Only the backing array's capacity
+	// survives. A world that is reused for another shard resets its
+	// queues this way (topology.World.Reset, DESIGN.md §9.4).
+	Reset()
 }
 
 // New constructs a discipline by name: "droptail", "red", "codel". An
@@ -287,6 +293,23 @@ func newFifo(capacity int) fifo {
 		capacity = 1
 	}
 	return fifo{maxPkts: capacity}
+}
+
+// reset empties the buffer and zeroes the lifetime Stats, keeping the
+// backing array. Queued foreground packets are freed; a drained queue
+// has none.
+func (f *fifo) reset() {
+	for i := f.head; i < len(f.pkts); i++ {
+		if p := f.pkts[i].pkt; p != nil {
+			p.Free()
+		}
+	}
+	clear(f.pkts)
+	f.pkts = f.pkts[:0]
+	f.head = 0
+	f.bytes = 0
+	f.stats = Stats{}
+	f.egress = Packet{}
 }
 
 func (f *fifo) Cap() int     { return f.maxPkts }

@@ -376,3 +376,53 @@ func TestResetTransient(t *testing.T) {
 		}
 	})
 }
+
+// TestReset: unlike ResetTransient, the full reset also empties the
+// queue — releasing the wire buffers of packets still in it — and
+// zeroes the lifetime stats, for every discipline: a queue that is
+// Reset behaves, and accounts, like a new one.
+func TestReset(t *testing.T) {
+	for _, name := range []string{"droptail", "red", "codel"} {
+		t.Run(name, func(t *testing.T) {
+			q, err := New(name, 16, rand.New(rand.NewSource(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			queued, err := packet.BuildUDPBuf(packet.AddrFrom4(10, 0, 0, 1), packet.AddrFrom4(10, 0, 0, 2),
+				40000, 123, 64, ecn.ECT0, 1, []byte("payload"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			queued.Retain() // one reference is ours
+			q.Enqueue(0, NewPacket(queued))
+			q.EnqueuePhantoms(0, 512, 30) // overflows: tail drops, and RED's EWMA builds
+			if p, ok := q.Dequeue(time.Millisecond); !ok || p.Phantom() {
+				t.Fatal("head should be the real packet")
+			} else {
+				q.Enqueue(time.Millisecond, p) // back in, behind the phantoms
+			}
+			if q.Len() == 0 || q.Stats() == (Stats{}) {
+				t.Fatal("nothing to reset")
+			}
+
+			q.Reset()
+			if q.Len() != 0 || q.Bytes() != 0 || q.Stats() != (Stats{}) {
+				t.Errorf("after Reset: len %d, bytes %d, stats %+v", q.Len(), q.Bytes(), q.Stats())
+			}
+			if _, ok := q.Dequeue(2 * time.Millisecond); ok {
+				t.Error("a reset queue still serves packets")
+			}
+			// The queue's reference is gone, so ours is the last: a second
+			// Release must be the over-release the refcount traps.
+			queued.Release()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("Reset did not release the queued packet's buffer")
+					}
+				}()
+				queued.Release()
+			}()
+		})
+	}
+}

@@ -49,6 +49,12 @@ func (q *CoDel) ResetTransient() {
 	q.dropping = false
 }
 
+// Reset implements Queue.
+func (q *CoDel) Reset() {
+	q.ResetTransient()
+	q.reset()
+}
+
 // Enqueue implements Queue: CoDel admits everything short of a full
 // buffer; its intelligence runs at dequeue.
 func (q *CoDel) Enqueue(now time.Duration, p *Packet) bool {

@@ -21,6 +21,9 @@ func (q *DropTail) Name() string { return "droptail" }
 // ResetTransient implements Queue: DropTail is memoryless.
 func (q *DropTail) ResetTransient() {}
 
+// Reset implements Queue.
+func (q *DropTail) Reset() { q.reset() }
+
 // Enqueue implements Queue.
 func (q *DropTail) Enqueue(now time.Duration, p *Packet) bool {
 	q.observeArrival()

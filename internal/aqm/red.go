@@ -79,6 +79,12 @@ func (q *RED) ResetTransient() {
 	q.idleSince = 0
 }
 
+// Reset implements Queue.
+func (q *RED) Reset() {
+	q.ResetTransient()
+	q.reset()
+}
+
 // Enqueue implements Queue: the accept/mark/drop decision point.
 func (q *RED) Enqueue(now time.Duration, p *Packet) bool {
 	full, action := q.arrive(now)

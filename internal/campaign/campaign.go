@@ -11,8 +11,10 @@
 // properties make any slicing equivalent to the sequential run:
 //
 //   - One frozen world. The topology is compiled once
-//     (topology.Compile) from the campaign seed and instantiated into
-//     every shard simulation: identical ground truth by construction
+//     (topology.Compile) from the campaign seed; each pool goroutine
+//     instantiates it once and resets that world to its
+//     just-instantiated state between shards (Executor,
+//     topology.World.Reset): identical ground truth by construction
 //     (Figure 3's "same set of servers from every location" depends on
 //     this), with the read-only skeleton — routes, geo, ASN, DNS
 //     membership — shared rather than rebuilt per shard.
@@ -114,10 +116,12 @@ type Config struct {
 	XTraffic  netsim.XTrafficMode
 
 	// ShardHook, when non-nil, runs in the worker goroutine after a
-	// shard's world is built and reseeded but before its campaign starts
-	// — e.g. to attach a packet capture tap. With SlicesPerVantage > 1
-	// it runs once per (vantage, slice) shard. It must not share mutable
-	// state across shards without its own synchronisation.
+	// shard's world is ready (instantiated or reset) and reseeded but
+	// before its campaign starts — e.g. to attach a packet capture tap,
+	// which lasts for that shard: the reset before the worker's next
+	// shard removes it. With SlicesPerVantage > 1 it runs once per
+	// (vantage, slice) shard. It must not share mutable state across
+	// shards without its own synchronisation.
 	ShardHook func(shard int, vantage string, w *topology.World)
 	// ShardStart and ShardDone, when non-nil, bracket each shard's
 	// execution for progress reporting: ShardStart fires in the worker
@@ -192,9 +196,10 @@ type Result struct {
 	// PathObs holds the traceroute campaign's hop observations, in the
 	// same canonical vantage order.
 	PathObs []traceroute.PathObservation
-	// World is the first shard's world — every shard instantiates the
-	// same frozen blueprint — for Geo/ASN lookups and follow-on
-	// experiments.
+	// World is the world that ran the first shard — every shard runs on
+	// the same frozen blueprint — for Geo/ASN lookups and follow-on
+	// experiments. It is drained, not reset: its executor may have run
+	// later shards on it too.
 	World *topology.World
 	// Servers is the union of probed targets in first-seen shard order.
 	Servers []packet.Addr
@@ -463,22 +468,28 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// One world per pool goroutine, reset between shards: the
+			// campaign instantiates min(workers, shards) worlds, not one
+			// per shard.
+			ex := NewExecutor(cfg, bp)
 			for i := range jobs {
 				sh := shards[i]
 				if cfg.ShardStart != nil {
 					cfg.ShardStart(sh.shard, sh.slice, sh.vantage)
 				}
 				cfg.Metrics.shardStarted()
-				results[i], errs[i] = runShard(cfg, bp, sh)
+				results[i], errs[i] = ex.runShard(sh)
 				if errs[i] != nil {
 					cfg.Metrics.shardFailed()
 					continue
 				}
+				// Flush before the executor's next shard resets the
+				// world: shardFinished reads its queue totals.
 				cfg.Metrics.shardFinished(results[i].stats, results[i].world, cfg.Scheduler.Name())
 				if i > 0 {
-					// Only the first shard's world becomes Result.World;
-					// holding the rest until the merge kept every world,
-					// simulator slab and connection free list live.
+					// Only the world that ran the first shard becomes
+					// Result.World; a result must not pin any other past
+					// the pool's exit.
 					results[i].world = nil
 				}
 				if cfg.ShardDone != nil {
@@ -501,21 +512,86 @@ func Run(cfg Config) (*Result, error) {
 	return merge(results), nil
 }
 
-// runShard executes one shard in a private simulation: instantiate the
-// frozen world, then run the shard's trace block — every trace in its
-// own reseeded, transient-reset, epoch-pinned context — and, on the
-// vantage's first slice, the traceroute sweep.
-func runShard(cfg Config, bp *topology.Blueprint, sh shardSpec) (shardResult, error) {
+// Executor runs shards of one campaign, one after another, on a world
+// it owns: the first shard instantiates the world from the blueprint,
+// every later one resets it (topology.World.Reset) instead of building
+// another. A reset world is in exactly the state Instantiate produces,
+// so a shard's result does not depend on which shards its executor ran
+// before — the one-shot ExecuteShard, which always runs on a fresh
+// world, is the oracle the differential tests hold every executor
+// sequence to. Run gives each pool goroutine an executor; a remote
+// worker keeps one per job.
+//
+// An Executor is not safe for concurrent use: it is one simulation.
+type Executor struct {
+	cfg    Config
+	bp     *topology.Blueprint
+	shards []shardSpec
+	// world is nil before the first shard and after a failed one: a
+	// world whose shard errored stopped somewhere Reset makes no promise
+	// about, so it is dropped and the next shard instantiates afresh.
+	world *topology.World
+}
+
+// NewExecutor returns an executor for cfg's plan over its compiled
+// blueprint (cfg.CompileBlueprint).
+func NewExecutor(cfg Config, bp *topology.Blueprint) *Executor {
+	return &Executor{cfg: cfg, bp: bp, shards: cfg.shardSpecs()}
+}
+
+// Execute runs the (vantage-index, slice) shard of the plan and returns
+// its wire-form result, exactly as ExecuteShard does — on the
+// executor's world rather than a fresh one.
+func (e *Executor) Execute(shard, slice int) (*ShardResultWire, error) {
+	for _, sh := range e.shards {
+		if sh.shard != shard || sh.slice != slice {
+			continue
+		}
+		r, err := e.runShard(sh)
+		if err != nil {
+			return nil, err
+		}
+		return wireFromShardResult(r), nil
+	}
+	return nil, fmt.Errorf("campaign: plan has no shard (%d, %d)", shard, slice)
+}
+
+// acquire returns the world the next shard runs on, in post-Instantiate
+// state: the executor's own world reset, or a new instantiation.
+func (e *Executor) acquire() (*topology.World, error) {
+	if e.world != nil {
+		e.world.Reset()
+		e.cfg.Metrics.worldAcquired(true)
+		return e.world, nil
+	}
+	sim := netsim.NewSimSched(e.cfg.Seed, e.cfg.Scheduler)
+	sim.SetXTrafficMode(e.cfg.XTraffic)
+	w, err := e.bp.Instantiate(sim)
+	if err != nil {
+		return nil, err
+	}
+	e.cfg.Metrics.worldAcquired(false)
+	e.world = w
+	return w, nil
+}
+
+// runShard executes one shard in a private simulation: acquire the
+// world, then run the shard's trace block — every trace in its own
+// reseeded, transient-reset, epoch-pinned context — and, on the
+// vantage's first slice, the traceroute sweep. Any failure drops the
+// world.
+func (e *Executor) runShard(sh shardSpec) (shardResult, error) {
 	start := time.Now()
 	fail := func(err error) (shardResult, error) {
+		e.world = nil
 		return shardResult{}, fmt.Errorf("campaign: shard %d/%d (%s): %w", sh.shard, sh.slice, sh.vantage, err)
 	}
-	sim := netsim.NewSimSched(cfg.Seed, cfg.Scheduler)
-	sim.SetXTrafficMode(cfg.XTraffic)
-	w, err := bp.Instantiate(sim)
+	cfg := e.cfg
+	w, err := e.acquire()
 	if err != nil {
 		return fail(err)
 	}
+	sim := w.Sim
 	sim.Reseed(sh.seed)
 	if cfg.ShardHook != nil {
 		cfg.ShardHook(sh.shard, sh.vantage, w)

@@ -124,31 +124,44 @@ func TestIdenticalWorldsAcrossShards(t *testing.T) {
 	}
 }
 
-// TestOnlyFirstWorldRetained: Result.World is the first shard's world, and
-// it is the only one the engine holds on to. Every other shard's world
-// (with its simulator slab and connection free lists) must be garbage as
-// soon as its metrics are flushed — not kept for the merge, where it
-// would sit in the live heap for every remaining shard's GC cycles.
+// TestOnlyFirstWorldRetained: a campaign instantiates one world per
+// pool goroutine and resets it between shards, so however many shards
+// the plan has the ShardHook sees at most Workers distinct worlds; and
+// once Run returns the engine holds on to exactly one of them —
+// Result.World, the world that ran the first shard. The others (with
+// their simulator slabs and connection free lists) are garbage: no
+// result pins a world for the merge.
 func TestOnlyFirstWorldRetained(t *testing.T) {
-	cfg := testConfig()
-	cfg.Stride = 0
-	cfg.Workers = 1 // shards run one after another, in plan order
-	var worlds []weak.Pointer[topology.World]
-	cfg.ShardHook = func(shard int, vantage string, w *topology.World) {
-		runtime.GC()
-		for i, prev := range worlds {
-			if live := prev.Value() != nil; live != (i == 0) {
-				t.Errorf("as shard %d starts, world %d reachable = %v", shard, i, live)
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Stride = 0
+			cfg.SlicesPerVantage = 2
+			cfg.Workers = workers
+			var mu sync.Mutex
+			worlds := map[weak.Pointer[topology.World]]int{}
+			cfg.ShardHook = func(shard int, vantage string, w *topology.World) {
+				mu.Lock()
+				worlds[weak.Make(w)]++
+				mu.Unlock()
 			}
-		}
-		worlds = append(worlds, weak.Make(w))
-	}
-	res := runOrFatal(t, cfg)
-	if len(worlds) != len(res.Shards) {
-		t.Fatalf("hook saw %d worlds for %d shards", len(worlds), len(res.Shards))
-	}
-	if worlds[0].Value() != res.World {
-		t.Error("Result.World is not the first shard's world")
+			res := runOrFatal(t, cfg)
+			if len(worlds) == 0 || len(worlds) > workers {
+				t.Fatalf("hook saw %d distinct worlds over %d shards, want 1..%d", len(worlds), len(res.Shards), workers)
+			}
+			if workers == 1 && worlds[weak.Make(res.World)] != len(res.Shards) {
+				t.Errorf("one worker ran %d of %d shards on Result.World", worlds[weak.Make(res.World)], len(res.Shards))
+			}
+			runtime.GC()
+			for wp := range worlds {
+				if w := wp.Value(); w != nil && w != res.World {
+					t.Error("a world other than Result.World is reachable after Run")
+				}
+			}
+			if _, ok := worlds[weak.Make(res.World)]; !ok {
+				t.Error("Result.World ran no shard")
+			}
+		})
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 //	repro_sim_replayed_boundaries_total      counter  boundaries replayed lazily
 //	repro_sim_wheel_cascades_total           counter  timing-wheel slot cascades
 //	repro_sim_wheel_register_hits_total      counter  singleton-register fast pops
+//	repro_sim_worlds_total{op}               counter  shard worlds, op ∈ {instantiate, reset}
 //	repro_aqm_enqueued_total{discipline}     counter  packets admitted (incl. phantoms)
 //	repro_aqm_dequeued_total{discipline}     counter  packets handed to transmitters
 //	repro_aqm_ce_marked_total{discipline}    counter  congestion actions resolved by CE mark
@@ -50,6 +51,9 @@ type Metrics struct {
 	replayed      *telemetry.Counter
 	cascades      *telemetry.Counter
 	registerHits  *telemetry.Counter
+
+	worldsInstantiated *telemetry.Counter
+	worldsReset        *telemetry.Counter
 }
 
 // NewMetrics registers the campaign instrument set on reg and returns
@@ -76,6 +80,10 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Timing-wheel higher-level slots cascaded into finer levels."),
 		registerHits: reg.Counter("repro_sim_wheel_register_hits_total",
 			"Timing-wheel pops served from the singleton register (sparse fast path)."),
+		worldsInstantiated: reg.Counter("repro_sim_worlds_total",
+			"Shard worlds, by how the executor obtained them.", telemetry.Label{Name: "op", Value: "instantiate"}),
+		worldsReset: reg.Counter("repro_sim_worlds_total",
+			"Shard worlds, by how the executor obtained them.", telemetry.Label{Name: "op", Value: "reset"}),
 	}
 	// Pre-register the known vocabularies so a scrape shows the full
 	// surface (as zeros) before the first congested shard completes.
@@ -125,6 +133,19 @@ func (m *Metrics) shardStarted() {
 		return
 	}
 	m.shardsRunning.Add(1)
+}
+
+// worldAcquired accounts how a shard got its world: the executor's
+// previous world reset, or a new one instantiated from the blueprint.
+// It runs before the shard's simulation starts.
+func (m *Metrics) worldAcquired(reset bool) {
+	switch {
+	case m == nil:
+	case reset:
+		m.worldsReset.Inc()
+	default:
+		m.worldsInstantiated.Inc()
+	}
 }
 
 // shardFailed accounts a shard whose simulation errored.

@@ -96,6 +96,14 @@ func TestTelemetryOutOfBand(t *testing.T) {
 				t.Errorf("wheel register hits = %d, want %d", got, wantRegister)
 			}
 
+			// One world per pool goroutine, reset for every further
+			// shard: together they account for every shard.
+			built := counterValue(t, reg, "repro_sim_worlds_total", telemetry.Label{Name: "op", Value: "instantiate"})
+			reset := counterValue(t, reg, "repro_sim_worlds_total", telemetry.Label{Name: "op", Value: "reset"})
+			if built < 1 || built+reset != uint64(len(instrumented.Shards)) {
+				t.Errorf("worlds: %d instantiated + %d reset, want them to sum to %d shards", built, reset, len(instrumented.Shards))
+			}
+
 			// The running gauge returns to zero once Run returns.
 			for _, s := range reg.Snapshot() {
 				if s.Name == "repro_campaign_shards_running" && s.Value != 0 {

@@ -109,23 +109,16 @@ func (cfg Config) CompileBlueprint() (*topology.Blueprint, error) {
 // ExecuteShard executes exactly one (vantage-index, slice) shard of
 // the campaign plan against a pre-compiled blueprint and returns its
 // wire-form result. It runs the identical code path Run's worker pool
-// uses (runShard: reseeded, transient-reset, epoch-pinned per-trace
-// contexts), so the returned traces are byte-identical to the same
-// shard executed in-process — the property that makes cross-machine
-// merges exact. SpecHash is left empty; the uploading caller stamps
+// uses (Executor.runShard: reseeded, transient-reset, epoch-pinned
+// per-trace contexts) on a world instantiated for this one call, so the
+// returned traces are byte-identical to the same shard executed
+// in-process — the property that makes cross-machine merges exact —
+// and it is the fresh-world oracle every reused-world sequence is
+// tested against. A caller with many shards of one job to run keeps an
+// Executor instead. SpecHash is left empty; the uploading caller stamps
 // the hash of the spec it derived cfg from.
 func ExecuteShard(cfg Config, bp *topology.Blueprint, shard, slice int) (*ShardResultWire, error) {
-	for _, sh := range cfg.shardSpecs() {
-		if sh.shard != shard || sh.slice != slice {
-			continue
-		}
-		r, err := runShard(cfg, bp, sh)
-		if err != nil {
-			return nil, err
-		}
-		return wireFromShardResult(r), nil
-	}
-	return nil, fmt.Errorf("campaign: plan has no shard (%d, %d)", shard, slice)
+	return NewExecutor(cfg, bp).Execute(shard, slice)
 }
 
 // MergeWire reassembles uploaded shard results — which must arrive in

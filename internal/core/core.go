@@ -23,8 +23,6 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/dataset"
 	"repro/internal/ecn"
 	"repro/internal/httpmin"
@@ -39,13 +37,19 @@ import (
 // against one server, invoking done with the observation. Measurements
 // run strictly in sequence, as the paper's prober did.
 //
-// The sequence is a pooled state machine with callbacks bound once per
-// shell: server probes are the campaign's innermost loop (traces ×
+// The sequence is a recycled state machine with callbacks bound once
+// per shell: server probes are the campaign's innermost loop (traces ×
 // servers × four measurements), so the steady-state cost is zero
-// allocations rather than a closure per step.
+// allocations rather than a closure per step. Shells wait on a free
+// list the vantage owns (Vantage.UserData), as ntp's wait on the host
+// and httpmin's on the TCP stack.
 func ProbeServer(v *topology.Vantage, server packet.Addr, done func(dataset.Observation)) {
-	p := probePool.Get().(*serverProbe)
-	if p.onNTP1 == nil {
+	p, _ := v.UserData.(*serverProbe)
+	if p != nil {
+		v.UserData = p.next
+		p.next = nil
+	} else {
+		p = new(serverProbe)
 		p.onNTP1 = p.ntp1
 		p.onNTP2 = p.ntp2
 		p.onGet3 = p.get3
@@ -58,10 +62,9 @@ func ProbeServer(v *topology.Vantage, server packet.Addr, done func(dataset.Obse
 	ntp.Probe(v.Host, server, ntp.ProbeConfig{ECN: ecn.NotECT}, p.onNTP1)
 }
 
-var probePool = sync.Pool{New: func() any { return new(serverProbe) }}
-
 // serverProbe is one in-flight four-measurement sequence.
 type serverProbe struct {
+	next *serverProbe // free-list link
 	v    *topology.Vantage
 	obs  dataset.Observation
 	done func(dataset.Observation)
@@ -96,10 +99,12 @@ func (p *serverProbe) get3(r httpmin.GetResult) {
 func (p *serverProbe) get4(r httpmin.GetResult) {
 	p.obs.TCPECNReachable = r.Err == nil && r.Response != nil
 	p.obs.TCPECN = r.ECNNegotiated
-	done, obs := p.done, p.obs
+	done, obs, v := p.done, p.obs, p.v
 	p.v = nil
 	p.done = nil
-	probePool.Put(p) // last touch: done may start the next probe, reusing this shell
+	// Last touch: done may start the next probe, reusing this shell.
+	p.next, _ = v.UserData.(*serverProbe)
+	v.UserData = p
 	done(obs)
 }
 

@@ -54,6 +54,51 @@ func TestProbeServerFourMeasurements(t *testing.T) {
 	}
 }
 
+// TestProbeServerAllocFree: the four-measurement sequence runs in one
+// shell on the vantage's free list — taken and returned by every
+// ProbeServer, under the race detector too — and, with ntp's and
+// httpmin's shells and tcpsim's connections recycled the same way, a
+// whole observation allocates nothing once each exists.
+func TestProbeServerAllocFree(t *testing.T) {
+	w := smallWorld(t, 1)
+	v := w.Vantages[0]
+	var target *topology.Server
+	for _, s := range w.Servers {
+		if s.Web && s.WebECN && !s.ECTUDPFirewalled && !s.NotECTFirewalled && !s.ScopedECT && !s.ScopedNotECT {
+			target = s
+			break
+		}
+	}
+	if target == nil {
+		t.Fatal("no suitable server")
+	}
+	status := 0
+	done := func(o dataset.Observation) { status = o.HTTPStatus }
+	run := func() {
+		status = 0
+		ProbeServer(v, target.Addr, done)
+		w.Sim.Run()
+		if status != 302 {
+			t.Fatalf("HTTP status = %d, want pool redirect", status)
+		}
+	}
+	run()
+	shell, _ := v.UserData.(*serverProbe)
+	if shell == nil || shell.next != nil {
+		t.Fatalf("after one observation the vantage's free list is %+v, want exactly one shell", shell)
+	}
+	run()
+	if again, _ := v.UserData.(*serverProbe); again != shell || again.next != nil {
+		t.Fatal("the second observation did not take and return the first one's shell")
+	}
+	if raceEnabled {
+		return // the wire buffers' sync.Pool drops Puts under the race detector
+	}
+	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+		t.Errorf("a four-measurement observation allocates %.1f times per run, want 0", allocs)
+	}
+}
+
 func TestProbeServerECTFirewalled(t *testing.T) {
 	w := smallWorld(t, 2)
 	v := w.Vantages[0]

@@ -80,6 +80,16 @@ func (d *Directory) Clone() *Directory {
 	return c
 }
 
+// Reset rewinds every zone's round-robin cursor and the query counter —
+// the state a fresh Clone starts from. Discovery reads the cursors, so a
+// world reused for another shard must not inherit them.
+func (d *Directory) Reset() {
+	for _, z := range d.zones {
+		z.cursor = 0
+	}
+	d.Queries = 0
+}
+
 // Zones lists the zone names in sorted order.
 func (d *Directory) Zones() []string {
 	names := make([]string, 0, len(d.zones))

@@ -37,6 +37,9 @@ type ECNBleacher struct {
 // Name implements netsim.Policy.
 func (b *ECNBleacher) Name() string { return "ecn-bleach" }
 
+// Reset implements netsim.Policy.
+func (b *ECNBleacher) Reset() { b.Bleached = 0 }
+
 // Apply implements netsim.Policy.
 func (b *ECNBleacher) Apply(_ *netsim.Router, wire []byte) netsim.Verdict {
 	cp, err := packet.WireECN(wire)
@@ -64,6 +67,9 @@ type ECTUDPDropper struct {
 
 // Name implements netsim.Policy.
 func (d *ECTUDPDropper) Name() string { return "drop-ect-udp" }
+
+// Reset implements netsim.Policy.
+func (d *ECTUDPDropper) Reset() { d.Dropped = 0 }
 
 // Apply implements netsim.Policy.
 func (d *ECTUDPDropper) Apply(_ *netsim.Router, wire []byte) netsim.Verdict {
@@ -93,6 +99,9 @@ type NotECTUDPDropper struct {
 // Name implements netsim.Policy.
 func (d *NotECTUDPDropper) Name() string { return "drop-notect-udp" }
 
+// Reset implements netsim.Policy.
+func (d *NotECTUDPDropper) Reset() { d.Dropped = 0 }
+
 // Apply implements netsim.Policy.
 func (d *NotECTUDPDropper) Apply(_ *netsim.Router, wire []byte) netsim.Verdict {
 	if len(wire) < packet.IPv4HeaderLen {
@@ -120,6 +129,9 @@ type ECTAnyDropper struct {
 // Name implements netsim.Policy.
 func (d *ECTAnyDropper) Name() string { return "drop-ect-any" }
 
+// Reset implements netsim.Policy.
+func (d *ECTAnyDropper) Reset() { d.Dropped = 0 }
+
 // Apply implements netsim.Policy.
 func (d *ECTAnyDropper) Apply(_ *netsim.Router, wire []byte) netsim.Verdict {
 	cp, err := packet.WireECN(wire)
@@ -143,6 +155,9 @@ type ScopedBySource struct {
 
 // Name implements netsim.Policy.
 func (s *ScopedBySource) Name() string { return "src-scoped(" + s.Inner.Name() + ")" }
+
+// Reset implements netsim.Policy.
+func (s *ScopedBySource) Reset() { s.Inner.Reset() }
 
 // Apply implements netsim.Policy.
 func (s *ScopedBySource) Apply(r *netsim.Router, wire []byte) netsim.Verdict {
@@ -172,6 +187,9 @@ type ScopedByDest struct {
 
 // Name implements netsim.Policy.
 func (s *ScopedByDest) Name() string { return "dst-scoped(" + s.Inner.Name() + ")" }
+
+// Reset implements netsim.Policy.
+func (s *ScopedByDest) Reset() { s.Inner.Reset() }
 
 // Apply implements netsim.Policy.
 func (s *ScopedByDest) Apply(r *netsim.Router, wire []byte) netsim.Verdict {
@@ -203,6 +221,9 @@ type CEMarker struct {
 
 // Name implements netsim.Policy.
 func (m *CEMarker) Name() string { return "ce-mark" }
+
+// Reset implements netsim.Policy.
+func (m *CEMarker) Reset() { m.Marked = 0 }
 
 // Apply implements netsim.Policy.
 func (m *CEMarker) Apply(_ *netsim.Router, wire []byte) netsim.Verdict {

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/ecn"
@@ -49,6 +50,14 @@ type Host struct {
 	protos    map[packet.Protocol]ProtoHandler
 	taps      []Tap
 	ephemeral uint16
+	// base is the socket surface Network.MarkBaseline recorded — what
+	// reset returns the host to.
+	base hostBaseline
+	// UserData belongs to the protocol layer that probes from this host:
+	// ntp keeps its recycled probe shells here, as httpmin keeps its
+	// shells on tcpsim.Stack.UserData. Capacity, not state: reset leaves
+	// it alone.
+	UserData any
 
 	// RespondPortUnreachable controls whether UDP datagrams to unbound
 	// ports elicit ICMP port-unreachable errors. The study's NTP servers
@@ -60,6 +69,61 @@ type Host struct {
 	// Counters.
 	Sent     uint64
 	Received uint64
+}
+
+// hostBaseline is the part of a host's socket surface that exists
+// before any traffic flows: the services bound while the world was
+// built (NTP, DNS), the ICMP handler and taps installed by then, and
+// the port-unreachable switch.
+type hostBaseline struct {
+	udp                    []udpBinding
+	icmp                   ICMPHandler
+	taps                   int
+	respondPortUnreachable bool
+}
+
+type udpBinding struct {
+	port uint16
+	fn   UDPHandler
+}
+
+// markBaseline records the host's current socket surface, carving its
+// UDP binding list off the front of slab (one array serves the whole
+// network) and returning the rest.
+func (h *Host) markBaseline(slab []udpBinding) []udpBinding {
+	n := len(h.udpPorts)
+	h.base = hostBaseline{
+		udp:                    slab[:0:n],
+		icmp:                   h.icmp,
+		taps:                   len(h.taps),
+		respondPortUnreachable: h.RespondPortUnreachable,
+	}
+	for port, fn := range h.udpPorts {
+		h.base.udp = append(h.base.udp, udpBinding{port, fn})
+	}
+	// Port order, not map order: recorded state must be a function of
+	// the world alone.
+	slices.SortFunc(h.base.udp, func(a, b udpBinding) int { return int(a.port) - int(b.port) })
+	return slab[n:]
+}
+
+// reset returns the host's mutable state to the recorded baseline:
+// online, counters and ID/port cursors rewound, every UDP binding, ICMP
+// handler and tap added since the baseline gone. Protocol handlers
+// (RegisterProto) are part of the world's structure and stay.
+func (h *Host) reset() {
+	h.online = true
+	h.ipID = 0
+	h.ephemeral = 0
+	h.Sent, h.Received = 0, 0
+	h.RespondPortUnreachable = h.base.respondPortUnreachable
+	h.icmp = h.base.icmp
+	clear(h.taps[h.base.taps:])
+	h.taps = h.taps[:h.base.taps]
+	clear(h.udpPorts)
+	for _, b := range h.base.udp {
+		h.udpPorts[b.port] = b.fn
+	}
 }
 
 // Label implements Node.

@@ -39,7 +39,9 @@ type Link struct {
 	// Directional properties, indexed by direction (a→b = 0, b→a = 1).
 	delay [2]time.Duration
 	loss  [2]float64
-	bneck [2]*bottleneck
+	// baseLoss is the loss the link was created with; reset restores it.
+	baseLoss float64
+	bneck    [2]*bottleneck
 
 	// Counters for analysis and capacity tests.
 	sent    [2]uint64
@@ -50,15 +52,30 @@ type Link struct {
 // constructing links directly.
 func newLink(sim *Sim, a, b Node, delay time.Duration, loss float64) *Link {
 	l := &Link{
-		sim:   sim,
-		a:     a,
-		b:     b,
-		delay: [2]time.Duration{delay, delay},
-		loss:  [2]float64{loss, loss},
+		sim:      sim,
+		a:        a,
+		b:        b,
+		delay:    [2]time.Duration{delay, delay},
+		loss:     [2]float64{loss, loss},
+		baseLoss: loss,
 	}
 	l.rtr[0], _ = a.(*Router)
 	l.rtr[1], _ = b.(*Router)
 	return l
+}
+
+// reset returns the link to its just-built state: creation-time loss,
+// counters zeroed, each bottleneck's transmitter idle and its queue
+// empty. Delay and the bottleneck placement are structure and stay.
+func (l *Link) reset() {
+	l.loss = [2]float64{l.baseLoss, l.baseLoss}
+	l.sent = [2]uint64{}
+	l.dropped = [2]uint64{}
+	for _, bn := range l.bneck {
+		if bn != nil {
+			bn.reset()
+		}
+	}
 }
 
 // Peer returns the node on the other end from n.
@@ -317,6 +334,30 @@ func (l *Link) SetBottleneck(from Node, rate, utilization float64, q aqm.Queue) 
 	bn.txDone = func() { l.finishTx(bn, l.sim.Now()) }
 	bn.fgDone = func() { l.foregroundDone(bn) }
 	l.bneck[d] = bn
+}
+
+// reset returns the transmitter to what SetBottleneck built on a
+// simulator at time zero — idle, nothing on the wire, no background
+// accounted (Sim.Reset has already emptied the lazy set and cleared
+// lazyIdx) — and empties the queue, lifetime Stats included. A field
+// added to the mutable half of bottleneck belongs here too;
+// TestResetMatchesInstantiate fails until it is.
+func (bn *bottleneck) reset() {
+	if bn.txPkt != nil {
+		bn.txPkt.Free()
+		bn.txPkt = nil
+	}
+	bn.q.Reset()
+	bn.periodStart, bn.periodEnd = 0, 0
+	bn.busy = false
+	bn.busyUntil = 0
+	bn.evented = false
+	bn.virtSeq = 0
+	bn.lastInject = 0
+	bn.credit = 0
+	bn.fgUntil = 0
+	bn.pendingTx = 0
+	bn.fgCount = 0
 }
 
 // BottleneckQueue returns the AQM queue shaping the from→peer

@@ -138,6 +138,40 @@ func (n *Network) ReplaceAttachment(h *Host, to *Router, delay time.Duration) (*
 	return n.Attach(h, to, delay, 0)
 }
 
+// MarkBaseline records every host's socket surface — the UDP services
+// bound so far, its ICMP handler, taps and port-unreachable switch — as
+// the state Reset returns to. Call it once the world is built, before
+// traffic flows; whatever a measurement binds, taps or registers later
+// is transient.
+func (n *Network) MarkBaseline() {
+	bindings := 0
+	for _, h := range n.hosts {
+		bindings += len(h.udpPorts)
+	}
+	slab := make([]udpBinding, bindings)
+	for _, h := range n.hosts {
+		slab = h.markBaseline(slab)
+	}
+}
+
+// Reset returns every host, router and link to its post-MarkBaseline
+// state: counters, ID and port cursors, loss, transmitter and queue
+// state, and each host's socket surface. The graph, routes, delays and
+// policy placement are untouched, and nothing is allocated. It is the
+// network half of a world reset (Sim.Reset is the scheduler half; call
+// that first, so transmitters restart at time zero).
+func (n *Network) Reset() {
+	for _, h := range n.hosts {
+		h.reset()
+	}
+	for _, r := range n.routers {
+		r.reset()
+	}
+	for _, l := range n.links {
+		l.reset()
+	}
+}
+
 // Routers returns the registered routers in creation order.
 func (n *Network) Routers() []*Router { return n.routers }
 

@@ -152,6 +152,7 @@ type dropAll struct{}
 
 func (dropAll) Apply(*Router, []byte) Verdict { return Drop }
 func (dropAll) Name() string                  { return "drop-all" }
+func (dropAll) Reset()                        {}
 
 func TestPendingCount(t *testing.T) {
 	s := NewSim(1)

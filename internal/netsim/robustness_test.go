@@ -117,6 +117,7 @@ type recordPolicy struct {
 
 func (p recordPolicy) Apply(*Router, []byte) Verdict { *p.log = append(*p.log, p.name); return Pass }
 func (recordPolicy) Name() string                    { return "record" }
+func (recordPolicy) Reset()                          {}
 
 // Policies run on ingress before the router validates anything, in
 // attachment order — a middlebox sits in front of the forwarding plane,

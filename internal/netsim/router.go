@@ -23,6 +23,10 @@ type Policy interface {
 	Apply(r *Router, wire []byte) Verdict
 	// Name identifies the policy kind in topology dumps and tests.
 	Name() string
+	// Reset clears whatever the policy accumulated from traffic
+	// (counters, per-flow memory), leaving its configuration. A reused
+	// world resets its routers' policies between shards.
+	Reset()
 }
 
 // Router is an IP forwarding node. It applies its middlebox policies,
@@ -44,6 +48,16 @@ type Router struct {
 	PolicyDrops  uint64
 	TTLExpiries  uint64
 	NoRouteDrops uint64
+}
+
+// reset rewinds the router's ICMP ID cursor and telemetry and resets
+// its policies; links and policy attachment are structure and stay.
+func (r *Router) reset() {
+	r.ipID = 0
+	r.Forwarded, r.PolicyDrops, r.TTLExpiries, r.NoRouteDrops = 0, 0, 0, 0
+	for _, p := range r.policies {
+		p.Reset()
+	}
 }
 
 // Label implements Node.

@@ -100,6 +100,8 @@ type Sim struct {
 	seq  uint64
 	live int // scheduled, not yet fired or cancelled
 	rng  *rand.Rand
+	// seed is the construction seed; Reset rewinds rng to it.
+	seed int64
 	// Stats counters, exposed for benchmarks and capacity planning.
 	executed uint64
 
@@ -130,11 +132,50 @@ func NewSim(seed int64) *Sim { return NewSimSched(seed, SchedWheel) }
 // two schedulers fire events in exactly the same order; SchedHeap exists
 // so differential tests can prove that.
 func NewSimSched(seed int64, sched Scheduler) *Sim {
-	s := &Sim{rng: rand.New(rand.NewSource(seed))}
+	s := &Sim{rng: rand.New(rand.NewSource(seed)), seed: seed}
 	if sched == SchedWheel {
 		s.wheel = newTimingWheel()
 	}
 	return s
+}
+
+// Reset returns the simulator to the state NewSimSched produced: clock
+// at zero, sequence and sentinel counters rewound, every statistic
+// cleared, the PRNG back at the construction seed's stream. Events still
+// pending are discarded unexecuted (their wire buffers released). The
+// scheduler choice and cross-traffic mode are configuration and stay;
+// so does capacity — the event slab and its free list, the heap's and
+// the due buffer's backing arrays — which is the point: a reset
+// simulator schedules without growing anything (DESIGN.md §9.4).
+//
+// Slab generations are deliberately not rewound, so a Timer handle
+// from before the Reset stays stale instead of cancelling a stranger.
+// Reset does not touch the nodes and links built on the simulator;
+// Network.Reset does.
+func (s *Sim) Reset() {
+	for {
+		idx, _, ok := s.popNext()
+		if !ok {
+			break
+		}
+		s.slab[idx].buf.Release()
+		s.recycle(idx)
+	}
+	if s.wheel != nil {
+		s.wheel.reset()
+	}
+	s.now = 0
+	s.seq = 0
+	s.sentinel = 0
+	s.live = 0
+	s.executed = 0
+	s.replayedBoundaries = 0
+	s.phantomEvents = 0
+	for _, bn := range s.lazy {
+		bn.lazyIdx = -1
+	}
+	s.lazy = s.lazy[:0]
+	s.rng.Seed(s.seed)
 }
 
 // Now returns the current virtual time.

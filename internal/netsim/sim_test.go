@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/ecn"
 )
 
 // forEachSched runs a subtest against both schedulers: every observable
@@ -573,5 +575,57 @@ func TestSchedulerEquivalenceSingletonCascade(t *testing.T) {
 	}
 	for seed := int64(0); seed < 40; seed++ {
 		compare("sparse", sparse(SchedWheel, seed), sparse(SchedHeap, seed))
+	}
+}
+
+// TestSimResetDiscardsPending: Reset on a simulator that still holds
+// work — live timers, a cancelled one, a packet in flight — discards it
+// unexecuted, returns every slab slot to the free list (capacity is
+// kept, not leaked), releases the packet's buffer, leaves old Timer
+// handles stale, and rewinds clock, counters and PRNG to NewSimSched's.
+func TestSimResetDiscardsPending(t *testing.T) {
+	for _, sched := range []Scheduler{SchedWheel, SchedHeap} {
+		s := NewSimSched(7, sched)
+		fired := 0
+		soon := s.After(time.Second, func() { fired++ })
+		s.After(time.Hour, func() { fired++ })
+		s.After(time.Minute, func() { fired++ }).Stop()
+		sink := &sinkNode{label: "sink"}
+		inFlight := testWire(t, ecn.NotECT, 8).Retain() // one reference is ours
+		s.deliverAfter(2*time.Second, sink, inFlight, nil)
+		s.After(time.Millisecond, func() { s.RNG().Int63() })
+		s.RunUntil(10 * time.Millisecond)
+		if s.Pending() != 3 || s.Executed() != 1 {
+			t.Fatalf("%s: before Reset pending=%d executed=%d, want 3 and 1", sched.Name(), s.Pending(), s.Executed())
+		}
+
+		s.Reset()
+		if s.Pending() != 0 || s.Now() != 0 || s.Executed() != 0 {
+			t.Errorf("%s: after Reset pending=%d now=%v executed=%d", sched.Name(), s.Pending(), s.Now(), s.Executed())
+		}
+		if len(s.free) != len(s.slab) {
+			t.Errorf("%s: %d of %d slab slots on the free list after Reset", sched.Name(), len(s.free), len(s.slab))
+		}
+		if soon.Stop() {
+			t.Errorf("%s: a Timer from before the Reset cancelled something", sched.Name())
+		}
+		s.Run()
+		if fired != 0 || len(sink.received) != 0 {
+			t.Errorf("%s: %d discarded timers fired, %d discarded packets arrived", sched.Name(), fired, len(sink.received))
+		}
+		if got, want := s.RNG().Int63(), NewSim(7).RNG().Int63(); got != want {
+			t.Errorf("%s: PRNG not rewound to the construction seed", sched.Name())
+		}
+		// Reset dropped the event's reference, so ours is the last one:
+		// a second Release must be the over-release the refcount traps.
+		inFlight.Release()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Reset did not release the in-flight packet's buffer", sched.Name())
+				}
+			}()
+			inFlight.Release()
+		}()
 	}
 }

@@ -94,6 +94,17 @@ func newTimingWheel() *timingWheel {
 	return w
 }
 
+// reset rewinds an emptied wheel (Sim.Reset pops every pending event
+// first) to newTimingWheel's state, keeping the due buffer's array.
+func (w *timingWheel) reset() {
+	w.cur = 0
+	w.due = w.due[:0]
+	w.duePos = 0
+	w.dueAt = 0
+	w.cascades = 0
+	w.registerHits = 0
+}
+
 // levelSlot places timestamp t relative to the cursor: the level of the
 // highest differing byte, and t's slot index at that level.
 func (w *timingWheel) levelSlot(t time.Duration) (int, int) {

@@ -1,7 +1,6 @@
 package ntp
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/ecn"
@@ -66,13 +65,20 @@ type ProbeResult struct {
 // drives itself on the host's simulator; the caller must run the
 // simulation for progress.
 //
-// The probe state lives in one pooled struct with callbacks bound once
-// per shell: probes are the campaign's innermost loop, so a probe's
-// steady-state cost is zero allocations rather than a closure per
-// concern.
+// The probe state lives in one recycled struct with callbacks bound
+// once per shell: probes are the campaign's innermost loop, so a
+// probe's steady-state cost is zero allocations rather than a closure
+// per concern. Shells wait on a free list the probing host owns
+// (Host.UserData) — single-goroutine like the host, filled as probes
+// finish, and as long-lived as the world, so reuse is as deterministic
+// as the simulation.
 func Probe(h *netsim.Host, server packet.Addr, cfg ProbeConfig, done func(ProbeResult)) {
-	p := probePool.Get().(*probeRun)
-	if p.attemptFn == nil {
+	p, _ := h.UserData.(*probeRun)
+	if p != nil {
+		h.UserData = p.next
+		p.next = nil
+	} else {
+		p = new(probeRun)
 		p.attemptFn = p.attempt
 		p.datagramFn = p.onDatagram
 	}
@@ -94,10 +100,9 @@ func Probe(h *netsim.Host, server packet.Addr, cfg ProbeConfig, done func(ProbeR
 	p.attempt()
 }
 
-var probePool = sync.Pool{New: func() any { return new(probeRun) }}
-
 // probeRun is the state of one in-flight reachability probe.
 type probeRun struct {
+	next     *probeRun // free-list link
 	h        *netsim.Host
 	cfg      ProbeConfig
 	done     func(ProbeResult)
@@ -116,13 +121,15 @@ type probeRun struct {
 	datagramFn func(*netsim.Host, packet.IPv4Header, packet.UDPHeader, []byte)
 }
 
-// release scrubs the shell and returns it to the pool. Callers must not
-// touch p afterwards.
+// release scrubs the shell and returns it to its host's free list.
+// Callers must not touch p afterwards.
 func (p *probeRun) release() {
+	h := p.h
 	p.h = nil
 	p.done = nil
 	p.sent = nil
-	probePool.Put(p)
+	p.next, _ = h.UserData.(*probeRun)
+	h.UserData = p
 }
 
 func (p *probeRun) finish() {

@@ -63,6 +63,29 @@ func TestMetricsEndpoints(t *testing.T) {
 	}
 }
 
+// TestWorldReuseMetrics: a local job instantiates one world per engine
+// worker and resets it for every further shard, and /v1/metrics says
+// so — 52 shards on 2 workers are 2 instantiations and 50 resets.
+func TestWorldReuseMetrics(t *testing.T) {
+	_, ts := newTestServer(t)
+	_, view := submit(t, ts, `{"spec": 1, "scale": "small", "traces": 4, "seed": 2015, "stride": 0,
+		"slices_per_vantage": 4, "workers": 2}`)
+	done := awaitDone(t, ts, view.ID)
+	if done.ShardsTotal != 52 {
+		t.Fatalf("job has %d shards, want 52", done.ShardsTotal)
+	}
+	_, body := get(t, ts, "/v1/metrics")
+	for _, want := range []string{
+		"# TYPE repro_sim_worlds_total counter",
+		`repro_sim_worlds_total{op="instantiate"} 2`,
+		`repro_sim_worlds_total{op="reset"} 50`,
+	} {
+		if !strings.Contains(string(body), want+"\n") {
+			t.Errorf("/v1/metrics missing %q", want)
+		}
+	}
+}
+
 // TestJobEventsEndpoint replays a finished job's journal: the
 // lifecycle must read queued → running → … → done with every shard
 // bracketed by shard-start/shard-done pairs.

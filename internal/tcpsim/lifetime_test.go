@@ -218,3 +218,53 @@ func TestAbortInCallbacksReleasesOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestStackResetDropsOpenConns: Reset on stacks holding an established
+// connection empties the demux tables without running callbacks, puts
+// the shells on the free lists for the next dial, and leaves a stale
+// holder with a CLOSED connection whose entry points are no-ops.
+func TestStackResetDropsOpenConns(t *testing.T) {
+	f := newFixture(t, 41)
+	var server *Conn
+	if _, err := f.ss.Listen(80, true, func(c *Conn) {
+		server = c
+		c.OnClose(func(error) { t.Error("server onClose ran during Reset") })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var client *Conn
+	f.cs.Dial(f.server.Addr(), 80, DialConfig{RequestECN: true}, func(c *Conn, err error) {
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		client = c
+		c.OnClose(func(error) { t.Error("client onClose ran during Reset") })
+	})
+	f.sim.Run()
+	if client == nil || server == nil || len(f.cs.conns) != 1 || len(f.ss.conns) != 1 {
+		t.Fatal("no established connection to reset")
+	}
+
+	f.sim.Reset()
+	f.cs.Reset()
+	f.ss.Reset()
+	if len(f.cs.conns) != 0 || len(f.ss.conns) != 0 {
+		t.Errorf("demux tables hold %d and %d connections after Reset", len(f.cs.conns), len(f.ss.conns))
+	}
+	if cf, sf := freeShells(t, f.cs), freeShells(t, f.ss); len(cf) != 1 || cf[0] != client || len(sf) != 1 || sf[0] != server {
+		t.Errorf("dropped connections not on their stacks' free lists: %d client, %d server", len(cf), len(sf))
+	}
+	if f.cs.SegmentsOut != 0 || f.ss.SegmentsIn != 0 || f.cs.ephemeral != 0 {
+		t.Error("counters or port cursor survived Reset")
+	}
+	if client.State() != "CLOSED" {
+		t.Errorf("stale holder sees state %s, want CLOSED", client.State())
+	}
+	client.Write([]byte("late"))
+	client.Close()
+	client.Abort()
+	f.sim.Run()
+	if f.cs.SegmentsOut != 0 {
+		t.Errorf("a stale connection sent %d segments after Reset", f.cs.SegmentsOut)
+	}
+}

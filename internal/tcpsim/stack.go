@@ -95,6 +95,26 @@ func NewStack(h *netsim.Host) *Stack {
 // Host returns the underlying simulated host.
 func (s *Stack) Host() *netsim.Host { return s.host }
 
+// Reset returns the stack to its just-attached state: no connections,
+// the port cursor and every counter (its listeners' too) rewound.
+// Connections still in the demux table — a peer that went silent leaves
+// one behind with no timer to reap it — are dropped without callbacks,
+// their shells joining the free list: the simulator they would report
+// to has been reset under them. Listeners, TTL, the shell free list and
+// UserData (the layer above's free lists) stay.
+func (s *Stack) Reset() {
+	for _, c := range s.conns {
+		c.st = stateClosed
+		c.release()
+	}
+	clear(s.conns)
+	s.ephemeral = 0
+	s.SegmentsIn, s.SegmentsOut, s.RSTsSent = 0, 0, 0
+	for _, l := range s.listeners {
+		l.Accepted = 0
+	}
+}
+
 // Listener accepts inbound connections on a port.
 type Listener struct {
 	stack *Stack

@@ -154,6 +154,9 @@ func (b *builder) run() (*World, error) {
 	} else if err := b.w.Net.ComputeRoutes(); err != nil {
 		return nil, err
 	}
+	// Everything bound so far (NTP, DNS) is the world's own service
+	// surface: World.Reset returns hosts to it.
+	b.w.Net.MarkBaseline()
 	return b.w, nil
 }
 

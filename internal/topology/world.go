@@ -62,6 +62,11 @@ type Vantage struct {
 	// loss draw: loss = BaseLoss + U(0, LossJitter).
 	BaseLoss   float64
 	LossJitter float64
+
+	// UserData belongs to the measurement application probing from this
+	// vantage: package core keeps its recycled four-measurement shells
+	// here. Capacity, not state: World.Reset leaves it alone.
+	UserData any
 }
 
 // World is a generated Internet plus its ground truth and lookups.
@@ -195,6 +200,36 @@ func (w *World) ResetTransientState() {
 	for _, bn := range w.Bottlenecks {
 		bn.Queue.ResetTransient()
 	}
+}
+
+// Reset returns an instantiated world to exactly the state
+// Blueprint.Instantiate produced, so the next shard can run on it
+// instead of on a rebuilt one (DESIGN.md §9.4). It restores the mutable
+// overlay and nothing else: the simulator (clock, counters, PRNG), every
+// host's socket surface, router and middlebox counters, link loss and
+// counters, bottleneck transmitters and their AQM queues, TCP stacks,
+// NTP and DNS service counters and the DNS rotation cursors. What it
+// keeps is capacity — the event slab, connection and probe shell free
+// lists, slice backing arrays — which is why a reset allocates nothing
+// where an instantiation allocates the whole overlay.
+//
+// The world should be quiescent (its simulator drained). Reset copes
+// with leftovers — pending events are discarded, half-open connections
+// dropped — but a world whose run failed is better discarded: the
+// campaign engine never resets one.
+func (w *World) Reset() {
+	w.Sim.Reset()
+	w.Net.Reset()
+	for _, s := range w.Servers {
+		s.NTP.Served = 0
+		if s.Stack != nil {
+			s.Stack.Reset()
+		}
+	}
+	for _, v := range w.Vantages {
+		v.Stack.Reset()
+	}
+	w.Directory.Reset()
 }
 
 func (w *World) String() string {

@@ -17,12 +17,12 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/apiclient"
 	"repro/internal/campaign"
-	"repro/internal/topology"
 )
 
 // Config parameterizes one worker run.
@@ -93,10 +93,13 @@ type Stats struct {
 var errExitAfterResults = fmt.Errorf("worker: exit-after-results reached")
 
 // compiledJob caches the per-spec-hash execution state: one compiled
-// blueprint serves every shard of the job.
+// blueprint and one executor — which instantiates its world on the
+// first shard and resets it for every later one — serve every shard of
+// the job. job is the job the entry last executed for; the cache drops
+// an entry once that job has left the discovery scan (evictIdle).
 type compiledJob struct {
-	cfg campaign.Config
-	bp  *topology.Blueprint
+	ex  *campaign.Executor
+	job string
 }
 
 // Run executes the worker loop until ctx is canceled, the coordinator
@@ -126,25 +129,12 @@ func Run(ctx context.Context, cfg Config) (Stats, error) {
 	var stats Stats
 	compiled := make(map[string]*compiledJob)
 	for {
-		var jobs []string
-		err := retry(ctx, cfg, logger, &stats, "discover", func() error {
-			var derr error
-			jobs, derr = discoverJobs(ctx, cfg)
-			return derr
-		})
+		worked, err := scanOnce(ctx, cfg, logger, compiled, &stats)
+		if err == errExitAfterResults {
+			return stats, nil
+		}
 		if err != nil {
 			return stats, err
-		}
-		worked := false
-		for _, jobID := range jobs {
-			n, err := workJob(ctx, cfg, logger, jobID, compiled, &stats)
-			if err == errExitAfterResults {
-				return stats, nil
-			}
-			if err != nil {
-				return stats, err
-			}
-			worked = worked || n > 0
 		}
 		if !worked {
 			if cfg.ExitWhenIdle {
@@ -163,6 +153,46 @@ func Run(ctx context.Context, cfg Config) (Stats, error) {
 		case <-ctx.Done():
 			return stats, ctx.Err()
 		default:
+		}
+	}
+}
+
+// scanOnce is one pass of the worker loop: discover the jobs to work
+// on, drop compiled state for jobs that have left the scan, then claim
+// and execute one batch per job. It reports whether any shard was
+// leased to this worker.
+func scanOnce(ctx context.Context, cfg Config, logger *slog.Logger, compiled map[string]*compiledJob, stats *Stats) (bool, error) {
+	var jobs []string
+	err := retry(ctx, cfg, logger, stats, "discover", func() error {
+		var derr error
+		jobs, derr = discoverJobs(ctx, cfg)
+		return derr
+	})
+	if err != nil {
+		return false, err
+	}
+	evictIdle(compiled, jobs)
+	worked := false
+	for _, jobID := range jobs {
+		n, err := workJob(ctx, cfg, logger, jobID, compiled, stats)
+		if err != nil {
+			return worked, err
+		}
+		worked = worked || n > 0
+	}
+	return worked, nil
+}
+
+// evictIdle drops every compiled entry whose job is not in the latest
+// scan. A blueprint holds an O(routers²) route table and its executor a
+// warmed world; a worker that kept one per job it ever served would
+// grow without bound. An explicit Config.Jobs list is its own scan, so
+// it bounds itself; a job that reappears (a speculative re-issue after
+// it left the listing) simply recompiles.
+func evictIdle(compiled map[string]*compiledJob, jobs []string) {
+	for hash, cj := range compiled {
+		if !slices.Contains(jobs, cj.job) {
+			delete(compiled, hash)
 		}
 	}
 }
@@ -304,6 +334,7 @@ func heartbeatInterval(ttl time.Duration, workerID string) time.Duration {
 // frozen blueprint on first use.
 func compileFor(claim apiclient.Claim, compiled map[string]*compiledJob) (*compiledJob, error) {
 	if cj, ok := compiled[claim.SpecHash]; ok {
+		cj.job = claim.Job
 		return cj, nil
 	}
 	engineCfg, err := claim.Spec.Config()
@@ -314,7 +345,7 @@ func compileFor(claim apiclient.Claim, compiled map[string]*compiledJob) (*compi
 	if err != nil {
 		return nil, fmt.Errorf("worker: job %s blueprint: %w", claim.Job, err)
 	}
-	cj := &compiledJob{cfg: engineCfg, bp: bp}
+	cj := &compiledJob{ex: campaign.NewExecutor(engineCfg, bp), job: claim.Job}
 	compiled[claim.SpecHash] = cj
 	return cj, nil
 }
@@ -360,7 +391,7 @@ func executeAndUpload(ctx context.Context, cfg Config, logger *slog.Logger, clai
 		}()
 	}
 
-	wire, err := campaign.ExecuteShard(cj.cfg, cj.bp, sh.Shard, sh.Slice)
+	wire, err := cj.ex.Execute(sh.Shard, sh.Slice)
 	if err != nil {
 		return fmt.Errorf("worker: execute shard (%d,%d) of %s: %w", sh.Shard, sh.Slice, claim.Job, err)
 	}
