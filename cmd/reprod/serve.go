@@ -5,9 +5,10 @@ package main
 // merged dataset plus a run report. Completed runs are cached on disk
 // content-addressed by the spec's canonical form, so resubmitting a
 // spec — from any client, with any execution shape — is served
-// instantly without re-simulating. Specs with "execution":
-// "distributed" are not run in-process: their shards sit pending until
-// reprod worker processes lease and execute them.
+// instantly without re-simulating. Every job's shards are leased from
+// one table: a local spec's by the coordinator's own loopback workers
+// (one per CPU), an "execution": "distributed" spec's by reprod worker
+// processes.
 //
 // The daemon carries its own flight recorder: GET /v1/metrics exposes
 // allocation-free engine, HTTP, and lease metrics in the Prometheus
@@ -15,10 +16,8 @@ package main
 // /v1/jobs/{id}/events replays a job's lifecycle from the in-memory
 // journal, and -pprof mounts net/http/pprof under /debug/pprof/.
 //
-// -jobs bounds concurrently *running campaigns*; each campaign still
-// parallelizes internally per its spec's workers knob, so the default
-// of 1 already uses every core. SIGINT/SIGTERM drain gracefully:
-// in-flight campaigns finish and are cached before exit.
+// SIGINT/SIGTERM drain gracefully: open local jobs finish and are
+// cached before exit.
 
 import (
 	"context"
@@ -40,7 +39,6 @@ func runServe(args []string) {
 	var (
 		addr      = fs.String("addr", ":8070", "HTTP listen address")
 		data      = fs.String("data", "reprod-data", "result-store data directory")
-		jobs      = fs.Int("jobs", 1, "concurrently running campaigns (each parallelizes internally)")
 		leaseTTL  = fs.Duration("lease-ttl", 30*time.Second, "worker shard-lease TTL")
 		logFormat = fs.String("log-format", "text", "log output format: text or json")
 		pprofOn   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -74,7 +72,6 @@ func runServe(args []string) {
 	}
 	srv, err := server.New(server.Config{
 		DataDir:             *data,
-		Jobs:                *jobs,
 		LeaseTTL:            *leaseTTL,
 		Logger:              logger,
 		EnablePprof:         *pprofOn,
@@ -112,14 +109,14 @@ func runServe(args []string) {
 		}
 	}()
 
-	logger.Info("serving", "addr", *addr, "data", *data, "jobs", *jobs,
+	logger.Info("serving", "addr", *addr, "data", *data,
 		"lease_ttl", *leaseTTL, "pprof", *pprofOn, "journal", *journal)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Error("listen", "error", err)
 		os.Exit(1)
 	}
-	// The HTTP listener is closed; finish the queued/running campaigns
-	// so their results are cached for the next start.
+	// The HTTP listener is closed; finish the open local jobs so their
+	// results are cached for the next start.
 	srv.Close()
 	logger.Info("drained")
 }

@@ -123,20 +123,21 @@ type Config struct {
 	// (vantage, slice) shard. It must not share mutable state across
 	// shards without its own synchronisation.
 	ShardHook func(shard int, vantage string, w *topology.World)
-	// ShardStart and ShardDone, when non-nil, bracket each shard's
-	// execution for progress reporting: ShardStart fires in the worker
+	// ShardStart and ShardDone, when non-nil, bracket each shard of a
+	// Run for progress reporting: ShardStart fires in the worker
 	// goroutine as the (vantage, slice) shard is picked up, ShardDone
 	// when it completes successfully, with its execution stats. The
-	// HTTP control plane's job manager feeds per-shard progress from
-	// them. Both run concurrently across workers; they must synchronise
-	// any shared state themselves and must not block.
+	// benchmark's shard tracer reads them; an Executor driven directly
+	// (the control plane's loopback workers, a remote worker) never
+	// calls them. Both run concurrently across workers; they must
+	// synchronise any shared state themselves and must not block.
 	ShardStart func(shard, slice int, vantage string)
 	ShardDone  func(ShardStats)
 
 	// Metrics, when non-nil, receives the engine's flight-recorder
 	// accounting: shard lifecycle, per-scheduler event counts and AQM
-	// queue totals, flushed from the worker goroutine after each
-	// shard's simulator has stopped. It is a runtime attachment — not
+	// queue totals, flushed by the executor — whoever drives it — after
+	// each shard's simulator has stopped. It is a runtime attachment — not
 	// part of the serializable Spec, never in a cache key — and it is
 	// out-of-band: attaching it cannot change a dataset byte (see
 	// NewMetrics).
@@ -477,15 +478,10 @@ func Run(cfg Config) (*Result, error) {
 				if cfg.ShardStart != nil {
 					cfg.ShardStart(sh.shard, sh.slice, sh.vantage)
 				}
-				cfg.Metrics.shardStarted()
 				results[i], errs[i] = ex.runShard(sh)
 				if errs[i] != nil {
-					cfg.Metrics.shardFailed()
 					continue
 				}
-				// Flush before the executor's next shard resets the
-				// world: shardFinished reads its queue totals.
-				cfg.Metrics.shardFinished(results[i].stats, results[i].world, cfg.Scheduler.Name())
 				if i > 0 {
 					// Only the world that ran the first shard becomes
 					// Result.World; a result must not pin any other past
@@ -520,7 +516,9 @@ func Run(cfg Config) (*Result, error) {
 // before — the one-shot ExecuteShard, which always runs on a fresh
 // world, is the oracle the differential tests hold every executor
 // sequence to. Run gives each pool goroutine an executor; a remote
-// worker keeps one per job.
+// worker keeps one per job, the control plane a few per local job. Each
+// shard's accounting is flushed into cfg.Metrics here, so every driver
+// feeds the same series.
 //
 // An Executor is not safe for concurrent use: it is one simulation.
 type Executor struct {
@@ -582,8 +580,10 @@ func (e *Executor) acquire() (*topology.World, error) {
 // world.
 func (e *Executor) runShard(sh shardSpec) (shardResult, error) {
 	start := time.Now()
+	e.cfg.Metrics.shardStarted()
 	fail := func(err error) (shardResult, error) {
 		e.world = nil
+		e.cfg.Metrics.shardFailed()
 		return shardResult{}, fmt.Errorf("campaign: shard %d/%d (%s): %w", sh.shard, sh.slice, sh.vantage, err)
 	}
 	cfg := e.cfg
@@ -741,26 +741,30 @@ func (e *Executor) runShard(sh shardSpec) (shardResult, error) {
 	}
 
 	cascades, registerHits := sim.WheelStats()
+	stats := ShardStats{
+		Shard:              sh.shard,
+		Slice:              sh.slice,
+		Vantage:            sh.vantage,
+		Seed:               sh.seed,
+		Traces:             len(d.Traces),
+		Events:             sim.Executed(),
+		PhantomEvents:      sim.PhantomEvents(),
+		ReplayedBoundaries: sim.ReplayedBoundaries(),
+		WheelCascades:      cascades,
+		WheelRegisterHits:  registerHits,
+		VirtualTime:        sim.Now(),
+		Elapsed:            time.Since(start),
+	}
+	// Flush here, before the executor's next shard resets the world:
+	// shardFinished reads its queue totals.
+	cfg.Metrics.shardFinished(stats, w, cfg.Scheduler.Name())
 	return shardResult{
 		world:      w,
 		data:       d,
 		obs:        obs,
 		servers:    servers,
 		congestion: cong,
-		stats: ShardStats{
-			Shard:              sh.shard,
-			Slice:              sh.slice,
-			Vantage:            sh.vantage,
-			Seed:               sh.seed,
-			Traces:             len(d.Traces),
-			Events:             sim.Executed(),
-			PhantomEvents:      sim.PhantomEvents(),
-			ReplayedBoundaries: sim.ReplayedBoundaries(),
-			WheelCascades:      cascades,
-			WheelRegisterHits:  registerHits,
-			VirtualTime:        sim.Now(),
-			Elapsed:            time.Since(start),
-		},
+		stats:      stats,
 	}, nil
 }
 

@@ -18,8 +18,8 @@ import (
 // interpretable when the schema grows.
 const SpecVersion = 1
 
-// Execution strategies a spec may select. Local runs the campaign on
-// the coordinator's own job pool; distributed hands the shard plan to
+// Execution strategies a spec may select. Local has the coordinator's
+// own loopback workers claim the shard plan; distributed hands it to
 // remote workers over the v1 worker API.
 const (
 	ExecutionLocal       = "local"
@@ -90,7 +90,7 @@ type Spec struct {
 	// invariant), so CacheKey excludes them.
 	//
 	// Execution selects the execution strategy: "local" (the default —
-	// the coordinator runs the campaign in-process on its job pool) or
+	// the coordinator's in-process loopback workers claim the shards) or
 	// "distributed" (the coordinator only exposes the shard plan;
 	// remote `reprod worker` processes claim (vantage, slice) shards
 	// over the API under lease/heartbeat semantics and upload results,

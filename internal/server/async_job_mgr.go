@@ -5,20 +5,25 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/campaign"
 	"repro/internal/dataset"
 	"repro/internal/telemetry"
+	"repro/internal/topology"
 )
 
-// The async job manager runs submitted campaigns on a bounded pool of
-// worker goroutines and tracks each through the queued → running →
-// done/failed lifecycle. Three deduplication layers keep identical
-// submissions from re-simulating:
+// The async job manager tracks every submitted campaign through one
+// lifecycle — queued → running → done/failed: workers claim the job's
+// shards from its lease table (leases.go) and the accepted result that
+// completes the plan merges and files the run. A distributed job's
+// workers are remote processes claiming over HTTP; a local job's are
+// this process's loopback goroutines, making the same transitions by
+// direct call. Three deduplication layers keep identical submissions
+// from re-simulating:
 //
 //  1. store hit: the spec's cache key is already filed → a synthetic
 //     done job serves the cached artifacts instantly;
@@ -41,14 +46,13 @@ const (
 )
 
 // ShardProgress is one (vantage, slice) shard's completion state
-// within a job. In-process shards move pending → running → done;
-// distributed shards move pending → leased → done (with evictions
-// looping leased back to pending — see leases.go).
+// within a job: pending → leased → done, with evictions looping a
+// distributed job's leased shards back to pending (see leases.go).
 type ShardProgress struct {
 	campaign.ShardInfo
-	State string `json:"state"` // pending | running | leased | done
-	// Worker is the worker holding (or having completed) a distributed
-	// shard; empty for in-process execution.
+	State string `json:"state"` // pending | leased | done
+	// Worker is the worker holding (or having completed) the shard:
+	// a remote worker's ID, or "local" for the loopback goroutines.
 	Worker string `json:"worker,omitempty"`
 	// Execution stats, populated when the shard completes.
 	Events         uint64  `json:"events,omitempty"`
@@ -70,8 +74,7 @@ type JobView struct {
 	Started   *time.Time `json:"started,omitempty"`
 	Finished  *time.Time `json:"finished,omitempty"`
 
-	// Progress counters, fed by the campaign engine's ShardStart/
-	// ShardDone hooks.
+	// Progress counters, fed by accepted shard results.
 	ShardsTotal int `json:"shards_total"`
 	ShardsDone  int `json:"shards_done"`
 	TracesTotal int `json:"traces_total"`
@@ -98,10 +101,9 @@ type job struct {
 	tracesTotal int
 	tracesDone  int
 
-	// Distributed execution state (see leases.go): leases and wires
-	// parallel shards; finalizing latches the upload that completes the
-	// plan so exactly one caller runs the merge.
-	execution  string
+	// The lease table (see leases.go), allocated when the job starts
+	// running: leases and wires parallel shards; finalizing latches the
+	// result that completes the plan so exactly one caller runs the merge.
 	leases     []shardLease
 	wires      []*campaign.ShardResultWire
 	finalizing bool
@@ -113,9 +115,54 @@ type job struct {
 	durMax   float64
 	durCount int
 	// wal is the job's open write-ahead journal (journal.go); nil for
-	// in-process jobs and when journaling is disabled. Appends are
+	// local jobs and when journaling is disabled. Appends are
 	// serialized by mgr.mu like the state they shadow.
 	wal *jobWAL
+	// local is a local job's engine; nil for distributed and ended jobs.
+	local *localRun
+}
+
+// distributed reports whether remote workers execute the job's shards.
+// Everything the two executions differ by follows from it: who may claim,
+// whether a journal is opened, when the job starts running, and whether
+// its leases can lapse or be twinned.
+func (j *job) distributed() bool { return j.spec.Execution == campaign.ExecutionDistributed }
+
+// start moves a job to running at time at and gives it its lease table.
+func (j *job) start(at time.Time) {
+	j.state = JobRunning
+	j.started = at
+	j.leases = make([]shardLease, len(j.shards))
+	j.wires = make([]*campaign.ShardResultWire, len(j.shards))
+}
+
+// localRun is what a local job owns of the engine, as campaign.Run does
+// for the length of a call: the blueprint, compiled once by the first
+// grant (off mgr.mu), and min(spec workers, shards) executors — one
+// world each — taken and returned per shard and dropped with the job.
+type localRun struct {
+	cfg     campaign.Config
+	compile sync.Once // guards bp, err
+	bp      *topology.Blueprint
+	err     error
+	// idle queues the executors between shards, nil standing for one
+	// not yet made; guarded by mgr.mu.
+	idle []*campaign.Executor
+}
+
+// execute runs granted shard c on ex — made first when nil, the
+// blueprint compiled before that if no sibling has — and returns the
+// executor with the result. Runs off mgr.mu.
+func (r *localRun) execute(ex *campaign.Executor, c ShardClaim) (*campaign.Executor, *campaign.ShardResultWire, error) {
+	if ex == nil {
+		r.compile.Do(func() { r.bp, r.err = r.cfg.CompileBlueprint() })
+		if r.err != nil {
+			return nil, nil, r.err
+		}
+		ex = campaign.NewExecutor(r.cfg, r.bp)
+	}
+	wire, err := ex.Execute(c.Shard, c.Slice)
+	return ex, wire, err
 }
 
 func (j *job) view() JobView {
@@ -143,7 +190,12 @@ func (j *job) view() JobView {
 	return v
 }
 
+// maxQueuedJobs bounds the local jobs waiting for their first grant.
 const maxQueuedJobs = 1024
+
+// localWorker is the identity all loopback goroutines claim under: they
+// live and die together, so nothing needs to tell them apart.
+const localWorker = "local"
 
 // defaultMaxOpenShards is the admission watermark over queued jobs plus
 // running distributed shards; Config.MaxOpenShards overrides.
@@ -174,16 +226,15 @@ type jobMgr struct {
 	// that want the no-durability baseline).
 	wal *walDir
 
-	mu      sync.Mutex
-	jobs    map[string]*job
-	order   []*job          // submission order, for listing
-	active  map[string]*job // cache key → queued/running job
-	nextID  int
-	running int
-	closed  bool
-	// aborted makes the run goroutines drop what is still queued instead
-	// of draining it (Abort); they read it off the lock.
-	aborted atomic.Bool
+	mu     sync.Mutex
+	jobs   map[string]*job
+	order  []*job          // submission order, for listing
+	active map[string]*job // cache key → queued/running job
+	nextID int
+	closed bool
+	// aborted makes the loopback goroutines stop after the shard in hand
+	// instead of finishing the open local jobs (Abort).
+	aborted bool
 	// draining rejects new submissions and claims with 503 unavailable
 	// + Retry-After while in-flight shard uploads still land — the
 	// graceful-shutdown window (BeginDrain).
@@ -193,20 +244,22 @@ type jobMgr struct {
 	workerNames map[string]*string
 	// workers is the health scoreboard (workers.go), keyed by worker ID.
 	workers map[string]*workerHealth
-	// openShards counts distributed shards submitted but not yet
-	// accepted — the admission watermark's running half.
+	// The admission watermark's halves: distributed shards submitted
+	// but not yet accepted, and local jobs not yet granted a shard.
 	openShards int
+	queued     int
 
-	queue chan *job
-	wg    sync.WaitGroup
+	// local lists the local jobs with a pending shard, oldest first; the
+	// loopback goroutines sleep on wake (Submit, stop) when none is
+	// grantable.
+	local     []*job
+	wake      sync.Cond
+	loopbacks int
+	wg        sync.WaitGroup
 }
 
-// newJobMgr starts a manager draining its queue with `workers`
-// concurrent campaign runs.
-func newJobMgr(store *Store, workers int, met *serverMetrics, logger *slog.Logger) *jobMgr {
-	if workers < 1 {
-		workers = 1
-	}
+// newJobMgr starts a manager with `loopbacks` loopback workers.
+func newJobMgr(store *Store, loopbacks int, met *serverMetrics, logger *slog.Logger) *jobMgr {
 	m := &jobMgr{
 		store:          store,
 		met:            met,
@@ -220,31 +273,96 @@ func newJobMgr(store *Store, workers int, met *serverMetrics, logger *slog.Logge
 		active:         make(map[string]*job),
 		workerNames:    make(map[string]*string),
 		workers:        make(map[string]*workerHealth),
-		queue:          make(chan *job, maxQueuedJobs),
+		loopbacks:      loopbacks,
 	}
-	for w := 0; w < workers; w++ {
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			for j := range m.queue {
-				if !m.aborted.Load() {
-					m.runJob(j)
-				}
-			}
-		}()
+	m.wake.L = &m.mu
+	m.wg.Add(loopbacks)
+	for w := 0; w < loopbacks; w++ {
+		go m.loopback()
 	}
 	return m
 }
 
-// Close stops accepting jobs and waits for in-flight runs to finish,
+// loopback is one in-process worker: it claims a shard straight from
+// the lease table, executes it, and hands the in-memory result to the
+// accept path an upload takes — no encode, no journal.
+func (m *jobMgr) loopback() {
+	defer m.wg.Done()
+	for {
+		j, run, ex, c := m.nextLocal()
+		if j == nil {
+			return
+		}
+		ex, wire, err := run.execute(ex, c)
+		m.landLocal(j, run, ex, c, wire, err)
+	}
+}
+
+// nextLocal blocks until it can grant a pending shard of the oldest
+// local job with an executor free (nil: make one); a job's first grant
+// starts it. A nil job means stop: aborted, or closed with nothing left
+// to hand out.
+func (m *jobMgr) nextLocal() (*job, *localRun, *campaign.Executor, ShardClaim) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for !m.aborted {
+		for n, j := range m.local {
+			run := j.local
+			if len(run.idle) == 0 {
+				continue // all out; their holders come back for more
+			}
+			ex := run.idle[0]
+			run.idle = run.idle[1:]
+			if j.state == JobQueued {
+				m.queued--
+				m.startLocked(j)
+			}
+			i := j.nextPending(0)
+			if j.nextPending(i+1) < 0 {
+				m.local = slices.Delete(m.local, n, n+1)
+			}
+			return j, run, ex, m.grantLocked(j, i, localWorker, m.now(), 1, false)
+		}
+		if m.closed {
+			break
+		}
+		m.wake.Wait()
+	}
+	return nil, nil, nil, ShardClaim{}
+}
+
+// landLocal returns a loopback shard's executor and accepts its result;
+// the one completing the plan finalizes the job, a failed one fails it.
+// After Abort, or a sibling shard's failure, the outcome is dropped.
+func (m *jobMgr) landLocal(j *job, run *localRun, ex *campaign.Executor, c ShardClaim, wire *campaign.ShardResultWire, err error) {
+	m.mu.Lock()
+	if m.aborted || j.state != JobRunning {
+		m.mu.Unlock()
+		return
+	}
+	finalize := false
+	if err == nil {
+		run.idle = append(run.idle, ex)
+		wire.SpecHash = j.key
+		_, finalize, err = m.shardResultLocked(j, c.Index, localWorker, c.Lease, wire, nil, "")
+	}
+	m.mu.Unlock()
+	if err != nil {
+		m.failJob(j, err)
+	} else if finalize {
+		m.finalize(j)
+	}
+}
+
+// Close stops accepting jobs, waits for the open local jobs to finish,
 // then journals a clean-shutdown marker: the next startup knows this
 // process exited deliberately rather than crashed.
 func (m *jobMgr) Close() { m.stop(true) }
 
 // Abort stops the manager the way a crash would, as far as one process
-// can do that to itself: queued jobs are dropped, the run in flight
-// finishes, every goroutine exits, the job journals are closed as they
-// stand and no clean-shutdown marker is written — so the next
+// can do that to itself: open local jobs are left unfinished (the shards
+// in hand run out, every goroutine exits), the job journals are closed
+// as they stand and no clean-shutdown marker is written — so the next
 // coordinator on the same data dir recovers.
 func (m *jobMgr) Abort() { m.stop(false) }
 
@@ -255,9 +373,9 @@ func (m *jobMgr) stop(clean bool) {
 		return
 	}
 	m.closed = true
-	m.aborted.Store(!clean)
+	m.aborted = !clean
+	m.wake.Broadcast()
 	m.mu.Unlock()
-	close(m.queue)
 	m.wg.Wait()
 
 	m.mu.Lock()
@@ -276,21 +394,14 @@ func (m *jobMgr) stop(clean bool) {
 }
 
 // BeginDrain enters the graceful-shutdown window: new submissions and
-// shard claims are refused with 503 unavailable + Retry-After so
-// workers back off, while heartbeats and in-flight result uploads for
-// existing leases keep landing (and keep being journaled). The caller
-// stops accepting connections and Closes once the window lapses.
+// HTTP shard claims are refused with 503 unavailable + Retry-After so
+// workers back off, while local jobs run on and heartbeats and result
+// uploads for existing leases keep landing (and being journaled). The
+// caller stops accepting connections and Closes once the window lapses.
 func (m *jobMgr) BeginDrain() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.draining = true
-}
-
-// Draining reports whether the drain window is open (healthz).
-func (m *jobMgr) Draining() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.draining
 }
 
 // drainRetryAfterSeconds is the back-off hint sent with drain-window
@@ -299,13 +410,14 @@ func (m *jobMgr) Draining() bool {
 const drainRetryAfterSeconds = 2
 
 // walAppend frames one record into a job's journal, counting journal
-// traffic. A nil j.wal (in-process job, journaling disabled) is a
-// no-op. Callers hold m.mu.
-func (m *jobMgr) walAppend(j *job, rec *walRecord) error {
+// traffic. A nil j.wal (local job, journaling disabled) is a no-op.
+// Callers hold m.mu.
+func (m *jobMgr) walAppend(j *job, rec walRecord) error {
 	if j.wal == nil {
 		return nil
 	}
-	n, err := j.wal.append(rec)
+	r := rec // the copy escapes; a journal-less job's record stays on the stack
+	n, err := j.wal.append(&r)
 	if err != nil {
 		return err
 	}
@@ -366,15 +478,9 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view JobView, created bool, err err
 	}
 	if m.store.Has(key) {
 		m.met.storeHits.Inc()
-		j := m.newJobLocked(key, norm, plan)
-		j.state = JobDone
+		j := m.newJobLocked("", key, norm, plan)
 		j.cached = true
-		j.finished = m.now()
-		for i := range j.shards {
-			j.shards[i].State = "done"
-		}
-		j.shardsDone = len(j.shards)
-		j.tracesDone = j.tracesTotal
+		j.finish(m.now())
 		m.met.events.Append(telemetry.EventJobCacheHit, &j.id, nil, -1, -1)
 		return j.view(), false, nil
 	}
@@ -386,7 +492,7 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view JobView, created bool, err err
 	// instead of queueing until a hard queue_full. Joins and cache hits
 	// were served above — they add no load and are never shed.
 	if m.maxOpenShards > 0 {
-		if load := len(m.queue) + m.openShards; load >= m.maxOpenShards {
+		if load := m.queued + m.openShards; load >= m.maxOpenShards {
 			m.met.submitShed.Inc()
 			return JobView{}, false, faultRetryf(http.StatusTooManyRequests, codeOverloaded,
 				drainRetryAfterSeconds,
@@ -394,17 +500,13 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view JobView, created bool, err err
 				load, m.maxOpenShards)
 		}
 	}
+	distributed := norm.Execution == campaign.ExecutionDistributed
+	if !distributed && m.queued >= maxQueuedJobs {
+		return JobView{}, false, faultf(503, codeQueueFull, "server: job queue full (%d queued)", maxQueuedJobs)
+	}
 
-	j := m.newJobLocked(key, norm, plan)
-	if norm.Execution == campaign.ExecutionDistributed {
-		// Distributed jobs never enter the local run queue: they are
-		// "running" the moment they exist, and their shards sit pending
-		// until workers claim them over the API.
-		j.execution = campaign.ExecutionDistributed
-		j.state = JobRunning
-		j.started = m.now()
-		j.leases = make([]shardLease, len(j.shards))
-		j.wires = make([]*campaign.ShardResultWire, len(j.shards))
+	j := m.newJobLocked("", key, norm, plan)
+	if distributed {
 		// Durability before acceptance: the submission record (canonical
 		// spec + key — everything recovery needs to rebuild the plan) is
 		// fsync'd before the 202 goes out. If the journal cannot take it,
@@ -415,31 +517,36 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view JobView, created bool, err err
 			m.order = m.order[:len(m.order)-1]
 			return JobView{}, false, faultf(500, codeInternal, "%v", err)
 		}
-		m.active[key] = j
-		m.openShards += len(j.shards)
-		m.met.jobsStarted.Inc()
-		m.met.jobsRunning.Add(1)
-		m.met.events.Append(telemetry.EventJobQueued, &j.id, nil, -1, -1)
-		m.met.events.Append(telemetry.EventJobRunning, &j.id, nil, -1, -1)
-		return j.view(), true, nil
-	}
-	select {
-	case m.queue <- j:
-	default:
-		delete(m.jobs, j.id)
-		m.order = m.order[:len(m.order)-1]
-		return JobView{}, false, faultf(503, codeQueueFull, "server: job queue full (%d queued)", maxQueuedJobs)
 	}
 	m.active[key] = j
 	m.met.events.Append(telemetry.EventJobQueued, &j.id, nil, -1, -1)
+	if distributed {
+		// Running the moment it exists — workers look for running jobs.
+		m.openShards += len(j.shards)
+		m.startLocked(j)
+		return j.view(), true, nil
+	}
+	// A local job stays queued until its first grant.
+	if cfg.Workers <= 0 {
+		cfg.Workers = m.loopbacks
+	}
+	cfg.Metrics = m.met.campaign
+	j.local = &localRun{cfg: cfg, idle: make([]*campaign.Executor, min(cfg.Workers, len(plan)))}
+	m.queued++
+	m.local = append(m.local, j)
+	m.wake.Broadcast()
 	return j.view(), true, nil
 }
 
-// newJobLocked allocates and registers a job; callers hold m.mu.
-func (m *jobMgr) newJobLocked(key string, spec campaign.Spec, plan []campaign.ShardInfo) *job {
-	m.nextID++
+// newJobLocked allocates and registers a queued job, every shard
+// pending; an empty id mints the next one. Callers hold m.mu.
+func (m *jobMgr) newJobLocked(id, key string, spec campaign.Spec, plan []campaign.ShardInfo) *job {
+	if id == "" {
+		m.nextID++
+		id = fmt.Sprintf("j-%06d", m.nextID)
+	}
 	j := &job{
-		id:        fmt.Sprintf("j-%06d", m.nextID),
+		id:        id,
 		key:       key,
 		spec:      spec,
 		state:     JobQueued,
@@ -454,6 +561,28 @@ func (m *jobMgr) newJobLocked(key string, spec campaign.Spec, plan []campaign.Sh
 	m.jobs[j.id] = j
 	m.order = append(m.order, j)
 	return j
+}
+
+// startLocked moves a job to running; callers hold m.mu.
+func (m *jobMgr) startLocked(j *job) {
+	j.start(m.now())
+	m.met.jobsStarted.Inc()
+	m.met.jobsRunning.Add(1)
+	m.met.events.Append(telemetry.EventJobRunning, &j.id, nil, -1, -1)
+	m.logger.Info("job start", "job", j.id, "key", j.key[:12], "execution", j.spec.Execution)
+}
+
+// finish marks a job whose run is already in the store — a cache hit,
+// or one recovery found filed — done at time at, every shard complete.
+func (j *job) finish(at time.Time) {
+	j.state = JobDone
+	j.finished = at
+	j.wires = nil
+	for i := range j.shards {
+		j.shards[i].State = "done"
+	}
+	j.shardsDone = len(j.shards)
+	j.tracesDone = j.tracesTotal
 }
 
 // openJobWALLocked creates a distributed job's journal and makes its
@@ -472,7 +601,7 @@ func (m *jobMgr) openJobWALLocked(j *job) error {
 		return err
 	}
 	j.wal = w
-	if err := m.walAppend(j, &walRecord{
+	if err := m.walAppend(j, walRecord{
 		Type: walSubmit, Job: j.id, Key: j.key, Spec: specBytes, Time: m.now(),
 	}); err == nil {
 		err = m.walSync(j)
@@ -486,30 +615,33 @@ func (m *jobMgr) openJobWALLocked(j *job) error {
 	return nil
 }
 
-// failJob marks a job failed and releases its dedup slot. pool is true
-// when the job occupied a local run-queue worker (in-process
-// execution); distributed jobs never did.
-func (m *jobMgr) failJob(j *job, err error, pool bool) {
+// failJob marks a running job failed and releases its dedup slot; the
+// first failure wins (two shards of a local job can fail at once).
+func (m *jobMgr) failJob(j *job, err error) {
 	m.mu.Lock()
+	if j.state != JobRunning {
+		m.mu.Unlock()
+		return
+	}
 	j.state = JobFailed
 	j.err = err.Error()
 	j.finished = m.now()
 	delete(m.active, j.key)
-	if pool {
-		m.running--
-	}
-	if j.execution == campaign.ExecutionDistributed {
+	if j.distributed() {
 		// Release the failed job's unaccepted shards from the admission
 		// watermark.
 		if open := len(j.shards) - j.shardsDone; open > 0 && m.openShards >= open {
 			m.openShards -= open
 		}
+	} else {
+		j.local = nil
+		m.local = slices.DeleteFunc(m.local, func(o *job) bool { return o == j })
 	}
 	if j.wal != nil {
 		// The failure is terminal state worth surviving a restart: the
 		// journal keeps its file with a failed record so recovery
 		// re-surfaces the failure instead of re-running a poisoned merge.
-		if werr := m.walAppend(j, &walRecord{Type: walFailed, Error: j.err, Time: m.now()}); werr == nil {
+		if werr := m.walAppend(j, walRecord{Type: walFailed, Error: j.err, Time: m.now()}); werr == nil {
 			_ = m.walSync(j)
 		}
 		j.wal.close()
@@ -523,9 +655,7 @@ func (m *jobMgr) failJob(j *job, err error, pool bool) {
 }
 
 // fileRun serializes and files a completed campaign's artifacts into
-// the content-addressed store — the single path shared by in-process
-// runs and distributed merges, so both produce identical RunMeta and
-// identical dataset bytes. Returns the dataset size.
+// the content-addressed store. Returns the dataset size.
 func (m *jobMgr) fileRun(j *job, res *campaign.Result, wall time.Duration) (int64, error) {
 	specBytes, err := j.spec.Canonical()
 	if err != nil {
@@ -559,94 +689,12 @@ func (m *jobMgr) fileRun(j *job, res *campaign.Result, wall time.Duration) (int6
 	return n, nil
 }
 
-// runJob executes one queued campaign on a worker goroutine.
-func (m *jobMgr) runJob(j *job) {
-	m.mu.Lock()
-	j.state = JobRunning
-	j.started = m.now()
-	m.running++
-	m.mu.Unlock()
-	m.met.jobsStarted.Inc()
-	m.met.jobsRunning.Add(1)
-	m.met.events.Append(telemetry.EventJobRunning, &j.id, nil, -1, -1)
-	m.logger.Info("job start", "job", j.id, "key", j.key[:12])
-
-	fail := func(err error) { m.failJob(j, err, true) }
-
-	cfg, err := j.spec.Config()
-	if err != nil {
-		fail(err)
-		return
-	}
-	cfg.Metrics = m.met.campaign
-	cfg.ShardStart = func(shard, slice int, vantage string) {
-		m.setShardState(j, shard, slice, "running", nil)
-	}
-	cfg.ShardDone = func(stats campaign.ShardStats) {
-		m.setShardState(j, stats.Shard, stats.Slice, "done", &stats)
-	}
-
-	start := m.now()
-	res, err := campaign.Run(cfg)
-	if err != nil {
-		fail(err)
-		return
-	}
-	wall := m.now().Sub(start)
-
-	n, err := m.fileRun(j, res, wall)
-	if err != nil {
-		fail(err)
-		return
-	}
-
-	m.mu.Lock()
-	j.state = JobDone
-	j.finished = m.now()
-	delete(m.active, j.key)
-	m.running--
-	m.mu.Unlock()
-	m.met.jobsDone.Inc()
-	m.met.jobsRunning.Add(-1)
-	m.met.events.Append(telemetry.EventJobDone, &j.id, nil, -1, -1)
-	m.logger.Info("job done", "job", j.id, "key", j.key[:12],
-		"traces", len(res.Dataset.Traces), "dataset_bytes", n, "wall_seconds", wall.Seconds())
-}
-
-// setShardState updates one (vantage-index, slice) shard's progress
-// and records the transition. The event's job and detail pointers
-// are &j.id and &sh.Vantage: both are heap-stable for the job's
-// lifetime (a job's shards slice is allocated once and never grows).
-func (m *jobMgr) setShardState(j *job, shard, slice int, state string, stats *campaign.ShardStats) {
+// Health reports the local jobs waiting for their first grant and
+// whether the drain window is open (healthz).
+func (m *jobMgr) Health() (queued int, draining bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := range j.shards {
-		sh := &j.shards[i]
-		if sh.Shard != shard || sh.Slice != slice {
-			continue
-		}
-		sh.State = state
-		kind := telemetry.EventShardStart
-		if stats != nil {
-			kind = telemetry.EventShardDone
-			sh.Events = stats.Events
-			sh.ElapsedSeconds = stats.Elapsed.Seconds()
-			j.shardsDone++
-			j.tracesDone += stats.Traces
-		}
-		m.met.events.Append(kind, &j.id, &sh.Vantage, int32(shard), int32(slice))
-		return
-	}
-}
-
-// QueueDepth reports the number of jobs waiting for a worker.
-func (m *jobMgr) QueueDepth() int { return len(m.queue) }
-
-// Running reports the number of campaigns currently executing.
-func (m *jobMgr) Running() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.running
+	return m.queued, m.draining
 }
 
 // Get returns a snapshot of the identified job.
@@ -658,17 +706,6 @@ func (m *jobMgr) Get(id string) (JobView, bool) {
 		return JobView{}, false
 	}
 	return j.view(), true
-}
-
-// List returns snapshots of every job in submission order.
-func (m *jobMgr) List() []JobView {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	views := make([]JobView, len(m.order))
-	for i, j := range m.order {
-		views[i] = j.view()
-	}
-	return views
 }
 
 // Page returns up to limit job snapshots in submission order, starting

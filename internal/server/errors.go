@@ -28,7 +28,7 @@ const (
 	codeShardNotFound     = "shard_not_found"     // shard index outside the job's plan
 	codeJobNotDone        = "job_not_done"        // artifacts requested before completion
 	codeJobFailed         = "job_failed"          // artifacts requested from a failed job
-	codeJobNotDistributed = "job_not_distributed" // worker call against an in-process job
+	codeJobNotDistributed = "job_not_distributed" // remote-worker call against a local job
 	codeLeaseExpired      = "lease_expired"       // heartbeat on a lapsed or superseded lease
 	codeStaleResult       = "stale_result"        // upload under an evicted lease or wrong spec hash
 	codeResultInvalid     = "result_invalid"      // upload payload inconsistent with the claimed shard

@@ -64,6 +64,7 @@ func storeWritable(dir string) bool {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	version, goVersion, vcsRev, vcsTime := buildVersion()
+	queued, draining := s.mgr.Health()
 	resp := healthResponse{
 		Status:        "ok",
 		Version:       version,
@@ -74,16 +75,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		StoreDir:      filepath.Clean(s.dataDir),
 		StoreWritable: storeWritable(s.dataDir),
 		CachedRuns:    len(s.store.Keys()),
-		QueueDepth:    s.mgr.QueueDepth(),
+		QueueDepth:    queued,
 		QueueCap:      maxQueuedJobs,
-		JobsRunning:   s.mgr.Running(),
+		JobsRunning:   int(s.metrics.jobsRunning.Value()),
 	}
 	status := http.StatusOK
 	if !resp.StoreWritable || resp.QueueDepth >= maxQueuedJobs {
 		resp.Status = "degraded"
 		status = http.StatusServiceUnavailable
 	}
-	if s.mgr.Draining() {
+	if draining {
 		// Draining is deliberate unreadiness: load balancers stop
 		// routing, workers back off, in-flight uploads still land.
 		resp.Status = "draining"

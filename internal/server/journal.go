@@ -64,10 +64,10 @@ import (
 // that inflates past the upload limit fails its job instead of
 // exhausting memory.
 //
-// The journal records only distributed jobs. In-process jobs need no
-// durability: their submission is re-sendable, their run is atomic at
-// the store layer (Put's temp-dir rename), and a crash mid-run simply
-// re-simulates — determinism makes the retry byte-identical.
+// The journal records only distributed jobs. A local job's workers die
+// with this process and it promises nothing outside it: the submission
+// is re-sendable, the run atomic at the store layer (Put's rename), and
+// a crash mid-run re-simulates — determinism makes the retry identical.
 //
 // Lifecycle: the journal is created (submit record, fsync'd) before
 // the 202; grant/expiry records track the lease table (grants fsync'd

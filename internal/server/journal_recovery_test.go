@@ -42,7 +42,6 @@ func startCrashServer(t testing.TB, dir string, fc *fakeClock) (*server.Server, 
 	t.Helper()
 	srv, err := server.New(server.Config{
 		DataDir:  dir,
-		Jobs:     1,
 		LeaseTTL: 30 * time.Second,
 		Clock:    fc.Now,
 	})
@@ -765,7 +764,6 @@ func TestRecoveryReopenFailure(t *testing.T) {
 	var once sync.Once
 	srv2, err := server.New(server.Config{
 		DataDir: dir,
-		Jobs:    1,
 		Clock: func() time.Time {
 			once.Do(func() { os.Remove(walPath(dir, job.ID)) })
 			return fc.Now()
@@ -784,24 +782,24 @@ func TestRecoveryReopenFailure(t *testing.T) {
 // first instance is gone — cleanly or not — the directory opens again.
 func TestDataDirLock(t *testing.T) {
 	dir := t.TempDir()
-	first, err := server.New(server.Config{DataDir: dir, Jobs: 1})
+	first, err := server.New(server.Config{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer first.Abort()
-	if second, err := server.New(server.Config{DataDir: dir, Jobs: 1}); err == nil {
+	if second, err := server.New(server.Config{DataDir: dir}); err == nil {
 		second.Abort()
 		t.Fatal("second coordinator opened a data dir the first still holds")
 	} else if !contains(err.Error(), filepath.Join(dir, "LOCK")) {
 		t.Fatalf("lock error does not name the lock file: %v", err)
 	}
 	first.Abort()
-	second, err := server.New(server.Config{DataDir: dir, Jobs: 1})
+	second, err := server.New(server.Config{DataDir: dir})
 	if err != nil {
 		t.Fatalf("data dir still locked after Abort: %v", err)
 	}
 	second.Close()
-	third, err := server.New(server.Config{DataDir: dir, Jobs: 1})
+	third, err := server.New(server.Config{DataDir: dir})
 	if err != nil {
 		t.Fatalf("data dir still locked after Close: %v", err)
 	}
@@ -857,6 +855,123 @@ func TestJournalBoundsSize(t *testing.T) {
 	if info.Size()*2 >= int64(payload) {
 		t.Fatalf("journal is %d bytes, want under half of the %d payload bytes", info.Size(), payload)
 	}
+}
+
+// TestRecoveryRestoresStragglerBaseline: replay runs the accept
+// transition itself, so the job's shard-duration baseline survives a
+// restart — a shard leased before the crash is recognised as a
+// straggler and twinned on the first post-restart claim, without
+// waiting for a fresh upload to re-seed the EWMA.
+func TestRecoveryRestoresStragglerBaseline(t *testing.T) {
+	dir := t.TempDir()
+	fc := newFakeClock()
+	ctx := context.Background()
+	srv1, ts1, c1 := startCrashServer(t, dir, fc)
+	job, _, err := c1.SubmitRaw(ctx, []byte(distSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wires := execWires(t, distSpec, job.Key)
+	for i := 0; i < 2; i++ {
+		claim, err := c1.Claim(ctx, job.ID, "wA", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := claim.Shards[0]
+		wires[sh.Index].Stats.Elapsed = 50 * time.Millisecond
+		if ack, err := c1.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index]); err != nil || ack.Status != "accepted" {
+			t.Fatalf("upload %d = %v %v, want accepted", sh.Index, ack, err)
+		}
+	}
+	straggle, err := c1.Claim(ctx, job.ID, "wA", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash(ts1, srv1)
+
+	// 10s dwarfs speculate-after × EWMA (3 × 50ms) and stays inside the
+	// straggler's 30s lease: only speculation can re-expose its shard.
+	_, _, c2 := startCrashServer(t, dir, fc)
+	fc.Advance(10 * time.Second)
+	claim, err := c2.Claim(ctx, job.ID, "wB", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twins := 0
+	for _, s := range claim.Shards {
+		if s.Speculative {
+			twins++
+			if s.Index != straggle.Shards[0].Index {
+				t.Errorf("twin of shard %d, want the straggler's shard %d", s.Index, straggle.Shards[0].Index)
+			}
+		}
+	}
+	if twins != 1 || len(claim.Shards) != job.ShardsTotal-2 {
+		t.Fatalf("post-restart claim = %d shards with %d twins, want %d with 1",
+			len(claim.Shards), twins, job.ShardsTotal-2)
+	}
+}
+
+// TestRecoveryReplaysParentJournal replays a journal written by the
+// build before the lease transitions were split into state and live
+// halves (testdata/parent_j-000001.wal: two claims by wA, a straggler
+// twinned by wB, three more uploads, every open lease expired, one
+// re-grant to wC — each record kind once at least) and holds the
+// recovered shard table to the one that build served when it died.
+func TestRecoveryReplaysParentJournal(t *testing.T) {
+	const jobID = "j-000001"
+	wal, err := os.ReadFile(filepath.Join("testdata", "parent_"+jobID+".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "parent_"+jobID+".shards.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "journal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(walPath(dir, jobID), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fc := newFakeClock()
+	fc.Advance(50 * time.Second) // past the fixture's last record, inside wC's lease
+	_, _, client := startCrashServer(t, dir, fc)
+	ctx := context.Background()
+
+	shards, err := client.Shards(ctx, jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(shards, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(got, '\n'), want) {
+		t.Fatalf("recovered shard table differs from the parent build's:\n%s", got)
+	}
+
+	// wC's pre-crash lease is still the current one for its shard, the
+	// next token for that shard is the fourth, and the job completes to
+	// the same bytes.
+	wires := execWires(t, distSpec, "c4a7eb863cbe522a2d6568173e4da62ca53db0f5d7eb5de4a750d20995d1c211")
+	if ack, err := client.PushShardResult(ctx, jobID, 2, "wC", jobID+".2.3", wires[2]); err != nil || ack.Status != "accepted" {
+		t.Fatalf("upload under the pre-crash lease = %v %v, want accepted", ack, err)
+	}
+	claim, err := client.Claim(ctx, jobID, "wD", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(claim.Shards) != 7 || claim.Shards[0].Lease != jobID+".6.2" {
+		t.Fatalf("post-restart claim = %+v, want the 7 evicted shards re-issued from seq 2", claim.Shards)
+	}
+	for _, s := range claim.Shards {
+		if _, err := client.PushShardResult(ctx, jobID, s.Index, "wD", s.Lease, wires[s.Index]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantDatasetMatch(t, client, jobID)
 }
 
 // FuzzWALReplay feeds arbitrary bytes to startup recovery as a job's
@@ -921,6 +1036,11 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(append(bytes.Clone(valid), resultLine(bomb.Bytes(), "gzip")...))                  // inflates past the bound
 	f.Add(append(bytes.Clone(valid), resultLine([]byte(`{"worker":"wA"}`), "identity")...)) // no payload
 	f.Add([]byte{})
+	// A submission record for a local job: it never had a journal, and
+	// nothing could claim its shards if it were resumed.
+	submit := bytes.TrimSuffix(lines[0][len("w2 00000000 "):], []byte("\n"))
+	f.Add(append([]byte(walLine("w2", strings.Replace(string(submit),
+		`"execution":"distributed"`, `"execution":"local"`, 1))), valid[len(lines[0]):]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -930,7 +1050,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(walPath(dir, job.ID), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		srv, err := server.New(server.Config{DataDir: dir, Jobs: 1})
+		srv, err := server.New(server.Config{DataDir: dir})
 		if err != nil {
 			t.Fatalf("recovery refused to start: %v", err)
 		}
@@ -965,8 +1085,8 @@ func FuzzWALReplay(f *testing.F) {
 		dataset := get("/v1/jobs/"+job.ID+"/dataset", nil)
 		switch view.State {
 		case server.JobRunning:
-			if dataset != 409 {
-				t.Fatalf("running job's dataset = %d, want 409", dataset)
+			if dataset != 409 || view.Spec.Execution != campaign.ExecutionDistributed {
+				t.Fatalf("running %q job's dataset = %d, want a distributed job and 409", view.Spec.Execution, dataset)
 			}
 		case server.JobDone:
 			if dataset != 200 {

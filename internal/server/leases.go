@@ -10,12 +10,20 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The shard lease table: how a distributed job hands its (vantage,
-// slice) shards to remote workers. The state machine per shard is
+// The shard lease table: how a job hands its (vantage, slice) shards to
+// workers — remote ones claiming over HTTP (a distributed job) or this
+// process's loopback goroutines (a local job; see nextLocal in
+// async_job_mgr.go). The state machine per shard is
 //
 //	pending ──claim──▶ leased ──result──▶ done
 //	   ▲                  │
 //	   └────eviction──────┘
+//
+// Every transition is one journal record, and job.apply is what a
+// record does to the table: the live paths below build the record,
+// journal it, apply it, and add what only a live coordinator has
+// (metrics, strikes, logs, the event ring); replay (recovery.go) applies
+// the records it reads, so a restart cannot drift from what it restores.
 //
 // A lease is valid until evicted. Eviction happens when the TTL has
 // passed AND the control plane notices — at a claim sweep, or on a
@@ -133,9 +141,9 @@ func (m *jobMgr) distributedJobLocked(jobID string) (*job, error) {
 	if !ok {
 		return nil, faultf(http.StatusNotFound, codeJobNotFound, "no such job %q", jobID)
 	}
-	if j.execution != campaign.ExecutionDistributed {
+	if !j.distributed() {
 		return nil, faultf(http.StatusConflict, codeJobNotDistributed,
-			"job %s executes in-process; its shards cannot be claimed", jobID)
+			"job %s executes on the coordinator's loopback workers; its shards cannot be claimed", jobID)
 	}
 	return j, nil
 }
@@ -151,79 +159,123 @@ func (m *jobMgr) internWorkerLocked(worker string) *string {
 	return p
 }
 
+// nextPending returns the first pending shard at or after from, or -1.
+func (j *job) nextPending(from int) int {
+	for i := from; i < len(j.shards); i++ {
+		if j.shards[i].State == "pending" {
+			return i
+		}
+	}
+	return -1
+}
+
+// apply makes the transition a lease or result record describes; wire
+// is a result record's decoded payload. It checks nothing — whether the
+// transition is due is the caller's business.
+func (j *job) apply(rec walRecord, wire *campaign.ShardResultWire) {
+	sh, l := &j.shards[rec.Idx], &j.leases[rec.Idx]
+	if rec.Seq > l.seq {
+		l.seq = rec.Seq
+	}
+	switch {
+	case rec.Type == walResult:
+		// The lease tokens stay: the loser of a speculation race must
+		// still ack "duplicate".
+		j.wires[rec.Idx] = wire
+		l.doneToken = rec.Token
+		sh.State, sh.Worker = "done", rec.Worker
+		sh.Events = wire.Stats.Events
+		sh.ElapsedSeconds = wire.Stats.Elapsed.Seconds()
+		j.shardsDone++
+		j.tracesDone += sh.Traces
+		// Fold the shard's duration into the job's straggler baseline.
+		if d := sh.ElapsedSeconds; d > 0 {
+			if j.durCount == 0 {
+				j.durEWMA = d
+			} else {
+				j.durEWMA = durEWMAAlpha*d + (1-durEWMAAlpha)*j.durEWMA
+			}
+			if d > j.durMax {
+				j.durMax = d
+			}
+		}
+		j.durCount++
+	case rec.Event == walGrant:
+		sh.State, sh.Worker = "leased", rec.Worker
+		l.token, l.worker, l.expires = rec.Token, rec.Worker, rec.Expires
+		l.granted, l.batchN = rec.Time, rec.BatchN
+	case rec.Event == walSpecGrant:
+		l.specToken, l.specWorker, l.specExpires = rec.Token, rec.Worker, rec.Expires
+	case rec.Event == walExpire && l.specToken == "":
+		sh.State, sh.Worker = "pending", ""
+	case rec.Event == walExpire:
+		// A live speculative twin is promoted to primary (no record of
+		// its own): the shard stays leased, to the speculating worker.
+		l.token, l.worker, l.expires = l.specToken, l.specWorker, l.specExpires
+		l.granted, l.batchN = rec.Time, 1
+		sh.Worker = l.worker
+		fallthrough
+	case rec.Event == walSpecExpire:
+		l.specToken, l.specWorker, l.specExpires = "", "", time.Time{}
+	}
+}
+
 // sweepExpiredLocked evicts every lapsed lease in the job — shards
-// return to "pending" (or their speculative twin is promoted) and the
-// eviction is counted, journaled, and held against the lapsed worker.
-// Callers hold m.mu.
+// return to "pending" (or their speculative twin is promoted). A local
+// job's leases never lapse: their holders are goroutines of this
+// process and cannot die alone. Callers hold m.mu.
 func (m *jobMgr) sweepExpiredLocked(j *job, now time.Time) {
+	if !j.distributed() {
+		return
+	}
 	for i := range j.shards {
-		sh := &j.shards[i]
-		if sh.State != "leased" {
+		if j.shards[i].State != "leased" {
 			continue
 		}
 		l := &j.leases[i]
 		// A lapsed speculative twin expires first, so a dead twin is
 		// never promoted by the primary eviction below.
 		if l.specToken != "" && !l.specExpires.After(now) {
-			m.expireSpecLocked(j, i)
+			m.expireLocked(j, i, walSpecExpire)
 		}
 		if !l.expires.After(now) {
-			m.evictLeaseLocked(j, i)
+			m.expireLocked(j, i, walExpire)
 		}
 	}
 }
 
-// expireSpecLocked drops one lapsed speculative twin; the primary
-// lease is untouched.
-func (m *jobMgr) expireSpecLocked(j *job, i int) {
-	l := &j.leases[i]
-	_ = m.walAppend(j, &walRecord{Type: walLease, Idx: i, Event: walSpecExpire, Time: m.now()})
-	m.met.leaseExpiries.Inc()
-	m.strikeLocked(l.specWorker, "lease-expiry")
-	m.logger.Info("speculative lease expired", "job", j.id, "shard", i, "worker", l.specWorker)
-	l.specToken, l.specWorker, l.specExpires = "", "", time.Time{}
-}
-
-// evictLeaseLocked removes one shard's lapsed primary lease. With a
-// live speculative twin the twin is promoted to primary — the shard
-// stays leased to the speculating worker; otherwise the shard returns
-// to the pending pool. Either way the lapsed holder takes a strike.
-func (m *jobMgr) evictLeaseLocked(j *job, i int) {
+// expireLocked removes one shard's lapsed primary lease (walExpire) or
+// speculative twin (walSpecExpire): counted, journaled, and held against
+// the lapsed worker. The record is not fsync'd: an eviction promises
+// nothing to anyone, and a lost one merely means recovery sees a leased
+// shard with a lapsed deadline, which the first claim sweep evicts again.
+func (m *jobMgr) expireLocked(j *job, i int, event string) {
 	sh := &j.shards[i]
-	l := &j.leases[i]
-	expired := l.worker
-	// Expiry records are appended without an fsync: nothing is promised
-	// to anyone by an eviction, and a lost record merely means recovery
-	// sees the shard as leased with a lapsed deadline — which the first
-	// post-restart claim sweep evicts again. Replay mirrors the
-	// promotion below (see replayLocked), so the journal needs no
-	// separate promote record.
-	_ = m.walAppend(j, &walRecord{Type: walLease, Idx: i, Event: walExpire, Time: m.now()})
-	m.met.leaseExpiries.Inc()
-	m.met.events.Append(telemetry.EventLeaseExpired, &j.id,
-		m.internWorkerLocked(expired), int32(sh.Shard), int32(sh.Slice))
-	if l.specToken != "" {
-		l.token, l.worker, l.expires = l.specToken, l.specWorker, l.specExpires
-		l.granted, l.batchN = m.now(), 1
-		l.specToken, l.specWorker, l.specExpires = "", "", time.Time{}
-		sh.Worker = l.worker
-		m.logger.Info("lease expired; speculative twin promoted",
-			"job", j.id, "shard", i, "worker", expired, "promoted", l.worker)
-	} else {
-		sh.State = "pending"
-		sh.Worker = ""
-		m.logger.Info("lease expired", "job", j.id, "shard", i, "worker", expired)
+	lapsed := j.leases[i].worker
+	if event == walSpecExpire {
+		lapsed = j.leases[i].specWorker
 	}
-	m.strikeLocked(expired, "lease-expiry")
+	rec := walRecord{Type: walLease, Idx: i, Event: event, Time: m.now()}
+	_ = m.walAppend(j, rec)
+	j.apply(rec, nil)
+	m.met.leaseExpiries.Inc()
+	if event == walExpire {
+		m.met.events.Append(telemetry.EventLeaseExpired, &j.id,
+			m.internWorkerLocked(lapsed), int32(sh.Shard), int32(sh.Slice))
+	}
+	m.logger.Info("lease expired", "job", j.id, "shard", i, "event", event,
+		"worker", lapsed, "state", sh.State, "holder", sh.Worker)
+	m.strikeLocked(lapsed, "lease-expiry")
 }
 
 // speculationDueLocked reports whether a leased shard has straggled
 // past the point where re-exposing it is cheaper than waiting: elapsed
 // time since its grant exceeds speculate-after × EWMA × batch size,
 // and also the slowest successful shard so far. Requires at least one
-// completed shard — there is no "typical duration" before that.
+// completed shard — there is no "typical duration" before that — and a
+// distributed job: a loopback grant is never twinned.
 func (m *jobMgr) speculationDueLocked(j *job, i int, now time.Time) bool {
-	if m.speculateAfter <= 0 || j.durCount == 0 || j.durEWMA <= 0 {
+	if m.speculateAfter <= 0 || j.durCount == 0 || j.durEWMA <= 0 || !j.distributed() {
 		return false
 	}
 	l := &j.leases[i]
@@ -241,10 +293,45 @@ func (m *jobMgr) speculationDueLocked(j *job, i int, now time.Time) bool {
 	return now.Sub(l.granted).Seconds() > threshold
 }
 
+// grantLocked issues shard i's next lease token to worker: a primary
+// lease, batch shards being granted together, or (twin) a speculative
+// one racing a straggler's — the primary is NOT revoked, first upload
+// wins, and determinism makes either winner's bytes correct. The record
+// is appended unsynced; Claim syncs once per batch. Restored at
+// recovery, grants keep the per-shard seq monotonic across restarts (no
+// token is ever minted twice), let a pre-crash worker's upload land
+// under its old token, and keep a post-restart race honest (the loser
+// still acks "duplicate"). A failed append is logged, not fatal: a lost
+// grant costs a re-execution, never correctness. Callers hold m.mu.
+func (m *jobMgr) grantLocked(j *job, i int, worker string, now time.Time, batch int, twin bool) ShardClaim {
+	sh := &j.shards[i]
+	rec := walRecord{
+		Type: walLease, Idx: i, Event: walGrant, Worker: worker, Seq: j.leases[i].seq + 1,
+		Expires: now.Add(m.leaseTTL), BatchN: batch, Time: now,
+	}
+	rec.Token = fmt.Sprintf("%s.%d.%d", j.id, i, rec.Seq)
+	if twin {
+		rec.Event = walSpecGrant
+		m.met.specIssued.Inc()
+		m.logger.Info("speculative lease issued", "job", j.id, "shard", i,
+			"straggler", j.leases[i].worker, "speculator", worker)
+	} else if rec.Seq > 1 {
+		m.met.leaseReissues.Inc()
+	}
+	if err := m.walAppend(j, rec); err != nil {
+		m.logger.Error("journal lease grant", "job", j.id, "shard", i, "error", err)
+	}
+	j.apply(rec, nil)
+	m.met.leaseGrants.Inc()
+	m.met.events.Append(telemetry.EventShardLeased, &j.id, m.internWorkerLocked(worker),
+		int32(sh.Shard), int32(sh.Slice))
+	return ShardClaim{Index: i, ShardInfo: sh.ShardInfo, Lease: rec.Token, ExpiresAt: rec.Expires, Speculative: twin}
+}
+
 // Claim leases up to max pending shards of a distributed job to one
-// worker. Every claim first sweeps lapsed leases back to the pool, so
-// a crashed worker's shards are re-issued as soon as any live worker
-// asks for work.
+// remote worker. Every claim first sweeps lapsed leases back to the
+// pool, so a crashed worker's shards are re-issued as soon as any live
+// worker asks for work.
 func (m *jobMgr) Claim(jobID, worker string, max int) (ClaimResponse, error) {
 	if max < 1 {
 		max = 1
@@ -256,9 +343,10 @@ func (m *jobMgr) Claim(jobID, worker string, max int) (ClaimResponse, error) {
 		return ClaimResponse{}, err
 	}
 	if m.draining {
-		// The drain window refuses new leases (workers back off per
-		// Retry-After) but keeps accepting heartbeats and uploads for
-		// leases already out — in-flight work lands, nothing new starts.
+		// The drain window refuses new leases to remote workers (they
+		// back off per Retry-After) but keeps accepting heartbeats and
+		// uploads for leases already out. Loopback grants do not pass
+		// through here: local jobs still finish.
 		return ClaimResponse{}, faultRetryf(http.StatusServiceUnavailable, codeUnavailable,
 			drainRetryAfterSeconds, "server: draining for shutdown; no new leases")
 	}
@@ -290,103 +378,25 @@ func (m *jobMgr) Claim(jobID, worker string, max int) (ClaimResponse, error) {
 				m.met.claimsCapped.Inc()
 			}
 		}
-		wp := m.internWorkerLocked(worker)
-		var granted []int
-		for i := range j.shards {
-			if len(resp.Shards) == max {
-				break
-			}
-			sh := &j.shards[i]
-			if sh.State != "pending" {
-				continue
-			}
-			l := &j.leases[i]
-			l.seq++
-			l.token = fmt.Sprintf("%s.%d.%d", j.id, i, l.seq)
-			l.worker = worker
-			l.expires = now.Add(m.leaseTTL)
-			l.granted = now
-			sh.State = "leased"
-			sh.Worker = worker
-			m.met.leaseGrants.Inc()
-			if l.seq > 1 {
-				m.met.leaseReissues.Inc()
-			}
-			m.met.events.Append(telemetry.EventShardLeased, &j.id, wp,
-				int32(sh.Shard), int32(sh.Slice))
-			resp.Shards = append(resp.Shards, ShardClaim{
-				Index:     i,
-				ShardInfo: sh.ShardInfo,
-				Lease:     l.token,
-				ExpiresAt: l.expires,
-			})
-			granted = append(granted, i)
+		var pending []int
+		for i := j.nextPending(0); i >= 0 && len(pending) < max; i = j.nextPending(i + 1) {
+			pending = append(pending, i)
 		}
-		for _, i := range granted {
-			j.leases[i].batchN = len(granted)
+		for _, i := range pending {
+			resp.Shards = append(resp.Shards, m.grantLocked(j, i, worker, now, len(pending), false))
 		}
 		// Straggler speculation: with the pending pool drained, re-expose
 		// leased shards whose holders have straggled past the threshold.
-		// The primary lease is NOT revoked — this worker races it with a
-		// twin token, first upload wins, and determinism makes either
-		// winner's bytes correct.
-		for i := range j.shards {
-			if len(resp.Shards) == max {
-				break
-			}
-			sh := &j.shards[i]
-			if sh.State != "leased" {
-				continue
-			}
+		for i := 0; i < len(j.shards) && len(resp.Shards) < max; i++ {
 			l := &j.leases[i]
-			if l.worker == worker || l.specToken != "" || !m.speculationDueLocked(j, i, now) {
-				continue
+			if j.shards[i].State == "leased" && l.worker != worker && l.specToken == "" &&
+				m.speculationDueLocked(j, i, now) {
+				resp.Shards = append(resp.Shards, m.grantLocked(j, i, worker, now, 0, true))
 			}
-			l.seq++
-			l.specToken = fmt.Sprintf("%s.%d.%d", j.id, i, l.seq)
-			l.specWorker = worker
-			l.specExpires = now.Add(m.leaseTTL)
-			m.met.leaseGrants.Inc()
-			m.met.specIssued.Inc()
-			m.met.events.Append(telemetry.EventShardLeased, &j.id, wp,
-				int32(sh.Shard), int32(sh.Slice))
-			m.logger.Info("speculative lease issued", "job", j.id, "shard", i,
-				"straggler", l.worker, "speculator", worker)
-			resp.Shards = append(resp.Shards, ShardClaim{
-				Index:       i,
-				ShardInfo:   sh.ShardInfo,
-				Lease:       l.specToken,
-				ExpiresAt:   l.specExpires,
-				Speculative: true,
-			})
 		}
-		// Journal the batch's grants — token, seq, holder, deadline —
-		// and sync once before the tokens leave the building. Restoring
-		// grants at recovery keeps the per-shard seq monotonic across
-		// restarts (a re-grant can never mint a token string an earlier
-		// process already handed out) and lets a pre-crash worker's
-		// upload land under its old token instead of re-executing;
-		// restoring spec-grants keeps the post-restart race honest (the
-		// original upload still acks "duplicate", never stale).
-		// Failure here is logged, not fatal: a lost grant record only
-		// costs a post-restart re-execution, never correctness.
-		if len(resp.Shards) > 0 && j.wal != nil {
-			for _, sc := range resp.Shards {
-				rec := &walRecord{
-					Type: walLease, Idx: sc.Index, Event: walGrant, Worker: worker,
-					Seq: j.leases[sc.Index].seq, Token: sc.Lease, Expires: sc.ExpiresAt,
-					Time: now,
-				}
-				if sc.Speculative {
-					rec.Event = walSpecGrant
-				} else {
-					rec.BatchN = j.leases[sc.Index].batchN
-				}
-				if err := m.walAppend(j, rec); err != nil {
-					m.logger.Error("journal lease grant", "job", j.id, "shard", sc.Index, "error", err)
-					break
-				}
-			}
+		// One sync for the batch's grant records, before the tokens
+		// leave the building.
+		if len(resp.Shards) > 0 {
 			if err := m.walSync(j); err != nil {
 				m.logger.Error("journal lease grants", "job", j.id, "error", err)
 			}
@@ -419,26 +429,20 @@ func (m *jobMgr) Heartbeat(jobID string, idx int, token string) (HeartbeatRespon
 		return HeartbeatResponse{}, faultf(http.StatusConflict, codeLeaseExpired,
 			"lease is not current for shard %d of job %s", idx, jobID)
 	}
+	// A speculative twin heartbeats its own deadline; the primary's
+	// lease is untouched either way.
+	expires, lapse := &l.expires, walExpire
+	if token != l.token {
+		expires, lapse = &l.specExpires, walSpecExpire
+	}
 	now := m.now()
-	if token == l.specToken && l.specToken != "" && token != l.token {
-		// A speculative twin heartbeats its own deadline; the primary's
-		// lease is untouched either way.
-		if !l.specExpires.After(now) {
-			expired := now.Sub(l.specExpires)
-			m.expireSpecLocked(j, idx)
-			return HeartbeatResponse{}, faultf(http.StatusConflict, codeLeaseExpired,
-				"lease for shard %d of job %s expired %s ago", idx, jobID, expired)
-		}
-		l.specExpires = now.Add(m.leaseTTL)
-		return HeartbeatResponse{Job: j.id, Index: idx, ExpiresAt: l.specExpires}, nil
-	}
-	if !l.expires.After(now) {
-		m.evictLeaseLocked(j, idx)
+	if ago := now.Sub(*expires); ago >= 0 {
+		m.expireLocked(j, idx, lapse)
 		return HeartbeatResponse{}, faultf(http.StatusConflict, codeLeaseExpired,
-			"lease for shard %d of job %s expired %s ago", idx, jobID, now.Sub(l.expires))
+			"lease for shard %d of job %s expired %s ago", idx, jobID, ago)
 	}
-	l.expires = now.Add(m.leaseTTL)
-	return HeartbeatResponse{Job: j.id, Index: idx, ExpiresAt: l.expires}, nil
+	*expires = now.Add(m.leaseTTL)
+	return HeartbeatResponse{Job: j.id, Index: idx, ExpiresAt: *expires}, nil
 }
 
 // ShardResult accepts one shard's uploaded result. First writer wins;
@@ -447,7 +451,8 @@ func (m *jobMgr) Heartbeat(jobID string, idx int, token string) (HeartbeatRespon
 // lease never reaches the merge. The accepted upload that completes
 // the plan triggers the canonical merge and files the run. body is the
 // upload as received (enc its Content-Encoding) and wire what it
-// decoded to: the journal keeps the former, the merge the latter.
+// decoded to: the journal keeps the former, the merge the latter (a
+// loopback result has no body, its job no journal).
 func (m *jobMgr) ShardResult(jobID string, idx int, worker, token string, wire *campaign.ShardResultWire, body []byte, enc string) (ResultResponse, error) {
 	m.mu.Lock()
 	j, err := m.distributedJobLocked(jobID)
@@ -463,7 +468,7 @@ func (m *jobMgr) ShardResult(jobID string, idx int, worker, token string, wire *
 	if finalize {
 		// Synchronous: the upload that completes the plan pays for the
 		// merge, so when its 200 arrives the artifacts are served.
-		m.finalizeDistributed(j)
+		m.finalize(j)
 		resp.State = JobDone
 		if v, ok := m.Get(jobID); ok {
 			resp.State = v.State // failed merges surface too
@@ -545,17 +550,14 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, wire *
 	// later instant leaves a coordinator that still owns this result.
 	// A journal failure refuses the upload (500, internal); the worker
 	// retries and the re-journaled duplicate replays first-wins.
-	if j.wal != nil {
-		if err := m.walAppend(j, &walRecord{
-			Type: walResult, Idx: idx, Worker: worker, Token: token, Body: body, Enc: enc, Time: m.now(),
-		}); err != nil {
-			return ResultResponse{}, false, faultf(http.StatusInternalServerError, codeInternal,
-				"server: journal shard result: %v", err)
-		}
-		if err := m.walSync(j); err != nil {
-			return ResultResponse{}, false, faultf(http.StatusInternalServerError, codeInternal,
-				"server: journal shard result: %v", err)
-		}
+	rec := walRecord{Type: walResult, Idx: idx, Worker: worker, Token: token, Body: body, Enc: enc, Time: m.now()}
+	err := m.walAppend(j, rec)
+	if err == nil {
+		err = m.walSync(j)
+	}
+	if err != nil {
+		return ResultResponse{}, false, faultf(http.StatusInternalServerError, codeInternal,
+			"server: journal shard result: %v", err)
 	}
 	if err := failpoint.Check(failpoint.AcceptResultAfterJournal); err != nil {
 		// Hook-simulated crash: the result is journaled but the worker
@@ -565,14 +567,7 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, wire *
 		return ResultResponse{}, false, faultf(http.StatusInternalServerError, codeInternal,
 			"failpoint %s: %v", failpoint.AcceptResultAfterJournal, err)
 	}
-	j.wires[idx] = wire
-	l.doneToken = token
-	sh.State = "done"
-	sh.Worker = worker
-	sh.Events = wire.Stats.Events
-	sh.ElapsedSeconds = wire.Stats.Elapsed.Seconds()
-	j.shardsDone++
-	j.tracesDone += sh.Traces
+	j.apply(rec, wire)
 	// Settle the speculation race, if one was open: the winning side's
 	// counter ticks and the loser takes a speculation-loss strike — this
 	// is the signal that catches a wedged-but-heartbeating worker, whose
@@ -589,19 +584,7 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, wire *
 		}
 	}
 	m.creditLocked(worker)
-	// Fold the shard's duration into the job's straggler baseline.
-	if d := wire.Stats.Elapsed.Seconds(); d > 0 {
-		if j.durCount == 0 {
-			j.durEWMA = d
-		} else {
-			j.durEWMA = durEWMAAlpha*d + (1-durEWMAAlpha)*j.durEWMA
-		}
-		if d > j.durMax {
-			j.durMax = d
-		}
-	}
-	j.durCount++
-	if m.openShards > 0 {
+	if j.distributed() && m.openShards > 0 {
 		m.openShards--
 	}
 	m.met.resultsAccepted.Inc()
@@ -618,11 +601,10 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, wire *
 	return resp, finalize, nil
 }
 
-// finalizeDistributed merges a completed distributed job's uploaded
-// shard results in canonical order and files the run — the same
-// filing path the in-process runner uses, so the stored artifacts are
-// indistinguishable.
-func (m *jobMgr) finalizeDistributed(j *job) {
+// finalize merges a completed job's shard results in canonical order
+// and files the run — the one completion tail, whoever executed the
+// shards, so the stored artifacts are indistinguishable.
+func (m *jobMgr) finalize(j *job) {
 	if err := failpoint.Check(failpoint.FinalizeBeforeStore); err != nil {
 		// Hook-simulated crash between the last accepted shard and the
 		// store write: leave the job exactly as a dead process would —
@@ -633,19 +615,20 @@ func (m *jobMgr) finalizeDistributed(j *job) {
 	}
 	res, err := campaign.MergeWire(j.wires)
 	if err != nil {
-		m.failJob(j, err, false)
+		m.failJob(j, err)
 		return
 	}
 	wall := m.now().Sub(j.started)
 	n, err := m.fileRun(j, res, wall)
 	if err != nil {
-		m.failJob(j, err, false)
+		m.failJob(j, err)
 		return
 	}
 	m.mu.Lock()
 	j.state = JobDone
 	j.finished = m.now()
-	j.wires = nil // uploaded shard data is merged and filed; release it
+	j.wires = nil // shard data is merged and filed; release it,
+	j.local = nil // and a local job's worlds with it
 	delete(m.active, j.key)
 	if j.wal != nil {
 		// The crash-atomic store entry is now the durable record; the
@@ -661,5 +644,5 @@ func (m *jobMgr) finalizeDistributed(j *job) {
 	m.met.jobsRunning.Add(-1)
 	m.met.events.Append(telemetry.EventJobDone, &j.id, nil, -1, -1)
 	m.logger.Info("job done", "job", j.id, "key", j.key[:12],
-		"execution", "distributed", "dataset_bytes", n, "wall_seconds", wall.Seconds())
+		"execution", j.spec.Execution, "dataset_bytes", n, "wall_seconds", wall.Seconds())
 }

@@ -55,7 +55,6 @@ func newLeaseServer(t *testing.T) (*server.Server, *apiclient.Client, *fakeClock
 	fc := newFakeClock()
 	srv, err := server.New(server.Config{
 		DataDir:  t.TempDir(),
-		Jobs:     1,
 		LeaseTTL: 30 * time.Second,
 		Clock:    fc.Now,
 	})
@@ -350,9 +349,8 @@ func TestWorkerProtocolGuards(t *testing.T) {
 	_, err := client.Claim(ctx, "j-999999", "w", 1)
 	wantCode(t, err, 404, "job_not_found")
 
-	// A local-execution job's shards cannot be claimed. (Submit a spec
-	// that parks behind nothing — Jobs:1 pool — then probe immediately;
-	// whatever its state, claiming is a 409.)
+	// A local-execution job's shards cannot be claimed over HTTP:
+	// whatever its state, claiming is a 409.
 	local, _, err := client.SubmitRaw(ctx, []byte(
 		`{"spec": 1, "scale": "small", "traces": 1, "seed": 7, "stride": 0}`))
 	if err != nil {
@@ -420,7 +418,7 @@ func TestWorkerProtocolGuards(t *testing.T) {
 func TestDistributedMergeFailureSurfaces(t *testing.T) {
 	dir := t.TempDir()
 	fc := newFakeClock()
-	srv, err := server.New(server.Config{DataDir: dir, Jobs: 1, Clock: fc.Now})
+	srv, err := server.New(server.Config{DataDir: dir, Clock: fc.Now})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 			"Job lifecycle transitions, by event.",
 			telemetry.Label{Name: "event", Value: "failed"}),
 		jobsRunning: reg.Gauge("repro_jobs_running",
-			"Campaigns currently executing on the job pool."),
+			"Jobs currently running, local and distributed."),
 		storeHits: reg.Counter("repro_store_requests_total",
 			"Submissions resolved against the content-addressed store.",
 			telemetry.Label{Name: "result", Value: "hit"}),

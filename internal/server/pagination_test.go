@@ -23,7 +23,7 @@ import (
 // shards, so listings are deterministic and instant.
 func newPagingServer(t *testing.T) (*server.Server, *httptest.Server, *apiclient.Client) {
 	t.Helper()
-	srv, err := server.New(server.Config{DataDir: t.TempDir(), Jobs: 1})
+	srv, err := server.New(server.Config{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

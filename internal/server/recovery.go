@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/telemetry"
@@ -73,7 +72,7 @@ func (m *jobMgr) recover() error {
 	// Complete merges outside any lock, after every journal is replayed
 	// — the same path the completing upload would have run.
 	for _, j := range finalize {
-		m.finalizeDistributed(j)
+		m.finalize(j)
 	}
 	return nil
 }
@@ -119,7 +118,13 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 		cause = rep.corrupt // says more than "truncated" when line 1 is the damage
 	}
 
-	j = m.registerRecoveredLocked(id, key, spec, plan)
+	if cause == nil && spec.Execution != campaign.ExecutionDistributed {
+		cause = fmt.Errorf("journal submission record: %q job has no journal to recover", spec.Execution)
+	}
+
+	// Running from the start; replay refines the all-pending lease table.
+	j = m.newJobLocked(id, key, spec, plan)
+	j.start(m.now())
 	if cause == nil {
 		cause = m.replayLocked(j, rep.records[1:])
 	}
@@ -152,14 +157,7 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 	case filed:
 		// The run is filed — the crash hit between the store's atomic
 		// rename and journal removal. Nothing left to do but tidy.
-		j.state = JobDone
-		j.finished = m.now()
-		j.wires = nil
-		for i := range j.shards {
-			j.shards[i].State = "done"
-		}
-		j.shardsDone = len(j.shards)
-		j.tracesDone = j.tracesTotal
+		j.finish(m.now())
 		_ = m.wal.remove(id)
 		m.met.recoveryDone.Inc()
 		return j, false, nil
@@ -201,63 +199,25 @@ func submittedPlan(raw []byte) (campaign.Spec, []campaign.ShardInfo, error) {
 }
 
 // replayLocked applies the post-submission records to a freshly
-// registered job. A record inconsistent with the plan is corruption;
-// duplicates (the crash-between-journal-and-ack retry) replay
-// first-wins, exactly like the live accept path.
+// registered job through the lease table's own job.apply; what is left
+// here is what only replay needs: bounds checks, first-wins
+// deduplication, and the bounded decode. A record inconsistent with the
+// plan is corruption; duplicates (the crash-between-journal-and-ack
+// retry) replay first-wins, exactly like the live accept path.
 func (m *jobMgr) replayLocked(j *job, recs []walRecord) error {
 	var scratch ingestBuf // one inflate buffer for all of the job's result records
 	for _, rec := range recs {
+		if (rec.Type == walLease || rec.Type == walResult) && (rec.Idx < 0 || rec.Idx >= len(j.shards)) {
+			return fmt.Errorf("journal replay: %s record for shard %d outside plan of %d",
+				rec.Type, rec.Idx, len(j.shards))
+		}
 		switch rec.Type {
 		case walLease:
-			if rec.Idx < 0 || rec.Idx >= len(j.shards) {
-				return fmt.Errorf("journal replay: lease record for shard %d outside plan of %d",
-					rec.Idx, len(j.shards))
-			}
-			sh, l := &j.shards[rec.Idx], &j.leases[rec.Idx]
-			if sh.State == "done" {
+			if j.shards[rec.Idx].State == "done" {
 				continue
 			}
-			switch rec.Event {
-			case walGrant:
-				sh.State = "leased"
-				sh.Worker = rec.Worker
-				l.token = rec.Token
-				l.worker = rec.Worker
-				l.expires = rec.Expires
-				l.granted = rec.Time
-				l.batchN = rec.BatchN
-				if rec.Seq > l.seq {
-					l.seq = rec.Seq
-				}
-			case walExpire:
-				// Mirror the live eviction (evictLeaseLocked): a live
-				// speculative twin at expiry was promoted to primary, not
-				// returned to the pool.
-				if l.specToken != "" {
-					l.token, l.worker, l.expires = l.specToken, l.specWorker, l.specExpires
-					l.granted, l.batchN = rec.Time, 1
-					l.specToken, l.specWorker, l.specExpires = "", "", time.Time{}
-					sh.Worker = l.worker
-				} else {
-					sh.State = "pending"
-					sh.Worker = ""
-					l.token, l.worker = "", ""
-				}
-			case walSpecGrant:
-				l.specToken = rec.Token
-				l.specWorker = rec.Worker
-				l.specExpires = rec.Expires
-				if rec.Seq > l.seq {
-					l.seq = rec.Seq
-				}
-			case walSpecExpire:
-				l.specToken, l.specWorker, l.specExpires = "", "", time.Time{}
-			}
+			j.apply(rec, nil)
 		case walResult:
-			if rec.Idx < 0 || rec.Idx >= len(j.shards) {
-				return fmt.Errorf("journal replay: result record for shard %d outside plan of %d",
-					rec.Idx, len(j.shards))
-			}
 			if j.wires[rec.Idx] != nil {
 				continue // duplicate append from a retried upload; first wins
 			}
@@ -274,15 +234,7 @@ func (m *jobMgr) replayLocked(j *job, recs []walRecord) error {
 			if f := checkWire(j, rec.Idx, req.Result); f != nil {
 				return fmt.Errorf("journal replay: result record for shard %d: %w", rec.Idx, f)
 			}
-			sh, l := &j.shards[rec.Idx], &j.leases[rec.Idx]
-			j.wires[rec.Idx] = req.Result
-			l.doneToken = rec.Token
-			sh.State = "done"
-			sh.Worker = rec.Worker
-			sh.Events = req.Result.Stats.Events
-			sh.ElapsedSeconds = req.Result.Stats.Elapsed.Seconds()
-			j.shardsDone++
-			j.tracesDone += sh.Traces
+			j.apply(rec, req.Result)
 			m.met.recoveryShards.Inc()
 		case walFailed:
 			return fmt.Errorf("recovered terminal failure: %s", rec.Error)
@@ -294,32 +246,6 @@ func (m *jobMgr) replayLocked(j *job, recs []walRecord) error {
 		}
 	}
 	return nil
-}
-
-// registerRecoveredLocked builds and registers a recovered distributed
-// job skeleton (state running, all shards pending — replay refines
-// it). Callers hold m.mu.
-func (m *jobMgr) registerRecoveredLocked(id, key string, spec campaign.Spec, plan []campaign.ShardInfo) *job {
-	j := &job{
-		id:        id,
-		key:       key,
-		spec:      spec,
-		state:     JobRunning,
-		execution: campaign.ExecutionDistributed,
-		pos:       len(m.order),
-		submitted: m.now(),
-		started:   m.now(),
-		shards:    make([]ShardProgress, len(plan)),
-		leases:    make([]shardLease, len(plan)),
-		wires:     make([]*campaign.ShardResultWire, len(plan)),
-	}
-	for i, sh := range plan {
-		j.shards[i] = ShardProgress{ShardInfo: sh, State: "pending"}
-		j.tracesTotal += sh.Traces
-	}
-	m.jobs[j.id] = j
-	m.order = append(m.order, j)
-	return j
 }
 
 // bumpNextIDLocked keeps fresh job IDs above every recovered one, so a

@@ -1,7 +1,8 @@
 // Package server is the campaign-as-a-service HTTP control plane: a
 // long-lived wrapper around the sharded campaign engine that accepts
-// serializable campaign specs (campaign.Spec), runs them through an
-// async job manager on a bounded worker pool, and serves merged
+// serializable campaign specs (campaign.Spec), hands each one's shards
+// to workers through a lease table — in-process loopback workers or
+// remote ones, one job lifecycle either way — and serves merged
 // datasets — content-addressed and cached on disk, so resubmitting a
 // spec is free.
 //
@@ -53,6 +54,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,10 +69,6 @@ import (
 type Config struct {
 	// DataDir roots the content-addressed result store.
 	DataDir string
-	// Jobs bounds concurrently running campaigns (not shards — each
-	// campaign parallelizes internally per its spec's workers knob).
-	// Zero means 1.
-	Jobs int
 	// Logger receives one structured record per request and per job
 	// transition. Nil discards logs.
 	Logger *slog.Logger
@@ -105,8 +103,8 @@ type Config struct {
 }
 
 // Server routes the control-plane API. It is an http.Handler; callers
-// own the net/http server and its lifecycle, and must Close to drain
-// the job pool.
+// own the net/http server and its lifecycle, and must Close to stop
+// the loopback workers.
 type Server struct {
 	store   *Store
 	mgr     *jobMgr
@@ -141,8 +139,11 @@ func lockDataDir(dir string) (*os.File, error) {
 }
 
 // New opens the result store under cfg.DataDir, locks the directory
-// and starts the job pool.
-func New(cfg Config) (*Server, error) {
+// and starts the job manager with one loopback worker per CPU.
+func New(cfg Config) (*Server, error) { return newServer(cfg, runtime.GOMAXPROCS(0)) }
+
+// newServer is New with the loopback pool sized by the caller (tests).
+func newServer(cfg Config, loopbacks int) (*Server, error) {
 	store, err := OpenStore(cfg.DataDir)
 	if err != nil {
 		return nil, err
@@ -158,7 +159,7 @@ func New(cfg Config) (*Server, error) {
 	met := newServerMetrics(telemetry.NewRegistry())
 	s := &Server{
 		store:   store,
-		mgr:     newJobMgr(store, cfg.Jobs, met, logger),
+		mgr:     newJobMgr(store, loopbacks, met, logger),
 		mux:     http.NewServeMux(),
 		logger:  logger,
 		metrics: met,
@@ -267,16 +268,16 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close drains the job pool; in-flight campaigns finish and are
-// cached, a clean-shutdown marker is journaled, and the data-dir lock
-// is released.
+// Close stops the job manager; open local jobs finish and are cached,
+// a clean-shutdown marker is journaled, and the data-dir lock is
+// released.
 func (s *Server) Close() {
 	s.mgr.Close()
 	s.lock.Close()
 }
 
-// Abort stops the server as a crash would: the job runners exit
-// without draining their queue, no clean-shutdown marker is journaled,
+// Abort stops the server as a crash would: the loopback workers exit
+// after the shard in hand, no clean-shutdown marker is journaled,
 // and the data-dir lock is released as the kernel would release a dead
 // process's. Tests that restart a coordinator on the same data
 // directory in one process use it after closing the listener.
@@ -286,8 +287,8 @@ func (s *Server) Abort() {
 }
 
 // BeginDrain opens the graceful-shutdown window: new submissions and
-// shard claims are refused with 503 unavailable + Retry-After,
-// heartbeats and in-flight shard uploads keep landing, and healthz
+// shard claims are refused with 503 unavailable + Retry-After;
+// heartbeats, in-flight shard uploads and local jobs keep going; healthz
 // reports "draining". Call on SIGTERM, before the HTTP server stops
 // accepting, then Close.
 func (s *Server) BeginDrain() { s.mgr.BeginDrain() }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -23,16 +24,7 @@ const testSpec = `{"spec": 1, "scale": "small", "traces": 1, "seed": 2015, "stri
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	srv, err := New(Config{DataDir: t.TempDir(), Jobs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
-	return srv, ts
+	return newPoolServer(t, Config{}, runtime.GOMAXPROCS(0))
 }
 
 func submit(t *testing.T, ts *httptest.Server, body string) (int, JobView) {
@@ -428,7 +420,7 @@ func TestConcurrentSubmissionsRunOnce(t *testing.T) {
 func TestStoreReopen(t *testing.T) {
 	dir := t.TempDir()
 
-	srv1, err := New(Config{DataDir: dir, Jobs: 1})
+	srv1, err := New(Config{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +431,7 @@ func TestStoreReopen(t *testing.T) {
 	ts1.Close()
 	srv1.Close()
 
-	srv2, err := New(Config{DataDir: dir, Jobs: 1})
+	srv2, err := New(Config{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +454,7 @@ func TestStoreReopen(t *testing.T) {
 // TestUnfinishedDataset: asking for a queued/running job's dataset is a
 // 409, not a hang or a 500.
 func TestUnfinishedDataset(t *testing.T) {
-	srv, err := New(Config{DataDir: t.TempDir(), Jobs: 1})
+	srv, err := New(Config{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

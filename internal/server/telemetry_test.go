@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/telemetry"
 )
 
@@ -86,75 +87,90 @@ func TestWorldReuseMetrics(t *testing.T) {
 	}
 }
 
-// TestJobEventsEndpoint replays a finished job's journal: the
-// lifecycle must read queued → running → … → done with every shard
-// bracketed by shard-start/shard-done pairs.
+// TestJobEventsEndpoint replays a finished job's event ring: whoever
+// executed the shards, the lifecycle reads queued → running → … →
+// done with every shard leased to a worker and then done.
 func TestJobEventsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t)
-	_, view := submit(t, ts, testSpec)
-	done := awaitDone(t, ts, view.ID)
+	for _, execution := range executions {
+		t.Run(execution, func(t *testing.T) {
+			_, ts := newTestServer(t)
+			spec := pinnedSpec(campaign.ScenarioUncongested, execution)
+			done := driveJob(t, ts, spec)
 
-	status, body := get(t, ts, "/v1/jobs/"+view.ID+"/events")
-	if status != http.StatusOK {
-		t.Fatalf("GET events = %d", status)
-	}
-	var resp struct {
-		ID     string            `json:"id"`
-		State  JobState          `json:"state"`
-		Events []telemetry.Event `json:"events"`
-	}
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != view.ID || resp.State != JobDone {
-		t.Fatalf("events header = %+v", resp)
-	}
-	if len(resp.Events) < 4 {
-		t.Fatalf("only %d events for a done job", len(resp.Events))
-	}
-	if resp.Events[0].Kind != "queued" || resp.Events[1].Kind != "running" {
-		t.Errorf("lifecycle starts %q, %q; want queued, running", resp.Events[0].Kind, resp.Events[1].Kind)
-	}
-	if last := resp.Events[len(resp.Events)-1]; last.Kind != "done" {
-		t.Errorf("lifecycle ends %q, want done", last.Kind)
-	}
-	starts, dones := 0, 0
-	for _, ev := range resp.Events {
-		switch ev.Kind {
-		case "shard-start":
-			starts++
-			if ev.Detail == "" {
-				t.Error("shard-start without vantage detail")
+			status, body := get(t, ts, "/v1/jobs/"+done.ID+"/events")
+			if status != http.StatusOK {
+				t.Fatalf("GET events = %d", status)
 			}
-		case "shard-done":
-			dones++
-		}
-		if ev.Job != view.ID {
-			t.Errorf("event for job %q leaked into %q's timeline", ev.Job, view.ID)
-		}
-	}
-	if starts != done.ShardsTotal || dones != done.ShardsTotal {
-		t.Errorf("journal has %d starts / %d dones, want %d each", starts, dones, done.ShardsTotal)
-	}
+			var resp struct {
+				ID     string            `json:"id"`
+				State  JobState          `json:"state"`
+				Events []telemetry.Event `json:"events"`
+			}
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.ID != done.ID || resp.State != JobDone {
+				t.Fatalf("events header = %+v", resp)
+			}
+			if len(resp.Events) != 3+2*done.ShardsTotal {
+				t.Fatalf("%d events for a done job of %d shards", len(resp.Events), done.ShardsTotal)
+			}
+			if resp.Events[0].Kind != "queued" || resp.Events[1].Kind != "running" {
+				t.Errorf("lifecycle starts %q, %q; want queued, running", resp.Events[0].Kind, resp.Events[1].Kind)
+			}
+			if last := resp.Events[len(resp.Events)-1]; last.Kind != "done" {
+				t.Errorf("lifecycle ends %q, want done", last.Kind)
+			}
+			type shard struct{ shard, slice int }
+			leased, finished := map[shard]string{}, map[shard]bool{}
+			for _, ev := range resp.Events[2 : len(resp.Events)-1] {
+				sh := shard{ev.Shard, ev.Slice}
+				switch ev.Kind {
+				case "shard-leased":
+					if ev.Detail == "" || leased[sh] != "" {
+						t.Errorf("shard-leased %+v: no worker, or leased twice", ev)
+					}
+					leased[sh] = ev.Detail
+				case "shard-done":
+					if leased[sh] != ev.Detail || finished[sh] {
+						t.Errorf("shard-done %+v: leased to %q, done already %v", ev, leased[sh], finished[sh])
+					}
+					finished[sh] = true
+				default:
+					t.Errorf("unexpected %q event mid-job", ev.Kind)
+				}
+				if ev.Job != done.ID {
+					t.Errorf("event for job %q leaked into %q's timeline", ev.Job, done.ID)
+				}
+			}
+			if len(finished) != done.ShardsTotal {
+				t.Errorf("%d shards leased then done, want %d", len(finished), done.ShardsTotal)
+			}
 
-	// A cache-hit resubmission journals under its own job id.
-	_, dup := submit(t, ts, testSpec)
-	status, body = get(t, ts, "/v1/jobs/"+dup.ID+"/events")
-	if status != http.StatusOK {
-		t.Fatalf("GET dup events = %d", status)
-	}
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Events) != 1 || resp.Events[0].Kind != "cache-hit" {
-		t.Errorf("cache-hit job events = %+v", resp.Events)
+			// A cache-hit resubmission records under its own job id.
+			_, dup := submit(t, ts, spec)
+			status, body = get(t, ts, "/v1/jobs/"+dup.ID+"/events")
+			if status != http.StatusOK {
+				t.Fatalf("GET dup events = %d", status)
+			}
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Events) != 1 || resp.Events[0].Kind != "cache-hit" {
+				t.Errorf("cache-hit job events = %+v", resp.Events)
+			}
+		})
 	}
 }
 
 // TestHealthzReadiness checks the enriched probe: build info fields,
-// store probing, queue accounting.
+// store probing, and queue accounting that counts every running job —
+// a distributed one waiting for workers included — as the gauge does.
 func TestHealthzReadiness(t *testing.T) {
 	_, ts := newTestServer(t)
+	if status, _ := submit(t, ts, pinnedSpec(campaign.ScenarioUncongested, campaign.ExecutionDistributed)); status != http.StatusAccepted {
+		t.Fatalf("distributed submit status = %d", status)
+	}
 	status, body := get(t, ts, "/v1/healthz")
 	if status != http.StatusOK {
 		t.Fatalf("GET /v1/healthz = %d: %s", status, body)
@@ -178,11 +194,16 @@ func TestHealthzReadiness(t *testing.T) {
 	if h.UptimeSeconds < 0 {
 		t.Errorf("uptime = %v", h.UptimeSeconds)
 	}
+	_, metrics := get(t, ts, "/v1/metrics")
+	if h.JobsRunning != 1 || h.QueueDepth != 0 || !strings.Contains(string(metrics), "repro_jobs_running 1\n") {
+		t.Errorf("jobs_running = %d, queue_depth = %d with one distributed job open; want 1, 0 and the gauge at 1",
+			h.JobsRunning, h.QueueDepth)
+	}
 }
 
 // TestPprofGating: the profile routes exist only when asked for.
 func TestPprofGating(t *testing.T) {
-	srv, err := New(Config{DataDir: t.TempDir(), Jobs: 1, EnablePprof: true})
+	srv, err := New(Config{DataDir: t.TempDir(), EnablePprof: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +227,7 @@ func TestRequestLogging(t *testing.T) {
 	var mu chanWriter
 	mu.buf = &buf
 	logger := slog.New(slog.NewJSONHandler(&mu, nil))
-	srv, err := New(Config{DataDir: t.TempDir(), Jobs: 1, Logger: logger})
+	srv, err := New(Config{DataDir: t.TempDir(), Logger: logger})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ func newTunedServer(t *testing.T, mod func(*server.Config)) (*apiclient.Client, 
 	fc := newFakeClock()
 	cfg := server.Config{
 		DataDir:  t.TempDir(),
-		Jobs:     1,
 		LeaseTTL: 30 * time.Second,
 		Clock:    fc.Now,
 	}

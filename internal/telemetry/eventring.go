@@ -46,7 +46,6 @@ const (
 	EventJobFailed
 	EventJobCacheHit
 	EventJobJoined
-	EventShardStart
 	EventShardDone
 	EventShardLeased
 	EventLeaseExpired
@@ -60,7 +59,6 @@ var eventKindNames = [...]string{
 	EventJobFailed:    "failed",
 	EventJobCacheHit:  "cache-hit",
 	EventJobJoined:    "joined",
-	EventShardStart:   "shard-start",
 	EventShardDone:    "shard-done",
 	EventShardLeased:  "shard-leased",
 	EventLeaseExpired: "lease-expired",

@@ -12,7 +12,7 @@ func TestJournalAppendSnapshot(t *testing.T) {
 	vant := "ams-nl"
 	j.Append(EventJobQueued, &job, nil, -1, -1)
 	j.Append(EventJobRunning, &job, nil, -1, -1)
-	j.Append(EventShardStart, &job, &vant, 3, 0)
+	j.Append(EventShardLeased, &job, &vant, 3, 0)
 	j.Append(EventShardDone, &job, &vant, 3, 0)
 	j.Append(EventJobDone, &job, nil, -1, -1)
 
@@ -20,7 +20,7 @@ func TestJournalAppendSnapshot(t *testing.T) {
 	if len(evs) != 5 {
 		t.Fatalf("snapshot has %d events, want 5", len(evs))
 	}
-	wantKinds := []string{"queued", "running", "shard-start", "shard-done", "done"}
+	wantKinds := []string{"queued", "running", "shard-leased", "shard-done", "done"}
 	for i, ev := range evs {
 		if ev.Kind != wantKinds[i] {
 			t.Errorf("event %d kind = %q, want %q", i, ev.Kind, wantKinds[i])

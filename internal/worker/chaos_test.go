@@ -47,7 +47,7 @@ func directDataset(t *testing.T) []byte {
 // 4th delayed, yet the worker drains the job to the exact bytes the
 // in-process engine produces — the drops become transparent retries.
 func TestWorkerThroughChaosProxy(t *testing.T) {
-	srv, err := server.New(server.Config{DataDir: t.TempDir(), Jobs: 1, LeaseTTL: 30 * time.Second})
+	srv, err := server.New(server.Config{DataDir: t.TempDir(), LeaseTTL: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestWorkerThroughChaosProxy(t *testing.T) {
 // "duplicate", progress counts each shard once, and the dataset is
 // unchanged.
 func TestDuplicatedUploadsAbsorbed(t *testing.T) {
-	srv, err := server.New(server.Config{DataDir: t.TempDir(), Jobs: 1, LeaseTTL: 30 * time.Second})
+	srv, err := server.New(server.Config{DataDir: t.TempDir(), LeaseTTL: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 // the live job only. Every earlier job's entry is dropped by the first
 // scan that no longer lists the job, and is garbage after it.
 func TestCompiledEntriesEvicted(t *testing.T) {
-	srv, err := server.New(server.Config{DataDir: t.TempDir(), Jobs: 1, LeaseTTL: 30 * time.Second})
+	srv, err := server.New(server.Config{DataDir: t.TempDir(), LeaseTTL: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

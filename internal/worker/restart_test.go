@@ -24,7 +24,7 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
-	srv1, err := server.New(server.Config{DataDir: dir, Jobs: 1, LeaseTTL: ttl})
+	srv1, err := server.New(server.Config{DataDir: dir, LeaseTTL: ttl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 	// A fresh coordinator on the same store recovers the job from its
 	// journal: worker A's accepted shards are already done, its orphaned
 	// leases restored (and left to lapse on the wall clock).
-	srv2, err := server.New(server.Config{DataDir: dir, Jobs: 1, LeaseTTL: ttl})
+	srv2, err := server.New(server.Config{DataDir: dir, LeaseTTL: ttl})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func (f *flakyResults) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // attempts sends the same bytes three times, and the coordinator that
 // finally accepts them files the in-process engine's dataset.
 func TestUploadEncodedOncePerShard(t *testing.T) {
-	srv, err := server.New(server.Config{DataDir: t.TempDir(), Jobs: 1, LeaseTTL: 30 * time.Second})
+	srv, err := server.New(server.Config{DataDir: t.TempDir(), LeaseTTL: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

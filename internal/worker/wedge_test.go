@@ -30,7 +30,6 @@ func TestWedgedWorkerSpeculationAndQuarantine(t *testing.T) {
 	// losses land, and the straggler is benched.
 	srv, err := server.New(server.Config{
 		DataDir:             t.TempDir(),
-		Jobs:                1,
 		LeaseTTL:            30 * time.Second,
 		SpeculateAfter:      1.5,
 		QuarantineThreshold: 2,

@@ -31,7 +31,7 @@ func TestTwoWorkersWithMidRunCrash(t *testing.T) {
 	// mid-batch eviction would turn an asserted "accepted" into a
 	// rejection.
 	const ttl = 3 * time.Second
-	srv, err := server.New(server.Config{DataDir: t.TempDir(), Jobs: 1, LeaseTTL: ttl})
+	srv, err := server.New(server.Config{DataDir: t.TempDir(), LeaseTTL: ttl})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ REF_HASH="$(head -n1 "$WORK/determinism.out" | cut -d' ' -f1)"
 say "reference $REF_HASH"
 
 say "coordinator: lease-ttl $LEASE_TTL, speculate-after 1.5, quarantine-threshold 2"
-"$WORK/reprod" serve -addr "$ADDR" -data "$WORK/data" -jobs 1 \
+"$WORK/reprod" serve -addr "$ADDR" -data "$WORK/data" \
     -lease-ttl "$LEASE_TTL" -speculate-after 1.5 -quarantine-threshold 2 &
 SERVER_PID=$!
 for i in $(seq 1 50); do

@@ -61,7 +61,7 @@ say "reference $REF_HASH"
 
 say "starting doomed coordinator (failpoint: crash after first journaled result)"
 REPRO_FAILPOINT="server.accept-result:crash-after-journal" \
-    "$WORK/reprod" serve -addr "$ADDR" -data "$WORK/data" -jobs 1 -lease-ttl "$LEASE_TTL" \
+    "$WORK/reprod" serve -addr "$ADDR" -data "$WORK/data" -lease-ttl "$LEASE_TTL" \
     2> "$WORK/server1.log" &
 SERVER_PID=$!
 for i in $(seq 1 50); do
@@ -111,7 +111,7 @@ fi
 say "coordinator died with 137 mid-upload; journal owns the unacked result"
 
 say "restarting coordinator on the same data directory (no failpoint)"
-"$WORK/reprod" serve -addr "$ADDR" -data "$WORK/data" -jobs 1 -lease-ttl "$LEASE_TTL" \
+"$WORK/reprod" serve -addr "$ADDR" -data "$WORK/data" -lease-ttl "$LEASE_TTL" \
     2> "$WORK/server2.log" &
 SERVER_PID=$!
 for i in $(seq 1 50); do

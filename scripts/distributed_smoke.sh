@@ -48,7 +48,7 @@ say "reference hash from cmd/determinism (direct engine run)"
 REF_HASH="$(head -n1 "$WORK/determinism.out" | cut -d' ' -f1)"
 say "reference $REF_HASH"
 
-"$WORK/reprod" serve -addr "$ADDR" -data "$WORK/data" -jobs 1 -lease-ttl "$LEASE_TTL" &
+"$WORK/reprod" serve -addr "$ADDR" -data "$WORK/data" -lease-ttl "$LEASE_TTL" &
 SERVER_PID=$!
 for i in $(seq 1 50); do
     if curl -fsS "$BASE/v1/healthz" >/dev/null 2>&1; then break; fi
@@ -65,6 +65,12 @@ say "worker w1: claims a batch, crashes after one accepted upload"
 "$WORK/reprod" worker -coordinator "$BASE" -id w1 -batch 4 -exit-after-results 1 \
     > "$WORK/w1.stats" 2>/dev/null
 say "w1 stats: $(cat "$WORK/w1.stats")"
+
+# One count of running jobs, whoever executes them: the open distributed
+# job is in it.
+RUNNING="$(curl -fsS "$BASE/v1/healthz" | python3 -c 'import json,sys; print(json.load(sys.stdin)["jobs_running"])')"
+[ "$RUNNING" -ge 1 ] \
+    || { say "FAIL: healthz jobs_running = $RUNNING with a distributed job open"; exit 1; }
 
 say "letting w1's orphaned leases lapse (TTL $LEASE_TTL)"
 sleep 3

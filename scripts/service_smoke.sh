@@ -44,7 +44,7 @@ say "reference hash from cmd/determinism (direct engine run)"
 REF_HASH="$(head -n1 "$WORK/determinism.out" | cut -d' ' -f1)"
 say "reference $REF_HASH"
 
-"$WORK/reprod" serve -addr "$ADDR" -data "$WORK/data" -jobs 1 &
+"$WORK/reprod" serve -addr "$ADDR" -data "$WORK/data" &
 SERVER_PID=$!
 
 for i in $(seq 1 50); do
@@ -140,11 +140,19 @@ import json, sys
 doc = json.load(sys.stdin)
 kinds = [e["kind"] for e in doc["events"]]
 assert kinds[0] == "queued" and kinds[1] == "running" and kinds[-1] == "done", kinds
-starts, dones = kinds.count("shard-start"), kinds.count("shard-done")
-assert starts > 0 and starts == dones, kinds
+leases, dones = kinds.count("shard-leased"), kinds.count("shard-done")
+assert leases > 0 and leases == dones, kinds
 assert all(e["job"] == doc["id"] for e in doc["events"]), doc
-print(f"service-smoke: journal OK ({len(kinds)} events, {starts} shards)")
+print(f"service-smoke: journal OK ({len(kinds)} events, {leases} shards)")
 ' || { say "FAIL: job events journal wrong"; exit 1; }
+
+# A local job's shards were leased like any other: the loopback workers
+# are on the scoreboard, in good standing.
+curl -fsS "$BASE/v1/workers" | python3 -c '
+import json, sys
+workers = {w["id"]: w for w in json.load(sys.stdin)["workers"]}
+assert "local" in workers and workers["local"]["strikes"] == 0 and workers["local"]["accepted"] > 0, workers
+' || { say "FAIL: /v1/workers does not list the loopback workers"; exit 1; }
 
 say "typed-client companion (reprod run via internal/apiclient)"
 # The same spec through the typed client must be another pure cache
