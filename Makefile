@@ -70,7 +70,10 @@ lint:
 # check: for every scenario the merged dataset SHA-256 must be
 # identical across slices {1,2,8} × workers {1,4,13}, on both the
 # timing-wheel and heap schedulers, under both cross-traffic drives
-# (lazy catch-up replay and the event-per-boundary oracle).
+# (lazy catch-up replay and the event-per-boundary oracle). Every cell
+# runs the traceroute sweep too (stride 12) and prints the canonical
+# digest of its rows in a trailing rows= column, which must be equal
+# across slices × workers × scheduler.
 determinism:
 	$(GO) run ./cmd/determinism
 

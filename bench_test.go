@@ -253,22 +253,31 @@ func BenchmarkCampaignSingleTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkTracerouteOnePath measures a single ECT(0) traceroute.
+// BenchmarkTracerouteOnePath measures a single ECT(0) traceroute on the
+// vantage's own Mux. After the first path the session, its observation
+// buffer and its callbacks are recycled, ICMP quotations are read in
+// place, and the op allocates nothing: 0 allocs/op.
 func BenchmarkTracerouteOnePath(b *testing.B) {
 	f := benchFixture(b)
 	v := f.world.Vantages[len(f.world.Vantages)-1]
 	v.Host.Uplink().SetLossBoth(0)
-	mux := traceroute.NewMux(v.Host)
-	target := f.world.ServerAddrs()[0]
+	target := f.world.Servers[0].Addr
 	sim := f.world.Sim
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		done := false
-		mux.Run(target, traceroute.Config{ProbesPerHop: 1}, func(traceroute.Result) { done = true })
+	done := false
+	onDone := func(traceroute.Result) { done = true }
+	run := func() {
+		done = false
+		v.Mux.Run(target, traceroute.Config{ProbesPerHop: 1}, onDone)
 		sim.Run()
 		if !done {
 			b.Fatal("trace did not complete")
 		}
+	}
+	run() // first path: builds the session, warms the buffer pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 

@@ -21,6 +21,17 @@
 // hashes of a scenario must be equal; the first line printed is always
 // the wheel + lazy reference.
 //
+// Every cell also runs the traceroute sweep (stride 12 unless -stride
+// says otherwise), whose path observations are not part of the dataset:
+// each line ends in a rows= column, the canonical digest of the merged
+// sweep rows (traceroute.HashRows), which must be equal across a
+// scenario's slices × workers × scheduler cells. It is compared per
+// cross-traffic drive: on congested-transit the two drives agree on
+// every row but order two paths that complete in the same nanosecond
+// differently (rows are listed in completion order; ROADMAP item 2
+// records the tie). The sweep runs in its own epoch on its own PRNG
+// stream, so it cannot move the dataset hash in the first column.
+//
 // The hash this command prints for a spec is the control plane's
 // correctness contract: a dataset served by cmd/reprod for the same
 // spec must have the same SHA-256 (the service-smoke CI job asserts
@@ -34,7 +45,7 @@
 //
 // Usage:
 //
-//	determinism [-seed N] [-traces N] [-workers 1,4,13] [-slices 1,2,8] [-scenario a,b]
+//	determinism [-seed N] [-traces N] [-stride N] [-workers 1,4,13] [-slices 1,2,8] [-scenario a,b]
 package main
 
 import (
@@ -47,13 +58,14 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/netsim"
 	"repro/internal/telemetry"
+	"repro/internal/traceroute"
 )
 
 func main() {
 	base := campaign.DefaultSpec()
 	base.Scale = "small"
 	base.Traces = 2
-	base.Stride = 0
+	base.Stride = 12
 	spec := campaign.BindSpecFlags(flag.CommandLine, campaign.FlagOptions{
 		Base: base,
 		Grid: &campaign.GridDefaults{
@@ -74,24 +86,30 @@ func main() {
 	failed := false
 	runs := 0
 	scenario, ref := "", ""
+	var refRows map[netsim.XTrafficMode]string
 	for _, cell := range cells {
 		if cell.Scenario != scenario {
-			scenario, ref = cell.Scenario, ""
+			scenario, ref, refRows = cell.Scenario, "", map[netsim.XTrafficMode]string{}
 		}
 		for _, xmode := range []netsim.XTrafficMode{netsim.XTrafficLazy, netsim.XTrafficEvents} {
 			for _, sched := range []netsim.Scheduler{netsim.SchedWheel, netsim.SchedHeap} {
 				label := fmt.Sprintf("scenario=%s sched=%s xtraffic=%s slices=%d workers=%d",
 					cell.Scenario, sched.Name(), xmode.Name(), cell.SlicesPerVantage, cell.Workers)
-				sum, err := runHash(cell, sched, xmode)
+				sum, rows, err := runHash(cell, sched, xmode)
 				if err != nil {
 					fatal("%s: %v", label, err)
 				}
-				fmt.Printf("%s  %s\n", sum, label)
+				fmt.Printf("%s  %s rows=%s\n", sum, label, rows)
 				runs++
 				if ref == "" {
 					ref = sum
-				} else if sum != ref {
-					fmt.Fprintf(os.Stderr, "determinism: FAIL: diverges at %s\n", label)
+				}
+				if refRows[xmode] == "" {
+					refRows[xmode] = rows
+				}
+				if sum != ref || rows != refRows[xmode] {
+					fmt.Fprintf(os.Stderr, "determinism: FAIL: diverges at %s (dataset equal: %v, sweep rows equal: %v)\n",
+						label, sum == ref, rows == refRows[xmode])
 					failed = true
 				}
 			}
@@ -100,28 +118,29 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("determinism: OK — %d merged datasets identical across the slices × workers × scheduler × cross-traffic grid\n", runs)
+	fmt.Printf("determinism: OK — %d merged datasets identical across the slices × workers × scheduler × cross-traffic grid, their traceroute sweep rows across slices × workers × scheduler\n", runs)
 }
 
 // runHash executes one grid cell's campaign on the given scheduler and
 // cross-traffic drive — telemetry attached — and returns the SHA-256 of
-// its merged dataset in canonical JSON-lines form.
-func runHash(spec campaign.Spec, sched netsim.Scheduler, xmode netsim.XTrafficMode) (string, error) {
+// its merged dataset in canonical JSON-lines form and the canonical
+// digest of its merged sweep rows.
+func runHash(spec campaign.Spec, sched netsim.Scheduler, xmode netsim.XTrafficMode) (data, rows string, err error) {
 	cfg, err := spec.Config()
 	if err != nil {
-		return "", err
+		return "", "", err
 	}
 	cfg.Scheduler, cfg.XTraffic = sched, xmode
 	cfg.Metrics = campaign.NewMetrics(telemetry.NewRegistry())
 	res, err := campaign.Run(cfg)
 	if err != nil {
-		return "", err
+		return "", "", err
 	}
 	h := sha256.New()
 	if err := dataset.Write(h, res.Dataset); err != nil {
-		return "", err
+		return "", "", err
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
+	return fmt.Sprintf("%x", h.Sum(nil)), traceroute.HashRows(res.PathObs), nil
 }
 
 func fatal(format string, args ...any) {

@@ -25,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 	vantage, _ := world.VantageByName("EC2 Tokyo")
-	mux := traceroute.NewMux(vantage.Host)
+	mux := vantage.Mux // the vantage host's own ICMP demultiplexer
 
 	// Pick one clean server and one behind a bleaching stub, so the
 	// output shows both a green path and a red run.

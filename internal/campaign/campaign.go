@@ -697,16 +697,24 @@ func (e *Executor) runShard(sh shardSpec) (shardResult, error) {
 		if sim.Now() >= at {
 			return fail(fmt.Errorf("trace %d overran into the sweep epoch at %v", sh.hi-1, at))
 		}
+		swept := false
 		sim.At(at, func() {
 			sim.Reseed(sweepSeed(cfg.Seed, sh.shard))
 			w.ResetTransientState()
+			// The rows arrive as one exactly-sized slab this shard owns;
+			// the sweep's working memory stays behind on the world.
 			core.RunTracerouteCampaign(w, core.TracerouteCampaignConfig{
 				Vantages:     []string{sh.vantage},
 				TargetStride: cfg.Stride,
 				Config:       cfg.Traceroute,
-			}, func(o []core.PathObservation) { obs = o })
+			}, func(o []core.PathObservation) { obs, swept = o, true })
 		})
 		sim.Run()
+		if !swept {
+			// Sessions are still registered on the vantage's mux: like
+			// any failed world, this one is dropped, not reset.
+			return fail(fmt.Errorf("traceroute sweep did not complete"))
+		}
 	}
 
 	var cong *analysis.CEMarkSample

@@ -8,6 +8,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/netsim"
 	"repro/internal/topology"
+	"repro/internal/traceroute"
 )
 
 // TestWorkerCountInvariance is the engine's headline guarantee: the same
@@ -241,5 +242,40 @@ func TestGOMAXPROCSInvariance(t *testing.T) {
 	many := encode(t, runOrFatal(t, cfg).Dataset)
 	if !bytes.Equal(one, many) {
 		t.Error("merged dataset depends on GOMAXPROCS")
+	}
+}
+
+// sweepRowHash is traceroute.HashRows over testConfig()'s merged
+// Result.PathObs (small world, stride 12, seed 2015), recorded at commit
+// 92041ea — the last build whose sweep copied every ICMP body and grew a
+// slice per path. The sweep has been rewritten since; its rows have not
+// changed.
+const sweepRowHash = "478184b55c11e82517db5348fad531da5a724425815ddd95aee4289f45ca29dd"
+
+// TestSweepRowHash pins the traceroute sweep's output row for row. The
+// dataset hash cannot see the sweep (path observations are not part of
+// the dataset) and the other invariance tests compared only the row
+// count and the rendered Figure 4, so this is the gate that holds a
+// change to traceroute, the ICMP path or the merge to "same rows": the
+// canonical row digest must equal the recorded one for every workers ×
+// slices shape.
+func TestSweepRowHash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run determinism test in -short mode")
+	}
+	for _, workers := range []int{1, 4, 13} {
+		for _, slices := range []int{1, 2, 8} {
+			cfg := testConfig()
+			cfg.Workers = workers
+			cfg.SlicesPerVantage = slices
+			res := runOrFatal(t, cfg)
+			if len(res.PathObs) == 0 {
+				t.Fatalf("workers=%d slices=%d: sweep produced no rows", workers, slices)
+			}
+			if got := traceroute.HashRows(res.PathObs); got != sweepRowHash {
+				t.Errorf("workers=%d slices=%d: %d sweep rows hash to %s, want %s",
+					workers, slices, len(res.PathObs), got, sweepRowHash)
+			}
+		}
 	}
 }

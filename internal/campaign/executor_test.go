@@ -9,11 +9,13 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/capture"
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/topology"
+	"repro/internal/traceroute"
 )
 
 // wireBytes is a shard result as it would cross the wire, with the one
@@ -31,15 +33,43 @@ func wireBytes(w *ShardResultWire) []byte {
 	return raw
 }
 
+// shardOutput is everything a shard produced, in comparable form: its
+// wire bytes, and — because the wire drops them — the canonical digest
+// of its traceroute sweep's rows (traceroute.HashRows; the digest of no
+// rows for a slice that does not own the sweep).
+type shardOutput struct {
+	wire    []byte
+	rows    int
+	rowHash string
+}
+
+func (a shardOutput) equal(b shardOutput) bool {
+	return bytes.Equal(a.wire, b.wire) && a.rows == b.rows && a.rowHash == b.rowHash
+}
+
+// runOn executes plan shard i on the executor's world and digests what
+// came out. Execute is this minus the rows.
+func runOn(ex *Executor, i int) (shardOutput, error) {
+	r, err := ex.runShard(ex.shards[i])
+	if err != nil {
+		return shardOutput{}, err
+	}
+	return shardOutput{
+		wire:    wireBytes(wireFromShardResult(r)),
+		rows:    len(r.obs),
+		rowHash: traceroute.HashRows(r.obs),
+	}, nil
+}
+
 // freshOracle answers "what does this shard produce on a world
-// instantiated for it alone" through the one-shot ExecuteShard, caching
-// per shard.
+// instantiated for it alone" — ExecuteShard's one-shot executor —
+// caching per shard.
 type freshOracle struct {
 	t      testing.TB
 	cfg    Config
 	bp     *topology.Blueprint
 	shards []ShardInfo
-	want   map[int][]byte
+	want   map[int]shardOutput
 }
 
 func newFreshOracle(t testing.TB, cfg Config) *freshOracle {
@@ -48,29 +78,36 @@ func newFreshOracle(t testing.TB, cfg Config) *freshOracle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &freshOracle{t: t, cfg: cfg, bp: bp, shards: cfg.Shards(), want: make(map[int][]byte)}
+	return &freshOracle{t: t, cfg: cfg, bp: bp, shards: cfg.Shards(), want: make(map[int]shardOutput)}
 }
 
-func (o *freshOracle) bytes(i int) []byte {
-	if b, ok := o.want[i]; ok {
-		return b
+func (o *freshOracle) output(i int) shardOutput {
+	if out, ok := o.want[i]; ok {
+		return out
 	}
-	w, err := ExecuteShard(o.cfg, o.bp, o.shards[i].Shard, o.shards[i].Slice)
+	out, err := runOn(NewExecutor(o.cfg, o.bp), i)
 	if err != nil {
 		o.t.Fatal(err)
 	}
-	o.want[i] = wireBytes(w)
-	return o.want[i]
+	if o.shards[i].Sweep && o.cfg.Stride > 0 && out.rows == 0 {
+		o.t.Fatalf("oracle: sweep shard %d produced no rows", i)
+	}
+	o.want[i] = out
+	return out
 }
 
 // TestExecutorOrderInvariance is the reused world's differential: any
 // sequence of shards run on one executor — so on one world, reset
-// between them — produces, shard for shard, the bytes the one-shot
-// ExecuteShard produces on a fresh world. The sequences come from
-// testing/quick (repeats and sweep/non-sweep slices of one vantage
-// back to back included); the grid is every scenario × both schedulers
-// × both cross-traffic drives, with DNS discovery on, whose zone
-// cursors are exactly the kind of state a careless Reset would leak.
+// between them — produces, shard for shard, the bytes and the sweep rows
+// the one-shot ExecuteShard produces on a fresh world. One sequence is
+// fixed, so that a sweep runs first, second, third, after a sweepless
+// slice and twice in a row on the same world (its vantage's mux, its
+// recycled sessions and the world's sweep shell all warm by then); the
+// rest come from testing/quick (repeats and sweep/non-sweep slices of
+// one vantage back to back included). The grid is every scenario × both
+// schedulers × both cross-traffic drives, with DNS discovery on, whose
+// zone cursors are exactly the kind of state a careless Reset would
+// leak.
 func TestExecutorOrderInvariance(t *testing.T) {
 	for _, scenario := range Scenarios() {
 		for _, sched := range []netsim.Scheduler{netsim.SchedWheel, netsim.SchedHeap} {
@@ -88,6 +125,34 @@ func TestExecutorOrderInvariance(t *testing.T) {
 					cfg.DiscoveryRounds = 4
 					oracle := newFreshOracle(t, cfg)
 
+					runSequence := func(picks []int) bool {
+						ex := NewExecutor(cfg, oracle.bp)
+						for step, i := range picks {
+							sh := oracle.shards[i]
+							got, err := runOn(ex, i)
+							if err != nil {
+								t.Errorf("step %d, shard (%d,%d): %v", step, sh.Shard, sh.Slice, err)
+								return false
+							}
+							if want := oracle.output(i); !got.equal(want) {
+								t.Errorf("sequence %v: step %d, shard (%d,%d) on a reused world differs from a fresh one (wire equal: %v; %d rows %.12s vs %d rows %.12s)",
+									picks, step, sh.Shard, sh.Slice, bytes.Equal(got.wire, want.wire),
+									got.rows, got.rowHash, want.rows, want.rowHash)
+								return false
+							}
+						}
+						return true
+					}
+
+					// Even plan indices are slice 0 of a vantage: the slice
+					// that owns the sweep.
+					if !oracle.shards[0].Sweep || !oracle.shards[6].Sweep || oracle.shards[1].Sweep {
+						t.Fatal("plan layout changed: expected even indices to own the sweep")
+					}
+					if !runSequence([]int{0, 6, 2, 1, 6, 6, 0}) {
+						return
+					}
+
 					// quick supplies the seed; the sequence — two to five
 					// shards, repeats allowed — is drawn from it.
 					sequence := func(seed int64) bool {
@@ -96,21 +161,7 @@ func TestExecutorOrderInvariance(t *testing.T) {
 						for i := range picks {
 							picks[i] = rng.Intn(len(oracle.shards))
 						}
-						ex := NewExecutor(cfg, oracle.bp)
-						for step, i := range picks {
-							sh := oracle.shards[i]
-							w, err := ex.Execute(sh.Shard, sh.Slice)
-							if err != nil {
-								t.Errorf("step %d, shard (%d,%d): %v", step, sh.Shard, sh.Slice, err)
-								return false
-							}
-							if !bytes.Equal(wireBytes(w), oracle.bytes(i)) {
-								t.Errorf("sequence %v: step %d, shard (%d,%d) on a reused world differs from a fresh one",
-									picks, step, sh.Shard, sh.Slice)
-								return false
-							}
-						}
-						return true
+						return runSequence(picks)
 					}
 					if err := quick.Check(sequence, &quick.Config{MaxCount: 3, Rand: rand.New(rand.NewSource(21))}); err != nil {
 						t.Fatal(err)
@@ -123,10 +174,13 @@ func TestExecutorOrderInvariance(t *testing.T) {
 
 // TestExecutorDropsFailedWorld: a shard that errors leaves its world
 // wherever the failure found it, so the executor discards that world —
-// it never resets one — and the next shard instantiates afresh. The
-// failure here is a hook that runs the clock past the trace's epoch
-// after squatting on a UDP port; the shard after it, and the one after
-// that (which does reuse a world), still match the fresh-world oracle.
+// it never resets one — and the next shard instantiates afresh. Two
+// failures: a hook that runs the clock past the trace's epoch after
+// squatting on a UDP port, and one that loses the simulator's pending
+// events twenty milliseconds into the traceroute sweep, stalling it with
+// a full window of sessions registered on the vantage's mux. The shard
+// after each, and the one after that (which does reuse a world), still
+// match the fresh-world oracle, sweep rows included.
 func TestExecutorDropsFailedWorld(t *testing.T) {
 	cfg := testConfig()
 	cfg.Scenario = ScenarioCongestedEdge
@@ -134,52 +188,78 @@ func TestExecutorDropsFailedWorld(t *testing.T) {
 	oracle := newFreshOracle(t, cfg)
 
 	var worlds []*topology.World
-	sabotage := false
+	sabotage := ""
 	hooked := cfg
 	hooked.ShardHook = func(_ int, vantage string, w *topology.World) {
 		worlds = append(worlds, w)
-		if !sabotage {
-			return
-		}
 		v, _ := w.VantageByName(vantage)
-		if _, err := v.Host.BindUDP(49153, func(*netsim.Host, packet.IPv4Header, packet.UDPHeader, []byte) {}); err != nil {
-			t.Error(err)
+		switch sabotage {
+		case "epoch":
+			if _, err := v.Host.BindUDP(49153, func(*netsim.Host, packet.IPv4Header, packet.UDPHeader, []byte) {}); err != nil {
+				t.Error(err)
+			}
+			w.Sim.RunUntil(traceStartAt(MaxTracesPerVantage))
+		case "sweep":
+			// Armed by the sweep's first probe (the classic traceroute
+			// port): nothing scheduled now could wait for the sweep's
+			// epoch, since each trace's Run drains the queue.
+			armed := false
+			v.Host.AddTap(func(dir netsim.TapDirection, _ time.Duration, wire []byte) {
+				d, err := packet.Decode(wire)
+				if armed || dir != netsim.TapOut || err != nil || d.UDP == nil || d.UDP.DstPort != 33434 {
+					return
+				}
+				armed = true
+				w.Sim.After(20*time.Millisecond, w.Sim.Reset)
+			})
 		}
-		w.Sim.RunUntil(traceStartAt(MaxTracesPerVantage))
 	}
 	ex := NewExecutor(hooked, oracle.bp)
-	run := func(i int) (*ShardResultWire, error) {
-		return ex.Execute(oracle.shards[i].Shard, oracle.shards[i].Slice)
-	}
-
-	if _, err := run(0); err != nil {
-		t.Fatal(err)
-	}
-	sabotage = true
-	if _, err := run(1); err == nil || !strings.Contains(err.Error(), "overran its epoch") {
-		t.Fatalf("sabotaged shard returned %v, want an epoch overrun", err)
-	}
-	sabotage = false
-	for _, i := range []int{2, 1} {
-		w, err := run(i)
+	mustMatch := func(i int) {
+		t.Helper()
+		got, err := runOn(ex, i)
 		if err != nil {
 			t.Fatalf("shard %d after a failed shard: %v", i, err)
 		}
-		if !bytes.Equal(wireBytes(w), oracle.bytes(i)) {
+		if !got.equal(oracle.output(i)) {
 			t.Errorf("shard %d after a failed shard differs from a fresh world", i)
 		}
 	}
-	if len(worlds) != 4 {
-		t.Fatalf("hook ran %d times, want 4", len(worlds))
+
+	if _, err := runOn(ex, 0); err != nil {
+		t.Fatal(err)
 	}
-	if worlds[1] != worlds[0] {
-		t.Error("second shard did not reuse the first shard's world")
+	sabotage = "epoch"
+	if _, err := runOn(ex, 1); err == nil || !strings.Contains(err.Error(), "overran its epoch") {
+		t.Fatalf("sabotaged shard returned %v, want an epoch overrun", err)
 	}
-	if worlds[2] == worlds[1] {
-		t.Error("the failed shard's world was reused")
+	sabotage = ""
+	mustMatch(2)
+	mustMatch(1)
+
+	// Shard 4 is a slice 0: it owns its vantage's sweep.
+	sabotage = "sweep"
+	if _, err := runOn(ex, 4); err == nil || !strings.Contains(err.Error(), "sweep did not complete") {
+		t.Fatalf("shard with a stalled sweep returned %v, want an incomplete sweep", err)
 	}
-	if worlds[3] != worlds[2] {
-		t.Error("the world instantiated after the failure was not reused")
+	sabotage = ""
+	stalled := worlds[len(worlds)-1]
+	v, _ := stalled.VantageByName(oracle.shards[4].Vantage)
+	busy := false
+	v.Mux.Run(stalled.Servers[0].Addr, cfg.Traceroute, func(r traceroute.Result) { busy = len(r.Observations) == 0 })
+	if !busy {
+		t.Error("the stalled world's mux has no session to the sweep's first target: the sabotage missed the sweep")
+	}
+	mustMatch(4)
+	mustMatch(0)
+
+	if len(worlds) != 7 {
+		t.Fatalf("hook ran %d times, want 7", len(worlds))
+	}
+	for i, reused := range []bool{true, false, true, true, false, true} {
+		if got := worlds[i+1] == worlds[i]; got != reused {
+			t.Errorf("shard run %d: world reused = %v, want %v (a failed shard's world is never reused, any other is)", i+1, got, reused)
+		}
 	}
 }
 
@@ -235,20 +315,21 @@ func TestExecutorCaptureMatchesFresh(t *testing.T) {
 }
 
 // TestExecutorsConcurrent runs several executors at once over one
-// shared blueprint, each resetting its own world between shards, and
-// holds every result to the fresh-world oracle. Run it under
+// shared blueprint, each resetting its own world between shards — trace,
+// DNS discovery and traceroute sweep in every one — and holds every
+// result to the fresh-world oracle, sweep rows included. Run it under
 // -race -count=10: executors must share nothing mutable — not the
-// blueprint's directory template, not a probe-shell pool.
+// blueprint's directory template, not a probe-shell pool, not a
+// traceroute session.
 func TestExecutorsConcurrent(t *testing.T) {
 	cfg := testConfig()
 	cfg.Traces = 1
-	cfg.Stride = 0
 	cfg.Discover = true
 	cfg.DiscoveryRounds = 2
 	oracle := newFreshOracle(t, cfg)
 	const executors, perExecutor = 5, 3
 	for i := 0; i < executors; i++ {
-		oracle.bytes(i) // fill the cache before the goroutines read it
+		oracle.output(i) // fill the cache before the goroutines read it
 	}
 
 	var wg sync.WaitGroup
@@ -259,12 +340,12 @@ func TestExecutorsConcurrent(t *testing.T) {
 			ex := NewExecutor(cfg, oracle.bp)
 			for step := 0; step < perExecutor; step++ {
 				i := (g + step) % executors
-				w, err := ex.Execute(oracle.shards[i].Shard, oracle.shards[i].Slice)
+				got, err := runOn(ex, i)
 				if err != nil {
 					t.Errorf("executor %d step %d: %v", g, step, err)
 					return
 				}
-				if !bytes.Equal(wireBytes(w), oracle.want[i]) {
+				if !got.equal(oracle.want[i]) {
 					t.Errorf("executor %d step %d: shard %d differs from a fresh world", g, step, i)
 				}
 			}

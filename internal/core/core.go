@@ -23,6 +23,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/dataset"
 	"repro/internal/ecn"
 	"repro/internal/httpmin"
@@ -209,7 +211,17 @@ type TracerouteCampaignConfig struct {
 }
 
 // RunTracerouteCampaign traces paths from the selected vantages to the
-// sampled servers and returns all hop observations via done.
+// sampled servers and returns all hop observations via done, vantage by
+// vantage in world order, each path's rows in completion order. The
+// slice handed to done is exactly sized and the caller's to keep.
+//
+// A steady-state sweep allocates that slice and nothing else: the
+// traces run on each vantage's own long-lived Mux (recycled sessions),
+// targets are read off the world's server list by stride, and the sweep
+// shell — iteration state, bound-once callbacks and the buffer rows are
+// staged in until their count is known — waits on the world
+// (World.UserData) between sweeps, as the probe shells wait on their
+// vantage.
 func RunTracerouteCampaign(w *topology.World, cfg TracerouteCampaignConfig, done func([]PathObservation)) {
 	if cfg.TargetStride <= 0 {
 		cfg.TargetStride = 1
@@ -217,21 +229,17 @@ func RunTracerouteCampaign(w *topology.World, cfg TracerouteCampaignConfig, done
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = 64
 	}
-	want := map[string]bool{}
-	for _, n := range cfg.Vantages {
-		want[n] = true
+	// Take the shell off the world for the sweep's duration: a second
+	// sweep started meanwhile (other vantages) builds its own.
+	sw, _ := w.UserData.(*sweep)
+	w.UserData = nil
+	if sw == nil {
+		sw = new(sweep)
+		sw.onResult = sw.result
+		sw.nextFn = sw.nextVantage
 	}
-	var vantages []*topology.Vantage
-	for _, v := range w.Vantages {
-		if len(want) == 0 || want[v.Name] {
-			vantages = append(vantages, v)
-		}
-	}
-	var targets []packet.Addr
-	all := w.ServerAddrs()
-	for i := 0; i < len(all); i += cfg.TargetStride {
-		targets = append(targets, all[i])
-	}
+	sw.w, sw.cfg, sw.done = w, cfg, done
+	sw.vi = -1
 
 	// The paper ran its traceroute campaign separately from the
 	// reachability traces; model that by clearing transient conditions
@@ -242,53 +250,89 @@ func RunTracerouteCampaign(w *topology.World, cfg TracerouteCampaignConfig, done
 			s.Host.Uplink().SetLossBoth(0)
 		}
 	}
+	sw.nextVantage()
+}
 
-	// Finished traces wait here, in completion order, and are flattened
-	// into one exactly-sized slice at the end: appending rows as they
-	// arrive regrew that slice through twice its final size per sweep.
-	type vantageResult struct {
-		vantage string
-		traceroute.Result
-	}
-	results := make([]vantageResult, 0, len(vantages)*len(targets))
-	var nextVantage func(vi int)
-	nextVantage = func(vi int) {
-		if vi == len(vantages) {
-			rows := 0
-			for _, r := range results {
-				rows += len(r.Observations)
-			}
-			out := make([]PathObservation, 0, rows)
-			for _, r := range results {
-				for _, o := range r.Observations {
-					out = append(out, PathObservation{Vantage: r.vantage, Target: r.Target, Observation: o})
-				}
-			}
-			done(out)
-			return
+// stagingChunk is the sweep's staging granule in rows (64 KiB): a
+// paper-scale vantage sweep stages about ten of them.
+const stagingChunk = 1024
+
+// sweep is one traceroute campaign's iteration state.
+type sweep struct {
+	w    *topology.World
+	cfg  TracerouteCampaignConfig
+	done func([]PathObservation)
+
+	vi      int               // index into w.Vantages of the vantage being swept
+	v       *topology.Vantage // w.Vantages[vi]
+	idx     int               // next target, an index into w.Servers
+	pending int               // traceroutes in flight from v
+
+	// rows observations of finished paths wait in chunks until the sweep
+	// ends and their count is known. Fixed-size chunks, added as needed
+	// and kept with the shell: staging never regrows (a slice that
+	// doubled its way up would allocate several times what it ends up
+	// holding), and a later sweep reuses what an earlier one left.
+	chunks [][]PathObservation
+	rows   int
+
+	onResult func(traceroute.Result)
+	nextFn   func()
+}
+
+// nextVantage starts the sweep from the next selected vantage, or ends
+// the campaign after the last: the staged rows move into one exactly
+// sized slice, the shell goes back on the world, done runs.
+func (sw *sweep) nextVantage() {
+	w := sw.w
+	for sw.vi++; sw.vi < len(w.Vantages); sw.vi++ {
+		v := w.Vantages[sw.vi]
+		if len(sw.cfg.Vantages) != 0 && !slices.Contains(sw.cfg.Vantages, v.Name) {
+			continue
 		}
-		v := vantages[vi]
 		v.Host.Uplink().SetLossBoth(0)
-		mux := traceroute.NewMux(v.Host)
-		pending := 0
-		idx := 0
-		var pump func()
-		pump = func() {
-			for pending < cfg.Parallelism && idx < len(targets) {
-				target := targets[idx]
-				idx++
-				pending++
-				mux.Run(target, cfg.Config, func(r traceroute.Result) {
-					results = append(results, vantageResult{v.Name, r})
-					pending--
-					pump()
-				})
-			}
-			if pending == 0 && idx == len(targets) {
-				w.Sim.After(0, func() { nextVantage(vi + 1) })
-			}
-		}
-		pump()
+		sw.v, sw.idx, sw.pending = v, 0, 0
+		sw.pump()
+		return
 	}
-	nextVantage(0)
+	out := make([]PathObservation, 0, sw.rows)
+	for _, c := range sw.chunks {
+		out = append(out, c[:min(len(c), sw.rows-len(out))]...)
+	}
+	done := sw.done
+	sw.rows = 0
+	sw.w, sw.v, sw.done, sw.cfg = nil, nil, nil, TracerouteCampaignConfig{}
+	w.UserData = sw
+	done(out)
+}
+
+// pump keeps Parallelism traceroutes in flight from the current vantage
+// until its targets run out, then yields to the next vantage.
+func (sw *sweep) pump() {
+	servers := sw.w.Servers
+	for sw.pending < sw.cfg.Parallelism && sw.idx < len(servers) {
+		target := servers[sw.idx].Addr
+		sw.idx += sw.cfg.TargetStride
+		sw.pending++
+		sw.v.Mux.Run(target, sw.cfg.Config, sw.onResult)
+	}
+	if sw.pending == 0 && sw.idx >= len(servers) {
+		sw.w.Sim.After(0, sw.nextFn)
+	}
+}
+
+// result flattens one finished path into the staging buffer — the
+// Result's observations are the session's, on loan for this call — and
+// starts the next.
+func (sw *sweep) result(r traceroute.Result) {
+	for i := range r.Observations {
+		c, at := sw.rows/stagingChunk, sw.rows%stagingChunk
+		if c == len(sw.chunks) {
+			sw.chunks = append(sw.chunks, make([]PathObservation, stagingChunk))
+		}
+		sw.chunks[c][at] = PathObservation{Vantage: sw.v.Name, Target: r.Target, Observation: r.Observations[i]}
+		sw.rows++
+	}
+	sw.pending--
+	sw.pump()
 }

@@ -102,6 +102,81 @@ func BenchmarkRouterForward(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*routers), "ns/hop")
 }
 
+// icmpRoundTrip is the traceroute exchange under the forwarding kernel:
+// h1 sends UDP probes towards h2 with a TTL that expires at the third of
+// five routers, which quotes each into a time-exceeded reply; h1's ICMP
+// handler reads the quotation where it lies. Also, every eighth probe
+// goes all the way to h2, which answers port-unreachable.
+type icmpRoundTrip struct {
+	sim      *Sim
+	h1, h2   *Host
+	payload  []byte
+	answered int
+	ect      int
+}
+
+func newICMPRoundTrip(tb testing.TB) *icmpRoundTrip {
+	k := &icmpRoundTrip{sim: NewSim(1), payload: make([]byte, 2)}
+	_, k.h1, k.h2, _ = lineTopology(tb, k.sim, 5, time.Millisecond)
+	k.h2.RespondPortUnreachable = true
+	k.h1.OnICMP(func(_ *Host, _ packet.IPv4Header, msg packet.ICMPMessage) {
+		quoted, transport, err := msg.Quotation()
+		if err != nil || len(transport) < 4 {
+			return
+		}
+		k.answered++
+		if quoted.ECN() == ecn.ECT0 {
+			k.ect++
+		}
+	})
+	return k
+}
+
+func (k *icmpRoundTrip) run(tb testing.TB, probes int) {
+	const burst = 64
+	k.answered, k.ect = 0, 0
+	for sent := 0; sent < probes; sent += burst {
+		for i := sent; i < min(sent+burst, probes); i++ {
+			ttl := uint8(3)
+			if i%8 == 7 {
+				ttl = 64
+			}
+			k.h1.SendUDP(k.h2.Addr(), 40000, 33434, ttl, ecn.ECT0, k.payload)
+		}
+		k.sim.Run()
+	}
+	if k.answered != probes || k.ect != probes {
+		tb.Fatalf("%d of %d probes answered, %d quoted ECT(0)", k.answered, probes, k.ect)
+	}
+}
+
+// BenchmarkICMPRoundTrip is one probe → ICMP error → handler exchange
+// per op. The router quotes the dropped datagram straight into the
+// reply's pooled buffer and the host parses the reply without copying
+// its body, so like BenchmarkRouterForward it stays at 0 allocs/op
+// (TestICMPRoundTripAllocFree in tier-1).
+func BenchmarkICMPRoundTrip(b *testing.B) {
+	k := newICMPRoundTrip(b)
+	k.run(b, 256) // warm the buffer pool, the slab and the wheel
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.run(b, b.N)
+}
+
+// TestICMPRoundTripAllocFree pins the ICMP error path — TTL expiry at a
+// router, port-unreachable at a host, the receive-side parse and the
+// quotation read — at zero allocations per exchange.
+func TestICMPRoundTripAllocFree(t *testing.T) {
+	k := newICMPRoundTrip(t)
+	k.run(t, 256)
+	if raceEnabled {
+		return // the wire buffers' sync.Pool drops Puts under the race detector
+	}
+	if allocs := testing.AllocsPerRun(20, func() { k.run(t, 64) }); allocs != 0 {
+		t.Errorf("%.1f allocs per 64 ICMP round trips, want 0", allocs)
+	}
+}
+
 func BenchmarkComputeRoutes(b *testing.B) {
 	sim := NewSim(1)
 	n := NewNetwork(sim)

@@ -26,7 +26,11 @@ type Tap func(dir TapDirection, at time.Duration, wire []byte)
 // UDPHandler processes a datagram delivered to a bound UDP port.
 type UDPHandler func(h *Host, ip packet.IPv4Header, udp packet.UDPHeader, payload []byte)
 
-// ICMPHandler processes an ICMP message delivered to the host.
+// ICMPHandler processes an ICMP message delivered to the host. msg.Body
+// (for errors, the quotation) aliases the receive buffer, which the host
+// releases when the handler returns — the same rule UDPHandler's payload
+// and ProtoHandler's segment follow: a handler reads what it needs during
+// the call and copies any bytes it keeps.
 type ICMPHandler func(h *Host, ip packet.IPv4Header, msg packet.ICMPMessage)
 
 // ProtoHandler processes a raw transport segment for protocols the host
@@ -170,6 +174,9 @@ func (h *Host) UnbindUDP(port uint16) { delete(h.udpPorts, port) }
 // port-unreachable errors).
 func (h *Host) OnICMP(fn ICMPHandler) { h.icmp = fn }
 
+// HandlesICMP reports whether an ICMP handler is installed.
+func (h *Host) HandlesICMP() bool { return h.icmp != nil }
+
 // RegisterProto installs a raw handler for an IP protocol (e.g. TCP).
 func (h *Host) RegisterProto(p packet.Protocol, fn ProtoHandler) {
 	h.protos[p] = fn
@@ -282,7 +289,8 @@ func (h *Host) Receive(b *packet.Buf, from *Link) {
 }
 
 // sendPortUnreachable emits the ICMP error a reachable-but-unbound UDP
-// port generates.
+// port generates. The quotation goes from the offending datagram's
+// receive buffer straight into the reply's pooled one.
 func (h *Host) sendPortUnreachable(offending []byte) {
 	ip, _, err := packet.ParseIPv4(offending)
 	if err != nil {

@@ -166,7 +166,10 @@ func (r *Router) route(dst packet.Addr) *Link {
 // payload bytes of the datagram *as it arrived here* — including any ECN
 // rewrite an upstream (or local ingress) middlebox applied, which is
 // exactly the signal the Section 4.2 analysis extracts. No time-exceeded
-// is generated about ICMP errors themselves (RFC 1122 §3.2.2).
+// is generated about ICMP errors themselves (RFC 1122 §3.2.2). The
+// quotation is copied once, from the dropped datagram's buffer (which
+// the caller still holds) into the reply's pooled one; the path
+// allocates nothing.
 func (r *Router) sendTimeExceeded(ip packet.IPv4Header, dropped []byte) {
 	if ip.Protocol == packet.ProtoICMP {
 		if msg, err := packet.ParseICMP(dropped[packet.IPv4HeaderLen:]); err == nil {

@@ -20,6 +20,11 @@ type Datagram struct {
 
 // Decode parses wire bytes into a Datagram. Unknown transports yield an
 // error but the IP header is still returned for diagnostic use.
+//
+// Nothing is copied: Payload, TCP options and the ICMP message's Body
+// (the quotation, for errors) all alias wire, whatever the transport. A
+// Datagram is good for as long as wire is; a tap or handler that keeps
+// one past its call copies the bytes it needs.
 func Decode(wire []byte) (Datagram, error) {
 	var d Datagram
 	ip, body, err := ParseIPv4(wire)

@@ -306,3 +306,55 @@ func FuzzPeekMatchesParseIPv4(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseICMPQuotation feeds arbitrary bytes to the ICMP parser and
+// the quotation extractor. Both return views of their input rather than
+// copies, so beyond "never panic" the property is containment: a parsed
+// Body is exactly the segment past its 8-byte header, and a quotation's
+// transport bytes are exactly the Body past the quoted header — same
+// memory, and no capacity reaching beyond the input.
+func FuzzParseICMPQuotation(f *testing.F) {
+	for _, w := range fuzzSeedWires(f) {
+		f.Add(w[IPv4HeaderLen:])
+		f.Add(w)
+	}
+	f.Add([]byte{ICMPTimeExceeded, 0, 0, 0})
+	te := NewTimeExceeded(bytes.Repeat([]byte{0x4F}, 64)) // IHL 15: header longer than the quotation
+	seg, _ := te.Marshal(nil)
+	f.Add(seg)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		seg := data[:len(data):len(data)]
+		msg, err := ParseICMP(seg)
+		if err != nil {
+			return
+		}
+		within := func(what string, part, whole []byte, off int) {
+			t.Helper()
+			if len(part) != len(whole)-off || cap(part) > cap(whole)-off {
+				t.Fatalf("%s: len/cap %d/%d, want the input's tail from %d (len/cap %d/%d)",
+					what, len(part), cap(part), off, len(whole), cap(whole))
+			}
+			if len(part) > 0 && &part[0] != &whole[off] {
+				t.Fatalf("%s does not alias its input at offset %d", what, off)
+			}
+		}
+		within("ParseICMP body", msg.Body, seg, ICMPHeaderLen)
+
+		quoted, transport, err := msg.Quotation()
+		if err != nil {
+			return
+		}
+		if msg.Type != ICMPTimeExceeded && msg.Type != ICMPDestUnreachable {
+			t.Fatalf("type %d yielded a quotation", msg.Type)
+		}
+		ihl := int(msg.Body[0]&0x0F) * 4
+		within("quoted transport", transport, msg.Body, ihl)
+		if len(transport) < 8 {
+			t.Fatalf("quotation accepted with %d transport bytes, RFC 792 wants 8", len(transport))
+		}
+		if quoted.TOS != msg.Body[1] || quoted.TTL != msg.Body[8] {
+			t.Fatal("quoted header fields do not match the body they were read from")
+		}
+	})
+}

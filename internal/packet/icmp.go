@@ -27,6 +27,12 @@ const ICMPHeaderLen = 8
 // header plus at least the first 8 bytes of the offending datagram, per
 // RFC 792. For echo, Body is the echo payload and Rest carries the
 // identifier and sequence number.
+//
+// Body never owns its bytes. A message from ParseICMP aliases the
+// segment it was parsed from, and one from NewTimeExceeded or
+// NewDestUnreachable aliases the datagram it quotes; either is good for
+// as long as that buffer is, and Marshal copies it into the destination.
+// A holder that outlives the buffer copies what it keeps.
 type ICMPMessage struct {
 	Type uint8
 	Code uint8
@@ -50,7 +56,9 @@ func (m *ICMPMessage) Marshal(b []byte) ([]byte, error) {
 }
 
 // ParseICMP decodes an ICMP message from seg (the IPv4 payload), verifying
-// the checksum.
+// the checksum. The returned Body aliases seg — as ParseUDP's and
+// ParseTCP's payloads do — so it is valid only while seg is: under
+// netsim.Host.Receive that is until the ICMP handler returns.
 func ParseICMP(seg []byte) (ICMPMessage, error) {
 	var m ICMPMessage
 	if len(seg) < ICMPHeaderLen {
@@ -62,7 +70,7 @@ func ParseICMP(seg []byte) (ICMPMessage, error) {
 	m.Type = seg[0]
 	m.Code = seg[1]
 	m.Rest = binary.BigEndian.Uint32(seg[4:])
-	m.Body = append([]byte(nil), seg[ICMPHeaderLen:]...)
+	m.Body = seg[ICMPHeaderLen:len(seg):len(seg)]
 	return m, nil
 }
 
@@ -108,32 +116,34 @@ func (m *ICMPMessage) Quotation() (IPv4Header, []byte, error) {
 // NewTimeExceeded builds the ICMP time-exceeded message a router emits
 // when TTL reaches zero: it quotes the IP header and first eight payload
 // bytes of the dropped datagram (RFC 792 requires at least eight; we quote
-// exactly the minimum, as many routers do).
+// exactly the minimum, as many routers do). The quotation is a view of
+// dropped, not a copy: marshal the message (BuildICMPBuf writes it
+// straight into the reply's pooled buffer) before dropped is released or
+// rewritten.
 func NewTimeExceeded(dropped []byte) ICMPMessage {
 	return ICMPMessage{
 		Type: ICMPTimeExceeded,
 		Code: ICMPCodeTTLExceeded,
-		Body: clampQuotation(dropped),
+		Body: quotation(dropped),
 	}
 }
 
 // NewDestUnreachable builds an ICMP destination-unreachable message with
-// the given code, quoting the offending datagram.
+// the given code, quoting the offending datagram in place, as
+// NewTimeExceeded does.
 func NewDestUnreachable(code uint8, dropped []byte) ICMPMessage {
 	return ICMPMessage{
 		Type: ICMPDestUnreachable,
 		Code: code,
-		Body: clampQuotation(dropped),
+		Body: quotation(dropped),
 	}
 }
 
-// clampQuotation copies at most header+8 bytes of the offending datagram.
-func clampQuotation(dropped []byte) []byte {
-	n := ICMPQuotationMinimum
-	if len(dropped) < n {
-		n = len(dropped)
-	}
-	return append([]byte(nil), dropped[:n]...)
+// quotation is the part of the offending datagram an error quotes: at
+// most header+8 bytes, all of a shorter one.
+func quotation(dropped []byte) []byte {
+	n := min(len(dropped), ICMPQuotationMinimum)
+	return dropped[:n:n]
 }
 
 // String summarises the message.

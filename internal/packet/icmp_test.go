@@ -131,6 +131,59 @@ func TestClampQuotation(t *testing.T) {
 	}
 }
 
+// The quotation is taken in place: an error message's Body is a clipped
+// view of the offending datagram — no copy until Marshal writes it into
+// the reply — and the reply, once built, no longer depends on the
+// datagram it quotes.
+func TestQuotationInPlace(t *testing.T) {
+	dropped, _ := BuildUDP(
+		MustParseAddr("10.0.0.1"), MustParseAddr("10.0.0.2"),
+		1000, 2000, 1, ecn.ECT0, 42, []byte("a payload past the quoted eight bytes"))
+	for _, msg := range []ICMPMessage{
+		NewTimeExceeded(dropped),
+		NewDestUnreachable(ICMPCodePortUnreach, dropped),
+	} {
+		if &msg.Body[0] != &dropped[0] {
+			t.Fatal("quotation is a copy, want a view of the dropped datagram")
+		}
+		if len(msg.Body) != ICMPQuotationMinimum || cap(msg.Body) != ICMPQuotationMinimum {
+			t.Fatalf("quotation len/cap = %d/%d, want both %d: an append must not reach the datagram",
+				len(msg.Body), cap(msg.Body), ICMPQuotationMinimum)
+		}
+		bf, err := BuildICMPBuf(MustParseAddr("10.9.9.9"), MustParseAddr("10.0.0.1"), 64, 7, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]byte(nil), bf.Bytes()...)
+		saved := append([]byte(nil), dropped...)
+		for i := range dropped {
+			dropped[i] = 0xEE
+		}
+		if !bytes.Equal(bf.Bytes(), want) {
+			t.Error("rewriting the dropped datagram changed the reply already built from it")
+		}
+		copy(dropped, saved)
+		bf.Release()
+	}
+}
+
+// ParseICMP's Body is a view too: of the segment, from the end of the
+// ICMP header to the end of the segment and no further.
+func TestParseICMPAliasesSegment(t *testing.T) {
+	m := ICMPMessage{Type: ICMPEchoRequest, Rest: 1, Body: []byte("ping body")}
+	seg, _ := m.Marshal(make([]byte, 0, 64)) // spare capacity behind the segment
+	got, err := ParseICMP(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got.Body[0] != &seg[ICMPHeaderLen] {
+		t.Fatal("parsed body is a copy, want a view of the segment")
+	}
+	if cap(got.Body) != len(got.Body) {
+		t.Errorf("parsed body cap %d > len %d: it reaches past the segment", cap(got.Body), len(got.Body))
+	}
+}
+
 func TestBuildICMPIsNotECT(t *testing.T) {
 	msg := NewTimeExceeded(make([]byte, 28))
 	wire, err := BuildICMP(MustParseAddr("10.0.0.1"), MustParseAddr("10.0.0.2"), 64, 9, msg)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/ntp"
 	"repro/internal/packet"
 	"repro/internal/tcpsim"
+	"repro/internal/traceroute"
 )
 
 // Address plan: each autonomous system i owns the /16 at 16.0.0.0 +
@@ -475,6 +476,7 @@ func (b *builder) buildVantages() error {
 			Region:     spec.region,
 			Host:       host,
 			Stack:      tcpsim.NewStack(host),
+			Mux:        traceroute.NewMux(host),
 			BaseLoss:   spec.baseLoss,
 			LossJitter: spec.lossJitter,
 		})

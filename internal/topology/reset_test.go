@@ -28,7 +28,8 @@ import (
 // (every probe unbinds its port, the sweep ends with all hosts online,
 // queues run empty), so the same world is then stopped in mid-trace —
 // hosts churned offline, access loss drawn, probes bound to ports,
-// connections half open, packets queued at a busy bottleneck — and
+// connections half open, a traceroute session registered on the
+// vantage's mux, packets queued at a busy bottleneck — and
 // Reset again: that is the state that proves each line of Reset, and
 // the leftovers Reset promises to cope with.
 //
@@ -132,6 +133,12 @@ func TestResetMatchesInstantiate(t *testing.T) {
 						burst()
 						w.Sim.RunUntil(w.Sim.Now() + 20*time.Millisecond)
 						burst()
+						// And a traceroute in flight: a session registered on
+						// the vantage's mux, its probe port bound, its timeout
+						// pending.
+						v.Mux.Run(w.Servers[1].Addr, traceroute.Config{}, func(traceroute.Result) {
+							t.Error("the interrupted traceroute completed")
+						})
 						requireFresh("stopped in mid-trace")
 					})
 				}

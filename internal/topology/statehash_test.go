@@ -55,6 +55,10 @@ var stateSkip = map[string]bool{
 	// Capacity: ntp's probe shells on the host, core's on the vantage.
 	"netsim.Host.UserData":      true,
 	"topology.Vantage.UserData": true,
+	// Capacity: each vantage mux's finished traceroute sessions, and
+	// core's sweep shell (iteration state, row staging) on the world.
+	"traceroute.Mux.free":     true,
+	"topology.World.UserData": true,
 
 	// Blueprint: routes and the address index (netsim.RouteTable), the
 	// geo and ASN databases.

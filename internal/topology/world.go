@@ -12,6 +12,7 @@ import (
 	"repro/internal/ntp"
 	"repro/internal/packet"
 	"repro/internal/tcpsim"
+	"repro/internal/traceroute"
 )
 
 // Server is one NTP pool member and its ground truth.
@@ -57,6 +58,11 @@ type Vantage struct {
 	Region geo.Region
 	Host   *netsim.Host
 	Stack  *tcpsim.Stack
+	// Mux is the host's traceroute demultiplexer — its ICMP handler from
+	// the moment the world is built, so part of the host's baseline. It
+	// lives as long as the world: the sessions it has recycled stay warm
+	// from one sweep (and one shard) to the next.
+	Mux *traceroute.Mux
 
 	// BaseLoss and LossJitter parameterise the per-trace access-link
 	// loss draw: loss = BaseLoss + U(0, LossJitter).
@@ -96,6 +102,12 @@ type World struct {
 	// report compares receiver-side observations against. Empty in an
 	// uncongested world.
 	Bottlenecks []*Bottleneck
+
+	// UserData belongs to the measurement application driving this world:
+	// package core parks its traceroute-sweep shell (iteration state and
+	// the row staging buffer) here between sweeps. Capacity, not state:
+	// Reset leaves it alone.
+	UserData any
 
 	byAddr map[packet.Addr]*Server
 }
@@ -208,9 +220,10 @@ func (w *World) ResetTransientState() {
 // overlay and nothing else: the simulator (clock, counters, PRNG), every
 // host's socket surface, router and middlebox counters, link loss and
 // counters, bottleneck transmitters and their AQM queues, TCP stacks,
-// NTP and DNS service counters and the DNS rotation cursors. What it
-// keeps is capacity — the event slab, connection and probe shell free
-// lists, slice backing arrays — which is why a reset allocates nothing
+// the vantages' traceroute sessions, NTP and DNS service counters and
+// the DNS rotation cursors. What it keeps is capacity — the event slab,
+// connection, probe and traceroute-session free lists, slice backing
+// arrays — which is why a reset allocates nothing
 // where an instantiation allocates the whole overlay.
 //
 // The world should be quiescent (its simulator drained). Reset copes
@@ -228,6 +241,7 @@ func (w *World) Reset() {
 	}
 	for _, v := range w.Vantages {
 		v.Stack.Reset()
+		v.Mux.Reset()
 	}
 	w.Directory.Reset()
 }

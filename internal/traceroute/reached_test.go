@@ -17,7 +17,7 @@ func TestReachedDestViaPortUnreachable(t *testing.T) {
 
 	mux := NewMux(f.client)
 	var got Result
-	mux.Run(f.server.Addr(), Config{}, func(r Result) { got = r })
+	mux.Run(f.server.Addr(), Config{}, keep(&got))
 	f.sim.Run()
 
 	if !got.ReachedDest {
@@ -48,7 +48,7 @@ func TestUnroutableTargetTerminates(t *testing.T) {
 		Timeout:         50 * time.Millisecond,
 		StopAfterSilent: 2,
 		ProbesPerHop:    1,
-	}, func(r Result) { got = r })
+	}, keep(&got))
 	f.sim.Run()
 	if got.ReachedDest {
 		t.Error("unroutable target reported reached")

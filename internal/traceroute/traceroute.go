@@ -90,6 +90,11 @@ type PathObservation struct {
 }
 
 // Result is a completed traceroute.
+//
+// Observations is the session's own buffer, lent to the done callback:
+// it is valid until done returns, after which the Mux reuses it for
+// another path. A callback that keeps the rows copies them (a sweep
+// flattens them into its PathObservation slab; a test clones the slice).
 type Result struct {
 	Target       packet.Addr
 	Observations []Observation
@@ -100,50 +105,75 @@ type Result struct {
 
 // Hops condenses observations into one entry per TTL (first responding
 // probe wins), up to the last responsive hop — the per-path view drawn
-// in Figure 4.
+// in Figure 4. The returned slice is the caller's.
 func (r *Result) Hops() []Observation {
-	byTTL := map[int]Observation{}
 	maxTTL := 0
-	for _, o := range r.Observations {
-		if !o.Responded {
-			continue
-		}
-		if prev, ok := byTTL[o.TTL]; !ok || o.Attempt < prev.Attempt {
-			byTTL[o.TTL] = o
-		}
-		if o.TTL > maxTTL {
+	for i := range r.Observations {
+		if o := &r.Observations[i]; o.Responded && o.TTL > maxTTL {
 			maxTTL = o.TTL
 		}
 	}
-	hops := make([]Observation, 0, maxTTL)
-	for ttl := 1; ttl <= maxTTL; ttl++ {
-		if o, ok := byTTL[ttl]; ok {
-			hops = append(hops, o)
-		} else {
-			hops = append(hops, Observation{TTL: ttl}) // silent hop: "*"
+	hops := make([]Observation, maxTTL)
+	for i := range hops {
+		hops[i].TTL = i + 1 // silent hop ("*") until a response lands on it
+	}
+	for i := range r.Observations {
+		o := &r.Observations[i]
+		if !o.Responded || o.TTL < 1 {
+			continue
+		}
+		if h := &hops[o.TTL-1]; !h.Responded || o.Attempt < h.Attempt {
+			*h = *o
 		}
 	}
 	return hops
 }
 
 // Mux demultiplexes ICMP messages on a host to traceroute sessions keyed
-// by target (quoted destination) address. Install exactly one per host.
+// by target (quoted destination) address. Install exactly one per host —
+// a topology vantage already carries its own (topology.Vantage.Mux).
+//
+// A Mux is meant to outlive the sweeps it serves: finished sessions wait
+// on a free list with their observation buffer, bound callbacks and
+// probe payload, so once as many sessions exist as ever run at once, a
+// traceroute allocates nothing.
 type Mux struct {
 	host     *netsim.Host
 	sessions map[packet.Addr]*session
+	// free is capacity, not state: Reset leaves it alone.
+	free *session
 }
 
-// NewMux installs the demultiplexer as the host's ICMP handler.
+// NewMux installs the demultiplexer as the host's ICMP handler. The host
+// must not have one yet: a second Mux would silently take the first's
+// ICMP messages and leave its probes to time out, so NewMux panics.
 func NewMux(h *netsim.Host) *Mux {
+	if h.HandlesICMP() {
+		panic("traceroute: NewMux on a host that already has an ICMP handler")
+	}
 	m := &Mux{host: h, sessions: make(map[packet.Addr]*session)}
 	h.OnICMP(m.handle)
 	return m
+}
+
+// Reset forgets every session in flight without completing it — the Mux
+// half of a world reset (topology.World.Reset), which has already
+// discarded their timers and unbound their ports. The sessions are
+// retired, not recycled (a timer that does survive finds its session
+// finished and does nothing); the free list stays.
+func (m *Mux) Reset() {
+	for _, s := range m.sessions {
+		s.finished = true
+	}
+	clear(m.sessions)
 }
 
 func (m *Mux) handle(h *netsim.Host, ip packet.IPv4Header, msg packet.ICMPMessage) {
 	if msg.Type != packet.ICMPTimeExceeded && msg.Type != packet.ICMPDestUnreachable {
 		return
 	}
+	// The quotation aliases the receive buffer; a session reads the ports
+	// and the quoted ECN field out of it now and keeps none of its bytes.
 	quoted, transport, err := msg.Quotation()
 	if err != nil || quoted.Src != h.Addr() {
 		return
@@ -155,33 +185,50 @@ func (m *Mux) handle(h *netsim.Host, ip packet.IPv4Header, msg packet.ICMPMessag
 	s.onICMP(ip, msg, quoted, transport)
 }
 
-// Run traces one target, invoking done exactly once. Concurrent Runs on
-// one Mux must target distinct addresses (a second session to the same
-// target is rejected with an immediate empty result).
+// Run traces one target, invoking done exactly once; the Result it
+// receives is valid until it returns. Concurrent Runs on one Mux must
+// target distinct addresses (a second session to the same target is
+// rejected with an immediate empty result).
 func (m *Mux) Run(target packet.Addr, cfg Config, done func(Result)) {
-	cfg = cfg.withDefaults()
 	if _, busy := m.sessions[target]; busy {
 		done(Result{Target: target})
 		return
 	}
-	s := &session{
-		mux:    m,
-		cfg:    cfg,
-		target: target,
-		res:    Result{Target: target},
-		done:   done,
+	s := m.free
+	if s != nil {
+		m.free = s.next
+	} else {
+		s = new(session)
+		s.onTimeoutFn = s.onTimeout
+	}
+	// Everything but the shell's own capacity starts from zero.
+	*s = session{
+		mux:         m,
+		onTimeoutFn: s.onTimeoutFn,
+		obs:         s.obs[:0],
+		cfg:         cfg.withDefaults(),
+		target:      target,
+		done:        done,
 	}
 	m.sessions[target] = s
 	s.start()
 }
 
-// session is one in-flight traceroute.
+// session is one in-flight traceroute — or, on a free list, the shell of
+// a finished one.
 type session struct {
-	mux    *Mux
-	cfg    Config
-	target packet.Addr
-	res    Result
-	done   func(Result)
+	mux  *Mux
+	next *session // free-list link
+	// Created once per shell: the timeout callback, the observation
+	// buffer's backing array and the probe payload.
+	onTimeoutFn func()
+	obs         []Observation
+	payload     [2]byte
+
+	cfg     Config
+	target  packet.Addr
+	reached bool
+	done    func(Result)
 
 	srcPort    uint16
 	probeIdx   int // sequential probe counter → dst port offset
@@ -194,11 +241,12 @@ type session struct {
 	finished   bool
 }
 
+// probePort reserves the session's source port. A direct UDP response
+// would mean the target answered the probe port; that is not modelled.
+func probePort(*netsim.Host, packet.IPv4Header, packet.UDPHeader, []byte) {}
+
 func (s *session) start() {
-	port, err := s.mux.host.BindUDP(0, func(*netsim.Host, packet.IPv4Header, packet.UDPHeader, []byte) {
-		// A direct UDP response would mean the target answered the probe
-		// port; not modelled, but the bind reserves our source port.
-	})
+	port, err := s.mux.host.BindUDP(0, probePort)
 	if err != nil {
 		s.finish()
 		return
@@ -218,9 +266,9 @@ func (s *session) sendProbe() {
 	sim := s.mux.host.Sim()
 	s.sentAt = sim.Now()
 	idx := s.probeIdx
-	payload := []byte{byte(idx >> 8), byte(idx)} // tiny payload, quoted back
-	_ = s.mux.host.SendUDP(s.target, s.srcPort, s.dstPort(idx), uint8(s.ttl), s.cfg.ECN, payload)
-	s.timer = sim.After(s.cfg.Timeout, s.onTimeout)
+	s.payload = [2]byte{byte(idx >> 8), byte(idx)} // tiny payload, quoted back
+	_ = s.mux.host.SendUDP(s.target, s.srcPort, s.dstPort(idx), uint8(s.ttl), s.cfg.ECN, s.payload[:])
+	s.timer = sim.After(s.cfg.Timeout, s.onTimeoutFn)
 }
 
 // advance moves to the next probe or TTL, applying stop conditions.
@@ -237,7 +285,7 @@ func (s *session) advance() {
 	} else {
 		s.silentTTLs = 0
 	}
-	if s.silentTTLs >= s.cfg.StopAfterSilent || s.ttl >= s.cfg.MaxTTL || s.res.ReachedDest {
+	if s.silentTTLs >= s.cfg.StopAfterSilent || s.ttl >= s.cfg.MaxTTL || s.reached {
 		s.finish()
 		return
 	}
@@ -251,7 +299,7 @@ func (s *session) onTimeout() {
 	if s.finished {
 		return
 	}
-	s.res.Observations = append(s.res.Observations, Observation{
+	s.obs = append(s.obs, Observation{
 		TTL:     s.ttl,
 		Attempt: s.attempt,
 		SentECN: s.cfg.ECN,
@@ -281,20 +329,27 @@ func (s *session) onICMP(ip packet.IPv4Header, msg packet.ICMPMessage, quoted pa
 	}
 	if msg.Type == packet.ICMPDestUnreachable && ip.Src == s.target {
 		obs.ReachedDest = true
-		s.res.ReachedDest = true
+		s.reached = true
 	}
-	s.res.Observations = append(s.res.Observations, obs)
+	s.obs = append(s.obs, obs)
 	s.responded = true
 	s.advance()
 }
 
+// finish completes the session: off the Mux, port released, done called
+// with the observation buffer on loan, and only then — done may have
+// started the next trace — back on the free list.
 func (s *session) finish() {
 	if s.finished {
 		return
 	}
 	s.finished = true
 	s.timer.Stop()
-	s.mux.host.UnbindUDP(s.srcPort)
-	delete(s.mux.sessions, s.target)
-	s.done(s.res)
+	m := s.mux
+	m.host.UnbindUDP(s.srcPort)
+	delete(m.sessions, s.target)
+	done := s.done
+	s.done = nil
+	done(Result{Target: s.target, Observations: s.obs, ReachedDest: s.reached})
+	s.next, m.free = m.free, s
 }

@@ -1,6 +1,7 @@
 package traceroute
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -40,11 +41,20 @@ func newChain(t *testing.T, seed int64, nRouters int) *chainFixture {
 	return &chainFixture{sim: sim, net: n, client: client, server: server, routers: routers}
 }
 
+// keep returns a done callback that stores a copy of the Result: its
+// Observations are the session's buffer, on loan only for the call.
+func keep(dst *Result) func(Result) {
+	return func(r Result) {
+		r.Observations = slices.Clone(r.Observations)
+		*dst = r
+	}
+}
+
 func TestCleanPathAllPreserved(t *testing.T) {
 	f := newChain(t, 1, 6)
 	mux := NewMux(f.client)
 	var got Result
-	mux.Run(f.server.Addr(), Config{}, func(r Result) { got = r })
+	mux.Run(f.server.Addr(), Config{}, keep(&got))
 	f.sim.Run()
 
 	hops := got.Hops()
@@ -77,7 +87,7 @@ func TestBleacherVisibleFromItsHopOnward(t *testing.T) {
 	f.routers[3].AddPolicy(&middlebox.ECNBleacher{Probability: 1})
 	mux := NewMux(f.client)
 	var got Result
-	mux.Run(f.server.Addr(), Config{}, func(r Result) { got = r })
+	mux.Run(f.server.Addr(), Config{}, keep(&got))
 	f.sim.Run()
 
 	hops := got.Hops()
@@ -140,7 +150,7 @@ func TestTraceStopsAfterSilence(t *testing.T) {
 	mux := NewMux(f.client)
 	var got Result
 	start := f.sim.Now()
-	mux.Run(f.server.Addr(), Config{StopAfterSilent: 2, Timeout: 100 * time.Millisecond}, func(r Result) { got = r })
+	mux.Run(f.server.Addr(), Config{StopAfterSilent: 2, Timeout: 100 * time.Millisecond}, keep(&got))
 	f.sim.Run()
 
 	hops := got.Hops()
@@ -162,7 +172,7 @@ func TestObservationCountBookkeeping(t *testing.T) {
 	f := newChain(t, 5, 3)
 	mux := NewMux(f.client)
 	var got Result
-	mux.Run(f.server.Addr(), Config{ProbesPerHop: 3, StopAfterSilent: 1, Timeout: 50 * time.Millisecond}, func(r Result) { got = r })
+	mux.Run(f.server.Addr(), Config{ProbesPerHop: 3, StopAfterSilent: 1, Timeout: 50 * time.Millisecond}, keep(&got))
 	f.sim.Run()
 
 	// 3 responsive TTLs ×3 probes + 1 silent TTL ×3 probes = 12.
@@ -207,8 +217,8 @@ func TestConcurrentSessions(t *testing.T) {
 
 	mux := NewMux(client)
 	var r1, r2 Result
-	mux.Run(s1.Addr(), Config{}, func(r Result) { r1 = r })
-	mux.Run(s2.Addr(), Config{}, func(r Result) { r2 = r })
+	mux.Run(s1.Addr(), Config{}, keep(&r1))
+	mux.Run(s2.Addr(), Config{}, keep(&r2))
 	sim.Run()
 
 	h1, h2 := r1.Hops(), r2.Hops()

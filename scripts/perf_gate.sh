@@ -15,6 +15,8 @@
 #     scheduler, telemetry and TCP/HTTP exchange benchmarks
 #     (BenchmarkCEMarkThroughput, BenchmarkBuildUDPBuf,
 #     BenchmarkChecksum1500, BenchmarkRouterForward,
+#     BenchmarkICMPRoundTrip — a TTL expiry quoted into the reply's
+#     pooled buffer and read in place by the receiver —
 #     BenchmarkSimSchedule, BenchmarkSimScheduleSparse,
 #     BenchmarkTelemetryHotPath — the flight recorder's write path must
 #     stay allocation-free — BenchmarkHandshakeAndExchange,
@@ -24,12 +26,14 @@
 #     run a trace allocates nothing, or it is an instantiation in
 #     disguise);
 #   * campaign-level allocations above PERF_GATE_MAX_CAMPAIGN_ALLOCS
-#     (default 48300) per BenchmarkCampaignWorkers run — with probes,
-#     connections and the HTTP codec allocation-free in steady state and
-#     one world per worker reset between shards, a small campaign reads
-#     ~40.2k allocs (4 world instantiations, not 13, and each host's
-#     first exchange); the ceiling is that reading + 20 %, and keeps
-#     closure-per-probe, garbage-per-exchange and world-per-shard
+#     (default 30600) per BenchmarkCampaignWorkers run — with probes,
+#     connections, the HTTP codec and the traceroute sweep (recycled
+#     sessions, ICMP quotations read in place, one row slab per sweep)
+#     allocation-free in steady state and one world per worker reset
+#     between shards, a small campaign reads ~25.5k allocs (4 world
+#     instantiations, not 13, and each host's first exchange); the
+#     ceiling is that reading + 20 %, and keeps closure-per-probe,
+#     copy-per-ICMP, garbage-per-exchange and world-per-shard
 #     regressions out;
 #   * shard-result path allocations above their ceilings —
 #     BenchmarkPushShardResult (one upload in steady state, client and
@@ -56,14 +60,14 @@
 #   PERF_GATE_BASE                base ref to compare against (default origin/main)
 #   PERF_GATE_COUNT               benchmark repetitions (default 5)
 #   PERF_GATE_MAX_REGRESSION_PCT  wall-clock slowdown tolerance (default 10)
-#   PERF_GATE_MAX_CAMPAIGN_ALLOCS campaign allocs/op ceiling (default 48300)
+#   PERF_GATE_MAX_CAMPAIGN_ALLOCS campaign allocs/op ceiling (default 30600)
 #   PERF_GATE_MAX_TELEMETRY_PCT   instrumented-campaign overhead tolerance (default 2)
 set -euo pipefail
 
 BASE_REF="${PERF_GATE_BASE:-origin/main}"
 COUNT="${PERF_GATE_COUNT:-5}"
 MAX_PCT="${PERF_GATE_MAX_REGRESSION_PCT:-10}"
-MAX_CAMPAIGN_ALLOCS="${PERF_GATE_MAX_CAMPAIGN_ALLOCS:-48300}"
+MAX_CAMPAIGN_ALLOCS="${PERF_GATE_MAX_CAMPAIGN_ALLOCS:-30600}"
 MAX_TELEMETRY_PCT="${PERF_GATE_MAX_TELEMETRY_PCT:-2}"
 # Shard-result path ceilings (~1.5x what the path measures): fixed.
 MAX_PUSH_BYTES=54000
@@ -74,7 +78,7 @@ MAX_DATASET_WRITE_ALLOCS=32
 # true 0 allocs/op steady state.
 CAMPAIGN_FILTER='BenchmarkCampaignWorkers/workers=4$|BenchmarkWorldReset$|BenchmarkCampaignTelemetry$'
 RESULT_PATH_FILTER='BenchmarkPushShardResult$|BenchmarkDecodeShardResult$|BenchmarkDatasetWrite$'
-HOTPATH_FILTER='BenchmarkCEMarkThroughput|BenchmarkBuildUDPBuf$|BenchmarkChecksum1500$|BenchmarkRouterForward$|BenchmarkSimSchedule|BenchmarkSimScheduleSparse|BenchmarkTelemetryHotPath$|BenchmarkHandshakeAndExchange$|BenchmarkGetExchange$'
+HOTPATH_FILTER='BenchmarkCEMarkThroughput|BenchmarkBuildUDPBuf$|BenchmarkChecksum1500$|BenchmarkRouterForward$|BenchmarkICMPRoundTrip$|BenchmarkSimSchedule|BenchmarkSimScheduleSparse|BenchmarkTelemetryHotPath$|BenchmarkHandshakeAndExchange$|BenchmarkGetExchange$'
 
 root="$(git rev-parse --show-toplevel)"
 cd "$root"
@@ -141,11 +145,12 @@ if [ -n "$bad_allocs" ]; then
 fi
 grep -q '^BenchmarkWorldReset' "$work/head.txt" || { echo "perf-gate: FAIL — BenchmarkWorldReset did not run"; fail=1; }
 
-# Gate 2: campaign-level allocations. Recycled probe, connection and
-# codec state and one reset world per worker keep a small campaign
-# around ~40k allocs/op; the ceiling catches a reintroduced
-# closure-per-probe, per-phantom, garbage-per-exchange or
-# world-per-shard pattern long before it shows up as wall-clock.
+# Gate 2: campaign-level allocations. Recycled probe, connection,
+# codec and traceroute-session state and one reset world per worker
+# keep a small campaign around ~23k allocs/op; the ceiling catches a
+# reintroduced closure-per-probe, copy-per-ICMP, per-phantom,
+# garbage-per-exchange or world-per-shard pattern long before it shows
+# up as wall-clock.
 bad_campaign_allocs="$(awk -v max="$MAX_CAMPAIGN_ALLOCS" '/^BenchmarkCampaignWorkers/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op" && $i+0 > max) print $1, $i, "allocs/op >", max
 }' "$work/head.txt" | sort -u)"
