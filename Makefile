@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race crash-stress bench bench-paper fmt vet lint determinism perf-gate serve smoke distributed-smoke crash-smoke chaos-smoke check
+.PHONY: all build test race crash-stress fuzz-smoke bench bench-paper fmt vet lint determinism perf-gate serve smoke distributed-smoke crash-smoke chaos-smoke check
 
 all: check
 
@@ -27,6 +27,29 @@ race:
 crash-stress:
 	$(GO) test -race -count=20 -timeout 30m -run 'TestRecovery|TestRestart' ./internal/server
 	$(GO) test -race -count=20 -run 'TestCoordinatorRestart' ./internal/worker
+
+# fuzz-smoke runs every fuzz target for FUZZTIME (10 s) beyond its seed
+# corpus, which is all `go test` alone ever executes. go test takes one
+# target per invocation, hence the list; a target added to the tree is
+# added here. -fuzzminimizetime keeps the 200 KB journal seeds from
+# spending the whole budget in minimization.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = \
+	internal/packet:FuzzWireRoundTrip \
+	internal/packet:FuzzPeekMatchesParseIPv4 \
+	internal/packet:FuzzParseICMPQuotation \
+	internal/dataset:FuzzAppendTrace \
+	internal/dataset:FuzzTraceUnmarshal \
+	internal/campaign:FuzzParseSpec \
+	internal/campaign:FuzzWireEncode \
+	internal/server:FuzzShardResultDecode \
+	internal/server:FuzzWALReplay
+
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz-smoke: $${t#*:} ($${t%%:*}) for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./$${t%%:*}; \
+	done
 
 # Benchmark smoke: one iteration of every benchmark on the small world,
 # exercising the full artefact pipeline (campaign engine, analysis,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,15 +12,16 @@ import (
 	"sync/atomic"
 
 	"repro/internal/campaign"
+	"repro/internal/dataset"
 )
 
 // Shard-result uploads are the one large thing a worker sends: ≈ 2 MB
-// of JSON at paper scale, ≈ 100 KB once gzipped. Encoding one used to
-// cost a json.Marshal copy of the payload, a fresh gzip.Writer (≈ 1 MB
-// of deflate state) and a buffer grown by doubling — per attempt. Here
-// the payload is encoded once, straight into a gzip stream, into state
-// the client keeps between uploads, and every attempt resends the same
-// bytes.
+// of JSON at paper scale, ≈ 100 KB once gzipped. The JSON never exists
+// whole: the dataset package's trace encoder assembles it by hand a
+// 64 KB chunk at a time and each chunk goes straight into the gzip
+// stream. Chunk, deflate state (≈ 1 MB) and body buffer are state the
+// client keeps between uploads; the payload is encoded once and every
+// attempt resends the same bytes.
 //
 // Ownership: an uploadEncoder belongs to exactly one ShardUpload from
 // PrepareShardResult until Release, and to the client's free list in
@@ -42,8 +42,9 @@ const (
 
 // uploadEncoder is one upload's encoding state, reused via Reset.
 type uploadEncoder struct {
-	buf bytes.Buffer // the request body
-	zw  *gzip.Writer // writes into buf; nil until the first gzip upload
+	buf bytes.Buffer    // the request body
+	zw  *gzip.Writer    // writes into buf; nil until the first gzip upload
+	enc dataset.Encoder // writes into zw or buf; owns the one chunk of JSON scratch
 }
 
 // encoderList is a bounded free list. A mutex and a slice rather than a
@@ -78,44 +79,39 @@ func (l *encoderList) put(e *uploadEncoder) {
 	}
 }
 
-// chompWriter drops the newline json.Encoder ends a value with:
-// json.Marshal writes none, and the body must stay byte-identical to
-// gzip(json.Marshal(req)) — coordinators journal upload bodies verbatim
-// and the benchmark counts their bytes. Compact JSON holds no raw
-// newline (strings escape theirs), so the only one Encode can write is
-// that terminator, at the end of its one Write;
-// TestUploadBodyMatchesMarshal holds the result to json.Marshal.
-type chompWriter struct{ w io.Writer }
-
-func (c chompWriter) Write(p []byte) (int, error) {
-	n := len(p)
-	if n > 0 && p[n-1] == '\n' {
-		if _, err := c.w.Write(p[:n-1]); err != nil {
-			return 0, err
-		}
-		return n, nil
-	}
-	return c.w.Write(p)
-}
-
-// encode builds the request body for v in e.buf: v's JSON, gzipped at
-// the default level when compress is set. The JSON goes from the
-// encoder's own scratch straight into the stream: json.Marshal's final
-// copy of the payload out of that scratch is what is saved.
-func (e *uploadEncoder) encode(v any, compress bool) error {
+// encode builds the request body of one result upload in e.buf —
+// {"worker":…,"lease":…,"result":…}, the bytes json.Marshal gives the
+// route's request struct (TestUploadBodyMatchesMarshal: coordinators
+// journal upload bodies verbatim and the benchmark counts their
+// bytes) — gzipped at the default level when compress is set. The JSON
+// is never assembled: it goes a chunk at a time from e.enc's scratch
+// into the stream.
+func (e *uploadEncoder) encode(worker, lease string, res *campaign.ShardResultWire, compress bool) error {
 	e.buf.Reset()
-	if !compress {
-		return json.NewEncoder(chompWriter{&e.buf}).Encode(v)
+	var w io.Writer = &e.buf
+	if compress {
+		if e.zw == nil {
+			e.zw = gzip.NewWriter(&e.buf)
+		} else {
+			e.zw.Reset(&e.buf)
+		}
+		w = e.zw
 	}
-	if e.zw == nil {
-		e.zw = gzip.NewWriter(&e.buf)
-	} else {
-		e.zw.Reset(&e.buf)
-	}
-	if err := json.NewEncoder(chompWriter{e.zw}).Encode(v); err != nil {
+	e.enc.Reset(w)
+	e.enc.Raw(`{"worker":`)
+	e.enc.String(worker)
+	e.enc.Raw(`,"lease":`)
+	e.enc.String(lease)
+	e.enc.Raw(`,"result":`)
+	res.EncodeJSON(&e.enc)
+	e.enc.Raw("}")
+	if err := e.enc.Flush(); err != nil {
 		return err
 	}
-	return e.zw.Close()
+	if compress {
+		return e.zw.Close()
+	}
+	return nil
 }
 
 // ShardUpload is one shard result encoded for the wire: prepared once,
@@ -135,11 +131,6 @@ type ShardUpload struct {
 // PrepareShardResult encodes one executed shard's upload under its
 // lease. The caller must Release the result.
 func (c *Client) PrepareShardResult(jobID string, index int, worker, lease string, res *campaign.ShardResultWire) (*ShardUpload, error) {
-	req := struct {
-		Worker string                    `json:"worker"`
-		Lease  string                    `json:"lease"`
-		Result *campaign.ShardResultWire `json:"result"`
-	}{Worker: worker, Lease: lease, Result: res}
 	u := &ShardUpload{
 		c:    c,
 		path: fmt.Sprintf("/v1/jobs/%s/shards/%d/result", url.PathEscape(jobID), index),
@@ -148,7 +139,7 @@ func (c *Client) PrepareShardResult(jobID string, index int, worker, lease strin
 	if !c.plainUploads {
 		u.encoding = "gzip"
 	}
-	if err := u.enc.encode(req, !c.plainUploads); err != nil {
+	if err := u.enc.encode(worker, lease, res, !c.plainUploads); err != nil {
 		// The half-written encoder is not worth keeping: it goes with u.
 		return nil, fmt.Errorf("api: encode shard result: %w", err)
 	}

@@ -3,24 +3,46 @@ package apiclient
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/campaign"
+	"repro/internal/dataset"
 )
 
-// TestChompWriterDropsTheTerminator: a write's final newline is
-// withheld, everything else passes.
-func TestChompWriterDropsTheTerminator(t *testing.T) {
-	for in, want := range map[string]string{"{}\n": "{}", "{}": "{}", "\n": "", "": ""} {
-		var out bytes.Buffer
-		if n, err := (chompWriter{&out}).Write([]byte(in)); err != nil || n != len(in) {
-			t.Fatalf("Write(%q) = %d, %v", in, n, err)
+// TestUploadEnvelopeMatchesMarshal: the hand-written request envelope is
+// json.Marshal's of the route's request struct, whatever the worker ID
+// and lease token hold — quick's strings are mostly non-ASCII; the
+// fixed ones need escaping — and for a nil result.
+func TestUploadEnvelopeMatchesMarshal(t *testing.T) {
+	type request struct {
+		Worker string                    `json:"worker"`
+		Lease  string                    `json:"lease"`
+		Result *campaign.ShardResultWire `json:"result"`
+	}
+	wire := &campaign.ShardResultWire{Version: campaign.ShardWireVersion, Vantage: `<"Zürich">`,
+		Traces: []dataset.Trace{{Vantage: "v", Observations: []dataset.Observation{{HTTPStatus: 200}}}}}
+	var e uploadEncoder
+	matches := func(worker, lease string, res *campaign.ShardResultWire) bool {
+		want, err := json.Marshal(request{worker, lease, res})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if out.String() != want {
-			t.Errorf("Write(%q) came out as %q, want %q", in, out.String(), want)
+		if err := e.encode(worker, lease, res, false); err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Equal(e.buf.Bytes(), want)
+	}
+	if err := quick.Check(func(worker, lease string) bool { return matches(worker, lease, wire) }, nil); err != nil {
+		t.Error(err)
+	}
+	for _, s := range []string{"", `w"1\`, "<w&1>", "tab\t\x00\x7f", "bad \xff utf8", "\u2028"} {
+		if !matches(s, s, wire) || !matches(s, s, nil) {
+			t.Errorf("envelope for worker/lease %q differs from json.Marshal", s)
 		}
 	}
 }

@@ -135,6 +135,34 @@ func TestUploadBodyMatchesMarshal(t *testing.T) {
 	}
 }
 
+// TestPaperScaleUploadMatchesMarshal is the same contract at the size
+// that crosses the encoder's chunk many times over: a 6 × 2500 result
+// (≈ 2 MB of JSON, some thirty chunks into the gzip stream) is still
+// the bytes of one Write of json.Marshal's output, first and on a
+// recycled encoder.
+func TestPaperScaleUploadMatchesMarshal(t *testing.T) {
+	stub := &capture{}
+	ts := httptest.NewServer(stub)
+	defer ts.Close()
+	client := apiclient.New(ts.URL)
+	for i, servers := range []int{2500, 700, 2500} {
+		wire := testWire(i, servers)
+		for k := 1; k < 6; k++ {
+			next := wire.Traces[0]
+			next.Index = k
+			wire.Traces = append(wire.Traces, next)
+		}
+		if _, err := client.PushShardResult(context.Background(), "j-000001", i, "w1", "lease", wire); err != nil {
+			t.Fatal(err)
+		}
+		want := referenceBody(t, uploadRequest{Worker: "w1", Lease: "lease", Result: wire}, true)
+		if !bytes.Equal(stub.bodies[i], want) {
+			t.Fatalf("upload %d (6 × %d): body is %d bytes, reference encoding is %d bytes and differs",
+				i, servers, len(stub.bodies[i]), len(want))
+		}
+	}
+}
+
 // TestPreparedUploadResendsSameBytes: an upload is encoded when it is
 // prepared, not when it is sent — the wire changing afterwards changes
 // nothing — and each retry of a failed send carries the same bytes.

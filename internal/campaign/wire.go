@@ -64,6 +64,63 @@ type ShardResultWire struct {
 	Stats ShardStats `json:"stats"`
 }
 
+// EncodeJSON streams w through e as the JSON object json.Marshal(w)
+// would build, byte for byte (TestWireEncodeMatchesMarshal), without
+// building it: the traces — all but a few hundred bytes of a result —
+// go through the dataset package's trace encoder a chunk at a time, the
+// server list as dotted quads, and only the two small fixed-size
+// structs through encoding/json. Failures stick in e; the caller
+// flushes it and learns of them there.
+func (w *ShardResultWire) EncodeJSON(e *dataset.Encoder) {
+	if w == nil {
+		e.Raw("null")
+		return
+	}
+	e.Raw(`{"v":`)
+	e.Int(int64(w.Version))
+	e.Raw(`,"spec_hash":`)
+	e.String(w.SpecHash)
+	e.Raw(`,"shard":`)
+	e.Int(int64(w.Shard))
+	e.Raw(`,"slice":`)
+	e.Int(int64(w.Slice))
+	e.Raw(`,"vantage":`)
+	e.String(w.Vantage)
+	e.Raw(`,"traces":`)
+	if w.Traces == nil {
+		e.Raw("null")
+	} else {
+		e.Raw("[")
+		for i := range w.Traces {
+			if i > 0 {
+				e.Raw(",")
+			}
+			e.Trace(&w.Traces[i])
+		}
+		e.Raw("]")
+	}
+	e.Raw(`,"servers":`)
+	if w.Servers == nil {
+		e.Raw("null")
+	} else {
+		e.Raw("[")
+		for i, addr := range w.Servers {
+			if i > 0 {
+				e.Raw(",")
+			}
+			e.Addr(addr)
+		}
+		e.Raw("]")
+	}
+	if w.Congestion != nil {
+		e.Raw(`,"congestion":`)
+		e.Marshal(w.Congestion)
+	}
+	e.Raw(`,"stats":`)
+	e.Marshal(&w.Stats)
+	e.Raw("}")
+}
+
 // wireFromShardResult converts an executed shard to wire form. The
 // traceroute sweep's path observations are not carried: they are not
 // part of the stored artifact set (dataset + run meta) the control

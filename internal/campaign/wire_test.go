@@ -3,8 +3,16 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
+	"time"
+
+	"repro/internal/analysis"
+	"repro/internal/dataset"
+	"repro/internal/packet"
 )
 
 // stripWallClock zeroes the one non-deterministic ShardStats field
@@ -37,6 +45,9 @@ func executeAllShardsOverWire(t *testing.T, cfg Config) *Result {
 		raw, err := json.Marshal(w)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if streamed := encodeWire(t, w); !bytes.Equal(streamed, raw) {
+			t.Fatalf("shard (%d,%d): EncodeJSON differs from json.Marshal", info.Shard, info.Slice)
 		}
 		decoded := new(ShardResultWire)
 		if err := json.Unmarshal(raw, decoded); err != nil {
@@ -146,3 +157,181 @@ func TestMergeWireRejectsBadBatches(t *testing.T) {
 		t.Error("want error for duplicate shard coordinates")
 	}
 }
+
+// encodeWire is w through the streaming encoder.
+func encodeWire(t testing.TB, w *ShardResultWire) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	e := dataset.NewEncoder(&buf)
+	w.EncodeJSON(e)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// wireStrings are what the string fields are drawn from: the plain
+// case, everything encoding/json escapes or replaces, and non-ASCII.
+var wireStrings = []string{
+	"", "Glasgow (wired)", `quote " backslash \`, "<script>&amp;</script>", "tab\tnul\x00del\x7f",
+	"Zürich", "line\u2028sep", "bad utf8 \xff\xfe", "😀",
+}
+
+// randomWire builds a wire whose every optional part is, at random,
+// nil, empty or filled.
+func randomWire(r *rand.Rand) *ShardResultWire {
+	pick := func() string { return wireStrings[r.Intn(len(wireStrings))] }
+	w := &ShardResultWire{
+		Version: r.Intn(3), SpecHash: pick(), Shard: r.Intn(13), Slice: r.Intn(8) - 1, Vantage: pick(),
+		Stats: ShardStats{Shard: r.Intn(13), Vantage: pick(), Seed: r.Int63() - 1<<62, Traces: r.Intn(7),
+			Events: r.Uint64(), VirtualTime: time.Duration(r.Int63()), Elapsed: time.Duration(r.Int63n(1e10))},
+	}
+	switch r.Intn(3) {
+	case 1:
+		w.Traces = []dataset.Trace{}
+	case 2:
+		w.Traces = make([]dataset.Trace, 1+r.Intn(3))
+		for i := range w.Traces {
+			tr := &w.Traces[i]
+			tr.Vantage, tr.Batch, tr.Index, tr.Started = pick(), r.Intn(3), r.Intn(100)-1, time.Duration(r.Int63())
+			switch r.Intn(3) {
+			case 1:
+				tr.Observations = []dataset.Observation{}
+			case 2:
+				tr.Observations = make([]dataset.Observation, 1+r.Intn(40))
+				for k := range tr.Observations {
+					tr.Observations[k] = dataset.Observation{
+						Server:       packet.AddrFromUint32(r.Uint32()),
+						UDPReachable: r.Intn(2) == 0, UDPECTReachable: r.Intn(2) == 0,
+						UDPAttempts: r.Intn(7), UDPECTAttempts: r.Intn(7) - 1,
+						TCPReachable: r.Intn(2) == 0, TCPECNReachable: r.Intn(2) == 0, TCPECN: r.Intn(2) == 0,
+						HTTPStatus: []int{0, 200, 302, -1}[r.Intn(4)],
+					}
+				}
+			}
+		}
+	}
+	switch r.Intn(3) {
+	case 1:
+		w.Servers = []packet.Addr{}
+	case 2:
+		w.Servers = make([]packet.Addr, 1+r.Intn(40))
+		for i := range w.Servers {
+			w.Servers[i] = packet.AddrFromUint32(r.Uint32())
+		}
+	}
+	if r.Intn(2) == 0 {
+		w.Congestion = &analysis.CEMarkSample{Vantage: pick(), InECT: r.Uint64(), InCE: uint64(r.Intn(100)),
+			QueueOffered: r.Uint64(), Utilization: r.Float64()}
+	}
+	return w
+}
+
+// TestWireEncodeMatchesMarshal: the streamed encoding of a wire is
+// json.Marshal's, byte for byte — nil, empty and filled Traces and
+// Servers, Congestion absent and present, strings that need escaping —
+// and a nil wire is null.
+func TestWireEncodeMatchesMarshal(t *testing.T) {
+	f := func(seed int64) bool {
+		return wireEncodeMatches(t, randomWire(rand.New(rand.NewSource(seed))))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
+	}
+	if got := encodeWire(t, nil); string(got) != "null" {
+		t.Errorf("a nil wire encodes as %q, want null", got)
+	}
+	// What encoding/json refuses, the encoder refuses: the error comes
+	// out of Flush.
+	w := randomWire(rand.New(rand.NewSource(1)))
+	w.Congestion = &analysis.CEMarkSample{Utilization: math.Inf(1)}
+	e := dataset.NewEncoder(new(bytes.Buffer))
+	w.EncodeJSON(e)
+	if _, merr := json.Marshal(w); merr == nil || e.Flush() == nil {
+		t.Errorf("an unmarshalable wire: json.Marshal says %v, Flush says nil or disagrees", merr)
+	}
+}
+
+// wireEncodeMatches reports whether w streams to json.Marshal's bytes.
+func wireEncodeMatches(t *testing.T, w *ShardResultWire) bool {
+	t.Helper()
+	want, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := encodeWire(t, w)
+	if !bytes.Equal(got, want) {
+		t.Logf("EncodeJSON\n got %s\nwant %s", got, want)
+	}
+	return bytes.Equal(got, want)
+}
+
+// FuzzWireEncode drives the same differential with fuzzed strings in
+// every string field, over wire shapes drawn from the shape seed.
+func FuzzWireEncode(f *testing.F) {
+	f.Add("0123456789abcdef", "Glasgow (wired)", "EC2 Tokyo", int64(1))
+	f.Add("", "q\"<>&\\", "bad \xff utf8 \xe2\x82", int64(2))
+	f.Add("Zürich\u2028", "ctl\t\x00\x7f", "😀", int64(3))
+	f.Fuzz(func(t *testing.T, specHash, vantage, traceVantage string, shape int64) {
+		w := randomWire(rand.New(rand.NewSource(shape)))
+		w.SpecHash, w.Vantage, w.Stats.Vantage = specHash, vantage, vantage
+		for i := range w.Traces {
+			w.Traces[i].Vantage = traceVantage
+		}
+		if w.Congestion != nil {
+			w.Congestion.Vantage = vantage
+		}
+		if !wireEncodeMatches(t, w) {
+			t.Fail()
+		}
+	})
+}
+
+// TestEncodeScratchBounded: a paper-scale result (6 traces × 2500
+// observations, ≈ 2.1 MB of JSON) leaves the encoder in writes of at
+// most two chunks — every buffered byte is handed over in one Write, so
+// that bounds the scratch — and the pieces add up to json.Marshal's
+// bytes.
+func TestEncodeScratchBounded(t *testing.T) {
+	const chunk = 64 << 10
+	r := rand.New(rand.NewSource(2015))
+	w := &ShardResultWire{Version: ShardWireVersion, Vantage: "Glasgow (wired)", Traces: make([]dataset.Trace, 6)}
+	for i := range w.Traces {
+		obs := make([]dataset.Observation, 2500)
+		for k := range obs {
+			obs[k] = dataset.Observation{Server: packet.AddrFromUint32(r.Uint32()), UDPReachable: true,
+				UDPECTReachable: true, UDPAttempts: 1 + r.Intn(6), UDPECTAttempts: 1, TCPReachable: true, HTTPStatus: 302}
+		}
+		w.Traces[i] = dataset.Trace{Vantage: w.Vantage, Batch: 1, Index: i, Started: time.Duration(i) * time.Hour, Observations: obs}
+	}
+	w.Servers = make([]packet.Addr, 2500)
+	want, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	writes, largest := 0, 0
+	e := dataset.NewEncoder(writerFunc(func(p []byte) (int, error) {
+		writes++
+		largest = max(largest, len(p))
+		return got.Write(p)
+	}))
+	for range 2 { // the second pass runs on the recycled scratch
+		got.Reset()
+		w.EncodeJSON(e)
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatal("the chunks do not add up to json.Marshal's bytes")
+		}
+	}
+	if largest > 2*chunk || writes < 2*(len(want)/(2*chunk)) {
+		t.Errorf("%d bytes ×2 left in %d writes, the largest %d bytes; want every write within %d",
+			len(want), writes, largest, 2*chunk)
+	}
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

@@ -153,25 +153,18 @@ func Merge(parts ...*Dataset) *Dataset {
 	return merged
 }
 
-// writeChunk is how many encoded bytes Write gathers before handing
-// them to the writer: small-world traces are a few KB each and would
-// otherwise cost a write call apiece.
-const writeChunk = 64 << 10
-
 // Write streams the dataset as JSON lines, one trace per line, through
-// one reused buffer: it holds a chunk of lines at a time, never the
-// dataset, and w sees whole lines only.
+// one Encoder: it holds a chunk of encoded bytes at a time — never the
+// dataset, nor a whole paper-scale trace — so w sees the lines in
+// order, cut wherever a chunk filled.
 func Write(w io.Writer, d *Dataset) error {
-	buf := make([]byte, 0, writeChunk)
+	e := NewEncoder(w)
 	for i := range d.Traces {
-		buf = appendTrace(buf, &d.Traces[i])
-		if len(buf) < writeChunk && i < len(d.Traces)-1 {
-			continue
-		}
-		if _, err := w.Write(buf); err != nil {
-			return fmt.Errorf("dataset: write trace %d: %w", i, err)
-		}
-		buf = buf[:0]
+		e.Trace(&d.Traces[i])
+		e.Raw("\n")
+	}
+	if err := e.Flush(); err != nil {
+		return fmt.Errorf("dataset: write: %w", err)
 	}
 	return nil
 }

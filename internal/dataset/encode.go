@@ -2,18 +2,123 @@ package dataset
 
 import (
 	"encoding/json"
+	"io"
 	"strconv"
+
+	"repro/internal/packet"
 )
 
-// appendTrace appends t's dataset line — exactly the bytes
-// json.NewEncoder(w).Encode(t) would write, newline included — to b.
-// The schema is fixed and flat, so the line is assembled by hand:
-// reflective encoding/json spends an allocation per observation on
-// Addr.MarshalText alone, and Write emits millions of observations per
-// campaign. TestAppendTraceMatchesJSON and FuzzAppendTrace hold the two
-// encoders byte-identical.
-func appendTrace(b []byte, t *Trace) []byte {
-	b = append(b, `{"vantage":`...)
+// encodeChunk is how many encoded bytes an Encoder gathers before
+// handing them to its writer. Small-world traces are a few KB each and
+// would otherwise cost a write call apiece; a paper-scale trace is
+// ≈ 350 KB and goes out in several pieces, so the scratch holds a
+// chunk, never a trace.
+const encodeChunk = 64 << 10
+
+// chunkSlack is room past encodeChunk for what is appended between two
+// flush checks — one observation (≤ 160 bytes) or a trace header with a
+// generated vantage name — so the scratch does not regrow in practice.
+const chunkSlack = 1 << 10
+
+// Encoder is the tree's one trace encoder: a chunked appender of
+// hand-assembled JSON over an io.Writer. Write uses it for dataset
+// lines and campaign.ShardResultWire for the upload body, which is why
+// it also exposes the envelope's scalar forms. Every method's output is
+// byte-identical to encoding/json's for the same value
+// (TestAppendTraceMatchesJSON, FuzzAppendTrace, and campaign's
+// TestWireEncodeMatchesMarshal hold it there).
+//
+// The first failure — the writer's or Marshal's — sticks: later calls
+// append nothing and Flush returns it, as with bufio.Writer. The
+// scratch is owned by the Encoder and survives Reset, so a recycled
+// Encoder encodes without allocating.
+type Encoder struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// NewEncoder returns an Encoder writing to w.
+func NewEncoder(w io.Writer) *Encoder {
+	e := &Encoder{}
+	e.Reset(w)
+	return e
+}
+
+// Reset discards unflushed bytes and any error and points e at w.
+func (e *Encoder) Reset(w io.Writer) {
+	if e.buf == nil {
+		e.buf = make([]byte, 0, encodeChunk+chunkSlack)
+	}
+	e.w, e.buf, e.err = w, e.buf[:0], nil
+}
+
+// Flush writes what is buffered and returns the Encoder's first error.
+func (e *Encoder) Flush() error {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+	return e.err
+}
+
+// spill flushes once a chunk has gathered.
+func (e *Encoder) spill() {
+	if len(e.buf) >= encodeChunk {
+		_ = e.Flush() // a failure sticks in e.err; the final Flush reports it
+	}
+}
+
+// Raw appends s verbatim: punctuation and key literals.
+func (e *Encoder) Raw(s string) {
+	e.buf = append(e.buf, s...)
+	e.spill()
+}
+
+// String appends s as a JSON string.
+func (e *Encoder) String(s string) {
+	e.buf = appendString(e.buf, s)
+	e.spill()
+}
+
+// Int appends n in decimal.
+func (e *Encoder) Int(n int64) {
+	e.buf = strconv.AppendInt(e.buf, n, 10)
+}
+
+// Addr appends a as the quoted dotted quad Addr.MarshalText renders.
+func (e *Encoder) Addr(a packet.Addr) {
+	e.buf = append(e.buf, '"')
+	e.buf = appendAddr(e.buf, a)
+	e.buf = append(e.buf, '"')
+	e.spill()
+}
+
+// Marshal appends json.Marshal(v): for the small, float-bearing structs
+// of an envelope that are not worth a hand-written form.
+func (e *Encoder) Marshal(v any) {
+	if e.err != nil {
+		return
+	}
+	raw, err := json.Marshal(v)
+	if err != nil {
+		e.err = err
+		return
+	}
+	e.buf = append(e.buf, raw...)
+	e.spill()
+}
+
+// Trace appends t as a JSON object — exactly json.Marshal(t)'s bytes —
+// flushing between observations. The schema is fixed and flat, so the
+// object is assembled by hand: reflective encoding/json spends an
+// allocation per observation on Addr.MarshalText alone, and a campaign
+// emits millions of observations.
+func (e *Encoder) Trace(t *Trace) {
+	if e.err != nil {
+		return
+	}
+	b := append(e.buf, `{"vantage":`...)
 	b = appendString(b, t.Vantage)
 	b = append(b, `,"batch":`...)
 	b = strconv.AppendInt(b, int64(t.Batch), 10)
@@ -21,30 +126,25 @@ func appendTrace(b []byte, t *Trace) []byte {
 	b = strconv.AppendInt(b, int64(t.Index), 10)
 	b = append(b, `,"started":`...)
 	b = strconv.AppendInt(b, int64(t.Started), 10)
-	b = append(b, `,"observations":`...)
+	e.buf = append(b, `,"observations":`...)
 	if t.Observations == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i := range t.Observations {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendObservation(b, &t.Observations[i])
-		}
-		b = append(b, ']')
+		e.Raw("null}")
+		return
 	}
-	return append(b, '}', '\n')
+	e.buf = append(e.buf, '[')
+	for i := range t.Observations {
+		if i > 0 {
+			e.buf = append(e.buf, ',')
+		}
+		e.buf = appendObservation(e.buf, &t.Observations[i])
+		e.spill()
+	}
+	e.Raw("]}")
 }
 
 func appendObservation(b []byte, o *Observation) []byte {
 	b = append(b, `{"server":"`...)
-	for i, octet := range o.Server {
-		if i > 0 {
-			b = append(b, '.')
-		}
-		b = strconv.AppendUint(b, uint64(octet), 10)
-	}
+	b = appendAddr(b, o.Server)
 	b = append(b, `","udp":`...)
 	b = strconv.AppendBool(b, o.UDPReachable)
 	b = append(b, `,"udp_ect":`...)
@@ -70,18 +170,46 @@ func appendObservation(b []byte, o *Observation) []byte {
 	return append(b, '}')
 }
 
-// appendString appends s as a JSON string. Plain printable ASCII — every
+// appendAddr appends a in dotted-quad notation, unquoted.
+func appendAddr(b []byte, a packet.Addr) []byte {
+	for i, octet := range a {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(octet), 10)
+	}
+	return b
+}
+
+// plainStringByte reports whether c stands for itself between JSON
+// quotes under encoding/json's default (HTML-escaping) encoder:
+// printable ASCII other than the quote, the backslash and the
+// HTML-sensitive <, > and &. It is the one definition of "plain" the
+// encoder and the decoder's fast path share — a string of such bytes is
+// written between quotes as is, and read back by copying.
+func plainStringByte(c byte) bool {
+	return c >= 0x20 && c < 0x7f && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+}
+
+// plainString reports whether every byte of s is plain.
+func plainString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !plainStringByte(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// appendString appends s as a JSON string. A plain string — every
 // vantage name the topology generates — is copied between quotes; any
 // string holding a byte encoding/json would escape, replace or even look
-// at twice (quotes, backslashes, the HTML-sensitive <, > and &, control
-// characters, anything non-ASCII) goes through json.Marshal itself.
+// at twice (control characters, anything non-ASCII) goes through
+// json.Marshal itself.
 func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			quoted, _ := json.Marshal(s) // a string cannot fail to marshal
-			return append(b, quoted...)
-		}
+	if !plainString(s) {
+		quoted, _ := json.Marshal(s) // a string cannot fail to marshal
+		return append(b, quoted...)
 	}
 	b = append(b, '"')
 	b = append(b, s...)

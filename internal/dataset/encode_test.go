@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -21,6 +22,19 @@ func jsonLine(t *testing.T, tr *Trace) []byte {
 		t.Fatal(err)
 	}
 	return append(want, '\n')
+}
+
+// appendTrace appends the dataset line Write emits for tr — the trace
+// through the Encoder, then a newline — to b.
+func appendTrace(b []byte, tr *Trace) []byte {
+	var line bytes.Buffer
+	e := NewEncoder(&line)
+	e.Trace(tr)
+	e.Raw("\n")
+	if err := e.Flush(); err != nil {
+		panic(err) // a bytes.Buffer does not fail
+	}
+	return append(b, line.Bytes()...)
 }
 
 func checkAgainstJSON(t *testing.T, tr *Trace) {
@@ -98,11 +112,12 @@ func FuzzAppendTrace(f *testing.F) {
 	})
 }
 
-// TestWriteChunksWholeLines: Write hands the writer whole lines, in
-// order, and the concatenation is the per-trace reference encoding —
-// across the chunk boundary too.
-func TestWriteChunksWholeLines(t *testing.T) {
-	d := benchDataset(6, 400) // ≈ 40 KB a trace: several writes
+// TestWriteChunksBounded: Write hands the writer a chunk at a time —
+// never a whole paper-scale trace, which is several chunks long — and
+// the concatenation is the per-trace reference encoding, wherever the
+// chunks were cut.
+func TestWriteChunksBounded(t *testing.T) {
+	d := benchDataset(3, 2500) // ≈ 330 KB a trace
 	var want bytes.Buffer
 	for i := range d.Traces {
 		want.Write(jsonLine(t, &d.Traces[i]))
@@ -111,8 +126,8 @@ func TestWriteChunksWholeLines(t *testing.T) {
 	writes := 0
 	err := Write(writerFunc(func(p []byte) (int, error) {
 		writes++
-		if len(p) == 0 || p[len(p)-1] != '\n' {
-			t.Errorf("write %d does not end on a line boundary", writes)
+		if len(p) == 0 || len(p) > encodeChunk+chunkSlack {
+			t.Errorf("write %d is %d bytes; want 1..%d", writes, len(p), encodeChunk+chunkSlack)
 		}
 		return got.Write(p)
 	}), d)
@@ -122,8 +137,37 @@ func TestWriteChunksWholeLines(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Error("Write output differs from the per-trace reference encoding")
 	}
-	if writes < 2 {
-		t.Errorf("dataset of %d bytes went out in %d write(s); want it chunked", got.Len(), writes)
+	if min := got.Len() / (encodeChunk + chunkSlack); writes < min {
+		t.Errorf("dataset of %d bytes went out in %d write(s); want at least %d", got.Len(), writes, min)
+	}
+}
+
+// TestEncoderErrorSticks: after the writer fails the Encoder appends
+// nothing more, keeps its scratch bounded and reports that first error.
+func TestEncoderErrorSticks(t *testing.T) {
+	boom := errors.New("disk full")
+	calls := 0
+	e := NewEncoder(writerFunc(func([]byte) (int, error) { calls++; return 0, boom }))
+	d := benchDataset(2, 2500)
+	for i := range d.Traces {
+		e.Trace(&d.Traces[i])
+		e.Marshal(map[string]int{"a": 1})
+		e.Raw("\n")
+	}
+	if err := e.Flush(); !errors.Is(err, boom) {
+		t.Errorf("Flush = %v, want %v", err, boom)
+	}
+	if calls != 1 {
+		t.Errorf("the failed writer was called %d times, want once", calls)
+	}
+	if cap(e.buf) > encodeChunk+chunkSlack {
+		t.Errorf("scratch grew to %d bytes behind a failed writer", cap(e.buf))
+	}
+	e.Reset(io.Discard)
+	e.Marshal(func() {}) // not marshalable
+	e.Raw("x")
+	if err := e.Flush(); err == nil {
+		t.Error("Flush after a failed Marshal returned nil")
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -19,9 +20,13 @@ import (
 // ingestPool.get to put, and put happens only after everything that
 // reads the raw body has returned — for an upload that includes the
 // journal append inside jobMgr.ShardResult, which writes those bytes to
-// disk verbatim. Values decoded out of a buffer never alias it:
-// encoding/json copies every string, []byte and RawMessage it
-// produces, so the wire kept in job.wires outlives the buffer safely.
+// disk verbatim. Values decoded out of a buffer never alias it, so the
+// wire kept in job.wires outlives the buffer safely: encoding/json
+// copies every string, []byte and RawMessage it produces, and
+// dataset.(*Trace).UnmarshalJSON — which it calls for each trace, the
+// bulk of an upload — copies the vantage name and parses everything
+// else into values. FuzzShardResultDecode scribbles over the buffers to
+// hold both to that.
 
 const (
 	// ingestSlots bounds the free list; requests beyond it allocate and
@@ -102,8 +107,9 @@ func (b *ingestBuf) readBody(w http.ResponseWriter, r *http.Request, limit int64
 // bad_request faults. An encGzip body is inflated first (net/http does
 // not decompress request bodies); the byte budget applies to the
 // inflated stream — at most limit+1 bytes are ever inflated — so a
-// compression bomb is a 400, not an allocation. Journal replay decodes
-// stored upload bodies through here too. raw may be b's own body.
+// compression bomb is a 400, not an allocation; the inflate buffer is
+// reserved once up front (inflateHint). Journal replay decodes stored
+// upload bodies through here too. raw may be b's own body.
 func (b *ingestBuf) decodeJSON(raw []byte, enc string, limit int64, v any) error {
 	body := raw
 	if enc == encGzip {
@@ -115,6 +121,7 @@ func (b *ingestBuf) decodeJSON(raw []byte, enc string, limit int64, v any) error
 			return faultf(http.StatusBadRequest, codeBadRequest, "gzip body: %v", err)
 		}
 		b.inflated.Reset()
+		b.inflated.Grow(inflateHint(raw, limit))
 		if _, err := b.inflated.ReadFrom(io.LimitReader(b.zr, limit+1)); err != nil {
 			return faultf(http.StatusBadRequest, codeBadRequest, "read body: %v", err)
 		}
@@ -128,6 +135,25 @@ func (b *ingestBuf) decodeJSON(raw []byte, enc string, limit int64, v any) error
 		return faultf(http.StatusBadRequest, codeBadRequest, "parse body: %v", err)
 	}
 	return nil
+}
+
+// maxDeflateRatio is the most deflate can expand its input (zlib's
+// documented limit): the size of an honest worst-case body.
+const maxDeflateRatio = 1032
+
+// inflateHint is how much to reserve for the inflated form of the gzip
+// body raw before reading it, so the buffer is grown once rather than
+// by doubling: the size the gzip trailer's ISIZE field claims, plus the
+// spare bytes.Buffer.ReadFrom wants in hand to see EOF. The trailer is
+// the client's claim, so it is capped by the byte budget and by what
+// raw could inflate to at all — a lying trailer reserves no more than a
+// genuine bomb of the same size makes ReadFrom allocate anyway.
+func inflateHint(raw []byte, limit int64) int {
+	if len(raw) < 4 {
+		return 0
+	}
+	claimed := int64(binary.LittleEndian.Uint32(raw[len(raw)-4:]))
+	return int(min(claimed, limit+1, maxDeflateRatio*int64(len(raw)))) + bytes.MinRead
 }
 
 // decodeBody reads and unmarshals a bounded JSON request body into v,

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -231,6 +233,46 @@ func TestReadBodyHintIsCapped(t *testing.T) {
 	wantBadRequest(t, err)
 }
 
+// TestInflateHintIsBounded: the gzip trailer sizes the inflate buffer
+// once — a truthful one means a single growth, not a doubling ladder —
+// and a trailer that lies reserves no more than the body could inflate
+// to at all.
+func TestInflateHintIsBounded(t *testing.T) {
+	raw, err := json.Marshal(leaseRequest{Worker: "w1", Lease: "j-000001/3/1", Result: sampleWire(3, 2500)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b ingestBuf
+	var req leaseRequest
+	if err := b.decodeJSON(gzipBytes(t, raw), encGzip, maxResultBytes, &req); err != nil {
+		t.Fatal(err)
+	}
+	// Doubling from bytes.Buffer's first 512 bytes would end at the next
+	// power of two and have copied the body twice over on the way.
+	if c, want := b.inflated.Cap(), len(raw)+bytes.MinRead; c < want || c > want+want/8 {
+		t.Errorf("a truthful trailer left a %d-byte inflate buffer for %d bytes; want one growth to ≈ %d", c, len(raw), want)
+	}
+
+	// ≈ 1 KB of incompressible body whose trailer claims 256 MiB.
+	noise := make([]byte, 900)
+	for i := range noise {
+		noise[i] = byte(i * 167 >> 3)
+	}
+	body := gzipBytes(t, noise)
+	binary.LittleEndian.PutUint32(body[len(body)-4:], 256<<20)
+	var liar ingestBuf
+	wantBadRequest(t, liar.decodeJSON(body, encGzip, maxResultBytes, &req))
+	if c, max := liar.inflated.Cap(), maxDeflateRatio*len(body)+bytes.MinRead; c > max+max/8 {
+		t.Errorf("a %d-byte body claiming 256 MiB reserved %d bytes; the bound is %d", len(body), c, max)
+	}
+	// And the byte budget caps both.
+	var tight ingestBuf
+	wantBadRequest(t, tight.decodeJSON(body, encGzip, 100, &req))
+	if c := tight.inflated.Cap(); c > 101+2*bytes.MinRead {
+		t.Errorf("a 100-byte budget reserved %d bytes", c)
+	}
+}
+
 // uploadFixture is a coordinator with one distributed job whose every
 // shard is leased to "w1", plus executed wires for the steady-state
 // benchmarks below.
@@ -306,6 +348,61 @@ func BenchmarkPushShardResult(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		push()
+	}
+}
+
+// paperSpec plans 13 shards of 6 traces; the benchmark below fabricates
+// the result of one rather than simulating a paper-scale world for it.
+const paperSpec = `{"spec": 1, "scale": "paper", "traces": 6, "seed": 2015, "stride": 0,
+  "execution": "distributed"}`
+
+// BenchmarkPushShardResultPaper is BenchmarkPushShardResult at the size
+// and cadence the paper-distributed workload has: one 6 × 2500 result
+// (≈ 2.1 MB of JSON) per upload, and a garbage collection between two
+// uploads — a worker spends ≈ 400 ms simulating the next shard, which is
+// several GC cycles, so anything parked in a sync.Pool (encoding/json's
+// encode buffer, for one) is gone by the next upload. The small fixture
+// in a tight loop hides exactly that. scripts/perf_gate.sh holds B/op
+// and allocs/op under ceilings.
+func BenchmarkPushShardResultPaper(b *testing.B) {
+	srv, err := New(Config{DataDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	b.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	client := apiclient.New(ts.URL)
+	ctx := context.Background()
+	job, _, err := client.SubmitRaw(ctx, []byte(paperSpec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	claim, err := client.Claim(ctx, job.ID, "w1", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sh := claim.Shards[0]
+	wire := sampleWire(sh.Shard, 2500)
+	wire.SpecHash, wire.Slice, wire.Stats.Traces = claim.SpecHash, sh.Slice, sh.Traces
+	for len(wire.Traces) < sh.Traces {
+		wire.Traces = append(wire.Traces, wire.Traces[0])
+	}
+	push := func() {
+		if _, err := client.PushShardResult(ctx, job.ID, sh.Index, "w1", sh.Lease, wire); err != nil {
+			b.Fatal(err)
+		}
+	}
+	push() // accepted; every later push is the idempotent duplicate
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
 		push()
 	}
 }

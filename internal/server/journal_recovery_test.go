@@ -974,6 +974,88 @@ func TestRecoveryReplaysParentJournal(t *testing.T) {
 	wantDatasetMatch(t, client, jobID)
 }
 
+// TestResultWithWrongTraceCountRejected: a result that does not carry
+// exactly the traces the plan gives its shard is never merged. Over
+// HTTP it is a 400 result_invalid that leaves the lease, the shard and
+// the journal as they were; found in a journal — an older coordinator
+// would have acknowledged it — it fails the job on replay.
+func TestResultWithWrongTraceCountRejected(t *testing.T) {
+	dir := t.TempDir()
+	fc := newFakeClock()
+	ctx := context.Background()
+
+	srv1, ts1, c1 := startCrashServer(t, dir, fc)
+	job, _, err := c1.SubmitRaw(ctx, []byte(distSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	claim, err := c1.Claim(ctx, job.ID, "wA", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wires := execWires(t, distSpec, claim.SpecHash)
+	sh := claim.Shards[0]
+	good := wires[sh.Index]
+
+	short := *good
+	short.Traces = good.Traces[:len(good.Traces)-1]
+	long := *good
+	long.Traces = append(append([]dataset.Trace(nil), good.Traces...), good.Traces[0])
+	lying := *good
+	lying.Stats.Traces++
+	for name, bad := range map[string]*campaign.ShardResultWire{"a missing trace": &short, "an extra trace": &long, "stats that disagree": &lying} {
+		_, err := c1.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, bad)
+		if err == nil {
+			t.Fatalf("a result with %s was acknowledged", name)
+		}
+		wantCode(t, err, 400, "result_invalid")
+	}
+	if view, err := c1.Job(ctx, job.ID); err != nil || view.ShardsDone != 0 || view.State != "running" {
+		t.Fatalf("job after three refused results = %+v, %v; want running with no shard done", view, err)
+	}
+	// The lease survived the refusals: the genuine result lands under it.
+	if ack, err := c1.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, good); err != nil || ack.Status != "accepted" {
+		t.Fatalf("genuine result after the refusals = %+v, %v; want accepted", ack, err)
+	}
+	crash(ts1, srv1)
+
+	path := walPath(dir, job.ID)
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(journal, []byte(`"t":"result"`)); n != 1 {
+		t.Fatalf("journal holds %d result records, want only the accepted one", n)
+	}
+	next := claim.Shards[1]
+	short = *wires[next.Index]
+	short.Traces = nil
+	body, err := json.Marshal(map[string]any{"worker": "wA", "lease": next.Lease, "result": &short})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := json.Marshal(map[string]any{
+		"t": "result", "idx": next.Index, "worker": "wA", "token": next.Lease, "body": body, "enc": "identity",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(journal, walLine("w2", string(rec))...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, c2 := startCrashServer(t, dir, fc)
+	got, err := c2.Job(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != "failed" || !strings.Contains(got.Error, "traces") {
+		t.Fatalf("job replayed over a short result = %s (%q), want failed on the trace count", got.State, got.Error)
+	}
+	_, err = c2.JobDataset(ctx, job.ID)
+	wantCode(t, err, 502, "job_failed")
+}
+
 // FuzzWALReplay feeds arbitrary bytes to startup recovery as a job's
 // journal. Whatever they are, the coordinator comes up, the job is
 // either recovered or failed with job_failed, and no shard is ever
@@ -1041,6 +1123,14 @@ func FuzzWALReplay(f *testing.F) {
 	submit := bytes.TrimSuffix(lines[0][len("w2 00000000 "):], []byte("\n"))
 	f.Add(append([]byte(walLine("w2", strings.Replace(string(submit),
 		`"execution":"distributed"`, `"execution":"local"`, 1))), valid[len(lines[0]):]...))
+	// A well-formed result for the pending shard that lacks its trace.
+	short := *wires[pending.Index]
+	short.Traces = nil
+	shortBody, err := json.Marshal(map[string]any{"worker": "wA", "lease": pending.Lease, "result": &short})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(bytes.Clone(valid), resultLine(shortBody, "identity")...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

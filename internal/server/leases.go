@@ -478,8 +478,9 @@ func (m *jobMgr) ShardResult(jobID string, idx int, worker, token string, wire *
 }
 
 // checkWire reports why a payload cannot be shard idx of job j — another
-// wire version, another spec, another shard — or nil. The accept path
-// and journal replay share it; idx is within the plan.
+// wire version, another spec, another shard, not the trace count the
+// plan gives that shard — or nil. The accept path and journal replay
+// share it; idx is within the plan.
 func checkWire(j *job, idx int, wire *campaign.ShardResultWire) *apiFault {
 	sh := &j.shards[idx]
 	if wire.Version != campaign.ShardWireVersion {
@@ -495,6 +496,13 @@ func checkWire(j *job, idx int, wire *campaign.ShardResultWire) *apiFault {
 		return faultf(http.StatusBadRequest, codeResultInvalid,
 			"payload is for shard (%d,%d) but was posted to (%d,%d)",
 			wire.Shard, wire.Slice, sh.Shard, sh.Slice)
+	}
+	// A short result would merge into a dataset that silently lacks
+	// traces: it is refused before it is journaled or acknowledged.
+	if len(wire.Traces) != sh.Traces || wire.Stats.Traces != sh.Traces {
+		return faultf(http.StatusBadRequest, codeResultInvalid,
+			"payload carries %d traces (its stats say %d) but shard (%d,%d) is planned as %d",
+			len(wire.Traces), wire.Stats.Traces, sh.Shard, sh.Slice, sh.Traces)
 	}
 	return nil
 }
