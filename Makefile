@@ -44,6 +44,7 @@ FUZZ_TARGETS = \
 	internal/packet:FuzzParseICMPQuotation \
 	internal/dataset:FuzzAppendTrace \
 	internal/dataset:FuzzTraceUnmarshal \
+	internal/dataset:FuzzTraceScan \
 	internal/campaign:FuzzParseSpec \
 	internal/campaign:FuzzWireEncode \
 	internal/server:FuzzShardResultDecode \

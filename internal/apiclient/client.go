@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/freelist"
 )
 
 // Client talks to one coordinator. The zero HTTP client is replaced by
@@ -39,7 +40,7 @@ type Client struct {
 	plainUploads bool
 	// encoders recycles shard-upload encoding state (upload.go); the
 	// With* copies of a client share it.
-	encoders *encoderList
+	encoders *freelist.List[uploadEncoder]
 }
 
 // New returns a client for the coordinator at base (e.g.
@@ -51,7 +52,7 @@ func New(base string) *Client {
 // NewWithHTTPClient uses a caller-supplied http.Client (timeouts,
 // transports, test instrumentation).
 func NewWithHTTPClient(base string, hc *http.Client) *Client {
-	return &Client{base: strings.TrimRight(base, "/"), hc: hc, encoders: &encoderList{}}
+	return &Client{base: strings.TrimRight(base, "/"), hc: hc, encoders: &freelist.List[uploadEncoder]{}}
 }
 
 // WithTimeout returns a copy of the client whose every request carries

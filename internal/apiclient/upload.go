@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/dataset"
+	"repro/internal/freelist"
 )
 
 // Shard-result uploads are the one large thing a worker sends: ≈ 2 MB
@@ -24,21 +25,12 @@ import (
 // attempt resends the same bytes.
 //
 // Ownership: an uploadEncoder belongs to exactly one ShardUpload from
-// PrepareShardResult until Release, and to the client's free list in
+// PrepareShardResult until Release, and to the client's free list
+// (freelist.List, shared with the coordinator's request scratch) in
 // between. Release hands it back only when no request body built over
-// its buffer can still be read by the transport (see sentBody);
-// otherwise it is left to the garbage collector.
-
-const (
-	// maxFreeEncoders bounds the free list. A worker uploads one shard
-	// at a time; the slack is for callers that share a client.
-	maxFreeEncoders = 4
-	// maxRetainedUploadBytes is the largest body buffer a freed encoder
-	// keeps. A paper-scale upload gzips to ≈ 100 KB (≈ 2 MB sent
-	// plain); one oversized upload must not pin its buffer for the life
-	// of the client.
-	maxRetainedUploadBytes = 8 << 20
-)
+// its buffer can still be read by the transport (see sentBody) and its
+// body buffer is within freelist.RetainBytes; otherwise it is left to
+// the garbage collector.
 
 // uploadEncoder is one upload's encoding state, reused via Reset.
 type uploadEncoder struct {
@@ -47,35 +39,11 @@ type uploadEncoder struct {
 	enc dataset.Encoder // writes into zw or buf; owns the one chunk of JSON scratch
 }
 
-// encoderList is a bounded free list. A mutex and a slice rather than a
-// sync.Pool: the pool is emptied by every GC cycle, which would make
-// what an upload allocates depend on when the collector last ran. The
-// coordinator's ingestPool (internal/server/ingest.go) is its twin, a
-// deliberate second copy; DESIGN.md §13.2 tabulates both.
-type encoderList struct {
-	mu   sync.Mutex
-	free []*uploadEncoder
-}
-
-func (l *encoderList) get() *uploadEncoder {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n := len(l.free); n > 0 {
-		e := l.free[n-1]
-		l.free = l.free[:n-1]
-		return e
-	}
-	return &uploadEncoder{}
-}
-
-func (l *encoderList) put(e *uploadEncoder) {
-	if e.buf.Cap() > maxRetainedUploadBytes {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.free) < maxFreeEncoders {
-		l.free = append(l.free, e)
+// putEncoder returns e to the client's free list unless its body buffer
+// grew past the retention cap.
+func (c *Client) putEncoder(e *uploadEncoder) {
+	if e.buf.Cap() <= freelist.RetainBytes {
+		c.encoders.Put(e)
 	}
 }
 
@@ -134,7 +102,7 @@ func (c *Client) PrepareShardResult(jobID string, index int, worker, lease strin
 	u := &ShardUpload{
 		c:    c,
 		path: fmt.Sprintf("/v1/jobs/%s/shards/%d/result", url.PathEscape(jobID), index),
-		enc:  c.encoders.get(),
+		enc:  c.encoders.Get(),
 	}
 	if !c.plainUploads {
 		u.encoding = "gzip"
@@ -177,7 +145,7 @@ func (u *ShardUpload) Release() {
 	e := u.enc
 	u.enc = nil
 	if e != nil && u.unread.Load() == 0 {
-		u.c.encoders.put(e)
+		u.c.putEncoder(e)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/dataset"
+	"repro/internal/freelist"
 )
 
 // TestUploadEnvelopeMatchesMarshal: the hand-written request envelope is
@@ -71,7 +72,7 @@ func TestEncoderRecycling(t *testing.T) {
 	}
 	up.Release()
 	up.Release() // idempotent
-	if n := len(client.encoders.free); n != 1 {
+	if n := client.encoders.Len(); n != 1 {
 		t.Fatalf("free list holds %d encoders after one completed upload, want 1", n)
 	}
 
@@ -85,7 +86,7 @@ func TestEncoderRecycling(t *testing.T) {
 	// A body the transport still holds: neither drained nor closed.
 	body := up.newBody(up.enc.buf.Bytes())
 	up.Release()
-	if n := len(client.encoders.free); n != 0 {
+	if n := client.encoders.Len(); n != 0 {
 		t.Fatalf("an encoder with an unread request body went back on the free list (%d free)", n)
 	}
 	// Closing it later must not resurrect anything, and reads nothing.
@@ -96,17 +97,15 @@ func TestEncoderRecycling(t *testing.T) {
 
 	// Over the retention cap: dropped.
 	big := &uploadEncoder{}
-	big.buf.Grow(maxRetainedUploadBytes + 1)
-	client.encoders.put(big)
-	for i := 0; i < maxFreeEncoders+2; i++ {
-		client.encoders.put(&uploadEncoder{})
+	big.buf.Grow(freelist.RetainBytes + 1)
+	client.putEncoder(big)
+	if n := client.encoders.Len(); n != 0 {
+		t.Fatalf("an encoder above the retention cap was kept (%d free)", n)
 	}
-	if n := len(client.encoders.free); n != maxFreeEncoders {
-		t.Fatalf("free list holds %d encoders, want it bounded at %d", n, maxFreeEncoders)
+	for i := 0; i < freelist.Slots+2; i++ {
+		client.putEncoder(&uploadEncoder{})
 	}
-	for _, e := range client.encoders.free {
-		if e == big {
-			t.Error("an encoder above the retention cap was kept")
-		}
+	if n := client.encoders.Len(); n != freelist.Slots {
+		t.Fatalf("free list holds %d encoders, want it bounded at %d", n, freelist.Slots)
 	}
 }

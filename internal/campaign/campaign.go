@@ -314,12 +314,21 @@ type shardSpec struct {
 
 // shardResult is what one shard hands to the merge step.
 type shardResult struct {
-	world      *topology.World
-	data       *dataset.Dataset
-	obs        []traceroute.PathObservation
-	servers    []packet.Addr
-	stats      ShardStats
-	congestion *analysis.CEMarkSample
+	world *topology.World
+	data  *dataset.Dataset
+	obs   []traceroute.PathObservation
+	ShardHeader
+}
+
+// ShardHeader is what the merge reads of one shard besides its traces
+// and sweep rows: its probed server list, its CE-mark sample and its
+// execution stats. A coordinator that holds a shard's traces as the
+// bytes it received keeps this much decoded, and MergeHeaders turns the
+// plan's headers into the run's report.
+type ShardHeader struct {
+	Servers    []packet.Addr
+	Congestion *analysis.CEMarkSample
+	Stats      ShardStats
 }
 
 func (cfg Config) topologyConfig() (topology.Config, error) {
@@ -489,7 +498,7 @@ func Run(cfg Config) (*Result, error) {
 					results[i].world = nil
 				}
 				if cfg.ShardDone != nil {
-					cfg.ShardDone(results[i].stats)
+					cfg.ShardDone(results[i].Stats)
 				}
 			}
 		}()
@@ -767,60 +776,75 @@ func (e *Executor) runShard(sh shardSpec) (shardResult, error) {
 	// shardFinished reads its queue totals.
 	cfg.Metrics.shardFinished(stats, w, cfg.Scheduler.Name())
 	return shardResult{
-		world:      w,
-		data:       d,
-		obs:        obs,
-		servers:    servers,
-		congestion: cong,
-		stats:      stats,
+		world:       w,
+		data:        d,
+		obs:         obs,
+		ShardHeader: ShardHeader{Servers: servers, Congestion: cong, Stats: stats},
 	}, nil
 }
 
-// merge combines per-shard results in canonical (vantage, slice) order.
-// Congestion samples aggregate per vantage: counters sum over the
-// vantage's slices, so the CE-mark report — like the dataset — is
-// independent of how the campaign was sliced.
+// merge combines per-shard results in canonical (vantage, slice) order:
+// the headers through MergeHeaders, the datasets through dataset.Merge,
+// the sweep rows by concatenation.
 func merge(results []shardResult) *Result {
-	res := &Result{Shards: make([]ShardStats, 0, len(results))}
+	headers := make([]ShardHeader, len(results))
+	parts := make([]*dataset.Dataset, len(results))
 	rows := 0
 	for i := range results {
+		headers[i] = results[i].ShardHeader
+		parts[i] = results[i].data
 		rows += len(results[i].obs)
 	}
+	res := MergeHeaders(headers)
 	res.PathObs = make([]traceroute.PathObservation, 0, rows)
-	parts := make([]*dataset.Dataset, 0, len(results))
-	seen := make(map[packet.Addr]bool)
 	for i := range results {
-		r := &results[i]
-		parts = append(parts, r.data)
-		res.PathObs = append(res.PathObs, r.obs...)
-		res.Shards = append(res.Shards, r.stats)
-		res.Events += r.stats.Events
-		res.PhantomEvents += r.stats.PhantomEvents
-		res.ReplayedBoundaries += r.stats.ReplayedBoundaries
-		if r.congestion != nil {
-			if n := len(res.Congestion); n > 0 && res.Congestion[n-1].Vantage == r.congestion.Vantage {
+		res.PathObs = append(res.PathObs, results[i].obs...)
+	}
+	res.Dataset = dataset.Merge(parts...)
+	res.World = results[0].world
+	return res
+}
+
+// MergeHeaders folds shard headers, given in canonical (vantage, slice)
+// order, into a Result's run-level fields: the union of the probed
+// servers in first-seen order, the per-shard stats and the event
+// counters they sum to, and one congestion sample per vantage — its
+// slices' counters summed, so the CE-mark report, like the dataset, is
+// independent of how the campaign was sliced. Dataset, PathObs and
+// World are left for the caller. It is the one merge of everything but
+// the traces: Run, MergeWire and the control plane's coordinator, which
+// never decodes an uploaded trace, all file their run reports from it.
+func MergeHeaders(headers []ShardHeader) *Result {
+	res := &Result{Shards: make([]ShardStats, 0, len(headers))}
+	seen := make(map[packet.Addr]bool)
+	for i := range headers {
+		h := &headers[i]
+		res.Shards = append(res.Shards, h.Stats)
+		res.Events += h.Stats.Events
+		res.PhantomEvents += h.Stats.PhantomEvents
+		res.ReplayedBoundaries += h.Stats.ReplayedBoundaries
+		if c := h.Congestion; c != nil {
+			if n := len(res.Congestion); n > 0 && res.Congestion[n-1].Vantage == c.Vantage {
 				agg := &res.Congestion[n-1]
-				agg.InECT += r.congestion.InECT
-				agg.InCE += r.congestion.InCE
-				agg.InNotECT += r.congestion.InNotECT
-				agg.QueueECT += r.congestion.QueueECT
-				agg.QueueCEMarked += r.congestion.QueueCEMarked
-				agg.QueueNotECTDropped += r.congestion.QueueNotECTDropped
-				agg.QueueTailDropped += r.congestion.QueueTailDropped
-				agg.QueueOffered += r.congestion.QueueOffered
-				agg.QueueSumBacklog += r.congestion.QueueSumBacklog
+				agg.InECT += c.InECT
+				agg.InCE += c.InCE
+				agg.InNotECT += c.InNotECT
+				agg.QueueECT += c.QueueECT
+				agg.QueueCEMarked += c.QueueCEMarked
+				agg.QueueNotECTDropped += c.QueueNotECTDropped
+				agg.QueueTailDropped += c.QueueTailDropped
+				agg.QueueOffered += c.QueueOffered
+				agg.QueueSumBacklog += c.QueueSumBacklog
 			} else {
-				res.Congestion = append(res.Congestion, *r.congestion)
+				res.Congestion = append(res.Congestion, *c)
 			}
 		}
-		for _, a := range r.servers {
+		for _, a := range h.Servers {
 			if !seen[a] {
 				seen[a] = true
 				res.Servers = append(res.Servers, a)
 			}
 		}
 	}
-	res.Dataset = dataset.Merge(parts...)
-	res.World = results[0].world
 	return res
 }

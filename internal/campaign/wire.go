@@ -128,13 +128,13 @@ func (w *ShardResultWire) EncodeJSON(e *dataset.Encoder) {
 func wireFromShardResult(r shardResult) *ShardResultWire {
 	return &ShardResultWire{
 		Version:    ShardWireVersion,
-		Shard:      r.stats.Shard,
-		Slice:      r.stats.Slice,
-		Vantage:    r.stats.Vantage,
+		Shard:      r.Stats.Shard,
+		Slice:      r.Stats.Slice,
+		Vantage:    r.Stats.Vantage,
 		Traces:     r.data.Traces,
-		Servers:    r.servers,
-		Congestion: r.congestion,
-		Stats:      r.stats,
+		Servers:    r.Servers,
+		Congestion: r.Congestion,
+		Stats:      r.Stats,
 	}
 }
 
@@ -143,12 +143,12 @@ func wireFromShardResult(r shardResult) *ShardResultWire {
 // merging remote results never instantiated the shard's world, and
 // nothing in the stored artifacts needs it.
 func (w *ShardResultWire) shardResult() shardResult {
-	return shardResult{
-		data:       &dataset.Dataset{Traces: w.Traces},
-		servers:    w.Servers,
-		congestion: w.Congestion,
-		stats:      w.Stats,
-	}
+	return shardResult{data: &dataset.Dataset{Traces: w.Traces}, ShardHeader: w.Header()}
+}
+
+// Header is the part of w the run report merges from (MergeHeaders).
+func (w *ShardResultWire) Header() ShardHeader {
+	return ShardHeader{Servers: w.Servers, Congestion: w.Congestion, Stats: w.Stats}
 }
 
 // CompileBlueprint compiles the campaign's frozen world blueprint —

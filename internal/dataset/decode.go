@@ -42,7 +42,18 @@ const obsOpen = `{"server":"`
 // untouched. Accepting only that form is what makes the fast path
 // safe to reason about: an accepted input re-encodes to itself, so it
 // has exactly one reading.
-func (t *Trace) parseCanonical(data []byte) bool {
+func (t *Trace) parseCanonical(data []byte) bool { return canonicalTrace(data, t) }
+
+// scanTrace reports whether parseCanonical would accept data, decoding
+// nothing and allocating nothing: the count-only form of the same
+// grammar, for bytes that are kept as they are (Scanner.Trace).
+func scanTrace(data []byte) bool { return canonicalTrace(data, nil) }
+
+// canonicalTrace is the strict grammar behind parseCanonical and
+// scanTrace: it matches data against what Encoder.Trace writes and, if
+// t is non-nil, decodes it into t. With t nil every observation is
+// parsed into one scratch value and dropped.
+func canonicalTrace(data []byte, t *Trace) bool {
 	p := strictParser{b: data}
 	if !p.lit(`{"vantage":"`) {
 		return false
@@ -77,16 +88,24 @@ func (t *Trace) parseCanonical(data []byte) bool {
 		// Counted first, allocated once. The count is a claim until
 		// the loop below has parsed that many observations and found
 		// the bracket; it reserves 40 bytes per 11 of input at worst.
-		obs = make([]Observation, bytes.Count(p.b[p.i:], []byte(obsOpen)))
-		for k := range obs {
+		n := bytes.Count(p.b[p.i:], []byte(obsOpen))
+		var scratch Observation
+		if t != nil {
+			obs = make([]Observation, n)
+		}
+		for k := 0; k < n; k++ {
 			if k > 0 && !p.lit(",") {
 				return false
 			}
-			if !p.observation(&obs[k]) {
+			o := &scratch
+			if t != nil {
+				o = &obs[k]
+			}
+			if !p.observation(o) {
 				return false
 			}
 		}
-		if len(obs) == 0 || !p.lit("]") {
+		if n == 0 || !p.lit("]") {
 			return false
 		}
 	default:
@@ -94,6 +113,9 @@ func (t *Trace) parseCanonical(data []byte) bool {
 	}
 	if !p.lit("}") || p.i != len(p.b) {
 		return false
+	}
+	if t == nil {
+		return true
 	}
 
 	t.Vantage = string(vantage)

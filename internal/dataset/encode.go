@@ -1,7 +1,9 @@
 package dataset
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"strconv"
 
@@ -77,7 +79,7 @@ func (e *Encoder) Raw(s string) {
 
 // String appends s as a JSON string.
 func (e *Encoder) String(s string) {
-	e.buf = appendString(e.buf, s)
+	e.buf = AppendString(e.buf, s)
 	e.spill()
 }
 
@@ -119,7 +121,7 @@ func (e *Encoder) Trace(t *Trace) {
 		return
 	}
 	b := append(e.buf, `{"vantage":`...)
-	b = appendString(b, t.Vantage)
+	b = AppendString(b, t.Vantage)
 	b = append(b, `,"batch":`...)
 	b = strconv.AppendInt(b, int64(t.Batch), 10)
 	b = append(b, `,"index":`...)
@@ -140,6 +142,48 @@ func (e *Encoder) Trace(t *Trace) {
 		e.spill()
 	}
 	e.Raw("]}")
+}
+
+// Splice appends trace — one trace in exactly the form Trace writes,
+// as Scanner.Trace hands it out — with its index replaced: byte for
+// byte what Trace writes for the decoded trace with Index = index
+// (FuzzTraceScan), without decoding it. Only the index digits are
+// rewritten; the rest goes to the writer as it is, so a shard's traces
+// move from its upload into the merged dataset by copy. Bytes of any
+// other form are an error that sticks.
+func (e *Encoder) Splice(trace []byte, index int) {
+	if e.err != nil {
+		return
+	}
+	// A canonical trace's vantage is plain — it holds no quote — so the
+	// first keys found are the trace's own.
+	key := bytes.Index(trace, []byte(indexKey))
+	started := bytes.Index(trace, []byte(startedKey))
+	if key < 0 || started < key {
+		e.err = errors.New("dataset: splice: not a canonical trace")
+		return
+	}
+	e.buf = append(e.buf, trace[:key+len(indexKey)]...)
+	e.buf = strconv.AppendInt(e.buf, int64(index), 10)
+	e.write(trace[started:])
+}
+
+const (
+	indexKey   = `,"index":`
+	startedKey = `,"started":`
+)
+
+// write appends p, handing it to the writer directly, after what is
+// buffered, when it would not fit the chunk.
+func (e *Encoder) write(p []byte) {
+	if len(e.buf)+len(p) <= encodeChunk+chunkSlack {
+		e.buf = append(e.buf, p...)
+		e.spill()
+		return
+	}
+	if e.Flush() == nil {
+		_, e.err = e.w.Write(p)
+	}
 }
 
 func appendObservation(b []byte, o *Observation) []byte {
@@ -201,12 +245,13 @@ func plainString(s string) bool {
 	return true
 }
 
-// appendString appends s as a JSON string. A plain string — every
-// vantage name the topology generates — is copied between quotes; any
-// string holding a byte encoding/json would escape, replace or even look
-// at twice (control characters, anything non-ASCII) goes through
-// json.Marshal itself.
-func appendString(b []byte, s string) []byte {
+// AppendString appends s as a JSON string, exactly as encoding/json
+// writes it. A plain string — every vantage name the topology
+// generates, every worker ID and lease token — is copied between
+// quotes; any string holding a byte encoding/json would escape, replace
+// or even look at twice (control characters, anything non-ASCII) goes
+// through json.Marshal itself.
+func AppendString(b []byte, s string) []byte {
 	if !plainString(s) {
 		quoted, _ := json.Marshal(s) // a string cannot fail to marshal
 		return append(b, quoted...)

@@ -102,10 +102,11 @@ type job struct {
 	tracesDone  int
 
 	// The lease table (see leases.go), allocated when the job starts
-	// running: leases and wires parallel shards; finalizing latches the
-	// result that completes the plan so exactly one caller runs the merge.
+	// running: leases and results parallel shards; finalizing latches
+	// the result that completes the plan so exactly one caller runs the
+	// merge.
 	leases     []shardLease
-	wires      []*campaign.ShardResultWire
+	results    []heldResult
 	finalizing bool
 	// Shard-duration statistics (seconds) from accepted uploads: the
 	// straggler detector's baseline and the adaptive claim sizer's
@@ -133,7 +134,40 @@ func (j *job) start(at time.Time) {
 	j.state = JobRunning
 	j.started = at
 	j.leases = make([]shardLease, len(j.shards))
-	j.wires = make([]*campaign.ShardResultWire, len(j.shards))
+	j.results = make([]heldResult, len(j.shards))
+}
+
+// resultHead is a shard result without its traces: what the accept
+// path checks (checkResult) and the merge reads (the ShardHeader).
+type resultHead struct {
+	version      int
+	specHash     string
+	shard, slice int
+	traces       int // how many traces the result carries
+	campaign.ShardHeader
+}
+
+// heldResult is what a job keeps of an accepted shard until the merge.
+// An upload the scan took (ingest.go) is kept as it arrived — body, in
+// Content-Encoding enc, the bytes its journal record holds — and the
+// merge splices its traces, which start tracesAt bytes into the
+// inflated stream, straight into the store. Anything else — a loopback
+// result, an upload only the reflective decoder took — is kept decoded
+// in wire and encoded at the merge.
+type heldResult struct {
+	resultHead
+	body     []byte
+	enc      string
+	tracesAt int64
+	wire     *campaign.ShardResultWire
+}
+
+// wireResult holds a decoded result.
+func wireResult(w *campaign.ShardResultWire) heldResult {
+	return heldResult{resultHead: resultHead{
+		version: w.Version, specHash: w.SpecHash, shard: w.Shard, slice: w.Slice,
+		traces: len(w.Traces), ShardHeader: w.Header(),
+	}, wire: w}
 }
 
 // localRun is what a local job owns of the engine, as campaign.Run does
@@ -223,6 +257,9 @@ type jobMgr struct {
 
 	// wal is the write-ahead journal directory for distributed jobs.
 	wal *walDir
+	// ingest recycles the scratch that request bodies, journal replay
+	// and the merge read shard results through (ingest.go).
+	ingest ingestPool
 
 	mu     sync.Mutex
 	jobs   map[string]*job
@@ -342,7 +379,8 @@ func (m *jobMgr) landLocal(j *job, run *localRun, ex *campaign.Executor, c Shard
 	if err == nil {
 		run.idle = append(run.idle, ex)
 		wire.SpecHash = j.key
-		_, finalize, err = m.shardResultLocked(j, c.Index, localWorker, c.Lease, wire, nil, "")
+		res := wireResult(wire)
+		_, finalize, err = m.shardResultLocked(j, c.Index, localWorker, c.Lease, &res, nil, "")
 	}
 	m.mu.Unlock()
 	if err != nil {
@@ -575,7 +613,7 @@ func (m *jobMgr) startLocked(j *job) {
 func (j *job) finish(at time.Time) {
 	j.state = JobDone
 	j.finished = at
-	j.wires = nil
+	j.results = nil
 	for i := range j.shards {
 		j.shards[i].State = "done"
 	}
@@ -648,8 +686,9 @@ func (m *jobMgr) failJob(j *job, err error) {
 	m.logger.Error("job failed", "job", j.id, "error", err)
 }
 
-// fileRun serializes and files a completed campaign's artifacts into
-// the content-addressed store. Returns the dataset size.
+// fileRun files a completed job's artifacts into the content-addressed
+// store: the run report from res (MergeHeaders of the shards' headers),
+// the dataset from the held results. Returns the dataset size.
 func (m *jobMgr) fileRun(j *job, res *campaign.Result, wall time.Duration) (int64, error) {
 	specBytes, err := j.spec.Canonical()
 	if err != nil {
@@ -658,7 +697,7 @@ func (m *jobMgr) fileRun(j *job, res *campaign.Result, wall time.Duration) (int6
 	meta := RunMeta{
 		Key:                j.key,
 		Spec:               j.spec,
-		Traces:             len(res.Dataset.Traces),
+		Traces:             j.tracesTotal,
 		Servers:            len(res.Servers),
 		Shards:             len(res.Shards),
 		Events:             res.Events,
@@ -674,13 +713,60 @@ func (m *jobMgr) fileRun(j *job, res *campaign.Result, wall time.Duration) (int6
 	// The dataset streams a chunk of trace lines at a time into the
 	// store's temp file; Put hashes and sizes it on the way through.
 	n, err := m.store.Put(j.key, specBytes, meta, func(w io.Writer) error {
-		return dataset.Write(w, res.Dataset)
+		return m.writeDataset(w, j.results)
 	})
 	if err != nil {
 		return 0, err
 	}
 	m.met.storeBytesWritten.Add(uint64(n))
 	return n, nil
+}
+
+// writeDataset streams the merged dataset into w: every shard's traces
+// in plan order, renumbered campaign-wide — dataset.Merge's order and
+// numbering — through one Encoder. A held upload's traces are spliced
+// from its body, inflated a window at a time, with only the index
+// digits rewritten; a decoded result's are encoded. So the merge holds
+// a chunk and a trace, never a shard's decoded traces, and writes
+// exactly the bytes dataset.Write of the merged dataset would.
+func (m *jobMgr) writeDataset(w io.Writer, results []heldResult) error {
+	e := dataset.NewEncoder(w)
+	var scratch *ingestBuf
+	defer func() {
+		if scratch != nil {
+			m.ingest.put(scratch)
+		}
+	}()
+	index := 0
+	for i := range results {
+		r := &results[i]
+		if r.wire != nil {
+			for _, t := range r.wire.Traces {
+				t.Index = index
+				e.Trace(&t)
+				e.Raw("\n")
+				index++
+			}
+			continue
+		}
+		if scratch == nil {
+			scratch = m.ingest.get()
+		}
+		s, err := scratch.heldTraces(r)
+		if err != nil {
+			return err
+		}
+		for k := 0; k < r.traces; k++ {
+			trace, ok := s.AcceptedTrace()
+			if !ok || (k+1 < r.traces && !s.Lit(",")) {
+				return fmt.Errorf("server: merge: held result of shard (%d,%d) no longer scans at trace %d", r.shard, r.slice, k)
+			}
+			e.Splice(trace, index)
+			e.Raw("\n")
+			index++
+		}
+	}
+	return e.Flush()
 }
 
 // Health reports the local jobs waiting for their first grant and

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/apiclient"
-	"repro/internal/server"
+	"repro/internal/freelist"
 )
 
 // TestConcurrentUploadsOwnTheirBuffers: more uploaders than the
@@ -15,10 +15,11 @@ import (
 // identity interleaved, so request buffers are handed from upload to
 // upload while earlier results are still held for the merge. Every
 // upload must be accepted and the job must file exactly the in-process
-// engine's bytes — from the wires kept in memory (live), and again from
-// nothing but the journal after a crash (restart). A decoded wire that
-// aliased its buffer fails the first; a buffer returned to the list
-// before its body was journaled fails the second. Run under -race.
+// engine's bytes — from the results held in memory (live), and again
+// from nothing but the journal after a crash (restart). A held result
+// that aliased its request buffer fails the first; a buffer returned to
+// the list before its body was journaled fails the second. Run under
+// -race.
 func TestConcurrentUploadsOwnTheirBuffers(t *testing.T) {
 	for _, restart := range []bool{false, true} {
 		name := "live"
@@ -47,9 +48,9 @@ func TestConcurrentUploadsOwnTheirBuffers(t *testing.T) {
 			if restart {
 				racing, held = claim.Shards[1:], claim.Shards[:1]
 			}
-			if len(racing) <= server.IngestSlots {
+			if len(racing) <= freelist.Slots {
 				t.Fatalf("plan has %d shards to race, need more than the %d free-list slots",
-					len(racing), server.IngestSlots)
+					len(racing), freelist.Slots)
 			}
 
 			plain := c1.WithUploadCompression(false)

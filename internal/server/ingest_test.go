@@ -4,19 +4,25 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/apiclient"
 	"repro/internal/campaign"
 	"repro/internal/dataset"
+	"repro/internal/freelist"
 	"repro/internal/packet"
+	"repro/internal/telemetry"
 )
 
 func gzipBytes(tb testing.TB, raw []byte) []byte {
@@ -77,24 +83,45 @@ func wantBadRequest(t *testing.T, err error) {
 // above the retention cap.
 func wantRetainedWithinCap(t *testing.T, p *ingestPool) {
 	t.Helper()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.free) > ingestSlots {
-		t.Fatalf("free list holds %d buffers, cap is %d", len(p.free), ingestSlots)
+	n := p.list.Len()
+	if n > freelist.Slots {
+		t.Fatalf("free list holds %d buffers, cap is %d", n, freelist.Slots)
 	}
-	for _, b := range p.free {
-		if b.body.Cap() > ingestRetainBytes || b.inflated.Cap() > ingestRetainBytes {
-			t.Fatalf("retained buffers of %d/%d bytes, cap is %d",
-				b.body.Cap(), b.inflated.Cap(), ingestRetainBytes)
+	held := make([]*ingestBuf, n)
+	for i := range held {
+		held[i] = p.list.Get()
+	}
+	for i := n - 1; i >= 0; i-- {
+		b := held[i]
+		if b.body.Cap() > freelist.RetainBytes || b.inflated.Cap() > freelist.RetainBytes || b.scan.Cap() > freelist.RetainBytes {
+			t.Fatalf("retained buffers of %d/%d/%d bytes, cap is %d",
+				b.body.Cap(), b.inflated.Cap(), b.scan.Cap(), freelist.RetainBytes)
 		}
+		p.list.Put(b)
 	}
 }
 
+// mergedLines is what the merge files for held results: the dataset
+// lines of their traces in order, numbered from 0.
+func mergedLines(t *testing.T, results ...heldResult) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if err := new(jobMgr).writeDataset(&out, results); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
 // FuzzShardResultDecode throws arbitrary bytes, as gzip and as
-// identity, at the upload decoder with a small budget: the outcome is a
-// value or a typed 400 — never a panic, never more than limit+1
-// inflated bytes, never an over-cap buffer back on the free list — and
-// a decoded value owes nothing to the buffers it came through.
+// identity, at the upload accept path — the scan, and the reflective
+// decoder behind it — with a small budget, and holds it to the
+// reflective decoder alone: the same accept/reject decision, the same
+// header, and the same traces filed, whether the scan kept the body or
+// the fallback decoded it. The outcome is a value or a typed 400 —
+// never a panic, never more than limit+1 inflated bytes, never an
+// over-cap buffer back on the free list — and what was accepted owes
+// nothing to the buffers it came through but a scanned result's body,
+// which the accept path copies before the handler returns its buffer.
 func FuzzShardResultDecode(f *testing.F) {
 	const limit = 64 << 10
 	valid := sampleUpload(f)
@@ -108,6 +135,39 @@ func FuzzShardResultDecode(f *testing.F) {
 	f.Add(append(append([]byte(nil), gz...), "trailing garbage"...), true)
 	f.Add([]byte{}, true)
 	f.Add([]byte(`{"worker":"w","lease":"l","result":null}`), false)
+	congested := sampleWire(5, 3)
+	congested.Congestion = &analysis.CEMarkSample{Vantage: "Glasgow (wired)", InECT: 9, InCE: 1, Utilization: 0.85}
+	congested.Traces = append(congested.Traces, congested.Traces[0])
+	congested.Stats = campaign.ShardStats{Shard: 5, Vantage: "Glasgow (wired)", Traces: 2, Elapsed: 1500 * time.Millisecond}
+	for _, req := range []leaseRequest{
+		{Worker: "w2", Lease: "j-000002.5.1", Result: congested},
+		{Worker: "w<3>", Lease: "l", Result: congested}, // an escaped worker ID: only the fallback reads it
+	} {
+		raw, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw, false)
+		f.Add(bytes.Replace(raw, []byte(`,"stats":`), []byte(`,"congestion":null,"stats":`), 1), false)
+		f.Add(bytes.Replace(raw, []byte(`"servers":[`), []byte(`"servers": [`), 1), false)
+		f.Add(bytes.Replace(raw, []byte(`"Shard":5`), []byte(`"Shard":5,"Shard":6`), 1), false)
+		f.Add(bytes.Replace(raw, []byte(`"traces":[`), []byte(`"traces":[],"traces":[`), 1), false)
+	}
+	// Canonical bodies of exactly limit and limit+1 bytes: the budget, not
+	// the grammar, decides.
+	for _, size := range []int{limit, limit + 1} {
+		req := leaseRequest{Lease: "l", Result: sampleWire(3, 400)}
+		base, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		req.Worker = string(bytes.Repeat([]byte("w"), size-len(base)))
+		raw, err := json.Marshal(req)
+		if err != nil || len(raw) != size {
+			f.Fatalf("sized seed: %d bytes, %v", len(raw), err)
+		}
+		f.Add(gzipBytes(f, raw), true)
+	}
 
 	var pool ingestPool
 	f.Fuzz(func(t *testing.T, data []byte, compressed bool) {
@@ -116,29 +176,54 @@ func FuzzShardResultDecode(f *testing.F) {
 			enc = encGzip
 		}
 		data = bytes.Clone(data) // the engine's copy must not be scribbled on below
-		b := pool.get()
+
+		// The oracle: the reflective decoder alone, on its own copy.
+		var oracle ingestBuf
 		var req leaseRequest
-		err := b.decodeJSON(data, enc, limit, &req)
-		if n := b.inflated.Len(); n > limit+1 {
-			t.Fatalf("inflated %d bytes under a %d-byte limit", n, limit)
+		wantErr := oracle.decodeJSON(bytes.Clone(data), enc, limit, &req)
+		if wantErr == nil && req.Result == nil {
+			wantErr = faultf(http.StatusBadRequest, codeResultInvalid, "result is required")
+		}
+
+		b := pool.get()
+		u, err := b.acceptUpload(data, enc, limit)
+		if n := b.inflated.Len(); n > limit+1 || b.lim.N < 0 {
+			t.Fatalf("inflated %d bytes (%d of the budget left) under a %d-byte limit", n, b.lim.N, limit)
+		}
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("accept error %v, reflective decoder error %v", err, wantErr)
 		}
 		if err != nil {
-			wantBadRequest(t, err)
-		} else {
-			before, merr := json.Marshal(&req)
-			if merr != nil {
-				t.Fatal(merr)
+			var f *apiFault
+			if !errors.As(err, &f) || f.status != http.StatusBadRequest {
+				t.Fatalf("accept error = %#v, want a typed 400", err)
 			}
-			// Scribble over everything the decoder read from: the value
-			// must not change.
-			for _, buf := range [][]byte{data, b.inflated.Bytes()} {
+		} else {
+			want := wireResult(req.Result)
+			check := func(when string) {
+				if u.worker != req.Worker || u.lease != req.Lease || !reflect.DeepEqual(u.result.resultHead, want.resultHead) {
+					t.Fatalf("%s: accepted %q %q %+v, reflective decoder read %q %q %+v",
+						when, u.worker, u.lease, u.result.resultHead, req.Worker, req.Lease, want.resultHead)
+				}
+			}
+			check("accepted")
+			if u.result.wire == nil {
+				// Held as the body: the accept path attaches it (a copy).
+				u.result.body, u.result.enc = bytes.Clone(data), enc
+			}
+			if got, ref := mergedLines(t, u.result), mergedLines(t, want); !bytes.Equal(got, ref) {
+				t.Fatalf("the held result files\n%s\nthe decoded one\n%s", got, ref)
+			}
+			// Scribble over everything the accept path read from: the
+			// header must not change.
+			for _, buf := range [][]byte{data, b.inflated.Bytes(), b.body.Bytes()} {
 				for i := range buf {
 					buf[i] = 0xff
 				}
 			}
-			if after, _ := json.Marshal(&req); !bytes.Equal(before, after) {
-				t.Fatal("decoded request aliases the buffer it was decoded from")
-			}
+			b.scan.Reset(bytes.NewReader(bytes.Repeat([]byte{0xff}, b.scan.Cap())))
+			b.scan.Rest() // the window, refilled
+			check("after its buffers were overwritten")
 		}
 		pool.put(b)
 		wantRetainedWithinCap(t, &pool)
@@ -171,29 +256,33 @@ func TestIngestBombIsBounded(t *testing.T) {
 
 // TestIngestRetentionCap: buffers that grew past the cap are dropped on
 // put — a single huge upload does not stay resident — while ordinary
-// ones are kept, at most ingestSlots of them.
+// ones are kept, at most freelist.Slots of them.
 func TestIngestRetentionCap(t *testing.T) {
 	var pool ingestPool
 	big := pool.get()
 	var sink struct{}
 	// 9 MiB of spaces is valid JSON whitespace around nothing: the decode
-	// fails, but only after both buffers have grown past the cap.
-	huge := bytes.Repeat([]byte{' '}, ingestRetainBytes+1<<20)
+	// fails, but only after both buffers have grown past the cap; after
+	// a trace's opening, the scan's window reads them all looking for
+	// the observations.
+	huge := bytes.Repeat([]byte{' '}, freelist.RetainBytes+1<<20)
 	big.body.Write(huge)
 	_ = big.decodeJSON(gzipBytes(t, huge), encGzip, int64(len(huge)), &sink)
-	if big.inflated.Cap() <= ingestRetainBytes || big.body.Cap() <= ingestRetainBytes {
-		t.Fatalf("test setup: buffers are %d/%d bytes, want both above the cap",
-			big.body.Cap(), big.inflated.Cap())
+	big.scan.Reset(bytes.NewReader(append([]byte(`{"vantage":"`), huge...)))
+	big.scan.Trace()
+	if big.inflated.Cap() <= freelist.RetainBytes || big.body.Cap() <= freelist.RetainBytes || big.scan.Cap() <= freelist.RetainBytes {
+		t.Fatalf("test setup: buffers are %d/%d/%d bytes, want all above the cap",
+			big.body.Cap(), big.inflated.Cap(), big.scan.Cap())
 	}
 	pool.put(big)
 	wantRetainedWithinCap(t, &pool)
 	if got := pool.get(); got != big {
 		t.Fatal("the shell of an over-cap buffer should still be reused")
-	} else if got.body.Cap() != 0 || got.inflated.Cap() != 0 {
-		t.Fatalf("over-cap buffers survived put: %d/%d bytes", got.body.Cap(), got.inflated.Cap())
+	} else if got.body.Cap() != 0 || got.inflated.Cap() != 0 || got.scan.Cap() != 0 {
+		t.Fatalf("over-cap buffers survived put: %d/%d/%d bytes", got.body.Cap(), got.inflated.Cap(), got.scan.Cap())
 	}
 
-	bufs := make([]*ingestBuf, ingestSlots+3)
+	bufs := make([]*ingestBuf, freelist.Slots+3)
 	for i := range bufs {
 		bufs[i] = pool.get()
 		bufs[i].body.Grow(4 << 10)
@@ -202,8 +291,8 @@ func TestIngestRetentionCap(t *testing.T) {
 		pool.put(b)
 	}
 	wantRetainedWithinCap(t, &pool)
-	if len(pool.free) != ingestSlots {
-		t.Fatalf("free list holds %d buffers after %d puts, want %d", len(pool.free), len(bufs), ingestSlots)
+	if n := pool.list.Len(); n != freelist.Slots {
+		t.Fatalf("free list holds %d buffers after %d puts, want %d", n, len(bufs), freelist.Slots)
 	}
 	if kept := pool.get(); kept.body.Cap() < 4<<10 {
 		t.Fatalf("an ordinary buffer lost its %d-byte capacity on put", 4<<10)
@@ -252,6 +341,18 @@ func TestInflateHintIsBounded(t *testing.T) {
 	if c, want := b.inflated.Cap(), len(raw)+bytes.MinRead; c < want || c > want+want/8 {
 		t.Errorf("a truthful trailer left a %d-byte inflate buffer for %d bytes; want one growth to ≈ %d", c, len(raw), want)
 	}
+	// A larger body through the same buffer replaces it at its own size:
+	// Grow would have doubled the first one's capacity.
+	larger, err := json.Marshal(leaseRequest{Worker: "w1", Lease: "j-000001/3/1", Result: sampleWire(3, 2700)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.decodeJSON(gzipBytes(t, larger), encGzip, maxResultBytes, &req); err != nil {
+		t.Fatal(err)
+	}
+	if c, want := b.inflated.Cap(), len(larger)+bytes.MinRead; c < want || c > want+want/8 {
+		t.Errorf("a %d-byte body after a %d-byte one left a %d-byte inflate buffer; want ≈ %d", len(larger), len(raw), c, want)
+	}
 
 	// ≈ 1 KB of incompressible body whose trailer claims 256 MiB.
 	noise := make([]byte, 900)
@@ -270,6 +371,147 @@ func TestInflateHintIsBounded(t *testing.T) {
 	wantBadRequest(t, tight.decodeJSON(body, encGzip, 100, &req))
 	if c := tight.inflated.Cap(); c > 101+2*bytes.MinRead {
 		t.Errorf("a 100-byte budget reserved %d bytes", c)
+	}
+}
+
+// heldKind reports how job id holds shard idx's accepted result.
+func heldKind(srv *Server, id string, idx int) string {
+	srv.mgr.mu.Lock()
+	defer srv.mgr.mu.Unlock()
+	switch r := &srv.mgr.jobs[id].results[idx]; {
+	case r.wire != nil:
+		return "decoded"
+	case r.body != nil:
+		return "body"
+	}
+	return "nothing"
+}
+
+// TestCoordinatorHoldsCompressedResults: what a job keeps of k accepted
+// paper-scale uploads until the merge is their compressed bodies — the
+// bytes the journal holds — plus one server list (10 KB) and a small
+// record per planned shard: within 10 % of the bodies' sum after twelve
+// of the thirteen, where the decoded observations were ≈ 10 times that.
+// The job then files exactly the dataset the decoded uploads make.
+func TestCoordinatorHoldsCompressedResults(t *testing.T) {
+	srv, ts := newPoolServer(t, Config{}, 0)
+	client := apiclient.New(ts.URL)
+	ctx := context.Background()
+	job, _, err := client.SubmitRaw(ctx, []byte(paperSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	claim, err := client.Claim(ctx, job.ID, "w1", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts []*dataset.Dataset
+	compressed := 0
+	for k, sh := range claim.Shards {
+		wire, _ := paperUpload(t, claim.SpecHash, sh.ShardInfo)
+		parts = append(parts, &dataset.Dataset{Traces: wire.Traces})
+		// The bytes apiclient sends (TestUploadBodyMatchesMarshal).
+		raw, err := json.Marshal(leaseRequest{Worker: "w1", Lease: sh.Lease, Result: wire})
+		if err != nil {
+			t.Fatal(err)
+		}
+		compressed += len(gzipBytes(t, raw))
+		if ack, err := client.PushShardResult(ctx, job.ID, sh.Index, "w1", sh.Lease, wire); err != nil || ack.Status != "accepted" {
+			t.Fatalf("upload %d = %+v, %v", k, ack, err)
+		}
+		if k == len(claim.Shards)-1 {
+			break // that one completed the plan: the job is merged and holds nothing
+		}
+		if kind := heldKind(srv, job.ID, sh.Index); kind != "body" {
+			t.Fatalf("upload %d is held %s, want as its body", k, kind)
+		}
+		const serverList, header = 2500 * 4, 512
+		held := HeldResultBytes(srv, job.ID)
+		if held > compressed+serverList+len(claim.Shards)*header || (k == len(claim.Shards)-2 && held > compressed*11/10) {
+			t.Fatalf("after %d uploads of %d compressed bytes the job holds %d bytes (%.3f×)",
+				k+1, compressed, held, float64(held)/float64(compressed))
+		}
+		if k == len(claim.Shards)-2 {
+			t.Logf("after %d uploads of %d compressed bytes the job holds %d bytes (%.3f×)",
+				k+1, compressed, held, float64(held)/float64(compressed))
+		}
+	}
+	var want bytes.Buffer
+	if err := dataset.Write(&want, dataset.Merge(parts...)); err != nil {
+		t.Fatal(err)
+	}
+	report, err := client.JobReport(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(want.Bytes())); report.DatasetSHA256 != got || report.DatasetBytes != int64(want.Len()) {
+		t.Fatalf("filed %s (%d bytes), the decoded uploads merge to %s (%d bytes)",
+			report.DatasetSHA256, report.DatasetBytes, got, want.Len())
+	}
+}
+
+// TestFallbackUploadFilesThePinnedHash: uploads in a form no worker
+// writes — pretty-printed by some other client — are accepted through
+// the reflective decoder and held decoded, beside scanned ones held as
+// their bodies, and the job files the pinned bytes.
+func TestFallbackUploadFilesThePinnedHash(t *testing.T) {
+	spec := pinnedSpec(campaign.ScenarioUncongested, campaign.ExecutionDistributed)
+	srv, ts := newPoolServer(t, Config{}, 0)
+	client := apiclient.New(ts.URL)
+	ctx := context.Background()
+	job, _, err := client.SubmitRaw(ctx, []byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	claim, err := client.Claim(ctx, job.ID, "w1", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := campaign.ParseSpec([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := parsed.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := cfg.CompileBlueprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, sh := range claim.Shards {
+		wire, err := campaign.ExecuteShard(cfg, bp, sh.Shard, sh.Slice)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire.SpecHash = claim.SpecHash
+		want := "body"
+		if k%2 == 0 {
+			want = "decoded"
+			pretty, err := json.MarshalIndent(leaseRequest{Worker: "w1", Lease: sh.Lease, Result: wire}, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(fmt.Sprintf("%s/v1/jobs/%s/shards/%d/result", ts.URL, job.ID, sh.Index),
+				"application/json", bytes.NewReader(pretty))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("pretty-printed upload %d = %d", k, resp.StatusCode)
+			}
+		} else if _, err := client.PushShardResult(ctx, job.ID, sh.Index, "w1", sh.Lease, wire); err != nil {
+			t.Fatal(err)
+		}
+		if k < len(claim.Shards)-1 {
+			if got := heldKind(srv, job.ID, sh.Index); got != want {
+				t.Fatalf("upload %d is held %s, want %s", k, got, want)
+			}
+		}
+	}
+	if got := jobReport(t, ts, job.ID).DatasetSHA256; got != "81e2952878d5e0990abb0094d3f50769437b0837021e33a770418fe8fdbe0fa8" {
+		t.Fatalf("filed %s, want cmd/determinism's pinned hash", got)
 	}
 }
 
@@ -408,8 +650,10 @@ func BenchmarkPushShardResultPaper(b *testing.B) {
 }
 
 // BenchmarkDecodeShardResult is the coordinator's half alone: one
-// gzipped upload body inflated and parsed through a recycled ingestBuf.
-// What is left to allocate is the decoded wire itself.
+// gzipped upload body accepted through a recycled ingestBuf — inflated
+// a window at a time and scanned, its traces checked and counted, not
+// decoded. What is left to allocate is the header: strings, the server
+// list, the congestion and stats structs.
 func BenchmarkDecodeShardResult(b *testing.B) {
 	fx := newUploadFixture(b)
 	raw, err := json.Marshal(leaseRequest{Worker: "w1", Lease: fx.claim.Shards[0].Lease, Result: fx.wires[0]})
@@ -418,19 +662,97 @@ func BenchmarkDecodeShardResult(b *testing.B) {
 	}
 	body := gzipBytes(b, raw)
 	var pool ingestPool
-	decode := func() {
+	accept := func() {
 		buf := pool.get()
-		var req leaseRequest
-		if err := buf.decodeJSON(body, encGzip, maxResultBytes, &req); err != nil {
-			b.Fatal(err)
+		if u, err := buf.acceptUpload(body, encGzip, maxResultBytes); err != nil || u.result.wire != nil {
+			b.Fatalf("accept = %v (decoded: %v), want the scan to take it", err, u.result.wire != nil)
 		}
 		pool.put(buf)
 	}
-	decode()
+	accept()
 	b.SetBytes(int64(len(raw)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		decode()
+		accept()
+	}
+}
+
+// paperUpload is one paper-scale shard result as a worker uploads it —
+// six traces of 2500 observations, the servers every shard probes — and
+// its gzipped request body.
+func paperUpload(tb testing.TB, specHash string, sh campaign.ShardInfo) (*campaign.ShardResultWire, []byte) {
+	tb.Helper()
+	wire := sampleWire(0, 2500)
+	wire.SpecHash, wire.Shard, wire.Slice, wire.Vantage = specHash, sh.Shard, sh.Slice, sh.Vantage
+	wire.Stats = campaign.ShardStats{Shard: sh.Shard, Slice: sh.Slice, Vantage: sh.Vantage, Traces: sh.Traces, Events: 4_000_000}
+	for i := range wire.Traces[0].Observations {
+		o := &wire.Traces[0].Observations[i]
+		o.UDPECTReachable, o.TCPReachable, o.TCPECNReachable = i%7 != 0, i%5 != 0, i%3 == 0
+	}
+	wire.Traces[0].Vantage = sh.Vantage
+	for len(wire.Traces) < sh.Traces {
+		tr := wire.Traces[0]
+		tr.Index, tr.Started = len(wire.Traces), tr.Started+time.Duration(len(wire.Traces))*time.Hour
+		wire.Traces = append(wire.Traces, tr)
+	}
+	raw, err := json.Marshal(leaseRequest{Worker: "w1", Lease: "l", Result: wire})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return wire, gzipBytes(tb, raw)
+}
+
+// BenchmarkFinalizePaper is the merge at paper scale: 13 held 6 × 2500
+// uploads filed into the store — the run report merged from their
+// headers, the dataset spliced out of their inflated bodies through a
+// recycled scan window into the store's hashing writer. What it
+// allocates is per chunk and per job (the encoder's chunk, the report's
+// server union), not per trace: scripts/perf_gate.sh holds its B/op
+// under a ceiling.
+func BenchmarkFinalizePaper(b *testing.B) {
+	spec, err := campaign.ParseSpec([]byte(paperSpec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := spec.Config()
+	if err != nil {
+		b.Fatal(err)
+	}
+	key, err := spec.CacheKey()
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := OpenStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := &jobMgr{store: store, met: newServerMetrics(telemetry.NewRegistry()), now: time.Now}
+	j := &job{key: key, spec: spec.Normalized()}
+	var scratch ingestBuf
+	for _, sh := range cfg.Shards() {
+		_, body := paperUpload(b, key, sh)
+		u, err := scratch.acceptUpload(body, encGzip, maxResultBytes)
+		if err != nil || u.result.wire != nil {
+			b.Fatalf("accept = %v, want the scan to take it", err)
+		}
+		u.result.body, u.result.enc = body, encGzip
+		j.results = append(j.results, u.result)
+		j.tracesTotal += sh.Traces
+	}
+	file := func() {
+		headers := make([]campaign.ShardHeader, len(j.results))
+		for i := range j.results {
+			headers[i] = j.results[i].ShardHeader
+		}
+		if _, err := m.fileRun(j, campaign.MergeHeaders(headers), time.Second); err != nil {
+			b.Fatal(err)
+		}
+	}
+	file() // files the run; every later Put writes it again and discards it
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		file()
 	}
 }

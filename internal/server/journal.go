@@ -2,15 +2,22 @@ package server
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/dataset"
 )
 
 // The coordinator's write-ahead journal: the durable half of the
@@ -59,10 +66,12 @@ import (
 // Workers compress their uploads, so the record is already as small as
 // any later compaction could make it: the journal is bounded by the
 // compressed size of the uploads it acknowledges, and nothing ever has
-// to rewrite it. Replay turns the body back into a wire through the
-// same bounded decoder the HTTP path uses (decodeJSON), so a journal
-// that inflates past the upload limit fails its job instead of
-// exhausting memory.
+// to rewrite it. Replay reads the body back through the same bounded
+// accept path the HTTP handler uses (acceptUpload) — and the job holds
+// the record's bytes, as the live path held its copy of them — so a
+// journal that inflates past the upload limit fails its job instead of
+// exhausting memory. Lines are framed by hand (appendWALLine), byte for
+// byte what json.Marshal of the record framed.
 //
 // The journal records only distributed jobs. A local job's workers die
 // with this process and it promises nothing outside it: the submission
@@ -251,29 +260,109 @@ func (d *walDir) consumeCleanShutdown() bool {
 }
 
 // jobWAL is one job's open journal file. Appends are serialized by
-// mgr.mu, like the in-memory state they shadow.
+// mgr.mu, like the in-memory state they shadow, and frame their lines
+// in line, which they reuse.
 type jobWAL struct {
-	f *os.File
+	f    *os.File
+	line []byte
 }
+
+// walLineRetainBytes is the largest line buffer a journal keeps between
+// appends: a paper-scale result record — a gzip upload, base64'd — is
+// ≈ 100 KB, an identity-encoded one ≈ 3 MB that is not worth holding.
+const walLineRetainBytes = 1 << 20
 
 // append frames, checksums and writes one record, returning the bytes
 // written. It does NOT sync; callers batch appends and sync once
 // before releasing the promise the records carry.
 func (w *jobWAL) append(rec *walRecord) (int, error) {
-	body, err := json.Marshal(rec)
+	line, err := appendWALLine(w.line[:0], rec)
 	if err != nil {
 		return 0, fmt.Errorf("server: journal: marshal %s record: %w", rec.Type, err)
 	}
-	var line bytes.Buffer
-	line.Grow(len(body) + 16)
-	fmt.Fprintf(&line, "%s %08x ", walFormatPrefix, crc32.ChecksumIEEE(body))
-	line.Write(body)
-	line.WriteByte('\n')
-	n, err := w.f.Write(line.Bytes())
+	w.line = line
+	if cap(line) > walLineRetainBytes {
+		w.line = nil
+	}
+	n, err := w.f.Write(line)
 	if err != nil {
 		return n, fmt.Errorf("server: journal: append: %w", err)
 	}
 	return n, nil
+}
+
+// appendWALLine appends rec's journal line to b — the prefix, the
+// CRC-32 of the record's JSON in hex, the JSON, a newline — byte for
+// byte the line json.Marshal(rec) framed (TestWALRecordFramingMatchesMarshal).
+// The JSON is assembled in place, in walRecord's field order with its
+// omitempty/omitzero rules: a result record's body is base64'd straight
+// into the line, and the checksum is written over a placeholder once the
+// JSON is there, so a record costs one pass over its body and, in a
+// reused b, no allocation.
+func appendWALLine(b []byte, rec *walRecord) ([]byte, error) {
+	b = slices.Grow(b, 256+len(rec.Spec)+len(rec.Error)+base64.StdEncoding.EncodedLen(len(rec.Body)))
+	start := len(b)
+	b = append(b, walFormatPrefix+" 00000000 "...)
+	obj := len(b)
+	b = append(b, `{"t":`...)
+	b = dataset.AppendString(b, rec.Type)
+	str := func(key, v string) {
+		if v != "" {
+			b = append(b, key...)
+			b = dataset.AppendString(b, v)
+		}
+	}
+	num := func(key string, v int) {
+		if v != 0 {
+			b = append(b, key...)
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+	}
+	var err error
+	when := func(key string, v time.Time) {
+		if v.IsZero() || err != nil {
+			return
+		}
+		var t []byte
+		// MarshalJSON's form: quoted strict RFC 3339, failing where it fails.
+		if t, err = v.AppendText(append(b, key+`"`...)); err == nil {
+			b = append(t, '"')
+		}
+	}
+	str(`,"job":`, rec.Job)
+	str(`,"key":`, rec.Key)
+	if len(rec.Spec) > 0 {
+		// encoding/json compacts and HTML-escapes a RawMessage; the
+		// submission record, once per job, keeps it doing so.
+		spec, merr := json.Marshal(rec.Spec)
+		if merr != nil {
+			return b[:start], merr
+		}
+		b = append(append(b, `,"spec":`...), spec...)
+	}
+	when(`,"time":`, rec.Time)
+	num(`,"idx":`, rec.Idx)
+	str(`,"event":`, rec.Event)
+	str(`,"worker":`, rec.Worker)
+	num(`,"seq":`, rec.Seq)
+	str(`,"token":`, rec.Token)
+	when(`,"expires":`, rec.Expires)
+	num(`,"batch":`, rec.BatchN)
+	if len(rec.Body) > 0 {
+		b = append(b, `,"body":"`...)
+		b = base64.StdEncoding.AppendEncode(b, rec.Body)
+		b = append(b, '"')
+	}
+	str(`,"enc":`, rec.Enc)
+	str(`,"error":`, rec.Error)
+	b = append(b, '}')
+	if err != nil {
+		return b[:start], err
+	}
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(b[obj:]))
+	hex.Encode(b[start+len(walFormatPrefix)+1:obj-1], sum[:])
+	return append(b, '\n'), nil
 }
 
 // sync makes every append so far durable.

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -232,6 +233,62 @@ func TestRecoveryResumesPartialJob(t *testing.T) {
 			// The journal is deleted once the merged run files.
 			if _, err := os.Stat(walPath(dir, job.ID)); !errors.Is(err, os.ErrNotExist) {
 				t.Fatalf("journal still present after completed recovery: %v", err)
+			}
+		})
+	}
+}
+
+// TestRecoveryMergesReplayedBodies: a coordinator that dies holding k
+// of a job's 13 uploads as the bytes it journaled comes back holding the
+// journal's copies of them instead — gzip and identity alike — takes the
+// rest under the leases it restored, and files cmd/determinism's pinned
+// hash: the merge splices replayed bodies exactly as it would the live
+// ones.
+func TestRecoveryMergesReplayedBodies(t *testing.T) {
+	const spec = `{"spec": 1, "scale": "small", "traces": 2, "seed": 2015, "stride": 0, "execution": "distributed"}`
+	const pinned = "81e2952878d5e0990abb0094d3f50769437b0837021e33a770418fe8fdbe0fa8"
+	for _, k := range []int{5, 12} {
+		t.Run(fmt.Sprintf("after-%d", k), func(t *testing.T) {
+			dir := t.TempDir()
+			fc := newFakeClock()
+			ctx := context.Background()
+			srv1, ts1, c1 := startCrashServer(t, dir, fc)
+			job, _, err := c1.SubmitRaw(ctx, []byte(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			claim, err := c1.Claim(ctx, job.ID, "wA", 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(claim.Shards) != 13 {
+				t.Fatalf("plan has %d shards, want 13", len(claim.Shards))
+			}
+			wires := execWires(t, spec, claim.SpecHash)
+			plain := c1.WithUploadCompression(false)
+			for i, sh := range claim.Shards[:k] {
+				push := c1
+				if i%3 == 2 {
+					push = plain
+				}
+				if _, err := push.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			crash(ts1, srv1)
+
+			_, _, c2 := startCrashServer(t, dir, fc)
+			for _, sh := range claim.Shards[k:] {
+				if ack, err := c2.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index]); err != nil || ack.Status != "accepted" {
+					t.Fatalf("upload shard %d under its restored lease = %+v, %v", sh.Index, ack, err)
+				}
+			}
+			data, err := c2.JobDataset(ctx, job.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != pinned {
+				t.Fatalf("recovered job filed %s, want the pinned %s", got, pinned)
 			}
 		})
 	}

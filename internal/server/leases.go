@@ -3,10 +3,12 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/failpoint"
+	"repro/internal/packet"
 	"repro/internal/telemetry"
 )
 
@@ -169,10 +171,10 @@ func (j *job) nextPending(from int) int {
 	return -1
 }
 
-// apply makes the transition a lease or result record describes; wire
-// is a result record's decoded payload. It checks nothing — whether the
-// transition is due is the caller's business.
-func (j *job) apply(rec walRecord, wire *campaign.ShardResultWire) {
+// apply makes the transition a lease or result record describes; res
+// is what a result record's shard keeps for the merge. It checks
+// nothing — whether the transition is due is the caller's business.
+func (j *job) apply(rec walRecord, res *heldResult) {
 	sh, l := &j.shards[rec.Idx], &j.leases[rec.Idx]
 	if rec.Seq > l.seq {
 		l.seq = rec.Seq
@@ -181,11 +183,13 @@ func (j *job) apply(rec walRecord, wire *campaign.ShardResultWire) {
 	case rec.Type == walResult:
 		// The lease tokens stay: the loser of a speculation race must
 		// still ack "duplicate".
-		j.wires[rec.Idx] = wire
+		servers := j.internServers(res.Servers)
+		j.results[rec.Idx] = *res
+		j.results[rec.Idx].Servers = servers
 		l.doneToken = rec.Token
 		sh.State, sh.Worker = "done", rec.Worker
-		sh.Events = wire.Stats.Events
-		sh.ElapsedSeconds = wire.Stats.Elapsed.Seconds()
+		sh.Events = res.Stats.Events
+		sh.ElapsedSeconds = res.Stats.Elapsed.Seconds()
 		j.shardsDone++
 		j.tracesDone += sh.Traces
 		// Fold the shard's duration into the job's straggler baseline.
@@ -218,6 +222,21 @@ func (j *job) apply(rec walRecord, wire *campaign.ShardResultWire) {
 	case rec.Event == walSpecExpire:
 		l.specToken, l.specWorker, l.specExpires = "", "", time.Time{}
 	}
+}
+
+// internServers returns the job's copy of the server list servers, if
+// an accepted shard already carries an equal one, or servers itself.
+// Every shard probing the ground truth, and every slice of a vantage
+// probing its discovered pool, carries the same list: held once, it
+// costs a job 10 KB at paper scale instead of 10 KB a shard — a seventh
+// of what the shard's compressed upload does.
+func (j *job) internServers(servers []packet.Addr) []packet.Addr {
+	for i := range j.results {
+		if held := j.results[i].Servers; len(held) > 0 && slices.Equal(held, servers) {
+			return held
+		}
+	}
+	return servers
 }
 
 // sweepExpiredLocked evicts every lapsed lease in the job — shards
@@ -450,17 +469,18 @@ func (m *jobMgr) Heartbeat(jobID string, idx int, token string) (HeartbeatRespon
 // computed for a different spec, a mismatched shard, or an evicted
 // lease never reaches the merge. The accepted upload that completes
 // the plan triggers the canonical merge and files the run. body is the
-// upload as received (enc its Content-Encoding) and wire what it
-// decoded to: the journal keeps the former, the merge the latter (a
+// upload as received (enc its Content-Encoding) and res what the accept
+// path read of it (acceptUpload): the journal keeps the former, the job
+// res — with its own copy of body, if res was scanned from it (a
 // loopback result has no body, its job no journal).
-func (m *jobMgr) ShardResult(jobID string, idx int, worker, token string, wire *campaign.ShardResultWire, body []byte, enc string) (ResultResponse, error) {
+func (m *jobMgr) ShardResult(jobID string, idx int, worker, token string, res *heldResult, body []byte, enc string) (ResultResponse, error) {
 	m.mu.Lock()
 	j, err := m.distributedJobLocked(jobID)
 	if err != nil {
 		m.mu.Unlock()
 		return ResultResponse{}, err
 	}
-	resp, finalize, err := m.shardResultLocked(j, idx, worker, token, wire, body, enc)
+	resp, finalize, err := m.shardResultLocked(j, idx, worker, token, res, body, enc)
 	m.mu.Unlock()
 	if err != nil {
 		return ResultResponse{}, err
@@ -477,44 +497,44 @@ func (m *jobMgr) ShardResult(jobID string, idx int, worker, token string, wire *
 	return resp, nil
 }
 
-// checkWire reports why a payload cannot be shard idx of job j — another
-// wire version, another spec, another shard, not the trace count the
-// plan gives that shard — or nil. The accept path and journal replay
-// share it; idx is within the plan.
-func checkWire(j *job, idx int, wire *campaign.ShardResultWire) *apiFault {
+// checkResult reports why a payload cannot be shard idx of job j —
+// another wire version, another spec, another shard, not the trace
+// count the plan gives that shard — or nil. The accept path and journal
+// replay share it; idx is within the plan.
+func checkResult(j *job, idx int, h *resultHead) *apiFault {
 	sh := &j.shards[idx]
-	if wire.Version != campaign.ShardWireVersion {
+	if h.version != campaign.ShardWireVersion {
 		return faultf(http.StatusBadRequest, codeResultInvalid,
 			"shard result has wire version %d (this server speaks %d)",
-			wire.Version, campaign.ShardWireVersion)
+			h.version, campaign.ShardWireVersion)
 	}
-	if wire.SpecHash != j.key {
+	if h.specHash != j.key {
 		return faultf(http.StatusConflict, codeStaleResult,
-			"result computed for spec %.12s, job %s wants %.12s", wire.SpecHash, j.id, j.key)
+			"result computed for spec %.12s, job %s wants %.12s", h.specHash, j.id, j.key)
 	}
-	if wire.Shard != sh.Shard || wire.Slice != sh.Slice {
+	if h.shard != sh.Shard || h.slice != sh.Slice {
 		return faultf(http.StatusBadRequest, codeResultInvalid,
 			"payload is for shard (%d,%d) but was posted to (%d,%d)",
-			wire.Shard, wire.Slice, sh.Shard, sh.Slice)
+			h.shard, h.slice, sh.Shard, sh.Slice)
 	}
 	// A short result would merge into a dataset that silently lacks
 	// traces: it is refused before it is journaled or acknowledged.
-	if len(wire.Traces) != sh.Traces || wire.Stats.Traces != sh.Traces {
+	if h.traces != sh.Traces || h.Stats.Traces != sh.Traces {
 		return faultf(http.StatusBadRequest, codeResultInvalid,
 			"payload carries %d traces (its stats say %d) but shard (%d,%d) is planned as %d",
-			len(wire.Traces), wire.Stats.Traces, sh.Shard, sh.Slice, sh.Traces)
+			h.traces, h.Stats.Traces, sh.Shard, sh.Slice, sh.Traces)
 	}
 	return nil
 }
 
-func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, wire *campaign.ShardResultWire, body []byte, enc string) (ResultResponse, bool, error) {
+func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *heldResult, body []byte, enc string) (ResultResponse, bool, error) {
 	if idx < 0 || idx >= len(j.shards) {
 		return ResultResponse{}, false, faultf(http.StatusNotFound, codeShardNotFound,
 			"job %s has no shard %d (plan has %d)", j.id, idx, len(j.shards))
 	}
 	sh := &j.shards[idx]
 	l := &j.leases[idx]
-	if f := checkWire(j, idx, wire); f != nil {
+	if f := checkResult(j, idx, &res.resultHead); f != nil {
 		if f.code == codeStaleResult {
 			m.met.resultsStale.Inc()
 		}
@@ -575,7 +595,12 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, wire *
 		return ResultResponse{}, false, faultf(http.StatusInternalServerError, codeInternal,
 			"failpoint %s: %v", failpoint.AcceptResultAfterJournal, err)
 	}
-	j.apply(rec, wire)
+	if res.wire == nil {
+		// A scanned upload is kept as the bytes just journaled; they are
+		// the request's buffer until the handler returns.
+		res.body, res.enc = append(make([]byte, 0, len(body)), body...), enc
+	}
+	j.apply(rec, res)
 	// Settle the speculation race, if one was open: the winning side's
 	// counter ticks and the loser takes a speculation-loss strike — this
 	// is the signal that catches a wedged-but-heartbeating worker, whose
@@ -596,7 +621,7 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, wire *
 		m.openShards--
 	}
 	m.met.resultsAccepted.Inc()
-	m.met.workerShardSeconds(worker).Observe(wire.Stats.Elapsed.Seconds())
+	m.met.workerShardSeconds(worker).Observe(res.Stats.Elapsed.Seconds())
 	m.met.events.Append(telemetry.EventShardDone, &j.id,
 		m.internWorkerLocked(worker), int32(sh.Shard), int32(sh.Slice))
 	resp.Status = "accepted"
@@ -611,7 +636,9 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, wire *
 
 // finalize merges a completed job's shard results in canonical order
 // and files the run — the one completion tail, whoever executed the
-// shards, so the stored artifacts are indistinguishable.
+// shards, so the stored artifacts are indistinguishable: the run report
+// from the shards' headers through campaign.MergeHeaders, the dataset
+// streamed from the held results (writeDataset).
 func (m *jobMgr) finalize(j *job) {
 	if err := failpoint.Check(failpoint.FinalizeBeforeStore); err != nil {
 		// Hook-simulated crash between the last accepted shard and the
@@ -621,11 +648,11 @@ func (m *jobMgr) finalize(j *job) {
 		m.logger.Error("failpoint abort before finalize", "job", j.id, "error", err)
 		return
 	}
-	res, err := campaign.MergeWire(j.wires)
-	if err != nil {
-		m.failJob(j, err)
-		return
+	headers := make([]campaign.ShardHeader, len(j.results))
+	for i := range j.results {
+		headers[i] = j.results[i].ShardHeader
 	}
+	res := campaign.MergeHeaders(headers)
 	wall := m.now().Sub(j.started)
 	n, err := m.fileRun(j, res, wall)
 	if err != nil {
@@ -635,8 +662,8 @@ func (m *jobMgr) finalize(j *job) {
 	m.mu.Lock()
 	j.state = JobDone
 	j.finished = m.now()
-	j.wires = nil // shard data is merged and filed; release it,
-	j.local = nil // and a local job's worlds with it
+	j.results = nil // shard data is merged and filed; release it,
+	j.local = nil   // and a local job's worlds with it
 	delete(m.active, j.key)
 	if j.wal != nil {
 		// The crash-atomic store entry is now the durable record; the

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/apiclient"
 	"repro/internal/campaign"
 	"repro/internal/dataset"
@@ -71,8 +72,10 @@ func driveJob(t *testing.T, ts *httptest.Server, spec string) JobView {
 	return awaitDone(t, ts, view.ID)
 }
 
-// directHash is the SHA-256 of campaign.Run's dataset for spec.
-func directHash(t *testing.T, specJSON string) string {
+// directMeta is campaign.Run's Result for spec, reported the way the
+// coordinator reports a filed run — everything but the key, the spec,
+// and when and how long.
+func directMeta(t *testing.T, specJSON string) RunMeta {
 	t.Helper()
 	spec, err := campaign.ParseSpec([]byte(specJSON))
 	if err != nil {
@@ -90,7 +93,27 @@ func directHash(t *testing.T, specJSON string) string {
 	if err := dataset.Write(&buf, res.Dataset); err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+	meta := RunMeta{
+		DatasetSHA256:      fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())),
+		DatasetBytes:       int64(buf.Len()),
+		Traces:             len(res.Dataset.Traces),
+		Servers:            len(res.Servers),
+		Shards:             len(res.Shards),
+		Events:             res.Events,
+		PhantomEvents:      res.PhantomEvents,
+		ReplayedBoundaries: res.ReplayedBoundaries,
+	}
+	if len(res.Congestion) > 0 {
+		rep := analysis.ComputeCEMarkReport(res.Congestion)
+		meta.Congestion = &rep
+	}
+	return meta
+}
+
+// directHash is the SHA-256 of campaign.Run's dataset for spec.
+func directHash(t *testing.T, specJSON string) string {
+	t.Helper()
+	return directMeta(t, specJSON).DatasetSHA256
 }
 
 func jobReport(t *testing.T, ts *httptest.Server, id string) RunMeta {
@@ -107,7 +130,10 @@ func jobReport(t *testing.T, ts *httptest.Server, id string) RunMeta {
 }
 
 // TestExecutionsAgree: where a job's shards ran changes nothing about
-// what is filed — same dataset bytes, same report.
+// what is filed — same dataset bytes, same report — and what is filed
+// is campaign.Run's: local and distributed jobs share the coordinator's
+// merge (campaign.MergeHeaders for the report, writeDataset for the
+// bytes), so only the engine's own Result can catch a bug in it.
 func TestExecutionsAgree(t *testing.T) {
 	for scenario, pinned := range map[string]string{
 		campaign.ScenarioUncongested:      "81e2952878d5e0990abb0094d3f50769437b0837021e33a770418fe8fdbe0fa8",
@@ -140,6 +166,11 @@ func TestExecutionsAgree(t *testing.T) {
 			}
 			if (meta[0].Congestion != nil) != (scenario != campaign.ScenarioUncongested) || meta[0].Events == 0 {
 				t.Errorf("report = %s", local)
+			}
+			direct := directMeta(t, pinnedSpec(scenario, campaign.ExecutionLocal))
+			direct.Key, direct.Spec = meta[0].Key, meta[0].Spec
+			if run, _ := json.Marshal(direct); !bytes.Equal(local, run) {
+				t.Errorf("the filed report differs from campaign.Run's:\nfiled        %s\ncampaign.Run %s", local, run)
 			}
 		})
 	}

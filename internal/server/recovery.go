@@ -202,7 +202,8 @@ func submittedPlan(raw []byte) (campaign.Spec, []campaign.ShardInfo, error) {
 // plan is corruption; duplicates (the crash-between-journal-and-ack
 // retry) replay first-wins, exactly like the live accept path.
 func (m *jobMgr) replayLocked(j *job, recs []walRecord) error {
-	var scratch ingestBuf // one inflate buffer for all of the job's result records
+	scratch := m.ingest.get() // one for all of the job's result records
+	defer m.ingest.put(scratch)
 	for _, rec := range recs {
 		if (rec.Type == walLease || rec.Type == walResult) && (rec.Idx < 0 || rec.Idx >= len(j.shards)) {
 			return fmt.Errorf("journal replay: %s record for shard %d outside plan of %d",
@@ -215,23 +216,25 @@ func (m *jobMgr) replayLocked(j *job, recs []walRecord) error {
 			}
 			j.apply(rec, nil)
 		case walResult:
-			if j.wires[rec.Idx] != nil {
+			if j.shards[rec.Idx].State == "done" {
 				continue // duplicate append from a retried upload; first wins
 			}
 			// The body goes back through the upload path's own bounded
-			// decoder and payload checks: bytes that would not be accepted
-			// over HTTP are not accepted off disk either.
-			var req leaseRequest
-			if err := scratch.decodeJSON(rec.Body, rec.Enc, maxResultBytes, &req); err != nil {
+			// accept and payload checks: bytes that would not be accepted
+			// over HTTP are not accepted off disk either. A scanned body is
+			// held as the record's own bytes, exactly as the live path held
+			// its copy of them.
+			u, err := scratch.acceptUpload(rec.Body, rec.Enc, maxResultBytes)
+			if err != nil {
 				return fmt.Errorf("journal replay: result record for shard %d: %w", rec.Idx, err)
 			}
-			if req.Result == nil {
-				return fmt.Errorf("journal replay: result record for shard %d has no payload", rec.Idx)
-			}
-			if f := checkWire(j, rec.Idx, req.Result); f != nil {
+			if f := checkResult(j, rec.Idx, &u.result.resultHead); f != nil {
 				return fmt.Errorf("journal replay: result record for shard %d: %w", rec.Idx, f)
 			}
-			j.apply(rec, req.Result)
+			if u.result.wire == nil {
+				u.result.body, u.result.enc = rec.Body, rec.Enc
+			}
+			j.apply(rec, &u.result)
 			m.met.recoveryShards.Inc()
 		case walFailed:
 			return fmt.Errorf("recovered terminal failure: %s", rec.Error)

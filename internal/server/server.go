@@ -111,8 +111,6 @@ type Server struct {
 	// lock is the open <data dir>/LOCK file holding this coordinator's
 	// exclusive claim on the directory; closing it releases the claim.
 	lock *os.File
-	// ingest recycles request-body read/inflate buffers (ingest.go).
-	ingest ingestPool
 }
 
 // lockDataDir takes the exclusive advisory lock a coordinator holds on
@@ -642,34 +640,31 @@ func (s *Server) handleShardResult(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.metrics.uploadsIdentity.Inc()
 	}
-	// The body is read once and kept as received: it is decoded here for
-	// validation and the merge, and journaled verbatim on accept. Its
-	// buffers go back only when ShardResult has returned — the journal
-	// append in there is the last reader of raw, and req.Result aliases
-	// neither buffer.
-	buf := s.ingest.get()
-	defer s.ingest.put(buf)
+	// The body is read once and kept as received: it is scanned (or
+	// decoded) here for validation, journaled verbatim on accept, and
+	// copied into the job if the scan took it. Its buffers go back only
+	// when ShardResult has returned — the journal append and that copy
+	// in there are the last readers of raw, and nothing else read from
+	// them aliases either buffer.
+	buf := s.mgr.ingest.get()
+	defer s.mgr.ingest.put(buf)
 	raw, err := buf.readBody(w, r, maxResultBytes)
 	if err != nil {
 		writeFault(w, err)
 		return
 	}
-	var req leaseRequest
-	if err := buf.decodeJSON(raw, enc, maxResultBytes, &req); err != nil {
+	up, err := buf.acceptUpload(raw, enc, maxResultBytes)
+	if err != nil {
 		writeFault(w, err)
 		return
 	}
-	if req.Result == nil {
-		writeFault(w, faultf(http.StatusBadRequest, codeResultInvalid, "result is required"))
-		return
-	}
-	resp, err := s.mgr.ShardResult(r.PathValue("id"), idx, req.Worker, req.Lease, req.Result, raw, enc)
+	resp, err := s.mgr.ShardResult(r.PathValue("id"), idx, up.worker, up.lease, &up.result, raw, enc)
 	if err != nil {
 		writeFault(w, err)
 		return
 	}
 	s.logger.Info("shard result", "job", resp.Job, "shard", idx,
-		"worker", req.Worker, "status", resp.Status,
+		"worker", up.worker, "status", resp.Status,
 		"done", fmt.Sprintf("%d/%d", resp.ShardsDone, resp.ShardsTotal))
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -36,28 +36,34 @@
 #     copy-per-ICMP, garbage-per-exchange and world-per-shard
 #     regressions out;
 #   * shard-result path allocations above their ceilings, each the
-#     PR 24 reading + 20 % —
+#     reading taken when its path last changed + 20 % —
 #     BenchmarkPushShardResult (one small-world upload in steady state,
-#     client and coordinator both; 20.0 KB/op) above 24000 B/op,
+#     client and coordinator both; 12.7 KB/op) above 15300 B/op,
 #     BenchmarkPushShardResultPaper (one 6 x 2500 result per upload with
 #     a GC between two, as a worker's simulation separates them;
-#     0.78 MB/op — the decoded observations — and 2722 allocs/op, one
-#     per entry of the servers list) above 942000 B/op or 3270
-#     allocs/op, BenchmarkDecodeShardResult (the coordinator's inflate
-#     + parse through a recycled buffer; 8888 B/op and 153 allocs/op,
-#     all of it the decoded wire) above 10700 B/op or 184 allocs/op,
-#     BenchmarkDatasetRead (13 x 2500 observations through the trace
-#     decoder; 2.44 MB/op — 1.3 MB of observations plus json.Decoder's
-#     line buffer — and 66 allocs/op) above 2927000 B/op or 80
-#     allocs/op, and BenchmarkDatasetWrite (the same set through the
-#     chunked encoder; 1 alloc/op, its chunk) above 4 allocs/op. A
-#     per-upload gzip.NewWriter is ~900 KB, an io.ReadAll of a body or
-#     an inflate-by-doubling hundreds of KB to megabytes, encoding/json's
+#     79 KB/op and 182 allocs/op — the coordinator scans the
+#     body and decodes only its header, where decoding it read 0.78 MB
+#     and 2722 allocs) above 94800 B/op or 219 allocs/op,
+#     BenchmarkDecodeShardResult (the coordinator's accept-side scan
+#     through a recycled buffer; 1491 B/op and 17 allocs/op, all
+#     of it the header) above 1790 B/op or 21 allocs/op,
+#     BenchmarkFinalizePaper (13 held 6 x 2500 uploads merged into the
+#     store, their traces spliced out of the inflated bodies; 214 KB/op:
+#     the encoder's chunk and the report's server union, nothing per
+#     trace) above 257300 B/op, BenchmarkDatasetRead (13 x 2500
+#     observations through the trace decoder; 2.44 MB/op — 1.3 MB of
+#     observations plus json.Decoder's line buffer — and 66 allocs/op)
+#     above 2927000 B/op or 80 allocs/op, and
+#     BenchmarkDatasetWrite (the same set through the chunked encoder;
+#     1 alloc/op, its chunk) above 4 allocs/op. A per-upload
+#     gzip.NewWriter is ~900 KB, an io.ReadAll of a body or an
+#     inflate-by-doubling hundreds of KB to megabytes, encoding/json's
 #     sync.Pool'd encode buffer regrown after a GC 4 MB per paper-scale
-#     upload, reflective encoding/json two allocations per observation:
-#     each fails here, not in the ledger. The ceilings are constants
-#     below, not knobs: a PR that changes the path edits them in the
-#     same diff;
+#     upload, reflective encoding/json two allocations per observation,
+#     a decoded upload 0.6 MB of observations, a decoding merge 2 MB a
+#     shard: each fails here, not in the ledger. The ceilings are
+#     constants below, not knobs: a PR that changes the path edits them
+#     in the same diff;
 #   * >PERF_GATE_MAX_TELEMETRY_PCT (default 2) instrumentation
 #     overhead, from BenchmarkCampaignTelemetry's `overhead-%` metric:
 #     the benchmark runs plain/instrumented campaign pairs back to back
@@ -79,12 +85,14 @@ COUNT="${PERF_GATE_COUNT:-5}"
 MAX_PCT="${PERF_GATE_MAX_REGRESSION_PCT:-10}"
 MAX_CAMPAIGN_ALLOCS="${PERF_GATE_MAX_CAMPAIGN_ALLOCS:-30600}"
 MAX_TELEMETRY_PCT="${PERF_GATE_MAX_TELEMETRY_PCT:-2}"
-# Shard-result path ceilings (the PR 24 readings + 20 %): fixed.
-MAX_PUSH_BYTES=24000
-MAX_PUSH_PAPER_BYTES=942000
-MAX_PUSH_PAPER_ALLOCS=3270
-MAX_DECODE_BYTES=10700
-MAX_DECODE_ALLOCS=184
+# Shard-result path ceilings (each benchmark's reading when its path
+# last changed + 20 %): fixed.
+MAX_PUSH_BYTES=15300
+MAX_PUSH_PAPER_BYTES=94800
+MAX_PUSH_PAPER_ALLOCS=219
+MAX_DECODE_BYTES=1790
+MAX_DECODE_ALLOCS=21
+MAX_FINALIZE_BYTES=257300
 MAX_DATASET_READ_BYTES=2927000
 MAX_DATASET_READ_ALLOCS=80
 MAX_DATASET_WRITE_ALLOCS=4
@@ -127,6 +135,10 @@ run_bench() (
     # amortise the free lists' first fill.
     go test -run='^$' -bench="$RESULT_PATH_FILTER" \
         -benchmem -benchtime=200x -count="$COUNT" ./internal/server/ ./internal/dataset/
+    # The paper-scale merge writes a 27 MB dataset into a store an
+    # iteration: five of them, no free list to amortise.
+    go test -run='^$' -bench='BenchmarkFinalizePaper$' \
+        -benchmem -benchtime=5x -count="$COUNT" ./internal/server/
 )
 
 echo "perf-gate: benchmarking working tree (count=$COUNT)..."
@@ -181,7 +193,7 @@ fi
 # hand-written trace codec measure (the comment at the top has the
 # numbers), far below what any one reintroduced copy costs.
 bad_result_path="$(awk -v push="$MAX_PUSH_BYTES" -v paperb="$MAX_PUSH_PAPER_BYTES" -v papera="$MAX_PUSH_PAPER_ALLOCS" \
-    -v decodeb="$MAX_DECODE_BYTES" -v decodea="$MAX_DECODE_ALLOCS" \
+    -v decodeb="$MAX_DECODE_BYTES" -v decodea="$MAX_DECODE_ALLOCS" -v finalize="$MAX_FINALIZE_BYTES" \
     -v readb="$MAX_DATASET_READ_BYTES" -v reada="$MAX_DATASET_READ_ALLOCS" -v write="$MAX_DATASET_WRITE_ALLOCS" '
     function check(unit, max) {
         for (i = 2; i < NF; i++) if ($(i+1) == unit && $i+0 > max) print $1, $i, unit, ">", max
@@ -190,6 +202,7 @@ bad_result_path="$(awk -v push="$MAX_PUSH_BYTES" -v paperb="$MAX_PUSH_PAPER_BYTE
     $1 ~ /^BenchmarkPushShardResult(-[0-9]+)?$/      { check("B/op", push) }
     $1 ~ /^BenchmarkPushShardResultPaper(-[0-9]+)?$/ { check("B/op", paperb); check("allocs/op", papera) }
     $1 ~ /^BenchmarkDecodeShardResult(-[0-9]+)?$/    { check("B/op", decodeb); check("allocs/op", decodea) }
+    $1 ~ /^BenchmarkFinalizePaper(-[0-9]+)?$/        { check("B/op", finalize) }
     $1 ~ /^BenchmarkDatasetRead(-[0-9]+)?$/          { check("B/op", readb); check("allocs/op", reada) }
     $1 ~ /^BenchmarkDatasetWrite(-[0-9]+)?$/         { check("allocs/op", write) }
 ' "$work/head.txt" | sort -u)"
@@ -198,7 +211,7 @@ if [ -n "$bad_result_path" ]; then
     echo "$bad_result_path"
     fail=1
 fi
-for b in BenchmarkPushShardResult BenchmarkPushShardResultPaper BenchmarkDecodeShardResult BenchmarkDatasetWrite BenchmarkDatasetRead; do
+for b in BenchmarkPushShardResult BenchmarkPushShardResultPaper BenchmarkDecodeShardResult BenchmarkFinalizePaper BenchmarkDatasetWrite BenchmarkDatasetRead; do
     grep -Eq "^$b(-[0-9]+)?[[:space:]]" "$work/head.txt" || { echo "perf-gate: FAIL — $b did not run"; fail=1; }
 done
 
