@@ -11,10 +11,11 @@
 // properties make any slicing equivalent to the sequential run:
 //
 //   - One frozen world. The topology is compiled once
-//     (topology.Compile) from the campaign seed; each pool goroutine
-//     instantiates it once and resets that world to its
-//     just-instantiated state between shards (Executor,
-//     topology.World.Reset): identical ground truth by construction
+//     (topology.Compile) from the campaign seed; one pool goroutine
+//     adopts the world compiling built, every other instantiates it
+//     once, and each resets its world to the just-instantiated state
+//     before every shard (Executor, topology.World.Reset): identical
+//     ground truth by construction
 //     (Figure 3's "same set of servers from every location" depends on
 //     this), with the read-only skeleton — routes, geo, ASN, DNS
 //     membership — shared rather than rebuilt per shard.
@@ -518,16 +519,17 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // Executor runs shards of one campaign, one after another, on a world
-// it owns: the first shard instantiates the world from the blueprint,
-// every later one resets it (topology.World.Reset) instead of building
-// another. A reset world is in exactly the state Instantiate produces,
-// so a shard's result does not depend on which shards its executor ran
-// before — the one-shot ExecuteShard, which always runs on a fresh
-// world, is the oracle the differential tests hold every executor
-// sequence to. Run gives each pool goroutine an executor; a remote
-// worker keeps one per job, the control plane a few per local job. Each
-// shard's accounting is flushed into cfg.Metrics here, so every driver
-// feeds the same series.
+// it owns: the first shard adopts the blueprint's spare — the world
+// compiling built — unless another executor took it first, in which
+// case it instantiates one, and every later shard resets that world
+// (topology.World.Reset) instead of building another. A reset world is
+// in exactly the state Instantiate produces, so a shard's result does
+// not depend on which shards its executor ran before — the one-shot
+// ExecuteShard, whose executor runs nothing else, is the oracle the
+// differential tests hold every executor sequence to. Run gives each
+// pool goroutine an executor; a remote worker keeps one per job, the
+// control plane a few per local job. Each shard's accounting is flushed
+// into cfg.Metrics here, so every driver feeds the same series.
 //
 // An Executor is not safe for concurrent use: it is one simulation.
 type Executor struct {
@@ -564,8 +566,14 @@ func (e *Executor) Execute(shard, slice int) (*ShardResultWire, error) {
 }
 
 // acquire returns the world the next shard runs on, in post-Instantiate
-// state: the executor's own world reset, or a new instantiation.
+// state: the executor's own world reset, or a new instantiation. The
+// blueprint's spare, if this executor is the one to take it, becomes
+// its own world and is reset like one — and counted as a reset
+// (repro_sim_worlds_total{op="reset"}): nothing was instantiated.
 func (e *Executor) acquire() (*topology.World, error) {
+	if e.world == nil {
+		e.world = e.bp.TakeSpare(e.cfg.Seed, e.cfg.Scheduler, e.cfg.XTraffic)
+	}
 	if e.world != nil {
 		e.world.Reset()
 		e.cfg.Metrics.worldAcquired(true)

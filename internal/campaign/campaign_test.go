@@ -124,8 +124,9 @@ func TestIdenticalWorldsAcrossShards(t *testing.T) {
 	}
 }
 
-// TestOnlyFirstWorldRetained: a campaign instantiates one world per
-// pool goroutine and resets it between shards, so however many shards
+// TestOnlyFirstWorldRetained: a campaign holds one world per pool
+// goroutine (one of them the world compiling built, adopted) and resets
+// it between shards, so however many shards
 // the plan has the ShardHook sees at most Workers distinct worlds; and
 // once Run returns the engine holds on to exactly one of them —
 // Result.World, the world that ran the first shard. The others (with

@@ -14,6 +14,7 @@ import (
 	"repro/internal/capture"
 	"repro/internal/netsim"
 	"repro/internal/packet"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/traceroute"
 )
@@ -63,29 +64,46 @@ func runOn(ex *Executor, i int) (shardOutput, error) {
 
 // freshOracle answers "what does this shard produce on a world
 // instantiated for it alone" — ExecuteShard's one-shot executor —
-// caching per shard.
+// caching per shard. It answers from a blueprint of its own whose spare
+// it has discarded, so every answer comes from an instantiation; bp,
+// the blueprint the executors under test share, keeps its spare for the
+// first of them.
 type freshOracle struct {
 	t      testing.TB
 	cfg    Config
 	bp     *topology.Blueprint
+	own    *topology.Blueprint
 	shards []ShardInfo
 	want   map[int]shardOutput
 }
 
 func newFreshOracle(t testing.TB, cfg Config) *freshOracle {
 	t.Helper()
-	bp, err := cfg.CompileBlueprint()
-	if err != nil {
-		t.Fatal(err)
+	var bps [2]*topology.Blueprint
+	for i := range bps {
+		bp, err := cfg.CompileBlueprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bps[i] = bp
 	}
-	return &freshOracle{t: t, cfg: cfg, bp: bp, shards: cfg.Shards(), want: make(map[int]shardOutput)}
+	if bps[1].TakeSpare(cfg.Seed, cfg.Scheduler, cfg.XTraffic) == nil {
+		t.Fatal("the oracle's blueprint kept no spare")
+	}
+	return &freshOracle{t: t, cfg: cfg, bp: bps[0], own: bps[1], shards: cfg.Shards(), want: make(map[int]shardOutput)}
+}
+
+// spareTaken reports whether an executor has adopted bp's spare — and
+// takes it if none has.
+func (o *freshOracle) spareTaken() bool {
+	return o.bp.TakeSpare(o.cfg.Seed, o.cfg.Scheduler, o.cfg.XTraffic) == nil
 }
 
 func (o *freshOracle) output(i int) shardOutput {
 	if out, ok := o.want[i]; ok {
 		return out
 	}
-	out, err := runOn(NewExecutor(o.cfg, o.bp), i)
+	out, err := runOn(NewExecutor(o.cfg, o.own), i)
 	if err != nil {
 		o.t.Fatal(err)
 	}
@@ -104,10 +122,12 @@ func (o *freshOracle) output(i int) shardOutput {
 // slice and twice in a row on the same world (its vantage's mux, its
 // recycled sessions and the world's sweep shell all warm by then); the
 // rest come from testing/quick (repeats and sweep/non-sweep slices of
-// one vantage back to back included). The grid is every scenario × both
-// schedulers × both cross-traffic drives, with DNS discovery on, whose
-// zone cursors are exactly the kind of state a careless Reset would
-// leak.
+// one vantage back to back included). The fixed sequence's executor is
+// the first on its blueprint, so its first world is the one compiling
+// built, adopted; the quick ones instantiate theirs. The grid is every
+// scenario × both schedulers × both cross-traffic drives, with DNS
+// discovery on, whose zone cursors are exactly the kind of state a
+// careless Reset would leak.
 func TestExecutorOrderInvariance(t *testing.T) {
 	for _, scenario := range Scenarios() {
 		for _, sched := range []netsim.Scheduler{netsim.SchedWheel, netsim.SchedHeap} {
@@ -151,6 +171,9 @@ func TestExecutorOrderInvariance(t *testing.T) {
 					}
 					if !runSequence([]int{0, 6, 2, 1, 6, 6, 0}) {
 						return
+					}
+					if !oracle.spareTaken() {
+						t.Fatal("the first executor did not adopt the blueprint's spare")
 					}
 
 					// quick supplies the seed; the sequence — two to five
@@ -352,4 +375,52 @@ func TestExecutorsConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSpareAdoptedOnce: four executors start on one blueprint at the
+// same instant. Exactly one adopts the world compiling built — counted
+// as a reset — while the other three instantiate theirs, cloning the
+// DNS directory template as the adopted world resets and serves its
+// own; every shard still matches the fresh-world oracle. Run it under
+// -race: a spare handed out twice is two executors on one simulation.
+func TestSpareAdoptedOnce(t *testing.T) {
+	cfg := testConfig()
+	cfg.Traces = 1
+	cfg.Discover = true
+	cfg.DiscoveryRounds = 2
+	oracle := newFreshOracle(t, cfg)
+	const executors = 4
+	for i := 0; i < executors; i++ {
+		oracle.output(i)
+	}
+	reg := telemetry.NewRegistry()
+	cfg.Metrics = NewMetrics(reg)
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < executors; g++ {
+		ex := NewExecutor(cfg, oracle.bp)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got, err := runOn(ex, g)
+			if err != nil {
+				t.Errorf("executor %d: %v", g, err)
+			} else if !got.equal(oracle.want[g]) {
+				t.Errorf("executor %d: shard %d differs from a fresh world", g, g)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	built := counterValue(t, reg, "repro_sim_worlds_total", telemetry.Label{Name: "op", Value: "instantiate"})
+	adopted := counterValue(t, reg, "repro_sim_worlds_total", telemetry.Label{Name: "op", Value: "reset"})
+	if adopted != 1 || built != executors-1 {
+		t.Errorf("worlds: %d adopted and %d instantiated, want 1 and %d", adopted, built, executors-1)
+	}
+	if !oracle.spareTaken() {
+		t.Error("the spare is still on the blueprint")
+	}
 }

@@ -136,8 +136,9 @@ func (m *Metrics) shardStarted() {
 }
 
 // worldAcquired accounts how a shard got its world: the executor's
-// previous world reset, or a new one instantiated from the blueprint.
-// It runs before the shard's simulation starts.
+// previous world reset (the blueprint's adopted spare included), or a
+// new one instantiated from the blueprint. It runs before the shard's
+// simulation starts.
 func (m *Metrics) worldAcquired(reset bool) {
 	switch {
 	case m == nil:

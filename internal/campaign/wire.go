@@ -153,27 +153,30 @@ func (w *ShardResultWire) Header() ShardHeader {
 
 // CompileBlueprint compiles the campaign's frozen world blueprint —
 // the same compile-once artifact Run shares across its shard pool. A
-// worker compiles it once per job and instantiates it into every
-// leased shard's private simulation.
+// worker compiles it once per job. The world compiling builds is made
+// on the campaign's scheduler and cross-traffic drive, so the first
+// executor adopts it (Executor.acquire) and only later ones instantiate.
 func (cfg Config) CompileBlueprint() (*topology.Blueprint, error) {
 	topo, err := cfg.topologyConfig()
 	if err != nil {
 		return nil, err
 	}
-	return topology.Compile(topo, cfg.Seed)
+	return topology.CompileFor(topo, cfg.Seed, cfg.Scheduler, cfg.XTraffic)
 }
 
 // ExecuteShard executes exactly one (vantage-index, slice) shard of
 // the campaign plan against a pre-compiled blueprint and returns its
 // wire-form result. It runs the identical code path Run's worker pool
 // uses (Executor.runShard: reseeded, transient-reset, epoch-pinned
-// per-trace contexts) on a world instantiated for this one call, so the
-// returned traces are byte-identical to the same shard executed
-// in-process — the property that makes cross-machine merges exact —
-// and it is the fresh-world oracle every reused-world sequence is
-// tested against. A caller with many shards of one job to run keeps an
-// Executor instead. SpecHash is left empty; the uploading caller stamps
-// the hash of the spec it derived cfg from.
+// per-trace contexts) on a world that ran nothing before — the
+// blueprint's spare if no executor has taken it, else a fresh
+// instantiation, which are the same state — so the returned traces are
+// byte-identical to the same shard executed in-process (the property
+// that makes cross-machine merges exact), and it is the fresh-world
+// oracle every reused-world sequence is tested against. A caller with
+// many shards of one job to run keeps an Executor instead. SpecHash is
+// left empty; the uploading caller stamps the hash of the spec it
+// derived cfg from.
 func ExecuteShard(cfg Config, bp *topology.Blueprint, shard, slice int) (*ShardResultWire, error) {
 	return NewExecutor(cfg, bp).Execute(shard, slice)
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/tcpsim"
 )
 
-// Probe shells (getRun) are recycled per client stack. finish() reports
+// Probe shells (getRun) are recycled per simulation. finish() reports
 // the result but tcpsim may still deliver callbacks to the shell, so it
 // is released later; each test here fails on a pool that releases at
 // finish().
@@ -122,7 +122,7 @@ func TestLargeBodiesUnderLossAfterReuse(t *testing.T) {
 	}
 }
 
-// checkShellsScrubbed: every shell is back on the stack's free list, at
+// checkShellsScrubbed: every shell is back on the simulation's free list, at
 // most max of them were ever needed, and none keeps a reference a stale
 // callback could use.
 func checkShellsScrubbed(t *testing.T, stack *tcpsim.Stack, max int) {

@@ -25,21 +25,24 @@ func Serve(stack *tcpsim.Stack, port uint16, ecnCapable bool, handler Handler) (
 	})
 }
 
-// shells is a stack's two free lists: probe shells for Get, and
-// per-connection shells for Serve. It lives in the stack's UserData, so
-// it is as single-goroutine as the stack, is created by the first probe
-// or connection rather than with the world, and hands shells out in an
-// order as deterministic as the simulation.
+// shells is one simulation's two free lists: probe shells for Get, and
+// per-connection shells for Serve. It lives in the simulation's
+// tcpsim.Pool, beside the connection shells, so every stack on the
+// simulator shares it: it is as single-goroutine as the simulation, is
+// created by the first probe or connection rather than with the world,
+// holds as many shells as there are exchanges at once, and hands them
+// out in an order as deterministic as the simulation.
 type shells struct {
 	gets   *getRun
 	serves *serverConn
 }
 
 func shellsOf(stack *tcpsim.Stack) *shells {
-	sh, _ := stack.UserData.(*shells)
+	p := stack.Pool()
+	sh, _ := p.UserData.(*shells)
 	if sh == nil {
 		sh = new(shells)
-		stack.UserData = sh
+		p.UserData = sh
 	}
 	return sh
 }
@@ -182,7 +185,7 @@ func GetWithConfig(stack *tcpsim.Stack, dst packet.Addr, port uint16, path strin
 // result but is not where the shell is released: tcpsim may still hold
 // its callbacks — the dial of an unanswered SYN outlives the 90 s
 // deadline by 37 s, and a connection delivers data until it closes. The
-// shell goes back to its stack's free list in the last callback tcpsim
+// shell goes back to the free list in the last callback tcpsim
 // can deliver: onDial with an error or after the deadline, otherwise
 // onConnClose.
 type getRun struct {
@@ -207,7 +210,7 @@ type getRun struct {
 	onCloseFn    func(error)
 }
 
-// release scrubs the shell and returns it to its stack's free list.
+// release scrubs the shell and returns it to its simulation's free list.
 // Callers must not touch g afterwards.
 func (g *getRun) release() {
 	sh := g.pool

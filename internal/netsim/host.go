@@ -58,9 +58,9 @@ type Host struct {
 	// reset returns the host to.
 	base hostBaseline
 	// UserData belongs to the protocol layer that probes from this host:
-	// ntp keeps its recycled probe shells here, as httpmin keeps its
-	// shells on tcpsim.Stack.UserData. Capacity, not state: reset leaves
-	// it alone.
+	// ntp keeps its recycled probe shells here, as tcpsim and httpmin
+	// keep theirs on the simulator (Sim.UserData). Capacity, not state:
+	// reset leaves it alone.
 	UserData any
 
 	// RespondPortUnreachable controls whether UDP datagrams to unbound

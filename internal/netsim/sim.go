@@ -122,6 +122,11 @@ type Sim struct {
 	// sentinel numbers the lazy drive's foreground-finish events out of
 	// band (see sentinelSeq).
 	sentinel uint64
+
+	// UserData belongs to the protocol layers above: tcpsim keeps the
+	// simulation's connection-shell pool here, shared by every stack on
+	// the simulator. Capacity, not state: Reset leaves it alone.
+	UserData any
 }
 
 // NewSim returns a simulator whose randomness derives from seed, using

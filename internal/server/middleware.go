@@ -1,6 +1,7 @@
 package server
 
 import (
+	"io"
 	"log/slog"
 	"net/http"
 	"time"
@@ -16,6 +17,17 @@ type statusRecorder struct {
 func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
 	r.ResponseWriter.WriteHeader(code)
+}
+
+// ReadFrom hands src to the underlying writer's ReadFrom — net/http's
+// copies through a pooled buffer, and sends an *os.File with sendfile —
+// which a plain embedding would hide. Without it an io.Copy through the
+// recorder allocates a 32 KB buffer per response.
+func (r *statusRecorder) ReadFrom(src io.Reader) (int64, error) {
+	if rf, ok := r.ResponseWriter.(io.ReaderFrom); ok {
+		return rf.ReadFrom(src)
+	}
+	return io.Copy(r.ResponseWriter, src)
 }
 
 func codeClass(status int) string {

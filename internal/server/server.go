@@ -548,7 +548,15 @@ func (s *Server) serveDataset(w http.ResponseWriter, key string) {
 	defer rc.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-	_, _ = io.Copy(w, rc) // client disconnects are not server errors
+	// The file goes straight to the writer's ReadFrom: io.Copy would ask
+	// the *os.File's WriteTo first, which falls back to a fresh 32 KB
+	// buffer for a writer that is not a socket. Client disconnects are
+	// not server errors.
+	if rf, ok := w.(io.ReaderFrom); ok {
+		_, _ = rf.ReadFrom(rc)
+	} else {
+		_, _ = io.Copy(w, rc)
+	}
 }
 
 // ClaimRequest is POST /v1/jobs/{id}/shards/claim's body.

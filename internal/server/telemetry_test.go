@@ -64,9 +64,10 @@ func TestMetricsEndpoints(t *testing.T) {
 	}
 }
 
-// TestWorldReuseMetrics: a local job instantiates one world per engine
-// worker and resets it for every further shard, and /v1/metrics says
-// so — 52 shards on 2 workers are 2 instantiations and 50 resets.
+// TestWorldReuseMetrics: a local job holds one world per engine worker
+// and resets it for every shard — the first worker's is the world
+// compiling built, adopted rather than instantiated — and /v1/metrics
+// says so: 52 shards on 2 workers are 1 instantiation and 51 resets.
 func TestWorldReuseMetrics(t *testing.T) {
 	_, ts := newTestServer(t)
 	_, view := submit(t, ts, `{"spec": 1, "scale": "small", "traces": 4, "seed": 2015, "stride": 0,
@@ -78,8 +79,8 @@ func TestWorldReuseMetrics(t *testing.T) {
 	_, body := get(t, ts, "/v1/metrics")
 	for _, want := range []string{
 		"# TYPE repro_sim_worlds_total counter",
-		`repro_sim_worlds_total{op="instantiate"} 2`,
-		`repro_sim_worlds_total{op="reset"} 50`,
+		`repro_sim_worlds_total{op="instantiate"} 1`,
+		`repro_sim_worlds_total{op="reset"} 51`,
 	} {
 		if !strings.Contains(string(body), want+"\n") {
 			t.Errorf("/v1/metrics missing %q", want)

@@ -118,7 +118,7 @@ type Conn struct {
 	onData  func([]byte)
 	onClose func(error)
 
-	// nextFree links released shells on the stack's free list.
+	// nextFree links released shells on the pool's free list.
 	nextFree *Conn
 
 	// Telemetry.
@@ -147,16 +147,14 @@ const initialCwnd = 10 * MSS
 const minCwnd = 2 * MSS
 
 // newConn is the one connection constructor: it takes a shell from the
-// stack's free list (or makes one, binding its timer callback) and
+// simulation's pool (or makes one, binding its timer callback) and
 // resets everything but that callback and the capacity of sendBuf and
-// rtxQueue. The free list fills as connections close, never ahead of
-// time, and belongs to one single-goroutine stack, so reuse order — and
-// with it allocation — is as deterministic as the simulation.
+// rtxQueue.
 func newConn(s *Stack, key connKey, st state) *Conn {
 	iss := s.host.Sim().RNG().Uint32()
-	c := s.free
+	c := s.pool.free
 	if c != nil {
-		s.free = c.nextFree
+		s.pool.free = c.nextFree
 		*c = Conn{timerFn: c.timerFn, sendBuf: c.sendBuf[:0], rtxQueue: c.rtxQueue[:0]}
 	} else {
 		c = new(Conn)
@@ -177,7 +175,7 @@ func newConn(s *Stack, key connKey, st state) *Conn {
 	return c
 }
 
-// release returns a closed connection's shell to its stack. It is the
+// release returns a closed connection's shell to the pool. It is the
 // last act of teardown, after the application's final callback has
 // returned: nothing the stack still holds (demux entry, timer) can reach
 // the shell again. The references are scrubbed so that a stale holder
@@ -191,8 +189,8 @@ func (c *Conn) release() {
 	c.dialDone = nil
 	c.onData = nil
 	c.onClose = nil
-	c.nextFree = s.free
-	s.free = c
+	c.nextFree = s.pool.free
+	s.pool.free = c
 }
 
 // --- Public API ---------------------------------------------------------

@@ -2,21 +2,23 @@ package tcpsim
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/middlebox"
 )
 
-// Connection shells are recycled through Stack.free; these tests pin
-// what survives reuse and when a shell may be handed out again.
+// Connection shells are recycled through the simulation's Pool, which
+// every stack on the simulator shares; these tests pin what survives
+// reuse and when a shell may be handed out again.
 
-// freeShells walks a stack's free list.
-func freeShells(t *testing.T, s *Stack) []*Conn {
+// freeShells walks a pool's free list.
+func freeShells(t *testing.T, p *Pool) []*Conn {
 	t.Helper()
 	var out []*Conn
 	seen := map[*Conn]bool{}
-	for c := s.free; c != nil; c = c.nextFree {
+	for c := p.free; c != nil; c = c.nextFree {
 		if seen[c] {
 			t.Fatal("shell is on the free list twice")
 		}
@@ -26,10 +28,24 @@ func freeShells(t *testing.T, s *Stack) []*Conn {
 	return out
 }
 
+// holdsExactly reports whether shells are exactly want, in any order.
+func holdsExactly(shells []*Conn, want ...*Conn) bool {
+	if len(shells) != len(want) {
+		return false
+	}
+	for _, w := range want {
+		if !slices.Contains(shells, w) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestReusedConnStartsClean dirties every piece of per-connection state
 // (CE marks, ECE echoes, window reductions, retransmissions, backed-off
-// RTO, callbacks, listener) and checks the next connection on each stack
-// sees none of it.
+// RTO, callbacks, listener) and checks the next connection on each end
+// sees none of it — whichever of the two shells it is handed: the
+// stacks share one pool.
 func TestReusedConnStartsClean(t *testing.T) {
 	f := newFixture(t, 40)
 	marker := &middlebox.CEMarker{Probability: 1}
@@ -55,8 +71,11 @@ func TestReusedConnStartsClean(t *testing.T) {
 		server.ECESeen == 0 || server.CWRSent == 0 || server.CwndReductions == 0 || server.cwnd == initialCwnd {
 		t.Fatal("first connection left nothing to clean")
 	}
-	if cf, sf := freeShells(t, f.cs), freeShells(t, f.ss); len(cf) != 1 || cf[0] != client || len(sf) != 1 || sf[0] != server {
-		t.Fatalf("closed connections not on their stacks' free lists: %d client, %d server", len(cf), len(sf))
+	if free := freeShells(t, f.cs.Pool()); !holdsExactly(free, client, server) {
+		t.Fatalf("closed connections not on the pool's free list: %d shells", len(free))
+	}
+	if f.ss.Pool() != f.cs.Pool() {
+		t.Fatal("two stacks on one simulator have separate pools")
 	}
 	// Released shells are scrubbed: a stale holder hits nil, not the
 	// next connection's state.
@@ -70,11 +89,16 @@ func TestReusedConnStartsClean(t *testing.T) {
 	var accepted *Conn
 	f.ss.listeners[80].accept = func(c *Conn) { accepted = c }
 	checked := false
+	dialing := f.cs.Pool().free // the shell Dial takes
+	other := client
+	if dialing == client {
+		other = server
+	}
 	f.cs.Dial(f.server.Addr(), 80, DialConfig{}, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatalf("second dial: %v", err)
 		}
-		if c != client || accepted != nil && accepted != server {
+		if c != dialing || accepted != nil && accepted != other {
 			t.Error("second connection did not reuse the shells")
 		}
 		checkClean(t, "client", c)
@@ -85,10 +109,10 @@ func TestReusedConnStartsClean(t *testing.T) {
 		c.Close()
 	})
 	// The SYN is on the wire: the shell was reset when Dial took it.
-	checkClean(t, "dialing", client)
+	checkClean(t, "dialing", dialing)
 	f.sim.Run()
-	if !checked || accepted != server {
-		t.Fatalf("second exchange: checked=%v accepted=%p want %p", checked, accepted, server)
+	if !checked || accepted != other {
+		t.Fatalf("second exchange: checked=%v accepted=%p want %p", checked, accepted, other)
 	}
 }
 
@@ -176,8 +200,8 @@ func TestSendBufReuseUnderLoss(t *testing.T) {
 	}
 	// A lossy close can outlive the next dial, so not every round finds a
 	// shell waiting — but most must.
-	if cf, sf := len(freeShells(t, f.cs)), len(freeShells(t, f.ss)); cf > rounds/2 || sf > rounds/2 {
-		t.Errorf("%d rounds used %d client and %d server shells: no reuse", rounds, cf, sf)
+	if n := len(freeShells(t, f.cs.Pool())); n > rounds {
+		t.Errorf("%d rounds of two connection ends used %d shells: no reuse", rounds, n)
 	}
 }
 
@@ -213,15 +237,15 @@ func TestAbortInCallbacksReleasesOnce(t *testing.T) {
 		if len(s.conns) != 0 {
 			t.Errorf("%s: %d connections leaked", name, len(s.conns))
 		}
-		if n := len(freeShells(t, s)); n != 2 {
-			t.Errorf("%s: %d shells on the free list, want 2", name, n)
-		}
+	}
+	if n := len(freeShells(t, f.cs.Pool())); n != 4 {
+		t.Errorf("%d shells on the free list, want 4", n)
 	}
 }
 
 // TestStackResetDropsOpenConns: Reset on stacks holding an established
 // connection empties the demux tables without running callbacks, puts
-// the shells on the free lists for the next dial, and leaves a stale
+// the shells on the pool for the next dial, and leaves a stale
 // holder with a CLOSED connection whose entry points are no-ops.
 func TestStackResetDropsOpenConns(t *testing.T) {
 	f := newFixture(t, 41)
@@ -251,8 +275,8 @@ func TestStackResetDropsOpenConns(t *testing.T) {
 	if len(f.cs.conns) != 0 || len(f.ss.conns) != 0 {
 		t.Errorf("demux tables hold %d and %d connections after Reset", len(f.cs.conns), len(f.ss.conns))
 	}
-	if cf, sf := freeShells(t, f.cs), freeShells(t, f.ss); len(cf) != 1 || cf[0] != client || len(sf) != 1 || sf[0] != server {
-		t.Errorf("dropped connections not on their stacks' free lists: %d client, %d server", len(cf), len(sf))
+	if free := freeShells(t, f.cs.Pool()); !holdsExactly(free, client, server) {
+		t.Errorf("dropped connections not on the pool's free list: %d shells", len(free))
 	}
 	if f.cs.SegmentsOut != 0 || f.ss.SegmentsIn != 0 || f.cs.ephemeral != 0 {
 		t.Error("counters or port cursor survived Reset")

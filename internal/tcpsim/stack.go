@@ -63,13 +63,9 @@ type Stack struct {
 	// listeners by local port.
 	listeners map[uint16]*Listener
 	ephemeral uint16
-	// free heads the list of closed connections' shells (linked through
-	// Conn.nextFree) that newConn reuses.
-	free *Conn
-	// UserData belongs to the layer above: httpmin keeps its own
-	// recycled per-probe and per-connection shells here, next to the
-	// connections they drive.
-	UserData any
+	// pool is the simulation's shell pool, shared with every other stack
+	// on the host's simulator.
+	pool *Pool
 
 	// TTL for outgoing segments (64 unless overridden).
 	TTL uint8
@@ -80,12 +76,39 @@ type Stack struct {
 	RSTsSent    uint64
 }
 
+// Pool is one simulation's recycled shells, shared by every stack on the
+// simulator (it lives in netsim.Sim.UserData). A simulation runs on one
+// goroutine, so its stacks can hand shells to each other: a world holds
+// as many connection shells as it has connections open at once, not one
+// or two per web server. The free list fills as connections close,
+// never ahead of time, so reuse order — and with it allocation — is as
+// deterministic as the simulation.
+type Pool struct {
+	// free heads the list of closed connections' shells (linked through
+	// Conn.nextFree) that newConn reuses.
+	free *Conn
+	// UserData belongs to the layer above: httpmin keeps its recycled
+	// probe and serve shells here, next to the connections they drive.
+	UserData any
+}
+
+// poolOf returns sim's shell pool, making it on first use.
+func poolOf(sim *netsim.Sim) *Pool {
+	p, _ := sim.UserData.(*Pool)
+	if p == nil {
+		p = new(Pool)
+		sim.UserData = p
+	}
+	return p
+}
+
 // NewStack attaches a TCP stack to a host.
 func NewStack(h *netsim.Host) *Stack {
 	s := &Stack{
 		host:      h,
 		conns:     make(map[connKey]*Conn),
 		listeners: make(map[uint16]*Listener),
+		pool:      poolOf(h.Sim()),
 		TTL:       64,
 	}
 	h.RegisterProto(packet.ProtoTCP, s.receive)
@@ -95,13 +118,20 @@ func NewStack(h *netsim.Host) *Stack {
 // Host returns the underlying simulated host.
 func (s *Stack) Host() *netsim.Host { return s.host }
 
+// Pool returns the shell pool the stack shares with every other stack on
+// its simulator.
+func (s *Stack) Pool() *Pool { return s.pool }
+
+// Conns reports how many connections the stack holds: every state from
+// SYN-SENT or SYN-RCVD until teardown.
+func (s *Stack) Conns() int { return len(s.conns) }
+
 // Reset returns the stack to its just-attached state: no connections,
 // the port cursor and every counter (its listeners' too) rewound.
 // Connections still in the demux table — a peer that went silent leaves
 // one behind with no timer to reap it — are dropped without callbacks,
-// their shells joining the free list: the simulator they would report
-// to has been reset under them. Listeners, TTL, the shell free list and
-// UserData (the layer above's free lists) stay.
+// their shells joining the pool: the simulator they would report to has
+// been reset under them. Listeners, TTL and the pool stay.
 func (s *Stack) Reset() {
 	for _, c := range s.conns {
 		c.st = stateClosed

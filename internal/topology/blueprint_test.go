@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -171,5 +172,57 @@ func TestBlueprintInstantiateFast(t *testing.T) {
 	after := sim.RNG().Uint64()
 	if before != after {
 		t.Error("Instantiate consumed simulator PRNG state")
+	}
+}
+
+// TestSpareSharesOnlyTheBlueprint: the world compiling built is handed
+// out once, and only to a caller whose simulator it was built for; it
+// shares exactly what an instantiated world shares with the blueprint —
+// routes, address index, geo and ASN databases — and owns its DNS
+// directory, as every instantiation's clone does.
+func TestSpareSharesOnlyTheBlueprint(t *testing.T) {
+	const seed = 7
+	bp, err := CompileFor(SmallConfig(), seed, netsim.SchedHeap, netsim.XTrafficEvents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mismatch := range []struct {
+		seed  int64
+		sched netsim.Scheduler
+		xt    netsim.XTrafficMode
+	}{
+		{seed + 1, netsim.SchedHeap, netsim.XTrafficEvents},
+		{seed, netsim.SchedWheel, netsim.XTrafficEvents},
+		{seed, netsim.SchedHeap, netsim.XTrafficLazy},
+	} {
+		if w := bp.TakeSpare(mismatch.seed, mismatch.sched, mismatch.xt); w != nil {
+			t.Fatalf("spare handed to a simulator it was not built for: %+v", mismatch)
+		}
+	}
+	spare := bp.TakeSpare(seed, netsim.SchedHeap, netsim.XTrafficEvents)
+	if spare == nil {
+		t.Fatal("no spare for the simulator it was built for")
+	}
+	if again := bp.TakeSpare(seed, netsim.SchedHeap, netsim.XTrafficEvents); again != nil {
+		t.Fatal("spare handed out twice")
+	}
+	fresh, err := bp.Instantiate(netsim.NewSimSched(seed, netsim.SchedHeap))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The forwarding rows and the address index are the frozen table's:
+	// the spare's own, which ImportRoutes hands every instantiation.
+	for _, field := range []string{"nextHop", "index"} {
+		routes := func(w *World) uintptr { return reflect.ValueOf(w.Net).Elem().FieldByName(field).Pointer() }
+		if routes(spare) != routes(fresh) {
+			t.Errorf("Network.%s: the spare's is not the blueprint's", field)
+		}
+	}
+	if spare.Geo != fresh.Geo || spare.ASN != fresh.ASN {
+		t.Error("the spare's geo or ASN database is not the blueprint's")
+	}
+	if spare.Directory == bp.shared.dir {
+		t.Error("the spare serves DNS from the blueprint's membership template: its rotation cursors are the template's")
 	}
 }

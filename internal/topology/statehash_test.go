@@ -48,10 +48,15 @@ var stateSkip = map[string]bool{
 	// ever grow, so stale Timer handles stay stale.
 	"netsim.Sim.slab": true,
 	"netsim.Sim.free": true,
-	// Capacity: recycled connection shells, and the layer above's
-	// (httpmin's probe and serve shells) on the same stack.
-	"tcpsim.Stack.free":     true,
-	"tcpsim.Stack.UserData": true,
+	// Capacity: the simulation's shell pool — recycled connection
+	// shells, and the layer above's (httpmin's probe and serve shells)
+	// beside them. Every stack on the simulator shares the pool, and
+	// newConn (httpmin's Get and serve likewise) rewrites a shell whole
+	// before anything reads it, so which shells wait there, and in what
+	// order, is no behaviour's input. The Pool itself is walked: each
+	// stack must point at its simulator's one pool.
+	"tcpsim.Pool.free":     true,
+	"tcpsim.Pool.UserData": true,
 	// Capacity: ntp's probe shells on the host, core's on the vantage.
 	"netsim.Host.UserData":      true,
 	"topology.Vantage.UserData": true,

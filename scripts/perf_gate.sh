@@ -26,15 +26,16 @@
 #     run a trace allocates nothing, or it is an instantiation in
 #     disguise);
 #   * campaign-level allocations above PERF_GATE_MAX_CAMPAIGN_ALLOCS
-#     (default 30600) per BenchmarkCampaignWorkers run — with probes,
+#     (default 23200) per BenchmarkCampaignWorkers run — with probes,
 #     connections, the HTTP codec and the traceroute sweep (recycled
 #     sessions, ICMP quotations read in place, one row slab per sweep)
-#     allocation-free in steady state and one world per worker reset
-#     between shards, a small campaign reads ~25.5k allocs (4 world
-#     instantiations, not 13, and each host's first exchange); the
-#     ceiling is that reading + 20 %, and keeps closure-per-probe,
-#     copy-per-ICMP, garbage-per-exchange and world-per-shard
-#     regressions out;
+#     allocation-free in steady state, one world per worker reset
+#     between shards — the first of them the world compiling built —
+#     and one shell pool per world, a small campaign reads ~19.3k allocs
+#     (3 world instantiations, not 13, and a shell per connection open
+#     at once, not per web server); the ceiling is that reading + 20 %,
+#     and keeps closure-per-probe, copy-per-ICMP, garbage-per-exchange,
+#     world-per-shard and shells-per-stack regressions out;
 #   * shard-result path allocations above their ceilings, each the
 #     reading taken when its path last changed + 20 % —
 #     BenchmarkPushShardResult (one small-world upload in steady state,
@@ -76,14 +77,14 @@
 #   PERF_GATE_BASE                base ref to compare against (default origin/main)
 #   PERF_GATE_COUNT               benchmark repetitions (default 5)
 #   PERF_GATE_MAX_REGRESSION_PCT  wall-clock slowdown tolerance (default 10)
-#   PERF_GATE_MAX_CAMPAIGN_ALLOCS campaign allocs/op ceiling (default 30600)
+#   PERF_GATE_MAX_CAMPAIGN_ALLOCS campaign allocs/op ceiling (default 23200)
 #   PERF_GATE_MAX_TELEMETRY_PCT   instrumented-campaign overhead tolerance (default 2)
 set -euo pipefail
 
 BASE_REF="${PERF_GATE_BASE:-origin/main}"
 COUNT="${PERF_GATE_COUNT:-5}"
 MAX_PCT="${PERF_GATE_MAX_REGRESSION_PCT:-10}"
-MAX_CAMPAIGN_ALLOCS="${PERF_GATE_MAX_CAMPAIGN_ALLOCS:-30600}"
+MAX_CAMPAIGN_ALLOCS="${PERF_GATE_MAX_CAMPAIGN_ALLOCS:-23200}"
 MAX_TELEMETRY_PCT="${PERF_GATE_MAX_TELEMETRY_PCT:-2}"
 # Shard-result path ceilings (each benchmark's reading when its path
 # last changed + 20 %): fixed.
