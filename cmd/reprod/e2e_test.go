@@ -31,10 +31,10 @@ import (
 
 	"repro/internal/apiclient"
 	"repro/internal/campaign"
-	"repro/internal/chaos"
 	"repro/internal/dataset"
 	"repro/internal/failpoint"
 	"repro/internal/worker"
+	"repro/internal/worker/chaos"
 	"repro/internal/worker/workertest"
 )
 

@@ -180,21 +180,19 @@ func ComputeFigure4(obs []traceroute.PathObservation, table *asn.Table) Figure4 
 // renderPath draws one path as G/R/. glyphs (preserved / modified /
 // silent), hop by hop.
 func renderPath(vantage string, target packet.Addr, hops []traceroute.PathObservation) string {
-	byTTL := map[int]traceroute.PathObservation{}
-	maxTTL := 0
+	byTTL := map[uint8]traceroute.PathObservation{}
+	var maxTTL uint8
 	for _, h := range hops {
 		if h.Responded {
 			if cur, ok := byTTL[h.TTL]; !ok || h.Attempt < cur.Attempt {
 				byTTL[h.TTL] = h
 			}
-			if h.TTL > maxTTL {
-				maxTTL = h.TTL
-			}
+			maxTTL = max(maxTTL, h.TTL)
 		}
 	}
 	var glyphs []byte
-	for ttl := 1; ttl <= maxTTL; ttl++ {
-		h, ok := byTTL[ttl]
+	for ttl := 1; ttl <= int(maxTTL); ttl++ { // an int: a uint8 would wrap past 255 and never stop
+		h, ok := byTTL[uint8(ttl)]
 		switch {
 		case !ok:
 			glyphs = append(glyphs, '.')

@@ -28,7 +28,7 @@ func synthPath(vantage string, target packet.Addr, hopAddrs []packet.Addr, strip
 			Vantage: vantage,
 			Target:  target,
 			Observation: traceroute.Observation{
-				TTL:        i + 1,
+				TTL:        uint8(i + 1),
 				Responded:  true,
 				Hop:        hop,
 				SentECN:    ecn.ECT0,

@@ -44,7 +44,7 @@ func testWire(shard, servers int) *campaign.ShardResultWire {
 		addr := packet.AddrFrom4(10, byte(shard), byte(i>>8), byte(i))
 		w.Servers = append(w.Servers, addr)
 		w.Traces[0].Observations = append(w.Traces[0].Observations,
-			dataset.Observation{Server: addr, UDPReachable: i%3 != 0, UDPAttempts: 1 + i%6, HTTPStatus: 200})
+			dataset.Observation{Server: addr, UDPReachable: i%3 != 0, UDPAttempts: uint8(1 + i%6), HTTPStatus: 200})
 	}
 	return w
 }

@@ -203,9 +203,9 @@ func randomWire(r *rand.Rand) *ShardResultWire {
 					tr.Observations[k] = dataset.Observation{
 						Server:       packet.AddrFromUint32(r.Uint32()),
 						UDPReachable: r.Intn(2) == 0, UDPECTReachable: r.Intn(2) == 0,
-						UDPAttempts: r.Intn(7), UDPECTAttempts: r.Intn(7) - 1,
+						UDPAttempts: uint8(r.Intn(7)), UDPECTAttempts: uint8(r.Intn(7) - 1), // -1 wraps to 255
 						TCPReachable: r.Intn(2) == 0, TCPECNReachable: r.Intn(2) == 0, TCPECN: r.Intn(2) == 0,
-						HTTPStatus: []int{0, 200, 302, -1}[r.Intn(4)],
+						HTTPStatus: []uint16{0, 200, 302, math.MaxUint16}[r.Intn(4)],
 					}
 				}
 			}
@@ -300,7 +300,7 @@ func TestEncodeScratchBounded(t *testing.T) {
 		obs := make([]dataset.Observation, 2500)
 		for k := range obs {
 			obs[k] = dataset.Observation{Server: packet.AddrFromUint32(r.Uint32()), UDPReachable: true,
-				UDPECTReachable: true, UDPAttempts: 1 + r.Intn(6), UDPECTAttempts: 1, TCPReachable: true, HTTPStatus: 302}
+				UDPECTReachable: true, UDPAttempts: uint8(1 + r.Intn(6)), UDPECTAttempts: 1, TCPReachable: true, HTTPStatus: 302}
 		}
 		w.Traces[i] = dataset.Trace{Vantage: w.Vantage, Batch: 1, Index: i, Started: time.Duration(i) * time.Hour, Observations: obs}
 	}

@@ -77,14 +77,14 @@ type serverProbe struct {
 
 func (p *serverProbe) ntp1(r ntp.ProbeResult) {
 	p.obs.UDPReachable = r.Reachable
-	p.obs.UDPAttempts = r.Attempts
+	p.obs.UDPAttempts = uint8(r.Attempts) // ≤ 255: ntp.ProbeConfig bounds the budget
 	// Measurement 2: NTP over ECT(0)-marked UDP.
 	ntp.Probe(p.v.Host, p.obs.Server, ntp.ProbeConfig{ECN: ecn.ECT0}, p.onNTP2)
 }
 
 func (p *serverProbe) ntp2(r ntp.ProbeResult) {
 	p.obs.UDPECTReachable = r.Reachable
-	p.obs.UDPECTAttempts = r.Attempts
+	p.obs.UDPECTAttempts = uint8(r.Attempts)
 	// Measurement 3: HTTP GET without ECN.
 	httpmin.Get(p.v.Stack, p.obs.Server, httpmin.Port, "/", false, p.onGet3)
 }
@@ -92,7 +92,7 @@ func (p *serverProbe) ntp2(r ntp.ProbeResult) {
 func (p *serverProbe) get3(r httpmin.GetResult) {
 	p.obs.TCPReachable = r.Err == nil && r.Response != nil
 	if r.Response != nil {
-		p.obs.HTTPStatus = r.Response.StatusCode
+		p.obs.HTTPStatus = uint16(r.Response.StatusCode) // three digits: httpmin refuses any other
 	}
 	// Measurement 4: HTTP GET with an ECN-setup SYN.
 	httpmin.Get(p.v.Stack, p.obs.Server, httpmin.Port, "/", true, p.onGet4)
@@ -253,8 +253,8 @@ func RunTracerouteCampaign(w *topology.World, cfg TracerouteCampaignConfig, done
 	sw.nextVantage()
 }
 
-// stagingChunk is the sweep's staging granule in rows (64 KiB): a
-// paper-scale vantage sweep stages about ten of them.
+// stagingChunk is the sweep's staging granule in rows (48 KiB of
+// 48-byte rows): a paper-scale vantage sweep stages about ten of them.
 const stagingChunk = 1024
 
 // sweep is one traceroute campaign's iteration state.

@@ -72,7 +72,7 @@ func TestProbeServerAllocFree(t *testing.T) {
 	if target == nil {
 		t.Fatal("no suitable server")
 	}
-	status := 0
+	var status uint16
 	done := func(o dataset.Observation) { status = o.HTTPStatus }
 	run := func() {
 		status = 0

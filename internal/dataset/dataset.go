@@ -20,22 +20,30 @@ import (
 
 // Observation is the outcome of the four measurements against one server
 // within one trace (Section 3 of the paper).
+//
+// Each field is as wide as the values it can take and no wider: a
+// campaign holds one row per server per trace (≈ 195 k at paper scale),
+// so the row is 14 bytes, and one added int would cost 195 k × 8 B
+// (TestObservationWidth). The probes bound every value where it is
+// produced, and the decoders refuse what does not fit. The declaration
+// order is the JSON key order, which the hand-written codec shares.
 type Observation struct {
 	Server packet.Addr `json:"server"`
 
 	// UDP (NTP) reachability with not-ECT and ECT(0) marked requests.
 	UDPReachable    bool `json:"udp"`
 	UDPECTReachable bool `json:"udp_ect"`
-	// Attempts used (≤ 6: one initial + up to five retransmissions).
-	UDPAttempts    int `json:"udp_attempts,omitempty"`
-	UDPECTAttempts int `json:"udp_ect_attempts,omitempty"`
+	// Attempts used (≤ 6: one initial + up to five retransmissions;
+	// ntp.ProbeConfig bounds any budget to 255).
+	UDPAttempts    uint8 `json:"udp_attempts,omitempty"`
+	UDPECTAttempts uint8 `json:"udp_ect_attempts,omitempty"`
 
 	// TCP (HTTP) reachability without ECN, and ECN negotiation outcome
 	// when requested with an ECN-setup SYN.
-	TCPReachable    bool `json:"tcp"`
-	TCPECNReachable bool `json:"tcp_ecn"`        // reachable when ECN requested
-	TCPECN          bool `json:"tcp_ecn_nego"`   // ECN-setup SYN-ACK received
-	HTTPStatus      int  `json:"http,omitempty"` // status code without ECN
+	TCPReachable    bool   `json:"tcp"`
+	TCPECNReachable bool   `json:"tcp_ecn"`        // reachable when ECN requested
+	TCPECN          bool   `json:"tcp_ecn_nego"`   // ECN-setup SYN-ACK received
+	HTTPStatus      uint16 `json:"http,omitempty"` // status code without ECN (three digits)
 }
 
 // Trace is one pass over the full server list from one vantage point.

@@ -16,12 +16,12 @@ func (Observation) Generate(r *rand.Rand, size int) reflect.Value {
 		Server:          packet.AddrFromUint32(r.Uint32()),
 		UDPReachable:    r.Intn(2) == 0,
 		UDPECTReachable: r.Intn(2) == 0,
-		UDPAttempts:     r.Intn(7),
-		UDPECTAttempts:  r.Intn(7),
+		UDPAttempts:     uint8(r.Intn(7)),
+		UDPECTAttempts:  uint8(r.Intn(7)),
 		TCPReachable:    r.Intn(2) == 0,
 		TCPECNReachable: r.Intn(2) == 0,
 		TCPECN:          r.Intn(2) == 0,
-		HTTPStatus:      []int{0, 200, 302, 404}[r.Intn(4)],
+		HTTPStatus:      []uint16{0, 200, 302, 404}[r.Intn(4)],
 	}
 	return reflect.ValueOf(o)
 }

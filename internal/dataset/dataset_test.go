@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/packet"
 )
@@ -24,6 +25,16 @@ func sampleDataset() *Dataset {
 			},
 		},
 	}}
+}
+
+// TestObservationWidth pins the row's size. A paper-scale campaign holds
+// ≈ 195 k of them, each copied from probe to trace to merge, so one
+// added int costs 195 k × 8 B per copy: widen a field on purpose, and
+// re-pin it here.
+func TestObservationWidth(t *testing.T) {
+	if got := unsafe.Sizeof(Observation{}); got != 14 {
+		t.Errorf("dataset.Observation is %d bytes, want 14", got)
+	}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {

@@ -38,10 +38,11 @@ const obsOpen = `{"server":"`
 // parseCanonical decodes data into t if data is byte for byte what
 // Encoder.Trace writes for some trace with a plain vantage name (no
 // whitespace, keys in schema order, zero omitempty fields absent,
-// integers as strconv prints them), and otherwise reports false with t
-// untouched. Accepting only that form is what makes the fast path
-// safe to reason about: an accepted input re-encodes to itself, so it
-// has exactly one reading.
+// integers as strconv prints them and within their fields' ranges —
+// udp_attempts and udp_ect_attempts 1..255, http 1..65535), and
+// otherwise reports false with t untouched. Accepting only that form is
+// what makes the fast path safe to reason about: an accepted input
+// re-encodes to itself, so it has exactly one reading.
 func (t *Trace) parseCanonical(data []byte) bool { return canonicalTrace(data, t) }
 
 // scanTrace reports whether parseCanonical would accept data, decoding
@@ -87,7 +88,7 @@ func canonicalTrace(data []byte, t *Trace) bool {
 	case p.lit("["):
 		// Counted first, allocated once. The count is a claim until
 		// the loop below has parsed that many observations and found
-		// the bracket; it reserves 40 bytes per 11 of input at worst.
+		// the bracket; it reserves 14 bytes per 11 of input at worst.
 		n := bytes.Count(p.b[p.i:], []byte(obsOpen))
 		var scratch Observation
 		if t != nil {
@@ -179,14 +180,16 @@ func (p *strictParser) int() (int64, bool) {
 	return int64(u), true
 }
 
-// nonzeroInt consumes the value of an omitempty int field: the encoder
-// omits a zero one, so a written zero is not canonical.
-func (p *strictParser) nonzeroInt(dst *int) bool {
+// nonzeroUint consumes the value of an omitempty unsigned field into
+// dst: 1 up to the largest value a T holds. The encoder omits a zero,
+// so a written zero is not canonical; a value the field cannot hold is
+// refused, as encoding/json refuses it, never truncated.
+func nonzeroUint[T uint8 | uint16](p *strictParser, dst *T) bool {
 	n, ok := p.int()
-	if !ok || n == 0 || int64(int(n)) != n {
+	if !ok || n < 1 || uint64(n) > uint64(^T(0)) {
 		return false
 	}
-	*dst = int(n)
+	*dst = T(n)
 	return true
 }
 
@@ -236,10 +239,10 @@ func (p *strictParser) observation(o *Observation) bool {
 		!p.lit(`,"udp_ect":`) || !p.boolean(&o.UDPECTReachable) {
 		return false
 	}
-	if p.lit(`,"udp_attempts":`) && !p.nonzeroInt(&o.UDPAttempts) {
+	if p.lit(`,"udp_attempts":`) && !nonzeroUint(p, &o.UDPAttempts) {
 		return false
 	}
-	if p.lit(`,"udp_ect_attempts":`) && !p.nonzeroInt(&o.UDPECTAttempts) {
+	if p.lit(`,"udp_ect_attempts":`) && !nonzeroUint(p, &o.UDPECTAttempts) {
 		return false
 	}
 	if !p.lit(`,"tcp":`) || !p.boolean(&o.TCPReachable) ||
@@ -247,7 +250,7 @@ func (p *strictParser) observation(o *Observation) bool {
 		!p.lit(`,"tcp_ecn_nego":`) || !p.boolean(&o.TCPECN) {
 		return false
 	}
-	if p.lit(`,"http":`) && !p.nonzeroInt(&o.HTTPStatus) {
+	if p.lit(`,"http":`) && !nonzeroUint(p, &o.HTTPStatus) {
 		return false
 	}
 	return p.lit("}")

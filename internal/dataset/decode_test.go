@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -90,7 +91,7 @@ func decodeSeeds() [][]byte {
 	full := Observation{Server: packet.AddrFrom4(255, 255, 255, 255), UDPReachable: true, UDPECTReachable: true,
 		UDPAttempts: 6, UDPECTAttempts: 6, TCPReachable: true, TCPECNReachable: true, TCPECN: true, HTTPStatus: 302}
 	sample := Trace{Vantage: "Glasgow (wired)", Batch: 2, Index: 77, Started: 36 * time.Hour,
-		Observations: []Observation{{}, full, {Server: packet.AddrFrom4(10, 0, 0, 1), UDPAttempts: -1, HTTPStatus: -404}}}
+		Observations: []Observation{{}, full, {Server: packet.AddrFrom4(10, 0, 0, 1), UDPAttempts: math.MaxUint8, HTTPStatus: math.MaxUint16}}}
 	canonical := string(traceValue(&sample))
 	one := `{"vantage":"v","batch":1,"index":0,"started":0,"observations":[{"server":"10.0.0.1","udp":true,"udp_ect":false,"udp_attempts":1,"tcp":true,"tcp_ecn":true,"tcp_ecn_nego":false,"http":200}]}`
 
@@ -161,6 +162,16 @@ func decodeSeeds() [][]byte {
 		strings.Replace(one, `[{`, `[,{`, 1),
 		``,
 	}
+	// Each narrowed field at, inside and past the edges of its range: the
+	// fast path takes 1..255 and 1..65535 and refuses the rest, which
+	// encoding/json refuses too (a uint8 or uint16 holds no -1 or 256).
+	bothCounts := strings.Replace(one, `"udp_attempts":1`, `"udp_attempts":1,"udp_ect_attempts":1`, 1)
+	for _, field := range []string{`"udp_attempts":1`, `"udp_ect_attempts":1`, `"http":200`} {
+		key, _, _ := strings.Cut(field, ":")
+		for _, v := range []string{"-1", "0", "255", "256", "65535", "65536"} {
+			seeds = append(seeds, strings.Replace(bothCounts, field, key+":"+v, 1))
+		}
+	}
 	out := make([][]byte, len(seeds))
 	for i, s := range seeds {
 		out[i] = []byte(s)
@@ -177,6 +188,44 @@ func FuzzTraceUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodeMatchesReflective(t, data)
 	})
+}
+
+// TestRangesRefusedOnBothPaths: a count or status the row's field cannot
+// hold is an error from the fast path's grammar, from its count-only
+// form and from encoding/json alike — never a value truncated to fit —
+// and the largest value each field holds is accepted by all three.
+func TestRangesRefusedOnBothPaths(t *testing.T) {
+	const one = `{"vantage":"v","batch":1,"index":0,"started":0,"observations":[{"server":"10.0.0.1","udp":true,"udp_ect":true,` +
+		`"udp_attempts":%s,"udp_ect_attempts":%s,"tcp":true,"tcp_ecn":true,"tcp_ecn_nego":false,"http":%s}]}`
+	for _, c := range []struct {
+		udp, ect, http string
+		ok             bool
+	}{
+		{"255", "255", "65535", true},
+		{"1", "1", "1", true},
+		{"256", "1", "200", false},
+		{"-1", "1", "200", false},
+		{"1", "256", "200", false},
+		{"1", "-1", "200", false},
+		{"1", "1", "65536", false},
+		{"1", "1", "-404", false},
+		{"1", "1", "4294967496", false}, // 200 mod 2³²
+	} {
+		data := []byte(fmt.Sprintf(one, c.udp, c.ect, c.http))
+		var fast, reflective Trace
+		if got := fast.parseCanonical(data); got != c.ok {
+			t.Errorf("parseCanonical = %v, want %v\ninput %s", got, c.ok, data)
+		}
+		if got := scanTrace(data); got != c.ok {
+			t.Errorf("scanTrace = %v, want %v\ninput %s", got, c.ok, data)
+		}
+		if err := json.Unmarshal(data, (*traceJSON)(&reflective)); (err == nil) != c.ok {
+			t.Errorf("encoding/json error = %v, want ok = %v\ninput %s", err, c.ok, data)
+		}
+		if err := json.Unmarshal(data, new(Trace)); (err == nil) != c.ok {
+			t.Errorf("Trace decode error = %v, want ok = %v\ninput %s", err, c.ok, data)
+		}
+	}
 }
 
 // TestFastPathTakesWhatWeWrite: the strict parser itself — not the
@@ -226,7 +275,7 @@ func TestFastPathTakesWhatWeWrite(t *testing.T) {
 		{Batch: -1, Index: -1, Started: math.MaxInt64, Observations: []Observation{
 			{Server: packet.AddrFrom4(255, 255, 255, 255), UDPReachable: true, UDPECTReachable: true,
 				UDPAttempts: 6, UDPECTAttempts: 6, TCPReachable: true, TCPECNReachable: true, TCPECN: true, HTTPStatus: 302},
-			{Server: packet.AddrFrom4(0, 10, 100, 200), UDPAttempts: -1, UDPECTAttempts: math.MinInt64, HTTPStatus: math.MaxInt64},
+			{Server: packet.AddrFrom4(0, 10, 100, 200), UDPAttempts: math.MaxUint8, UDPECTAttempts: math.MaxUint8, HTTPStatus: math.MaxUint16},
 			{UDPECTAttempts: 1},
 		}},
 	}

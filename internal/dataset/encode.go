@@ -195,11 +195,11 @@ func appendObservation(b []byte, o *Observation) []byte {
 	b = strconv.AppendBool(b, o.UDPECTReachable)
 	if o.UDPAttempts != 0 {
 		b = append(b, `,"udp_attempts":`...)
-		b = strconv.AppendInt(b, int64(o.UDPAttempts), 10)
+		b = strconv.AppendUint(b, uint64(o.UDPAttempts), 10)
 	}
 	if o.UDPECTAttempts != 0 {
 		b = append(b, `,"udp_ect_attempts":`...)
-		b = strconv.AppendInt(b, int64(o.UDPECTAttempts), 10)
+		b = strconv.AppendUint(b, uint64(o.UDPECTAttempts), 10)
 	}
 	b = append(b, `,"tcp":`...)
 	b = strconv.AppendBool(b, o.TCPReachable)
@@ -209,7 +209,7 @@ func appendObservation(b []byte, o *Observation) []byte {
 	b = strconv.AppendBool(b, o.TCPECN)
 	if o.HTTPStatus != 0 {
 		b = append(b, `,"http":`...)
-		b = strconv.AppendInt(b, int64(o.HTTPStatus), 10)
+		b = strconv.AppendUint(b, uint64(o.HTTPStatus), 10)
 	}
 	return append(b, '}')
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -61,7 +62,7 @@ func TestAppendTraceMatchesJSON(t *testing.T) {
 		{Server: packet.AddrFrom4(255, 255, 255, 255), UDPReachable: true, UDPECTReachable: true,
 			UDPAttempts: 6, UDPECTAttempts: 6, TCPReachable: true, TCPECNReachable: true,
 			TCPECN: true, HTTPStatus: 302},
-		{Server: packet.AddrFrom4(10, 0, 0, 1), UDPAttempts: -1, HTTPStatus: -404},
+		{Server: packet.AddrFrom4(10, 0, 0, 1), UDPAttempts: math.MaxUint8, HTTPStatus: math.MaxUint16},
 	}
 	for _, vantage := range []string{
 		"", "Glasgow (wired)", `quote " backslash \`, "<script>&amp;</script>",
@@ -80,13 +81,13 @@ func TestAppendTraceMatchesJSON(t *testing.T) {
 // vantage string is the only field whose bytes reach the output
 // unvetted, the rest exercise sign, width and omitempty handling.
 func FuzzAppendTrace(f *testing.F) {
-	f.Add("Glasgow (wired)", 1, 0, int64(0), uint32(0x0a000001), uint8(0xff), 1, 1, 200, uint8(3))
-	f.Add("", 0, -1, int64(-1), uint32(0), uint8(0), 0, 0, 0, uint8(0))
-	f.Add("a\"b\\c<d>&e", 2, 77, int64(1<<62), uint32(0xffffffff), uint8(0xaa), 6, -6, 302, uint8(1))
-	f.Add("bad \xff utf8 \xe2\x82", -2, 1<<31-1, int64(-1<<63), uint32(0x7f000001), uint8(0x55), -1, 7, -1, uint8(2))
-	f.Add("ctl\x00\x1f\x7f \u2028 Zürich", 1, 1, int64(1), uint32(1), uint8(1), 0, 0, 404, uint8(0))
+	f.Add("Glasgow (wired)", 1, 0, int64(0), uint32(0x0a000001), uint8(0xff), uint8(1), uint8(1), uint16(200), uint8(3))
+	f.Add("", 0, -1, int64(-1), uint32(0), uint8(0), uint8(0), uint8(0), uint16(0), uint8(0))
+	f.Add("a\"b\\c<d>&e", 2, 77, int64(1<<62), uint32(0xffffffff), uint8(0xaa), uint8(6), uint8(255), uint16(302), uint8(1))
+	f.Add("bad \xff utf8 \xe2\x82", -2, 1<<31-1, int64(-1<<63), uint32(0x7f000001), uint8(0x55), uint8(255), uint8(7), uint16(65535), uint8(2))
+	f.Add("ctl\x00\x1f\x7f \u2028 Zürich", 1, 1, int64(1), uint32(1), uint8(1), uint8(0), uint8(0), uint16(404), uint8(0))
 	f.Fuzz(func(t *testing.T, vantage string, batch, index int, started int64,
-		server uint32, flags uint8, udpAttempts, udpECTAttempts, status int, n uint8) {
+		server uint32, flags, udpAttempts, udpECTAttempts uint8, status uint16, n uint8) {
 		o := Observation{
 			Server:          packet.AddrFromUint32(server),
 			UDPReachable:    flags&1 != 0,

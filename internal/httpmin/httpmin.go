@@ -161,9 +161,12 @@ func (r *Response) parse(data []byte) error {
 	if !ok1 || !bytes.HasPrefix(proto, []byte("HTTP/1.")) {
 		return fmt.Errorf("%w: status line %q", ErrMalformed, first)
 	}
+	// A status code is three digits (RFC 9110 §15), the first of them
+	// its class: 100..999, which is what a dataset row has room for,
+	// and never 0, which a row reads as "no response".
 	codeBytes, statusBytes, _ := bytes.Cut(after, []byte(" "))
 	code, ok := atoi(codeBytes)
-	if !ok {
+	if !ok || len(codeBytes) != 3 || codeBytes[0] == '0' {
 		return fmt.Errorf("%w: status code %q", ErrMalformed, codeBytes)
 	}
 	bodyLen, err := checkHeaders(head)

@@ -3,6 +3,7 @@ package httpmin
 import (
 	"bytes"
 	"errors"
+	"strconv"
 	"testing"
 	"time"
 
@@ -87,6 +88,24 @@ func TestParseMalformed(t *testing.T) {
 	}
 	if _, err := ParseRequest([]byte("GARBAGE LINE\r\n\r\n")); !errors.Is(err, ErrMalformed) {
 		t.Errorf("bad request line: %v", err)
+	}
+}
+
+// TestStatusCodeIsThreeDigits: a status code is exactly three digits,
+// the first non-zero (RFC 9110 §15). Nothing wider reaches a dataset
+// row's two bytes — atoi once took up to 18 digits — and no code reads
+// as the row's "no response" 0.
+func TestStatusCodeIsThreeDigits(t *testing.T) {
+	for _, code := range []string{"100", "302", "999"} {
+		resp, err := ParseResponse([]byte("HTTP/1.1 " + code + " X\r\n\r\n"))
+		if err != nil || strconv.Itoa(resp.StatusCode) != code {
+			t.Errorf("status %s parsed to %v, %v", code, resp, err)
+		}
+	}
+	for _, code := range []string{"", "20", "2000", "65736", "000000000200", "099", "000", "-20", "+20"} {
+		if resp, err := ParseResponse([]byte("HTTP/1.1 " + code + " X\r\n\r\n")); !errors.Is(err, ErrMalformed) {
+			t.Errorf("status %q parsed to %v, %v; want malformed", code, resp, err)
+		}
 	}
 }
 

@@ -14,6 +14,9 @@ import (
 const (
 	DefaultTimeout         = time.Second
 	DefaultRetransmissions = 5
+	// maxRetransmissions bounds ProbeConfig.Retransmissions: with the
+	// initial request, at most 255 attempts.
+	maxRetransmissions = 254
 )
 
 // ProbeConfig controls one reachability probe.
@@ -25,7 +28,8 @@ type ProbeConfig struct {
 	Timeout time.Duration
 	// Retransmissions after the initial request. Zero selects the
 	// paper's default of five; a negative value disables retransmission
-	// (single attempt).
+	// (single attempt). A budget above 254 is bounded to it, so a
+	// probe's Attempts fits the byte a dataset row keeps it in.
 	Retransmissions int
 	// TTL for request packets; 64 when zero.
 	TTL uint8
@@ -37,9 +41,8 @@ func (c ProbeConfig) withDefaults() ProbeConfig {
 	}
 	if c.Retransmissions == 0 {
 		c.Retransmissions = DefaultRetransmissions
-	} else if c.Retransmissions < 0 {
-		c.Retransmissions = 0
 	}
+	c.Retransmissions = min(max(c.Retransmissions, 0), maxRetransmissions)
 	if c.TTL == 0 {
 		c.TTL = 64
 	}

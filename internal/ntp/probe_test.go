@@ -89,6 +89,22 @@ func TestProbeOfflineServerUnreachable(t *testing.T) {
 	}
 }
 
+// TestProbeBudgetBoundedToAByte: a retransmission budget past 254 is
+// bounded to it, so an unanswered probe ends after 255 attempts — the
+// most a dataset row's one-byte attempt count holds.
+func TestProbeBudgetBoundedToAByte(t *testing.T) {
+	f := newProbeFixture(t, 7)
+	f.server.SetOnline(false)
+	var got ProbeResult
+	Probe(f.client, f.server.Addr(), ProbeConfig{Retransmissions: 1000, Timeout: time.Millisecond},
+		func(r ProbeResult) { got = r })
+	f.sim.Run()
+	if got.Reachable || got.Attempts != 255 {
+		t.Errorf("a 1000-retransmission probe of an offline server: reachable %v after %d attempts; want unreachable after 255",
+			got.Reachable, got.Attempts)
+	}
+}
+
 func TestProbeRecoversAfterLoss(t *testing.T) {
 	f := newProbeFixture(t, 3)
 	// 70% loss on the client access link: some attempts die, but six

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -135,6 +137,13 @@ func FuzzShardResultDecode(f *testing.F) {
 	f.Add(append(append([]byte(nil), gz...), "trailing garbage"...), true)
 	f.Add([]byte{}, true)
 	f.Add([]byte(`{"worker":"w","lease":"l","result":null}`), false)
+	// The observation's narrow fields at and past their edges: what a
+	// uint8 or uint16 cannot hold, the scan refuses as the decoder does.
+	for _, v := range []string{"-1", "0", "255", "256", "65535", "65536"} {
+		f.Add(bytes.Replace(valid, []byte(`"udp_attempts":1`), []byte(`"udp_attempts":`+v), 1), false)
+		f.Add(bytes.Replace(valid, []byte(`"udp_attempts":1`), []byte(`"udp_attempts":1,"udp_ect_attempts":`+v), 1), false)
+		f.Add(gzipBytes(f, bytes.Replace(valid, []byte(`"http":200`), []byte(`"http":`+v), 1)), true)
+	}
 	congested := sampleWire(5, 3)
 	congested.Congestion = &analysis.CEMarkSample{Vantage: "Glasgow (wired)", InECT: 9, InCE: 1, Utilization: 0.85}
 	congested.Traces = append(congested.Traces, congested.Traces[0])
@@ -455,9 +464,96 @@ func TestCoordinatorHoldsCompressedResults(t *testing.T) {
 // the reflective decoder and held decoded, beside scanned ones held as
 // their bodies, and the job files the pinned bytes.
 func TestFallbackUploadFilesThePinnedHash(t *testing.T) {
-	spec := pinnedSpec(campaign.ScenarioUncongested, campaign.ExecutionDistributed)
 	srv, ts := newPoolServer(t, Config{}, 0)
 	client := apiclient.New(ts.URL)
+	id, claim, wires := claimPinned(t, client)
+	for k, sh := range claim.Shards {
+		want := "body"
+		if k%2 == 0 {
+			want = "decoded"
+			pretty, err := json.MarshalIndent(leaseRequest{Worker: "w1", Lease: sh.Lease, Result: wires[k]}, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if status, _ := postResult(t, ts, id, sh.Index, pretty, false); status != http.StatusOK {
+				t.Fatalf("pretty-printed upload %d = %d", k, status)
+			}
+		} else if _, err := client.PushShardResult(context.Background(), id, sh.Index, "w1", sh.Lease, wires[k]); err != nil {
+			t.Fatal(err)
+		}
+		if k < len(claim.Shards)-1 {
+			if got := heldKind(srv, id, sh.Index); got != want {
+				t.Fatalf("upload %d is held %s, want %s", k, got, want)
+			}
+		}
+	}
+	if got := jobReport(t, ts, id).DatasetSHA256; got != pinnedHash {
+		t.Fatalf("filed %s, want cmd/determinism's pinned hash", got)
+	}
+}
+
+// TestOutOfRangeUploadRefused: an upload whose observation carries a
+// value the row cannot hold — "udp_attempts":256, which a uint8 would
+// wrap to 0 — is refused exactly as a malformed upload is: the same
+// 400, nothing journaled, nothing held, the lease still good. After the
+// genuine uploads the job files the pinned hash.
+func TestOutOfRangeUploadRefused(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newPoolServer(t, Config{DataDir: dir}, 0)
+	client := apiclient.New(ts.URL)
+	id, claim, wires := claimPinned(t, client)
+
+	sh := claim.Shards[0]
+	good, err := json.Marshal(leaseRequest{Worker: "w1", Lease: sh.Lease, Result: wires[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := bytes.Replace(good, []byte(`"udp_attempts":1,`), []byte(`"udp_attempts":256,`), 1)
+	if bytes.Equal(wide, good) {
+		t.Fatal("test setup: the shard's upload has no udp_attempts of 1")
+	}
+	malformedStatus, malformedCode := postResult(t, ts, id, sh.Index, good[:len(good)/2], false)
+	if malformedStatus != http.StatusBadRequest || malformedCode != codeBadRequest {
+		t.Fatalf("a malformed upload = %d %s, want 400 %s", malformedStatus, malformedCode, codeBadRequest)
+	}
+	for _, gz := range []bool{false, true} {
+		body := wide
+		if gz {
+			body = gzipBytes(t, wide)
+		}
+		if status, code := postResult(t, ts, id, sh.Index, body, gz); status != malformedStatus || code != malformedCode {
+			t.Fatalf("an upload with udp_attempts 256 (gzip %v) = %d %s; a malformed one = %d %s",
+				gz, status, code, malformedStatus, malformedCode)
+		}
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, "journal", id+".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held, journaled := heldKind(srv, id, sh.Index), bytes.Count(wal, []byte(`"t":"result"`)); held != "nothing" || journaled != 0 {
+		t.Fatalf("after the refused uploads the shard is held as %s and the journal holds %d results; want nothing and 0",
+			held, journaled)
+	}
+
+	for k, sh := range claim.Shards {
+		if ack, err := client.PushShardResult(context.Background(), id, sh.Index, "w1", sh.Lease, wires[k]); err != nil || ack.Status != "accepted" {
+			t.Fatalf("upload %d = %+v, %v", k, ack, err)
+		}
+	}
+	if got := jobReport(t, ts, id).DatasetSHA256; got != pinnedHash {
+		t.Fatalf("filed %s, want cmd/determinism's pinned hash", got)
+	}
+}
+
+// pinnedHash is what cmd/determinism's small uncongested campaign files.
+const pinnedHash = "81e2952878d5e0990abb0094d3f50769437b0837021e33a770418fe8fdbe0fa8"
+
+// claimPinned submits that campaign as a distributed job, claims every
+// shard as w1 and executes them: the job, the claim, and each claimed
+// shard's result in claim order.
+func claimPinned(t *testing.T, client *apiclient.Client) (string, apiclient.Claim, []*campaign.ShardResultWire) {
+	t.Helper()
+	spec := pinnedSpec(campaign.ScenarioUncongested, campaign.ExecutionDistributed)
 	ctx := context.Background()
 	job, _, err := client.SubmitRaw(ctx, []byte(spec))
 	if err != nil {
@@ -479,40 +575,36 @@ func TestFallbackUploadFilesThePinnedHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wires := make([]*campaign.ShardResultWire, len(claim.Shards))
 	for k, sh := range claim.Shards {
-		wire, err := campaign.ExecuteShard(cfg, bp, sh.Shard, sh.Slice)
-		if err != nil {
+		if wires[k], err = campaign.ExecuteShard(cfg, bp, sh.Shard, sh.Slice); err != nil {
 			t.Fatal(err)
 		}
-		wire.SpecHash = claim.SpecHash
-		want := "body"
-		if k%2 == 0 {
-			want = "decoded"
-			pretty, err := json.MarshalIndent(leaseRequest{Worker: "w1", Lease: sh.Lease, Result: wire}, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.Post(fmt.Sprintf("%s/v1/jobs/%s/shards/%d/result", ts.URL, job.ID, sh.Index),
-				"application/json", bytes.NewReader(pretty))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("pretty-printed upload %d = %d", k, resp.StatusCode)
-			}
-		} else if _, err := client.PushShardResult(ctx, job.ID, sh.Index, "w1", sh.Lease, wire); err != nil {
-			t.Fatal(err)
-		}
-		if k < len(claim.Shards)-1 {
-			if got := heldKind(srv, job.ID, sh.Index); got != want {
-				t.Fatalf("upload %d is held %s, want %s", k, got, want)
-			}
-		}
+		wires[k].SpecHash = claim.SpecHash
 	}
-	if got := jobReport(t, ts, job.ID).DatasetSHA256; got != "81e2952878d5e0990abb0094d3f50769437b0837021e33a770418fe8fdbe0fa8" {
-		t.Fatalf("filed %s, want cmd/determinism's pinned hash", got)
+	return job.ID, claim, wires
+}
+
+// postResult POSTs body as shard idx's result, gzip-labelled or not, and
+// returns the status and the error code of the reply (none on success).
+func postResult(t *testing.T, ts *httptest.Server, id string, idx int, body []byte, gz bool) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, fmt.Sprintf("%s/v1/jobs/%s/shards/%d/result", ts.URL, id, idx), bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
+	req.Header.Set("Content-Type", "application/json")
+	if gz {
+		req.Header.Set("Content-Encoding", "gzip")
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e ErrorBody
+	_ = json.NewDecoder(resp.Body).Decode(&e) // a success carries no error envelope
+	return resp.StatusCode, e.Error.Code
 }
 
 // uploadFixture is a coordinator with one distributed job whose every

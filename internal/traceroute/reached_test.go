@@ -3,6 +3,7 @@ package traceroute
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/ecn"
 	"repro/internal/packet"
@@ -64,5 +65,47 @@ func TestUnroutableTargetTerminates(t *testing.T) {
 		if o.TTL > 1 && o.Responded {
 			t.Errorf("unexpected response beyond the blackhole: %+v", o)
 		}
+	}
+}
+
+// TestDeepConfigBoundedToTheTTLField: a MaxTTL or ProbesPerHop past 255
+// is bounded to 255, so every probe leaves with the TTL its row records.
+// Unbounded, a MaxTTL of 300 sent TTL 0–44 probes (the wire field is a
+// byte) that the first router answered, recorded as hops 256–300.
+func TestDeepConfigBoundedToTheTTLField(t *testing.T) {
+	if c := (Config{MaxTTL: 300, ProbesPerHop: 1000}).withDefaults(); c.MaxTTL != 255 || c.ProbesPerHop != 255 {
+		t.Fatalf("withDefaults bounds MaxTTL 300, ProbesPerHop 1000 to %d, %d; want 255, 255", c.MaxTTL, c.ProbesPerHop)
+	}
+	f := newChain(t, 10, 3)
+	mux := NewMux(f.client)
+	var got Result
+	mux.Run(packet.AddrFrom4(203, 0, 113, 99), Config{
+		MaxTTL:          300,
+		ProbesPerHop:    1,
+		StopAfterSilent: 1000,
+		Timeout:         10 * time.Millisecond,
+	}, keep(&got))
+	f.sim.Run()
+	if len(got.Observations) != 255 {
+		t.Fatalf("a MaxTTL of 300 sent %d probes, want 255", len(got.Observations))
+	}
+	for i, o := range got.Observations {
+		if int(o.TTL) != i+1 || o.Responded != (o.TTL == 1) {
+			t.Fatalf("probe %d recorded TTL %d, responded %v; want TTL %d, and only hop 1 answering for a blackholed target",
+				i, o.TTL, o.Responded, i+1)
+		}
+	}
+}
+
+// TestRowWidths pins the hop rows' sizes. A sweep writes one row per
+// probe into its staging chunks, flattens them into the slab it hands
+// out and the merge copies them again, so one added int costs 8 bytes
+// per hop per copy: widen a field on purpose, and re-pin it here.
+func TestRowWidths(t *testing.T) {
+	if got := unsafe.Sizeof(Observation{}); got != 24 {
+		t.Errorf("traceroute.Observation is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(PathObservation{}); got != 48 {
+		t.Errorf("traceroute.PathObservation is %d bytes, want 48", got)
 	}
 }

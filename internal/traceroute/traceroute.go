@@ -13,6 +13,7 @@
 package traceroute
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/ecn"
@@ -22,10 +23,11 @@ import (
 
 // Config controls a traceroute run.
 type Config struct {
-	// MaxTTL is the deepest hop probed (default 30).
+	// MaxTTL is the deepest hop probed (default 30; at most 255, the
+	// IP TTL field's largest value).
 	MaxTTL int
-	// ProbesPerHop is the number of probes sent per TTL (default 2);
-	// repeated probes expose "sometimes-strip" hops.
+	// ProbesPerHop is the number of probes sent per TTL (default 2; at
+	// most 255); repeated probes expose "sometimes-strip" hops.
 	ProbesPerHop int
 	// Timeout per probe (default 500ms).
 	Timeout time.Duration
@@ -40,6 +42,9 @@ type Config struct {
 	StopAfterSilent int
 }
 
+// withDefaults fills in the defaults and bounds MaxTTL and ProbesPerHop
+// to 255, so a probe's TTL is the one its row records and both fit the
+// row's bytes: a deeper MaxTTL would wrap on the wire.
 func (c Config) withDefaults() Config {
 	if c.MaxTTL == 0 {
 		c.MaxTTL = 30
@@ -47,6 +52,8 @@ func (c Config) withDefaults() Config {
 	if c.ProbesPerHop == 0 {
 		c.ProbesPerHop = 2
 	}
+	c.MaxTTL = min(c.MaxTTL, math.MaxUint8)
+	c.ProbesPerHop = min(c.ProbesPerHop, math.MaxUint8)
 	if c.Timeout == 0 {
 		c.Timeout = 500 * time.Millisecond
 	}
@@ -64,9 +71,14 @@ func (c Config) withDefaults() Config {
 
 // Observation is a single probe's outcome: one (hop, probe) data point.
 // The paper's 155439 "IP level hops" are observations in this sense.
+//
+// The row is 24 bytes: TTL and Attempt are as wide as the IP TTL field
+// (Config bounds both to 255), and the byte-sized fields sit together
+// ahead of RTT. A sweep stages, flattens and merges a row per probe, so
+// one added int costs 8 bytes per hop per copy (TestRowWidths).
 type Observation struct {
-	TTL     int
-	Attempt int
+	TTL     uint8
+	Attempt uint8
 	// Responded reports whether an ICMP error came back for this probe.
 	Responded bool
 	// Hop is the router that answered (ICMP source).
@@ -76,9 +88,9 @@ type Observation struct {
 	SentECN    ecn.Codepoint
 	QuotedECN  ecn.Codepoint
 	Transition ecn.Transition
-	RTT        time.Duration
 	// ReachedDest marks a port-unreachable from the target itself.
 	ReachedDest bool
+	RTT         time.Duration
 }
 
 // PathObservation attributes one hop observation to a vantage point and
@@ -107,7 +119,7 @@ type Result struct {
 // probe wins), up to the last responsive hop — the per-path view drawn
 // in Figure 4. The returned slice is the caller's.
 func (r *Result) Hops() []Observation {
-	maxTTL := 0
+	var maxTTL uint8
 	for i := range r.Observations {
 		if o := &r.Observations[i]; o.Responded && o.TTL > maxTTL {
 			maxTTL = o.TTL
@@ -115,11 +127,11 @@ func (r *Result) Hops() []Observation {
 	}
 	hops := make([]Observation, maxTTL)
 	for i := range hops {
-		hops[i].TTL = i + 1 // silent hop ("*") until a response lands on it
+		hops[i].TTL = uint8(i + 1) // silent hop ("*") until a response lands on it
 	}
 	for i := range r.Observations {
 		o := &r.Observations[i]
-		if !o.Responded || o.TTL < 1 {
+		if !o.Responded || o.TTL == 0 {
 			continue
 		}
 		if h := &hops[o.TTL-1]; !h.Responded || o.Attempt < h.Attempt {
@@ -300,8 +312,8 @@ func (s *session) onTimeout() {
 		return
 	}
 	s.obs = append(s.obs, Observation{
-		TTL:     s.ttl,
-		Attempt: s.attempt,
+		TTL:     uint8(s.ttl), // exact: withDefaults bounds both
+		Attempt: uint8(s.attempt),
 		SentECN: s.cfg.ECN,
 	})
 	s.advance()
@@ -318,8 +330,8 @@ func (s *session) onICMP(ip packet.IPv4Header, msg packet.ICMPMessage, quoted pa
 	}
 	s.timer.Stop()
 	obs := Observation{
-		TTL:        s.ttl,
-		Attempt:    s.attempt,
+		TTL:        uint8(s.ttl),
+		Attempt:    uint8(s.attempt),
 		Responded:  true,
 		Hop:        ip.Src,
 		SentECN:    s.cfg.ECN,

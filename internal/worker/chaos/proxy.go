@@ -1,14 +1,18 @@
 // Package chaos is an in-process fault-injecting HTTP proxy for the
 // worker↔coordinator path. Tests park it between an apiclient and a
 // real coordinator to exercise the worker's retry/backoff machinery
-// against the failures the tentpole cares about: dropped connections,
-// long delays, and duplicated requests (the "ambiguous failure" where
-// a request executes but its response is lost, forcing an idempotent
+// against the failures it exists for: dropped connections, long
+// delays, and duplicated requests (the "ambiguous failure" where a
+// request executes but its response is lost, forcing an idempotent
 // re-send).
 //
 // Faults fire on deterministic request counters, not randomness —
 // "drop every 3rd request" reproduces exactly, run after run, which is
 // what a determinism-obsessed test suite wants from its chaos.
+//
+// It is test support, like workertest beside it: imported only from
+// _test.go files (the end-to-end test's chaos row and the worker's
+// chaos tests), never by a program.
 package chaos
 
 import (

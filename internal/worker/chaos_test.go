@@ -15,10 +15,10 @@ import (
 
 	"repro/internal/apiclient"
 	"repro/internal/campaign"
-	"repro/internal/chaos"
 	"repro/internal/dataset"
 	"repro/internal/server"
 	"repro/internal/worker"
+	"repro/internal/worker/chaos"
 )
 
 // directDataset is the in-process oracle for distSpec.

@@ -52,9 +52,10 @@
 #     store, their traces spliced out of the inflated bodies; 214 KB/op:
 #     the encoder's chunk and the report's server union, nothing per
 #     trace) above 257300 B/op, BenchmarkDatasetRead (13 x 2500
-#     observations through the trace decoder; 2.44 MB/op — 1.3 MB of
-#     observations plus json.Decoder's line buffer — and 66 allocs/op)
-#     above 2927000 B/op or 80 allocs/op, and
+#     observations through the trace decoder; 1.59 MB/op — 0.53 MB of
+#     14-byte observations, 13 exactly-sized slices of 40 KB, plus
+#     json.Decoder's line buffer — and 66 allocs/op) above 1904400 B/op
+#     or 80 allocs/op, and
 #     BenchmarkDatasetWrite (the same set through the chunked encoder;
 #     1 alloc/op, its chunk) above 4 allocs/op. A per-upload
 #     gzip.NewWriter is ~900 KB, an io.ReadAll of a body or an
@@ -94,7 +95,7 @@ MAX_PUSH_PAPER_ALLOCS=219
 MAX_DECODE_BYTES=1790
 MAX_DECODE_ALLOCS=21
 MAX_FINALIZE_BYTES=257300
-MAX_DATASET_READ_BYTES=2927000
+MAX_DATASET_READ_BYTES=1904400
 MAX_DATASET_READ_ALLOCS=80
 MAX_DATASET_WRITE_ALLOCS=4
 # Campaign runs few iterations (each is a whole campaign); the packet
