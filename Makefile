@@ -101,9 +101,16 @@ lint:
 # (lazy catch-up replay and the event-per-boundary oracle). Every cell
 # runs the traceroute sweep too (stride 12) and prints the canonical
 # digest of its rows in a trailing rows= column, which must be equal
-# across slices × workers × scheduler.
+# across slices × workers × scheduler. The whole output — 108 grid
+# lines and the OK line — must also equal cmd/determinism/golden.txt,
+# so "same bytes, same rows" holds against the last commit too, not only
+# within one run. A change meant to move a hash or a digest rewrites the
+# file (go run ./cmd/determinism > cmd/determinism/golden.txt) and says
+# why.
 determinism:
-	$(GO) run ./cmd/determinism
+	@out="$$($(GO) run ./cmd/determinism)"; status=$$?; echo "$$out"; \
+	[ $$status -eq 0 ] && echo "$$out" | diff -u cmd/determinism/golden.txt - && \
+	echo "determinism: output equals cmd/determinism/golden.txt"
 
 # serve runs the campaign-as-a-service control plane (cmd/reprod) in
 # the foreground on :8070 with ./reprod-data as the result store; see

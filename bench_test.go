@@ -43,7 +43,7 @@ import (
 type fixture struct {
 	world      *topology.World
 	data       *dataset.Dataset
-	pathObs    []traceroute.PathObservation
+	pathObs    [][]traceroute.PathObservation
 	congestion []analysis.CEMarkSample
 }
 
@@ -66,8 +66,12 @@ func benchFixture(b *testing.B) *fixture {
 			b.Fatal(err)
 		}
 		fix = &fixture{world: res.World, data: res.Dataset, pathObs: res.PathObs, congestion: res.Congestion}
+		rows := 0
+		for _, seg := range res.PathObs {
+			rows += len(seg)
+		}
 		fmt.Printf("# fixture: %d servers, %d traces, %d hop observations, %d events, %d shards\n",
-			len(res.World.Servers), len(res.Dataset.Traces), len(res.PathObs), res.Events, len(res.Shards))
+			len(res.World.Servers), len(res.Dataset.Traces), rows, res.Events, len(res.Shards))
 	})
 	return fix
 }

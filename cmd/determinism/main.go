@@ -28,9 +28,13 @@
 // scenario's slices × workers × scheduler cells. It is compared per
 // cross-traffic drive: on congested-transit the two drives agree on
 // every row but order two paths that complete in the same nanosecond
-// differently (rows are listed in completion order; ROADMAP item 2
+// differently (rows are listed in completion order; ROADMAP item 3
 // records the tie). The sweep runs in its own epoch on its own PRNG
 // stream, so it cannot move the dataset hash in the first column.
+//
+// `make determinism` also diffs the whole output, at the default grid,
+// against the committed golden.txt beside this file: a change that keeps
+// every cell equal to its neighbours but moves them all still fails.
 //
 // The hash this command prints for a spec is the control plane's
 // correctness contract: a dataset served by cmd/reprod for the same
@@ -124,7 +128,7 @@ func main() {
 // runHash executes one grid cell's campaign on the given scheduler and
 // cross-traffic drive — telemetry attached — and returns the SHA-256 of
 // its merged dataset in canonical JSON-lines form and the canonical
-// digest of its merged sweep rows.
+// digest of its merged sweep rows, hashed segment by segment.
 func runHash(spec campaign.Spec, sched netsim.Scheduler, xmode netsim.XTrafficMode) (data, rows string, err error) {
 	cfg, err := spec.Config()
 	if err != nil {
@@ -140,7 +144,7 @@ func runHash(spec campaign.Spec, sched netsim.Scheduler, xmode netsim.XTrafficMo
 	if err := dataset.Write(h, res.Dataset); err != nil {
 		return "", "", err
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)), traceroute.HashRows(res.PathObs), nil
+	return fmt.Sprintf("%x", h.Sum(nil)), traceroute.HashRows(res.PathObs...), nil
 }
 
 func fatal(format string, args ...any) {

@@ -126,7 +126,7 @@ func main() {
 			Config: traceroute.Config{ProbesPerHop: 1, StopAfterSilent: 2},
 		}, func(o []core.PathObservation) { obs = o })
 		world.Sim.Run()
-		f4 := analysis.ComputeFigure4(obs, world.ASN)
+		f4 := analysis.ComputeFigure4([][]core.PathObservation{obs}, world.ASN)
 		fmt.Println(analysis.RenderFigure4(f4))
 		writeCSV("figure4", func(w *os.File) error { return analysis.WriteFigure4CSV(w, f4) })
 	}

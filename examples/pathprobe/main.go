@@ -64,5 +64,5 @@ func main() {
 		})
 	}
 	sim.Run()
-	fmt.Println("\n(strip points at AS boundaries match the paper's 59.1% observation; see cmd/tracemap for the full campaign)")
+	fmt.Println("\n(strip points at AS boundaries match the paper's 59.1% observation; run `ecnreport -only fig4` for the full campaign)")
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/traceroute"
 )
 
 // parseCSV reads back emitted CSV for verification.
@@ -109,7 +110,7 @@ func TestWriteFigure4CSV(t *testing.T) {
 	table := synthASNTable()
 	target := hop(1, 200)
 	obs := synthPath("v1", target, []packet.Addr{hop(0, 1), hop(1, 1)}, 1)
-	f4 := ComputeFigure4(obs, table)
+	f4 := ComputeFigure4([][]traceroute.PathObservation{obs}, table)
 	var buf bytes.Buffer
 	if err := WriteFigure4CSV(&buf, f4); err != nil {
 		t.Fatal(err)

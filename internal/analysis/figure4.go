@@ -41,10 +41,11 @@ type Figure4 struct {
 	SamplePaths []string
 }
 
-// ComputeFigure4 reduces traceroute campaign output. The asn table
-// attributes strip locations to AS boundaries by comparing the stripping
-// router's AS with the previous hop's.
-func ComputeFigure4(obs []traceroute.PathObservation, table *asn.Table) Figure4 {
+// ComputeFigure4 reduces traceroute campaign output, given in segments
+// as campaign.Result.PathObs holds it (a caller with one slice wraps
+// it). The asn table attributes strip locations to AS boundaries by
+// comparing the stripping router's AS with the previous hop's.
+func ComputeFigure4(segs [][]traceroute.PathObservation, table *asn.Table) Figure4 {
 	var f Figure4
 
 	type pathKey struct {
@@ -53,9 +54,11 @@ func ComputeFigure4(obs []traceroute.PathObservation, table *asn.Table) Figure4 
 	}
 	// Rebuild per-path hop sequences.
 	paths := map[pathKey][]traceroute.PathObservation{}
-	for _, o := range obs {
-		k := pathKey{o.Vantage, o.Target}
-		paths[k] = append(paths[k], o)
+	for _, obs := range segs {
+		for _, o := range obs {
+			k := pathKey{o.Vantage, o.Target}
+			paths[k] = append(paths[k], o)
+		}
 	}
 	keys := make([]pathKey, 0, len(paths))
 	for k := range paths {

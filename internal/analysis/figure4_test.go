@@ -64,7 +64,7 @@ func TestComputeFigure4CleanAndStripped(t *testing.T) {
 	obs = append(obs, synthPath("v1", target2,
 		[]packet.Addr{hop(0, 1), hop(0, 2), hop(2, 1), hop(2, 2)}, 2)...)
 
-	f := ComputeFigure4(obs, table)
+	f := ComputeFigure4([][]traceroute.PathObservation{obs}, table)
 	if f.TotalObservations != 8 || f.RespondedObservations != 8 {
 		t.Errorf("observations = %d/%d", f.TotalObservations, f.RespondedObservations)
 	}
@@ -93,12 +93,12 @@ func TestComputeFigure4SometimesStrip(t *testing.T) {
 	target := packet.AddrFrom4(16, 1, 2, 1)
 	hops := []packet.Addr{hop(0, 1), hop(1, 1), hop(1, 2)}
 
-	var obs []traceroute.PathObservation
-	// Same path traced twice: strips once at hop 2, clean the other time.
-	obs = append(obs, synthPath("v1", target, hops, 1)...)
-	obs = append(obs, synthPath("v2", target, hops, -1)...)
-
-	f := ComputeFigure4(obs, table)
+	// Same path traced twice — from two vantages, so two sweep shards'
+	// segments: strips once at hop 2, clean the other time.
+	f := ComputeFigure4([][]traceroute.PathObservation{
+		synthPath("v1", target, hops, 1),
+		synthPath("v2", target, hops, -1),
+	}, table)
 	if f.StripLocationRouters != 1 {
 		t.Fatalf("strip locations = %d", f.StripLocationRouters)
 	}
@@ -114,7 +114,7 @@ func TestComputeFigure4InteriorStripNotBoundary(t *testing.T) {
 	obs := synthPath("v1", target,
 		[]packet.Addr{hop(0, 1), hop(1, 1), hop(1, 2)}, 2)
 
-	f := ComputeFigure4(obs, table)
+	f := ComputeFigure4([][]traceroute.PathObservation{obs}, table)
 	if f.BoundaryStrips != 0 || f.DeterminableStrips != 1 {
 		t.Errorf("boundary = %d/%d, want 0/1", f.BoundaryStrips, f.DeterminableStrips)
 	}
@@ -130,7 +130,7 @@ func TestComputeFigure4CEClassifiedSeparately(t *testing.T) {
 			SentECN: ecn.ECT0, QuotedECN: ecn.CE, Transition: ecn.Marked,
 		},
 	}}
-	f := ComputeFigure4(obs, table)
+	f := ComputeFigure4([][]traceroute.PathObservation{obs}, table)
 	if f.CEObservations != 1 {
 		t.Errorf("CE observations = %d", f.CEObservations)
 	}
@@ -146,7 +146,7 @@ func TestComputeFigure4SilentHops(t *testing.T) {
 		{Vantage: "v1", Target: target, Observation: traceroute.Observation{TTL: 1, Responded: true, Hop: hop(0, 1), SentECN: ecn.ECT0, QuotedECN: ecn.ECT0, Transition: ecn.Preserved}},
 		{Vantage: "v1", Target: target, Observation: traceroute.Observation{TTL: 2, SentECN: ecn.ECT0}}, // silent
 	}
-	f := ComputeFigure4(obs, table)
+	f := ComputeFigure4([][]traceroute.PathObservation{obs}, table)
 	if f.TotalObservations != 2 || f.RespondedObservations != 1 {
 		t.Errorf("observations = %d/%d", f.TotalObservations, f.RespondedObservations)
 	}
@@ -156,7 +156,7 @@ func TestRenderFigure4(t *testing.T) {
 	table := synthASNTable()
 	target := packet.AddrFrom4(16, 1, 2, 1)
 	obs := synthPath("v1", target, []packet.Addr{hop(0, 1), hop(1, 1)}, 1)
-	f := ComputeFigure4(obs, table)
+	f := ComputeFigure4([][]traceroute.PathObservation{obs}, table)
 	out := RenderFigure4(f)
 	if !strings.Contains(out, "GR") {
 		t.Errorf("sample path missing G/R run:\n%s", out)

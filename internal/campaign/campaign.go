@@ -195,9 +195,12 @@ type Result struct {
 	// Dataset holds all traces in canonical vantage order with
 	// campaign-wide trace indices.
 	Dataset *dataset.Dataset
-	// PathObs holds the traceroute campaign's hop observations, in the
-	// same canonical vantage order.
-	PathObs []traceroute.PathObservation
+	// PathObs holds the traceroute campaign's hop observations as the
+	// sweep shards' own row slabs, in canonical (vantage, slice) order —
+	// not copied into one slice — with empty slabs left out, so a
+	// non-empty PathObs has rows. traceroute.HashRows and
+	// analysis.ComputeFigure4 read it segment by segment.
+	PathObs [][]traceroute.PathObservation
 	// World is the world that ran the first shard — every shard runs on
 	// the same frozen blueprint — for Geo/ASN lookups and follow-on
 	// experiments. It is drained, not reset: its executor may have run
@@ -488,7 +491,7 @@ func Run(cfg Config) (*Result, error) {
 				if cfg.ShardStart != nil {
 					cfg.ShardStart(sh.shard, sh.slice, sh.vantage)
 				}
-				results[i], errs[i] = ex.runShard(sh)
+				results[i], errs[i] = ex.runShard(sh, true)
 				if errs[i] != nil {
 					continue
 				}
@@ -550,13 +553,15 @@ func NewExecutor(cfg Config, bp *topology.Blueprint) *Executor {
 
 // Execute runs the (vantage-index, slice) shard of the plan and returns
 // its wire-form result, exactly as ExecuteShard does — on the
-// executor's world rather than a fresh one.
+// executor's world rather than a fresh one. The wire carries no sweep
+// rows, so a sweep shard's sweep runs — its events and PRNG draws are
+// part of the shard — but keeps none.
 func (e *Executor) Execute(shard, slice int) (*ShardResultWire, error) {
 	for _, sh := range e.shards {
 		if sh.shard != shard || sh.slice != slice {
 			continue
 		}
-		r, err := e.runShard(sh)
+		r, err := e.runShard(sh, false)
 		if err != nil {
 			return nil, err
 		}
@@ -593,9 +598,9 @@ func (e *Executor) acquire() (*topology.World, error) {
 // runShard executes one shard in a private simulation: acquire the
 // world, then run the shard's trace block — every trace in its own
 // reseeded, transient-reset, epoch-pinned context — and, on the
-// vantage's first slice, the traceroute sweep. Any failure drops the
-// world.
-func (e *Executor) runShard(sh shardSpec) (shardResult, error) {
+// vantage's first slice, the traceroute sweep, whose rows the result
+// holds only if keepRows. Any failure drops the world.
+func (e *Executor) runShard(sh shardSpec, keepRows bool) (shardResult, error) {
 	start := time.Now()
 	e.cfg.Metrics.shardStarted()
 	fail := func(err error) (shardResult, error) {
@@ -718,13 +723,19 @@ func (e *Executor) runShard(sh shardSpec) (shardResult, error) {
 		sim.At(at, func() {
 			sim.Reseed(sweepSeed(cfg.Seed, sh.shard))
 			w.ResetTransientState()
-			// The rows arrive as one exactly-sized slab this shard owns;
-			// the sweep's working memory stays behind on the world.
-			core.RunTracerouteCampaign(w, core.TracerouteCampaignConfig{
+			// Kept rows arrive as one exactly-sized slab this shard owns
+			// and merge hands on as it is; the sweep's working memory
+			// stays behind on the world.
+			tcfg := core.TracerouteCampaignConfig{
 				Vantages:     []string{sh.vantage},
 				TargetStride: cfg.Stride,
 				Config:       cfg.Traceroute,
-			}, func(o []core.PathObservation) { obs, swept = o, true })
+			}
+			if keepRows {
+				core.RunTracerouteCampaign(w, tcfg, func(o []core.PathObservation) { obs, swept = o, true })
+			} else {
+				core.RunTracerouteCampaignNoRows(w, tcfg, func() { swept = true })
+			}
 		})
 		sim.Run()
 		if !swept {
@@ -792,22 +803,22 @@ func (e *Executor) runShard(sh shardSpec) (shardResult, error) {
 }
 
 // merge combines per-shard results in canonical (vantage, slice) order:
-// the headers through MergeHeaders, the datasets through dataset.Merge,
-// the sweep rows by concatenation.
+// the headers through MergeHeaders, the datasets through dataset.Merge.
+// The sweep rows are not copied: PathObs lists the shards' non-empty
+// slabs themselves.
 func merge(results []shardResult) *Result {
 	headers := make([]ShardHeader, len(results))
 	parts := make([]*dataset.Dataset, len(results))
-	rows := 0
+	var pathObs [][]traceroute.PathObservation
 	for i := range results {
 		headers[i] = results[i].ShardHeader
 		parts[i] = results[i].data
-		rows += len(results[i].obs)
+		if len(results[i].obs) > 0 {
+			pathObs = append(pathObs, results[i].obs)
+		}
 	}
 	res := MergeHeaders(headers)
-	res.PathObs = make([]traceroute.PathObservation, 0, rows)
-	for i := range results {
-		res.PathObs = append(res.PathObs, results[i].obs...)
-	}
+	res.PathObs = pathObs
 	res.Dataset = dataset.Merge(parts...)
 	res.World = results[0].world
 	return res
@@ -819,9 +830,11 @@ func merge(results []shardResult) *Result {
 // counters they sum to, and one congestion sample per vantage — its
 // slices' counters summed, so the CE-mark report, like the dataset, is
 // independent of how the campaign was sliced. Dataset, PathObs and
-// World are left for the caller. It is the one merge of everything but
-// the traces: Run, MergeWire and the control plane's coordinator, which
-// never decodes an uploaded trace, all file their run reports from it.
+// World are left for the caller: merge fills them for Run and MergeWire
+// (whose wires carry no sweep rows, so PathObs stays nil there). It is
+// the one merge of everything but the traces: Run, MergeWire and the
+// control plane's coordinator, which never decodes an uploaded trace,
+// all file their run reports from it.
 func MergeHeaders(headers []ShardHeader) *Result {
 	res := &Result{Shards: make([]ShardStats, 0, len(headers))}
 	seen := make(map[packet.Addr]bool)

@@ -37,6 +37,16 @@ func runOrFatal(t *testing.T, cfg Config) *Result {
 	return res
 }
 
+// rowCount is the number of sweep rows across a Result's PathObs
+// segments.
+func rowCount(segs [][]traceroute.PathObservation) int {
+	n := 0
+	for _, seg := range segs {
+		n += len(seg)
+	}
+	return n
+}
+
 func encode(t *testing.T, d *dataset.Dataset) []byte {
 	t.Helper()
 	var buf bytes.Buffer

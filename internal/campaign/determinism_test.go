@@ -34,7 +34,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		f5 := analysis.ComputeFigure5(res.Dataset)
 		return artefacts{
 			data:    encode(t, res.Dataset),
-			pathObs: len(res.PathObs),
+			pathObs: rowCount(res.PathObs),
 			figure4: analysis.RenderFigure4(analysis.ComputeFigure4(res.PathObs, res.World.ASN)),
 			figure5: analysis.RenderFigure5(f5),
 			figure6: analysis.RenderFigure6(analysis.ComputeFigure6(f5)),
@@ -87,14 +87,14 @@ func TestSliceCountInvariance(t *testing.T) {
 			res := runOrFatal(t, cfg)
 			data := encode(t, res.Dataset)
 			if refData == nil {
-				refData, refObs, refCong = data, len(res.PathObs), res.Congestion
+				refData, refObs, refCong = data, rowCount(res.PathObs), res.Congestion
 				continue
 			}
 			if !bytes.Equal(refData, data) {
 				t.Errorf("%s: dataset differs between slices=1 and slices=%d", scenario, slices)
 			}
-			if len(res.PathObs) != refObs {
-				t.Errorf("%s: slices=%d: %d path observations, want %d", scenario, slices, len(res.PathObs), refObs)
+			if got := rowCount(res.PathObs); got != refObs {
+				t.Errorf("%s: slices=%d: %d path observations, want %d", scenario, slices, got, refObs)
 			}
 			if len(res.Congestion) != len(refCong) {
 				t.Fatalf("%s: slices=%d: %d congestion samples, want %d", scenario, slices, len(res.Congestion), len(refCong))
@@ -209,15 +209,15 @@ func TestSchedulerDifferential(t *testing.T) {
 			res := runOrFatal(t, cfg)
 			data := encode(t, res.Dataset)
 			if ref == nil {
-				ref, refObs = data, len(res.PathObs)
+				ref, refObs = data, rowCount(res.PathObs)
 				continue
 			}
 			if !bytes.Equal(ref, data) {
 				t.Errorf("%s: merged dataset differs between wheel and heap", scenario)
 			}
-			if len(res.PathObs) != refObs {
+			if got := rowCount(res.PathObs); got != refObs {
 				t.Errorf("%s: path observations differ between wheel and heap: %d vs %d",
-					scenario, len(res.PathObs), refObs)
+					scenario, got, refObs)
 			}
 		}
 	}
@@ -272,9 +272,9 @@ func TestSweepRowHash(t *testing.T) {
 			if len(res.PathObs) == 0 {
 				t.Fatalf("workers=%d slices=%d: sweep produced no rows", workers, slices)
 			}
-			if got := traceroute.HashRows(res.PathObs); got != sweepRowHash {
+			if got := traceroute.HashRows(res.PathObs...); got != sweepRowHash {
 				t.Errorf("workers=%d slices=%d: %d sweep rows hash to %s, want %s",
-					workers, slices, len(res.PathObs), got, sweepRowHash)
+					workers, slices, rowCount(res.PathObs), got, sweepRowHash)
 			}
 		}
 	}

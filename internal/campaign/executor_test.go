@@ -49,9 +49,9 @@ func (a shardOutput) equal(b shardOutput) bool {
 }
 
 // runOn executes plan shard i on the executor's world and digests what
-// came out. Execute is this minus the rows.
+// came out, the sweep rows kept. Execute is this with no rows kept.
 func runOn(ex *Executor, i int) (shardOutput, error) {
-	r, err := ex.runShard(ex.shards[i])
+	r, err := ex.runShard(ex.shards[i], true)
 	if err != nil {
 		return shardOutput{}, err
 	}

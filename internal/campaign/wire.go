@@ -124,7 +124,8 @@ func (w *ShardResultWire) EncodeJSON(e *dataset.Encoder) {
 // wireFromShardResult converts an executed shard to wire form. The
 // traceroute sweep's path observations are not carried: they are not
 // part of the stored artifact set (dataset + run meta) the control
-// plane files, so the wire stays lean.
+// plane files, so the wire stays lean — and Execute, which builds every
+// wire, keeps none to drop.
 func wireFromShardResult(r shardResult) *ShardResultWire {
 	return &ShardResultWire{
 		Version:    ShardWireVersion,

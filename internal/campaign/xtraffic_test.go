@@ -24,7 +24,7 @@ func TestXTrafficDifferential(t *testing.T) {
 		cfg.XTraffic = netsim.XTrafficEvents
 		oracle := runOrFatal(t, cfg)
 		ref := encode(t, oracle.Dataset)
-		refObs := len(oracle.PathObs)
+		refObs := rowCount(oracle.PathObs)
 
 		for _, workers := range []int{1, 4, 13} {
 			for _, slices := range []int{1, 2, 8} {
@@ -38,9 +38,9 @@ func TestXTrafficDifferential(t *testing.T) {
 					t.Errorf("%s: lazy workers=%d slices=%d dataset differs from the events oracle",
 						scenario, workers, slices)
 				}
-				if len(res.PathObs) != refObs {
+				if got := rowCount(res.PathObs); got != refObs {
 					t.Errorf("%s: lazy workers=%d slices=%d: %d path observations, want %d",
-						scenario, workers, slices, len(res.PathObs), refObs)
+						scenario, workers, slices, got, refObs)
 				}
 				if len(res.Congestion) != len(oracle.Congestion) {
 					t.Fatalf("%s: lazy workers=%d slices=%d: %d congestion samples, want %d",

@@ -221,8 +221,21 @@ type TracerouteCampaignConfig struct {
 // shell — iteration state, bound-once callbacks and the buffer rows are
 // staged in until their count is known — waits on the world
 // (World.UserData) between sweeps, as the probe shells wait on their
-// vantage.
+// vantage. A row is copied once, from that buffer into the slice; a
+// caller that reads no rows runs RunTracerouteCampaignNoRows instead.
 func RunTracerouteCampaign(w *topology.World, cfg TracerouteCampaignConfig, done func([]PathObservation)) {
+	runSweep(w, cfg, true, done)
+}
+
+// RunTracerouteCampaignNoRows runs RunTracerouteCampaign's sweep — the
+// same probes, the same events, the same PRNG draws — for a caller that
+// reads none of its rows: nothing is staged, and done runs when the
+// sweep ends.
+func RunTracerouteCampaignNoRows(w *topology.World, cfg TracerouteCampaignConfig, done func()) {
+	runSweep(w, cfg, false, func([]PathObservation) { done() })
+}
+
+func runSweep(w *topology.World, cfg TracerouteCampaignConfig, keep bool, done func([]PathObservation)) {
 	if cfg.TargetStride <= 0 {
 		cfg.TargetStride = 1
 	}
@@ -238,7 +251,7 @@ func RunTracerouteCampaign(w *topology.World, cfg TracerouteCampaignConfig, done
 		sw.onResult = sw.result
 		sw.nextFn = sw.nextVantage
 	}
-	sw.w, sw.cfg, sw.done = w, cfg, done
+	sw.w, sw.cfg, sw.keep, sw.done = w, cfg, keep, done
 	sw.vi = -1
 
 	// The paper ran its traceroute campaign separately from the
@@ -261,6 +274,7 @@ const stagingChunk = 1024
 type sweep struct {
 	w    *topology.World
 	cfg  TracerouteCampaignConfig
+	keep bool // stage rows; a sweep that keeps none hands done no rows
 	done func([]PathObservation)
 
 	vi      int               // index into w.Vantages of the vantage being swept
@@ -321,17 +335,19 @@ func (sw *sweep) pump() {
 	}
 }
 
-// result flattens one finished path into the staging buffer — the
-// Result's observations are the session's, on loan for this call — and
-// starts the next.
+// result flattens one finished path into the staging buffer, if the
+// sweep keeps its rows — the Result's observations are the session's, on
+// loan for this call — and starts the next.
 func (sw *sweep) result(r traceroute.Result) {
-	for i := range r.Observations {
-		c, at := sw.rows/stagingChunk, sw.rows%stagingChunk
-		if c == len(sw.chunks) {
-			sw.chunks = append(sw.chunks, make([]PathObservation, stagingChunk))
+	if sw.keep {
+		for i := range r.Observations {
+			c, at := sw.rows/stagingChunk, sw.rows%stagingChunk
+			if c == len(sw.chunks) {
+				sw.chunks = append(sw.chunks, make([]PathObservation, stagingChunk))
+			}
+			sw.chunks[c][at] = PathObservation{Vantage: sw.v.Name, Target: r.Target, Observation: r.Observations[i]}
+			sw.rows++
 		}
-		sw.chunks[c][at] = PathObservation{Vantage: sw.v.Name, Target: r.Target, Observation: r.Observations[i]}
-		sw.rows++
 	}
 	sw.pending--
 	sw.pump()

@@ -92,6 +92,40 @@ func TestSweepWarmWorld(t *testing.T) {
 	t.Logf("warm sweep: %d rows, %.0f allocs", len(fresh), allocs)
 }
 
+// TestSweepNoRows: RunTracerouteCampaignNoRows runs the sweep
+// RunTracerouteCampaign runs — event for event, and the simulator's
+// clock and PRNG end where they would — but stages nothing: its shell
+// parks with no staging buffer grown.
+func TestSweepNoRows(t *testing.T) {
+	cfg := TracerouteCampaignConfig{
+		Vantages:     []string{"EC2 Ireland", "U. Glasgow wireless"},
+		TargetStride: 3,
+		Config:       traceroute.Config{ProbesPerHop: 2, StopAfterSilent: 2},
+	}
+	kept := smallWorld(t, 7)
+	if len(sweepOnce(t, kept, cfg)) == 0 {
+		t.Fatal("no observations")
+	}
+
+	w := smallWorld(t, 7)
+	swept := false
+	RunTracerouteCampaignNoRows(w, cfg, func() { swept = true })
+	w.Sim.Run()
+	if !swept {
+		t.Fatal("sweep did not complete")
+	}
+	if got, want := w.Sim.Executed(), kept.Sim.Executed(); got != want {
+		t.Errorf("the rowless sweep executed %d events, the kept one %d", got, want)
+	}
+	if w.Sim.Now() != kept.Sim.Now() || w.Sim.RNG().Int63() != kept.Sim.RNG().Int63() {
+		t.Error("the rowless sweep left the simulator's clock or PRNG elsewhere")
+	}
+	shell, _ := w.UserData.(*sweep)
+	if shell == nil || shell.rows != 0 || len(shell.chunks) != 0 {
+		t.Fatalf("a rowless sweep should park its shell with nothing staged, not %+v", shell)
+	}
+}
+
 // TestSweepSelectsNothing: a vantage filter that matches nothing ends
 // the sweep at once with an empty result, and leaves the shell parked.
 func TestSweepSelectsNothing(t *testing.T) {
