@@ -14,7 +14,9 @@ build:
 # test (and race) include cmd/reprod's TestEndToEnd: real reprod
 # coordinator, worker and client processes — service, distributed,
 # crash, chaos and drain rows — each filing the pinned dataset hash.
-# On its own: go test -run TestEndToEnd -v ./cmd/reprod
+# On its own: go test -run TestEndToEnd -v ./cmd/reprod. They also
+# re-execute ecnspider and ecnreport, the dataset-to-figures pipeline
+# (go test ./cmd/ecnspider ./cmd/ecnreport).
 test:
 	$(GO) test ./...
 
@@ -56,11 +58,12 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./$${t%%:*}; \
 	done
 
-# Benchmark smoke: one iteration of every benchmark on the small world,
-# exercising the full artefact pipeline (campaign engine, analysis,
-# extensions, ablations) without paper-scale cost. Performance numbers
-# come from the declared benchmark (bench-paper below, bench/README.md),
-# not from this target.
+# Benchmark smoke: one iteration of every go test benchmark on the small
+# world (campaign engine, world reset, packet path, codecs, coordinator
+# ingest) so none of them rots. The artefact pipeline, the extensions
+# and the ablations are tests and run in `make test`. Performance
+# numbers come from the declared benchmark (bench-paper below,
+# bench/README.md), not from this target.
 bench:
 	REPRO_SCALE=small $(GO) test -bench=. -benchtime=1x ./...
 

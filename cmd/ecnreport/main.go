@@ -1,24 +1,32 @@
 // Command ecnreport reads an ecnspider dataset and regenerates the
 // paper's figures and tables (Figures 2a/2b/3a/3b/5/6, Table 2). Table 1
 // and Figures 1/4 need world context (geo database, traceroutes), so
-// ecnreport can also regenerate the world from the same seed and produce
-// them too.
+// ecnreport also regenerates the world the dataset was measured on and
+// produces them too.
+//
+// The world's scale is read off the dataset: the small and paper pools
+// share no address, so it is the scale whose pool holds every observed
+// server, and a dataset that fits neither is refused. The seed cannot be
+// read off it — server addresses do not depend on the seed — so -seed
+// must name the campaign's.
 //
 // Usage:
 //
-//	ecnreport [-i dataset.jsonl] [-seed N] [-scale small|paper] [-only fig2a,table2,...]
+//	ecnreport [-i dataset.jsonl] [-seed N] [-only fig2a,table2,...] [-csv dir]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/netsim"
+	"repro/internal/packet"
 	"repro/internal/topology"
 	"repro/internal/traceroute"
 )
@@ -27,7 +35,6 @@ func main() {
 	var (
 		in     = flag.String("i", "dataset.jsonl", "input dataset (- for stdin)")
 		seed   = flag.Int64("seed", 2015, "seed used to build the world (for table1/fig1/fig4)")
-		scale  = flag.String("scale", "small", "world scale used by the campaign")
 		only   = flag.String("only", "", "comma-separated subset: table1,fig1,fig2a,fig2b,fig3a,fig3b,fig4,fig5,fig6,table2,prose")
 		csvDir = flag.String("csv", "", "also write <artefact>.csv files into this directory")
 	)
@@ -59,14 +66,8 @@ func main() {
 	needWorld := sel("table1") || sel("fig1") || sel("fig4")
 	var world *topology.World
 	if needWorld {
-		cfg := topology.SmallConfig()
-		if *scale == "paper" {
-			cfg = topology.DefaultConfig()
-		}
-		sim := netsim.NewSim(*seed)
-		world, err = topology.Build(sim, cfg)
-		if err != nil {
-			fatal("rebuild world: %v", err)
+		if world, err = rebuildWorld(d, *seed); err != nil {
+			fatal("%v", err)
 		}
 	}
 
@@ -148,6 +149,28 @@ func main() {
 	if sel("prose") {
 		fmt.Println(analysis.RenderProse(analysis.ComputeProse(d)))
 	}
+}
+
+// rebuildWorld regenerates the world d was measured on: the first scale
+// whose pool holds every server d observed.
+func rebuildWorld(d *dataset.Dataset, seed int64) (*topology.World, error) {
+	servers := d.Servers()
+	var lacks []string
+	for _, scale := range []struct {
+		name string
+		cfg  topology.Config
+	}{{"small", topology.SmallConfig()}, {"paper", topology.DefaultConfig()}} {
+		w, err := topology.Build(netsim.NewSim(seed), scale.cfg)
+		if err != nil {
+			return nil, fmt.Errorf("rebuild %s world: %w", scale.name, err)
+		}
+		i := slices.IndexFunc(servers, func(a packet.Addr) bool { _, ok := w.ServerByAddr(a); return !ok })
+		if i < 0 {
+			return w, nil
+		}
+		lacks = append(lacks, fmt.Sprintf("the %s world has no server %s", scale.name, servers[i]))
+	}
+	return nil, fmt.Errorf("dataset fits no world: %s", strings.Join(lacks, ", "))
 }
 
 func fatal(format string, args ...any) {

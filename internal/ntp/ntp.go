@@ -5,8 +5,8 @@
 // five retransmissions).
 //
 // The codec is pure and the server's response logic is a function from
-// request to response, so the same code serves both the simulated pool
-// hosts and the real-socket server in cmd/ntpd.
+// request to response, which the simulated pool hosts bind to UDP port
+// 123.
 package ntp
 
 import (

@@ -1,7 +1,6 @@
 package ntp
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -209,42 +208,4 @@ func TestProbeECTBlockedByFirewall(t *testing.T) {
 	if ect.Reachable {
 		t.Error("ECT(0) probe passed an ECT-UDP firewall")
 	}
-}
-
-// Real-socket integration: the same codec and responder over loopback UDP.
-func TestServePacketConnLoopback(t *testing.T) {
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback UDP unavailable: %v", err)
-	}
-	defer pc.Close()
-
-	srv := NewServer(0x7F000001)
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ServePacketConn(pc, func() uint64 { return TimestampFromTime(time.Now()) }) }()
-
-	client, err := net.Dial("udp", pc.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	req := NewRequest(TimestampFromTime(time.Now()))
-	if _, err := client.Write(req.Marshal(nil)); err != nil {
-		t.Fatal(err)
-	}
-	client.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 1024)
-	n, err := client.Read(buf)
-	if err != nil {
-		t.Fatalf("no NTP reply over loopback: %v", err)
-	}
-	resp, err := Parse(buf[:n])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateResponse(req, resp); err != nil {
-		t.Fatalf("invalid reply: %v", err)
-	}
-	pc.Close()
-	<-errc // server loop exits on closed socket
 }

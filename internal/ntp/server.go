@@ -1,8 +1,6 @@
 package ntp
 
 import (
-	"net"
-
 	"repro/internal/netsim"
 	"repro/internal/packet"
 )
@@ -45,30 +43,4 @@ func (s *Server) AttachSim(h *netsim.Host) error {
 		_ = host.SendUDP(ip.Src, udp.DstPort, udp.SrcPort, 64, 0 /* not-ECT */, resp.Marshal(scratch[:0]))
 	})
 	return err
-}
-
-// ServePacketConn answers NTP requests on a real UDP socket until the
-// connection is closed or a read fails. It backs cmd/ntpd, demonstrating
-// that the codec is wire-compatible with actual NTP clients.
-func (s *Server) ServePacketConn(pc net.PacketConn, now func() uint64) error {
-	buf := make([]byte, 1024)
-	for {
-		n, addr, err := pc.ReadFrom(buf)
-		if err != nil {
-			return err
-		}
-		req, err := Parse(buf[:n])
-		if err != nil {
-			continue
-		}
-		ts := now()
-		resp, err := Respond(req, s.Stratum, s.RefID, ts, ts)
-		if err != nil {
-			continue
-		}
-		s.Served++
-		if _, err := pc.WriteTo(resp.Marshal(nil), addr); err != nil {
-			return err
-		}
-	}
 }

@@ -120,12 +120,6 @@ func DurationBuckets() []float64 {
 	return []float64{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1, 3, 10, 30, 100}
 }
 
-// SizeBuckets is the default size bound set (bytes, powers of 4 from
-// 256B to ~64MB) for payload and backlog distributions.
-func SizeBuckets() []float64 {
-	return []float64{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20}
-}
-
 // Label is one constant name=value pair fixed at registration.
 // Instruments with the same name and different labels form one
 // exposition family (e.g. repro_aqm_ce_marked_total{discipline="red"}).
