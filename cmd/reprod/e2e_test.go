@@ -154,10 +154,8 @@ func e2eService(t *testing.T, ctx context.Context, want string) {
 		t.Fatalf("job events = %v, want queued, running, N × shard-leased/shard-done, done", kinds)
 	}
 
-	// The loopback workers are on the scoreboard, in good standing.
-	if w := c.worker(t, ctx, "local"); w == nil || w.Strikes != 0 || w.Accepted == 0 {
-		t.Fatalf("/v1/workers local = %+v, want listed with accepted shards and no strikes", w)
-	}
+	// The loopback workers filed their shards under the one identity.
+	m.positive(t, `repro_worker_shard_duration_seconds_count{worker="local"}`)
 
 	out := filepath.Join(t.TempDir(), "dataset.jsonl")
 	run := reprod(t, "", "run", "-coordinator", c.url, "-spec", localSpec, "-out", out)
@@ -294,9 +292,9 @@ func e2eCrash(t *testing.T, ctx context.Context, want string) {
 // e2eChaos: reprod run (-spec on stdin) awaits a distributed job; a
 // wedged worker holds two shards and heartbeats forever while two
 // reprod workers reach the coordinator only through a chaos proxy. The
-// job completes by speculation and the straggler is quarantined.
+// job completes by speculation.
 func e2eChaos(t *testing.T, ctx context.Context, want string) {
-	c := serve(t, t.TempDir(), "", "-lease-ttl", "3s", "-speculate-after", "1.5", "-quarantine-threshold", "2")
+	c := serve(t, t.TempDir(), "", "-lease-ttl", "3s")
 	target, err := url.Parse(c.url)
 	if err != nil {
 		t.Fatal(err)
@@ -334,15 +332,10 @@ func e2eChaos(t *testing.T, ctx context.Context, want string) {
 		w.stop(t)
 	}
 
-	// The wedged shards were re-exposed and the healthy twins won; each
-	// loss was a strike, and two benched the straggler.
+	// The wedged shards were re-exposed and the healthy twins won.
 	m := c.metrics(t, ctx)
 	m.atLeast(t, `repro_speculation_total{event="issued"}`, 2)
 	m.atLeast(t, `repro_speculation_total{event="won"}`, 2)
-	m.positive(t, `repro_worker_health_events_total{event="quarantine"}`)
-	if w := c.worker(t, ctx, "wedged"); w == nil || w.State != "quarantined" || w.SpeculationLosses < 2 {
-		t.Fatalf("/v1/workers wedged = %+v, want quarantined with >= 2 speculation losses", w)
-	}
 }
 
 // e2eDrain: SIGTERM while a local job is in flight. The coordinator
@@ -547,21 +540,6 @@ func (c *coordinator) dataset(t *testing.T, ctx context.Context, job, want strin
 		t.Fatalf("job %s dataset hash %s, want %s", job, got, want)
 	}
 	return data
-}
-
-// worker is one /v1/workers entry, nil if unlisted.
-func (c *coordinator) worker(t *testing.T, ctx context.Context, id string) *apiclient.Worker {
-	t.Helper()
-	workers, err := c.Workers(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range workers {
-		if workers[i].ID == id {
-			return &workers[i]
-		}
-	}
-	return nil
 }
 
 // getJSON decodes a GET the typed client has no method for.

@@ -10,12 +10,16 @@ package main
 // (one per CPU), an "execution": "distributed" spec's by reprod worker
 // processes.
 //
+// Straggler speculation and submit shedding have no flags: a shard
+// straggling past three typical shard durations is raced by a
+// speculative twin, and submissions past 4096 open shards are shed
+// with 429 overloaded.
+//
 // The daemon carries its own flight recorder: GET /v1/metrics exposes
 // allocation-free engine, HTTP, and lease metrics in the Prometheus
-// text format (/v1/metrics.json for the same snapshot as JSON), GET
-// /v1/jobs/{id}/events replays a job's lifecycle from the flight
-// recorder's event ring, and -pprof mounts net/http/pprof under
-// /debug/pprof/.
+// text format, GET /v1/jobs/{id}/events replays a job's lifecycle from
+// the flight recorder's event ring, and -pprof mounts net/http/pprof
+// under /debug/pprof/.
 //
 // The "serving" log record carries the address actually bound, so
 // -addr 127.0.0.1:0 picks a free port. SIGINT/SIGTERM drain gracefully:
@@ -45,9 +49,6 @@ func runServe(args []string) {
 		logFormat = fs.String("log-format", "text", "log output format: text or json")
 		pprofOn   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		drainFor  = fs.Duration("drain", 30*time.Second, "graceful-shutdown window for in-flight work")
-		speculate = fs.Float64("speculate-after", 3.0, "re-expose a leased shard after this multiple of the job's typical shard duration (0 disables straggler speculation)")
-		quarAfter = fs.Int("quarantine-threshold", 3, "wasteful-event strikes before a worker's claims are refused (0 disables quarantine)")
-		maxOpen   = fs.Int("max-open-shards", 4096, "shed new submissions once queued jobs plus running distributed shards reach this watermark (0 disables shedding)")
 	)
 	fs.Parse(args)
 
@@ -63,22 +64,11 @@ func runServe(args []string) {
 	}
 	logger := slog.New(handler)
 
-	// Flag zero means "off"; the Config encodes off as negative (its
-	// zero keeps the server default).
-	disableZero := func(v float64) float64 {
-		if v == 0 {
-			return -1
-		}
-		return v
-	}
 	srv, err := server.New(server.Config{
-		DataDir:             *data,
-		LeaseTTL:            *leaseTTL,
-		Logger:              logger,
-		EnablePprof:         *pprofOn,
-		SpeculateAfter:      disableZero(*speculate),
-		QuarantineThreshold: int(disableZero(float64(*quarAfter))),
-		MaxOpenShards:       int(disableZero(float64(*maxOpen))),
+		DataDir:     *data,
+		LeaseTTL:    *leaseTTL,
+		Logger:      logger,
+		EnablePprof: *pprofOn,
 	})
 	if err != nil {
 		logger.Error("startup", "error", err)

@@ -96,13 +96,13 @@ func (e *APIError) Error() string {
 // identical request may succeed and the server's idempotency (dedup,
 // first-writer-wins uploads) makes the re-send safe. API errors are
 // transient iff server-side (5xx — unavailable, queue_full, internal)
-// or an explicit back-off signal (429 — worker_quarantined,
-// overloaded: the server WANTS a later retry, just not a prompt one);
-// every other 4xx is a fact about the request that retrying cannot
-// change (spec_invalid, stale_result, lease_expired, ...). Anything
-// that never became an HTTP response — severed connections, timeouts,
-// DNS — is the ambiguous case and is transient by design. A canceled
-// caller context is terminal: the caller gave up.
+// or an explicit back-off signal (429 overloaded: the server WANTS a
+// later retry, just not a prompt one); every other 4xx is a fact about
+// the request that retrying cannot change (spec_invalid, stale_result,
+// lease_expired, ...). Anything that never became an HTTP response —
+// severed connections, timeouts, DNS — is the ambiguous case and is
+// transient by design. A canceled caller context is terminal: the
+// caller gave up.
 func IsTransient(err error) bool {
 	if err == nil || errors.Is(err, context.Canceled) {
 		return false
@@ -218,23 +218,6 @@ type ClaimedShard struct {
 	// Speculative marks a straggler re-issue: another worker still holds
 	// a live lease on this shard and the first upload wins.
 	Speculative bool `json:"speculative,omitempty"`
-}
-
-// Worker is one worker's health-scoreboard entry (GET /v1/workers).
-type Worker struct {
-	ID      string `json:"id"`
-	State   string `json:"state"` // healthy | quarantined | probation
-	Strikes int    `json:"strikes"`
-
-	LeaseExpiries     int `json:"lease_expiries"`
-	StaleUploads      int `json:"stale_uploads"`
-	SpeculationLosses int `json:"speculation_losses"`
-
-	Claims   int `json:"claims"`
-	Accepted int `json:"accepted"`
-
-	LastSeen         time.Time  `json:"last_seen"`
-	QuarantinedUntil *time.Time `json:"quarantined_until,omitempty"`
 }
 
 // Claim is a claim response: the job's canonical spec and cache key
@@ -551,15 +534,6 @@ func (c *Client) RunReport(ctx context.Context, key string) (Report, error) {
 // RunDataset fetches a cached run's dataset by key.
 func (c *Client) RunDataset(ctx context.Context, key string) ([]byte, error) {
 	return c.raw(ctx, "/v1/runs/"+url.PathEscape(key)+"/dataset")
-}
-
-// Workers fetches the worker health scoreboard.
-func (c *Client) Workers(ctx context.Context) ([]Worker, error) {
-	var resp struct {
-		Workers []Worker `json:"workers"`
-	}
-	_, err := c.do(ctx, http.MethodGet, "/v1/workers", nil, &resp)
-	return resp.Workers, err
 }
 
 // MetricsText fetches /v1/metrics in the Prometheus text exposition.

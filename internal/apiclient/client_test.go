@@ -21,7 +21,6 @@ func TestIsTransient(t *testing.T) {
 		{&apiclient.APIError{Status: 500, Code: "internal"}, true},
 		{&apiclient.APIError{Status: 503, Code: "unavailable"}, true},
 		{&apiclient.APIError{Status: 429, Code: "overloaded"}, true},
-		{&apiclient.APIError{Status: 429, Code: "worker_quarantined"}, true},
 		{&apiclient.APIError{Status: 409, Code: "lease_expired"}, false},
 		{&apiclient.APIError{Status: 400, Code: "spec_invalid"}, false},
 		{&apiclient.APIError{Status: 404, Code: "job_not_found"}, false},

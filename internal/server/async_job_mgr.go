@@ -109,9 +109,9 @@ type job struct {
 	results    []heldResult
 	finalizing bool
 	// Shard-duration statistics (seconds) from accepted uploads: the
-	// straggler detector's baseline and the adaptive claim sizer's
-	// input. durEWMA is the smoothed typical duration, durMax the
-	// slowest accepted shard, durCount the sample count.
+	// straggler detector's baseline. durEWMA is the smoothed typical
+	// duration, durMax the slowest accepted shard, durCount the sample
+	// count.
 	durEWMA  float64
 	durMax   float64
 	durCount int
@@ -231,9 +231,10 @@ const maxQueuedJobs = 1024
 // live and die together, so nothing needs to tell them apart.
 const localWorker = "local"
 
-// defaultMaxOpenShards is the admission watermark over queued jobs plus
-// running distributed shards; Config.MaxOpenShards overrides.
-const defaultMaxOpenShards = 4096
+// maxOpenShards is the admission watermark over queued jobs plus
+// running distributed shards. It is a constant until a measured knee
+// of the coordinator's load curve sets it.
+const maxOpenShards = 4096
 
 type jobMgr struct {
 	store  *Store
@@ -246,14 +247,9 @@ type jobMgr struct {
 	now      func() time.Time
 	leaseTTL time.Duration
 
-	// Self-healing tunables (see leases.go, workers.go): speculateAfter
-	// is the straggler multiple (≤0 disables speculation), quarThreshold
-	// the scoreboard strike limit (≤0 disables quarantine), and
-	// maxOpenShards the admission watermark over queue depth + running
-	// distributed shards (≤0 disables shedding).
-	speculateAfter float64
-	quarThreshold  int
-	maxOpenShards  int
+	// watermark is the admission watermark, maxOpenShards unless a
+	// test lowers it.
+	watermark int
 
 	// wal is the write-ahead journal directory for distributed jobs.
 	wal *walDir
@@ -277,8 +273,6 @@ type jobMgr struct {
 	// workerNames interns worker IDs so event-ring appends can carry a
 	// heap-stable *string without allocating per event.
 	workerNames map[string]*string
-	// workers is the health scoreboard (workers.go), keyed by worker ID.
-	workers map[string]*workerHealth
 	// The admission watermark's halves: distributed shards submitted
 	// but not yet accepted, and local jobs not yet granted a shard.
 	openShards int
@@ -296,19 +290,16 @@ type jobMgr struct {
 // newJobMgr starts a manager with `loopbacks` loopback workers.
 func newJobMgr(store *Store, loopbacks int, met *serverMetrics, logger *slog.Logger) *jobMgr {
 	m := &jobMgr{
-		store:          store,
-		met:            met,
-		logger:         logger,
-		now:            time.Now,
-		leaseTTL:       defaultLeaseTTL,
-		speculateAfter: defaultSpeculateAfter,
-		quarThreshold:  defaultQuarantineThreshold,
-		maxOpenShards:  defaultMaxOpenShards,
-		jobs:           make(map[string]*job),
-		active:         make(map[string]*job),
-		workerNames:    make(map[string]*string),
-		workers:        make(map[string]*workerHealth),
-		loopbacks:      loopbacks,
+		store:       store,
+		met:         met,
+		logger:      logger,
+		now:         time.Now,
+		leaseTTL:    defaultLeaseTTL,
+		watermark:   maxOpenShards,
+		jobs:        make(map[string]*job),
+		active:      make(map[string]*job),
+		workerNames: make(map[string]*string),
+		loopbacks:   loopbacks,
 	}
 	m.wake.L = &m.mu
 	m.wg.Add(loopbacks)
@@ -527,14 +518,12 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view JobView, created bool, err err
 	// distributed shards not yet accepted) is past the high-water mark,
 	// instead of queueing until a hard queue_full. Joins and cache hits
 	// were served above — they add no load and are never shed.
-	if m.maxOpenShards > 0 {
-		if load := m.queued + m.openShards; load >= m.maxOpenShards {
-			m.met.submitShed.Inc()
-			return JobView{}, false, faultRetryf(http.StatusTooManyRequests, codeOverloaded,
-				drainRetryAfterSeconds,
-				"server: %d jobs/shards already open (watermark %d); resubmit shortly",
-				load, m.maxOpenShards)
-		}
+	if load := m.queued + m.openShards; load >= m.watermark {
+		m.met.submitShed.Inc()
+		return JobView{}, false, faultRetryf(http.StatusTooManyRequests, codeOverloaded,
+			drainRetryAfterSeconds,
+			"server: %d jobs/shards already open (watermark %d); resubmit shortly",
+			load, m.watermark)
 	}
 	distributed := norm.Execution == campaign.ExecutionDistributed
 	if !distributed && m.queued >= maxQueuedJobs {

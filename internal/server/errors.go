@@ -35,7 +35,6 @@ const (
 	codeCursorInvalid     = "cursor_invalid"      // pagination cursor does not resolve
 	codeQueueFull         = "queue_full"          // job queue at capacity
 	codeUnavailable       = "unavailable"         // shutting down
-	codeWorkerQuarantined = "worker_quarantined"  // claims refused: worker past the strike threshold
 	codeOverloaded        = "overloaded"          // submission shed: open work past the admission watermark
 	codeInternal          = "internal"            // unclassified server-side failure
 )

@@ -7,9 +7,17 @@ import (
 	"repro/internal/packet"
 )
 
-// Counter lends the /v1/metrics.json reader (server_test.go) to the
+// Counter lends the /v1/metrics reader (server_test.go) to the
 // external test package.
 var Counter = counter
+
+// SetAdmissionWatermark lowers the submit shedding watermark, the
+// constant maxOpenShards, for a test that drives a coordinator past it.
+func SetAdmissionWatermark(srv *Server, n int) {
+	srv.mgr.mu.Lock()
+	defer srv.mgr.mu.Unlock()
+	srv.mgr.watermark = n
+}
 
 // SetMaxResultBytes lowers the upload and journal-replay size bound
 // for tests that pin it — inflating a real 256 MiB bomb costs seconds

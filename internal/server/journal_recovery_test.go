@@ -946,7 +946,7 @@ func TestRecoveryRestoresStragglerBaseline(t *testing.T) {
 	}
 	crash(ts1, srv1)
 
-	// 10s dwarfs speculate-after × EWMA (3 × 50ms) and stays inside the
+	// 10s dwarfs speculateAfter × EWMA (3 × 50ms) and stays inside the
 	// straggler's 30s lease: only speculation can re-expose its shard.
 	_, _, c2 := startCrashServer(t, dir, fc)
 	fc.Advance(10 * time.Second)

@@ -213,14 +213,6 @@ func (st *Store) Meta(key string) (RunMeta, error) {
 	return m, nil
 }
 
-// SpecBytes returns a cached run's canonical spec.
-func (st *Store) SpecBytes(key string) ([]byte, error) {
-	if !st.Has(key) {
-		return nil, os.ErrNotExist
-	}
-	return os.ReadFile(filepath.Join(st.path(key), specFile))
-}
-
 // OpenDataset opens a cached run's dataset for streaming and returns
 // its size.
 func (st *Store) OpenDataset(key string) (io.ReadCloser, int64, error) {

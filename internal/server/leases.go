@@ -24,7 +24,7 @@ import (
 // Every transition is one journal record, and job.apply is what a
 // record does to the table: the live paths below build the record,
 // journal it, apply it, and add what only a live coordinator has
-// (metrics, strikes, logs, the event ring); replay (recovery.go) applies
+// (metrics, logs, the event ring); replay (recovery.go) applies
 // the records it reads, so a restart cannot drift from what it restores.
 //
 // A lease is valid until evicted. Eviction happens when the TTL has
@@ -47,13 +47,13 @@ import (
 // server config does not override it.
 const defaultLeaseTTL = 30 * time.Second
 
-// defaultSpeculateAfter is the straggler threshold as a multiple of
-// the job's observed typical (EWMA) shard duration, scaled by the
+// speculateAfter is the straggler threshold as a multiple of the
+// job's observed typical (EWMA) shard duration, scaled by the
 // straggler's claim batch size (a worker executes its batch serially,
 // so a batch of k legitimately needs ~k typical durations before its
 // last shard even starts). A leased shard is never speculated before
 // the slowest successful shard's duration has passed.
-const defaultSpeculateAfter = 3.0
+const speculateAfter = 3.0
 
 // durEWMAAlpha weights the newest shard duration into the job's
 // running estimate.
@@ -264,10 +264,10 @@ func (m *jobMgr) sweepExpiredLocked(j *job, now time.Time) {
 }
 
 // expireLocked removes one shard's lapsed primary lease (walExpire) or
-// speculative twin (walSpecExpire): counted, journaled, and held against
-// the lapsed worker. The record is not fsync'd: an eviction promises
-// nothing to anyone, and a lost one merely means recovery sees a leased
-// shard with a lapsed deadline, which the first claim sweep evicts again.
+// speculative twin (walSpecExpire): counted and journaled. The record
+// is not fsync'd: an eviction promises nothing to anyone, and a lost
+// one merely means recovery sees a leased shard with a lapsed deadline,
+// which the first claim sweep evicts again.
 func (m *jobMgr) expireLocked(j *job, i int, event string) {
 	sh := &j.shards[i]
 	lapsed := j.leases[i].worker
@@ -284,17 +284,16 @@ func (m *jobMgr) expireLocked(j *job, i int, event string) {
 	}
 	m.logger.Info("lease expired", "job", j.id, "shard", i, "event", event,
 		"worker", lapsed, "state", sh.State, "holder", sh.Worker)
-	m.strikeLocked(lapsed, "lease-expiry")
 }
 
 // speculationDueLocked reports whether a leased shard has straggled
 // past the point where re-exposing it is cheaper than waiting: elapsed
-// time since its grant exceeds speculate-after × EWMA × batch size,
+// time since its grant exceeds speculateAfter × EWMA × batch size,
 // and also the slowest successful shard so far. Requires at least one
 // completed shard — there is no "typical duration" before that — and a
 // distributed job: a loopback grant is never twinned.
 func (m *jobMgr) speculationDueLocked(j *job, i int, now time.Time) bool {
-	if m.speculateAfter <= 0 || j.durCount == 0 || j.durEWMA <= 0 || !j.distributed() {
+	if j.durCount == 0 || j.durEWMA <= 0 || !j.distributed() {
 		return false
 	}
 	l := &j.leases[i]
@@ -305,7 +304,7 @@ func (m *jobMgr) speculationDueLocked(j *job, i int, now time.Time) bool {
 	if batch < 1 {
 		batch = 1
 	}
-	threshold := m.speculateAfter * j.durEWMA * float64(batch)
+	threshold := speculateAfter * j.durEWMA * float64(batch)
 	if threshold < j.durMax {
 		threshold = j.durMax
 	}
@@ -377,26 +376,7 @@ func (m *jobMgr) Claim(jobID, worker string, max int) (ClaimResponse, error) {
 	}
 	now := m.now()
 	m.sweepExpiredLocked(j, now)
-	// Health gate AFTER the sweep: strikes the sweep just charged this
-	// worker count against this very claim.
-	if err := m.admitClaimLocked(worker); err != nil {
-		return ClaimResponse{}, err
-	}
 	if j.state == JobRunning {
-		// Adaptive batch sizing: a worker executes its batch serially
-		// while only the executing shard's lease is heartbeat-extended,
-		// so the batch must fit comfortably inside one TTL — slow shards
-		// mean smaller batches, not mid-work expiries.
-		if j.durCount > 0 && j.durEWMA > 0 {
-			limit := int(m.leaseTTL.Seconds() / (2 * j.durEWMA))
-			if limit < 1 {
-				limit = 1
-			}
-			if limit < max {
-				max = limit
-				m.met.claimsCapped.Inc()
-			}
-		}
 		var pending []int
 		for i := j.nextPending(0); i >= 0 && len(pending) < max; i = j.nextPending(i + 1) {
 			pending = append(pending, i)
@@ -555,7 +535,6 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *h
 			return resp, false, nil
 		}
 		m.met.resultsStale.Inc()
-		m.strikeLocked(worker, "stale-upload")
 		return ResultResponse{}, false, faultf(http.StatusConflict, codeStaleResult,
 			"shard %d of job %s already has a result from %s", idx, j.id, sh.Worker)
 	}
@@ -564,7 +543,6 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *h
 		// Pending (evicted) or leased to a successor: the uploader lost
 		// its lease and someone else owns — or will own — the shard.
 		m.met.resultsStale.Inc()
-		m.strikeLocked(worker, "stale-upload")
 		return ResultResponse{}, false, faultf(http.StatusConflict, codeStaleResult,
 			"lease is not current for shard %d of job %s", idx, j.id)
 	}
@@ -602,21 +580,16 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *h
 	}
 	j.apply(rec, res)
 	// Settle the speculation race, if one was open: the winning side's
-	// counter ticks and the loser takes a speculation-loss strike — this
-	// is the signal that catches a wedged-but-heartbeating worker, whose
-	// leases never lapse but whose twins beat every upload.
+	// counter ticks.
 	if l.specToken != "" {
 		if speculative {
 			m.met.specWon.Inc()
-			m.strikeLocked(l.worker, "speculation-loss")
 			m.logger.Info("speculation won", "job", j.id, "shard", idx,
 				"winner", worker, "straggler", l.worker)
 		} else {
 			m.met.specWasted.Inc()
-			m.strikeLocked(l.specWorker, "speculation-loss")
 		}
 	}
-	m.creditLocked(worker)
 	if j.distributed() && m.openShards > 0 {
 		m.openShards--
 	}

@@ -9,6 +9,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -556,5 +557,49 @@ func TestConcurrentClaimUpload(t *testing.T) {
 	}
 	if !bytes.Equal(served, direct.Bytes()) {
 		t.Fatal("racing workers produced a dataset that differs from campaign.Run")
+	}
+}
+
+// TestSubmitAdmissionControl: past the open-shard watermark, brand-new
+// runs shed with 429 overloaded + Retry-After, while joins of an
+// already-running spec are still served — dedup never sheds.
+func TestSubmitAdmissionControl(t *testing.T) {
+	srv, client, _ := newLeaseServer(t)
+	server.SetAdmissionWatermark(srv, 5)
+	ctx := context.Background()
+
+	job, created, err := client.SubmitRaw(ctx, []byte(distSpec))
+	if err != nil || !created {
+		t.Fatalf("first submit = created %v err %v", created, err)
+	}
+
+	// Same spec: joined despite the load.
+	if _, created, err := client.SubmitRaw(ctx, []byte(distSpec)); err != nil || created {
+		t.Fatalf("resubmit = created %v err %v, want join", created, err)
+	}
+
+	// Different spec: shed.
+	other := `{"spec": 1, "scale": "small", "traces": 1, "seed": 2016, "stride": 0,
+	  "execution": "distributed"}`
+	_, _, err = client.SubmitRaw(ctx, []byte(other))
+	wantCode(t, err, http.StatusTooManyRequests, "overloaded")
+	if ae := err.(*apiclient.APIError); ae.RetryAfter <= 0 {
+		t.Fatalf("overloaded Retry-After = %d, want positive", ae.RetryAfter)
+	}
+
+	// Drain the job; completion releases the open shards and the next
+	// submit is admitted.
+	claim, err := client.Claim(ctx, job.ID, "w1", 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wires := execWires(t, distSpec, claim.SpecHash)
+	for _, s := range claim.Shards {
+		if ack, err := client.PushShardResult(ctx, job.ID, s.Index, "w1", s.Lease, wires[s.Index]); err != nil || ack.Status != "accepted" {
+			t.Fatalf("upload %d = %v %v, want accepted", s.Index, ack, err)
+		}
+	}
+	if _, created, err := client.SubmitRaw(ctx, []byte(other)); err != nil || !created {
+		t.Fatalf("post-drain submit = created %v err %v, want created", created, err)
 	}
 }

@@ -2,7 +2,7 @@ package server
 
 // Tests for the single job lifecycle: a local job is a distributed job
 // whose workers are loopback goroutines, so everything observable —
-// bytes, report, events, shard rows, scoreboard — must agree between
+// bytes, report, events, shard rows, histograms — must agree between
 // the two executions, and the lease table's remote-only behaviour
 // (expiry, speculation, HTTP claims) must leave local jobs alone.
 
@@ -178,7 +178,7 @@ func TestExecutionsAgree(t *testing.T) {
 
 // TestLocalJobOnTheLeaseTable: a local job's shards are leased to the
 // one loopback identity and show up everywhere a remote worker's would
-// — the shard rows, the scoreboard, the per-worker histogram.
+// — the shard rows and the per-worker histogram.
 func TestLocalJobOnTheLeaseTable(t *testing.T) {
 	_, ts := newTestServer(t)
 	_, view := submit(t, ts, `{"spec": 1, "scale": "small", "traces": 4, "seed": 2015, "stride": 0,
@@ -211,17 +211,6 @@ func TestLocalJobOnTheLeaseTable(t *testing.T) {
 	}
 	done := awaitDone(t, ts, view.ID)
 
-	_, body := get(t, ts, "/v1/workers")
-	var board struct {
-		Workers []WorkerView `json:"workers"`
-	}
-	if err := json.Unmarshal(body, &board); err != nil {
-		t.Fatal(err)
-	}
-	if len(board.Workers) != 1 || board.Workers[0].ID != localWorker || board.Workers[0].Strikes != 0 ||
-		board.Workers[0].Accepted != done.ShardsTotal || board.Workers[0].State != workerHealthy {
-		t.Errorf("scoreboard = %+v, want one healthy %q with %d accepted", board.Workers, localWorker, done.ShardsTotal)
-	}
 	_, metrics := get(t, ts, "/v1/metrics")
 	for _, want := range []string{
 		fmt.Sprintf(`repro_worker_shard_duration_seconds_count{worker=%q} %d`, localWorker, done.ShardsTotal),

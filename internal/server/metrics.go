@@ -54,23 +54,13 @@ type serverMetrics struct {
 	journalSyncs   *telemetry.Counter
 	journalTorn    *telemetry.Counter
 
-	// Self-healing instruments: straggler speculation dispositions,
-	// worker health-scoreboard transitions, adaptive claim caps, and
-	// shed submissions. The chaos row of TestEndToEnd asserts
-	// speculation and quarantine series are non-zero after a
-	// wedged-worker run.
+	// Straggler speculation dispositions and shed submissions. The
+	// chaos row of TestEndToEnd asserts the speculation series are
+	// non-zero after a wedged-worker run.
 	specIssued *telemetry.Counter
 	specWon    *telemetry.Counter
 	specWasted *telemetry.Counter
-
-	workerStrikes      *telemetry.Counter
-	workerQuarantines  *telemetry.Counter
-	workerProbations   *telemetry.Counter
-	workerReadmits     *telemetry.Counter
-	workersQuarantined *telemetry.Gauge
-
-	claimsCapped *telemetry.Counter
-	submitShed   *telemetry.Counter
+	submitShed *telemetry.Counter
 
 	recoveryResumed   *telemetry.Counter
 	recoveryCompleted *telemetry.Counter
@@ -149,22 +139,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		specWasted: reg.Counter("repro_speculation_total",
 			"Straggler speculation events, by event.",
 			telemetry.Label{Name: "event", Value: "wasted"}),
-		workerStrikes: reg.Counter("repro_worker_health_events_total",
-			"Worker health-scoreboard transitions, by event.",
-			telemetry.Label{Name: "event", Value: "strike"}),
-		workerQuarantines: reg.Counter("repro_worker_health_events_total",
-			"Worker health-scoreboard transitions, by event.",
-			telemetry.Label{Name: "event", Value: "quarantine"}),
-		workerProbations: reg.Counter("repro_worker_health_events_total",
-			"Worker health-scoreboard transitions, by event.",
-			telemetry.Label{Name: "event", Value: "probation"}),
-		workerReadmits: reg.Counter("repro_worker_health_events_total",
-			"Worker health-scoreboard transitions, by event.",
-			telemetry.Label{Name: "event", Value: "readmit"}),
-		workersQuarantined: reg.Gauge("repro_workers_quarantined",
-			"Workers currently quarantined by the health scoreboard."),
-		claimsCapped: reg.Counter("repro_claims_capped_total",
-			"Claim batches shrunk by adaptive sizing (observed shard duration vs lease TTL)."),
 		submitShed: reg.Counter("repro_submissions_shed_total",
 			"Submissions refused 429 overloaded by the admission watermark."),
 		recoveryResumed: reg.Counter("repro_recovery_jobs_total",

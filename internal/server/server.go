@@ -17,10 +17,8 @@
 //	GET  /v1/runs                 cached run keys, sorted; limit/cursor pagination
 //	GET  /v1/runs/{key}           one cached run's RunMeta
 //	GET  /v1/runs/{key}/dataset   cached dataset, JSON lines
-//	GET  /v1/workers              worker health scoreboard: states, strikes
 //	GET  /v1/healthz              readiness: build info, store writability, queue depth
 //	GET  /v1/metrics              flight-recorder metrics, Prometheus text format
-//	GET  /v1/metrics.json         the same snapshot as JSON
 //	GET  /v1/jobs/{id}/events     one job's event ring: lifecycle + shard transitions
 //	GET  /debug/pprof/...         run-time profiles (only with Config.EnablePprof)
 //
@@ -83,18 +81,6 @@ type Config struct {
 	// driven entirely by this clock, so tests inject a fake and step it
 	// instead of sleeping. Nil means time.Now.
 	Clock func() time.Time
-	// SpeculateAfter is the straggler-speculation threshold as a
-	// multiple of the job's observed typical shard duration (leases.go).
-	// Zero means the 3.0 default; negative disables speculation.
-	SpeculateAfter float64
-	// QuarantineThreshold is the worker health scoreboard's strike
-	// limit (workers.go). Zero means the default of 3; negative
-	// disables quarantine.
-	QuarantineThreshold int
-	// MaxOpenShards is the submission admission watermark over queued
-	// jobs plus running distributed shards. Zero means the default of
-	// 4096; negative disables shedding.
-	MaxOpenShards int
 }
 
 // Server routes the control-plane API. It is an http.Handler; callers
@@ -166,16 +152,6 @@ func newServer(cfg Config, loopbacks int) (*Server, error) {
 	if cfg.Clock != nil {
 		s.mgr.now = cfg.Clock
 	}
-	// Self-healing knobs: zero keeps the default, negative disables.
-	if cfg.SpeculateAfter != 0 {
-		s.mgr.speculateAfter = cfg.SpeculateAfter
-	}
-	if cfg.QuarantineThreshold != 0 {
-		s.mgr.quarThreshold = cfg.QuarantineThreshold
-	}
-	if cfg.MaxOpenShards != 0 {
-		s.mgr.maxOpenShards = cfg.MaxOpenShards
-	}
 	wd, err := openWALDir(cfg.DataDir)
 	if err != nil {
 		s.Abort()
@@ -205,10 +181,8 @@ func newServer(cfg Config, loopbacks int) (*Server, error) {
 	handle("GET /v1/runs", s.handleRuns)
 	handle("GET /v1/runs/{key}", s.handleRun)
 	handle("GET /v1/runs/{key}/dataset", s.handleRunDataset)
-	handle("GET /v1/workers", s.handleWorkers)
 	handle("GET /v1/healthz", s.handleHealthz)
 	handle("GET /v1/metrics", s.handleMetrics)
-	handle("GET /v1/metrics.json", s.handleMetricsJSON)
 	if cfg.EnablePprof {
 		// pprof handlers register on their own; the index route
 		// dispatches the named profiles. Deliberately uninstrumented —
@@ -232,11 +206,6 @@ func (s *Server) Registry() *telemetry.Registry { return s.metrics.reg }
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", telemetry.PromContentType)
 	_ = s.metrics.reg.WritePrometheus(w)
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_ = s.metrics.reg.WriteJSON(w)
 }
 
 // handleJobEvents serves one job's slice of the flight-recorder event
@@ -512,14 +481,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRunDataset(w http.ResponseWriter, r *http.Request) {
 	s.serveDataset(w, r.PathValue("key"))
-}
-
-// handleWorkers serves the worker health scoreboard (workers.go):
-// every worker that ever claimed, its state, and its strike history.
-func (s *Server) handleWorkers(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"workers": s.mgr.WorkersSnapshot(),
-	})
 }
 
 func (s *Server) serveMeta(w http.ResponseWriter, key string) {

@@ -8,14 +8,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/dataset"
-	"repro/internal/telemetry"
 )
 
 // testSpec is the small, fast campaign every test submits: one trace
@@ -85,28 +86,28 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-// counter reads one counter off /v1/metrics.json: the series called
-// name whose label value is label ("" for an unlabelled series).
+// counter reads one counter off the /v1/metrics text exposition: the
+// series called name whose one label value is label ("" for an
+// unlabelled series).
 func counter(t *testing.T, ts *httptest.Server, name, label string) uint64 {
 	t.Helper()
-	status, body := get(t, ts, "/v1/metrics.json")
+	status, body := get(t, ts, "/v1/metrics")
 	if status != http.StatusOK {
-		t.Fatalf("GET /v1/metrics.json = %d", status)
+		t.Fatalf("GET /v1/metrics = %d", status)
 	}
-	var doc struct {
-		Metrics []telemetry.Sample `json:"metrics"`
+	series := regexp.QuoteMeta(name)
+	if label != "" {
+		series += `\{[a-z_]+="` + regexp.QuoteMeta(label) + `"\}`
 	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("metrics.json: %v", err)
+	m := regexp.MustCompile(`(?m)^` + series + ` (\d+)$`).FindSubmatch(body)
+	if m == nil {
+		t.Fatalf("/v1/metrics has no series %s{%s}", name, label)
 	}
-	for _, s := range doc.Metrics {
-		if s.Name == name && (label == "" && len(s.Labels) == 0 ||
-			len(s.Labels) == 1 && s.Labels[0].Value == label) {
-			return s.Uint
-		}
+	n, err := strconv.ParseUint(string(m[1]), 10, 64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("metrics.json has no series %s{%s}", name, label)
-	return 0
+	return n
 }
 
 // TestSubmitPollFetchRoundTrip is the core lifecycle: submit → poll →

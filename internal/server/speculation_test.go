@@ -53,7 +53,7 @@ func TestSpeculationRaceFirstUploadWins(t *testing.T) {
 	}
 
 	// A claims one more shard and straggles: 10s elapsed dwarfs the
-	// speculate-after threshold (3 × 50ms × batch 1) but stays well
+	// speculateAfter threshold (3 × 50ms × batch 1) but stays well
 	// inside A's 30s lease.
 	straggle, err := client.Claim(ctx, job.ID, "wA", 1)
 	if err != nil {
@@ -122,17 +122,7 @@ func TestSpeculationRaceFirstUploadWins(t *testing.T) {
 	}
 	wantDatasetMatch(t, client, job.ID)
 
-	// The scoreboard charged the straggler with the loss, and the
-	// metrics narrate the race.
-	workers, err := client.Workers(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workers {
-		if w.ID == "wA" && w.SpeculationLosses != 1 {
-			t.Fatalf("wA speculation losses = %d, want 1", w.SpeculationLosses)
-		}
-	}
+	// The metrics narrate the race.
 	text, err := client.MetricsText(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -241,43 +231,4 @@ func TestSpeculationSurvivesRestart(t *testing.T) {
 		}
 	}
 	wantDatasetMatch(t, client2, job.ID)
-}
-
-// TestAdaptiveClaimSizing: once the EWMA says shards are slow relative
-// to the lease TTL, a greedy claim is capped so the batch fits inside
-// one TTL. 20s shards against a 30s TTL cap every batch at one shard.
-func TestAdaptiveClaimSizing(t *testing.T) {
-	_, client, _ := newLeaseServer(t)
-	ctx := context.Background()
-
-	job, _, err := client.SubmitRaw(ctx, []byte(distSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := client.Claim(ctx, job.ID, "wA", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wires := execWires(t, distSpec, first.SpecHash)
-	for _, w := range wires {
-		w.Stats.Elapsed = 20 * time.Second
-	}
-	s0 := first.Shards[0]
-	if ack, err := client.PushShardResult(ctx, job.ID, s0.Index, "wA", s0.Lease, wires[s0.Index]); err != nil || ack.Status != "accepted" {
-		t.Fatalf("seed upload = %v %v, want accepted", ack, err)
-	}
-	greedy, err := client.Claim(ctx, job.ID, "wA", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(greedy.Shards) != 1 {
-		t.Fatalf("greedy claim = %d shards, want adaptive cap of 1", len(greedy.Shards))
-	}
-	text, err := client.MetricsText(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := metricValue(t, text, "repro_claims_capped_total"); got != "1" {
-		t.Fatalf("claims capped = %q, want 1", got)
-	}
 }

@@ -14,10 +14,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestMetricsEndpoints runs a job and checks both expositions carry
-// the key series: HTTP traffic, job lifecycle, engine counters.
+// TestMetricsEndpoints runs a job and checks the exposition and the
+// registry snapshot carry the key series: HTTP traffic, job lifecycle,
+// engine counters.
 func TestMetricsEndpoints(t *testing.T) {
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 	_, view := submit(t, ts, testSpec)
 	awaitDone(t, ts, view.ID)
 
@@ -43,24 +44,16 @@ func TestMetricsEndpoints(t *testing.T) {
 		}
 	}
 
-	status, body = get(t, ts, "/v1/metrics.json")
-	if status != http.StatusOK {
-		t.Fatalf("GET /v1/metrics.json = %d", status)
-	}
-	var doc struct {
-		Metrics []telemetry.Sample `json:"metrics"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("metrics.json: %v", err)
-	}
+	// The in-process snapshot embedding tools read carries the same
+	// series.
 	found := false
-	for _, s := range doc.Metrics {
+	for _, s := range srv.Registry().Snapshot() {
 		if s.Name == "repro_campaign_shards_completed_total" && s.Uint > 0 {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("metrics.json has no completed-shards counter > 0")
+		t.Error("Registry().Snapshot() has no completed-shards counter > 0")
 	}
 }
 

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -90,15 +89,4 @@ func formatFloat(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// WriteJSON renders the registry snapshot as a JSON document:
-// {"metrics": [Sample...]}. The sample order matches the Prometheus
-// exposition (sorted by name, then labels).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Metrics []Sample `json:"metrics"`
-	}{Metrics: r.Snapshot()})
 }

@@ -1,8 +1,8 @@
 // Package telemetry is the engine's flight-recorder core: an
 // allocation-free metrics substrate (atomic counters, gauges and
 // fixed-bucket histograms behind a registry) plus a lock-free
-// ring buffer of recent events, with snapshot-based exposition in both
-// Prometheus text and JSON form.
+// ring buffer of recent events, with snapshot-based exposition in the
+// Prometheus text format.
 //
 // Two constraints shape the design (DESIGN.md §12):
 //
@@ -27,11 +27,9 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -124,8 +122,8 @@ func DurationBuckets() []float64 {
 // Instruments with the same name and different labels form one
 // exposition family (e.g. repro_aqm_ce_marked_total{discipline="red"}).
 type Label struct {
-	Name  string `json:"name"`
-	Value string `json:"value"`
+	Name  string
+	Value string
 }
 
 // Kind discriminates instrument types in snapshots.
@@ -252,54 +250,27 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 type Bucket struct {
 	// UpperBound is the bucket's inclusive upper bound (Prometheus
 	// `le`); +Inf for the last bucket.
-	UpperBound float64 `json:"-"`
+	UpperBound float64
 	// Count is the cumulative observation count at or below UpperBound.
-	Count uint64 `json:"count"`
-}
-
-// bucketJSON is Bucket's wire form: the bound travels as a string
-// because encoding/json rejects the +Inf float every histogram's last
-// bucket carries.
-type bucketJSON struct {
-	LE    string `json:"le"`
-	Count uint64 `json:"count"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (b Bucket) MarshalJSON() ([]byte, error) {
-	return json.Marshal(bucketJSON{LE: formatFloat(b.UpperBound), Count: b.Count})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (b *Bucket) UnmarshalJSON(data []byte) error {
-	var w bucketJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	le, err := strconv.ParseFloat(w.LE, 64)
-	if err != nil {
-		return fmt.Errorf("telemetry: bucket bound %q: %w", w.LE, err)
-	}
-	b.UpperBound, b.Count = le, w.Count
-	return nil
+	Count uint64
 }
 
 // Sample is one instrument's point-in-time state.
 type Sample struct {
-	Name   string  `json:"name"`
-	Help   string  `json:"help,omitempty"`
-	Kind   Kind    `json:"kind"`
-	Labels []Label `json:"labels,omitempty"`
+	Name   string
+	Help   string
+	Kind   Kind
+	Labels []Label
 
 	// Value carries counter and gauge readings (a counter's as float64
 	// for uniformity; Uint carries the exact count).
-	Value float64 `json:"value"`
-	Uint  uint64  `json:"uint,omitempty"`
+	Value float64
+	Uint  uint64
 
 	// Histogram fields.
-	Count   uint64   `json:"count,omitempty"`
-	Sum     float64  `json:"sum,omitempty"`
-	Buckets []Bucket `json:"buckets,omitempty"`
+	Count   uint64
+	Sum     float64
+	Buckets []Bucket
 }
 
 // Snapshot loads every instrument once and returns the samples sorted

@@ -210,18 +210,3 @@ func TestPrometheusExposition(t *testing.T) {
 		t.Errorf("family header repeated:\n%s", out)
 	}
 }
-
-func TestJSONExposition(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("repro_jobs_total", "jobs").Add(3)
-	var sb strings.Builder
-	if err := r.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{`"metrics"`, `"repro_jobs_total"`, `"counter"`, `"uint": 3`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("JSON exposition missing %q in:\n%s", want, out)
-		}
-	}
-}

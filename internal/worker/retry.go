@@ -2,7 +2,6 @@ package worker
 
 import (
 	"context"
-	"errors"
 	"hash/fnv"
 	"log/slog"
 	"time"
@@ -80,32 +79,19 @@ func (b backoff) delay(attempt int) time.Duration {
 // backoff, wins — the coordinator knows its own drain window.
 func retry(ctx context.Context, cfg Config, logger *slog.Logger, stats *Stats, what string, op func() error) error {
 	bo := newBackoff(cfg.ID, cfg.RetryBase, cfg.RetryCap)
-	max := cfg.MaxRetries
-	if max <= 0 {
-		max = defaultMaxRetries
+	budget := cfg.MaxRetries
+	if budget <= 0 {
+		budget = defaultMaxRetries
 	}
 	for attempt := 0; ; attempt++ {
 		err := op()
-		if apiclient.IsCode(err, "worker_quarantined") {
-			// Not a failure to grind through: the coordinator has benched
-			// this worker for its quarantine window. Surface immediately so
-			// the caller can back off for the full Retry-After instead of
-			// burning the retry budget.
-			return err
-		}
-		if err == nil || !apiclient.IsTransient(err) || attempt >= max {
+		if err == nil || !apiclient.IsTransient(err) || attempt >= budget {
 			return err
 		}
 		stats.Retries++
-		d := bo.delay(attempt)
-		var ae *apiclient.APIError
-		if errors.As(err, &ae) && ae.RetryAfter > 0 {
-			if hint := time.Duration(ae.RetryAfter) * time.Second; hint > d {
-				d = hint
-			}
-		}
+		d := max(bo.delay(attempt), apiclient.RetryAfter(err))
 		logger.Warn("transient failure; backing off",
-			"op", what, "attempt", attempt+1, "max", max, "delay", d, "err", err)
+			"op", what, "attempt", attempt+1, "max", budget, "delay", d, "err", err)
 		select {
 		case <-ctx.Done():
 			return ctx.Err()

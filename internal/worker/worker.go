@@ -73,9 +73,6 @@ type Stats struct {
 	// lease died under them (heartbeat loss) — uploading on a dead
 	// lease would only be rejected as stale.
 	Abandoned int `json:"abandoned"`
-	// Quarantined counts claims the coordinator refused with 429
-	// worker_quarantined — this worker is benched and backing off.
-	Quarantined int `json:"quarantined"`
 }
 
 // compiledJob caches the per-spec-hash execution state: one compiled
@@ -220,23 +217,6 @@ func workJob(ctx context.Context, cfg Config, logger *slog.Logger, jobID string,
 		// The job may have finished, or be a local-execution job named
 		// explicitly; neither ends the worker.
 		if apiclient.IsCode(err, "job_not_found") || apiclient.IsCode(err, "job_not_distributed") {
-			return 0, nil
-		}
-		if apiclient.IsCode(err, "worker_quarantined") {
-			// Benched by the health scoreboard: honor the Retry-After (the
-			// quarantine window), then resume claiming — probation re-admits
-			// a worker that behaves.
-			stats.Quarantined++
-			wait := apiclient.RetryAfter(err)
-			if wait <= 0 {
-				wait = cfg.Poll
-			}
-			logger.Warn("quarantined by coordinator; backing off", "job", jobID, "wait", wait)
-			select {
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			case <-time.After(wait):
-			}
 			return 0, nil
 		}
 		return 0, err

@@ -69,9 +69,9 @@ func (b *Batch) Upload(ctx context.Context, n int) ([]apiclient.ResultAck, error
 
 // Hold heartbeats every lease the batch has not uploaded, a third of
 // the TTL apart, and never executes: a wedged worker, alive and making
-// no progress — what straggler speculation races and the scoreboard
-// quarantines. It returns once every held lease has been refused (the
-// shard was finished by a speculating twin) or ctx ends.
+// no progress — what straggler speculation races. It returns once
+// every held lease has been refused (the shard was finished by a
+// speculating twin) or ctx ends.
 func (b *Batch) Hold(ctx context.Context) error {
 	live := b.Shards[b.uploaded:]
 	t := time.NewTicker(time.Duration(b.LeaseTTLSeconds * float64(time.Second) / 3))
