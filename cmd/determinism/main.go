@@ -8,14 +8,13 @@
 // CI runs it as the `determinism` job; locally `make determinism` does
 // the same. The spec axes come from the shared campaign flag surface
 // (campaign.BindSpecFlags in grid mode): -workers/-slices/-scenario
-// accept comma-separated axis values, a REPRO_* variable narrows its
-// axis to one value, and the defaults — slices ∈ {1, 2, 8} × workers ∈
-// {1, 4, 13} × all scenarios — span one-shard-per-vantage through
-// more-slices-than-traces and sequential through
-// one-goroutine-per-vantage. Every spec cell then runs four times: on
-// the production timing wheel and the heap scheduler, under the
-// production lazy cross-traffic replay and the event-per-boundary
-// drive. The two oracles are not on the spec or any flag — they cannot
+// accept comma-separated axis values (an empty list is an error), and
+// the defaults — slices ∈ {1, 2, 8} × workers ∈ {1, 4, 13} × all
+// scenarios — span one-shard-per-vantage through more-slices-than-traces
+// and sequential through one-goroutine-per-vantage. Every spec cell then
+// runs four times: on the production timing wheel and the heap
+// scheduler, under the production lazy cross-traffic replay and the
+// event-per-boundary drive. The two oracles are not on the spec or any flag — they cannot
 // change a byte, and this command is what proves it — so the sweep
 // sets campaign.Config's typed Scheduler/XTraffic fields itself. All
 // hashes of a scenario must be equal; the first line printed is always

@@ -14,13 +14,13 @@
 //	ecnspider [-seed N] [-scale paper|small] [-scenario name] [-traces N] [-workers N] [-slices N] [-discover] [-o dataset.jsonl]
 //
 // Campaign knobs come from the shared campaign flag surface
-// (campaign.BindSpecFlags): explicit flags override the REPRO_*
-// environment, which overrides the tool defaults (small scale, 2 traces
-// per vantage; -scale paper without -traces runs the paper's 210-trace
-// plan). -scenario selects the congestion scenario (uncongested, the
-// default; congested-edge; congested-transit) — congested runs append a
-// CE-mark report to stderr. -slices N lifts campaign parallelism past
-// the 13 vantage points (13×N shards). -cpuprofile/-memprofile write
+// (campaign.BindSpecFlags): a flag the command line sets overrides the
+// tool defaults (small scale, 2 traces per vantage; -scale paper
+// without -traces runs the paper's 210-trace plan). -scenario selects
+// the congestion scenario (uncongested, the default; congested-edge;
+// congested-transit) — congested runs append a CE-mark report to
+// stderr. -slices N lifts campaign parallelism past the 13 vantage
+// points (13×N shards). -cpuprofile/-memprofile write
 // pprof profiles of the campaign for hot-path work. The campaign always
 // runs on the production engine (timing wheel, lazy cross-traffic
 // replay); the differential oracles are swept by cmd/determinism.
@@ -42,11 +42,7 @@ import (
 )
 
 func main() {
-	base := campaign.DefaultSpec()
-	base.Scale = "small"
-	base.Traces = 2
-	base.Stride = 0 // ecnspider reproduces the dataset; no traceroute sweep
-	spec := campaign.BindSpecFlags(flag.CommandLine, campaign.FlagOptions{Base: base})
+	spec := bindSpec(flag.CommandLine)
 	var (
 		out      = flag.String("o", "dataset.jsonl", "output dataset path (- for stdout)")
 		pcapPath = flag.String("pcap", "", "capture the first shard's vantage traffic to this pcap file (last 100k packets)")
@@ -69,14 +65,9 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	s, err := spec.Resolve()
+	s, err := resolveSpec(spec)
 	if err != nil {
 		fatal("%v", err)
-	}
-	// The 2-traces default belongs to the small world; at paper scale an
-	// untouched -traces means the full 210-trace plan, as it always has.
-	if spec.Source("traces") == campaign.SourceDefault && s.Scale == "paper" {
-		s.Traces = 0
 	}
 	cfg, err := s.Config()
 	if err != nil {
@@ -180,6 +171,28 @@ func main() {
 
 // stopProfile flushes an active CPU profile before a fatal exit.
 var stopProfile func()
+
+// bindSpec registers the campaign flags over ecnspider's defaults: the
+// small world, 2 traces per vantage and no traceroute sweep (ecnspider
+// reproduces the dataset).
+func bindSpec(fs *flag.FlagSet) *campaign.SpecFlags {
+	base := campaign.DefaultSpec()
+	base.Scale = "small"
+	base.Traces = 2
+	base.Stride = 0
+	return campaign.BindSpecFlags(fs, campaign.FlagOptions{Base: base})
+}
+
+// resolveSpec resolves the parsed flags. The 2-traces default belongs
+// to the small world: at paper scale an untouched -traces means the
+// paper's full 210-trace plan.
+func resolveSpec(spec *campaign.SpecFlags) (campaign.Spec, error) {
+	s, err := spec.Resolve()
+	if err == nil && !spec.Set("traces") && s.Scale == "paper" {
+		s.Traces = 0
+	}
+	return s, err
+}
 
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "ecnspider: "+format+"\n", args...)

@@ -11,10 +11,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -79,15 +79,47 @@ func TestPcap(t *testing.T) {
 	}
 }
 
+// TestPaperScaleMeansPaperPlan: at -scale paper an untouched -traces
+// is the paper's 210-trace plan; an explicit -traces 2, though it
+// repeats the small world's default, is 2 traces a vantage.
+func TestPaperScaleMeansPaperPlan(t *testing.T) {
+	for _, row := range []struct {
+		args   []string
+		traces int
+	}{
+		{[]string{"-scale", "paper"}, 210},
+		{[]string{"-scale", "paper", "-traces", "2"}, 13 * 2},
+		{nil, 13 * 2},
+	} {
+		fs := flag.NewFlagSet("ecnspider", flag.ContinueOnError)
+		spec := bindSpec(fs)
+		if err := fs.Parse(row.args); err != nil {
+			t.Fatal(err)
+		}
+		s, err := resolveSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := s.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, sh := range cfg.Shards() {
+			total += sh.Traces
+		}
+		if total != row.traces {
+			t.Errorf("ecnspider %s plans %d traces, want %d", strings.Join(row.args, " "), total, row.traces)
+		}
+	}
+}
+
 // ecnspider runs the command with args, which must exit 0, and returns
-// its stderr. The REPRO_* environment is dropped: it would override the
-// defaults the rows pin.
+// its stderr.
 func ecnspider(t *testing.T, args ...string) string {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(slices.DeleteFunc(os.Environ(), func(kv string) bool {
-		return strings.HasPrefix(kv, "REPRO_")
-	}), childEnv+"=1")
+	cmd.Env = append(os.Environ(), childEnv+"=1")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {

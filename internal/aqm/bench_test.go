@@ -36,10 +36,9 @@ func newBufRing(tb testing.TB, n int) []*packet.Buf {
 // hot path of each discipline under saturation: every packet traverses
 // the full admission decision and most take a congestion action (CE
 // re-mark with RFC 1624 incremental checksum update). This is the
-// per-packet cost a congested campaign pays at every bottleneck; the
-// bench report (make bench → BENCH_3.json) tracks it across PRs.
-// Steady state must be allocation-free — the perf-gate CI job fails on
-// any allocs/op here.
+// per-packet cost a congested campaign pays at every bottleneck.
+// Steady state must be allocation-free — TestCEMarkPathAllocFree fails
+// on any allocation here.
 func BenchmarkCEMarkThroughput(b *testing.B) {
 	for _, name := range []string{"droptail", "red", "codel"} {
 		b.Run(name, func(b *testing.B) {

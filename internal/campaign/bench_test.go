@@ -13,20 +13,81 @@ import (
 	"repro/internal/topology"
 )
 
-// benchRun executes a campaign configuration repeatedly. The REPRO_*
-// knobs select the campaign: at the default paper scale this is the full
-// 2500-server, 13-vantage plan; CI's smoke job sets REPRO_SCALE=small.
+// benchConfig is the one campaign the benchmarks and allocation tests
+// here run: the small world, 2 traces per vantage, every 3rd server
+// traced, seed 2015. They are small-world canaries; paper-scale numbers
+// come from the declared benchmark (go run ./bench).
+func benchConfig(tb testing.TB) Config {
+	s := DefaultSpec()
+	s.Scale = "small"
+	s.Traces = 2
+	cfg, err := s.Config()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cfg
+}
+
+// benchRun executes a campaign configuration repeatedly.
 func benchRun(b *testing.B, cfg Config) {
 	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
+		runCampaign(b, cfg)
+	}
+}
+
+func runCampaign(tb testing.TB, cfg Config) {
+	tb.Helper()
+	res, err := Run(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(res.Dataset.Traces) == 0 {
+		tb.Fatal("empty campaign")
+	}
+}
+
+// mallocs returns the heap allocations f makes.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// maxCampaignAllocs bounds one run of benchConfig at 4 workers: the
+// reading when the campaign path last changed (19.3k) + 20 %. With
+// probes, connections, the HTTP codec and the traceroute sweep
+// allocation-free in steady state (recycled sessions, ICMP quotations
+// read in place, one row slab per sweep), one world per worker reset
+// between shards — the first of them the world compiling built — and
+// one shell pool per world, what is left is 3 world instantiations, not
+// 13, and a shell per connection open at once, not per web server. A
+// closure per probe, a copy per ICMP, garbage per exchange, a world per
+// shard or shells per stack fails here long before it shows as
+// wall-clock.
+const maxCampaignAllocs = 23_200
+
+// TestCampaignAllocs holds BenchmarkCampaignWorkers/workers=4 under
+// maxCampaignAllocs a run, measured over two runs after a warm one.
+func TestCampaignAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts; the count cannot hold")
+	}
+	cfg := benchConfig(t)
+	cfg.Workers = 4
+	runCampaign(t, cfg)
+	const runs = 2
+	n := mallocs(func() {
+		for i := 0; i < runs; i++ {
+			runCampaign(t, cfg)
 		}
-		if len(res.Dataset.Traces) == 0 {
-			b.Fatal("empty campaign")
-		}
+	}) / runs
+	t.Logf("campaign at 4 workers: %d allocs a run (ceiling %d)", n, maxCampaignAllocs)
+	if n > maxCampaignAllocs {
+		t.Errorf("campaign at 4 workers: %d allocs a run, want ≤ %d", n, maxCampaignAllocs)
 	}
 }
 
@@ -40,10 +101,7 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 	}
 	for _, workers := range counts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg, err := FromEnv()
-			if err != nil {
-				b.Fatal(err)
-			}
+			cfg := benchConfig(b)
 			cfg.Workers = workers
 			benchRun(b, cfg)
 		})
@@ -57,10 +115,7 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 func BenchmarkCampaignSlices(b *testing.B) {
 	for _, slices := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("slices=%d", slices), func(b *testing.B) {
-			cfg, err := FromEnv()
-			if err != nil {
-				b.Fatal(err)
-			}
+			cfg := benchConfig(b)
 			cfg.SlicesPerVantage = slices
 			benchRun(b, cfg)
 		})
@@ -71,12 +126,9 @@ func BenchmarkCampaignSlices(b *testing.B) {
 // for every (vantage, slice) shard: instantiating a world into a fresh
 // simulator from the compiled blueprint. Before shared worlds this was
 // a full generation plus an all-pairs route computation per shard;
-// scripts/perf_gate.sh keeps it collapsed.
+// scripts/perf_gate.sh keeps its wall-clock from regressing.
 func BenchmarkShardBuild(b *testing.B) {
-	cfg, err := FromEnv()
-	if err != nil {
-		b.Fatal(err)
-	}
+	cfg := benchConfig(b)
 	topo, err := cfg.topologyConfig()
 	if err != nil {
 		b.Fatal(err)
@@ -94,39 +146,62 @@ func BenchmarkShardBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkWorldReset is what a shard costs an executor that already
-// holds a world: a paper-scale world that has just run one full trace,
-// Reset (the trace runs off the clock). It must report 0 allocs/op —
-// scripts/perf_gate.sh holds that line — because a reset that allocates
-// is an instantiation in disguise; BenchmarkShardBuild above is the
-// fresh-instantiate cost it replaces. Paper scale whatever REPRO_SCALE
-// says: the contract is about the world the ledger's workloads run.
-func BenchmarkWorldReset(b *testing.B) {
+// usedWorld is a paper-scale world and the step that leaves it used:
+// trace i of its first vantage, run to completion. Paper scale because
+// the reset contract is about the world the declared benchmark's
+// workloads run.
+func usedWorld(tb testing.TB) (w *topology.World, runTrace func(i int)) {
 	cfg := Config{Scale: "paper", Seed: 2015}
 	bp, err := cfg.CompileBlueprint()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	sim := netsim.NewSim(cfg.Seed)
-	w, err := bp.Instantiate(sim)
-	if err != nil {
-		b.Fatal(err)
+	if w, err = bp.Instantiate(sim); err != nil {
+		tb.Fatal(err)
 	}
 	v, servers := w.Vantages[0], w.ServerAddrs()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
+	return w, func(i int) {
 		sim.Reseed(TraceSeed(cfg.Seed, 0, i))
 		w.ApplyTraceConditions(v, topology.Batch1, sim.RNG())
 		done := false
 		core.RunTrace(v, servers, topology.Batch1, i, func(dataset.Trace) { done = true })
 		sim.Run()
 		if !done {
-			b.Fatal("trace did not complete")
+			tb.Fatal("trace did not complete")
 		}
+	}
+}
+
+// BenchmarkWorldReset is what a shard costs an executor that already
+// holds a world: a paper-scale world that has just run one full trace,
+// Reset (the trace runs off the clock). BenchmarkShardBuild above is the
+// fresh-instantiate cost it replaces.
+func BenchmarkWorldReset(b *testing.B) {
+	w, runTrace := usedWorld(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runTrace(i)
 		b.StartTimer()
 		w.Reset()
+	}
+}
+
+// TestWorldResetAllocFree: resetting a paper-scale world that has just
+// run a trace allocates nothing — a reset that allocates is an
+// instantiation in disguise.
+func TestWorldResetAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts; the count cannot hold")
+	}
+	w, runTrace := usedWorld(t)
+	for i := 0; i < 3; i++ {
+		runTrace(i)
+		if n := mallocs(w.Reset); n > 0 {
+			t.Fatalf("reset %d of a used paper-scale world: %d allocs, want 0", i, n)
+		}
 	}
 }
 
@@ -134,10 +209,7 @@ func BenchmarkWorldReset(b *testing.B) {
 // world generation plus routing, paid once per Run however many shards
 // fan out from it.
 func BenchmarkWorldCompile(b *testing.B) {
-	cfg, err := FromEnv()
-	if err != nil {
-		b.Fatal(err)
-	}
+	cfg := benchConfig(b)
 	topo, err := cfg.topologyConfig()
 	if err != nil {
 		b.Fatal(err)
@@ -158,18 +230,15 @@ func BenchmarkWorldCompile(b *testing.B) {
 // merely runs *later* in the process can look tens of percent slower)
 // cancels instead of masquerading as overhead — and reports the paired
 // difference as an `overhead-%` metric. scripts/perf_gate.sh reads
-// that metric and fails above PERF_GATE_MAX_TELEMETRY_PCT (default
-// 2%): the budget that keeps the flight recorder always-on in the
-// control plane. ns/op covers both runs of the pair.
+// that metric and fails above 2 %: the budget that keeps the flight
+// recorder always-on in the control plane. ns/op covers both runs of
+// the pair.
 //
 // Declared last on purpose: it runs many extra campaigns, and keeping
 // it after the benchmarks that perf_gate compares against the base ref
 // preserves identical in-process run order between the two trees.
 func BenchmarkCampaignTelemetry(b *testing.B) {
-	plain, err := FromEnv()
-	if err != nil {
-		b.Fatal(err)
-	}
+	plain := benchConfig(b)
 	// One worker: the overhead of the per-shard flush is the same, and
 	// a single-threaded campaign gives the paired comparison a far
 	// steadier baseline than multi-worker scheduling jitter.
@@ -183,13 +252,7 @@ func BenchmarkCampaignTelemetry(b *testing.B) {
 		// otherwise dominate the difference being measured.
 		runtime.GC()
 		start := time.Now()
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Dataset.Traces) == 0 {
-			b.Fatal("empty campaign")
-		}
+		runCampaign(b, cfg)
 		return time.Since(start).Nanoseconds()
 	}
 

@@ -101,7 +101,7 @@ type Config struct {
 	// Zero means GOMAXPROCS. The result does not depend on Workers.
 	Workers int
 	// SlicesPerVantage splits each vantage's trace quota into this many
-	// contiguous sub-shards (env REPRO_SLICES, ecnspider -slices),
+	// contiguous sub-shards (spec slices_per_vantage, flag -slices),
 	// lifting the one-shard-per-vantage parallelism cap. Zero or one
 	// keeps a single shard per vantage. The merged result does not
 	// depend on the slice count.
@@ -143,20 +143,6 @@ type Config struct {
 	// out-of-band: attaching it cannot change a dataset byte (see
 	// NewMetrics).
 	Metrics *Metrics
-}
-
-// FromEnv builds a Config from the REPRO_* environment knobs used by
-// the benchmark harness and CI. It is a thin wrapper over the
-// serializable campaign spec: SpecFromEnv layers the knobs over
-// DefaultSpec (see its doc comment for the vocabulary), and the
-// resulting Spec derives the Config — so env, CLI and the HTTP control
-// plane all parse campaign configuration through one surface.
-func FromEnv() (Config, error) {
-	s, err := SpecFromEnv()
-	if err != nil {
-		return Config{}, err
-	}
-	return s.Config()
 }
 
 // ShardStats records one shard's execution for capacity planning.

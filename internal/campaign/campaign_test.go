@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"weak"
 
 	"repro/internal/dataset"
-	"repro/internal/netsim"
 	"repro/internal/topology"
 	"repro/internal/traceroute"
 )
@@ -216,100 +214,6 @@ func TestSameSeedReproduces(t *testing.T) {
 	c := runOrFatal(t, cfg)
 	if bytes.Equal(encode(t, a.Dataset), encode(t, c.Dataset)) {
 		t.Error("different seeds produced identical datasets")
-	}
-}
-
-// TestFromEnv is table-driven over the REPRO_* knob surface: well-formed
-// values land in the Config, malformed ones produce a descriptive error
-// naming the offending variable instead of a silent default.
-func TestFromEnv(t *testing.T) {
-	allKnobs := []string{"REPRO_SCALE", "REPRO_SCENARIO", "REPRO_TRACES",
-		"REPRO_STRIDE", "REPRO_SEED", "REPRO_WORKERS", "REPRO_SLICES"}
-	cases := []struct {
-		name    string
-		env     map[string]string
-		wantErr string // substring of the error; empty = success expected
-		check   func(t *testing.T, cfg Config)
-	}{
-		{
-			name: "defaults",
-			check: func(t *testing.T, cfg Config) {
-				// FromEnv derives the Config from the canonical Spec, so
-				// defaults arrive explicit rather than as zero values.
-				if cfg.Scale != "paper" || cfg.Scenario != ScenarioUncongested ||
-					cfg.Traces != 6 || cfg.Stride != 3 || cfg.Seed != 2015 ||
-					cfg.Workers != 0 || cfg.SlicesPerVantage != 1 ||
-					cfg.Scheduler != netsim.SchedWheel || cfg.XTraffic != netsim.XTrafficLazy {
-					t.Fatalf("defaults = %+v", cfg)
-				}
-			},
-		},
-		{
-			name: "all set",
-			env: map[string]string{"REPRO_SCALE": "small", "REPRO_TRACES": "4",
-				"REPRO_STRIDE": "5", "REPRO_SEED": "-99", "REPRO_WORKERS": "3",
-				"REPRO_SCENARIO": "congested-edge", "REPRO_SLICES": "4"},
-			check: func(t *testing.T, cfg Config) {
-				if cfg.Scale != "small" || cfg.Traces != 4 || cfg.Stride != 5 ||
-					cfg.Seed != -99 || cfg.Workers != 3 || cfg.Scenario != "congested-edge" ||
-					cfg.SlicesPerVantage != 4 {
-					t.Fatalf("FromEnv = %+v", cfg)
-				}
-			},
-		},
-		{
-			name: "paper trace plan sentinel",
-			env:  map[string]string{"REPRO_TRACES": "paper"},
-			check: func(t *testing.T, cfg Config) {
-				if cfg.Traces != 0 {
-					t.Fatalf("REPRO_TRACES=paper should select the paper plan, got Traces=%d", cfg.Traces)
-				}
-			},
-		},
-		{
-			name: "uncongested scenario accepted",
-			env:  map[string]string{"REPRO_SCENARIO": "uncongested"},
-			check: func(t *testing.T, cfg Config) {
-				if cfg.Scenario != "uncongested" {
-					t.Fatalf("Scenario = %q", cfg.Scenario)
-				}
-			},
-		},
-		{name: "bad scale", env: map[string]string{"REPRO_SCALE": "medium"}, wantErr: "REPRO_SCALE"},
-		{name: "bad scenario", env: map[string]string{"REPRO_SCENARIO": "congested"}, wantErr: "REPRO_SCENARIO"},
-		{name: "traces typo", env: map[string]string{"REPRO_TRACES": "1O"}, wantErr: "REPRO_TRACES"},
-		{name: "traces zero", env: map[string]string{"REPRO_TRACES": "0"}, wantErr: "REPRO_TRACES"},
-		{name: "traces negative", env: map[string]string{"REPRO_TRACES": "-2"}, wantErr: "REPRO_TRACES"},
-		{name: "seed not integer", env: map[string]string{"REPRO_SEED": "twenty"}, wantErr: "REPRO_SEED"},
-		{name: "stride not integer", env: map[string]string{"REPRO_STRIDE": "3.5"}, wantErr: "REPRO_STRIDE"},
-		{name: "stride negative", env: map[string]string{"REPRO_STRIDE": "-1"}, wantErr: "REPRO_STRIDE"},
-		{name: "workers garbage", env: map[string]string{"REPRO_WORKERS": "all"}, wantErr: "REPRO_WORKERS"},
-		{name: "workers negative", env: map[string]string{"REPRO_WORKERS": "-4"}, wantErr: "REPRO_WORKERS"},
-		{name: "slices garbage", env: map[string]string{"REPRO_SLICES": "many"}, wantErr: "REPRO_SLICES"},
-		{name: "slices negative", env: map[string]string{"REPRO_SLICES": "-1"}, wantErr: "REPRO_SLICES"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, k := range allKnobs {
-				t.Setenv(k, tc.env[k]) // unset knobs become ""
-			}
-			cfg, err := FromEnv()
-			if tc.wantErr != "" {
-				if err == nil {
-					t.Fatalf("want error mentioning %q, got config %+v", tc.wantErr, cfg)
-				}
-				if !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("error %q does not name %q", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.check != nil {
-				tc.check(t, cfg)
-			}
-		})
 	}
 }
 

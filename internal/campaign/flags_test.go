@@ -4,24 +4,13 @@ import (
 	"flag"
 	"strings"
 	"testing"
+
+	"repro/internal/netsim"
 )
 
-// allReproKnobs clears every REPRO_* variable a test doesn't set, so
-// the ambient environment cannot leak into precedence cases.
-var allReproKnobs = []string{"REPRO_SCALE", "REPRO_SCENARIO", "REPRO_TRACES",
-	"REPRO_STRIDE", "REPRO_SEED", "REPRO_WORKERS", "REPRO_SLICES"}
-
-func setEnv(t *testing.T, env map[string]string) {
-	t.Helper()
-	for _, k := range allReproKnobs {
-		t.Setenv(k, env[k]) // unset knobs become ""
-	}
-}
-
 // TestSpecFlagsPrecedence is table-driven over the shared flag surface:
-// explicit flags override REPRO_* environment values, which override
-// the tool's base Spec — and a malformed environment value is an error
-// even when a flag overrides the same knob.
+// a flag the command line sets overrides the tool's base Spec — even
+// when it repeats the base value — and a flag it leaves alone does not.
 func TestSpecFlagsPrecedence(t *testing.T) {
 	base := DefaultSpec()
 	base.Scale = "small"
@@ -30,7 +19,6 @@ func TestSpecFlagsPrecedence(t *testing.T) {
 
 	cases := []struct {
 		name    string
-		env     map[string]string
 		args    []string
 		wantErr string // substring; empty = success
 		check   func(t *testing.T, s Spec, f *SpecFlags)
@@ -42,28 +30,13 @@ func TestSpecFlagsPrecedence(t *testing.T) {
 					s.Scenario != ScenarioUncongested || s.Stride != 0 {
 					t.Fatalf("spec = %+v", s)
 				}
-				if f.Source("traces") != SourceDefault {
-					t.Fatalf("Source(traces) = %v", f.Source("traces"))
+				if f.Set("traces") {
+					t.Fatal("Set(traces) with no -traces on the command line")
 				}
 			},
 		},
 		{
-			name: "env overrides base",
-			env: map[string]string{"REPRO_SCENARIO": "congested-edge",
-				"REPRO_TRACES": "5", "REPRO_WORKERS": "3"},
-			check: func(t *testing.T, s Spec, f *SpecFlags) {
-				if s.Scenario != "congested-edge" || s.Traces != 5 || s.Workers != 3 {
-					t.Fatalf("spec = %+v", s)
-				}
-				if f.Source("traces") != SourceEnv {
-					t.Fatalf("Source(traces) = %v", f.Source("traces"))
-				}
-			},
-		},
-		{
-			name: "flags override env",
-			env: map[string]string{"REPRO_SCENARIO": "congested-edge",
-				"REPRO_TRACES": "5", "REPRO_SLICES": "4"},
+			name: "flags override base",
 			args: []string{"-scenario", "congested-transit", "-traces", "7",
 				"-slices", "2", "-workers", "9", "-seed", "-1"},
 			check: func(t *testing.T, s Spec, f *SpecFlags) {
@@ -71,26 +44,19 @@ func TestSpecFlagsPrecedence(t *testing.T) {
 					s.SlicesPerVantage != 2 || s.Workers != 9 || s.Seed != -1 {
 					t.Fatalf("spec = %+v", s)
 				}
-				if f.Source("scenario") != SourceFlag || f.Source("stride") != SourceDefault {
-					t.Fatalf("sources: scenario=%v stride=%v", f.Source("scenario"), f.Source("stride"))
+				if !f.Set("scenario") || f.Set("stride") {
+					t.Fatalf("Set: scenario=%v stride=%v", f.Set("scenario"), f.Set("stride"))
 				}
 			},
 		},
 		{
-			name: "flag repeating the env value still counts as flag",
-			env:  map[string]string{"REPRO_WORKERS": "4"},
-			args: []string{"-workers", "4"},
+			name: "flag repeating the base value still counts as set",
+			args: []string{"-traces", "2"},
 			check: func(t *testing.T, s Spec, f *SpecFlags) {
-				if s.Workers != 4 || f.Source("workers") != SourceFlag {
-					t.Fatalf("workers=%d source=%v", s.Workers, f.Source("workers"))
+				if s.Traces != 2 || !f.Set("traces") {
+					t.Fatalf("traces=%d set=%v", s.Traces, f.Set("traces"))
 				}
 			},
-		},
-		{
-			name:    "malformed env is an error even when the flag overrides it",
-			env:     map[string]string{"REPRO_TRACES": "1O"},
-			args:    []string{"-traces", "7"},
-			wantErr: "REPRO_TRACES",
 		},
 		{
 			name:    "list value rejected by single-valued tool",
@@ -103,15 +69,44 @@ func TestSpecFlagsPrecedence(t *testing.T) {
 			wantErr: "scenario",
 		},
 		{
+			name:    "bad flag scale caught by validation",
+			args:    []string{"-scale", "medium"},
+			wantErr: "scale",
+		},
+		{
+			name:    "negative flag traces caught by validation",
+			args:    []string{"-traces", "-2"},
+			wantErr: "traces",
+		},
+		{
+			name:    "negative flag stride caught by validation",
+			args:    []string{"-stride", "-1"},
+			wantErr: "stride",
+		},
+		{
 			name:    "negative flag workers rejected",
 			args:    []string{"-workers", "-2"},
 			wantErr: "workers",
+		},
+		{
+			name:    "garbage flag workers rejected",
+			args:    []string{"-workers", "all"},
+			wantErr: "workers",
+		},
+		{
+			name:    "negative flag slices rejected",
+			args:    []string{"-slices", "-1"},
+			wantErr: "slices",
+		},
+		{
+			name:    "garbage flag slices rejected",
+			args:    []string{"-slices", "many"},
+			wantErr: "slices",
 		},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			setEnv(t, tc.env)
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)
 			f := BindSpecFlags(fs, FlagOptions{Base: base})
 			if err := fs.Parse(tc.args); err != nil {
@@ -135,9 +130,67 @@ func TestSpecFlagsPrecedence(t *testing.T) {
 	}
 }
 
+// TestFromEnv resolves a campaign the way a tool does from its process
+// environment, with every former REPRO_* campaign variable set to a
+// value that would change or break the campaign: the command line over
+// the base Spec is the whole configuration surface, so the defaults
+// arrive untouched and a bad flag is refused whatever the environment
+// holds.
+func TestFromEnv(t *testing.T) {
+	stale := map[string]string{"REPRO_SCALE": "small", "REPRO_SCENARIO": "congested-edge",
+		"REPRO_TRACES": "4", "REPRO_STRIDE": "5", "REPRO_SEED": "-99",
+		"REPRO_WORKERS": "3", "REPRO_SLICES": "4"}
+	cases := []struct {
+		name    string
+		args    []string
+		wantErr string // substring of the error; empty = success expected
+	}{
+		{name: "defaults"},
+		{name: "bad scenario", args: []string{"-scenario", "congested"}, wantErr: "scenario"},
+		{name: "workers negative", args: []string{"-workers", "-4"}, wantErr: "workers"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for k, v := range stale {
+				t.Setenv(k, v)
+			}
+			fs := flag.NewFlagSet("test", flag.ContinueOnError)
+			f := BindSpecFlags(fs, FlagOptions{Base: DefaultSpec()})
+			if err := fs.Parse(tc.args); err != nil {
+				t.Fatal(err)
+			}
+			s, err := f.Resolve()
+			if tc.wantErr != "" {
+				if err == nil {
+					t.Fatalf("want error mentioning %q, got spec %+v", tc.wantErr, s)
+				}
+				if !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := s.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The canonical Spec derives the Config, so defaults arrive
+			// explicit rather than as zero values.
+			if cfg.Scale != "paper" || cfg.Scenario != ScenarioUncongested ||
+				cfg.Traces != 6 || cfg.Stride != 3 || cfg.Seed != 2015 ||
+				cfg.Workers != 0 || cfg.SlicesPerVantage != 1 ||
+				cfg.Scheduler != netsim.SchedWheel || cfg.XTraffic != netsim.XTrafficLazy {
+				t.Fatalf("defaults = %+v", cfg)
+			}
+		})
+	}
+}
+
 // TestSpecFlagsGrid covers cmd/determinism's list-valued mode: default
 // axes sweep the GridDefaults, flags narrow or widen an axis, and a
-// REPRO_* variable narrows its axis to one value.
+// malformed or empty axis list is an error.
 func TestSpecFlagsGrid(t *testing.T) {
 	grid := &GridDefaults{
 		Scenarios: Scenarios(),
@@ -160,7 +213,6 @@ func TestSpecFlagsGrid(t *testing.T) {
 	}
 
 	t.Run("default grid is the full cross product", func(t *testing.T) {
-		setEnv(t, nil)
 		cells, err := bind(t, nil).ResolveGrid()
 		if err != nil {
 			t.Fatal(err)
@@ -180,7 +232,6 @@ func TestSpecFlagsGrid(t *testing.T) {
 	})
 
 	t.Run("flag narrows an axis", func(t *testing.T) {
-		setEnv(t, nil)
 		cells, err := bind(t, []string{"-scenario", "uncongested", "-workers", "1,2"}).ResolveGrid()
 		if err != nil {
 			t.Fatal(err)
@@ -195,29 +246,17 @@ func TestSpecFlagsGrid(t *testing.T) {
 		}
 	})
 
-	t.Run("env narrows an axis to one value", func(t *testing.T) {
-		setEnv(t, map[string]string{"REPRO_SLICES": "2"})
-		cells, err := bind(t, nil).ResolveGrid()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := 3 * 1 * 3; len(cells) != want {
-			t.Fatalf("grid = %d cells, want %d", len(cells), want)
-		}
-		for _, c := range cells {
-			if c.SlicesPerVantage != 2 {
-				t.Fatalf("cell slices = %d", c.SlicesPerVantage)
-			}
-		}
-	})
-
 	t.Run("invalid axis value rejected", func(t *testing.T) {
-		setEnv(t, nil)
 		if _, err := bind(t, []string{"-scenario", "uncongested,congested"}).ResolveGrid(); err == nil {
 			t.Fatal("want error for unknown scenario in the grid")
 		}
 		if _, err := bind(t, []string{"-workers", "1,zero"}).ResolveGrid(); err == nil {
 			t.Fatal("want error for malformed worker count")
+		}
+		for _, axis := range []string{"-scenario", "-workers", "-slices"} {
+			if _, err := bind(t, []string{axis, ","}).ResolveGrid(); err == nil || !strings.Contains(err.Error(), "need at least one") {
+				t.Fatalf("%s ,: err = %v, want an empty axis refused", axis, err)
+			}
 		}
 	})
 }

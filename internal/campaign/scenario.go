@@ -7,7 +7,7 @@ import (
 )
 
 // The named campaign scenarios, selectable via Config.Scenario, the
-// REPRO_SCENARIO environment knob and ecnspider's -scenario flag. A
+// spec's "scenario" field and the tools' -scenario flag. A
 // scenario chooses where (if anywhere) the congestion substrate places
 // its bandwidth-limited AQM bottlenecks; everything else about the
 // world is untouched, so the uncongested scenario regenerates datasets

@@ -4,9 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/topology"
@@ -27,8 +25,8 @@ const (
 )
 
 // Spec is the canonical, serializable description of a campaign: the
-// single configuration surface behind the CLI flags, the REPRO_*
-// environment knobs and the HTTP control plane's request body. It is
+// single configuration surface behind the CLI flags and the HTTP
+// control plane's request body. It is
 // the JSON-round-trippable subset of Config — everything that selects
 // *which* campaign runs and *how* it is executed, but none of the
 // in-process hooks (ShardHook, Topology overrides) that cannot
@@ -105,8 +103,8 @@ type Spec struct {
 	SlicesPerVantage int `json:"slices_per_vantage"`
 }
 
-// DefaultSpec is the fully-explicit default campaign: the paper plan’s
-// knob values that FromEnv has always defaulted to, in canonical form.
+// DefaultSpec is the fully-explicit default campaign in canonical form:
+// paper scale, 6 traces per vantage, every 3rd server traced, seed 2015.
 func DefaultSpec() Spec {
 	return Spec{
 		Version:          SpecVersion,
@@ -343,94 +341,4 @@ func ParseSpec(data []byte) (Spec, error) {
 		return Spec{}, err
 	}
 	return s, nil
-}
-
-// SpecFromEnv builds a Spec by layering the REPRO_* environment knobs
-// over DefaultSpec:
-//
-//	REPRO_SCALE=small|paper    world size             (default paper)
-//	REPRO_SCENARIO=name        congestion scenario    (default uncongested; see Scenarios)
-//	REPRO_TRACES=N|paper       traces per vantage     (default 6; "paper" = the full 210-trace plan)
-//	REPRO_STRIDE=N             traceroute sampling    (default 3: every 3rd server)
-//	REPRO_SEED=N               campaign seed          (default 2015)
-//	REPRO_WORKERS=N            parallel shard workers (default GOMAXPROCS)
-//	REPRO_SLICES=N             sub-shards per vantage (default 1)
-//
-// Malformed values are an error, not a silent fallback: these knobs
-// select entire measurement campaigns, and a typo'd REPRO_TRACES=1O
-// quietly running the default plan would waste a paper-scale run.
-func SpecFromEnv() (Spec, error) {
-	s := DefaultSpec()
-	if err := s.applyEnv(os.Getenv); err != nil {
-		return Spec{}, err
-	}
-	return s, nil
-}
-
-// applyEnv overlays the REPRO_* knobs (read through getenv; empty means
-// unset) onto the spec in place.
-func (s *Spec) applyEnv(getenv func(string) string) error {
-	if v := getenv("REPRO_SCALE"); v != "" {
-		if v != "small" && v != "paper" {
-			return fmt.Errorf("campaign: REPRO_SCALE=%q: want small or paper", v)
-		}
-		s.Scale = v
-	}
-	if v := getenv("REPRO_SCENARIO"); v != "" {
-		if err := ApplyScenario(&topology.Config{}, v); err != nil {
-			return fmt.Errorf("REPRO_SCENARIO: %w", err)
-		}
-		s.Scenario = v
-	}
-	var err error
-	if s.Seed, err = envInt64(getenv, "REPRO_SEED", s.Seed); err != nil {
-		return err
-	}
-	envCount := func(key string, def int) (int, error) {
-		n, err := envInt64(getenv, key, int64(def))
-		if err != nil {
-			return 0, err
-		}
-		if n < 0 {
-			return 0, fmt.Errorf("campaign: %s=%d: must not be negative", key, n)
-		}
-		return int(n), nil
-	}
-	if s.Stride, err = envCount("REPRO_STRIDE", s.Stride); err != nil {
-		return err
-	}
-	if s.Workers, err = envCount("REPRO_WORKERS", s.Workers); err != nil {
-		return err
-	}
-	if s.SlicesPerVantage, err = envCount("REPRO_SLICES", s.SlicesPerVantage); err != nil {
-		return err
-	}
-	switch v := getenv("REPRO_TRACES"); v {
-	case "":
-	case "paper":
-		// The "paper" sentinel (Traces=0) selects the full 210-trace
-		// plan; every other value must be a positive count so a stray
-		// REPRO_TRACES=0 cannot silently launch it.
-		s.Traces = 0
-	default:
-		if s.Traces, err = envCount("REPRO_TRACES", s.Traces); err != nil {
-			return err
-		}
-		if s.Traces < 1 {
-			return fmt.Errorf("campaign: REPRO_TRACES=%q: want a count ≥ 1 or \"paper\"", v)
-		}
-	}
-	return nil
-}
-
-func envInt64(getenv func(string) string, key string, def int64) (int64, error) {
-	v := getenv(key)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("campaign: %s=%q: not an integer", key, v)
-	}
-	return n, nil
 }

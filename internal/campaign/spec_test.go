@@ -262,7 +262,7 @@ func TestConfigShards(t *testing.T) {
 }
 
 // TestSpecSurfaceIsTheExperiment pins the public spec surface: the
-// canonical default spec has exactly these keys, and the differential
+// canonical default spec is exactly README's, and the differential
 // oracles (heap scheduler, event-per-boundary cross-traffic) are not
 // among them — not as JSON fields, not as flags. They are reachable
 // only through Config's typed fields.
@@ -271,22 +271,12 @@ func TestSpecSurfaceIsTheExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatal(err)
+	const readme = `{"spec":1,"scale":"paper","scenario":"uncongested","traces":6,` +
+		`"batch2_fraction":0.5,"discover":false,"discovery_rounds":50,"stride":3,` +
+		`"seed":2015,"execution":"local","workers":0,"slices_per_vantage":1}`
+	if string(b) != readme {
+		t.Errorf("canonical default spec %s, want %s", b, readme)
 	}
-	want := []string{"spec", "scale", "scenario", "traces", "batch2_fraction",
-		"discover", "discovery_rounds", "stride", "seed", "execution", "workers",
-		"slices_per_vantage"}
-	if len(doc) != len(want) {
-		t.Errorf("canonical default spec has %d keys, want %d: %s", len(doc), len(want), b)
-	}
-	for _, k := range want {
-		if _, ok := doc[k]; !ok {
-			t.Errorf("canonical default spec lacks %q: %s", k, b)
-		}
-	}
-
 	for _, body := range []string{`{"scheduler":"heap"}`, `{"xtraffic":"events"}`} {
 		_, err := ParseSpec([]byte(body))
 		var verr *ValidationError

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -336,23 +337,52 @@ func TestTraceDecodeAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkDatasetRead decodes the paper-sized trace set
-// BenchmarkDatasetWrite encodes. scripts/perf_gate.sh holds its B/op and
-// allocs/op under ceilings: the decoded observations plus the line
-// buffer, where reflective encoding/json grew every slice by doubling
-// and allocated per address.
-func BenchmarkDatasetRead(b *testing.B) {
-	var encoded bytes.Buffer
-	if err := Write(&encoded, benchDataset(13, 2500)); err != nil {
-		b.Fatal(err)
+// paperRead returns the paper-sized trace set BenchmarkDatasetWrite
+// encodes, encoded, and a step that decodes it.
+func paperRead(tb testing.TB) (encoded []byte, read func()) {
+	var buf bytes.Buffer
+	if err := Write(&buf, benchDataset(13, 2500)); err != nil {
+		tb.Fatal(err)
 	}
-	b.SetBytes(int64(encoded.Len()))
+	return buf.Bytes(), func() {
+		d, err := Read(bytes.NewReader(buf.Bytes()))
+		if err != nil || len(d.Traces) != 13 {
+			tb.Fatalf("Read = %v, %v", d, err)
+		}
+	}
+}
+
+// BenchmarkDatasetRead decodes the paper-sized trace set
+// BenchmarkDatasetWrite encodes.
+func BenchmarkDatasetRead(b *testing.B) {
+	encoded, read := paperRead(b)
+	b.SetBytes(int64(len(encoded)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := Read(bytes.NewReader(encoded.Bytes()))
-		if err != nil || len(d.Traces) != 13 {
-			b.Fatalf("Read = %v, %v", d, err)
-		}
+		read()
+	}
+}
+
+// TestDatasetReadAllocs holds a paper-sized Read at ≤ 1 904 400 B and
+// ≤ 80 allocations: the reading when the path last changed + 20 %. It
+// read 1.59 MB — 0.53 MB of 14-byte observations, 13 exactly-sized
+// slices of 40 KB, plus json.Decoder's line buffer — and 66 allocs,
+// where reflective encoding/json grew every slice by doubling and
+// allocated per address.
+func TestDatasetReadAllocs(t *testing.T) {
+	_, read := paperRead(t)
+	read()
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	bytes, allocs := (after.TotalAlloc-before.TotalAlloc)/runs, (after.Mallocs-before.Mallocs)/runs
+	t.Logf("a paper-sized Read: %d B, %d allocs", bytes, allocs)
+	if bytes > 1_904_400 || allocs > 80 {
+		t.Errorf("a paper-sized Read: %d B and %d allocs, want ≤ 1904400 B and ≤ 80 allocs", bytes, allocs)
 	}
 }

@@ -200,9 +200,7 @@ func benchDataset(traces, servers int) *Dataset {
 }
 
 // BenchmarkDatasetWrite encodes a paper-sized trace set (13 vantages ×
-// 2500 servers). scripts/perf_gate.sh holds its allocs/op under a
-// ceiling: the hand-written encoder allocates its one growing buffer,
-// where reflective encoding/json allocated per observation.
+// 2500 servers).
 func BenchmarkDatasetWrite(b *testing.B) {
 	d := benchDataset(13, 2500)
 	var n countWriter
@@ -216,6 +214,22 @@ func BenchmarkDatasetWrite(b *testing.B) {
 		if err := Write(&n, d); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDatasetWriteAllocs holds a paper-sized Write at ≤ 4 allocations:
+// the hand-written encoder allocates its one chunk (1 alloc when the
+// path last changed; the ceiling is that + 3), where reflective
+// encoding/json allocated two per observation.
+func TestDatasetWriteAllocs(t *testing.T) {
+	d := benchDataset(13, 2500)
+	var n countWriter
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := Write(&n, d); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 4 {
+		t.Errorf("a paper-sized Write: %.0f allocs, want ≤ 4", allocs)
 	}
 }
 

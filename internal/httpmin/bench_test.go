@@ -36,8 +36,7 @@ func (l *getLoop) run(tb testing.TB, requestECN bool) {
 
 // BenchmarkGetExchange measures the paper's HTTP probe end to end, with
 // and without an ECN-setup SYN; steady state is 0 allocs/op
-// (scripts/perf_gate.sh holds that line in CI, TestGetAllocFree in
-// tier-1).
+// (TestGetAllocFree holds that line).
 func BenchmarkGetExchange(b *testing.B) {
 	for _, bc := range []struct {
 		name string

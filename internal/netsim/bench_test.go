@@ -10,8 +10,8 @@ import (
 
 // BenchmarkSimSchedule compares the timing wheel against the heap
 // fallback on the mixed near/far timer workload (ScheduleBenchWorkload,
-// shared with bench/'s scheduler kernel). Registered in scripts/perf_gate.sh:
-// both variants must stay at 0 allocs/op.
+// shared with bench/'s scheduler kernel). Both variants stay at 0
+// allocs/op (TestSimScheduleAllocFree).
 func BenchmarkSimSchedule(b *testing.B) {
 	for _, sched := range []Scheduler{SchedWheel, SchedHeap} {
 		b.Run("sched="+sched.Name(), func(b *testing.B) {
@@ -28,8 +28,7 @@ func BenchmarkSimSchedule(b *testing.B) {
 // timeline kernel (ScheduleBenchWorkloadSparse): a near-empty pending
 // set with whole windows between instants, the shape real campaigns
 // spend most of their virtual time in — and the regime where the wheel
-// beats the heap. Also registered in scripts/perf_gate.sh's allocs
-// gate.
+// beats the heap. Also 0 allocs/op (TestSimScheduleAllocFree).
 func BenchmarkSimScheduleSparse(b *testing.B) {
 	for _, sched := range []Scheduler{SchedWheel, SchedHeap} {
 		b.Run("sched="+sched.Name(), func(b *testing.B) {
@@ -43,13 +42,23 @@ func BenchmarkSimScheduleSparse(b *testing.B) {
 }
 
 // TestSimScheduleAllocFree pins the scheduler hot path at zero
-// allocations per event on both schedulers once pools are warm.
+// allocations per event on both schedulers once pools are warm, on the
+// mixed and the sparse timeline alike. A batch may allocate only what a
+// one-event batch does: the sparse kernel's state and its bound chain
+// step, once a call.
 func TestSimScheduleAllocFree(t *testing.T) {
-	for _, sched := range []Scheduler{SchedWheel, SchedHeap} {
-		s := NewSimSched(1, sched)
-		ScheduleBenchWorkload(s, 8192) // warm up
-		if allocs := testing.AllocsPerRun(10, func() { ScheduleBenchWorkload(s, 1024) }); allocs > 0 {
-			t.Errorf("%s scheduler: %.1f allocs per 1024-event batch, want 0", sched.Name(), allocs)
+	for _, workload := range []struct {
+		name string
+		run  func(*Sim, int)
+	}{{"mixed", ScheduleBenchWorkload}, {"sparse", ScheduleBenchWorkloadSparse}} {
+		for _, sched := range []Scheduler{SchedWheel, SchedHeap} {
+			s := NewSimSched(1, sched)
+			workload.run(s, 8192) // warm up
+			setup := testing.AllocsPerRun(10, func() { workload.run(s, 1) })
+			if allocs := testing.AllocsPerRun(10, func() { workload.run(s, 1024) }); allocs > setup {
+				t.Errorf("%s scheduler, %s timeline: %.1f allocs per 1024-event batch, want the %.0f of a one-event batch",
+					sched.Name(), workload.name, allocs, setup)
+			}
 		}
 	}
 }
@@ -67,39 +76,65 @@ func BenchmarkEventLoop(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkRouterForward is the bare forwarding path at the smallest
-// packet the campaign sends — the shape of the bench kernel behind
+// routerForward is the bare forwarding path at the smallest packet the
+// campaign sends — the shape of the bench kernel behind
 // netsim.forward_ns_per_hop: one host sends 48-byte UDP datagrams in
 // bursts of 64 through a chain of five routers to another host, 1 ms
-// links, no loss, no queues, no middleboxes. One op is one packet
-// end to end (six link events); ns/hop divides by the five routers.
-// Registered in scripts/perf_gate.sh: it must stay at 0 allocs/op.
-func BenchmarkRouterForward(b *testing.B) {
-	const routers, burst = 5, 64
-	sim := NewSim(1)
-	_, h1, h2, _ := lineTopology(b, sim, routers, time.Millisecond)
-	delivered := 0
-	h2.BindUDP(123, func(*Host, packet.IPv4Header, packet.UDPHeader, []byte) { delivered++ })
+// links, no loss, no queues, no middleboxes.
+type routerForward struct {
+	sim       *Sim
+	h1, h2    *Host
+	payload   []byte
+	delivered int
+}
 
-	payload := make([]byte, 48)
-	send := func(packets int) {
-		for sent := 0; sent < packets; sent += burst {
-			for i := 0; i < min(burst, packets-sent); i++ {
-				h1.SendUDP(h2.Addr(), 40000, 123, 64, ecn.ECT0, payload)
-			}
-			sim.Run()
+const forwardRouters, forwardBurst = 5, 64
+
+func newRouterForward(tb testing.TB) *routerForward {
+	k := &routerForward{sim: NewSim(1), payload: make([]byte, 48)}
+	_, k.h1, k.h2, _ = lineTopology(tb, k.sim, forwardRouters, time.Millisecond)
+	k.h2.BindUDP(123, func(*Host, packet.IPv4Header, packet.UDPHeader, []byte) { k.delivered++ })
+	k.send(4 * forwardBurst) // warm the buffer pool, the slab and the wheel
+	return k
+}
+
+// send forwards packets end to end, in bursts, each burst run to
+// quiescence.
+func (k *routerForward) send(packets int) {
+	for sent := 0; sent < packets; sent += forwardBurst {
+		for i := 0; i < min(forwardBurst, packets-sent); i++ {
+			k.h1.SendUDP(k.h2.Addr(), 40000, 123, 64, ecn.ECT0, k.payload)
 		}
+		k.sim.Run()
 	}
-	send(4 * burst) // warm the buffer pool, the slab and the wheel
-	delivered = 0
+}
+
+// BenchmarkRouterForward: one op is one packet end to end (six link
+// events); ns/hop divides by the five routers. It stays at 0 allocs/op
+// (TestRouterForwardAllocFree).
+func BenchmarkRouterForward(b *testing.B) {
+	k := newRouterForward(b)
+	k.delivered = 0
 	b.ReportAllocs()
 	b.ResetTimer()
-	send(b.N)
+	k.send(b.N)
 	b.StopTimer()
-	if delivered != b.N {
-		b.Fatalf("delivered %d of %d", delivered, b.N)
+	if k.delivered != b.N {
+		b.Fatalf("delivered %d of %d", k.delivered, b.N)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*routers), "ns/hop")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*forwardRouters), "ns/hop")
+}
+
+// TestRouterForwardAllocFree pins the forwarding path at zero
+// allocations per packet once the pools are warm.
+func TestRouterForwardAllocFree(t *testing.T) {
+	k := newRouterForward(t)
+	if raceEnabled {
+		return // the wire buffers' sync.Pool drops Puts under the race detector
+	}
+	if allocs := testing.AllocsPerRun(20, func() { k.send(4 * forwardBurst) }); allocs != 0 {
+		t.Errorf("%.1f allocs per %d forwarded packets, want 0", allocs, 4*forwardBurst)
+	}
 }
 
 // icmpRoundTrip is the traceroute exchange under the forwarding kernel:

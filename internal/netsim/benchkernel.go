@@ -7,9 +7,9 @@ import "time"
 // congested campaigns produce, where per-packet deliveries (ns–µs)
 // coexist with protocol timeouts (ms–s) and long-lived idle timers
 // (minutes+), and far timers mostly cancel, as retransmission timers
-// usually do. BenchmarkSimSchedule (gated by scripts/perf_gate.sh) and
-// bench/'s netsim.sched_ns_per_event kernel both run exactly this
-// function, so the ledger and the perf gate cannot drift apart.
+// usually do. BenchmarkSimSchedule, TestSimScheduleAllocFree (0 allocs)
+// and bench/'s netsim.sched_ns_per_event kernel all run exactly this
+// function, so the ledger and the allocation test cannot drift apart.
 // ScheduleBenchWorkloadSparse is the second scheduler-benchmark kernel:
 // a sparse timeline, where the pending set stays small and consecutive
 // events sit whole windows apart — the shape an idle-heavy measurement

@@ -607,9 +607,51 @@ func postResult(t *testing.T, ts *httptest.Server, id string, idx int, body []by
 	return resp.StatusCode, e.Error.Code
 }
 
+// resultStep is one warmed operation of the shard-result path: run is
+// the operation, between (when set) runs before each one, off the clock
+// and off the count, and bytes is the payload a benchmark reports MB/s
+// over (0 for none).
+type resultStep struct {
+	run, between func()
+	bytes        int64
+}
+
+func (st resultStep) bench(b *testing.B) {
+	if st.bytes > 0 {
+		b.SetBytes(st.bytes)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if st.between != nil {
+			b.StopTimer()
+			st.between()
+			b.StartTimer()
+		}
+		st.run()
+	}
+}
+
+// perOp returns the bytes and allocations one run makes, averaged over
+// n runs.
+func (st resultStep) perOp(n int) (bytes, allocs uint64) {
+	var before, after runtime.MemStats
+	for i := 0; i < n; i++ {
+		if st.between != nil {
+			st.between()
+		}
+		runtime.ReadMemStats(&before)
+		st.run()
+		runtime.ReadMemStats(&after)
+		bytes += after.TotalAlloc - before.TotalAlloc
+		allocs += after.Mallocs - before.Mallocs
+	}
+	return bytes / uint64(n), allocs / uint64(n)
+}
+
 // uploadFixture is a coordinator with one distributed job whose every
 // shard is leased to "w1", plus executed wires for the steady-state
-// benchmarks below.
+// steps below.
 type uploadFixture struct {
 	client *apiclient.Client
 	job    apiclient.Job
@@ -620,41 +662,41 @@ type uploadFixture struct {
 const benchSpec = `{"spec": 1, "scale": "small", "traces": 1, "seed": 2015, "stride": 0,
   "execution": "distributed"}`
 
-func newUploadFixture(b *testing.B) *uploadFixture {
-	b.Helper()
-	srv, err := New(Config{DataDir: b.TempDir()})
+func newUploadFixture(tb testing.TB) *uploadFixture {
+	tb.Helper()
+	srv, err := New(Config{DataDir: tb.TempDir()})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	b.Cleanup(func() {
+	tb.Cleanup(func() {
 		ts.Close()
 		srv.Close()
 	})
 	fx := &uploadFixture{client: apiclient.New(ts.URL)}
 	ctx := context.Background()
 	if fx.job, _, err = fx.client.SubmitRaw(ctx, []byte(benchSpec)); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if fx.claim, err = fx.client.Claim(ctx, fx.job.ID, "w1", 1000); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	spec, err := campaign.ParseSpec([]byte(benchSpec))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg, err := spec.Config()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	bp, err := cfg.CompileBlueprint()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, info := range cfg.Shards() {
 		w, err := campaign.ExecuteShard(cfg, bp, info.Shard, info.Slice)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		w.SpecHash = fx.claim.SpecHash
 		fx.wires = append(fx.wires, w)
@@ -662,50 +704,45 @@ func newUploadFixture(b *testing.B) *uploadFixture {
 	return fx
 }
 
-// BenchmarkPushShardResult is one upload in steady state, client and
-// coordinator both: encode + gzip, POST over loopback, read, inflate,
-// parse, journal (fsync included), ack. Shard 0 is accepted once; every
-// later push of it is the idempotent duplicate, which travels the whole
-// path except the journal append. scripts/perf_gate.sh holds B/op under
-// a ceiling — a per-upload gzip.NewWriter or io.ReadAll shows up here as
-// hundreds of KB.
-func BenchmarkPushShardResult(b *testing.B) {
-	fx := newUploadFixture(b)
+// pushStep is one upload in steady state, client and coordinator both:
+// encode + gzip, POST over loopback, read, inflate, parse, journal
+// (fsync included), ack. Shard 0 is accepted once; every later push of
+// it is the idempotent duplicate, which travels the whole path except
+// the journal append.
+func pushStep(tb testing.TB) resultStep {
+	fx := newUploadFixture(tb)
 	ctx := context.Background()
 	sh := fx.claim.Shards[0]
 	push := func() {
 		if _, err := fx.client.PushShardResult(ctx, fx.job.ID, sh.Index, "w1", sh.Lease, fx.wires[sh.Index]); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	push() // accepted; also warms both free lists
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		push()
-	}
+	return resultStep{run: push}
 }
 
-// paperSpec plans 13 shards of 6 traces; the benchmark below fabricates
-// the result of one rather than simulating a paper-scale world for it.
+func BenchmarkPushShardResult(b *testing.B) { pushStep(b).bench(b) }
+
+// paperSpec plans 13 shards of 6 traces; the steps below fabricate the
+// result of one rather than simulating a paper-scale world for it.
 const paperSpec = `{"spec": 1, "scale": "paper", "traces": 6, "seed": 2015, "stride": 0,
   "execution": "distributed"}`
 
-// BenchmarkPushShardResultPaper is BenchmarkPushShardResult at the size
-// and cadence the paper-distributed workload has: one 6 × 2500 result
-// (≈ 2.1 MB of JSON) per upload, and a garbage collection between two
-// uploads — a worker spends ≈ 400 ms simulating the next shard, which is
-// several GC cycles, so anything parked in a sync.Pool (encoding/json's
-// encode buffer, for one) is gone by the next upload. The small fixture
-// in a tight loop hides exactly that. scripts/perf_gate.sh holds B/op
-// and allocs/op under ceilings.
-func BenchmarkPushShardResultPaper(b *testing.B) {
-	srv, err := New(Config{DataDir: b.TempDir()})
+// pushPaperStep is pushStep at the size and cadence the
+// paper-distributed workload has: one 6 × 2500 result (≈ 2.1 MB of
+// JSON) per upload, and a garbage collection between two uploads — a
+// worker spends ≈ 400 ms simulating the next shard, which is several GC
+// cycles, so anything parked in a sync.Pool (encoding/json's encode
+// buffer, for one) is gone by the next upload. The small fixture in a
+// tight loop hides exactly that.
+func pushPaperStep(tb testing.TB) resultStep {
+	srv, err := New(Config{DataDir: tb.TempDir()})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	b.Cleanup(func() {
+	tb.Cleanup(func() {
 		ts.Close()
 		srv.Close()
 	})
@@ -713,11 +750,11 @@ func BenchmarkPushShardResultPaper(b *testing.B) {
 	ctx := context.Background()
 	job, _, err := client.SubmitRaw(ctx, []byte(paperSpec))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	claim, err := client.Claim(ctx, job.ID, "w1", 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	sh := claim.Shards[0]
 	wire := sampleWire(sh.Shard, 2500)
@@ -727,48 +764,40 @@ func BenchmarkPushShardResultPaper(b *testing.B) {
 	}
 	push := func() {
 		if _, err := client.PushShardResult(ctx, job.ID, sh.Index, "w1", sh.Lease, wire); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	push() // accepted; every later push is the idempotent duplicate
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		runtime.GC()
-		b.StartTimer()
-		push()
-	}
+	return resultStep{run: push, between: runtime.GC}
 }
 
-// BenchmarkDecodeShardResult is the coordinator's half alone: one
-// gzipped upload body accepted through a recycled ingestBuf — inflated
-// a window at a time and scanned, its traces checked and counted, not
-// decoded. What is left to allocate is the header: strings, the server
-// list, the congestion and stats structs.
-func BenchmarkDecodeShardResult(b *testing.B) {
-	fx := newUploadFixture(b)
+func BenchmarkPushShardResultPaper(b *testing.B) { pushPaperStep(b).bench(b) }
+
+// decodeStep is the coordinator's half alone: one gzipped upload body
+// accepted through a recycled ingestBuf — inflated a window at a time
+// and scanned, its traces checked and counted, not decoded. What is
+// left to allocate is the header: strings, the server list, the
+// congestion and stats structs.
+func decodeStep(tb testing.TB) resultStep {
+	fx := newUploadFixture(tb)
 	raw, err := json.Marshal(leaseRequest{Worker: "w1", Lease: fx.claim.Shards[0].Lease, Result: fx.wires[0]})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	body := gzipBytes(b, raw)
+	body := gzipBytes(tb, raw)
 	var pool ingestPool
 	accept := func() {
 		buf := pool.get()
 		if u, err := buf.acceptUpload(body, encGzip, maxResultBytes); err != nil || u.result.wire != nil {
-			b.Fatalf("accept = %v (decoded: %v), want the scan to take it", err, u.result.wire != nil)
+			tb.Fatalf("accept = %v (decoded: %v), want the scan to take it", err, u.result.wire != nil)
 		}
 		pool.put(buf)
 	}
 	accept()
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		accept()
-	}
+	return resultStep{run: accept, bytes: int64(len(raw))}
 }
+
+func BenchmarkDecodeShardResult(b *testing.B) { decodeStep(b).bench(b) }
 
 // paperUpload is one paper-scale shard result as a worker uploads it —
 // six traces of 2500 observations, the servers every shard probes — and
@@ -795,38 +824,38 @@ func paperUpload(tb testing.TB, specHash string, sh campaign.ShardInfo) (*campai
 	return wire, gzipBytes(tb, raw)
 }
 
-// BenchmarkFinalizePaper is the merge at paper scale: 13 held 6 × 2500
+// finalizePaperStep is the merge at paper scale: 13 held 6 × 2500
 // uploads filed into the store — the run report merged from their
 // headers, the dataset spliced out of their inflated bodies through a
 // recycled scan window into the store's hashing writer. What it
 // allocates is per chunk and per job (the encoder's chunk, the report's
-// server union), not per trace: scripts/perf_gate.sh holds its B/op
-// under a ceiling.
-func BenchmarkFinalizePaper(b *testing.B) {
+// server union), not per trace. The first filing files the run; every
+// later one writes it again and discards it.
+func finalizePaperStep(tb testing.TB) resultStep {
 	spec, err := campaign.ParseSpec([]byte(paperSpec))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg, err := spec.Config()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	key, err := spec.CacheKey()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	store, err := OpenStore(b.TempDir())
+	store, err := OpenStore(tb.TempDir())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	m := &jobMgr{store: store, met: newServerMetrics(telemetry.NewRegistry()), now: time.Now}
 	j := &job{key: key, spec: spec.Normalized()}
 	var scratch ingestBuf
 	for _, sh := range cfg.Shards() {
-		_, body := paperUpload(b, key, sh)
+		_, body := paperUpload(tb, key, sh)
 		u, err := scratch.acceptUpload(body, encGzip, maxResultBytes)
 		if err != nil || u.result.wire != nil {
-			b.Fatalf("accept = %v, want the scan to take it", err)
+			tb.Fatalf("accept = %v, want the scan to take it", err)
 		}
 		u.result.body, u.result.enc = body, encGzip
 		j.results = append(j.results, u.result)
@@ -838,13 +867,55 @@ func BenchmarkFinalizePaper(b *testing.B) {
 			headers[i] = j.results[i].ShardHeader
 		}
 		if _, err := m.fileRun(j, campaign.MergeHeaders(headers), time.Second); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	file() // files the run; every later Put writes it again and discards it
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		file()
+	file()
+	return resultStep{run: file}
+}
+
+func BenchmarkFinalizePaper(b *testing.B) { finalizePaperStep(b).bench(b) }
+
+// TestShardResultPathAllocs holds each step's bytes and allocations per
+// operation under a ceiling: the reading when its path last changed +
+// 20 %, far below what any one reintroduced copy costs. A per-upload
+// gzip.NewWriter is ~900 KB, an io.ReadAll of a body or an
+// inflate-by-doubling hundreds of KB to megabytes, encoding/json's
+// sync.Pool'd encode buffer regrown after a GC 4 MB per paper-scale
+// upload, a decoded upload 0.6 MB of observations, a decoding merge
+// 2 MB a shard: each fails here. A change to the path that moves a
+// reading edits its ceiling in the same diff.
+func TestShardResultPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts; the counts cannot hold")
+	}
+	for _, c := range []struct {
+		name                string
+		step                func(testing.TB) resultStep
+		runs                int
+		maxBytes, maxAllocs uint64 // maxAllocs 0: allocations not held
+	}{
+		// The small upload read 12.7 KB/op.
+		{"PushShardResult", pushStep, 100, 15_300, 0},
+		// 79 KB/op and 182 allocs/op: the coordinator scans the body and
+		// decodes only its header, where decoding it read 0.78 MB and
+		// 2722 allocs.
+		{"PushShardResultPaper", pushPaperStep, 20, 94_800, 219},
+		// 1491 B/op and 17 allocs/op, all of it the header.
+		{"DecodeShardResult", decodeStep, 200, 1_790, 21},
+		// 214 KB/op: the encoder's chunk and the report's server union,
+		// nothing per trace.
+		{"FinalizePaper", finalizePaperStep, 5, 257_300, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bytes, allocs := c.step(t).perOp(c.runs)
+			t.Logf("%d B/op, %d allocs/op", bytes, allocs)
+			if bytes > c.maxBytes {
+				t.Errorf("%d B/op, want ≤ %d", bytes, c.maxBytes)
+			}
+			if c.maxAllocs > 0 && allocs > c.maxAllocs {
+				t.Errorf("%d allocs/op, want ≤ %d", allocs, c.maxAllocs)
+			}
+		})
 	}
 }

@@ -71,8 +71,7 @@ func (x *exchangeLoop) run(tb testing.TB) {
 }
 
 // BenchmarkHandshakeAndExchange measures the complete cycle; steady
-// state is 0 allocs/op (scripts/perf_gate.sh holds that line in CI,
-// TestExchangeAllocFree in tier-1).
+// state is 0 allocs/op (TestExchangeAllocFree holds that line).
 func BenchmarkHandshakeAndExchange(b *testing.B) {
 	x := newExchangeLoop(b)
 	x.run(b) // fill the free lists

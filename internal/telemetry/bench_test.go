@@ -4,25 +4,41 @@ import (
 	"testing"
 )
 
-// BenchmarkTelemetryHotPath is the perf-gated write path: one counter
-// add, one gauge set, one histogram observation and one event-ring append
-// per op. scripts/perf_gate.sh pins it at 0 allocs/op — the guarantee
-// that lets instrumentation sit on the engine's hot paths without
-// reintroducing the allocations PR 3 removed.
-func BenchmarkTelemetryHotPath(b *testing.B) {
+// hotPath is the instrumented write path: one counter add, one gauge
+// set, one histogram observation and one event-ring append per call.
+func hotPath() func(i int) {
 	r := NewRegistry()
 	c := r.Counter("repro_bench_total", "bench counter")
 	g := r.Gauge("repro_bench_gauge", "bench gauge")
 	h := r.Histogram("repro_bench_seconds", "bench histogram", DurationBuckets())
 	j := NewEventRing(4096)
 	job := "j-000001"
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		c.Add(1)
 		g.Set(float64(i))
 		h.Observe(float64(i%1000) * 1e-3)
 		j.Append(EventShardDone, &job, nil, int32(i&7), 0)
+	}
+}
+
+// BenchmarkTelemetryHotPath is one hotPath call per op.
+func BenchmarkTelemetryHotPath(b *testing.B) {
+	write := hotPath()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		write(i)
+	}
+}
+
+// TestTelemetryHotPathAllocFree pins the write path at 0 allocations —
+// the guarantee that lets instrumentation sit on the engine's hot paths
+// without reintroducing the allocations the pooled packet path removed.
+func TestTelemetryHotPathAllocFree(t *testing.T) {
+	write := hotPath()
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() { write(i); i++ }); n > 0 {
+		t.Errorf("telemetry write path allocates %.2f objects/op, want 0", n)
 	}
 }
 

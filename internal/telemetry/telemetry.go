@@ -14,10 +14,10 @@
 //     property internal/campaign's out-of-band test pins.
 //   - Zero allocation on the write path. Counter.Add, Gauge.Set,
 //     Histogram.Observe and EventRing.Append allocate nothing once the
-//     instrument exists (scripts/perf_gate.sh pins
-//     BenchmarkTelemetryHotPath at 0 allocs/op), so instrumentation can
-//     sit next to the packet hot path without re-introducing the
-//     allocations PR 3 removed.
+//     instrument exists (TestTelemetryHotPathAllocFree pins the write
+//     path at 0 allocations), so instrumentation can sit next to the
+//     packet hot path without re-introducing the allocations the pooled
+//     packet path removed.
 //
 // Exposition is snapshot-based: readers call Registry.Snapshot, which
 // loads every atomic once into plain values, and render from the
