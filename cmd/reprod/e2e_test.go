@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -82,6 +83,24 @@ func TestEndToEnd(t *testing.T) {
 func TestUnknownCommand(t *testing.T) {
 	if code := reprod(t, "", "bogus").wait(t); code != 2 {
 		t.Fatalf("reprod bogus exited %d, want 2", code)
+	}
+}
+
+// TestWorkerRefusesUnscannableID: a worker ID the coordinator's upload
+// scan cannot read is refused at start, before any request is made —
+// not by a claim's 400 after the worker has begun.
+func TestWorkerRefusesUnscannableID(t *testing.T) {
+	var requests atomic.Int32
+	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.NotFound(w, r)
+	}))
+	defer coord.Close()
+	if code := reprod(t, "", "worker", "-coordinator", coord.URL, "-id", `a"b`, "-exit-when-idle").wait(t); code == 0 {
+		t.Fatal(`reprod worker -id 'a"b' exited 0`)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("the refused worker made %d requests first", n)
 	}
 }
 

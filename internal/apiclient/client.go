@@ -35,9 +35,6 @@ type Client struct {
 	// timeout bounds each individual request (WithTimeout); zero means
 	// only the caller's context applies.
 	timeout time.Duration
-	// plainUploads disables gzip on shard-result uploads
-	// (WithUploadCompression(false)); uploads compress by default.
-	plainUploads bool
 	// encoders recycles shard-upload encoding state (upload.go); the
 	// With* copies of a client share it.
 	encoders *freelist.List[uploadEncoder]
@@ -62,15 +59,6 @@ func NewWithHTTPClient(base string, hc *http.Client) *Client {
 func (c *Client) WithTimeout(d time.Duration) *Client {
 	cp := *c
 	cp.timeout = d
-	return &cp
-}
-
-// WithUploadCompression returns a copy of the client with gzip
-// shard-result uploads switched on (the default) or off. Off exists
-// for old coordinators and for measuring what compression buys.
-func (c *Client) WithUploadCompression(on bool) *Client {
-	cp := *c
-	cp.plainUploads = !on
 	return &cp
 }
 
@@ -567,11 +555,11 @@ func (c *Client) Heartbeat(ctx context.Context, jobID string, index int, worker,
 }
 
 // PushShardResult uploads one executed shard under its lease. The
-// body is gzip-compressed by default (trace wire payloads are large,
-// repetitive JSON); WithUploadCompression(false) sends it plain. The
-// upload is idempotent — the server's first-writer-wins dedup makes
-// re-sending after an ambiguous failure safe; a caller that does
-// re-send should PrepareShardResult once and Send it per attempt.
+// body is gzip-compressed (trace wire payloads are large, repetitive
+// JSON), the one form a coordinator accepts. The upload is idempotent
+// — the server's first-writer-wins dedup makes re-sending after an
+// ambiguous failure safe; a caller that does re-send should
+// PrepareShardResult once and Send it per attempt.
 func (c *Client) PushShardResult(ctx context.Context, jobID string, index int, worker, lease string, res *campaign.ShardResultWire) (ResultAck, error) {
 	up, err := c.PrepareShardResult(jobID, index, worker, lease, res)
 	if err != nil {

@@ -35,8 +35,8 @@ import (
 // uploadEncoder is one upload's encoding state, reused via Reset.
 type uploadEncoder struct {
 	buf bytes.Buffer    // the request body
-	zw  *gzip.Writer    // writes into buf; nil until the first gzip upload
-	enc dataset.Encoder // writes into zw or buf; owns the one chunk of JSON scratch
+	zw  *gzip.Writer    // writes into buf; nil until the first upload
+	enc dataset.Encoder // writes into zw; owns the one chunk of JSON scratch
 }
 
 // putEncoder returns e to the client's free list unless its body buffer
@@ -50,22 +50,18 @@ func (c *Client) putEncoder(e *uploadEncoder) {
 // encode builds the request body of one result upload in e.buf —
 // {"worker":…,"lease":…,"result":…}, the bytes json.Marshal gives the
 // route's request struct (TestUploadBodyMatchesMarshal: coordinators
-// journal upload bodies verbatim and the benchmark counts their
-// bytes) — gzipped at the default level when compress is set. The JSON
-// is never assembled: it goes a chunk at a time from e.enc's scratch
-// into the stream.
-func (e *uploadEncoder) encode(worker, lease string, res *campaign.ShardResultWire, compress bool) error {
+// scan and journal upload bodies verbatim and the benchmark counts
+// their bytes) — gzipped at the default level. The JSON is never
+// assembled: it goes a chunk at a time from e.enc's scratch into the
+// stream.
+func (e *uploadEncoder) encode(worker, lease string, res *campaign.ShardResultWire) error {
 	e.buf.Reset()
-	var w io.Writer = &e.buf
-	if compress {
-		if e.zw == nil {
-			e.zw = gzip.NewWriter(&e.buf)
-		} else {
-			e.zw.Reset(&e.buf)
-		}
-		w = e.zw
+	if e.zw == nil {
+		e.zw = gzip.NewWriter(&e.buf)
+	} else {
+		e.zw.Reset(&e.buf)
 	}
-	e.enc.Reset(w)
+	e.enc.Reset(e.zw)
 	e.enc.Raw(`{"worker":`)
 	e.enc.String(worker)
 	e.enc.Raw(`,"lease":`)
@@ -76,10 +72,7 @@ func (e *uploadEncoder) encode(worker, lease string, res *campaign.ShardResultWi
 	if err := e.enc.Flush(); err != nil {
 		return err
 	}
-	if compress {
-		return e.zw.Close()
-	}
-	return nil
+	return e.zw.Close()
 }
 
 // ShardUpload is one shard result encoded for the wire: prepared once,
@@ -87,10 +80,9 @@ func (e *uploadEncoder) encode(worker, lease string, res *campaign.ShardResultWi
 // bytes — and released when the caller is done with it. It is not safe
 // for concurrent use.
 type ShardUpload struct {
-	c        *Client
-	path     string
-	encoding string // Content-Encoding; empty for a plain upload
-	enc      *uploadEncoder
+	c    *Client
+	path string
+	enc  *uploadEncoder
 	// unread counts request bodies over enc.buf that were handed out and
 	// have been neither drained nor closed yet.
 	unread atomic.Int32
@@ -104,10 +96,7 @@ func (c *Client) PrepareShardResult(jobID string, index int, worker, lease strin
 		path: fmt.Sprintf("/v1/jobs/%s/shards/%d/result", url.PathEscape(jobID), index),
 		enc:  c.encoders.Get(),
 	}
-	if !c.plainUploads {
-		u.encoding = "gzip"
-	}
-	if err := u.enc.encode(worker, lease, res, !c.plainUploads); err != nil {
+	if err := u.enc.encode(worker, lease, res); err != nil {
 		// The half-written encoder is not worth keeping: it goes with u.
 		return nil, fmt.Errorf("api: encode shard result: %w", err)
 	}
@@ -128,9 +117,7 @@ func (u *ShardUpload) Send(ctx context.Context) (ResultAck, error) {
 	// connection the server had already closed.
 	req.GetBody = func() (io.ReadCloser, error) { return u.newBody(body), nil }
 	req.Header.Set("Content-Type", "application/json")
-	if u.encoding != "" {
-		req.Header.Set("Content-Encoding", u.encoding)
-	}
+	req.Header.Set("Content-Encoding", "gzip")
 	var ack ResultAck
 	_, err = u.c.exchange(req, &ack)
 	return ack, err

@@ -2,6 +2,7 @@ package apiclient
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/dataset"
@@ -33,10 +35,15 @@ func TestUploadEnvelopeMatchesMarshal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.encode(worker, lease, res, false); err != nil {
+		if err := e.encode(worker, lease, res); err != nil {
 			t.Fatal(err)
 		}
-		return bytes.Equal(e.buf.Bytes(), want)
+		zr, err := gzip.NewReader(&e.buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(zr)
+		return err == nil && bytes.Equal(got, want)
 	}
 	if err := quick.Check(func(worker, lease string) bool { return matches(worker, lease, wire) }, nil); err != nil {
 		t.Error(err)
@@ -76,7 +83,7 @@ func TestEncoderRecycling(t *testing.T) {
 		t.Fatalf("free list holds %d encoders after one completed upload, want 1", n)
 	}
 
-	up, err = client.WithUploadCompression(false).PrepareShardResult("j", 1, "w", "l", wire)
+	up, err = client.WithTimeout(time.Minute).PrepareShardResult("j", 1, "w", "l", wire)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,15 +50,12 @@ func testWire(shard, servers int) *campaign.ShardResultWire {
 }
 
 // referenceBody is the contract: json.Marshal of the request, gzipped at
-// the default level in one Write when compressed.
-func referenceBody(t *testing.T, req uploadRequest, compressed bool) []byte {
+// the default level in one Write.
+func referenceBody(t *testing.T, req uploadRequest) []byte {
 	t.Helper()
 	raw, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !compressed {
-		return raw
 	}
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
@@ -98,40 +95,36 @@ func (c *capture) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // TestUploadBodyMatchesMarshal: the streamed, recycled encoder produces
-// exactly gzip(json.Marshal(req)) — and plain json.Marshal(req) with
-// compression off — upload after upload, including a smaller upload
-// through an encoder a larger one just used.
+// exactly gzip(json.Marshal(req)), labelled Content-Encoding: gzip,
+// upload after upload, including a smaller upload through an encoder a
+// larger one just used.
 func TestUploadBodyMatchesMarshal(t *testing.T) {
-	for _, compressed := range []bool{true, false} {
-		t.Run(fmt.Sprintf("gzip=%v", compressed), func(t *testing.T) {
-			stub := &capture{}
-			ts := httptest.NewServer(stub)
-			defer ts.Close()
-			client := apiclient.New(ts.URL).WithUploadCompression(compressed)
-			ctx := context.Background()
+	stub := &capture{}
+	ts := httptest.NewServer(stub)
+	defer ts.Close()
+	client := apiclient.New(ts.URL)
+	ctx := context.Background()
 
-			sizes := []int{400, 3, 0, 2500}
-			for i, servers := range sizes {
-				wire := testWire(i, servers)
-				lease := fmt.Sprintf("j-000001/%d/1", i)
-				ack, err := client.PushShardResult(ctx, "j-000001", i, "w1", lease, wire)
-				if err != nil || ack.Status != "accepted" {
-					t.Fatalf("upload %d = %+v, %v", i, ack, err)
-				}
-				want := referenceBody(t, uploadRequest{Worker: "w1", Lease: lease, Result: wire}, compressed)
-				got := stub.bodies[i]
-				if !bytes.Equal(got, want) {
-					t.Fatalf("upload %d (%d servers): body is %d bytes, reference encoding is %d bytes and differs",
-						i, servers, len(got), len(want))
-				}
-				if stub.lengths[i] != int64(len(want)) {
-					t.Errorf("upload %d: Content-Length %d, body %d", i, stub.lengths[i], len(want))
-				}
-				if wantEnc := map[bool]string{true: "gzip", false: ""}[compressed]; stub.encoding[i] != wantEnc {
-					t.Errorf("upload %d: Content-Encoding %q, want %q", i, stub.encoding[i], wantEnc)
-				}
-			}
-		})
+	sizes := []int{400, 3, 0, 2500}
+	for i, servers := range sizes {
+		wire := testWire(i, servers)
+		lease := fmt.Sprintf("j-000001/%d/1", i)
+		ack, err := client.PushShardResult(ctx, "j-000001", i, "w1", lease, wire)
+		if err != nil || ack.Status != "accepted" {
+			t.Fatalf("upload %d = %+v, %v", i, ack, err)
+		}
+		want := referenceBody(t, uploadRequest{Worker: "w1", Lease: lease, Result: wire})
+		got := stub.bodies[i]
+		if !bytes.Equal(got, want) {
+			t.Fatalf("upload %d (%d servers): body is %d bytes, reference encoding is %d bytes and differs",
+				i, servers, len(got), len(want))
+		}
+		if stub.lengths[i] != int64(len(want)) {
+			t.Errorf("upload %d: Content-Length %d, body %d", i, stub.lengths[i], len(want))
+		}
+		if stub.encoding[i] != "gzip" {
+			t.Errorf("upload %d: Content-Encoding %q, want gzip", i, stub.encoding[i])
+		}
 	}
 }
 
@@ -155,7 +148,7 @@ func TestPaperScaleUploadMatchesMarshal(t *testing.T) {
 		if _, err := client.PushShardResult(context.Background(), "j-000001", i, "w1", "lease", wire); err != nil {
 			t.Fatal(err)
 		}
-		want := referenceBody(t, uploadRequest{Worker: "w1", Lease: "lease", Result: wire}, true)
+		want := referenceBody(t, uploadRequest{Worker: "w1", Lease: "lease", Result: wire})
 		if !bytes.Equal(stub.bodies[i], want) {
 			t.Fatalf("upload %d (6 × %d): body is %d bytes, reference encoding is %d bytes and differs",
 				i, servers, len(stub.bodies[i]), len(want))
@@ -174,7 +167,7 @@ func TestPreparedUploadResendsSameBytes(t *testing.T) {
 	ctx := context.Background()
 
 	wire := testWire(4, 200)
-	want := referenceBody(t, uploadRequest{Worker: "w1", Lease: "l", Result: wire}, true)
+	want := referenceBody(t, uploadRequest{Worker: "w1", Lease: "l", Result: wire})
 	up, err := client.PrepareShardResult("j-000001", 4, "w1", "l", wire)
 	if err != nil {
 		t.Fatal(err)

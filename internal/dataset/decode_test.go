@@ -238,7 +238,7 @@ func TestFastPathTakesWhatWeWrite(t *testing.T) {
 	check := func(tr *Trace) bool {
 		var got Trace
 		ok := got.parseCanonical(traceValue(tr))
-		if !plainString(tr.Vantage) {
+		if !PlainString(tr.Vantage) {
 			return !ok && reflect.DeepEqual(got, Trace{})
 		}
 		return ok && reflect.DeepEqual(got, *tr)

@@ -235,8 +235,10 @@ func plainStringByte(c byte) bool {
 	return c >= 0x20 && c < 0x7f && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 }
 
-// plainString reports whether every byte of s is plain.
-func plainString(s string) bool {
+// PlainString reports whether every byte of s is plain: whether s is a
+// string Scanner.Str reads. A worker ID that is not cannot be scanned
+// out of an upload, so the coordinator and the worker refuse one.
+func PlainString(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if !plainStringByte(s[i]) {
 			return false
@@ -252,7 +254,7 @@ func plainString(s string) bool {
 // or even look at twice (control characters, anything non-ASCII) goes
 // through json.Marshal itself.
 func AppendString(b []byte, s string) []byte {
-	if !plainString(s) {
+	if !PlainString(s) {
 		quoted, _ := json.Marshal(s) // a string cannot fail to marshal
 		return append(b, quoted...)
 	}

@@ -21,8 +21,7 @@ const scanWindow = 64 << 10
 // decodes only the small scalars around them.
 //
 // Every method consumes what it accepts. After a method reports false
-// the cursor is unspecified: a caller abandons the stream (and, where
-// the bytes may be any valid JSON, hands them to encoding/json). A
+// the cursor is unspecified and a caller abandons the stream. A
 // slice a method returns aliases the window and is valid until the
 // next call. The Scanner reads r until r reports an error or io.EOF and
 // holds nothing of it but the window, which it reuses after Reset.

@@ -175,9 +175,6 @@ func (n *Network) Reset() {
 // Routers returns the registered routers in creation order.
 func (n *Network) Routers() []*Router { return n.routers }
 
-// Hosts returns the registered hosts in creation order.
-func (n *Network) Hosts() []*Host { return n.hosts }
-
 // HostByAddr finds a host by address.
 func (n *Network) HostByAddr(a packet.Addr) (*Host, bool) {
 	e := n.index.lookup(a)

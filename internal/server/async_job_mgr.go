@@ -147,22 +147,20 @@ type resultHead struct {
 	campaign.ShardHeader
 }
 
-// heldResult is what a job keeps of an accepted shard until the merge.
-// An upload the scan took (ingest.go) is kept as it arrived — body, in
-// Content-Encoding enc, the bytes its journal record holds — and the
-// merge splices its traces, which start tracesAt bytes into the
-// inflated stream, straight into the store. Anything else — a loopback
-// result, an upload only the reflective decoder took — is kept decoded
-// in wire and encoded at the merge.
+// heldResult is what a job keeps of an accepted shard until the merge,
+// in one of two forms with one producer each. An upload (ingest.go) is
+// kept as it arrived — the gzip'd body its journal record holds — and
+// the merge splices its traces, which start tracesAt bytes into the
+// inflated stream, straight into the store. A loopback result is kept
+// decoded in wire and encoded at the merge.
 type heldResult struct {
 	resultHead
 	body     []byte
-	enc      string
 	tracesAt int64
 	wire     *campaign.ShardResultWire
 }
 
-// wireResult holds a decoded result.
+// wireResult holds a loopback result.
 func wireResult(w *campaign.ShardResultWire) heldResult {
 	return heldResult{resultHead: resultHead{
 		version: w.Version, specHash: w.SpecHash, shard: w.Shard, slice: w.Slice,
@@ -371,7 +369,7 @@ func (m *jobMgr) landLocal(j *job, run *localRun, ex *campaign.Executor, c Shard
 		run.idle = append(run.idle, ex)
 		wire.SpecHash = j.key
 		res := wireResult(wire)
-		_, finalize, err = m.shardResultLocked(j, c.Index, localWorker, c.Lease, &res, nil, "")
+		_, finalize, err = m.shardResultLocked(j, c.Index, localWorker, c.Lease, &res, nil)
 	}
 	m.mu.Unlock()
 	if err != nil {

@@ -1,9 +1,7 @@
 package server_test
 
-// Compressed shard-result uploads: the worker gzips its wire payloads
-// by default, the server decodes transparently, and uncompressed
-// uploads keep working — the negotiation is per-request, invisible to
-// the merge, and byte-neutral to the dataset.
+// Shard-result uploads are gzip'd: a body labelled so that is not gzip
+// is refused cleanly.
 
 import (
 	"bytes"
@@ -12,49 +10,6 @@ import (
 	"net/http"
 	"testing"
 )
-
-func TestGzipAndIdentityUploadsInterchangeable(t *testing.T) {
-	_, client, _ := newLeaseServer(t)
-	ctx := context.Background()
-
-	job, _, err := client.SubmitRaw(ctx, []byte(distSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	claim, err := client.Claim(ctx, job.ID, "w1", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wires := execWires(t, distSpec, claim.SpecHash)
-
-	// Shard 0 rides the default (gzip) path, the rest go uncompressed;
-	// the server must not care.
-	plain := client.WithUploadCompression(false)
-	for i, sh := range claim.Shards {
-		c := client
-		if i > 0 {
-			c = plain
-		}
-		ack, err := c.PushShardResult(ctx, job.ID, sh.Index, "w1", sh.Lease, wires[sh.Index])
-		if err != nil || ack.Status != "accepted" {
-			t.Fatalf("upload shard %d = %+v, %v", sh.Index, ack, err)
-		}
-	}
-	wantDatasetMatch(t, client, job.ID)
-
-	text, err := client.MetricsText(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`repro_shard_result_uploads_total{encoding="gzip"} 1`,
-		fmt.Sprintf(`repro_shard_result_uploads_total{encoding="identity"} %d`, len(claim.Shards)-1),
-	} {
-		if !contains(text, want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-}
 
 // TestGzipUploadRejectsGarbage: a Content-Encoding: gzip body that is
 // not gzip is a 400 bad_request, not a 500 or a hang.

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,17 +19,17 @@ import (
 // owns and reuses, instead of an io.ReadAll and an inflate-by-doubling
 // per request.
 //
-// An upload is not decoded. Workers write it in exactly one form
-// (apiclient: the bytes json.Marshal gives the request), which differs
-// from the dataset lines it will become only in each trace's index, so
-// the accept path scans it — inflating a window at a time, checking
-// each trace with the trace decoder's own grammar in its count-only
-// form, decoding only the few hundred bytes of header — and the job
-// keeps the compressed body the journal holds anyway. The merge splices
-// its traces into the store (jobMgr.writeDataset). A body in any other
-// form, valid JSON all the same, goes to the reflective decoder and is
-// held decoded, like a loopback result; the accepted set and every
-// value read are the reflective decoder's either way
+// An upload is not decoded, and it has exactly one form: the gzip'd
+// bytes apiclient writes (the bytes json.Marshal gives the request),
+// which differ from the dataset lines they will become only in each
+// trace's index. The accept path scans it — inflating a window at a
+// time, checking each trace with the trace decoder's own grammar in its
+// count-only form, decoding only the few hundred bytes of header — and
+// the job keeps the compressed body the journal holds anyway. The merge
+// splices its traces into the store (jobMgr.writeDataset). A body in
+// any other form — not gzip, not canonical, a worker ID the scan cannot
+// read — is refused with a 400, live and on journal replay alike; what
+// the scan accepts, encoding/json reads the same way
 // (FuzzShardResultDecode).
 //
 // Ownership (DESIGN.md §13.2): an ingestBuf belongs to one request —
@@ -40,25 +39,21 @@ import (
 // jobMgr.ShardResult, which writes those bytes to disk verbatim, and
 // the copy of them the accepted shard keeps. Nothing else read out of a
 // buffer aliases it: the scanned header is copied out (strings,
-// exactly-sized server list, encoding/json's congestion and stats), and
-// a decoded wire shares no memory with its input — encoding/json copies
-// every string it produces and dataset.(*Trace).UnmarshalJSON copies
-// the vantage name and parses everything else into values.
-// FuzzShardResultDecode scribbles over the buffers to hold both to that.
+// exactly-sized server list, encoding/json's congestion and stats).
+// FuzzShardResultDecode scribbles over the buffers to hold it to that.
 
 // bodyHintBytes caps how much a Content-Length may reserve up front.
 // The header is the client's claim, not bytes received: past the hint
 // the buffer grows only as the body actually arrives.
 const bodyHintBytes = 1 << 20
 
-// ingestBuf is one request's read-and-decode scratch.
+// ingestBuf is one request's read-and-scan scratch.
 type ingestBuf struct {
-	body     bytes.Buffer     // the request body as it arrived
-	inflated bytes.Buffer     // a gzip body's inflated form, for the reflective decoder
-	src      bytes.Reader     // feeds zr, or the reader directly
-	zr       *gzip.Reader     // nil until the first gzip body
-	lim      io.LimitedReader // the byte budget over what a scan reads
-	scan     dataset.Scanner  // reads an upload a trace at a time
+	body bytes.Buffer     // the request body as it arrived
+	src  bytes.Reader     // feeds zr
+	zr   *gzip.Reader     // nil until the first upload
+	lim  io.LimitedReader // the byte budget over what a scan inflates
+	scan dataset.Scanner  // reads an upload a trace at a time
 }
 
 // ingestPool recycles ingestBufs through the bounded free list the
@@ -76,9 +71,6 @@ func (p *ingestPool) put(b *ingestBuf) {
 	if b.body.Cap() > freelist.RetainBytes {
 		b.body = bytes.Buffer{}
 	}
-	if b.inflated.Cap() > freelist.RetainBytes {
-		b.inflated = bytes.Buffer{}
-	}
 	if b.scan.Cap() > freelist.RetainBytes {
 		b.scan = dataset.Scanner{}
 	}
@@ -89,8 +81,7 @@ func (p *ingestPool) put(b *ingestBuf) {
 }
 
 // readBody reads a bounded request body exactly as it arrived — still
-// compressed, if the client compressed it. The result is valid until b
-// is reused.
+// compressed, for an upload. The result is valid until b is reused.
 func (b *ingestBuf) readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	b.body.Reset()
 	if hint := min(r.ContentLength, limit, bodyHintBytes); hint > 0 {
@@ -103,83 +94,24 @@ func (b *ingestBuf) readBody(w http.ResponseWriter, r *http.Request, limit int64
 	return b.body.Bytes(), nil
 }
 
-// open returns the JSON stream of raw, a body in encoding enc: raw
-// itself, or its inflation through b's reused gzip reader. Either way at
-// most limit+1 bytes are read from it; b.lim.N == 0 afterwards means the
-// body is over the limit.
-func (b *ingestBuf) open(raw []byte, enc string, limit int64) (io.Reader, error) {
+// open returns the inflation of the gzip body raw through b's reused
+// gzip reader. At most limit+1 bytes are inflated; b.lim.N == 0
+// afterwards means the body is over the limit, so a compression bomb is
+// a 400, not an allocation.
+func (b *ingestBuf) open(raw []byte, limit int64) (io.Reader, error) {
 	b.src.Reset(raw)
-	var r io.Reader = &b.src
-	if enc == encGzip {
-		if b.zr == nil {
-			b.zr = new(gzip.Reader)
-		}
-		if err := b.zr.Reset(&b.src); err != nil {
-			return nil, faultf(http.StatusBadRequest, codeBadRequest, "gzip body: %v", err)
-		}
-		r = b.zr
+	if b.zr == nil {
+		b.zr = new(gzip.Reader)
 	}
-	b.lim = io.LimitedReader{R: r, N: limit + 1}
+	if err := b.zr.Reset(&b.src); err != nil {
+		return nil, faultf(http.StatusBadRequest, codeBadRequest, "gzip body: %v", err)
+	}
+	b.lim = io.LimitedReader{R: b.zr, N: limit + 1}
 	return &b.lim, nil
 }
 
-// decodeJSON unmarshals a JSON body into v, classifying failures as
-// bad_request faults. An encGzip body is inflated first (net/http does
-// not decompress request bodies); the byte budget applies to the
-// inflated stream — at most limit+1 bytes are ever inflated — so a
-// compression bomb is a 400, not an allocation. The inflate buffer is
-// sized once, from the gzip trailer (inflateHint). It serves claim and
-// heartbeat bodies and every upload the scan does not take. raw may be
-// b's own body.
-func (b *ingestBuf) decodeJSON(raw []byte, enc string, limit int64, v any) error {
-	body := raw
-	if enc == encGzip {
-		r, err := b.open(raw, enc, limit)
-		if err != nil {
-			return err
-		}
-		b.inflated.Reset()
-		if hint := inflateHint(raw, limit); b.inflated.Cap() < hint {
-			// Replaced, not grown: Grow reserves twice the old capacity
-			// whenever that exceeds what is asked for.
-			b.inflated = *bytes.NewBuffer(make([]byte, 0, hint))
-		}
-		if _, err := b.inflated.ReadFrom(r); err != nil {
-			return faultf(http.StatusBadRequest, codeBadRequest, "read body: %v", err)
-		}
-		if int64(b.inflated.Len()) > limit {
-			return faultf(http.StatusBadRequest, codeBadRequest,
-				"decompressed body exceeds the %d-byte limit", limit)
-		}
-		body = b.inflated.Bytes()
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return faultf(http.StatusBadRequest, codeBadRequest, "parse body: %v", err)
-	}
-	return nil
-}
-
-// maxDeflateRatio is the most deflate can expand its input (zlib's
-// documented limit): the size of an honest worst-case body.
-const maxDeflateRatio = 1032
-
-// inflateHint is how much to reserve for the inflated form of the gzip
-// body raw before reading it, so the buffer is grown once rather than
-// by doubling: the size the gzip trailer's ISIZE field claims, plus the
-// spare bytes.Buffer.ReadFrom wants in hand to see EOF. The trailer is
-// the client's claim, so it is capped by the byte budget and by what
-// raw could inflate to at all — a lying trailer reserves no more than a
-// genuine bomb of the same size makes ReadFrom allocate anyway.
-func inflateHint(raw []byte, limit int64) int {
-	if len(raw) < 4 {
-		return 0
-	}
-	claimed := int64(binary.LittleEndian.Uint32(raw[len(raw)-4:]))
-	return int(min(claimed, limit+1, maxDeflateRatio*int64(len(raw)))) + bytes.MinRead
-}
-
-// decodeBody reads and unmarshals a bounded JSON request body into v,
-// transparently inflating a Content-Encoding: gzip one.
+// decodeBody reads and unmarshals a bounded plain-JSON request body — a
+// claim or a heartbeat — into v.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
 	b := s.mgr.ingest.get()
 	defer s.mgr.ingest.put(b)
@@ -187,7 +119,10 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64,
 	if err != nil {
 		return err
 	}
-	return b.decodeJSON(raw, bodyEncoding(r), limit, v)
+	if err := json.Unmarshal(raw, v); err != nil {
+		return faultf(http.StatusBadRequest, codeBadRequest, "parse body: %v", err)
+	}
+	return nil
 }
 
 // upload is a shard-result request body as the accept path reads it.
@@ -196,39 +131,21 @@ type upload struct {
 	result        heldResult
 }
 
-// acceptUpload reads the shard-result body raw (encoding enc): by scan
-// when it is in exactly the form workers write — the result is then
-// held as the body, attached by the caller — and otherwise through the
-// reflective decoder, the result held decoded. The HTTP handler and
-// journal replay both read uploads through it.
-func (b *ingestBuf) acceptUpload(raw []byte, enc string, limit int64) (upload, error) {
-	if u, ok := b.scanUpload(raw, enc, limit); ok {
-		return u, nil
-	}
-	var req leaseRequest
-	if err := b.decodeJSON(raw, enc, limit, &req); err != nil {
-		return upload{}, err
-	}
-	if req.Result == nil {
-		return upload{}, faultf(http.StatusBadRequest, codeResultInvalid, "result is required")
-	}
-	return upload{worker: req.Worker, lease: req.Lease, result: wireResult(req.Result)}, nil
-}
-
-// scanUpload reads raw as exactly the bytes apiclient writes for a
-// result upload —
+// acceptUpload scans the gzip'd shard-result body raw as exactly the
+// bytes apiclient writes for a result upload —
 //
 //	{"worker":…,"lease":…,"result":{"v":…,"spec_hash":…,"shard":…,"slice":…,
 //	 "vantage":…,"traces":[…],"servers":[…],"congestion":{…},"stats":{…}}}
 //
 // with plain strings, canonical integers and traces, and nothing after
-// — and reports false for anything else, gzip and budget failures
-// included, which the reflective decoder then decides on. The traces
-// are checked and counted, not kept; tracesAt records where they start.
-func (b *ingestBuf) scanUpload(raw []byte, enc string, limit int64) (u upload, ok bool) {
-	r, err := b.open(raw, enc, limit)
+// — and refuses anything else with a 400. The traces are checked and
+// counted, not kept; tracesAt records where they start, and the caller
+// attaches the body. The HTTP handler and journal replay both read
+// uploads through it.
+func (b *ingestBuf) acceptUpload(raw []byte, limit int64) (u upload, err error) {
+	r, err := b.open(raw, limit)
 	if err != nil {
-		return upload{}, false
+		return upload{}, err
 	}
 	s := &b.scan
 	s.Reset(r)
@@ -245,44 +162,45 @@ func (b *ingestBuf) scanUpload(raw []byte, enc string, limit int64) (u upload, o
 		*dst = int(v)
 		return ok && int64(*dst) == v
 	}
-	if !(s.Lit(`{"worker":`) && str(&u.worker) &&
+	ok := s.Lit(`{"worker":`) && str(&u.worker) &&
 		s.Lit(`,"lease":`) && str(&u.lease) &&
 		s.Lit(`,"result":{"v":`) && num(&h.version) &&
 		s.Lit(`,"spec_hash":`) && str(&h.specHash) &&
 		s.Lit(`,"shard":`) && num(&h.shard) &&
 		s.Lit(`,"slice":`) && num(&h.slice) &&
 		s.Lit(`,"vantage":`) && str(nil) &&
-		s.Lit(`,"traces":[`)) {
-		return upload{}, false
-	}
+		s.Lit(`,"traces":[`)
 	u.result.tracesAt = s.Offset()
-	for !s.Lit("]") {
+	for ok && !s.Lit("]") {
 		if h.traces > 0 && !s.Lit(",") {
-			return upload{}, false
+			ok = false
+		} else if _, ok = s.Trace(); ok {
+			h.traces++
 		}
-		if _, ok := s.Trace(); !ok {
-			return upload{}, false
-		}
-		h.traces++
 	}
-	if !s.Lit(`,"servers":`) {
-		return upload{}, false
+	if ok = ok && s.Lit(`,"servers":`); ok {
+		h.Servers, ok = s.Addrs()
 	}
-	if h.Servers, ok = s.Addrs(); !ok {
-		return upload{}, false
+	var tail []byte
+	if ok {
+		tail, ok = s.Rest()
 	}
-	tail, ok := s.Rest()
-	if !ok || b.lim.N == 0 || !parseTail(tail, &h.ShardHeader) {
-		return upload{}, false
+	switch {
+	case b.lim.N == 0:
+		return upload{}, faultf(http.StatusBadRequest, codeBadRequest,
+			"inflated body exceeds the %d-byte limit", limit)
+	case !ok || !parseTail(tail, &h.ShardHeader):
+		return upload{}, faultf(http.StatusBadRequest, codeBadRequest,
+			"body is not a canonical gzip'd shard-result upload (at inflated byte %d)", s.Offset())
 	}
-	return u, true
+	return u, nil
 }
 
 // parseTail reads the end of a scanned upload —
 // `,"congestion":{…},"stats":{…}}}` or `,"stats":{…}}}` — decoding each
 // value with encoding/json, which refuses anything but exactly one JSON
 // value: so the split is the object's own, and the values are the ones
-// the reflective decoder reads from the same bytes.
+// encoding/json reads from the whole body.
 func parseTail(tail []byte, h *campaign.ShardHeader) bool {
 	rest, ok := bytes.CutSuffix(tail, []byte("}}"))
 	if !ok {
@@ -302,7 +220,7 @@ func parseTail(tail []byte, h *campaign.ShardHeader) bool {
 // heldTraces positions b's scanner at the first trace of the held
 // upload r, for the merge to splice from.
 func (b *ingestBuf) heldTraces(r *heldResult) (*dataset.Scanner, error) {
-	src, err := b.open(r.body, r.enc, maxResultBytes)
+	src, err := b.open(r.body, maxResultBytes)
 	if err == nil {
 		b.scan.Reset(src)
 		if !b.scan.Discard(r.tracesAt) {

@@ -11,8 +11,8 @@ import (
 )
 
 // TestConcurrentUploadsOwnTheirBuffers: more uploaders than the
-// coordinator has free-list slots push distinct wires at once, gzip and
-// identity interleaved, so request buffers are handed from upload to
+// coordinator has free-list slots push distinct wires at once, so
+// request buffers are handed from upload to
 // upload while earlier results are still held for the merge. Every
 // upload must be accepted and the job must file exactly the in-process
 // engine's bytes — from the results held in memory (live), and again
@@ -53,20 +53,15 @@ func TestConcurrentUploadsOwnTheirBuffers(t *testing.T) {
 					len(racing), freelist.Slots)
 			}
 
-			plain := c1.WithUploadCompression(false)
 			start := make(chan struct{})
 			errs := make(chan error, len(racing))
 			var wg sync.WaitGroup
-			for i, sh := range racing {
-				push := c1
-				if i%3 == 2 {
-					push = plain
-				}
+			for _, sh := range racing {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					<-start
-					ack, err := push.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index])
+					ack, err := c1.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index])
 					if err != nil {
 						errs <- fmt.Errorf("shard %d: %w", sh.Index, err)
 					} else if ack.Status != "accepted" {

@@ -5,16 +5,18 @@ import (
 	"compress/gzip"
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,10 +42,18 @@ func gzipBytes(tb testing.TB, raw []byte) []byte {
 	return buf.Bytes()
 }
 
-// sampleUpload is a small but complete shard-result request body.
+// uploadRequest is the shard-result route's request as encoding/json
+// reads it: the test oracle for what the scan takes.
+type uploadRequest struct {
+	Worker string                    `json:"worker"`
+	Lease  string                    `json:"lease"`
+	Result *campaign.ShardResultWire `json:"result"`
+}
+
+// sampleUpload is a small but complete shard-result request, as JSON.
 func sampleUpload(tb testing.TB) []byte {
 	tb.Helper()
-	raw, err := json.Marshal(leaseRequest{
+	raw, err := json.Marshal(uploadRequest{
 		Worker: "w1",
 		Lease:  "j-000001/3/1",
 		Result: sampleWire(3, 40),
@@ -71,6 +81,48 @@ func sampleWire(shard, servers int) *campaign.ShardResultWire {
 	return w
 }
 
+// randomWire is a shard result shaped by the bits of shape: up to 300
+// servers, one to four traces, observations whose fields vary, and a
+// CE-mark sample or none.
+func randomWire(shape uint64) *campaign.ShardResultWire {
+	w := sampleWire(int(shape%13), int(shape>>4%301))
+	for k := int(shape >> 13 % 4); k > 0; k-- {
+		tr := w.Traces[0]
+		tr.Observations = slices.Clone(tr.Observations)
+		tr.Index, tr.Batch = len(w.Traces), k
+		w.Traces = append(w.Traces, tr)
+	}
+	for k := range w.Traces {
+		for i := range w.Traces[k].Observations {
+			o := &w.Traces[k].Observations[i]
+			bits := shape >> ((i + k) % 48)
+			o.UDPECTReachable, o.TCPReachable, o.TCPECNReachable = bits&1 != 0, bits&2 != 0, bits&4 != 0
+			o.UDPAttempts, o.UDPECTAttempts, o.HTTPStatus = uint8(bits>>3), uint8(bits>>7), uint16(bits>>5)
+		}
+	}
+	w.Stats = campaign.ShardStats{Shard: w.Shard, Vantage: w.Vantage, Traces: len(w.Traces), Events: shape >> 20}
+	if shape>>15&1 != 0 {
+		w.Congestion = &analysis.CEMarkSample{Vantage: w.Vantage, InECT: shape >> 40, InCE: shape >> 50, Utilization: 0.85}
+	}
+	return w
+}
+
+// captureTransport answers every request with an acceptance and keeps
+// the last request body: what apiclient sends, without a network.
+type captureTransport struct{ body []byte }
+
+func (c *captureTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	body, err := io.ReadAll(r.Body)
+	r.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	c.body = body
+	const ack = `{"status":"accepted"}`
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Request: r,
+		ContentLength: int64(len(ack)), Body: io.NopCloser(strings.NewReader(ack))}, nil
+}
+
 // wantBadRequest asserts a decode failure is the typed 400 the handler
 // relays, not a bare error.
 func wantBadRequest(t *testing.T, err error) {
@@ -95,9 +147,9 @@ func wantRetainedWithinCap(t *testing.T, p *ingestPool) {
 	}
 	for i := n - 1; i >= 0; i-- {
 		b := held[i]
-		if b.body.Cap() > freelist.RetainBytes || b.inflated.Cap() > freelist.RetainBytes || b.scan.Cap() > freelist.RetainBytes {
-			t.Fatalf("retained buffers of %d/%d/%d bytes, cap is %d",
-				b.body.Cap(), b.inflated.Cap(), b.scan.Cap(), freelist.RetainBytes)
+		if b.body.Cap() > freelist.RetainBytes || b.scan.Cap() > freelist.RetainBytes {
+			t.Fatalf("retained buffers of %d/%d bytes, cap is %d",
+				b.body.Cap(), b.scan.Cap(), freelist.RetainBytes)
 		}
 		p.list.Put(b)
 	}
@@ -114,58 +166,70 @@ func mergedLines(t *testing.T, results ...heldResult) []byte {
 	return out.Bytes()
 }
 
-// FuzzShardResultDecode throws arbitrary bytes, as gzip and as
-// identity, at the upload accept path — the scan, and the reflective
-// decoder behind it — with a small budget, and holds it to the
-// reflective decoder alone: the same accept/reject decision, the same
-// header, and the same traces filed, whether the scan kept the body or
-// the fallback decoded it. The outcome is a value or a typed 400 —
-// never a panic, never more than limit+1 inflated bytes, never an
-// over-cap buffer back on the free list — and what was accepted owes
-// nothing to the buffers it came through but a scanned result's body,
-// which the accept path copies before the handler returns its buffer.
+// FuzzShardResultDecode holds the upload accept path — the scan, the
+// only reader of an upload — to encoding/json as an oracle, in two
+// directions:
+//
+//   - whatever body it accepts, gzip over data (or data itself, when
+//     isGzip), encoding/json reads from the same inflated bytes as a
+//     request with a result, with the same worker, lease and header, and
+//     the held body files the traces the decoded result does;
+//   - whatever apiclient sends for a random result under a plain worker
+//     ID (shape and worker) it accepts, reading back what was sent.
+//
+// The outcome is a value or a typed 400 — never a panic, never more
+// than limit+1 inflated bytes, never an over-cap buffer back on the
+// free list — and what was accepted owes nothing to the buffers it came
+// through but the body, which the accept path copies before the handler
+// returns its buffer.
 func FuzzShardResultDecode(f *testing.F) {
 	const limit = 64 << 10
+	var seeds int
+	add := func(data []byte, isGzip bool) {
+		workers := []string{"w1", "bench-w3", `w"1`, "w<3>", "", "wörker"}
+		f.Add(data, isGzip, workers[seeds%len(workers)], uint64(seeds)*0x9e3779b97f4a7c15)
+		seeds++
+	}
 	valid := sampleUpload(f)
 	gz := gzipBytes(f, valid)
-	f.Add(gz, true)
-	f.Add(valid, false)
-	f.Add(valid, true) // JSON labelled gzip
-	f.Add(gz, false)   // gzip labelled identity
-	f.Add(gz[:len(gz)/2], true)
-	f.Add(gzipBytes(f, make([]byte, 1<<20)), true) // bomb: 1 KB that inflates to 1 MiB
-	f.Add(append(append([]byte(nil), gz...), "trailing garbage"...), true)
-	f.Add([]byte{}, true)
-	f.Add([]byte(`{"worker":"w","lease":"l","result":null}`), false)
+	add(gz, true)
+	add(valid, false)
+	add(valid, true) // an identity upload: JSON that is not gzip
+	add(gz, false)   // gzip inside gzip
+	add(gz[:len(gz)/2], true)
+	add(gzipBytes(f, make([]byte, 1<<20)), true) // bomb: 1 KB that inflates to 1 MiB
+	add(append(append([]byte(nil), gz...), "trailing garbage"...), true)
+	add([]byte{}, true)
+	add([]byte(`{"worker":"w","lease":"l","result":null}`), false)
 	// The observation's narrow fields at and past their edges: what a
 	// uint8 or uint16 cannot hold, the scan refuses as the decoder does.
 	for _, v := range []string{"-1", "0", "255", "256", "65535", "65536"} {
-		f.Add(bytes.Replace(valid, []byte(`"udp_attempts":1`), []byte(`"udp_attempts":`+v), 1), false)
-		f.Add(bytes.Replace(valid, []byte(`"udp_attempts":1`), []byte(`"udp_attempts":1,"udp_ect_attempts":`+v), 1), false)
-		f.Add(gzipBytes(f, bytes.Replace(valid, []byte(`"http":200`), []byte(`"http":`+v), 1)), true)
+		add(bytes.Replace(valid, []byte(`"udp_attempts":1`), []byte(`"udp_attempts":`+v), 1), false)
+		add(bytes.Replace(valid, []byte(`"udp_attempts":1`), []byte(`"udp_attempts":1,"udp_ect_attempts":`+v), 1), false)
+		add(gzipBytes(f, bytes.Replace(valid, []byte(`"http":200`), []byte(`"http":`+v), 1)), true)
 	}
 	congested := sampleWire(5, 3)
 	congested.Congestion = &analysis.CEMarkSample{Vantage: "Glasgow (wired)", InECT: 9, InCE: 1, Utilization: 0.85}
 	congested.Traces = append(congested.Traces, congested.Traces[0])
 	congested.Stats = campaign.ShardStats{Shard: 5, Vantage: "Glasgow (wired)", Traces: 2, Elapsed: 1500 * time.Millisecond}
-	for _, req := range []leaseRequest{
+	for _, req := range []uploadRequest{
 		{Worker: "w2", Lease: "j-000002.5.1", Result: congested},
-		{Worker: "w<3>", Lease: "l", Result: congested}, // an escaped worker ID: only the fallback reads it
+		{Worker: "w<3>", Lease: "l", Result: congested}, // an escaped worker ID, which the scan refuses
 	} {
 		raw, err := json.Marshal(req)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(raw, false)
-		f.Add(bytes.Replace(raw, []byte(`,"stats":`), []byte(`,"congestion":null,"stats":`), 1), false)
-		f.Add(bytes.Replace(raw, []byte(`"servers":[`), []byte(`"servers": [`), 1), false)
-		f.Add(bytes.Replace(raw, []byte(`"Shard":5`), []byte(`"Shard":5,"Shard":6`), 1), false)
-		f.Add(bytes.Replace(raw, []byte(`"traces":[`), []byte(`"traces":[],"traces":[`), 1), false)
+		add(raw, false)
+		add(bytes.Replace(raw, []byte(`,"stats":`), []byte(`,"congestion":null,"stats":`), 1), false)
+		add(bytes.Replace(raw, []byte(`"servers":[`), []byte(`"servers": [`), 1), false)
+		add(bytes.Replace(raw, []byte(`"Shard":5`), []byte(`"Shard":5,"Shard":6`), 1), false)
+		add(bytes.Replace(raw, []byte(`"traces":[`), []byte(`"traces":[],"traces":[`), 1), false)
 	}
-	// Canonical bodies of exactly limit and limit+1 bytes: the budget, not
-	// the grammar, decides.
+	// Canonical bodies of exactly limit and limit+1 inflated bytes: the
+	// budget, not the grammar, decides.
 	for _, size := range []int{limit, limit + 1} {
-		req := leaseRequest{Lease: "l", Result: sampleWire(3, 400)}
+		req := uploadRequest{Lease: "l", Result: sampleWire(3, 400)}
 		base, err := json.Marshal(req)
 		if err != nil {
 			f.Fatal(err)
@@ -175,32 +239,21 @@ func FuzzShardResultDecode(f *testing.F) {
 		if err != nil || len(raw) != size {
 			f.Fatalf("sized seed: %d bytes, %v", len(raw), err)
 		}
-		f.Add(gzipBytes(f, raw), true)
+		add(raw, false)
 	}
 
 	var pool ingestPool
-	f.Fuzz(func(t *testing.T, data []byte, compressed bool) {
-		enc := encIdentity
-		if compressed {
-			enc = encGzip
+	capture := &captureTransport{}
+	client := apiclient.NewWithHTTPClient("http://coordinator", &http.Client{Transport: capture})
+	f.Fuzz(func(t *testing.T, data []byte, isGzip bool, worker string, shape uint64) {
+		body := bytes.Clone(data) // the engine's copy must not be scribbled on below
+		if !isGzip {
+			body = gzipBytes(t, data)
 		}
-		data = bytes.Clone(data) // the engine's copy must not be scribbled on below
-
-		// The oracle: the reflective decoder alone, on its own copy.
-		var oracle ingestBuf
-		var req leaseRequest
-		wantErr := oracle.decodeJSON(bytes.Clone(data), enc, limit, &req)
-		if wantErr == nil && req.Result == nil {
-			wantErr = faultf(http.StatusBadRequest, codeResultInvalid, "result is required")
-		}
-
 		b := pool.get()
-		u, err := b.acceptUpload(data, enc, limit)
-		if n := b.inflated.Len(); n > limit+1 || b.lim.N < 0 {
-			t.Fatalf("inflated %d bytes (%d of the budget left) under a %d-byte limit", n, b.lim.N, limit)
-		}
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("accept error %v, reflective decoder error %v", err, wantErr)
+		u, err := b.acceptUpload(body, limit)
+		if b.lim.N < 0 {
+			t.Fatalf("inflated past the %d-byte limit (%d of the budget left)", limit, b.lim.N)
 		}
 		if err != nil {
 			var f *apiFault
@@ -208,24 +261,31 @@ func FuzzShardResultDecode(f *testing.F) {
 				t.Fatalf("accept error = %#v, want a typed 400", err)
 			}
 		} else {
+			// The oracle: encoding/json over the same inflated bytes.
+			zr, err := gzip.NewReader(bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("accepted a body gzip cannot open: %v", err)
+			}
+			inflated, err := io.ReadAll(zr)
+			var req uploadRequest
+			if err != nil || json.Unmarshal(inflated, &req) != nil || req.Result == nil {
+				t.Fatalf("accepted a body encoding/json refuses: %v %v", err, json.Unmarshal(inflated, &req))
+			}
 			want := wireResult(req.Result)
 			check := func(when string) {
 				if u.worker != req.Worker || u.lease != req.Lease || !reflect.DeepEqual(u.result.resultHead, want.resultHead) {
-					t.Fatalf("%s: accepted %q %q %+v, reflective decoder read %q %q %+v",
+					t.Fatalf("%s: accepted %q %q %+v, encoding/json read %q %q %+v",
 						when, u.worker, u.lease, u.result.resultHead, req.Worker, req.Lease, want.resultHead)
 				}
 			}
 			check("accepted")
-			if u.result.wire == nil {
-				// Held as the body: the accept path attaches it (a copy).
-				u.result.body, u.result.enc = bytes.Clone(data), enc
-			}
+			u.result.body = bytes.Clone(body) // the accept path attaches a copy
 			if got, ref := mergedLines(t, u.result), mergedLines(t, want); !bytes.Equal(got, ref) {
 				t.Fatalf("the held result files\n%s\nthe decoded one\n%s", got, ref)
 			}
 			// Scribble over everything the accept path read from: the
 			// header must not change.
-			for _, buf := range [][]byte{data, b.inflated.Bytes(), b.body.Bytes()} {
+			for _, buf := range [][]byte{body, b.body.Bytes()} {
 				for i := range buf {
 					buf[i] = 0xff
 				}
@@ -236,30 +296,92 @@ func FuzzShardResultDecode(f *testing.F) {
 		}
 		pool.put(b)
 		wantRetainedWithinCap(t, &pool)
+
+		// What apiclient sends, the scan takes.
+		if !dataset.PlainString(worker) {
+			return
+		}
+		wire := randomWire(shape)
+		if _, err := client.PushShardResult(context.Background(), "j-000001", 0, worker, "j-000001.0.1", wire); err != nil {
+			t.Fatal(err)
+		}
+		b = pool.get()
+		defer pool.put(b)
+		u, err = b.acceptUpload(capture.body, maxResultBytes)
+		if err != nil {
+			t.Fatalf("the scan refused apiclient's upload of a %d-trace result as %q: %v", len(wire.Traces), worker, err)
+		}
+		want := wireResult(wire)
+		if u.worker != worker || u.lease != "j-000001.0.1" || !reflect.DeepEqual(u.result.resultHead, want.resultHead) {
+			t.Fatalf("read %q %q %+v back from apiclient's upload of %q %+v",
+				u.worker, u.lease, u.result.resultHead, worker, want.resultHead)
+		}
+		u.result.body = capture.body
+		if got, ref := mergedLines(t, u.result), mergedLines(t, want); !bytes.Equal(got, ref) {
+			t.Fatalf("apiclient's upload files\n%s\nthe result it carried\n%s", got, ref)
+		}
 	})
 }
 
-// TestIngestBombIsBounded: a body that would inflate far past the limit
-// stops at limit+1 bytes and is a 400; the buffer that absorbed it is
-// reusable, and a valid upload decodes through it afterwards.
+// TestIngestBombIsBounded: an upload whose canonical prefix goes on
+// into an endless list of traces — ≈ 110 KB of gzip that inflates to
+// 16 MiB — is a 400 at the upload route. The scan stops at limit+1
+// inflated bytes and allocates no more than its window on the way,
+// which holds a trace at a time; the buffer that absorbed the bomb is
+// reusable, and a valid upload is accepted through it afterwards.
 func TestIngestBombIsBounded(t *testing.T) {
 	const limit = 1 << 20
+	defer func(old int64) { maxResultBytes = old }(maxResultBytes)
+	maxResultBytes = limit
+
+	valid := sampleUpload(t)
+	i := bytes.Index(valid, []byte(`"traces":[`)) + len(`"traces":[`)
+	j := bytes.Index(valid, []byte(`],"servers":`))
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Write(valid[:j])
+	for n := 0; n < 16<<20; n += j - i + 1 {
+		zw.Write([]byte(","))
+		zw.Write(valid[i:j])
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bomb := buf.Bytes()
+
+	_, ts := newPoolServer(t, Config{}, 0)
+	id, claim, wires := claimPinned(t, apiclient.New(ts.URL))
+	if status, code := postResult(t, ts, id, claim.Shards[0].Index, bomb, true); status != http.StatusBadRequest || code != codeBadRequest {
+		t.Fatalf("a bomb upload = %d %s, want 400 %s", status, code, codeBadRequest)
+	}
+
 	var pool ingestPool
 	b := pool.get()
-	var req leaseRequest
-	err := b.decodeJSON(gzipBytes(t, make([]byte, 16<<20)), encGzip, limit, &req)
+	wantBadRequest(t, func() error { _, err := b.acceptUpload(bomb, limit); return err }()) // warms the window
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := b.acceptUpload(bomb, limit)
+	runtime.ReadMemStats(&after)
 	wantBadRequest(t, err)
-	if n := b.inflated.Len(); n != limit+1 {
-		t.Fatalf("bomb inflated %d bytes, want exactly limit+1 = %d", n, limit+1)
+	if b.lim.N != 0 {
+		t.Fatalf("the scan stopped %d bytes short of the budget", b.lim.N)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d gzip bytes inflated to the %d-byte budget: %d bytes allocated, scan window %d bytes",
+		len(bomb), limit+1, alloc, b.scan.Cap())
+	if !raceEnabled && alloc > uint64(b.scan.Cap()) {
+		t.Fatalf("a bomb inflating %d bytes allocated %d bytes; the scan window is %d", limit+1, alloc, b.scan.Cap())
 	}
 	pool.put(b)
 
 	b = pool.get()
-	if err := b.decodeJSON(gzipBytes(t, sampleUpload(t)), encGzip, limit, &req); err != nil {
-		t.Fatalf("valid upload after a bomb: %v", err)
+	if u, err := b.acceptUpload(gzipBytes(t, valid), limit); err != nil || u.result.traces != 1 {
+		t.Fatalf("valid upload after a bomb = %+v, %v", u, err)
 	}
-	if req.Result == nil || len(req.Result.Traces) != 1 {
-		t.Fatalf("valid upload after a bomb decoded to %+v", req)
+	pool.put(b)
+	if ack, err := apiclient.New(ts.URL).PushShardResult(context.Background(), id, claim.Shards[0].Index, "w1",
+		claim.Shards[0].Lease, wires[0]); err != nil || ack.Status != "accepted" {
+		t.Fatalf("upload after the bomb = %+v, %v", ack, err)
 	}
 }
 
@@ -269,26 +391,22 @@ func TestIngestBombIsBounded(t *testing.T) {
 func TestIngestRetentionCap(t *testing.T) {
 	var pool ingestPool
 	big := pool.get()
-	var sink struct{}
-	// 9 MiB of spaces is valid JSON whitespace around nothing: the decode
-	// fails, but only after both buffers have grown past the cap; after
-	// a trace's opening, the scan's window reads them all looking for
-	// the observations.
+	// After a trace's opening, the scan's window reads 9 MiB of spaces
+	// looking for the observations.
 	huge := bytes.Repeat([]byte{' '}, freelist.RetainBytes+1<<20)
 	big.body.Write(huge)
-	_ = big.decodeJSON(gzipBytes(t, huge), encGzip, int64(len(huge)), &sink)
 	big.scan.Reset(bytes.NewReader(append([]byte(`{"vantage":"`), huge...)))
 	big.scan.Trace()
-	if big.inflated.Cap() <= freelist.RetainBytes || big.body.Cap() <= freelist.RetainBytes || big.scan.Cap() <= freelist.RetainBytes {
-		t.Fatalf("test setup: buffers are %d/%d/%d bytes, want all above the cap",
-			big.body.Cap(), big.inflated.Cap(), big.scan.Cap())
+	if big.body.Cap() <= freelist.RetainBytes || big.scan.Cap() <= freelist.RetainBytes {
+		t.Fatalf("test setup: buffers are %d/%d bytes, want both above the cap",
+			big.body.Cap(), big.scan.Cap())
 	}
 	pool.put(big)
 	wantRetainedWithinCap(t, &pool)
 	if got := pool.get(); got != big {
 		t.Fatal("the shell of an over-cap buffer should still be reused")
-	} else if got.body.Cap() != 0 || got.inflated.Cap() != 0 || got.scan.Cap() != 0 {
-		t.Fatalf("over-cap buffers survived put: %d/%d/%d bytes", got.body.Cap(), got.inflated.Cap(), got.scan.Cap())
+	} else if got.body.Cap() != 0 || got.scan.Cap() != 0 {
+		t.Fatalf("over-cap buffers survived put: %d/%d bytes", got.body.Cap(), got.scan.Cap())
 	}
 
 	bufs := make([]*ingestBuf, freelist.Slots+3)
@@ -331,58 +449,6 @@ func TestReadBodyHintIsCapped(t *testing.T) {
 	wantBadRequest(t, err)
 }
 
-// TestInflateHintIsBounded: the gzip trailer sizes the inflate buffer
-// once — a truthful one means a single growth, not a doubling ladder —
-// and a trailer that lies reserves no more than the body could inflate
-// to at all.
-func TestInflateHintIsBounded(t *testing.T) {
-	raw, err := json.Marshal(leaseRequest{Worker: "w1", Lease: "j-000001/3/1", Result: sampleWire(3, 2500)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b ingestBuf
-	var req leaseRequest
-	if err := b.decodeJSON(gzipBytes(t, raw), encGzip, maxResultBytes, &req); err != nil {
-		t.Fatal(err)
-	}
-	// Doubling from bytes.Buffer's first 512 bytes would end at the next
-	// power of two and have copied the body twice over on the way.
-	if c, want := b.inflated.Cap(), len(raw)+bytes.MinRead; c < want || c > want+want/8 {
-		t.Errorf("a truthful trailer left a %d-byte inflate buffer for %d bytes; want one growth to ≈ %d", c, len(raw), want)
-	}
-	// A larger body through the same buffer replaces it at its own size:
-	// Grow would have doubled the first one's capacity.
-	larger, err := json.Marshal(leaseRequest{Worker: "w1", Lease: "j-000001/3/1", Result: sampleWire(3, 2700)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.decodeJSON(gzipBytes(t, larger), encGzip, maxResultBytes, &req); err != nil {
-		t.Fatal(err)
-	}
-	if c, want := b.inflated.Cap(), len(larger)+bytes.MinRead; c < want || c > want+want/8 {
-		t.Errorf("a %d-byte body after a %d-byte one left a %d-byte inflate buffer; want ≈ %d", len(larger), len(raw), c, want)
-	}
-
-	// ≈ 1 KB of incompressible body whose trailer claims 256 MiB.
-	noise := make([]byte, 900)
-	for i := range noise {
-		noise[i] = byte(i * 167 >> 3)
-	}
-	body := gzipBytes(t, noise)
-	binary.LittleEndian.PutUint32(body[len(body)-4:], 256<<20)
-	var liar ingestBuf
-	wantBadRequest(t, liar.decodeJSON(body, encGzip, maxResultBytes, &req))
-	if c, max := liar.inflated.Cap(), maxDeflateRatio*len(body)+bytes.MinRead; c > max+max/8 {
-		t.Errorf("a %d-byte body claiming 256 MiB reserved %d bytes; the bound is %d", len(body), c, max)
-	}
-	// And the byte budget caps both.
-	var tight ingestBuf
-	wantBadRequest(t, tight.decodeJSON(body, encGzip, 100, &req))
-	if c := tight.inflated.Cap(); c > 101+2*bytes.MinRead {
-		t.Errorf("a 100-byte budget reserved %d bytes", c)
-	}
-}
-
 // heldKind reports how job id holds shard idx's accepted result.
 func heldKind(srv *Server, id string, idx int) string {
 	srv.mgr.mu.Lock()
@@ -420,7 +486,7 @@ func TestCoordinatorHoldsCompressedResults(t *testing.T) {
 		wire, _ := paperUpload(t, claim.SpecHash, sh.ShardInfo)
 		parts = append(parts, &dataset.Dataset{Traces: wire.Traces})
 		// The bytes apiclient sends (TestUploadBodyMatchesMarshal).
-		raw, err := json.Marshal(leaseRequest{Worker: "w1", Lease: sh.Lease, Result: wire})
+		raw, err := json.Marshal(uploadRequest{Worker: "w1", Lease: sh.Lease, Result: wire})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,31 +525,51 @@ func TestCoordinatorHoldsCompressedResults(t *testing.T) {
 	}
 }
 
-// TestFallbackUploadFilesThePinnedHash: uploads in a form no worker
-// writes — pretty-printed by some other client — are accepted through
-// the reflective decoder and held decoded, beside scanned ones held as
-// their bodies, and the job files the pinned bytes.
-func TestFallbackUploadFilesThePinnedHash(t *testing.T) {
+// TestNonCanonicalUploadRefused: an upload in a form no worker writes —
+// pretty-printed, identity-encoded, or under a worker ID that must be
+// escaped — is refused with a 400 bad_request and leaves nothing held;
+// the canonical upload under the same lease is then accepted, held as
+// its body, and the job files the pinned bytes.
+func TestNonCanonicalUploadRefused(t *testing.T) {
 	srv, ts := newPoolServer(t, Config{}, 0)
 	client := apiclient.New(ts.URL)
 	id, claim, wires := claimPinned(t, client)
 	for k, sh := range claim.Shards {
-		want := "body"
-		if k%2 == 0 {
-			want = "decoded"
-			pretty, err := json.MarshalIndent(leaseRequest{Worker: "w1", Lease: sh.Lease, Result: wires[k]}, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if status, _ := postResult(t, ts, id, sh.Index, pretty, false); status != http.StatusOK {
-				t.Fatalf("pretty-printed upload %d = %d", k, status)
-			}
-		} else if _, err := client.PushShardResult(context.Background(), id, sh.Index, "w1", sh.Lease, wires[k]); err != nil {
+		canonical, err := json.Marshal(uploadRequest{Worker: "w1", Lease: sh.Lease, Result: wires[k]})
+		if err != nil {
 			t.Fatal(err)
 		}
+		pretty, err := json.MarshalIndent(uploadRequest{Worker: "w1", Lease: sh.Lease, Result: wires[k]}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		escaped, err := json.Marshal(uploadRequest{Worker: "w<1>", Lease: sh.Lease, Result: wires[k]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			body []byte
+			gz   bool
+		}{
+			{"pretty-printed", gzipBytes(t, pretty), true},
+			{"identity", canonical, false},
+			{"identity labelled gzip", canonical, true},
+			{"escaped worker ID", gzipBytes(t, escaped), true},
+		} {
+			if status, code := postResult(t, ts, id, sh.Index, c.body, c.gz); status != http.StatusBadRequest || code != codeBadRequest {
+				t.Fatalf("%s upload %d = %d %s, want 400 %s", c.name, k, status, code, codeBadRequest)
+			}
+		}
+		if got := heldKind(srv, id, sh.Index); got != "nothing" {
+			t.Fatalf("after the refused uploads shard %d is held as %s", k, got)
+		}
+		if ack, err := client.PushShardResult(context.Background(), id, sh.Index, "w1", sh.Lease, wires[k]); err != nil || ack.Status != "accepted" {
+			t.Fatalf("canonical retry of upload %d = %+v, %v", k, ack, err)
+		}
 		if k < len(claim.Shards)-1 {
-			if got := heldKind(srv, id, sh.Index); got != want {
-				t.Fatalf("upload %d is held %s, want %s", k, got, want)
+			if got := heldKind(srv, id, sh.Index); got != "body" {
+				t.Fatalf("upload %d is held %s, want as its body", k, got)
 			}
 		}
 	}
@@ -504,7 +590,7 @@ func TestOutOfRangeUploadRefused(t *testing.T) {
 	id, claim, wires := claimPinned(t, client)
 
 	sh := claim.Shards[0]
-	good, err := json.Marshal(leaseRequest{Worker: "w1", Lease: sh.Lease, Result: wires[0]})
+	good, err := json.Marshal(uploadRequest{Worker: "w1", Lease: sh.Lease, Result: wires[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,19 +598,13 @@ func TestOutOfRangeUploadRefused(t *testing.T) {
 	if bytes.Equal(wide, good) {
 		t.Fatal("test setup: the shard's upload has no udp_attempts of 1")
 	}
-	malformedStatus, malformedCode := postResult(t, ts, id, sh.Index, good[:len(good)/2], false)
+	malformedStatus, malformedCode := postResult(t, ts, id, sh.Index, gzipBytes(t, good[:len(good)/2]), true)
 	if malformedStatus != http.StatusBadRequest || malformedCode != codeBadRequest {
 		t.Fatalf("a malformed upload = %d %s, want 400 %s", malformedStatus, malformedCode, codeBadRequest)
 	}
-	for _, gz := range []bool{false, true} {
-		body := wide
-		if gz {
-			body = gzipBytes(t, wide)
-		}
-		if status, code := postResult(t, ts, id, sh.Index, body, gz); status != malformedStatus || code != malformedCode {
-			t.Fatalf("an upload with udp_attempts 256 (gzip %v) = %d %s; a malformed one = %d %s",
-				gz, status, code, malformedStatus, malformedCode)
-		}
+	if status, code := postResult(t, ts, id, sh.Index, gzipBytes(t, wide), true); status != malformedStatus || code != malformedCode {
+		t.Fatalf("an upload with udp_attempts 256 = %d %s; a malformed one = %d %s",
+			status, code, malformedStatus, malformedCode)
 	}
 	wal, err := os.ReadFile(filepath.Join(dir, "journal", id+".wal"))
 	if err != nil {
@@ -780,7 +860,7 @@ func BenchmarkPushShardResultPaper(b *testing.B) { pushPaperStep(b).bench(b) }
 // congestion and stats structs.
 func decodeStep(tb testing.TB) resultStep {
 	fx := newUploadFixture(tb)
-	raw, err := json.Marshal(leaseRequest{Worker: "w1", Lease: fx.claim.Shards[0].Lease, Result: fx.wires[0]})
+	raw, err := json.Marshal(uploadRequest{Worker: "w1", Lease: fx.claim.Shards[0].Lease, Result: fx.wires[0]})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -788,8 +868,8 @@ func decodeStep(tb testing.TB) resultStep {
 	var pool ingestPool
 	accept := func() {
 		buf := pool.get()
-		if u, err := buf.acceptUpload(body, encGzip, maxResultBytes); err != nil || u.result.wire != nil {
-			tb.Fatalf("accept = %v (decoded: %v), want the scan to take it", err, u.result.wire != nil)
+		if _, err := buf.acceptUpload(body, maxResultBytes); err != nil {
+			tb.Fatalf("accept = %v, want the scan to take it", err)
 		}
 		pool.put(buf)
 	}
@@ -817,7 +897,7 @@ func paperUpload(tb testing.TB, specHash string, sh campaign.ShardInfo) (*campai
 		tr.Index, tr.Started = len(wire.Traces), tr.Started+time.Duration(len(wire.Traces))*time.Hour
 		wire.Traces = append(wire.Traces, tr)
 	}
-	raw, err := json.Marshal(leaseRequest{Worker: "w1", Lease: "l", Result: wire})
+	raw, err := json.Marshal(uploadRequest{Worker: "w1", Lease: "l", Result: wire})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -853,11 +933,11 @@ func finalizePaperStep(tb testing.TB) resultStep {
 	var scratch ingestBuf
 	for _, sh := range cfg.Shards() {
 		_, body := paperUpload(tb, key, sh)
-		u, err := scratch.acceptUpload(body, encGzip, maxResultBytes)
-		if err != nil || u.result.wire != nil {
+		u, err := scratch.acceptUpload(body, maxResultBytes)
+		if err != nil {
 			tb.Fatalf("accept = %v, want the scan to take it", err)
 		}
-		u.result.body, u.result.enc = body, encGzip
+		u.result.body = body
 		j.results = append(j.results, u.result)
 		j.tracesTotal += sh.Traces
 	}

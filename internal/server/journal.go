@@ -63,7 +63,7 @@ import (
 //
 // A result record carries the upload's request body VERBATIM — the
 // bytes the worker sent, gzip and all — not a re-marshalled payload.
-// Workers compress their uploads, so the record is already as small as
+// Uploads are compressed, so the record is already as small as
 // any later compaction could make it: the journal is bounded by the
 // compressed size of the uploads it acknowledges, and nothing ever has
 // to rewrite it. Replay reads the body back through the same bounded
@@ -120,9 +120,10 @@ type walRecord struct {
 	// worker executes its batch serially.
 	BatchN int `json:"batch,omitempty"`
 
-	// Body is a result record's upload: the request body exactly as it
-	// arrived (base64 on disk via encoding/json's []byte convention).
-	// Enc is its Content-Encoding, encGzip or encIdentity.
+	// Body is a result record's upload: the gzip'd request body exactly
+	// as it arrived (base64 on disk via encoding/json's []byte
+	// convention). Enc is its Content-Encoding, always encGzip; replay
+	// treats any other value as damage.
 	Body []byte `json:"body,omitempty"`
 	Enc  string `json:"enc,omitempty"`
 
@@ -140,8 +141,7 @@ const (
 	walSpecGrant  = "spec-grant"
 	walSpecExpire = "spec-expire"
 
-	encGzip     = "gzip"
-	encIdentity = "identity"
+	encGzip = "gzip"
 )
 
 const (
@@ -269,7 +269,7 @@ type jobWAL struct {
 
 // walLineRetainBytes is the largest line buffer a journal keeps between
 // appends: a paper-scale result record — a gzip upload, base64'd — is
-// ≈ 100 KB, an identity-encoded one ≈ 3 MB that is not worth holding.
+// ≈ 100 KB; a rare larger one is not worth holding.
 const walLineRetainBytes = 1 << 20
 
 // append frames, checksums and writes one record, returning the bytes

@@ -96,6 +96,40 @@ func walLine(prefix, recordJSON string) string {
 }
 
 // journalFiles lists what is in the data dir's journal directory.
+// gzipped is raw through gzip.
+func gzipped(tb testing.TB, raw []byte) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(raw); err != nil {
+		tb.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// uploadJSON is the JSON apiclient uploads for res: the request struct
+// through json.Marshal. uploadBody is that gzipped, the body itself.
+func uploadJSON(tb testing.TB, worker, lease string, res *campaign.ShardResultWire) []byte {
+	tb.Helper()
+	raw, err := json.Marshal(struct {
+		Worker string                    `json:"worker"`
+		Lease  string                    `json:"lease"`
+		Result *campaign.ShardResultWire `json:"result"`
+	}{worker, lease, res})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+func uploadBody(tb testing.TB, worker, lease string, res *campaign.ShardResultWire) []byte {
+	tb.Helper()
+	return gzipped(tb, uploadJSON(tb, worker, lease, res))
+}
+
 func journalFiles(t testing.TB, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(filepath.Join(dir, "journal"))
@@ -132,20 +166,17 @@ func wantDatasetMatch(t *testing.T, client *apiclient.Client, jobID string) {
 }
 
 // TestRecoveryResumesPartialJob is the recovery matrix over how many
-// shard results the crash had already journaled — none, and some — and
-// how they arrived: gzipped (the worker default) or identity-encoded.
-// In every case the restarted coordinator re-exposes exactly the
+// shard results the crash had already journaled: none, and some. In
+// every case the restarted coordinator re-exposes exactly the
 // pending shards, the accepted ones are never re-executed, and the
 // final dataset is byte-identical to the in-process engine.
 func TestRecoveryResumesPartialJob(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		accepted func(total int) int
-		identity bool
 	}{
-		{"zero-accepted", func(int) int { return 0 }, false},
-		{"some-accepted", func(total int) int { return total / 2 }, false},
-		{"identity-accepted", func(total int) int { return total / 2 }, true},
+		{"zero-accepted", func(int) int { return 0 }},
+		{"some-accepted", func(total int) int { return total / 2 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -163,12 +194,8 @@ func TestRecoveryResumesPartialJob(t *testing.T) {
 			}
 			wires := execWires(t, distSpec, claim.SpecHash)
 			n := tc.accepted(len(claim.Shards))
-			push := c1
-			if tc.identity {
-				push = c1.WithUploadCompression(false)
-			}
 			for _, sh := range claim.Shards[:n] {
-				if _, err := push.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index]); err != nil {
+				if _, err := c1.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -240,8 +267,7 @@ func TestRecoveryResumesPartialJob(t *testing.T) {
 
 // TestRecoveryMergesReplayedBodies: a coordinator that dies holding k
 // of a job's 13 uploads as the bytes it journaled comes back holding the
-// journal's copies of them instead — gzip and identity alike — takes the
-// rest under the leases it restored, and files cmd/determinism's pinned
+// journal's copies of them instead, takes the rest under the leases it restored, and files cmd/determinism's pinned
 // hash: the merge splices replayed bodies exactly as it would the live
 // ones.
 func TestRecoveryMergesReplayedBodies(t *testing.T) {
@@ -265,13 +291,8 @@ func TestRecoveryMergesReplayedBodies(t *testing.T) {
 				t.Fatalf("plan has %d shards, want 13", len(claim.Shards))
 			}
 			wires := execWires(t, spec, claim.SpecHash)
-			plain := c1.WithUploadCompression(false)
-			for i, sh := range claim.Shards[:k] {
-				push := c1
-				if i%3 == 2 {
-					push = plain
-				}
-				if _, err := push.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index]); err != nil {
+			for _, sh := range claim.Shards[:k] {
+				if _, err := c1.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -1086,13 +1107,10 @@ func TestResultWithWrongTraceCountRejected(t *testing.T) {
 	}
 	next := claim.Shards[1]
 	short = *wires[next.Index]
-	short.Traces = nil
-	body, err := json.Marshal(map[string]any{"worker": "wA", "lease": next.Lease, "result": &short})
-	if err != nil {
-		t.Fatal(err)
-	}
+	short.Traces = []dataset.Trace{}
 	rec, err := json.Marshal(map[string]any{
-		"t": "result", "idx": next.Index, "worker": "wA", "token": next.Lease, "body": body, "enc": "identity",
+		"t": "result", "idx": next.Index, "worker": "wA", "token": next.Lease,
+		"body": uploadBody(t, "wA", next.Lease, &short), "enc": "gzip",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1111,6 +1129,57 @@ func TestResultWithWrongTraceCountRejected(t *testing.T) {
 	}
 	_, err = c2.JobDataset(ctx, job.ID)
 	wantCode(t, err, 502, "job_failed")
+}
+
+// TestRecoveryIdentityRecordFails: a result record whose body is not
+// gzip'd — an identity upload, which an older coordinator accepted and
+// journaled as "enc":"identity" — is damage to this one. Its job fails
+// on replay with job_failed, nothing of the record is merged, and the
+// coordinator stays up.
+func TestRecoveryIdentityRecordFails(t *testing.T) {
+	dir := t.TempDir()
+	fc := newFakeClock()
+	ctx := context.Background()
+
+	srv1, ts1, c1 := startCrashServer(t, dir, fc)
+	job, _, err := c1.SubmitRaw(ctx, []byte(distSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	claim, err := c1.Claim(ctx, job.ID, "wA", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wires := execWires(t, distSpec, claim.SpecHash)
+	for _, sh := range claim.Shards[:3] {
+		if _, err := c1.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crash(ts1, srv1)
+
+	path := walPath(dir, job.ID)
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := claim.Shards[3]
+	rec, err := json.Marshal(map[string]any{
+		"t": "result", "idx": next.Index, "worker": "wA", "token": next.Lease,
+		"body": uploadJSON(t, "wA", next.Lease, wires[next.Index]), "enc": "identity",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(journal, walLine("w2", string(rec))...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, c2 := startCrashServer(t, dir, fc)
+	wantRecoveryFailed(t, c2, job.ID)
+	if got, err := c2.Job(ctx, job.ID); err != nil || !strings.Contains(got.Error, `"identity"`) {
+		t.Fatalf("job error = %q, %v; want the record's encoding named", got.Error, err)
+	}
 }
 
 // FuzzWALReplay feeds arbitrary bytes to startup recovery as a job's
@@ -1159,21 +1228,18 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		return walLine("w2", string(rec))
 	}
-	var bomb bytes.Buffer
-	gz := gzip.NewWriter(&bomb)
-	gz.Write(bytes.Repeat([]byte(" "), 2<<20))
-	gz.Close()
+	bomb := gzipped(f, bytes.Repeat([]byte(" "), 2<<20))
 	flipped := bytes.Clone(valid)
 	flipped[len(lines[0])+3] ^= 0x01 // first checksum digit of line 2
 
 	f.Add(valid)
-	f.Add(valid[:len(valid)-len(lastLine)/2])                                               // torn tail
-	f.Add(flipped)                                                                          // bad CRC mid-file
-	f.Add(append(bytes.Clone(valid), lastLine...))                                          // duplicated result record
-	f.Add(append([]byte(walLine("w1", `{"t":"submit","job":"j-000001"}`)), valid...))       // older build's line
-	f.Add(append(bytes.Clone(valid), resultLine([]byte("this is not gzip"), "gzip")...))    // body is not gzip
-	f.Add(append(bytes.Clone(valid), resultLine(bomb.Bytes(), "gzip")...))                  // inflates past the bound
-	f.Add(append(bytes.Clone(valid), resultLine([]byte(`{"worker":"wA"}`), "identity")...)) // no payload
+	f.Add(valid[:len(valid)-len(lastLine)/2])                                                       // torn tail
+	f.Add(flipped)                                                                                  // bad CRC mid-file
+	f.Add(append(bytes.Clone(valid), lastLine...))                                                  // duplicated result record
+	f.Add(append([]byte(walLine("w1", `{"t":"submit","job":"j-000001"}`)), valid...))               // older build's line
+	f.Add(append(bytes.Clone(valid), resultLine([]byte("this is not gzip"), "gzip")...))            // body is not gzip
+	f.Add(append(bytes.Clone(valid), resultLine(bomb, "gzip")...))                                  // inflates past the bound
+	f.Add(append(bytes.Clone(valid), resultLine(gzipped(f, []byte(`{"worker":"wA"}`)), "gzip")...)) // no payload
 	f.Add([]byte{})
 	// A submission record for a local job: it never had a journal, and
 	// nothing could claim its shards if it were resumed.
@@ -1182,12 +1248,8 @@ func FuzzWALReplay(f *testing.F) {
 		`"execution":"distributed"`, `"execution":"local"`, 1))), valid[len(lines[0]):]...))
 	// A well-formed result for the pending shard that lacks its trace.
 	short := *wires[pending.Index]
-	short.Traces = nil
-	shortBody, err := json.Marshal(map[string]any{"worker": "wA", "lease": pending.Lease, "result": &short})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append(bytes.Clone(valid), resultLine(shortBody, "identity")...))
+	short.Traces = []dataset.Trace{}
+	f.Add(append(bytes.Clone(valid), resultLine(uploadBody(f, "wA", pending.Lease, &short), "gzip")...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -449,18 +449,17 @@ func (m *jobMgr) Heartbeat(jobID string, idx int, token string) (HeartbeatRespon
 // computed for a different spec, a mismatched shard, or an evicted
 // lease never reaches the merge. The accepted upload that completes
 // the plan triggers the canonical merge and files the run. body is the
-// upload as received (enc its Content-Encoding) and res what the accept
-// path read of it (acceptUpload): the journal keeps the former, the job
-// res — with its own copy of body, if res was scanned from it (a
-// loopback result has no body, its job no journal).
-func (m *jobMgr) ShardResult(jobID string, idx int, worker, token string, res *heldResult, body []byte, enc string) (ResultResponse, error) {
+// gzip'd upload as received and res what the accept path read of it
+// (acceptUpload): the journal keeps the former, the job res — with its
+// own copy of body (a loopback result has no body, its job no journal).
+func (m *jobMgr) ShardResult(jobID string, idx int, worker, token string, res *heldResult, body []byte) (ResultResponse, error) {
 	m.mu.Lock()
 	j, err := m.distributedJobLocked(jobID)
 	if err != nil {
 		m.mu.Unlock()
 		return ResultResponse{}, err
 	}
-	resp, finalize, err := m.shardResultLocked(j, idx, worker, token, res, body, enc)
+	resp, finalize, err := m.shardResultLocked(j, idx, worker, token, res, body)
 	m.mu.Unlock()
 	if err != nil {
 		return ResultResponse{}, err
@@ -507,7 +506,7 @@ func checkResult(j *job, idx int, h *resultHead) *apiFault {
 	return nil
 }
 
-func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *heldResult, body []byte, enc string) (ResultResponse, bool, error) {
+func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *heldResult, body []byte) (ResultResponse, bool, error) {
 	if idx < 0 || idx >= len(j.shards) {
 		return ResultResponse{}, false, faultf(http.StatusNotFound, codeShardNotFound,
 			"job %s has no shard %d (plan has %d)", j.id, idx, len(j.shards))
@@ -556,7 +555,7 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *h
 	// later instant leaves a coordinator that still owns this result.
 	// A journal failure refuses the upload (500, internal); the worker
 	// retries and the re-journaled duplicate replays first-wins.
-	rec := walRecord{Type: walResult, Idx: idx, Worker: worker, Token: token, Body: body, Enc: enc, Time: m.now()}
+	rec := walRecord{Type: walResult, Idx: idx, Worker: worker, Token: token, Body: body, Enc: encGzip, Time: m.now()}
 	err := m.walAppend(j, rec)
 	if err == nil {
 		err = m.walSync(j)
@@ -574,9 +573,9 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *h
 			"failpoint %s: %v", failpoint.AcceptResultAfterJournal, err)
 	}
 	if res.wire == nil {
-		// A scanned upload is kept as the bytes just journaled; they are
-		// the request's buffer until the handler returns.
-		res.body, res.enc = append(make([]byte, 0, len(body)), body...), enc
+		// An upload is kept as the bytes just journaled; they are the
+		// request's buffer until the handler returns.
+		res.body = append(make([]byte, 0, len(body)), body...)
 	}
 	j.apply(rec, res)
 	// Settle the speculation race, if one was open: the winning side's

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -364,6 +365,21 @@ func TestWorkerProtocolGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A worker ID the upload scan cannot read — its uploads would carry
+	// it escaped — gets a 400 naming worker, and no lease.
+	_, err = client.Claim(ctx, job.ID, "w<3>", 1)
+	wantCode(t, err, 400, "bad_request")
+	if msg := err.(*apiclient.APIError).Message; !strings.Contains(msg, "worker") {
+		t.Fatalf("refused claim says %q; want it to name worker", msg)
+	}
+	shards, err := client.Shards(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shards[0].State != "pending" {
+		t.Fatalf("after the refused claim shard 0 = %+v; want pending", shards[0])
+	}
+
 	claim, err := client.Claim(ctx, job.ID, "w", 2)
 	if err != nil {
 		t.Fatal(err)

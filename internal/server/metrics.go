@@ -67,9 +67,6 @@ type serverMetrics struct {
 	recoveryDone      *telemetry.Counter
 	recoveryFailed    *telemetry.Counter
 	recoveryShards    *telemetry.Counter
-
-	uploadsGzip     *telemetry.Counter
-	uploadsIdentity *telemetry.Counter
 }
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
@@ -155,12 +152,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 			telemetry.Label{Name: "outcome", Value: "failed"}),
 		recoveryShards: reg.Counter("repro_recovery_shards_total",
 			"Accepted shard results restored from the journal at startup."),
-		uploadsGzip: reg.Counter("repro_shard_result_uploads_total",
-			"Shard result uploads received, by content encoding.",
-			telemetry.Label{Name: "encoding", Value: "gzip"}),
-		uploadsIdentity: reg.Counter("repro_shard_result_uploads_total",
-			"Shard result uploads received, by content encoding.",
-			telemetry.Label{Name: "encoding", Value: "identity"}),
 	}
 }
 

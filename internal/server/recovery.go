@@ -221,19 +221,20 @@ func (m *jobMgr) replayLocked(j *job, recs []walRecord) error {
 			}
 			// The body goes back through the upload path's own bounded
 			// accept and payload checks: bytes that would not be accepted
-			// over HTTP are not accepted off disk either. A scanned body is
-			// held as the record's own bytes, exactly as the live path held
-			// its copy of them.
-			u, err := scratch.acceptUpload(rec.Body, rec.Enc, maxResultBytes)
+			// over HTTP are not accepted off disk either. It is held as the
+			// record's own bytes, exactly as the live path held its copy of
+			// them.
+			if rec.Enc != encGzip {
+				return fmt.Errorf("journal replay: result record for shard %d has encoding %q", rec.Idx, rec.Enc)
+			}
+			u, err := scratch.acceptUpload(rec.Body, maxResultBytes)
 			if err != nil {
 				return fmt.Errorf("journal replay: result record for shard %d: %w", rec.Idx, err)
 			}
 			if f := checkResult(j, rec.Idx, &u.result.resultHead); f != nil {
 				return fmt.Errorf("journal replay: result record for shard %d: %w", rec.Idx, f)
 			}
-			if u.result.wire == nil {
-				u.result.body, u.result.enc = rec.Body, rec.Enc
-			}
+			u.result.body = rec.Body
 			j.apply(rec, &u.result)
 			m.met.recoveryShards.Inc()
 		case walFailed:

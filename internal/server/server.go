@@ -29,6 +29,12 @@
 //	POST /v1/jobs/{id}/shards/{shard}/heartbeat  extend one lease
 //	POST /v1/jobs/{id}/shards/{shard}/result     upload one shard's result (idempotent)
 //
+// Claim and heartbeat bodies are plain JSON. A result upload has one
+// form, the bytes apiclient writes: canonical JSON sent with
+// Content-Encoding: gzip, which the coordinator scans rather than
+// decodes (ingest.go); any other body is a 400, and a worker ID the
+// scan could not read is refused at claim.
+//
 // Errors are uniform across every endpoint: a non-2xx response body is
 // {"error": {"code", "message", "fields"}} with a stable machine code
 // (errors.go).
@@ -60,6 +66,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/dataset"
 	"repro/internal/telemetry"
 )
 
@@ -262,15 +269,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v) // the status line is already out; nothing to recover
-}
-
-// bodyEncoding names the request body's encoding: encGzip or
-// encIdentity.
-func bodyEncoding(r *http.Request) string {
-	if strings.EqualFold(r.Header.Get("Content-Encoding"), "gzip") {
-		return encGzip
-	}
-	return encIdentity
 }
 
 // submitResponse is POST /v1/campaigns' body: the job serving the spec
@@ -529,14 +527,11 @@ type ClaimRequest struct {
 	MaxShards int `json:"max_shards"`
 }
 
-// leaseRequest is the shared heartbeat/result body: the worker's
-// identity and the lease token it holds for the addressed shard. The
-// result route additionally carries the executed shard.
+// leaseRequest is the heartbeat body: the worker's identity and the
+// lease token it holds for the addressed shard.
 type leaseRequest struct {
 	Worker string `json:"worker"`
 	Lease  string `json:"lease"`
-	// Result is the executed shard's wire form (result route only).
-	Result *campaign.ShardResultWire `json:"result,omitempty"`
 }
 
 // shardIndex parses the {shard} path segment — the shard's index in
@@ -558,6 +553,13 @@ func (s *Server) handleShardClaim(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Worker == "" {
 		writeFault(w, faultf(http.StatusBadRequest, codeBadRequest, "worker is required"))
+		return
+	}
+	if !dataset.PlainString(req.Worker) {
+		// Its uploads would carry the ID escaped, which the scan refuses:
+		// a worker that cannot upload gets no lease.
+		writeFault(w, faultf(http.StatusBadRequest, codeBadRequest,
+			"worker %q must be printable ASCII without \" \\ < > &", req.Worker))
 		return
 	}
 	resp, err := s.mgr.Claim(r.PathValue("id"), req.Worker, req.MaxShards)
@@ -591,7 +593,7 @@ func (s *Server) handleShardHeartbeat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// maxResultBytes bounds a shard-result upload, compressed and inflated
+// maxResultBytes bounds a shard-result upload, gzip'd and inflated
 // alike. Paper-scale shards are single-digit MiB of JSON; 256 MiB
 // leaves room without letting one request buffer unbounded memory. A
 // var only so tests can pin the bound without a 256 MiB payload.
@@ -603,18 +605,16 @@ func (s *Server) handleShardResult(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, err)
 		return
 	}
-	enc := bodyEncoding(r)
-	if enc == encGzip {
-		s.metrics.uploadsGzip.Inc()
-	} else {
-		s.metrics.uploadsIdentity.Inc()
+	if !strings.EqualFold(r.Header.Get("Content-Encoding"), encGzip) {
+		writeFault(w, faultf(http.StatusBadRequest, codeBadRequest,
+			"a shard result must be sent with Content-Encoding: gzip"))
+		return
 	}
-	// The body is read once and kept as received: it is scanned (or
-	// decoded) here for validation, journaled verbatim on accept, and
-	// copied into the job if the scan took it. Its buffers go back only
-	// when ShardResult has returned — the journal append and that copy
-	// in there are the last readers of raw, and nothing else read from
-	// them aliases either buffer.
+	// The body is read once and kept as received: it is scanned here
+	// for validation, journaled verbatim on accept, and copied into the
+	// job. Its buffers go back only when ShardResult has returned — the
+	// journal append and that copy in there are the last readers of raw,
+	// and nothing else read from them aliases either buffer.
 	buf := s.mgr.ingest.get()
 	defer s.mgr.ingest.put(buf)
 	raw, err := buf.readBody(w, r, maxResultBytes)
@@ -622,12 +622,12 @@ func (s *Server) handleShardResult(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, err)
 		return
 	}
-	up, err := buf.acceptUpload(raw, enc, maxResultBytes)
+	up, err := buf.acceptUpload(raw, maxResultBytes)
 	if err != nil {
 		writeFault(w, err)
 		return
 	}
-	resp, err := s.mgr.ShardResult(r.PathValue("id"), idx, up.worker, up.lease, &up.result, raw, enc)
+	resp, err := s.mgr.ShardResult(r.PathValue("id"), idx, up.worker, up.lease, &up.result, raw)
 	if err != nil {
 		writeFault(w, err)
 		return

@@ -121,9 +121,6 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p.rp.ServeHTTP(w, r)
 }
 
-// Requests returns how many requests the proxy has seen.
-func (p *Proxy) Requests() int64 { return p.count.Load() }
-
 // discardResponseWriter swallows the shadow request's response.
 type discardResponseWriter struct {
 	header http.Header

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/apiclient"
 	"repro/internal/campaign"
+	"repro/internal/dataset"
 )
 
 // Config parameterizes one worker run.
@@ -94,6 +95,11 @@ func Run(ctx context.Context, cfg Config) (Stats, error) {
 	}
 	if cfg.ID == "" {
 		return Stats{}, fmt.Errorf("worker: ID is required")
+	}
+	if !dataset.PlainString(cfg.ID) {
+		// The coordinator would refuse the claim, and could not scan the
+		// ID out of an upload.
+		return Stats{}, fmt.Errorf("worker: ID %q must be printable ASCII without \" \\ < > &", cfg.ID)
 	}
 	if cfg.Batch < 1 {
 		cfg.Batch = 2

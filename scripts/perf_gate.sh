@@ -42,9 +42,6 @@ trap cleanup EXIT
 
 run_bench() (
     cd "$1"
-    # The go-test benchmarks run one fixed small campaign; a base from
-    # before they did read its size from these two variables.
-    export REPRO_SCALE=small REPRO_TRACES=2
     # Warm up, unrecorded: after an idle spell a small VM's second vCPU
     # takes about a second of load to come up, and the first tree's first
     # benchmark — the multi-worker campaign the wall-clock gate compares
