@@ -31,11 +31,14 @@ import (
 	"repro/internal/traceroute"
 )
 
+// artefactKeys are the names -only selects from, in the order they print.
+var artefactKeys = []string{"table1", "fig1", "fig2a", "fig2b", "fig3a", "fig3b", "fig4", "fig5", "fig6", "table2", "prose"}
+
 func main() {
 	var (
 		in     = flag.String("i", "dataset.jsonl", "input dataset (- for stdin)")
 		seed   = flag.Int64("seed", 2015, "seed used to build the world (for table1/fig1/fig4)")
-		only   = flag.String("only", "", "comma-separated subset: table1,fig1,fig2a,fig2b,fig3a,fig3b,fig4,fig5,fig6,table2,prose")
+		only   = flag.String("only", "", "comma-separated subset: "+strings.Join(artefactKeys, ","))
 		csvDir = flag.String("csv", "", "also write <artefact>.csv files into this directory")
 	)
 	flag.Parse()
@@ -43,7 +46,12 @@ func main() {
 	want := map[string]bool{}
 	if *only != "" {
 		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(k)] = true
+			k = strings.TrimSpace(k)
+			if !slices.Contains(artefactKeys, k) {
+				fmt.Fprintf(os.Stderr, "ecnreport: -only: unknown artefact %q; valid: %s\n", k, strings.Join(artefactKeys, ","))
+				os.Exit(2)
+			}
+			want[k] = true
 		}
 	}
 	sel := func(k string) bool { return len(want) == 0 || want[k] }

@@ -128,6 +128,17 @@ func TestArtefacts(t *testing.T) {
 			}
 		})
 	}
+	t.Run("typo", func(t *testing.T) {
+		t.Parallel()
+		names := make([]string, len(arts))
+		for i, a := range arts {
+			names[i] = a.name
+		}
+		stderr := ecnreport(t, 2, "-i", path, "-only", "fig2a,fgi2a")
+		if !strings.Contains(stderr, `"fgi2a"`) || !strings.Contains(stderr, strings.Join(names, ",")) {
+			t.Fatalf("ecnreport -only fgi2a said:\n%s\nwant the unknown name and the valid keys %s", stderr, strings.Join(names, ","))
+		}
+	})
 	t.Run("all", func(t *testing.T) {
 		t.Parallel()
 		if got := ecnreport(t, 0, "-i", path); got != all.String() {
@@ -216,7 +227,8 @@ func TestScale(t *testing.T) {
 }
 
 // ecnreport runs the command with args, which must exit with code, and
-// returns its stdout (stderr when code is not 0).
+// returns its stdout; when code is not 0 it must print nothing there,
+// and its stderr is returned.
 func ecnreport(t *testing.T, code int, args ...string) string {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
@@ -231,6 +243,9 @@ func ecnreport(t *testing.T, code int, args ...string) string {
 		t.Fatalf("ecnreport %s exited %d, want %d; stderr:\n%s", strings.Join(args, " "), got, code, stderr.String())
 	}
 	if code != 0 {
+		if stdout.Len() != 0 {
+			t.Fatalf("ecnreport %s exited %d after printing:\n%s", strings.Join(args, " "), code, stdout.String())
+		}
 		return stderr.String()
 	}
 	return stdout.String()

@@ -15,6 +15,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -561,8 +562,9 @@ func (c *coordinator) dataset(t *testing.T, ctx context.Context, job, want strin
 	return data
 }
 
-// getJSON decodes a GET the typed client has no method for.
-func (c *coordinator) getJSON(t *testing.T, ctx context.Context, path string, v any) {
+// get returns the body of a GET the typed client has no method for,
+// which must answer 200.
+func (c *coordinator) get(t *testing.T, ctx context.Context, path string) []byte {
 	t.Helper()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url+path, nil)
 	if err != nil {
@@ -573,7 +575,17 @@ func (c *coordinator) getJSON(t *testing.T, ctx context.Context, path string, v 
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s, %v\n%s", path, resp.Status, err, body)
+	}
+	return body
+}
+
+// getJSON decodes a GET the typed client has no method for.
+func (c *coordinator) getJSON(t *testing.T, ctx context.Context, path string, v any) {
+	t.Helper()
+	if err := json.Unmarshal(c.get(t, ctx, path), v); err != nil {
 		t.Fatalf("GET %s: %v", path, err)
 	}
 }
@@ -581,12 +593,8 @@ func (c *coordinator) getJSON(t *testing.T, ctx context.Context, path string, v 
 // metrics scrapes /v1/metrics: series (name plus labels) → value.
 func (c *coordinator) metrics(t *testing.T, ctx context.Context) metricSet {
 	t.Helper()
-	text, err := c.MetricsText(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := metricSet{}
-	for _, line := range strings.Split(text, "\n") {
+	for _, line := range strings.Split(string(c.get(t, ctx, "/v1/metrics")), "\n") {
 		if line == "" || line[0] == '#' {
 			continue
 		}

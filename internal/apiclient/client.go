@@ -173,12 +173,6 @@ type JobsPage struct {
 	NextCursor string `json:"next_cursor,omitempty"`
 }
 
-// RunsPage is one page of cached run keys.
-type RunsPage struct {
-	Runs       []string `json:"runs"`
-	NextCursor string   `json:"next_cursor,omitempty"`
-}
-
 // Report is a run's stored metadata (GET .../report). Congestion, when
 // present, is the CE-mark report left raw for callers that render it.
 type Report struct {
@@ -492,42 +486,6 @@ func (c *Client) JobReport(ctx context.Context, id string) (Report, error) {
 	var rep Report
 	_, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/report", nil, &rep)
 	return rep, err
-}
-
-// Runs fetches one page of cached run keys.
-func (c *Client) Runs(ctx context.Context, limit int, cursor string) (RunsPage, error) {
-	q := url.Values{}
-	if limit > 0 {
-		q.Set("limit", strconv.Itoa(limit))
-	}
-	if cursor != "" {
-		q.Set("cursor", cursor)
-	}
-	path := "/v1/runs"
-	if len(q) > 0 {
-		path += "?" + q.Encode()
-	}
-	var page RunsPage
-	_, err := c.do(ctx, http.MethodGet, path, nil, &page)
-	return page, err
-}
-
-// RunReport fetches a cached run's RunMeta by key.
-func (c *Client) RunReport(ctx context.Context, key string) (Report, error) {
-	var rep Report
-	_, err := c.do(ctx, http.MethodGet, "/v1/runs/"+url.PathEscape(key), nil, &rep)
-	return rep, err
-}
-
-// RunDataset fetches a cached run's dataset by key.
-func (c *Client) RunDataset(ctx context.Context, key string) ([]byte, error) {
-	return c.raw(ctx, "/v1/runs/"+url.PathEscape(key)+"/dataset")
-}
-
-// MetricsText fetches /v1/metrics in the Prometheus text exposition.
-func (c *Client) MetricsText(ctx context.Context) (string, error) {
-	body, err := c.raw(ctx, "/v1/metrics")
-	return string(body), err
 }
 
 // Claim leases up to max pending shards of a distributed job.

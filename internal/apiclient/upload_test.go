@@ -231,8 +231,8 @@ func TestReplyBounds(t *testing.T) {
 			io.WriteString(w, page)
 		}
 	})
-	mux.HandleFunc("GET /v1/runs/{key}/dataset", func(w http.ResponseWriter, r *http.Request) {
-		switch r.PathValue("key") {
+	mux.HandleFunc("GET /v1/jobs/{id}/dataset", func(w http.ResponseWriter, r *http.Request) {
+		switch r.PathValue("id") {
 		case "huge":
 			w.Header().Set("Content-Length", fmt.Sprint(datasetCap+1))
 		case "short": // declares more than it sends
@@ -261,17 +261,17 @@ func TestReplyBounds(t *testing.T) {
 	wantTooLarge("oversized Content-Length on a JSON reply", err, jsonCap)
 	_, err = client.Jobs(ctx, apiclient.JobsOptions{State: "streamed"})
 	wantTooLarge("oversized chunked JSON reply", err, jsonCap)
-	_, err = client.RunDataset(ctx, "huge")
+	_, err = client.JobDataset(ctx, "huge")
 	wantTooLarge("oversized Content-Length on a dataset", err, datasetCap)
 
-	if _, err := client.RunDataset(ctx, "short"); err == nil {
+	if _, err := client.JobDataset(ctx, "short"); err == nil {
 		t.Error("a dataset shorter than its Content-Length was returned as complete")
 	}
 	// A Content-Length inside the cap is still only a hint: the bytes it
 	// promises are not reserved before they arrive.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = client.RunDataset(ctx, "lying")
+	_, err = client.JobDataset(ctx, "lying")
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Error("a dataset shorter than its 1 GiB Content-Length was returned as complete")
@@ -285,7 +285,7 @@ func TestReplyBounds(t *testing.T) {
 			t.Errorf("honest reply (state=%q) = %+v, %v", state, got, err)
 		}
 	}
-	if got, err := client.RunDataset(ctx, "ok"); err != nil || string(got) != "{}\n" {
+	if got, err := client.JobDataset(ctx, "ok"); err != nil || string(got) != "{}\n" {
 		t.Errorf("honest dataset = %q, %v", got, err)
 	}
 }

@@ -30,10 +30,10 @@ import (
 )
 
 // Packet is one queued datagram. On the simulator's hot path, shells
-// come from a process-wide pool (NewPacket/NewPhantom) and carry a
-// pooled wire buffer; queues own the packets they hold and release
-// both shell and buffer on every drop they perform. Literal Packets
-// (tests, tools) work identically but are never recycled.
+// come from a process-wide pool (NewPacket) and carry a pooled wire
+// buffer; queues own the packets they hold and release both shell and
+// buffer on every drop they perform. Literal Packets (tests, tools)
+// work identically but are never recycled.
 type Packet struct {
 	// Wire is the serialized IPv4 datagram — a view into the pooled
 	// buffer for packets built by NewPacket. It is nil for phantom
@@ -67,17 +67,6 @@ func NewPacket(bf *packet.Buf) *Packet {
 	p.Size = bf.Len()
 	p.Arrived = 0
 	p.buf = bf
-	p.pooled = true
-	return p
-}
-
-// NewPhantom returns a pooled background packet of the modelled size.
-func NewPhantom(size int) *Packet {
-	p := pktPool.Get().(*Packet)
-	p.Wire = nil
-	p.Size = size
-	p.Arrived = 0
-	p.buf = nil
 	p.pooled = true
 	return p
 }
@@ -174,16 +163,6 @@ func (s Stats) AvgBacklog() float64 {
 	return 0
 }
 
-// WireMarkRatio is the CE-marked fraction of the real ECT packets this
-// queue admitted — the ground-truth analogue of the receiver-side
-// CE-ratio estimator, which also only sees delivered traffic.
-func (s Stats) WireMarkRatio() float64 {
-	if s.WireECT > 0 {
-		return float64(s.WireCEMarked) / float64(s.WireECT)
-	}
-	return 0
-}
-
 // Queue is a bounded packet queue with an attached management
 // discipline. The owning link calls Enqueue when a packet arrives and
 // Dequeue at each serialization boundary; both receive the current
@@ -211,8 +190,8 @@ type Queue interface {
 	// cross-traffic: it admits up to n phantom packets of the given size
 	// at time now, taking exactly the same per-packet decision sequence —
 	// EWMA updates, uniformization counting, PRNG draws, tail drops — as
-	// n individual NewPhantom+Enqueue calls, and reports how many were
-	// admitted. The lazy catch-up transmitter uses it so a replayed burst
+	// n individual Enqueue calls of a phantom packet, and reports how many
+	// were admitted. The lazy catch-up transmitter uses it so a replayed burst
 	// of arrivals is indistinguishable, state- and stream-wise, from the
 	// event-driven equivalent.
 	EnqueuePhantoms(now time.Duration, size, n int) int

@@ -45,7 +45,7 @@ func diffState(t *testing.T, label string, a, b map[string]any) {
 // defining property: EnqueuePhantoms(now, size, n) leaves a queue —
 // occupancy, stats, RED's EWMA/uniformization state, CoDel's interval
 // state, and the PRNG stream position — exactly where n individual
-// NewPhantom+Enqueue calls leave it, under a randomized schedule of
+// Enqueue calls of a phantom packet leave it, under a randomized schedule of
 // arrival bursts, idle gaps and partial drains.
 func TestBatchAdvanceEqualsSingleSteps(t *testing.T) {
 	disciplines := []struct {
@@ -73,7 +73,7 @@ func TestBatchAdvanceEqualsSingleSteps(t *testing.T) {
 						a := batch.EnqueuePhantoms(now, 512, n)
 						b := 0
 						for i := 0; i < n; i++ {
-							if single.Enqueue(now, NewPhantom(512)) {
+							if single.Enqueue(now, &Packet{Size: 512}) {
 								b++
 							}
 						}

@@ -64,9 +64,6 @@ func NewRED(capacity int, rng *rand.Rand) *RED {
 // Name implements Queue.
 func (q *RED) Name() string { return "red" }
 
-// Avg exposes the current EWMA occupancy (for tests and reports).
-func (q *RED) Avg() float64 { return q.avg }
-
 // ResetTransient implements Queue: clears the EWMA average, the
 // uniformization counter and the idle-aging state. A queue left idle
 // for long decays to exactly this state (the aging power underflows to

@@ -31,29 +31,23 @@ type Info struct {
 // Table maps prefixes to origin ASes.
 type Table struct {
 	prefixes iptable.Table[Info]
-	byASN    map[ASN]Info
+	byASN    map[ASN]bool
 }
 
 // NewTable returns an empty table.
 func NewTable() *Table {
-	return &Table{byASN: make(map[ASN]Info)}
+	return &Table{byASN: make(map[ASN]bool)}
 }
 
 // Add registers a prefix originated by an AS.
 func (t *Table) Add(p iptable.Prefix, info Info) {
 	t.prefixes.Insert(p, info)
-	t.byASN[info.ASN] = info
+	t.byASN[info.ASN] = true
 }
 
 // Lookup resolves the origin AS of an address.
 func (t *Table) Lookup(a packet.Addr) (Info, bool) {
 	info, _, ok := t.prefixes.Lookup(a)
-	return info, ok
-}
-
-// ByASN returns the registered info for an AS number.
-func (t *Table) ByASN(n ASN) (Info, bool) {
-	info, ok := t.byASN[n]
 	return info, ok
 }
 

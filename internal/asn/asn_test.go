@@ -26,17 +26,6 @@ func TestLookup(t *testing.T) {
 	}
 }
 
-func TestByASN(t *testing.T) {
-	tbl := sampleTable()
-	info, ok := tbl.ByASN(64502)
-	if !ok || info.Name != "stub-c" {
-		t.Errorf("ByASN = %+v,%v", info, ok)
-	}
-	if _, ok := tbl.ByASN(1); ok {
-		t.Error("unknown ASN found")
-	}
-}
-
 func TestASCount(t *testing.T) {
 	tbl := sampleTable()
 	if tbl.ASCount() != 3 {

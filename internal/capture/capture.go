@@ -11,9 +11,7 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/ecn"
 	"repro/internal/netsim"
-	"repro/internal/packet"
 )
 
 // Record is one captured packet.
@@ -73,23 +71,6 @@ func (r *Recorder) Reset() {
 	r.records = r.records[:0]
 	r.start = 0
 	r.dropped = 0
-}
-
-// ECNCounts tallies the ECN codepoints seen in a direction — the quick
-// analysis the paper performed on its tcpdump output.
-func (r *Recorder) ECNCounts(dir netsim.TapDirection) map[ecn.Codepoint]int {
-	counts := make(map[ecn.Codepoint]int)
-	for _, rec := range r.Records() {
-		if rec.Dir != dir {
-			continue
-		}
-		cp, err := packet.WireECN(rec.Wire)
-		if err != nil {
-			continue
-		}
-		counts[cp]++
-	}
-	return counts
 }
 
 // --- pcap ---------------------------------------------------------------

@@ -75,22 +75,6 @@ func TestRecorderReset(t *testing.T) {
 	}
 }
 
-func TestECNCounts(t *testing.T) {
-	r := NewRecorder(0)
-	r.Tap(netsim.TapOut, 0, wireOf(t, ecn.ECT0, 1))
-	r.Tap(netsim.TapOut, 0, wireOf(t, ecn.ECT0, 2))
-	r.Tap(netsim.TapOut, 0, wireOf(t, ecn.NotECT, 3))
-	r.Tap(netsim.TapIn, 0, wireOf(t, ecn.CE, 4))
-	out := r.ECNCounts(netsim.TapOut)
-	if out[ecn.ECT0] != 2 || out[ecn.NotECT] != 1 || out[ecn.CE] != 0 {
-		t.Errorf("out counts = %v", out)
-	}
-	in := r.ECNCounts(netsim.TapIn)
-	if in[ecn.CE] != 1 {
-		t.Errorf("in counts = %v", in)
-	}
-}
-
 func TestPcapRoundTrip(t *testing.T) {
 	recs := []Record{
 		{At: 1500 * time.Millisecond, Dir: netsim.TapOut, Wire: wireOf(t, ecn.ECT0, 1)},

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/dataset"
 )
 
 // The tests in this file (and the paper-shape and prose tests beside
@@ -41,7 +42,12 @@ func TestCampaignMini(t *testing.T) {
 		t.Errorf("vantages = %v", vantages)
 	}
 	// Batch structure: first half batch 1, second half batch 2.
-	perkins := got.TracesFrom("Perkins home")
+	var perkins []dataset.Trace
+	for _, tr := range got.Traces {
+		if tr.Vantage == "Perkins home" {
+			perkins = append(perkins, tr)
+		}
+	}
 	if perkins[0].Batch != 1 || perkins[1].Batch != 2 {
 		t.Errorf("batches = %d,%d", perkins[0].Batch, perkins[1].Batch)
 	}

@@ -97,17 +97,6 @@ func (d *Dataset) Vantages() []string {
 	return out
 }
 
-// TracesFrom filters traces by vantage.
-func (d *Dataset) TracesFrom(vantage string) []Trace {
-	var out []Trace
-	for _, t := range d.Traces {
-		if t.Vantage == vantage {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Servers returns the union of server addresses observed, in stable
 // (address) order of first appearance within the first trace.
 func (d *Dataset) Servers() []packet.Addr {

@@ -100,14 +100,6 @@ func (d *Directory) Zones() []string {
 	return names
 }
 
-// ZoneSize reports the number of members of a zone.
-func (d *Directory) ZoneSize(name string) int {
-	if z := d.zones[strings.ToLower(name)]; z != nil {
-		return len(z.members)
-	}
-	return 0
-}
-
 // Resolve answers a single query, advancing the zone's round-robin
 // cursor. It returns up to AnswersPerQuery addresses and reports whether
 // the zone exists. The rotation is deterministic — repeated queries

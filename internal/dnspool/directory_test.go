@@ -40,16 +40,12 @@ func TestDirectoryZones(t *testing.T) {
 	d := NewDirectory()
 	d.AddServer(poolAddr(1), "uk", "europe")
 	d.AddServer(poolAddr(2), "de", "europe")
-	if d.ZoneSize("pool.ntp.org") != 2 {
-		t.Errorf("apex size = %d", d.ZoneSize("pool.ntp.org"))
+	for zone, want := range map[string]int{"pool.ntp.org": 2, "europe.pool.ntp.org": 2, "uk.pool.ntp.org": 1} {
+		if got := len(d.zones[zone].members); got != want {
+			t.Errorf("%s size = %d, want %d", zone, got, want)
+		}
 	}
-	if d.ZoneSize("europe.pool.ntp.org") != 2 {
-		t.Errorf("europe size = %d", d.ZoneSize("europe.pool.ntp.org"))
-	}
-	if d.ZoneSize("uk.pool.ntp.org") != 1 {
-		t.Errorf("uk size = %d", d.ZoneSize("uk.pool.ntp.org"))
-	}
-	if d.ZoneSize("fr.pool.ntp.org") != 0 {
+	if d.zones["fr.pool.ntp.org"] != nil {
 		t.Error("phantom zone")
 	}
 	if len(d.Zones()) != 4 {

@@ -40,9 +40,6 @@ func SetTOS(tos uint8, c Codepoint) uint8 {
 // the packet was ECT when it entered the congested queue.
 func (c Codepoint) IsECT() bool { return c != NotECT }
 
-// Valid reports whether c is one of the four defined codepoints.
-func (c Codepoint) Valid() bool { return c <= CE }
-
 // String returns the conventional name used in the measurement literature.
 func (c Codepoint) String() string {
 	switch c {

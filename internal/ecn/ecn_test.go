@@ -61,17 +61,6 @@ func TestIsECT(t *testing.T) {
 	}
 }
 
-func TestValid(t *testing.T) {
-	for c := Codepoint(0); c <= CE; c++ {
-		if !c.Valid() {
-			t.Errorf("%v should be valid", c)
-		}
-	}
-	if Codepoint(4).Valid() {
-		t.Error("codepoint 4 should be invalid")
-	}
-}
-
 func TestStringNames(t *testing.T) {
 	want := map[Codepoint]string{
 		NotECT: "not-ECT",

@@ -76,21 +76,6 @@ func (db *DB) RegionCounts(addrs []packet.Addr) map[Region]int {
 	return counts
 }
 
-// CountryCounts tallies countries; addresses without a record count under
-// the pseudo-country "??".
-func (db *DB) CountryCounts(addrs []packet.Addr) map[string]int {
-	counts := make(map[string]int)
-	for _, a := range addrs {
-		loc, ok := db.Lookup(a)
-		if !ok {
-			counts["??"]++
-			continue
-		}
-		counts[loc.Country]++
-	}
-	return counts
-}
-
 // Point is a located address, used to render Figure 1's world map.
 type Point struct {
 	Addr packet.Addr

@@ -52,19 +52,6 @@ func TestRegionCounts(t *testing.T) {
 	}
 }
 
-func TestCountryCounts(t *testing.T) {
-	db := sampleDB()
-	addrs := []packet.Addr{
-		packet.MustParseAddr("81.0.0.1"),
-		packet.MustParseAddr("81.1.0.1"),
-		packet.MustParseAddr("9.9.9.9"),
-	}
-	counts := db.CountryCounts(addrs)
-	if counts["GB"] != 1 || counts["DE"] != 1 || counts["??"] != 1 {
-		t.Errorf("counts = %v", counts)
-	}
-}
-
 func TestLocateSorted(t *testing.T) {
 	db := sampleDB()
 	addrs := []packet.Addr{

@@ -108,29 +108,8 @@ func defaultStatusText(code int) string {
 	}
 }
 
-// ParseRequest decodes a request once fully buffered. It returns
-// ErrIncomplete while more bytes are needed. The result's headers alias
-// data.
-func ParseRequest(data []byte) (*Request, error) {
-	r := new(Request)
-	if err := r.parse(data); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// ParseResponse decodes a response. It returns ErrIncomplete until the
-// header block and the Content-Length-delimited body have arrived. The
-// result's headers and Body alias data.
-func ParseResponse(data []byte) (*Response, error) {
-	r := new(Response)
-	if err := r.parse(data); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// parse is ParseRequest into an existing Request. It walks the raw
+// parse decodes a request once fully buffered, returning ErrIncomplete
+// while more bytes are needed; the headers alias data. It walks the raw
 // bytes and builds nothing: the probe's own "GET" and "/" convert to
 // strings without allocating.
 func (r *Request) parse(data []byte) error {
@@ -150,8 +129,10 @@ func (r *Request) parse(data []byte) error {
 	return nil
 }
 
-// parse is ParseResponse into an existing Response: status code and
-// Content-Length are read from the bytes, and Body is a view of data.
+// parse decodes a response, returning ErrIncomplete until the header
+// block and the Content-Length-delimited body have arrived: status code
+// and Content-Length are read from the bytes, and the headers and Body
+// are views of data.
 func (r *Response) parse(data []byte) error {
 	first, head, rest, ok := splitMessage(data)
 	if !ok {

@@ -12,6 +12,17 @@ import (
 	"repro/internal/tcpsim"
 )
 
+// parseRequest and parseResponse decode into a fresh message.
+func parseRequest(data []byte) (*Request, error) {
+	r := new(Request)
+	return r, r.parse(data)
+}
+
+func parseResponse(data []byte) (*Response, error) {
+	r := new(Response)
+	return r, r.parse(data)
+}
+
 func TestRequestRoundTrip(t *testing.T) {
 	req := &Request{Method: "GET", Path: "/"}
 	req.SetHeader("Host", "192.0.2.1")
@@ -20,7 +31,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	if want := "GET / HTTP/1.1\r\nConnection: close\r\nHost: 192.0.2.1\r\n\r\n"; string(wire) != want {
 		t.Errorf("request on the wire = %q, want %q (headers in name order)", wire, want)
 	}
-	got, err := ParseRequest(wire)
+	got, err := parseRequest(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +44,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	resp := &Response{StatusCode: 302, Body: []byte("moved")}
 	resp.SetHeader("Location", RedirectTarget)
 	wire := resp.Marshal()
-	got, err := ParseResponse(wire)
+	got, err := parseResponse(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +69,7 @@ func TestParseIncomplete(t *testing.T) {
 	resp := &Response{StatusCode: 200, Body: []byte("hello world")}
 	wire := resp.Marshal()
 	for cut := 1; cut < len(wire); cut++ {
-		_, err := ParseResponse(wire[:cut])
+		_, err := parseResponse(wire[:cut])
 		if err == nil {
 			t.Fatalf("truncation at %d parsed fully", cut)
 		}
@@ -68,7 +79,7 @@ func TestParseIncomplete(t *testing.T) {
 	}
 	// Specifically: complete headers, partial body → incomplete.
 	head := bytes.Index(wire, []byte("\r\n\r\n"))
-	if _, err := ParseResponse(wire[:head+6]); !errors.Is(err, ErrIncomplete) {
+	if _, err := parseResponse(wire[:head+6]); !errors.Is(err, ErrIncomplete) {
 		t.Errorf("partial body: %v", err)
 	}
 }
@@ -82,11 +93,11 @@ func TestParseMalformed(t *testing.T) {
 		"HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n",
 	}
 	for _, c := range cases {
-		if _, err := ParseResponse([]byte(c)); !errors.Is(err, ErrMalformed) {
-			t.Errorf("ParseResponse(%q) = %v, want malformed", c, err)
+		if _, err := parseResponse([]byte(c)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("parseResponse(%q) = %v, want malformed", c, err)
 		}
 	}
-	if _, err := ParseRequest([]byte("GARBAGE LINE\r\n\r\n")); !errors.Is(err, ErrMalformed) {
+	if _, err := parseRequest([]byte("GARBAGE LINE\r\n\r\n")); !errors.Is(err, ErrMalformed) {
 		t.Errorf("bad request line: %v", err)
 	}
 }
@@ -97,13 +108,13 @@ func TestParseMalformed(t *testing.T) {
 // as the row's "no response" 0.
 func TestStatusCodeIsThreeDigits(t *testing.T) {
 	for _, code := range []string{"100", "302", "999"} {
-		resp, err := ParseResponse([]byte("HTTP/1.1 " + code + " X\r\n\r\n"))
+		resp, err := parseResponse([]byte("HTTP/1.1 " + code + " X\r\n\r\n"))
 		if err != nil || strconv.Itoa(resp.StatusCode) != code {
 			t.Errorf("status %s parsed to %v, %v", code, resp, err)
 		}
 	}
 	for _, code := range []string{"", "20", "2000", "65736", "000000000200", "099", "000", "-20", "+20"} {
-		if resp, err := ParseResponse([]byte("HTTP/1.1 " + code + " X\r\n\r\n")); !errors.Is(err, ErrMalformed) {
+		if resp, err := parseResponse([]byte("HTTP/1.1 " + code + " X\r\n\r\n")); !errors.Is(err, ErrMalformed) {
 			t.Errorf("status %q parsed to %v, %v; want malformed", code, resp, err)
 		}
 	}
@@ -111,7 +122,7 @@ func TestStatusCodeIsThreeDigits(t *testing.T) {
 
 func TestHeaderCanonicalisation(t *testing.T) {
 	raw := "HTTP/1.1 200 OK\r\ncontent-length: 0\r\nLOCATION: x\r\n\r\n"
-	got, err := ParseResponse([]byte(raw))
+	got, err := parseResponse([]byte(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

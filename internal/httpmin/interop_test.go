@@ -47,7 +47,7 @@ func TestInteropWithStdlibServer(t *testing.T) {
 	for {
 		n, rerr := conn.Read(tmp)
 		buf = append(buf, tmp[:n]...)
-		if resp, perr := ParseResponse(buf); perr == nil {
+		if resp, perr := parseResponse(buf); perr == nil {
 			if resp.StatusCode != 302 {
 				t.Fatalf("status = %d", resp.StatusCode)
 			}
@@ -89,7 +89,7 @@ func TestInteropServeStdlibClient(t *testing.T) {
 				for {
 					n, rerr := c.Read(tmp)
 					buf = append(buf, tmp[:n]...)
-					if req, perr := ParseRequest(buf); perr == nil {
+					if req, perr := parseRequest(buf); perr == nil {
 						resp := PoolHandler(req)
 						c.Write(resp.Marshal())
 						return

@@ -115,12 +115,3 @@ func (t *Table[T]) Lookup(a packet.Addr) (T, Prefix, bool) {
 
 // Len reports the number of prefixes in the table.
 func (t *Table[T]) Len() int { return t.size }
-
-// Walk visits every (prefix, value) pair. Order is unspecified.
-func (t *Table[T]) Walk(fn func(Prefix, T)) {
-	for bits := 0; bits <= 32; bits++ {
-		for key, v := range t.byBits[bits] {
-			fn(Prefix{Addr: packet.AddrFromUint32(key), Bits: bits}, v)
-		}
-	}
-}

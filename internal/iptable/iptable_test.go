@@ -87,19 +87,6 @@ func TestInsertReplace(t *testing.T) {
 	}
 }
 
-func TestWalkVisitsAll(t *testing.T) {
-	var tbl Table[int]
-	prefixes := []string{"10.0.0.0/8", "10.1.0.0/16", "192.0.2.0/24", "0.0.0.0/0"}
-	for i, s := range prefixes {
-		tbl.Insert(MustParsePrefix(s), i)
-	}
-	seen := map[string]bool{}
-	tbl.Walk(func(p Prefix, v int) { seen[p.String()] = true })
-	if len(seen) != len(prefixes) {
-		t.Errorf("walked %d prefixes, want %d", len(seen), len(prefixes))
-	}
-}
-
 // Property: after inserting a /b prefix derived from an address, looking
 // up that address finds a prefix that contains it.
 func TestLookupContainsProperty(t *testing.T) {

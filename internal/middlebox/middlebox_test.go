@@ -28,7 +28,7 @@ func udpWire(t *testing.T, cp ecn.Codepoint) []byte {
 func tcpWire(t *testing.T, cp ecn.Codepoint) []byte {
 	t.Helper()
 	hdr := &packet.TCPHeader{SrcPort: 1000, DstPort: 80, Flags: packet.TCPSyn}
-	wire, err := packet.BuildTCP(mbSrc, mbDst, hdr, 64, cp, 1, nil)
+	wire, err := packet.AppendTCP(nil, mbSrc, mbDst, hdr, 64, cp, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

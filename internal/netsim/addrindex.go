@@ -9,8 +9,8 @@ import (
 // addrIndex is the Network's one destination lookup: an open-addressed,
 // pointer-free hash table from an IPv4 address to the router it is
 // reached through and, for a host address, the host that owns it. Every
-// forwarding decision, HostByAddr, AttachmentRouter and PathRouters
-// read it; nothing else maps addresses.
+// forwarding decision and PathRouters read it; nothing else maps
+// addresses.
 //
 // Entries hold dense indices (router id, position in Network.hosts),
 // never pointers, so the garbage collector does not scan the table and

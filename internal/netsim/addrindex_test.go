@@ -108,6 +108,23 @@ func buildIndexedNet(t *testing.T, routers, hosts int) *indexedNet {
 	return x
 }
 
+// hostAt is the host the index files under a, or nil.
+func hostAt(n *Network, a packet.Addr) *Host {
+	if e := n.index.lookup(a); e.host != 0 {
+		return n.hosts[e.host-1]
+	}
+	return nil
+}
+
+// attachedAt is the router the host the index files under a hangs off,
+// or nil when a names no host or an unattached one.
+func attachedAt(n *Network, a packet.Addr) *Router {
+	if e := n.index.lookup(a); e.host != 0 && e.router != 0 {
+		return n.routers[e.router-1]
+	}
+	return nil
+}
+
 // check compares every lookup the index serves against the oracle, over
 // every known address plus a few unknown ones, from every router.
 func (x *indexedNet) check(when string) {
@@ -122,12 +139,11 @@ func (x *indexedNet) check(when string) {
 	}
 	for _, a := range addrs {
 		wantHost := o.hosts[a]
-		if got, ok := n.HostByAddr(a); got != wantHost || ok != (wantHost != nil) {
-			x.t.Fatalf("%s: HostByAddr(%s) = %v, %v; oracle %v", when, a, got, ok, wantHost)
+		if got := hostAt(n, a); got != wantHost {
+			x.t.Fatalf("%s: host at %s = %v; oracle %v", when, a, got, wantHost)
 		}
-		wantAt := o.attached[a]
-		if got, ok := n.AttachmentRouter(a); got != wantAt || ok != (wantAt != nil) {
-			x.t.Fatalf("%s: AttachmentRouter(%s) = %v, %v; oracle %v", when, a, got, ok, wantAt)
+		if got, want := attachedAt(n, a), o.attached[a]; got != want {
+			x.t.Fatalf("%s: attachment router of %s = %v; oracle %v", when, a, got, want)
 		}
 		if !n.routed {
 			continue // forwarding needs routes; the address lookups above do not
@@ -248,7 +264,7 @@ func TestAddrIndexShadowing(t *testing.T) {
 	if got := r2.route(shared); got != access {
 		t.Errorf("attached host does not shadow the router address: r2 routes over %p, want access link %p", got, access)
 	}
-	if got, ok := n.HostByAddr(shared); !ok || got != h {
-		t.Errorf("HostByAddr(shared) = %v, %v", got, ok)
+	if got := hostAt(n, shared); got != h {
+		t.Errorf("host at the shared address = %v", got)
 	}
 }

@@ -237,12 +237,6 @@ func (h *Host) SendBuf(b *packet.Buf) {
 	b.Release()
 }
 
-// SendRaw transmits pre-serialized wire bytes, adopting the slice into
-// the pooled-buffer world (the caller must relinquish it).
-func (h *Host) SendRaw(wire []byte) {
-	h.SendBuf(packet.AdoptBuf(wire))
-}
-
 // Receive implements Node: demultiplex to the bound socket surface.
 // The buffer is released when the handlers return; handlers that keep
 // bytes (capture taps, reassembly buffers) copy them.

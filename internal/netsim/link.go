@@ -86,21 +86,11 @@ func (l *Link) Peer(n Node) Node {
 	return l.a
 }
 
-// SetLoss sets the loss probability for packets transmitted by from. The
-// campaign uses this to model per-trace variation (wireless jitter, the
+// SetLossBoth sets the loss probability in both directions. The
+// campaign uses it to model per-trace variation (wireless jitter, the
 // congested home access link).
-func (l *Link) SetLoss(from Node, p float64) {
-	l.loss[l.dir(from)] = p
-}
-
-// SetLossBoth sets loss in both directions.
 func (l *Link) SetLossBoth(p float64) {
 	l.loss[0], l.loss[1] = p, p
-}
-
-// SetDelay sets the one-way delay for packets transmitted by from.
-func (l *Link) SetDelay(from Node, d time.Duration) {
-	l.delay[l.dir(from)] = d
 }
 
 // Loss returns the loss probability for packets transmitted by from.
@@ -358,15 +348,6 @@ func (bn *bottleneck) reset() {
 	bn.fgUntil = 0
 	bn.pendingTx = 0
 	bn.fgCount = 0
-}
-
-// BottleneckQueue returns the AQM queue shaping the from→peer
-// direction, or nil when the direction is an infinite-rate pipe.
-func (l *Link) BottleneckQueue(from Node) aqm.Queue {
-	if bn := l.bneck[l.dir(from)]; bn != nil {
-		return bn.q
-	}
-	return nil
 }
 
 // serveQueue begins serializing the queue head if the transmitter is

@@ -45,7 +45,7 @@ func TestLinkStatsFullLoss(t *testing.T) {
 	sim := NewSim(1)
 	a, b := &sinkNode{label: "a"}, &sinkNode{label: "b"}
 	l := newLink(sim, a, b, time.Millisecond, 0)
-	l.SetLoss(a, 1.0)
+	l.loss[l.dir(a)] = 1.0
 
 	const n = 50
 	for i := 0; i < n; i++ {
@@ -57,8 +57,8 @@ func TestLinkStatsFullLoss(t *testing.T) {
 	if sent, dropped := l.Stats(b); sent != 0 || dropped != 0 {
 		t.Fatalf("reverse direction Stats = %d, %d; want 0, 0", sent, dropped)
 	}
-	if sim.Pending() != 0 {
-		t.Fatalf("%d events pending; fully lost traffic should schedule none", sim.Pending())
+	if sim.live != 0 {
+		t.Fatalf("%d events pending; fully lost traffic should schedule none", sim.live)
 	}
 	sim.Run()
 	if len(b.received) != 0 {
@@ -149,10 +149,10 @@ func TestBottleneckSerializes(t *testing.T) {
 			t.Fatalf("packet %d delivered at %v, want %v", i, at, want)
 		}
 	}
-	if q := l.BottleneckQueue(a); q == nil || q.Stats().Dequeued != 3 {
-		t.Fatal("bottleneck queue stats not visible via BottleneckQueue")
+	if bn := l.bneck[l.dir(a)]; bn == nil || bn.q.Stats().Dequeued != 3 {
+		t.Fatal("the bottleneck queue did not serve the three packets")
 	}
-	if l.BottleneckQueue(b) != nil {
+	if l.bneck[l.dir(b)] != nil {
 		t.Fatal("reverse direction should be unshaped")
 	}
 }
@@ -246,8 +246,8 @@ func TestBottleneckDrainsToCompletion(t *testing.T) {
 	if !done {
 		t.Fatal("simulation did not drain")
 	}
-	if sim.Pending() != 0 {
-		t.Fatalf("%d events still pending after Run", sim.Pending())
+	if sim.live != 0 {
+		t.Fatalf("%d events still pending after Run", sim.live)
 	}
 }
 
@@ -275,8 +275,8 @@ func TestBottleneckServesQueueAfterForegroundDrop(t *testing.T) {
 	if delivered() == 0 {
 		t.Fatal("foreground permanently blackholed behind stranded background backlog")
 	}
-	if sim.Pending() != 0 {
-		t.Fatalf("%d events pending after Run", sim.Pending())
+	if sim.live != 0 {
+		t.Fatalf("%d events pending after Run", sim.live)
 	}
 }
 

@@ -175,24 +175,6 @@ func (n *Network) Reset() {
 // Routers returns the registered routers in creation order.
 func (n *Network) Routers() []*Router { return n.routers }
 
-// HostByAddr finds a host by address.
-func (n *Network) HostByAddr(a packet.Addr) (*Host, bool) {
-	e := n.index.lookup(a)
-	if e.host == 0 {
-		return nil, false
-	}
-	return n.hosts[e.host-1], true
-}
-
-// AttachmentRouter returns the router a host address hangs off.
-func (n *Network) AttachmentRouter(a packet.Addr) (*Router, bool) {
-	e := n.index.lookup(a)
-	if e.host == 0 || e.router == 0 {
-		return nil, false
-	}
-	return n.routers[e.router-1], true
-}
-
 // ComputeRoutes builds shortest-path next-hop tables with one BFS per
 // router. Ties break toward the earliest-created neighbour link, which is
 // deterministic and stable — paths do not flap between runs, matching the

@@ -57,8 +57,8 @@ func TestReplaceAttachment(t *testing.T) {
 	if l := r2.route(server.Addr()); l == nil || l.Peer(r2) != Node(fw) {
 		t.Error("stale host link on previous router")
 	}
-	if at, ok := n.AttachmentRouter(server.Addr()); !ok || at != fw {
-		t.Errorf("AttachmentRouter = %v, want fw", at)
+	if at := attachedAt(n, server.Addr()); at != fw {
+		t.Errorf("attachment router = %v, want fw", at)
 	}
 }
 
@@ -81,7 +81,7 @@ func TestSetDelayAffectsLatency(t *testing.T) {
 	n.Attach(b, r, time.Millisecond, 0)
 	n.ComputeRoutes()
 
-	la.SetDelay(a, 50*time.Millisecond)
+	la.delay[la.dir(a)] = 50 * time.Millisecond
 	if la.Delay(a) != 50*time.Millisecond {
 		t.Fatalf("Delay = %v", la.Delay(a))
 	}
@@ -105,7 +105,7 @@ func TestAsymmetricLoss(t *testing.T) {
 	n.ComputeRoutes()
 
 	// Loss only in the a→r direction; replies are clean.
-	la.SetLoss(a, 1.0)
+	la.loss[la.dir(a)] = 1.0
 	if la.Loss(a) != 1.0 || la.Loss(r) != 0 {
 		t.Fatal("directional loss setters broken")
 	}
@@ -142,8 +142,8 @@ func TestPolicyDropCounter(t *testing.T) {
 	if r.PolicyDrops != 2 {
 		t.Errorf("PolicyDrops = %d", r.PolicyDrops)
 	}
-	if len(r.Policies()) != 1 {
-		t.Errorf("Policies() = %d", len(r.Policies()))
+	if len(r.policies) != 1 {
+		t.Errorf("policies = %d", len(r.policies))
 	}
 }
 
@@ -158,16 +158,16 @@ func TestPendingCount(t *testing.T) {
 	s := NewSim(1)
 	t1 := s.After(time.Second, func() {})
 	s.After(2*time.Second, func() {})
-	if s.Pending() != 2 {
-		t.Errorf("pending = %d", s.Pending())
+	if s.live != 2 {
+		t.Errorf("pending = %d", s.live)
 	}
 	t1.Stop()
-	if s.Pending() != 1 {
-		t.Errorf("pending after cancel = %d", s.Pending())
+	if s.live != 1 {
+		t.Errorf("pending after cancel = %d", s.live)
 	}
 	s.Run()
-	if s.Pending() != 0 {
-		t.Errorf("pending after run = %d", s.Pending())
+	if s.live != 0 {
+		t.Errorf("pending after run = %d", s.live)
 	}
 }
 

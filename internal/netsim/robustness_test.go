@@ -12,6 +12,13 @@ import (
 
 // Routers must drop corrupt packets without disturbing the simulation —
 // the forwarding-plane behaviour of real hardware.
+// bufOf copies wire into a pooled buffer.
+func bufOf(wire []byte) *packet.Buf {
+	b := packet.NewBuf()
+	b.Write(wire)
+	return b
+}
+
 func TestRouterDropsCorruptPackets(t *testing.T) {
 	sim := NewSim(1)
 	_, h1, h2, routers := lineTopology(t, sim, 2, 0)
@@ -29,7 +36,7 @@ func TestRouterDropsCorruptPackets(t *testing.T) {
 		if _, _, err := packet.ParseIPv4(wire); err == nil {
 			validHeaders++
 		}
-		h1.SendRaw(wire)
+		h1.SendBuf(bufOf(wire))
 	}
 	// Malformed in each way the header-peek forwarding path checks for.
 	for _, corrupt := range []func(w []byte) []byte{
@@ -41,7 +48,7 @@ func TestRouterDropsCorruptPackets(t *testing.T) {
 		func(w []byte) []byte { w[11] ^= 0x01; return w },           // one checksum bit flipped
 	} {
 		wire, _ := packet.BuildUDP(h1.Addr(), h2.Addr(), 1, 7, 64, ecn.NotECT, 999, nil)
-		h1.SendRaw(corrupt(wire))
+		h1.SendBuf(bufOf(corrupt(wire)))
 	}
 	sim.Run()
 	// All intact packets arrive; corrupt ones die at the first router
@@ -81,7 +88,7 @@ func TestHostIgnoresMisdelivered(t *testing.T) {
 	wire, _ := packet.BuildUDP(
 		packet.AddrFrom4(10, 9, 9, 9), packet.AddrFrom4(10, 0, 0, 99), // not h's address
 		1, 7, 64, ecn.NotECT, 1, nil)
-	h.Receive(packet.AdoptBuf(wire), nil)
+	h.Receive(bufOf(wire), nil)
 	sim.Run()
 	if handled {
 		t.Error("host handled a packet addressed elsewhere")
@@ -132,7 +139,7 @@ func TestPoliciesRunBeforeValidationInOrder(t *testing.T) {
 
 	wire, _ := packet.BuildUDP(h1.Addr(), h2.Addr(), 1, 7, 64, ecn.NotECT, 1, nil)
 	wire[11] ^= 0x01 // header checksum no longer verifies
-	h1.SendRaw(wire)
+	h1.SendBuf(bufOf(wire))
 	sim.Run()
 
 	if len(log) != 2 || log[0] != "first" || log[1] != "second" {
@@ -157,7 +164,7 @@ func TestTimeExceededQuotesDecrementedDatagram(t *testing.T) {
 		}
 	})
 	sent, _ := packet.BuildUDP(h1.Addr(), h2.Addr(), 33434, 33435, 2, ecn.ECT0, 77, []byte("probe"))
-	h1.SendRaw(append([]byte(nil), sent...))
+	h1.SendBuf(bufOf(sent))
 	sim.Run()
 
 	// Two hops of decrement, recomputed in full as the oracle.

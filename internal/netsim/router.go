@@ -75,9 +75,6 @@ func (r *Router) ID() int { return r.id }
 // AddPolicy attaches a middlebox policy. Policies run in attachment order.
 func (r *Router) AddPolicy(p Policy) { r.policies = append(r.policies, p) }
 
-// Policies returns the attached policies (for topology dumps).
-func (r *Router) Policies() []Policy { return r.policies }
-
 // Receive implements Node: the router forwarding path. The buffer
 // reference is forwarded along the route when the packet survives and
 // released on every drop path.

@@ -568,9 +568,6 @@ func (s *Sim) peekLive() (time.Duration, bool) {
 	}
 }
 
-// Pending reports the number of live events in the queue.
-func (s *Sim) Pending() int { return s.live }
-
 // heapEntry is a queued event reference: ordering fields inline (no
 // pointer chase in comparisons, no write barrier in swaps) plus the
 // slab index of the event body.

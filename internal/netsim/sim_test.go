@@ -171,8 +171,8 @@ func TestRunUntilSkipsCancelled(t *testing.T) {
 		if s.Now() != time.Second {
 			t.Errorf("now = %v", s.Now())
 		}
-		if s.Pending() != 0 {
-			t.Errorf("pending = %d", s.Pending())
+		if s.live != 0 {
+			t.Errorf("pending = %d", s.live)
 		}
 	})
 }
@@ -217,21 +217,21 @@ func TestPendingCountBothSchedulers(t *testing.T) {
 		for i := range timers {
 			timers[i] = s.After(time.Duration(i+1)*time.Second, func() {})
 		}
-		if s.Pending() != 10 {
-			t.Fatalf("pending = %d, want 10", s.Pending())
+		if s.live != 10 {
+			t.Fatalf("pending = %d, want 10", s.live)
 		}
 		timers[3].Stop()
 		timers[7].Stop()
-		if s.Pending() != 8 {
-			t.Fatalf("pending after 2 stops = %d, want 8", s.Pending())
+		if s.live != 8 {
+			t.Fatalf("pending after 2 stops = %d, want 8", s.live)
 		}
 		s.Step()
-		if s.Pending() != 7 {
-			t.Fatalf("pending after a step = %d, want 7", s.Pending())
+		if s.live != 7 {
+			t.Fatalf("pending after a step = %d, want 7", s.live)
 		}
 		s.Run()
-		if s.Pending() != 0 {
-			t.Fatalf("pending after drain = %d", s.Pending())
+		if s.live != 0 {
+			t.Fatalf("pending after drain = %d", s.live)
 		}
 	})
 }
@@ -413,9 +413,9 @@ func TestSchedulerEquivalencePhased(t *testing.T) {
 				s.RunUntil(s.Now() + time.Duration(rng.Int63n(int64(24*time.Hour))))
 			}
 			s.Run()
-			if s.Pending() != 0 {
+			if s.live != 0 {
 				t.Fatalf("%s seed %d phase %d: %d events stranded after Run",
-					sched.Name(), seed, phase, s.Pending())
+					sched.Name(), seed, phase, s.live)
 			}
 		}
 		return log
@@ -441,7 +441,7 @@ func TestSchedulerStress(t *testing.T) {
 		for i := 0; i < 10000; i++ {
 			s.After(time.Duration(rng.Intn(1_000_000))*time.Microsecond, func() { count++ })
 		}
-		for s.Pending() > 0 {
+		for s.live > 0 {
 			before := s.Now()
 			if !s.Step() {
 				break
@@ -595,13 +595,13 @@ func TestSimResetDiscardsPending(t *testing.T) {
 		s.deliverAfter(2*time.Second, sink, inFlight, nil)
 		s.After(time.Millisecond, func() { s.RNG().Int63() })
 		s.RunUntil(10 * time.Millisecond)
-		if s.Pending() != 3 || s.Executed() != 1 {
-			t.Fatalf("%s: before Reset pending=%d executed=%d, want 3 and 1", sched.Name(), s.Pending(), s.Executed())
+		if s.live != 3 || s.Executed() != 1 {
+			t.Fatalf("%s: before Reset pending=%d executed=%d, want 3 and 1", sched.Name(), s.live, s.Executed())
 		}
 
 		s.Reset()
-		if s.Pending() != 0 || s.Now() != 0 || s.Executed() != 0 {
-			t.Errorf("%s: after Reset pending=%d now=%v executed=%d", sched.Name(), s.Pending(), s.Now(), s.Executed())
+		if s.live != 0 || s.Now() != 0 || s.Executed() != 0 {
+			t.Errorf("%s: after Reset pending=%d now=%v executed=%d", sched.Name(), s.live, s.Now(), s.Executed())
 		}
 		if len(s.free) != len(s.slab) {
 			t.Errorf("%s: %d of %d slab slots on the free list after Reset", sched.Name(), len(s.free), len(s.slab))

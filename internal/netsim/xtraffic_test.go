@@ -62,7 +62,7 @@ func driveXTraffic(t *testing.T, mode XTrafficMode, discipline string, util floa
 	sim.Run()
 
 	sum := fmt.Sprintf("delivered=%d noise=%d pending=%d stats=%+v\n",
-		len(b.received), noise, sim.Pending(), q.Stats())
+		len(b.received), noise, sim.live, q.Stats())
 	sent, dropped := l.Stats(a)
 	sum += fmt.Sprintf("link sent=%d dropped=%d finalDraw=%v\n", sent, dropped, sim.RNG().Float64())
 	for i, wire := range b.received {

@@ -157,16 +157,3 @@ func Respond(req Packet, stratum uint8, refID uint32, recv, xmit uint64) (Packet
 		XmitTS:    xmit,
 	}, nil
 }
-
-// ValidateResponse checks that a reply corresponds to the request the
-// client sent: server mode and echoed origin timestamp.
-func ValidateResponse(req, resp Packet) error {
-	if resp.Mode != ModeServer {
-		return fmt.Errorf("%w: got %d, want server", ErrBadMode, resp.Mode)
-	}
-	if resp.OriginTS != req.XmitTS {
-		return fmt.Errorf("ntp: origin timestamp mismatch (got %#x, want %#x)",
-			resp.OriginTS, req.XmitTS)
-	}
-	return nil
-}

@@ -103,9 +103,6 @@ func TestRespond(t *testing.T) {
 	if resp.Stratum != 2 {
 		t.Errorf("stratum = %d", resp.Stratum)
 	}
-	if err := ValidateResponse(req, resp); err != nil {
-		t.Errorf("valid response rejected: %v", err)
-	}
 }
 
 func TestRespondRejectsNonClient(t *testing.T) {
@@ -113,22 +110,6 @@ func TestRespondRejectsNonClient(t *testing.T) {
 	req.Mode = ModeServer
 	if _, err := Respond(req, 2, 0, 0, 0); err == nil {
 		t.Error("server-mode request answered")
-	}
-}
-
-func TestValidateResponseRejects(t *testing.T) {
-	req := NewRequest(7)
-	good, _ := Respond(req, 2, 0, 1, 2)
-
-	bad := good
-	bad.OriginTS = 8
-	if err := ValidateResponse(req, bad); err == nil {
-		t.Error("wrong origin accepted")
-	}
-	bad = good
-	bad.Mode = ModeClient
-	if err := ValidateResponse(req, bad); err == nil {
-		t.Error("client mode accepted as response")
 	}
 }
 

@@ -11,7 +11,7 @@ import "sync"
 // Ownership rules (DESIGN.md §8):
 //
 //   - A Buf starts with one reference, owned by whoever obtained it
-//     (NewBuf, AdoptBuf, or a Build*Buf constructor).
+//     (NewBuf or a Build*Buf constructor).
 //   - Passing a Buf to netsim.Link.Send or netsim.Node.Receive transfers
 //     that reference; the caller must not touch the Buf afterwards.
 //   - A holder that needs the bytes beyond the transfer calls Retain
@@ -47,14 +47,6 @@ func NewBuf() *Buf {
 	bf.b = bf.b[:0]
 	bf.refs = 1
 	return bf
-}
-
-// AdoptBuf wraps an existing byte slice as a Buf with one reference.
-// The slice's backing array joins the pool when the Buf is released, so
-// the caller must relinquish it. Tests and non-hot-path code use this
-// to enter the pooled world.
-func AdoptBuf(b []byte) *Buf {
-	return &Buf{b: b, refs: 1}
 }
 
 // Bytes returns the buffer's current contents. The slice is valid only

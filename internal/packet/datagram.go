@@ -121,12 +121,6 @@ func AppendTCP(b []byte, src, dst Addr, hdr *TCPHeader, ttl uint8, cp ecn.Codepo
 	return hdr.Marshal(b, src, dst, payload)
 }
 
-// BuildTCP serializes a complete IPv4+TCP datagram.
-func BuildTCP(src, dst Addr, hdr *TCPHeader, ttl uint8, cp ecn.Codepoint, id uint16, payload []byte) ([]byte, error) {
-	b := make([]byte, 0, IPv4HeaderLen+TCPHeaderLen+(len(hdr.Options)+3)&^3+len(payload))
-	return AppendTCP(b, src, dst, hdr, ttl, cp, id, payload)
-}
-
 // BuildTCPBuf serializes a complete IPv4+TCP datagram into a pooled
 // buffer. The caller owns the returned Buf's reference.
 func BuildTCPBuf(src, dst Addr, hdr *TCPHeader, ttl uint8, cp ecn.Codepoint, id uint16, payload []byte) (*Buf, error) {
@@ -158,12 +152,6 @@ func AppendICMP(b []byte, src, dst Addr, ttl uint8, id uint16, msg ICMPMessage) 
 	return msg.Marshal(b)
 }
 
-// BuildICMP serializes a complete IPv4+ICMP datagram.
-func BuildICMP(src, dst Addr, ttl uint8, id uint16, msg ICMPMessage) ([]byte, error) {
-	b := make([]byte, 0, IPv4HeaderLen+ICMPHeaderLen+len(msg.Body))
-	return AppendICMP(b, src, dst, ttl, id, msg)
-}
-
 // BuildICMPBuf serializes a complete IPv4+ICMP datagram into a pooled
 // buffer. The caller owns the returned Buf's reference.
 func BuildICMPBuf(src, dst Addr, ttl uint8, id uint16, msg ICMPMessage) (*Buf, error) {
@@ -175,36 +163,4 @@ func BuildICMPBuf(src, dst Addr, ttl uint8, id uint16, msg ICMPMessage) (*Buf, e
 	}
 	bf.b = b
 	return bf, nil
-}
-
-// Flow is a transport 5-tuple in one direction. Flows are comparable, so
-// they serve directly as map keys for demultiplexing, in the style of
-// gopacket's Flow/Endpoint types.
-type Flow struct {
-	Proto            Protocol
-	Src, Dst         Addr
-	SrcPort, DstPort uint16
-}
-
-// Reverse returns the flow of the opposite direction.
-func (f Flow) Reverse() Flow {
-	return Flow{Proto: f.Proto, Src: f.Dst, Dst: f.Src, SrcPort: f.DstPort, DstPort: f.SrcPort}
-}
-
-// String renders the flow in "proto src:port > dst:port" form.
-func (f Flow) String() string {
-	return fmt.Sprintf("%s %s:%d > %s:%d", f.Proto, f.Src, f.SrcPort, f.Dst, f.DstPort)
-}
-
-// FlowOf extracts the flow of a decoded datagram. ICMP datagrams have
-// port-less flows (ports zero).
-func FlowOf(d *Datagram) Flow {
-	f := Flow{Proto: d.IP.Protocol, Src: d.IP.Src, Dst: d.IP.Dst}
-	switch {
-	case d.UDP != nil:
-		f.SrcPort, f.DstPort = d.UDP.SrcPort, d.UDP.DstPort
-	case d.TCP != nil:
-		f.SrcPort, f.DstPort = d.TCP.SrcPort, d.TCP.DstPort
-	}
-	return f
 }

@@ -29,7 +29,7 @@ func TestDecodeUDP(t *testing.T) {
 
 func TestDecodeTCP(t *testing.T) {
 	hdr := &TCPHeader{SrcPort: 80, DstPort: 1024, Flags: TCPSyn | TCPAck | TCPEce}
-	wire, err := BuildTCP(tDst, tSrc, hdr, 60, ecn.NotECT, 8, nil)
+	wire, err := AppendTCP(nil, tDst, tSrc, hdr, 60, ecn.NotECT, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestDecodeTCP(t *testing.T) {
 
 func TestDecodeICMP(t *testing.T) {
 	inner, _ := BuildUDP(tSrc, tDst, 1, 2, 3, ecn.ECT0, 4, nil)
-	wire, err := BuildICMP(tDst, tSrc, 64, 9, NewTimeExceeded(inner))
+	wire, err := AppendICMP(nil, tDst, tSrc, 64, 9, NewTimeExceeded(inner))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,37 +65,6 @@ func TestDecodeUnknownProtocol(t *testing.T) {
 	wire, _ := ip.Marshal(nil, 0)
 	if _, err := Decode(wire); err == nil {
 		t.Error("unknown protocol must error")
-	}
-}
-
-func TestFlowReverse(t *testing.T) {
-	f := Flow{Proto: ProtoUDP, Src: tSrc, Dst: tDst, SrcPort: 10, DstPort: 20}
-	r := f.Reverse()
-	if r.Src != tDst || r.Dst != tSrc || r.SrcPort != 20 || r.DstPort != 10 {
-		t.Errorf("Reverse = %+v", r)
-	}
-	if rr := r.Reverse(); rr != f {
-		t.Error("double reverse must be identity")
-	}
-}
-
-func TestFlowReverseProperty(t *testing.T) {
-	f := func(srcRaw, dstRaw uint32, sp, dp uint16) bool {
-		fl := Flow{Proto: ProtoTCP, Src: AddrFromUint32(srcRaw), Dst: AddrFromUint32(dstRaw), SrcPort: sp, DstPort: dp}
-		return fl.Reverse().Reverse() == fl
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFlowOf(t *testing.T) {
-	wire, _ := BuildUDP(tSrc, tDst, 999, 123, 64, ecn.NotECT, 1, nil)
-	d, _ := Decode(wire)
-	f := FlowOf(&d)
-	want := Flow{Proto: ProtoUDP, Src: tSrc, Dst: tDst, SrcPort: 999, DstPort: 123}
-	if f != want {
-		t.Errorf("FlowOf = %+v", f)
 	}
 }
 

@@ -26,7 +26,7 @@ func fuzzSeedWires(tb testing.TB) [][]byte {
 	}
 	wires = append(wires, udp)
 
-	tcp, err := BuildTCP(src, dst, &TCPHeader{
+	tcp, err := AppendTCP(nil, src, dst, &TCPHeader{
 		SrcPort: 49152, DstPort: 80, Seq: 1000, Ack: 2000,
 		Flags: TCPSyn | TCPEce | TCPCwr, Window: 65535,
 		Options: MSSOption(1460),
@@ -36,7 +36,7 @@ func fuzzSeedWires(tb testing.TB) [][]byte {
 	}
 	wires = append(wires, tcp)
 
-	data, err := BuildTCP(src, dst, &TCPHeader{
+	data, err := AppendTCP(nil, src, dst, &TCPHeader{
 		SrcPort: 49152, DstPort: 80, Seq: 1001, Ack: 2001,
 		Flags: TCPAck | TCPPsh, Window: 65535,
 	}, 64, ecn.CE, 9, []byte("GET / HTTP/1.1\r\n\r\n"))
@@ -45,7 +45,7 @@ func fuzzSeedWires(tb testing.TB) [][]byte {
 	}
 	wires = append(wires, data)
 
-	icmp, err := BuildICMP(dst, src, 64, 10, NewTimeExceeded(udp))
+	icmp, err := AppendICMP(nil, dst, src, 64, 10, NewTimeExceeded(udp))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func roundTripICMP(t *testing.T, ip IPv4Header, body, wire []byte) {
 	}
 	defer bf.Release()
 	rebuilt := bf.Bytes()
-	// BuildICMP emits TOS 0 and no DF; the canonical-form gate above
+	// AppendICMP emits TOS 0 and no DF; the canonical-form gate above
 	// already filtered DSCP, but ECN bits and flags may still differ.
 	if ip.ECN() != ecn.NotECT {
 		return

@@ -186,7 +186,7 @@ func TestParseICMPAliasesSegment(t *testing.T) {
 
 func TestBuildICMPIsNotECT(t *testing.T) {
 	msg := NewTimeExceeded(make([]byte, 28))
-	wire, err := BuildICMP(MustParseAddr("10.0.0.1"), MustParseAddr("10.0.0.2"), 64, 9, msg)
+	wire, err := AppendICMP(nil, MustParseAddr("10.0.0.1"), MustParseAddr("10.0.0.2"), 64, 9, msg)
 	if err != nil {
 		t.Fatal(err)
 	}

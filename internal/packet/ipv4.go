@@ -47,9 +47,6 @@ const (
 // ECN returns the ECN codepoint carried in the TOS byte.
 func (h *IPv4Header) ECN() ecn.Codepoint { return ecn.FromTOS(h.TOS) }
 
-// SetECN replaces the ECN bits of the TOS byte.
-func (h *IPv4Header) SetECN(c ecn.Codepoint) { h.TOS = ecn.SetTOS(h.TOS, c) }
-
 // Marshal appends the 20-byte header for a payload of length payloadLen to
 // b, computing the header checksum, and returns the extended slice. The
 // header is serialized directly into the destination: when b has spare

@@ -181,7 +181,7 @@ func TestDecrementWireTTL(t *testing.T) {
 func TestWireECN(t *testing.T) {
 	h := sampleIPv4()
 	for _, cp := range []ecn.Codepoint{ecn.NotECT, ecn.ECT0, ecn.ECT1, ecn.CE} {
-		h.SetECN(cp)
+		h.TOS = ecn.SetTOS(h.TOS, cp)
 		wire, _ := h.Marshal(nil, 0)
 		got, err := WireECN(wire)
 		if err != nil {

@@ -57,32 +57,6 @@ func MSSOption(mss uint16) []byte {
 	return []byte{2, 4, byte(mss >> 8), byte(mss)}
 }
 
-// ParseMSS scans TCP options for an MSS option and returns its value.
-func ParseMSS(options []byte) (uint16, bool) {
-	for i := 0; i < len(options); {
-		kind := options[i]
-		switch kind {
-		case 0: // end of options
-			return 0, false
-		case 1: // no-op
-			i++
-		default:
-			if i+1 >= len(options) {
-				return 0, false
-			}
-			l := int(options[i+1])
-			if l < 2 || i+l > len(options) {
-				return 0, false
-			}
-			if kind == 2 && l == 4 {
-				return binary.BigEndian.Uint16(options[i+2:]), true
-			}
-			i += l
-		}
-	}
-	return 0, false
-}
-
 // Marshal appends the TCP header (with padded options) and payload to b,
 // computing the checksum over the pseudo-header, and returns the slice.
 func (t *TCPHeader) Marshal(b []byte, src, dst Addr, payload []byte) ([]byte, error) {

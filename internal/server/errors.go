@@ -24,7 +24,7 @@ const (
 	codeBadRequest        = "bad_request"         // malformed body, unparseable parameter
 	codeSpecInvalid       = "spec_invalid"        // spec failed validation; fields populated
 	codeJobNotFound       = "job_not_found"       // unknown job ID
-	codeRunNotFound       = "run_not_found"       // unknown cached-run key
+	codeRunNotFound       = "run_not_found"       // a done job whose run is gone from the store
 	codeShardNotFound     = "shard_not_found"     // shard index outside the job's plan
 	codeJobNotDone        = "job_not_done"        // artifacts requested before completion
 	codeJobFailed         = "job_failed"          // artifacts requested from a failed job

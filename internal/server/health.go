@@ -74,7 +74,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		StoreDir:      filepath.Clean(s.dataDir),
 		StoreWritable: storeWritable(s.dataDir),
-		CachedRuns:    len(s.store.Keys()),
+		CachedRuns:    s.store.Len(),
 		QueueDepth:    queued,
 		QueueCap:      maxQueuedJobs,
 		JobsRunning:   int(s.metrics.jobsRunning.Value()),

@@ -205,7 +205,7 @@ func TestRecoveryResumesPartialJob(t *testing.T) {
 			}
 			crash(ts1, srv1) // crash: no drain, no clean-shutdown marker
 
-			_, ts2, c2 := startCrashServer(t, dir, fc)
+			srv2, ts2, c2 := startCrashServer(t, dir, fc)
 			if n := server.Counter(t, ts2, "repro_recovery_jobs_total", "resumed"); n != 1 {
 				t.Fatalf("resumed recoveries = %d, want 1", n)
 			}
@@ -245,10 +245,7 @@ func TestRecoveryResumesPartialJob(t *testing.T) {
 			}
 			wantDatasetMatch(t, c2, job.ID)
 
-			text, err := c2.MetricsText(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
+			text := metricsText(t, srv2)
 			for _, want := range []string{
 				`repro_recovery_jobs_total{outcome="resumed"} 1`,
 				fmt.Sprintf("repro_recovery_shards_total %d", n),
@@ -417,12 +414,9 @@ func TestRecoveryCompletesJournaledMerge(t *testing.T) {
 	crash(ts1, srv1)
 	remove()
 
-	_, _, c2 := startCrashServer(t, dir, fc)
+	srv2, _, c2 := startCrashServer(t, dir, fc)
 	wantDatasetMatch(t, c2, job.ID)
-	text, err := c2.MetricsText(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := metricsText(t, srv2)
 	if !contains(text, `repro_recovery_jobs_total{outcome="completed"} 1`) {
 		t.Errorf("metrics missing the completed-recovery outcome:\n%s", text)
 	}
@@ -472,15 +466,12 @@ func TestRecoveryAlreadyDone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, c2 := startCrashServer(t, dir, fc)
+	srv2, _, c2 := startCrashServer(t, dir, fc)
 	wantDatasetMatch(t, c2, job.ID)
 	if _, err := os.Stat(walPath(dir, job.ID)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("stale journal survived already-done recovery: %v", err)
 	}
-	text, err := c2.MetricsText(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := metricsText(t, srv2)
 	if !contains(text, `repro_recovery_jobs_total{outcome="already_done"} 1`) {
 		t.Errorf("metrics missing the already-done outcome:\n%s", text)
 	}
@@ -594,10 +585,7 @@ func TestRecoveryTornTail(t *testing.T) {
 	if got.State != "running" || got.ShardsDone != 1 {
 		t.Fatalf("recovered job = state %s done %d, want running with 1 accepted", got.State, got.ShardsDone)
 	}
-	text, err := c2.MetricsText(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := metricsText(t, srv2)
 	if !contains(text, "repro_journal_torn_tails_total 1") {
 		t.Errorf("metrics missing the torn-tail count:\n%s", text)
 	}
@@ -716,7 +704,7 @@ func TestRecoveryTruncatedJournal(t *testing.T) {
 // wantRecoveryFailed asserts a restarted coordinator surfaced the job
 // as failed — job_failed on the artifact routes, counted as a failed
 // recovery — while staying up for other work.
-func wantRecoveryFailed(t *testing.T, client *apiclient.Client, jobID string) {
+func wantRecoveryFailed(t *testing.T, srv http.Handler, client *apiclient.Client, jobID string) {
 	t.Helper()
 	ctx := context.Background()
 	got, err := client.Job(ctx, jobID)
@@ -728,10 +716,7 @@ func wantRecoveryFailed(t *testing.T, client *apiclient.Client, jobID string) {
 	}
 	_, err = client.JobDataset(ctx, jobID)
 	wantCode(t, err, 502, "job_failed")
-	text, err := client.MetricsText(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := metricsText(t, srv)
 	if !contains(text, `repro_recovery_jobs_total{outcome="failed"} 1`) {
 		t.Errorf("metrics missing the failed-recovery outcome:\n%s", text)
 	}
@@ -766,8 +751,8 @@ func TestRecoveryOldFormatJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, c2 := startCrashServer(t, dir, fc)
-	wantRecoveryFailed(t, c2, job.ID)
+	srv2, _, c2 := startCrashServer(t, dir, fc)
+	wantRecoveryFailed(t, srv2, c2, job.ID)
 	if kept, err := os.ReadFile(path); err != nil || string(kept) != old {
 		t.Fatalf("old-format journal must stay on disk untouched: %v", err)
 	}
@@ -812,8 +797,8 @@ func TestRecoveryOlderBuildSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, c2 := startCrashServer(t, dir, fc)
-	wantRecoveryFailed(t, c2, job.ID)
+	srv2, _, c2 := startCrashServer(t, dir, fc)
+	wantRecoveryFailed(t, srv2, c2, job.ID)
 	if got, _ := c2.Job(ctx, job.ID); !strings.Contains(got.Error, "scheduler: unknown field") {
 		t.Errorf("job error = %q, want the unknown spec field named", got.Error)
 	}
@@ -852,7 +837,7 @@ func TestRecoveryReopenFailure(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(srv2)
 	t.Cleanup(func() { crash(ts2, srv2) })
-	wantRecoveryFailed(t, apiclient.New(ts2.URL), job.ID)
+	wantRecoveryFailed(t, srv2, apiclient.New(ts2.URL), job.ID)
 }
 
 // TestDataDirLock: one data directory, one coordinator. A second
@@ -1175,8 +1160,8 @@ func TestRecoveryIdentityRecordFails(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, c2 := startCrashServer(t, dir, fc)
-	wantRecoveryFailed(t, c2, job.ID)
+	srv2, _, c2 := startCrashServer(t, dir, fc)
+	wantRecoveryFailed(t, srv2, c2, job.ID)
 	if got, err := c2.Job(ctx, job.ID); err != nil || !strings.Contains(got.Error, `"identity"`) {
 		t.Fatalf("job error = %q, %v; want the record's encoding named", got.Error, err)
 	}

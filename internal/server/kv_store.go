@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -118,16 +117,11 @@ func (st *Store) Has(key string) bool {
 	return st.keys[key]
 }
 
-// Keys lists the cached run keys in sorted order.
-func (st *Store) Keys() []string {
+// Len is the number of completed runs cached.
+func (st *Store) Len() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	keys := make([]string, 0, len(st.keys))
-	for k := range st.keys {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return len(st.keys)
 }
 
 // Put files a completed run under key, atomically: the three artifacts

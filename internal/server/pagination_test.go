@@ -1,18 +1,16 @@
 package server_test
 
-// Pagination contract tests for GET /v1/jobs and GET /v1/runs: stable
-// ordering, limit/cursor resumption, Link rel="next" headers, and the
-// envelope codes for bad paging parameters.
+// Pagination contract tests for GET /v1/jobs: stable ordering,
+// limit/cursor resumption, Link rel="next" headers, and the envelope
+// codes for bad paging parameters.
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/apiclient"
 	"repro/internal/server"
@@ -117,53 +115,5 @@ func TestJobsPagination(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("limit=banana status = %d, want 400", resp.StatusCode)
-	}
-}
-
-func TestRunsPagination(t *testing.T) {
-	srv, _, client := newPagingServer(t)
-	ctx := context.Background()
-
-	// File fabricated runs straight into the store; the listing must
-	// come back sorted regardless of insertion order.
-	keys := []string{"cc44", "aa11", "bb33", "bb22"}
-	for _, k := range keys {
-		meta := server.RunMeta{Key: k, CompletedAt: time.Now().UTC()}
-		_, err := srv.Store().Put(k, []byte(`{}`), meta, func(w io.Writer) error {
-			_, err := io.WriteString(w, "{}\n")
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	page, err := client.Runs(ctx, 3, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"aa11", "bb22", "bb33"}; len(page.Runs) != 3 ||
-		page.Runs[0] != want[0] || page.Runs[1] != want[1] || page.Runs[2] != want[2] {
-		t.Fatalf("runs page 1 = %v, want %v", page.Runs, want)
-	}
-	if page.NextCursor != "bb33" {
-		t.Fatalf("runs cursor = %q, want bb33", page.NextCursor)
-	}
-	page, err = client.Runs(ctx, 3, page.NextCursor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(page.Runs) != 1 || page.Runs[0] != "cc44" || page.NextCursor != "" {
-		t.Fatalf("runs page 2 = %+v", page)
-	}
-
-	// Run cursors are positional, not existential: a pruned key still
-	// resumes from the right place.
-	page, err = client.Runs(ctx, 10, "bb25")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(page.Runs) != 2 || page.Runs[0] != "bb33" {
-		t.Fatalf("lenient cursor page = %v", page.Runs)
 	}
 }

@@ -14,9 +14,6 @@
 //	GET  /v1/jobs/{id}/shards     per-(vantage, slice) completion
 //	GET  /v1/jobs/{id}/dataset    merged dataset, JSON lines (done jobs)
 //	GET  /v1/jobs/{id}/report     RunMeta: determinism hash, counters, CE report
-//	GET  /v1/runs                 cached run keys, sorted; limit/cursor pagination
-//	GET  /v1/runs/{key}           one cached run's RunMeta
-//	GET  /v1/runs/{key}/dataset   cached dataset, JSON lines
 //	GET  /v1/healthz              readiness: build info, store writability, queue depth
 //	GET  /v1/metrics              flight-recorder metrics, Prometheus text format
 //	GET  /v1/jobs/{id}/events     one job's event ring: lifecycle + shard transitions
@@ -59,7 +56,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -185,9 +181,6 @@ func newServer(cfg Config, loopbacks int) (*Server, error) {
 	handle("POST /v1/jobs/{id}/shards/claim", s.handleShardClaim)
 	handle("POST /v1/jobs/{id}/shards/{shard}/heartbeat", s.handleShardHeartbeat)
 	handle("POST /v1/jobs/{id}/shards/{shard}/result", s.handleShardResult)
-	handle("GET /v1/runs", s.handleRuns)
-	handle("GET /v1/runs/{key}", s.handleRun)
-	handle("GET /v1/runs/{key}/dataset", s.handleRunDataset)
 	handle("GET /v1/healthz", s.handleHealthz)
 	handle("GET /v1/metrics", s.handleMetrics)
 	if cfg.EnablePprof {
@@ -321,48 +314,19 @@ type JobsPage struct {
 	NextCursor string    `json:"next_cursor,omitempty"`
 }
 
-// RunsPage is GET /v1/runs' body: one page of cached run keys in
-// lexicographic order.
-type RunsPage struct {
-	Runs       []string `json:"runs"`
-	NextCursor string   `json:"next_cursor,omitempty"`
-}
-
-// pageParams parses the shared limit/cursor pagination query.
-func pageParams(r *http.Request, def, max int) (limit int, cursor string, err error) {
-	q := r.URL.Query()
-	limit = def
-	if raw := q.Get("limit"); raw != "" {
-		limit, err = strconv.Atoi(raw)
-		if err != nil || limit < 1 {
-			return 0, "", faultf(http.StatusBadRequest, codeBadRequest,
-				"limit must be a positive integer, got %q", raw)
-		}
-		if limit > max {
-			limit = max
-		}
-	}
-	return limit, q.Get("cursor"), nil
-}
-
-// nextLink emits the Link rel="next" header for a follow-up page.
-func nextLink(w http.ResponseWriter, path string, limit int, cursor string, extra url.Values) {
-	q := url.Values{}
-	for k, vs := range extra {
-		q[k] = vs
-	}
-	q.Set("limit", strconv.Itoa(limit))
-	q.Set("cursor", cursor)
-	w.Header().Set("Link", fmt.Sprintf("<%s?%s>; rel=\"next\"", path, q.Encode()))
-}
-
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	limit, cursor, err := pageParams(r, 100, 1000)
-	if err != nil {
-		writeFault(w, err)
-		return
+	q := r.URL.Query()
+	limit := 100
+	if raw := q.Get("limit"); raw != "" {
+		n, err := strconv.Atoi(raw)
+		if err != nil || n < 1 {
+			writeFault(w, faultf(http.StatusBadRequest, codeBadRequest,
+				"limit must be a positive integer, got %q", raw))
+			return
+		}
+		limit = min(n, 1000)
 	}
-	state := JobState(r.URL.Query().Get("state"))
+	state := JobState(q.Get("state"))
 	switch state {
 	case "", JobQueued, JobRunning, JobDone, JobFailed:
 	default:
@@ -370,17 +334,18 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			"unknown state filter %q", state))
 		return
 	}
-	views, next, err := s.mgr.Page(cursor, limit, state)
+	views, next, err := s.mgr.Page(q.Get("cursor"), limit, state)
 	if err != nil {
 		writeFault(w, err)
 		return
 	}
 	if next != "" {
-		extra := url.Values{}
+		// The Link rel="next" header carries the follow-up page's query.
+		link := url.Values{"limit": {strconv.Itoa(limit)}, "cursor": {next}}
 		if state != "" {
-			extra.Set("state", string(state))
+			link.Set("state", string(state))
 		}
-		nextLink(w, "/v1/jobs", limit, next, extra)
+		w.Header().Set("Link", fmt.Sprintf("</v1/jobs?%s>; rel=\"next\"", link.Encode()))
 	}
 	writeJSON(w, http.StatusOK, JobsPage{Jobs: views, NextCursor: next})
 }
@@ -445,40 +410,6 @@ func (s *Server) handleJobReport(w http.ResponseWriter, r *http.Request) {
 	if key, ok := s.finishedKey(w, r); ok {
 		s.serveMeta(w, key)
 	}
-}
-
-func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	limit, cursor, err := pageParams(r, 100, 1000)
-	if err != nil {
-		writeFault(w, err)
-		return
-	}
-	keys := s.store.Keys()
-	sort.Strings(keys)
-	// Cursor semantics for runs are "strictly after this key"; unlike
-	// job cursors the key need not exist, so a page stays resumable
-	// even if its last run is pruned between requests.
-	start := sort.SearchStrings(keys, cursor)
-	if start < len(keys) && keys[start] == cursor {
-		start++
-	}
-	end := start + limit
-	next := ""
-	if end < len(keys) {
-		next = keys[end-1]
-		nextLink(w, "/v1/runs", limit, next, nil)
-	} else {
-		end = len(keys)
-	}
-	writeJSON(w, http.StatusOK, RunsPage{Runs: keys[start:end], NextCursor: next})
-}
-
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	s.serveMeta(w, r.PathValue("key"))
-}
-
-func (s *Server) handleRunDataset(w http.ResponseWriter, r *http.Request) {
-	s.serveDataset(w, r.PathValue("key"))
 }
 
 func (s *Server) serveMeta(w http.ResponseWriter, key string) {

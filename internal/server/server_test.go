@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -195,24 +196,12 @@ func TestSubmitPollFetchRoundTrip(t *testing.T) {
 		t.Fatalf("report meta = %+v", meta)
 	}
 
-	// The run index lists the key, and the key-addressed read path
-	// serves the same bytes.
-	status, body = get(t, ts, "/v1/runs")
-	if status != http.StatusOK {
-		t.Fatalf("runs status = %d", status)
-	}
-	var runs struct {
-		Runs []string `json:"runs"`
-	}
-	if err := json.Unmarshal(body, &runs); err != nil {
-		t.Fatal(err)
-	}
-	if len(runs.Runs) != 1 || runs.Runs[0] != view.Key {
-		t.Fatalf("runs = %v, want [%s]", runs.Runs, view.Key)
-	}
-	_, byKey := get(t, ts, "/v1/runs/"+view.Key+"/dataset")
-	if !bytes.Equal(byKey, served) {
-		t.Fatal("key-addressed dataset differs from job-addressed dataset")
+	// The job routes are the only read path: there is no key-addressed
+	// one.
+	for _, path := range []string{"/v1/runs", "/v1/runs/" + view.Key, "/v1/runs/" + view.Key + "/dataset"} {
+		if status, _ := get(t, ts, path); status != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, status)
+		}
 	}
 }
 
@@ -446,7 +435,7 @@ func TestStoreReopen(t *testing.T) {
 	if status != http.StatusOK || !second.Cached {
 		t.Fatalf("restart lost the cache: status=%d view=%+v", status, second)
 	}
-	_, bytes2 := get(t, ts2, "/v1/runs/"+second.Key+"/dataset")
+	_, bytes2 := get(t, ts2, "/v1/jobs/"+second.ID+"/dataset")
 	if !bytes.Equal(bytes1, bytes2) {
 		t.Fatal("reopened store served different bytes")
 	}
@@ -479,7 +468,16 @@ func TestUnfinishedDataset(t *testing.T) {
 	if status, _ := get(t, ts, "/v1/jobs/nope/dataset"); status != http.StatusNotFound {
 		t.Fatalf("missing job status = %d, want 404", status)
 	}
-	if status, _ := get(t, ts, "/v1/runs/feedface/dataset"); status != http.StatusNotFound {
-		t.Fatalf("missing run status = %d, want 404", status)
+
+	// A done job whose run is gone from the store is a 404 run_not_found
+	// on both artifact routes.
+	if err := os.RemoveAll(srv.store.path(a.Key)); err != nil {
+		t.Fatal(err)
+	}
+	for _, route := range []string{"/dataset", "/report"} {
+		status, body := get(t, ts, "/v1/jobs/"+a.ID+route)
+		if status != http.StatusNotFound || !bytes.Contains(body, []byte(`"code": "run_not_found"`)) {
+			t.Errorf("%s of a removed run = %d %s, want 404 run_not_found", route, status, body)
+		}
 	}
 }

@@ -29,7 +29,7 @@ func metricValue(t *testing.T, text, series string) string {
 // upload is accepted, and A's late original upload acks "duplicate" —
 // never an error, never a second merge.
 func TestSpeculationRaceFirstUploadWins(t *testing.T) {
-	_, client, fc := newLeaseServer(t)
+	srv, client, fc := newLeaseServer(t)
 	ctx := context.Background()
 
 	job, _, err := client.SubmitRaw(ctx, []byte(distSpec))
@@ -123,10 +123,7 @@ func TestSpeculationRaceFirstUploadWins(t *testing.T) {
 	wantDatasetMatch(t, client, job.ID)
 
 	// The metrics narrate the race.
-	text, err := client.MetricsText(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := metricsText(t, srv)
 	if got := metricValue(t, text, `repro_speculation_total{event="issued"}`); got != "1" {
 		t.Fatalf("speculation issued = %q, want 1", got)
 	}

@@ -1,13 +1,10 @@
 // Package stats provides the small statistical toolkit the analysis
-// package needs: summary statistics, quantiles, a binomial confidence
-// interval for reachability proportions, and the phi coefficient used to
-// quantify the (weak) UDP/TCP correlation of Table 2.
+// package needs: summary statistics, a binomial confidence interval for
+// reachability proportions, and the phi coefficient used to quantify the
+// (weak) UDP/TCP correlation of Table 2.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean (0 for empty input).
 func Mean(xs []float64) float64 {
@@ -61,29 +58,6 @@ func StdDev(xs []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear
-// interpolation between order statistics.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
 // WilsonInterval returns the 95% Wilson score interval for k successes

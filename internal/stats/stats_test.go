@@ -30,32 +30,6 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !approx(got, c.want, 1e-9) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if got := Quantile([]float64{1, 2}, 0.5); !approx(got, 1.5, 1e-9) {
-		t.Errorf("interpolated median = %v", got)
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("empty quantile")
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Error("input mutated")
-	}
-}
-
 func TestWilsonInterval(t *testing.T) {
 	lo, hi := WilsonInterval(2230, 2253)
 	if !(lo < 0.9897 && 0.9897 < hi) {

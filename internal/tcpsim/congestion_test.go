@@ -65,8 +65,8 @@ func TestECEHalvesWindowAndSetsCWR(t *testing.T) {
 	if server.CWRSent == 0 {
 		t.Fatal("server never answered ECE with CWR")
 	}
-	if server.Cwnd() >= initialCwnd {
-		t.Fatalf("server cwnd %d did not shrink below initial %d", server.Cwnd(), initialCwnd)
+	if server.cwnd >= initialCwnd {
+		t.Fatalf("server cwnd %d did not shrink below initial %d", server.cwnd, initialCwnd)
 	}
 	// The reduction is once-per-window, not once-per-ECE.
 	if server.CwndReductions >= server.ECESeen && server.ECESeen > 3 {
@@ -100,7 +100,7 @@ func TestCleanPathKeepsInitialWindow(t *testing.T) {
 	if server.CwndReductions != 0 || server.CWRSent != 0 {
 		t.Fatalf("clean path saw reductions=%d cwr=%d", server.CwndReductions, server.CWRSent)
 	}
-	if server.Cwnd() < initialCwnd {
-		t.Fatalf("clean-path cwnd %d below initial %d", server.Cwnd(), initialCwnd)
+	if server.cwnd < initialCwnd {
+		t.Fatalf("clean-path cwnd %d below initial %d", server.cwnd, initialCwnd)
 	}
 }

@@ -198,17 +198,8 @@ func (c *Conn) release() {
 // ECNNegotiated reports whether the handshake agreed to use ECN.
 func (c *Conn) ECNNegotiated() bool { return c.ecnNegotiated }
 
-// Cwnd returns the current congestion window in bytes.
-func (c *Conn) Cwnd() int { return c.cwnd }
-
 // State returns a human-readable connection state (for tests/logs).
 func (c *Conn) State() string { return c.st.String() }
-
-// LocalPort returns the local port of the connection.
-func (c *Conn) LocalPort() uint16 { return c.key.localPort }
-
-// RemoteAddr returns the peer address.
-func (c *Conn) RemoteAddr() packet.Addr { return c.key.remote }
 
 // OnData registers the receive callback (in-order stream bytes).
 func (c *Conn) OnData(fn func([]byte)) { c.onData = fn }

@@ -87,11 +87,11 @@ func TestDuplicateSYNGetsSYNACKAgain(t *testing.T) {
 	// Craft a raw SYN twice from the same 4-tuple (bypassing Dial so the
 	// client stack won't ACK and complete the handshake).
 	syn := &packet.TCPHeader{SrcPort: 50001, DstPort: 80, Seq: 1000, Flags: packet.TCPSyn}
-	wire1, _ := packet.BuildTCP(f.client.Addr(), f.server.Addr(), syn, 64, 0, 1, nil)
-	wire2, _ := packet.BuildTCP(f.client.Addr(), f.server.Addr(), syn, 64, 0, 2, nil)
-	f.client.SendRaw(wire1)
+	wire1, _ := packet.BuildTCPBuf(f.client.Addr(), f.server.Addr(), syn, 64, 0, 1, nil)
+	wire2, _ := packet.BuildTCPBuf(f.client.Addr(), f.server.Addr(), syn, 64, 0, 2, nil)
+	f.client.SendBuf(wire1)
 	f.sim.RunUntil(f.sim.Now() + 100*time.Millisecond)
-	f.client.SendRaw(wire2)
+	f.client.SendBuf(wire2)
 	f.sim.RunUntil(f.sim.Now() + 100*time.Millisecond)
 
 	if synacks < 2 {
@@ -139,11 +139,11 @@ func TestConnAccessors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.RemoteAddr() != f.server.Addr() {
-			t.Errorf("RemoteAddr = %v", c.RemoteAddr())
+		if c.key.remote != f.server.Addr() {
+			t.Errorf("remote = %v", c.key.remote)
 		}
-		if c.LocalPort() < 49152 {
-			t.Errorf("LocalPort = %d", c.LocalPort())
+		if c.key.localPort < 49152 {
+			t.Errorf("local port = %d", c.key.localPort)
 		}
 		if c.State() != "ESTABLISHED" {
 			t.Errorf("State = %q", c.State())

@@ -61,9 +61,9 @@ func TestReusedConnStartsClean(t *testing.T) {
 		c.OnData(func([]byte) {})
 		c.OnClose(func(error) {})
 		// Lose the request once, so the client retransmits and backs off.
-		f.client.Uplink().SetLoss(f.client, 1)
+		f.client.Uplink().SetLossBoth(1)
 		c.Write(bytes.Repeat([]byte("dirty"), 100))
-		f.sim.After(1500*time.Millisecond, func() { f.client.Uplink().SetLoss(f.client, 0) })
+		f.sim.After(1500*time.Millisecond, func() { f.client.Uplink().SetLossBoth(0) })
 	})
 	f.sim.Run()
 	server := *serverRef

@@ -319,12 +319,12 @@ func TestRetransmissionsAreNotECT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Break the forward path after the handshake; first transmission
-		// is lost, retransmission follows on a healed path.
-		f.client.Uplink().SetLoss(f.client, 1.0)
+		// Break the client's access link after the handshake; the first
+		// transmission is lost, a retransmission follows on a healed link.
+		f.client.Uplink().SetLossBoth(1.0)
 		c.Write([]byte("data lost once"))
 		f.sim.After(1500*time.Millisecond, func() {
-			f.client.Uplink().SetLoss(f.client, 0)
+			f.client.Uplink().SetLossBoth(0)
 		})
 		c.Close()
 	})

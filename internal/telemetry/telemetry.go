@@ -146,10 +146,6 @@ type metric struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	// fn, when non-nil, is a gauge whose value is computed at snapshot
-	// time (queue depth, uptime). It must be safe to call from any
-	// goroutine.
-	fn func() float64
 }
 
 // Registry holds a process subsystem's instruments. Registration is
@@ -220,13 +216,6 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return m.gauge
 }
 
-// GaugeFunc registers a gauge computed by fn at snapshot time. fn must
-// be safe to call from any goroutine. Re-registering the same (name,
-// labels) keeps the first function.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.register(name, help, KindGauge, labels, func(m *metric) { m.fn = fn })
-}
-
 // Histogram registers (or fetches) a histogram over the given bucket
 // upper bounds (sorted ascending; +Inf is implicit). Bounds are only
 // consulted for a new registration.
@@ -294,8 +283,6 @@ func (r *Registry) Snapshot() []Sample {
 			s.Value = float64(s.Uint)
 		case m.gauge != nil:
 			s.Value = m.gauge.Value()
-		case m.fn != nil:
-			s.Value = m.fn()
 		case m.hist != nil:
 			h := m.hist
 			s.Buckets = make([]Bucket, len(h.buckets))

@@ -177,7 +177,6 @@ func TestPrometheusExposition(t *testing.T) {
 	r.Counter("repro_jobs_total", "jobs", Label{Name: "state", Value: "done"}).Add(3)
 	r.Counter("repro_jobs_total", "jobs", Label{Name: "state", Value: `we"ird\n`}).Add(1)
 	r.Gauge("repro_depth", "depth").Set(2.5)
-	r.GaugeFunc("repro_uptime_seconds", "uptime", func() float64 { return 7 })
 	h := r.Histogram("repro_lat_seconds", "latency", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -193,7 +192,6 @@ func TestPrometheusExposition(t *testing.T) {
 		`repro_jobs_total{state="we\"ird\\n"} 1`,
 		"# TYPE repro_depth gauge",
 		"repro_depth 2.5",
-		"repro_uptime_seconds 7",
 		"# TYPE repro_lat_seconds histogram",
 		`repro_lat_seconds_bucket{le="0.1"} 1`,
 		`repro_lat_seconds_bucket{le="1"} 2`,

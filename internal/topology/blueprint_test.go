@@ -93,8 +93,11 @@ func TestBlueprintMatchesBuild(t *testing.T) {
 		t.Fatalf("zones: %d vs %d", len(zi), len(zd))
 	}
 	for i := range zd {
-		if zd[i] != zi[i] || direct.Directory.ZoneSize(zd[i]) != inst.Directory.ZoneSize(zi[i]) {
-			t.Fatalf("zone %q: size %d vs %d", zd[i], inst.Directory.ZoneSize(zi[i]), direct.Directory.ZoneSize(zd[i]))
+		if zd[i] != zi[i] {
+			t.Fatalf("zone %d: %q vs %q", i, zi[i], zd[i])
+		}
+		if a, b := zoneSize(inst.Directory, zi[i]), zoneSize(direct.Directory, zd[i]); a != b {
+			t.Fatalf("zone %q: size %d vs %d", zd[i], a, b)
 		}
 	}
 }

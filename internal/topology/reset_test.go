@@ -129,7 +129,7 @@ func TestResetMatchesInstantiate(t *testing.T) {
 									t.Error("the interrupted trace completed")
 								})
 								w.Sim.RunUntil(30 * time.Second)
-								if w.Sim.Pending() == 0 {
+								if !w.Sim.Step() {
 									t.Fatal("nothing in flight at the interruption")
 								}
 								// Whatever the trace had in flight at that instant, add

@@ -120,7 +120,7 @@ func TestObservationOutlivesReceiveBuffer(t *testing.T) {
 	if _, err := packet.DecrementWireTTL(probe); err != nil {
 		t.Fatal(err)
 	}
-	wire, err := packet.BuildICMP(f.routers[0].Addr(), f.client.Addr(), 64, 1, packet.NewTimeExceeded(probe))
+	wire, err := packet.AppendICMP(nil, f.routers[0].Addr(), f.client.Addr(), 64, 1, packet.NewTimeExceeded(probe))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +209,8 @@ func TestMuxResetRetiresSessions(t *testing.T) {
 	sent := f.client.Sent
 	mux.Run(f.server.Addr(), Config{}, keep(&got))
 	f.sim.Run()
-	if len(got.Hops()) != 4 {
-		t.Errorf("the trace after Reset saw %d hops, want 4", len(got.Hops()))
+	if len(condense(&got)) != 4 {
+		t.Errorf("the trace after Reset saw %d hops, want 4", len(condense(&got)))
 	}
 	// 4 responsive TTLs + 3 silent ones, 2 probes each, from the new session alone.
 	if probes := f.client.Sent - sent; probes != 14 {

@@ -115,32 +115,6 @@ type Result struct {
 	ReachedDest bool
 }
 
-// Hops condenses observations into one entry per TTL (first responding
-// probe wins), up to the last responsive hop — the per-path view drawn
-// in Figure 4. The returned slice is the caller's.
-func (r *Result) Hops() []Observation {
-	var maxTTL uint8
-	for i := range r.Observations {
-		if o := &r.Observations[i]; o.Responded && o.TTL > maxTTL {
-			maxTTL = o.TTL
-		}
-	}
-	hops := make([]Observation, maxTTL)
-	for i := range hops {
-		hops[i].TTL = uint8(i + 1) // silent hop ("*") until a response lands on it
-	}
-	for i := range r.Observations {
-		o := &r.Observations[i]
-		if !o.Responded || o.TTL == 0 {
-			continue
-		}
-		if h := &hops[o.TTL-1]; !h.Responded || o.Attempt < h.Attempt {
-			*h = *o
-		}
-	}
-	return hops
-}
-
 // Mux demultiplexes ICMP messages on a host to traceroute sessions keyed
 // by target (quoted destination) address. Install exactly one per host —
 // a topology vantage already carries its own (topology.Vantage.Mux).

@@ -20,6 +20,30 @@ type chainFixture struct {
 	routers []*netsim.Router
 }
 
+// condense folds a trace into one entry per TTL (first responding probe
+// wins), up to the last responsive hop; a silent TTL's entry holds only
+// its TTL.
+func condense(r *Result) []Observation {
+	var maxTTL uint8
+	for _, o := range r.Observations {
+		if o.Responded {
+			maxTTL = max(maxTTL, o.TTL)
+		}
+	}
+	out := make([]Observation, maxTTL)
+	for i := range out {
+		out[i].TTL = uint8(i + 1)
+	}
+	for _, o := range r.Observations {
+		if o.Responded && o.TTL > 0 {
+			if h := &out[o.TTL-1]; !h.Responded || o.Attempt < h.Attempt {
+				*h = o
+			}
+		}
+	}
+	return out
+}
+
 func newChain(t *testing.T, seed int64, nRouters int) *chainFixture {
 	t.Helper()
 	sim := netsim.NewSim(seed)
@@ -57,7 +81,7 @@ func TestCleanPathAllPreserved(t *testing.T) {
 	mux.Run(f.server.Addr(), Config{}, keep(&got))
 	f.sim.Run()
 
-	hops := got.Hops()
+	hops := condense(&got)
 	if len(hops) != 6 {
 		t.Fatalf("hops = %d, want 6", len(hops))
 	}
@@ -90,7 +114,7 @@ func TestBleacherVisibleFromItsHopOnward(t *testing.T) {
 	mux.Run(f.server.Addr(), Config{}, keep(&got))
 	f.sim.Run()
 
-	hops := got.Hops()
+	hops := condense(&got)
 	if len(hops) != 7 {
 		t.Fatalf("hops = %d", len(hops))
 	}
@@ -153,7 +177,7 @@ func TestTraceStopsAfterSilence(t *testing.T) {
 	mux.Run(f.server.Addr(), Config{StopAfterSilent: 2, Timeout: 100 * time.Millisecond}, keep(&got))
 	f.sim.Run()
 
-	hops := got.Hops()
+	hops := condense(&got)
 	// Hops 1 and 2 respond (TTL expires before/at the dropper's router —
 	// the dropper's own router sees TTL hit zero before policy? No:
 	// policies run on ingress, so hop 3's probes die at router 2's
@@ -221,7 +245,7 @@ func TestConcurrentSessions(t *testing.T) {
 	mux.Run(s2.Addr(), Config{}, keep(&r2))
 	sim.Run()
 
-	h1, h2 := r1.Hops(), r2.Hops()
+	h1, h2 := condense(&r1), condense(&r2)
 	if len(h1) != 2 || len(h2) != 2 {
 		t.Fatalf("hops = %d,%d want 2,2", len(h1), len(h2))
 	}
@@ -248,20 +272,5 @@ func TestDuplicateTargetRejected(t *testing.T) {
 	}
 	if !gotEmpty {
 		t.Error("duplicate session not rejected with empty result")
-	}
-}
-
-func TestHopsHandlesGaps(t *testing.T) {
-	r := Result{Observations: []Observation{
-		{TTL: 1, Responded: true, Hop: packet.AddrFrom4(1, 1, 1, 1)},
-		// TTL 2 silent
-		{TTL: 3, Responded: true, Hop: packet.AddrFrom4(3, 3, 3, 3)},
-	}}
-	hops := r.Hops()
-	if len(hops) != 3 {
-		t.Fatalf("hops = %d", len(hops))
-	}
-	if hops[1].Responded {
-		t.Error("gap hop should be silent")
 	}
 }

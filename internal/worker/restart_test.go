@@ -94,10 +94,7 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 
 	// The restarted process owns the recovery telemetry: the journal
 	// replay restored A's two accepted shards and resumed the job.
-	metrics, err := c2.MetricsText(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	metrics := metricsText(t, srv2)
 	if v := metricValue(t, metrics, `repro_recovery_jobs_total{outcome="resumed"}`); v != 1 {
 		t.Fatalf("resumed recoveries = %v, want 1", v)
 	}

@@ -124,10 +124,7 @@ func TestWedgedWorkerSpeculation(t *testing.T) {
 	}
 
 	// Both wedged shards were won by speculative twins.
-	text, err := client.MetricsText(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := metricsText(t, srv)
 	won := regexp.MustCompile(`(?m)^repro_speculation_total\{event="won"\} (\d+)$`).FindStringSubmatch(text)
 	if won == nil {
 		t.Fatal("/v1/metrics has no speculation won series")

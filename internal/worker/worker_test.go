@@ -8,6 +8,7 @@ package worker_test
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -103,10 +104,7 @@ func TestTwoWorkersWithMidRunCrash(t *testing.T) {
 
 	// Telemetry saw the crash: the orphaned leases expired and were
 	// re-issued, and both workers left shard-duration samples.
-	metrics, err := client.MetricsText(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	metrics := metricsText(t, srv)
 	if v := metricValue(t, metrics, `repro_lease_events_total{event="expire"}`); v < 2 {
 		t.Fatalf("lease expiries = %v, want >= 2", v)
 	}
@@ -143,6 +141,17 @@ func uploadThenVanish(t *testing.T, c *apiclient.Client, job, id string, n, k in
 		}
 	}
 	return len(acks)
+}
+
+// metricsText scrapes srv's /v1/metrics, the Prometheus text exposition.
+func metricsText(t *testing.T, srv http.Handler) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /v1/metrics: %d\n%s", rec.Code, rec.Body)
+	}
+	return rec.Body.String()
 }
 
 // metricValue extracts one sample value from Prometheus text
