@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race crash-stress fuzz-smoke bench bench-paper fmt vet lint determinism perf-gate serve check
+.PHONY: all build test race crash-stress fuzz-smoke bench bench-paper fmt vet lint perf-gate serve check
 
 all: check
 
@@ -16,7 +16,11 @@ build:
 # crash, chaos and drain rows — each filing the pinned dataset hash.
 # On its own: go test -run TestEndToEnd -v ./cmd/reprod. They also
 # re-execute ecnspider and ecnreport, the dataset-to-figures pipeline
-# (go test ./cmd/ecnspider ./cmd/ecnreport).
+# (go test ./cmd/ecnspider ./cmd/ecnreport), and run the determinism
+# grid — slices × workers × scheduler × cross-traffic, 108 campaigns
+# diffed against internal/campaign/testdata/determinism.golden (go test
+# -run TestDeterminismGrid ./internal/campaign; race runs its 12
+# slices=2 × workers=4 cells).
 test:
 	$(GO) test ./...
 
@@ -95,24 +99,6 @@ lint:
 		echo "lint: install it from https://golangci-lint.run/welcome/install/ for the full check"; \
 		$(GO) vet ./...; \
 	fi
-
-# determinism promotes the parallelism-invariance tests to a pipeline
-# check: for every scenario the merged dataset SHA-256 must be
-# identical across slices {1,2,8} × workers {1,4,13}, on both the
-# timing-wheel and heap schedulers, under both cross-traffic drives
-# (lazy catch-up replay and the event-per-boundary oracle). Every cell
-# runs the traceroute sweep too (stride 12) and prints the canonical
-# digest of its rows in a trailing rows= column, which must be equal
-# across slices × workers × scheduler. The whole output — 108 grid
-# lines and the OK line — must also equal cmd/determinism/golden.txt,
-# so "same bytes, same rows" holds against the last commit too, not only
-# within one run. A change meant to move a hash or a digest rewrites the
-# file (go run ./cmd/determinism > cmd/determinism/golden.txt) and says
-# why.
-determinism:
-	@out="$$($(GO) run ./cmd/determinism)"; status=$$?; echo "$$out"; \
-	[ $$status -eq 0 ] && echo "$$out" | diff -u cmd/determinism/golden.txt - && \
-	echo "determinism: output equals cmd/determinism/golden.txt"
 
 # serve runs the campaign-as-a-service control plane (cmd/reprod) in
 # the foreground on :8070 with ./reprod-data as the result store; see

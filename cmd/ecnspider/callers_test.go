@@ -3,13 +3,15 @@ package main
 // Every exported name the module's libraries declare against the code
 // that uses it: a name no program, library or the benchmark names is
 // surface a reader learns for nothing, so it fails here until it is
-// deleted or given a role below.
+// deleted or given a role below. And the reference implementations
+// against it: a name that selects one is for tests alone.
 
 import (
 	"fmt"
 	"go/ast"
 	"path"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -44,12 +46,32 @@ var uncalledRoles = map[string]string{
 	"core.ECNUsabilityResult.Rate": "extension experiment; its test is its gate",
 	"core.RunArrivalCensus":        "extension experiment; its test is its gate",
 	"core.RunECT1Sweep":            "extension experiment; its test is its gate",
+	"traceroute.HashRows":          "test oracle: the sweep-row digest TestDeterminismGrid and TestSweepRowHash pin",
+	"netsim.XTrafficLazy":          "reference-implementation selector; tests only",
+	"netsim.Sim.SetXTrafficMode":   "reference-implementation selector; tests only",
+	"topology.Blueprint.WithSims":  "reference-implementation selector; tests only",
+}
+
+// referenceOnly names the selectors of the reference implementations
+// production is tested against — the binary-heap scheduler, the
+// event-per-phantom-boundary cross-traffic drive, and a blueprint whose
+// worlds run on them. No non-test file outside the declaring package
+// may name one, so no production path — no Config field, signature,
+// flag or metric label — can choose a reference.
+var referenceOnly = []string{
+	"netsim.NewSimSched",
+	"netsim.SchedHeap",
+	"netsim.Sim.SetXTrafficMode",
+	"netsim.XTrafficEvents",
+	"topology.Blueprint.WithSims",
 }
 
 // TestExportedNamesHaveCallers: every exported top-level name or method
 // declared in a non-test file of a non-main package is named, by
 // identifier, somewhere in a non-test file other than at its own
-// declaration (cmd/ and bench/ count), or has a role in uncalledRoles.
+// declaration (cmd/ and bench/ count), or has a role in uncalledRoles —
+// and no referenceOnly name is named by a non-test file outside its own
+// package.
 func TestExportedNamesHaveCallers(t *testing.T) {
 	fset, files := parseModule(t, "../..")
 	type decl struct {
@@ -59,6 +81,11 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	}
 	var exported []decl
 	named := make(map[string]bool)
+	type user struct {
+		path  string
+		names map[string]bool
+	}
+	var users []user
 	for _, sf := range files {
 		if sf.test {
 			continue
@@ -93,20 +120,23 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 				}
 			}
 		}
+		names := make(map[string]bool)
 		ast.Inspect(sf.f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !declIDs[id] {
 				named[id.Name] = true
+				names[id.Name] = true
 			}
 			return true
 		})
+		users = append(users, user{sf.path, names})
 	}
 	if len(exported) < 100 {
 		t.Fatalf("the walk found %d exported names; it misses the module's packages", len(exported))
 	}
 	var dead []string
-	declared := make(map[string]bool)
+	declared := make(map[string]string) // key → declaring package directory
 	for _, d := range exported {
-		declared[d.key] = true
+		declared[d.key] = path.Dir(d.path)
 		if named[d.id.Name] {
 			if _, ok := uncalledRoles[d.key]; ok {
 				t.Errorf("%s is named by a non-test file; drop it from uncalledRoles", d.key)
@@ -122,8 +152,21 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 		t.Errorf("%s: no non-test file names it; delete it or give it a role in uncalledRoles", d)
 	}
 	for key := range uncalledRoles {
-		if !declared[key] {
+		if declared[key] == "" {
 			t.Errorf("uncalledRoles names %s, which no non-test file declares", key)
+		}
+	}
+	for _, key := range referenceOnly {
+		dir := declared[key]
+		if dir == "" {
+			t.Errorf("referenceOnly names %s, which no non-test file declares", key)
+			continue
+		}
+		name := key[strings.LastIndexByte(key, '.')+1:]
+		for _, u := range users {
+			if u.names[name] && path.Dir(u.path) != dir {
+				t.Errorf("%s names %s: a reference implementation's selector is for tests and its own package only", u.path, key)
+			}
 		}
 	}
 }

@@ -13,7 +13,7 @@
 //
 //	ecnspider [-seed N] [-scale paper|small] [-scenario name] [-traces N] [-workers N] [-slices N] [-discover] [-o dataset.jsonl]
 //
-// Campaign knobs come from the shared campaign flag surface
+// Campaign knobs come from the campaign flag surface
 // (campaign.BindSpecFlags): a flag the command line sets overrides the
 // tool defaults (small scale, 2 traces per vantage; -scale paper
 // without -traces runs the paper's 210-trace plan). -scenario selects
@@ -21,9 +21,7 @@
 // congested-transit) — congested runs append a CE-mark report to
 // stderr. -slices N lifts campaign parallelism past the 13 vantage
 // points (13×N shards). -cpuprofile/-memprofile write
-// pprof profiles of the campaign for hot-path work. The campaign always
-// runs on the production engine (timing wheel, lazy cross-traffic
-// replay); the differential oracles are swept by cmd/determinism.
+// pprof profiles of the campaign for hot-path work.
 package main
 
 import (
@@ -180,7 +178,7 @@ func bindSpec(fs *flag.FlagSet) *campaign.SpecFlags {
 	base.Scale = "small"
 	base.Traces = 2
 	base.Stride = 0
-	return campaign.BindSpecFlags(fs, campaign.FlagOptions{Base: base})
+	return campaign.BindSpecFlags(fs, base)
 }
 
 // resolveSpec resolves the parsed flags. The 2-traces default belongs

@@ -2,7 +2,7 @@ package main
 
 // End to end: this test binary re-executed as ecnspider (TestMain), run
 // the way README.md runs it. Each row's dataset must hash to
-// cmd/determinism's pinned value for its scenario, whatever the
+// TestDeterminismGrid's pinned value for its scenario, whatever the
 // execution shape.
 //
 //	go test -v ./cmd/ecnspider
@@ -33,7 +33,7 @@ func TestMain(m *testing.M) {
 }
 
 // The small, 2-trace, seed-2015 datasets: the first line of each
-// scenario in cmd/determinism/golden.txt.
+// scenario in internal/campaign/testdata/determinism.golden.
 const (
 	uncongestedSHA256   = "81e2952878d5e0990abb0094d3f50769437b0837021e33a770418fe8fdbe0fa8"
 	congestedEdgeSHA256 = "11a385cfcde28b15ad2f0e30a0f591f5ba7ac8be147fc6744c9c47a49bcc4fda"

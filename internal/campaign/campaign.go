@@ -33,7 +33,8 @@
 //
 // Together these make the merged dataset byte-identical for any worker
 // count, any GOMAXPROCS setting, and any SlicesPerVantage — the
-// invariant cmd/determinism verifies across the whole grid.
+// invariant TestDeterminismGrid verifies across the whole grid, against
+// its golden bytes (testdata/determinism.golden).
 package campaign
 
 import (
@@ -106,16 +107,6 @@ type Config struct {
 	// keeps a single shard per vantage. The merged result does not
 	// depend on the slice count.
 	SlicesPerVantage int
-	// Scheduler and XTraffic select the differential oracles: the
-	// binary-heap scheduler and the one-event-per-phantom-boundary
-	// cross-traffic drive. The zero values are the production timing
-	// wheel and lazy replay. They are Go-only — no spec field, flag or
-	// environment variable reaches them — because the merged result
-	// does not depend on either; only the differential tests and
-	// cmd/determinism set them, to prove exactly that.
-	Scheduler netsim.Scheduler
-	XTraffic  netsim.XTrafficMode
-
 	// ShardHook, when non-nil, runs in the worker goroutine after a
 	// shard's world is ready (instantiated or reset) and reseeded but
 	// before its campaign starts — e.g. to attach a packet capture tap,
@@ -437,21 +428,27 @@ func (cfg Config) Shards() []ShardInfo {
 
 // Run executes the sharded campaign and returns the merged result. The
 // merged output is byte-identical for any Workers value, GOMAXPROCS
-// setting, SlicesPerVantage count or Scheduler choice: shards share
-// only the frozen world blueprint, every measurement phase is
-// history-free, and the merge runs in canonical order.
+// setting or SlicesPerVantage count: shards share only the frozen world
+// blueprint, every measurement phase is history-free, and the merge
+// runs in canonical order.
 func Run(cfg Config) (*Result, error) {
-	shards := cfg.shardSpecs()
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("campaign: trace plan selects no vantages")
-	}
 	// Compile the world once; every shard instantiates the frozen
 	// blueprint instead of regenerating and re-routing its own copy.
 	bp, err := cfg.CompileBlueprint()
 	if err != nil {
 		return nil, err
 	}
+	return run(cfg, bp)
+}
 
+// run executes cfg's plan on bp's worlds — bp compiled from cfg, on
+// the production simulator or, in tests, a reference one
+// (topology.Blueprint.WithSims) — and merges the shards.
+func run(cfg Config, bp *topology.Blueprint) (*Result, error) {
+	shards := cfg.shardSpecs()
+	if len(shards) == 0 {
+		return nil, fmt.Errorf("campaign: trace plan selects no vantages")
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -563,16 +560,14 @@ func (e *Executor) Execute(shard, slice int) (*ShardResultWire, error) {
 // (repro_sim_worlds_total{op="reset"}): nothing was instantiated.
 func (e *Executor) acquire() (*topology.World, error) {
 	if e.world == nil {
-		e.world = e.bp.TakeSpare(e.cfg.Seed, e.cfg.Scheduler, e.cfg.XTraffic)
+		e.world = e.bp.TakeSpare(e.cfg.Seed)
 	}
 	if e.world != nil {
 		e.world.Reset()
 		e.cfg.Metrics.worldAcquired(true)
 		return e.world, nil
 	}
-	sim := netsim.NewSimSched(e.cfg.Seed, e.cfg.Scheduler)
-	sim.SetXTrafficMode(e.cfg.XTraffic)
-	w, err := e.bp.Instantiate(sim)
+	w, err := e.bp.Instantiate(e.bp.NewSim(e.cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -779,7 +774,7 @@ func (e *Executor) runShard(sh shardSpec, keepRows bool) (shardResult, error) {
 	}
 	// Flush here, before the executor's next shard resets the world:
 	// shardFinished reads its queue totals.
-	cfg.Metrics.shardFinished(stats, w, cfg.Scheduler.Name())
+	cfg.Metrics.shardFinished(stats, w)
 	return shardResult{
 		world:       w,
 		data:        d,

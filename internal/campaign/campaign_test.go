@@ -9,6 +9,7 @@ import (
 	"weak"
 
 	"repro/internal/dataset"
+	"repro/internal/netsim"
 	"repro/internal/topology"
 	"repro/internal/traceroute"
 )
@@ -24,6 +25,55 @@ func testConfig() Config {
 		Traceroute: traceroute.Config{ProbesPerHop: 1, StopAfterSilent: 2},
 		Seed:       2015,
 	}
+}
+
+// engine is the simulator a test's worlds run on: a scheduler and a
+// cross-traffic drive. The zero engine — timing wheel, lazy replay — is
+// the one netsim.NewSim makes and production runs; the binary heap and
+// the event-per-phantom-boundary drive are the references it is held
+// to.
+type engine struct {
+	sched netsim.Scheduler
+	xt    netsim.XTrafficMode
+}
+
+// engines is every engine in the determinism grid's order: per
+// cross-traffic drive, the wheel and then the heap.
+var engines = []engine{
+	{netsim.SchedWheel, netsim.XTrafficLazy},
+	{netsim.SchedHeap, netsim.XTrafficLazy},
+	{netsim.SchedWheel, netsim.XTrafficEvents},
+	{netsim.SchedHeap, netsim.XTrafficEvents},
+}
+
+func (e engine) String() string { return e.sched.Name() + "/" + e.xt.Name() }
+
+// compile compiles cfg's blueprint for worlds on e: production's own,
+// or a copy whose worlds — spare included — run on the reference.
+func (e engine) compile(t testing.TB, cfg Config) *topology.Blueprint {
+	t.Helper()
+	bp, err := cfg.CompileBlueprint()
+	if err == nil && e != (engine{}) {
+		bp, err = bp.WithSims(func(seed int64) *netsim.Sim {
+			sim := netsim.NewSimSched(seed, e.sched)
+			sim.SetXTrafficMode(e.xt)
+			return sim
+		})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bp
+}
+
+// run is Run on engine e.
+func (e engine) run(t testing.TB, cfg Config) *Result {
+	t.Helper()
+	res, err := run(cfg, e.compile(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func runOrFatal(t *testing.T, cfg Config) *Result {

@@ -2,110 +2,142 @@ package campaign
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
-	"repro/internal/analysis"
-	"repro/internal/netsim"
+	"repro/internal/dataset"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/traceroute"
 )
 
-// TestWorkerCountInvariance is the engine's headline guarantee: the same
-// campaign seed yields a byte-identical merged dataset — and identical
-// downstream analysis artefacts — whether the shards run sequentially on
-// one worker, on a small pool, or one goroutine per vantage.
-func TestWorkerCountInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run determinism test in -short mode")
+// TestDeterminismGrid is the engine's headline guarantee, and the
+// control plane's correctness contract: a spec yields one dataset
+// whatever runs it. For every scenario it runs the same small-scale
+// campaign across slices {1, 2, 8} × workers {1, 4, 13} — one shard per
+// vantage through more slices than traces, sequential through one
+// goroutine per vantage — and each of those on all four engines: the
+// production timing wheel and the reference heap, under the production
+// lazy cross-traffic replay and the reference event-per-boundary drive.
+// Every cell runs with a full telemetry set attached, so the grid is
+// also the out-of-band proof for the flight recorder.
+//
+// Each cell prints the SHA-256 of its merged dataset in canonical
+// JSON-lines form and a rows= column, the canonical digest of its
+// traceroute sweep rows (stride 12; traceroute.HashRows). Within a
+// scenario all 36 cells must agree on the dataset hash, the congestion
+// samples and the number of sweep rows, and on the row digest per
+// cross-traffic drive: on congested-transit the two drives agree on
+// every row but order two paths that complete in the same nanosecond
+// differently (rows are listed in completion order). The sweep runs in
+// its own epoch on its own PRNG stream, so it cannot move the dataset
+// hash.
+//
+// The 108 lines and the OK line must then equal
+// testdata/determinism.golden byte for byte, so a change that keeps
+// every cell equal to its neighbours but moves them all still fails. A
+// change meant to move a hash or a digest rewrites the file from the
+// output this test leaves behind on a mismatch, and says why. Every row
+// of cmd/reprod's TestEndToEnd holds a served dataset to the first
+// column's default-scenario hash.
+//
+// Under -race or -short only the slices=2 × workers=4 cells run, each
+// line checked against its golden line.
+func TestDeterminismGrid(t *testing.T) {
+	goldenBytes, err := os.ReadFile("testdata/determinism.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
+	golden := strings.SplitAfter(string(goldenBytes), "\n")
+	subset := raceEnabled || testing.Short()
 
-	type artefacts struct {
-		data    []byte
-		pathObs int
-		figure4 string
-		figure5 string
-		figure6 string
-	}
-	run := func(workers int) artefacts {
-		cfg := testConfig()
-		cfg.Workers = workers
-		res := runOrFatal(t, cfg)
-		f5 := analysis.ComputeFigure5(res.Dataset)
-		return artefacts{
-			data:    encode(t, res.Dataset),
-			pathObs: rowCount(res.PathObs),
-			figure4: analysis.RenderFigure4(analysis.ComputeFigure4(res.PathObs, res.World.ASN)),
-			figure5: analysis.RenderFigure5(f5),
-			figure6: analysis.RenderFigure6(analysis.ComputeFigure6(f5)),
-		}
-	}
-
-	ref := run(1)
-	if len(ref.data) == 0 || ref.pathObs == 0 {
-		t.Fatal("reference run is empty")
-	}
-	for _, workers := range []int{4, 13} {
-		got := run(workers)
-		if !bytes.Equal(got.data, ref.data) {
-			t.Errorf("workers=%d: merged dataset differs from workers=1 (%d vs %d bytes)",
-				workers, len(got.data), len(ref.data))
-		}
-		if got.pathObs != ref.pathObs {
-			t.Errorf("workers=%d: %d path observations, want %d", workers, got.pathObs, ref.pathObs)
-		}
-		if got.figure4 != ref.figure4 {
-			t.Errorf("workers=%d: Figure 4 differs:\n%s\nvs\n%s", workers, got.figure4, ref.figure4)
-		}
-		if got.figure5 != ref.figure5 {
-			t.Errorf("workers=%d: Figure 5 differs:\n%s\nvs\n%s", workers, got.figure5, ref.figure5)
-		}
-		if got.figure6 != ref.figure6 {
-			t.Errorf("workers=%d: Figure 6 differs:\n%s\nvs\n%s", workers, got.figure6, ref.figure6)
-		}
-	}
-}
-
-// TestSliceCountInvariance is the sub-vantage sharding guarantee: the
-// merged dataset, traceroute observations and congestion report are
-// byte-identical whether each vantage runs as one shard or split into
-// contiguous trace slices — including more slices than traces. With
-// per-trace seeds, epoch-pinned starts and transient resets, a trace
-// cannot tell which simulator it shared.
-func TestSliceCountInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run determinism test in -short mode")
-	}
-	for _, scenario := range []string{ScenarioUncongested, ScenarioCongestedEdge} {
-		var refData []byte
-		var refObs int
-		var refCong []analysis.CEMarkSample
+	var out strings.Builder
+	line, runs, failed := 0, 0, false
+	for _, scenario := range Scenarios() {
+		var ref *Result
+		var refHash string
+		refRows := map[string]string{}
 		for _, slices := range []int{1, 2, 8} {
-			cfg := testConfig()
-			cfg.Scenario = scenario
-			cfg.SlicesPerVantage = slices
-			res := runOrFatal(t, cfg)
-			data := encode(t, res.Dataset)
-			if refData == nil {
-				refData, refObs, refCong = data, rowCount(res.PathObs), res.Congestion
-				continue
-			}
-			if !bytes.Equal(refData, data) {
-				t.Errorf("%s: dataset differs between slices=1 and slices=%d", scenario, slices)
-			}
-			if got := rowCount(res.PathObs); got != refObs {
-				t.Errorf("%s: slices=%d: %d path observations, want %d", scenario, slices, got, refObs)
-			}
-			if len(res.Congestion) != len(refCong) {
-				t.Fatalf("%s: slices=%d: %d congestion samples, want %d", scenario, slices, len(res.Congestion), len(refCong))
-			}
-			for i := range refCong {
-				if refCong[i] != res.Congestion[i] {
-					t.Errorf("%s: slices=%d: congestion sample %d differs:\n%+v\n%+v",
-						scenario, slices, i, refCong[i], res.Congestion[i])
+			for _, workers := range []int{1, 4, 13} {
+				spec := DefaultSpec()
+				spec.Scale = "small"
+				spec.Traces = 2
+				spec.Stride = 12
+				spec.Scenario = scenario
+				spec.SlicesPerVantage = slices
+				spec.Workers = workers
+				cfg, err := spec.Config()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range engines {
+					line++
+					if subset && (slices != 2 || workers != 4) {
+						continue
+					}
+					label := fmt.Sprintf("scenario=%s sched=%s xtraffic=%s slices=%d workers=%d",
+						scenario, e.sched.Name(), e.xt.Name(), slices, workers)
+					cfg.Metrics = NewMetrics(telemetry.NewRegistry())
+					res := e.run(t, cfg)
+					h := sha256.New()
+					if err := dataset.Write(h, res.Dataset); err != nil {
+						t.Fatal(err)
+					}
+					sum, rows := fmt.Sprintf("%x", h.Sum(nil)), traceroute.HashRows(res.PathObs...)
+					got := fmt.Sprintf("%s  %s rows=%s\n", sum, label, rows)
+					out.WriteString(got)
+					runs++
+					if subset && got != golden[line-1] {
+						t.Errorf("%s: got\n%swant\n%s", label, got, golden[line-1])
+					}
+
+					if ref == nil {
+						ref, refHash = res, sum
+					}
+					if refRows[e.xt.Name()] == "" {
+						refRows[e.xt.Name()] = rows
+					}
+					if sum != refHash || rows != refRows[e.xt.Name()] ||
+						rowCount(res.PathObs) != rowCount(ref.PathObs) ||
+						!reflect.DeepEqual(res.Congestion, ref.Congestion) {
+						t.Errorf("diverges at %s: dataset equal: %v, sweep rows equal: %v, row count %d vs %d, congestion samples equal: %v",
+							label, sum == refHash, rows == refRows[e.xt.Name()],
+							rowCount(res.PathObs), rowCount(ref.PathObs), reflect.DeepEqual(res.Congestion, ref.Congestion))
+						failed = true
+					}
 				}
 			}
 		}
+	}
+	if subset {
+		t.Logf("%d of the grid's %d cells equal their golden lines", runs, line)
+		return
+	}
+	if !failed {
+		fmt.Fprintf(&out, "determinism: OK — %d merged datasets identical across the slices × workers × scheduler × cross-traffic grid, their traceroute sweep rows across slices × workers × scheduler\n", runs)
+	}
+	if got := out.String(); got != string(goldenBytes) {
+		gotLines := strings.SplitAfter(got, "\n")
+		for i := range min(len(gotLines), len(golden)) {
+			if gotLines[i] != golden[i] {
+				t.Errorf("line %d differs from testdata/determinism.golden:\n got: %s want: %s", i+1, gotLines[i], golden[i])
+				break
+			}
+		}
+		f, err := os.CreateTemp("", "determinism-*.golden")
+		if err == nil {
+			_, err = f.WriteString(got)
+			f.Close()
+		}
+		if err != nil {
+			t.Fatalf("output differs from testdata/determinism.golden (and could not be saved: %v):\n%s", err, got)
+		}
+		t.Fatalf("output differs from testdata/determinism.golden; this run's output is %s", f.Name())
 	}
 }
 
@@ -187,39 +219,6 @@ func TestSliceShardShape(t *testing.T) {
 	}
 	if !bytes.Equal(encode(t, res.Dataset), encode(t, res8.Dataset)) {
 		t.Error("slices=8 dataset differs from slices=2")
-	}
-}
-
-// TestSchedulerDifferential is the timing wheel's end-to-end gate: a
-// full small campaign (all scenarios, with traceroutes) run on the heap
-// fallback must produce the byte-identical merged dataset the wheel
-// produces, so the fallback cannot rot and the wheel cannot drift.
-func TestSchedulerDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run differential test in -short mode")
-	}
-	for _, scenario := range Scenarios() {
-		var ref []byte
-		var refObs int
-		for _, sched := range []netsim.Scheduler{netsim.SchedWheel, netsim.SchedHeap} {
-			cfg := testConfig()
-			cfg.Scenario = scenario
-			cfg.Scheduler = sched
-			cfg.SlicesPerVantage = 2
-			res := runOrFatal(t, cfg)
-			data := encode(t, res.Dataset)
-			if ref == nil {
-				ref, refObs = data, rowCount(res.PathObs)
-				continue
-			}
-			if !bytes.Equal(ref, data) {
-				t.Errorf("%s: merged dataset differs between wheel and heap", scenario)
-			}
-			if got := rowCount(res.PathObs); got != refObs {
-				t.Errorf("%s: path observations differ between wheel and heap: %d vs %d",
-					scenario, got, refObs)
-			}
-		}
 	}
 }
 

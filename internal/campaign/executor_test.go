@@ -77,26 +77,19 @@ type freshOracle struct {
 	want   map[int]shardOutput
 }
 
-func newFreshOracle(t testing.TB, cfg Config) *freshOracle {
+func newFreshOracle(t testing.TB, cfg Config, e engine) *freshOracle {
 	t.Helper()
-	var bps [2]*topology.Blueprint
-	for i := range bps {
-		bp, err := cfg.CompileBlueprint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		bps[i] = bp
-	}
-	if bps[1].TakeSpare(cfg.Seed, cfg.Scheduler, cfg.XTraffic) == nil {
+	own := e.compile(t, cfg)
+	if own.TakeSpare(cfg.Seed) == nil {
 		t.Fatal("the oracle's blueprint kept no spare")
 	}
-	return &freshOracle{t: t, cfg: cfg, bp: bps[0], own: bps[1], shards: cfg.Shards(), want: make(map[int]shardOutput)}
+	return &freshOracle{t: t, cfg: cfg, bp: e.compile(t, cfg), own: own, shards: cfg.Shards(), want: make(map[int]shardOutput)}
 }
 
 // spareTaken reports whether an executor has adopted bp's spare — and
 // takes it if none has.
 func (o *freshOracle) spareTaken() bool {
-	return o.bp.TakeSpare(o.cfg.Seed, o.cfg.Scheduler, o.cfg.XTraffic) == nil
+	return o.bp.TakeSpare(o.cfg.Seed) == nil
 }
 
 func (o *freshOracle) output(i int) shardOutput {
@@ -130,67 +123,63 @@ func (o *freshOracle) output(i int) shardOutput {
 // careless Reset would leak.
 func TestExecutorOrderInvariance(t *testing.T) {
 	for _, scenario := range Scenarios() {
-		for _, sched := range []netsim.Scheduler{netsim.SchedWheel, netsim.SchedHeap} {
-			for _, xt := range []netsim.XTrafficMode{netsim.XTrafficLazy, netsim.XTrafficEvents} {
-				if testing.Short() && (sched != netsim.SchedWheel || xt != netsim.XTrafficLazy) {
-					continue
-				}
-				t.Run(fmt.Sprintf("%s/%s/%s", scenario, sched.Name(), xt.Name()), func(t *testing.T) {
-					cfg := testConfig()
-					cfg.Scenario = scenario
-					cfg.Scheduler = sched
-					cfg.XTraffic = xt
-					cfg.SlicesPerVantage = 2
-					cfg.Discover = true
-					cfg.DiscoveryRounds = 4
-					oracle := newFreshOracle(t, cfg)
-
-					runSequence := func(picks []int) bool {
-						ex := NewExecutor(cfg, oracle.bp)
-						for step, i := range picks {
-							sh := oracle.shards[i]
-							got, err := runOn(ex, i)
-							if err != nil {
-								t.Errorf("step %d, shard (%d,%d): %v", step, sh.Shard, sh.Slice, err)
-								return false
-							}
-							if want := oracle.output(i); !got.equal(want) {
-								t.Errorf("sequence %v: step %d, shard (%d,%d) on a reused world differs from a fresh one (wire equal: %v; %d rows %.12s vs %d rows %.12s)",
-									picks, step, sh.Shard, sh.Slice, bytes.Equal(got.wire, want.wire),
-									got.rows, got.rowHash, want.rows, want.rowHash)
-								return false
-							}
-						}
-						return true
-					}
-
-					// Even plan indices are slice 0 of a vantage: the slice
-					// that owns the sweep.
-					if !oracle.shards[0].Sweep || !oracle.shards[6].Sweep || oracle.shards[1].Sweep {
-						t.Fatal("plan layout changed: expected even indices to own the sweep")
-					}
-					if !runSequence([]int{0, 6, 2, 1, 6, 6, 0}) {
-						return
-					}
-					if !oracle.spareTaken() {
-						t.Fatal("the first executor did not adopt the blueprint's spare")
-					}
-
-					// quick supplies the seed; the sequence — two to five
-					// shards, repeats allowed — is drawn from it.
-					sequence := func(seed int64) bool {
-						rng := rand.New(rand.NewSource(seed))
-						picks := make([]int, 2+rng.Intn(4))
-						for i := range picks {
-							picks[i] = rng.Intn(len(oracle.shards))
-						}
-						return runSequence(picks)
-					}
-					if err := quick.Check(sequence, &quick.Config{MaxCount: 3, Rand: rand.New(rand.NewSource(21))}); err != nil {
-						t.Fatal(err)
-					}
-				})
+		for _, e := range engines {
+			if testing.Short() && e != (engine{}) {
+				continue
 			}
+			t.Run(fmt.Sprintf("%s/%s", scenario, e), func(t *testing.T) {
+				cfg := testConfig()
+				cfg.Scenario = scenario
+				cfg.SlicesPerVantage = 2
+				cfg.Discover = true
+				cfg.DiscoveryRounds = 4
+				oracle := newFreshOracle(t, cfg, e)
+
+				runSequence := func(picks []int) bool {
+					ex := NewExecutor(cfg, oracle.bp)
+					for step, i := range picks {
+						sh := oracle.shards[i]
+						got, err := runOn(ex, i)
+						if err != nil {
+							t.Errorf("step %d, shard (%d,%d): %v", step, sh.Shard, sh.Slice, err)
+							return false
+						}
+						if want := oracle.output(i); !got.equal(want) {
+							t.Errorf("sequence %v: step %d, shard (%d,%d) on a reused world differs from a fresh one (wire equal: %v; %d rows %.12s vs %d rows %.12s)",
+								picks, step, sh.Shard, sh.Slice, bytes.Equal(got.wire, want.wire),
+								got.rows, got.rowHash, want.rows, want.rowHash)
+							return false
+						}
+					}
+					return true
+				}
+
+				// Even plan indices are slice 0 of a vantage: the slice
+				// that owns the sweep.
+				if !oracle.shards[0].Sweep || !oracle.shards[6].Sweep || oracle.shards[1].Sweep {
+					t.Fatal("plan layout changed: expected even indices to own the sweep")
+				}
+				if !runSequence([]int{0, 6, 2, 1, 6, 6, 0}) {
+					return
+				}
+				if !oracle.spareTaken() {
+					t.Fatal("the first executor did not adopt the blueprint's spare")
+				}
+
+				// quick supplies the seed; the sequence — two to five
+				// shards, repeats allowed — is drawn from it.
+				sequence := func(seed int64) bool {
+					rng := rand.New(rand.NewSource(seed))
+					picks := make([]int, 2+rng.Intn(4))
+					for i := range picks {
+						picks[i] = rng.Intn(len(oracle.shards))
+					}
+					return runSequence(picks)
+				}
+				if err := quick.Check(sequence, &quick.Config{MaxCount: 3, Rand: rand.New(rand.NewSource(21))}); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 	}
 }
@@ -208,7 +197,7 @@ func TestExecutorDropsFailedWorld(t *testing.T) {
 	cfg := testConfig()
 	cfg.Scenario = ScenarioCongestedEdge
 	cfg.SlicesPerVantage = 2
-	oracle := newFreshOracle(t, cfg)
+	oracle := newFreshOracle(t, cfg, engine{})
 
 	var worlds []*topology.World
 	sabotage := ""
@@ -349,7 +338,7 @@ func TestExecutorsConcurrent(t *testing.T) {
 	cfg.Traces = 1
 	cfg.Discover = true
 	cfg.DiscoveryRounds = 2
-	oracle := newFreshOracle(t, cfg)
+	oracle := newFreshOracle(t, cfg, engine{})
 	const executors, perExecutor = 5, 3
 	for i := 0; i < executors; i++ {
 		oracle.output(i) // fill the cache before the goroutines read it
@@ -388,7 +377,7 @@ func TestSpareAdoptedOnce(t *testing.T) {
 	cfg.Traces = 1
 	cfg.Discover = true
 	cfg.DiscoveryRounds = 2
-	oracle := newFreshOracle(t, cfg)
+	oracle := newFreshOracle(t, cfg, engine{})
 	const executors = 4
 	for i := 0; i < executors; i++ {
 		oracle.output(i)

@@ -2,10 +2,9 @@ package campaign
 
 import (
 	"flag"
+	"io"
 	"strings"
 	"testing"
-
-	"repro/internal/netsim"
 )
 
 // TestSpecFlagsPrecedence is table-driven over the shared flag surface:
@@ -61,7 +60,7 @@ func TestSpecFlagsPrecedence(t *testing.T) {
 		{
 			name:    "list value rejected by single-valued tool",
 			args:    []string{"-workers", "1,4,13"},
-			wantErr: "single value",
+			wantErr: "invalid value",
 		},
 		{
 			name:    "bad flag scenario caught by validation",
@@ -108,11 +107,12 @@ func TestSpecFlagsPrecedence(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)
-			f := BindSpecFlags(fs, FlagOptions{Base: base})
-			if err := fs.Parse(tc.args); err != nil {
-				t.Fatal(err)
+			fs.SetOutput(io.Discard)
+			f := BindSpecFlags(fs, base)
+			s, err := Spec{}, fs.Parse(tc.args)
+			if err == nil {
+				s, err = f.Resolve()
 			}
-			s, err := f.Resolve()
 			if tc.wantErr != "" {
 				if err == nil {
 					t.Fatalf("want error mentioning %q, got spec %+v", tc.wantErr, s)
@@ -155,7 +155,7 @@ func TestFromEnv(t *testing.T) {
 				t.Setenv(k, v)
 			}
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)
-			f := BindSpecFlags(fs, FlagOptions{Base: DefaultSpec()})
+			f := BindSpecFlags(fs, DefaultSpec())
 			if err := fs.Parse(tc.args); err != nil {
 				t.Fatal(err)
 			}
@@ -180,83 +180,9 @@ func TestFromEnv(t *testing.T) {
 			// explicit rather than as zero values.
 			if cfg.Scale != "paper" || cfg.Scenario != ScenarioUncongested ||
 				cfg.Traces != 6 || cfg.Stride != 3 || cfg.Seed != 2015 ||
-				cfg.Workers != 0 || cfg.SlicesPerVantage != 1 ||
-				cfg.Scheduler != netsim.SchedWheel || cfg.XTraffic != netsim.XTrafficLazy {
+				cfg.Workers != 0 || cfg.SlicesPerVantage != 1 {
 				t.Fatalf("defaults = %+v", cfg)
 			}
 		})
 	}
-}
-
-// TestSpecFlagsGrid covers cmd/determinism's list-valued mode: default
-// axes sweep the GridDefaults, flags narrow or widen an axis, and a
-// malformed or empty axis list is an error.
-func TestSpecFlagsGrid(t *testing.T) {
-	grid := &GridDefaults{
-		Scenarios: Scenarios(),
-		Workers:   []int{1, 4, 13},
-		Slices:    []int{1, 2, 8},
-	}
-	base := DefaultSpec()
-	base.Scale = "small"
-	base.Traces = 2
-	base.Stride = 0
-
-	bind := func(t *testing.T, args []string) *SpecFlags {
-		t.Helper()
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		f := BindSpecFlags(fs, FlagOptions{Base: base, Grid: grid})
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-
-	t.Run("default grid is the full cross product", func(t *testing.T) {
-		cells, err := bind(t, nil).ResolveGrid()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 3 * 3 * 3
-		if len(cells) != want {
-			t.Fatalf("grid = %d cells, want %d", len(cells), want)
-		}
-		// Canonical nesting: scenario outermost, workers innermost.
-		if cells[0].Workers != 1 || cells[1].Workers != 4 || cells[2].Workers != 13 {
-			t.Fatalf("workers not innermost: %d,%d,%d",
-				cells[0].Workers, cells[1].Workers, cells[2].Workers)
-		}
-		if cells[0].Scenario != cells[len(cells)/3-1].Scenario {
-			t.Fatal("scenario not outermost")
-		}
-	})
-
-	t.Run("flag narrows an axis", func(t *testing.T) {
-		cells, err := bind(t, []string{"-scenario", "uncongested", "-workers", "1,2"}).ResolveGrid()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := 1 * 3 * 2; len(cells) != want {
-			t.Fatalf("grid = %d cells, want %d", len(cells), want)
-		}
-		for _, c := range cells {
-			if c.Scenario != ScenarioUncongested {
-				t.Fatalf("cell scenario = %q", c.Scenario)
-			}
-		}
-	})
-
-	t.Run("invalid axis value rejected", func(t *testing.T) {
-		if _, err := bind(t, []string{"-scenario", "uncongested,congested"}).ResolveGrid(); err == nil {
-			t.Fatal("want error for unknown scenario in the grid")
-		}
-		if _, err := bind(t, []string{"-workers", "1,zero"}).ResolveGrid(); err == nil {
-			t.Fatal("want error for malformed worker count")
-		}
-		for _, axis := range []string{"-scenario", "-workers", "-slices"} {
-			if _, err := bind(t, []string{axis, ","}).ResolveGrid(); err == nil || !strings.Contains(err.Error(), "need at least one") {
-				t.Fatalf("%s ,: err = %v, want an empty axis refused", axis, err)
-			}
-		}
-	})
 }

@@ -21,7 +21,7 @@ import (
 //	repro_campaign_shards_completed_total    counter  shards finished, by result
 //	repro_campaign_traces_completed_total    counter  traces merged into datasets
 //	repro_campaign_shard_duration_seconds    histogram per-shard wall clock
-//	repro_sim_events_total{sched}            counter  events executed, per scheduler
+//	repro_sim_events_total                   counter  events executed
 //	repro_sim_phantom_events_total           counter  phantom boundaries run as events
 //	repro_sim_replayed_boundaries_total      counter  boundaries replayed lazily
 //	repro_sim_wheel_cascades_total           counter  timing-wheel slot cascades
@@ -47,6 +47,7 @@ type Metrics struct {
 	tracesDone    *telemetry.Counter
 	shardSeconds  *telemetry.Histogram
 
+	events        *telemetry.Counter
 	phantomEvents *telemetry.Counter
 	replayed      *telemetry.Counter
 	cascades      *telemetry.Counter
@@ -72,6 +73,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Traces completed and merged into datasets."),
 		shardSeconds: reg.Histogram("repro_campaign_shard_duration_seconds",
 			"Per-shard wall-clock execution time.", telemetry.DurationBuckets()),
+		events: reg.Counter("repro_sim_events_total",
+			"Simulator events executed."),
 		phantomEvents: reg.Counter("repro_sim_phantom_events_total",
 			"Phantom cross-traffic boundaries dispatched as scheduler events."),
 		replayed: reg.Counter("repro_sim_replayed_boundaries_total",
@@ -87,20 +90,10 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	}
 	// Pre-register the known vocabularies so a scrape shows the full
 	// surface (as zeros) before the first congested shard completes.
-	for _, sched := range []string{"wheel", "heap"} {
-		m.eventsCounter(sched)
-	}
 	for _, d := range []string{"droptail", "red", "codel"} {
 		m.aqmCounters(d)
 	}
 	return m
-}
-
-// eventsCounter returns the executed-events counter for a scheduler.
-func (m *Metrics) eventsCounter(sched string) *telemetry.Counter {
-	return m.reg.Counter("repro_sim_events_total",
-		"Simulator events executed, by scheduler.",
-		telemetry.Label{Name: "sched", Value: sched})
 }
 
 // aqmCounters returns one discipline's instrument tuple, registering
@@ -161,7 +154,7 @@ func (m *Metrics) shardFailed() {
 // shardFinished flushes one completed shard: its execution stats and
 // its world's AQM queue ground truth. The shard's simulator has
 // stopped, so every read here is of quiescent state.
-func (m *Metrics) shardFinished(st ShardStats, w *topology.World, sched string) {
+func (m *Metrics) shardFinished(st ShardStats, w *topology.World) {
 	if m == nil {
 		return
 	}
@@ -169,7 +162,7 @@ func (m *Metrics) shardFinished(st ShardStats, w *topology.World, sched string) 
 	m.shardsDone.Inc()
 	m.tracesDone.Add(uint64(st.Traces))
 	m.shardSeconds.Observe(st.Elapsed.Seconds())
-	m.eventsCounter(sched).Add(st.Events)
+	m.events.Add(st.Events)
 	m.phantomEvents.Add(st.PhantomEvents)
 	m.replayed.Add(st.ReplayedBoundaries)
 	m.cascades.Add(st.WheelCascades)

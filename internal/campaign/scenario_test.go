@@ -80,41 +80,6 @@ func TestCongestedEdgeMarksAndReports(t *testing.T) {
 	}
 }
 
-// TestCongestedScenarioWorkerDeterminism: the acceptance gate — merged
-// datasets and congestion samples are byte-identical for workers 1, 4
-// and 13 under a congested scenario too.
-func TestCongestedScenarioWorkerDeterminism(t *testing.T) {
-	for _, scenario := range []string{ScenarioCongestedEdge, ScenarioCongestedTransit} {
-		cfg := testConfig()
-		cfg.Scenario = scenario
-		cfg.Stride = 12
-		var refData []byte
-		var refCong []analysis.CEMarkSample
-		for _, workers := range []int{1, 4, 13} {
-			cfg.Workers = workers
-			res := runOrFatal(t, cfg)
-			data := encode(t, res.Dataset)
-			if refData == nil {
-				refData = data
-				refCong = res.Congestion
-				continue
-			}
-			if !bytes.Equal(refData, data) {
-				t.Fatalf("%s: dataset differs between workers=1 and workers=%d", scenario, workers)
-			}
-			if len(refCong) != len(res.Congestion) {
-				t.Fatalf("%s: congestion sample count differs at workers=%d", scenario, workers)
-			}
-			for i := range refCong {
-				if refCong[i] != res.Congestion[i] {
-					t.Fatalf("%s: congestion sample %d differs at workers=%d:\n%+v\n%+v",
-						scenario, i, workers, refCong[i], res.Congestion[i])
-				}
-			}
-		}
-	}
-}
-
 // TestCEReportMonotoneInUtilization: holding everything else fixed and
 // raising the configured bottleneck utilization must never lower the
 // aggregate CE ratios — the property that makes the verbose-mode

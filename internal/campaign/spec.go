@@ -270,9 +270,9 @@ func (s Spec) Canonical() ([]byte, error) {
 // SHA-256 of the canonical bytes with the execution-shape knobs
 // (execution strategy, workers, slices) reset to their defaults. Those
 // knobs are excluded because the merged dataset is proven byte-identical
-// across all of them — the determinism grid that cmd/determinism checks
-// in CI — so a campaign re-submitted with a different worker count must
-// hit the cache, not re-simulate.
+// across all of them — the determinism grid TestDeterminismGrid checks
+// in every go test run — so a campaign re-submitted with a different
+// worker count must hit the cache, not re-simulate.
 func (s Spec) CacheKey() (string, error) {
 	s = s.Normalized()
 	s.Execution = ExecutionLocal

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/topology"
 )
 
@@ -204,8 +203,7 @@ func TestSpecConfigDerivation(t *testing.T) {
 	}
 	if cfg.Scale != "small" || cfg.Scenario != ScenarioCongestedTransit ||
 		cfg.Traces != 4 || cfg.Seed != -99 || cfg.Workers != 3 ||
-		cfg.SlicesPerVantage != 2 || cfg.Stride != 5 || !cfg.Discover ||
-		cfg.Scheduler != netsim.SchedWheel || cfg.XTraffic != netsim.XTrafficLazy {
+		cfg.SlicesPerVantage != 2 || cfg.Stride != 5 || !cfg.Discover {
 		t.Fatalf("Config = %+v", cfg)
 	}
 	if cfg.Traceroute.ProbesPerHop != 1 || cfg.Traceroute.StopAfterSilent != 2 {
@@ -264,8 +262,8 @@ func TestConfigShards(t *testing.T) {
 // TestSpecSurfaceIsTheExperiment pins the public spec surface: the
 // canonical default spec is exactly README's, and the differential
 // oracles (heap scheduler, event-per-boundary cross-traffic) are not
-// among them — not as JSON fields, not as flags. They are reachable
-// only through Config's typed fields.
+// among them — not as JSON fields, not as flags. Only tests reach
+// them, through topology.Blueprint.WithSims.
 func TestSpecSurfaceIsTheExperiment(t *testing.T) {
 	b, err := DefaultSpec().Canonical()
 	if err != nil {
@@ -286,13 +284,11 @@ func TestSpecSurfaceIsTheExperiment(t *testing.T) {
 		}
 	}
 
-	for _, grid := range []*GridDefaults{nil, {Scenarios: Scenarios(), Workers: []int{1}, Slices: []int{1}}} {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		BindSpecFlags(fs, FlagOptions{Base: DefaultSpec(), Grid: grid})
-		for _, name := range []string{"sched", "xtraffic"} {
-			if fs.Lookup(name) != nil {
-				t.Errorf("flag -%s is registered (grid=%v)", name, grid != nil)
-			}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	BindSpecFlags(fs, DefaultSpec())
+	for _, name := range []string{"sched", "xtraffic"} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("flag -%s is registered", name)
 		}
 	}
 }

@@ -23,8 +23,8 @@ import (
 // and MergeWire reassembles results in canonical (vantage, slice)
 // order through the same merge the in-process path uses — so the
 // merged dataset is byte-identical to campaign.Run whatever machine
-// ran which shard. cmd/determinism's pinned hash is the cross-machine
-// acceptance check.
+// ran which shard. The dataset hashes TestDeterminismGrid pins are the
+// cross-machine acceptance check.
 
 // ShardWireVersion is the current shard-result wire schema. A worker
 // built against a different schema is rejected at upload rather than
@@ -154,15 +154,14 @@ func (w *ShardResultWire) Header() ShardHeader {
 
 // CompileBlueprint compiles the campaign's frozen world blueprint —
 // the same compile-once artifact Run shares across its shard pool. A
-// worker compiles it once per job. The world compiling builds is made
-// on the campaign's scheduler and cross-traffic drive, so the first
-// executor adopts it (Executor.acquire) and only later ones instantiate.
+// worker compiles it once per job. The first executor adopts the world
+// compiling built (Executor.acquire) and only later ones instantiate.
 func (cfg Config) CompileBlueprint() (*topology.Blueprint, error) {
 	topo, err := cfg.topologyConfig()
 	if err != nil {
 		return nil, err
 	}
-	return topology.CompileFor(topo, cfg.Seed, cfg.Scheduler, cfg.XTraffic)
+	return topology.Compile(topo, cfg.Seed)
 }
 
 // ExecuteShard executes exactly one (vantage-index, slice) shard of

@@ -229,7 +229,7 @@ func txDuration(size int, rate float64) time.Duration {
 //
 //   - events (Sim.SetXTrafficMode(XTrafficEvents)): every serialization
 //     boundary — phantom or foreground — is a scheduler event, the
-//     legacy path kept as a differential oracle;
+//     reference implementation the lazy drives are tested against;
 //   - lazy precise (the default, disciplines without dequeue drops):
 //     phantom boundaries are never events. They replay in an arithmetic
 //     catch-up loop (Sim.advanceLazy) ordered against real events by

@@ -24,10 +24,17 @@
 //   - O(1) scheduling. The default scheduler is a hierarchical timing
 //     wheel (wheel.go) over the event slab: insert and fire are O(1)
 //     amortized, against the O(log n) per event a binary heap pays on
-//     multi-million-event congested runs. The heap remains available as
-//     SchedHeap for differential testing; both pop in exactly the same
+//     multi-million-event congested runs. Both pop in exactly the same
 //     (time, seq) order, so a campaign's traces are bit-identical under
 //     either scheduler.
+//   - Reference implementations. The binary-heap scheduler
+//     (NewSimSched with SchedHeap) and the one-event-per-phantom-boundary
+//     cross-traffic drive (SetXTrafficMode with XTrafficEvents) are what
+//     the production wheel and lazy replay are tested against. Only tests
+//     reach them: NewSim makes the production simulator, every world a
+//     campaign runs is made on one (topology.Compile), and only a test
+//     can ask for a blueprint whose worlds run on a reference
+//     (Blueprint.WithSims in package topology).
 //   - Zero steady-state allocation. Event bodies live in a slab indexed
 //     by a free list; the wheel's slots and the heap's entries are
 //     pointer-free (they address the slab by index), so scheduling never
@@ -47,15 +54,14 @@ import (
 type Scheduler uint8
 
 // The available schedulers. SchedWheel is the default; SchedHeap is the
-// legacy binary heap, kept as a differential-testing fallback so the
-// wheel's ordering can always be checked against a second implementation.
+// binary heap, a reference implementation the wheel's ordering is
+// checked against.
 const (
 	SchedWheel Scheduler = iota
 	SchedHeap
 )
 
-// Name returns the scheduler's name ("wheel" or "heap") — the sched
-// label on repro_sim_events_total.
+// Name returns the scheduler's name ("wheel" or "heap").
 func (s Scheduler) Name() string {
 	if s == SchedHeap {
 		return "heap"
@@ -66,10 +72,10 @@ func (s Scheduler) Name() string {
 // XTrafficMode selects how a bottleneck's phantom cross-traffic
 // advances: lazily replayed in an arithmetic catch-up loop (the
 // default), or as one scheduler event per phantom serialization
-// boundary (the legacy path, kept as a differential oracle). Both modes
+// boundary (a reference implementation). Both modes
 // drive the AQM through the identical per-packet decision sequence and
 // PRNG draw order, so campaign datasets are byte-identical either way —
-// the property cmd/determinism's grid verifies.
+// the property campaign's TestDeterminismGrid verifies.
 type XTrafficMode uint8
 
 // The available cross-traffic drive modes.
@@ -135,7 +141,7 @@ func NewSim(seed int64) *Sim { return NewSimSched(seed, SchedWheel) }
 
 // NewSimSched returns a simulator with an explicit scheduler choice. The
 // two schedulers fire events in exactly the same order; SchedHeap exists
-// so differential tests can prove that.
+// so tests can prove that.
 func NewSimSched(seed int64, sched Scheduler) *Sim {
 	s := &Sim{rng: rand.New(rand.NewSource(seed)), seed: seed}
 	if sched == SchedWheel {

@@ -22,9 +22,10 @@ func forEachSched(t *testing.T, f func(t *testing.T, newSim func(seed int64) *Si
 	}
 }
 
-// TestSelectorZeroValues pins what campaign.Config relies on: the zero
-// Scheduler and XTrafficMode are the production wheel and lazy drive,
-// and the names that label repro_sim_events_total stay put.
+// TestSelectorZeroValues pins the selectors' defaults: the zero
+// Scheduler and XTrafficMode are the production wheel and lazy drive
+// NewSim makes, and the names the determinism grid's golden lines carry
+// (sched=, xtraffic=) stay put.
 func TestSelectorZeroValues(t *testing.T) {
 	var sched Scheduler
 	var mode XTrafficMode

@@ -574,7 +574,7 @@ func TestNonCanonicalUploadRefused(t *testing.T) {
 		}
 	}
 	if got := jobReport(t, ts, id).DatasetSHA256; got != pinnedHash {
-		t.Fatalf("filed %s, want cmd/determinism's pinned hash", got)
+		t.Fatalf("filed %s, want the determinism grid's pinned hash", got)
 	}
 }
 
@@ -621,11 +621,12 @@ func TestOutOfRangeUploadRefused(t *testing.T) {
 		}
 	}
 	if got := jobReport(t, ts, id).DatasetSHA256; got != pinnedHash {
-		t.Fatalf("filed %s, want cmd/determinism's pinned hash", got)
+		t.Fatalf("filed %s, want the determinism grid's pinned hash", got)
 	}
 }
 
-// pinnedHash is what cmd/determinism's small uncongested campaign files.
+// pinnedHash is what the determinism grid's small uncongested campaign
+// files (campaign.TestDeterminismGrid).
 const pinnedHash = "81e2952878d5e0990abb0094d3f50769437b0837021e33a770418fe8fdbe0fa8"
 
 // claimPinned submits that campaign as a distributed job, claims every

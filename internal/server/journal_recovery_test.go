@@ -264,9 +264,9 @@ func TestRecoveryResumesPartialJob(t *testing.T) {
 
 // TestRecoveryMergesReplayedBodies: a coordinator that dies holding k
 // of a job's 13 uploads as the bytes it journaled comes back holding the
-// journal's copies of them instead, takes the rest under the leases it restored, and files cmd/determinism's pinned
-// hash: the merge splices replayed bodies exactly as it would the live
-// ones.
+// journal's copies of them instead, takes the rest under the leases it
+// restored, and files the determinism grid's pinned hash: the merge
+// splices replayed bodies exactly as it would the live ones.
 func TestRecoveryMergesReplayedBodies(t *testing.T) {
 	const spec = `{"spec": 1, "scale": "small", "traces": 2, "seed": 2015, "stride": 0, "execution": "distributed"}`
 	const pinned = "81e2952878d5e0990abb0094d3f50769437b0837021e33a770418fe8fdbe0fa8"

@@ -43,8 +43,9 @@ type RunMeta struct {
 	Key  string        `json:"key"`
 	Spec campaign.Spec `json:"spec"` // normalized (canonical form)
 	// DatasetSHA256 is the SHA-256 of dataset.jsonl — by the campaign
-	// determinism invariant, equal to cmd/determinism's hash for the
-	// same spec, whatever execution shape either used.
+	// determinism invariant, equal to the hash campaign.Run's dataset
+	// has for the same spec (TestDeterminismGrid pins the small
+	// campaign's), whatever execution shape either used.
 	DatasetSHA256 string `json:"dataset_sha256"`
 	DatasetBytes  int64  `json:"dataset_bytes"`
 	Traces        int    `json:"traces"`

@@ -28,8 +28,8 @@ import (
 
 var executions = []string{campaign.ExecutionLocal, campaign.ExecutionDistributed}
 
-// pinnedSpec is cmd/determinism's small campaign under one scenario and
-// execution.
+// pinnedSpec is the determinism grid's small campaign under one
+// scenario and execution (campaign.TestDeterminismGrid).
 func pinnedSpec(scenario, execution string) string {
 	return fmt.Sprintf(`{"spec": 1, "scale": "small", "traces": 2, "seed": 2015, "stride": 0,
 		"scenario": %q, "execution": %q}`, scenario, execution)
@@ -157,7 +157,7 @@ func TestExecutionsAgree(t *testing.T) {
 				t.Fatalf("local dataset (%d bytes) differs from distributed (%d bytes)", len(data[0]), len(data[1]))
 			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(data[0])); got != pinned {
-				t.Errorf("dataset hash %s, want cmd/determinism's %s", got, pinned)
+				t.Errorf("dataset hash %s, want the determinism grid's %s", got, pinned)
 			}
 			local, _ := json.Marshal(meta[0])
 			dist, _ := json.Marshal(meta[1])

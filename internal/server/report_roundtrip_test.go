@@ -18,10 +18,11 @@ import (
 // boundaries without events and the events drive runs each as an
 // event, so between them both fields are seen non-zero.
 //
-// The lazy run is an ordinary local job. The events drive is a Go-only
-// oracle — no spec can select it — so for that run the test is the
-// worker: it claims a distributed job's plan and executes every shard
-// with Config.XTraffic set.
+// The lazy run is an ordinary local job. The events drive is a
+// reference no spec can select, so for that run the test is the worker:
+// it claims a distributed job's plan and executes every shard on a
+// blueprint whose worlds run on the events drive
+// (topology.Blueprint.WithSims).
 func TestReportRoundTripCrossTrafficCounters(t *testing.T) {
 	srv, client, _ := newLeaseServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -48,8 +49,15 @@ func TestReportRoundTripCrossTrafficCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.XTraffic = netsim.XTrafficEvents
 	bp, err := cfg.CompileBlueprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err = bp.WithSims(func(seed int64) *netsim.Sim {
+		sim := netsim.NewSim(seed)
+		sim.SetXTrafficMode(netsim.XTrafficEvents)
+		return sim
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

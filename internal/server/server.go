@@ -38,10 +38,11 @@
 //
 // The correctness contract is the engine's determinism invariant
 // carried over HTTP: a dataset served here is byte-identical to what
-// campaign.Run produces for the same spec, so its SHA-256 equals
-// cmd/determinism's hash — whatever worker pool, slicing, scheduler or
-// cross-traffic drive executed it. That is what lets the result cache
-// be content-addressed by spec rather than by execution shape.
+// campaign.Run produces for the same spec, so its SHA-256 equals the
+// determinism grid's hash (internal/campaign's TestDeterminismGrid) —
+// whatever worker pool or slicing executed it. That is what lets the
+// result cache be content-addressed by spec rather than by execution
+// shape.
 package server
 
 import (

@@ -35,7 +35,7 @@ func TestMetricsEndpoints(t *testing.T) {
 		`repro_jobs_total{event="done"} 1`,
 		"repro_jobs_running 0",
 		`repro_store_requests_total{result="miss"} 1`,
-		`repro_sim_events_total{sched="wheel"}`,
+		"\nrepro_sim_events_total ",
 		"repro_campaign_traces_completed_total",
 		"# TYPE repro_campaign_shard_duration_seconds histogram",
 	} {

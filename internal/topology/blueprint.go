@@ -40,10 +40,11 @@ import (
 // one-shot hand-out, and safe for concurrent Instantiate and TakeSpare
 // calls.
 type Blueprint struct {
-	cfg    Config
-	seed   int64
-	sched  netsim.Scheduler
-	xt     netsim.XTrafficMode
+	cfg  Config
+	seed int64
+	// newSim makes the simulators the blueprint's worlds run on:
+	// netsim.NewSim, or a reference one (WithSims).
+	newSim func(seed int64) *netsim.Sim
 	trace  decisionTrace
 	shared sharedParts
 	// spare is the generation world until TakeSpare hands it out.
@@ -66,17 +67,10 @@ type sharedParts struct {
 }
 
 // Compile generates the (seed, cfg) world once, recording its decisions
-// and freezing its shareable parts, on a simulator with the default
-// scheduler and cross-traffic drive (see CompileFor).
-func Compile(cfg Config, seed int64) (*Blueprint, error) {
-	return CompileFor(cfg, seed, netsim.SchedWheel, netsim.XTrafficLazy)
-}
-
-// CompileFor is Compile for worlds that run on the given scheduler and
-// cross-traffic drive. The generation world is built on such a
-// simulator and kept as the blueprint's spare, which differs from an
-// instantiated world only in what Reset restores (the PRNG has drawn
-// the decisions):
+// and freezing its shareable parts. Its worlds run on netsim.NewSim
+// simulators. The generation world is built on one and kept as the
+// blueprint's spare, which differs from an instantiated world only in
+// what Reset restores (the PRNG has drawn the decisions):
 //
 //   - the generation world's DNS directory stays with it, bound to its
 //     DNS host, and the blueprint's membership template is a clone of
@@ -86,11 +80,13 @@ func Compile(cfg Config, seed int64) (*Blueprint, error) {
 //     table ExportRoutes freezes is the network's own rows and address
 //     index, marked shared, so it forwards exactly as an instantiated
 //     one does.
-func CompileFor(cfg Config, seed int64, sched netsim.Scheduler, xt netsim.XTrafficMode) (*Blueprint, error) {
-	bp := &Blueprint{cfg: cfg, seed: seed, sched: sched, xt: xt}
-	sim := netsim.NewSimSched(seed, sched)
-	sim.SetXTrafficMode(xt)
-	b := newBuilder(sim, cfg)
+func Compile(cfg Config, seed int64) (*Blueprint, error) {
+	return compile(cfg, seed, netsim.NewSim)
+}
+
+func compile(cfg Config, seed int64, newSim func(seed int64) *netsim.Sim) (*Blueprint, error) {
+	bp := &Blueprint{cfg: cfg, seed: seed, newSim: newSim}
+	b := newBuilder(newSim(seed), cfg)
 	b.rec = &bp.trace
 	w, err := b.run()
 	if err != nil {
@@ -111,15 +107,28 @@ func CompileFor(cfg Config, seed int64, sched netsim.Scheduler, xt netsim.XTraff
 	return bp, nil
 }
 
+// WithSims compiles bp's world again, for worlds that run on simulators
+// newSim makes — a reference scheduler or cross-traffic drive the
+// production simulator is tested against — spare included. World
+// generation steps no simulator event, so the copy draws the same
+// decisions and builds the same world. Tests only: production worlds
+// run on netsim.NewSim.
+func (bp *Blueprint) WithSims(newSim func(seed int64) *netsim.Sim) (*Blueprint, error) {
+	return compile(bp.cfg, bp.seed, newSim)
+}
+
+// NewSim returns a simulator of the kind the blueprint's worlds run on,
+// its randomness derived from seed, for Instantiate.
+func (bp *Blueprint) NewSim(seed int64) *netsim.Sim { return bp.newSim(seed) }
+
 // TakeSpare hands out the generation world, at most once over the
 // blueprint's life: nil once it has been taken, or when the caller's
-// simulator would differ from the one it was built on (seed, scheduler,
-// cross-traffic drive). The world has run its generation, so Reset it
-// before use; it is then in exactly the state Instantiate produces on a
-// simulator made from the same three. The blueprint keeps no reference
-// to a world it has handed out.
-func (bp *Blueprint) TakeSpare(seed int64, sched netsim.Scheduler, xt netsim.XTrafficMode) *World {
-	if seed != bp.seed || sched != bp.sched || xt != bp.xt {
+// seed differs from the one it was built on. The world has run its
+// generation, so Reset it before use; it is then in exactly the state
+// Instantiate produces on bp.NewSim(seed). The blueprint keeps no
+// reference to a world it has handed out.
+func (bp *Blueprint) TakeSpare(seed int64) *World {
+	if seed != bp.seed {
 		return nil
 	}
 	return bp.spare.Swap(nil)

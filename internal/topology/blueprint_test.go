@@ -179,37 +179,27 @@ func TestBlueprintInstantiateFast(t *testing.T) {
 }
 
 // TestSpareSharesOnlyTheBlueprint: the world compiling built is handed
-// out once, and only to a caller whose simulator it was built for; it
+// out once, and only to a caller whose seed it was built from; it
 // shares exactly what an instantiated world shares with the blueprint —
 // routes, address index, geo and ASN databases — and owns its DNS
 // directory, as every instantiation's clone does.
 func TestSpareSharesOnlyTheBlueprint(t *testing.T) {
 	const seed = 7
-	bp, err := CompileFor(SmallConfig(), seed, netsim.SchedHeap, netsim.XTrafficEvents)
+	bp, err := Compile(SmallConfig(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mismatch := range []struct {
-		seed  int64
-		sched netsim.Scheduler
-		xt    netsim.XTrafficMode
-	}{
-		{seed + 1, netsim.SchedHeap, netsim.XTrafficEvents},
-		{seed, netsim.SchedWheel, netsim.XTrafficEvents},
-		{seed, netsim.SchedHeap, netsim.XTrafficLazy},
-	} {
-		if w := bp.TakeSpare(mismatch.seed, mismatch.sched, mismatch.xt); w != nil {
-			t.Fatalf("spare handed to a simulator it was not built for: %+v", mismatch)
-		}
+	if w := bp.TakeSpare(seed + 1); w != nil {
+		t.Fatal("spare handed to a simulator of another seed")
 	}
-	spare := bp.TakeSpare(seed, netsim.SchedHeap, netsim.XTrafficEvents)
+	spare := bp.TakeSpare(seed)
 	if spare == nil {
-		t.Fatal("no spare for the simulator it was built for")
+		t.Fatal("no spare for the seed it was built from")
 	}
-	if again := bp.TakeSpare(seed, netsim.SchedHeap, netsim.XTrafficEvents); again != nil {
+	if again := bp.TakeSpare(seed); again != nil {
 		t.Fatal("spare handed out twice")
 	}
-	fresh, err := bp.Instantiate(netsim.NewSimSched(seed, netsim.SchedHeap))
+	fresh, err := bp.Instantiate(bp.NewSim(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,8 @@ import (
 // discovery, a capture tap on the vantage — and was then Reset is in
 // the state a fresh Instantiate produces, field for field, under the
 // reflective digest of statehash_test.go. Every scenario, both
-// schedulers and both cross-traffic drives, with and without discovery.
+// schedulers and both cross-traffic drives (the references on a
+// Blueprint.WithSims copy), with and without discovery.
 //
 // A drained shard leaves much of the world at its baseline on its own
 // (every probe unbinds its port, the sweep ends with all hosts online,
@@ -45,6 +46,11 @@ func TestResetMatchesInstantiate(t *testing.T) {
 	for _, scenario := range campaign.Scenarios() {
 		for _, sched := range []netsim.Scheduler{netsim.SchedWheel, netsim.SchedHeap} {
 			for _, xt := range []netsim.XTrafficMode{netsim.XTrafficLazy, netsim.XTrafficEvents} {
+				newSim := func(seed int64) *netsim.Sim {
+					sim := netsim.NewSimSched(seed, sched)
+					sim.SetXTrafficMode(xt)
+					return sim
+				}
 				for _, discover := range []bool{false, true} {
 					name := fmt.Sprintf("%s/%s/%s/discover=%v", scenario, sched.Name(), xt.Name(), discover)
 					t.Run(name, func(t *testing.T) {
@@ -59,8 +65,6 @@ func TestResetMatchesInstantiate(t *testing.T) {
 									Seed:            2015,
 									Discover:        discover,
 									DiscoveryRounds: 4,
-									Scheduler:       sched,
-									XTraffic:        xt,
 								}
 								var w *topology.World
 								rec := capture.NewRecorder(0)
@@ -70,12 +74,13 @@ func TestResetMatchesInstantiate(t *testing.T) {
 									v.Host.AddTap(rec.Tap)
 								}
 								bp, err := cfg.CompileBlueprint()
+								if err == nil && (sched != netsim.SchedWheel || xt != netsim.XTrafficLazy) {
+									bp, err = bp.WithSims(newSim)
+								}
 								if err != nil {
 									t.Fatal(err)
 								}
-								sim := netsim.NewSimSched(cfg.Seed, sched)
-								sim.SetXTrafficMode(xt)
-								fresh, err := bp.Instantiate(sim)
+								fresh, err := bp.Instantiate(bp.NewSim(cfg.Seed))
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -86,7 +91,7 @@ func TestResetMatchesInstantiate(t *testing.T) {
 									t.Fatal("the blueprint kept no spare")
 								}
 								if !spare {
-									bp.TakeSpare(cfg.Seed, sched, xt) // the shard instantiates
+									bp.TakeSpare(cfg.Seed) // the shard instantiates
 								} else if got, _ := topology.StateHash(generated); got == want {
 									t.Fatal("digest is blind: the un-reset compile world hashes like a fresh one")
 								}

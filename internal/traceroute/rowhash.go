@@ -14,8 +14,8 @@ import (
 // numeric values, booleans as true/false). The rows may come in
 // segments — a campaign's PathObs is one per sweep shard — and hash as
 // their concatenation. Two sweeps hash equal exactly when they produced
-// the same rows in the same order; the determinism tests and
-// cmd/determinism compare it across every execution shape, and
+// the same rows in the same order; campaign's TestDeterminismGrid
+// compares it across every execution shape and engine, and
 // TestSweepRowHash pins its value for the small test campaign.
 func HashRows(segs ...[]PathObservation) string {
 	h := sha256.New()
