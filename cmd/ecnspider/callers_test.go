@@ -25,31 +25,27 @@ var callerExempt = map[string]bool{
 // uncalledRoles is every exported name that no non-test file names and
 // that stays, with the role it keeps instead of a caller.
 var uncalledRoles = map[string]string{
-	"packet.Addr.MarshalText":      "encoding/* reaches it through encoding.TextMarshaler",
-	"packet.Addr.UnmarshalText":    "encoding/* reaches it through encoding.TextUnmarshaler",
-	"dataset.Trace.UnmarshalJSON":  "encoding/json reaches it through json.Unmarshaler",
-	"capture.ReadPcap":             "test oracle: reads back what WritePcap writes",
-	"ntp.TimeFromTimestamp":        "test oracle: inverts TimestampFromTime",
-	"netsim.Network.PathRouters":   "test oracle: the routing-table path topology's tests check reachability, path lengths and blueprint routes against",
-	"packet.FlagMF":                "RFC 791 constant",
-	"packet.ICMPCodeAdminProhib":   "RFC 1812 constant",
-	"packet.ICMPEchoReply":         "RFC 792 constant",
-	"packet.ICMPEchoRequest":       "RFC 792 constant",
-	"dnspool.RCodeNoError":         "RFC 1035 constant",
-	"failpoint.SetHook":            "test hook shared across packages",
-	"packet.MustParseAddr":         "test fixture shared across packages",
-	"iptable.MustParsePrefix":      "test fixture shared across packages",
-	"netsim.Host.Online":           "test reader shared across packages: topology's tests count churned servers",
-	"netsim.Link.Loss":             "test reader shared across packages: topology's tests read a vantage's drawn access loss",
-	"tcpsim.Stack.Conns":           "test reader shared across packages: tcpsim's and httpmin's pool tests count open connections",
-	"core.RunECNUsability":         "extension experiment; its test is its gate",
-	"core.ECNUsabilityResult.Rate": "extension experiment; its test is its gate",
-	"core.RunArrivalCensus":        "extension experiment; its test is its gate",
-	"core.RunECT1Sweep":            "extension experiment; its test is its gate",
-	"traceroute.HashRows":          "test oracle: the sweep-row digest TestDeterminismGrid and TestSweepRowHash pin",
-	"netsim.XTrafficLazy":          "reference-implementation selector; tests only",
-	"netsim.Sim.SetXTrafficMode":   "reference-implementation selector; tests only",
-	"topology.Blueprint.WithSims":  "reference-implementation selector; tests only",
+	"packet.Addr.MarshalText":     "encoding/* reaches it through encoding.TextMarshaler",
+	"packet.Addr.UnmarshalText":   "encoding/* reaches it through encoding.TextUnmarshaler",
+	"dataset.Trace.UnmarshalJSON": "encoding/json reaches it through json.Unmarshaler",
+	"capture.ReadPcap":            "test oracle: reads back what WritePcap writes",
+	"ntp.TimeFromTimestamp":       "test oracle: inverts TimestampFromTime",
+	"netsim.Network.PathRouters":  "test oracle: the routing-table path topology's tests check reachability, path lengths and blueprint routes against",
+	"packet.FlagMF":               "RFC 791 constant",
+	"packet.ICMPCodeAdminProhib":  "RFC 1812 constant",
+	"packet.ICMPEchoReply":        "RFC 792 constant",
+	"packet.ICMPEchoRequest":      "RFC 792 constant",
+	"dnspool.RCodeNoError":        "RFC 1035 constant",
+	"failpoint.SetHook":           "test hook shared across packages",
+	"packet.MustParseAddr":        "test fixture shared across packages",
+	"iptable.MustParsePrefix":     "test fixture shared across packages",
+	"netsim.Host.Online":          "test reader shared across packages: topology's tests count churned servers",
+	"netsim.Link.Loss":            "test reader shared across packages: topology's tests read a vantage's drawn access loss",
+	"tcpsim.Stack.Conns":          "test reader shared across packages: tcpsim's and httpmin's pool tests count open connections",
+	"traceroute.HashRows":         "test oracle: the sweep-row digest TestDeterminismGrid and TestSweepRowHash pin",
+	"netsim.XTrafficLazy":         "reference-implementation selector; tests only",
+	"netsim.Sim.SetXTrafficMode":  "reference-implementation selector; tests only",
+	"topology.Blueprint.WithSims": "reference-implementation selector; tests only",
 }
 
 // referenceOnly names the selectors of the reference implementations
@@ -139,7 +135,7 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 		declared[d.key] = path.Dir(d.path)
 		if named[d.id.Name] {
 			if _, ok := uncalledRoles[d.key]; ok {
-				t.Errorf("%s is named by a non-test file; drop it from uncalledRoles", d.key)
+				t.Errorf("%s is named by a non-test file, so its role is stale; drop it from uncalledRoles", d.key)
 			}
 			continue
 		}

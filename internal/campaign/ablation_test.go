@@ -1,12 +1,10 @@
-package core_test
+package campaign
 
 import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/campaign"
 	"repro/internal/topology"
-	"repro/internal/traceroute"
 )
 
 // The ablations DESIGN.md §6 calibrates the world with, each paired with
@@ -19,11 +17,10 @@ var ablationSeeds = []int64{99, 7, 2015}
 func TestAblationNoMiddleboxes(t *testing.T) {
 	for _, seed := range ablationSeeds {
 		fig2a := func(topo topology.Config) float64 {
-			res := runSmall(t, campaign.Config{
-				Topology:  &topo,
+			res := runOnTopology(t, Config{Spec: Spec{
 				TracePlan: map[string]int{"EC2 Ireland": 2},
 				Seed:      seed,
-			})
+			}}, topo)
 			return analysis.ComputeFigure2a(res.Dataset).Average
 		}
 		cfg := topology.SmallConfig()
@@ -51,13 +48,11 @@ func TestAblationHeavyBleaching(t *testing.T) {
 		preserved := func(topo topology.Config) float64 {
 			// One trace carries the vantage's sweep: the engine runs it
 			// from the slice that owns trace 0.
-			res := runSmall(t, campaign.Config{
-				Topology:   &topo,
-				TracePlan:  map[string]int{"EC2 Tokyo": 1},
-				Stride:     1,
-				Traceroute: traceroute.Config{ProbesPerHop: 1, StopAfterSilent: 2},
-				Seed:       seed,
-			})
+			res := runOnTopology(t, Config{Spec: Spec{
+				TracePlan: map[string]int{"EC2 Tokyo": 1},
+				Stride:    1,
+				Seed:      seed,
+			}}, topo)
 			f4 := analysis.ComputeFigure4(res.PathObs, res.World.ASN)
 			return 100 * float64(f4.PreservedObservations) / float64(f4.RespondedObservations)
 		}

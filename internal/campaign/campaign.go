@@ -55,58 +55,14 @@ import (
 	"repro/internal/traceroute"
 )
 
-// Config sizes and parameterises a sharded campaign. The zero value runs
-// the full paper plan at paper scale on all available CPUs.
+// Config is a campaign as a process runs it: its Spec — the one
+// description of which campaign runs and how, defaults written only by
+// Spec.Normalized — plus the in-process hooks a spec cannot serialize.
+// Run and NewExecutor normalize the spec on entry, so a Config literal
+// may leave defaultable fields zero.
 type Config struct {
-	// Scale selects the generated world: "paper" (2500 servers, the
-	// default) or "small" (120 servers, for tests and CI).
-	Scale string
-	// Topology overrides the world configuration entirely (ablations);
-	// when set, Scale is ignored.
-	Topology *topology.Config
-	// Scenario names the congestion scenario: "uncongested" (the
-	// default — identical to pre-substrate behaviour), "congested-edge"
-	// or "congested-transit". It applies on top of Scale or Topology.
-	Scenario string
+	Spec
 
-	// TracePlan maps vantage name → trace count. When nil, Traces (if
-	// positive) gives every vantage that many traces; otherwise the
-	// paper's 210-trace plan is used.
-	TracePlan map[string]int
-	// Traces is the per-vantage trace count used when TracePlan is nil.
-	Traces int
-	// Batch2Fraction is the share of each vantage's traces run under
-	// batch-2 (July/August) conditions. Default 0.5.
-	Batch2Fraction float64
-
-	// Discover enumerates the pool via DNS inside each shard before
-	// probing (each shard discovers independently, as a real distributed
-	// deployment would; the discovery PRNG stream is keyed by vantage
-	// alone, so every slice of a vantage probes the same pool). When
-	// false, shards probe the ground-truth list.
-	Discover bool
-	// DiscoveryRounds overrides the DNS polling rounds (default 50).
-	DiscoveryRounds int
-
-	// Stride samples every Nth server for the traceroute campaign
-	// (Section 4.2). Zero disables traceroutes entirely.
-	Stride int
-	// Traceroute is the per-path probe configuration.
-	Traceroute traceroute.Config
-
-	// Seed is the campaign seed: the world blueprint compiles from it
-	// verbatim, and every measurement phase's PRNG stream derives from
-	// it (ShardSeed, TraceSeed).
-	Seed int64
-	// Workers bounds the number of shards running concurrently.
-	// Zero means GOMAXPROCS. The result does not depend on Workers.
-	Workers int
-	// SlicesPerVantage splits each vantage's trace quota into this many
-	// contiguous sub-shards (spec slices_per_vantage, flag -slices),
-	// lifting the one-shard-per-vantage parallelism cap. Zero or one
-	// keeps a single shard per vantage. The merged result does not
-	// depend on the slice count.
-	SlicesPerVantage int
 	// ShardHook, when non-nil, runs in the worker goroutine after a
 	// shard's world is ready (instantiated or reset) and reseeded but
 	// before its campaign starts — e.g. to attach a packet capture tap,
@@ -281,6 +237,11 @@ func sweepStartAt(planned int) time.Duration {
 	return shardEpoch * time.Duration(planned+1)
 }
 
+// sweepTraceroute is every sweep's per-path probe configuration: one
+// probe per hop, and a path ends after two silent hops (§4.2's traces
+// "generally stop one hop before the destination").
+var sweepTraceroute = traceroute.Config{ProbesPerHop: 1, StopAfterSilent: 2}
+
 // shardSpec is one unit of parallel work: a contiguous block of one
 // vantage's traces.
 type shardSpec struct {
@@ -314,18 +275,13 @@ type ShardHeader struct {
 
 func (cfg Config) topologyConfig() (topology.Config, error) {
 	var topo topology.Config
-	switch {
-	case cfg.Topology != nil:
-		topo = *cfg.Topology
+	switch cfg.Scale {
+	case "small":
+		topo = topology.SmallConfig()
+	case "", "paper":
+		topo = topology.DefaultConfig()
 	default:
-		switch cfg.Scale {
-		case "small":
-			topo = topology.SmallConfig()
-		case "", "paper":
-			topo = topology.DefaultConfig()
-		default:
-			return topology.Config{}, fmt.Errorf("campaign: unknown scale %q (want paper or small)", cfg.Scale)
-		}
+		return topology.Config{}, fmt.Errorf("campaign: unknown scale %q (want paper or small)", cfg.Scale)
 	}
 	if err := ApplyScenario(&topo, cfg.Scenario); err != nil {
 		return topology.Config{}, err
@@ -345,13 +301,6 @@ func (cfg Config) plan() map[string]int {
 		return plan
 	}
 	return core.PaperTracePlan()
-}
-
-func (cfg Config) batch2Fraction() float64 {
-	if cfg.Batch2Fraction == 0 {
-		return 0.5
-	}
-	return cfg.Batch2Fraction
 }
 
 // shardSpecs returns the campaign's work partition in canonical order:
@@ -445,6 +394,7 @@ func Run(cfg Config) (*Result, error) {
 // the production simulator or, in tests, a reference one
 // (topology.Blueprint.WithSims) — and merges the shards.
 func run(cfg Config, bp *topology.Blueprint) (*Result, error) {
+	cfg.Spec = cfg.Normalized()
 	shards := cfg.shardSpecs()
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("campaign: trace plan selects no vantages")
@@ -531,6 +481,7 @@ type Executor struct {
 // NewExecutor returns an executor for cfg's plan over its compiled
 // blueprint (cfg.CompileBlueprint).
 func NewExecutor(cfg Config, bp *topology.Blueprint) *Executor {
+	cfg.Spec = cfg.Normalized()
 	return &Executor{cfg: cfg, bp: bp, shards: cfg.shardSpecs()}
 }
 
@@ -632,18 +583,12 @@ func (e *Executor) runShard(sh shardSpec, keepRows bool) (shardResult, error) {
 	servers := w.ServerAddrs()
 	if cfg.Discover {
 		sim.Reseed(ShardSeed(cfg.Seed, sh.shard, 0))
-		rounds := cfg.DiscoveryRounds
-		if rounds == 0 {
-			rounds = 50
-		}
 		var got []packet.Addr
 		found := false
 		dnspool.Discover(v.Host, dnspool.DiscoverConfig{
-			Resolver:      w.DNSAddr,
-			Zones:         w.CountryZones,
-			Rounds:        rounds,
-			QueryGap:      100 * time.Millisecond,
-			RoundInterval: time.Minute,
+			Resolver: w.DNSAddr,
+			Zones:    w.CountryZones,
+			Rounds:   cfg.DiscoveryRounds,
 		}, func(r dnspool.DiscoverResult) {
 			got = r.Servers
 			found = true
@@ -681,7 +626,7 @@ func (e *Executor) runShard(sh shardSpec, keepRows bool) (shardResult, error) {
 		sim.At(at, func() {
 			sim.Reseed(TraceSeed(cfg.Seed, sh.shard, k))
 			w.ResetTransientState()
-			batch := core.BatchFor(k, sh.planned, cfg.batch2Fraction())
+			batch := core.BatchFor(k, sh.planned, cfg.Batch2Fraction)
 			w.ApplyTraceConditions(v, batch, sim.RNG())
 			core.RunTrace(v, servers, batch, k, func(t dataset.Trace) {
 				d.Traces = append(d.Traces, t)
@@ -710,7 +655,7 @@ func (e *Executor) runShard(sh shardSpec, keepRows bool) (shardResult, error) {
 			tcfg := core.TracerouteCampaignConfig{
 				Vantages:     []string{sh.vantage},
 				TargetStride: cfg.Stride,
-				Config:       cfg.Traceroute,
+				Config:       sweepTraceroute,
 			}
 			if keepRows {
 				core.RunTracerouteCampaign(w, tcfg, func(o []core.PathObservation) { obs, swept = o, true })

@@ -18,13 +18,12 @@ import (
 // vantage, a sparse traceroute sweep. Small enough to run three times in
 // a unit test, large enough to cover every shard and both batches.
 func testConfig() Config {
-	return Config{
-		Scale:      "small",
-		Traces:     2,
-		Stride:     12,
-		Traceroute: traceroute.Config{ProbesPerHop: 1, StopAfterSilent: 2},
-		Seed:       2015,
-	}
+	return Config{Spec: Spec{
+		Scale:  "small",
+		Traces: 2,
+		Stride: 12,
+		Seed:   2015,
+	}}
 }
 
 // engine is the simulator a test's worlds run on: a scheduler and a
@@ -79,6 +78,21 @@ func (e engine) run(t testing.TB, cfg Config) *Result {
 func runOrFatal(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// runOnTopology runs cfg's plan on worlds compiled from topo instead of
+// cfg's scale and scenario — an ablated or re-tuned world no spec names.
+func runOnTopology(t *testing.T, cfg Config, topo topology.Config) *Result {
+	t.Helper()
+	bp, err := topology.Compile(topo, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := run(cfg, bp)
 	if err != nil {
 		t.Fatal(err)
 	}

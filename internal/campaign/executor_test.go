@@ -258,7 +258,7 @@ func TestExecutorDropsFailedWorld(t *testing.T) {
 	stalled := worlds[len(worlds)-1]
 	v, _ := stalled.VantageByName(oracle.shards[4].Vantage)
 	busy := false
-	v.Mux.Run(stalled.Servers[0].Addr, cfg.Traceroute, func(r traceroute.Result) { busy = len(r.Observations) == 0 })
+	v.Mux.Run(stalled.Servers[0].Addr, sweepTraceroute, func(r traceroute.Result) { busy = len(r.Observations) == 0 })
 	if !busy {
 		t.Error("the stalled world's mux has no session to the sweep's first target: the sabotage missed the sweep")
 	}

@@ -6,7 +6,7 @@ import (
 	"repro/internal/topology"
 )
 
-// The named campaign scenarios, selectable via Config.Scenario, the
+// The named campaign scenarios, selectable via Spec.Scenario, the
 // spec's "scenario" field and the tools' -scenario flag. A
 // scenario chooses where (if anywhere) the congestion substrate places
 // its bandwidth-limited AQM bottlenecks; everything else about the

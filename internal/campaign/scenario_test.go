@@ -92,10 +92,7 @@ func TestCEReportMonotoneInUtilization(t *testing.T) {
 		topo.BottleneckQueueLen = 50
 		topo.BottleneckAQM = "red"
 		topo.BottleneckUtilization = util
-		cfg := congestedConfig("")
-		cfg.Scale = ""
-		cfg.Topology = &topo
-		res := runOrFatal(t, cfg)
+		res := runOnTopology(t, congestedConfig(""), topo)
 		rep := analysis.ComputeCEMarkReport(res.Congestion)
 		return rep.ObservedCERatio, rep.QueueMarkRatio
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/topology"
-	"repro/internal/traceroute"
 )
 
 // SpecVersion is the current campaign-spec schema version. A Spec
@@ -26,11 +25,9 @@ const (
 
 // Spec is the canonical, serializable description of a campaign: the
 // single configuration surface behind the CLI flags and the HTTP
-// control plane's request body. It is
-// the JSON-round-trippable subset of Config — everything that selects
-// *which* campaign runs and *how* it is executed, but none of the
-// in-process hooks (ShardHook, Topology overrides) that cannot
-// serialize.
+// control plane's request body: which campaign runs and how it is
+// executed. A Config embeds it beside the in-process hooks (ShardHook,
+// ShardStart, ShardDone, Metrics) that cannot serialize.
 //
 // Two forms matter:
 //
@@ -68,8 +65,9 @@ type Spec struct {
 	Batch2Fraction float64 `json:"batch2_fraction"`
 
 	// Discover enumerates the pool via DNS inside each shard before
-	// probing; DiscoveryRounds overrides the polling rounds (zero
-	// normalizes to 50).
+	// probing (the discovery stream is keyed by vantage alone, so every
+	// slice of a vantage probes the same pool); DiscoveryRounds
+	// overrides the polling rounds (zero normalizes to 50).
 	Discover        bool `json:"discover"`
 	DiscoveryRounds int  `json:"discovery_rounds"`
 
@@ -79,7 +77,9 @@ type Spec struct {
 	Stride int `json:"stride"`
 
 	// Seed is the campaign seed; the same spec with the same seed
-	// produces a byte-identical dataset.
+	// produces a byte-identical dataset. The world blueprint compiles
+	// from it verbatim, and every measurement phase's PRNG stream
+	// derives from it (ShardSeed, TraceSeed).
 	Seed int64 `json:"seed"`
 
 	// Execution shape. These knobs change how the campaign is
@@ -285,36 +285,13 @@ func (s Spec) CacheKey() (string, error) {
 	return fmt.Sprintf("%x", sha256.Sum256(b)), nil
 }
 
-// Config derives the executable campaign configuration from the spec:
-// normalize, validate, then map onto Config with the engine's standard
-// traceroute parameters. Programmatic knobs Spec cannot express
-// (Topology overrides, ShardHook) are left zero for the caller.
+// Config validates the spec and returns it, normalized, as an
+// executable campaign configuration whose hooks the caller fills.
 func (s Spec) Config() (Config, error) {
 	if err := s.Validate(); err != nil {
 		return Config{}, err
 	}
-	s = s.Normalized()
-	var plan map[string]int
-	if s.TracePlan != nil {
-		plan = make(map[string]int, len(s.TracePlan))
-		for k, v := range s.TracePlan {
-			plan[k] = v
-		}
-	}
-	return Config{
-		Scale:            s.Scale,
-		Scenario:         s.Scenario,
-		TracePlan:        plan,
-		Traces:           s.Traces,
-		Batch2Fraction:   s.Batch2Fraction,
-		Discover:         s.Discover,
-		DiscoveryRounds:  s.DiscoveryRounds,
-		Stride:           s.Stride,
-		Traceroute:       traceroute.Config{ProbesPerHop: 1, StopAfterSilent: 2},
-		Seed:             s.Seed,
-		Workers:          s.Workers,
-		SlicesPerVantage: s.SlicesPerVantage,
-	}, nil
+	return Config{Spec: s.Normalized()}, nil
 }
 
 // ParseSpec decodes a submitted JSON spec strictly: unknown fields are

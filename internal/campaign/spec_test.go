@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -183,9 +185,9 @@ func TestParseSpecStrict(t *testing.T) {
 	}
 }
 
-// TestSpecConfigDerivation: Config derives field-for-field, invalid
-// specs refuse to derive, and the spec's trace plan is copied, not
-// aliased.
+// TestSpecConfigDerivation: Config carries the spec normalized,
+// invalid specs refuse to derive, and the spec's trace plan is copied,
+// not aliased.
 func TestSpecConfigDerivation(t *testing.T) {
 	s := Spec{
 		Scale:            "small",
@@ -206,8 +208,9 @@ func TestSpecConfigDerivation(t *testing.T) {
 		cfg.SlicesPerVantage != 2 || cfg.Stride != 5 || !cfg.Discover {
 		t.Fatalf("Config = %+v", cfg)
 	}
-	if cfg.Traceroute.ProbesPerHop != 1 || cfg.Traceroute.StopAfterSilent != 2 {
-		t.Fatalf("Traceroute defaults = %+v", cfg.Traceroute)
+	if cfg.Version != SpecVersion || cfg.Batch2Fraction != 0.5 || cfg.DiscoveryRounds != 50 ||
+		cfg.Execution != ExecutionLocal {
+		t.Fatalf("Config carries the spec unnormalized: %+v", cfg.Spec)
 	}
 
 	if _, err := (Spec{Scale: "galactic"}).Config(); err == nil {
@@ -225,10 +228,28 @@ func TestSpecConfigDerivation(t *testing.T) {
 	}
 }
 
+// TestConfigIsSpecPlusHooks: a Config is its embedded Spec plus the four
+// in-process hooks a spec cannot serialize. A field added beside them
+// would be a second description of the campaign, with its own defaults.
+func TestConfigIsSpecPlusHooks(t *testing.T) {
+	typ := reflect.TypeOf(Config{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	want := []string{"Spec", "ShardHook", "ShardStart", "ShardDone", "Metrics"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Config's fields are %v, want %v: a campaign knob belongs in Spec", got, want)
+	}
+	if f := typ.Field(0); !f.Anonymous || f.Type != reflect.TypeOf(Spec{}) {
+		t.Fatalf("Config's first field is %s %v, want the embedded Spec", f.Name, f.Type)
+	}
+}
+
 // TestConfigShards: the exported shard plan matches the engine's
 // canonical partition.
 func TestConfigShards(t *testing.T) {
-	cfg := Config{Scale: "small", Traces: 3, SlicesPerVantage: 2}
+	cfg := Config{Spec: Spec{Scale: "small", Traces: 3, SlicesPerVantage: 2}}
 	shards := cfg.Shards()
 	if len(shards) == 0 {
 		t.Fatal("no shards planned")

@@ -26,13 +26,13 @@ func runSmall(t *testing.T, cfg campaign.Config) *campaign.Result {
 }
 
 func TestCampaignMini(t *testing.T) {
-	got := runSmall(t, campaign.Config{
+	got := runSmall(t, campaign.Config{Spec: campaign.Spec{
 		TracePlan: map[string]int{
 			"Perkins home": 2,
 			"EC2 Tokyo":    2,
 		},
 		Seed: 5,
-	}).Dataset
+	}}).Dataset
 
 	if len(got.Traces) != 4 {
 		t.Fatalf("traces = %d", len(got.Traces))
@@ -66,12 +66,12 @@ func TestCampaignMini(t *testing.T) {
 }
 
 func TestCampaignWithDiscovery(t *testing.T) {
-	res := runSmall(t, campaign.Config{
+	res := runSmall(t, campaign.Config{Spec: campaign.Spec{
 		TracePlan:       map[string]int{"U. Glasgow wired": 1},
 		Discover:        true,
 		DiscoveryRounds: 12,
 		Seed:            6,
-	})
+	}})
 	// Round-robin discovery over 12 rounds must find most of the pool.
 	if len(res.Servers) < len(res.World.Servers)*8/10 {
 		t.Errorf("discovered %d of %d servers", len(res.Servers), len(res.World.Servers))
@@ -82,7 +82,7 @@ func TestCampaignWithDiscovery(t *testing.T) {
 }
 
 func TestCampaignDeterminism(t *testing.T) {
-	cfg := campaign.Config{TracePlan: map[string]int{"EC2 Sydney": 2}, Seed: 99}
+	cfg := campaign.Config{Spec: campaign.Spec{TracePlan: map[string]int{"EC2 Sydney": 2}, Seed: 99}}
 	a, b := runSmall(t, cfg).Dataset, runSmall(t, cfg).Dataset
 	if len(a.Traces) != len(b.Traces) {
 		t.Fatal("trace counts differ")

@@ -61,7 +61,7 @@ func ProbeServer(v *topology.Vantage, server packet.Addr, done func(dataset.Obse
 	p.done = done
 	p.obs = dataset.Observation{Server: server}
 	// Measurement 1: NTP over not-ECT UDP.
-	ntp.Probe(v.Host, server, ntp.ProbeConfig{ECN: ecn.NotECT}, p.onNTP1)
+	ntp.Probe(v.Host, server, ecn.NotECT, p.onNTP1)
 }
 
 // serverProbe is one in-flight four-measurement sequence.
@@ -75,11 +75,15 @@ type serverProbe struct {
 	onGet3, onGet4 func(httpmin.GetResult)
 }
 
+// A probe's attempts — the request and its retransmissions — fit the
+// byte a dataset row keeps them in.
+const _ uint8 = ntp.DefaultRetransmissions + 1
+
 func (p *serverProbe) ntp1(r ntp.ProbeResult) {
 	p.obs.UDPReachable = r.Reachable
-	p.obs.UDPAttempts = uint8(r.Attempts) // ≤ 255: ntp.ProbeConfig bounds the budget
+	p.obs.UDPAttempts = uint8(r.Attempts)
 	// Measurement 2: NTP over ECT(0)-marked UDP.
-	ntp.Probe(p.v.Host, p.obs.Server, ntp.ProbeConfig{ECN: ecn.ECT0}, p.onNTP2)
+	ntp.Probe(p.v.Host, p.obs.Server, ecn.ECT0, p.onNTP2)
 }
 
 func (p *serverProbe) ntp2(r ntp.ProbeResult) {
@@ -204,11 +208,12 @@ type TracerouteCampaignConfig struct {
 	Vantages []string
 	// TargetStride samples every Nth server (1 = all).
 	TargetStride int
-	// Parallelism bounds concurrent traceroutes per vantage (default 64).
-	Parallelism int
-	// Config is the per-trace configuration (ECT(0) probes by default).
+	// Config is the per-trace configuration.
 	Config traceroute.Config
 }
+
+// sweepParallelism bounds concurrent traceroutes per vantage.
+const sweepParallelism = 64
 
 // RunTracerouteCampaign traces paths from the selected vantages to the
 // sampled servers and returns all hop observations via done, vantage by
@@ -238,9 +243,6 @@ func RunTracerouteCampaignNoRows(w *topology.World, cfg TracerouteCampaignConfig
 func runSweep(w *topology.World, cfg TracerouteCampaignConfig, keep bool, done func([]PathObservation)) {
 	if cfg.TargetStride <= 0 {
 		cfg.TargetStride = 1
-	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = 64
 	}
 	// Take the shell off the world for the sweep's duration: a second
 	// sweep started meanwhile (other vantages) builds its own.
@@ -320,11 +322,11 @@ func (sw *sweep) nextVantage() {
 	done(out)
 }
 
-// pump keeps Parallelism traceroutes in flight from the current vantage
+// pump keeps sweepParallelism traceroutes in flight from the current vantage
 // until its targets run out, then yields to the next vantage.
 func (sw *sweep) pump() {
 	servers := sw.w.Servers
-	for sw.pending < sw.cfg.Parallelism && sw.idx < len(servers) {
+	for sw.pending < sweepParallelism && sw.idx < len(servers) {
 		target := servers[sw.idx].Addr
 		sw.idx += sw.cfg.TargetStride
 		sw.pending++

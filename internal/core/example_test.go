@@ -9,11 +9,11 @@ import (
 // A complete miniature reproduction: run a one-vantage campaign over
 // the small world and read off the headline comparison.
 func Example() {
-	res, err := campaign.Run(campaign.Config{
+	res, err := campaign.Run(campaign.Config{Spec: campaign.Spec{
 		Scale:     "small",
 		TracePlan: map[string]int{"EC2 Ireland": 1},
 		Seed:      2015,
-	})
+	}})
 	if err != nil {
 		panic(err)
 	}

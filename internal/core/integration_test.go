@@ -6,7 +6,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/campaign"
 	"repro/internal/topology"
-	"repro/internal/traceroute"
 )
 
 // TestPaperShapeEndToEnd runs a reduced campaign over a small world —
@@ -19,12 +18,11 @@ func TestPaperShapeEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test in -short mode")
 	}
-	res := runSmall(t, campaign.Config{
-		Traces:     4,
-		Stride:     1,
-		Traceroute: traceroute.Config{ProbesPerHop: 1, StopAfterSilent: 2},
-		Seed:       2015,
-	})
+	res := runSmall(t, campaign.Config{Spec: campaign.Spec{
+		Traces: 4,
+		Stride: 1,
+		Seed:   2015,
+	}})
 	d, w := res.Dataset, res.World
 	if len(d.Traces) != 4*13 {
 		t.Fatalf("campaign incomplete: %d traces", len(d.Traces))

@@ -14,13 +14,13 @@ func TestCampaignProse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-trace campaign in -short mode")
 	}
-	d := runSmall(t, campaign.Config{
+	d := runSmall(t, campaign.Config{Spec: campaign.Spec{
 		TracePlan: map[string]int{
 			"U. Glasgow wired":    8,
 			"U. Glasgow wireless": 8,
 		},
 		Seed: 77,
-	}).Dataset
+	}}).Dataset
 
 	// Batch 1 vs batch 2 not-ECT reachability (pool churn).
 	var batch1, batch2, n1, n2 float64

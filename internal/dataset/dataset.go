@@ -33,8 +33,8 @@ type Observation struct {
 	// UDP (NTP) reachability with not-ECT and ECT(0) marked requests.
 	UDPReachable    bool `json:"udp"`
 	UDPECTReachable bool `json:"udp_ect"`
-	// Attempts used (≤ 6: one initial + up to five retransmissions;
-	// ntp.ProbeConfig bounds any budget to 255).
+	// Attempts used (≤ 6: one initial + up to five retransmissions,
+	// ntp.DefaultRetransmissions; core pins that the count fits a byte).
 	UDPAttempts    uint8 `json:"udp_attempts,omitempty"`
 	UDPECTAttempts uint8 `json:"udp_ect_attempts,omitempty"`
 

@@ -113,10 +113,9 @@ func TestDiscoverEnumeratesPool(t *testing.T) {
 
 	var got DiscoverResult
 	Discover(client, DiscoverConfig{
-		Resolver:      resolver,
-		Zones:         []string{"uk", "de"},
-		Rounds:        8,
-		RoundInterval: time.Minute,
+		Resolver: resolver,
+		Zones:    []string{"uk", "de"},
+		Rounds:   8,
 	}, func(r DiscoverResult) { got = r })
 	sim.Run()
 
@@ -145,9 +144,8 @@ func TestDiscoverToleratesTimeouts(t *testing.T) {
 
 	done := false
 	Discover(client, DiscoverConfig{
-		Resolver:      resolver,
-		Rounds:        6,
-		RoundInterval: 30 * time.Second,
+		Resolver: resolver,
+		Rounds:   6,
 	}, func(r DiscoverResult) {
 		done = true
 		if len(r.Servers) == 0 {

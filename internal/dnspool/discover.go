@@ -18,32 +18,21 @@ type DiscoverConfig struct {
 	// Zones are the sub-zone labels to poll in addition to the apex
 	// (e.g. "uk", "europe", "us").
 	Zones []string
-	// Rounds is how many polling passes to make (default 40).
+	// Rounds is how many polling passes to make.
 	Rounds int
-	// QueryGap is the pause between consecutive zone queries (default 1s).
-	QueryGap time.Duration
-	// RoundInterval is the pause between passes (default 10min).
-	RoundInterval time.Duration
-	// QueryTimeout bounds each query (default 2s); timed-out queries are
-	// skipped, not retried — the next round repeats the zone anyway.
-	QueryTimeout time.Duration
 }
 
-func (c DiscoverConfig) withDefaults() DiscoverConfig {
-	if c.Rounds == 0 {
-		c.Rounds = 40
-	}
-	if c.QueryGap == 0 {
-		c.QueryGap = time.Second
-	}
-	if c.RoundInterval == 0 {
-		c.RoundInterval = 10 * time.Minute
-	}
-	if c.QueryTimeout == 0 {
-		c.QueryTimeout = 2 * time.Second
-	}
-	return c
-}
+// A run's pacing: the script's one-second query gap and ten-minute
+// round interval, compressed to 100 ms and a minute. The directory
+// answers by rotation, not by clock, so the compression moves no
+// answer, only the virtual time a discovery ends at.
+const (
+	queryGap      = 100 * time.Millisecond
+	roundInterval = time.Minute
+	// queryTimeout bounds each query; timed-out queries are skipped, not
+	// retried — the next round repeats the zone anyway.
+	queryTimeout = 2 * time.Second
+)
 
 // DiscoverResult is the enumerated server set.
 type DiscoverResult struct {
@@ -58,7 +47,6 @@ type DiscoverResult struct {
 // directory, calling done with the deduplicated server list. Drive the
 // simulation to completion for the result.
 func Discover(h *netsim.Host, cfg DiscoverConfig, done func(DiscoverResult)) {
-	cfg = cfg.withDefaults()
 	sim := h.Sim()
 
 	// Query plan: apex first, then each sub-zone, repeated every round.
@@ -116,7 +104,7 @@ func Discover(h *netsim.Host, cfg DiscoverConfig, done func(DiscoverResult)) {
 		res.QueriesSent++
 		// A failed send is recovered by the query timeout path.
 		_ = h.SendUDP(cfg.Resolver, port, DNSPort, 64, 0 /* not-ECT */, wire)
-		timer = sim.After(cfg.QueryTimeout, finish)
+		timer = sim.After(queryTimeout, finish)
 	}
 
 	step = func(round, zoneIdx int) {
@@ -132,11 +120,11 @@ func Discover(h *netsim.Host, cfg DiscoverConfig, done func(DiscoverResult)) {
 			return
 		}
 		if zoneIdx == len(names) {
-			sim.After(cfg.RoundInterval, func() { step(round+1, 0) })
+			sim.After(roundInterval, func() { step(round+1, 0) })
 			return
 		}
 		runQuery(names[zoneIdx], func() {
-			sim.After(cfg.QueryGap, func() { step(round, zoneIdx+1) })
+			sim.After(queryGap, func() { step(round, zoneIdx+1) })
 		})
 	}
 	step(0, 0)

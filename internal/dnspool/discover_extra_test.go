@@ -2,7 +2,6 @@ package dnspool
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/packet"
 )
@@ -13,10 +12,9 @@ func TestDiscoverSkipsUnknownZones(t *testing.T) {
 	// One legitimate zone plus one that does not exist: NXDOMAIN answers
 	// must not stall or abort the loop.
 	Discover(client, DiscoverConfig{
-		Resolver:      resolver,
-		Zones:         []string{"xx"},
-		Rounds:        3,
-		RoundInterval: 10 * time.Second,
+		Resolver: resolver,
+		Zones:    []string{"xx"},
+		Rounds:   3,
 	}, func(r DiscoverResult) { got = r })
 	sim.Run()
 	if len(got.Servers) != 6 {
@@ -33,10 +31,9 @@ func TestDiscoverDeterministic(t *testing.T) {
 		sim, client, resolver, _ := simDirectory(t, 12, map[int]string{0: "uk", 5: "uk"})
 		var got DiscoverResult
 		Discover(client, DiscoverConfig{
-			Resolver:      resolver,
-			Zones:         []string{"uk"},
-			Rounds:        4,
-			RoundInterval: time.Minute,
+			Resolver: resolver,
+			Zones:    []string{"uk"},
+			Rounds:   4,
 		}, func(r DiscoverResult) { got = r })
 		sim.Run()
 		return got.Servers
@@ -62,10 +59,9 @@ func TestDiscoverDedupAcrossZones(t *testing.T) {
 	sim, client, resolver, _ := simDirectory(t, 8, zones)
 	var got DiscoverResult
 	Discover(client, DiscoverConfig{
-		Resolver:      resolver,
-		Zones:         []string{"de"},
-		Rounds:        4,
-		RoundInterval: time.Minute,
+		Resolver: resolver,
+		Zones:    []string{"de"},
+		Rounds:   4,
 	}, func(r DiscoverResult) { got = r })
 	sim.Run()
 	if len(got.Servers) != 8 {

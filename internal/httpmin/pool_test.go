@@ -18,7 +18,7 @@ import (
 // serve's from accept to close. Shells kept per stack would leave one
 // on every web server that was probed once, and fail here.
 func TestPoolHoldsPeakHTTPShells(t *testing.T) {
-	cfg := campaign.Config{Scale: "small", Traces: 2, Seed: 2015}
+	cfg := campaign.Config{Spec: campaign.Spec{Scale: "small", Traces: 2, Seed: 2015}}
 	var w *topology.World
 	peak := 0
 	cfg.ShardHook = func(_ int, _ string, world *topology.World) {

@@ -16,8 +16,9 @@ const Port = 80
 type Handler func(*Request) *Response
 
 // Serve attaches an HTTP server to a TCP stack and returns its listener
-// (whose ECN/BrokenECE knobs model the server-side properties the
-// paper's Section 4.3 and the Kühlewind usability extension measure).
+// (whose ECN knob models the server-side willingness the paper's
+// Section 4.3 measures, and BrokenECE a server that negotiates ECN but
+// never echoes congestion).
 // The request handed to handler is valid until handler returns.
 func Serve(stack *tcpsim.Stack, port uint16, ecnCapable bool, handler Handler) (*tcpsim.Listener, error) {
 	return stack.Listen(port, ecnCapable, func(c *tcpsim.Conn) {
@@ -121,10 +122,6 @@ type GetResult struct {
 	// outcome (the paper's "ECN-setup SYN-ACK received" test).
 	ECNRequested  bool
 	ECNNegotiated bool
-	// ECESeen counts ECE-flagged segments received — non-zero means the
-	// peer echoed congestion for our CE-marked probe segments (the
-	// usability criterion of the Kühlewind extension).
-	ECESeen uint64
 	// Elapsed is the virtual time from SYN to response.
 	Elapsed time.Duration
 }
@@ -135,27 +132,12 @@ type GetResult struct {
 // the client would wait forever.
 const GetTimeout = 90 * time.Second
 
-// GetConfig controls an HTTP probe beyond the plain/ECN split.
-type GetConfig struct {
-	// RequestECN sends an ECN-setup SYN.
-	RequestECN bool
-	// MarkCE sends the request's data segments CE-marked on a
-	// negotiated connection (Kühlewind-style usability probe). The
-	// GetResult's ECESeen reports whether the server echoed congestion.
-	MarkCE bool
-}
-
 // Get issues "GET path" to dst:port from the given stack, optionally
-// requesting ECN on the connection, and invokes done exactly once.
+// requesting ECN on the connection, and invokes done exactly once. Like
+// ntp.Probe, the exchange's state lives in one recycled struct with
+// callbacks bound once: HTTP probes run twice per server per trace, so
+// their steady-state cost is zero allocations.
 func Get(stack *tcpsim.Stack, dst packet.Addr, port uint16, path string, requestECN bool, done func(GetResult)) {
-	GetWithConfig(stack, dst, port, path, GetConfig{RequestECN: requestECN}, done)
-}
-
-// GetWithConfig is Get with full probe control. Like ntp.Probe, the
-// exchange's state lives in one recycled struct with callbacks bound
-// once: HTTP probes run twice per server per trace, so their
-// steady-state cost is zero allocations.
-func GetWithConfig(stack *tcpsim.Stack, dst packet.Addr, port uint16, path string, gcfg GetConfig, done func(GetResult)) {
 	sh := shellsOf(stack)
 	g := sh.gets
 	if g != nil {
@@ -175,10 +157,10 @@ func GetWithConfig(stack *tcpsim.Stack, dst packet.Addr, port uint16, path strin
 	g.path = path
 	g.start = sim.Now()
 	g.done = done
-	g.res = GetResult{ECNRequested: gcfg.RequestECN}
+	g.res = GetResult{ECNRequested: requestECN}
 	g.finished = false
 	g.deadline = sim.After(GetTimeout, g.onDeadlineFn)
-	stack.Dial(dst, port, tcpsim.DialConfig{RequestECN: gcfg.RequestECN, MarkCE: gcfg.MarkCE}, g.onDialFn)
+	stack.Dial(dst, port, requestECN, g.onDialFn)
 }
 
 // getRun is the state of one in-flight HTTP probe. finish reports the
@@ -229,9 +211,6 @@ func (g *getRun) finish() {
 	if !g.finished {
 		g.finished = true
 		g.deadline.Stop()
-		if g.conn != nil {
-			g.res.ECESeen = g.conn.ECESeen
-		}
 		g.res.Elapsed = g.sim.Now() - g.start
 		g.done(g.res)
 	}

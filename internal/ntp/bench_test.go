@@ -65,7 +65,7 @@ func newProbeLoop(tb testing.TB) *probeLoop {
 
 func (l *probeLoop) run(tb testing.TB) {
 	l.reached = false
-	Probe(l.client, l.server, ProbeConfig{ECN: ecn.ECT0}, l.done)
+	Probe(l.client, l.server, ecn.ECT0, l.done)
 	l.sim.Run()
 	if !l.reached {
 		tb.Fatal("probe failed")

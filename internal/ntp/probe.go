@@ -10,44 +10,13 @@ import (
 
 // Probe parameters from Section 3 of the paper: an NTP request is sent
 // and, if no response arrives within one second, retransmitted up to five
-// times before the server is declared unreachable.
+// times before the server is declared unreachable. Requests leave with
+// TTL 64.
 const (
 	DefaultTimeout         = time.Second
 	DefaultRetransmissions = 5
-	// maxRetransmissions bounds ProbeConfig.Retransmissions: with the
-	// initial request, at most 255 attempts.
-	maxRetransmissions = 254
+	requestTTL             = 64
 )
-
-// ProbeConfig controls one reachability probe.
-type ProbeConfig struct {
-	// ECN is the codepoint to mark the request packets with: the study
-	// compares not-ECT against ECT(0).
-	ECN ecn.Codepoint
-	// Timeout per attempt; DefaultTimeout when zero.
-	Timeout time.Duration
-	// Retransmissions after the initial request. Zero selects the
-	// paper's default of five; a negative value disables retransmission
-	// (single attempt). A budget above 254 is bounded to it, so a
-	// probe's Attempts fits the byte a dataset row keeps it in.
-	Retransmissions int
-	// TTL for request packets; 64 when zero.
-	TTL uint8
-}
-
-func (c ProbeConfig) withDefaults() ProbeConfig {
-	if c.Timeout == 0 {
-		c.Timeout = DefaultTimeout
-	}
-	if c.Retransmissions == 0 {
-		c.Retransmissions = DefaultRetransmissions
-	}
-	c.Retransmissions = min(max(c.Retransmissions, 0), maxRetransmissions)
-	if c.TTL == 0 {
-		c.TTL = 64
-	}
-	return c
-}
 
 // ProbeResult reports the outcome of a reachability probe.
 type ProbeResult struct {
@@ -64,9 +33,10 @@ type ProbeResult struct {
 }
 
 // Probe performs the paper's UDP reachability measurement from a
-// simulated host against one NTP server, invoking done exactly once. It
-// drives itself on the host's simulator; the caller must run the
-// simulation for progress.
+// simulated host against one NTP server, its requests marked with the
+// codepoint cp (the study compares not-ECT against ECT(0)), invoking
+// done exactly once. It drives itself on the host's simulator; the
+// caller must run the simulation for progress.
 //
 // The probe state lives in one recycled struct with callbacks bound
 // once per shell: probes are the campaign's innermost loop, so a
@@ -75,7 +45,7 @@ type ProbeResult struct {
 // (Host.UserData) — single-goroutine like the host, filled as probes
 // finish, and as long-lived as the world, so reuse is as deterministic
 // as the simulation.
-func Probe(h *netsim.Host, server packet.Addr, cfg ProbeConfig, done func(ProbeResult)) {
+func Probe(h *netsim.Host, server packet.Addr, cp ecn.Codepoint, done func(ProbeResult)) {
 	p, _ := h.UserData.(*probeRun)
 	if p != nil {
 		h.UserData = p.next
@@ -86,9 +56,8 @@ func Probe(h *netsim.Host, server packet.Addr, cfg ProbeConfig, done func(ProbeR
 		p.datagramFn = p.onDatagram
 	}
 	p.h = h
-	p.cfg = cfg.withDefaults()
 	p.done = done
-	p.res = ProbeResult{Server: server, ECN: cfg.ECN}
+	p.res = ProbeResult{Server: server, ECN: cp}
 	p.timer = netsim.Timer{}
 	p.finished = false
 	p.sent = p.sentArr[:0]
@@ -97,7 +66,7 @@ func Probe(h *netsim.Host, server packet.Addr, cfg ProbeConfig, done func(ProbeR
 	p.port, err = h.BindUDP(0, p.datagramFn)
 	if err != nil {
 		p.release()
-		done(ProbeResult{Server: server, ECN: cfg.ECN})
+		done(ProbeResult{Server: server, ECN: cp})
 		return
 	}
 	p.attempt()
@@ -107,19 +76,18 @@ func Probe(h *netsim.Host, server packet.Addr, cfg ProbeConfig, done func(ProbeR
 type probeRun struct {
 	next     *probeRun // free-list link
 	h        *netsim.Host
-	cfg      ProbeConfig
 	done     func(ProbeResult)
 	res      ProbeResult
 	port     uint16
 	timer    netsim.Timer
 	finished bool
 	// sent records (transmit timestamp, send time) per attempt, backed
-	// by an inline array sized for the default retransmission budget. A
+	// by an inline array sized for the retransmission budget. A
 	// response is accepted if its origin matches ANY attempt: the paper
 	// marks a server reachable "if an NTP response is received after
 	// any request".
 	sent       []sentAttempt
-	sentArr    [8]sentAttempt
+	sentArr    [1 + DefaultRetransmissions]sentAttempt
 	attemptFn  func()
 	datagramFn func(*netsim.Host, packet.IPv4Header, packet.UDPHeader, []byte)
 }
@@ -173,7 +141,7 @@ func (p *probeRun) attempt() {
 	if p.finished {
 		return
 	}
-	if p.res.Attempts > p.cfg.Retransmissions {
+	if p.res.Attempts > DefaultRetransmissions {
 		p.finish() // all attempts timed out: unreachable
 		return
 	}
@@ -191,8 +159,8 @@ func (p *probeRun) attempt() {
 	var scratch [PacketLen]byte
 	// Send errors cannot occur for fixed-size NTP requests; if one
 	// did, the timeout path retries regardless.
-	_ = p.h.SendUDP(p.res.Server, p.port, Port, p.cfg.TTL, p.cfg.ECN, req.Marshal(scratch[:0]))
-	p.timer = sim.After(p.cfg.Timeout, p.attemptFn)
+	_ = p.h.SendUDP(p.res.Server, p.port, Port, requestTTL, p.res.ECN, req.Marshal(scratch[:0]))
+	p.timer = sim.After(DefaultTimeout, p.attemptFn)
 }
 
 // sentAttempt pairs a request's transmit timestamp with its send time.

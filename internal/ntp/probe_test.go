@@ -43,7 +43,7 @@ func newProbeFixture(t *testing.T, seed int64) *probeFixture {
 func TestProbeReachable(t *testing.T) {
 	f := newProbeFixture(t, 1)
 	var got ProbeResult
-	Probe(f.client, f.server.Addr(), ProbeConfig{ECN: ecn.ECT0}, func(r ProbeResult) { got = r })
+	Probe(f.client, f.server.Addr(), ecn.ECT0, func(r ProbeResult) { got = r })
 	f.sim.Run()
 
 	if !got.Reachable {
@@ -72,7 +72,7 @@ func TestProbeOfflineServerUnreachable(t *testing.T) {
 	f.server.SetOnline(false)
 	var got ProbeResult
 	start := f.sim.Now()
-	Probe(f.client, f.server.Addr(), ProbeConfig{}, func(r ProbeResult) { got = r })
+	Probe(f.client, f.server.Addr(), ecn.NotECT, func(r ProbeResult) { got = r })
 	f.sim.Run()
 
 	if got.Reachable {
@@ -85,22 +85,6 @@ func TestProbeOfflineServerUnreachable(t *testing.T) {
 	want := time.Duration(1+DefaultRetransmissions) * DefaultTimeout
 	if elapsed != want {
 		t.Errorf("probe took %v, want %v", elapsed, want)
-	}
-}
-
-// TestProbeBudgetBoundedToAByte: a retransmission budget past 254 is
-// bounded to it, so an unanswered probe ends after 255 attempts — the
-// most a dataset row's one-byte attempt count holds.
-func TestProbeBudgetBoundedToAByte(t *testing.T) {
-	f := newProbeFixture(t, 7)
-	f.server.SetOnline(false)
-	var got ProbeResult
-	Probe(f.client, f.server.Addr(), ProbeConfig{Retransmissions: 1000, Timeout: time.Millisecond},
-		func(r ProbeResult) { got = r })
-	f.sim.Run()
-	if got.Reachable || got.Attempts != 255 {
-		t.Errorf("a 1000-retransmission probe of an offline server: reachable %v after %d attempts; want unreachable after 255",
-			got.Reachable, got.Attempts)
 	}
 }
 
@@ -117,7 +101,7 @@ func TestProbeRecoversAfterLoss(t *testing.T) {
 		if i == probes {
 			return
 		}
-		Probe(f.client, f.server.Addr(), ProbeConfig{}, func(r ProbeResult) {
+		Probe(f.client, f.server.Addr(), ecn.NotECT, func(r ProbeResult) {
 			doneCount++
 			if r.Reachable {
 				reached++
@@ -158,7 +142,7 @@ func TestProbeRetransmitTimestampsDistinct(t *testing.T) {
 	})
 
 	var got ProbeResult
-	Probe(f.client, f.server.Addr(), ProbeConfig{}, func(r ProbeResult) { got = r })
+	Probe(f.client, f.server.Addr(), ecn.NotECT, func(r ProbeResult) { got = r })
 	f.sim.Run()
 	if !got.Reachable {
 		t.Fatal("response to retransmission not accepted")
@@ -179,7 +163,7 @@ func TestProbeIgnoresForgedResponse(t *testing.T) {
 	f.server.SetOnline(false)
 
 	var got ProbeResult
-	Probe(f.client, f.server.Addr(), ProbeConfig{Retransmissions: -1}, func(r ProbeResult) { got = r })
+	Probe(f.client, f.server.Addr(), ecn.NotECT, func(r ProbeResult) { got = r })
 	forgedPkt := Packet{Mode: ModeServer, Version: 4, OriginTS: 0xBAD}
 	forged := forgedPkt.Marshal(nil)
 	for p := uint16(49153); p < 49160; p++ {
@@ -196,9 +180,9 @@ func TestProbeECTBlockedByFirewall(t *testing.T) {
 	f.r2.AddPolicy(&middlebox.ECTUDPDropper{})
 
 	var notECT, ect ProbeResult
-	Probe(f.client, f.server.Addr(), ProbeConfig{ECN: ecn.NotECT}, func(r ProbeResult) {
+	Probe(f.client, f.server.Addr(), ecn.NotECT, func(r ProbeResult) {
 		notECT = r
-		Probe(f.client, f.server.Addr(), ProbeConfig{ECN: ecn.ECT0}, func(r2 ProbeResult) { ect = r2 })
+		Probe(f.client, f.server.Addr(), ecn.ECT0, func(r2 ProbeResult) { ect = r2 })
 	})
 	f.sim.Run()
 

@@ -63,7 +63,7 @@ func newExchangeLoop(tb testing.TB) *exchangeLoop {
 
 func (x *exchangeLoop) run(tb testing.TB) {
 	x.completed = false
-	x.cs.Dial(x.server, 80, DialConfig{RequestECN: true}, x.dialed)
+	x.cs.Dial(x.server, 80, true, x.dialed)
 	x.sim.Run()
 	if !x.completed {
 		tb.Fatal("exchange did not complete")

@@ -34,7 +34,7 @@ func TestECEHalvesWindowAndSetsCWR(t *testing.T) {
 
 	var clientConn *Conn
 	got := 0
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{RequestECN: true}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, true, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
@@ -83,7 +83,7 @@ func TestCleanPathKeepsInitialWindow(t *testing.T) {
 	f := newFixture(t, 4)
 	serverRef := bulkServer(t, f, 80, 4*MSS)
 	done := false
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{RequestECN: true}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, true, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}

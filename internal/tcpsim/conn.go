@@ -55,7 +55,6 @@ type Conn struct {
 
 	// ECN.
 	requestECN    bool // client side: ask for ECN in the SYN
-	markCE        bool // client side: transmit data as CE (usability probe)
 	ecnNegotiated bool
 	// echoCE: receiver saw CE and must set ECE on ACKs until peer CWRs.
 	echoCE bool
@@ -265,10 +264,7 @@ func (c *Conn) header(flags uint8) *packet.TCPHeader {
 
 // dataECN picks the IP codepoint for a data-bearing segment.
 func (c *Conn) dataECN() uint8 {
-	switch {
-	case c.ecnNegotiated && c.markCE:
-		return uint8(ecn.CE)
-	case c.ecnNegotiated:
+	if c.ecnNegotiated {
 		return cpECT0
 	}
 	return cpNotECT

@@ -53,7 +53,7 @@ func TestReusedConnStartsClean(t *testing.T) {
 	f.r1.AddPolicy(marker)
 	serverRef := bulkServer(t, f, 80, 20*MSS)
 	var client *Conn
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{RequestECN: true}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, true, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
@@ -94,7 +94,7 @@ func TestReusedConnStartsClean(t *testing.T) {
 	if dialing == client {
 		other = server
 	}
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, false, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatalf("second dial: %v", err)
 		}
@@ -169,7 +169,7 @@ func TestSendBufReuseUnderLoss(t *testing.T) {
 		first, second := want[:3*MSS+17*i], want[3*MSS+17*i:]
 		serverGot = serverGot[:0]
 		var clientGot []byte
-		f.cs.Dial(f.server.Addr(), 80, DialConfig{RequestECN: true, SYNRetries: 10}, func(c *Conn, err error) {
+		f.cs.Dial(f.server.Addr(), 80, true, func(c *Conn, err error) {
 			if err != nil {
 				t.Fatalf("round %d: dial: %v", i, err)
 			}
@@ -218,14 +218,14 @@ func TestAbortInCallbacksReleasesOnce(t *testing.T) {
 			c.Abort()
 		})
 	})
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, false, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.Abort() // inside dialDone
 		c.Abort()
 	})
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, false, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestStackResetDropsOpenConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	var client *Conn
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{RequestECN: true}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, true, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}

@@ -17,7 +17,7 @@ import (
 // stack, which strands a shell on every web server that was probed
 // once, fails here by a wide margin.
 func TestPoolHoldsPeakShells(t *testing.T) {
-	cfg := campaign.Config{Scale: "small", Traces: 2, Seed: 2015}
+	cfg := campaign.Config{Spec: campaign.Spec{Scale: "small", Traces: 2, Seed: 2015}}
 	var w *topology.World
 	peak := 0
 	cfg.ShardHook = func(_ int, _ string, world *topology.World) {

@@ -179,39 +179,24 @@ func (s *Stack) Listen(port uint16, ecnCapable bool, accept func(*Conn)) (*Liste
 // Close stops accepting new connections.
 func (l *Listener) Close() { delete(l.stack.listeners, l.port) }
 
-// DialConfig controls an active open.
-type DialConfig struct {
-	// RequestECN sends an ECN-setup SYN, asking the server to negotiate
-	// ECN for the connection.
-	RequestECN bool
-	// MarkCE transmits this side's data segments with the CE codepoint
-	// instead of ECT(0) on negotiated connections — the crafted-probe
-	// technique Kühlewind et al. used to test whether a server that
-	// negotiates ECN actually echoes congestion (ECE). Requires
-	// RequestECN.
-	MarkCE bool
-	// SYNRetries is the number of SYN retransmissions before giving up,
-	// with 1s, 2s, 4s, … exponential backoff. The default of 6 matches
-	// production stacks (Linux tcp_syn_retries), which is what lets TCP
-	// "conceal the impact of packet loss" on lossy access links, as the
-	// paper observes in §4.3. Virtual time makes the long worst case
-	// (~127s per dial to a dead host) free.
-	SYNRetries int
-}
+// synRetries is the number of SYN retransmissions before a dial gives
+// up, with 1s, 2s, 4s, … exponential backoff. Six matches production
+// stacks (Linux tcp_syn_retries), which is what lets TCP "conceal the
+// impact of packet loss" on lossy access links, as the paper observes
+// in §4.3. Virtual time makes the long worst case (~127s per dial to a
+// dead host) free.
+const synRetries = 6
 
 // Dial opens a connection to dst:port, invoking done exactly once with
 // an established connection or an error (ErrRefused on RST, ErrTimeout
-// when SYN retries are exhausted).
-func (s *Stack) Dial(dst packet.Addr, port uint16, cfg DialConfig, done func(*Conn, error)) {
-	if cfg.SYNRetries == 0 {
-		cfg.SYNRetries = 6
-	}
+// when SYN retries are exhausted). With requestECN the SYN is an
+// ECN-setup SYN, asking the server to negotiate ECN for the connection.
+func (s *Stack) Dial(dst packet.Addr, port uint16, requestECN bool, done func(*Conn, error)) {
 	key := connKey{remote: dst, remotePort: port, localPort: s.nextEphemeral()}
 	c := newConn(s, key, stateSynSent)
 	c.dialDone = done
-	c.requestECN = cfg.RequestECN
-	c.markCE = cfg.MarkCE && cfg.RequestECN
-	c.synRetriesLeft = cfg.SYNRetries
+	c.requestECN = requestECN
+	c.synRetriesLeft = synRetries
 	s.conns[key] = c
 	c.sendSYN()
 }

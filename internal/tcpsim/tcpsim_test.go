@@ -66,7 +66,7 @@ func TestHandshakeAndEcho(t *testing.T) {
 	var clientGot []byte
 	var closeErr error
 	closed := false
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, false, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
@@ -101,7 +101,7 @@ func TestECNNegotiationSuccess(t *testing.T) {
 	echoServer(t, f, 80, true)
 
 	var negotiated bool
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{RequestECN: true}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, true, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
@@ -119,7 +119,7 @@ func TestECNNegotiationRefused(t *testing.T) {
 	echoServer(t, f, 80, false) // server not ECN-capable
 
 	var negotiated, connected bool
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{RequestECN: true}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, true, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
@@ -141,7 +141,7 @@ func TestECNNotRequestedNotNegotiated(t *testing.T) {
 	echoServer(t, f, 80, true) // willing server
 
 	var negotiated bool
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, false, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestSYNACKWireFlags(t *testing.T) {
 		}
 	})
 
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{RequestECN: true}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, true, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestConnectionRefusedByRST(t *testing.T) {
 	// No listener on port 80: host answers with RST.
 	var dialErr error
 	start := f.sim.Now()
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{}, func(c *Conn, err error) { dialErr = err })
+	f.cs.Dial(f.server.Addr(), 80, false, func(c *Conn, err error) { dialErr = err })
 	f.sim.Run()
 	if dialErr != ErrRefused {
 		t.Errorf("dial err = %v, want ErrRefused", dialErr)
@@ -215,7 +215,7 @@ func TestDialTimeoutOfflineHost(t *testing.T) {
 	f := newFixture(t, 7)
 	f.server.SetOnline(false)
 	var dialErr error
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{}, func(c *Conn, err error) { dialErr = err })
+	f.cs.Dial(f.server.Addr(), 80, false, func(c *Conn, err error) { dialErr = err })
 	f.sim.Run()
 	if dialErr != ErrTimeout {
 		t.Errorf("dial err = %v, want ErrTimeout", dialErr)
@@ -243,7 +243,7 @@ func TestLossRecovery(t *testing.T) {
 	payload := bytes.Repeat([]byte("0123456789abcdef"), 600) // ~9.4KB, 7 segments
 	var clientGot []byte
 	done := false
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{RequestECN: true, SYNRetries: 8}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, true, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatalf("dial under loss: %v", err)
 		}
@@ -281,7 +281,7 @@ func TestSegmentationAtMSS(t *testing.T) {
 		}
 	})
 	big := make([]byte, 4*MSS+123)
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, false, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +315,7 @@ func TestRetransmissionsAreNotECT(t *testing.T) {
 		}
 	})
 
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{RequestECN: true}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, true, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +369,7 @@ func TestCEMarkingEchoedWithECE(t *testing.T) {
 		}
 	})
 
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{RequestECN: true}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, true, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +412,7 @@ func TestListenerClose(t *testing.T) {
 	l, _ := f.ss.Listen(80, false, nil)
 	l.Close()
 	var dialErr error
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{}, func(c *Conn, err error) { dialErr = err })
+	f.cs.Dial(f.server.Addr(), 80, false, func(c *Conn, err error) { dialErr = err })
 	f.sim.Run()
 	if dialErr != ErrRefused {
 		t.Errorf("dial after listener close = %v, want ErrRefused", dialErr)
@@ -425,7 +425,7 @@ func TestAbortSendsRST(t *testing.T) {
 	f.ss.Listen(80, false, func(c *Conn) {
 		c.OnClose(func(err error) { serverClosed = err })
 	})
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, false, func(c *Conn, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,7 +444,7 @@ func TestSimultaneousConnections(t *testing.T) {
 	completed := 0
 	for i := 0; i < conns; i++ {
 		i := i
-		f.cs.Dial(f.server.Addr(), 80, DialConfig{RequestECN: i%2 == 0}, func(c *Conn, err error) {
+		f.cs.Dial(f.server.Addr(), 80, i%2 == 0, func(c *Conn, err error) {
 			if err != nil {
 				t.Errorf("conn %d: %v", i, err)
 				return
@@ -476,7 +476,7 @@ func TestECNSetupSYNIsNotECTMarked(t *testing.T) {
 			synECN = d.IP.ECN()
 		}
 	})
-	f.cs.Dial(f.server.Addr(), 80, DialConfig{RequestECN: true}, func(c *Conn, err error) {
+	f.cs.Dial(f.server.Addr(), 80, true, func(c *Conn, err error) {
 		if err == nil {
 			c.Close()
 		}

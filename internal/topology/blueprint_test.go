@@ -124,7 +124,7 @@ func TestBlueprintInstancesAreIndependent(t *testing.T) {
 	v := wa.Vantages[0]
 	got := 0
 	for i := 0; i < 5; i++ {
-		ntp.Probe(v.Host, wa.Servers[i].Addr, ntp.ProbeConfig{ECN: ecn.ECT0}, func(r ntp.ProbeResult) {
+		ntp.Probe(v.Host, wa.Servers[i].Addr, ecn.ECT0, func(r ntp.ProbeResult) {
 			if r.Reachable {
 				got++
 			}

@@ -75,8 +75,10 @@ type Config struct {
 	FirewalledTCPECNFraction float64
 	// BrokenECEFraction is the share of ECN-negotiating web servers
 	// that never echo ECE for CE-marked segments — Kühlewind et al.
-	// measured ≈10% of negotiating hosts as unusable this way. Exercised
-	// by the ECN-usability extension experiment. Default 0.10.
+	// measured ≈10% of negotiating hosts as unusable this way. Each
+	// ECN-negotiating server draws its roll at build time, and under a
+	// congested scenario a broken server answers CE without ECE.
+	// Default 0.10.
 	BrokenECEFraction float64
 
 	// FlakyServers is the count of servers with congestion-prone access

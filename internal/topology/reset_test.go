@@ -56,16 +56,15 @@ func TestResetMatchesInstantiate(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						for _, spare := range []bool{false, true} {
 							t.Run(fmt.Sprintf("spare=%v", spare), func(t *testing.T) {
-								cfg := campaign.Config{
+								cfg := campaign.Config{Spec: campaign.Spec{
 									Scale:           "small",
 									Scenario:        scenario,
 									Traces:          2,
 									Stride:          12,
-									Traceroute:      traceroute.Config{ProbesPerHop: 1, StopAfterSilent: 2},
 									Seed:            2015,
 									Discover:        discover,
 									DiscoveryRounds: 4,
-								}
+								}}
 								var w *topology.World
 								rec := capture.NewRecorder(0)
 								cfg.ShardHook = func(_ int, vantage string, world *topology.World) {

@@ -109,7 +109,7 @@ func TestNTPServersAnswer(t *testing.T) {
 		if i >= 10 {
 			return
 		}
-		ntp.Probe(v.Host, w.Servers[i].Addr, ntp.ProbeConfig{ECN: ecn.ECT0}, func(r ntp.ProbeResult) {
+		ntp.Probe(v.Host, w.Servers[i].Addr, ecn.ECT0, func(r ntp.ProbeResult) {
 			if r.Reachable {
 				reached++
 			}
@@ -165,9 +165,9 @@ func TestECTFirewallBlocksOnlyECT(t *testing.T) {
 	}
 	v := w.Vantages[0]
 	var notECT, ect ntp.ProbeResult
-	ntp.Probe(v.Host, target.Addr, ntp.ProbeConfig{ECN: ecn.NotECT}, func(r ntp.ProbeResult) {
+	ntp.Probe(v.Host, target.Addr, ecn.NotECT, func(r ntp.ProbeResult) {
 		notECT = r
-		ntp.Probe(v.Host, target.Addr, ntp.ProbeConfig{ECN: ecn.ECT0}, func(r2 ntp.ProbeResult) { ect = r2 })
+		ntp.Probe(v.Host, target.Addr, ecn.ECT0, func(r2 ntp.ProbeResult) { ect = r2 })
 	})
 	w.Sim.Run()
 	if !notECT.Reachable {
@@ -195,9 +195,9 @@ func TestNotECTFirewallAsymmetry(t *testing.T) {
 	}
 	v := w.Vantages[0]
 	var plain, ect ntp.ProbeResult
-	ntp.Probe(v.Host, target.Addr, ntp.ProbeConfig{ECN: ecn.NotECT}, func(r ntp.ProbeResult) {
+	ntp.Probe(v.Host, target.Addr, ecn.NotECT, func(r ntp.ProbeResult) {
 		plain = r
-		ntp.Probe(v.Host, target.Addr, ntp.ProbeConfig{ECN: ecn.ECT0}, func(r2 ntp.ProbeResult) { ect = r2 })
+		ntp.Probe(v.Host, target.Addr, ecn.ECT0, func(r2 ntp.ProbeResult) { ect = r2 })
 	})
 	w.Sim.Run()
 	if plain.Reachable {
@@ -224,9 +224,9 @@ func TestScopedECTFirewallOnlyAffectsScopedVantages(t *testing.T) {
 	outScope, _ := w.VantageByName("EC2 California")
 
 	var fromIn, fromOut ntp.ProbeResult
-	ntp.Probe(inScope.Host, target.Addr, ntp.ProbeConfig{ECN: ecn.ECT0}, func(r ntp.ProbeResult) {
+	ntp.Probe(inScope.Host, target.Addr, ecn.ECT0, func(r ntp.ProbeResult) {
 		fromIn = r
-		ntp.Probe(outScope.Host, target.Addr, ntp.ProbeConfig{ECN: ecn.ECT0}, func(r2 ntp.ProbeResult) { fromOut = r2 })
+		ntp.Probe(outScope.Host, target.Addr, ecn.ECT0, func(r2 ntp.ProbeResult) { fromOut = r2 })
 	})
 	w.Sim.Run()
 	if fromIn.Reachable {

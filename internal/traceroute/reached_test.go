@@ -2,7 +2,6 @@ package traceroute
 
 import (
 	"testing"
-	"time"
 	"unsafe"
 
 	"repro/internal/ecn"
@@ -46,7 +45,6 @@ func TestUnroutableTargetTerminates(t *testing.T) {
 	mux := NewMux(f.client)
 	var got Result
 	mux.Run(packet.AddrFrom4(203, 0, 113, 99), Config{
-		Timeout:         50 * time.Millisecond,
 		StopAfterSilent: 2,
 		ProbesPerHop:    1,
 	}, keep(&got))
@@ -68,31 +66,26 @@ func TestUnroutableTargetTerminates(t *testing.T) {
 	}
 }
 
-// TestDeepConfigBoundedToTheTTLField: a MaxTTL or ProbesPerHop past 255
-// is bounded to 255, so every probe leaves with the TTL its row records.
-// Unbounded, a MaxTTL of 300 sent TTL 0–44 probes (the wire field is a
-// byte) that the first router answered, recorded as hops 256–300.
+// TestDeepConfigBoundedToTheTTLField: a ProbesPerHop past 255 is
+// bounded to 255, so every probe's attempt index fits the byte its row
+// records it in. (The TTL needs no run-time bound: maxTTL is a constant
+// the compiler holds to a byte.)
 func TestDeepConfigBoundedToTheTTLField(t *testing.T) {
-	if c := (Config{MaxTTL: 300, ProbesPerHop: 1000}).withDefaults(); c.MaxTTL != 255 || c.ProbesPerHop != 255 {
-		t.Fatalf("withDefaults bounds MaxTTL 300, ProbesPerHop 1000 to %d, %d; want 255, 255", c.MaxTTL, c.ProbesPerHop)
+	if c := (Config{ProbesPerHop: 1000}).withDefaults(); c.ProbesPerHop != 255 {
+		t.Fatalf("withDefaults bounds ProbesPerHop 1000 to %d; want 255", c.ProbesPerHop)
 	}
 	f := newChain(t, 10, 3)
 	mux := NewMux(f.client)
 	var got Result
-	mux.Run(packet.AddrFrom4(203, 0, 113, 99), Config{
-		MaxTTL:          300,
-		ProbesPerHop:    1,
-		StopAfterSilent: 1000,
-		Timeout:         10 * time.Millisecond,
-	}, keep(&got))
+	mux.Run(packet.AddrFrom4(203, 0, 113, 99), Config{ProbesPerHop: 1000, StopAfterSilent: 1}, keep(&got))
 	f.sim.Run()
-	if len(got.Observations) != 255 {
-		t.Fatalf("a MaxTTL of 300 sent %d probes, want 255", len(got.Observations))
+	// Hop 1 answers all 255 probes; hop 2, past the blackhole, none.
+	if len(got.Observations) != 2*255 {
+		t.Fatalf("a ProbesPerHop of 1000 sent %d probes over two hops, want %d", len(got.Observations), 2*255)
 	}
 	for i, o := range got.Observations {
-		if int(o.TTL) != i+1 || o.Responded != (o.TTL == 1) {
-			t.Fatalf("probe %d recorded TTL %d, responded %v; want TTL %d, and only hop 1 answering for a blackholed target",
-				i, o.TTL, o.Responded, i+1)
+		if int(o.Attempt) != i%255 || int(o.TTL) != 1+i/255 {
+			t.Fatalf("probe %d recorded TTL %d attempt %d; want TTL %d attempt %d", i, o.TTL, o.Attempt, 1+i/255, i%255)
 		}
 	}
 }

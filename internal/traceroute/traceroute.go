@@ -23,46 +23,32 @@ import (
 
 // Config controls a traceroute run.
 type Config struct {
-	// MaxTTL is the deepest hop probed (default 30; at most 255, the
-	// IP TTL field's largest value).
-	MaxTTL int
 	// ProbesPerHop is the number of probes sent per TTL (default 2; at
 	// most 255); repeated probes expose "sometimes-strip" hops.
 	ProbesPerHop int
-	// Timeout per probe (default 500ms).
-	Timeout time.Duration
-	// ECN is the codepoint probes carry (default ECT(0), as the study
-	// used).
-	ECN ecn.Codepoint
-	// BasePort is the first destination port (default 33434).
-	BasePort uint16
 	// StopAfterSilent ends the trace after this many consecutive
 	// unresponsive TTLs (default 3) — the study's traces "generally stop
 	// one hop before the destination".
 	StopAfterSilent int
 }
 
-// withDefaults fills in the defaults and bounds MaxTTL and ProbesPerHop
-// to 255, so a probe's TTL is the one its row records and both fit the
-// row's bytes: a deeper MaxTTL would wrap on the wire.
+// Every probe carries ECT(0), as the study's did, to the classic
+// traceroute ports from basePort up; a trace gives up past maxTTL, and
+// a probe after probeTimeout.
+const (
+	probeECN     = ecn.ECT0
+	basePort     = 33434
+	maxTTL       = 30
+	probeTimeout = 500 * time.Millisecond
+)
+
+// withDefaults fills in the defaults and bounds ProbesPerHop to 255, so
+// a probe's attempt index fits the row's byte.
 func (c Config) withDefaults() Config {
-	if c.MaxTTL == 0 {
-		c.MaxTTL = 30
-	}
 	if c.ProbesPerHop == 0 {
 		c.ProbesPerHop = 2
 	}
-	c.MaxTTL = min(c.MaxTTL, math.MaxUint8)
 	c.ProbesPerHop = min(c.ProbesPerHop, math.MaxUint8)
-	if c.Timeout == 0 {
-		c.Timeout = 500 * time.Millisecond
-	}
-	if c.ECN == 0 {
-		c.ECN = ecn.ECT0
-	}
-	if c.BasePort == 0 {
-		c.BasePort = 33434
-	}
 	if c.StopAfterSilent == 0 {
 		c.StopAfterSilent = 3
 	}
@@ -73,7 +59,7 @@ func (c Config) withDefaults() Config {
 // The paper's 155439 "IP level hops" are observations in this sense.
 //
 // The row is 24 bytes: TTL and Attempt are as wide as the IP TTL field
-// (Config bounds both to 255), and the byte-sized fields sit together
+// (maxTTL and Config bound both to 255), and the byte-sized fields sit together
 // ahead of RTT. A sweep stages, flattens and merges a row per probe, so
 // one added int costs 8 bytes per hop per copy (TestRowWidths).
 type Observation struct {
@@ -243,7 +229,7 @@ func (s *session) start() {
 	s.sendProbe()
 }
 
-func (s *session) dstPort(idx int) uint16 { return s.cfg.BasePort + uint16(idx) }
+func (s *session) dstPort(idx int) uint16 { return basePort + uint16(idx) }
 
 func (s *session) sendProbe() {
 	if s.finished {
@@ -253,8 +239,8 @@ func (s *session) sendProbe() {
 	s.sentAt = sim.Now()
 	idx := s.probeIdx
 	s.payload = [2]byte{byte(idx >> 8), byte(idx)} // tiny payload, quoted back
-	_ = s.mux.host.SendUDP(s.target, s.srcPort, s.dstPort(idx), uint8(s.ttl), s.cfg.ECN, s.payload[:])
-	s.timer = sim.After(s.cfg.Timeout, s.onTimeoutFn)
+	_ = s.mux.host.SendUDP(s.target, s.srcPort, s.dstPort(idx), uint8(s.ttl), probeECN, s.payload[:])
+	s.timer = sim.After(probeTimeout, s.onTimeoutFn)
 }
 
 // advance moves to the next probe or TTL, applying stop conditions.
@@ -271,7 +257,7 @@ func (s *session) advance() {
 	} else {
 		s.silentTTLs = 0
 	}
-	if s.silentTTLs >= s.cfg.StopAfterSilent || s.ttl >= s.cfg.MaxTTL || s.reached {
+	if s.silentTTLs >= s.cfg.StopAfterSilent || s.ttl >= maxTTL || s.reached {
 		s.finish()
 		return
 	}
@@ -281,14 +267,17 @@ func (s *session) advance() {
 	s.sendProbe()
 }
 
+// A probe's TTL is the one its row records: maxTTL fits the row's byte.
+const _ uint8 = maxTTL
+
 func (s *session) onTimeout() {
 	if s.finished {
 		return
 	}
 	s.obs = append(s.obs, Observation{
-		TTL:     uint8(s.ttl), // exact: withDefaults bounds both
+		TTL:     uint8(s.ttl), // exact: maxTTL and withDefaults bound both
 		Attempt: uint8(s.attempt),
-		SentECN: s.cfg.ECN,
+		SentECN: probeECN,
 	})
 	s.advance()
 }
@@ -308,9 +297,9 @@ func (s *session) onICMP(ip packet.IPv4Header, msg packet.ICMPMessage, quoted pa
 		Attempt:    uint8(s.attempt),
 		Responded:  true,
 		Hop:        ip.Src,
-		SentECN:    s.cfg.ECN,
+		SentECN:    probeECN,
 		QuotedECN:  quoted.ECN(),
-		Transition: ecn.Classify(s.cfg.ECN, quoted.ECN()),
+		Transition: ecn.Classify(probeECN, quoted.ECN()),
 		RTT:        s.mux.host.Sim().Now() - s.sentAt,
 	}
 	if msg.Type == packet.ICMPDestUnreachable && ip.Src == s.target {

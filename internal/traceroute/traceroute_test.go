@@ -174,7 +174,7 @@ func TestTraceStopsAfterSilence(t *testing.T) {
 	mux := NewMux(f.client)
 	var got Result
 	start := f.sim.Now()
-	mux.Run(f.server.Addr(), Config{StopAfterSilent: 2, Timeout: 100 * time.Millisecond}, keep(&got))
+	mux.Run(f.server.Addr(), Config{StopAfterSilent: 2}, keep(&got))
 	f.sim.Run()
 
 	hops := condense(&got)
@@ -186,8 +186,9 @@ func TestTraceStopsAfterSilence(t *testing.T) {
 		t.Fatalf("responsive hops = %d, want 2", len(hops))
 	}
 	elapsed := f.sim.Now() - start
-	// 2 TTLs responsive + 2 silent TTLs × 2 probes × 100ms ≈ 400ms + RTTs.
-	if elapsed > 2*time.Second {
+	// 2 TTLs responsive + 2 silent TTLs × 2 probes × probeTimeout ≈ 2s +
+	// RTTs; probing on to maxTTL would take 28 silent TTLs.
+	if elapsed > 20*probeTimeout {
 		t.Errorf("trace took %v; stop-after-silence broken", elapsed)
 	}
 }
@@ -196,7 +197,7 @@ func TestObservationCountBookkeeping(t *testing.T) {
 	f := newChain(t, 5, 3)
 	mux := NewMux(f.client)
 	var got Result
-	mux.Run(f.server.Addr(), Config{ProbesPerHop: 3, StopAfterSilent: 1, Timeout: 50 * time.Millisecond}, keep(&got))
+	mux.Run(f.server.Addr(), Config{ProbesPerHop: 3, StopAfterSilent: 1}, keep(&got))
 	f.sim.Run()
 
 	// 3 responsive TTLs ×3 probes + 1 silent TTL ×3 probes = 12.
