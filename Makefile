@@ -70,12 +70,15 @@ fuzz-smoke:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
-# bench-paper runs the declared benchmark's engine-only workload
+# bench-paper runs the declared benchmark's engine-only workloads
 # (BENCHMARK.json, bench/README.md) the way the acceptance driver does:
 # untraced repetitions of the paper-scale campaign at the pinned seed,
-# dataset hash checked against bench/golden.json.
+# dataset hash checked against bench/golden.json — the uncongested
+# campaign, then the congested-transit one, whose golden hash and
+# sim_events pin the cross-traffic replay byte for byte.
 bench-paper:
 	$(GO) run ./bench -workload paper-direct -seed 2015 -seconds 15 -trace 0
+	$(GO) run ./bench -workload paper-transit -seed 2015 -seconds 15 -trace 0
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -164,11 +164,14 @@ func (s Stats) AvgBacklog() float64 {
 }
 
 // Queue is a bounded packet queue with an attached management
-// discipline. The owning link calls Enqueue when a packet arrives and
-// Dequeue at each serialization boundary; both receive the current
-// virtual time. Enqueue reports false when the discipline dropped the
-// packet. Dequeue reports false when nothing is queued (a discipline
-// may internally drop head packets before returning the survivor).
+// discipline. The owning link calls Enqueue when a foreground packet
+// arrives, Boundary at each serialization boundary (the background
+// that arrived while the previous packet serialized, then the next
+// dequeue), and Dequeue when an idle transmitter starts; all receive
+// the current virtual time. Enqueue reports false when the discipline
+// dropped the packet. Dequeue reports false when nothing is queued (a
+// discipline may internally drop head packets before returning the
+// survivor).
 //
 // Ownership: Enqueue always takes the packet — a discipline that drops
 // (tail drop, congestion drop, or a dequeue-time head drop) Frees the
@@ -191,10 +194,18 @@ type Queue interface {
 	// at time now, taking exactly the same per-packet decision sequence —
 	// EWMA updates, uniformization counting, PRNG draws, tail drops — as
 	// n individual Enqueue calls of a phantom packet, and reports how many
-	// were admitted. The lazy catch-up transmitter uses it so a replayed burst
-	// of arrivals is indistinguishable, state- and stream-wise, from the
-	// event-driven equivalent.
+	// were admitted — so a replayed burst of arrivals is
+	// indistinguishable, state- and stream-wise, from the event-driven
+	// equivalent. The transmitter offers the background through it when
+	// a foreground packet arrives between boundaries.
 	EnqueuePhantoms(now time.Duration, size, n int) int
+	// Boundary is the transmitter's serialization-boundary step in one
+	// call: exactly EnqueuePhantoms(now, size, n) followed by
+	// Dequeue(now) — same decisions, same PRNG draws, same Stats —
+	// returning the admitted count and the dequeued packet. A phantom
+	// comes back as the queue's reusable shell, valid until the next
+	// Boundary or Dequeue.
+	Boundary(now time.Duration, size, n int) (admitted int, next *Packet, ok bool)
 	// DropsAtDequeue reports whether the discipline may discard packets
 	// at dequeue time (CoDel's head drop). Disciplines that decide a
 	// packet's fate entirely at enqueue (DropTail, RED) let the link
@@ -250,14 +261,19 @@ type entry struct {
 
 // fifo is the bounded FIFO buffer shared by every discipline. It keeps
 // the Stats bookkeeping in one place; disciplines layer their
-// congestion actions on top. The backing array is reused (compacted in
-// place), so the queue itself never allocates in steady state.
+// congestion actions on top. The entries live in a ring of exactly the
+// queue's capacity, allocated once: every discipline refuses an
+// arrival at a full queue before admitting it, so admission never
+// grows the ring and dequeue never moves an entry.
 type fifo struct {
-	pkts    []entry
-	head    int
-	bytes   int
-	maxPkts int
-	stats   Stats
+	ring []entry // len(ring) is the capacity in packets
+	head int     // index of the oldest entry
+	n    int     // entries queued
+	// stats holds the lifetime counters except Dequeued, which Stats
+	// derives: every admitted packet is either still queued or was
+	// handed out (a head drop takes back both its Enqueued and its
+	// Dequeued), so Dequeued = Enqueued − Len at all times.
+	stats Stats
 	// ingress and egress are the queue's reusable phantom shells:
 	// EnqueuePhantoms offers arrivals through ingress (admit consumes
 	// the shell into a tuple entry), and pop serves a phantom through
@@ -271,71 +287,94 @@ func newFifo(capacity int) fifo {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return fifo{maxPkts: capacity}
+	return fifo{ring: make([]entry, capacity)}
 }
 
 // reset empties the buffer and zeroes the lifetime Stats, keeping the
-// backing array. Queued foreground packets are freed; a drained queue
-// has none.
+// ring. Queued foreground packets are freed; a drained queue has none.
 func (f *fifo) reset() {
-	for i := f.head; i < len(f.pkts); i++ {
-		if p := f.pkts[i].pkt; p != nil {
+	for i := 0; i < f.n; i++ {
+		if p := f.ring[f.slot(i)].pkt; p != nil {
 			p.Free()
 		}
 	}
-	clear(f.pkts)
-	f.pkts = f.pkts[:0]
+	clear(f.ring)
 	f.head = 0
-	f.bytes = 0
+	f.n = 0
 	f.stats = Stats{}
 	f.egress = Packet{}
 }
 
-func (f *fifo) Cap() int     { return f.maxPkts }
-func (f *fifo) Len() int     { return len(f.pkts) - f.head }
-func (f *fifo) Bytes() int   { return f.bytes }
-func (f *fifo) Stats() Stats { return f.stats }
+func (f *fifo) Cap() int { return len(f.ring) }
+func (f *fifo) Len() int { return f.n }
+
+func (f *fifo) Bytes() int {
+	b := 0
+	for i := 0; i < f.n; i++ {
+		b += int(f.ring[f.slot(i)].size)
+	}
+	return b
+}
+
+func (f *fifo) Stats() Stats {
+	s := f.stats
+	s.Dequeued = s.Enqueued - uint64(f.n)
+	return s
+}
+
+// slot is the ring index of the i-th queued entry (0 = the head).
+func (f *fifo) slot(i int) int {
+	if i += f.head; i >= len(f.ring) {
+		i -= len(f.ring)
+	}
+	return i
+}
+
+// push appends an entry behind the tail: a foreground packet, or a
+// phantom's tuple (p nil). The caller has checked that the queue is
+// below capacity. A free slot's pkt is always nil — pop and reset clear
+// it — so a phantom's push stores no pointer and pays no write barrier.
+func (f *fifo) push(p *Packet, size int, now time.Duration) {
+	e := &f.ring[f.slot(f.n)]
+	if p != nil {
+		e.pkt = p
+	}
+	e.size = int32(size)
+	e.arrived = now
+	f.n++
+}
 
 // admit records and appends an accepted packet. Callers have already
 // taken the discipline's decision. A phantom is admitted as a tuple
 // entry and its shell freed; a foreground packet is retained.
 func (f *fifo) admit(now time.Duration, p *Packet) {
-	e := entry{size: int32(p.Size), arrived: now}
 	f.stats.Enqueued++
 	if !p.Phantom() {
 		p.Arrived = now
-		e.pkt = p
 		f.stats.WireEnqueued++
 		if p.ECN().IsECT() {
 			f.stats.WireECT++
 		}
-	} else {
-		p.Free() // the tuple entry replaces the shell
+		f.push(p, p.Size, now)
+		return
 	}
-	f.pkts = append(f.pkts, e)
-	f.bytes += int(e.size)
+	size := p.Size
+	p.Free() // the tuple entry replaces the shell
+	f.push(nil, size, now)
 }
 
 // pop removes the head packet, maintaining sojourn accounting. Phantom
 // entries are served through the reusable egress shell.
 func (f *fifo) pop(now time.Duration) (*Packet, bool) {
-	if f.Len() == 0 {
+	if f.n == 0 {
 		return nil, false
 	}
-	e := f.pkts[f.head]
-	f.pkts[f.head] = entry{}
-	f.head++
-	// Compact once the dead prefix dominates, keeping amortized O(1).
-	if f.head > 64 && f.head*2 >= len(f.pkts) {
-		n := copy(f.pkts, f.pkts[f.head:])
-		f.pkts = f.pkts[:n]
-		f.head = 0
-	}
-	f.bytes -= int(e.size)
-	f.stats.Dequeued++
+	e := &f.ring[f.head]
 	f.stats.SumSojourn += now - e.arrived
 	p := e.pkt
-	if p == nil {
+	if p != nil {
+		e.pkt = nil // the slot keeps no foreground packet alive
+	} else {
 		// Serve the phantom through the reusable egress shell. Wire and
 		// buf are permanently nil on it (Free never populates them), so
 		// only the tuple fields need refreshing.
@@ -343,6 +382,10 @@ func (f *fifo) pop(now time.Duration) (*Packet, bool) {
 		p.Size = int(e.size)
 		p.Arrived = e.arrived
 	}
+	if f.head++; f.head == len(f.ring) {
+		f.head = 0
+	}
+	f.n--
 	return p, true
 }
 
@@ -372,8 +415,7 @@ func enqueuePhantoms(q Queue, f *fifo, now time.Duration, size, n int) int {
 // bookkeeping for a phantom packet.
 func (f *fifo) admitPhantom(now time.Duration, size int) {
 	f.stats.Enqueued++
-	f.pkts = append(f.pkts, entry{size: int32(size), arrived: now})
-	f.bytes += size
+	f.push(nil, size, now)
 }
 
 // enqueuePhantomsTailDrop is the native batch loop for disciplines
@@ -425,7 +467,6 @@ func (f *fifo) tailDrop() {
 // congest() just recorded — and not as Dequeued, which means "handed
 // to the transmitter".
 func (f *fifo) headDropped(p *Packet) {
-	f.stats.Dequeued--
 	f.stats.Enqueued--
 	if !p.Phantom() {
 		f.stats.WireEnqueued--

@@ -1,9 +1,13 @@
 package aqm
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/ecn"
 )
 
 // stateOf snapshots everything observable about a queue that the lazy
@@ -41,12 +45,40 @@ func diffState(t *testing.T, label string, a, b map[string]any) {
 	}
 }
 
-// TestBatchAdvanceEqualsSingleSteps is the batch-advance entry point's
-// defining property: EnqueuePhantoms(now, size, n) leaves a queue —
-// occupancy, stats, RED's EWMA/uniformization state, CoDel's interval
-// state, and the PRNG stream position — exactly where n individual
-// Enqueue calls of a phantom packet leave it, under a randomized schedule of
-// arrival bursts, idle gaps and partial drains.
+// samePacket fails unless a and b — the packets two queues handed out
+// for the same dequeue — agree on size, arrival, phantomness and (for
+// a real packet) every wire byte, ECN mark included.
+func samePacket(t *testing.T, label string, a, b *Packet, oka, okb bool) {
+	t.Helper()
+	if oka != okb {
+		t.Fatalf("%s: dequeue diverges: %v vs %v", label, oka, okb)
+	}
+	if !oka {
+		return
+	}
+	if a.Size != b.Size || a.Arrived != b.Arrived || a.Phantom() != b.Phantom() || !bytes.Equal(a.Wire, b.Wire) {
+		t.Fatalf("%s: dequeued (%d,%v,phantom=%v) vs (%d,%v,phantom=%v)",
+			label, a.Size, a.Arrived, a.Phantom(), b.Size, b.Arrived, b.Phantom())
+	}
+}
+
+// TestBatchAdvanceEqualsSingleSteps is the batch-advance entry points'
+// defining property, under a randomized schedule of arrival bursts,
+// serialization boundaries, foreground arrivals (ECT(0) and not-ECT),
+// idle gaps and partial drains. Three queues run the same schedule:
+//
+//   - batch advances phantoms with EnqueuePhantoms(now, size, n);
+//   - single with n individual Enqueue calls of a phantom packet;
+//   - bound takes each serialization boundary — n arrivals, then the
+//     dequeue — as one Boundary(now, size, n), where the other two
+//     enqueue and then Dequeue(now).
+//
+// All three must admit the same counts, hand out the same packets
+// (size, arrival, phantomness, wire bytes), and end with the same
+// occupancy, Stats, RED EWMA/uniformization state, CoDel interval
+// state, and PRNG stream position. The schedule must reach RED's idle
+// aging, a full queue and a CoDel head drop inside Boundary; the test
+// fails if it does not.
 func TestBatchAdvanceEqualsSingleSteps(t *testing.T) {
 	disciplines := []struct {
 		name string
@@ -58,58 +90,116 @@ func TestBatchAdvanceEqualsSingleSteps(t *testing.T) {
 	}
 	for _, d := range disciplines {
 		t.Run(d.name, func(t *testing.T) {
+			var aged, full, headDrops int
 			for seed := int64(0); seed < 5; seed++ {
-				rngA := rand.New(rand.NewSource(100 + seed))
-				rngB := rand.New(rand.NewSource(100 + seed))
-				batch := d.make(rngA)
-				single := d.make(rngB)
+				rngs := [3]*rand.Rand{}
+				var qs [3]Queue
+				for i := range qs {
+					rngs[i] = rand.New(rand.NewSource(100 + seed))
+					qs[i] = d.make(rngs[i])
+				}
+				batch, single, bound := qs[0], qs[1], qs[2]
+				enqueueSingles := func(now time.Duration, n int) int {
+					admitted := 0
+					for i := 0; i < n; i++ {
+						if single.Enqueue(now, &Packet{Size: 512}) {
+							admitted++
+						}
+					}
+					return admitted
+				}
 
 				plan := rand.New(rand.NewSource(9000 + seed))
 				now := time.Duration(0)
-				for step := 0; step < 400; step++ {
-					switch plan.Intn(4) {
-					case 0, 1: // arrival burst at one instant
+				for step := 0; step < 600; step++ {
+					label := fmt.Sprintf("seed %d step %d", seed, step)
+					switch plan.Intn(6) {
+					case 0: // arrival burst at one instant
 						n := plan.Intn(6)
 						a := batch.EnqueuePhantoms(now, 512, n)
-						b := 0
-						for i := 0; i < n; i++ {
-							if single.Enqueue(now, &Packet{Size: 512}) {
-								b++
-							}
+						b := enqueueSingles(now, n)
+						c := bound.EnqueuePhantoms(now, 512, n)
+						if a != b || a != c {
+							t.Fatalf("%s: admitted %d via batch, %d via singles, %d on bound", label, a, b, c)
 						}
-						if a != b {
-							t.Fatalf("seed %d step %d: admitted %d via batch, %d via singles", seed, step, a, b)
+					case 1, 2: // a serialization boundary: arrivals, then the dequeue
+						n := plan.Intn(4)
+						if red, ok := bound.(*RED); ok && red.idle && n > 0 {
+							aged++
 						}
-					case 2: // drain some, advancing the clock per dequeue
+						dropsBefore := bound.Stats().WireNotECTDropped
+						a := batch.EnqueuePhantoms(now, 512, n)
+						pa, oka := batch.Dequeue(now)
+						b := enqueueSingles(now, n)
+						pb, okb := single.Dequeue(now)
+						c, pc, okc := bound.Boundary(now, 512, n)
+						if a != b || a != c {
+							t.Fatalf("%s: admitted %d via batch, %d via singles, %d via Boundary", label, a, b, c)
+						}
+						if c < n {
+							full++
+						}
+						if bound.Stats().WireNotECTDropped > dropsBefore {
+							headDrops++
+						}
+						samePacket(t, label+" batch/single", pa, pb, oka, okb)
+						samePacket(t, label+" batch/Boundary", pa, pc, oka, okc)
+						if oka {
+							pa.Free()
+							pb.Free()
+							pc.Free()
+						}
+					case 3: // a foreground arrival, ECT(0) or not-ECT
+						cp := ecn.ECT0
+						if plan.Intn(2) == 0 {
+							cp = ecn.NotECT
+						}
+						wire := wirePacket(t, cp)
+						var ok [3]bool
+						for i, q := range qs {
+							w := append([]byte(nil), wire...)
+							ok[i] = q.Enqueue(now, &Packet{Wire: w, Size: len(w)})
+						}
+						if ok[0] != ok[1] || ok[0] != ok[2] {
+							t.Fatalf("%s: foreground admission diverges: %v", label, ok)
+						}
+					case 4: // drain some, advancing the clock per dequeue
 						for i := plan.Intn(4); i >= 0; i-- {
 							pa, oka := batch.Dequeue(now)
 							pb, okb := single.Dequeue(now)
-							if oka != okb {
-								t.Fatalf("seed %d step %d: dequeue diverges: %v vs %v", seed, step, oka, okb)
-							}
-							if oka && (pa.Size != pb.Size || pa.Arrived != pb.Arrived) {
-								t.Fatalf("seed %d step %d: dequeued (%d,%v) vs (%d,%v)",
-									seed, step, pa.Size, pa.Arrived, pb.Size, pb.Arrived)
-							}
+							pc, okc := bound.Dequeue(now)
+							samePacket(t, label+" batch/single", pa, pb, oka, okb)
+							samePacket(t, label+" batch/bound", pa, pc, oka, okc)
 							if oka {
 								pa.Free()
 								pb.Free()
+								pc.Free()
 							}
 							now += time.Duration(plan.Intn(5000)) * time.Microsecond
 						}
-					case 3: // idle gap (exercises RED's idle aging on re-arrival)
+					case 5: // idle gap (exercises RED's idle aging on re-arrival)
 						now += time.Duration(plan.Intn(200)) * time.Millisecond
 					}
 					now += time.Duration(plan.Intn(2000)) * time.Microsecond
 				}
 
-				diffState(t, d.name, stateOf(t, batch), stateOf(t, single))
+				diffState(t, d.name+" batch/single", stateOf(t, batch), stateOf(t, single))
+				diffState(t, d.name+" batch/Boundary", stateOf(t, batch), stateOf(t, bound))
 				// The PRNG stream position must match too: RED's next draw
 				// comes out identical, so downstream consumers of a shared
 				// simulation PRNG see an unshifted stream.
-				if a, b := rngA.Float64(), rngB.Float64(); a != b {
-					t.Errorf("seed %d: PRNG stream position diverged: %v vs %v", seed, a, b)
+				if a, b, c := rngs[0].Float64(), rngs[1].Float64(), rngs[2].Float64(); a != b || a != c {
+					t.Errorf("seed %d: PRNG stream position diverged: %v vs %v vs %v", seed, a, b, c)
 				}
+			}
+			if full == 0 {
+				t.Error("no Boundary met a full queue")
+			}
+			if d.name == "red" && aged == 0 {
+				t.Error("no Boundary aged RED's average across an idle period")
+			}
+			if d.name == "codel" && headDrops == 0 {
+				t.Error("no Boundary head-dropped a not-ECT packet")
 			}
 		})
 	}

@@ -75,6 +75,14 @@ func (q *CoDel) EnqueuePhantoms(now time.Duration, size, n int) int {
 	return q.enqueuePhantomsTailDrop(now, size, n)
 }
 
+// Boundary implements Queue: EnqueuePhantoms, then Dequeue — where
+// the control law may head-drop.
+func (q *CoDel) Boundary(now time.Duration, size, n int) (int, *Packet, bool) {
+	admitted := q.enqueuePhantomsTailDrop(now, size, n)
+	p, ok := q.Dequeue(now)
+	return admitted, p, ok
+}
+
 // DropsAtDequeue implements Queue: the control law may discard not-ECT
 // heads inside Dequeue, so a queued packet's serialization time is not
 // knowable at enqueue.

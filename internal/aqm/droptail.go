@@ -42,6 +42,16 @@ func (q *DropTail) EnqueuePhantoms(now time.Duration, size, n int) int {
 	return q.enqueuePhantomsTailDrop(now, size, n)
 }
 
+// Boundary implements Queue: the n phantom arrivals, then the dequeue.
+func (q *DropTail) Boundary(now time.Duration, size, n int) (int, *Packet, bool) {
+	admitted := 0
+	if n > 0 {
+		admitted = q.enqueuePhantomsTailDrop(now, size, n)
+	}
+	p, ok := q.pop(now)
+	return admitted, p, ok
+}
+
 // DropsAtDequeue implements Queue: DropTail decides at enqueue only.
 func (q *DropTail) DropsAtDequeue() bool { return false }
 

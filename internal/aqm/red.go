@@ -84,7 +84,13 @@ func (q *RED) Reset() {
 
 // Enqueue implements Queue: the accept/mark/drop decision point.
 func (q *RED) Enqueue(now time.Duration, p *Packet) bool {
-	full, action := q.arrive(now)
+	if q.idle {
+		q.age(now)
+	}
+	full, action, pending := q.arrive()
+	if pending {
+		action = q.uniformized()
+	}
 	if full {
 		q.tailDrop()
 		p.Free()
@@ -98,49 +104,59 @@ func (q *RED) Enqueue(now time.Duration, p *Packet) bool {
 	return true
 }
 
-// arrive runs the per-arrival control law — backlog observation, idle
-// aging, the EWMA update, and (below capacity) the uniformized action
-// decision with its PRNG draw. Both Enqueue and EnqueuePhantoms run
-// exactly this, so the two entry points cannot drift.
-func (q *RED) arrive(now time.Duration) (full, action bool) {
+// arrive runs one arrival through the control law — backlog
+// observation, the EWMA update, and (below capacity) the action
+// decision. Enqueue and EnqueuePhantoms both run exactly this, so the
+// entry points cannot drift. It makes no call, so it inlines into both;
+// the law's two rare steps are outlined, and the caller runs them
+// around it: age first, when the queue has been idle, and uniformized
+// when the average lies between the thresholds (pending), to settle
+// the action with its PRNG draw.
+func (q *RED) arrive() (full, action, pending bool) {
 	q.observeArrival()
-
-	// Age the average across an idle period: the queue was empty, so
-	// the average decays as if m small packets had passed (RED §11).
-	if q.idle {
-		m := float64(now-q.idleSince) / float64(q.MeanPktTime)
-		if m > 0 {
-			q.avg *= math.Pow(1-q.Wq, m)
-		}
-		q.idle = false
-	}
 	q.avg += q.Wq * (float64(q.Len()) - q.avg)
 
 	if q.Len() >= q.Cap() {
-		return true, false // tail drop territory: no action draw
+		return true, false, false // tail drop territory: no action draw
 	}
-
 	switch {
 	case q.avg >= q.MaxTh:
-		action = true
 		q.count = 0
+		return false, true, false
 	case q.avg > q.MinTh:
-		q.count++
-		pb := q.MaxP * (q.avg - q.MinTh) / (q.MaxTh - q.MinTh)
-		var pa float64
-		if d := 1 - float64(q.count)*pb; d > 0 {
-			pa = pb / d
-		} else {
-			pa = 1
-		}
-		if pa >= 1 || (q.rng != nil && q.rng.Float64() < pa) {
-			action = true
-			q.count = 0
-		}
-	default:
-		q.count = 0
+		return false, false, true
 	}
-	return false, action
+	q.count = 0
+	return false, false, false
+}
+
+// age decays the average across an idle period: the queue was empty,
+// so the average decays as if m small packets had passed (RED §11).
+func (q *RED) age(now time.Duration) {
+	m := float64(now-q.idleSince) / float64(q.MeanPktTime)
+	if m > 0 {
+		q.avg *= math.Pow(1-q.Wq, m)
+	}
+	q.idle = false
+}
+
+// uniformized settles arrive's pending decision between the
+// thresholds: the action probability grows with the average and with
+// the arrivals since the last action, and one PRNG draw settles it.
+func (q *RED) uniformized() bool {
+	q.count++
+	pb := q.MaxP * (q.avg - q.MinTh) / (q.MaxTh - q.MinTh)
+	var pa float64
+	if d := 1 - float64(q.count)*pb; d > 0 {
+		pa = pb / d
+	} else {
+		pa = 1
+	}
+	if pa >= 1 || (q.rng != nil && q.rng.Float64() < pa) {
+		q.count = 0
+		return true
+	}
+	return false
 }
 
 // EnqueuePhantoms implements Queue: n phantom arrivals at now, each
@@ -150,20 +166,45 @@ func (q *RED) arrive(now time.Duration) (full, action bool) {
 // so a congestion action is always a mark, never a wire rewrite or a
 // drop, and admission is a tuple entry.
 func (q *RED) EnqueuePhantoms(now time.Duration, size, n int) int {
-	admitted := 0
+	if q.idle && n > 0 {
+		q.age(now) // nothing dequeues between the arrivals: only the first can find the queue idle
+	}
+	admitted, marked := 0, 0
 	for i := 0; i < n; i++ {
-		full, action := q.arrive(now)
+		full, action, pending := q.arrive()
+		if pending {
+			action = q.uniformized()
+		}
 		if full {
-			q.tailDrop()
-			continue
+			continue // a tail drop, counted below
 		}
 		if action {
-			q.stats.CEMarked++
+			marked++
 		}
-		q.admitPhantom(now, size)
+		q.push(nil, size, now)
 		admitted++
 	}
+	// admitPhantom's and tailDrop's counts, once for the batch.
+	q.stats.Enqueued += uint64(admitted)
+	q.stats.CEMarked += uint64(marked)
+	q.stats.TailDropped += uint64(n - admitted)
 	return admitted
+}
+
+// Boundary implements Queue: the n phantom arrivals, then the dequeue,
+// which leaves the queue idle — its average aging from now on — when
+// it takes the last packet. Dequeue is a Boundary with no arrivals.
+func (q *RED) Boundary(now time.Duration, size, n int) (int, *Packet, bool) {
+	admitted := 0
+	if n > 0 {
+		admitted = q.EnqueuePhantoms(now, size, n)
+	}
+	p, ok := q.pop(now)
+	if ok && q.Len() == 0 {
+		q.idle = true
+		q.idleSince = now
+	}
+	return admitted, p, ok
 }
 
 // DropsAtDequeue implements Queue: RED decides at enqueue only.
@@ -171,10 +212,6 @@ func (q *RED) DropsAtDequeue() bool { return false }
 
 // Dequeue implements Queue.
 func (q *RED) Dequeue(now time.Duration) (*Packet, bool) {
-	p, ok := q.pop(now)
-	if ok && q.Len() == 0 {
-		q.idle = true
-		q.idleSince = now
-	}
+	_, p, ok := q.Boundary(now, 0, 0)
 	return p, ok
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/aqm"
 	"repro/internal/ecn"
 	"repro/internal/packet"
 )
@@ -231,5 +232,94 @@ func BenchmarkComputeRoutes(b *testing.B) {
 		if err := n.ComputeRoutes(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// lazyTransit is the congested-transit scenario's replay in miniature:
+// three same-rate RED bottlenecks (10 Mbit/s, 85 % background load,
+// 50-packet queues), each kept alive by a foreground packet every
+// 10 ms, and a 2 ms timer chain standing in for the rest of a
+// campaign's events — about one event per four boundaries, the paper-
+// scale transit campaign's ratio — cutting replay runs short the way
+// a busy event loop cuts them.
+type lazyTransit struct {
+	sim   *Sim
+	a     *discardNode
+	links [3]*Link
+	wire  []byte
+	tick  func()
+}
+
+// discardNode releases everything it receives.
+type discardNode struct{ label string }
+
+func (d *discardNode) Receive(b *packet.Buf, _ *Link) { b.Release() }
+func (d *discardNode) Label() string                  { return d.label }
+
+func newLazyTransit(tb testing.TB) *lazyTransit {
+	tb.Helper()
+	sim := NewSim(23)
+	k := &lazyTransit{sim: sim, a: &discardNode{"a"}}
+	for i := range k.links {
+		l := newLink(sim, k.a, &discardNode{"b"}, time.Millisecond, 0)
+		l.SetBottleneck(k.a, 1_250_000, 0.85, aqm.NewRED(50, sim.RNG()))
+		k.links[i] = l
+	}
+	wire, err := packet.BuildUDP(packet.AddrFrom4(10, 0, 0, 1), packet.AddrFrom4(10, 0, 0, 2),
+		40000, 123, 64, ecn.ECT0, 1, make([]byte, 200))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	k.wire = wire
+	k.tick = func() { k.sim.After(2*time.Millisecond, k.tick) }
+	k.sim.After(0, k.tick)
+	k.run(2 * time.Second) // warm the slab, the wheel and the queues' rings
+	return k
+}
+
+// run advances the kernel by d of virtual time and returns how many
+// phantom boundaries it replayed.
+func (k *lazyTransit) run(d time.Duration) uint64 {
+	before := k.sim.ReplayedBoundaries()
+	for end := k.sim.Now() + d; k.sim.Now() < end; {
+		for _, l := range k.links {
+			bf := packet.NewBuf()
+			bf.Write(k.wire)
+			l.Send(k.a, bf)
+		}
+		k.sim.RunUntil(k.sim.Now() + 10*time.Millisecond)
+	}
+	return k.sim.ReplayedBoundaries() - before
+}
+
+// BenchmarkLazyReplay reports the lazy drive's cost per replayed
+// phantom boundary, foreground and timer events included in the
+// numerator.
+func BenchmarkLazyReplay(b *testing.B) {
+	k := newLazyTransit(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var boundaries uint64
+	for i := 0; i < b.N; i++ {
+		boundaries += k.run(100 * time.Millisecond)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(boundaries), "ns/boundary")
+}
+
+// TestLazyReplayAllocFree pins the lazy replay at zero allocations once
+// warm: boundaries, the discipline's ring, the foreground finish
+// events and the deliveries behind them.
+func TestLazyReplayAllocFree(t *testing.T) {
+	k := newLazyTransit(t)
+	if raceEnabled {
+		return // the wire buffers' sync.Pool drops Puts under the race detector
+	}
+	var boundaries uint64
+	allocs := testing.AllocsPerRun(10, func() { boundaries += k.run(100 * time.Millisecond) })
+	if boundaries == 0 {
+		t.Fatal("the kernel replayed no boundaries")
+	}
+	if allocs != 0 {
+		t.Errorf("%.1f allocs per %d replayed boundaries, want 0", allocs, boundaries/11)
 	}
 }

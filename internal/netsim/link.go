@@ -177,7 +177,7 @@ func (l *Link) send(d int, b *packet.Buf) {
 	}
 	bn.fgCount++
 	bn.pendingTx += txDuration(sz, bn.rate)
-	if !l.sim.xtrafficEvents && !bn.precise && bn.busy && !bn.evented {
+	if !l.sim.xtrafficEvents && !bn.precise && bn.txPkt != nil && !bn.evented {
 		// Hybrid (head-dropping discipline): a foreground packet is now
 		// in the system, so the in-flight virtual boundary converts to a
 		// real event — carrying the seq it reserved when serialization
@@ -194,7 +194,7 @@ func (l *Link) send(d int, b *packet.Buf) {
 		// per-packet serialization times of everything queued — one event
 		// for the whole passage, however many phantoms precede it. The
 		// event carries a sentinel seq: the shared counter is consumed
-		// when serialization actually begins (beginTx), where the events
+		// when serialization actually begins (boundary), where the events
 		// mode consumes it, so no other seq shifts.
 		l.sim.atWithSeq(bn.busyUntil+bn.pendingTx, l.sim.sentinelSeq(), bn.fgDone)
 	}
@@ -240,9 +240,11 @@ func txDuration(size int, rate float64) time.Duration {
 //     drop reshapes the schedule, so finishes cannot be precomputed —
 //     and replay lazily across all-phantom stretches.
 //
-// All three drive the AQM through the identical per-packet decision
-// sequence and PRNG draw order; campaign datasets are byte-identical
-// across drives.
+// All three run the same step at every serialization boundary —
+// Link.boundary: inject the background, complete the packet on the
+// wire, dequeue and start the next — so they drive the AQM through the
+// identical per-packet decision sequence and PRNG draw order; campaign
+// datasets are byte-identical across drives.
 type bottleneck struct {
 	link *Link
 	d    int     // direction index on link
@@ -255,18 +257,21 @@ type bottleneck struct {
 	// bgTx is the precomputed serialization hold of one phantom; bgOn
 	// the burst (on-phase) duration of each background period; bgPeak
 	// the precomputed bgPeakFactor×rate product of arrivalBytes' final
-	// expression (left-associated, so the cache is bit-identical).
+	// expression (left-associated, so the cache is bit-identical); and
+	// bgStep that final expression itself for an active span of exactly
+	// bgTx — the same operands in the same order, so returning it is
+	// bit-identical to computing it.
 	bgTx   time.Duration
 	bgOn   time.Duration
 	bgPeak float64
+	bgStep float64
 	// period window cache: arrivalBytes integrates boundary-sized steps,
 	// so consecutive calls almost always fall inside one background
 	// period — these bounds replace an integer division with two
 	// comparisons.
 	periodStart, periodEnd time.Duration
 
-	busy      bool          // a packet is serializing
-	busyUntil time.Duration // its serialization boundary
+	busyUntil time.Duration // the packet on the wire's serialization boundary
 	evented   bool          // the boundary is backed by a scheduled event
 	virtSeq   uint64        // seq a lazy boundary's event would carry
 
@@ -282,15 +287,22 @@ type bottleneck struct {
 	// wire): the hybrid drive's events-vs-lazy switch.
 	fgCount int
 
-	lazyIdx int // index in sim.lazy; -1 when unregistered
+	lazy bool // a member of sim.lazy
 
-	// txPkt is the packet on the wire; txDone is the serialization-
-	// boundary callback and fgDone the lazy precise drive's foreground-
-	// finish callback, both bound once at SetBottleneck so per-packet
-	// transmission schedules no new closure.
+	// txPkt is the packet on the wire, nil while the transmitter is
+	// idle; txDone is the serialization-boundary callback and fgDone the
+	// lazy precise drive's foreground-finish callback, both bound once
+	// at SetBottleneck so per-packet transmission schedules no new
+	// closure.
 	txPkt  *aqm.Packet
 	txDone func()
 	fgDone func()
+}
+
+// before orders two lazily replayed boundaries as their events would
+// fire: by time, then by the seq each reserved.
+func (bn *bottleneck) before(o *bottleneck) bool {
+	return bn.busyUntil < o.busyUntil || (bn.busyUntil == o.busyUntil && bn.virtSeq < o.virtSeq)
 }
 
 // SetBottleneck attaches a serialization-rate bottleneck with AQM queue
@@ -319,9 +331,9 @@ func (l *Link) SetBottleneck(from Node, rate, utilization float64, q aqm.Queue) 
 		bgOn:       time.Duration(utilization / bgPeakFactor * float64(bgPeriod)),
 		bgPeak:     bgPeakFactor * rate,
 		lastInject: l.sim.Now(),
-		lazyIdx:    -1,
 	}
-	bn.txDone = func() { l.finishTx(bn, l.sim.Now()) }
+	bn.bgStep = bn.bgPeak * bn.bgTx.Seconds()
+	bn.txDone = func() { l.txDone(bn) }
 	bn.fgDone = func() { l.foregroundDone(bn) }
 	l.bneck[d] = bn
 }
@@ -329,7 +341,7 @@ func (l *Link) SetBottleneck(from Node, rate, utilization float64, q aqm.Queue) 
 // reset returns the transmitter to what SetBottleneck built on a
 // simulator at time zero — idle, nothing on the wire, no background
 // accounted (Sim.Reset has already emptied the lazy set and cleared
-// lazyIdx) — and empties the queue, lifetime Stats included. A field
+// lazy) — and empties the queue, lifetime Stats included. A field
 // added to the mutable half of bottleneck belongs here too;
 // TestResetMatchesInstantiate fails until it is.
 func (bn *bottleneck) reset() {
@@ -339,7 +351,6 @@ func (bn *bottleneck) reset() {
 	}
 	bn.q.Reset()
 	bn.periodStart, bn.periodEnd = 0, 0
-	bn.busy = false
 	bn.busyUntil = 0
 	bn.evented = false
 	bn.virtSeq = 0
@@ -350,29 +361,51 @@ func (bn *bottleneck) reset() {
 	bn.fgCount = 0
 }
 
-// serveQueue begins serializing the queue head if the transmitter is
-// idle.
-func (l *Link) serveQueue(bn *bottleneck, now time.Duration) {
-	if !bn.busy {
-		l.beginTx(bn, now)
+// boundary is the serialization boundary at time now, the one step
+// every drive runs: the events drive's txDone, the lazy precise drive's
+// foreground finish and Sim.advanceLazy's replay all call it, with the
+// simulator clock or the virtual boundary time — the only difference
+// between the drives — and an idle transmitter's first packet starts
+// through it too (serveQueue), with nothing on the wire to finish. It
+// does DESIGN.md §10.1's three things, in order:
+//
+//  1. inject the background that arrived while the packet on the wire
+//     serialized;
+//  2. complete that packet: a foreground one delivers after the link
+//     delay, a phantom (the queue's reusable shell, nothing to free) is
+//     only counted;
+//  3. dequeue the next packet and start it, or idle the transmitter.
+//
+// The injection and the dequeue are one discipline call,
+// Queue.Boundary; completing the packet in between touches neither the
+// queue nor the PRNG, so the queue sees exactly an EnqueuePhantoms
+// followed by a Dequeue, and the shared seq counter exactly the
+// delivery's draw followed by the start's.
+func (l *Link) boundary(bn *bottleneck, now time.Duration) {
+	s := l.sim
+	n := 0
+	if p := bn.txPkt; p != nil {
+		n = bn.arrivals(now)
+		switch {
+		case !p.Phantom():
+			l.deliver(bn)
+		case bn.evented:
+			s.phantomEvents++
+		default:
+			s.replayedBoundaries++
+		}
 	}
-}
 
-// beginTx dequeues the next packet and puts it on the wire: hold for
-// size/rate, then finishTx hands it to propagation and picks up the
-// next. Whether the boundary is a scheduler event or a lazily replayed
-// one depends on the drive mode; the dequeue decision sequence is the
-// same either way.
-func (l *Link) beginTx(bn *bottleneck, now time.Duration) {
-	// CoDel discards not-ECT heads inside Dequeue; surface those in the
-	// link's drop counter so Stats stays truthful for every discipline.
-	// Precise disciplines never drop at dequeue, so the hot path skips
-	// the two Stats snapshots entirely.
+	// CoDel discards not-ECT heads inside the dequeue; surface those in
+	// the link's drop counter so Stats stays truthful for every
+	// discipline. Precise disciplines never drop at dequeue, so the hot
+	// path skips the two Stats snapshots entirely.
 	var before uint64
 	if !bn.precise {
 		before = bn.q.Stats().WireNotECTDropped
 	}
-	p, ok := bn.q.Dequeue(now)
+	admitted, p, ok := bn.q.Boundary(now, bgPacketSize, n)
+	bn.pendingTx += time.Duration(admitted) * bn.bgTx
 	if !bn.precise {
 		if delta := bn.q.Stats().WireNotECTDropped - before; delta > 0 {
 			l.dropped[bn.d] += delta
@@ -380,10 +413,11 @@ func (l *Link) beginTx(bn *bottleneck, now time.Duration) {
 		}
 	}
 	if !ok {
-		l.sim.unregisterLazy(bn)
+		bn.txPkt = nil
+		bn.evented = false
+		s.unregisterLazy(bn)
 		return
 	}
-	bn.busy = true
 	bn.txPkt = p
 	tx := bn.bgTx
 	if p.Size != bgPacketSize {
@@ -392,22 +426,22 @@ func (l *Link) beginTx(bn *bottleneck, now time.Duration) {
 	bn.pendingTx -= tx
 	bn.busyUntil = now + tx
 	switch {
-	case l.sim.xtrafficEvents || (!bn.precise && bn.fgCount > 0):
+	case s.xtrafficEvents || (!bn.precise && bn.fgCount > 0):
 		// Events drive, and the hybrid's foreground-present stretches:
-		// the boundary is a real event. beginTx runs in event context
-		// here (lazy replay only ever advances all-phantom hybrids), so
-		// now is the simulator clock.
+		// the boundary is a real event. This runs in event context here
+		// (lazy replay only ever advances all-phantom hybrids), so now is
+		// the simulator clock.
 		bn.evented = true
-		l.sim.unregisterLazy(bn)
-		l.sim.At(bn.busyUntil, bn.txDone)
+		s.unregisterLazy(bn)
+		s.At(bn.busyUntil, bn.txDone)
 	case p.Phantom():
 		// Lazy virtual boundary: reserve the seq its event would have
 		// drawn and let Sim.advanceLazy replay it in exact order.
-		// Registration is eligibility — the replay scan takes every
-		// member as a pending phantom boundary.
+		// Registration is eligibility — the replay takes every member as
+		// a pending phantom boundary.
 		bn.evented = false
-		bn.virtSeq = l.sim.nextSeq()
-		l.sim.registerLazy(bn)
+		bn.virtSeq = s.nextSeq()
+		s.registerLazy(bn)
 	default:
 		// Lazy precise foreground on the wire: its finish event was
 		// scheduled (with a sentinel seq) at enqueue; replay pauses for
@@ -415,52 +449,51 @@ func (l *Link) beginTx(bn *bottleneck, now time.Duration) {
 		// mode would draw for this boundary here, keeping the shared
 		// counter in lockstep.
 		bn.evented = false
-		l.sim.nextSeq()
-		l.sim.unregisterLazy(bn)
+		s.nextSeq()
+		s.unregisterLazy(bn)
 	}
 }
 
-// finishTx completes the serialization boundary at time now: hand the
-// transmitted packet to propagation and pick up the next queued one.
-// Event callbacks pass the simulator clock; the lazy replay passes the
-// virtual boundary time — the only difference between the drives.
-func (l *Link) finishTx(bn *bottleneck, now time.Duration) {
-	// The bottleneck may have been replaced or removed while this
-	// packet was on the wire; only touch shared state if it is
-	// still the live one. The packet itself still delivers.
-	live := l.bneck[bn.d] == bn
-	if live {
-		l.injectBackground(bn, now) // the elapsed interval was a busy one
+// deliver hands the foreground packet that finished serializing to
+// propagation: it arrives at the peer after the link delay.
+func (l *Link) deliver(bn *bottleneck) {
+	bn.fgCount--
+	l.sim.deliverAfter(l.delay[bn.d], l.peerOf(bn.d), bn.txPkt.TakeBuf(), l)
+}
+
+// serveQueue begins serializing the queue head if the transmitter is
+// idle: a boundary with nothing on the wire to finish.
+func (l *Link) serveQueue(bn *bottleneck, now time.Duration) {
+	if bn.txPkt == nil {
+		l.boundary(bn, now)
 	}
-	wasEvent := bn.evented
-	bn.busy = false
-	bn.evented = false
-	p := bn.txPkt
+}
+
+// retire finishes the packet on the wire of a bottleneck that was
+// replaced or removed while it serialized: the packet still completes,
+// and nothing queued behind it is served. boundary writes the same
+// completion inline rather than calling a shared helper: on the lazy
+// replay's path a call there spills boundary's live state every time.
+func (l *Link) retire(bn *bottleneck) {
+	switch {
+	case !bn.txPkt.Phantom():
+		l.deliver(bn)
+	case bn.evented:
+		l.sim.phantomEvents++
+	}
 	bn.txPkt = nil
-	if !p.Phantom() {
-		bn.fgCount--
-		l.sim.deliverAfter(l.delay[bn.d], l.peerOf(bn.d), p.TakeBuf(), l)
-	} else {
-		p.Free()
-		if wasEvent {
-			l.sim.phantomEvents++
-		}
-	}
-	if live {
-		l.serveQueue(bn, now)
-	} else {
-		l.sim.unregisterLazy(bn)
-	}
+	bn.evented = false
+	l.sim.unregisterLazy(bn)
 }
 
-// replayBoundary is the lazy catch-up step: one phantom serialization
-// boundary, driven arithmetically instead of through the scheduler.
-func (l *Link) replayBoundary(bn *bottleneck, at time.Duration) {
-	if bn.txPkt == nil || !bn.txPkt.Phantom() {
-		panic("netsim: lazy cross-traffic replay reached a foreground boundary")
+// txDone is the events drive's boundary event (and the CoDel hybrid's
+// while foreground is in the system).
+func (l *Link) txDone(bn *bottleneck) {
+	if l.bneck[bn.d] != bn {
+		l.retire(bn)
+		return
 	}
-	l.sim.replayedBoundaries++
-	l.finishTx(bn, at)
+	l.boundary(bn, l.sim.Now())
 }
 
 // foregroundDone is the lazy precise drive's per-packet finish event.
@@ -473,39 +506,49 @@ func (l *Link) foregroundDone(bn *bottleneck) {
 		// Replaced while queued or on the wire. Mirror the events drive:
 		// a packet already serializing still delivers; queued ones are
 		// abandoned with the old transmitter.
-		if bn.busy && bn.txPkt != nil && !bn.txPkt.Phantom() && bn.busyUntil == now {
-			l.finishTx(bn, now)
+		if bn.txPkt != nil && !bn.txPkt.Phantom() && bn.busyUntil == now {
+			l.retire(bn)
 		}
 		return
 	}
-	if !bn.busy || bn.txPkt == nil || bn.txPkt.Phantom() || bn.busyUntil != now {
+	if bn.txPkt == nil || bn.txPkt.Phantom() || bn.busyUntil != now {
 		panic("netsim: foreground finish event out of sync with lazy bottleneck replay")
 	}
-	l.finishTx(bn, now)
+	l.boundary(bn, now)
 }
 
-// injectBackground brings the phantom cross-traffic up to date. It runs
-// lazily at every enqueue and serialization boundary, so the background
-// process needs no events of its own and a drained simulation really is
-// finished. While the transmitter is busy, all arrivals since the last
-// update join the queue (its discipline decides their fate); across an
-// idle gap the queue was empty and draining faster than background
-// arrived, so only the net backlog of the recent burst pattern is
-// reconstructed.
+// injectBackground brings the phantom cross-traffic up to date at a
+// foreground arrival: the background since the last boundary joins the
+// queue ahead of the packet (its discipline decides their fate).
 func (l *Link) injectBackground(bn *bottleneck, now time.Duration) {
+	admitted := bn.q.EnqueuePhantoms(now, bgPacketSize, bn.arrivals(now))
+	bn.pendingTx += time.Duration(admitted) * bn.bgTx
+}
+
+// arrivals advances the background arrival process to now and returns
+// how many phantoms arrived since it was last advanced. It runs at
+// every enqueue and serialization boundary, so the background process
+// needs no events of its own and a drained simulation really is
+// finished. While the transmitter is busy, every arrival since the
+// last update counts (the queue's discipline decides their fate);
+// across an idle gap the queue was empty and draining faster than
+// background arrived, so only the net backlog of the recent burst
+// pattern is reconstructed.
+func (bn *bottleneck) arrivals(now time.Duration) int {
 	// Background only arrives while foreground keeps it alive; beyond
 	// fgUntil the cross-traffic source has quenched.
 	end := min(now, bn.fgUntil)
+	busy := bn.txPkt != nil
 	if bn.util <= 0 || end <= bn.lastInject {
-		if bn.util <= 0 || !bn.busy {
+		if bn.util <= 0 || !busy {
 			// The queue drained anything older; restart accounting here.
 			bn.lastInject = now
 			bn.credit = 0
 		}
-		return
+		return 0
 	}
 	var bytes float64
-	if bn.busy {
+	if busy {
 		bytes = bn.credit + bn.arrivalBytes(bn.lastInject, end)
 	} else {
 		backlog := bn.idleBacklog(bn.lastInject, end)
@@ -520,14 +563,17 @@ func (l *Link) injectBackground(bn *bottleneck, now time.Duration) {
 	bn.lastInject = now
 	n := int(bytes / bgPacketSize)
 	bn.credit = bytes - float64(n)*bgPacketSize
-	admitted := bn.q.EnqueuePhantoms(now, bgPacketSize, n)
-	bn.pendingTx += time.Duration(admitted) * bn.bgTx
+	return n
 }
 
 // arrivalBytes integrates the background arrival process over [t1, t2).
 // The final expression is shared by every path, so the fast single-
 // period case is bit-identical to the general loop — credit rounding,
-// and with it the phantom count, cannot depend on which path ran.
+// and with it the phantom count, cannot depend on which path ran. The
+// two spans nearly every boundary asks for skip its division: a whole
+// phantom hold inside an on phase returns bgStep, the product computed
+// once at SetBottleneck, and a span of no on time returns the product
+// with zero seconds.
 func (bn *bottleneck) arrivalBytes(t1, t2 time.Duration) float64 {
 	if bn.util >= bgPeakFactor {
 		// Saturated: constant arrivals at util×rate.
@@ -568,6 +614,12 @@ func (bn *bottleneck) arrivalBytes(t1, t2 time.Duration) float64 {
 				active += e - s
 			}
 		}
+	}
+	switch active {
+	case bn.bgTx:
+		return bn.bgStep
+	case 0:
+		return bn.bgPeak * 0
 	}
 	return bn.bgPeak * active.Seconds()
 }

@@ -115,8 +115,9 @@ type Sim struct {
 	// transmitter drive (XTrafficEvents); the default is lazy catch-up
 	// replay.
 	xtrafficEvents bool
-	// lazy lists the bottlenecks currently serializing without events;
-	// Step replays their boundaries, in exact (time, seq) order, before
+	// lazy lists the bottlenecks currently serializing without events,
+	// ordered by their pending boundary's (time, seq); Step replays
+	// boundaries from the front, in exact (time, seq) order, before
 	// dispatching any event past them.
 	lazy []*bottleneck
 	// replayedBoundaries counts phantom serialization boundaries replayed
@@ -183,7 +184,7 @@ func (s *Sim) Reset() {
 	s.replayedBoundaries = 0
 	s.phantomEvents = 0
 	for _, bn := range s.lazy {
-		bn.lazyIdx = -1
+		bn.lazy = false
 	}
 	s.lazy = s.lazy[:0]
 	s.rng.Seed(s.seed)
@@ -257,26 +258,37 @@ func (s *Sim) sentinelSeq() uint64 {
 	return 1<<63 | s.sentinel
 }
 
-// registerLazy adds a bottleneck to the lazily-driven set.
+// registerLazy files a bottleneck whose phantom boundary (busyUntil,
+// virtSeq) was just set into the lazily-driven set, in boundary order.
+// A member is left where it is: only the replay re-files members, and
+// advanceLazy does that itself after each boundary it runs.
 func (s *Sim) registerLazy(bn *bottleneck) {
-	if bn.lazyIdx >= 0 {
+	if bn.lazy {
 		return
 	}
-	bn.lazyIdx = len(s.lazy)
+	bn.lazy = true
+	i := len(s.lazy)
 	s.lazy = append(s.lazy, bn)
+	for ; i > 0 && bn.before(s.lazy[i-1]); i-- {
+		s.lazy[i] = s.lazy[i-1]
+	}
+	s.lazy[i] = bn
 }
 
-// unregisterLazy removes a bottleneck from the lazily-driven set.
+// unregisterLazy removes a bottleneck from the lazily-driven set,
+// keeping the rest in order.
 func (s *Sim) unregisterLazy(bn *bottleneck) {
-	if bn == nil || bn.lazyIdx < 0 {
+	if bn == nil || !bn.lazy {
 		return
 	}
-	i, last := bn.lazyIdx, len(s.lazy)-1
-	s.lazy[i] = s.lazy[last]
-	s.lazy[i].lazyIdx = i
-	s.lazy[last] = nil
-	s.lazy = s.lazy[:last]
-	bn.lazyIdx = -1
+	bn.lazy = false
+	i := 0
+	for s.lazy[i] != bn {
+		i++
+	}
+	copy(s.lazy[i:], s.lazy[i+1:])
+	s.lazy[len(s.lazy)-1] = nil
+	s.lazy = s.lazy[:len(s.lazy)-1]
 }
 
 // advanceLazy replays, across every lazily-driven bottleneck, all
@@ -287,48 +299,29 @@ func (s *Sim) unregisterLazy(bn *bottleneck) {
 // it with the next event's (at, seq) before dispatching, so every PRNG
 // draw a boundary makes lands at the identical position in the shared
 // random stream.
+//
+// The set is kept in boundary order, so the next boundary is always the
+// front member's. Running it either drops the member (its transmitter
+// idles, or a foreground packet takes the wire) or moves its boundary
+// later — the next one starts where this one ends, and draws a fresh,
+// larger seq — so the member is re-filed toward the back, behind every
+// boundary it now follows.
 func (s *Sim) advanceLazy(at time.Duration, seq uint64) {
-	for {
-		// Pick the earliest eligible boundary and the runner-up bound.
-		// Membership in s.lazy is eligibility: the link registers a
-		// bottleneck exactly while a phantom serializes with no event
-		// backing it.
-		var best *bottleneck
-		runnerUp := maxDuration
-		for _, bn := range s.lazy {
-			if bn.busyUntil > at || (bn.busyUntil == at && bn.virtSeq > seq) {
-				continue
-			}
-			switch {
-			case best == nil:
-				best = bn
-			case bn.busyUntil < best.busyUntil ||
-				(bn.busyUntil == best.busyUntil && bn.virtSeq < best.virtSeq):
-				if best.busyUntil < runnerUp {
-					runnerUp = best.busyUntil
-				}
-				best = bn
-			case bn.busyUntil < runnerUp:
-				runnerUp = bn.busyUntil
-			}
-		}
-		if best == nil {
+	for len(s.lazy) > 0 {
+		bn := s.lazy[0]
+		if bn.busyUntil > at || (bn.busyUntil == at && bn.virtSeq > seq) {
 			return
 		}
-		if runnerUp > at {
-			runnerUp = at
+		bn.link.boundary(bn, bn.busyUntil)
+		if !bn.lazy {
+			continue
 		}
-		// Replay a run of best's boundaries without rescanning: it stays
-		// the front source while its next boundary is strictly earlier
-		// than every other's and strictly inside the horizon. virtSeq
-		// increases with each new boundary, so a tie at the horizon
-		// re-enters the scan above for the exact seq comparison.
-		for {
-			best.link.replayBoundary(best, best.busyUntil)
-			if best.lazyIdx < 0 || best.busyUntil >= runnerUp {
-				break
-			}
+		lz := s.lazy
+		i := 0
+		for ; i+1 < len(lz) && lz[i+1].before(bn); i++ {
+			lz[i] = lz[i+1]
 		}
+		lz[i] = bn
 	}
 }
 

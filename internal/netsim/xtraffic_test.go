@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,6 +79,12 @@ func driveXTraffic(t *testing.T, mode XTrafficMode, discipline string, util floa
 // lazy catch-up replay must reproduce the event-per-boundary oracle's
 // transcript byte for byte: delivery times, ECN codepoints, loss
 // pattern, queue statistics, and the shared PRNG's final position.
+//
+// The ties case runs driveTies: four same-rate bottlenecks whose
+// boundaries share nanoseconds, where the lazy drive must replay tied
+// boundaries in the order their events would fire — by reserved seq —
+// and interleave foreground arrivals on those nanoseconds exactly where
+// the events drive does.
 func TestXTrafficDrivesEquivalent(t *testing.T) {
 	for _, discipline := range []string{"droptail", "red", "codel"} {
 		for _, util := range []float64{0, 0.6, 0.95, 1.3} {
@@ -91,6 +98,22 @@ func TestXTrafficDrivesEquivalent(t *testing.T) {
 			})
 		}
 	}
+	t.Run("ties", func(t *testing.T) {
+		events := driveTies(t, XTrafficEvents)
+		lazy := driveTies(t, XTrafficLazy)
+		if events != lazy {
+			el, ll := strings.Split(events, "\n"), strings.Split(lazy, "\n")
+			for i := range el {
+				if i >= len(ll) || el[i] != ll[i] {
+					t.Fatalf("transcripts diverge at line %d:\nevents: %s\nlazy:   %s", i, el[i], ll[min(i, len(ll)-1)])
+				}
+			}
+			t.Fatalf("lazy transcript has %d extra lines", len(ll)-len(el))
+		}
+		if strings.Contains(events, " CEMarked:0 ") {
+			t.Fatalf("a queue never marked — the ties never reached RED's thresholds:\n%.2000s", events)
+		}
+	})
 }
 
 // TestLazyReplayCountsBoundaries: the lazy drive must not sneak phantom
@@ -123,4 +146,83 @@ func TestLazyReplayCountsBoundaries(t *testing.T) {
 		t.Errorf("lazy drive saved %d events, want exactly the %d phantom boundaries",
 			saved, events.PhantomEvents())
 	}
+}
+
+// driveTies runs four same-rate RED bottlenecks on one simulator,
+// started in phase by a 512-byte foreground packet each at t = 0.
+// Bottlenecks 1–3 then carry background alone, so their phantom
+// boundaries keep landing on the same nanoseconds through the burst,
+// and only the seq each boundary reserved orders them — so the order
+// their RED draws take from the shared PRNG is the order the replay
+// picks among ties. Bottleneck 0 takes foreground arrivals on exact
+// boundary nanoseconds: every 7 holds a probe reads the pending phantom
+// boundary of bottleneck 0 or of the tied group and schedules a
+// 300-byte arrival on link 0 either on it (its seq is already reserved,
+// so the boundary goes first) or on the one after (not yet reserved, so
+// the arrival goes first). A 300-byte packet's hold is shorter than a
+// phantom's, so its finish can tie only with boundaries reserved before
+// it began, which both drives order alike; DESIGN.md §10.1's sentinel
+// corner — an event scheduled during a foreground packet's
+// serialization, landing on its finish — is kept out because the
+// probes only target phantom boundaries and they, like a PRNG-drawing
+// timer, run a few nanoseconds off the 800 ns lattice every hold and
+// finish here lies on. It returns everything observable: deliveries,
+// queue and link Stats, the shared PRNG's position and the seq counter.
+func driveTies(t *testing.T, mode XTrafficMode) string {
+	t.Helper()
+	const bottlenecks, rate = 4, 1_250_000
+	sim := NewSim(99)
+	sim.SetXTrafficMode(mode)
+	a := &sinkNode{label: "a"}
+	links := make([]*Link, bottlenecks)
+	sinks := make([]*sinkNode, bottlenecks)
+	queues := make([]aqm.Queue, bottlenecks)
+	for i := range links {
+		sinks[i] = &sinkNode{label: fmt.Sprintf("b%d", i), sim: sim}
+		links[i] = newLink(sim, a, sinks[i], time.Millisecond, 0)
+		queues[i] = aqm.NewRED(40, sim.RNG())
+		links[i].SetBottleneck(a, rate, 0.95, queues[i])
+	}
+	bgTx := txDuration(bgPacketSize, rate)
+
+	for _, l := range links {
+		l.Send(a, testWire(t, ecn.ECT0, bgPacketSize-28)) // 512 bytes on the wire
+	}
+	probes := 0
+	var probe func()
+	probe = func() {
+		m := probes
+		if bn := links[m%2].bneck[0]; bn.txPkt != nil && bn.txPkt.Phantom() {
+			at := bn.busyUntil + time.Duration(m/2%2)*bgTx
+			cp := []ecn.Codepoint{ecn.ECT0, ecn.NotECT}[m/4%2]
+			sim.At(at, func() { links[0].Send(a, testWire(t, cp, 272)) }) // 300 bytes
+		}
+		if probes++; probes < 160 {
+			sim.After(7*bgTx+13, probe)
+		}
+	}
+	sim.After(2*bgTx+13, probe)
+	ticks := 0
+	var tick func()
+	tick = func() {
+		sim.RNG().Float64()
+		if ticks++; ticks < 300 {
+			sim.After(5*bgTx+7, tick)
+		}
+	}
+	sim.After(5*bgTx+7, tick)
+	sim.RunUntil(200 * bgTx)
+	sim.Run()
+
+	var sum strings.Builder
+	fmt.Fprintf(&sum, "probes=%d ticks=%d pending=%d seq=%d finalDraw=%v\n", probes, ticks, sim.live, sim.seq, sim.RNG().Float64())
+	for i, l := range links {
+		sent, dropped := l.Stats(a)
+		fmt.Fprintf(&sum, "link %d sent=%d dropped=%d stats=%+v\n", i, sent, dropped, queues[i].Stats())
+		for j, wire := range sinks[i].received {
+			cp, _ := packet.WireECN(wire)
+			fmt.Fprintf(&sum, "  %d %v %v %d\n", j, sinks[i].times[j], cp, len(wire))
+		}
+	}
+	return sum.String()
 }
