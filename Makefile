@@ -20,7 +20,11 @@ build:
 # grid — slices × workers × scheduler × cross-traffic, 108 campaigns
 # diffed against internal/campaign/testdata/determinism.golden (go test
 # -run TestDeterminismGrid ./internal/campaign; race runs its 12
-# slices=2 × workers=4 cells).
+# slices=2 × workers=4 cells). And they compile the data-path packages
+# for arm64 and fail on any fused multiply-add, which would round a
+# product differently from amd64 and move dataset bytes with the CPU
+# (go test -run TestDataPathHasNoFusedFloat ./cmd/ecnspider; ≈ 15 s
+# with a cold build cache, under a second warm).
 test:
 	$(GO) test ./...
 
@@ -107,7 +111,7 @@ lint:
 # the foreground on :8070 with ./reprod-data as the result store; see
 # README.md for the curl quickstart.
 serve:
-	$(GO) run ./cmd/reprod
+	$(GO) run ./cmd/reprod serve
 
 # perf-gate benchmarks the working tree against PERF_GATE_BASE
 # (default origin/main) and fails on >10% wall-clock regression in the

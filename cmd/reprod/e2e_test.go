@@ -88,6 +88,20 @@ func TestUnknownCommand(t *testing.T) {
 	}
 }
 
+// TestFlagsNeedCommand: bare flags name no subcommand, so they are the
+// usage error — never a coordinator started by default.
+func TestFlagsNeedCommand(t *testing.T) {
+	p := reprod(t, "", "-addr", "127.0.0.1:0")
+	if code := p.wait(t); code != 2 {
+		t.Fatalf("reprod -addr 127.0.0.1:0 exited %d, want 2", code)
+	}
+	for _, cmd := range []string{"serve", "worker", "run"} {
+		if !strings.Contains(p.stderr.String(), cmd) {
+			t.Errorf("usage does not name %q:\n%s", cmd, p.stderr.String())
+		}
+	}
+}
+
 // TestWorkerRefusesUnscannableID: a worker ID the coordinator's upload
 // scan cannot read is refused at start, before any request is made —
 // not by a claim's 400 after the worker has begun.

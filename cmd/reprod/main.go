@@ -21,8 +21,8 @@
 //	    -spec '{"spec":1,"scale":"small","traces":2,"seed":2015,"execution":"distributed"}' \
 //	    -out dataset.jsonl
 //
-// Invoking reprod with flags but no subcommand keeps the historical
-// daemon behavior: it serves.
+// Every invocation names its subcommand: reprod alone, or with flags
+// but no subcommand, prints the usage and exits 2.
 package main
 
 import (
@@ -32,30 +32,24 @@ import (
 
 func main() {
 	args := os.Args[1:]
-	cmd := "serve"
-	if len(args) > 0 {
-		switch args[0] {
-		case "serve", "worker", "run":
-			cmd, args = args[0], args[1:]
-		case "help", "-h", "-help", "--help":
-			usage(os.Stdout)
-			return
-		default:
-			// Bare flags: the pre-subcommand invocation, reprod -addr ...
-			if len(args[0]) == 0 || args[0][0] != '-' {
-				fmt.Fprintf(os.Stderr, "reprod: unknown command %q\n\n", args[0])
-				usage(os.Stderr)
-				os.Exit(2)
-			}
-		}
+	if len(args) == 0 {
+		fmt.Fprint(os.Stderr, "reprod: no command\n\n")
+		usage(os.Stderr)
+		os.Exit(2)
 	}
-	switch cmd {
+	switch args[0] {
 	case "serve":
-		runServe(args)
+		runServe(args[1:])
 	case "worker":
-		runWorker(args)
+		runWorker(args[1:])
 	case "run":
-		runRun(args)
+		runRun(args[1:])
+	case "help", "-h", "-help", "--help":
+		usage(os.Stdout)
+	default:
+		fmt.Fprintf(os.Stderr, "reprod: unknown command %q\n\n", args[0])
+		usage(os.Stderr)
+		os.Exit(2)
 	}
 }
 
@@ -63,7 +57,7 @@ func usage(w *os.File) {
 	fmt.Fprint(w, `usage: reprod <command> [flags]
 
 commands:
-  serve   start the coordinator (default when only flags are given)
+  serve   start the coordinator
   worker  execute leased shards against a coordinator
   run     submit a spec, await the job, fetch the dataset
 

@@ -207,11 +207,12 @@ type Queue interface {
 	// Boundary or Dequeue.
 	Boundary(now time.Duration, size, n int) (admitted int, next *Packet, ok bool)
 	// DropsAtDequeue reports whether the discipline may discard packets
-	// at dequeue time (CoDel's head drop). Disciplines that decide a
-	// packet's fate entirely at enqueue (DropTail, RED) let the link
-	// transmitter precompute a queued packet's serialization schedule
-	// exactly; head-dropping disciplines cannot, and fall back to
-	// event-driven boundaries while foreground packets are queued.
+	// at dequeue time (CoDel's head drop). Only a discipline that
+	// decides a packet's fate entirely at enqueue (DropTail, RED) lets
+	// the link transmitter precompute a queued packet's serialization
+	// finish, so netsim's Link.SetBottleneck refuses one that reports
+	// true: CoDel is a discipline of this package, measured and tested
+	// here, never a link's bottleneck.
 	DropsAtDequeue() bool
 	Stats() Stats
 	// ResetTransient returns the discipline's control state (EWMA

@@ -114,7 +114,7 @@ func (q *RED) Enqueue(now time.Duration, p *Packet) bool {
 // the action with its PRNG draw.
 func (q *RED) arrive() (full, action, pending bool) {
 	q.observeArrival()
-	q.avg += q.Wq * (float64(q.Len()) - q.avg)
+	q.avg += float64(q.Wq * (float64(q.Len()) - q.avg))
 
 	if q.Len() >= q.Cap() {
 		return true, false, false // tail drop territory: no action draw
@@ -147,7 +147,7 @@ func (q *RED) uniformized() bool {
 	q.count++
 	pb := q.MaxP * (q.avg - q.MinTh) / (q.MaxTh - q.MinTh)
 	var pa float64
-	if d := 1 - float64(q.count)*pb; d > 0 {
+	if d := 1 - float64(float64(q.count)*pb); d > 0 {
 		pa = pb / d
 	} else {
 		pa = 1

@@ -146,7 +146,7 @@ type Result struct {
 	Shards []ShardStats
 	// Events is the total executed event count across all shards;
 	// PhantomEvents and ReplayedBoundaries split the cross-traffic
-	// work into evented boundaries and lazily replayed ones.
+	// work into boundaries run as events and lazily replayed ones.
 	Events             uint64
 	PhantomEvents      uint64
 	ReplayedBoundaries uint64

@@ -88,17 +88,15 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		worldsReset: reg.Counter("repro_sim_worlds_total",
 			"Shard worlds, by how the executor obtained them.", telemetry.Label{Name: "op", Value: "reset"}),
 	}
-	// Pre-register the known vocabularies so a scrape shows the full
-	// surface (as zeros) before the first congested shard completes.
-	for _, d := range []string{"droptail", "red", "codel"} {
-		m.aqmCounters(d)
-	}
+	// Pre-register the bottleneck discipline so a scrape shows the
+	// full surface (as zeros) before the first congested shard
+	// completes.
+	m.aqmCounters("red")
 	return m
 }
 
 // aqmCounters returns one discipline's instrument tuple, registering
-// on first use (custom disciplines appear as soon as a shard using
-// them completes).
+// it on first use.
 func (m *Metrics) aqmCounters(discipline string) (enq, deq, ce, dropNotECT, dropTail *telemetry.Counter, backlog, avgBacklog *telemetry.Gauge) {
 	lab := telemetry.Label{Name: "discipline", Value: discipline}
 	enq = m.reg.Counter("repro_aqm_enqueued_total",

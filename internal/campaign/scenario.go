@@ -47,14 +47,12 @@ func ApplyScenario(topo *topology.Config, scenario string) error {
 		topo.CongestedVantageAccess = true
 		topo.BottleneckRate = 125_000 // 1 Mbit/s access
 		topo.BottleneckQueueLen = 50
-		topo.BottleneckAQM = "red"
 		topo.BottleneckUtilization = 0.9
 		return nil
 	case ScenarioCongestedTransit:
 		topo.CongestedTransit = true
 		topo.BottleneckRate = 1_250_000 // 10 Mbit/s transit
 		topo.BottleneckQueueLen = 100
-		topo.BottleneckAQM = "red"
 		topo.BottleneckUtilization = 0.85
 		return nil
 	default:

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/aqm"
+	"repro/internal/netsim"
 	"repro/internal/topology"
 )
 
@@ -24,6 +26,30 @@ func TestUncongestedScenarioIsDefault(t *testing.T) {
 	}
 	if len(named.World.Bottlenecks) != 0 {
 		t.Fatal("uncongested world has bottlenecks")
+	}
+}
+
+// TestCongestedScenariosRunRED: every bottleneck of both congested
+// scenarios is a RED queue — the RFC 3168 marking AQM the paper's CE
+// marks come from, and the one discipline a world places.
+func TestCongestedScenariosRunRED(t *testing.T) {
+	for _, scenario := range []string{ScenarioCongestedEdge, ScenarioCongestedTransit} {
+		topo := topology.SmallConfig()
+		if err := ApplyScenario(&topo, scenario); err != nil {
+			t.Fatal(err)
+		}
+		w, err := topology.Build(netsim.NewSim(1), topo)
+		if err != nil {
+			t.Fatalf("%s: %v", scenario, err)
+		}
+		if len(w.Bottlenecks) == 0 {
+			t.Fatalf("%s world has no bottlenecks", scenario)
+		}
+		for _, bn := range w.Bottlenecks {
+			if _, ok := bn.Queue.(*aqm.RED); !ok {
+				t.Errorf("%s: bottleneck %s runs %s, want red", scenario, bn.Label, bn.Queue.Name())
+			}
+		}
 	}
 }
 
@@ -90,7 +116,6 @@ func TestCEReportMonotoneInUtilization(t *testing.T) {
 		topo.CongestedVantageAccess = true
 		topo.BottleneckRate = 125_000
 		topo.BottleneckQueueLen = 50
-		topo.BottleneckAQM = "red"
 		topo.BottleneckUtilization = util
 		res := runOnTopology(t, congestedConfig(""), topo)
 		rep := analysis.ComputeCEMarkReport(res.Congestion)

@@ -161,8 +161,7 @@ func (l *Link) send(d int, b *packet.Buf) {
 	l.injectBackground(bn, now)
 	// Background stays active for a grace period past the last foreground
 	// packet: cross traffic contends with the measurement while it runs,
-	// then quenches so the simulation can drain (the same reason the RTP
-	// receiver self-quenches its feedback timer).
+	// then quenches so the simulation can drain.
 	bn.fgUntil = now + bgGrace
 	p := aqm.NewPacket(b)
 	sz := p.Size
@@ -175,28 +174,18 @@ func (l *Link) send(d int, b *packet.Buf) {
 		l.serveQueue(bn, now)
 		return
 	}
-	bn.fgCount++
 	bn.pendingTx += txDuration(sz, bn.rate)
-	if !l.sim.xtrafficEvents && !bn.precise && bn.txPkt != nil && !bn.evented {
-		// Hybrid (head-dropping discipline): a foreground packet is now
-		// in the system, so the in-flight virtual boundary converts to a
-		// real event — carrying the seq it reserved when serialization
-		// began, where the events mode would have scheduled it.
-		bn.evented = true
-		l.sim.unregisterLazy(bn)
-		l.sim.atWithSeq(bn.busyUntil, bn.virtSeq, bn.txDone)
-	}
 	l.serveQueue(bn, now)
-	if !l.sim.xtrafficEvents && bn.precise {
-		// Lazy precise drive: the discipline never drops at dequeue and
-		// the transmitter never idles with a backlog, so this packet's
+	if !l.sim.xtrafficEvents {
+		// Lazy drive: the discipline never drops at dequeue and the
+		// transmitter never idles with a backlog, so this packet's
 		// serialization finish is exactly the in-flight boundary plus the
 		// per-packet serialization times of everything queued — one event
 		// for the whole passage, however many phantoms precede it. The
 		// event carries a sentinel seq: the shared counter is consumed
 		// when serialization actually begins (boundary), where the events
 		// mode consumes it, so no other seq shifts.
-		l.sim.atWithSeq(bn.busyUntil+bn.pendingTx, l.sim.sentinelSeq(), bn.fgDone)
+		l.sim.atSentinel(bn.busyUntil+bn.pendingTx, bn.fgDone)
 	}
 }
 
@@ -223,24 +212,22 @@ func txDuration(size int, rate float64) time.Duration {
 }
 
 // bottleneck models a finite-rate transmitter with an AQM queue and
-// optional phantom background load on one link direction.
+// optional phantom background load on one link direction. Its queue
+// decides each packet's fate at enqueue (SetBottleneck refuses a
+// head-dropping discipline), so a queued packet's serialization finish
+// is known the moment it is admitted.
 //
-// The transmitter runs in one of three drives:
+// The transmitter runs in one of two drives:
 //
 //   - events (Sim.SetXTrafficMode(XTrafficEvents)): every serialization
 //     boundary — phantom or foreground — is a scheduler event, the
-//     reference implementation the lazy drives are tested against;
-//   - lazy precise (the default, disciplines without dequeue drops):
-//     phantom boundaries are never events. They replay in an arithmetic
-//     catch-up loop (Sim.advanceLazy) ordered against real events by
-//     (time, reserved seq); a foreground packet costs exactly one event,
-//     at its precomputed serialization finish;
-//   - lazy hybrid (head-dropping disciplines, i.e. CoDel): boundaries
-//     are events while any foreground packet is in the system — a head
-//     drop reshapes the schedule, so finishes cannot be precomputed —
-//     and replay lazily across all-phantom stretches.
+//     reference implementation the lazy drive is tested against;
+//   - lazy (the default): phantom boundaries are never events. They
+//     replay in an arithmetic catch-up loop (Sim.advanceLazy) ordered
+//     against real events by (time, reserved seq); a foreground packet
+//     costs exactly one event, at its precomputed serialization finish.
 //
-// All three run the same step at every serialization boundary —
+// Both run the same step at every serialization boundary —
 // Link.boundary: inject the background, complete the packet on the
 // wire, dequeue and start the next — so they drive the AQM through the
 // identical per-packet decision sequence and PRNG draw order; campaign
@@ -251,9 +238,6 @@ type bottleneck struct {
 	rate float64 // serialization rate, bytes/sec
 	util float64 // background offered load as a fraction of rate
 	q    aqm.Queue
-	// precise: the discipline never drops at dequeue, so a queued
-	// packet's serialization finish is computable at enqueue.
-	precise bool
 	// bgTx is the precomputed serialization hold of one phantom; bgOn
 	// the burst (on-phase) duration of each background period; bgPeak
 	// the precomputed bgPeakFactor×rate product of arrivalBytes' final
@@ -272,27 +256,22 @@ type bottleneck struct {
 	periodStart, periodEnd time.Duration
 
 	busyUntil time.Duration // the packet on the wire's serialization boundary
-	evented   bool          // the boundary is backed by a scheduled event
 	virtSeq   uint64        // seq a lazy boundary's event would carry
 
 	lastInject time.Duration // background accounted up to here
 	credit     float64       // fractional background bytes carried over
 	fgUntil    time.Duration // background active until here (foreground + grace)
 
-	// pendingTx sums the serialization times of every queued packet —
-	// exact for precise disciplines (enqueue adds, dequeue subtracts,
-	// nothing else touches the queue).
+	// pendingTx sums the serialization times of every queued packet:
+	// enqueue adds, dequeue subtracts, nothing else touches the queue.
 	pendingTx time.Duration
-	// fgCount counts foreground packets in the system (queued or on the
-	// wire): the hybrid drive's events-vs-lazy switch.
-	fgCount int
 
 	lazy bool // a member of sim.lazy
 
 	// txPkt is the packet on the wire, nil while the transmitter is
-	// idle; txDone is the serialization-boundary callback and fgDone the
-	// lazy precise drive's foreground-finish callback, both bound once
-	// at SetBottleneck so per-packet transmission schedules no new
+	// idle; txDone is the events drive's serialization-boundary callback
+	// and fgDone the lazy drive's foreground-finish callback, both bound
+	// once at SetBottleneck so per-packet transmission schedules no new
 	// closure.
 	txPkt  *aqm.Packet
 	txDone func()
@@ -306,19 +285,25 @@ func (bn *bottleneck) before(o *bottleneck) bool {
 }
 
 // SetBottleneck attaches a serialization-rate bottleneck with AQM queue
-// q to the from→peer direction. rate is in bytes/sec; utilization adds
-// phantom background cross-traffic at utilization×rate mean offered
-// load (0 = the direction carries only foreground traffic). Passing a
-// nil queue or non-positive rate removes the bottleneck, restoring the
-// infinite-rate behaviour.
+// q to the from→peer direction, once, while the world is built. rate is
+// in bytes/sec; utilization adds phantom background cross-traffic at
+// utilization×rate mean offered load (0 = the direction carries only
+// foreground traffic). q must decide each packet's fate at enqueue: the
+// lazy drive precomputes a queued packet's serialization finish, which
+// a head drop at dequeue would move. SetBottleneck panics on a second
+// attach to the direction, a nil queue, a non-positive rate or a
+// discipline that drops at dequeue.
 func (l *Link) SetBottleneck(from Node, rate, utilization float64, q aqm.Queue) {
 	d := l.dir(from)
-	if old := l.bneck[d]; old != nil {
-		l.sim.unregisterLazy(old)
-	}
-	if q == nil || rate <= 0 {
-		l.bneck[d] = nil
-		return
+	switch {
+	case l.bneck[d] != nil:
+		panic("netsim: bottleneck already attached on " + from.Label() + "'s side of the link")
+	case q == nil:
+		panic("netsim: bottleneck needs a queue")
+	case !(rate > 0):
+		panic("netsim: bottleneck needs a positive rate")
+	case q.DropsAtDequeue():
+		panic("netsim: bottleneck queue " + q.Name() + " drops at dequeue")
 	}
 	bn := &bottleneck{
 		link:       l,
@@ -326,7 +311,6 @@ func (l *Link) SetBottleneck(from Node, rate, utilization float64, q aqm.Queue) 
 		rate:       rate,
 		util:       utilization,
 		q:          q,
-		precise:    !q.DropsAtDequeue(),
 		bgTx:       txDuration(bgPacketSize, rate),
 		bgOn:       time.Duration(utilization / bgPeakFactor * float64(bgPeriod)),
 		bgPeak:     bgPeakFactor * rate,
@@ -352,17 +336,15 @@ func (bn *bottleneck) reset() {
 	bn.q.Reset()
 	bn.periodStart, bn.periodEnd = 0, 0
 	bn.busyUntil = 0
-	bn.evented = false
 	bn.virtSeq = 0
 	bn.lastInject = 0
 	bn.credit = 0
 	bn.fgUntil = 0
 	bn.pendingTx = 0
-	bn.fgCount = 0
 }
 
 // boundary is the serialization boundary at time now, the one step
-// every drive runs: the events drive's txDone, the lazy precise drive's
+// both drives run: the events drive's txDone, the lazy drive's
 // foreground finish and Sim.advanceLazy's replay all call it, with the
 // simulator clock or the virtual boundary time — the only difference
 // between the drives — and an idle transmitter's first packet starts
@@ -389,32 +371,17 @@ func (l *Link) boundary(bn *bottleneck, now time.Duration) {
 		switch {
 		case !p.Phantom():
 			l.deliver(bn)
-		case bn.evented:
+		case s.xtrafficEvents:
 			s.phantomEvents++
 		default:
 			s.replayedBoundaries++
 		}
 	}
 
-	// CoDel discards not-ECT heads inside the dequeue; surface those in
-	// the link's drop counter so Stats stays truthful for every
-	// discipline. Precise disciplines never drop at dequeue, so the hot
-	// path skips the two Stats snapshots entirely.
-	var before uint64
-	if !bn.precise {
-		before = bn.q.Stats().WireNotECTDropped
-	}
 	admitted, p, ok := bn.q.Boundary(now, bgPacketSize, n)
 	bn.pendingTx += time.Duration(admitted) * bn.bgTx
-	if !bn.precise {
-		if delta := bn.q.Stats().WireNotECTDropped - before; delta > 0 {
-			l.dropped[bn.d] += delta
-			bn.fgCount -= int(delta)
-		}
-	}
 	if !ok {
 		bn.txPkt = nil
-		bn.evented = false
 		s.unregisterLazy(bn)
 		return
 	}
@@ -426,29 +393,23 @@ func (l *Link) boundary(bn *bottleneck, now time.Duration) {
 	bn.pendingTx -= tx
 	bn.busyUntil = now + tx
 	switch {
-	case s.xtrafficEvents || (!bn.precise && bn.fgCount > 0):
-		// Events drive, and the hybrid's foreground-present stretches:
-		// the boundary is a real event. This runs in event context here
-		// (lazy replay only ever advances all-phantom hybrids), so now is
-		// the simulator clock.
-		bn.evented = true
-		s.unregisterLazy(bn)
+	case s.xtrafficEvents:
+		// Events drive: the boundary is a real event, and this runs in
+		// event context, so now is the simulator clock.
 		s.At(bn.busyUntil, bn.txDone)
 	case p.Phantom():
 		// Lazy virtual boundary: reserve the seq its event would have
 		// drawn and let Sim.advanceLazy replay it in exact order.
 		// Registration is eligibility — the replay takes every member as
 		// a pending phantom boundary.
-		bn.evented = false
 		bn.virtSeq = s.nextSeq()
 		s.registerLazy(bn)
 	default:
-		// Lazy precise foreground on the wire: its finish event was
-		// scheduled (with a sentinel seq) at enqueue; replay pauses for
-		// this bottleneck until it fires. Consume the seq the events
-		// mode would draw for this boundary here, keeping the shared
-		// counter in lockstep.
-		bn.evented = false
+		// Lazy foreground on the wire: its finish event was scheduled
+		// (with a sentinel seq) at enqueue; replay pauses for this
+		// bottleneck until it fires. Consume the seq the events mode
+		// would draw for this boundary here, keeping the shared counter
+		// in lockstep.
 		s.nextSeq()
 		s.unregisterLazy(bn)
 	}
@@ -457,7 +418,6 @@ func (l *Link) boundary(bn *bottleneck, now time.Duration) {
 // deliver hands the foreground packet that finished serializing to
 // propagation: it arrives at the peer after the link delay.
 func (l *Link) deliver(bn *bottleneck) {
-	bn.fgCount--
 	l.sim.deliverAfter(l.delay[bn.d], l.peerOf(bn.d), bn.txPkt.TakeBuf(), l)
 }
 
@@ -469,48 +429,15 @@ func (l *Link) serveQueue(bn *bottleneck, now time.Duration) {
 	}
 }
 
-// retire finishes the packet on the wire of a bottleneck that was
-// replaced or removed while it serialized: the packet still completes,
-// and nothing queued behind it is served. boundary writes the same
-// completion inline rather than calling a shared helper: on the lazy
-// replay's path a call there spills boundary's live state every time.
-func (l *Link) retire(bn *bottleneck) {
-	switch {
-	case !bn.txPkt.Phantom():
-		l.deliver(bn)
-	case bn.evented:
-		l.sim.phantomEvents++
-	}
-	bn.txPkt = nil
-	bn.evented = false
-	l.sim.unregisterLazy(bn)
-}
+// txDone is the events drive's boundary event.
+func (l *Link) txDone(bn *bottleneck) { l.boundary(bn, l.sim.Now()) }
 
-// txDone is the events drive's boundary event (and the CoDel hybrid's
-// while foreground is in the system).
-func (l *Link) txDone(bn *bottleneck) {
-	if l.bneck[bn.d] != bn {
-		l.retire(bn)
-		return
-	}
-	l.boundary(bn, l.sim.Now())
-}
-
-// foregroundDone is the lazy precise drive's per-packet finish event.
-// By the time it fires, Sim.advanceLazy has replayed every earlier
-// boundary, so the packet on the wire is exactly the one this event was
+// foregroundDone is the lazy drive's per-packet finish event. By the
+// time it fires, Sim.advanceLazy has replayed every earlier boundary,
+// so the packet on the wire is exactly the one this event was
 // scheduled for.
 func (l *Link) foregroundDone(bn *bottleneck) {
 	now := l.sim.Now()
-	if l.bneck[bn.d] != bn {
-		// Replaced while queued or on the wire. Mirror the events drive:
-		// a packet already serializing still delivers; queued ones are
-		// abandoned with the old transmitter.
-		if bn.txPkt != nil && !bn.txPkt.Phantom() && bn.busyUntil == now {
-			l.retire(bn)
-		}
-		return
-	}
 	if bn.txPkt == nil || bn.txPkt.Phantom() || bn.busyUntil != now {
 		panic("netsim: foreground finish event out of sync with lazy bottleneck replay")
 	}
@@ -554,7 +481,7 @@ func (bn *bottleneck) arrivals(now time.Duration) int {
 		backlog := bn.idleBacklog(bn.lastInject, end)
 		// Anything accumulated by the quench point drains at line rate
 		// until now.
-		backlog -= bn.rate * (now - end).Seconds()
+		backlog -= float64(bn.rate * (now - end).Seconds())
 		if backlog < 0 {
 			backlog = 0
 		}
@@ -562,7 +489,7 @@ func (bn *bottleneck) arrivals(now time.Duration) int {
 	}
 	bn.lastInject = now
 	n := int(bytes / bgPacketSize)
-	bn.credit = bytes - float64(n)*bgPacketSize
+	bn.credit = bytes - float64(float64(n)*bgPacketSize)
 	return n
 }
 
@@ -647,7 +574,7 @@ func (bn *bottleneck) idleBacklog(t1, t2 time.Duration) float64 {
 	on := bn.bgOn
 	backlog := 0.0
 	step := func(dt time.Duration, arrivalRate float64) {
-		backlog += (arrivalRate - bn.rate) * dt.Seconds()
+		backlog += float64((arrivalRate - bn.rate) * dt.Seconds())
 		if backlog < 0 {
 			backlog = 0
 		}
@@ -663,7 +590,7 @@ func (bn *bottleneck) idleBacklog(t1, t2 time.Duration) float64 {
 		// On phase [start, start+on), then off phase.
 		s, e := max(t1, start), min(t2, start+on)
 		if e > s {
-			step(e-s, bgPeakFactor*bn.rate)
+			step(e-s, bn.bgPeak)
 		}
 		s, e = max(t1, start+on), min(t2, start+bgPeriod)
 		if e > s {

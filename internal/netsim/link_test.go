@@ -280,38 +280,40 @@ func TestBottleneckServesQueueAfterForegroundDrop(t *testing.T) {
 	}
 }
 
-// TestBottleneckRemovalMidFlight: removing the bottleneck while a
-// packet is serializing must not panic, and the in-flight packet still
-// delivers.
-func TestBottleneckRemovalMidFlight(t *testing.T) {
-	sim := NewSim(1)
-	a, b := &sinkNode{label: "a"}, &sinkNode{label: "b"}
-	l := newLink(sim, a, b, time.Millisecond, 0)
-	l.SetBottleneck(a, 1_000, 0.5, aqm.NewDropTail(8)) // 100B = 100ms on the wire
-	l.Send(a, testWire(t, ecn.NotECT, 72))
-	sim.RunUntil(10 * time.Millisecond) // serialization under way
-	l.SetBottleneck(a, 0, 0, nil)
-	l.Send(a, testWire(t, ecn.NotECT, 72)) // now an infinite-rate send
-	sim.Run()
-	if len(b.received) != 2 {
-		t.Fatalf("delivered %d packets, want 2 (in-flight + post-removal)", len(b.received))
-	}
-}
-
-// TestBottleneckRemoval restores the infinite-rate path.
-func TestBottleneckRemoval(t *testing.T) {
-	sim := NewSim(1)
-	a, b := &sinkNode{label: "a"}, &sinkNode{label: "b", sim: sim}
-	l := newLink(sim, a, b, time.Millisecond, 0)
-	l.SetBottleneck(a, 1000, 0, aqm.NewDropTail(1))
-	l.SetBottleneck(a, 0, 0, nil)
-	l.Send(a, testWire(t, ecn.NotECT, 8))
-	l.Send(a, testWire(t, ecn.NotECT, 8))
-	sim.Run()
-	if len(b.received) != 2 {
-		t.Fatalf("delivered %d, want 2 after bottleneck removal", len(b.received))
-	}
-	if b.times[0] != time.Millisecond || b.times[1] != time.Millisecond {
-		t.Fatalf("delivery times %v, want both at 1ms (pure propagation)", b.times)
+// TestSetBottleneckRefuses: a direction takes one bottleneck, once,
+// with a queue, a positive rate and a discipline that decides at
+// enqueue. Anything else panics before it can reach the lazy drive,
+// whose precomputed finishes a replaced transmitter or a head drop
+// would invalidate.
+func TestSetBottleneckRefuses(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		attach func(sim *Sim, l *Link, from Node)
+	}{
+		{"second attach", func(sim *Sim, l *Link, from Node) {
+			l.SetBottleneck(from, 1000, 0, aqm.NewRED(8, sim.RNG()))
+			l.SetBottleneck(from, 1000, 0, aqm.NewRED(8, sim.RNG()))
+		}},
+		{"nil queue", func(sim *Sim, l *Link, from Node) {
+			l.SetBottleneck(from, 1000, 0, nil)
+		}},
+		{"zero rate", func(sim *Sim, l *Link, from Node) {
+			l.SetBottleneck(from, 0, 0, aqm.NewRED(8, sim.RNG()))
+		}},
+		{"codel", func(sim *Sim, l *Link, from Node) {
+			l.SetBottleneck(from, 1000, 0, aqm.NewCoDel(8))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := NewSim(1)
+			a, b := &sinkNode{label: "a"}, &sinkNode{label: "b"}
+			l := newLink(sim, a, b, time.Millisecond, 0)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("SetBottleneck did not panic")
+				}
+			}()
+			tc.attach(sim, l, a)
+		})
 	}
 }

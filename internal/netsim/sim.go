@@ -27,6 +27,12 @@
 //     multi-million-event congested runs. Both pop in exactly the same
 //     (time, seq) order, so a campaign's traces are bit-identical under
 //     either scheduler.
+//   - Bottlenecks. A link direction may carry one finite-rate
+//     transmitter with an AQM queue (Link.SetBottleneck), attached once
+//     while the world is built, whose discipline decides each packet's
+//     fate at enqueue; its phantom cross-traffic replays lazily
+//     (link.go, DESIGN.md §10.1) rather than costing an event per
+//     serialization boundary.
 //   - Reference implementations. The binary-heap scheduler
 //     (NewSimSched with SchedHeap) and the one-event-per-phantom-boundary
 //     cross-traffic drive (SetXTrafficMode with XTrafficEvents) are what
@@ -122,12 +128,11 @@ type Sim struct {
 	lazy []*bottleneck
 	// replayedBoundaries counts phantom serialization boundaries replayed
 	// arithmetically instead of dispatched as events; phantomEvents
-	// counts the ones that did run as events (events mode, and the CoDel
-	// hybrid's foreground-present stretches).
+	// counts the ones that did run as events (the events drive).
 	replayedBoundaries uint64
 	phantomEvents      uint64
 	// sentinel numbers the lazy drive's foreground-finish events out of
-	// band (see sentinelSeq).
+	// band (see atSentinel).
 	sentinel uint64
 
 	// UserData belongs to the protocol layers above: tcpsim keeps the
@@ -247,17 +252,6 @@ func (s *Sim) nextSeq() uint64 {
 	return s.seq
 }
 
-// sentinelSeq returns an out-of-band sequence number (top bit set, so
-// it can never collide with counter-drawn seqs) for the lazy precise
-// drive's foreground-finish events. A sentinel orders the finish after
-// every counter-seq event sharing its instant and does not advance the
-// shared counter, so scheduling it at enqueue time cannot shift any
-// other event's — or virtual boundary's — sequence number.
-func (s *Sim) sentinelSeq() uint64 {
-	s.sentinel++
-	return 1<<63 | s.sentinel
-}
-
 // registerLazy files a bottleneck whose phantom boundary (busyUntil,
 // virtSeq) was just set into the lazily-driven set, in boundary order.
 // A member is left where it is: only the replay re-files members, and
@@ -278,7 +272,7 @@ func (s *Sim) registerLazy(bn *bottleneck) {
 // unregisterLazy removes a bottleneck from the lazily-driven set,
 // keeping the rest in order.
 func (s *Sim) unregisterLazy(bn *bottleneck) {
-	if bn == nil || !bn.lazy {
+	if !bn.lazy {
 		return
 	}
 	bn.lazy = false
@@ -388,19 +382,16 @@ func (s *Sim) At(t time.Duration, fn func()) Timer {
 	return Timer{s: s, idx: idx, gen: ev.gen}
 }
 
-// atWithSeq schedules fn at absolute time t carrying a previously
-// drawn sequence number instead of a fresh one. The lazily-driven
-// transmitter uses it when a foreground arrival converts an in-flight
-// virtual boundary into a real event: the boundary already consumed its
-// seq when serialization began, exactly where the events mode would
-// have, so reusing it keeps same-timestamp ordering identical across
-// drive modes.
-func (s *Sim) atWithSeq(t time.Duration, seq uint64, fn func()) {
-	if fn == nil {
-		panic("netsim: nil event function")
-	}
-	idx := s.scheduleSeq(t, seq)
-	s.slab[idx].fn = fn
+// atSentinel schedules fn at absolute time t carrying an out-of-band
+// sequence number (top bit set, so it can never collide with a
+// counter-drawn seq): the lazy drive's foreground-finish event. A
+// sentinel orders the finish after every counter-seq event sharing its
+// instant and does not advance the shared counter, so scheduling it at
+// enqueue time cannot shift any other event's — or virtual boundary's —
+// sequence number.
+func (s *Sim) atSentinel(t time.Duration, fn func()) {
+	s.sentinel++
+	s.slab[s.scheduleSeq(t, 1<<63|s.sentinel)].fn = fn
 }
 
 // deliverAfter schedules delivery of a wire buffer to node d from now.
@@ -425,8 +416,7 @@ func (s *Sim) schedule(t time.Duration) int32 {
 }
 
 // scheduleSeq queues an event with an explicit sequence number —
-// schedule's fresh draw, or a lazily-driven boundary's previously
-// reserved one.
+// schedule's fresh draw, or atSentinel's out-of-band one.
 func (s *Sim) scheduleSeq(t time.Duration, seq uint64) int32 {
 	if t < s.now {
 		t = s.now

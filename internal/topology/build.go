@@ -144,9 +144,7 @@ func (b *builder) run() (*World, error) {
 	b.placeFirewalls()
 	b.placeBleachers()
 	b.assignServerRoles()
-	if err := b.placeBottlenecks(); err != nil {
-		return nil, err
-	}
+	b.placeBottlenecks()
 
 	if b.shared != nil {
 		if err := b.w.Net.ImportRoutes(b.shared.routes); err != nil {
@@ -202,8 +200,13 @@ func validate(cfg Config) error {
 	if special > cfg.Servers/2 {
 		return fmt.Errorf("topology: %d special servers exceed half the pool", special)
 	}
-	if (cfg.CongestedVantageAccess || cfg.CongestedTransit) && cfg.BottleneckRate <= 0 {
-		return fmt.Errorf("topology: congested placement requires BottleneckRate > 0")
+	if cfg.CongestedVantageAccess || cfg.CongestedTransit {
+		if cfg.BottleneckRate <= 0 {
+			return fmt.Errorf("topology: congested placement requires BottleneckRate > 0")
+		}
+		if cfg.BottleneckQueueLen <= 0 {
+			return fmt.Errorf("topology: congested placement requires BottleneckQueueLen > 0")
+		}
 	}
 	return nil
 }
@@ -744,24 +747,14 @@ func (b *builder) assignServerRoles() {
 }
 
 // placeBottlenecks attaches the congestion substrate: bandwidth-limited
-// AQM queues on the link directions the Congested* knobs select. The
+// RED queues on the link directions the Congested* knobs select. The
 // queues draw marking randomness from the simulation PRNG lazily, so an
 // uncongested configuration consumes no additional PRNG state and
 // regenerates byte-identical worlds.
-func (b *builder) placeBottlenecks() error {
+func (b *builder) placeBottlenecks() {
 	cfg := b.cfg
-	if !cfg.CongestedVantageAccess && !cfg.CongestedTransit {
-		return nil
-	}
-	qlen := cfg.BottleneckQueueLen
-	if qlen <= 0 {
-		qlen = 50
-	}
-	shape := func(link *netsim.Link, from netsim.Node, vantage, label string) error {
-		q, err := aqm.New(cfg.BottleneckAQM, qlen, b.sim.RNG())
-		if err != nil {
-			return err
-		}
+	shape := func(link *netsim.Link, from netsim.Node, vantage, label string) {
+		q := aqm.NewRED(cfg.BottleneckQueueLen, b.sim.RNG())
 		link.SetBottleneck(from, cfg.BottleneckRate, cfg.BottleneckUtilization, q)
 		b.w.Bottlenecks = append(b.w.Bottlenecks, &Bottleneck{
 			Vantage:     vantage,
@@ -770,32 +763,22 @@ func (b *builder) placeBottlenecks() error {
 			Queue:       q,
 			Utilization: cfg.BottleneckUtilization,
 		})
-		return nil
 	}
 
 	if cfg.CongestedVantageAccess {
 		for _, v := range b.w.Vantages {
 			link := v.Host.Uplink()
 			router := link.Peer(v.Host)
-			if err := shape(link, v.Host, v.Name, v.Name+"/up"); err != nil {
-				return err
-			}
-			if err := shape(link, router, v.Name, v.Name+"/down"); err != nil {
-				return err
-			}
+			shape(link, v.Host, v.Name, v.Name+"/up")
+			shape(link, router, v.Name, v.Name+"/down")
 		}
 	}
 	if cfg.CongestedTransit {
 		for _, tl := range b.transitCoreDown {
-			if err := shape(tl.link, tl.core, "", tl.core.Label()+"/fwd"); err != nil {
-				return err
-			}
-			if err := shape(tl.link, tl.down, "", tl.down.Label()+"/rev"); err != nil {
-				return err
-			}
+			shape(tl.link, tl.core, "", tl.core.Label()+"/fwd")
+			shape(tl.link, tl.down, "", tl.down.Label()+"/rev")
 		}
 	}
-	return nil
 }
 
 // --- small helpers -------------------------------------------------------

@@ -111,13 +111,11 @@ type Config struct {
 	// bottleneck, in bytes per second. Required (>0) when any
 	// Congested* placement is enabled.
 	BottleneckRate float64
-	// BottleneckQueueLen is each bottleneck's buffer in packets
-	// (default 50).
+	// BottleneckQueueLen is each bottleneck's RED buffer in packets.
+	// Required (>0) when any Congested* placement is enabled. Every
+	// bottleneck is RED: it CE-marks ECT packets and drops not-ECT ones
+	// per RFC 3168.
 	BottleneckQueueLen int
-	// BottleneckAQM names the queueing discipline at bottlenecks:
-	// "droptail", "red" (the default — CE-marks ECT packets and drops
-	// not-ECT per RFC 3168), or "codel".
-	BottleneckAQM string
 	// BottleneckUtilization is the phantom cross-traffic offered load
 	// as a fraction of BottleneckRate; it sets the congestion operating
 	// point the CE-mark report is monotone in.

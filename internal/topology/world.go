@@ -186,7 +186,7 @@ func (w *World) ApplyTraceConditions(v *Vantage, batch Batch, rng *rand.Rand) {
 	for _, vp := range w.Vantages {
 		loss := vp.BaseLoss
 		if vp == v {
-			loss = vp.BaseLoss + rng.Float64()*vp.LossJitter
+			loss = vp.BaseLoss + float64(rng.Float64()*vp.LossJitter)
 		}
 		vp.Host.Uplink().SetLossBoth(loss)
 	}
