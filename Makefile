@@ -17,7 +17,8 @@ build:
 # On its own: go test -run TestEndToEnd -v ./cmd/reprod. They also
 # re-execute ecnspider and ecnreport, the dataset-to-figures pipeline
 # (go test ./cmd/ecnspider ./cmd/ecnreport), and run the determinism
-# grid — slices × workers × scheduler × cross-traffic, 108 campaigns
+# grid — slices × workers × scheduler (lanes, heap) × cross-traffic
+# (lazy, events), 108 campaigns
 # diffed against internal/campaign/testdata/determinism.golden (go test
 # -run TestDeterminismGrid ./internal/campaign; race runs its 12
 # slices=2 × workers=4 cells). And they compile the data-path packages

@@ -111,10 +111,9 @@ type ShardStats struct {
 	// work the event loop never saw.
 	PhantomEvents      uint64
 	ReplayedBoundaries uint64
-	// WheelCascades and WheelRegisterHits report the timing wheel's
-	// internal activity (zero on the heap scheduler): higher-level
-	// slots re-filed into finer levels, and pops served straight from
-	// the singleton register.
+	// WheelCascades and WheelRegisterHits are always 0: they counted
+	// the retired timing-wheel scheduler's activity, and stay only
+	// because the benchmark harness still reads them.
 	WheelCascades     uint64
 	WheelRegisterHits uint64
 	// VirtualTime is the shard's simulated clock at completion.
@@ -208,7 +207,7 @@ func sweepSeed(seed int64, vantage int) int64 {
 // recorded Trace.Started) independent of which traces preceded it in
 // the same simulator — the other half, with per-phase reseeding, of
 // slice-count invariance. Virtual time is free: a sparse timeline costs
-// the timing wheel a few bitmap scans per jump, not events.
+// the scheduler one pop per jump, not events.
 //
 // shardEpoch bounds one trace's duration (probes, timeouts and TCP
 // teardown included). A worst-case paper-scale trace — every one of
@@ -702,7 +701,6 @@ func (e *Executor) runShard(sh shardSpec, keepRows bool) (shardResult, error) {
 		cong = &s
 	}
 
-	cascades, registerHits := sim.WheelStats()
 	stats := ShardStats{
 		Shard:              sh.shard,
 		Slice:              sh.slice,
@@ -712,8 +710,6 @@ func (e *Executor) runShard(sh shardSpec, keepRows bool) (shardResult, error) {
 		Events:             sim.Executed(),
 		PhantomEvents:      sim.PhantomEvents(),
 		ReplayedBoundaries: sim.ReplayedBoundaries(),
-		WheelCascades:      cascades,
-		WheelRegisterHits:  registerHits,
 		VirtualTime:        sim.Now(),
 		Elapsed:            time.Since(start),
 	}

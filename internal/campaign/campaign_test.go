@@ -27,7 +27,7 @@ func testConfig() Config {
 }
 
 // engine is the simulator a test's worlds run on: a scheduler and a
-// cross-traffic drive. The zero engine — timing wheel, lazy replay — is
+// cross-traffic drive. The zero engine — delivery lanes, lazy replay — is
 // the one netsim.NewSim makes and production runs; the binary heap and
 // the event-per-phantom-boundary drive are the references it is held
 // to.
@@ -37,11 +37,11 @@ type engine struct {
 }
 
 // engines is every engine in the determinism grid's order: per
-// cross-traffic drive, the wheel and then the heap.
+// cross-traffic drive, the lanes and then the heap.
 var engines = []engine{
-	{netsim.SchedWheel, netsim.XTrafficLazy},
+	{netsim.SchedLanes, netsim.XTrafficLazy},
 	{netsim.SchedHeap, netsim.XTrafficLazy},
-	{netsim.SchedWheel, netsim.XTrafficEvents},
+	{netsim.SchedLanes, netsim.XTrafficEvents},
 	{netsim.SchedHeap, netsim.XTrafficEvents},
 }
 

@@ -22,7 +22,7 @@ import (
 // campaign across slices {1, 2, 8} × workers {1, 4, 13} — one shard per
 // vantage through more slices than traces, sequential through one
 // goroutine per vantage — and each of those on all four engines: the
-// production timing wheel and the reference heap, under the production
+// production delivery lanes and the reference heap, under the production
 // lazy cross-traffic replay and the reference event-per-boundary drive.
 // Every cell runs with a full telemetry set attached, so the grid is
 // also the out-of-band proof for the flight recorder.

@@ -24,8 +24,6 @@ import (
 //	repro_sim_events_total                   counter  events executed
 //	repro_sim_phantom_events_total           counter  phantom boundaries run as events
 //	repro_sim_replayed_boundaries_total      counter  boundaries replayed lazily
-//	repro_sim_wheel_cascades_total           counter  timing-wheel slot cascades
-//	repro_sim_wheel_register_hits_total      counter  singleton-register fast pops
 //	repro_sim_worlds_total{op}               counter  shard worlds, op ∈ {instantiate, reset}
 //	repro_aqm_enqueued_total{discipline}     counter  packets admitted (incl. phantoms)
 //	repro_aqm_dequeued_total{discipline}     counter  packets handed to transmitters
@@ -50,8 +48,6 @@ type Metrics struct {
 	events        *telemetry.Counter
 	phantomEvents *telemetry.Counter
 	replayed      *telemetry.Counter
-	cascades      *telemetry.Counter
-	registerHits  *telemetry.Counter
 
 	worldsInstantiated *telemetry.Counter
 	worldsReset        *telemetry.Counter
@@ -79,10 +75,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Phantom cross-traffic boundaries dispatched as scheduler events."),
 		replayed: reg.Counter("repro_sim_replayed_boundaries_total",
 			"Phantom cross-traffic boundaries replayed arithmetically (lazy drive)."),
-		cascades: reg.Counter("repro_sim_wheel_cascades_total",
-			"Timing-wheel higher-level slots cascaded into finer levels."),
-		registerHits: reg.Counter("repro_sim_wheel_register_hits_total",
-			"Timing-wheel pops served from the singleton register (sparse fast path)."),
 		worldsInstantiated: reg.Counter("repro_sim_worlds_total",
 			"Shard worlds, by how the executor obtained them.", telemetry.Label{Name: "op", Value: "instantiate"}),
 		worldsReset: reg.Counter("repro_sim_worlds_total",
@@ -163,8 +155,6 @@ func (m *Metrics) shardFinished(st ShardStats, w *topology.World) {
 	m.events.Add(st.Events)
 	m.phantomEvents.Add(st.PhantomEvents)
 	m.replayed.Add(st.ReplayedBoundaries)
-	m.cascades.Add(st.WheelCascades)
-	m.registerHits.Add(st.WheelRegisterHits)
 	for _, bn := range w.Bottlenecks {
 		q := bn.Queue
 		qs := q.Stats()

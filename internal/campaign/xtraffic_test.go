@@ -15,7 +15,7 @@ func TestXTrafficEventAccounting(t *testing.T) {
 	cfg := testConfig()
 	cfg.Scenario = ScenarioCongestedEdge
 	cfg.Stride = 0 // traceroute sweep adds nothing to this check
-	events := engine{netsim.SchedWheel, netsim.XTrafficEvents}.run(t, cfg)
+	events := engine{netsim.SchedLanes, netsim.XTrafficEvents}.run(t, cfg)
 	lazy := runOrFatal(t, cfg)
 	if events.PhantomEvents == 0 {
 		t.Fatal("events drive saw no phantom boundaries on a congested scenario")

@@ -28,17 +28,34 @@ func newIndexOracle() *indexOracle {
 
 // route is the pre-index Router.route/Network.nextHopLink pair.
 func (o *indexOracle) route(n *Network, r *Router, dst packet.Addr) *Link {
+	hop := func(to *Router) *Link {
+		if i := n.nextHop[r.id][to.id]; i >= 0 {
+			return n.links[i>>1]
+		}
+		return nil
+	}
 	if h, ok := o.hosts[dst]; ok && h.uplink != nil {
 		at := o.attached[dst]
 		if at == r {
 			return h.uplink
 		}
-		return n.linkAt(n.nextHop[r.id][at.id])
+		return hop(at)
 	}
 	if dr, ok := o.routers[dst]; ok && dr != r {
-		return n.linkAt(n.nextHop[r.id][dr.id])
+		return hop(dr)
 	}
 	return nil
+}
+
+// egress is r.route's link, after checking the direction route returned
+// against the link's own endpoints.
+func egress(t *testing.T, r *Router, dst packet.Addr) *Link {
+	t.Helper()
+	l, d := r.route(dst)
+	if l != nil && d != l.dir(r) {
+		t.Fatalf("%s.route(%s) sends on direction %d of a link it is end %d of", r.label, dst, d, l.dir(r))
+	}
+	return l
 }
 
 // indexedNet is a Network under test with its oracle and the builders
@@ -80,11 +97,30 @@ func (x *indexedNet) attach(h *Host, r *Router) {
 	x.o.attached[h.addr] = r
 }
 
+// rehome moves h behind r and computes the routes again, which the
+// removed access link's index shift requires; a network sharing its
+// routes with a RouteTable must refuse instead, leaving h where it was.
 func (x *indexedNet) rehome(h *Host, r *Router) {
-	if _, err := x.n.ReplaceAttachment(h, r, 0); err != nil {
+	routed := x.n.routed
+	_, err := x.n.ReplaceAttachment(h, r, 0)
+	if x.n.routesShared {
+		if err == nil {
+			x.t.Fatal("a network sharing its routes rehomed a host")
+		}
+		return
+	}
+	if err != nil {
 		x.t.Fatal(err)
 	}
 	x.o.attached[h.addr] = r
+	if routed {
+		if x.n.routed {
+			x.t.Fatal("routes survived a rehoming")
+		}
+		if err := x.n.ComputeRoutes(); err != nil {
+			x.t.Fatal(err)
+		}
+	}
 }
 
 // build assembles the same graph on every call: a ring of routers with
@@ -149,7 +185,7 @@ func (x *indexedNet) check(when string) {
 			continue // forwarding needs routes; the address lookups above do not
 		}
 		for _, r := range n.routers {
-			if got, want := r.route(a), o.route(n, r, a); got != want {
+			if got, want := egress(x.t, r, a), o.route(n, r, a); got != want {
 				x.t.Fatalf("%s: %s.route(%s) = %p, oracle %p", when, r.label, a, got, want)
 			}
 		}
@@ -176,7 +212,8 @@ func (x *indexedNet) mutate(rng *rand.Rand, rounds int) {
 // TestAddrIndexMatchesMapOracle drives the dense address index and the
 // map oracle through construction (past several table growths), then
 // through AddHost/Attach/ReplaceAttachment issued after ComputeRoutes
-// and after ImportRoutes, checking after every step; and it checks that
+// and after ImportRoutes (where ReplaceAttachment must refuse), checking
+// after every step; and it checks that
 // a Network mutating a shared index writes a private copy — the table's
 // origin, and a third Network importing it later, see the frozen state.
 func TestAddrIndexMatchesMapOracle(t *testing.T) {
@@ -215,6 +252,14 @@ func TestAddrIndexMatchesMapOracle(t *testing.T) {
 	}
 	replica.check("replica, after the origin mutated")
 
+	// A network that keeps its routes to itself rehomes, and routes
+	// again.
+	private := buildIndexedNet(t, routers, hosts)
+	if err := private.n.ComputeRoutes(); err != nil {
+		t.Fatal(err)
+	}
+	private.mutate(rng, 25)
+
 	// The table still describes the frozen graph.
 	late := buildIndexedNet(t, routers, hosts)
 	if err := late.n.ImportRoutes(rt); err != nil {
@@ -243,13 +288,13 @@ func TestAddrIndexShadowing(t *testing.T) {
 	if err := n.ComputeRoutes(); err != nil {
 		t.Fatal(err)
 	}
-	if got := r2.route(shared); got != l12 {
+	if got := egress(t, r2, shared); got != l12 {
 		t.Errorf("r2 routes the shared router address over %p, want the link toward r1/r0 %p", got, l12)
 	}
-	if got := r1.route(shared); got != l01 {
+	if got := egress(t, r1, shared); got != l01 {
 		t.Errorf("r1 routes the shared address over %p, want the link to the first-registered router %p", got, l01)
 	}
-	if got := r0.route(shared); got != nil {
+	if got := egress(t, r0, shared); got != nil {
 		t.Errorf("r0 routes its own address over %p, want nil", got)
 	}
 
@@ -261,7 +306,7 @@ func TestAddrIndexShadowing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r2.route(shared); got != access {
+	if got := egress(t, r2, shared); got != access {
 		t.Errorf("attached host does not shadow the router address: r2 routes over %p, want access link %p", got, access)
 	}
 	if got := hostAt(n, shared); got != h {

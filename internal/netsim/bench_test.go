@@ -9,15 +9,16 @@ import (
 	"repro/internal/packet"
 )
 
-// BenchmarkSimSchedule compares the timing wheel against the heap
-// fallback on the mixed near/far timer workload (ScheduleBenchWorkload,
-// shared with bench/'s scheduler kernel). Both variants stay at 0
-// allocs/op (TestSimScheduleAllocFree).
+// BenchmarkSimSchedule runs the mixed near/far timer workload
+// (ScheduleBenchWorkload, shared with bench/'s scheduler kernel) on the
+// lanes and the heap scheduler. Timers take the heap on both, so the
+// two time the same path; both stay at 0 allocs/op
+// (TestSimScheduleAllocFree).
 func BenchmarkSimSchedule(b *testing.B) {
-	for _, sched := range []Scheduler{SchedWheel, SchedHeap} {
+	for _, sched := range []Scheduler{SchedLanes, SchedHeap} {
 		b.Run("sched="+sched.Name(), func(b *testing.B) {
 			s := NewSimSched(1, sched)
-			ScheduleBenchWorkload(s, 4096) // warm slab, free list, wheel due buffer
+			ScheduleBenchWorkload(s, 4096) // warm slab, free list and heap
 			b.ReportAllocs()
 			b.ResetTimer()
 			ScheduleBenchWorkload(s, b.N)
@@ -25,13 +26,12 @@ func BenchmarkSimSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkSimScheduleSparse runs the same comparison on the sparse-
-// timeline kernel (ScheduleBenchWorkloadSparse): a near-empty pending
-// set with whole windows between instants, the shape real campaigns
-// spend most of their virtual time in — and the regime where the wheel
-// beats the heap. Also 0 allocs/op (TestSimScheduleAllocFree).
+// BenchmarkSimScheduleSparse runs the same pair on the sparse-timeline
+// kernel (ScheduleBenchWorkloadSparse): a near-empty pending set with
+// whole windows between instants, the shape real campaigns spend most
+// of their virtual time in. Also 0 allocs/op (TestSimScheduleAllocFree).
 func BenchmarkSimScheduleSparse(b *testing.B) {
-	for _, sched := range []Scheduler{SchedWheel, SchedHeap} {
+	for _, sched := range []Scheduler{SchedLanes, SchedHeap} {
 		b.Run("sched="+sched.Name(), func(b *testing.B) {
 			s := NewSimSched(1, sched)
 			ScheduleBenchWorkloadSparse(s, 4096)
@@ -52,7 +52,7 @@ func TestSimScheduleAllocFree(t *testing.T) {
 		name string
 		run  func(*Sim, int)
 	}{{"mixed", ScheduleBenchWorkload}, {"sparse", ScheduleBenchWorkloadSparse}} {
-		for _, sched := range []Scheduler{SchedWheel, SchedHeap} {
+		for _, sched := range []Scheduler{SchedLanes, SchedHeap} {
 			s := NewSimSched(1, sched)
 			workload.run(s, 8192) // warm up
 			setup := testing.AllocsPerRun(10, func() { workload.run(s, 1) })
@@ -64,17 +64,40 @@ func TestSimScheduleAllocFree(t *testing.T) {
 	}
 }
 
+// BenchmarkEventLoop times the event loop per event on the production
+// scheduler: timers, which take the heap, and packet deliveries over
+// links of four delays, which ride the lanes — the path nearly every
+// event of a campaign takes.
 func BenchmarkEventLoop(b *testing.B) {
-	s := NewSim(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.After(time.Duration(i%1000)*time.Microsecond, func() {})
-		if i%1024 == 0 {
-			s.Run()
+	b.Run("timers", func(b *testing.B) {
+		s := NewSim(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.After(time.Duration(i%1000)*time.Microsecond, func() {})
+			if i%1024 == 0 {
+				s.Run()
+			}
 		}
-	}
-	s.Run()
+		s.Run()
+	})
+	b.Run("deliveries", func(b *testing.B) {
+		s := NewSim(1)
+		sink := &discardNode{"sink"}
+		var links [4]*Link
+		for i, d := range []time.Duration{0, 500 * time.Microsecond, time.Millisecond, 4 * time.Millisecond} {
+			links[i] = newLink(s, &discardNode{"src"}, sink, d, 0)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			links[i&3].send(0, packet.NewBuf())
+			if i%1024 == 0 {
+				s.Run()
+			}
+		}
+		s.Run()
+	})
 }
 
 // routerForward is the bare forwarding path at the smallest packet the
@@ -95,7 +118,7 @@ func newRouterForward(tb testing.TB) *routerForward {
 	k := &routerForward{sim: NewSim(1), payload: make([]byte, 48)}
 	_, k.h1, k.h2, _ = lineTopology(tb, k.sim, forwardRouters, time.Millisecond)
 	k.h2.BindUDP(123, func(*Host, packet.IPv4Header, packet.UDPHeader, []byte) { k.delivered++ })
-	k.send(4 * forwardBurst) // warm the buffer pool, the slab and the wheel
+	k.send(4 * forwardBurst) // warm the buffer pool and the lanes
 	return k
 }
 
@@ -193,7 +216,7 @@ func (k *icmpRoundTrip) run(tb testing.TB, probes int) {
 // (TestICMPRoundTripAllocFree in tier-1).
 func BenchmarkICMPRoundTrip(b *testing.B) {
 	k := newICMPRoundTrip(b)
-	k.run(b, 256) // warm the buffer pool, the slab and the wheel
+	k.run(b, 256) // warm the buffer pool and the lanes
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.run(b, b.N)
@@ -273,7 +296,7 @@ func newLazyTransit(tb testing.TB) *lazyTransit {
 	k.wire = wire
 	k.tick = func() { k.sim.After(2*time.Millisecond, k.tick) }
 	k.sim.After(0, k.tick)
-	k.run(2 * time.Second) // warm the slab, the wheel and the queues' rings
+	k.run(2 * time.Second) // warm the slab, the heap, the lanes and the queues' rings
 	return k
 }
 

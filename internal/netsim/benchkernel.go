@@ -2,23 +2,14 @@ package netsim
 
 import "time"
 
-// ScheduleBenchWorkload is the shared scheduler-benchmark kernel: a
-// steady-state churn of mixed near and far timers — the shape
-// congested campaigns produce, where per-packet deliveries (ns–µs)
-// coexist with protocol timeouts (ms–s) and long-lived idle timers
-// (minutes+), and far timers mostly cancel, as retransmission timers
-// usually do. BenchmarkSimSchedule, TestSimScheduleAllocFree (0 allocs)
-// and bench/'s netsim.sched_ns_per_event kernel all run exactly this
-// function, so the ledger and the allocation test cannot drift apart.
 // ScheduleBenchWorkloadSparse is the second scheduler-benchmark kernel:
 // a sparse timeline, where the pending set stays small and consecutive
 // events sit whole windows apart — the shape an idle-heavy measurement
 // campaign produces between probe exchanges (RTT waits, retransmission
-// timeouts, epoch jumps). Dense slot reuse never happens here; the cost
-// that dominates is finding the next occupied instant, which is exactly
-// what the wheel's occupancy counts and min-jump cascade optimise. The
-// two kernels together keep scheduler tuning honest: a change that
-// helps packed slots must not regress long jumps, and vice versa.
+// timeouts, epoch jumps). The cost that dominates is finding the next
+// instant. Like ScheduleBenchWorkload it schedules timers only, so on
+// either scheduler it times the heap path, which packet deliveries no
+// longer take on the default one (they ride the per-delay lanes).
 func ScheduleBenchWorkloadSparse(s *Sim, n int) {
 	k := sparseKernel{s: s, n: n}
 	k.step = k.chain
@@ -62,6 +53,16 @@ func (k *sparseKernel) chain() {
 	}
 }
 
+// ScheduleBenchWorkload is the shared scheduler-benchmark kernel: a
+// steady-state churn of mixed near and far timers — protocol timeouts
+// (ms–s) beside long-lived idle timers (minutes+), far timers mostly
+// cancelled, as retransmission timers usually are.
+// BenchmarkSimSchedule, TestSimScheduleAllocFree (0 allocs) and
+// bench/'s netsim.sched_ns_per_event kernel all run exactly this
+// function, so the ledger and the allocation test cannot drift apart.
+// Its events are timers only: on either scheduler it times the heap
+// path, not the per-delay lanes packet deliveries ride
+// (BenchmarkEventLoop's deliveries variant times those).
 func ScheduleBenchWorkload(s *Sim, n int) {
 	var far [64]Timer
 	for i := 0; i < n; i++ {

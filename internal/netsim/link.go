@@ -32,13 +32,11 @@ type Node interface {
 type Link struct {
 	sim  *Sim
 	a, b Node
-	// rtr holds the endpoints that are routers (nil for a host end), so
-	// the forwarding path finds its egress direction with a pointer
-	// comparison instead of an interface one.
-	rtr [2]*Router
 	// Directional properties, indexed by direction (a→b = 0, b→a = 1).
 	delay [2]time.Duration
-	loss  [2]float64
+	// lane is each direction's delivery lane on sim, fixed by delay.
+	lane [2]uint8
+	loss [2]float64
 	// baseLoss is the loss the link was created with; reset restores it.
 	baseLoss float64
 	bneck    [2]*bottleneck
@@ -49,19 +47,20 @@ type Link struct {
 }
 
 // newLink wires two nodes together. Use Network helpers instead of
-// constructing links directly.
+// constructing links directly. A negative delay is treated as zero: a
+// delivery lane stays sorted only if nothing arrives before now.
 func newLink(sim *Sim, a, b Node, delay time.Duration, loss float64) *Link {
-	l := &Link{
+	delay = max(delay, 0)
+	ln := sim.laneFor(delay)
+	return &Link{
 		sim:      sim,
 		a:        a,
 		b:        b,
 		delay:    [2]time.Duration{delay, delay},
+		lane:     [2]uint8{ln, ln},
 		loss:     [2]float64{loss, loss},
 		baseLoss: loss,
 	}
-	l.rtr[0], _ = a.(*Router)
-	l.rtr[1], _ = b.(*Router)
-	return l
 }
 
 // reset returns the link to its just-built state: creation-time loss,
@@ -117,17 +116,6 @@ func (l *Link) dir(from Node) int {
 	panic("netsim: node not on link " + from.Label())
 }
 
-// dirFrom is dir for a router endpoint.
-func (l *Link) dirFrom(r *Router) int {
-	if l.rtr[0] == r {
-		return 0
-	}
-	if l.rtr[1] == r {
-		return 1
-	}
-	panic("netsim: node not on link " + r.label)
-}
-
 // peerOf returns the receiving node for direction d.
 func (l *Link) peerOf(d int) Node {
 	if d == 1 {
@@ -150,11 +138,10 @@ func (l *Link) send(d int, b *packet.Buf) {
 		b.Release()
 		return
 	}
-	to := l.peerOf(d)
 	bn := l.bneck[d]
 	if bn == nil {
 		// Infinite-rate path: identical to the pre-congestion substrate.
-		l.sim.deliverAfter(l.delay[d], to, b, l)
+		l.sim.deliverAfter(l, d, b)
 		return
 	}
 	now := l.sim.Now()
@@ -418,7 +405,7 @@ func (l *Link) boundary(bn *bottleneck, now time.Duration) {
 // deliver hands the foreground packet that finished serializing to
 // propagation: it arrives at the peer after the link delay.
 func (l *Link) deliver(bn *bottleneck) {
-	l.sim.deliverAfter(l.delay[bn.d], l.peerOf(bn.d), bn.txPkt.TakeBuf(), l)
+	l.sim.deliverAfter(l, bn.d, bn.txPkt.TakeBuf())
 }
 
 // serveQueue begins serializing the queue head if the transmitter is

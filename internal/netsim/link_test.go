@@ -317,3 +317,21 @@ func TestSetBottleneckRefuses(t *testing.T) {
 		})
 	}
 }
+
+// TestNegativeLinkDelayClamped: a link built with a negative delay
+// delivers after zero, the way After treats a negative delay — a lane
+// stays sorted only if nothing is due before now.
+func TestNegativeLinkDelayClamped(t *testing.T) {
+	s := NewSim(1)
+	sink := &sinkNode{label: "sink", sim: s}
+	src := &sinkNode{label: "src"}
+	l := newLink(s, src, sink, -time.Second, 0)
+	if l.Delay(src) != 0 {
+		t.Fatalf("delay = %v, want 0", l.Delay(src))
+	}
+	s.After(time.Millisecond, func() { l.Send(src, testWire(t, ecn.NotECT, 8)) })
+	s.Run()
+	if len(sink.times) != 1 || sink.times[0] != time.Millisecond {
+		t.Errorf("arrivals at %v, want one at 1ms", sink.times)
+	}
+}

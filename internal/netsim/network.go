@@ -23,21 +23,28 @@ type Network struct {
 	index       *addrIndex
 	indexShared bool
 
-	// nextHop[src][dst] is the index (into links) of the link router
-	// #src uses toward router #dst; -1 means unreachable. Built by
-	// ComputeRoutes or shared read-only across Networks via
-	// ExportRoutes/ImportRoutes — indices, not pointers, so networks
-	// instantiated from one frozen topology can share a single table.
+	// nextHop[src][dst] is the hop router #src takes toward router
+	// #dst: the egress link's index into links, shifted left once, with
+	// the direction src sends on it in the low bit; -1 means
+	// unreachable. Built by ComputeRoutes or shared read-only across
+	// Networks via ExportRoutes/ImportRoutes — indices, not pointers, so
+	// networks instantiated from one frozen topology can share a single
+	// table.
 	nextHop [][]int32
 	routed  bool
+	// routesShared marks nextHop as shared with a RouteTable (exported
+	// or imported): its link indices are the table's, so no link may
+	// leave the graph under them.
+	routesShared bool
 }
 
 // RouteTable is a frozen forwarding table: for every (source router,
-// destination router) pair, the index of the egress link in the owning
-// Network's creation-order link slice, plus the address index that maps
-// a destination to its router and host. It is immutable once exported
-// and safe to share across concurrently-running Networks whose graphs
-// were built by an identical construction sequence.
+// destination router) pair, the egress link's index in the owning
+// Network's creation-order link slice and the direction the source
+// sends on it (Network.nextHop's encoding), plus the address index
+// that maps a destination to its router and host. It is immutable once
+// exported and safe to share across concurrently-running Networks whose
+// graphs were built by an identical construction sequence.
 type RouteTable struct {
 	nextHop [][]int32
 	index   *addrIndex
@@ -123,10 +130,16 @@ func (n *Network) Attach(h *Host, r *Router, delay time.Duration, loss float64) 
 
 // ReplaceAttachment moves an already-attached host behind a different
 // router (the topology generator uses this to slot a dedicated firewall
-// router in front of selected servers). The old access link is removed.
+// router in front of selected servers). The old access link is removed,
+// which shifts every later link's index, so routes must be computed
+// again; a network whose routes a RouteTable shares (exported or
+// imported) refuses.
 func (n *Network) ReplaceAttachment(h *Host, to *Router, delay time.Duration) (*Link, error) {
 	if h.uplink == nil {
 		return nil, fmt.Errorf("netsim: host %s not attached", h.label)
+	}
+	if n.routesShared {
+		return nil, fmt.Errorf("netsim: host %s: ReplaceAttachment on a network sharing its routes", h.label)
 	}
 	for i, l := range n.links {
 		if l == h.uplink {
@@ -135,6 +148,7 @@ func (n *Network) ReplaceAttachment(h *Host, to *Router, delay time.Duration) (*
 		}
 	}
 	h.uplink = nil
+	n.routed = false
 	return n.Attach(h, to, delay, 0)
 }
 
@@ -181,18 +195,18 @@ func (n *Network) Routers() []*Router { return n.routers }
 // study's observation that the same servers fail from every vantage point.
 func (n *Network) ComputeRoutes() error {
 	nr := len(n.routers)
-	// adjacency: router id -> (neighbor id, link index)
+	// adjacency: router id -> (neighbor id, hop: link index<<1 | direction)
 	type edge struct {
-		to   int
-		link int32
+		to  int
+		hop int32
 	}
 	adj := make([][]edge, nr)
 	for li, l := range n.links {
 		ra, aOK := l.a.(*Router)
 		rb, bOK := l.b.(*Router)
 		if aOK && bOK {
-			adj[ra.id] = append(adj[ra.id], edge{rb.id, int32(li)})
-			adj[rb.id] = append(adj[rb.id], edge{ra.id, int32(li)})
+			adj[ra.id] = append(adj[ra.id], edge{rb.id, int32(li) << 1})
+			adj[rb.id] = append(adj[rb.id], edge{ra.id, int32(li)<<1 | 1})
 		}
 	}
 
@@ -217,7 +231,7 @@ func (n *Network) ComputeRoutes() error {
 				}
 				visited[e.to] = true
 				if cur == src {
-					parentLink[e.to] = e.link // first hop out of src
+					parentLink[e.to] = e.hop // first hop out of src
 				} else {
 					parentLink[e.to] = parentLink[cur]
 				}
@@ -241,7 +255,7 @@ func (n *Network) ExportRoutes() (*RouteTable, error) {
 	if !n.routed {
 		return nil, fmt.Errorf("netsim: ExportRoutes before ComputeRoutes")
 	}
-	n.indexShared = true
+	n.indexShared, n.routesShared = true, true
 	return &RouteTable{
 		nextHop: n.nextHop,
 		index:   n.index,
@@ -268,16 +282,8 @@ func (n *Network) ImportRoutes(rt *RouteTable) error {
 	}
 	n.nextHop = rt.nextHop
 	n.index, n.indexShared = rt.index, true
-	n.routed = true
+	n.routed, n.routesShared = true, true
 	return nil
-}
-
-// linkAt resolves a next-hop index to the link object, nil for -1.
-func (n *Network) linkAt(idx int32) *Link {
-	if idx < 0 {
-		return nil
-	}
-	return n.links[idx]
 }
 
 // PathRouters traces the routing-table path from a source host to a
@@ -298,11 +304,11 @@ func (n *Network) PathRouters(from *Host, dst packet.Addr) ([]*Router, error) {
 		if dst == cur.addr {
 			return path, nil
 		}
-		link := cur.route(dst)
+		link, d := cur.route(dst)
 		if link == nil {
 			return path, fmt.Errorf("netsim: no route from %s to %s", cur.label, dst)
 		}
-		next, ok := link.Peer(cur).(*Router)
+		next, ok := link.peerOf(d).(*Router)
 		if !ok {
 			return path, nil
 		}

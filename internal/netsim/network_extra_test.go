@@ -54,7 +54,7 @@ func TestReplaceAttachment(t *testing.T) {
 
 	// The old attachment must be fully gone: r2 reaches the server
 	// through fw, not over a stale access link.
-	if l := r2.route(server.Addr()); l == nil || l.Peer(r2) != Node(fw) {
+	if l := egress(t, r2, server.Addr()); l == nil || l.Peer(r2) != Node(fw) {
 		t.Error("stale host link on previous router")
 	}
 	if at := attachedAt(n, server.Addr()); at != fw {
@@ -71,6 +71,70 @@ func TestReplaceAttachmentUnattached(t *testing.T) {
 	}
 }
 
+// TestReplaceAttachmentAfterRouting: removing an access link from the
+// middle of the link list shifts every later link's index, so a
+// rehoming after ComputeRoutes must leave the network unrouted rather
+// than forwarding over whatever link now sits at a stale index, and
+// routes computed again must deliver. A network whose routes a
+// RouteTable shares cannot recompute them in place, so it refuses.
+func TestReplaceAttachmentAfterRouting(t *testing.T) {
+	build := func() (*Network, *Host, *Host, *Router) {
+		sim := NewSim(1)
+		n := NewNetwork(sim)
+		r1 := n.AddRouter("r1", packet.AddrFrom4(10, 255, 0, 1), 1)
+		r2 := n.AddRouter("r2", packet.AddrFrom4(10, 255, 1, 1), 2)
+		r3 := n.AddRouter("r3", packet.AddrFrom4(10, 255, 2, 1), 3)
+		client, _ := n.AddHost("client", packet.AddrFrom4(10, 0, 0, 1))
+		server, _ := n.AddHost("server", packet.AddrFrom4(10, 0, 1, 1))
+		n.Attach(client, r1, time.Millisecond, 0)
+		n.Attach(server, r2, time.Millisecond, 0) // the link that leaves
+		n.Connect(r1, r2, time.Millisecond, 0)
+		n.Connect(r2, r3, time.Millisecond, 0)
+		if err := n.ComputeRoutes(); err != nil {
+			t.Fatal(err)
+		}
+		return n, client, server, r3
+	}
+
+	n, client, server, r3 := build()
+	if _, err := n.ReplaceAttachment(server, r3, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.PathRouters(client, server.Addr()); err == nil {
+		t.Fatal("routes survived a rehoming that shifted link indices")
+	}
+	if err := n.ComputeRoutes(); err != nil {
+		t.Fatal(err)
+	}
+	path, err := n.PathRouters(client, server.Addr())
+	if err != nil || len(path) != 3 || path[2] != r3 {
+		t.Fatalf("path after recomputing = %v, %v; want r1 r2 r3", path, err)
+	}
+	got := 0
+	server.BindUDP(7, func(*Host, packet.IPv4Header, packet.UDPHeader, []byte) { got++ })
+	client.SendUDP(server.Addr(), 1, 7, 64, ecn.NotECT, nil)
+	n.Sim.Run()
+	if got != 1 {
+		t.Errorf("%d deliveries after rehoming, want 1", got)
+	}
+
+	exported, _, server, r3 := build()
+	rt, err := exported.ExportRoutes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	imported, _, importedServer, importedR3 := build()
+	if err := imported.ImportRoutes(rt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exported.ReplaceAttachment(server, r3, time.Millisecond); err == nil {
+		t.Error("a network that exported its routes rehomed a host")
+	}
+	if _, err := imported.ReplaceAttachment(importedServer, importedR3, time.Millisecond); err == nil {
+		t.Error("a network that imported its routes rehomed a host")
+	}
+}
+
 func TestSetDelayAffectsLatency(t *testing.T) {
 	sim := NewSim(1)
 	n := NewNetwork(sim)
@@ -81,7 +145,10 @@ func TestSetDelayAffectsLatency(t *testing.T) {
 	n.Attach(b, r, time.Millisecond, 0)
 	n.ComputeRoutes()
 
+	// A delay is fixed when the link is built, and with it the
+	// direction's delivery lane: change both.
 	la.delay[la.dir(a)] = 50 * time.Millisecond
+	la.lane[la.dir(a)] = sim.laneFor(50 * time.Millisecond)
 	if la.Delay(a) != 50*time.Millisecond {
 		t.Fatalf("Delay = %v", la.Delay(a))
 	}

@@ -124,38 +124,45 @@ func (r *Router) Receive(b *packet.Buf, from *Link) {
 		return
 	}
 
-	link := r.route(dst)
+	link, d := r.route(dst)
 	if link == nil {
 		r.NoRouteDrops++
 		b.Release()
 		return
 	}
 	r.Forwarded++
-	link.send(link.dirFrom(r), b)
+	link.send(d, b)
 }
 
-// route resolves the egress link toward dst through the network's
-// address index: the access link when dst is a host attached here,
-// otherwise the next hop toward dst's attachment router — or toward the
-// router dst itself names, since ICMP replies to traceroute must route
-// *toward* routers too. It returns nil when dst is unknown, unattached,
-// unreachable, or this router's own address.
-func (r *Router) route(dst packet.Addr) *Link {
+// route resolves the egress link toward dst, and the direction this
+// router sends on it, through the network's address index: the access
+// link when dst is a host attached here, otherwise the next hop toward
+// dst's attachment router — or toward the router dst itself names,
+// since ICMP replies to traceroute must route *toward* routers too. It
+// returns a nil link when dst is unknown, unattached, unreachable, or
+// this router's own address.
+func (r *Router) route(dst packet.Addr) (*Link, int) {
 	n := r.net
 	e := n.index.lookup(dst)
 	if e.router == 0 {
-		return nil
+		return nil, 0
 	}
 	if int(e.router-1) == r.id {
 		if e.host == 0 {
-			return nil
+			return nil, 0
 		}
-		return n.hosts[e.host-1].uplink
+		// Attach builds an access link host → router, so the router
+		// sends on direction 1.
+		return n.hosts[e.host-1].uplink, 1
 	}
 	if !n.routed {
 		panic("netsim: ComputeRoutes not called")
 	}
-	return n.linkAt(n.nextHop[r.id][e.router-1])
+	hop := n.nextHop[r.id][e.router-1]
+	if hop < 0 {
+		return nil, 0
+	}
+	return n.links[hop>>1], int(hop & 1)
 }
 
 // sendTimeExceeded emits the ICMP error that traceroute elicits. Per
@@ -180,8 +187,8 @@ func (r *Router) sendTimeExceeded(ip packet.IPv4Header, dropped []byte) {
 	if err != nil {
 		return
 	}
-	if link := r.route(ip.Src); link != nil {
-		link.send(link.dirFrom(r), reply)
+	if link, d := r.route(ip.Src); link != nil {
+		link.send(d, reply)
 		return
 	}
 	reply.Release()

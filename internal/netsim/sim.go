@@ -21,35 +21,38 @@
 //     packet.Buf wire buffers. Routers parse and mutate the actual wire
 //     bytes, so header checksums, TTL handling and TOS rewrites behave
 //     exactly as on a real path.
-//   - O(1) scheduling. The default scheduler is a hierarchical timing
-//     wheel (wheel.go) over the event slab: insert and fire are O(1)
-//     amortized, against the O(log n) per event a binary heap pays on
-//     multi-million-event congested runs. Both pop in exactly the same
-//     (time, seq) order, so a campaign's traces are bit-identical under
-//     either scheduler.
+//   - Per-delay lanes. Nearly every event is a packet delivery due at
+//     now + the link's delay, and a world has only a handful of distinct
+//     delays, so the default scheduler keeps one FIFO ring per delay —
+//     sorted by (time, seq) for free — and a binary heap for everything
+//     else (timers, the lazy drive's finishes). Push and pop are O(1)
+//     for a delivery; a pop compares the lane heads with the heap root.
+//     Both schedulers pop in exactly the same (time, seq) order, so a
+//     campaign's traces are bit-identical under either.
 //   - Bottlenecks. A link direction may carry one finite-rate
 //     transmitter with an AQM queue (Link.SetBottleneck), attached once
 //     while the world is built, whose discipline decides each packet's
 //     fate at enqueue; its phantom cross-traffic replays lazily
 //     (link.go, DESIGN.md §10.1) rather than costing an event per
 //     serialization boundary.
-//   - Reference implementations. The binary-heap scheduler
-//     (NewSimSched with SchedHeap) and the one-event-per-phantom-boundary
-//     cross-traffic drive (SetXTrafficMode with XTrafficEvents) are what
-//     the production wheel and lazy replay are tested against. Only tests
+//   - Reference implementations. The heap-only scheduler (NewSimSched
+//     with SchedHeap) and the one-event-per-phantom-boundary cross-
+//     traffic drive (SetXTrafficMode with XTrafficEvents) are what the
+//     production lanes and lazy replay are tested against. Only tests
 //     reach them: NewSim makes the production simulator, every world a
 //     campaign runs is made on one (topology.Compile), and only a test
 //     can ask for a blueprint whose worlds run on a reference
 //     (Blueprint.WithSims in package topology).
-//   - Zero steady-state allocation. Event bodies live in a slab indexed
-//     by a free list; the wheel's slots and the heap's entries are
-//     pointer-free (they address the slab by index), so scheduling never
-//     touches the write barrier, and packet delivery is a typed event
-//     rather than a closure. Once the pools are warm, the per-packet hot
+//   - Zero steady-state allocation. A delivery is a typed lane entry
+//     rather than a closure; other event bodies live in a slab indexed
+//     by a free list, and the heap's entries are pointer-free (they
+//     address the slab by index), so sifting never touches the write
+//     barrier. Once the rings and pools are warm, the per-packet hot
 //     path — build, send, deliver, receive — allocates nothing.
 package netsim
 
 import (
+	"math"
 	"math/rand"
 	"time"
 
@@ -59,20 +62,21 @@ import (
 // Scheduler selects the Sim's pending-event data structure.
 type Scheduler uint8
 
-// The available schedulers. SchedWheel is the default; SchedHeap is the
-// binary heap, a reference implementation the wheel's ordering is
-// checked against.
+// The available schedulers. SchedLanes is the default: packet
+// deliveries ride per-delay FIFO lanes and everything else a binary
+// heap. SchedHeap puts every event on the heap, a reference
+// implementation the lanes' ordering is checked against.
 const (
-	SchedWheel Scheduler = iota
+	SchedLanes Scheduler = iota
 	SchedHeap
 )
 
-// Name returns the scheduler's name ("wheel" or "heap").
+// Name returns the scheduler's name ("lanes" or "heap").
 func (s Scheduler) Name() string {
 	if s == SchedHeap {
 		return "heap"
 	}
-	return "wheel"
+	return "lanes"
 }
 
 // XTrafficMode selects how a bottleneck's phantom cross-traffic
@@ -100,22 +104,36 @@ func (m XTrafficMode) Name() string {
 
 // Sim is the discrete-event engine. Create one with NewSim, add nodes and
 // links (usually via Network), schedule initial work, then call Run.
+//
+// The fields every event writes sit between two simPad blocks: shard
+// workers allocate their simulators back to back, and without the
+// padding one worker's clock and counter writes would land on a cache
+// line the neighbouring worker's Sim reads on every pop
+// (TestSimHotFieldsPadded).
 type Sim struct {
-	now time.Duration
-	// wheel is the default O(1) scheduler; nil selects the heap fallback.
-	wheel *timingWheel
-	// heap is the fallback pending-event priority queue: pointer-free
-	// entries ordered by (at, seq), with idx addressing the body in slab.
+	_ [simPad]byte
+
+	now  time.Duration
+	seq  uint64
+	live int // scheduled, not yet fired or cancelled
+	// Stats counters, exposed for benchmarks and capacity planning.
+	executed uint64
+
+	// lanes hold the pending packet deliveries, one FIFO per distinct
+	// link delay (a link direction learns its lane when it is built);
+	// heapOnly, the SchedHeap reference, leaves them empty and puts
+	// deliveries on the heap with everything else.
+	lanes    []lane
+	heapOnly bool
+	// heap is the pending-event priority queue for everything that is
+	// not a lane delivery: pointer-free entries ordered by (at, seq),
+	// with idx addressing the body in slab.
 	heap []heapEntry
 	slab []event
 	free []int32 // recycled slab indices
-	seq  uint64
-	live int // scheduled, not yet fired or cancelled
 	rng  *rand.Rand
 	// seed is the construction seed; Reset rewinds rng to it.
 	seed int64
-	// Stats counters, exposed for benchmarks and capacity planning.
-	executed uint64
 
 	// xtrafficEvents selects the legacy one-event-per-phantom-boundary
 	// transmitter drive (XTrafficEvents); the default is lazy catch-up
@@ -139,47 +157,48 @@ type Sim struct {
 	// simulation's connection-shell pool here, shared by every stack on
 	// the simulator. Capacity, not state: Reset leaves it alone.
 	UserData any
+
+	_ [simPad]byte
 }
 
+// simPad is two cache lines: the adjacent-line prefetcher pulls lines
+// in pairs, so a neighbour's writes must stay 128 B away.
+const simPad = 128
+
 // NewSim returns a simulator whose randomness derives from seed, using
-// the default timing-wheel scheduler.
-func NewSim(seed int64) *Sim { return NewSimSched(seed, SchedWheel) }
+// the default lanes scheduler.
+func NewSim(seed int64) *Sim { return NewSimSched(seed, SchedLanes) }
 
 // NewSimSched returns a simulator with an explicit scheduler choice. The
 // two schedulers fire events in exactly the same order; SchedHeap exists
 // so tests can prove that.
 func NewSimSched(seed int64, sched Scheduler) *Sim {
-	s := &Sim{rng: rand.New(rand.NewSource(seed)), seed: seed}
-	if sched == SchedWheel {
-		s.wheel = newTimingWheel()
-	}
-	return s
+	return &Sim{rng: rand.New(rand.NewSource(seed)), seed: seed, heapOnly: sched == SchedHeap}
 }
 
 // Reset returns the simulator to the state NewSimSched produced: clock
 // at zero, sequence and sentinel counters rewound, every statistic
 // cleared, the PRNG back at the construction seed's stream. Events still
 // pending are discarded unexecuted (their wire buffers released). The
-// scheduler choice and cross-traffic mode are configuration and stay;
+// scheduler choice, the cross-traffic mode and the lanes (one per link
+// delay, fixed when the links were built) are configuration and stay;
 // so does capacity — the event slab and its free list, the heap's and
-// the due buffer's backing arrays — which is the point: a reset
-// simulator schedules without growing anything (DESIGN.md §9.4).
+// the lanes' backing arrays — which is the point: a reset simulator
+// schedules without growing anything (DESIGN.md §9.4).
 //
 // Slab generations are deliberately not rewound, so a Timer handle
 // from before the Reset stays stale instead of cancelling a stranger.
 // Reset does not touch the nodes and links built on the simulator;
 // Network.Reset does.
 func (s *Sim) Reset() {
-	for {
-		idx, _, ok := s.popNext()
-		if !ok {
-			break
-		}
+	for i := range s.lanes {
+		s.lanes[i].reset()
+	}
+	for len(s.heap) > 0 {
+		idx := s.heap[0].idx
+		s.heapPopRoot()
 		s.slab[idx].buf.Release()
 		s.recycle(idx)
-	}
-	if s.wheel != nil {
-		s.wheel.reset()
 	}
 	s.now = 0
 	s.seq = 0
@@ -227,19 +246,6 @@ func (s *Sim) ReplayedBoundaries() uint64 { return s.replayedBoundaries }
 // PhantomEvents reports how many phantom serialization boundaries ran
 // as scheduler events.
 func (s *Sim) PhantomEvents() uint64 { return s.phantomEvents }
-
-// WheelStats reports the timing wheel's internal activity: cascades is
-// the number of higher-level slots re-filed into finer levels,
-// registerHits the pops served straight from the singleton register
-// (the sparse-timeline fast path). Both are zero on the heap
-// scheduler. The counters are observability only — plain increments
-// with no effect on event order, randomness, or output bytes.
-func (s *Sim) WheelStats() (cascades, registerHits uint64) {
-	if s.wheel == nil {
-		return 0, 0
-	}
-	return s.wheel.cascades, s.wheel.registerHits
-}
 
 // nextSeq hands out the sequence number a scheduled event would have
 // received. Lazily-driven bottlenecks consume one per virtual boundary
@@ -394,18 +400,39 @@ func (s *Sim) atSentinel(t time.Duration, fn func()) {
 	s.slab[s.scheduleSeq(t, 1<<63|s.sentinel)].fn = fn
 }
 
-// deliverAfter schedules delivery of a wire buffer to node d from now.
-// Delivery is a typed event — no closure, no allocation — and transfers
-// the caller's buffer reference to the receiving node.
-func (s *Sim) deliverAfter(d time.Duration, node Node, b *packet.Buf, from *Link) {
-	if d < 0 {
-		d = 0
+// deliverAfter schedules delivery of a wire buffer across link l in
+// direction d, the link's delay from now, drawing the next sequence
+// number. Delivery is a typed event — no closure, no allocation — and
+// transfers the caller's buffer reference to the receiving node. On the
+// lanes scheduler it is an entry on the direction's lane and never
+// touches the slab; the heap reference files it as a slab event.
+func (s *Sim) deliverAfter(l *Link, d int, b *packet.Buf) {
+	s.seq++
+	at := s.now + l.delay[d]
+	if s.heapOnly {
+		ev := &s.slab[s.scheduleSeq(at, s.seq)]
+		ev.buf, ev.link, ev.dir = b, l, uint8(d)
+		return
 	}
-	idx := s.schedule(s.now + d)
-	ev := &s.slab[idx]
-	ev.node = node
-	ev.buf = b
-	ev.link = from
+	s.live++
+	e := s.lanes[l.lane[d]].push(at, s.seq)
+	e.buf, e.link, e.dir = b, l, uint8(d)
+}
+
+// laneFor returns the index of the lane for link delay d, opening one
+// the first time a delay is seen. Links call it once, when they are
+// built, so a fresh world and a reset one hold the same lanes.
+func (s *Sim) laneFor(d time.Duration) uint8 {
+	for i := range s.lanes {
+		if s.lanes[i].delay == d {
+			return uint8(i)
+		}
+	}
+	if len(s.lanes) > math.MaxUint8 {
+		panic("netsim: too many distinct link delays")
+	}
+	s.lanes = append(s.lanes, lane{delay: d})
+	return uint8(len(s.lanes) - 1)
 }
 
 // schedule allocates an event body (from the free list when possible)
@@ -429,16 +456,8 @@ func (s *Sim) scheduleSeq(t time.Duration, seq uint64) int32 {
 		s.slab = append(s.slab, event{})
 		idx = int32(len(s.slab) - 1)
 	}
-	ev := &s.slab[idx]
-	ev.at = t
-	ev.seq = seq
-	ev.next = -1
 	s.live++
-	if s.wheel != nil {
-		s.wheelInsert(idx, t)
-	} else {
-		s.heapPush(heapEntry{at: t, seq: seq, idx: idx})
-	}
+	s.heapPush(heapEntry{at: t, seq: seq, idx: idx})
 	return idx
 }
 
@@ -448,64 +467,82 @@ func (s *Sim) recycle(idx int32) {
 	ev := &s.slab[idx]
 	ev.gen++
 	ev.fn = nil
-	ev.node = nil
 	ev.buf = nil
 	ev.link = nil
-	ev.next = -1
 	s.free = append(s.free, idx)
 }
 
 // dead reports whether an event was cancelled before firing.
-func (ev *event) dead() bool { return ev.fn == nil && ev.node == nil }
+func (ev *event) dead() bool { return ev.fn == nil && ev.buf == nil }
 
-// popNext removes and returns the earliest pending event (live or
-// cancelled) from the active scheduler.
-func (s *Sim) popNext() (int32, time.Duration, bool) {
-	if s.wheel != nil {
-		return s.wheelPop()
-	}
-	if len(s.heap) == 0 {
-		return 0, 0, false
-	}
-	he := s.heap[0]
-	s.heapPopRoot()
-	return he.idx, he.at, true
-}
-
-// Step executes the next pending event. It reports whether an event ran.
-func (s *Sim) Step() bool {
-	for {
-		idx, at, ok := s.popNext()
-		if !ok {
-			return false
-		}
-		ev := &s.slab[idx]
-		if ev.dead() { // cancelled
-			s.recycle(idx)
+// nextLane returns the lane whose head delivery comes first in
+// (at, seq) order, and that head, or nils when every lane is empty. A
+// world has a handful of distinct link delays (TestWorldLinkDelays
+// holds both scales to eight), so the scan is a few compares.
+func (s *Sim) nextLane() (*lane, *delivery) {
+	var best *lane
+	var head *delivery
+	for i := range s.lanes {
+		l := &s.lanes[i]
+		if l.n == 0 {
 			continue
 		}
-		if len(s.lazy) > 0 {
-			// Catch lazily-driven bottlenecks up to this event: every
-			// phantom boundary ordered before (at, seq) replays first,
-			// so its PRNG draws precede the handler's exactly as the
-			// events mode interleaves them. Replay never schedules, so
-			// ev stays valid.
-			s.advanceLazy(at, ev.seq)
+		if e := &l.ring[l.head]; head == nil || e.before(head.at, head.seq) {
+			best, head = l, e
 		}
-		s.now = at
-		s.executed++
-		s.live--
-		if ev.node != nil {
-			node, buf, link := ev.node, ev.buf, ev.link
-			s.recycle(idx)
-			node.Receive(buf, link)
-		} else {
-			fn := ev.fn
-			s.recycle(idx)
-			fn()
+	}
+	return best, head
+}
+
+// Step executes the next pending event: the least (at, seq) among the
+// lane heads and the heap root. It reports whether an event ran.
+func (s *Sim) Step() bool {
+	for {
+		ln, head := s.nextLane()
+		if len(s.heap) > 0 {
+			if he := s.heap[0]; head == nil || !head.before(he.at, he.seq) {
+				s.heapPopRoot()
+				ev := &s.slab[he.idx]
+				if ev.dead() { // cancelled
+					s.recycle(he.idx)
+					continue
+				}
+				// Replay never schedules, so ev stays valid.
+				s.fire(he.at, he.seq)
+				if ev.buf != nil {
+					buf, link, d := ev.buf, ev.link, int(ev.dir)
+					s.recycle(he.idx)
+					link.peerOf(d).Receive(buf, link)
+				} else {
+					fn := ev.fn
+					s.recycle(he.idx)
+					fn()
+				}
+				return true
+			}
 		}
+		if ln == nil {
+			return false
+		}
+		e := ln.pop()
+		buf, link, d := e.buf, e.link, int(e.dir)
+		s.fire(e.at, e.seq)
+		link.peerOf(d).Receive(buf, link)
 		return true
 	}
+}
+
+// fire moves the clock to the event at (at, seq) about to run. Lazily-
+// driven bottlenecks catch up first: every phantom boundary ordered
+// before (at, seq) replays, so its PRNG draws precede the handler's
+// exactly as the events mode interleaves them.
+func (s *Sim) fire(at time.Duration, seq uint64) {
+	if len(s.lazy) > 0 {
+		s.advanceLazy(at, seq)
+	}
+	s.now = at
+	s.executed++
+	s.live--
 }
 
 // Run drains the event queue, then drains any lazily-driven bottleneck
@@ -538,23 +575,95 @@ func (s *Sim) RunUntil(deadline time.Duration) {
 }
 
 // peekLive returns the earliest live event time, recycling cancelled
-// events it skips over so RunUntil sees true deadlines.
+// heap events it skips over so RunUntil sees true deadlines. A lane
+// holds no cancelled entries.
 func (s *Sim) peekLive() (time.Duration, bool) {
-	if s.wheel != nil {
-		return s.wheelPeek()
-	}
-	for {
-		if len(s.heap) == 0 {
-			return 0, false
-		}
-		he := s.heap[0]
-		ev := &s.slab[he.idx]
-		if !ev.dead() {
-			return he.at, true
-		}
+	for len(s.heap) > 0 && s.slab[s.heap[0].idx].dead() {
+		idx := s.heap[0].idx
 		s.heapPopRoot()
-		s.recycle(he.idx)
+		s.recycle(idx)
 	}
+	at, ok := time.Duration(0), false
+	if _, head := s.nextLane(); head != nil {
+		at, ok = head.at, true
+	}
+	if len(s.heap) > 0 && (!ok || s.heap[0].at < at) {
+		at, ok = s.heap[0].at, true
+	}
+	return at, ok
+}
+
+// delivery is a pending packet delivery on a lane: the buffer crossing
+// link in direction dir, due at (at, seq).
+type delivery struct {
+	at   time.Duration
+	seq  uint64
+	buf  *packet.Buf
+	link *Link
+	dir  uint8
+}
+
+// before reports whether e fires before an event at (at, seq).
+func (e *delivery) before(at time.Duration, seq uint64) bool {
+	return e.at < at || (e.at == at && e.seq < seq)
+}
+
+// lane is the FIFO of pending deliveries over the links of one
+// propagation delay. It is sorted by (at, seq) without any work: every
+// entry is pushed at now + delay, now never decreases, and seq grows
+// with every push, so each entry follows the one before it — push
+// checks that rather than trusting it.
+type lane struct {
+	delay time.Duration
+	// ring holds the entries in [head, head+n), wrapping; its length is
+	// zero or a power of two. Slots outside that window are stale and
+	// never read.
+	ring    []delivery
+	head, n int
+}
+
+// push appends a delivery due at (at, seq) and returns its entry for
+// the caller to fill in, panicking if it would not be the lane's last
+// in (at, seq) order.
+func (l *lane) push(at time.Duration, seq uint64) *delivery {
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	mask := len(l.ring) - 1
+	if l.n > 0 && !l.ring[(l.head+l.n-1)&mask].before(at, seq) {
+		panic("netsim: lane delivery pushed out of (at, seq) order")
+	}
+	e := &l.ring[(l.head+l.n)&mask]
+	e.at, e.seq = at, seq
+	l.n++
+	return e
+}
+
+// pop removes the head delivery and returns it; the lane must be
+// non-empty. The entry is valid until the next push.
+func (l *lane) pop() *delivery {
+	e := &l.ring[l.head]
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return e
+}
+
+// grow doubles the ring, unwrapping the live window to the front.
+func (l *lane) grow() {
+	ring := make([]delivery, max(2*len(l.ring), 16))
+	for i := 0; i < l.n; i++ {
+		ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+	}
+	l.ring, l.head = ring, 0
+}
+
+// reset discards the pending deliveries, releasing their buffers, and
+// keeps the ring.
+func (l *lane) reset() {
+	for l.n > 0 {
+		l.pop().buf.Release()
+	}
+	l.head = 0
 }
 
 // heapEntry is a queued event reference: ordering fields inline (no
@@ -566,26 +675,17 @@ type heapEntry struct {
 	idx int32
 }
 
-// event is a scheduled callback or packet delivery body. Exactly one of
-// fn and node is set for a live event: fn-events run arbitrary code,
-// node-events hand buf to node (the per-packet fast path, kept
-// closure-free so the hot loop does not allocate). Cancellation nils fn
-// in place; the schedulers discard dead events lazily.
+// event is a heap event's body. Exactly one of fn and buf is set for a
+// live event: fn-events run arbitrary code, buf-events are the heap
+// reference's packet deliveries (buf crosses link in direction dir).
+// Cancellation nils fn in place; the heap discards dead events lazily.
 type event struct {
 	gen uint64 // incremented on recycle; stales Timer handles
 	fn  func()
 
-	// Typed delivery payload (node != nil selects it).
-	node Node
 	buf  *packet.Buf
 	link *Link
-
-	// Scheduling fields, shared by both schedulers: the event's absolute
-	// time and FIFO sequence, plus the timing wheel's intrusive
-	// singly-linked slot chain.
-	at   time.Duration
-	seq  uint64
-	next int32
+	dir  uint8
 }
 
 // less orders entries by (at, seq).

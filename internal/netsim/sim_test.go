@@ -1,20 +1,24 @@
 package netsim
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/ecn"
+	"repro/internal/packet"
 )
 
 // forEachSched runs a subtest against both schedulers: every observable
-// Sim behaviour must be identical on the wheel and the heap.
+// Sim behaviour must be identical on the lanes and the heap.
 func forEachSched(t *testing.T, f func(t *testing.T, newSim func(seed int64) *Sim)) {
 	t.Helper()
-	for _, sched := range []Scheduler{SchedWheel, SchedHeap} {
+	for _, sched := range []Scheduler{SchedLanes, SchedHeap} {
 		sched := sched
 		t.Run(sched.Name(), func(t *testing.T) {
 			f(t, func(seed int64) *Sim { return NewSimSched(seed, sched) })
@@ -23,21 +27,37 @@ func forEachSched(t *testing.T, f func(t *testing.T, newSim func(seed int64) *Si
 }
 
 // TestSelectorZeroValues pins the selectors' defaults: the zero
-// Scheduler and XTrafficMode are the production wheel and lazy drive
+// Scheduler and XTrafficMode are the production lanes and lazy drive
 // NewSim makes, and the names the determinism grid's golden lines carry
 // (sched=, xtraffic=) stay put.
 func TestSelectorZeroValues(t *testing.T) {
 	var sched Scheduler
 	var mode XTrafficMode
-	if sched != SchedWheel || mode != XTrafficLazy {
-		t.Fatalf("zero values = %v, %v; want the wheel and the lazy drive", sched, mode)
+	if sched != SchedLanes || mode != XTrafficLazy {
+		t.Fatalf("zero values = %v, %v; want the lanes and the lazy drive", sched, mode)
 	}
-	if SchedWheel.Name() != "wheel" || SchedHeap.Name() != "heap" ||
+	if SchedLanes.Name() != "lanes" || SchedHeap.Name() != "heap" ||
 		XTrafficLazy.Name() != "lazy" || XTrafficEvents.Name() != "events" {
 		t.Error("selector names changed")
 	}
-	if NewSim(1).wheel == nil {
-		t.Error("default scheduler is not the wheel")
+	if NewSim(1).heapOnly {
+		t.Error("default scheduler is not the lanes")
+	}
+}
+
+// TestSimHotFieldsPadded: every field of Sim an event touches must sit
+// at least a cache line away from either end of the struct, so two
+// shard workers' simulators allocated side by side never share a line
+// one of them writes on every event.
+func TestSimHotFieldsPadded(t *testing.T) {
+	size := reflect.TypeOf(Sim{}).Size()
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Sim{})) {
+		if f.Name == "_" {
+			continue
+		}
+		if end := f.Offset + f.Type.Size(); f.Offset < 64 || end > size-64 {
+			t.Errorf("Sim.%s occupies [%d, %d) of %d bytes: within 64 B of an end", f.Name, f.Offset, end, size)
+		}
 	}
 }
 
@@ -144,10 +164,9 @@ func TestRunUntil(t *testing.T) {
 	})
 }
 
-// TestRunUntilThenEarlierInsert pins the subtlety the wheel's cursor
-// discipline exists for: after RunUntil stops short of a far event, a
-// new event scheduled between the deadline and that far event must still
-// fire first and in order.
+// TestRunUntilThenEarlierInsert: after RunUntil stops short of a far
+// event, a new event scheduled between the deadline and that far event
+// must still fire first and in order.
 func TestRunUntilThenEarlierInsert(t *testing.T) {
 	forEachSched(t, func(t *testing.T, newSim func(int64) *Sim) {
 		s := newSim(1)
@@ -211,28 +230,48 @@ func TestNilEventPanics(t *testing.T) {
 	NewSim(1).After(0, nil)
 }
 
+// TestPendingCountBothSchedulers: the live count covers lane
+// deliveries and heap events alike — armed, cancelled, fired and
+// discarded by a Reset.
 func TestPendingCountBothSchedulers(t *testing.T) {
 	forEachSched(t, func(t *testing.T, newSim func(int64) *Sim) {
 		s := newSim(1)
+		sink := &sinkNode{label: "sink"}
+		links := []*Link{
+			newLink(s, &sinkNode{label: "a"}, sink, 0, 0),
+			newLink(s, &sinkNode{label: "b"}, sink, time.Millisecond, 0),
+			newLink(s, &sinkNode{label: "c"}, sink, 3*time.Second, 0),
+		}
 		timers := make([]Timer, 10)
 		for i := range timers {
 			timers[i] = s.After(time.Duration(i+1)*time.Second, func() {})
+			links[i%3].send(0, testWire(t, ecn.NotECT, 8))
 		}
-		if s.live != 10 {
-			t.Fatalf("pending = %d, want 10", s.live)
+		if s.live != 20 {
+			t.Fatalf("pending = %d, want 20", s.live)
 		}
 		timers[3].Stop()
 		timers[7].Stop()
-		if s.live != 8 {
-			t.Fatalf("pending after 2 stops = %d, want 8", s.live)
+		if s.live != 18 {
+			t.Fatalf("pending after 2 stops = %d, want 18", s.live)
 		}
 		s.Step()
-		if s.live != 7 {
-			t.Fatalf("pending after a step = %d, want 7", s.live)
+		if s.live != 17 || len(sink.received) != 1 {
+			t.Fatalf("pending after a step = %d with %d delivered, want 17 and 1", s.live, len(sink.received))
+		}
+		s.RunUntil(2 * time.Second)
+		if s.live != 9 || len(sink.received) != 7 {
+			t.Fatalf("pending at 2s = %d with %d delivered, want 9 and 7", s.live, len(sink.received))
 		}
 		s.Run()
+		if s.live != 0 || len(sink.received) != 10 {
+			t.Fatalf("pending after drain = %d with %d delivered", s.live, len(sink.received))
+		}
+		links[2].send(0, testWire(t, ecn.NotECT, 8))
+		s.After(time.Second, func() {})
+		s.Reset()
 		if s.live != 0 {
-			t.Fatalf("pending after drain = %d", s.live)
+			t.Fatalf("pending after Reset = %d", s.live)
 		}
 	})
 }
@@ -269,35 +308,6 @@ func TestDeterminism(t *testing.T) {
 	})
 }
 
-// TestFarTimersCascade exercises the wheel across level boundaries: a
-// mix of nanosecond-to-multi-day timers must fire in exact time order on
-// both schedulers.
-func TestFarTimersCascade(t *testing.T) {
-	delays := []time.Duration{
-		3, 200, 255, 256, 257, 65535, 65536, 70000,
-		3 * time.Millisecond, time.Second, 90 * time.Second,
-		time.Hour, 27 * time.Hour, 9 * 24 * time.Hour, 200 * 24 * time.Hour,
-	}
-	forEachSched(t, func(t *testing.T, newSim func(int64) *Sim) {
-		s := newSim(1)
-		var fired []time.Duration
-		for _, d := range delays {
-			s.After(d, func() { fired = append(fired, s.Now()) })
-		}
-		s.Run()
-		if len(fired) != len(delays) {
-			t.Fatalf("fired %d of %d", len(fired), len(delays))
-		}
-		sorted := append([]time.Duration(nil), delays...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		for i := range sorted {
-			if fired[i] != sorted[i] {
-				t.Fatalf("fire %d at %v, want %v", i, fired[i], sorted[i])
-			}
-		}
-	})
-}
-
 // Property: the event heap pops in nondecreasing (at, seq) order for any
 // insertion sequence.
 func TestHeapOrderProperty(t *testing.T) {
@@ -324,123 +334,181 @@ func TestHeapOrderProperty(t *testing.T) {
 	}
 }
 
-// Property: wheel and heap fire any random schedule/cancel workload in
-// the identical (event id, time) sequence — the differential guarantee
-// the campaign's scheduler fallback rests on.
+// laneRig is a differential workload on real link deliveries: four
+// logging nodes joined by links of five delays, zero included, so
+// deliveries on different lanes, timers and sentinels keep landing on
+// the same instant. Everything random comes from the rig's own source,
+// so two rigs on different schedulers issue the same actions exactly
+// as long as their events fire in the same order — and log the same.
+type laneRig struct {
+	s      *Sim
+	rng    *rand.Rand
+	links  []*Link
+	timers []Timer
+	log    []int64
+	next   int64
+	budget int
+}
+
+// rigDelays are the rig's link delays; timers and sentinels draw from
+// them too, so they tie with deliveries.
+var rigDelays = []time.Duration{0, 3, time.Microsecond, time.Millisecond, 2 * time.Millisecond}
+
+// rigNode logs each delivery it receives and reacts with more work.
+type rigNode struct {
+	rig *laneRig
+	id  int64
+}
+
+func (n *rigNode) Receive(b *packet.Buf, _ *Link) {
+	n.rig.record(n.id, int64(binary.LittleEndian.Uint64(b.Bytes())))
+	b.Release()
+	n.rig.spawn()
+}
+
+func (n *rigNode) Label() string { return "rig" }
+
+func newLaneRig(sched Scheduler, seed int64, budget int) *laneRig {
+	r := &laneRig{s: NewSimSched(1, sched), rng: rand.New(rand.NewSource(seed)), budget: budget}
+	var nodes [4]*rigNode
+	for i := range nodes {
+		nodes[i] = &rigNode{r, int64(i)}
+	}
+	for i, d := range rigDelays {
+		r.links = append(r.links, newLink(r.s, nodes[i%4], nodes[(i+1)%4], d, 0))
+	}
+	return r
+}
+
+// record logs an event: who (a node id, or -1 timer, -2 sentinel, -3
+// Stop result, -4 Reset), which, and when.
+func (r *laneRig) record(who, id int64) { r.log = append(r.log, who, id, int64(r.s.Now())) }
+
+// spawn issues up to three random actions — a delivery, a timer or a
+// sentinel, the last two at an instant a delivery may share — and now
+// and then stops an earlier timer.
+func (r *laneRig) spawn() {
+	for n := r.rng.Intn(4); n > 0 && r.budget > 0; n-- {
+		r.budget--
+		id := r.next
+		r.next++
+		d := rigDelays[r.rng.Intn(len(rigDelays))]
+		switch r.rng.Intn(6) {
+		case 0, 1, 2:
+			var w [8]byte
+			binary.LittleEndian.PutUint64(w[:], uint64(id))
+			b := packet.NewBuf()
+			b.Write(w[:])
+			r.links[r.rng.Intn(len(r.links))].send(r.rng.Intn(2), b)
+		case 3, 4:
+			r.timers = append(r.timers, r.s.After(d, func() {
+				r.record(-1, id)
+				r.spawn()
+			}))
+		default:
+			r.s.atSentinel(r.s.Now()+d, func() {
+				r.record(-2, id)
+				r.spawn()
+			})
+		}
+	}
+	if len(r.timers) > 0 && r.rng.Intn(4) == 0 {
+		stopped := int64(0)
+		if r.timers[r.rng.Intn(len(r.timers))].Stop() {
+			stopped = 1
+		}
+		r.record(-3, stopped)
+	}
+}
+
+// compareRigs runs the same rig workload on the lanes and the heap
+// reference and fails at the first divergence.
+func compareRigs(t *testing.T, name string, run func(sched Scheduler) []int64) {
+	t.Helper()
+	l, h := run(SchedLanes), run(SchedHeap)
+	if len(l) < 3*50 {
+		t.Fatalf("%s: only %d events logged", name, len(l)/3)
+	}
+	for i := 0; i < min(len(l), len(h)); i++ {
+		if l[i] != h[i] {
+			t.Fatalf("%s: divergence at event %d: lanes %v, heap %v", name, i/3, l[i-i%3:i-i%3+3], h[i-i%3:i-i%3+3])
+		}
+	}
+	if len(l) != len(h) {
+		t.Fatalf("%s: lanes logged %d events, heap %d", name, len(l)/3, len(h)/3)
+	}
+}
+
+// Property: the lanes and the heap fire any random mix of deliveries,
+// timers, sentinels and cancellations in the identical (event, time)
+// sequence, run to quiescence through RunUntil deadlines — the
+// differential guarantee the production scheduler rests on.
 func TestSchedulerEquivalenceProperty(t *testing.T) {
-	run := func(sched Scheduler, seed int64) []int {
-		s := NewSimSched(1, sched)
-		rng := rand.New(rand.NewSource(seed))
-		var order []int
-		id := 0
-		var timers []Timer
-		var spawn func(depth int)
-		spawn = func(depth int) {
-			n := rng.Intn(4)
-			for i := 0; i < n; i++ {
-				me := id
-				id++
-				// Delays straddle wheel level boundaries, including 0.
-				d := time.Duration(rng.Intn(5)) * time.Duration(1<<uint(rng.Intn(20)))
-				tm := s.After(d, func() {
-					order = append(order, me)
-					if depth > 0 {
-						spawn(depth - 1)
-					}
-				})
-				timers = append(timers, tm)
-			}
-			// Cancel a random earlier timer now and then.
-			if len(timers) > 0 && rng.Intn(3) == 0 {
-				timers[rng.Intn(len(timers))].Stop()
-			}
-		}
-		spawn(6)
-		s.Run()
-		return order
-	}
 	for seed := int64(0); seed < 30; seed++ {
-		w, h := run(SchedWheel, seed), run(SchedHeap, seed)
-		if len(w) != len(h) {
-			t.Fatalf("seed %d: wheel fired %d events, heap %d", seed, len(w), len(h))
-		}
-		for i := range w {
-			if w[i] != h[i] {
-				t.Fatalf("seed %d: divergence at %d: wheel=%d heap=%d", seed, i, w[i], h[i])
+		compareRigs(t, fmt.Sprintf("seed %d", seed), func(sched Scheduler) []int64 {
+			r := newLaneRig(sched, seed, 400)
+			for r.budget > 0 {
+				r.spawn()
+				r.s.RunUntil(r.s.Now() + time.Duration(r.rng.Intn(3))*time.Millisecond)
 			}
-		}
+			r.s.Run()
+			if r.s.live != 0 {
+				t.Fatalf("%s seed %d: %d events stranded after Run", sched.Name(), seed, r.s.live)
+			}
+			return r.log
+		})
 	}
 }
 
-// TestSchedulerEquivalencePhased drains the simulator to empty between
-// bursts of scheduling, with cancelled far-future timers left behind —
-// the campaign's phase structure (build, discovery, traces, sweep), and
-// the exact pattern that once stranded the wheel's cursor past the Sim
-// clock.
+// TestSchedulerEquivalencePhased drains the simulator between bursts
+// of work, or cuts a burst short with a Reset that discards deliveries
+// and timers in flight — the campaign's phase structure (build,
+// discovery, traces, sweep) and the executor's shard boundary.
 func TestSchedulerEquivalencePhased(t *testing.T) {
-	run := func(sched Scheduler, seed int64) []int64 {
-		s := NewSimSched(1, sched)
-		rng := rand.New(rand.NewSource(seed))
-		var log []int64
-		id := 0
-		for phase := 0; phase < 6; phase++ {
-			var timers []Timer
-			for i := 0; i < 40; i++ {
-				me := id
-				id++
-				var d time.Duration
-				switch rng.Intn(4) {
-				case 0:
-					d = time.Duration(rng.Intn(512))
-				case 1:
-					d = time.Duration(rng.Intn(1 << 20))
-				case 2:
-					d = time.Duration(rng.Int63n(int64(time.Hour)))
-				case 3:
-					d = time.Duration(rng.Int63n(int64(30 * 24 * time.Hour)))
-				}
-				timers = append(timers, s.After(d, func() {
-					log = append(log, int64(me), int64(s.Now()))
-				}))
-			}
-			// Cancel some — including, often, every far timer, so the
-			// drain ends chasing only dead entries.
-			for _, tm := range timers {
-				if rng.Intn(2) == 0 {
-					tm.Stop()
-				}
-			}
-			if rng.Intn(2) == 0 {
-				s.RunUntil(s.Now() + time.Duration(rng.Int63n(int64(24*time.Hour))))
-			}
-			s.Run()
-			if s.live != 0 {
-				t.Fatalf("%s seed %d phase %d: %d events stranded after Run",
-					sched.Name(), seed, phase, s.live)
-			}
-		}
-		return log
-	}
 	for seed := int64(0); seed < 25; seed++ {
-		w, h := run(SchedWheel, seed), run(SchedHeap, seed)
-		if len(w) != len(h) {
-			t.Fatalf("seed %d: wheel logged %d, heap %d", seed, len(w), len(h))
-		}
-		for i := range w {
-			if w[i] != h[i] {
-				t.Fatalf("seed %d: divergence at %d: wheel=%d heap=%d", seed, i, w[i], h[i])
+		compareRigs(t, fmt.Sprintf("seed %d", seed), func(sched Scheduler) []int64 {
+			r := newLaneRig(sched, seed, 0)
+			for phase := 0; phase < 6; phase++ {
+				r.budget = 120
+				for i := 0; i < 8; i++ {
+					r.spawn()
+				}
+				if r.rng.Intn(2) == 0 {
+					r.s.RunUntil(r.s.Now() + time.Duration(r.rng.Int63n(int64(3*time.Millisecond))))
+				}
+				if r.rng.Intn(3) == 0 {
+					r.record(-4, int64(r.s.live))
+					r.s.Reset()
+				}
+				r.s.Run()
+				if r.s.live != 0 {
+					t.Fatalf("%s seed %d phase %d: %d events stranded after Run",
+						sched.Name(), seed, phase, r.s.live)
+				}
 			}
-		}
+			return r.log
+		})
 	}
 }
 
+// TestSchedulerStress: ten thousand deliveries over three lanes,
+// interleaved with as many timers, fire in nondecreasing time with
+// none lost.
 func TestSchedulerStress(t *testing.T) {
 	forEachSched(t, func(t *testing.T, newSim func(int64) *Sim) {
 		s := newSim(7)
 		rng := rand.New(rand.NewSource(99))
+		sink := &sinkNode{label: "sink"}
+		var links []*Link
+		for _, d := range []time.Duration{0, 40 * time.Microsecond, time.Millisecond} {
+			links = append(links, newLink(s, &sinkNode{label: "src"}, sink, d, 0))
+		}
 		count := 0
 		for i := 0; i < 10000; i++ {
-			s.After(time.Duration(rng.Intn(1_000_000))*time.Microsecond, func() { count++ })
+			s.After(time.Duration(rng.Intn(1_000_000))*time.Microsecond, func() {
+				count++
+				links[count%3].send(0, packet.NewBuf())
+			})
 		}
 		for s.live > 0 {
 			before := s.Now()
@@ -451,131 +519,32 @@ func TestSchedulerStress(t *testing.T) {
 				t.Fatal("time went backwards")
 			}
 		}
-		if count != 10000 {
-			t.Errorf("executed %d of 10000", count)
+		if count != 10000 || len(sink.received) != 10000 {
+			t.Errorf("executed %d timers and %d deliveries of 10000 each", count, len(sink.received))
 		}
 	})
 }
 
-// TestSchedulerEquivalenceSingletonCascade aims the wheel-vs-heap
-// differential at the cascade's singleton hand-off (a higher-level slot
-// whose chain holds one live event goes straight to the due buffer):
-// scripted cases for a lone event per slot at several levels, a
-// same-nanosecond tie scheduled while the handed-off event is firing, a
-// cancelled singleton, and a two-entry chain whose other entry is dead
-// — then a sparse random workload in which most chains are singletons.
-// A far timer keeps the wheel out of its register mode throughout, so
-// every pop goes through wheelAdvance.
-func TestSchedulerEquivalenceSingletonCascade(t *testing.T) {
-	type fire struct {
-		id int
-		at time.Duration
-	}
-	scripted := func(sched Scheduler) []fire {
-		s := NewSimSched(1, sched)
-		var log []fire
-		mark := func(id int) func() { return func() { log = append(log, fire{id, s.Now()}) } }
-		s.After(400*24*time.Hour, mark(99)) // far anchor: never alone in the wheel until the end
-
-		// One event per slot, at levels 1, 2, 3 and 4.
-		s.After(300, mark(1))
-		s.After(70_000, mark(2))
-		s.After(20*time.Millisecond, mark(3))
-		s.After(5*time.Second, mark(4))
-
-		// A tie arriving while a singleton fires: the handler schedules
-		// two zero-delay events for its own nanosecond (they must run
-		// after it, in FIFO order), and one a nanosecond later.
-		s.After(time.Minute, func() {
-			mark(5)()
-			s.After(0, mark(6))
-			s.After(1, mark(8))
-			s.After(0, mark(7))
-		})
-
-		// A cancelled singleton, alone in its slot; the cascade must
-		// step over it to the next slot's singleton.
-		dead := s.After(2*time.Minute, mark(-1))
-		s.After(3*time.Minute, mark(9))
-		dead.Stop()
-
-		// Two entries in one slot, one cancelled: the purge leaves a
-		// chain of one, which takes the hand-off.
-		shared := s.After(10*time.Minute, mark(-2))
-		s.After(10*time.Minute+5, mark(10))
-		shared.Stop()
-
-		// Same slot, same nanosecond, both live: not a singleton — the
-		// ordinary re-file and seq-ordered drain.
-		s.After(time.Hour, mark(11))
-		s.After(time.Hour, mark(12))
-
-		// RunUntil stops exactly on a singleton's instant, peeks past
-		// it, then the tie is scheduled from outside any handler.
-		s.After(2*time.Hour, mark(13))
-		s.RunUntil(2 * time.Hour)
-		s.After(0, mark(14))
-		s.Run()
-		return log
-	}
-	sparse := func(sched Scheduler, seed int64) []fire {
-		s := NewSimSched(1, sched)
-		rng := rand.New(rand.NewSource(seed))
-		var log []fire
-		s.After(400*24*time.Hour, func() {})
-		id, budget := 0, 400
-		var spawn func()
-		spawn = func() {
-			for n := 1 + rng.Intn(2); n > 0 && budget > 0; n-- {
-				budget--
-				me := id
-				id++
-				// Mostly whole windows apart; now and then a tie.
-				d := time.Duration(rng.Int63n(1 << uint(8+rng.Intn(36))))
-				if rng.Intn(6) == 0 {
-					d = 0
+// TestLanePushOutOfOrderPanics: a lane is sorted only because every push
+// follows the last in (at, seq); a push that does not must fail loudly
+// instead of reordering events.
+func TestLanePushOutOfOrderPanics(t *testing.T) {
+	var l lane
+	l.push(10, 2)
+	for _, e := range []delivery{{at: 9, seq: 3}, {at: 10, seq: 1}, {at: 10, seq: 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("push of (%d, %d) after (10, 2) did not panic", e.at, e.seq)
 				}
-				tm := s.After(d, func() {
-					log = append(log, fire{me, s.Now()})
-					spawn()
-				})
-				if rng.Intn(5) == 0 {
-					tm.Stop()
-					spawn() // keep the chain alive past the cancellation
-				}
-			}
-		}
-		spawn()
-		if rng.Intn(2) == 0 {
-			s.RunUntil(time.Duration(rng.Int63n(int64(time.Hour))))
-		}
-		s.Run()
-		return log
+			}()
+			l.push(e.at, e.seq)
+		}()
 	}
-	compare := func(name string, w, h []fire) {
-		t.Helper()
-		if len(w) != len(h) {
-			t.Fatalf("%s: wheel fired %d events, heap %d", name, len(w), len(h))
-		}
-		for i := range w {
-			if w[i] != h[i] {
-				t.Fatalf("%s: divergence at %d: wheel=%v heap=%v", name, i, w[i], h[i])
-			}
-		}
-	}
-	w := scripted(SchedWheel)
-	compare("scripted", w, scripted(SchedHeap))
-	want := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 99}
-	if len(w) != len(want) {
-		t.Fatalf("scripted: fired %d events, want %d: %v", len(w), len(want), w)
-	}
-	for i, f := range w {
-		if f.id != want[i] {
-			t.Fatalf("scripted: fire %d is event %d, want %d", i, f.id, want[i])
-		}
-	}
-	for seed := int64(0); seed < 40; seed++ {
-		compare("sparse", sparse(SchedWheel, seed), sparse(SchedHeap, seed))
+	l.push(10, 3)
+	l.push(11, 4)
+	if l.n != 3 || l.pop().seq != 2 {
+		t.Errorf("lane holds %d entries after the refused pushes, want 3 in order", l.n)
 	}
 }
 
@@ -585,7 +554,7 @@ func TestSchedulerEquivalenceSingletonCascade(t *testing.T) {
 // kept, not leaked), releases the packet's buffer, leaves old Timer
 // handles stale, and rewinds clock, counters and PRNG to NewSimSched's.
 func TestSimResetDiscardsPending(t *testing.T) {
-	for _, sched := range []Scheduler{SchedWheel, SchedHeap} {
+	for _, sched := range []Scheduler{SchedLanes, SchedHeap} {
 		s := NewSimSched(7, sched)
 		fired := 0
 		soon := s.After(time.Second, func() { fired++ })
@@ -593,7 +562,7 @@ func TestSimResetDiscardsPending(t *testing.T) {
 		s.After(time.Minute, func() { fired++ }).Stop()
 		sink := &sinkNode{label: "sink"}
 		inFlight := testWire(t, ecn.NotECT, 8).Retain() // one reference is ours
-		s.deliverAfter(2*time.Second, sink, inFlight, nil)
+		s.deliverAfter(newLink(s, &sinkNode{label: "src"}, sink, 2*time.Second, 0), 0, inFlight)
 		s.After(time.Millisecond, func() { s.RNG().Int63() })
 		s.RunUntil(10 * time.Millisecond)
 		if s.live != 3 || s.Executed() != 1 {

@@ -44,7 +44,7 @@ import (
 // like one after it.
 func TestResetMatchesInstantiate(t *testing.T) {
 	for _, scenario := range campaign.Scenarios() {
-		for _, sched := range []netsim.Scheduler{netsim.SchedWheel, netsim.SchedHeap} {
+		for _, sched := range []netsim.Scheduler{netsim.SchedLanes, netsim.SchedHeap} {
 			for _, xt := range []netsim.XTrafficMode{netsim.XTrafficLazy, netsim.XTrafficEvents} {
 				newSim := func(seed int64) *netsim.Sim {
 					sim := netsim.NewSimSched(seed, sched)
@@ -73,7 +73,7 @@ func TestResetMatchesInstantiate(t *testing.T) {
 									v.Host.AddTap(rec.Tap)
 								}
 								bp, err := cfg.CompileBlueprint()
-								if err == nil && (sched != netsim.SchedWheel || xt != netsim.XTrafficLazy) {
+								if err == nil && (sched != netsim.SchedLanes || xt != netsim.XTrafficLazy) {
 									bp, err = bp.WithSims(newSim)
 								}
 								if err != nil {

@@ -48,6 +48,10 @@ var stateSkip = map[string]bool{
 	// ever grow, so stale Timer handles stay stale.
 	"netsim.Sim.slab": true,
 	"netsim.Sim.free": true,
+	// Capacity: a delivery lane's ring. Only the window [head,
+	// head+n) is ever read, and a Reset empties it; the slots outside
+	// hold stale deliveries until a push overwrites them.
+	"netsim.lane.ring": true,
 	// Capacity: the simulation's shell pool — recycled connection
 	// shells, and the layer above's (httpmin's probe and serve shells)
 	// beside them. Every stack on the simulator shares the pool, and
@@ -135,8 +139,8 @@ func (d *stateDigest) walk(path string, v reflect.Value) {
 			d.emit(path+".len", v.Len())
 		}
 		if k := v.Type().Elem().Kind(); k <= reflect.Float64 && k != reflect.Invalid {
-			// Scalars on one line: the PRNG's 607 words, the wheel's
-			// 2048 slot heads.
+			// Scalars on one line: the PRNG's 607 words, the padding
+			// around Sim's hot fields.
 			d.emit(path, fmt.Sprint(v))
 			return
 		}
