@@ -42,6 +42,10 @@ import (
 // executor adopts. The spare must hash unlike a fresh world before that
 // first Reset — compiling drew the build decisions from its PRNG — and
 // like one after it.
+//
+// The production scheduler's cells keep the label "wheel" they had when
+// a timing wheel backed it (now per-delay lanes, Scheduler.Name
+// "lanes"), so each cell's ID stays the one earlier runs recorded.
 func TestResetMatchesInstantiate(t *testing.T) {
 	for _, scenario := range campaign.Scenarios() {
 		for _, sched := range []netsim.Scheduler{netsim.SchedLanes, netsim.SchedHeap} {
@@ -52,7 +56,7 @@ func TestResetMatchesInstantiate(t *testing.T) {
 					return sim
 				}
 				for _, discover := range []bool{false, true} {
-					name := fmt.Sprintf("%s/%s/%s/discover=%v", scenario, sched.Name(), xt.Name(), discover)
+					name := fmt.Sprintf("%s/%s/%s/discover=%v", scenario, resetSchedLabel(sched), xt.Name(), discover)
 					t.Run(name, func(t *testing.T) {
 						for _, spare := range []bool{false, true} {
 							t.Run(fmt.Sprintf("spare=%v", spare), func(t *testing.T) {
@@ -171,4 +175,13 @@ func TestResetMatchesInstantiate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// resetSchedLabel is sched's segment in TestResetMatchesInstantiate's
+// cell IDs: "wheel" for the production scheduler, its Name otherwise.
+func resetSchedLabel(sched netsim.Scheduler) string {
+	if sched == netsim.SchedLanes {
+		return "wheel"
+	}
+	return sched.Name()
 }
