@@ -210,6 +210,106 @@ func TestWorldResetAllocFree(t *testing.T) {
 	}
 }
 
+// worldBuildBudget bounds what building a paper-scale world costs, as
+// TestWorldBuildBudget measures it: the readings with one flat int16
+// route table and slice-held sockets, plus about 5 %. A route table in
+// per-router rows, a map per host or listener, or a world that keeps
+// more than it needs fails here.
+var worldBuildBudget = struct {
+	compileMB, instantiateMB, retainedMB float64
+	compileAllocs, instantiateAllocs     uint64
+}{
+	// Readings: 4.38 MB and 53 475 allocs; 2.68 MB and 40 585 allocs;
+	// 2.06 MB retained.
+	compileMB: 4.6, compileAllocs: 56_200,
+	instantiateMB: 2.82, instantiateAllocs: 42_600,
+	retainedMB: 2.16,
+}
+
+// TestWorldBuildBudget holds a paper-scale Compile and Instantiate to
+// worldBuildBudget: the bytes and allocations each makes, and the heap
+// one instantiated world retains beyond its blueprint. The collector is
+// held off while they run, as in TestWorldResetAllocFree, and forced
+// only to read the retained heap.
+func TestWorldBuildBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds its own allocations; the budget is for the plain build")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cfg := Config{Spec: Spec{Scale: "paper", Seed: 2015}}
+	measure := func(f func()) (mb float64, allocs uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / 1e6, after.Mallocs - before.Mallocs
+	}
+	heap := func() float64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc) / 1e6
+	}
+
+	var bp *topology.Blueprint
+	var err error
+	compileMB, compileAllocs := measure(func() { bp, err = cfg.CompileBlueprint() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := heap()
+	var w *topology.World
+	instMB, instAllocs := measure(func() { w, err = bp.Instantiate(netsim.NewSim(cfg.Seed)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	retainedMB := heap() - base
+	runtime.KeepAlive(bp)
+	runtime.KeepAlive(w)
+
+	b := worldBuildBudget
+	t.Logf("compile: %.2f MB, %d allocs (ceiling %.2f MB, %d)", compileMB, compileAllocs, b.compileMB, b.compileAllocs)
+	t.Logf("instantiate: %.2f MB, %d allocs (ceiling %.2f MB, %d)", instMB, instAllocs, b.instantiateMB, b.instantiateAllocs)
+	t.Logf("one world retains %.2f MB beyond its blueprint (ceiling %.2f MB)", retainedMB, b.retainedMB)
+	if compileMB > b.compileMB || compileAllocs > b.compileAllocs {
+		t.Errorf("compile: %.2f MB, %d allocs; want ≤ %.2f MB, %d", compileMB, compileAllocs, b.compileMB, b.compileAllocs)
+	}
+	if instMB > b.instantiateMB || instAllocs > b.instantiateAllocs {
+		t.Errorf("instantiate: %.2f MB, %d allocs; want ≤ %.2f MB, %d", instMB, instAllocs, b.instantiateMB, b.instantiateAllocs)
+	}
+	if retainedMB > b.retainedMB {
+		t.Errorf("one world retains %.2f MB; want ≤ %.2f MB", retainedMB, b.retainedMB)
+	}
+}
+
+// BenchmarkWorldBuildPaper is the paper-scale world build: a Compile,
+// which a campaign pays once, and an Instantiate, which each further
+// executor pays. The one-iteration `make bench` smoke covers it.
+func BenchmarkWorldBuildPaper(b *testing.B) {
+	cfg := Config{Spec: Spec{Scale: "paper", Seed: 2015}}
+	var bp *topology.Blueprint
+	b.Run("compile", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if bp, err = cfg.CompileBlueprint(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("instantiate", func(b *testing.B) {
+		if bp == nil {
+			b.Skip("compile did not run")
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := bp.Instantiate(netsim.NewSim(cfg.Seed)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkWorldCompile is the campaign's one-time fixed cost: full
 // world generation plus routing, paid once per Run however many shards
 // fan out from it.

@@ -29,16 +29,16 @@ type UDPHandler func(h *Host, ip packet.IPv4Header, udp packet.UDPHeader, payloa
 // ICMPHandler processes an ICMP message delivered to the host. msg.Body
 // (for errors, the quotation) aliases the receive buffer, which the host
 // releases when the handler returns — the same rule UDPHandler's payload
-// and ProtoHandler's segment follow: a handler reads what it needs during
+// and TCPHandler's segment follow: a handler reads what it needs during
 // the call and copies any bytes it keeps.
 type ICMPHandler func(h *Host, ip packet.IPv4Header, msg packet.ICMPMessage)
 
-// ProtoHandler processes a raw transport segment for protocols the host
-// does not terminate natively (the tcpsim package registers one for TCP).
-type ProtoHandler func(h *Host, ip packet.IPv4Header, segment []byte)
+// TCPHandler processes a raw TCP segment, which the host does not
+// terminate natively (the tcpsim package installs one per stack).
+type TCPHandler func(h *Host, ip packet.IPv4Header, segment []byte)
 
 // Host is an end system: it owns an address, one access link, a set of
-// bound UDP ports, optional protocol handlers, and packet taps.
+// bound UDP ports, optional ICMP and TCP handlers, and packet taps.
 type Host struct {
 	sim    *Sim
 	net    *Network
@@ -49,9 +49,11 @@ type Host struct {
 	online bool
 	ipID   uint16
 
-	udpPorts  map[uint16]UDPHandler
+	// udp holds the bound UDP ports, searched linearly: a server binds
+	// one, a vantage one per concurrent probe session.
+	udp       []udpBinding
 	icmp      ICMPHandler
-	protos    map[packet.Protocol]ProtoHandler
+	tcp       TCPHandler
 	taps      []Tap
 	ephemeral uint16
 	// base is the socket surface Network.MarkBaseline recorded — what
@@ -91,30 +93,26 @@ type udpBinding struct {
 	fn   UDPHandler
 }
 
-// markBaseline records the host's current socket surface, carving its
-// UDP binding list off the front of slab (one array serves the whole
+// markBaseline records the host's current socket surface, copying its
+// UDP bindings to the front of slab (one array serves the whole
 // network) and returning the rest.
 func (h *Host) markBaseline(slab []udpBinding) []udpBinding {
-	n := len(h.udpPorts)
+	n := copy(slab, h.udp)
 	h.base = hostBaseline{
-		udp:                    slab[:0:n],
+		udp:                    slab[:n:n],
 		icmp:                   h.icmp,
 		taps:                   len(h.taps),
 		respondPortUnreachable: h.RespondPortUnreachable,
 	}
-	for port, fn := range h.udpPorts {
-		h.base.udp = append(h.base.udp, udpBinding{port, fn})
-	}
-	// Port order, not map order: recorded state must be a function of
-	// the world alone.
-	slices.SortFunc(h.base.udp, func(a, b udpBinding) int { return int(a.port) - int(b.port) })
 	return slab[n:]
 }
 
 // reset returns the host's mutable state to the recorded baseline:
 // online, counters and ID/port cursors rewound, every UDP binding, ICMP
-// handler and tap added since the baseline gone. Protocol handlers
-// (RegisterProto) are part of the world's structure and stay.
+// handler and tap added since the baseline gone. The TCP handler
+// (OnTCP) is part of the world's structure and stays. The binding
+// slice's capacity never falls below the baseline's length, so
+// restoring it copies in place.
 func (h *Host) reset() {
 	h.online = true
 	h.ipID = 0
@@ -124,10 +122,8 @@ func (h *Host) reset() {
 	h.icmp = h.base.icmp
 	clear(h.taps[h.base.taps:])
 	h.taps = h.taps[:h.base.taps]
-	clear(h.udpPorts)
-	for _, b := range h.base.udp {
-		h.udpPorts[b.port] = b.fn
-	}
+	clear(h.udp)
+	h.udp = append(h.udp[:0], h.base.udp...)
 }
 
 // Label implements Node.
@@ -159,15 +155,29 @@ func (h *Host) BindUDP(port uint16, fn UDPHandler) (uint16, error) {
 	if port == 0 {
 		port = h.nextEphemeral()
 	}
-	if _, taken := h.udpPorts[port]; taken {
+	if h.bound(port) >= 0 {
 		return 0, fmt.Errorf("netsim: %s: UDP port %d already bound", h.label, port)
 	}
-	h.udpPorts[port] = fn
+	h.udp = append(h.udp, udpBinding{port, fn})
 	return port, nil
 }
 
 // UnbindUDP releases a bound port.
-func (h *Host) UnbindUDP(port uint16) { delete(h.udpPorts, port) }
+func (h *Host) UnbindUDP(port uint16) {
+	if i := h.bound(port); i >= 0 {
+		h.udp = slices.Delete(h.udp, i, i+1)
+	}
+}
+
+// bound returns the index of port's binding in h.udp, or -1.
+func (h *Host) bound(port uint16) int {
+	for i := range h.udp {
+		if h.udp[i].port == port {
+			return i
+		}
+	}
+	return -1
+}
 
 // OnICMP registers the handler invoked for ICMP messages addressed to the
 // host (traceroute and probe clients use this to hear time-exceeded and
@@ -177,10 +187,9 @@ func (h *Host) OnICMP(fn ICMPHandler) { h.icmp = fn }
 // HandlesICMP reports whether an ICMP handler is installed.
 func (h *Host) HandlesICMP() bool { return h.icmp != nil }
 
-// RegisterProto installs a raw handler for an IP protocol (e.g. TCP).
-func (h *Host) RegisterProto(p packet.Protocol, fn ProtoHandler) {
-	h.protos[p] = fn
-}
+// OnTCP installs the handler for TCP segments addressed to the host.
+// Datagrams of any protocol other than UDP, ICMP and TCP are dropped.
+func (h *Host) OnTCP(fn TCPHandler) { h.tcp = fn }
 
 // nextEphemeral hands out ports from the dynamic range, skipping bound
 // ones.
@@ -190,7 +199,7 @@ func (h *Host) nextEphemeral() uint16 {
 		if h.ephemeral < 49152 {
 			h.ephemeral = 49152
 		}
-		if _, taken := h.udpPorts[h.ephemeral]; !taken {
+		if h.bound(h.ephemeral) < 0 {
 			return h.ephemeral
 		}
 	}
@@ -260,8 +269,8 @@ func (h *Host) Receive(b *packet.Buf, from *Link) {
 		if err != nil {
 			return
 		}
-		if fn, ok := h.udpPorts[udp.DstPort]; ok {
-			fn(h, ip, udp, payload)
+		if i := h.bound(udp.DstPort); i >= 0 {
+			h.udp[i].fn(h, ip, udp, payload)
 			return
 		}
 		if h.RespondPortUnreachable {
@@ -275,9 +284,9 @@ func (h *Host) Receive(b *packet.Buf, from *Link) {
 		if h.icmp != nil {
 			h.icmp(h, ip, msg)
 		}
-	default:
-		if fn, ok := h.protos[ip.Protocol]; ok {
-			fn(h, ip, body)
+	case packet.ProtoTCP:
+		if h.tcp != nil {
+			h.tcp(h, ip, body)
 		}
 	}
 }

@@ -23,14 +23,15 @@ type Network struct {
 	index       *addrIndex
 	indexShared bool
 
-	// nextHop[src][dst] is the hop router #src takes toward router
-	// #dst: the egress link's index into links, shifted left once, with
-	// the direction src sends on it in the low bit; -1 means
-	// unreachable. Built by ComputeRoutes or shared read-only across
-	// Networks via ExportRoutes/ImportRoutes — indices, not pointers, so
-	// networks instantiated from one frozen topology can share a single
-	// table.
-	nextHop [][]int32
+	// nextHop[src*len(routers)+dst] is the hop router #src takes
+	// toward router #dst: the egress link's index into links, shifted
+	// left once, with the direction src sends on it in the low bit; -1
+	// means unreachable. One flat table, so a link index must fit in 15
+	// bits (maxRoutedLinks). Built by ComputeRoutes or shared read-only
+	// across Networks via ExportRoutes/ImportRoutes — indices, not
+	// pointers, so networks instantiated from one frozen topology can
+	// share a single table.
+	nextHop []int16
 	routed  bool
 	// routesShared marks nextHop as shared with a RouteTable (exported
 	// or imported): its link indices are the table's, so no link may
@@ -46,7 +47,7 @@ type Network struct {
 // exported and safe to share across concurrently-running Networks whose
 // graphs were built by an identical construction sequence.
 type RouteTable struct {
-	nextHop [][]int32
+	nextHop []int16
 	index   *addrIndex
 	routers int
 	hosts   int
@@ -92,13 +93,11 @@ func (n *Network) AddHost(label string, addr packet.Addr) (*Host, error) {
 		return nil, fmt.Errorf("netsim: duplicate host address %s", addr)
 	}
 	h := &Host{
-		sim:      n.Sim,
-		net:      n,
-		label:    label,
-		addr:     addr,
-		online:   true,
-		udpPorts: make(map[uint16]UDPHandler),
-		protos:   make(map[packet.Protocol]ProtoHandler),
+		sim:    n.Sim,
+		net:    n,
+		label:  label,
+		addr:   addr,
+		online: true,
 	}
 	n.hosts = append(n.hosts, h)
 	e.host, e.router = int32(len(n.hosts)), 0 // router set on Attach
@@ -160,7 +159,7 @@ func (n *Network) ReplaceAttachment(h *Host, to *Router, delay time.Duration) (*
 func (n *Network) MarkBaseline() {
 	bindings := 0
 	for _, h := range n.hosts {
-		bindings += len(h.udpPorts)
+		bindings += len(h.udp)
 	}
 	slab := make([]udpBinding, bindings)
 	for _, h := range n.hosts {
@@ -189,36 +188,47 @@ func (n *Network) Reset() {
 // Routers returns the registered routers in creation order.
 func (n *Network) Routers() []*Router { return n.routers }
 
+// maxRoutedLinks is the most links ComputeRoutes routes over: a
+// nextHop entry holds a link index and a direction bit in an int16.
+const maxRoutedLinks = 1 << 14
+
 // ComputeRoutes builds shortest-path next-hop tables with one BFS per
 // router. Ties break toward the earliest-created neighbour link, which is
 // deterministic and stable — paths do not flap between runs, matching the
 // study's observation that the same servers fail from every vantage point.
+// A network of more than maxRoutedLinks links is refused. The table is
+// always fresh: one a RouteTable shares is never written.
 func (n *Network) ComputeRoutes() error {
+	if len(n.links) > maxRoutedLinks {
+		return fmt.Errorf("netsim: %d links, more than the %d a route table encodes", len(n.links), maxRoutedLinks)
+	}
 	nr := len(n.routers)
 	// adjacency: router id -> (neighbor id, hop: link index<<1 | direction)
 	type edge struct {
 		to  int
-		hop int32
+		hop int16
 	}
 	adj := make([][]edge, nr)
 	for li, l := range n.links {
 		ra, aOK := l.a.(*Router)
 		rb, bOK := l.b.(*Router)
 		if aOK && bOK {
-			adj[ra.id] = append(adj[ra.id], edge{rb.id, int32(li) << 1})
-			adj[rb.id] = append(adj[rb.id], edge{ra.id, int32(li)<<1 | 1})
+			adj[ra.id] = append(adj[ra.id], edge{rb.id, int16(li) << 1})
+			adj[rb.id] = append(adj[rb.id], edge{ra.id, int16(li)<<1 | 1})
 		}
 	}
 
-	n.nextHop = make([][]int32, nr)
+	n.nextHop = make([]int16, nr*nr)
 	queue := make([]int, 0, nr)
-	parentLink := make([]int32, nr)
 	visited := make([]bool, nr)
 
 	for src := 0; src < nr; src++ {
-		for i := range visited {
+		// The row is the BFS's parent-link array: each router reached
+		// inherits the first hop out of src on its path.
+		row := n.nextHop[src*nr : (src+1)*nr]
+		for i := range row {
+			row[i] = -1
 			visited[i] = false
-			parentLink[i] = -1
 		}
 		queue = queue[:0]
 		queue = append(queue, src)
@@ -231,16 +241,13 @@ func (n *Network) ComputeRoutes() error {
 				}
 				visited[e.to] = true
 				if cur == src {
-					parentLink[e.to] = e.hop // first hop out of src
+					row[e.to] = e.hop // first hop out of src
 				} else {
-					parentLink[e.to] = parentLink[cur]
+					row[e.to] = row[cur]
 				}
 				queue = append(queue, e.to)
 			}
 		}
-		row := make([]int32, nr)
-		copy(row, parentLink)
-		n.nextHop[src] = row
 	}
 	n.routed = true
 	return nil
@@ -249,7 +256,7 @@ func (n *Network) ComputeRoutes() error {
 // ExportRoutes freezes the computed forwarding tables and the address
 // index for reuse. The returned table shares this Network's backing
 // arrays; neither side writes them afterwards — routes are only ever
-// recomputed wholesale, which allocates fresh rows, and a graph
+// recomputed wholesale, which allocates a fresh table, and a graph
 // mutation copies the index first (ownIndex).
 func (n *Network) ExportRoutes() (*RouteTable, error) {
 	if !n.routed {

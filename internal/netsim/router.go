@@ -158,7 +158,7 @@ func (r *Router) route(dst packet.Addr) (*Link, int) {
 	if !n.routed {
 		panic("netsim: ComputeRoutes not called")
 	}
-	hop := n.nextHop[r.id][e.router-1]
+	hop := n.nextHop[r.id*len(n.routers)+int(e.router-1)]
 	if hop < 0 {
 		return nil, 0
 	}

@@ -87,7 +87,7 @@ func TestReusedConnStartsClean(t *testing.T) {
 
 	// No ECN this time, so the markers have nothing to mark.
 	var accepted *Conn
-	f.ss.listeners[80].accept = func(c *Conn) { accepted = c }
+	f.ss.listener(80).accept = func(c *Conn) { accepted = c }
 	checked := false
 	dialing := f.cs.Pool().free // the shell Dial takes
 	other := client

@@ -31,6 +31,7 @@ package tcpsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/netsim"
@@ -56,12 +57,12 @@ type connKey struct {
 }
 
 // Stack is the per-host TCP layer. Create one per simulated host that
-// needs TCP; it registers itself as the host's protocol-6 handler.
+// needs TCP; it installs itself as the host's TCP handler.
 type Stack struct {
 	host  *netsim.Host
 	conns map[connKey]*Conn
-	// listeners by local port.
-	listeners map[uint16]*Listener
+	// listeners, searched linearly: a web server listens on one port.
+	listeners []*Listener
 	ephemeral uint16
 	// pool is the simulation's shell pool, shared with every other stack
 	// on the host's simulator.
@@ -105,13 +106,12 @@ func poolOf(sim *netsim.Sim) *Pool {
 // NewStack attaches a TCP stack to a host.
 func NewStack(h *netsim.Host) *Stack {
 	s := &Stack{
-		host:      h,
-		conns:     make(map[connKey]*Conn),
-		listeners: make(map[uint16]*Listener),
-		pool:      poolOf(h.Sim()),
-		TTL:       64,
+		host:  h,
+		conns: make(map[connKey]*Conn),
+		pool:  poolOf(h.Sim()),
+		TTL:   64,
 	}
-	h.RegisterProto(packet.ProtoTCP, s.receive)
+	h.OnTCP(s.receive)
 	return s
 }
 
@@ -168,16 +168,29 @@ type Listener struct {
 // Listen binds a port. accept runs when a connection reaches
 // ESTABLISHED.
 func (s *Stack) Listen(port uint16, ecnCapable bool, accept func(*Conn)) (*Listener, error) {
-	if _, taken := s.listeners[port]; taken {
+	if s.listener(port) != nil {
 		return nil, fmt.Errorf("tcpsim: port %d already listening", port)
 	}
 	l := &Listener{stack: s, port: port, ECN: ecnCapable, accept: accept}
-	s.listeners[port] = l
+	s.listeners = append(s.listeners, l)
 	return l, nil
 }
 
+// listener returns the listener on port, or nil.
+func (s *Stack) listener(port uint16) *Listener {
+	for _, l := range s.listeners {
+		if l.port == port {
+			return l
+		}
+	}
+	return nil
+}
+
 // Close stops accepting new connections.
-func (l *Listener) Close() { delete(l.stack.listeners, l.port) }
+func (l *Listener) Close() {
+	s := l.stack
+	s.listeners = slices.DeleteFunc(s.listeners, func(o *Listener) bool { return o.port == l.port })
+}
 
 // synRetries is the number of SYN retransmissions before a dial gives
 // up, with 1s, 2s, 4s, … exponential backoff. Six matches production
@@ -215,13 +228,13 @@ func (s *Stack) nextEphemeral() uint16 {
 				break
 			}
 		}
-		if _, listening := s.listeners[s.ephemeral]; !listening && !key {
+		if s.listener(s.ephemeral) == nil && !key {
 			return s.ephemeral
 		}
 	}
 }
 
-// receive is the host's protocol-6 handler.
+// receive is the host's TCP handler.
 func (s *Stack) receive(h *netsim.Host, ip packet.IPv4Header, segment []byte) {
 	hdr, payload, err := packet.ParseTCP(segment, ip.Src, ip.Dst)
 	if err != nil {
@@ -235,7 +248,7 @@ func (s *Stack) receive(h *netsim.Host, ip packet.IPv4Header, segment []byte) {
 	}
 	// New connection? Only a pure SYN to a listening port qualifies.
 	if hdr.Flags&packet.TCPSyn != 0 && hdr.Flags&packet.TCPAck == 0 {
-		if l, ok := s.listeners[hdr.DstPort]; ok {
+		if l := s.listener(hdr.DstPort); l != nil {
 			c := newConn(s, key, stateSynRcvd)
 			c.listener = l
 			// RFC 3168: negotiate only if the client sent an ECN-setup

@@ -419,6 +419,56 @@ func TestListenerClose(t *testing.T) {
 	}
 }
 
+// TestListenAfterClose: a closed listener's port takes a new listener,
+// which answers the next SYN with its own ECN willingness; the other
+// port keeps its listener throughout.
+func TestListenAfterClose(t *testing.T) {
+	f := newFixture(t, 15)
+	l, err := f.ss.Listen(80, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := f.ss.Listen(443, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	relisten, err := f.ss.Listen(80, true, nil)
+	if err != nil {
+		t.Fatalf("Listen after Close: %v", err)
+	}
+	negotiated := map[uint16]bool{}
+	for _, port := range []uint16{80, 443} {
+		f.cs.Dial(f.server.Addr(), port, true, func(c *Conn, err error) {
+			if err != nil {
+				t.Errorf("dial %d: %v", port, err)
+				return
+			}
+			negotiated[port] = c.ECNNegotiated()
+			c.Abort()
+		})
+	}
+	f.sim.Run()
+	if !negotiated[80] || negotiated[443] {
+		t.Errorf("ECN negotiated %v, want only port 80's new listener to", negotiated)
+	}
+	if relisten.Accepted != 1 || other.Accepted != 1 || l.Accepted != 0 {
+		t.Errorf("accepted: new %d, other %d, closed %d; want 1, 1, 0", relisten.Accepted, other.Accepted, l.Accepted)
+	}
+}
+
+// TestEphemeralSkipsListeningPort: a client port is never one the stack
+// listens on.
+func TestEphemeralSkipsListeningPort(t *testing.T) {
+	f := newFixture(t, 16)
+	if _, err := f.cs.Listen(49152, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if p := f.cs.nextEphemeral(); p != 49153 {
+		t.Errorf("first client port = %d, want 49153 past the listener on 49152", p)
+	}
+}
+
 func TestAbortSendsRST(t *testing.T) {
 	f := newFixture(t, 14)
 	var serverClosed error

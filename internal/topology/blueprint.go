@@ -77,7 +77,7 @@ type sharedParts struct {
 //     it — so the spare owns its rotation cursors, as every Instantiate's
 //     clone does, and the template is never served from;
 //   - its network needs no re-import of the frozen RouteTable: the
-//     table ExportRoutes freezes is the network's own rows and address
+//     table ExportRoutes freezes is the network's own table and address
 //     index, marked shared, so it forwards exactly as an instantiated
 //     one does.
 func Compile(cfg Config, seed int64) (*Blueprint, error) {

@@ -258,6 +258,61 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
+// TestSixtyFourConcurrentSessions: one vantage traces 64 servers at
+// once, as the sweep does, each session on its own source port. Every
+// trace sees the whole chain, and every port is released at the end.
+func TestSixtyFourConcurrentSessions(t *testing.T) {
+	f := newChain(t, 8, 3)
+	const sessions = 64
+	var servers []*netsim.Host
+	for i := 0; i < sessions; i++ {
+		s, err := f.net.AddHost("s", packet.AddrFrom4(10, 0, 2, byte(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.net.Attach(s, f.routers[2], time.Millisecond, 0)
+		servers = append(servers, s)
+	}
+	if err := f.net.ComputeRoutes(); err != nil {
+		t.Fatal(err)
+	}
+	srcPorts := map[uint16]bool{}
+	f.client.AddTap(func(dir netsim.TapDirection, _ time.Duration, wire []byte) {
+		ip, body, err := packet.ParseIPv4(wire)
+		if err != nil || dir != netsim.TapOut || ip.Protocol != packet.ProtoUDP {
+			return
+		}
+		if udp, _, err := packet.ParseUDP(body, ip.Src, ip.Dst); err == nil {
+			srcPorts[udp.SrcPort] = true
+		}
+	})
+	mux := NewMux(f.client)
+	results := make([]Result, sessions)
+	for i, s := range servers {
+		mux.Run(s.Addr(), Config{}, keep(&results[i]))
+	}
+	f.sim.Run()
+	if len(srcPorts) != sessions {
+		t.Errorf("probes left from %d source ports, want %d", len(srcPorts), sessions)
+	}
+	for i := range results {
+		hops := condense(&results[i])
+		if len(hops) != 3 {
+			t.Fatalf("session %d: %d hops, want 3", i, len(hops))
+		}
+		for j, h := range hops {
+			if h.Hop != f.routers[j].Addr() {
+				t.Errorf("session %d hop %d = %s, want %s", i, j+1, h.Hop, f.routers[j].Addr())
+			}
+		}
+	}
+	for p := range srcPorts {
+		if _, err := f.client.BindUDP(p, nil); err != nil {
+			t.Errorf("source port %d still bound after the sweep: %v", p, err)
+		}
+	}
+}
+
 func TestDuplicateTargetRejected(t *testing.T) {
 	f := newChain(t, 7, 3)
 	mux := NewMux(f.client)
