@@ -45,6 +45,15 @@ func (t *Table) Add(p iptable.Prefix, info Info) {
 	t.byASN[info.ASN] = true
 }
 
+// Reserve sizes an empty table for n prefixes of length bits, each
+// originated by its own AS.
+func (t *Table) Reserve(bits, n int) {
+	t.prefixes.Reserve(bits, n)
+	if len(t.byASN) == 0 {
+		t.byASN = make(map[ASN]bool, n)
+	}
+}
+
 // Lookup resolves the origin AS of an address.
 func (t *Table) Lookup(a packet.Addr) (Info, bool) {
 	info, _, ok := t.prefixes.Lookup(a)

@@ -59,7 +59,7 @@ func mallocs(f func()) uint64 {
 }
 
 // maxCampaignAllocs bounds one run of benchConfig at 4 workers: the
-// reading when the campaign path last changed (19.3k) + 20 %. With
+// reading when the campaign path last changed (14.7k) + 5 %. With
 // probes, connections, the HTTP codec and the traceroute sweep
 // allocation-free in steady state (recycled sessions, ICMP quotations
 // read in place, one row slab per sweep), one world per worker reset
@@ -67,9 +67,9 @@ func mallocs(f func()) uint64 {
 // one shell pool per world, what is left is 3 world instantiations, not
 // 13, and a shell per connection open at once, not per web server. A
 // closure per probe, a copy per ICMP, garbage per exchange, a world per
-// shard or shells per stack fails here long before it shows as
-// wall-clock.
-const maxCampaignAllocs = 23_200
+// shard, shells or a map per stack, or a private address index per
+// world fails here long before it shows as wall-clock.
+const maxCampaignAllocs = 15_450
 
 // TestCampaignAllocs holds BenchmarkCampaignWorkers/workers=4 under
 // maxCampaignAllocs a run, measured over two runs after a warm one.
@@ -211,74 +211,105 @@ func TestWorldResetAllocFree(t *testing.T) {
 }
 
 // worldBuildBudget bounds what building a paper-scale world costs, as
-// TestWorldBuildBudget measures it: the readings with one flat int16
-// route table and slice-held sockets, plus about 5 %. A route table in
-// per-router rows, a map per host or listener, or a world that keeps
-// more than it needs fails here.
-var worldBuildBudget = struct {
+// TestWorldBuildBudget measures it, on the uncongested world and on the
+// congested-transit one (RED queues and their FIFOs included): the
+// readings with the address index shared by every world of a blueprint,
+// slices sized from the config and slice-held connections, plus about
+// 5 %. A route table in per-router rows, a map per host, listener or
+// stack, or a world that keeps more than it needs fails here.
+var worldBuildBudget = []struct {
+	scenario                             string
 	compileMB, instantiateMB, retainedMB float64
 	compileAllocs, instantiateAllocs     uint64
 }{
-	// Readings: 4.38 MB and 53 475 allocs; 2.68 MB and 40 585 allocs;
-	// 2.06 MB retained.
-	compileMB: 4.6, compileAllocs: 56_200,
-	instantiateMB: 2.82, instantiateAllocs: 42_600,
-	retainedMB: 2.16,
+	// Readings: 3.17 MB and 36 528 allocs; 1.96 MB and 34 986 allocs;
+	// 1.93 MB retained.
+	{scenario: ScenarioUncongested,
+		compileMB: 3.33, compileAllocs: 38_350,
+		instantiateMB: 2.06, instantiateAllocs: 36_740,
+		retainedMB: 2.03},
+	// Readings: 3.43 MB and 37 079 allocs; 2.22 MB and 35 540 allocs;
+	// 2.19 MB retained.
+	{scenario: ScenarioCongestedTransit,
+		compileMB: 3.60, compileAllocs: 38_930,
+		instantiateMB: 2.33, instantiateAllocs: 37_320,
+		retainedMB: 2.30},
 }
 
+// maxScaffoldKB bounds a build's scaffolding: the bytes Compile and
+// Instantiate each allocate beyond what the blueprint and its world, or
+// the instantiated world, keep. A registry grown by doubling instead of
+// sized from the config, or a private copy of what the blueprint
+// shares, is garbage the moment the build returns and fails here.
+const maxScaffoldKB = 64
+
 // TestWorldBuildBudget holds a paper-scale Compile and Instantiate to
-// worldBuildBudget: the bytes and allocations each makes, and the heap
-// one instantiated world retains beyond its blueprint. The collector is
-// held off while they run, as in TestWorldResetAllocFree, and forced
-// only to read the retained heap.
+// worldBuildBudget and maxScaffoldKB: the bytes and allocations each
+// makes, what each keeps, and the heap one instantiated world retains
+// beyond its blueprint. The collector is held off while they run, as
+// in TestWorldResetAllocFree, and forced only to read the live heap.
 func TestWorldBuildBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds its own allocations; the budget is for the plain build")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	cfg := Config{Spec: Spec{Scale: "paper", Seed: 2015}}
-	measure := func(f func()) (mb float64, allocs uint64) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / 1e6, after.Mallocs - before.Mallocs
-	}
 	heap := func() float64 {
 		runtime.GC()
+		runtime.GC() // and empty the sync.Pools' victim caches
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		return float64(ms.HeapAlloc) / 1e6
 	}
+	// measure runs f and returns the bytes and allocations it makes and
+	// the bytes still live after it.
+	measure := func(f func()) (mb float64, allocs uint64, keptMB float64) {
+		var before, after runtime.MemStats
+		base := heap()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / 1e6, after.Mallocs - before.Mallocs, heap() - base
+	}
+	for _, b := range worldBuildBudget {
+		t.Run(b.scenario, func(t *testing.T) {
+			cfg := Config{Spec: Spec{Scale: "paper", Scenario: b.scenario, Seed: 2015}}
+			var bp *topology.Blueprint
+			var err error
+			compileMB, compileAllocs, compileKept := measure(func() { bp, err = cfg.CompileBlueprint() })
+			if err != nil {
+				t.Fatal(err)
+			}
+			var w *topology.World
+			instMB, instAllocs, retainedMB := measure(func() { w, err = bp.Instantiate(netsim.NewSim(cfg.Seed)) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(bp)
+			runtime.KeepAlive(w)
 
-	var bp *topology.Blueprint
-	var err error
-	compileMB, compileAllocs := measure(func() { bp, err = cfg.CompileBlueprint() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := heap()
-	var w *topology.World
-	instMB, instAllocs := measure(func() { w, err = bp.Instantiate(netsim.NewSim(cfg.Seed)) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	retainedMB := heap() - base
-	runtime.KeepAlive(bp)
-	runtime.KeepAlive(w)
-
-	b := worldBuildBudget
-	t.Logf("compile: %.2f MB, %d allocs (ceiling %.2f MB, %d)", compileMB, compileAllocs, b.compileMB, b.compileAllocs)
-	t.Logf("instantiate: %.2f MB, %d allocs (ceiling %.2f MB, %d)", instMB, instAllocs, b.instantiateMB, b.instantiateAllocs)
-	t.Logf("one world retains %.2f MB beyond its blueprint (ceiling %.2f MB)", retainedMB, b.retainedMB)
-	if compileMB > b.compileMB || compileAllocs > b.compileAllocs {
-		t.Errorf("compile: %.2f MB, %d allocs; want ≤ %.2f MB, %d", compileMB, compileAllocs, b.compileMB, b.compileAllocs)
-	}
-	if instMB > b.instantiateMB || instAllocs > b.instantiateAllocs {
-		t.Errorf("instantiate: %.2f MB, %d allocs; want ≤ %.2f MB, %d", instMB, instAllocs, b.instantiateMB, b.instantiateAllocs)
-	}
-	if retainedMB > b.retainedMB {
-		t.Errorf("one world retains %.2f MB; want ≤ %.2f MB", retainedMB, b.retainedMB)
+			t.Logf("compile: %.2f MB, %d allocs, %.0f KB scaffolding (ceiling %.2f MB, %d, %d KB)",
+				compileMB, compileAllocs, 1e3*(compileMB-compileKept), b.compileMB, b.compileAllocs, maxScaffoldKB)
+			t.Logf("instantiate: %.2f MB, %d allocs, %.0f KB scaffolding (ceiling %.2f MB, %d, %d KB)",
+				instMB, instAllocs, 1e3*(instMB-retainedMB), b.instantiateMB, b.instantiateAllocs, maxScaffoldKB)
+			t.Logf("one world retains %.2f MB beyond its blueprint (ceiling %.2f MB)", retainedMB, b.retainedMB)
+			if compileMB > b.compileMB || compileAllocs > b.compileAllocs {
+				t.Errorf("compile: %.2f MB, %d allocs; want ≤ %.2f MB, %d", compileMB, compileAllocs, b.compileMB, b.compileAllocs)
+			}
+			if instMB > b.instantiateMB || instAllocs > b.instantiateAllocs {
+				t.Errorf("instantiate: %.2f MB, %d allocs; want ≤ %.2f MB, %d", instMB, instAllocs, b.instantiateMB, b.instantiateAllocs)
+			}
+			if retainedMB > b.retainedMB {
+				t.Errorf("one world retains %.2f MB; want ≤ %.2f MB", retainedMB, b.retainedMB)
+			}
+			for _, c := range []struct {
+				op         string
+				mb, keptMB float64
+			}{{"compile", compileMB, compileKept}, {"instantiate", instMB, retainedMB}} {
+				if kb := 1e3 * (c.mb - c.keptMB); kb > maxScaffoldKB {
+					t.Errorf("%s allocates %.0f KB beyond the %.2f MB it keeps; want ≤ %d KB", c.op, kb, c.keptMB, maxScaffoldKB)
+				}
+			}
+		})
 	}
 }
 

@@ -474,7 +474,10 @@ type Executor struct {
 	// world is nil before the first shard and after a failed one: a
 	// world whose shard errored stopped somewhere Reset makes no promise
 	// about, so it is dropped and the next shard instantiates afresh.
-	world *topology.World
+	// servers is its pool membership (World.ServerAddrs), listed once
+	// per world.
+	world   *topology.World
+	servers []packet.Addr
 }
 
 // NewExecutor returns an executor for cfg's plan over its compiled
@@ -510,7 +513,9 @@ func (e *Executor) Execute(shard, slice int) (*ShardResultWire, error) {
 // (repro_sim_worlds_total{op="reset"}): nothing was instantiated.
 func (e *Executor) acquire() (*topology.World, error) {
 	if e.world == nil {
-		e.world = e.bp.TakeSpare(e.cfg.Seed)
+		if e.world = e.bp.TakeSpare(e.cfg.Seed); e.world != nil {
+			e.servers = e.world.ServerAddrs()
+		}
 	}
 	if e.world != nil {
 		e.world.Reset()
@@ -522,7 +527,7 @@ func (e *Executor) acquire() (*topology.World, error) {
 		return nil, err
 	}
 	e.cfg.Metrics.worldAcquired(false)
-	e.world = w
+	e.world, e.servers = w, w.ServerAddrs()
 	return w, nil
 }
 
@@ -579,7 +584,7 @@ func (e *Executor) runShard(sh shardSpec, keepRows bool) (shardResult, error) {
 	// Target list: ground truth, or per-shard DNS discovery in the
 	// pre-trace epoch. The discovery stream is keyed by vantage alone
 	// (slice 0's shard seed), so every slice enumerates the same pool.
-	servers := w.ServerAddrs()
+	servers := e.servers
 	if cfg.Discover {
 		sim.Reseed(ShardSeed(cfg.Seed, sh.shard, 0))
 		var got []packet.Addr

@@ -1,6 +1,7 @@
 package dnspool
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -54,13 +55,36 @@ func (d *Directory) AddServer(addr packet.Addr, subzones ...string) {
 	}
 }
 
+// Reserve sizes a sub-zone ("" for the apex) for n members in all, so
+// that registering them allocates nothing.
+func (d *Directory) Reserve(subzone string, n int) {
+	if n <= 0 {
+		return
+	}
+	name := BaseZone
+	if subzone != "" {
+		name = subzone + "." + BaseZone
+	}
+	z := d.zone(name)
+	z.members = slices.Grow(z.members, max(n-len(z.members), 0))
+}
+
 func (d *Directory) addTo(name string, addr packet.Addr) {
-	z := d.zones[strings.ToLower(name)]
+	z := d.zone(name)
+	z.members = append(z.members, addr)
+}
+
+// zone returns the zone called name, creating it. Only a new zone keeps
+// a copy of name, so the name a caller assembles need not outlive the
+// call and stays off the heap.
+func (d *Directory) zone(name string) *zone {
+	name = strings.ToLower(name)
+	z := d.zones[name]
 	if z == nil {
 		z = &zone{}
-		d.zones[strings.ToLower(name)] = z
+		d.zones[strings.Clone(name)] = z
 	}
-	z.members = append(z.members, addr)
+	return z
 }
 
 // Clone returns a directory with the same zone membership and fresh

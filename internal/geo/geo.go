@@ -51,6 +51,9 @@ type DB struct {
 // Add registers a prefix with its location.
 func (db *DB) Add(p iptable.Prefix, loc Location) { db.table.Insert(p, loc) }
 
+// Reserve sizes the database for n prefixes of length bits.
+func (db *DB) Reserve(bits, n int) { db.table.Reserve(bits, n) }
+
 // Lookup resolves an address. Addresses not in the database return a
 // Location with Region Unknown and ok = false, matching how the paper
 // reports two servers with unknown location.

@@ -96,6 +96,14 @@ func (t *Table[T]) Insert(p Prefix, v T) {
 	m[key] = v
 }
 
+// Reserve sizes the table for n prefixes of length bits, so that
+// inserting them allocates once.
+func (t *Table[T]) Reserve(bits, n int) {
+	if t.byBits[bits] == nil {
+		t.byBits[bits] = make(map[uint32]T, n)
+	}
+}
+
 // Lookup returns the value of the longest prefix containing a.
 func (t *Table[T]) Lookup(a packet.Addr) (T, Prefix, bool) {
 	v := a.Uint32()

@@ -68,7 +68,7 @@ func (ix *addrIndex) probe(key uint32) *addrSlot {
 // caller fills it in. A fresh slot reads router == 0 && host == 0.
 func (ix *addrIndex) slotFor(a packet.Addr) *addrSlot {
 	if 2*(ix.used+1) > len(ix.slots) {
-		ix.grow()
+		ix.grow(2 * (ix.used + 1))
 	}
 	key := a.Uint32()
 	s := ix.probe(key)
@@ -79,11 +79,19 @@ func (ix *addrIndex) slotFor(a packet.Addr) *addrSlot {
 	return s
 }
 
-func (ix *addrIndex) grow() {
+// grow rehashes the table into n slots or more — a power of two, at
+// least addrIndexMinSlots — unless it has that many already.
+func (ix *addrIndex) grow(n int) {
+	size := addrIndexMinSlots
+	for size < n {
+		size *= 2
+	}
+	if size <= len(ix.slots) {
+		return
+	}
 	old := ix.slots
-	n := max(2*len(old), addrIndexMinSlots)
-	ix.slots = make([]addrSlot, n)
-	ix.shift = uint(32 - bits.TrailingZeros(uint(n)))
+	ix.slots = make([]addrSlot, size)
+	ix.shift = uint(32 - bits.TrailingZeros(uint(size)))
 	for _, s := range old {
 		if s.router != 0 || s.host != 0 {
 			*ix.probe(s.key) = s

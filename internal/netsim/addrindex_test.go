@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/packet"
@@ -311,5 +312,114 @@ func TestAddrIndexShadowing(t *testing.T) {
 	}
 	if got := hostAt(n, shared); got != h {
 		t.Errorf("host at the shared address = %v", got)
+	}
+}
+
+// TestReplayNetworkAdoptsTheTable: a network NewReplayNetwork makes
+// registers no address while its graph is assembled — a host moved
+// mid-build (ReplaceAttachment) included — and ImportRoutes checks
+// every host's and router's slot in the table's index against that
+// graph. The origin's construction sequence imports and forwards as the
+// origin does; a host attached elsewhere, a duplicate host address or
+// an address the origin lacks is refused.
+func TestReplayNetworkAdoptsTheTable(t *testing.T) {
+	const routers, hosts = 12, 40
+	// build assembles a ring of routers plus one sharing r0's address,
+	// and hosts across it: host 5 shadows r9's address, host 3 moves
+	// behind r7 mid-build and the last stays unattached. edit may change
+	// host i's address or attachment router.
+	build := func(n *Network, edit func(i int, addr packet.Addr, at int) (packet.Addr, int)) *Network {
+		var rs []*Router
+		for i := range routers {
+			rs = append(rs, n.AddRouter(fmt.Sprintf("r%d", i), packet.AddrFrom4(10, 255, 0, byte(i)), 1))
+		}
+		n.AddRouter("twin", rs[0].addr, 2)
+		for i := range routers {
+			n.Connect(rs[i], rs[(i+1)%routers], 0, 0)
+		}
+		var hs []*Host
+		for i := range hosts {
+			addr, at := packet.AddrFrom4(10, 0, 0, byte(i+1)), i%routers
+			if i == 5 {
+				addr = rs[9].addr
+			}
+			if edit != nil {
+				addr, at = edit(i, addr, at)
+			}
+			h, err := n.AddHost(fmt.Sprintf("h%d", i), addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i < hosts-1 {
+				if _, err := n.Attach(h, rs[at], 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hs = append(hs, h)
+		}
+		if _, err := n.ReplaceAttachment(hs[3], rs[7], 0); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+
+	origin := build(NewNetwork(NewSim(1)), nil)
+	if err := origin.ComputeRoutes(); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := origin.ExportRoutes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := build(NewReplayNetwork(NewSim(1)), nil)
+	if replay.index.used != 0 {
+		t.Fatalf("a replay network registered %d addresses while built", replay.index.used)
+	}
+	if err := replay.ImportRoutes(rt); err != nil {
+		t.Fatal(err)
+	}
+	var addrs []packet.Addr
+	for _, h := range origin.hosts {
+		addrs = append(addrs, h.addr)
+	}
+	for _, r := range origin.routers {
+		addrs = append(addrs, r.addr)
+	}
+	for i, r := range replay.routers {
+		for _, a := range addrs {
+			ol, od := origin.routers[i].route(a)
+			rl, rd := r.route(a)
+			if slices.Index(origin.links, ol) != slices.Index(replay.links, rl) || od != rd {
+				t.Fatalf("%s.route(%s) differs between the origin and the replay", r.label, a)
+			}
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		edit func(i int, addr packet.Addr, at int) (packet.Addr, int)
+	}{
+		{"host attached elsewhere", func(i int, addr packet.Addr, at int) (packet.Addr, int) {
+			if i == 10 {
+				at = (at + 1) % routers
+			}
+			return addr, at
+		}},
+		{"duplicate host address", func(i int, addr packet.Addr, at int) (packet.Addr, int) {
+			if i == 10 {
+				addr = packet.AddrFrom4(10, 0, 0, 10) // host 9's
+			}
+			return addr, at
+		}},
+		{"address the origin lacks", func(i int, addr packet.Addr, at int) (packet.Addr, int) {
+			if i == 10 {
+				addr = packet.AddrFrom4(10, 1, 0, 1)
+			}
+			return addr, at
+		}},
+	} {
+		if err := build(NewReplayNetwork(NewSim(1)), c.edit).ImportRoutes(rt); err == nil {
+			t.Errorf("%s: ImportRoutes accepted a graph the table does not describe", c.name)
+		}
 	}
 }

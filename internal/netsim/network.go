@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/packet"
@@ -20,8 +21,13 @@ type Network struct {
 	// index resolves any address — host or router — to dense indices
 	// into routers and hosts (addrindex.go). indexShared marks it as
 	// referenced by a RouteTable: mutators copy it first (ownIndex).
+	// replay marks a network built to adopt a RouteTable's index
+	// (NewReplayNetwork): until ImportRoutes it registers no address,
+	// writing into scratch instead.
 	index       *addrIndex
 	indexShared bool
+	replay      bool
+	scratch     addrSlot
 
 	// nextHop[src*len(routers)+dst] is the hop router #src takes
 	// toward router #dst: the egress link's index into links, shifted
@@ -50,13 +56,34 @@ type RouteTable struct {
 	nextHop []int16
 	index   *addrIndex
 	routers int
-	hosts   int
 	links   int
 }
 
 // NewNetwork creates an empty network on sim.
 func NewNetwork(sim *Sim) *Network {
 	return &Network{Sim: sim, index: &addrIndex{}}
+}
+
+// NewReplayNetwork creates an empty network on sim that is to be built
+// by the construction sequence a RouteTable was exported from and then
+// adopt that table (ImportRoutes). While it is built it registers no
+// address — the table's index already holds them all — so a duplicate
+// host address is not refused by AddHost but by ImportRoutes, which
+// checks every router's and host's slot.
+func NewReplayNetwork(sim *Sim) *Network {
+	return &Network{Sim: sim, index: &addrIndex{}, replay: true}
+}
+
+// Reserve sizes the network for a graph of the given counts, so that
+// building it allocates each registry and the address index once. A
+// network grows as needed without it.
+func (n *Network) Reserve(routers, hosts, links int) {
+	n.routers = slices.Grow(n.routers, routers)
+	n.hosts = slices.Grow(n.hosts, hosts)
+	n.links = slices.Grow(n.links, links)
+	if !n.replay {
+		n.ownIndex().grow(2 * (n.index.used + routers + hosts))
+	}
 }
 
 // ownIndex returns the address index for writing, detaching it first
@@ -69,6 +96,16 @@ func (n *Network) ownIndex() *addrIndex {
 	return n.index
 }
 
+// slot returns a's address-index slot for writing; a replay network's
+// is a scratch slot it discards.
+func (n *Network) slot(a packet.Addr) *addrSlot {
+	if n.replay {
+		n.scratch = addrSlot{}
+		return &n.scratch
+	}
+	return n.ownIndex().slotFor(a)
+}
+
 // AddRouter registers a router with its own address and AS number.
 func (n *Network) AddRouter(label string, addr packet.Addr, asn uint32) *Router {
 	r := &Router{
@@ -79,7 +116,7 @@ func (n *Network) AddRouter(label string, addr packet.Addr, asn uint32) *Router 
 		asn:   asn,
 	}
 	n.routers = append(n.routers, r)
-	if e := n.ownIndex().slotFor(addr); e.router == 0 && e.host == 0 {
+	if e := n.slot(addr); e.router == 0 && e.host == 0 {
 		e.router = int32(r.id) + 1
 	}
 	n.routed = false
@@ -88,7 +125,7 @@ func (n *Network) AddRouter(label string, addr packet.Addr, asn uint32) *Router 
 
 // AddHost registers a host. It starts online but unattached; call Attach.
 func (n *Network) AddHost(label string, addr packet.Addr) (*Host, error) {
-	e := n.ownIndex().slotFor(addr)
+	e := n.slot(addr)
 	if e.host != 0 {
 		return nil, fmt.Errorf("netsim: duplicate host address %s", addr)
 	}
@@ -107,8 +144,6 @@ func (n *Network) AddHost(label string, addr packet.Addr) (*Host, error) {
 // Connect joins two routers with a link.
 func (n *Network) Connect(a, b *Router, delay time.Duration, loss float64) *Link {
 	l := newLink(n.Sim, a, b, delay, loss)
-	a.links = append(a.links, l)
-	b.links = append(b.links, l)
 	n.links = append(n.links, l)
 	n.routed = false
 	return l
@@ -123,7 +158,7 @@ func (n *Network) Attach(h *Host, r *Router, delay time.Duration, loss float64) 
 	l := newLink(n.Sim, h, r, delay, loss)
 	h.uplink = l
 	n.links = append(n.links, l)
-	n.ownIndex().slotFor(h.addr).router = int32(r.id) + 1
+	n.slot(h.addr).router = int32(r.id) + 1
 	return l, nil
 }
 
@@ -203,49 +238,53 @@ func (n *Network) ComputeRoutes() error {
 		return fmt.Errorf("netsim: %d links, more than the %d a route table encodes", len(n.links), maxRoutedLinks)
 	}
 	nr := len(n.routers)
-	// adjacency: router id -> (neighbor id, hop: link index<<1 | direction)
-	type edge struct {
-		to  int
-		hop int16
+	// Router #r's neighbours, in link order, are to[first[r]:first[r+1]],
+	// reached over hop[first[r]:first[r+1]] (link index<<1 | direction).
+	first := make([]int32, nr+1)
+	for _, l := range n.links {
+		if ra, rb, ok := routerEnds(l); ok {
+			first[ra.id+1]++
+			first[rb.id+1]++
+		}
 	}
-	adj := make([][]edge, nr)
+	for r := range nr {
+		first[r+1] += first[r]
+	}
+	to, hop := make([]int32, first[nr]), make([]int16, first[nr])
+	fill := slices.Clone(first[:nr])
 	for li, l := range n.links {
-		ra, aOK := l.a.(*Router)
-		rb, bOK := l.b.(*Router)
-		if aOK && bOK {
-			adj[ra.id] = append(adj[ra.id], edge{rb.id, int16(li) << 1})
-			adj[rb.id] = append(adj[rb.id], edge{ra.id, int16(li)<<1 | 1})
+		if ra, rb, ok := routerEnds(l); ok {
+			to[fill[ra.id]], hop[fill[ra.id]] = int32(rb.id), int16(li)<<1
+			fill[ra.id]++
+			to[fill[rb.id]], hop[fill[rb.id]] = int32(ra.id), int16(li)<<1|1
+			fill[rb.id]++
 		}
 	}
 
 	n.nextHop = make([]int16, nr*nr)
-	queue := make([]int, 0, nr)
-	visited := make([]bool, nr)
-
+	queue := fill[:0] // fill is spent: the BFS queue reuses it
 	for src := 0; src < nr; src++ {
 		// The row is the BFS's parent-link array: each router reached
-		// inherits the first hop out of src on its path.
+		// inherits the first hop out of src on its path, so a router
+		// other than src is visited once its entry is set.
 		row := n.nextHop[src*nr : (src+1)*nr]
 		for i := range row {
 			row[i] = -1
-			visited[i] = false
 		}
-		queue = queue[:0]
-		queue = append(queue, src)
-		visited[src] = true
+		queue = append(queue[:0], int32(src))
 		for qi := 0; qi < len(queue); qi++ {
 			cur := queue[qi]
-			for _, e := range adj[cur] {
-				if visited[e.to] {
+			for e := first[cur]; e < first[cur+1]; e++ {
+				next := to[e]
+				if int(next) == src || row[next] >= 0 {
 					continue
 				}
-				visited[e.to] = true
-				if cur == src {
-					row[e.to] = e.hop // first hop out of src
+				if int(cur) == src {
+					row[next] = hop[e] // first hop out of src
 				} else {
-					row[e.to] = row[cur]
+					row[next] = row[cur]
 				}
-				queue = append(queue, e.to)
+				queue = append(queue, next)
 			}
 		}
 	}
@@ -267,30 +306,77 @@ func (n *Network) ExportRoutes() (*RouteTable, error) {
 		nextHop: n.nextHop,
 		index:   n.index,
 		routers: len(n.routers),
-		hosts:   len(n.hosts),
 		links:   len(n.links),
 	}, nil
 }
 
+// routerEnds returns l's endpoints when both are routers.
+func routerEnds(l *Link) (a, b *Router, ok bool) {
+	a, aOK := l.a.(*Router)
+	b, bOK := l.b.(*Router)
+	return a, b, aOK && bOK
+}
+
 // ImportRoutes installs a shared forwarding table instead of running
-// ComputeRoutes, and the table's address index in place of the one this
-// Network built while its graph was assembled. The Network's graph must
-// have been built by the same construction sequence as the table's
-// origin — same routers, hosts and links, in the same creation order —
-// which the counts check cheaply; the topology blueprint guarantees the
-// rest by replaying one recorded build.
+// ComputeRoutes, and the table's address index in place of any this
+// Network built while its graph was assembled. The graph must have been
+// built by the same construction sequence as the table's origin — same
+// routers, hosts and links, in the same creation order. The router and
+// link counts are checked, and every router's and host's slot in the
+// table's index against what registering it here would have written;
+// the topology blueprint guarantees the rest by replaying one recorded
+// build.
 func (n *Network) ImportRoutes(rt *RouteTable) error {
 	if rt == nil {
 		return fmt.Errorf("netsim: ImportRoutes with nil table")
 	}
-	if len(n.routers) != rt.routers || len(n.hosts) != rt.hosts || len(n.links) != rt.links {
-		return fmt.Errorf("netsim: route table shape mismatch: network has %d routers / %d hosts / %d links, table %d / %d / %d",
-			len(n.routers), len(n.hosts), len(n.links), rt.routers, rt.hosts, rt.links)
+	if len(n.routers) != rt.routers || len(n.links) != rt.links {
+		return fmt.Errorf("netsim: route table shape mismatch: network has %d routers / %d links, table %d / %d",
+			len(n.routers), len(n.links), rt.routers, rt.links)
+	}
+	if err := n.checkIndex(rt.index); err != nil {
+		return err
 	}
 	n.nextHop = rt.nextHop
-	n.index, n.indexShared = rt.index, true
+	n.index, n.indexShared, n.replay, n.scratch = rt.index, true, false, addrSlot{}
 	n.routed, n.routesShared = true, true
 	return nil
+}
+
+// checkIndex reports the first host or router whose slot in ix is not
+// the one registering n's graph writes — a host's names it and its
+// attachment router; a router's, it, the host shadowing it or the first
+// router of its address — or an entry none of them owns.
+func (n *Network) checkIndex(ix *addrIndex) error {
+	owned := len(n.hosts)
+	for i, h := range n.hosts {
+		at := int32(0)
+		if h.uplink != nil {
+			at = int32(h.uplink.b.(*Router).id) + 1
+		}
+		if e := ix.lookup(h.addr); e.host != int32(i)+1 || e.router != at {
+			return fmt.Errorf("netsim: route table's index does not match host %s", h.label)
+		}
+	}
+	for i, r := range n.routers {
+		switch e := ix.lookup(r.addr); {
+		case e.router == int32(i)+1 && e.host == 0:
+			owned++
+		case e.host == 0 && (e.router == 0 || int(e.router) > i || n.routers[e.router-1].addr != r.addr):
+			return fmt.Errorf("netsim: route table's index does not match router %s", r.label)
+		}
+	}
+	if owned != ix.used {
+		return fmt.Errorf("netsim: route table's index holds %d addresses, the network %d", ix.used, owned)
+	}
+	return nil
+}
+
+// HostIndex returns the position, in the order AddHost registered them,
+// of the host whose address is a.
+func (n *Network) HostIndex(a packet.Addr) (int, bool) {
+	e := n.index.lookup(a)
+	return int(e.host) - 1, e.host != 0
 }
 
 // PathRouters traces the routing-table path from a source host to a

@@ -38,7 +38,6 @@ type Router struct {
 	label    string
 	addr     packet.Addr
 	asn      uint32
-	links    []*Link
 	policies []Policy
 
 	ipID uint16
@@ -51,7 +50,7 @@ type Router struct {
 }
 
 // reset rewinds the router's ICMP ID cursor and telemetry and resets
-// its policies; links and policy attachment are structure and stay.
+// its policies; policy attachment is structure and stays.
 func (r *Router) reset() {
 	r.ipID = 0
 	r.Forwarded, r.PolicyDrops, r.TTLExpiries, r.NoRouteDrops = 0, 0, 0, 0

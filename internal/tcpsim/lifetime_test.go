@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/middlebox"
+	"repro/internal/packet"
 )
 
 // Connection shells are recycled through the simulation's Pool, which
@@ -290,5 +291,37 @@ func TestStackResetDropsOpenConns(t *testing.T) {
 	f.sim.Run()
 	if f.cs.SegmentsOut != 0 {
 		t.Errorf("a stale connection sent %d segments after Reset", f.cs.SegmentsOut)
+	}
+}
+
+// TestResetReleasesInCreationOrder: Reset releases a stack's leftover
+// connections in the order they were made, so the pool hands out the
+// same shells in the same order on every run — as the Pool's contract
+// promises. Each run opens five connections that stay in SYN-SENT,
+// resets, dials five more and records which of the first five shells
+// each reuses.
+func TestResetReleasesInCreationOrder(t *testing.T) {
+	run := func() []int {
+		f := newFixture(t, 43)
+		nowhere := packet.AddrFrom4(10, 9, 9, 9)
+		first := map[*Conn]int{}
+		dial := func(record func(*Conn)) {
+			for range 5 {
+				f.cs.Dial(nowhere, 80, false, func(*Conn, error) {})
+				record(f.cs.conns[len(f.cs.conns)-1])
+			}
+		}
+		dial(func(c *Conn) { first[c] = len(first) })
+		f.sim.Reset()
+		f.cs.Reset()
+		var reused []int
+		dial(func(c *Conn) { reused = append(reused, first[c]) })
+		return reused
+	}
+	want := run()
+	for i := 0; i < 10; i++ {
+		if got := run(); !slices.Equal(got, want) {
+			t.Fatalf("run %d reused shells %v, run 0 %v", i+1, got, want)
+		}
 	}
 }

@@ -44,6 +44,7 @@ var (
 	ErrRefused = errors.New("tcpsim: connection refused")
 	ErrReset   = errors.New("tcpsim: connection reset by peer")
 	ErrClosed  = errors.New("tcpsim: connection closed")
+	ErrNoPort  = errors.New("tcpsim: no ephemeral port free")
 )
 
 // MSS is the maximum segment size used for data transfer.
@@ -59,9 +60,11 @@ type connKey struct {
 // Stack is the per-host TCP layer. Create one per simulated host that
 // needs TCP; it installs itself as the host's TCP handler.
 type Stack struct {
-	host  *netsim.Host
-	conns map[connKey]*Conn
-	// listeners, searched linearly: a web server listens on one port.
+	host *netsim.Host
+	// conns (in creation order) and listeners, searched linearly: a
+	// stack holds a handful of connections at once, a web server one
+	// listener.
+	conns     []*Conn
 	listeners []*Listener
 	ephemeral uint16
 	// pool is the simulation's shell pool, shared with every other stack
@@ -105,12 +108,7 @@ func poolOf(sim *netsim.Sim) *Pool {
 
 // NewStack attaches a TCP stack to a host.
 func NewStack(h *netsim.Host) *Stack {
-	s := &Stack{
-		host:  h,
-		conns: make(map[connKey]*Conn),
-		pool:  poolOf(h.Sim()),
-		TTL:   64,
-	}
+	s := &Stack{host: h, pool: poolOf(h.Sim()), TTL: 64}
 	h.OnTCP(s.receive)
 	return s
 }
@@ -130,14 +128,16 @@ func (s *Stack) Conns() int { return len(s.conns) }
 // the port cursor and every counter (its listeners' too) rewound.
 // Connections still in the demux table — a peer that went silent leaves
 // one behind with no timer to reap it — are dropped without callbacks,
-// their shells joining the pool: the simulator they would report to has
-// been reset under them. Listeners, TTL and the pool stay.
+// their shells joining the pool in creation order: the simulator they
+// would report to has been reset under them. Listeners, TTL and the
+// pool stay.
 func (s *Stack) Reset() {
 	for _, c := range s.conns {
 		c.st = stateClosed
 		c.release()
 	}
 	clear(s.conns)
+	s.conns = s.conns[:0]
 	s.ephemeral = 0
 	s.SegmentsIn, s.SegmentsOut, s.RSTsSent = 0, 0, 0
 	for _, l := range s.listeners {
@@ -202,36 +202,55 @@ const synRetries = 6
 
 // Dial opens a connection to dst:port, invoking done exactly once with
 // an established connection or an error (ErrRefused on RST, ErrTimeout
-// when SYN retries are exhausted). With requestECN the SYN is an
-// ECN-setup SYN, asking the server to negotiate ECN for the connection.
+// when SYN retries are exhausted, ErrNoPort — before Dial returns — when
+// the stack's connections and listeners hold every ephemeral port).
+// With requestECN the SYN is an ECN-setup SYN, asking the server to
+// negotiate ECN for the connection.
 func (s *Stack) Dial(dst packet.Addr, port uint16, requestECN bool, done func(*Conn, error)) {
-	key := connKey{remote: dst, remotePort: port, localPort: s.nextEphemeral()}
-	c := newConn(s, key, stateSynSent)
+	local, ok := s.nextEphemeral()
+	if !ok {
+		done(nil, ErrNoPort)
+		return
+	}
+	c := newConn(s, connKey{remote: dst, remotePort: port, localPort: local}, stateSynSent)
 	c.dialDone = done
 	c.requestECN = requestECN
 	c.synRetriesLeft = synRetries
-	s.conns[key] = c
+	s.conns = append(s.conns, c)
 	c.sendSYN()
 }
 
-// nextEphemeral allocates a client port.
-func (s *Stack) nextEphemeral() uint16 {
-	for {
-		s.ephemeral++
-		if s.ephemeral < 49152 {
-			s.ephemeral = 49152
-		}
-		key := false
-		for k := range s.conns {
-			if k.localPort == s.ephemeral {
-				key = true
-				break
-			}
-		}
-		if s.listener(s.ephemeral) == nil && !key {
-			return s.ephemeral
+// The ephemeral ports: a dial takes the next free one after the last.
+const (
+	firstEphemeral = 49152
+	ephemeralPorts = 1<<16 - firstEphemeral
+)
+
+// nextEphemeral allocates a client port: one pass over the stack's
+// connections and listeners marks the ports in use, and the first free
+// one after the cursor, wrapping, is taken. It fails when none is free.
+func (s *Stack) nextEphemeral() (uint16, bool) {
+	var used [ephemeralPorts / 64]uint64
+	mark := func(p uint16) {
+		if p >= firstEphemeral {
+			used[(p-firstEphemeral)/64] |= 1 << (p % 64)
 		}
 	}
+	for _, c := range s.conns {
+		mark(c.key.localPort)
+	}
+	for _, l := range s.listeners {
+		mark(l.port)
+	}
+	for range ephemeralPorts {
+		if s.ephemeral++; s.ephemeral < firstEphemeral {
+			s.ephemeral = firstEphemeral
+		}
+		if used[(s.ephemeral-firstEphemeral)/64]&(1<<(s.ephemeral%64)) == 0 {
+			return s.ephemeral, true
+		}
+	}
+	return 0, false
 }
 
 // receive is the host's TCP handler.
@@ -242,8 +261,8 @@ func (s *Stack) receive(h *netsim.Host, ip packet.IPv4Header, segment []byte) {
 	}
 	s.SegmentsIn++
 	key := connKey{remote: ip.Src, remotePort: hdr.SrcPort, localPort: hdr.DstPort}
-	if c, ok := s.conns[key]; ok {
-		c.handleSegment(ip, hdr, payload)
+	if i := slices.IndexFunc(s.conns, func(c *Conn) bool { return c.key == key }); i >= 0 {
+		s.conns[i].handleSegment(ip, hdr, payload)
 		return
 	}
 	// New connection? Only a pure SYN to a listening port qualifies.
@@ -255,7 +274,7 @@ func (s *Stack) receive(h *netsim.Host, ip packet.IPv4Header, segment []byte) {
 			// SYN and this listener is willing.
 			c.ecnNegotiated = l.ECN && hdr.IsECNSetupSYN()
 			c.rcvNxt = hdr.Seq + 1
-			s.conns[key] = c
+			s.conns = append(s.conns, c)
 			c.sendSYNACK()
 			return
 		}
@@ -303,7 +322,9 @@ func (s *Stack) send(c *Conn, hdr *packet.TCPHeader, cp uint8, payload []byte) {
 }
 
 // drop removes a connection from the demux table.
-func (s *Stack) drop(c *Conn) { delete(s.conns, c.key) }
+func (s *Stack) drop(c *Conn) {
+	s.conns = slices.DeleteFunc(s.conns, func(o *Conn) bool { return o == c })
+}
 
 // after schedules on the host's simulator.
 func (s *Stack) after(d time.Duration, fn func()) netsim.Timer {

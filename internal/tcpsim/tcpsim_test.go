@@ -464,8 +464,33 @@ func TestEphemeralSkipsListeningPort(t *testing.T) {
 	if _, err := f.cs.Listen(49152, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if p := f.cs.nextEphemeral(); p != 49153 {
+	if p, _ := f.cs.nextEphemeral(); p != 49153 {
 		t.Errorf("first client port = %d, want 49153 past the listener on 49152", p)
+	}
+}
+
+// TestDialFailsWhenPortsRunOut: a stack whose connections hold every
+// ephemeral port fails its next dial with ErrNoPort, before Dial
+// returns, instead of searching for a free port forever. The dials go
+// to an address no host owns, so every connection stays in SYN-SENT
+// (the simulator never runs).
+func TestDialFailsWhenPortsRunOut(t *testing.T) {
+	f := newFixture(t, 17)
+	nowhere := packet.AddrFrom4(10, 9, 9, 9)
+	for i := 0; i < ephemeralPorts; i++ {
+		f.cs.Dial(nowhere, 80, false, func(c *Conn, err error) { t.Fatalf("dial %d finished: %v", i, err) })
+	}
+	if f.cs.Conns() != ephemeralPorts {
+		t.Fatalf("%d connections open, want %d", f.cs.Conns(), ephemeralPorts)
+	}
+	var got error
+	calls := 0
+	f.cs.Dial(nowhere, 80, false, func(c *Conn, err error) { got, calls = err, calls+1 })
+	if calls != 1 || got != ErrNoPort {
+		t.Fatalf("dial past the last free port: %d calls, err %v; want one, %v", calls, got, ErrNoPort)
+	}
+	if f.cs.Conns() != ephemeralPorts {
+		t.Errorf("the failed dial left %d connections, want %d", f.cs.Conns(), ephemeralPorts)
 	}
 }
 

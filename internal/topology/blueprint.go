@@ -53,9 +53,18 @@ type Blueprint struct {
 
 // decisionTrace records the stochastic choices of one generation run.
 type decisionTrace struct {
-	perm  []int     // firewall placement permutation
-	rolls []float64 // server role draws, in consumption order
+	perm  []int        // firewall placement permutation
+	roles []serverRole // each server's role draws' outcome
 }
+
+// serverRole is the outcome of one server's role draws (drawRole).
+type serverRole uint8
+
+const (
+	roleWeb serverRole = 1 << iota
+	roleWebECN
+	roleBrokenECE
+)
 
 // sharedParts is the read-only world skeleton every instance references.
 type sharedParts struct {

@@ -2,7 +2,7 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/aqm"
 	"repro/internal/asn"
@@ -50,8 +50,7 @@ type builder struct {
 	rec *decisionTrace
 	// rep, when non-nil, substitutes recorded decisions for fresh draws
 	// (Blueprint.Instantiate); repPos is the roll read cursor.
-	rep    *decisionTrace
-	repPos int
+	rep *decisionTrace
 	// shared, when non-nil, provides the frozen read-only world parts
 	// (geo, ASN, DNS membership, routes); the builder then skips
 	// regenerating them.
@@ -67,7 +66,7 @@ type builder struct {
 	// placement site of the congested-transit scenario's bottlenecks.
 	transitCoreDown []transitLink
 
-	stubs []*stubInfo
+	stubs []stubInfo // sized up front: placement keeps pointers into it
 }
 
 // transitLink remembers a transit-internal link and its endpoints so
@@ -79,13 +78,13 @@ type transitLink struct {
 
 // stubInfo remembers a generated edge network.
 type stubInfo struct {
-	asIdx    int
-	region   geo.Region
-	country  string
-	border   *netsim.Router
-	access   *netsim.Router
-	servers  []*Server
-	hasQuirk bool // hosts a firewalled/scoped server: excluded from bleaching
+	border, access *netsim.Router
+	asIdx          int32
+	// first and n place its servers in World.Servers.
+	first, n int32
+	// firewalls counts the site-firewall routers inserted so far.
+	firewalls int16
+	hasQuirk  bool // hosts a firewalled/scoped server or a bleacher
 }
 
 // Build generates a world on the given simulator, drawing every
@@ -98,18 +97,9 @@ func Build(sim *netsim.Sim, cfg Config) (*World, error) {
 
 func newBuilder(sim *netsim.Sim, cfg Config) *builder {
 	return &builder{
-		cfg: cfg,
-		sim: sim,
-		w: &World{
-			Cfg:           cfg,
-			Sim:           sim,
-			Net:           netsim.NewNetwork(sim),
-			Geo:           &geo.DB{},
-			ASN:           asn.NewTable(),
-			Directory:     dnspool.NewDirectory(),
-			BleachRouters: make(map[int]string),
-			byAddr:        make(map[packet.Addr]*Server),
-		},
+		cfg:         cfg,
+		sim:         sim,
+		w:           &World{Cfg: cfg, Sim: sim, BleachRouters: make(map[int]string)},
 		transitDown: make(map[geo.Region][]*netsim.Router),
 		transitIdx:  make(map[geo.Region]int),
 	}
@@ -119,16 +109,27 @@ func (b *builder) run() (*World, error) {
 	if err := validate(b.cfg); err != nil {
 		return nil, err
 	}
+	// Every slice and map the build fills is sized once, from the config.
+	size := b.cfg.size()
+	w := b.w
 	if b.shared != nil {
 		// Replay over a frozen blueprint: the read-only lookups are
 		// shared as-is (the builder consults ASN during construction, so
 		// they install up front); the DNS directory is cloned because
-		// its round-robin cursors are per-simulation state.
-		b.w.Geo = b.shared.geo
-		b.w.ASN = b.shared.asn
-		b.w.Directory = b.shared.dir.Clone()
-		b.w.CountryZones = b.shared.zones
+		// its round-robin cursors are per-simulation state. The network
+		// registers no address: it adopts the blueprint's index.
+		w.Net = netsim.NewReplayNetwork(b.sim)
+		w.Geo, w.ASN, w.Directory, w.CountryZones = b.shared.geo, b.shared.asn, b.shared.dir.Clone(), b.shared.zones
+	} else {
+		w.Net, w.Geo, w.ASN, w.Directory = netsim.NewNetwork(b.sim), &geo.DB{}, asn.NewTable(), dnspool.NewDirectory()
+		w.Geo.Reserve(24, size.stubs)
+		w.ASN.Reserve(16, size.ases)
+		w.Directory.Reserve("", b.cfg.Servers)
 	}
+	w.Net.Reserve(size.routers, size.hosts, size.links)
+	w.Servers = make([]*Server, 0, b.cfg.Servers)
+	b.stubs = make([]stubInfo, 0, size.stubs)
+	b.transitCoreDown = make([]transitLink, 0, size.transits)
 
 	b.buildTier1s()
 	b.buildTransits()
@@ -173,18 +174,32 @@ func (b *builder) drawPerm(n int) []int {
 	return perm
 }
 
-// drawFloat returns the next role-assignment roll, fresh or replayed.
-func (b *builder) drawFloat() float64 {
+// drawRole returns server i's roles: drawn from the simulation PRNG —
+// web server, then ECN if one, then broken ECE if that — and recorded
+// when compiling a blueprint, or the recorded ones on replay.
+func (b *builder) drawRole(i int, s *Server) serverRole {
 	if b.rep != nil {
-		v := b.rep.rolls[b.repPos]
-		b.repPos++
-		return v
+		return b.rep.roles[i]
 	}
-	v := b.sim.RNG().Float64()
+	rng := b.sim.RNG()
+	var role serverRole
+	if rng.Float64() < b.cfg.WebServerFraction {
+		role = roleWeb
+		ecnFrac := b.cfg.TCPECNFraction
+		if s.ECTUDPFirewalled || s.ScopedECT {
+			ecnFrac = b.cfg.FirewalledTCPECNFraction
+		}
+		if rng.Float64() < ecnFrac {
+			role |= roleWebECN
+			if rng.Float64() < b.cfg.BrokenECEFraction {
+				role |= roleBrokenECE
+			}
+		}
+	}
 	if b.rec != nil {
-		b.rec.rolls = append(b.rec.rolls, v)
+		b.rec.roles[i] = role
 	}
-	return v
+	return role
 }
 
 func validate(cfg Config) error {
@@ -211,14 +226,58 @@ func validate(cfg Config) error {
 	return nil
 }
 
-// allocAS reserves the next AS index and registers its prefix. On
-// blueprint replay the shared ASN table already holds the entry.
-func (b *builder) allocAS(name string, tier int) (int, asn.ASN) {
+// buildSize counts what a Config builds.
+type buildSize struct{ routers, hosts, links, stubs, transits, ases int }
+
+// size counts the routers, hosts, links, stubs and transit ASes the
+// builder makes for cfg, following its construction step by step, so
+// that each registry is allocated once.
+func (cfg Config) size() buildSize {
+	t := cfg.Tier1Count
+	// The tier-1 clique, the pool's DNS AS (a router, two links and its
+	// host's access link), every server's and vantage's access link.
+	s := buildSize{routers: 4*t + 1, hosts: cfg.Servers + len(vantageSpecs) + 1,
+		links: 4*t + t*(t-1)/2 + 3 + cfg.Servers + len(vantageSpecs)}
+	for _, r := range geo.Regions() {
+		if n := cfg.RegionServers[r]; n > 0 {
+			stubs := (n + cfg.ServersPerStub - 1) / cfg.ServersPerStub
+			s.stubs += stubs
+			s.transits += (stubs + cfg.StubsPerTransit - 1) / cfg.StubsPerTransit
+		}
+	}
+	// A firewall router and its link per firewalled server; the move
+	// behind it keeps the link count.
+	fw := cfg.ECTUDPFirewalledServers + cfg.NotECTFirewalledServers +
+		cfg.SourceScopedNotECTServers + cfg.SourceScopedECTServers
+	s.routers += 2*s.stubs + 3*s.transits + fw
+	s.links += 2*s.stubs + 4*s.transits + fw
+	campus, own := 0, 0
+	for _, v := range vantageSpecs {
+		switch v.kind {
+		case KindHome:
+			s.routers, s.links, own = s.routers+2, s.links+2, own+1
+		case KindCloud:
+			s.routers, s.links, own = s.routers+2, s.links+3, own+1
+		default:
+			s.routers, s.links, campus = s.routers+1, s.links+1, 1
+		}
+	}
+	s.routers, s.links = s.routers+campus, s.links+campus
+	// An AS per tier-1, transit, stub, home and cloud vantage, the
+	// campus's and the pool DNS's.
+	s.ases = t + s.transits + s.stubs + own + campus + 1
+	return s
+}
+
+// allocAS reserves the next AS index and registers its prefix under
+// name(). On blueprint replay the shared ASN table already holds the
+// entry, and no name is made.
+func (b *builder) allocAS(tier int, name func() string) (int, asn.ASN) {
 	idx := b.nextAS
 	b.nextAS++
 	number := asn.ASN(1000 + idx)
 	if b.shared == nil {
-		b.w.ASN.Add(asPrefix(idx), asn.Info{ASN: number, Name: name, Tier: tier})
+		b.w.ASN.Add(asPrefix(idx), asn.Info{ASN: number, Name: name(), Tier: tier})
 	}
 	return idx, number
 }
@@ -238,7 +297,7 @@ func (b *builder) regionsInOrder() []geo.Region {
 // each, rings internally, full-mesh peering externally.
 func (b *builder) buildTier1s() {
 	for t := 0; t < b.cfg.Tier1Count; t++ {
-		asIdx, number := b.allocAS(fmt.Sprintf("tier1-%d", t), 1)
+		asIdx, number := b.allocAS(1, func() string { return fmt.Sprintf("tier1-%d", t) })
 		var rs []*netsim.Router
 		for r := 0; r < 4; r++ {
 			rs = append(rs, b.w.Net.AddRouter(
@@ -263,7 +322,7 @@ func (b *builder) buildTransits() {
 		stubs := (b.cfg.RegionServers[region] + b.cfg.ServersPerStub - 1) / b.cfg.ServersPerStub
 		transits := (stubs + b.cfg.StubsPerTransit - 1) / b.cfg.StubsPerTransit
 		for t := 0; t < transits; t++ {
-			asIdx, number := b.allocAS(fmt.Sprintf("transit-%s-%d", regionSlug(region), t), 2)
+			asIdx, number := b.allocAS(2, func() string { return fmt.Sprintf("transit-%s-%d", regionSlug(region), t) })
 			up := b.w.Net.AddRouter(fmt.Sprintf("tr-%d-up", asIdx), routerAddr(asIdx, 0), uint32(number))
 			core := b.w.Net.AddRouter(fmt.Sprintf("tr-%d-core", asIdx), routerAddr(asIdx, 1), uint32(number))
 			down := b.w.Net.AddRouter(fmt.Sprintf("tr-%d-down", asIdx), routerAddr(asIdx, 2), uint32(number))
@@ -294,6 +353,9 @@ func (b *builder) buildStubsAndServers() error {
 	for _, region := range b.regionsInOrder() {
 		remaining := b.cfg.RegionServers[region]
 		countries := regionCountries[region]
+		if b.shared == nil {
+			b.reserveZones(region, remaining)
+		}
 		stubNum := 0
 		for remaining > 0 {
 			n := b.cfg.ServersPerStub
@@ -311,14 +373,33 @@ func (b *builder) buildStubsAndServers() error {
 	return nil
 }
 
+// reserveZones sizes the DNS zones of region's servers: its region
+// zone, and each of its countries', whose stubs take turns.
+func (b *builder) reserveZones(region geo.Region, servers int) {
+	per, countries := b.cfg.ServersPerStub, regionCountries[region]
+	stubs, k := (servers+per-1)/per, len(countries)
+	if z, ok := regionZone[region]; ok {
+		b.w.Directory.Reserve(z, servers)
+	}
+	for j, c := range countries {
+		n := (stubs - j + k - 1) / k * per
+		if (stubs-1)%k == j {
+			n -= stubs*per - servers // the short last stub
+		}
+		if c != "" {
+			b.w.Directory.Reserve(c, n)
+		}
+	}
+}
+
 func (b *builder) buildStub(region geo.Region, country string, stubNum, nServers int) error {
-	asIdx, number := b.allocAS(fmt.Sprintf("stub-%s-%d", regionSlug(region), stubNum), 3)
+	asIdx, number := b.allocAS(3, func() string { return fmt.Sprintf("stub-%s-%d", regionSlug(region), stubNum) })
 	border := b.w.Net.AddRouter(fmt.Sprintf("st-%d-border", asIdx), routerAddr(asIdx, 0), uint32(number))
 	access := b.w.Net.AddRouter(fmt.Sprintf("st-%d-access", asIdx), routerAddr(asIdx, 1), uint32(number))
 	b.w.Net.Connect(border, access, b.cfg.EdgeDelay/2, 0)
 	b.w.Net.Connect(border, b.nextTransit(region), b.cfg.EdgeDelay, 0)
 
-	if region != geo.Unknown && b.shared == nil {
+	if b.shared == nil && region != geo.Unknown {
 		coords := regionCoords[region]
 		b.w.Geo.Add(hostSubnet(asIdx), geo.Location{
 			Region:  region,
@@ -329,7 +410,7 @@ func (b *builder) buildStub(region geo.Region, country string, stubNum, nServers
 		})
 	}
 
-	stub := &stubInfo{asIdx: asIdx, region: region, country: country, border: border, access: access}
+	first := len(b.w.Servers)
 	for i := 0; i < nServers; i++ {
 		addr := hostAddr(asIdx, i)
 		host, err := b.w.Net.AddHost(fmt.Sprintf("ntp-%s", addr), addr)
@@ -352,20 +433,12 @@ func (b *builder) buildStub(region geo.Region, country string, stubNum, nServers
 		// Pool DNS registration: country zone plus region zone. The
 		// cloned blueprint directory already carries the membership.
 		if b.shared == nil {
-			var zones []string
-			if country != "" {
-				zones = append(zones, country)
-			}
-			if z, ok := regionZone[region]; ok {
-				zones = append(zones, z)
-			}
-			b.w.Directory.AddServer(addr, zones...)
+			b.w.Directory.AddServer(addr, country, regionZone[region])
 		}
 		b.w.Servers = append(b.w.Servers, srv)
-		b.w.byAddr[addr] = srv
-		stub.servers = append(stub.servers, srv)
 	}
-	b.stubs = append(b.stubs, stub)
+	b.stubs = append(b.stubs, stubInfo{border: border, access: access,
+		asIdx: int32(asIdx), first: int32(first), n: int32(nServers)})
 	return nil
 }
 
@@ -429,7 +502,7 @@ func (b *builder) buildVantages() error {
 		var asIdx int
 		switch spec.kind {
 		case KindHome:
-			idx, number := b.allocAS("isp-"+slug(spec.name), 0)
+			idx, number := b.allocAS(0, func() string { return "isp-" + slug(spec.name) })
 			border := b.w.Net.AddRouter(fmt.Sprintf("isp-%d-border", idx), routerAddr(idx, 0), uint32(number))
 			access := b.w.Net.AddRouter(fmt.Sprintf("isp-%d-access", idx), routerAddr(idx, 1), uint32(number))
 			b.w.Net.Connect(border, access, b.cfg.EdgeDelay, 0)
@@ -437,7 +510,7 @@ func (b *builder) buildVantages() error {
 			attachTo, asIdx = access, idx
 		case KindCampusWired, KindCampusWireless:
 			if campusBorder == nil {
-				idx, number := b.allocAS("campus-glasgow", 0)
+				idx, number := b.allocAS(0, func() string { return "campus-glasgow" })
 				campusASIdx = idx
 				campusBorder = b.w.Net.AddRouter(fmt.Sprintf("campus-%d-border", idx), routerAddr(idx, 0), uint32(number))
 				b.w.Net.Connect(campusBorder, b.nextTransit(geo.Europe), b.cfg.EdgeDelay, 0)
@@ -451,7 +524,7 @@ func (b *builder) buildVantages() error {
 			b.w.Net.Connect(campusBorder, access, b.cfg.EdgeDelay/2, 0)
 			attachTo, asIdx = access, campusASIdx
 		case KindCloud:
-			idx, number := b.allocAS("cloud-"+slug(spec.name), 0)
+			idx, number := b.allocAS(0, func() string { return "cloud-" + slug(spec.name) })
 			border := b.w.Net.AddRouter(fmt.Sprintf("cloud-%d-border", idx), routerAddr(idx, 0), uint32(number))
 			access := b.w.Net.AddRouter(fmt.Sprintf("cloud-%d-access", idx), routerAddr(idx, 1), uint32(number))
 			b.w.Net.Connect(border, access, b.cfg.AccessDelay, 0)
@@ -490,7 +563,7 @@ func (b *builder) buildVantages() error {
 // buildDNS creates the pool directory host in an infrastructure AS homed
 // to two tier-1s.
 func (b *builder) buildDNS() error {
-	idx, number := b.allocAS("pool-infra", 0)
+	idx, number := b.allocAS(0, func() string { return "pool-infra" })
 	border := b.w.Net.AddRouter(fmt.Sprintf("infra-%d-border", idx), routerAddr(idx, 0), uint32(number))
 	b.w.Net.Connect(border, b.tier1[0][0], b.cfg.TransitDelay, 0)
 	b.w.Net.Connect(border, b.tier1[1][1], b.cfg.TransitDelay, 0)
@@ -510,45 +583,32 @@ func (b *builder) buildDNS() error {
 	if b.shared != nil {
 		return nil // CountryZones installed from the blueprint
 	}
-	zoneSet := map[string]bool{}
+	zones := b.w.CountryZones
 	for _, region := range b.regionsInOrder() {
 		for _, c := range regionCountries[region] {
 			if c != "" {
-				zoneSet[c] = true
+				zones = append(zones, c)
 			}
 		}
 		if z, ok := regionZone[region]; ok {
-			zoneSet[z] = true
+			zones = append(zones, z)
 		}
 	}
-	for z := range zoneSet {
-		b.w.CountryZones = append(b.w.CountryZones, z)
-	}
-	sort.Strings(b.w.CountryZones)
+	slices.Sort(zones)
+	b.w.CountryZones = slices.Compact(zones)
 	return nil
 }
 
-// cloudPrefixes returns the host subnets of the named cloud vantages.
+// cloudPrefixes returns the host subnets of the named cloud vantages,
+// or of every cloud vantage when names is nil.
 func (b *builder) cloudPrefixes(names map[string]bool) []iptable.Prefix {
 	var out []iptable.Prefix
 	for _, v := range b.w.Vantages {
-		if v.Kind == KindCloud && names[v.Name] {
-			a := v.Host.Addr().Uint32()
-			out = append(out, iptable.MakePrefix(packet.AddrFromUint32(a), 16))
+		if v.Kind == KindCloud && (names == nil || names[v.Name]) {
+			out = append(out, iptable.MakePrefix(v.Host.Addr(), 16))
 		}
 	}
 	return out
-}
-
-// allCloudPrefixes covers every EC2 vantage.
-func (b *builder) allCloudPrefixes() []iptable.Prefix {
-	names := map[string]bool{}
-	for _, v := range b.w.Vantages {
-		if v.Kind == KindCloud {
-			names[v.Name] = true
-		}
-	}
-	return b.cloudPrefixes(names)
 }
 
 // placeFirewalls selects the special servers and inserts their dedicated
@@ -573,7 +633,7 @@ func (b *builder) placeFirewalls() {
 		s.NotECTFirewalled = true
 		b.insertSiteFirewall(s, &middlebox.NotECTUDPDropper{})
 	}
-	scopedAll := b.allCloudPrefixes()
+	scopedAll := b.cloudPrefixes(nil)
 	for _, s := range take(b.cfg.SourceScopedNotECTServers) {
 		s.ScopedNotECT = true
 		b.insertSiteFirewall(s, &middlebox.ScopedBySource{
@@ -604,25 +664,12 @@ func (b *builder) insertSiteFirewall(s *Server, policy netsim.Policy) {
 		Inner:    policy,
 	}
 	stub := b.stubOf(s)
-	// The firewall router joins the stub's AS, numbered after existing
-	// routers (slot 2+i).
+	// The firewall router joins the stub's AS, numbered after its border
+	// (slot 0), access (1) and earlier firewall routers.
 	info, _ := b.w.ASN.Lookup(s.Addr)
-	slot := 2
-	for {
-		taken := false
-		addr := routerAddr(stub.asIdx, slot)
-		for _, r := range b.w.Net.Routers() {
-			if r.Addr() == addr {
-				taken = true
-				break
-			}
-		}
-		if !taken {
-			break
-		}
-		slot++
-	}
-	fw := b.w.Net.AddRouter(fmt.Sprintf("fw-%s", s.Addr), routerAddr(stub.asIdx, slot), uint32(info.ASN))
+	slot := 2 + int(stub.firewalls)
+	stub.firewalls++
+	fw := b.w.Net.AddRouter(fmt.Sprintf("fw-%s", s.Addr), routerAddr(int(stub.asIdx), slot), uint32(info.ASN))
 	fw.AddPolicy(policy)
 	b.w.Net.Connect(stub.access, fw, b.cfg.AccessDelay/2, 0)
 	b.rehome(s, fw)
@@ -645,8 +692,8 @@ func (b *builder) markQuirk(s *Server) {
 }
 
 func (b *builder) stubOf(s *Server) *stubInfo {
-	for _, st := range b.stubs {
-		if asPrefix(st.asIdx).Contains(s.Addr) {
+	for i := range b.stubs {
+		if st := &b.stubs[i]; asPrefix(int(st.asIdx)).Contains(s.Addr) {
 			return st
 		}
 	}
@@ -657,27 +704,26 @@ func (b *builder) stubOf(s *Server) *stubInfo {
 // border placements create AS-boundary strip locations, interior ones do
 // not, and "sometimes" placements flap.
 func (b *builder) placeBleachers() {
-	var clean []*stubInfo
-	for _, st := range b.stubs {
-		if !st.hasQuirk && st.region != geo.Unknown {
+	clean := make([]*stubInfo, 0, len(b.stubs))
+	for i := range b.stubs {
+		if st := &b.stubs[i]; !st.hasQuirk && b.w.Servers[st.first].Region != geo.Unknown {
 			clean = append(clean, st)
 		}
 	}
 	// Deterministic spread: step through clean stubs at a stride so the
 	// bleached edges scatter across regions; collisions skip forward to
-	// the next unused stub.
+	// the next unused stub (a picked stub is marked at once, which sets
+	// its hasQuirk).
 	want := b.cfg.BleachedBorderStubs + b.cfg.BleachedInteriorStubs + b.cfg.SometimesBleachedStubs
 	if want > len(clean) {
 		want = len(clean)
 	}
 	stride := len(clean)/(want+1) + 1
-	used := make(map[*stubInfo]bool, want)
 	cursor := 0
 	pick := func(int) *stubInfo {
 		for tries := 0; tries < len(clean); tries++ {
 			st := clean[(cursor*stride+tries)%len(clean)]
-			if !used[st] {
-				used[st] = true
+			if !st.hasQuirk {
 				cursor++
 				return st
 			}
@@ -690,7 +736,7 @@ func (b *builder) placeBleachers() {
 		r.AddPolicy(&middlebox.ECNBleacher{Probability: prob, RNG: b.sim.RNG()})
 		b.w.BleachRouters[r.ID()] = kind
 		st.hasQuirk = true
-		for _, s := range st.servers {
+		for _, s := range b.w.Servers[st.first : st.first+st.n] {
 			s.BleachedPath = true
 		}
 	}
@@ -723,26 +769,22 @@ func (b *builder) placeBleachers() {
 // 2's per-location counts while leaving the overall correlation weak
 // (most UDP-ECT-blocked servers still negotiate ECN over TCP).
 func (b *builder) assignServerRoles() {
-	for _, s := range b.w.Servers {
-		if b.drawFloat() >= b.cfg.WebServerFraction {
+	if b.rec != nil {
+		b.rec.roles = make([]serverRole, len(b.w.Servers))
+	}
+	for i, s := range b.w.Servers {
+		role := b.drawRole(i, s)
+		if role&roleWeb == 0 {
 			continue
 		}
-		s.Web = true
-		ecnFrac := b.cfg.TCPECNFraction
-		if s.ECTUDPFirewalled || s.ScopedECT {
-			ecnFrac = b.cfg.FirewalledTCPECNFraction
-		}
-		s.WebECN = b.drawFloat() < ecnFrac
+		s.Web, s.WebECN, s.BrokenECE = true, role&roleWebECN != 0, role&roleBrokenECE != 0
 		s.Stack = tcpsim.NewStack(s.Host)
 		// Pool web servers redirect to www.pool.ntp.org.
 		l, err := httpmin.Serve(s.Stack, httpmin.Port, s.WebECN, httpmin.PoolHandler)
 		if err != nil {
 			continue // ports are builder-controlled; cannot happen
 		}
-		if s.WebECN && b.drawFloat() < b.cfg.BrokenECEFraction {
-			s.BrokenECE = true
-			l.BrokenECE = true
-		}
+		l.BrokenECE = s.BrokenECE
 	}
 }
 
@@ -783,7 +825,16 @@ func (b *builder) placeBottlenecks() {
 
 // --- small helpers -------------------------------------------------------
 
-func regionSlug(r geo.Region) string { return slug(string(r)) }
+// regionSlug returns r's slug, made once per region.
+func regionSlug(r geo.Region) string { return regionSlugs[r] }
+
+var regionSlugs = func() map[geo.Region]string {
+	m := map[geo.Region]string{}
+	for _, r := range geo.Regions() {
+		m[r] = slug(string(r))
+	}
+	return m
+}()
 
 func slug(s string) string {
 	out := make([]byte, 0, len(s))

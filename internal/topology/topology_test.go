@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -426,4 +427,77 @@ func TestBuildTime(t *testing.T) {
 	}
 	t.Logf("full world: %s in %v", w, elapsed)
 	_ = packet.Addr{}
+}
+
+// TestServerByAddr: the address index every world of a blueprint shares
+// resolves each server to its own ground truth, on the generation world
+// and on an instantiated one, and no other address — a vantage, the DNS
+// host, a router, an unknown one — to a server.
+func TestServerByAddr(t *testing.T) {
+	bp, err := Compile(SmallConfig(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := bp.Instantiate(netsim.NewSim(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range map[string]*World{"generation": bp.spare.Load(), "instantiated": inst} {
+		for _, s := range w.Servers {
+			if got, ok := w.ServerByAddr(s.Addr); !ok || got != s {
+				t.Fatalf("%s world: ServerByAddr(%s) = %v, %v", name, s.Addr, got, ok)
+			}
+		}
+		others := []packet.Addr{w.DNSAddr, w.Net.Routers()[0].Addr(), packet.AddrFrom4(192, 0, 2, 1)}
+		for _, v := range w.Vantages {
+			others = append(others, v.Host.Addr())
+		}
+		for _, a := range others {
+			if s, ok := w.ServerByAddr(a); ok {
+				t.Errorf("%s world: ServerByAddr(%s) = server %s", name, a, s.Addr)
+			}
+		}
+	}
+}
+
+// TestBuildSizeExact: Config.size counts exactly what the builder makes
+// — routers, hosts, links, stubs, transit ASes and all ASes — for the
+// small and paper worlds and for one whose servers, stubs and transits
+// do not divide evenly; and no registry, server list or DNS zone the
+// build fills grew past what it was sized at.
+func TestBuildSizeExact(t *testing.T) {
+	odd := DefaultConfig()
+	odd.ServersPerStub, odd.StubsPerTransit = 7, 3
+	// sizedOnce: v's capacity is its length, or what growing an empty
+	// slice to its length gives (slices.Grow) — not a doubling's.
+	sizedOnce := func(v reflect.Value) bool {
+		g := reflect.New(v.Type()).Elem()
+		g.Grow(v.Len())
+		return v.Cap() == v.Len() || v.Cap() == g.Cap()
+	}
+	for name, cfg := range map[string]Config{"small": SmallConfig(), "paper": DefaultConfig(), "odd": odd} {
+		b := newBuilder(netsim.NewSim(1), cfg)
+		w, err := b.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := reflect.ValueOf(w.Net).Elem()
+		got := buildSize{routers: len(w.Net.Routers()), hosts: net.FieldByName("hosts").Len(),
+			links: net.FieldByName("links").Len(), stubs: len(b.stubs), transits: len(b.transitCoreDown), ases: w.ASN.Len()}
+		if want := cfg.size(); got != want {
+			t.Errorf("%s: built %+v, size counts %+v", name, got, want)
+		}
+		filled := map[string]reflect.Value{"servers": reflect.ValueOf(w.Servers)}
+		for _, f := range []string{"routers", "hosts", "links"} {
+			filled[f] = net.FieldByName(f)
+		}
+		for it := reflect.ValueOf(w.Directory).Elem().FieldByName("zones").MapRange(); it.Next(); {
+			filled["zone "+it.Key().String()] = it.Value().Elem().FieldByName("members")
+		}
+		for what, v := range filled {
+			if !sizedOnce(v) {
+				t.Errorf("%s: %s holds %d with capacity %d: grown, not sized once", name, what, v.Len(), v.Cap())
+			}
+		}
+	}
 }

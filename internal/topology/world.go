@@ -108,8 +108,6 @@ type World struct {
 	// the row staging buffer) here between sweeps. Capacity, not state:
 	// Reset leaves it alone.
 	UserData any
-
-	byAddr map[packet.Addr]*Server
 }
 
 // Bottleneck is one bandwidth-limited link direction of the congestion
@@ -137,10 +135,15 @@ func (w *World) ServerAddrs() []packet.Addr {
 	return out
 }
 
-// ServerByAddr resolves ground truth for an address.
+// ServerByAddr resolves ground truth for an address through the
+// network's address index: the servers are the network's first hosts,
+// in creation order.
 func (w *World) ServerByAddr(a packet.Addr) (*Server, bool) {
-	s, ok := w.byAddr[a]
-	return s, ok
+	i, ok := w.Net.HostIndex(a)
+	if !ok || i >= len(w.Servers) {
+		return nil, false
+	}
+	return w.Servers[i], true
 }
 
 // VantageByName finds a vantage point by its paper name.

@@ -19,8 +19,11 @@
 #
 # These are the gates that compare timings. Allocation counts are not
 # here: each ceiling is a tier-1 test beside the code it pins
-# (TestCampaignAllocs, TestWorldResetAllocFree, TestShardResultPathAllocs,
-# TestDatasetReadAllocs, the *AllocFree tests), run by `go test ./...`.
+# (TestCampaignAllocs, TestWorldResetAllocFree, TestWorldBuildBudget —
+# a paper world's compile, instantiate and retained bytes, and its
+# 64 KB scaffolding ceiling on what each build allocates beyond what it
+# keeps — TestShardResultPathAllocs, TestDatasetReadAllocs, the
+# *AllocFree tests), run by `go test ./...`.
 #
 # Environment: PERF_GATE_BASE, the base ref to compare against
 # (default origin/main).
