@@ -13,17 +13,19 @@ build:
 
 # test (and race) include cmd/reprod's TestEndToEnd: real reprod
 # coordinator, worker and client processes — service, distributed,
-# crash, chaos and drain rows — each filing the pinned dataset hash.
+# crash, chaos and drain rows — each filing the golden table's hash.
 # On its own: go test -run TestEndToEnd -v ./cmd/reprod. They also
 # re-execute ecnspider and ecnreport, the dataset-to-figures pipeline
 # (go test ./cmd/ecnspider ./cmd/ecnreport), and run the determinism
 # grid — slices × workers × scheduler (lanes, heap) × cross-traffic
-# (lazy, events), 108 campaigns
-# diffed against internal/campaign/testdata/determinism.golden (go test
-# -run TestDeterminismGrid ./internal/campaign; race runs its 12
-# slices=2 × workers=4 cells). And they compile the data-path packages
-# for arm64 and fail on any fused multiply-add, which would round a
-# product differently from amd64 and move dataset bytes with the CPU
+# (lazy, events), 108 campaigns, each held to its scenario's row of
+# internal/campaign/goldentest/small.golden (go test -run
+# TestDeterminismGrid ./internal/campaign; race runs its 12 slices=2 ×
+# workers=4 cells). That table holds every small-spec pin: to move one,
+# copy over it the table a failing grid writes. And they compile the
+# data-path packages for arm64 and fail on any fused multiply-add, which
+# would round a product differently from amd64 and move dataset bytes
+# with the CPU
 # (go test -run TestDataPathHasNoFusedFloat ./cmd/ecnspider; ≈ 15 s
 # with a cold build cache, under a second warm).
 test:

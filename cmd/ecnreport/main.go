@@ -25,7 +25,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/topology"
 	"repro/internal/traceroute"
@@ -168,10 +167,11 @@ func rebuildWorld(d *dataset.Dataset, seed int64) (*topology.World, error) {
 		name string
 		cfg  topology.Config
 	}{{"small", topology.SmallConfig()}, {"paper", topology.DefaultConfig()}} {
-		w, err := topology.Build(netsim.NewSim(seed), scale.cfg)
+		bp, err := topology.Compile(scale.cfg, seed)
 		if err != nil {
 			return nil, fmt.Errorf("rebuild %s world: %w", scale.name, err)
 		}
+		w := bp.TakeSpare(seed)
 		i := slices.IndexFunc(servers, func(a packet.Addr) bool { _, ok := w.ServerByAddr(a); return !ok })
 		if i < 0 {
 			return w, nil

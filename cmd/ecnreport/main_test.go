@@ -23,7 +23,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/topology"
 	"repro/internal/traceroute"
@@ -253,11 +252,11 @@ func ecnreport(t *testing.T, code int, args ...string) string {
 
 func build(t *testing.T, cfg topology.Config) *topology.World {
 	t.Helper()
-	w, err := topology.Build(netsim.NewSim(seed), cfg)
+	bp, err := topology.Compile(cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w
+	return bp.TakeSpare(seed)
 }
 
 func write(t *testing.T, d *dataset.Dataset) string {

@@ -18,8 +18,9 @@ import (
 // callerExempt are the test-support packages: imported only from
 // _test.go files, by design.
 var callerExempt = map[string]bool{
-	"internal/worker/workertest": true,
-	"internal/worker/chaos":      true,
+	"internal/campaign/goldentest": true,
+	"internal/worker/workertest":   true,
+	"internal/worker/chaos":        true,
 }
 
 // uncalledRoles is every exported name that no non-test file names and
@@ -42,7 +43,7 @@ var uncalledRoles = map[string]string{
 	"netsim.Host.Online":          "test reader shared across packages: topology's tests count churned servers",
 	"netsim.Link.Loss":            "test reader shared across packages: topology's tests read a vantage's drawn access loss",
 	"tcpsim.Stack.Conns":          "test reader shared across packages: tcpsim's and httpmin's pool tests count open connections",
-	"traceroute.HashRows":         "test oracle: the sweep-row digest TestDeterminismGrid and TestSweepRowHash pin",
+	"traceroute.HashRows":         "test oracle: the sweep-row digest TestDeterminismGrid pins",
 	"netsim.XTrafficLazy":         "reference-implementation selector; tests only",
 	"netsim.Sim.SetXTrafficMode":  "reference-implementation selector; tests only",
 	"topology.Blueprint.WithSims": "reference-implementation selector; tests only",

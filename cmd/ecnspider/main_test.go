@@ -1,8 +1,8 @@
 package main
 
 // End to end: this test binary re-executed as ecnspider (TestMain), run
-// the way README.md runs it. Each row's dataset must hash to
-// TestDeterminismGrid's pinned value for its scenario, whatever the
+// the way README.md runs it. Each row's dataset must hash to its
+// scenario's row of the golden table (goldentest), whatever the
 // execution shape.
 //
 //	go test -v ./cmd/ecnspider
@@ -18,6 +18,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
+	"repro/internal/campaign/goldentest"
 	"repro/internal/capture"
 )
 
@@ -32,23 +34,20 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// The small, 2-trace, seed-2015 datasets: the first line of each
-// scenario in internal/campaign/testdata/determinism.golden.
-const (
-	uncongestedSHA256   = "81e2952878d5e0990abb0094d3f50769437b0837021e33a770418fe8fdbe0fa8"
-	congestedEdgeSHA256 = "11a385cfcde28b15ad2f0e30a0f591f5ba7ac8be147fc6744c9c47a49bcc4fda"
-)
-
+// TestDataset: the small, 2-trace, seed-2015 datasets hash to their
+// scenario's row of the golden table (goldentest).
 func TestDataset(t *testing.T) {
+	uncongested := goldentest.Small(t, campaign.ScenarioUncongested).Dataset
 	for _, row := range []struct {
 		name   string
 		args   []string
 		want   string
 		stderr string // a line the run must log
 	}{
-		{"default", nil, uncongestedSHA256, "dataset written to"},
-		{"sharded", []string{"-workers", "1", "-slices", "8"}, uncongestedSHA256, "in 26 shards"},
-		{"congested-edge", []string{"-scenario", "congested-edge"}, congestedEdgeSHA256, "aggregate"},
+		{"default", nil, uncongested, "dataset written to"},
+		{"sharded", []string{"-workers", "1", "-slices", "8"}, uncongested, "in 26 shards"},
+		{"congested-edge", []string{"-scenario", "congested-edge"},
+			goldentest.Small(t, campaign.ScenarioCongestedEdge).Dataset, "aggregate"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
@@ -70,8 +69,8 @@ func TestPcap(t *testing.T) {
 	dir := t.TempDir()
 	out, pcap := filepath.Join(dir, "dataset.jsonl"), filepath.Join(dir, "vantage.pcap")
 	ecnspider(t, "-o", out, "-pcap", pcap)
-	if got := sha(readFile(t, out)); got != uncongestedSHA256 {
-		t.Fatalf("dataset hash under -pcap %s, want %s", got, uncongestedSHA256)
+	if got, want := sha(readFile(t, out)), goldentest.Small(t, campaign.ScenarioUncongested).Dataset; got != want {
+		t.Fatalf("dataset hash under -pcap %s, want %s", got, want)
 	}
 	records, err := capture.ReadPcap(bytes.NewReader(readFile(t, pcap)))
 	if err != nil || len(records) == 0 {

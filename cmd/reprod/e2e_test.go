@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/apiclient"
 	"repro/internal/campaign"
+	"repro/internal/campaign/goldentest"
 	"repro/internal/dataset"
 	"repro/internal/failpoint"
 	"repro/internal/worker"
@@ -54,10 +55,6 @@ func TestMain(m *testing.M) {
 const (
 	localSpec = `{"spec":1,"scale":"small","traces":2,"seed":2015,"stride":0}`
 	distSpec  = `{"spec":1,"scale":"small","traces":2,"seed":2015,"stride":0,"execution":"distributed"}`
-	// pinnedSHA256 is both specs' dataset hash: the first line of
-	// internal/campaign/testdata/determinism.golden, the uncongested
-	// scenario's (TestDeterminismGrid).
-	pinnedSHA256 = "81e2952878d5e0990abb0094d3f50769437b0837021e33a770418fe8fdbe0fa8"
 	// patience bounds every wait; -race children are several times slower.
 	patience = 2 * time.Minute
 )
@@ -410,15 +407,16 @@ func e2eDrain(t *testing.T, ctx context.Context, want string) {
 }
 
 // referenceHash is the in-process engine's dataset hash for the specs,
-// which must also be the pinned one.
+// which must also be the pinned one: both specs' dataset is the
+// uncongested scenario's row of the golden table (goldentest).
 func referenceHash(t *testing.T) string {
 	t.Helper()
 	h, err := reference()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h != pinnedSHA256 {
-		t.Fatalf("campaign.Run dataset hash %s, want pinned %s", h, pinnedSHA256)
+	if pinned := goldentest.Small(t, campaign.ScenarioUncongested).Dataset; h != pinned {
+		t.Fatalf("campaign.Run dataset hash %s, want pinned %s", h, pinned)
 	}
 	return h
 }

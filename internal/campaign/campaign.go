@@ -34,7 +34,7 @@
 // Together these make the merged dataset byte-identical for any worker
 // count, any GOMAXPROCS setting, and any SlicesPerVantage — the
 // invariant TestDeterminismGrid verifies across the whole grid, against
-// its golden bytes (testdata/determinism.golden).
+// the small specs' golden table (goldentest/small.golden).
 package campaign
 
 import (

@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/campaign/goldentest"
 	"repro/internal/dataset"
+	"repro/internal/netsim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/traceroute"
@@ -27,41 +29,34 @@ import (
 // Every cell runs with a full telemetry set attached, so the grid is
 // also the out-of-band proof for the flight recorder.
 //
-// Each cell prints the SHA-256 of its merged dataset in canonical
-// JSON-lines form and a rows= column, the canonical digest of its
-// traceroute sweep rows (stride 12; traceroute.HashRows). Within a
-// scenario all 36 cells must agree on the dataset hash, the congestion
-// samples and the number of sweep rows, and on the row digest per
-// cross-traffic drive: on congested-transit the two drives agree on
-// every row but order two paths that complete in the same nanosecond
-// differently (rows are listed in completion order). The sweep runs in
-// its own epoch on its own PRNG stream, so it cannot move the dataset
-// hash.
+// Each cell must equal its scenario's row of the golden table
+// (goldentest, small.golden): the SHA-256 of its merged dataset in
+// canonical JSON-lines form, the canonical digest of its traceroute
+// sweep rows (stride 12; traceroute.HashRows) under its cross-traffic
+// drive — on congested-transit the two drives agree on every row but
+// order two paths that complete in the same nanosecond differently
+// (rows are listed in completion order) — its real event count and its
+// serialization boundaries. Within a scenario the cells must also agree
+// on the congestion samples and the number of sweep rows, which must
+// not be zero. The sweep runs in its own epoch on its own PRNG stream,
+// so it cannot move the dataset hash.
 //
-// The 108 lines and the OK line must then equal
-// testdata/determinism.golden byte for byte, so a change that keeps
-// every cell equal to its neighbours but moves them all still fails. A
-// change meant to move a hash or a digest rewrites the file from the
-// output this test leaves behind on a mismatch, and says why. Every row
-// of cmd/reprod's TestEndToEnd holds a served dataset to the first
-// column's default-scenario hash.
+// On a mismatch the test writes the table it observed (each scenario's
+// first cells) to a temp file and prints its line diff against the
+// golden one; a change meant to move a pin copies that file over
+// small.golden and says why.
 //
-// Under -race or -short only the slices=2 × workers=4 cells run, each
-// line checked against its golden line.
+// Under -race or -short only the slices=2 × workers=4 cells run, so
+// sweep rows are then checked on those 12 cells alone.
 func TestDeterminismGrid(t *testing.T) {
-	goldenBytes, err := os.ReadFile("testdata/determinism.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := strings.SplitAfter(string(goldenBytes), "\n")
 	subset := raceEnabled || testing.Short()
 
-	var out strings.Builder
-	line, runs, failed := 0, 0, false
+	var observed []goldentest.Row
+	cells, runs := 0, 0
 	for _, scenario := range Scenarios() {
+		want := goldentest.Small(t, scenario)
+		obs := goldentest.Row{Scenario: scenario}
 		var ref *Result
-		var refHash string
-		refRows := map[string]string{}
 		for _, slices := range []int{1, 2, 8} {
 			for _, workers := range []int{1, 4, 13} {
 				spec := DefaultSpec()
@@ -76,10 +71,11 @@ func TestDeterminismGrid(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, e := range engines {
-					line++
+					cells++
 					if subset && (slices != 2 || workers != 4) {
 						continue
 					}
+					runs++
 					label := fmt.Sprintf("scenario=%s sched=%s xtraffic=%s slices=%d workers=%d",
 						scenario, e.sched.Name(), e.xt.Name(), slices, workers)
 					cfg.Metrics = NewMetrics(telemetry.NewRegistry())
@@ -88,57 +84,81 @@ func TestDeterminismGrid(t *testing.T) {
 					if err := dataset.Write(h, res.Dataset); err != nil {
 						t.Fatal(err)
 					}
-					sum, rows := fmt.Sprintf("%x", h.Sum(nil)), traceroute.HashRows(res.PathObs...)
-					got := fmt.Sprintf("%s  %s rows=%s\n", sum, label, rows)
-					out.WriteString(got)
-					runs++
-					if subset && got != golden[line-1] {
-						t.Errorf("%s: got\n%swant\n%s", label, got, golden[line-1])
+					got := goldentest.Row{
+						Dataset:    fmt.Sprintf("%x", h.Sum(nil)),
+						Events:     res.Events - res.PhantomEvents,
+						Boundaries: res.PhantomEvents + res.ReplayedBoundaries,
 					}
-
+					rows, wantRows, obsRows := traceroute.HashRows(res.PathObs...), want.RowsLazy, &obs.RowsLazy
+					if e.xt == netsim.XTrafficEvents {
+						wantRows, obsRows = want.RowsEvents, &obs.RowsEvents
+					}
 					if ref == nil {
-						ref, refHash = res, sum
+						ref = res
+						obs.Dataset, obs.Events, obs.Boundaries = got.Dataset, got.Events, got.Boundaries
 					}
-					if refRows[e.xt.Name()] == "" {
-						refRows[e.xt.Name()] = rows
+					if *obsRows == "" {
+						*obsRows = rows
 					}
-					if sum != refHash || rows != refRows[e.xt.Name()] ||
-						rowCount(res.PathObs) != rowCount(ref.PathObs) ||
+					var differ []string
+					for _, c := range []struct {
+						column    string
+						got, want any
+					}{
+						{"dataset", got.Dataset, want.Dataset},
+						{"rows", rows, wantRows},
+						{"events", got.Events, want.Events},
+						{"boundaries", got.Boundaries, want.Boundaries},
+					} {
+						if c.got != c.want {
+							differ = append(differ, fmt.Sprintf("%s %v, the table's %v", c.column, c.got, c.want))
+						}
+					}
+					if len(differ) > 0 {
+						t.Errorf("%s: %s", label, strings.Join(differ, "; "))
+					}
+					if n := rowCount(res.PathObs); n == 0 || n != rowCount(ref.PathObs) ||
 						!reflect.DeepEqual(res.Congestion, ref.Congestion) {
-						t.Errorf("diverges at %s: dataset equal: %v, sweep rows equal: %v, row count %d vs %d, congestion samples equal: %v",
-							label, sum == refHash, rows == refRows[e.xt.Name()],
-							rowCount(res.PathObs), rowCount(ref.PathObs), reflect.DeepEqual(res.Congestion, ref.Congestion))
-						failed = true
+						t.Errorf("%s: %d sweep rows (first cell %d), congestion samples equal: %v",
+							label, n, rowCount(ref.PathObs), reflect.DeepEqual(res.Congestion, ref.Congestion))
 					}
 				}
 			}
 		}
+		observed = append(observed, obs)
 	}
-	if subset {
-		t.Logf("%d of the grid's %d cells equal their golden lines", runs, line)
+	t.Logf("%d of the grid's %d cells run", runs, cells)
+	got, golden := goldentest.Format(observed), goldentest.Table()
+	if got == golden {
 		return
 	}
-	if !failed {
-		fmt.Fprintf(&out, "determinism: OK — %d merged datasets identical across the slices × workers × scheduler × cross-traffic grid, their traceroute sweep rows across slices × workers × scheduler\n", runs)
+	var diff strings.Builder
+	gotLines, goldenLines := strings.Split(got, "\n"), strings.Split(golden, "\n")
+	for i := range max(len(gotLines), len(goldenLines)) {
+		g, w := line(gotLines, i), line(goldenLines, i)
+		if g != w {
+			fmt.Fprintf(&diff, "-%s\n+%s\n", w, g)
+		}
 	}
-	if got := out.String(); got != string(goldenBytes) {
-		gotLines := strings.SplitAfter(got, "\n")
-		for i := range min(len(gotLines), len(golden)) {
-			if gotLines[i] != golden[i] {
-				t.Errorf("line %d differs from testdata/determinism.golden:\n got: %s want: %s", i+1, gotLines[i], golden[i])
-				break
-			}
+	f, err := os.CreateTemp("", "small-*.golden")
+	if err == nil {
+		_, err = f.WriteString(got)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		f, err := os.CreateTemp("", "determinism-*.golden")
-		if err == nil {
-			_, err = f.WriteString(got)
-			f.Close()
-		}
-		if err != nil {
-			t.Fatalf("output differs from testdata/determinism.golden (and could not be saved: %v):\n%s", err, got)
-		}
-		t.Fatalf("output differs from testdata/determinism.golden; this run's output is %s", f.Name())
 	}
+	if err != nil {
+		t.Fatalf("the observed table differs from small.golden (and could not be saved: %v):\n%s", err, diff.String())
+	}
+	t.Fatalf("the observed table differs from small.golden (- golden, + observed):\n%sthe observed table is %s", diff.String(), f.Name())
+}
+
+// line is lines[i], or "" past the end.
+func line(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return ""
 }
 
 // TestSliceCountInvarianceWithDiscovery covers the subtle corner:
@@ -241,40 +261,5 @@ func TestGOMAXPROCSInvariance(t *testing.T) {
 	many := encode(t, runOrFatal(t, cfg).Dataset)
 	if !bytes.Equal(one, many) {
 		t.Error("merged dataset depends on GOMAXPROCS")
-	}
-}
-
-// sweepRowHash is traceroute.HashRows over testConfig()'s merged
-// Result.PathObs (small world, stride 12, seed 2015), recorded at commit
-// 92041ea — the last build whose sweep copied every ICMP body and grew a
-// slice per path. The sweep has been rewritten since; its rows have not
-// changed.
-const sweepRowHash = "478184b55c11e82517db5348fad531da5a724425815ddd95aee4289f45ca29dd"
-
-// TestSweepRowHash pins the traceroute sweep's output row for row. The
-// dataset hash cannot see the sweep (path observations are not part of
-// the dataset) and the other invariance tests compared only the row
-// count and the rendered Figure 4, so this is the gate that holds a
-// change to traceroute, the ICMP path or the merge to "same rows": the
-// canonical row digest must equal the recorded one for every workers ×
-// slices shape.
-func TestSweepRowHash(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run determinism test in -short mode")
-	}
-	for _, workers := range []int{1, 4, 13} {
-		for _, slices := range []int{1, 2, 8} {
-			cfg := testConfig()
-			cfg.Workers = workers
-			cfg.SlicesPerVantage = slices
-			res := runOrFatal(t, cfg)
-			if len(res.PathObs) == 0 {
-				t.Fatalf("workers=%d slices=%d: sweep produced no rows", workers, slices)
-			}
-			if got := traceroute.HashRows(res.PathObs...); got != sweepRowHash {
-				t.Errorf("workers=%d slices=%d: %d sweep rows hash to %s, want %s",
-					workers, slices, rowCount(res.PathObs), got, sweepRowHash)
-			}
-		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/aqm"
-	"repro/internal/netsim"
 	"repro/internal/topology"
 )
 
@@ -38,10 +37,11 @@ func TestCongestedScenariosRunRED(t *testing.T) {
 		if err := ApplyScenario(&topo, scenario); err != nil {
 			t.Fatal(err)
 		}
-		w, err := topology.Build(netsim.NewSim(1), topo)
+		bp, err := topology.Compile(topo, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", scenario, err)
 		}
+		w := bp.TakeSpare(1)
 		if len(w.Bottlenecks) == 0 {
 			t.Fatalf("%s world has no bottlenecks", scenario)
 		}

@@ -5,19 +5,17 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/ecn"
-	"repro/internal/netsim"
 	"repro/internal/topology"
 	"repro/internal/traceroute"
 )
 
 func smallWorld(t *testing.T, seed int64) *topology.World {
 	t.Helper()
-	sim := netsim.NewSim(seed)
-	w, err := topology.Build(sim, topology.SmallConfig())
+	bp, err := topology.Compile(topology.SmallConfig(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w
+	return bp.TakeSpare(seed)
 }
 
 func TestProbeServerFourMeasurements(t *testing.T) {

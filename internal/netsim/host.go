@@ -156,7 +156,7 @@ func (h *Host) BindUDP(port uint16, fn UDPHandler) (uint16, error) {
 		port = h.nextEphemeral()
 	}
 	if h.bound(port) >= 0 {
-		return 0, fmt.Errorf("netsim: %s: UDP port %d already bound", h.label, port)
+		return 0, fmt.Errorf("netsim: %s (%s): UDP port %d already bound", h.label, h.addr, port)
 	}
 	h.udp = append(h.udp, udpBinding{port, fn})
 	return port, nil

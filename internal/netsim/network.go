@@ -153,7 +153,7 @@ func (n *Network) Connect(a, b *Router, delay time.Duration, loss float64) *Link
 // host's address for delivery.
 func (n *Network) Attach(h *Host, r *Router, delay time.Duration, loss float64) (*Link, error) {
 	if h.uplink != nil {
-		return nil, fmt.Errorf("netsim: host %s already attached", h.label)
+		return nil, fmt.Errorf("netsim: host %s (%s) already attached", h.label, h.addr)
 	}
 	l := newLink(n.Sim, h, r, delay, loss)
 	h.uplink = l
@@ -170,10 +170,10 @@ func (n *Network) Attach(h *Host, r *Router, delay time.Duration, loss float64) 
 // imported) refuses.
 func (n *Network) ReplaceAttachment(h *Host, to *Router, delay time.Duration) (*Link, error) {
 	if h.uplink == nil {
-		return nil, fmt.Errorf("netsim: host %s not attached", h.label)
+		return nil, fmt.Errorf("netsim: host %s (%s) not attached", h.label, h.addr)
 	}
 	if n.routesShared {
-		return nil, fmt.Errorf("netsim: host %s: ReplaceAttachment on a network sharing its routes", h.label)
+		return nil, fmt.Errorf("netsim: host %s (%s): ReplaceAttachment on a network sharing its routes", h.label, h.addr)
 	}
 	for i, l := range n.links {
 		if l == h.uplink {
@@ -355,7 +355,7 @@ func (n *Network) checkIndex(ix *addrIndex) error {
 			at = int32(h.uplink.b.(*Router).id) + 1
 		}
 		if e := ix.lookup(h.addr); e.host != int32(i)+1 || e.router != at {
-			return fmt.Errorf("netsim: route table's index does not match host %s", h.label)
+			return fmt.Errorf("netsim: route table's index does not match host %s (%s)", h.label, h.addr)
 		}
 	}
 	for i, r := range n.routers {
@@ -388,7 +388,7 @@ func (n *Network) PathRouters(from *Host, dst packet.Addr) ([]*Router, error) {
 		return nil, fmt.Errorf("netsim: ComputeRoutes not called")
 	}
 	if from.uplink == nil {
-		return nil, fmt.Errorf("netsim: host %s not attached", from.label)
+		return nil, fmt.Errorf("netsim: host %s (%s) not attached", from.label, from.addr)
 	}
 	cur, _ := from.uplink.Peer(from).(*Router)
 	var path []*Router
@@ -407,5 +407,5 @@ func (n *Network) PathRouters(from *Host, dst packet.Addr) ([]*Router, error) {
 		}
 		cur = next
 	}
-	return path, fmt.Errorf("netsim: path from %s to %s too long", from.label, dst)
+	return path, fmt.Errorf("netsim: path from %s (%s) to %s too long", from.label, from.addr, dst)
 }

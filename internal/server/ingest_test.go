@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/apiclient"
 	"repro/internal/campaign"
+	"repro/internal/campaign/goldentest"
 	"repro/internal/dataset"
 	"repro/internal/freelist"
 	"repro/internal/packet"
@@ -573,8 +575,8 @@ func TestNonCanonicalUploadRefused(t *testing.T) {
 			}
 		}
 	}
-	if got := jobReport(t, ts, id).DatasetSHA256; got != pinnedHash {
-		t.Fatalf("filed %s, want the determinism grid's pinned hash", got)
+	if got := jobReport(t, ts, id).DatasetSHA256; got != goldentest.Small(t, campaign.ScenarioUncongested).Dataset {
+		t.Fatalf("filed %s, want the golden table's uncongested hash", got)
 	}
 }
 
@@ -620,14 +622,10 @@ func TestOutOfRangeUploadRefused(t *testing.T) {
 			t.Fatalf("upload %d = %+v, %v", k, ack, err)
 		}
 	}
-	if got := jobReport(t, ts, id).DatasetSHA256; got != pinnedHash {
-		t.Fatalf("filed %s, want the determinism grid's pinned hash", got)
+	if got := jobReport(t, ts, id).DatasetSHA256; got != goldentest.Small(t, campaign.ScenarioUncongested).Dataset {
+		t.Fatalf("filed %s, want the golden table's uncongested hash", got)
 	}
 }
-
-// pinnedHash is what the determinism grid's small uncongested campaign
-// files (campaign.TestDeterminismGrid).
-const pinnedHash = "81e2952878d5e0990abb0094d3f50769437b0837021e33a770418fe8fdbe0fa8"
 
 // claimPinned submits that campaign as a distributed job, claims every
 // shard as w1 and executes them: the job, the claim, and each claimed
@@ -925,7 +923,7 @@ func finalizePaperStep(tb testing.TB) resultStep {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	store, err := OpenStore(tb.TempDir())
+	store, err := OpenStore(tb.TempDir(), slog.New(slog.DiscardHandler))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -175,12 +175,7 @@ func (d *walDir) path(jobID string) string {
 // are themselves durable. Best-effort: not every filesystem supports
 // directory fsync, and the record-level fsync already carries the
 // correctness-critical promises.
-func (d *walDir) syncDir() {
-	if f, err := os.Open(d.dir); err == nil {
-		_ = f.Sync()
-		f.Close()
-	}
-}
+func (d *walDir) syncDir() { _ = syncDir(d.dir) }
 
 // create opens a fresh journal for a job. Truncating an existing file
 // is deliberate: job IDs restart per-process only above the recovered

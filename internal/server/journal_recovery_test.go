@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/apiclient"
 	"repro/internal/campaign"
+	"repro/internal/campaign/goldentest"
 	"repro/internal/dataset"
 	"repro/internal/failpoint"
 	"repro/internal/server"
@@ -265,11 +266,11 @@ func TestRecoveryResumesPartialJob(t *testing.T) {
 // TestRecoveryMergesReplayedBodies: a coordinator that dies holding k
 // of a job's 13 uploads as the bytes it journaled comes back holding the
 // journal's copies of them instead, takes the rest under the leases it
-// restored, and files the determinism grid's pinned hash: the merge
+// restored, and files the golden table's uncongested hash: the merge
 // splices replayed bodies exactly as it would the live ones.
 func TestRecoveryMergesReplayedBodies(t *testing.T) {
 	const spec = `{"spec": 1, "scale": "small", "traces": 2, "seed": 2015, "stride": 0, "execution": "distributed"}`
-	const pinned = "81e2952878d5e0990abb0094d3f50769437b0837021e33a770418fe8fdbe0fa8"
+	pinned := goldentest.Small(t, campaign.ScenarioUncongested).Dataset
 	for _, k := range []int{5, 12} {
 		t.Run(fmt.Sprintf("after-%d", k), func(t *testing.T) {
 			dir := t.TempDir()

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
@@ -25,10 +26,13 @@ import (
 //	<data dir>/<key[:2]>/<key>/meta.json     RunMeta: determinism hash, counters, CE report
 //	<data dir>/<key[:2]>/<key>/dataset.jsonl merged dataset, canonical JSON lines
 //
-// Writes are atomic: artifacts land in a temp directory that is
-// renamed into place, so a crash mid-write never leaves a half-cached
-// run, and readers never observe a partial entry. The two-level fan-out
-// keeps directory listings sane at large run counts.
+// Writes are atomic and durable: artifacts land in a temp directory,
+// fsynced, that is renamed into place, and the rename is fsynced too, so
+// a crash mid-write never leaves a half-cached run, readers never
+// observe a partial entry, and a filed run survives the journal it
+// replaces. An entry damaged on disk anyway is moved aside when the
+// store is opened (<data dir>/quarantine/), so its spec runs again. The
+// two-level fan-out keeps directory listings sane at large run counts.
 type Store struct {
 	dir string
 
@@ -64,14 +68,18 @@ type RunMeta struct {
 }
 
 const (
-	specFile    = "spec.json"
-	metaFile    = "meta.json"
-	datasetFile = "dataset.jsonl"
+	specFile      = "spec.json"
+	metaFile      = "meta.json"
+	datasetFile   = "dataset.jsonl"
+	quarantineDir = "quarantine"
 )
 
 // OpenStore opens (creating if needed) the store rooted at dir and
-// indexes the completed runs already on disk.
-func OpenStore(dir string) (*Store, error) {
+// indexes the completed runs already on disk. An entry whose meta.json
+// does not parse, or whose dataset.jsonl is not the size meta.json
+// records, is not indexed: it is moved under <dir>/quarantine/ and
+// logged, and the next submission of its spec runs it again.
+func OpenStore(dir string, logger *slog.Logger) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("server: store: empty data dir")
 	}
@@ -98,12 +106,62 @@ func OpenStore(dir string) (*Store, error) {
 			// Only entries whose rename completed have a meta.json;
 			// stray temp directories are ignored (and re-created runs
 			// will simply overwrite them later).
-			if _, err := os.Stat(filepath.Join(dir, fan.Name(), e.Name(), metaFile)); err == nil {
-				st.keys[e.Name()] = true
+			entry := filepath.Join(dir, fan.Name(), e.Name())
+			if _, err := os.Stat(filepath.Join(entry, metaFile)); err != nil {
+				continue
 			}
+			if damage := checkEntry(entry); damage != nil {
+				moved, err := st.quarantine(entry, e.Name())
+				if err != nil {
+					return nil, fmt.Errorf("server: store: quarantine %s: %w", e.Name(), err)
+				}
+				logger.Error("store entry quarantined", "key", e.Name(), "reason", damage, "moved_to", moved)
+				continue
+			}
+			st.keys[e.Name()] = true
 		}
 	}
 	return st, nil
+}
+
+// checkEntry reports why a filed entry cannot be served: a meta.json
+// that does not parse, or a dataset.jsonl of another size than it
+// records.
+func checkEntry(entry string) error {
+	b, err := os.ReadFile(filepath.Join(entry, metaFile))
+	if err != nil {
+		return err
+	}
+	var meta RunMeta
+	if err := json.Unmarshal(b, &meta); err != nil {
+		return fmt.Errorf("meta.json: %w", err)
+	}
+	info, err := os.Stat(filepath.Join(entry, datasetFile))
+	if err != nil {
+		return err
+	}
+	if info.Size() != meta.DatasetBytes {
+		return fmt.Errorf("dataset.jsonl holds %d bytes, meta.json records %d", info.Size(), meta.DatasetBytes)
+	}
+	return nil
+}
+
+// quarantine moves a damaged entry out of the index's reach, into a
+// fresh directory under <data dir>/quarantine/, and returns where.
+func (st *Store) quarantine(entry, key string) (string, error) {
+	q := filepath.Join(st.dir, quarantineDir)
+	if err := os.MkdirAll(q, 0o755); err != nil {
+		return "", err
+	}
+	to, err := os.MkdirTemp(q, "")
+	if err != nil {
+		return "", err
+	}
+	to = filepath.Join(to, key)
+	if err := os.Rename(entry, to); err != nil {
+		return "", err
+	}
+	return to, syncDir(filepath.Dir(entry))
 }
 
 // path returns the final directory for a key.
@@ -140,7 +198,10 @@ func (st *Store) Put(key string, spec []byte, meta RunMeta, writeDataset func(io
 		return 0, fmt.Errorf("server: store: malformed key %q", key)
 	}
 	fan := filepath.Join(st.dir, key[:2])
-	if err := os.MkdirAll(fan, 0o755); err != nil {
+	newFan := false
+	if err := os.Mkdir(fan, 0o755); err == nil {
+		newFan = true
+	} else if !errors.Is(err, os.ErrExist) {
 		return 0, fmt.Errorf("server: store: %w", err)
 	}
 	tmp, err := os.MkdirTemp(fan, ".put-*")
@@ -155,6 +216,9 @@ func (st *Store) Put(key string, spec []byte, meta RunMeta, writeDataset func(io
 	}
 	sum := sha256.New()
 	err = writeDataset(io.MultiWriter(sum, f))
+	if err == nil {
+		err = f.Sync()
+	}
 	info, statErr := f.Stat()
 	if closeErr := f.Close(); err == nil {
 		err = errors.Join(statErr, closeErr)
@@ -175,9 +239,12 @@ func (st *Store) Put(key string, spec []byte, meta RunMeta, writeDataset func(io
 		{specFile, spec},
 		{metaFile, metaBytes},
 	} {
-		if err := os.WriteFile(filepath.Join(tmp, a.name), a.data, 0o644); err != nil {
+		if err := writeFileSync(filepath.Join(tmp, a.name), a.data); err != nil {
 			return 0, fmt.Errorf("server: store: %w", err)
 		}
+	}
+	if err := syncDir(tmp); err != nil {
+		return 0, fmt.Errorf("server: store: %w", err)
 	}
 
 	st.mu.Lock()
@@ -188,8 +255,40 @@ func (st *Store) Put(key string, spec []byte, meta RunMeta, writeDataset func(io
 	if err := os.Rename(tmp, st.path(key)); err != nil {
 		return 0, fmt.Errorf("server: store: %w", err)
 	}
+	// The rename is durable once the fan-out directory is, and a fan-out
+	// this Put made once the data directory is.
+	err = syncDir(fan)
+	if err == nil && newFan {
+		err = syncDir(st.dir)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("server: store: %w", err)
+	}
 	st.keys[key] = true
 	return meta.DatasetBytes, nil
+}
+
+// writeFileSync writes data to a new file at path and fsyncs it.
+func writeFileSync(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	return errors.Join(err, f.Close())
+}
+
+// syncDir fsyncs a directory, making the creations, renames and
+// removals of its entries durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
 }
 
 // Meta loads a cached run's metadata.

@@ -22,14 +22,16 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/apiclient"
 	"repro/internal/campaign"
+	"repro/internal/campaign/goldentest"
 	"repro/internal/dataset"
 	"repro/internal/worker"
 )
 
 var executions = []string{campaign.ExecutionLocal, campaign.ExecutionDistributed}
 
-// pinnedSpec is the determinism grid's small campaign under one
-// scenario and execution (campaign.TestDeterminismGrid).
+// pinnedSpec is the golden table's small spec (goldentest) under one
+// scenario and execution; without the sweep (stride 0) it files the
+// same dataset.
 func pinnedSpec(scenario, execution string) string {
 	return fmt.Sprintf(`{"spec": 1, "scale": "small", "traces": 2, "seed": 2015, "stride": 0,
 		"scenario": %q, "execution": %q}`, scenario, execution)
@@ -135,11 +137,9 @@ func jobReport(t *testing.T, ts *httptest.Server, id string) RunMeta {
 // merge (campaign.MergeHeaders for the report, writeDataset for the
 // bytes), so only the engine's own Result can catch a bug in it.
 func TestExecutionsAgree(t *testing.T) {
-	for scenario, pinned := range map[string]string{
-		campaign.ScenarioUncongested:      "81e2952878d5e0990abb0094d3f50769437b0837021e33a770418fe8fdbe0fa8",
-		campaign.ScenarioCongestedTransit: "adda0bfd3dd1c8e4616778142bac487ba3893f18ecf739ccf1bb4f072ccd05b3",
-	} {
+	for _, scenario := range []string{campaign.ScenarioUncongested, campaign.ScenarioCongestedTransit} {
 		t.Run(scenario, func(t *testing.T) {
+			pinned := goldentest.Small(t, scenario).Dataset
 			var data [2][]byte
 			var meta [2]RunMeta
 			for i, execution := range executions {
@@ -157,7 +157,7 @@ func TestExecutionsAgree(t *testing.T) {
 				t.Fatalf("local dataset (%d bytes) differs from distributed (%d bytes)", len(data[0]), len(data[1]))
 			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(data[0])); got != pinned {
-				t.Errorf("dataset hash %s, want the determinism grid's %s", got, pinned)
+				t.Errorf("dataset hash %s, want the golden table's %s", got, pinned)
 			}
 			local, _ := json.Marshal(meta[0])
 			dist, _ := json.Marshal(meta[1])

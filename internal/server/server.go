@@ -109,6 +109,9 @@ type Server struct {
 // journals, so the second one fails here, before it reads anything. The
 // kernel drops the lock when the holder dies, however it dies.
 func lockDataDir(dir string) (*os.File, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	path := filepath.Join(dir, "LOCK")
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -127,17 +130,18 @@ func New(cfg Config) (*Server, error) { return newServer(cfg, runtime.GOMAXPROCS
 
 // newServer is New with the loopback pool sized by the caller (tests).
 func newServer(cfg Config, loopbacks int) (*Server, error) {
-	store, err := OpenStore(cfg.DataDir)
-	if err != nil {
-		return nil, err
+	logger := cfg.Logger
+	if logger == nil {
+		logger = slog.New(slog.DiscardHandler)
 	}
 	lock, err := lockDataDir(cfg.DataDir)
 	if err != nil {
 		return nil, err
 	}
-	logger := cfg.Logger
-	if logger == nil {
-		logger = slog.New(slog.DiscardHandler)
+	store, err := OpenStore(cfg.DataDir, logger)
+	if err != nil {
+		lock.Close()
+		return nil, err
 	}
 	met := newServerMetrics(telemetry.NewRegistry())
 	s := &Server{

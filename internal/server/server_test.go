@@ -6,17 +6,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/campaign/goldentest"
 	"repro/internal/dataset"
 )
 
@@ -438,6 +442,68 @@ func TestStoreReopen(t *testing.T) {
 	_, bytes2 := get(t, ts2, "/v1/jobs/"+second.ID+"/dataset")
 	if !bytes.Equal(bytes1, bytes2) {
 		t.Fatal("reopened store served different bytes")
+	}
+}
+
+// TestStoreQuarantinesDamagedEntry: a filed entry damaged on disk — its
+// dataset cut short, or its meta.json unreadable — is not served after
+// a restart: the store moves it under quarantine/ and logs it, and a
+// resubmission of its spec runs again and files the golden table's
+// hash.
+func TestStoreQuarantinesDamagedEntry(t *testing.T) {
+	spec := pinnedSpec(campaign.ScenarioUncongested, campaign.ExecutionLocal)
+	pinned := goldentest.Small(t, campaign.ScenarioUncongested).Dataset
+	for _, row := range []struct {
+		name   string
+		damage func(entry string, meta RunMeta) error
+	}{
+		{"truncated-dataset", func(entry string, meta RunMeta) error {
+			return os.Truncate(filepath.Join(entry, datasetFile), meta.DatasetBytes/2)
+		}},
+		{"unparsable-meta", func(entry string, _ RunMeta) error {
+			return os.WriteFile(filepath.Join(entry, metaFile), []byte("{"), 0o644)
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv1, err := New(Config{DataDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts1 := httptest.NewServer(srv1)
+			_, first := submit(t, ts1, spec)
+			awaitDone(t, ts1, first.ID)
+			meta := jobReport(t, ts1, first.ID)
+			ts1.Close()
+			srv1.Close()
+			entry := filepath.Join(dir, meta.Key[:2], meta.Key)
+			if err := row.damage(entry, meta); err != nil {
+				t.Fatal(err)
+			}
+
+			var logs bytes.Buffer
+			srv2, err := New(Config{DataDir: dir, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts2 := httptest.NewServer(srv2)
+			_, second := submit(t, ts2, spec)
+			if second.Cached {
+				t.Fatal("the damaged entry was served as a cache hit")
+			}
+			awaitDone(t, ts2, second.ID)
+			if got := jobReport(t, ts2, second.ID).DatasetSHA256; got != pinned {
+				t.Errorf("resubmission filed %s, want the golden table's %s", got, pinned)
+			}
+			ts2.Close()
+			srv2.Close()
+			if moved, _ := filepath.Glob(filepath.Join(dir, quarantineDir, "*", meta.Key)); len(moved) != 1 {
+				t.Errorf("quarantine holds %v, want the damaged entry once", moved)
+			}
+			if !strings.Contains(logs.String(), "store entry quarantined") {
+				t.Errorf("no quarantine record in the log:\n%s", logs.String())
+			}
+		})
 	}
 }
 

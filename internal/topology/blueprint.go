@@ -150,7 +150,7 @@ func (bp *Blueprint) Config() Config { return bp.cfg }
 func (bp *Blueprint) Seed() int64 { return bp.seed }
 
 // Instantiate builds a world on sim from the frozen blueprint: the same
-// construction sequence as Build with the same seed, but with recorded
+// construction sequence as Compile's generation run, but with recorded
 // decisions replayed (consuming none of sim's PRNG state) and the
 // skeleton shared. The returned world is fully private to sim except for
 // the read-only shared parts.

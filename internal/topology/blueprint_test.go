@@ -11,21 +11,19 @@ import (
 )
 
 // TestBlueprintMatchesBuild is the blueprint's core guarantee: a world
-// instantiated from a compiled blueprint is indistinguishable from one
-// Build generates directly with the same (seed, config) — same servers,
-// same ground truth, same routing, same DNS membership.
+// instantiated from a compiled blueprint, replaying the recorded
+// decisions, is indistinguishable from the one the generation run drew
+// them on with the same (seed, config) — same servers, same ground
+// truth, same routing, same DNS membership.
 func TestBlueprintMatchesBuild(t *testing.T) {
 	const seed = 2015
 	cfg := SmallConfig()
 
-	direct, err := Build(netsim.NewSim(seed), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bp, err := Compile(cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	direct := bp.TakeSpare(seed)
 	inst, err := bp.Instantiate(netsim.NewSim(seed))
 	if err != nil {
 		t.Fatal(err)

@@ -45,11 +45,11 @@ type builder struct {
 	sim *netsim.Sim
 	w   *World
 
-	// rec, when non-nil, captures every stochastic build decision so a
-	// Blueprint can replay the construction without consuming RNG state.
+	// Exactly one of rec and rep is set. rec captures every stochastic
+	// build decision (Compile) so a Blueprint can replay the
+	// construction without consuming RNG state; rep substitutes the
+	// recorded decisions for fresh draws (Blueprint.Instantiate).
 	rec *decisionTrace
-	// rep, when non-nil, substitutes recorded decisions for fresh draws
-	// (Blueprint.Instantiate); repPos is the roll read cursor.
 	rep *decisionTrace
 	// shared, when non-nil, provides the frozen read-only world parts
 	// (geo, ASN, DNS membership, routes); the builder then skips
@@ -85,14 +85,6 @@ type stubInfo struct {
 	// firewalls counts the site-firewall routers inserted so far.
 	firewalls int16
 	hasQuirk  bool // hosts a firewalled/scoped server or a bleacher
-}
-
-// Build generates a world on the given simulator, drawing every
-// stochastic choice from the simulator's PRNG. For campaigns that build
-// one world per shard, Compile + Blueprint.Instantiate produce identical
-// worlds while paying the generation and routing cost once.
-func Build(sim *netsim.Sim, cfg Config) (*World, error) {
-	return newBuilder(sim, cfg).run()
 }
 
 func newBuilder(sim *netsim.Sim, cfg Config) *builder {
@@ -167,11 +159,8 @@ func (b *builder) drawPerm(n int) []int {
 	if b.rep != nil {
 		return b.rep.perm
 	}
-	perm := b.sim.RNG().Perm(n)
-	if b.rec != nil {
-		b.rec.perm = perm
-	}
-	return perm
+	b.rec.perm = b.sim.RNG().Perm(n)
+	return b.rec.perm
 }
 
 // drawRole returns server i's roles: drawn from the simulation PRNG —
@@ -196,9 +185,7 @@ func (b *builder) drawRole(i int, s *Server) serverRole {
 			}
 		}
 	}
-	if b.rec != nil {
-		b.rec.roles[i] = role
-	}
+	b.rec.roles[i] = role
 	return role
 }
 
@@ -413,7 +400,7 @@ func (b *builder) buildStub(region geo.Region, country string, stubNum, nServers
 	first := len(b.w.Servers)
 	for i := 0; i < nServers; i++ {
 		addr := hostAddr(asIdx, i)
-		host, err := b.w.Net.AddHost(fmt.Sprintf("ntp-%s", addr), addr)
+		host, err := b.w.Net.AddHost("ntp", addr)
 		if err != nil {
 			return err
 		}
@@ -769,7 +756,7 @@ func (b *builder) placeBleachers() {
 // 2's per-location counts while leaving the overall correlation weak
 // (most UDP-ECT-blocked servers still negotiate ECN over TCP).
 func (b *builder) assignServerRoles() {
-	if b.rec != nil {
+	if b.rep == nil {
 		b.rec.roles = make([]serverRole, len(b.w.Servers))
 	}
 	for i, s := range b.w.Servers {

@@ -13,10 +13,19 @@ import (
 	"repro/internal/packet"
 )
 
+// generate is the world Compile's generation run builds for (cfg, seed)
+// on netsim.NewSim(seed): the blueprint's spare, not reset.
+func generate(cfg Config, seed int64) (*World, error) {
+	bp, err := Compile(cfg, seed)
+	if err != nil {
+		return nil, err
+	}
+	return bp.TakeSpare(seed), nil
+}
+
 func buildSmall(t *testing.T, seed int64) *World {
 	t.Helper()
-	sim := netsim.NewSim(seed)
-	w, err := Build(sim, SmallConfig())
+	w, err := generate(SmallConfig(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,9 +248,8 @@ func TestScopedECTFirewallOnlyAffectsScopedVantages(t *testing.T) {
 }
 
 func TestWebServerFractions(t *testing.T) {
-	sim := netsim.NewSim(9)
 	cfg := DefaultConfig() // statistics need the full population
-	w, err := Build(sim, cfg)
+	w, err := generate(cfg, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,15 +331,14 @@ func TestDeterministicBuild(t *testing.T) {
 }
 
 func TestValidateRejectsBadConfig(t *testing.T) {
-	sim := netsim.NewSim(1)
 	cfg := SmallConfig()
 	cfg.Servers = 10 // region counts no longer sum
-	if _, err := Build(sim, cfg); err == nil {
+	if _, err := generate(cfg, 1); err == nil {
 		t.Error("bad region sum accepted")
 	}
 	cfg = SmallConfig()
 	cfg.FlakyServers = cfg.Servers
-	if _, err := Build(sim, cfg); err == nil {
+	if _, err := generate(cfg, 1); err == nil {
 		t.Error("overfull special population accepted")
 	}
 }
@@ -412,9 +419,8 @@ func TestBuildTime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale build in -short mode")
 	}
-	sim := netsim.NewSim(99)
 	start := time.Now()
-	w, err := Build(sim, DefaultConfig())
+	w, err := generate(DefaultConfig(), 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,6 +483,7 @@ func TestBuildSizeExact(t *testing.T) {
 	}
 	for name, cfg := range map[string]Config{"small": SmallConfig(), "paper": DefaultConfig(), "odd": odd} {
 		b := newBuilder(netsim.NewSim(1), cfg)
+		b.rec = &decisionTrace{}
 		w, err := b.run()
 		if err != nil {
 			t.Fatal(err)

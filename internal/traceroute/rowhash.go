@@ -15,8 +15,8 @@ import (
 // segments — a campaign's PathObs is one per sweep shard — and hash as
 // their concatenation. Two sweeps hash equal exactly when they produced
 // the same rows in the same order; campaign's TestDeterminismGrid
-// compares it across every execution shape and engine, and
-// TestSweepRowHash pins its value for the small test campaign.
+// holds it, across every execution shape and engine, to the small
+// spec's golden table.
 func HashRows(segs ...[]PathObservation) string {
 	h := sha256.New()
 	line := make([]byte, 0, 128)
