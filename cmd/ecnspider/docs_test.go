@@ -125,6 +125,18 @@ func moduleDecls(files []srcFile) map[string]map[string]map[string]bool {
 							for _, n := range field.Names {
 								declare(pkg, spec.Name.Name, n.Name)
 							}
+							if len(field.Names) == 0 { // embedded: the field is named after its type
+								typ := field.Type
+								if star, ok := typ.(*ast.StarExpr); ok {
+									typ = star.X
+								}
+								if sel, ok := typ.(*ast.SelectorExpr); ok {
+									typ = sel.Sel
+								}
+								if id, ok := typ.(*ast.Ident); ok {
+									declare(pkg, spec.Name.Name, id.Name)
+								}
+							}
 						}
 					case *ast.ValueSpec:
 						for _, n := range spec.Names {
@@ -190,11 +202,50 @@ func staleRefs(text string, decls map[string]map[string]map[string]bool) []strin
 	return stale
 }
 
+// memberSpanRE is a whole inline code span naming a member of a type
+// without its package: T.member, T.member() or (*T).member.
+var memberSpanRE = regexp.MustCompile(`^(?:\(\*([A-Z]\w*)\)|([A-Z]\w*))\.(\w+)(?:\(\))?$`)
+
+// staleMember reports whether span is a T.member span whose T some
+// package of decls declares, but none of its types named T has the
+// member, directly or through a field named like a type (an embedded
+// field is named after its type). A T no package declares
+// (time.Duration, say) is not this module's, and passes.
+func staleMember(span string, decls map[string]map[string]map[string]bool) bool {
+	m := memberSpanRE.FindStringSubmatch(span)
+	if m == nil {
+		return false
+	}
+	declared := false
+	var has func(typ, member string, depth int) bool
+	has = func(typ, member string, depth int) bool {
+		for _, names := range decls {
+			members, ok := names[typ]
+			if !ok {
+				continue
+			}
+			declared = true
+			if members[member] {
+				return true
+			}
+			for field := range members {
+				if depth < 3 && field[0] >= 'A' && field[0] <= 'Z' && has(field, member, depth+1) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	return !has(m[1]+m[2], m[3], 0) && declared
+}
+
 // TestDocsNameLiveCode: every `pkg.Name`, `pkg.T.Member`, `pkg.Prefix*`
 // or `(*pkg.T).Method` whose package is one of this module's, shown in
 // an inline code span of README.md or DESIGN.md or named in a comment
-// of a non-test Go file, resolves to a declaration: a deleted or
-// renamed name fails here until the prose stops showing it.
+// of a non-test Go file, resolves to a declaration, and so does every
+// span that is a whole `T.member` or `(*T).member` of a type this
+// module declares: a deleted or renamed name fails here until the
+// prose stops showing it.
 func TestDocsNameLiveCode(t *testing.T) {
 	fset, files := parseModule(t, "../..")
 	decls := moduleDecls(files)
@@ -203,7 +254,11 @@ func TestDocsNameLiveCode(t *testing.T) {
 	}
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		for _, sp := range inlineSpans(string(readFile(t, "../../"+doc))) {
-			for _, ref := range staleRefs(sp.text, decls) {
+			refs := staleRefs(sp.text, decls)
+			if staleMember(sp.text, decls) {
+				refs = append(refs, sp.text)
+			}
+			for _, ref := range refs {
 				t.Errorf("%s:%d: `%s` names nothing this module declares", doc, sp.line, ref)
 			}
 		}
@@ -221,6 +276,32 @@ func TestDocsNameLiveCode(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestStaleMemberSpans: a T.member span resolves against the fields
+// and methods of every module type named T, test files' included, and
+// a planted span naming a member no such type has is stale.
+func TestStaleMemberSpans(t *testing.T) {
+	_, files := parseModule(t, "../..")
+	decls := moduleDecls(files)
+	for span, want := range map[string]bool{
+		"Sim.nextLane":     false, // a method
+		"(*Link).boundary": false,
+		"Stats.Dequeued":   false, // a field of one of several Stats types
+		"Queue.Boundary":   false, // an interface method
+		"Sim.pending":      false, // declared in a test file
+		"Config.Shards()":  false,
+		"Config.Scenario":  false, // promoted from the embedded Spec
+		"Duration.Seconds": false, // no module type is named Duration
+		"Sim.finishAhead":  true,
+		"World.stateHash2": true,
+		"(*Link).sendd":    true,
+		"Sim.Step()":       false,
+	} {
+		if got := staleMember(span, decls); got != want {
+			t.Errorf("staleMember(%q) = %v, want %v", span, got, want)
 		}
 	}
 }

@@ -98,8 +98,8 @@ func runServe(args []string) {
 	// Retry-After — workers back off instead of erroring) while in-flight
 	// shard uploads land over still-open connections; stop the listener
 	// and wait for those requests; only then Close — which finishes local
-	// runs and journals the clean-shutdown marker, so no upload is acked
-	// after its job's journal is shut.
+	// runs and closes the job journals, so no upload is acked after its
+	// job's journal is shut.
 	logger.Info("shutting down: draining in-flight campaigns", "window", *drainFor)
 	srv.BeginDrain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainFor)

@@ -190,30 +190,20 @@ type Queue interface {
 	Enqueue(now time.Duration, p *Packet) bool
 	Dequeue(now time.Duration) (*Packet, bool)
 	// EnqueuePhantoms is the batch-advance entry point for background
-	// cross-traffic: it admits up to n phantom packets of the given size
-	// at time now, taking exactly the same per-packet decision sequence —
+	// cross-traffic: it offers n phantom packets of the given size at
+	// time now, taking exactly the same per-packet decision sequence —
 	// EWMA updates, uniformization counting, PRNG draws, tail drops — as
-	// n individual Enqueue calls of a phantom packet, and reports how many
-	// were admitted — so a replayed burst of arrivals is
-	// indistinguishable, state- and stream-wise, from the event-driven
-	// equivalent. The transmitter offers the background through it when
-	// a foreground packet arrives between boundaries.
-	EnqueuePhantoms(now time.Duration, size, n int) int
+	// n individual Enqueue calls of a phantom packet, so a replayed burst
+	// of arrivals is indistinguishable, state- and stream-wise, from the
+	// event-driven equivalent. The transmitter offers the background
+	// through it when a foreground packet arrives between boundaries.
+	EnqueuePhantoms(now time.Duration, size, n int)
 	// Boundary is the transmitter's serialization-boundary step in one
 	// call: exactly EnqueuePhantoms(now, size, n) followed by
 	// Dequeue(now) — same decisions, same PRNG draws, same Stats —
-	// returning the admitted count and the dequeued packet. A phantom
-	// comes back as the queue's reusable shell, valid until the next
-	// Boundary or Dequeue.
-	Boundary(now time.Duration, size, n int) (admitted int, next *Packet, ok bool)
-	// DropsAtDequeue reports whether the discipline may discard packets
-	// at dequeue time (CoDel's head drop). Only a discipline that
-	// decides a packet's fate entirely at enqueue (DropTail, RED) lets
-	// the link transmitter precompute a queued packet's serialization
-	// finish, so netsim's Link.SetBottleneck refuses one that reports
-	// true: CoDel is a discipline of this package, measured and tested
-	// here, never a link's bottleneck.
-	DropsAtDequeue() bool
+	// returning the dequeued packet. A phantom comes back as the queue's
+	// reusable shell, valid until the next Boundary or Dequeue.
+	Boundary(now time.Duration, size, n int) (next *Packet, ok bool)
 	Stats() Stats
 	// ResetTransient returns the discipline's control state (EWMA
 	// averages, uniformization counters, dropping-state machines) to its
@@ -275,13 +265,11 @@ type fifo struct {
 	// handed out (a head drop takes back both its Enqueued and its
 	// Dequeued), so Dequeued = Enqueued − Len at all times.
 	stats Stats
-	// ingress and egress are the queue's reusable phantom shells:
-	// EnqueuePhantoms offers arrivals through ingress (admit consumes
-	// the shell into a tuple entry), and pop serves a phantom through
-	// egress — the transmitter holds at most one dequeued phantom at a
-	// time, completing its serialization before the next pop.
-	ingress Packet
-	egress  Packet
+	// egress is the queue's reusable phantom shell: pop serves a
+	// phantom through it — the transmitter holds at most one dequeued
+	// phantom at a time, completing its serialization before the next
+	// pop.
+	egress Packet
 }
 
 func newFifo(capacity int) fifo {
@@ -395,23 +383,6 @@ func (f *fifo) observeArrival() {
 	f.stats.SumBacklog += uint64(f.Len())
 }
 
-// enqueuePhantoms is the generic batch-advance fallback: a plain loop
-// over the discipline's own Enqueue through the reusable ingress shell.
-// The disciplines implement native batch entry points that run the same
-// decision arithmetic directly on tuple entries; the property tests in
-// aqm_test.go hold batch and single-step advancement equal, which keeps
-// native paths honest against this definition.
-func enqueuePhantoms(q Queue, f *fifo, now time.Duration, size, n int) int {
-	admitted := 0
-	f.ingress = Packet{Size: size}
-	for i := 0; i < n; i++ {
-		if q.Enqueue(now, &f.ingress) {
-			admitted++
-		}
-	}
-	return admitted
-}
-
 // admitPhantom appends a phantom tuple entry, with exactly admit's
 // bookkeeping for a phantom packet.
 func (f *fifo) admitPhantom(now time.Duration, size int) {
@@ -423,8 +394,7 @@ func (f *fifo) admitPhantom(now time.Duration, size int) {
 // whose enqueue law is pure tail-drop (DropTail, CoDel — their control
 // intelligence lives elsewhere): observe, drop when full, admit a
 // tuple entry otherwise.
-func (f *fifo) enqueuePhantomsTailDrop(now time.Duration, size, n int) int {
-	admitted := 0
+func (f *fifo) enqueuePhantomsTailDrop(now time.Duration, size, n int) {
 	for i := 0; i < n; i++ {
 		f.observeArrival()
 		if f.Len() >= f.Cap() {
@@ -432,9 +402,7 @@ func (f *fifo) enqueuePhantomsTailDrop(now time.Duration, size, n int) int {
 			continue
 		}
 		f.admitPhantom(now, size)
-		admitted++
 	}
-	return admitted
 }
 
 // congest applies the RFC 3168 congestion action to p: ECT-capable

@@ -71,22 +71,16 @@ func (q *CoDel) Enqueue(now time.Duration, p *Packet) bool {
 // EnqueuePhantoms implements Queue: CoDel admits everything short of a
 // full buffer — its intelligence runs at dequeue — so the enqueue law
 // is the shared tail-drop batch loop.
-func (q *CoDel) EnqueuePhantoms(now time.Duration, size, n int) int {
-	return q.enqueuePhantomsTailDrop(now, size, n)
+func (q *CoDel) EnqueuePhantoms(now time.Duration, size, n int) {
+	q.enqueuePhantomsTailDrop(now, size, n)
 }
 
 // Boundary implements Queue: EnqueuePhantoms, then Dequeue — where
 // the control law may head-drop.
-func (q *CoDel) Boundary(now time.Duration, size, n int) (int, *Packet, bool) {
-	admitted := q.enqueuePhantomsTailDrop(now, size, n)
-	p, ok := q.Dequeue(now)
-	return admitted, p, ok
+func (q *CoDel) Boundary(now time.Duration, size, n int) (*Packet, bool) {
+	q.enqueuePhantomsTailDrop(now, size, n)
+	return q.Dequeue(now)
 }
-
-// DropsAtDequeue implements Queue: the control law may discard not-ECT
-// heads inside Dequeue, so a queued packet's serialization time is not
-// knowable at enqueue.
-func (q *CoDel) DropsAtDequeue() bool { return true }
 
 // Dequeue implements Queue: the control law runs here, on the packet
 // that has waited longest.

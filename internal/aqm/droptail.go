@@ -38,22 +38,17 @@ func (q *DropTail) Enqueue(now time.Duration, p *Packet) bool {
 
 // EnqueuePhantoms implements Queue: DropTail's enqueue law is pure
 // tail-drop, shared with CoDel's batch loop.
-func (q *DropTail) EnqueuePhantoms(now time.Duration, size, n int) int {
-	return q.enqueuePhantomsTailDrop(now, size, n)
+func (q *DropTail) EnqueuePhantoms(now time.Duration, size, n int) {
+	q.enqueuePhantomsTailDrop(now, size, n)
 }
 
 // Boundary implements Queue: the n phantom arrivals, then the dequeue.
-func (q *DropTail) Boundary(now time.Duration, size, n int) (int, *Packet, bool) {
-	admitted := 0
+func (q *DropTail) Boundary(now time.Duration, size, n int) (*Packet, bool) {
 	if n > 0 {
-		admitted = q.enqueuePhantomsTailDrop(now, size, n)
+		q.enqueuePhantomsTailDrop(now, size, n)
 	}
-	p, ok := q.pop(now)
-	return admitted, p, ok
+	return q.pop(now)
 }
-
-// DropsAtDequeue implements Queue: DropTail decides at enqueue only.
-func (q *DropTail) DropsAtDequeue() bool { return false }
 
 // Dequeue implements Queue.
 func (q *DropTail) Dequeue(now time.Duration) (*Packet, bool) {

@@ -165,7 +165,7 @@ func (q *RED) uniformized() bool {
 // TestBatchAdvanceEqualsSingleSteps pins. A phantom is always ECT(0),
 // so a congestion action is always a mark, never a wire rewrite or a
 // drop, and admission is a tuple entry.
-func (q *RED) EnqueuePhantoms(now time.Duration, size, n int) int {
+func (q *RED) EnqueuePhantoms(now time.Duration, size, n int) {
 	if q.idle && n > 0 {
 		q.age(now) // nothing dequeues between the arrivals: only the first can find the queue idle
 	}
@@ -188,30 +188,24 @@ func (q *RED) EnqueuePhantoms(now time.Duration, size, n int) int {
 	q.stats.Enqueued += uint64(admitted)
 	q.stats.CEMarked += uint64(marked)
 	q.stats.TailDropped += uint64(n - admitted)
-	return admitted
 }
 
 // Boundary implements Queue: the n phantom arrivals, then the dequeue,
 // which leaves the queue idle — its average aging from now on — when
 // it takes the last packet. Dequeue is a Boundary with no arrivals.
-func (q *RED) Boundary(now time.Duration, size, n int) (int, *Packet, bool) {
-	admitted := 0
+func (q *RED) Boundary(now time.Duration, size, n int) (*Packet, bool) {
 	if n > 0 {
-		admitted = q.EnqueuePhantoms(now, size, n)
+		q.EnqueuePhantoms(now, size, n)
 	}
 	p, ok := q.pop(now)
 	if ok && q.Len() == 0 {
 		q.idle = true
 		q.idleSince = now
 	}
-	return admitted, p, ok
+	return p, ok
 }
-
-// DropsAtDequeue implements Queue: RED decides at enqueue only.
-func (q *RED) DropsAtDequeue() bool { return false }
 
 // Dequeue implements Queue.
 func (q *RED) Dequeue(now time.Duration) (*Packet, bool) {
-	_, p, ok := q.Boundary(now, 0, 0)
-	return p, ok
+	return q.Boundary(now, 0, 0)
 }

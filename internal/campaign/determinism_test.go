@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/campaign/goldentest"
 	"repro/internal/dataset"
-	"repro/internal/netsim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/traceroute"
@@ -32,10 +31,9 @@ import (
 // Each cell must equal its scenario's row of the golden table
 // (goldentest, small.golden): the SHA-256 of its merged dataset in
 // canonical JSON-lines form, the canonical digest of its traceroute
-// sweep rows (stride 12; traceroute.HashRows) under its cross-traffic
-// drive — on congested-transit the two drives agree on every row but
-// order two paths that complete in the same nanosecond differently
-// (rows are listed in completion order) — its real event count and its
+// sweep rows (stride 12; traceroute.HashRows; rows are listed in
+// completion order, so the digest also pins the order of paths that
+// complete in the same nanosecond), its real event count and its
 // serialization boundaries. Within a scenario the cells must also agree
 // on the congestion samples and the number of sweep rows, which must
 // not be zero. The sweep runs in its own epoch on its own PRNG stream,
@@ -55,7 +53,7 @@ func TestDeterminismGrid(t *testing.T) {
 	cells, runs := 0, 0
 	for _, scenario := range Scenarios() {
 		want := goldentest.Small(t, scenario)
-		obs := goldentest.Row{Scenario: scenario}
+		var obs goldentest.Row // the scenario's first cell
 		var ref *Result
 		for _, slices := range []int{1, 2, 8} {
 			for _, workers := range []int{1, 4, 13} {
@@ -85,20 +83,14 @@ func TestDeterminismGrid(t *testing.T) {
 						t.Fatal(err)
 					}
 					got := goldentest.Row{
+						Scenario:   scenario,
 						Dataset:    fmt.Sprintf("%x", h.Sum(nil)),
+						Rows:       traceroute.HashRows(res.PathObs...),
 						Events:     res.Events - res.PhantomEvents,
 						Boundaries: res.PhantomEvents + res.ReplayedBoundaries,
 					}
-					rows, wantRows, obsRows := traceroute.HashRows(res.PathObs...), want.RowsLazy, &obs.RowsLazy
-					if e.xt == netsim.XTrafficEvents {
-						wantRows, obsRows = want.RowsEvents, &obs.RowsEvents
-					}
 					if ref == nil {
-						ref = res
-						obs.Dataset, obs.Events, obs.Boundaries = got.Dataset, got.Events, got.Boundaries
-					}
-					if *obsRows == "" {
-						*obsRows = rows
+						ref, obs = res, got
 					}
 					var differ []string
 					for _, c := range []struct {
@@ -106,7 +98,7 @@ func TestDeterminismGrid(t *testing.T) {
 						got, want any
 					}{
 						{"dataset", got.Dataset, want.Dataset},
-						{"rows", rows, wantRows},
+						{"rows", got.Rows, want.Rows},
 						{"events", got.Events, want.Events},
 						{"boundaries", got.Boundaries, want.Boundaries},
 					} {

@@ -1,6 +1,8 @@
 // Package goldentest holds the pinned outputs of the small specs: one
 // row per scenario in small.golden, beside this file, for the campaign
-// DefaultSpec at scale small, 2 traces, stride 12, seed 2015. Every test
+// DefaultSpec at scale small, 2 traces, stride 12, seed 2015. A row
+// holds for every way of running its spec — either scheduler, either
+// cross-traffic drive, any slices and workers. Every test
 // that holds a run to a pinned hash or count reads it here, so a change
 // meant to move a pin edits that one file: TestDeterminismGrid writes
 // the table it observed to a temp file on a mismatch, and that file is
@@ -32,11 +34,9 @@ type Row struct {
 	// Dataset is the SHA-256 of the merged dataset in canonical JSON
 	// lines; a spec with another stride files the same bytes.
 	Dataset string
-	// RowsLazy and RowsEvents are traceroute.HashRows over the sweep's
-	// rows under the lazy and the event-per-boundary cross-traffic
-	// drive; they differ where two paths complete in the same
-	// nanosecond.
-	RowsLazy, RowsEvents string
+	// Rows is traceroute.HashRows over the sweep's rows, the same under
+	// either cross-traffic drive.
+	Rows string
 	// Events is the executed event count less the phantom boundaries
 	// (Result.Events − PhantomEvents); Boundaries is every cross-traffic
 	// serialization boundary (PhantomEvents + ReplayedBoundaries).
@@ -45,11 +45,12 @@ type Row struct {
 
 // preamble heads the table; Format writes it and Rows skips it.
 const preamble = `# Pinned outputs of the small specs (scale small, 2 traces, stride 12,
-# seed 2015), one row per scenario. To move a pin, copy the table
+# seed 2015), one row per scenario, the same under either scheduler and
+# either cross-traffic drive. To move a pin, copy the table
 # TestDeterminismGrid writes on a mismatch over this file, and say why.
 `
 
-var header = []string{"scenario", "dataset", "rows-lazy", "rows-events", "events", "boundaries"}
+var header = []string{"scenario", "dataset", "rows", "events", "boundaries"}
 
 // Rows returns the table's rows in file order.
 func Rows() []Row {
@@ -62,12 +63,12 @@ func Rows() []Row {
 		if len(f) != len(header) {
 			panic(fmt.Sprintf("goldentest: small.golden:%d: %d columns, want %d", i+1, len(f), len(header)))
 		}
-		events, err1 := strconv.ParseUint(f[4], 10, 64)
-		boundaries, err2 := strconv.ParseUint(f[5], 10, 64)
+		events, err1 := strconv.ParseUint(f[3], 10, 64)
+		boundaries, err2 := strconv.ParseUint(f[4], 10, 64)
 		if err1 != nil || err2 != nil {
-			panic(fmt.Sprintf("goldentest: small.golden:%d: counts %q %q", i+1, f[4], f[5]))
+			panic(fmt.Sprintf("goldentest: small.golden:%d: counts %q %q", i+1, f[3], f[4]))
 		}
-		rows = append(rows, Row{f[0], f[1], f[2], f[3], events, boundaries})
+		rows = append(rows, Row{f[0], f[1], f[2], events, boundaries})
 	}
 	return rows
 }
@@ -91,7 +92,7 @@ func Format(rows []Row) string {
 	tw := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, strings.Join(header, "\t"))
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\t%d\n", r.Scenario, r.Dataset, r.RowsLazy, r.RowsEvents, r.Events, r.Boundaries)
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\n", r.Scenario, r.Dataset, r.Rows, r.Events, r.Boundaries)
 	}
 	tw.Flush()
 	return b.String()

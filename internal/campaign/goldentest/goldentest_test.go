@@ -29,8 +29,7 @@ func TestNoCopies(t *testing.T) {
 	hashes := map[string]string{}
 	for _, r := range Rows() {
 		hashes[r.Dataset] = r.Scenario + " dataset"
-		hashes[r.RowsLazy] = r.Scenario + " rows-lazy"
-		hashes[r.RowsEvents] = r.Scenario + " rows-events"
+		hashes[r.Rows] = r.Scenario + " rows"
 	}
 	const root = "../../.."
 	files := 0

@@ -145,35 +145,21 @@ func (l *Link) send(d int, b *packet.Buf) {
 		return
 	}
 	now := l.sim.Now()
-	l.injectBackground(bn, now)
+	// The background since the last boundary joins the queue ahead of
+	// the packet (its discipline decides their fate).
+	bn.q.EnqueuePhantoms(now, bgPacketSize, bn.arrivals(now))
 	// Background stays active for a grace period past the last foreground
 	// packet: cross traffic contends with the measurement while it runs,
 	// then quenches so the simulation can drain.
 	bn.fgUntil = now + bgGrace
-	p := aqm.NewPacket(b)
-	sz := p.Size
 	// The queue owns the packet from here: a false return means the
-	// discipline dropped — and already freed — it.
-	if !bn.q.Enqueue(now, p) {
+	// discipline dropped — and already freed — it. Serve the queue
+	// either way: the injected background must drain through the
+	// transmitter regardless.
+	if !bn.q.Enqueue(now, aqm.NewPacket(b)) {
 		l.dropped[d]++
-		// Serve the queue even when this packet was dropped: the injected
-		// background must drain through the transmitter regardless.
-		l.serveQueue(bn, now)
-		return
 	}
-	bn.pendingTx += txDuration(sz, bn.rate)
 	l.serveQueue(bn, now)
-	if !l.sim.xtrafficEvents {
-		// Lazy drive: the discipline never drops at dequeue and the
-		// transmitter never idles with a backlog, so this packet's
-		// serialization finish is exactly the in-flight boundary plus the
-		// per-packet serialization times of everything queued — one event
-		// for the whole passage, however many phantoms precede it. The
-		// event carries a sentinel seq: the shared counter is consumed
-		// when serialization actually begins (boundary), where the events
-		// mode consumes it, so no other seq shifts.
-		l.sim.atSentinel(bn.busyUntil+bn.pendingTx, bn.fgDone)
-	}
 }
 
 // --- bottleneck ----------------------------------------------------------
@@ -192,17 +178,12 @@ const (
 )
 
 // txDuration is the serialization time of size bytes at rate bytes/sec.
-// Every schedule computation uses this exact per-packet rounding, so a
-// precomputed finish equals the sum of the boundary-by-boundary holds.
 func txDuration(size int, rate float64) time.Duration {
 	return time.Duration(float64(size) / rate * float64(time.Second))
 }
 
 // bottleneck models a finite-rate transmitter with an AQM queue and
-// optional phantom background load on one link direction. Its queue
-// decides each packet's fate at enqueue (SetBottleneck refuses a
-// head-dropping discipline), so a queued packet's serialization finish
-// is known the moment it is admitted.
+// optional phantom background load on one link direction.
 //
 // The transmitter runs in one of two drives:
 //
@@ -212,7 +193,9 @@ func txDuration(size int, rate float64) time.Duration {
 //   - lazy (the default): phantom boundaries are never events. They
 //     replay in an arithmetic catch-up loop (Sim.advanceLazy) ordered
 //     against real events by (time, reserved seq); a foreground packet
-//     costs exactly one event, at its precomputed serialization finish.
+//     costs exactly one event, its serialization finish, scheduled where
+//     the events drive schedules it — at the boundary that starts it,
+//     replayed or not.
 //
 // Both run the same step at every serialization boundary —
 // Link.boundary: inject the background, complete the packet on the
@@ -249,20 +232,14 @@ type bottleneck struct {
 	credit     float64       // fractional background bytes carried over
 	fgUntil    time.Duration // background active until here (foreground + grace)
 
-	// pendingTx sums the serialization times of every queued packet:
-	// enqueue adds, dequeue subtracts, nothing else touches the queue.
-	pendingTx time.Duration
-
 	lazy bool // a member of sim.lazy
 
 	// txPkt is the packet on the wire, nil while the transmitter is
-	// idle; txDone is the events drive's serialization-boundary callback
-	// and fgDone the lazy drive's foreground-finish callback, both bound
+	// idle; txDone is the serialization-boundary event's callback, bound
 	// once at SetBottleneck so per-packet transmission schedules no new
 	// closure.
 	txPkt  *aqm.Packet
 	txDone func()
-	fgDone func()
 }
 
 // before orders two lazily replayed boundaries as their events would
@@ -275,11 +252,8 @@ func (bn *bottleneck) before(o *bottleneck) bool {
 // q to the from→peer direction, once, while the world is built. rate is
 // in bytes/sec; utilization adds phantom background cross-traffic at
 // utilization×rate mean offered load (0 = the direction carries only
-// foreground traffic). q must decide each packet's fate at enqueue: the
-// lazy drive precomputes a queued packet's serialization finish, which
-// a head drop at dequeue would move. SetBottleneck panics on a second
-// attach to the direction, a nil queue, a non-positive rate or a
-// discipline that drops at dequeue.
+// foreground traffic). SetBottleneck panics on a second attach to the
+// direction, a nil queue or a non-positive rate.
 func (l *Link) SetBottleneck(from Node, rate, utilization float64, q aqm.Queue) {
 	d := l.dir(from)
 	switch {
@@ -289,8 +263,6 @@ func (l *Link) SetBottleneck(from Node, rate, utilization float64, q aqm.Queue) 
 		panic("netsim: bottleneck needs a queue")
 	case !(rate > 0):
 		panic("netsim: bottleneck needs a positive rate")
-	case q.DropsAtDequeue():
-		panic("netsim: bottleneck queue " + q.Name() + " drops at dequeue")
 	}
 	bn := &bottleneck{
 		link:       l,
@@ -304,8 +276,7 @@ func (l *Link) SetBottleneck(from Node, rate, utilization float64, q aqm.Queue) 
 		lastInject: l.sim.Now(),
 	}
 	bn.bgStep = bn.bgPeak * bn.bgTx.Seconds()
-	bn.txDone = func() { l.txDone(bn) }
-	bn.fgDone = func() { l.foregroundDone(bn) }
+	bn.txDone = func() { l.boundary(bn, l.sim.Now()) }
 	l.bneck[d] = bn
 }
 
@@ -327,15 +298,13 @@ func (bn *bottleneck) reset() {
 	bn.lastInject = 0
 	bn.credit = 0
 	bn.fgUntil = 0
-	bn.pendingTx = 0
 }
 
 // boundary is the serialization boundary at time now, the one step
-// both drives run: the events drive's txDone, the lazy drive's
-// foreground finish and Sim.advanceLazy's replay all call it, with the
-// simulator clock or the virtual boundary time — the only difference
-// between the drives — and an idle transmitter's first packet starts
-// through it too (serveQueue), with nothing on the wire to finish. It
+// both drives run: the boundary event (txDone) and Sim.advanceLazy's
+// replay call it, with the simulator clock or the virtual boundary
+// time, and an idle transmitter's first packet starts through it too
+// (serveQueue), with nothing on the wire to finish. It
 // does DESIGN.md §10.1's three things, in order:
 //
 //  1. inject the background that arrived while the packet on the wire
@@ -365,8 +334,7 @@ func (l *Link) boundary(bn *bottleneck, now time.Duration) {
 		}
 	}
 
-	admitted, p, ok := bn.q.Boundary(now, bgPacketSize, n)
-	bn.pendingTx += time.Duration(admitted) * bn.bgTx
+	p, ok := bn.q.Boundary(now, bgPacketSize, n)
 	if !ok {
 		bn.txPkt = nil
 		s.unregisterLazy(bn)
@@ -377,29 +345,22 @@ func (l *Link) boundary(bn *bottleneck, now time.Duration) {
 	if p.Size != bgPacketSize {
 		tx = txDuration(p.Size, bn.rate)
 	}
-	bn.pendingTx -= tx
 	bn.busyUntil = now + tx
-	switch {
-	case s.xtrafficEvents:
-		// Events drive: the boundary is a real event, and this runs in
-		// event context, so now is the simulator clock.
-		s.At(bn.busyUntil, bn.txDone)
-	case p.Phantom():
-		// Lazy virtual boundary: reserve the seq its event would have
-		// drawn and let Sim.advanceLazy replay it in exact order.
-		// Registration is eligibility — the replay takes every member as
-		// a pending phantom boundary.
-		bn.virtSeq = s.nextSeq()
-		s.registerLazy(bn)
-	default:
-		// Lazy foreground on the wire: its finish event was scheduled
-		// (with a sentinel seq) at enqueue; replay pauses for this
-		// bottleneck until it fires. Consume the seq the events mode
-		// would draw for this boundary here, keeping the shared counter
-		// in lockstep.
-		s.nextSeq()
+	if s.xtrafficEvents || !p.Phantom() {
+		// The boundary that ends this packet is an event: every boundary
+		// on the events drive, a foreground finish on the lazy one. It
+		// draws the seq the events drive draws here, and replay pauses
+		// for this bottleneck until it fires.
 		s.unregisterLazy(bn)
+		s.At(bn.busyUntil, bn.txDone)
+		return
 	}
+	// Lazy virtual boundary: reserve the seq its event would have drawn
+	// and let Sim.advanceLazy replay it in exact order. Registration is
+	// eligibility — the replay takes every member as a pending phantom
+	// boundary.
+	bn.virtSeq = s.nextSeq()
+	s.registerLazy(bn)
 }
 
 // deliver hands the foreground packet that finished serializing to
@@ -414,29 +375,6 @@ func (l *Link) serveQueue(bn *bottleneck, now time.Duration) {
 	if bn.txPkt == nil {
 		l.boundary(bn, now)
 	}
-}
-
-// txDone is the events drive's boundary event.
-func (l *Link) txDone(bn *bottleneck) { l.boundary(bn, l.sim.Now()) }
-
-// foregroundDone is the lazy drive's per-packet finish event. By the
-// time it fires, Sim.advanceLazy has replayed every earlier boundary,
-// so the packet on the wire is exactly the one this event was
-// scheduled for.
-func (l *Link) foregroundDone(bn *bottleneck) {
-	now := l.sim.Now()
-	if bn.txPkt == nil || bn.txPkt.Phantom() || bn.busyUntil != now {
-		panic("netsim: foreground finish event out of sync with lazy bottleneck replay")
-	}
-	l.boundary(bn, now)
-}
-
-// injectBackground brings the phantom cross-traffic up to date at a
-// foreground arrival: the background since the last boundary joins the
-// queue ahead of the packet (its discipline decides their fate).
-func (l *Link) injectBackground(bn *bottleneck, now time.Duration) {
-	admitted := bn.q.EnqueuePhantoms(now, bgPacketSize, bn.arrivals(now))
-	bn.pendingTx += time.Duration(admitted) * bn.bgTx
 }
 
 // arrivals advances the background arrival process to now and returns

@@ -221,23 +221,6 @@ func (dropAll) Apply(*Router, []byte) Verdict { return Drop }
 func (dropAll) Name() string                  { return "drop-all" }
 func (dropAll) Reset()                        {}
 
-func TestPendingCount(t *testing.T) {
-	s := NewSim(1)
-	t1 := s.After(time.Second, func() {})
-	s.After(2*time.Second, func() {})
-	if s.live != 2 {
-		t.Errorf("pending = %d", s.live)
-	}
-	t1.Stop()
-	if s.live != 1 {
-		t.Errorf("pending after cancel = %d", s.live)
-	}
-	s.Run()
-	if s.live != 0 {
-		t.Errorf("pending after run = %d", s.live)
-	}
-}
-
 func TestHostCounters(t *testing.T) {
 	sim := NewSim(1)
 	n := NewNetwork(sim)

@@ -31,8 +31,7 @@
 //     campaign's traces are bit-identical under either.
 //   - Bottlenecks. A link direction may carry one finite-rate
 //     transmitter with an AQM queue (Link.SetBottleneck), attached once
-//     while the world is built, whose discipline decides each packet's
-//     fate at enqueue; its phantom cross-traffic replays lazily
+//     while the world is built; its phantom cross-traffic replays lazily
 //     (link.go, DESIGN.md §10.1) rather than costing an event per
 //     serialization boundary.
 //   - Reference implementations. The heap-only scheduler (NewSimSched
@@ -113,9 +112,8 @@ func (m XTrafficMode) Name() string {
 type Sim struct {
 	_ [simPad]byte
 
-	now  time.Duration
-	seq  uint64
-	live int // scheduled, not yet fired or cancelled
+	now time.Duration
+	seq uint64
 	// Stats counters, exposed for benchmarks and capacity planning.
 	executed uint64
 
@@ -149,9 +147,6 @@ type Sim struct {
 	// counts the ones that did run as events (the events drive).
 	replayedBoundaries uint64
 	phantomEvents      uint64
-	// sentinel numbers the lazy drive's foreground-finish events out of
-	// band (see atSentinel).
-	sentinel uint64
 
 	// UserData belongs to the protocol layers above: tcpsim keeps the
 	// simulation's connection-shell pool here, shared by every stack on
@@ -177,9 +172,9 @@ func NewSimSched(seed int64, sched Scheduler) *Sim {
 }
 
 // Reset returns the simulator to the state NewSimSched produced: clock
-// at zero, sequence and sentinel counters rewound, every statistic
-// cleared, the PRNG back at the construction seed's stream. Events still
-// pending are discarded unexecuted (their wire buffers released). The
+// at zero, sequence counter rewound, every statistic cleared, the PRNG
+// back at the construction seed's stream. Events still pending are
+// discarded unexecuted (their wire buffers released). The
 // scheduler choice, the cross-traffic mode and the lanes (one per link
 // delay, fixed when the links were built) are configuration and stay;
 // so does capacity — the event slab and its free list, the heap's and
@@ -202,8 +197,6 @@ func (s *Sim) Reset() {
 	}
 	s.now = 0
 	s.seq = 0
-	s.sentinel = 0
-	s.live = 0
 	s.executed = 0
 	s.replayedBoundaries = 0
 	s.phantomEvents = 0
@@ -248,11 +241,9 @@ func (s *Sim) ReplayedBoundaries() uint64 { return s.replayedBoundaries }
 func (s *Sim) PhantomEvents() uint64 { return s.phantomEvents }
 
 // nextSeq hands out the sequence number a scheduled event would have
-// received. Lazily-driven bottlenecks consume one per virtual boundary
-// — including the boundary that starts a foreground serialization,
-// whose finish event carries a sentinel instead — keeping the counter,
-// and with it the FIFO tiebreak of every later same-timestamp event, in
-// lockstep with the events mode.
+// received. Lazily-driven bottlenecks consume one per virtual boundary,
+// keeping the counter, and with it the FIFO tiebreak of every later
+// same-timestamp event, in lockstep with the events mode.
 func (s *Sim) nextSeq() uint64 {
 	s.seq++
 	return s.seq
@@ -306,14 +297,21 @@ func (s *Sim) unregisterLazy(bn *bottleneck) {
 // later — the next one starts where this one ends, and draws a fresh,
 // larger seq — so the member is re-filed toward the back, behind every
 // boundary it now follows.
-func (s *Sim) advanceLazy(at time.Duration, seq uint64) {
+//
+// A foreground packet taking the wire schedules its finish, an event
+// that may come before the horizon; advanceLazy stops there and
+// reports true, and the caller looks for the next event again.
+func (s *Sim) advanceLazy(at time.Duration, seq uint64) bool {
 	for len(s.lazy) > 0 {
 		bn := s.lazy[0]
 		if bn.busyUntil > at || (bn.busyUntil == at && bn.virtSeq > seq) {
-			return
+			return false
 		}
 		bn.link.boundary(bn, bn.busyUntil)
 		if !bn.lazy {
+			if bn.txPkt != nil {
+				return true
+			}
 			continue
 		}
 		lz := s.lazy
@@ -323,18 +321,14 @@ func (s *Sim) advanceLazy(at time.Duration, seq uint64) {
 		}
 		lz[i] = bn
 	}
+	return false
 }
 
-// flushLazy drains every lazily-driven bottleneck to quiescence.
-// Background arrivals quench a grace period after the last foreground
-// packet, so the replay always terminates; Run calls this after the
-// event queue empties, leaving queue statistics and discipline state
-// exactly where the events mode — whose boundary events drain inside
-// Run — leaves them.
-func (s *Sim) flushLazy() {
-	if len(s.lazy) > 0 {
-		s.advanceLazy(maxDuration, ^uint64(0))
-	}
+// catchUp replays the lazily-driven boundaries that precede (at, seq)
+// and reports whether one scheduled an event, which may now come
+// first. Without bottlenecks it costs one length check.
+func (s *Sim) catchUp(at time.Duration, seq uint64) bool {
+	return len(s.lazy) > 0 && s.advanceLazy(at, seq)
 }
 
 // maxDuration is the largest representable virtual time.
@@ -363,7 +357,6 @@ func (t Timer) Stop() bool {
 		return false
 	}
 	ev.fn = nil
-	t.s.live--
 	return true
 }
 
@@ -388,18 +381,6 @@ func (s *Sim) At(t time.Duration, fn func()) Timer {
 	return Timer{s: s, idx: idx, gen: ev.gen}
 }
 
-// atSentinel schedules fn at absolute time t carrying an out-of-band
-// sequence number (top bit set, so it can never collide with a
-// counter-drawn seq): the lazy drive's foreground-finish event. A
-// sentinel orders the finish after every counter-seq event sharing its
-// instant and does not advance the shared counter, so scheduling it at
-// enqueue time cannot shift any other event's — or virtual boundary's —
-// sequence number.
-func (s *Sim) atSentinel(t time.Duration, fn func()) {
-	s.sentinel++
-	s.slab[s.scheduleSeq(t, 1<<63|s.sentinel)].fn = fn
-}
-
 // deliverAfter schedules delivery of a wire buffer across link l in
 // direction d, the link's delay from now, drawing the next sequence
 // number. Delivery is a typed event — no closure, no allocation — and
@@ -414,7 +395,6 @@ func (s *Sim) deliverAfter(l *Link, d int, b *packet.Buf) {
 		ev.buf, ev.link, ev.dir = b, l, uint8(d)
 		return
 	}
-	s.live++
 	e := s.lanes[l.lane[d]].push(at, s.seq)
 	e.buf, e.link, e.dir = b, l, uint8(d)
 }
@@ -442,8 +422,8 @@ func (s *Sim) schedule(t time.Duration) int32 {
 	return s.scheduleSeq(t, s.seq)
 }
 
-// scheduleSeq queues an event with an explicit sequence number —
-// schedule's fresh draw, or atSentinel's out-of-band one.
+// scheduleSeq queues an event with an explicit sequence number:
+// schedule's fresh draw, or the one a heap-reference delivery drew.
 func (s *Sim) scheduleSeq(t time.Duration, seq uint64) int32 {
 	if t < s.now {
 		t = s.now
@@ -456,7 +436,6 @@ func (s *Sim) scheduleSeq(t time.Duration, seq uint64) int32 {
 		s.slab = append(s.slab, event{})
 		idx = int32(len(s.slab) - 1)
 	}
-	s.live++
 	s.heapPush(heapEntry{at: t, seq: seq, idx: idx})
 	return idx
 }
@@ -495,20 +474,32 @@ func (s *Sim) nextLane() (*lane, *delivery) {
 }
 
 // Step executes the next pending event: the least (at, seq) among the
-// lane heads and the heap root. It reports whether an event ran.
+// lane heads and the heap root. Lazily-driven bottlenecks catch up
+// first: every phantom boundary ordered before it replays, so its PRNG
+// draws precede the handler's exactly as the events mode interleaves
+// them, and a finish one of them schedules is looked at before the
+// event. With no event left, the replay runs to quiescence — background
+// arrivals quench a grace period after the last foreground packet, so
+// it ends — leaving queue statistics and discipline state where the
+// events mode's boundary events leave them. Step reports whether an
+// event ran.
 func (s *Sim) Step() bool {
 	for {
 		ln, head := s.nextLane()
 		if len(s.heap) > 0 {
 			if he := s.heap[0]; head == nil || !head.before(he.at, he.seq) {
-				s.heapPopRoot()
-				ev := &s.slab[he.idx]
-				if ev.dead() { // cancelled
+				if s.slab[he.idx].dead() { // cancelled
+					s.heapPopRoot()
 					s.recycle(he.idx)
 					continue
 				}
-				// Replay never schedules, so ev stays valid.
-				s.fire(he.at, he.seq)
+				if s.catchUp(he.at, he.seq) {
+					continue
+				}
+				s.heapPopRoot()
+				s.now = he.at
+				s.executed++
+				ev := &s.slab[he.idx]
 				if ev.buf != nil {
 					buf, link, d := ev.buf, ev.link, int(ev.dir)
 					s.recycle(he.idx)
@@ -522,36 +513,28 @@ func (s *Sim) Step() bool {
 			}
 		}
 		if ln == nil {
+			if s.catchUp(maxDuration, ^uint64(0)) {
+				continue
+			}
 			return false
+		}
+		if s.catchUp(head.at, head.seq) {
+			continue
 		}
 		e := ln.pop()
 		buf, link, d := e.buf, e.link, int(e.dir)
-		s.fire(e.at, e.seq)
+		s.now = e.at
+		s.executed++
 		link.peerOf(d).Receive(buf, link)
 		return true
 	}
 }
 
-// fire moves the clock to the event at (at, seq) about to run. Lazily-
-// driven bottlenecks catch up first: every phantom boundary ordered
-// before (at, seq) replays, so its PRNG draws precede the handler's
-// exactly as the events mode interleaves them.
-func (s *Sim) fire(at time.Duration, seq uint64) {
-	if len(s.lazy) > 0 {
-		s.advanceLazy(at, seq)
-	}
-	s.now = at
-	s.executed++
-	s.live--
-}
-
-// Run drains the event queue, then drains any lazily-driven bottleneck
-// background to quiescence — the state an events-mode Run reaches via
-// boundary events.
+// Run drains the event queue and every lazily-driven bottleneck: the
+// state an events-mode Run reaches via boundary events.
 func (s *Sim) Run() {
 	for s.Step() {
 	}
-	s.flushLazy()
 }
 
 // RunUntil executes events with timestamps <= deadline, then sets the
@@ -560,14 +543,11 @@ func (s *Sim) Run() {
 // as the events mode would have fired them.
 func (s *Sim) RunUntil(deadline time.Duration) {
 	for {
-		at, ok := s.peekLive()
-		if !ok || at > deadline {
+		if at, ok := s.peekLive(); ok && at <= deadline {
+			s.Step()
+		} else if !s.catchUp(deadline, ^uint64(0)) {
 			break
 		}
-		s.Step()
-	}
-	if len(s.lazy) > 0 {
-		s.advanceLazy(deadline, ^uint64(0))
 	}
 	if s.now < deadline {
 		s.now = deadline

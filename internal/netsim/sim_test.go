@@ -14,6 +14,21 @@ import (
 	"repro/internal/packet"
 )
 
+// pending counts the events scheduled and not yet fired or cancelled:
+// every lane delivery and every heap entry whose body is still live.
+func (s *Sim) pending() int {
+	n := 0
+	for i := range s.lanes {
+		n += s.lanes[i].n
+	}
+	for _, he := range s.heap {
+		if !s.slab[he.idx].dead() {
+			n++
+		}
+	}
+	return n
+}
+
 // forEachSched runs a subtest against both schedulers: every observable
 // Sim behaviour must be identical on the lanes and the heap.
 func forEachSched(t *testing.T, f func(t *testing.T, newSim func(seed int64) *Sim)) {
@@ -191,8 +206,8 @@ func TestRunUntilSkipsCancelled(t *testing.T) {
 		if s.Now() != time.Second {
 			t.Errorf("now = %v", s.Now())
 		}
-		if s.live != 0 {
-			t.Errorf("pending = %d", s.live)
+		if s.pending() != 0 {
+			t.Errorf("pending = %d", s.pending())
 		}
 	})
 }
@@ -230,7 +245,7 @@ func TestNilEventPanics(t *testing.T) {
 	NewSim(1).After(0, nil)
 }
 
-// TestPendingCountBothSchedulers: the live count covers lane
+// TestPendingCountBothSchedulers: the pending count covers lane
 // deliveries and heap events alike — armed, cancelled, fired and
 // discarded by a Reset.
 func TestPendingCountBothSchedulers(t *testing.T) {
@@ -247,31 +262,31 @@ func TestPendingCountBothSchedulers(t *testing.T) {
 			timers[i] = s.After(time.Duration(i+1)*time.Second, func() {})
 			links[i%3].send(0, testWire(t, ecn.NotECT, 8))
 		}
-		if s.live != 20 {
-			t.Fatalf("pending = %d, want 20", s.live)
+		if s.pending() != 20 {
+			t.Fatalf("pending = %d, want 20", s.pending())
 		}
 		timers[3].Stop()
 		timers[7].Stop()
-		if s.live != 18 {
-			t.Fatalf("pending after 2 stops = %d, want 18", s.live)
+		if s.pending() != 18 {
+			t.Fatalf("pending after 2 stops = %d, want 18", s.pending())
 		}
 		s.Step()
-		if s.live != 17 || len(sink.received) != 1 {
-			t.Fatalf("pending after a step = %d with %d delivered, want 17 and 1", s.live, len(sink.received))
+		if s.pending() != 17 || len(sink.received) != 1 {
+			t.Fatalf("pending after a step = %d with %d delivered, want 17 and 1", s.pending(), len(sink.received))
 		}
 		s.RunUntil(2 * time.Second)
-		if s.live != 9 || len(sink.received) != 7 {
-			t.Fatalf("pending at 2s = %d with %d delivered, want 9 and 7", s.live, len(sink.received))
+		if s.pending() != 9 || len(sink.received) != 7 {
+			t.Fatalf("pending at 2s = %d with %d delivered, want 9 and 7", s.pending(), len(sink.received))
 		}
 		s.Run()
-		if s.live != 0 || len(sink.received) != 10 {
-			t.Fatalf("pending after drain = %d with %d delivered", s.live, len(sink.received))
+		if s.pending() != 0 || len(sink.received) != 10 {
+			t.Fatalf("pending after drain = %d with %d delivered", s.pending(), len(sink.received))
 		}
 		links[2].send(0, testWire(t, ecn.NotECT, 8))
 		s.After(time.Second, func() {})
 		s.Reset()
-		if s.live != 0 {
-			t.Fatalf("pending after Reset = %d", s.live)
+		if s.pending() != 0 {
+			t.Fatalf("pending after Reset = %d", s.pending())
 		}
 	})
 }
@@ -336,8 +351,8 @@ func TestHeapOrderProperty(t *testing.T) {
 
 // laneRig is a differential workload on real link deliveries: four
 // logging nodes joined by links of five delays, zero included, so
-// deliveries on different lanes, timers and sentinels keep landing on
-// the same instant. Everything random comes from the rig's own source,
+// deliveries on different lanes and timers keep landing on the same
+// instant. Everything random comes from the rig's own source,
 // so two rigs on different schedulers issue the same actions exactly
 // as long as their events fire in the same order — and log the same.
 type laneRig struct {
@@ -350,8 +365,8 @@ type laneRig struct {
 	budget int
 }
 
-// rigDelays are the rig's link delays; timers and sentinels draw from
-// them too, so they tie with deliveries.
+// rigDelays are the rig's link delays; timers draw from them too, so
+// they tie with deliveries.
 var rigDelays = []time.Duration{0, 3, time.Microsecond, time.Millisecond, 2 * time.Millisecond}
 
 // rigNode logs each delivery it receives and reacts with more work.
@@ -380,13 +395,13 @@ func newLaneRig(sched Scheduler, seed int64, budget int) *laneRig {
 	return r
 }
 
-// record logs an event: who (a node id, or -1 timer, -2 sentinel, -3
-// Stop result, -4 Reset), which, and when.
+// record logs an event: who (a node id, or -1 timer, -3 Stop result,
+// -4 Reset), which, and when.
 func (r *laneRig) record(who, id int64) { r.log = append(r.log, who, id, int64(r.s.Now())) }
 
-// spawn issues up to three random actions — a delivery, a timer or a
-// sentinel, the last two at an instant a delivery may share — and now
-// and then stops an earlier timer.
+// spawn issues up to three random actions — a delivery, or a timer at
+// an instant a delivery may share — and now and then stops an earlier
+// timer.
 func (r *laneRig) spawn() {
 	for n := r.rng.Intn(4); n > 0 && r.budget > 0; n-- {
 		r.budget--
@@ -400,16 +415,11 @@ func (r *laneRig) spawn() {
 			b := packet.NewBuf()
 			b.Write(w[:])
 			r.links[r.rng.Intn(len(r.links))].send(r.rng.Intn(2), b)
-		case 3, 4:
+		default:
 			r.timers = append(r.timers, r.s.After(d, func() {
 				r.record(-1, id)
 				r.spawn()
 			}))
-		default:
-			r.s.atSentinel(r.s.Now()+d, func() {
-				r.record(-2, id)
-				r.spawn()
-			})
 		}
 	}
 	if len(r.timers) > 0 && r.rng.Intn(4) == 0 {
@@ -440,7 +450,7 @@ func compareRigs(t *testing.T, name string, run func(sched Scheduler) []int64) {
 }
 
 // Property: the lanes and the heap fire any random mix of deliveries,
-// timers, sentinels and cancellations in the identical (event, time)
+// timers and cancellations in the identical (event, time)
 // sequence, run to quiescence through RunUntil deadlines — the
 // differential guarantee the production scheduler rests on.
 func TestSchedulerEquivalenceProperty(t *testing.T) {
@@ -452,8 +462,8 @@ func TestSchedulerEquivalenceProperty(t *testing.T) {
 				r.s.RunUntil(r.s.Now() + time.Duration(r.rng.Intn(3))*time.Millisecond)
 			}
 			r.s.Run()
-			if r.s.live != 0 {
-				t.Fatalf("%s seed %d: %d events stranded after Run", sched.Name(), seed, r.s.live)
+			if r.s.pending() != 0 {
+				t.Fatalf("%s seed %d: %d events stranded after Run", sched.Name(), seed, r.s.pending())
 			}
 			return r.log
 		})
@@ -477,13 +487,13 @@ func TestSchedulerEquivalencePhased(t *testing.T) {
 					r.s.RunUntil(r.s.Now() + time.Duration(r.rng.Int63n(int64(3*time.Millisecond))))
 				}
 				if r.rng.Intn(3) == 0 {
-					r.record(-4, int64(r.s.live))
+					r.record(-4, int64(r.s.pending()))
 					r.s.Reset()
 				}
 				r.s.Run()
-				if r.s.live != 0 {
+				if r.s.pending() != 0 {
 					t.Fatalf("%s seed %d phase %d: %d events stranded after Run",
-						sched.Name(), seed, phase, r.s.live)
+						sched.Name(), seed, phase, r.s.pending())
 				}
 			}
 			return r.log
@@ -510,7 +520,7 @@ func TestSchedulerStress(t *testing.T) {
 				links[count%3].send(0, packet.NewBuf())
 			})
 		}
-		for s.live > 0 {
+		for s.pending() > 0 {
 			before := s.Now()
 			if !s.Step() {
 				break
@@ -565,13 +575,13 @@ func TestSimResetDiscardsPending(t *testing.T) {
 		s.deliverAfter(newLink(s, &sinkNode{label: "src"}, sink, 2*time.Second, 0), 0, inFlight)
 		s.After(time.Millisecond, func() { s.RNG().Int63() })
 		s.RunUntil(10 * time.Millisecond)
-		if s.live != 3 || s.Executed() != 1 {
-			t.Fatalf("%s: before Reset pending=%d executed=%d, want 3 and 1", sched.Name(), s.live, s.Executed())
+		if s.pending() != 3 || s.Executed() != 1 {
+			t.Fatalf("%s: before Reset pending=%d executed=%d, want 3 and 1", sched.Name(), s.pending(), s.Executed())
 		}
 
 		s.Reset()
-		if s.live != 0 || s.Now() != 0 || s.Executed() != 0 {
-			t.Errorf("%s: after Reset pending=%d now=%v executed=%d", sched.Name(), s.live, s.Now(), s.Executed())
+		if s.pending() != 0 || s.Now() != 0 || s.Executed() != 0 {
+			t.Errorf("%s: after Reset pending=%d now=%v executed=%d", sched.Name(), s.pending(), s.Now(), s.Executed())
 		}
 		if len(s.free) != len(s.slab) {
 			t.Errorf("%s: %d of %d slab slots on the free list after Reset", sched.Name(), len(s.free), len(s.slab))

@@ -62,8 +62,8 @@ func driveXTraffic(t *testing.T, mode XTrafficMode, discipline string, util floa
 	sim.RunUntil(250 * time.Millisecond)
 	sim.Run()
 
-	sum := fmt.Sprintf("delivered=%d noise=%d pending=%d stats=%+v\n",
-		len(b.received), noise, sim.live, q.Stats())
+	sum := fmt.Sprintf("delivered=%d noise=%d stats=%+v\n",
+		len(b.received), noise, q.Stats())
 	sent, dropped := l.Stats(a)
 	sum += fmt.Sprintf("link sent=%d dropped=%d finalDraw=%v\n", sent, dropped, sim.RNG().Float64())
 	for i, wire := range b.received {
@@ -74,20 +74,20 @@ func driveXTraffic(t *testing.T, mode XTrafficMode, discipline string, util floa
 }
 
 // TestXTrafficDrivesEquivalent is the link-level differential gate: for
-// both disciplines a bottleneck can take (SetBottleneck refuses one
-// that drops at dequeue, so CoDel's batch equivalence is checked in
-// package aqm alone) the lazy catch-up replay must reproduce the
-// event-per-boundary oracle's transcript byte for byte: delivery times,
-// ECN codepoints, loss pattern, queue statistics, and the shared PRNG's
-// final position.
+// every discipline — CoDel's head drops at dequeue included — the lazy
+// catch-up replay must reproduce the event-per-boundary oracle's
+// transcript byte for byte: delivery times, ECN codepoints, loss
+// pattern, queue statistics, and the shared PRNG's final position.
 //
 // The ties case runs driveTies: four same-rate bottlenecks whose
 // boundaries share nanoseconds, where the lazy drive must replay tied
 // boundaries in the order their events would fire — by reserved seq —
 // and interleave foreground arrivals on those nanoseconds exactly where
-// the events drive does.
+// the events drive does. The finish case runs driveFinishTies: events
+// scheduled onto a foreground packet's serialization finish while it
+// is on the wire.
 func TestXTrafficDrivesEquivalent(t *testing.T) {
-	for _, discipline := range []string{"droptail", "red"} {
+	for _, discipline := range []string{"droptail", "red", "codel"} {
 		for _, util := range []float64{0, 0.6, 0.95, 1.3} {
 			name := fmt.Sprintf("%s/util=%.2f", discipline, util)
 			t.Run(name, func(t *testing.T) {
@@ -100,21 +100,35 @@ func TestXTrafficDrivesEquivalent(t *testing.T) {
 		}
 	}
 	t.Run("ties", func(t *testing.T) {
-		events := driveTies(t, XTrafficEvents)
-		lazy := driveTies(t, XTrafficLazy)
-		if events != lazy {
-			el, ll := strings.Split(events, "\n"), strings.Split(lazy, "\n")
-			for i := range el {
-				if i >= len(ll) || el[i] != ll[i] {
-					t.Fatalf("transcripts diverge at line %d:\nevents: %s\nlazy:   %s", i, el[i], ll[min(i, len(ll)-1)])
-				}
-			}
-			t.Fatalf("lazy transcript has %d extra lines", len(ll)-len(el))
-		}
+		events := sameTranscript(t, driveTies)
 		if strings.Contains(events, " CEMarked:0 ") {
 			t.Fatalf("a queue never marked — the ties never reached RED's thresholds:\n%.2000s", events)
 		}
 	})
+	t.Run("finish", func(t *testing.T) {
+		events := sameTranscript(t, driveFinishTies)
+		if !strings.Contains(events, "replayed start") {
+			t.Fatalf("no tied finish belonged to a packet a replayed boundary started:\n%.2000s", events)
+		}
+	})
+}
+
+// sameTranscript runs drive under both drives, fails at the first line
+// where their transcripts differ, and returns the events drive's.
+func sameTranscript(t *testing.T, drive func(*testing.T, XTrafficMode) string) string {
+	t.Helper()
+	events, lazy := drive(t, XTrafficEvents), drive(t, XTrafficLazy)
+	if events == lazy {
+		return events
+	}
+	el, ll := strings.Split(events, "\n"), strings.Split(lazy, "\n")
+	for i := range el {
+		if i >= len(ll) || el[i] != ll[i] {
+			t.Fatalf("transcripts diverge at line %d:\nevents: %s\nlazy:   %s", i, el[i], ll[min(i, len(ll)-1)])
+		}
+	}
+	t.Fatalf("lazy transcript has %d extra lines", len(ll)-len(el))
+	return ""
 }
 
 // TestLazyReplayCountsBoundaries: the lazy drive must not sneak phantom
@@ -162,12 +176,9 @@ func TestLazyReplayCountsBoundaries(t *testing.T) {
 // so the boundary goes first) or on the one after (not yet reserved, so
 // the arrival goes first). A 300-byte packet's hold is shorter than a
 // phantom's, so its finish can tie only with boundaries reserved before
-// it began, which both drives order alike; DESIGN.md §10.1's sentinel
-// corner — an event scheduled during a foreground packet's
-// serialization, landing on its finish — is kept out because the
-// probes only target phantom boundaries and they, like a PRNG-drawing
-// timer, run a few nanoseconds off the 800 ns lattice every hold and
-// finish here lies on. It returns everything observable: deliveries,
+// it began, which both drives order alike. An event scheduled during a
+// foreground packet's serialization, landing on its finish, is
+// driveFinishTies' case. It returns everything observable: deliveries,
 // queue and link Stats, the shared PRNG's position and the seq counter.
 func driveTies(t *testing.T, mode XTrafficMode) string {
 	t.Helper()
@@ -216,7 +227,7 @@ func driveTies(t *testing.T, mode XTrafficMode) string {
 	sim.Run()
 
 	var sum strings.Builder
-	fmt.Fprintf(&sum, "probes=%d ticks=%d pending=%d seq=%d finalDraw=%v\n", probes, ticks, sim.live, sim.seq, sim.RNG().Float64())
+	fmt.Fprintf(&sum, "probes=%d ticks=%d seq=%d finalDraw=%v\n", probes, ticks, sim.seq, sim.RNG().Float64())
 	for i, l := range links {
 		sent, dropped := l.Stats(a)
 		fmt.Fprintf(&sum, "link %d sent=%d dropped=%d stats=%+v\n", i, sent, dropped, queues[i].Stats())
@@ -224,6 +235,77 @@ func driveTies(t *testing.T, mode XTrafficMode) string {
 			cp, _ := packet.WireECN(wire)
 			fmt.Fprintf(&sum, "  %d %v %v %d\n", j, sinks[i].times[j], cp, len(wire))
 		}
+	}
+	return sum.String()
+}
+
+// driveFinishTies runs one RED bottleneck under background load and
+// lossy foreground traffic while a probe, each time it finds a
+// foreground packet on the wire, schedules an event at that packet's
+// exact serialization finish. The event draws from the shared PRNG and
+// sends another packet. The finish's own event drew its seq when the
+// packet started, before the probe's, so the events drive runs the
+// finish's boundary — its RED draws, the next packet's start — first.
+// The lazy drive must order them alike whether the packet started in
+// an event or in a replayed phantom boundary. It returns the probe
+// events' draws, the deliveries, the queue and link Stats, the seq
+// counter and the PRNG's final position.
+func driveFinishTies(t *testing.T, mode XTrafficMode) string {
+	t.Helper()
+	sim := NewSim(5)
+	sim.SetXTrafficMode(mode)
+	a, b := &sinkNode{label: "a"}, &sinkNode{label: "b", sim: sim}
+	l := newLink(sim, a, b, time.Millisecond, 0.05)
+	q := aqm.NewRED(40, sim.RNG())
+	l.SetBottleneck(a, 1_250_000, 0.95, q)
+	bn := l.bneck[0]
+
+	var sum strings.Builder
+	// tied is the finish the last probe event was put on; phantomEnd the
+	// boundary of the last phantom a probe saw on the wire.
+	var tied, phantomEnd time.Duration
+	probes := 0
+	var probe func()
+	probe = func() {
+		p := bn.txPkt
+		switch {
+		case p == nil:
+		case p.Phantom():
+			phantomEnd = bn.busyUntil
+		case bn.busyUntil != tied:
+			tied = bn.busyUntil
+			// A packet that started at a phantom's boundary started in
+			// the lazy drive's replay; any other, in an event.
+			how := "event start"
+			if bn.busyUntil-txDuration(p.Size, bn.rate) == phantomEnd {
+				how = "replayed start"
+			}
+			sim.At(tied, func() {
+				fmt.Fprintf(&sum, "tie %v %s draw=%v\n", sim.Now(), how, sim.RNG().Float64())
+				l.Send(a, testWire(t, ecn.ECT0, 200))
+			})
+		}
+		if probes++; probes < 3000 {
+			sim.After(97*time.Microsecond, probe)
+		}
+	}
+	sim.After(0, probe)
+	var send func(i int)
+	send = func(i int) {
+		if i < 400 {
+			l.Send(a, testWire(t, []ecn.Codepoint{ecn.ECT0, ecn.NotECT}[i%2], 100+i%7*40))
+			sim.After(time.Duration(300+i%11*90)*time.Microsecond, func() { send(i + 1) })
+		}
+	}
+	send(0)
+	sim.Run()
+
+	sent, dropped := l.Stats(a)
+	fmt.Fprintf(&sum, "probes=%d seq=%d sent=%d dropped=%d stats=%+v finalDraw=%v\n",
+		probes, sim.seq, sent, dropped, q.Stats(), sim.RNG().Float64())
+	for i, wire := range b.received {
+		cp, _ := packet.WireECN(wire)
+		fmt.Fprintf(&sum, "%d %v %v %d\n", i, b.times[i], cp, len(wire))
 	}
 	return sum.String()
 }

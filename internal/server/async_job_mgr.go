@@ -379,16 +379,15 @@ func (m *jobMgr) landLocal(j *job, run *localRun, ex *campaign.Executor, c Shard
 	}
 }
 
-// Close stops accepting jobs, waits for the open local jobs to finish,
-// then journals a clean-shutdown marker: the next startup knows this
-// process exited deliberately rather than crashed.
+// Close stops accepting jobs, waits for the open local jobs to finish
+// and closes the job journals.
 func (m *jobMgr) Close() { m.stop(true) }
 
 // Abort stops the manager the way a crash would, as far as one process
 // can do that to itself: open local jobs are left unfinished (the shards
-// in hand run out, every goroutine exits), the job journals are closed
-// as they stand and no clean-shutdown marker is written — so the next
-// coordinator on the same data dir recovers.
+// in hand run out, every goroutine exits) and the job journals are
+// closed as they stand — so the next coordinator on the same data dir
+// recovers.
 func (m *jobMgr) Abort() { m.stop(false) }
 
 func (m *jobMgr) stop(clean bool) {
@@ -409,11 +408,6 @@ func (m *jobMgr) stop(clean bool) {
 		if j.wal != nil {
 			j.wal.close()
 			j.wal = nil
-		}
-	}
-	if clean {
-		if err := m.wal.markCleanShutdown(m.now()); err != nil {
-			m.logger.Error("clean-shutdown marker", "error", err)
 		}
 	}
 }

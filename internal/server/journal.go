@@ -144,10 +144,7 @@ const (
 	encGzip = "gzip"
 )
 
-const (
-	walSuffix           = ".wal"
-	cleanShutdownMarker = "clean-shutdown"
-)
+const walSuffix = ".wal"
 
 // walDir manages the journal directory. It is not itself locked: all
 // mutation happens under mgr.mu (appends, removal) or before serving
@@ -228,30 +225,6 @@ func (d *walDir) jobIDs() ([]string, error) {
 	}
 	sort.Strings(ids)
 	return ids, nil
-}
-
-// markCleanShutdown journals that this process exited deliberately:
-// leases were drained, nothing was torn. The marker is informational —
-// recovery replays the same way either way — but it lets the next
-// startup log "clean restart" vs "recovering from crash" truthfully.
-func (d *walDir) markCleanShutdown(at time.Time) error {
-	p := filepath.Join(d.dir, cleanShutdownMarker)
-	if err := os.WriteFile(p, []byte(at.UTC().Format(time.RFC3339Nano)+"\n"), 0o644); err != nil {
-		return err
-	}
-	d.syncDir()
-	return nil
-}
-
-// consumeCleanShutdown reports and removes the clean-shutdown marker.
-func (d *walDir) consumeCleanShutdown() bool {
-	p := filepath.Join(d.dir, cleanShutdownMarker)
-	if _, err := os.Stat(p); err != nil {
-		return false
-	}
-	_ = os.Remove(p)
-	d.syncDir()
-	return true
 }
 
 // jobWAL is one job's open journal file. Appends are serialized by

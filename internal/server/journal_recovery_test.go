@@ -37,7 +37,7 @@ import (
 // startCrashServer opens a coordinator on an existing data directory
 // with the shared fake clock. Unlike newLeaseServer it does NOT
 // register srv.Close as cleanup: tests that simulate a crash kill the
-// instance with crash (no clean-shutdown marker, journals left as-is).
+// instance with crash (journals left as-is).
 // Cleanup aborts whatever is still running, so no manager goroutine
 // outlives the test's temp dir.
 func startCrashServer(t testing.TB, dir string, fc *fakeClock) (*server.Server, *httptest.Server, *apiclient.Client) {
@@ -204,7 +204,7 @@ func TestRecoveryResumesPartialJob(t *testing.T) {
 			if got := journalFiles(t, dir); len(got) != 1 || got[0] != job.ID+".wal" {
 				t.Fatalf("journal dir = %v, want exactly %s.wal", got, job.ID)
 			}
-			crash(ts1, srv1) // crash: no drain, no clean-shutdown marker
+			crash(ts1, srv1) // crash: no drain, journals left as they stand
 
 			srv2, ts2, c2 := startCrashServer(t, dir, fc)
 			if n := server.Counter(t, ts2, "repro_recovery_jobs_total", "resumed"); n != 1 {
@@ -1329,8 +1329,8 @@ func TestRecoveryFreshIDsAboveRecovered(t *testing.T) {
 // TestDrainRejectsNewWorkAcceptsInFlight: the graceful-shutdown
 // half-close. BeginDrain refuses new submissions and claims with 503
 // unavailable + Retry-After, keeps heartbeats and in-flight uploads
-// landing, flips healthz to draining, and Close leaves a clean-shutdown
-// marker the next startup consumes.
+// landing, flips healthz to draining, and a restart after Close
+// resumes nothing.
 func TestDrainRejectsNewWorkAcceptsInFlight(t *testing.T) {
 	dir := t.TempDir()
 	fc := newFakeClock()
@@ -1384,15 +1384,8 @@ func TestDrainRejectsNewWorkAcceptsInFlight(t *testing.T) {
 	}
 
 	srv.Close()
-	marker := filepath.Join(dir, "journal", "clean-shutdown")
-	if _, err := os.Stat(marker); err != nil {
-		t.Fatalf("clean-shutdown marker not written: %v", err)
-	}
 	_, ts2, _ := startCrashServer(t, dir, fc)
 	if n := server.Counter(t, ts2, "repro_recovery_jobs_total", "resumed"); n != 0 {
 		t.Fatalf("restart after a clean drain resumed %d jobs, want 0", n)
-	}
-	if _, err := os.Stat(marker); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("clean-shutdown marker not consumed on restart: %v", err)
 	}
 }

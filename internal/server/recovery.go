@@ -41,19 +41,15 @@ import (
 // to share the locked helpers.
 
 func (m *jobMgr) recover() error {
-	clean := m.wal.consumeCleanShutdown()
 	ids, err := m.wal.jobIDs()
 	if err != nil {
 		return err
 	}
 	if len(ids) == 0 {
-		if !clean {
-			m.logger.Info("journal empty; nothing to recover")
-		}
+		m.logger.Info("journal empty; nothing to recover")
 		return nil
 	}
-	m.logger.Info("replaying coordinator journal",
-		"jobs", len(ids), "clean_shutdown", clean)
+	m.logger.Info("replaying coordinator journal", "jobs", len(ids))
 	var finalize []*job
 	for _, id := range ids {
 		j, complete, err := m.recoverJob(id)

@@ -234,16 +234,15 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Close stops the job manager; open local jobs finish and are cached,
-// a clean-shutdown marker is journaled, and the data-dir lock is
-// released.
+// and the data-dir lock is released.
 func (s *Server) Close() {
 	s.mgr.Close()
 	s.lock.Close()
 }
 
 // Abort stops the server as a crash would: the loopback workers exit
-// after the shard in hand, no clean-shutdown marker is journaled,
-// and the data-dir lock is released as the kernel would release a dead
+// after the shard in hand, open local jobs stay unfinished in their
+// journals, and the data-dir lock is released as the kernel would release a dead
 // process's. Tests that restart a coordinator on the same data
 // directory in one process use it after closing the listener.
 func (s *Server) Abort() {

@@ -2,7 +2,7 @@ package worker_test
 
 // Coordinator-crash e2e: a worker lands part of a campaign, the
 // coordinator process "dies" (the instance is abandoned, exactly what
-// kill -9 leaves: a journal, no clean-shutdown marker), a fresh
+// kill -9 leaves: a journal and nothing else), a fresh
 // instance recovers from the same data directory, and a second worker
 // drains the remainder. The dataset must be byte-identical to the
 // in-process engine — the crash is invisible in the output.
