@@ -48,8 +48,9 @@ crash-stress:
 # fuzz-smoke runs every fuzz target for FUZZTIME (10 s) beyond its seed
 # corpus, which is all `go test` alone ever executes. go test takes one
 # target per invocation, hence the list; a target added to the tree is
-# added here. -fuzzminimizetime keeps the 200 KB journal seeds from
-# spending the whole budget in minimization.
+# added here, or cmd/ecnspider's TestFuzzSmokeListsEveryTarget fails.
+# -fuzzminimizetime keeps the 200 KB journal seeds from spending the
+# whole budget in minimization.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = \
 	internal/packet:FuzzWireRoundTrip \

@@ -15,6 +15,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // goRefRE finds a Go name in an inline code span: (*pkg.T).Method
@@ -331,9 +332,10 @@ func TestDocsShowLivePaths(t *testing.T) {
 }
 
 // TestFuzzSmokeListsEveryTarget: the Makefile's FUZZ_TARGETS, which
-// make fuzz-smoke runs one by one, are exactly the fuzz targets
-// declared under internal/, so a new or renamed target cannot be left
-// out of the smoke run.
+// make fuzz-smoke runs one by one, are exactly the fuzz targets the
+// tree's test files declare (func FuzzXxx(*testing.F), in any
+// directory), so a new or renamed target cannot be left out of the
+// smoke run.
 func TestFuzzSmokeListsEveryTarget(t *testing.T) {
 	listed := make(map[string]bool)
 	in := false
@@ -356,17 +358,17 @@ func TestFuzzSmokeListsEveryTarget(t *testing.T) {
 	_, files := parseModule(t, "../..")
 	declared := make(map[string]bool)
 	for _, sf := range files {
-		if !sf.test || !strings.HasPrefix(sf.path, "internal/") {
+		if !sf.test {
 			continue
 		}
 		for _, d := range sf.f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && isFuzzTarget(fn) {
 				declared[path.Dir(sf.path)+":"+fn.Name.Name] = true
 			}
 		}
 	}
 	if len(declared) == 0 {
-		t.Fatal("found no fuzz target under internal/")
+		t.Fatal("found no fuzz target in the tree")
 	}
 	for target := range declared {
 		if !listed[target] {
@@ -375,8 +377,23 @@ func TestFuzzSmokeListsEveryTarget(t *testing.T) {
 	}
 	for target := range listed {
 		if !declared[target] {
-			t.Errorf("the Makefile's FUZZ_TARGETS lists %s, which no test file under internal/ declares", target)
+			t.Errorf("the Makefile's FUZZ_TARGETS lists %s, which no test file declares", target)
 		}
 	}
 	t.Logf("%d fuzz targets, %d listed", len(declared), len(listed))
+}
+
+// isFuzzTarget reports whether fn is one go test -fuzz runs: FuzzXxx
+// taking one *testing.F.
+func isFuzzTarget(fn *ast.FuncDecl) bool {
+	name, ok := strings.CutPrefix(fn.Name.Name, "Fuzz")
+	if !ok || (name != "" && !unicode.IsUpper(rune(name[0]))) || len(fn.Type.Params.List) != 1 {
+		return false
+	}
+	star, ok := fn.Type.Params.List[0].Type.(*ast.StarExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := star.X.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "F"
 }

@@ -220,7 +220,7 @@ func e2eDistributed(t *testing.T, ctx context.Context, want string) {
 	if err != nil || len(w1.Shards) != 4 {
 		t.Fatalf("w1 claim = %d shards, %v; want 4", len(w1.Shards), err)
 	}
-	if acks, err := w1.Upload(ctx, 1); err != nil || acks[0].Status != "accepted" {
+	if acks, err := w1.Upload(ctx, 1); err != nil || acks[0].Status != apiclient.ResultAccepted {
 		t.Fatalf("w1 upload = %+v, %v; want accepted", acks, err)
 	}
 	var health struct {

@@ -27,6 +27,7 @@ package main
 
 import (
 	"fmt"
+	"log/slog"
 	"os"
 )
 
@@ -63,4 +64,19 @@ commands:
 
 run "reprod <command> -h" for per-command flags.
 `)
+}
+
+// newLogger builds the stderr logger serve's and worker's -log-format
+// value names; an unknown format is a usage error of the named command
+// (exit 2).
+func newLogger(cmd, format string) *slog.Logger {
+	switch format {
+	case "text":
+		return slog.New(slog.NewTextHandler(os.Stderr, nil))
+	case "json":
+		return slog.New(slog.NewJSONHandler(os.Stderr, nil))
+	}
+	fmt.Fprintf(os.Stderr, "reprod %s: unknown -log-format %q (want text or json)\n", cmd, format)
+	os.Exit(2)
+	return nil
 }

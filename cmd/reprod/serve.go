@@ -28,8 +28,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -52,17 +50,7 @@ func runServe(args []string) {
 	)
 	fs.Parse(args)
 
-	var handler slog.Handler
-	switch *logFormat {
-	case "text":
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	case "json":
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	default:
-		fmt.Fprintf(os.Stderr, "reprod serve: unknown -log-format %q (want text or json)\n", *logFormat)
-		os.Exit(2)
-	}
-	logger := slog.New(handler)
+	logger := newLogger("serve", *logFormat)
 
 	srv, err := server.New(server.Config{
 		DataDir:     *data,

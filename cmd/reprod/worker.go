@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -40,17 +39,7 @@ func runWorker(args []string) {
 	fs.Var(&jobIDs, "job", "work only this job ID (repeatable; default discovers running jobs)")
 	fs.Parse(args)
 
-	var handler slog.Handler
-	switch *logFormat {
-	case "text":
-		handler = slog.NewTextHandler(os.Stderr, nil)
-	case "json":
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	default:
-		fmt.Fprintf(os.Stderr, "reprod worker: unknown -log-format %q (want text or json)\n", *logFormat)
-		os.Exit(2)
-	}
-	logger := slog.New(handler)
+	logger := newLogger("worker", *logFormat)
 
 	if *id == "" {
 		host, err := os.Hostname()

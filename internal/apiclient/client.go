@@ -1,13 +1,13 @@
-// Package apiclient is the typed Go client for the control plane's v1
-// API — the one place request paths, bodies and response shapes are
-// spelled out. The worker mode, the httptest suites and the CLI all
-// speak to the server through it, so a wire-contract change is a
-// one-package edit.
+// Package apiclient declares the control plane's v1 API and is its
+// typed Go client. schema.go declares every request, response and error
+// body once — internal/server encodes and decodes exactly those types,
+// and the store files a run's Report as its meta.json — and this file
+// spells out the request paths. The worker mode, the httptest suites,
+// the CLI and the benchmark all speak to the server through it, so a
+// wire-contract change is a one-package edit.
 //
-// The client deliberately defines its own response structs rather than
-// importing internal/server: it models the wire contract, not the
-// server's internals, which is what lets the httptest suites assert
-// the contract from the outside.
+// The package must not import internal/server: the server's own tests
+// import it (and the worker) to drive the server from the outside.
 package apiclient
 
 import (
@@ -64,16 +64,18 @@ func (c *Client) WithTimeout(d time.Duration) *Client {
 
 // APIError is any non-2xx response, decoded from the unified error
 // envelope. Code is the stable machine-readable contract; branch on it,
-// not on Message.
+// not on Message. It is the envelope's payload itself, so Code, Message
+// and Fields carry their wire names; Status and RetryAfter come from
+// the HTTP exchange.
 type APIError struct {
-	Status  int
-	Code    string
-	Message string
-	Fields  []campaign.FieldError
+	Status  int                   `json:"-"`
+	Code    string                `json:"code"`
+	Message string                `json:"message"`
+	Fields  []campaign.FieldError `json:"fields,omitempty"`
 	// RetryAfter is the server's back-off hint in seconds (the
 	// Retry-After header on drain/overload rejections); zero when the
 	// server sent none.
-	RetryAfter int
+	RetryAfter int `json:"-"`
 }
 
 func (e *APIError) Error() string {
@@ -132,104 +134,6 @@ func asAPIError(err error, target **APIError) bool {
 		err = u.Unwrap()
 	}
 	return false
-}
-
-// Job is one job snapshot (GET /v1/jobs/{id}).
-type Job struct {
-	ID        string        `json:"id"`
-	Key       string        `json:"key"`
-	State     string        `json:"state"`
-	Cached    bool          `json:"cached"`
-	Error     string        `json:"error,omitempty"`
-	Spec      campaign.Spec `json:"spec"`
-	Submitted time.Time     `json:"submitted"`
-	Started   *time.Time    `json:"started,omitempty"`
-	Finished  *time.Time    `json:"finished,omitempty"`
-
-	ShardsTotal int `json:"shards_total"`
-	ShardsDone  int `json:"shards_done"`
-	TracesTotal int `json:"traces_total"`
-	TracesDone  int `json:"traces_done"`
-}
-
-// Terminal job states, mirroring the server's lifecycle vocabulary.
-const (
-	JobDone   = "done"
-	JobFailed = "failed"
-)
-
-// Shard is one (vantage, slice) unit's completion state.
-type Shard struct {
-	campaign.ShardInfo
-	State          string  `json:"state"`
-	Worker         string  `json:"worker,omitempty"`
-	Events         uint64  `json:"events,omitempty"`
-	ElapsedSeconds float64 `json:"elapsed_seconds,omitempty"`
-}
-
-// JobsPage is one page of the job listing.
-type JobsPage struct {
-	Jobs       []Job  `json:"jobs"`
-	NextCursor string `json:"next_cursor,omitempty"`
-}
-
-// Report is a run's stored metadata (GET .../report). Congestion, when
-// present, is the CE-mark report left raw for callers that render it.
-type Report struct {
-	Key                string          `json:"key"`
-	Spec               campaign.Spec   `json:"spec"`
-	DatasetSHA256      string          `json:"dataset_sha256"`
-	DatasetBytes       int64           `json:"dataset_bytes"`
-	Traces             int             `json:"traces"`
-	Servers            int             `json:"servers"`
-	Shards             int             `json:"shards"`
-	Events             uint64          `json:"events"`
-	PhantomEvents      uint64          `json:"events_phantom"`
-	ReplayedBoundaries uint64          `json:"boundaries_replayed"`
-	WallSeconds        float64         `json:"wall_seconds"`
-	CompletedAt        time.Time       `json:"completed_at"`
-	Congestion         json.RawMessage `json:"congestion,omitempty"`
-}
-
-// ClaimedShard is one leased shard in a claim.
-type ClaimedShard struct {
-	Index int `json:"index"`
-	campaign.ShardInfo
-	Lease     string    `json:"lease"`
-	ExpiresAt time.Time `json:"expires_at"`
-	// Speculative marks a straggler re-issue: another worker still holds
-	// a live lease on this shard and the first upload wins.
-	Speculative bool `json:"speculative,omitempty"`
-}
-
-// Claim is a claim response: the job's canonical spec and cache key
-// plus the leased batch (empty when nothing is pending).
-type Claim struct {
-	Job             string         `json:"job"`
-	State           string         `json:"state"`
-	SpecHash        string         `json:"spec_hash"`
-	Spec            campaign.Spec  `json:"spec"`
-	LeaseTTLSeconds float64        `json:"lease_ttl_seconds"`
-	ShardsTotal     int            `json:"shards_total"`
-	ShardsDone      int            `json:"shards_done"`
-	Shards          []ClaimedShard `json:"shards"`
-}
-
-// Heartbeat acknowledges a lease extension.
-type Heartbeat struct {
-	Job       string    `json:"job"`
-	Index     int       `json:"index"`
-	ExpiresAt time.Time `json:"expires_at"`
-}
-
-// ResultAck acknowledges a shard upload ("accepted" or "duplicate").
-type ResultAck struct {
-	Job         string `json:"job"`
-	Index       int    `json:"index"`
-	Status      string `json:"status"`
-	ShardsDone  int    `json:"shards_done"`
-	ShardsTotal int    `json:"shards_total"`
-	State       string `json:"state"`
 }
 
 // Reply size bounds. The client buffers every reply whole, so each read
@@ -350,25 +254,14 @@ func decodeAPIError(resp *http.Response, raw []byte) error {
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		retryAfter, _ = strconv.Atoi(ra)
 	}
-	var envelope struct {
-		Error struct {
-			Code    string                `json:"code"`
-			Message string                `json:"message"`
-			Fields  []campaign.FieldError `json:"fields"`
-		} `json:"error"`
-	}
+	var envelope ErrorEnvelope
 	if err := json.Unmarshal(raw, &envelope); err != nil || envelope.Error.Code == "" {
-		return &APIError{Status: resp.StatusCode, Code: "internal",
-			Message:    fmt.Sprintf("unparseable error body: %.200s", raw),
-			RetryAfter: retryAfter}
+		envelope.Error = APIError{Code: CodeInternal,
+			Message: fmt.Sprintf("unparseable error body: %.200s", raw)}
 	}
-	return &APIError{
-		Status:     resp.StatusCode,
-		Code:       envelope.Error.Code,
-		Message:    envelope.Error.Message,
-		Fields:     envelope.Error.Fields,
-		RetryAfter: retryAfter,
-	}
+	ae := &envelope.Error
+	ae.Status, ae.RetryAfter = resp.StatusCode, retryAfter
+	return ae
 }
 
 // raw issues a GET and returns the undecoded body (datasets, metrics).
@@ -443,7 +336,7 @@ func (c *Client) AwaitJob(ctx context.Context, id string, poll time.Duration) (J
 type JobsOptions struct {
 	Limit  int
 	Cursor string
-	State  string
+	State  JobState
 }
 
 // Jobs fetches one page of the job listing.
@@ -456,7 +349,7 @@ func (c *Client) Jobs(ctx context.Context, opts JobsOptions) (JobsPage, error) {
 		q.Set("cursor", opts.Cursor)
 	}
 	if opts.State != "" {
-		q.Set("state", opts.State)
+		q.Set("state", string(opts.State))
 	}
 	path := "/v1/jobs"
 	if len(q) > 0 {
@@ -469,9 +362,7 @@ func (c *Client) Jobs(ctx context.Context, opts JobsOptions) (JobsPage, error) {
 
 // Shards fetches a job's per-(vantage, slice) completion snapshot.
 func (c *Client) Shards(ctx context.Context, id string) ([]Shard, error) {
-	var resp struct {
-		Shards []Shard `json:"shards"`
-	}
+	var resp JobShards
 	_, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/shards", nil, &resp)
 	return resp.Shards, err
 }
@@ -481,7 +372,7 @@ func (c *Client) JobDataset(ctx context.Context, id string) ([]byte, error) {
 	return c.raw(ctx, "/v1/jobs/"+url.PathEscape(id)+"/dataset")
 }
 
-// JobReport fetches a done job's stored RunMeta.
+// JobReport fetches a done job's filed run report.
 func (c *Client) JobReport(ctx context.Context, id string) (Report, error) {
 	var rep Report
 	_, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/report", nil, &rep)
@@ -490,10 +381,7 @@ func (c *Client) JobReport(ctx context.Context, id string) (Report, error) {
 
 // Claim leases up to max pending shards of a distributed job.
 func (c *Client) Claim(ctx context.Context, jobID, worker string, max int) (Claim, error) {
-	req := struct {
-		Worker    string `json:"worker"`
-		MaxShards int    `json:"max_shards"`
-	}{Worker: worker, MaxShards: max}
+	req := ClaimRequest{Worker: worker, MaxShards: max}
 	var claim Claim
 	_, err := c.do(ctx, http.MethodPost,
 		"/v1/jobs/"+url.PathEscape(jobID)+"/shards/claim", req, &claim)
@@ -502,10 +390,7 @@ func (c *Client) Claim(ctx context.Context, jobID, worker string, max int) (Clai
 
 // Heartbeat extends one lease by a full TTL.
 func (c *Client) Heartbeat(ctx context.Context, jobID string, index int, worker, lease string) (Heartbeat, error) {
-	req := struct {
-		Worker string `json:"worker"`
-		Lease  string `json:"lease"`
-	}{Worker: worker, Lease: lease}
+	req := HeartbeatRequest{Worker: worker, Lease: lease}
 	var hb Heartbeat
 	_, err := c.do(ctx, http.MethodPost,
 		fmt.Sprintf("/v1/jobs/%s/shards/%d/heartbeat", url.PathEscape(jobID), index), req, &hb)

@@ -18,12 +18,12 @@ func TestIsTransient(t *testing.T) {
 		err  error
 		want bool
 	}{
-		{&apiclient.APIError{Status: 500, Code: "internal"}, true},
-		{&apiclient.APIError{Status: 503, Code: "unavailable"}, true},
-		{&apiclient.APIError{Status: 429, Code: "overloaded"}, true},
-		{&apiclient.APIError{Status: 409, Code: "lease_expired"}, false},
-		{&apiclient.APIError{Status: 400, Code: "spec_invalid"}, false},
-		{&apiclient.APIError{Status: 404, Code: "job_not_found"}, false},
+		{&apiclient.APIError{Status: 500, Code: apiclient.CodeInternal}, true},
+		{&apiclient.APIError{Status: 503, Code: apiclient.CodeUnavailable}, true},
+		{&apiclient.APIError{Status: 429, Code: apiclient.CodeOverloaded}, true},
+		{&apiclient.APIError{Status: 409, Code: apiclient.CodeLeaseExpired}, false},
+		{&apiclient.APIError{Status: 400, Code: apiclient.CodeSpecInvalid}, false},
+		{&apiclient.APIError{Status: 404, Code: apiclient.CodeJobNotFound}, false},
 		{fmt.Errorf("dial tcp: connection refused"), true}, // network error, no APIError
 		{nil, false},
 	} {
@@ -34,7 +34,7 @@ func TestIsTransient(t *testing.T) {
 }
 
 func TestRetryAfter(t *testing.T) {
-	wrapped := fmt.Errorf("claim: %w", &apiclient.APIError{Status: 429, Code: "overloaded", RetryAfter: 7})
+	wrapped := fmt.Errorf("claim: %w", &apiclient.APIError{Status: 429, Code: apiclient.CodeOverloaded, RetryAfter: 7})
 	if got := apiclient.RetryAfter(wrapped); got != 7*time.Second {
 		t.Errorf("RetryAfter(wrapped 429) = %v, want 7s", got)
 	}

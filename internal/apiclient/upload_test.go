@@ -113,7 +113,7 @@ func TestUploadBodyMatchesMarshal(t *testing.T) {
 			wire := testWire(i, servers)
 			lease := fmt.Sprintf("j-000001/%d/1", i)
 			ack, err := client.PushShardResult(ctx, "j-000001", i, "w1", lease, wire)
-			if err != nil || ack.Status != "accepted" {
+			if err != nil || ack.Status != apiclient.ResultAccepted {
 				t.Fatalf("upload %d = %+v, %v", i, ack, err)
 			}
 			want := referenceBody(t, uploadRequest{Worker: "w1", Lease: lease, Result: wire})
@@ -183,12 +183,12 @@ func TestPreparedUploadResendsSameBytes(t *testing.T) {
 	for attempt := 1; attempt <= 3; attempt++ {
 		ack, err := up.Send(ctx)
 		if attempt < 3 {
-			if !apiclient.IsCode(err, "unavailable") || !apiclient.IsTransient(err) {
+			if !apiclient.IsCode(err, apiclient.CodeUnavailable) || !apiclient.IsTransient(err) {
 				t.Fatalf("attempt %d = %+v, %v; want a transient 503 unavailable", attempt, ack, err)
 			}
 			continue
 		}
-		if err != nil || ack.Status != "accepted" {
+		if err != nil || ack.Status != apiclient.ResultAccepted {
 			t.Fatalf("attempt %d = %+v, %v; want accepted", attempt, ack, err)
 		}
 	}
@@ -279,7 +279,7 @@ func TestReplyBounds(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
 		t.Errorf("a 1 GiB Content-Length with a 9-byte body allocated %d MiB; the header must reserve at most 32 MiB", got>>20)
 	}
-	for _, state := range []string{"", "chunked"} {
+	for _, state := range []apiclient.JobState{"", "chunked"} {
 		got, err := client.Jobs(ctx, apiclient.JobsOptions{State: state})
 		if err != nil || len(got.Jobs) != 1 || got.Jobs[0].ID != "j-000001" {
 			t.Errorf("honest reply (state=%q) = %+v, %v", state, got, err)

@@ -185,8 +185,6 @@ type Queue interface {
 	Cap() int
 	// Len is the current backlog in packets.
 	Len() int
-	// Bytes is the current backlog in bytes.
-	Bytes() int
 	Enqueue(now time.Duration, p *Packet) bool
 	Dequeue(now time.Duration) (*Packet, bool)
 	// EnqueuePhantoms is the batch-advance entry point for background
@@ -296,14 +294,6 @@ func (f *fifo) reset() {
 
 func (f *fifo) Cap() int { return len(f.ring) }
 func (f *fifo) Len() int { return f.n }
-
-func (f *fifo) Bytes() int {
-	b := 0
-	for i := 0; i < f.n; i++ {
-		b += int(f.ring[f.slot(i)].size)
-	}
-	return b
-}
 
 func (f *fifo) Stats() Stats {
 	s := f.stats

@@ -45,8 +45,8 @@ func TestDropTailBounds(t *testing.T) {
 	if q.Enqueue(0, &Packet{Size: 100}) {
 		t.Fatal("enqueue accepted above capacity")
 	}
-	if q.Len() != 4 || q.Bytes() != 400 {
-		t.Fatalf("Len/Bytes = %d/%d, want 4/400", q.Len(), q.Bytes())
+	if q.Len() != 4 || backlogBytes(q) != 400 {
+		t.Fatalf("Len/bytes = %d/%d, want 4/400", q.Len(), backlogBytes(q))
 	}
 	st := q.Stats()
 	if st.Enqueued != 4 || st.TailDropped != 1 || st.CEMarked != 0 {
@@ -404,8 +404,8 @@ func TestReset(t *testing.T) {
 			}
 
 			q.Reset()
-			if q.Len() != 0 || q.Bytes() != 0 || q.Stats() != (Stats{}) {
-				t.Errorf("after Reset: len %d, bytes %d, stats %+v", q.Len(), q.Bytes(), q.Stats())
+			if q.Len() != 0 || backlogBytes(q) != 0 || q.Stats() != (Stats{}) {
+				t.Errorf("after Reset: len %d, bytes %d, stats %+v", q.Len(), backlogBytes(q), q.Stats())
 			}
 			if _, ok := q.Dequeue(2 * time.Millisecond); ok {
 				t.Error("a reset queue still serves packets")

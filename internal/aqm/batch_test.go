@@ -18,7 +18,7 @@ func stateOf(t *testing.T, q Queue) map[string]any {
 	t.Helper()
 	s := map[string]any{
 		"len":   q.Len(),
-		"bytes": q.Bytes(),
+		"bytes": backlogBytes(q),
 		"stats": q.Stats(),
 	}
 	switch d := q.(type) {
@@ -34,6 +34,24 @@ func stateOf(t *testing.T, q Queue) map[string]any {
 		s["dropping"] = d.dropping
 	}
 	return s
+}
+
+// backlogBytes is a queue's backlog in bytes, summed over its ring.
+func backlogBytes(q Queue) int {
+	var f *fifo
+	switch d := q.(type) {
+	case *DropTail:
+		f = &d.fifo
+	case *RED:
+		f = &d.fifo
+	case *CoDel:
+		f = &d.fifo
+	}
+	b := 0
+	for i := 0; i < f.n; i++ {
+		b += int(f.ring[f.slot(i)].size)
+	}
+	return b
 }
 
 func diffState(t *testing.T, label string, a, b map[string]any) {

@@ -66,13 +66,6 @@ func (r *Recorder) Len() int { return len(r.records) }
 // Overwritten reports how many records the ring displaced.
 func (r *Recorder) Overwritten() uint64 { return r.dropped }
 
-// Reset clears the buffer.
-func (r *Recorder) Reset() {
-	r.records = r.records[:0]
-	r.start = 0
-	r.dropped = 0
-}
-
 // --- pcap ---------------------------------------------------------------
 
 const (

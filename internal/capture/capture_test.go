@@ -66,15 +66,6 @@ func TestRecorderRing(t *testing.T) {
 	}
 }
 
-func TestRecorderReset(t *testing.T) {
-	r := NewRecorder(2)
-	r.Tap(netsim.TapOut, 0, wireOf(t, ecn.NotECT, 1))
-	r.Reset()
-	if r.Len() != 0 || r.Overwritten() != 0 {
-		t.Error("reset incomplete")
-	}
-}
-
 func TestPcapRoundTrip(t *testing.T) {
 	recs := []Record{
 		{At: 1500 * time.Millisecond, Dir: netsim.TapOut, Wire: wireOf(t, ecn.ECT0, 1)},

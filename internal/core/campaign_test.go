@@ -37,7 +37,10 @@ func TestCampaignMini(t *testing.T) {
 	if len(got.Traces) != 4 {
 		t.Fatalf("traces = %d", len(got.Traces))
 	}
-	vantages := got.Vantages()
+	vantages := map[string]bool{}
+	for _, tr := range got.Traces {
+		vantages[tr.Vantage] = true
+	}
 	if len(vantages) != 2 {
 		t.Errorf("vantages = %v", vantages)
 	}

@@ -84,19 +84,6 @@ type Dataset struct {
 	Traces []Trace
 }
 
-// Vantages returns the distinct vantage names in first-seen order.
-func (d *Dataset) Vantages() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, t := range d.Traces {
-		if !seen[t.Vantage] {
-			seen[t.Vantage] = true
-			out = append(out, t.Vantage)
-		}
-	}
-	return out
-}
-
 // Servers returns the union of server addresses observed, in stable
 // (address) order of first appearance within the first trace.
 func (d *Dataset) Servers() []packet.Addr {

@@ -93,14 +93,6 @@ func TestCountReachable(t *testing.T) {
 	}
 }
 
-func TestVantagesAndFilter(t *testing.T) {
-	d := sampleDataset()
-	vs := d.Vantages()
-	if len(vs) != 2 || vs[0] != "Perkins home" {
-		t.Errorf("vantages = %v", vs)
-	}
-}
-
 func TestServersUnion(t *testing.T) {
 	d := sampleDataset()
 	servers := d.Servers()

@@ -42,37 +42,12 @@ type Response struct {
 }
 
 // headers is a message's raw header block — CRLF-terminated
-// "Name: value" lines, as on the wire. Nobody reads most headers, so
-// none is decoded until Header asks for it.
+// "Name: value" lines, as on the wire. The probes read none of them, so
+// none is decoded.
 type headers struct{ head []byte }
-
-// Header returns the value of the named header (matched
-// case-insensitively), or "" when it is absent.
-func (h *headers) Header(name string) string {
-	for block := h.head; len(block) > 0; {
-		n, value, rest, _ := cutHeader(block)
-		if compareFold(n, name) == 0 {
-			return string(value)
-		}
-		block = rest
-	}
-	return ""
-}
 
 // SetHeader sets the named header, replacing any earlier value.
 func (h *headers) SetHeader(name, value string) { h.head = setHeader(nil, h.head, name, value) }
-
-// Marshal renders the request on the wire. The message is assembled
-// with plain appends into one exact buffer — no fmt machinery.
-func (r *Request) Marshal() []byte {
-	b := make([]byte, 0, len(r.Method)+len(r.Path)+12+len(r.head)+2)
-	b = append(b, r.Method...)
-	b = append(b, ' ')
-	b = append(b, r.Path...)
-	b = append(b, " HTTP/1.1\r\n"...)
-	b = append(b, r.head...)
-	return append(b, "\r\n"...)
-}
 
 // Marshal renders the response on the wire, always emitting an accurate
 // Content-Length so the peer can find the message end.

@@ -37,7 +37,7 @@ func TestInteropWithStdlibServer(t *testing.T) {
 	req := Request{Method: "GET", Path: "/"}
 	req.SetHeader("Host", ln.Addr().String())
 	req.SetHeader("Connection", "close")
-	if _, err := conn.Write(req.Marshal()); err != nil {
+	if _, err := conn.Write(marshalRequest(&req)); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
@@ -51,8 +51,8 @@ func TestInteropWithStdlibServer(t *testing.T) {
 			if resp.StatusCode != 302 {
 				t.Fatalf("status = %d", resp.StatusCode)
 			}
-			if resp.Header("Location") != RedirectTarget {
-				t.Fatalf("location = %q", resp.Header("Location"))
+			if header(&resp.headers, "Location") != RedirectTarget {
+				t.Fatalf("location = %q", header(&resp.headers, "Location"))
 			}
 			if !strings.Contains(string(resp.Body), "moved") {
 				t.Fatalf("body = %q", resp.Body)

@@ -41,9 +41,10 @@ type Link struct {
 	baseLoss float64
 	bneck    [2]*bottleneck
 
-	// Counters for analysis and capacity tests.
-	sent    [2]uint64
-	dropped [2]uint64
+	// Counters for analysis and capacity tests: packets sent, and those
+	// of them the loss draw discarded.
+	sent [2]uint64
+	lost [2]uint64
 }
 
 // newLink wires two nodes together. Use Network helpers instead of
@@ -69,7 +70,7 @@ func newLink(sim *Sim, a, b Node, delay time.Duration, loss float64) *Link {
 func (l *Link) reset() {
 	l.loss = [2]float64{l.baseLoss, l.baseLoss}
 	l.sent = [2]uint64{}
-	l.dropped = [2]uint64{}
+	l.lost = [2]uint64{}
 	for _, bn := range l.bneck {
 		if bn != nil {
 			bn.reset()
@@ -95,15 +96,20 @@ func (l *Link) SetLossBoth(p float64) {
 // Loss returns the loss probability for packets transmitted by from.
 func (l *Link) Loss(from Node) float64 { return l.loss[l.dir(from)] }
 
-// Delay returns the one-way delay for packets transmitted by from.
-func (l *Link) Delay(from Node) time.Duration { return l.delay[l.dir(from)] }
-
 // Stats returns packets sent and dropped in the from→peer direction.
-// Dropped covers both random loss draws and AQM queue drops; the queue's
-// own Stats break the latter down.
+// Dropped covers both random loss draws and AQM queue drops — at enqueue
+// or, like CoDel's head drop, at dequeue; the queue's own Stats break
+// the latter down. Once the link is quiet, sent = delivered + dropped.
 func (l *Link) Stats(from Node) (sent, dropped uint64) {
 	d := l.dir(from)
-	return l.sent[d], l.dropped[d]
+	sent, dropped = l.sent[d], l.lost[d]
+	if bn := l.bneck[d]; bn != nil {
+		// Every packet the loss draw spared was offered to the queue,
+		// and WireEnqueued nets out those its discipline discarded after
+		// admitting them: the rest were lost or dropped.
+		dropped = sent - bn.q.Stats().WireEnqueued
+	}
+	return sent, dropped
 }
 
 func (l *Link) dir(from Node) int {
@@ -134,7 +140,7 @@ func (l *Link) Send(from Node, b *packet.Buf) { l.send(l.dir(from), b) }
 func (l *Link) send(d int, b *packet.Buf) {
 	l.sent[d]++
 	if l.loss[d] > 0 && l.sim.rng.Float64() < l.loss[d] {
-		l.dropped[d]++
+		l.lost[d]++
 		b.Release()
 		return
 	}
@@ -152,13 +158,11 @@ func (l *Link) send(d int, b *packet.Buf) {
 	// packet: cross traffic contends with the measurement while it runs,
 	// then quenches so the simulation can drain.
 	bn.fgUntil = now + bgGrace
-	// The queue owns the packet from here: a false return means the
-	// discipline dropped — and already freed — it. Serve the queue
-	// either way: the injected background must drain through the
-	// transmitter regardless.
-	if !bn.q.Enqueue(now, aqm.NewPacket(b)) {
-		l.dropped[d]++
-	}
+	// The queue owns the packet from here, and frees it if its
+	// discipline drops it (Stats counts that). Serve the queue either
+	// way: the injected background must drain through the transmitter
+	// regardless.
+	bn.q.Enqueue(now, aqm.NewPacket(b))
 	l.serveQueue(bn, now)
 }
 

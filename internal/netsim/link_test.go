@@ -322,8 +322,8 @@ func TestNegativeLinkDelayClamped(t *testing.T) {
 	sink := &sinkNode{label: "sink", sim: s}
 	src := &sinkNode{label: "src"}
 	l := newLink(s, src, sink, -time.Second, 0)
-	if l.Delay(src) != 0 {
-		t.Fatalf("delay = %v, want 0", l.Delay(src))
+	if l.delay[l.dir(src)] != 0 {
+		t.Fatalf("delay = %v, want 0", l.delay[l.dir(src)])
 	}
 	s.After(time.Millisecond, func() { l.Send(src, testWire(t, ecn.NotECT, 8)) })
 	s.Run()

@@ -149,8 +149,8 @@ func TestSetDelayAffectsLatency(t *testing.T) {
 	// direction's delivery lane: change both.
 	la.delay[la.dir(a)] = 50 * time.Millisecond
 	la.lane[la.dir(a)] = sim.laneFor(50 * time.Millisecond)
-	if la.Delay(a) != 50*time.Millisecond {
-		t.Fatalf("Delay = %v", la.Delay(a))
+	if la.delay[la.dir(a)] != 50*time.Millisecond {
+		t.Fatalf("Delay = %v", la.delay[la.dir(a)])
 	}
 	var arrived time.Duration
 	b.BindUDP(7, func(*Host, packet.IPv4Header, packet.UDPHeader, []byte) { arrived = sim.Now() })

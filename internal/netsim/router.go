@@ -65,9 +65,6 @@ func (r *Router) Label() string { return r.label }
 // Addr returns the router's own address (the source of its ICMP errors).
 func (r *Router) Addr() packet.Addr { return r.addr }
 
-// ASN returns the autonomous system the router belongs to.
-func (r *Router) ASN() uint32 { return r.asn }
-
 // ID returns the router's dense index within its Network.
 func (r *Router) ID() int { return r.id }
 

@@ -16,7 +16,8 @@ import (
 // codepoints, occasional bursts), random link loss, a competing
 // PRNG-drawing timer chain (standing in for the rest of a campaign
 // sharing the simulation's random stream), and RunUntil pauses. It
-// returns a transcript of everything observable.
+// returns a transcript of everything observable, and fails unless the
+// quiet link conserves packets: sent = delivered + dropped.
 func driveXTraffic(t *testing.T, mode XTrafficMode, discipline string, util float64) string {
 	t.Helper()
 	sim := NewSim(2015)
@@ -65,6 +66,10 @@ func driveXTraffic(t *testing.T, mode XTrafficMode, discipline string, util floa
 	sum := fmt.Sprintf("delivered=%d noise=%d stats=%+v\n",
 		len(b.received), noise, q.Stats())
 	sent, dropped := l.Stats(a)
+	if delivered := uint64(len(b.received)); sent != delivered+dropped {
+		t.Errorf("%s at util %.2f: the quiet link sent %d packets, delivered %d and counts %d dropped",
+			discipline, util, sent, delivered, dropped)
+	}
 	sum += fmt.Sprintf("link sent=%d dropped=%d finalDraw=%v\n", sent, dropped, sim.RNG().Float64())
 	for i, wire := range b.received {
 		cp, _ := packet.WireECN(wire)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/apiclient"
 	"repro/internal/campaign"
 	"repro/internal/dataset"
 	"repro/internal/telemetry"
@@ -35,57 +36,11 @@ import (
 // All job state is guarded by mgr.mu; API handlers only ever see
 // snapshot copies.
 
-// JobState is a job's lifecycle phase.
-type JobState string
-
-const (
-	JobQueued  JobState = "queued"
-	JobRunning JobState = "running"
-	JobDone    JobState = "done"
-	JobFailed  JobState = "failed"
-)
-
-// ShardProgress is one (vantage, slice) shard's completion state
-// within a job: pending → leased → done, with evictions looping a
-// distributed job's leased shards back to pending (see leases.go).
-type ShardProgress struct {
-	campaign.ShardInfo
-	State string `json:"state"` // pending | leased | done
-	// Worker is the worker holding (or having completed) the shard:
-	// a remote worker's ID, or "local" for the loopback goroutines.
-	Worker string `json:"worker,omitempty"`
-	// Execution stats, populated when the shard completes.
-	Events         uint64  `json:"events,omitempty"`
-	ElapsedSeconds float64 `json:"elapsed_seconds,omitempty"`
-}
-
-// JobView is the API-facing snapshot of a job.
-type JobView struct {
-	ID    string   `json:"id"`
-	Key   string   `json:"key"`
-	State JobState `json:"state"`
-	// Cached marks a submission served entirely from the store, without
-	// queuing a run.
-	Cached bool          `json:"cached"`
-	Error  string        `json:"error,omitempty"`
-	Spec   campaign.Spec `json:"spec"`
-
-	Submitted time.Time  `json:"submitted"`
-	Started   *time.Time `json:"started,omitempty"`
-	Finished  *time.Time `json:"finished,omitempty"`
-
-	// Progress counters, fed by accepted shard results.
-	ShardsTotal int `json:"shards_total"`
-	ShardsDone  int `json:"shards_done"`
-	TracesTotal int `json:"traces_total"`
-	TracesDone  int `json:"traces_done"`
-}
-
 type job struct {
 	id     string
 	key    string
 	spec   campaign.Spec // normalized
-	state  JobState
+	state  apiclient.JobState
 	cached bool
 	err    string
 	// pos is the job's index in mgr.order — the pagination cursor's
@@ -96,7 +51,7 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 
-	shards      []ShardProgress
+	shards      []apiclient.Shard
 	shardsDone  int
 	tracesTotal int
 	tracesDone  int
@@ -131,7 +86,7 @@ func (j *job) distributed() bool { return j.spec.Execution == campaign.Execution
 
 // start moves a job to running at time at and gives it its lease table.
 func (j *job) start(at time.Time) {
-	j.state = JobRunning
+	j.state = apiclient.JobRunning
 	j.started = at
 	j.leases = make([]shardLease, len(j.shards))
 	j.results = make([]heldResult, len(j.shards))
@@ -185,7 +140,7 @@ type localRun struct {
 // execute runs granted shard c on ex — made first when nil, the
 // blueprint compiled before that if no sibling has — and returns the
 // executor with the result. Runs off mgr.mu.
-func (r *localRun) execute(ex *campaign.Executor, c ShardClaim) (*campaign.Executor, *campaign.ShardResultWire, error) {
+func (r *localRun) execute(ex *campaign.Executor, c apiclient.ClaimedShard) (*campaign.Executor, *campaign.ShardResultWire, error) {
 	if ex == nil {
 		r.compile.Do(func() { r.bp, r.err = r.cfg.CompileBlueprint() })
 		if r.err != nil {
@@ -197,8 +152,8 @@ func (r *localRun) execute(ex *campaign.Executor, c ShardClaim) (*campaign.Execu
 	return ex, wire, err
 }
 
-func (j *job) view() JobView {
-	v := JobView{
+func (j *job) view() apiclient.Job {
+	v := apiclient.Job{
 		ID:          j.id,
 		Key:         j.key,
 		State:       j.state,
@@ -326,7 +281,7 @@ func (m *jobMgr) loopback() {
 // local job with an executor free (nil: make one); a job's first grant
 // starts it. A nil job means stop: aborted, or closed with nothing left
 // to hand out.
-func (m *jobMgr) nextLocal() (*job, *localRun, *campaign.Executor, ShardClaim) {
+func (m *jobMgr) nextLocal() (*job, *localRun, *campaign.Executor, apiclient.ClaimedShard) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for !m.aborted {
@@ -337,7 +292,7 @@ func (m *jobMgr) nextLocal() (*job, *localRun, *campaign.Executor, ShardClaim) {
 			}
 			ex := run.idle[0]
 			run.idle = run.idle[1:]
-			if j.state == JobQueued {
+			if j.state == apiclient.JobQueued {
 				m.queued--
 				m.startLocked(j)
 			}
@@ -352,15 +307,15 @@ func (m *jobMgr) nextLocal() (*job, *localRun, *campaign.Executor, ShardClaim) {
 		}
 		m.wake.Wait()
 	}
-	return nil, nil, nil, ShardClaim{}
+	return nil, nil, nil, apiclient.ClaimedShard{}
 }
 
 // landLocal returns a loopback shard's executor and accepts its result;
 // the one completing the plan finalizes the job, a failed one fails it.
 // After Abort, or a sibling shard's failure, the outcome is dropped.
-func (m *jobMgr) landLocal(j *job, run *localRun, ex *campaign.Executor, c ShardClaim, wire *campaign.ShardResultWire, err error) {
+func (m *jobMgr) landLocal(j *job, run *localRun, ex *campaign.Executor, c apiclient.ClaimedShard, wire *campaign.ShardResultWire, err error) {
 	m.mu.Lock()
-	if m.aborted || j.state != JobRunning {
+	if m.aborted || j.state != apiclient.JobRunning {
 		m.mu.Unlock()
 		return
 	}
@@ -462,19 +417,19 @@ func (m *jobMgr) walSync(j *job) error {
 // a fresh queued job (created=true), the in-flight job for an
 // identical spec, or a synthetic done job for a store hit (both
 // created=false).
-func (m *jobMgr) Submit(spec campaign.Spec) (view JobView, created bool, err error) {
+func (m *jobMgr) Submit(spec campaign.Spec) (view apiclient.Job, created bool, err error) {
 	key, err := spec.CacheKey()
 	if err != nil {
-		return JobView{}, false, err
+		return apiclient.Job{}, false, err
 	}
 	norm := spec.Normalized()
 	cfg, err := norm.Config()
 	if err != nil {
-		return JobView{}, false, err
+		return apiclient.Job{}, false, err
 	}
 	plan := cfg.Shards()
 	if len(plan) == 0 {
-		return JobView{}, false, &campaign.ValidationError{Fields: []campaign.FieldError{
+		return apiclient.Job{}, false, &campaign.ValidationError{Fields: []campaign.FieldError{
 			{Field: "trace_plan", Msg: "plan selects no vantages"},
 		}}
 	}
@@ -482,10 +437,10 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view JobView, created bool, err err
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return JobView{}, false, faultf(503, codeUnavailable, "server: job manager is shut down")
+		return apiclient.Job{}, false, faultf(503, apiclient.CodeUnavailable, "server: job manager is shut down")
 	}
 	if m.draining {
-		return JobView{}, false, faultRetryf(503, codeUnavailable, drainRetryAfterSeconds,
+		return apiclient.Job{}, false, faultRetryf(503, apiclient.CodeUnavailable, drainRetryAfterSeconds,
 			"server: draining for shutdown; resubmit shortly")
 	}
 	m.met.jobsSubmitted.Inc()
@@ -512,14 +467,14 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view JobView, created bool, err err
 	// were served above — they add no load and are never shed.
 	if load := m.queued + m.openShards; load >= m.watermark {
 		m.met.submitShed.Inc()
-		return JobView{}, false, faultRetryf(http.StatusTooManyRequests, codeOverloaded,
+		return apiclient.Job{}, false, faultRetryf(http.StatusTooManyRequests, apiclient.CodeOverloaded,
 			drainRetryAfterSeconds,
 			"server: %d jobs/shards already open (watermark %d); resubmit shortly",
 			load, m.watermark)
 	}
 	distributed := norm.Execution == campaign.ExecutionDistributed
 	if !distributed && m.queued >= maxQueuedJobs {
-		return JobView{}, false, faultf(503, codeQueueFull, "server: job queue full (%d queued)", maxQueuedJobs)
+		return apiclient.Job{}, false, faultf(503, apiclient.CodeQueueFull, "server: job queue full (%d queued)", maxQueuedJobs)
 	}
 
 	j := m.newJobLocked("", key, norm, plan)
@@ -532,7 +487,7 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view JobView, created bool, err err
 		if err := m.openJobWALLocked(j); err != nil {
 			delete(m.jobs, j.id)
 			m.order = m.order[:len(m.order)-1]
-			return JobView{}, false, faultf(500, codeInternal, "%v", err)
+			return apiclient.Job{}, false, faultf(500, apiclient.CodeInternal, "%v", err)
 		}
 	}
 	m.active[key] = j
@@ -566,13 +521,13 @@ func (m *jobMgr) newJobLocked(id, key string, spec campaign.Spec, plan []campaig
 		id:        id,
 		key:       key,
 		spec:      spec,
-		state:     JobQueued,
+		state:     apiclient.JobQueued,
 		pos:       len(m.order),
 		submitted: m.now(),
-		shards:    make([]ShardProgress, len(plan)),
+		shards:    make([]apiclient.Shard, len(plan)),
 	}
 	for i, sh := range plan {
-		j.shards[i] = ShardProgress{ShardInfo: sh, State: "pending"}
+		j.shards[i] = apiclient.Shard{ShardInfo: sh, State: "pending"}
 		j.tracesTotal += sh.Traces
 	}
 	m.jobs[j.id] = j
@@ -592,7 +547,7 @@ func (m *jobMgr) startLocked(j *job) {
 // finish marks a job whose run is already in the store — a cache hit,
 // or one recovery found filed — done at time at, every shard complete.
 func (j *job) finish(at time.Time) {
-	j.state = JobDone
+	j.state = apiclient.JobDone
 	j.finished = at
 	j.results = nil
 	for i := range j.shards {
@@ -632,11 +587,11 @@ func (m *jobMgr) openJobWALLocked(j *job) error {
 // first failure wins (two shards of a local job can fail at once).
 func (m *jobMgr) failJob(j *job, err error) {
 	m.mu.Lock()
-	if j.state != JobRunning {
+	if j.state != apiclient.JobRunning {
 		m.mu.Unlock()
 		return
 	}
-	j.state = JobFailed
+	j.state = apiclient.JobFailed
 	j.err = err.Error()
 	j.finished = m.now()
 	delete(m.active, j.key)
@@ -675,7 +630,7 @@ func (m *jobMgr) fileRun(j *job, res *campaign.Result, wall time.Duration) (int6
 	if err != nil {
 		return 0, err
 	}
-	meta := RunMeta{
+	meta := apiclient.Report{
 		Key:                j.key,
 		Spec:               j.spec,
 		Traces:             j.tracesTotal,
@@ -759,12 +714,12 @@ func (m *jobMgr) Health() (queued int, draining bool) {
 }
 
 // Get returns a snapshot of the identified job.
-func (m *jobMgr) Get(id string) (JobView, bool) {
+func (m *jobMgr) Get(id string) (apiclient.Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
-		return JobView{}, false
+		return apiclient.Job{}, false
 	}
 	return j.view(), true
 }
@@ -773,18 +728,18 @@ func (m *jobMgr) Get(id string) (JobView, bool) {
 // strictly after the cursor job (all jobs when cursor is empty),
 // optionally filtered by state. The returned cursor is non-empty iff
 // more matching jobs follow; feed it back to resume.
-func (m *jobMgr) Page(cursor string, limit int, state JobState) ([]JobView, string, error) {
+func (m *jobMgr) Page(cursor string, limit int, state apiclient.JobState) ([]apiclient.Job, string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	start := 0
 	if cursor != "" {
 		j, ok := m.jobs[cursor]
 		if !ok {
-			return nil, "", faultf(400, codeCursorInvalid, "unknown cursor %q", cursor)
+			return nil, "", faultf(400, apiclient.CodeCursorInvalid, "unknown cursor %q", cursor)
 		}
 		start = j.pos + 1
 	}
-	views := []JobView{}
+	views := []apiclient.Job{}
 	next := ""
 	for i := start; i < len(m.order); i++ {
 		j := m.order[i]
@@ -801,14 +756,14 @@ func (m *jobMgr) Page(cursor string, limit int, state JobState) ([]JobView, stri
 }
 
 // Shards returns a job's per-(vantage, slice) completion snapshot.
-func (m *jobMgr) Shards(id string) ([]ShardProgress, bool) {
+func (m *jobMgr) Shards(id string) ([]apiclient.Shard, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
 		return nil, false
 	}
-	out := make([]ShardProgress, len(j.shards))
+	out := make([]apiclient.Shard, len(j.shards))
 	copy(out, j.shards)
 	return out, true
 }

@@ -6,50 +6,16 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/apiclient"
 	"repro/internal/campaign"
 )
 
-// Every v1 error response shares one envelope:
-//
-//	{"error": {"code": "...", "message": "...", "fields": [...]}}
-//
-// The code is the machine-readable contract — stable strings a client
-// branches on — while the message is advisory prose that may change
-// between releases. Validation errors additionally carry the offending
-// spec fields so a client can fix a submission in one round trip. The
-// full code table lives in DESIGN.md §13.
-
-// The stable v1 error codes.
-const (
-	codeBadRequest        = "bad_request"         // malformed body, unparseable parameter
-	codeSpecInvalid       = "spec_invalid"        // spec failed validation; fields populated
-	codeJobNotFound       = "job_not_found"       // unknown job ID
-	codeRunNotFound       = "run_not_found"       // a done job whose run is gone from the store
-	codeShardNotFound     = "shard_not_found"     // shard index outside the job's plan
-	codeJobNotDone        = "job_not_done"        // artifacts requested before completion
-	codeJobFailed         = "job_failed"          // artifacts requested from a failed job
-	codeJobNotDistributed = "job_not_distributed" // remote-worker call against a local job
-	codeLeaseExpired      = "lease_expired"       // heartbeat on a lapsed or superseded lease
-	codeStaleResult       = "stale_result"        // upload under an evicted lease or wrong spec hash
-	codeResultInvalid     = "result_invalid"      // upload payload inconsistent with the claimed shard
-	codeCursorInvalid     = "cursor_invalid"      // pagination cursor does not resolve
-	codeQueueFull         = "queue_full"          // job queue at capacity
-	codeUnavailable       = "unavailable"         // shutting down
-	codeOverloaded        = "overloaded"          // submission shed: open work past the admission watermark
-	codeInternal          = "internal"            // unclassified server-side failure
-)
-
-// ErrorDetail is the envelope's payload.
-type ErrorDetail struct {
-	Code    string                `json:"code"`
-	Message string                `json:"message"`
-	Fields  []campaign.FieldError `json:"fields,omitempty"`
-}
-
-// ErrorBody is the uniform v1 error response body.
-type ErrorBody struct {
-	Error ErrorDetail `json:"error"`
-}
+// Every v1 error response shares one envelope, apiclient.ErrorEnvelope,
+// whose code is one of apiclient's stable Code* constants — the
+// machine-readable contract a client branches on — while the message is
+// advisory prose that may change between releases. Validation errors
+// additionally carry the offending spec fields so a client can fix a
+// submission in one round trip.
 
 // apiFault is an error that knows its HTTP status and stable code; it
 // crosses the job-manager/handler boundary so lease and pagination
@@ -88,19 +54,19 @@ func writeFault(w http.ResponseWriter, err error) {
 		if f.retryAfter > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(f.retryAfter))
 		}
-		writeJSON(w, f.status, ErrorBody{Error: ErrorDetail{
+		writeJSON(w, f.status, apiclient.ErrorEnvelope{Error: apiclient.APIError{
 			Code: f.code, Message: f.msg, Fields: f.fields,
 		}})
 		return
 	}
 	var verr *campaign.ValidationError
 	if errors.As(err, &verr) {
-		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: ErrorDetail{
-			Code: codeSpecInvalid, Message: verr.Error(), Fields: verr.Fields,
+		writeJSON(w, http.StatusBadRequest, apiclient.ErrorEnvelope{Error: apiclient.APIError{
+			Code: apiclient.CodeSpecInvalid, Message: verr.Error(), Fields: verr.Fields,
 		}})
 		return
 	}
-	writeJSON(w, http.StatusInternalServerError, ErrorBody{Error: ErrorDetail{
-		Code: codeInternal, Message: err.Error(),
+	writeJSON(w, http.StatusInternalServerError, apiclient.ErrorEnvelope{Error: apiclient.APIError{
+		Code: apiclient.CodeInternal, Message: err.Error(),
 	}})
 }

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
+
+	"repro/internal/apiclient"
 )
 
 // TestGzipUploadRejectsGarbage: a Content-Encoding: gzip body that is
@@ -46,7 +48,7 @@ func TestGzipUploadRejectsGarbage(t *testing.T) {
 	wires := execWires(t, distSpec, claim.SpecHash)
 	for _, sh := range claim.Shards {
 		ack, err := client.PushShardResult(ctx, job.ID, sh.Index, "w1", sh.Lease, wires[sh.Index])
-		if err != nil || ack.Status != "accepted" {
+		if err != nil || ack.Status != apiclient.ResultAccepted {
 			t.Fatalf("upload after rejected garbage = %+v, %v", ack, err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 
+	"repro/internal/apiclient"
 	"repro/internal/campaign"
 	"repro/internal/dataset"
 	"repro/internal/freelist"
@@ -89,7 +90,7 @@ func (b *ingestBuf) readBody(w http.ResponseWriter, r *http.Request, limit int64
 		b.body.Grow(int(hint) + bytes.MinRead)
 	}
 	if _, err := b.body.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
-		return nil, faultf(http.StatusBadRequest, codeBadRequest, "read body: %v", err)
+		return nil, faultf(http.StatusBadRequest, apiclient.CodeBadRequest, "read body: %v", err)
 	}
 	return b.body.Bytes(), nil
 }
@@ -104,7 +105,7 @@ func (b *ingestBuf) open(raw []byte, limit int64) (io.Reader, error) {
 		b.zr = new(gzip.Reader)
 	}
 	if err := b.zr.Reset(&b.src); err != nil {
-		return nil, faultf(http.StatusBadRequest, codeBadRequest, "gzip body: %v", err)
+		return nil, faultf(http.StatusBadRequest, apiclient.CodeBadRequest, "gzip body: %v", err)
 	}
 	b.lim = io.LimitedReader{R: b.zr, N: limit + 1}
 	return &b.lim, nil
@@ -120,7 +121,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64,
 		return err
 	}
 	if err := json.Unmarshal(raw, v); err != nil {
-		return faultf(http.StatusBadRequest, codeBadRequest, "parse body: %v", err)
+		return faultf(http.StatusBadRequest, apiclient.CodeBadRequest, "parse body: %v", err)
 	}
 	return nil
 }
@@ -187,10 +188,10 @@ func (b *ingestBuf) acceptUpload(raw []byte, limit int64) (u upload, err error) 
 	}
 	switch {
 	case b.lim.N == 0:
-		return upload{}, faultf(http.StatusBadRequest, codeBadRequest,
+		return upload{}, faultf(http.StatusBadRequest, apiclient.CodeBadRequest,
 			"inflated body exceeds the %d-byte limit", limit)
 	case !ok || !parseTail(tail, &h.ShardHeader):
-		return upload{}, faultf(http.StatusBadRequest, codeBadRequest,
+		return upload{}, faultf(http.StatusBadRequest, apiclient.CodeBadRequest,
 			"body is not a canonical gzip'd shard-result upload (at inflated byte %d)", s.Offset())
 	}
 	return u, nil

@@ -64,7 +64,7 @@ func TestConcurrentUploadsOwnTheirBuffers(t *testing.T) {
 					ack, err := c1.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index])
 					if err != nil {
 						errs <- fmt.Errorf("shard %d: %w", sh.Index, err)
-					} else if ack.Status != "accepted" {
+					} else if ack.Status != apiclient.ResultAccepted {
 						errs <- fmt.Errorf("shard %d: status %q, want accepted", sh.Index, ack.Status)
 					}
 				}()
@@ -87,14 +87,14 @@ func TestConcurrentUploadsOwnTheirBuffers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.State != "running" || got.ShardsDone != len(racing) {
+				if got.State != apiclient.JobRunning || got.ShardsDone != len(racing) {
 					t.Fatalf("recovered job = state %s done %d, want running with %d replayed",
 						got.State, got.ShardsDone, len(racing))
 				}
 				// The pre-crash lease token still lands the held-back shard.
 				for _, sh := range held {
 					ack, err := client.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index])
-					if err != nil || ack.Status != "accepted" {
+					if err != nil || ack.Status != apiclient.ResultAccepted {
 						t.Fatalf("held-back shard %d after restart = %+v, %v", sh.Index, ack, err)
 					}
 				}

@@ -130,8 +130,8 @@ func (c *captureTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 func wantBadRequest(t *testing.T, err error) {
 	t.Helper()
 	var f *apiFault
-	if !errors.As(err, &f) || f.status != http.StatusBadRequest || f.code != codeBadRequest {
-		t.Fatalf("decode error = %#v, want a 400 %s fault", err, codeBadRequest)
+	if !errors.As(err, &f) || f.status != http.StatusBadRequest || f.code != apiclient.CodeBadRequest {
+		t.Fatalf("decode error = %#v, want a 400 %s fault", err, apiclient.CodeBadRequest)
 	}
 }
 
@@ -353,8 +353,8 @@ func TestIngestBombIsBounded(t *testing.T) {
 
 	_, ts := newPoolServer(t, Config{}, 0)
 	id, claim, wires := claimPinned(t, apiclient.New(ts.URL))
-	if status, code := postResult(t, ts, id, claim.Shards[0].Index, bomb, true); status != http.StatusBadRequest || code != codeBadRequest {
-		t.Fatalf("a bomb upload = %d %s, want 400 %s", status, code, codeBadRequest)
+	if status, code := postResult(t, ts, id, claim.Shards[0].Index, bomb, true); status != http.StatusBadRequest || code != apiclient.CodeBadRequest {
+		t.Fatalf("a bomb upload = %d %s, want 400 %s", status, code, apiclient.CodeBadRequest)
 	}
 
 	var pool ingestPool
@@ -382,7 +382,7 @@ func TestIngestBombIsBounded(t *testing.T) {
 	}
 	pool.put(b)
 	if ack, err := apiclient.New(ts.URL).PushShardResult(context.Background(), id, claim.Shards[0].Index, "w1",
-		claim.Shards[0].Lease, wires[0]); err != nil || ack.Status != "accepted" {
+		claim.Shards[0].Lease, wires[0]); err != nil || ack.Status != apiclient.ResultAccepted {
 		t.Fatalf("upload after the bomb = %+v, %v", ack, err)
 	}
 }
@@ -493,7 +493,7 @@ func TestCoordinatorHoldsCompressedResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		compressed += len(gzipBytes(t, raw))
-		if ack, err := client.PushShardResult(ctx, job.ID, sh.Index, "w1", sh.Lease, wire); err != nil || ack.Status != "accepted" {
+		if ack, err := client.PushShardResult(ctx, job.ID, sh.Index, "w1", sh.Lease, wire); err != nil || ack.Status != apiclient.ResultAccepted {
 			t.Fatalf("upload %d = %+v, %v", k, ack, err)
 		}
 		if k == len(claim.Shards)-1 {
@@ -559,14 +559,14 @@ func TestNonCanonicalUploadRefused(t *testing.T) {
 			{"identity labelled gzip", canonical, true},
 			{"escaped worker ID", gzipBytes(t, escaped), true},
 		} {
-			if status, code := postResult(t, ts, id, sh.Index, c.body, c.gz); status != http.StatusBadRequest || code != codeBadRequest {
-				t.Fatalf("%s upload %d = %d %s, want 400 %s", c.name, k, status, code, codeBadRequest)
+			if status, code := postResult(t, ts, id, sh.Index, c.body, c.gz); status != http.StatusBadRequest || code != apiclient.CodeBadRequest {
+				t.Fatalf("%s upload %d = %d %s, want 400 %s", c.name, k, status, code, apiclient.CodeBadRequest)
 			}
 		}
 		if got := heldKind(srv, id, sh.Index); got != "nothing" {
 			t.Fatalf("after the refused uploads shard %d is held as %s", k, got)
 		}
-		if ack, err := client.PushShardResult(context.Background(), id, sh.Index, "w1", sh.Lease, wires[k]); err != nil || ack.Status != "accepted" {
+		if ack, err := client.PushShardResult(context.Background(), id, sh.Index, "w1", sh.Lease, wires[k]); err != nil || ack.Status != apiclient.ResultAccepted {
 			t.Fatalf("canonical retry of upload %d = %+v, %v", k, ack, err)
 		}
 		if k < len(claim.Shards)-1 {
@@ -601,8 +601,8 @@ func TestOutOfRangeUploadRefused(t *testing.T) {
 		t.Fatal("test setup: the shard's upload has no udp_attempts of 1")
 	}
 	malformedStatus, malformedCode := postResult(t, ts, id, sh.Index, gzipBytes(t, good[:len(good)/2]), true)
-	if malformedStatus != http.StatusBadRequest || malformedCode != codeBadRequest {
-		t.Fatalf("a malformed upload = %d %s, want 400 %s", malformedStatus, malformedCode, codeBadRequest)
+	if malformedStatus != http.StatusBadRequest || malformedCode != apiclient.CodeBadRequest {
+		t.Fatalf("a malformed upload = %d %s, want 400 %s", malformedStatus, malformedCode, apiclient.CodeBadRequest)
 	}
 	if status, code := postResult(t, ts, id, sh.Index, gzipBytes(t, wide), true); status != malformedStatus || code != malformedCode {
 		t.Fatalf("an upload with udp_attempts 256 = %d %s; a malformed one = %d %s",
@@ -618,7 +618,7 @@ func TestOutOfRangeUploadRefused(t *testing.T) {
 	}
 
 	for k, sh := range claim.Shards {
-		if ack, err := client.PushShardResult(context.Background(), id, sh.Index, "w1", sh.Lease, wires[k]); err != nil || ack.Status != "accepted" {
+		if ack, err := client.PushShardResult(context.Background(), id, sh.Index, "w1", sh.Lease, wires[k]); err != nil || ack.Status != apiclient.ResultAccepted {
 			t.Fatalf("upload %d = %+v, %v", k, ack, err)
 		}
 	}
@@ -681,7 +681,7 @@ func postResult(t *testing.T, ts *httptest.Server, id string, idx int, body []by
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var e ErrorBody
+	var e apiclient.ErrorEnvelope
 	_ = json.NewDecoder(resp.Body).Decode(&e) // a success carries no error envelope
 	return resp.StatusCode, e.Error.Code
 }

@@ -153,7 +153,7 @@ func wantDatasetMatch(t *testing.T, client *apiclient.Client, jobID string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.State != "done" || job.ShardsDone != job.ShardsTotal {
+	if job.State != apiclient.JobDone || job.ShardsDone != job.ShardsTotal {
 		t.Fatalf("job = state %s done %d/%d, want done", job.State, job.ShardsDone, job.ShardsTotal)
 	}
 	served, err := client.JobDataset(ctx, jobID)
@@ -214,7 +214,7 @@ func TestRecoveryResumesPartialJob(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.State != "running" || got.ShardsDone != n {
+			if got.State != apiclient.JobRunning || got.ShardsDone != n {
 				t.Fatalf("recovered job = state %s done %d, want running with %d accepted",
 					got.State, got.ShardsDone, n)
 			}
@@ -240,7 +240,7 @@ func TestRecoveryResumesPartialJob(t *testing.T) {
 			}
 			for _, sh := range reclaim.Shards {
 				ack, err := c2.PushShardResult(ctx, job.ID, sh.Index, "wB", sh.Lease, wires[sh.Index])
-				if err != nil || ack.Status != "accepted" {
+				if err != nil || ack.Status != apiclient.ResultAccepted {
 					t.Fatalf("upload shard %d = %+v, %v", sh.Index, ack, err)
 				}
 			}
@@ -298,7 +298,7 @@ func TestRecoveryMergesReplayedBodies(t *testing.T) {
 
 			_, _, c2 := startCrashServer(t, dir, fc)
 			for _, sh := range claim.Shards[k:] {
-				if ack, err := c2.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index]); err != nil || ack.Status != "accepted" {
+				if ack, err := c2.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index]); err != nil || ack.Status != apiclient.ResultAccepted {
 					t.Fatalf("upload shard %d under its restored lease = %+v, %v", sh.Index, ack, err)
 				}
 			}
@@ -340,7 +340,7 @@ func TestRecoveryOldTokenAcceptedSeqAdvances(t *testing.T) {
 	// The old token is the restored lease: an upload under it lands.
 	first := claim.Shards[0]
 	ack, err := c2.PushShardResult(ctx, job.ID, first.Index, "wA", first.Lease, wires[first.Index])
-	if err != nil || ack.Status != "accepted" {
+	if err != nil || ack.Status != apiclient.ResultAccepted {
 		t.Fatalf("pre-crash token upload = %+v, %v", ack, err)
 	}
 
@@ -363,7 +363,7 @@ func TestRecoveryOldTokenAcceptedSeqAdvances(t *testing.T) {
 	}
 	stale := reclaim.Shards[0]
 	_, err = c2.PushShardResult(ctx, job.ID, stale.Index, "wA", old[stale.Index], wires[stale.Index])
-	wantCode(t, err, 409, "stale_result")
+	wantCode(t, err, 409, apiclient.CodeStaleResult)
 
 	for _, sh := range reclaim.Shards {
 		if _, err := c2.PushShardResult(ctx, job.ID, sh.Index, "wB", sh.Lease, wires[sh.Index]); err != nil {
@@ -399,7 +399,7 @@ func TestRecoveryCompletesJournaledMerge(t *testing.T) {
 	wires := execWires(t, distSpec, claim.SpecHash)
 	for _, sh := range claim.Shards {
 		ack, err := c1.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index])
-		if err != nil || ack.Status != "accepted" {
+		if err != nil || ack.Status != apiclient.ResultAccepted {
 			t.Fatalf("upload shard %d = %+v, %v", sh.Index, ack, err)
 		}
 	}
@@ -409,7 +409,7 @@ func TestRecoveryCompletesJournaledMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mid.State == "done" {
+	if mid.State == apiclient.JobDone {
 		t.Fatal("finalize failpoint did not abort the merge")
 	}
 	crash(ts1, srv1)
@@ -458,7 +458,7 @@ func TestRecoveryAlreadyDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	done, err := c1.Job(ctx, job.ID)
-	if err != nil || done.State != "done" {
+	if err != nil || done.State != apiclient.JobDone {
 		t.Fatalf("job = %+v, %v, want done", done, err)
 	}
 	crash(ts1, srv1)
@@ -505,12 +505,12 @@ func TestRecoveryDuplicateResultRecords(t *testing.T) {
 	})
 	first := claim.Shards[0]
 	_, err = c1.PushShardResult(ctx, job.ID, first.Index, "wA", first.Lease, wires[first.Index])
-	wantCode(t, err, 500, "internal")
+	wantCode(t, err, 500, apiclient.CodeInternal)
 	remove()
 
 	// The idempotent retry lands and appends a second result record.
 	ack, err := c1.PushShardResult(ctx, job.ID, first.Index, "wA", first.Lease, wires[first.Index])
-	if err != nil || ack.Status != "accepted" {
+	if err != nil || ack.Status != apiclient.ResultAccepted {
 		t.Fatalf("retried upload = %+v, %v", ack, err)
 	}
 	// Leave exactly one shard pending and crash.
@@ -583,7 +583,7 @@ func TestRecoveryTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != "running" || got.ShardsDone != 1 {
+	if got.State != apiclient.JobRunning || got.ShardsDone != 1 {
 		t.Fatalf("recovered job = state %s done %d, want running with 1 accepted", got.State, got.ShardsDone)
 	}
 	text := metricsText(t, srv2)
@@ -600,7 +600,7 @@ func TestRecoveryTornTail(t *testing.T) {
 	// second crash replays a clean file, not a grant fused onto the tail.
 	crash(ts2, srv2)
 	_, _, c3 := startCrashServer(t, dir, fc)
-	if got, err := c3.Job(ctx, job.ID); err != nil || got.State != "running" || got.ShardsDone != 1 {
+	if got, err := c3.Job(ctx, job.ID); err != nil || got.State != apiclient.JobRunning || got.ShardsDone != 1 {
 		t.Fatalf("job after second crash = %+v, %v, want running with 1 accepted", got, err)
 	}
 	for _, sh := range reclaim.Shards {
@@ -657,11 +657,11 @@ func TestRecoveryMidFileCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != "failed" {
+	if got.State != apiclient.JobFailed {
 		t.Fatalf("corrupted job state = %s, want failed", got.State)
 	}
 	_, err = c2.JobDataset(ctx, job.ID)
-	wantCode(t, err, 502, "job_failed")
+	wantCode(t, err, 502, apiclient.CodeJobFailed)
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("corrupt journal must stay on disk as evidence: %v", err)
 	}
@@ -695,11 +695,11 @@ func TestRecoveryTruncatedJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != "failed" {
+	if got.State != apiclient.JobFailed {
 		t.Fatalf("truncated-journal job state = %s, want failed", got.State)
 	}
 	_, err = c2.JobReport(ctx, job.ID)
-	wantCode(t, err, 502, "job_failed")
+	wantCode(t, err, 502, apiclient.CodeJobFailed)
 }
 
 // wantRecoveryFailed asserts a restarted coordinator surfaced the job
@@ -712,11 +712,11 @@ func wantRecoveryFailed(t *testing.T, srv http.Handler, client *apiclient.Client
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != "failed" {
+	if got.State != apiclient.JobFailed {
 		t.Fatalf("job state = %s, want failed", got.State)
 	}
 	_, err = client.JobDataset(ctx, jobID)
-	wantCode(t, err, 502, "job_failed")
+	wantCode(t, err, 502, apiclient.CodeJobFailed)
 	text := metricsText(t, srv)
 	if !contains(text, `repro_recovery_jobs_total{outcome="failed"} 1`) {
 		t.Errorf("metrics missing the failed-recovery outcome:\n%s", text)
@@ -898,7 +898,7 @@ func TestJournalBoundsSize(t *testing.T) {
 	var payload int
 	for _, s := range claim.Shards[:len(claim.Shards)-1] {
 		ack, err := client.PushShardResult(ctx, job.ID, s.Index, "w1", s.Lease, wires[s.Index])
-		if err != nil || ack.Status != "accepted" {
+		if err != nil || ack.Status != apiclient.ResultAccepted {
 			t.Fatalf("upload %d = %v %v, want accepted", s.Index, ack, err)
 		}
 		raw, err := json.Marshal(wires[s.Index])
@@ -943,7 +943,7 @@ func TestRecoveryRestoresStragglerBaseline(t *testing.T) {
 		}
 		sh := claim.Shards[0]
 		wires[sh.Index].Stats.Elapsed = 50 * time.Millisecond
-		if ack, err := c1.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index]); err != nil || ack.Status != "accepted" {
+		if ack, err := c1.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index]); err != nil || ack.Status != apiclient.ResultAccepted {
 			t.Fatalf("upload %d = %v %v, want accepted", sh.Index, ack, err)
 		}
 	}
@@ -1020,7 +1020,7 @@ func TestRecoveryReplaysParentJournal(t *testing.T) {
 	// next token for that shard is the fourth, and the job completes to
 	// the same bytes.
 	wires := execWires(t, distSpec, "c4a7eb863cbe522a2d6568173e4da62ca53db0f5d7eb5de4a750d20995d1c211")
-	if ack, err := client.PushShardResult(ctx, jobID, 2, "wC", jobID+".2.3", wires[2]); err != nil || ack.Status != "accepted" {
+	if ack, err := client.PushShardResult(ctx, jobID, 2, "wC", jobID+".2.3", wires[2]); err != nil || ack.Status != apiclient.ResultAccepted {
 		t.Fatalf("upload under the pre-crash lease = %v %v, want accepted", ack, err)
 	}
 	claim, err := client.Claim(ctx, jobID, "wD", 1000)
@@ -1072,13 +1072,13 @@ func TestResultWithWrongTraceCountRejected(t *testing.T) {
 		if err == nil {
 			t.Fatalf("a result with %s was acknowledged", name)
 		}
-		wantCode(t, err, 400, "result_invalid")
+		wantCode(t, err, 400, apiclient.CodeResultInvalid)
 	}
-	if view, err := c1.Job(ctx, job.ID); err != nil || view.ShardsDone != 0 || view.State != "running" {
+	if view, err := c1.Job(ctx, job.ID); err != nil || view.ShardsDone != 0 || view.State != apiclient.JobRunning {
 		t.Fatalf("job after three refused results = %+v, %v; want running with no shard done", view, err)
 	}
 	// The lease survived the refusals: the genuine result lands under it.
-	if ack, err := c1.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, good); err != nil || ack.Status != "accepted" {
+	if ack, err := c1.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, good); err != nil || ack.Status != apiclient.ResultAccepted {
 		t.Fatalf("genuine result after the refusals = %+v, %v; want accepted", ack, err)
 	}
 	crash(ts1, srv1)
@@ -1110,11 +1110,11 @@ func TestResultWithWrongTraceCountRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != "failed" || !strings.Contains(got.Error, "traces") {
+	if got.State != apiclient.JobFailed || !strings.Contains(got.Error, "traces") {
 		t.Fatalf("job replayed over a short result = %s (%q), want failed on the trace count", got.State, got.Error)
 	}
 	_, err = c2.JobDataset(ctx, job.ID)
-	wantCode(t, err, 502, "job_failed")
+	wantCode(t, err, 502, apiclient.CodeJobFailed)
 }
 
 // TestRecoveryIdentityRecordFails: a result record whose body is not
@@ -1261,11 +1261,11 @@ func FuzzWALReplay(f *testing.F) {
 			return rec.Code
 		}
 
-		var view server.JobView
+		var view apiclient.Job
 		if code := get("/v1/jobs/"+job.ID, &view); code != 200 {
 			t.Fatalf("job lookup = %d, want the recovered or failed job", code)
 		}
-		var shards struct{ Shards []server.ShardProgress }
+		var shards apiclient.JobShards
 		get("/v1/jobs/"+job.ID+"/shards", &shards)
 		done := 0
 		for _, sh := range shards.Shards {
@@ -1279,15 +1279,15 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		dataset := get("/v1/jobs/"+job.ID+"/dataset", nil)
 		switch view.State {
-		case server.JobRunning:
+		case apiclient.JobRunning:
 			if dataset != 409 || view.Spec.Execution != campaign.ExecutionDistributed {
 				t.Fatalf("running %q job's dataset = %d, want a distributed job and 409", view.Spec.Execution, dataset)
 			}
-		case server.JobDone:
+		case apiclient.JobDone:
 			if dataset != 200 {
 				t.Fatalf("done job's dataset = %d, want 200", dataset)
 			}
-		case server.JobFailed:
+		case apiclient.JobFailed:
 			if dataset != 502 {
 				t.Fatalf("failed job's dataset = %d, want 502 job_failed", dataset)
 			}
@@ -1352,13 +1352,13 @@ func TestDrainRejectsNewWorkAcceptsInFlight(t *testing.T) {
 	// New work is refused with the retry hint...
 	_, _, err = client.SubmitRaw(ctx, []byte(`{"spec": 1, "scale": "small", "traces": 1,
 	  "seed": 2017, "stride": 0, "execution": "distributed"}`))
-	wantCode(t, err, 503, "unavailable")
+	wantCode(t, err, 503, apiclient.CodeUnavailable)
 	var ae *apiclient.APIError
 	if !errors.As(err, &ae) || ae.RetryAfter <= 0 {
 		t.Fatalf("drain rejection carries no Retry-After: %+v", err)
 	}
 	_, err = client.Claim(ctx, job.ID, "wB", 1000)
-	wantCode(t, err, 503, "unavailable")
+	wantCode(t, err, 503, apiclient.CodeUnavailable)
 
 	// ...while the in-flight lease stays serviceable end to end.
 	first := claim.Shards[0]
@@ -1367,7 +1367,7 @@ func TestDrainRejectsNewWorkAcceptsInFlight(t *testing.T) {
 	}
 	for _, sh := range claim.Shards {
 		ack, err := client.PushShardResult(ctx, job.ID, sh.Index, "wA", sh.Lease, wires[sh.Index])
-		if err != nil || ack.Status != "accepted" {
+		if err != nil || ack.Status != apiclient.ResultAccepted {
 			t.Fatalf("upload during drain = %+v, %v", ack, err)
 		}
 	}

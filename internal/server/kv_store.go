@@ -11,10 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
-	"repro/internal/analysis"
-	"repro/internal/campaign"
+	"repro/internal/apiclient"
 )
 
 // Store is the control plane's disk-backed, content-addressed result
@@ -23,7 +21,7 @@ import (
 // campaign.Spec.CacheKey) as a directory of three artifacts:
 //
 //	<data dir>/<key[:2]>/<key>/spec.json     canonical submitted spec
-//	<data dir>/<key[:2]>/<key>/meta.json     RunMeta: determinism hash, counters, CE report
+//	<data dir>/<key[:2]>/<key>/meta.json     apiclient.Report: determinism hash, counters, CE report
 //	<data dir>/<key[:2]>/<key>/dataset.jsonl merged dataset, canonical JSON lines
 //
 // Writes are atomic and durable: artifacts land in a temp directory,
@@ -38,33 +36,6 @@ type Store struct {
 
 	mu   sync.RWMutex
 	keys map[string]bool
-}
-
-// RunMeta describes one cached campaign run: what ran, the determinism
-// hash of its dataset, and its execution counters. It is the body of
-// the store's meta.json and the API's run/report resources.
-type RunMeta struct {
-	Key  string        `json:"key"`
-	Spec campaign.Spec `json:"spec"` // normalized (canonical form)
-	// DatasetSHA256 is the SHA-256 of dataset.jsonl — by the campaign
-	// determinism invariant, equal to the hash campaign.Run's dataset
-	// has for the same spec (TestDeterminismGrid pins the small
-	// campaign's), whatever execution shape either used.
-	DatasetSHA256 string `json:"dataset_sha256"`
-	DatasetBytes  int64  `json:"dataset_bytes"`
-	Traces        int    `json:"traces"`
-	Servers       int    `json:"servers"`
-	Shards        int    `json:"shards"`
-	// Events counters aggregate over shards; the phantom/replayed split
-	// mirrors campaign.Result.
-	Events             uint64    `json:"events"`
-	PhantomEvents      uint64    `json:"events_phantom"`
-	ReplayedBoundaries uint64    `json:"boundaries_replayed"`
-	WallSeconds        float64   `json:"wall_seconds"`
-	CompletedAt        time.Time `json:"completed_at"`
-	// Congestion is the verbose-mode CE-mark report for congested
-	// scenarios; nil for uncongested runs.
-	Congestion *analysis.CEMarkReport `json:"congestion,omitempty"`
 }
 
 const (
@@ -132,7 +103,7 @@ func checkEntry(entry string) error {
 	if err != nil {
 		return err
 	}
-	var meta RunMeta
+	var meta apiclient.Report
 	if err := json.Unmarshal(b, &meta); err != nil {
 		return fmt.Errorf("meta.json: %w", err)
 	}
@@ -193,7 +164,7 @@ func (st *Store) Len() int {
 // dataset in memory, and Put — the only party that sees the bytes that
 // actually land — fills meta.DatasetSHA256 and meta.DatasetBytes from
 // them. It returns the dataset's size.
-func (st *Store) Put(key string, spec []byte, meta RunMeta, writeDataset func(io.Writer) error) (int64, error) {
+func (st *Store) Put(key string, spec []byte, meta apiclient.Report, writeDataset func(io.Writer) error) (int64, error) {
 	if len(key) < 3 {
 		return 0, fmt.Errorf("server: store: malformed key %q", key)
 	}
@@ -292,17 +263,17 @@ func syncDir(dir string) error {
 }
 
 // Meta loads a cached run's metadata.
-func (st *Store) Meta(key string) (RunMeta, error) {
+func (st *Store) Meta(key string) (apiclient.Report, error) {
 	if !st.Has(key) {
-		return RunMeta{}, os.ErrNotExist
+		return apiclient.Report{}, os.ErrNotExist
 	}
 	b, err := os.ReadFile(filepath.Join(st.path(key), metaFile))
 	if err != nil {
-		return RunMeta{}, err
+		return apiclient.Report{}, err
 	}
-	var m RunMeta
+	var m apiclient.Report
 	if err := json.Unmarshal(b, &m); err != nil {
-		return RunMeta{}, fmt.Errorf("server: store: meta for %s: %w", key, err)
+		return apiclient.Report{}, fmt.Errorf("server: store: meta for %s: %w", key, err)
 	}
 	return m, nil
 }

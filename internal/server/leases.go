@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/apiclient"
 	"repro/internal/campaign"
 	"repro/internal/failpoint"
 	"repro/internal/packet"
@@ -85,66 +86,15 @@ type shardLease struct {
 	specExpires time.Time
 }
 
-// ShardClaim is one leased shard in a claim response.
-type ShardClaim struct {
-	// Index is the shard's position in the job's canonical plan — the
-	// {shard} the heartbeat and result routes address.
-	Index int `json:"index"`
-	campaign.ShardInfo
-	// Lease is the opaque token the worker must present on heartbeat
-	// and upload; ExpiresAt is its deadline on the coordinator's clock.
-	Lease     string    `json:"lease"`
-	ExpiresAt time.Time `json:"expires_at"`
-	// Speculative marks a straggler re-issue: another worker still
-	// holds a live lease on this shard, and the first upload wins.
-	Speculative bool `json:"speculative,omitempty"`
-}
-
-// ClaimResponse is POST /v1/jobs/{id}/shards/claim's body. It carries
-// everything a worker needs to execute without further reads: the
-// job's canonical spec (compile the blueprint locally), its cache key
-// (stamp uploads for the spec-hash guard), and the leased batch. An
-// empty batch with state "running" means every remaining shard is
-// leased elsewhere — back off and re-claim; state "done"/"failed"
-// means drain.
-type ClaimResponse struct {
-	Job             string        `json:"job"`
-	State           JobState      `json:"state"`
-	SpecHash        string        `json:"spec_hash"`
-	Spec            campaign.Spec `json:"spec"`
-	LeaseTTLSeconds float64       `json:"lease_ttl_seconds"`
-	ShardsTotal     int           `json:"shards_total"`
-	ShardsDone      int           `json:"shards_done"`
-	Shards          []ShardClaim  `json:"shards"`
-}
-
-// HeartbeatResponse acknowledges a lease extension.
-type HeartbeatResponse struct {
-	Job       string    `json:"job"`
-	Index     int       `json:"index"`
-	ExpiresAt time.Time `json:"expires_at"`
-}
-
-// ResultResponse acknowledges a shard upload. Status is "accepted" for
-// the winning upload and "duplicate" for an idempotent re-send.
-type ResultResponse struct {
-	Job         string   `json:"job"`
-	Index       int      `json:"index"`
-	Status      string   `json:"status"`
-	ShardsDone  int      `json:"shards_done"`
-	ShardsTotal int      `json:"shards_total"`
-	State       JobState `json:"state"`
-}
-
 // distributedJobLocked resolves a worker-protocol job reference;
 // callers hold m.mu.
 func (m *jobMgr) distributedJobLocked(jobID string) (*job, error) {
 	j, ok := m.jobs[jobID]
 	if !ok {
-		return nil, faultf(http.StatusNotFound, codeJobNotFound, "no such job %q", jobID)
+		return nil, faultf(http.StatusNotFound, apiclient.CodeJobNotFound, "no such job %q", jobID)
 	}
 	if !j.distributed() {
-		return nil, faultf(http.StatusConflict, codeJobNotDistributed,
+		return nil, faultf(http.StatusConflict, apiclient.CodeJobNotDistributed,
 			"job %s executes on the coordinator's loopback workers; its shards cannot be claimed", jobID)
 	}
 	return j, nil
@@ -321,7 +271,7 @@ func (m *jobMgr) speculationDueLocked(j *job, i int, now time.Time) bool {
 // under its old token, and keep a post-restart race honest (the loser
 // still acks "duplicate"). A failed append is logged, not fatal: a lost
 // grant costs a re-execution, never correctness. Callers hold m.mu.
-func (m *jobMgr) grantLocked(j *job, i int, worker string, now time.Time, batch int, twin bool) ShardClaim {
+func (m *jobMgr) grantLocked(j *job, i int, worker string, now time.Time, batch int, twin bool) apiclient.ClaimedShard {
 	sh := &j.shards[i]
 	rec := walRecord{
 		Type: walLease, Idx: i, Event: walGrant, Worker: worker, Seq: j.leases[i].seq + 1,
@@ -343,14 +293,14 @@ func (m *jobMgr) grantLocked(j *job, i int, worker string, now time.Time, batch 
 	m.met.leaseGrants.Inc()
 	m.met.events.Append(telemetry.EventShardLeased, &j.id, m.internWorkerLocked(worker),
 		int32(sh.Shard), int32(sh.Slice))
-	return ShardClaim{Index: i, ShardInfo: sh.ShardInfo, Lease: rec.Token, ExpiresAt: rec.Expires, Speculative: twin}
+	return apiclient.ClaimedShard{Index: i, ShardInfo: sh.ShardInfo, Lease: rec.Token, ExpiresAt: rec.Expires, Speculative: twin}
 }
 
 // Claim leases up to max pending shards of a distributed job to one
 // remote worker. Every claim first sweeps lapsed leases back to the
 // pool, so a crashed worker's shards are re-issued as soon as any live
 // worker asks for work.
-func (m *jobMgr) Claim(jobID, worker string, max int) (ClaimResponse, error) {
+func (m *jobMgr) Claim(jobID, worker string, max int) (apiclient.Claim, error) {
 	if max < 1 {
 		max = 1
 	}
@@ -358,17 +308,17 @@ func (m *jobMgr) Claim(jobID, worker string, max int) (ClaimResponse, error) {
 	defer m.mu.Unlock()
 	j, err := m.distributedJobLocked(jobID)
 	if err != nil {
-		return ClaimResponse{}, err
+		return apiclient.Claim{}, err
 	}
 	if m.draining {
 		// The drain window refuses new leases to remote workers (they
 		// back off per Retry-After) but keeps accepting heartbeats and
 		// uploads for leases already out. Loopback grants do not pass
 		// through here: local jobs still finish.
-		return ClaimResponse{}, faultRetryf(http.StatusServiceUnavailable, codeUnavailable,
+		return apiclient.Claim{}, faultRetryf(http.StatusServiceUnavailable, apiclient.CodeUnavailable,
 			drainRetryAfterSeconds, "server: draining for shutdown; no new leases")
 	}
-	resp := ClaimResponse{
+	resp := apiclient.Claim{
 		Job:             j.id,
 		SpecHash:        j.key,
 		Spec:            j.spec,
@@ -376,7 +326,7 @@ func (m *jobMgr) Claim(jobID, worker string, max int) (ClaimResponse, error) {
 	}
 	now := m.now()
 	m.sweepExpiredLocked(j, now)
-	if j.state == JobRunning {
+	if j.state == apiclient.JobRunning {
 		var pending []int
 		for i := j.nextPending(0); i >= 0 && len(pending) < max; i = j.nextPending(i + 1) {
 			pending = append(pending, i)
@@ -411,21 +361,21 @@ func (m *jobMgr) Claim(jobID, worker string, max int) (ClaimResponse, error) {
 // heartbeat for a lapsed lease evicts it on the spot and reports
 // lease_expired — the worker must re-claim, it cannot resurrect the
 // old token.
-func (m *jobMgr) Heartbeat(jobID string, idx int, token string) (HeartbeatResponse, error) {
+func (m *jobMgr) Heartbeat(jobID string, idx int, token string) (apiclient.Heartbeat, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, err := m.distributedJobLocked(jobID)
 	if err != nil {
-		return HeartbeatResponse{}, err
+		return apiclient.Heartbeat{}, err
 	}
 	if idx < 0 || idx >= len(j.shards) {
-		return HeartbeatResponse{}, faultf(http.StatusNotFound, codeShardNotFound,
+		return apiclient.Heartbeat{}, faultf(http.StatusNotFound, apiclient.CodeShardNotFound,
 			"job %s has no shard %d (plan has %d)", jobID, idx, len(j.shards))
 	}
 	sh := &j.shards[idx]
 	l := &j.leases[idx]
 	if sh.State != "leased" || (l.token != token && (l.specToken == "" || l.specToken != token)) {
-		return HeartbeatResponse{}, faultf(http.StatusConflict, codeLeaseExpired,
+		return apiclient.Heartbeat{}, faultf(http.StatusConflict, apiclient.CodeLeaseExpired,
 			"lease is not current for shard %d of job %s", idx, jobID)
 	}
 	// A speculative twin heartbeats its own deadline; the primary's
@@ -437,11 +387,11 @@ func (m *jobMgr) Heartbeat(jobID string, idx int, token string) (HeartbeatRespon
 	now := m.now()
 	if ago := now.Sub(*expires); ago >= 0 {
 		m.expireLocked(j, idx, lapse)
-		return HeartbeatResponse{}, faultf(http.StatusConflict, codeLeaseExpired,
+		return apiclient.Heartbeat{}, faultf(http.StatusConflict, apiclient.CodeLeaseExpired,
 			"lease for shard %d of job %s expired %s ago", idx, jobID, ago)
 	}
 	*expires = now.Add(m.leaseTTL)
-	return HeartbeatResponse{Job: j.id, Index: idx, ExpiresAt: *expires}, nil
+	return apiclient.Heartbeat{Job: j.id, Index: idx, ExpiresAt: *expires}, nil
 }
 
 // ShardResult accepts one shard's uploaded result. First writer wins;
@@ -452,23 +402,23 @@ func (m *jobMgr) Heartbeat(jobID string, idx int, token string) (HeartbeatRespon
 // gzip'd upload as received and res what the accept path read of it
 // (acceptUpload): the journal keeps the former, the job res — with its
 // own copy of body (a loopback result has no body, its job no journal).
-func (m *jobMgr) ShardResult(jobID string, idx int, worker, token string, res *heldResult, body []byte) (ResultResponse, error) {
+func (m *jobMgr) ShardResult(jobID string, idx int, worker, token string, res *heldResult, body []byte) (apiclient.ResultAck, error) {
 	m.mu.Lock()
 	j, err := m.distributedJobLocked(jobID)
 	if err != nil {
 		m.mu.Unlock()
-		return ResultResponse{}, err
+		return apiclient.ResultAck{}, err
 	}
 	resp, finalize, err := m.shardResultLocked(j, idx, worker, token, res, body)
 	m.mu.Unlock()
 	if err != nil {
-		return ResultResponse{}, err
+		return apiclient.ResultAck{}, err
 	}
 	if finalize {
 		// Synchronous: the upload that completes the plan pays for the
 		// merge, so when its 200 arrives the artifacts are served.
 		m.finalize(j)
-		resp.State = JobDone
+		resp.State = apiclient.JobDone
 		if v, ok := m.Get(jobID); ok {
 			resp.State = v.State // failed merges surface too
 		}
@@ -483,43 +433,43 @@ func (m *jobMgr) ShardResult(jobID string, idx int, worker, token string, res *h
 func checkResult(j *job, idx int, h *resultHead) *apiFault {
 	sh := &j.shards[idx]
 	if h.version != campaign.ShardWireVersion {
-		return faultf(http.StatusBadRequest, codeResultInvalid,
+		return faultf(http.StatusBadRequest, apiclient.CodeResultInvalid,
 			"shard result has wire version %d (this server speaks %d)",
 			h.version, campaign.ShardWireVersion)
 	}
 	if h.specHash != j.key {
-		return faultf(http.StatusConflict, codeStaleResult,
+		return faultf(http.StatusConflict, apiclient.CodeStaleResult,
 			"result computed for spec %.12s, job %s wants %.12s", h.specHash, j.id, j.key)
 	}
 	if h.shard != sh.Shard || h.slice != sh.Slice {
-		return faultf(http.StatusBadRequest, codeResultInvalid,
+		return faultf(http.StatusBadRequest, apiclient.CodeResultInvalid,
 			"payload is for shard (%d,%d) but was posted to (%d,%d)",
 			h.shard, h.slice, sh.Shard, sh.Slice)
 	}
 	// A short result would merge into a dataset that silently lacks
 	// traces: it is refused before it is journaled or acknowledged.
 	if h.traces != sh.Traces || h.Stats.Traces != sh.Traces {
-		return faultf(http.StatusBadRequest, codeResultInvalid,
+		return faultf(http.StatusBadRequest, apiclient.CodeResultInvalid,
 			"payload carries %d traces (its stats say %d) but shard (%d,%d) is planned as %d",
 			h.traces, h.Stats.Traces, sh.Shard, sh.Slice, sh.Traces)
 	}
 	return nil
 }
 
-func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *heldResult, body []byte) (ResultResponse, bool, error) {
+func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *heldResult, body []byte) (apiclient.ResultAck, bool, error) {
 	if idx < 0 || idx >= len(j.shards) {
-		return ResultResponse{}, false, faultf(http.StatusNotFound, codeShardNotFound,
+		return apiclient.ResultAck{}, false, faultf(http.StatusNotFound, apiclient.CodeShardNotFound,
 			"job %s has no shard %d (plan has %d)", j.id, idx, len(j.shards))
 	}
 	sh := &j.shards[idx]
 	l := &j.leases[idx]
 	if f := checkResult(j, idx, &res.resultHead); f != nil {
-		if f.code == codeStaleResult {
+		if f.code == apiclient.CodeStaleResult {
 			m.met.resultsStale.Inc()
 		}
-		return ResultResponse{}, false, f
+		return apiclient.ResultAck{}, false, f
 	}
-	resp := ResultResponse{Job: j.id, Index: idx, ShardsTotal: len(j.shards)}
+	resp := apiclient.ResultAck{Job: j.id, Index: idx, ShardsTotal: len(j.shards)}
 	if sh.State == "done" {
 		// Idempotent duplicates: the winning token, and either side of a
 		// settled speculation race (the tokens are left in place when the
@@ -528,13 +478,13 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *h
 		// harmless).
 		if token != "" && (token == l.doneToken || token == l.token || token == l.specToken) {
 			m.met.resultsDuplicate.Inc()
-			resp.Status = "duplicate"
+			resp.Status = apiclient.ResultDuplicate
 			resp.ShardsDone = j.shardsDone
 			resp.State = j.state
 			return resp, false, nil
 		}
 		m.met.resultsStale.Inc()
-		return ResultResponse{}, false, faultf(http.StatusConflict, codeStaleResult,
+		return apiclient.ResultAck{}, false, faultf(http.StatusConflict, apiclient.CodeStaleResult,
 			"shard %d of job %s already has a result from %s", idx, j.id, sh.Worker)
 	}
 	speculative := l.specToken != "" && token == l.specToken && token != l.token
@@ -542,7 +492,7 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *h
 		// Pending (evicted) or leased to a successor: the uploader lost
 		// its lease and someone else owns — or will own — the shard.
 		m.met.resultsStale.Inc()
-		return ResultResponse{}, false, faultf(http.StatusConflict, codeStaleResult,
+		return apiclient.ResultAck{}, false, faultf(http.StatusConflict, apiclient.CodeStaleResult,
 			"lease is not current for shard %d of job %s", idx, j.id)
 	}
 	// Accept. Note no expiry check: a lapsed lease that was never
@@ -561,7 +511,7 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *h
 		err = m.walSync(j)
 	}
 	if err != nil {
-		return ResultResponse{}, false, faultf(http.StatusInternalServerError, codeInternal,
+		return apiclient.ResultAck{}, false, faultf(http.StatusInternalServerError, apiclient.CodeInternal,
 			"server: journal shard result: %v", err)
 	}
 	if err := failpoint.Check(failpoint.AcceptResultAfterJournal); err != nil {
@@ -569,7 +519,7 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *h
 		// gets an error instead of its ack — the crash-between-journal-
 		// and-ack window. Its retry appends a duplicate journal record,
 		// which replay deduplicates.
-		return ResultResponse{}, false, faultf(http.StatusInternalServerError, codeInternal,
+		return apiclient.ResultAck{}, false, faultf(http.StatusInternalServerError, apiclient.CodeInternal,
 			"failpoint %s: %v", failpoint.AcceptResultAfterJournal, err)
 	}
 	if res.wire == nil {
@@ -596,7 +546,7 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *h
 	m.met.workerShardSeconds(worker).Observe(res.Stats.Elapsed.Seconds())
 	m.met.events.Append(telemetry.EventShardDone, &j.id,
 		m.internWorkerLocked(worker), int32(sh.Shard), int32(sh.Slice))
-	resp.Status = "accepted"
+	resp.Status = apiclient.ResultAccepted
 	resp.ShardsDone = j.shardsDone
 	resp.State = j.state
 	finalize := j.shardsDone == len(j.shards) && !j.finalizing
@@ -632,7 +582,7 @@ func (m *jobMgr) finalize(j *job) {
 		return
 	}
 	m.mu.Lock()
-	j.state = JobDone
+	j.state = apiclient.JobDone
 	j.finished = m.now()
 	j.results = nil // shard data is merged and filed; release it,
 	j.local = nil   // and a local job's worlds with it

@@ -136,7 +136,7 @@ func TestDistributedLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !created || job.State != "running" {
+	if !created || job.State != apiclient.JobRunning {
 		t.Fatalf("distributed submit = created %v state %s, want fresh running job", created, job.State)
 	}
 
@@ -155,7 +155,7 @@ func TestDistributedLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(claim2.Shards) != 0 || claim2.State != "running" {
+	if len(claim2.Shards) != 0 || claim2.State != apiclient.JobRunning {
 		t.Fatalf("second claim = %+v, want empty running batch", claim2)
 	}
 
@@ -165,7 +165,7 @@ func TestDistributedLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("upload shard %d: %v", sh.Index, err)
 		}
-		if ack.Status != "accepted" {
+		if ack.Status != apiclient.ResultAccepted {
 			t.Fatalf("upload shard %d = %+v", sh.Index, ack)
 		}
 	}
@@ -174,7 +174,7 @@ func TestDistributedLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done.State != "done" || done.ShardsDone != done.ShardsTotal {
+	if done.State != apiclient.JobDone || done.ShardsDone != done.ShardsTotal {
 		t.Fatalf("job after full upload = %+v, want done", done)
 	}
 
@@ -256,15 +256,15 @@ func TestLeaseExpiryReissueStaleUpload(t *testing.T) {
 
 	// The evicted worker's late upload must not land.
 	_, err = client.PushShardResult(ctx, job.ID, shA.Index, "wA", shA.Lease, wires[shA.Index])
-	wantCode(t, err, 409, "stale_result")
+	wantCode(t, err, 409, apiclient.CodeStaleResult)
 
 	// The current holder's upload lands; re-sending it is idempotent.
 	ack, err := client.PushShardResult(ctx, job.ID, shB.Index, "wB", shB.Lease, wires[shB.Index])
-	if err != nil || ack.Status != "accepted" {
+	if err != nil || ack.Status != apiclient.ResultAccepted {
 		t.Fatalf("holder upload = %+v, %v", ack, err)
 	}
 	dup, err := client.PushShardResult(ctx, job.ID, shB.Index, "wB", shB.Lease, wires[shB.Index])
-	if err != nil || dup.Status != "duplicate" {
+	if err != nil || dup.Status != apiclient.ResultDuplicate {
 		t.Fatalf("duplicate upload = %+v, %v", dup, err)
 	}
 	if dup.ShardsDone != ack.ShardsDone {
@@ -272,7 +272,7 @@ func TestLeaseExpiryReissueStaleUpload(t *testing.T) {
 	}
 	// A's token against the done shard is still stale, not duplicate.
 	_, err = client.PushShardResult(ctx, job.ID, shA.Index, "wA", shA.Lease, wires[shA.Index])
-	wantCode(t, err, 409, "stale_result")
+	wantCode(t, err, 409, apiclient.CodeStaleResult)
 
 	// The journal-backed metrics recorded the cycle.
 	text := metricsText(t, srv)
@@ -340,13 +340,13 @@ func TestHeartbeatExtendsExactlyOneLease(t *testing.T) {
 
 	// A heartbeat with a superseded token is lease_expired.
 	_, err = client.Heartbeat(ctx, job.ID, dropped.Index, "wA", dropped.Lease)
-	wantCode(t, err, 409, "lease_expired")
+	wantCode(t, err, 409, apiclient.CodeLeaseExpired)
 
 	// A heartbeat arriving after the extended deadline evicts on the
 	// spot rather than resurrecting the lease.
 	fc.Advance(11 * time.Second)
 	_, err = client.Heartbeat(ctx, job.ID, kept.Index, "wA", kept.Lease)
-	wantCode(t, err, 409, "lease_expired")
+	wantCode(t, err, 409, apiclient.CodeLeaseExpired)
 }
 
 // TestWorkerProtocolGuards walks every worker-facing error path and
@@ -357,7 +357,7 @@ func TestWorkerProtocolGuards(t *testing.T) {
 
 	// Unknown job.
 	_, err := client.Claim(ctx, "j-999999", "w", 1)
-	wantCode(t, err, 404, "job_not_found")
+	wantCode(t, err, 404, apiclient.CodeJobNotFound)
 
 	// A local-execution job's shards cannot be claimed over HTTP:
 	// whatever its state, claiming is a 409.
@@ -367,7 +367,7 @@ func TestWorkerProtocolGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = client.Claim(ctx, local.ID, "w", 1)
-	wantCode(t, err, 409, "job_not_distributed")
+	wantCode(t, err, 409, apiclient.CodeJobNotDistributed)
 
 	job, _, err := client.SubmitRaw(ctx, []byte(distSpec))
 	if err != nil {
@@ -376,7 +376,7 @@ func TestWorkerProtocolGuards(t *testing.T) {
 	// A worker ID the upload scan cannot read — its uploads would carry
 	// it escaped — gets a 400 naming worker, and no lease.
 	_, err = client.Claim(ctx, job.ID, "w<3>", 1)
-	wantCode(t, err, 400, "bad_request")
+	wantCode(t, err, 400, apiclient.CodeBadRequest)
 	if msg := err.(*apiclient.APIError).Message; !strings.Contains(msg, "worker") {
 		t.Fatalf("refused claim says %q; want it to name worker", msg)
 	}
@@ -398,38 +398,38 @@ func TestWorkerProtocolGuards(t *testing.T) {
 
 	// Shard index outside the plan.
 	_, err = client.Heartbeat(ctx, job.ID, 9999, "w", sh.Lease)
-	wantCode(t, err, 404, "shard_not_found")
+	wantCode(t, err, 404, apiclient.CodeShardNotFound)
 	_, err = client.PushShardResult(ctx, job.ID, 9999, "w", sh.Lease, good)
-	wantCode(t, err, 404, "shard_not_found")
+	wantCode(t, err, 404, apiclient.CodeShardNotFound)
 
 	// Wire version mismatch.
 	bad := *good
 	bad.Version = campaign.ShardWireVersion + 1
 	_, err = client.PushShardResult(ctx, job.ID, sh.Index, "w", sh.Lease, &bad)
-	wantCode(t, err, 400, "result_invalid")
+	wantCode(t, err, 400, apiclient.CodeResultInvalid)
 
 	// Spec-hash guard: a result computed for some other spec.
 	bad = *good
 	bad.SpecHash = "feedfacefeedfacefeedfacefeedfacefeedfacefeedfacefeedfacefeedface"
 	_, err = client.PushShardResult(ctx, job.ID, sh.Index, "w", sh.Lease, &bad)
-	wantCode(t, err, 409, "stale_result")
+	wantCode(t, err, 409, apiclient.CodeStaleResult)
 
 	// Payload/coordinate mismatch: shard 1's result posted to shard 0's
 	// index.
 	other := claim.Shards[1]
 	_, err = client.PushShardResult(ctx, job.ID, sh.Index, "w", other.Lease, wires[other.Index])
-	wantCode(t, err, 400, "result_invalid")
+	wantCode(t, err, 400, apiclient.CodeResultInvalid)
 
 	// Upload under a never-issued token.
 	_, err = client.PushShardResult(ctx, job.ID, sh.Index, "w", "forged-token", good)
-	wantCode(t, err, 409, "stale_result")
+	wantCode(t, err, 409, apiclient.CodeStaleResult)
 
 	// Unfinished artifacts and unknown resources round out the read
 	// side of the envelope contract.
 	_, err = client.JobDataset(ctx, job.ID)
-	wantCode(t, err, 409, "job_not_done")
+	wantCode(t, err, 409, apiclient.CodeJobNotDone)
 	_, err = client.JobReport(ctx, "j-424242")
-	wantCode(t, err, 404, "job_not_found")
+	wantCode(t, err, 404, apiclient.CodeJobNotFound)
 
 	_ = srv
 }
@@ -475,11 +475,11 @@ func TestDistributedMergeFailureSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != "failed" || got.Error == "" {
+	if got.State != apiclient.JobFailed || got.Error == "" {
 		t.Fatalf("job after blocked merge = %+v, want failed", got)
 	}
 	_, err = client.JobDataset(ctx, job.ID)
-	wantCode(t, err, 502, "job_failed")
+	wantCode(t, err, 502, apiclient.CodeJobFailed)
 }
 
 // TestConcurrentClaimUpload races many workers over one job's lease
@@ -522,7 +522,7 @@ func TestConcurrentClaimUpload(t *testing.T) {
 					errs <- err
 					return
 				}
-				if claim.State == "done" || claim.State == "failed" {
+				if claim.State == apiclient.JobDone || claim.State == apiclient.JobFailed {
 					return
 				}
 				if len(claim.Shards) == 0 {
@@ -537,7 +537,7 @@ func TestConcurrentClaimUpload(t *testing.T) {
 						errs <- fmt.Errorf("worker %s shard %d: %w", me, sh.Index, err)
 						return
 					}
-					if ack.Status != "accepted" {
+					if ack.Status != apiclient.ResultAccepted {
 						errs <- fmt.Errorf("worker %s shard %d status %s", me, sh.Index, ack.Status)
 						return
 					}
@@ -555,7 +555,7 @@ func TestConcurrentClaimUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done.State != "done" {
+	if done.State != apiclient.JobDone {
 		t.Fatalf("job = %+v, want done", done)
 	}
 	served, err := client.JobDataset(ctx, job.ID)
@@ -602,7 +602,7 @@ func TestSubmitAdmissionControl(t *testing.T) {
 	other := `{"spec": 1, "scale": "small", "traces": 1, "seed": 2016, "stride": 0,
 	  "execution": "distributed"}`
 	_, _, err = client.SubmitRaw(ctx, []byte(other))
-	wantCode(t, err, http.StatusTooManyRequests, "overloaded")
+	wantCode(t, err, http.StatusTooManyRequests, apiclient.CodeOverloaded)
 	if ae := err.(*apiclient.APIError); ae.RetryAfter <= 0 {
 		t.Fatalf("overloaded Retry-After = %d, want positive", ae.RetryAfter)
 	}
@@ -615,7 +615,7 @@ func TestSubmitAdmissionControl(t *testing.T) {
 	}
 	wires := execWires(t, distSpec, claim.SpecHash)
 	for _, s := range claim.Shards {
-		if ack, err := client.PushShardResult(ctx, job.ID, s.Index, "w1", s.Lease, wires[s.Index]); err != nil || ack.Status != "accepted" {
+		if ack, err := client.PushShardResult(ctx, job.ID, s.Index, "w1", s.Lease, wires[s.Index]); err != nil || ack.Status != apiclient.ResultAccepted {
 			t.Fatalf("upload %d = %v %v, want accepted", s.Index, ack, err)
 		}
 	}

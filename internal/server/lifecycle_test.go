@@ -58,7 +58,7 @@ func newPoolServer(t *testing.T, cfg Config, loopbacks int) (*Server, *httptest.
 
 // driveJob submits spec and sees the job through: a distributed job
 // gets one remote worker, a local one needs nothing.
-func driveJob(t *testing.T, ts *httptest.Server, spec string) JobView {
+func driveJob(t *testing.T, ts *httptest.Server, spec string) apiclient.Job {
 	t.Helper()
 	status, view := submit(t, ts, spec)
 	if status != http.StatusAccepted {
@@ -77,7 +77,7 @@ func driveJob(t *testing.T, ts *httptest.Server, spec string) JobView {
 // directMeta is campaign.Run's Result for spec, reported the way the
 // coordinator reports a filed run — everything but the key, the spec,
 // and when and how long.
-func directMeta(t *testing.T, specJSON string) RunMeta {
+func directMeta(t *testing.T, specJSON string) apiclient.Report {
 	t.Helper()
 	spec, err := campaign.ParseSpec([]byte(specJSON))
 	if err != nil {
@@ -95,7 +95,7 @@ func directMeta(t *testing.T, specJSON string) RunMeta {
 	if err := dataset.Write(&buf, res.Dataset); err != nil {
 		t.Fatal(err)
 	}
-	meta := RunMeta{
+	meta := apiclient.Report{
 		DatasetSHA256:      fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())),
 		DatasetBytes:       int64(buf.Len()),
 		Traces:             len(res.Dataset.Traces),
@@ -118,13 +118,13 @@ func directHash(t *testing.T, specJSON string) string {
 	return directMeta(t, specJSON).DatasetSHA256
 }
 
-func jobReport(t *testing.T, ts *httptest.Server, id string) RunMeta {
+func jobReport(t *testing.T, ts *httptest.Server, id string) apiclient.Report {
 	t.Helper()
 	status, body := get(t, ts, "/v1/jobs/"+id+"/report")
 	if status != http.StatusOK {
 		t.Fatalf("report status = %d: %s", status, body)
 	}
-	var meta RunMeta
+	var meta apiclient.Report
 	if err := json.Unmarshal(body, &meta); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestExecutionsAgree(t *testing.T) {
 		t.Run(scenario, func(t *testing.T) {
 			pinned := goldentest.Small(t, scenario).Dataset
 			var data [2][]byte
-			var meta [2]RunMeta
+			var meta [2]apiclient.Report
 			for i, execution := range executions {
 				_, ts := newTestServer(t)
 				view := driveJob(t, ts, pinnedSpec(scenario, execution))
@@ -183,19 +183,16 @@ func TestLocalJobOnTheLeaseTable(t *testing.T) {
 	_, ts := newTestServer(t)
 	_, view := submit(t, ts, `{"spec": 1, "scale": "small", "traces": 4, "seed": 2015, "stride": 0,
 		"slices_per_vantage": 4}`)
-	shardRows := func() (JobState, []ShardProgress) {
+	shardRows := func() (apiclient.JobState, []apiclient.Shard) {
 		_, body := get(t, ts, "/v1/jobs/"+view.ID+"/shards")
-		var resp struct {
-			State  JobState        `json:"state"`
-			Shards []ShardProgress `json:"shards"`
-		}
+		var resp apiclient.JobShards
 		if err := json.Unmarshal(body, &resp); err != nil {
 			t.Fatal(err)
 		}
 		return resp.State, resp.Shards
 	}
-	for state := JobQueued; state != JobDone; {
-		var rows []ShardProgress
+	for state := apiclient.JobQueued; state != apiclient.JobDone; {
+		var rows []apiclient.Shard
 		state, rows = shardRows()
 		for _, sh := range rows {
 			switch {
@@ -205,7 +202,7 @@ func TestLocalJobOnTheLeaseTable(t *testing.T) {
 				t.Fatalf("shard row %+v: want pending, or leased/done by %q", sh, localWorker)
 			}
 		}
-		if state == JobFailed {
+		if state == apiclient.JobFailed {
 			t.Fatal("job failed")
 		}
 	}
@@ -242,10 +239,10 @@ func TestLoopbackLeaseNeverLapses(t *testing.T) {
 	// test goroutine uses.
 	const spec = `{"scale": "small", "traces": 1, "seed": 2015, "stride": 0, "workers": 1}`
 	_, view := submit(t, ts, spec)
-	if view.State != JobQueued {
+	if view.State != apiclient.JobQueued {
 		t.Fatalf("local job is %s before its first grant, want queued", view.State)
 	}
-	step := func() (*job, *localRun, *campaign.Executor, ShardClaim, *campaign.ShardResultWire) {
+	step := func() (*job, *localRun, *campaign.Executor, apiclient.ClaimedShard, *campaign.ShardResultWire) {
 		j, run, ex, c := m.nextLocal()
 		ex, wire, err := run.execute(ex, c)
 		if err != nil {
@@ -257,7 +254,7 @@ func TestLoopbackLeaseNeverLapses(t *testing.T) {
 	// One accepted shard seeds the duration baseline speculation needs.
 	j, run, ex, c, wire := step()
 	m.landLocal(j, run, ex, c, wire, nil)
-	if got, _ := m.Get(view.ID); got.State != JobRunning || got.ShardsDone != 1 {
+	if got, _ := m.Get(view.ID); got.State != apiclient.JobRunning || got.ShardsDone != 1 {
 		t.Fatalf("after one shard: %+v", got)
 	}
 
@@ -279,11 +276,11 @@ func TestLoopbackLeaseNeverLapses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fault ErrorBody
+	var fault apiclient.ErrorEnvelope
 	json.NewDecoder(resp.Body).Decode(&fault)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict || fault.Error.Code != codeJobNotDistributed {
-		t.Fatalf("HTTP claim on a local job = %d %+v, want 409 %s", resp.StatusCode, fault, codeJobNotDistributed)
+	if resp.StatusCode != http.StatusConflict || fault.Error.Code != apiclient.CodeJobNotDistributed {
+		t.Fatalf("HTTP claim on a local job = %d %+v, want 409 %s", resp.StatusCode, fault, apiclient.CodeJobNotDistributed)
 	}
 	if _, body := get(t, ts, "/v1/healthz"); !strings.Contains(string(body), `"jobs_running": 1`+"\n") {
 		t.Errorf("healthz = %s, want jobs_running 1", body)
@@ -294,7 +291,7 @@ func TestLoopbackLeaseNeverLapses(t *testing.T) {
 		j, run, ex, c, wire = step()
 		m.landLocal(j, run, ex, c, wire, nil)
 	}
-	if got, _ := m.Get(view.ID); got.State != JobDone {
+	if got, _ := m.Get(view.ID); got.State != apiclient.JobDone {
 		t.Fatalf("job = %+v, want done", got)
 	}
 	if got, want := jobReport(t, ts, view.ID).DatasetSHA256, directHash(t, spec); got != want {
@@ -345,7 +342,7 @@ func TestAbortMidLocalJob(t *testing.T) {
 	}
 	ts.Close()
 	srv.Abort()
-	if got, _ := srv.mgr.Get(view.ID); got.State != JobRunning || got.ShardsDone == got.ShardsTotal {
+	if got, _ := srv.mgr.Get(view.ID); got.State != apiclient.JobRunning || got.ShardsDone == got.ShardsTotal {
 		t.Fatalf("aborted job = %+v, want running and unfinished", got)
 	}
 	if srv.Store().Has(view.Key) {

@@ -94,20 +94,20 @@ func TestJobsPagination(t *testing.T) {
 
 	// A state filter that matches everything pages identically; one
 	// that matches nothing is empty but well-formed.
-	page, err = client.Jobs(ctx, apiclient.JobsOptions{State: "running"})
+	page, err = client.Jobs(ctx, apiclient.JobsOptions{State: apiclient.JobRunning})
 	if err != nil || len(page.Jobs) != 5 {
 		t.Fatalf("state=running page = %d jobs, %v", len(page.Jobs), err)
 	}
-	page, err = client.Jobs(ctx, apiclient.JobsOptions{State: "failed"})
+	page, err = client.Jobs(ctx, apiclient.JobsOptions{State: apiclient.JobFailed})
 	if err != nil || len(page.Jobs) != 0 {
 		t.Fatalf("state=failed page = %+v, %v", page.Jobs, err)
 	}
 
 	// Bad paging parameters report stable envelope codes.
 	_, err = client.Jobs(ctx, apiclient.JobsOptions{Cursor: "j-404404"})
-	wantCode(t, err, 400, "cursor_invalid")
+	wantCode(t, err, 400, apiclient.CodeCursorInvalid)
 	_, err = client.Jobs(ctx, apiclient.JobsOptions{State: "bogus"})
-	wantCode(t, err, 400, "bad_request")
+	wantCode(t, err, 400, apiclient.CodeBadRequest)
 	resp, err = http.Get(ts.URL + "/v1/jobs?limit=banana")
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 
+	"repro/internal/apiclient"
 	"repro/internal/campaign"
 	"repro/internal/telemetry"
 )
@@ -139,7 +140,7 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 		// Surfaced as job_failed on every artifact route; the journal
 		// file stays on disk as evidence (and so the failure survives
 		// further restarts).
-		j.state = JobFailed
+		j.state = apiclient.JobFailed
 		j.err = cause.Error()
 		j.finished = m.now()
 		m.met.recoveryFailed.Inc()

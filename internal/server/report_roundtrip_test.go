@@ -6,17 +6,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apiclient"
 	"repro/internal/campaign"
 	"repro/internal/netsim"
 )
 
 // TestReportRoundTripCrossTrafficCounters runs a congested campaign
 // under each cross-traffic drive and reads its report back through the
-// typed client: apiclient.Report must decode the phantom/replayed
-// boundary split server.RunMeta emits (the two once disagreed on the
-// JSON tags, so both fields read 0 over HTTP). The lazy drive replays
-// boundaries without events and the events drive runs each as an
-// event, so between them both fields are seen non-zero.
+// typed client: the phantom/replayed boundary split the coordinator
+// files must arrive over HTTP. The server encodes the same
+// apiclient.Report the client decodes, so the two can no longer
+// disagree on a JSON tag (a client-side copy of the type once did, and
+// both fields read 0); the test stays as a round trip of the counters.
+// The lazy drive replays boundaries without events and the events
+// drive runs each as an event, so between them both fields are seen
+// non-zero.
 //
 // The lazy run is an ordinary local job. The events drive is a
 // reference no spec can select, so for that run the test is the worker:
@@ -74,7 +78,7 @@ func TestReportRoundTripCrossTrafficCounters(t *testing.T) {
 
 	for drive, id := range map[string]string{"lazy": lazy.ID, "events": events.ID} {
 		job, err := client.AwaitJob(ctx, id, 10*time.Millisecond)
-		if err != nil || job.State != "done" {
+		if err != nil || job.State != apiclient.JobDone {
 			t.Fatalf("%s: job = %+v, %v", drive, job, err)
 		}
 		rep, err := client.JobReport(ctx, job.ID)

@@ -13,7 +13,7 @@
 //	GET  /v1/jobs/{id}            one job: state, progress counters
 //	GET  /v1/jobs/{id}/shards     per-(vantage, slice) completion
 //	GET  /v1/jobs/{id}/dataset    merged dataset, JSON lines (done jobs)
-//	GET  /v1/jobs/{id}/report     RunMeta: determinism hash, counters, CE report
+//	GET  /v1/jobs/{id}/report     apiclient.Report: determinism hash, counters, CE report
 //	GET  /v1/healthz              readiness: build info, store writability, queue depth
 //	GET  /v1/metrics              flight-recorder metrics, Prometheus text format
 //	GET  /v1/jobs/{id}/events     one job's event ring: lifecycle + shard transitions
@@ -32,9 +32,12 @@
 // decodes (ingest.go); any other body is a 400, and a worker ID the
 // scan could not read is refused at claim.
 //
+// Every request, response and error body is a type internal/apiclient
+// declares (its schema.go); this package encodes and decodes exactly
+// those, so a client decodes what the server writes by construction.
 // Errors are uniform across every endpoint: a non-2xx response body is
-// {"error": {"code", "message", "fields"}} with a stable machine code
-// (errors.go).
+// apiclient.ErrorEnvelope, {"error": {"code", "message", "fields"}},
+// with one of apiclient's stable Code* constants (errors.go).
 //
 // The correctness contract is the engine's determinism invariant
 // carried over HTTP: a dataset served here is byte-identical to what
@@ -62,6 +65,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/apiclient"
 	"repro/internal/campaign"
 	"repro/internal/dataset"
 	"repro/internal/telemetry"
@@ -268,12 +272,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // the status line is already out; nothing to recover
 }
 
-// submitResponse is POST /v1/campaigns' body: the job serving the spec
-// plus the spec's content address.
-type submitResponse struct {
-	JobView
-}
-
 // handleSubmit parses, validates and submits a spec. A malformed or
 // invalid body is a structured 400; a fresh submission is 202 with the
 // queued job; a duplicate of an in-flight or cached run is 200 with
@@ -281,7 +279,7 @@ type submitResponse struct {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeFault(w, faultf(http.StatusBadRequest, codeBadRequest, "read body: %v", err))
+		writeFault(w, faultf(http.StatusBadRequest, apiclient.CodeBadRequest, "read body: %v", err))
 		return
 	}
 	spec, err := campaign.ParseSpec(body)
@@ -290,7 +288,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &verr) {
 			writeFault(w, verr)
 		} else {
-			writeFault(w, faultf(http.StatusBadRequest, codeBadRequest, "%v", err))
+			writeFault(w, faultf(http.StatusBadRequest, apiclient.CodeBadRequest, "%v", err))
 		}
 		return
 	}
@@ -307,15 +305,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logger.Info("submit",
 		"key", view.Key[:12], "job", view.ID, "state", view.State, "cached", view.Cached)
-	writeJSON(w, status, submitResponse{JobView: view})
-}
-
-// JobsPage is GET /v1/jobs' body: one page of jobs in submission
-// order. NextCursor, when non-empty, resumes the listing (also carried
-// in a Link rel="next" header).
-type JobsPage struct {
-	Jobs       []JobView `json:"jobs"`
-	NextCursor string    `json:"next_cursor,omitempty"`
+	writeJSON(w, status, view)
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -324,17 +314,17 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if raw := q.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 1 {
-			writeFault(w, faultf(http.StatusBadRequest, codeBadRequest,
+			writeFault(w, faultf(http.StatusBadRequest, apiclient.CodeBadRequest,
 				"limit must be a positive integer, got %q", raw))
 			return
 		}
 		limit = min(n, 1000)
 	}
-	state := JobState(q.Get("state"))
+	state := apiclient.JobState(q.Get("state"))
 	switch state {
-	case "", JobQueued, JobRunning, JobDone, JobFailed:
+	case "", apiclient.JobQueued, apiclient.JobRunning, apiclient.JobDone, apiclient.JobFailed:
 	default:
-		writeFault(w, faultf(http.StatusBadRequest, codeBadRequest,
+		writeFault(w, faultf(http.StatusBadRequest, apiclient.CodeBadRequest,
 			"unknown state filter %q", state))
 		return
 	}
@@ -351,13 +341,13 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set("Link", fmt.Sprintf("</v1/jobs?%s>; rel=\"next\"", link.Encode()))
 	}
-	writeJSON(w, http.StatusOK, JobsPage{Jobs: views, NextCursor: next})
+	writeJSON(w, http.StatusOK, apiclient.JobsPage{Jobs: views, NextCursor: next})
 }
 
-func (s *Server) jobOr404(w http.ResponseWriter, r *http.Request) (JobView, bool) {
+func (s *Server) jobOr404(w http.ResponseWriter, r *http.Request) (apiclient.Job, bool) {
 	view, ok := s.mgr.Get(r.PathValue("id"))
 	if !ok {
-		writeFault(w, faultf(http.StatusNotFound, codeJobNotFound,
+		writeFault(w, faultf(http.StatusNotFound, apiclient.CodeJobNotFound,
 			"no such job %q", r.PathValue("id")))
 	}
 	return view, ok
@@ -375,11 +365,7 @@ func (s *Server) handleJobShards(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	shards, _ := s.mgr.Shards(view.ID)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id":     view.ID,
-		"state":  view.State,
-		"shards": shards,
-	})
+	writeJSON(w, http.StatusOK, apiclient.JobShards{ID: view.ID, Shards: shards, State: view.State})
 }
 
 // finishedKey maps a job to its cached artifacts, or writes the
@@ -391,13 +377,13 @@ func (s *Server) finishedKey(w http.ResponseWriter, r *http.Request) (string, bo
 		return "", false
 	}
 	switch view.State {
-	case JobDone:
+	case apiclient.JobDone:
 		return view.Key, true
-	case JobFailed:
-		writeFault(w, faultf(http.StatusBadGateway, codeJobFailed,
+	case apiclient.JobFailed:
+		writeFault(w, faultf(http.StatusBadGateway, apiclient.CodeJobFailed,
 			"job %s failed: %s", view.ID, view.Error))
 	default:
-		writeFault(w, faultf(http.StatusConflict, codeJobNotDone,
+		writeFault(w, faultf(http.StatusConflict, apiclient.CodeJobNotDone,
 			"job %s is %s (%d/%d shards); retry when done",
 			view.ID, view.State, view.ShardsDone, view.ShardsTotal))
 	}
@@ -420,7 +406,7 @@ func (s *Server) serveMeta(w http.ResponseWriter, key string) {
 	meta, err := s.store.Meta(key)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			writeFault(w, faultf(http.StatusNotFound, codeRunNotFound, "no cached run %q", key))
+			writeFault(w, faultf(http.StatusNotFound, apiclient.CodeRunNotFound, "no cached run %q", key))
 			return
 		}
 		writeFault(w, err)
@@ -433,7 +419,7 @@ func (s *Server) serveDataset(w http.ResponseWriter, key string) {
 	rc, size, err := s.store.OpenDataset(key)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			writeFault(w, faultf(http.StatusNotFound, codeRunNotFound, "no cached run %q", key))
+			writeFault(w, faultf(http.StatusNotFound, apiclient.CodeRunNotFound, "no cached run %q", key))
 			return
 		}
 		writeFault(w, err)
@@ -453,47 +439,31 @@ func (s *Server) serveDataset(w http.ResponseWriter, key string) {
 	}
 }
 
-// ClaimRequest is POST /v1/jobs/{id}/shards/claim's body.
-type ClaimRequest struct {
-	// Worker identifies the claiming worker; it labels leases,
-	// ring events and the per-worker shard-duration histogram.
-	Worker string `json:"worker"`
-	// MaxShards bounds the leased batch; zero or negative means 1.
-	MaxShards int `json:"max_shards"`
-}
-
-// leaseRequest is the heartbeat body: the worker's identity and the
-// lease token it holds for the addressed shard.
-type leaseRequest struct {
-	Worker string `json:"worker"`
-	Lease  string `json:"lease"`
-}
-
 // shardIndex parses the {shard} path segment — the shard's index in
 // the job's canonical plan, as returned by claim.
 func shardIndex(r *http.Request) (int, error) {
 	idx, err := strconv.Atoi(r.PathValue("shard"))
 	if err != nil {
-		return 0, faultf(http.StatusBadRequest, codeBadRequest,
+		return 0, faultf(http.StatusBadRequest, apiclient.CodeBadRequest,
 			"shard must be a plan index, got %q", r.PathValue("shard"))
 	}
 	return idx, nil
 }
 
 func (s *Server) handleShardClaim(w http.ResponseWriter, r *http.Request) {
-	var req ClaimRequest
+	var req apiclient.ClaimRequest
 	if err := s.decodeBody(w, r, 1<<20, &req); err != nil {
 		writeFault(w, err)
 		return
 	}
 	if req.Worker == "" {
-		writeFault(w, faultf(http.StatusBadRequest, codeBadRequest, "worker is required"))
+		writeFault(w, faultf(http.StatusBadRequest, apiclient.CodeBadRequest, "worker is required"))
 		return
 	}
 	if !dataset.PlainString(req.Worker) {
 		// Its uploads would carry the ID escaped, which the scan refuses:
 		// a worker that cannot upload gets no lease.
-		writeFault(w, faultf(http.StatusBadRequest, codeBadRequest,
+		writeFault(w, faultf(http.StatusBadRequest, apiclient.CodeBadRequest,
 			"worker %q must be printable ASCII without \" \\ < > &", req.Worker))
 		return
 	}
@@ -515,7 +485,7 @@ func (s *Server) handleShardHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, err)
 		return
 	}
-	var req leaseRequest
+	var req apiclient.HeartbeatRequest
 	if err := s.decodeBody(w, r, 1<<20, &req); err != nil {
 		writeFault(w, err)
 		return
@@ -541,7 +511,7 @@ func (s *Server) handleShardResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !strings.EqualFold(r.Header.Get("Content-Encoding"), encGzip) {
-		writeFault(w, faultf(http.StatusBadRequest, codeBadRequest,
+		writeFault(w, faultf(http.StatusBadRequest, apiclient.CodeBadRequest,
 			"a shard result must be sent with Content-Encoding: gzip"))
 		return
 	}

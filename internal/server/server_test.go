@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apiclient"
 	"repro/internal/campaign"
 	"repro/internal/campaign/goldentest"
 	"repro/internal/dataset"
@@ -33,7 +34,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	return newPoolServer(t, Config{}, runtime.GOMAXPROCS(0))
 }
 
-func submit(t *testing.T, ts *httptest.Server, body string) (int, JobView) {
+func submit(t *testing.T, ts *httptest.Server, body string) (int, apiclient.Job) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", bytes.NewBufferString(body))
 	if err != nil {
@@ -42,16 +43,16 @@ func submit(t *testing.T, ts *httptest.Server, body string) (int, JobView) {
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode >= 400 {
-		return resp.StatusCode, JobView{}
+		return resp.StatusCode, apiclient.Job{}
 	}
-	var view JobView
+	var view apiclient.Job
 	if err := json.Unmarshal(raw, &view); err != nil {
 		t.Fatalf("submit response %q: %v", raw, err)
 	}
 	return resp.StatusCode, view
 }
 
-func awaitDone(t *testing.T, ts *httptest.Server, id string) JobView {
+func awaitDone(t *testing.T, ts *httptest.Server, id string) apiclient.Job {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
@@ -59,22 +60,22 @@ func awaitDone(t *testing.T, ts *httptest.Server, id string) JobView {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var view JobView
+		var view apiclient.Job
 		err = json.NewDecoder(resp.Body).Decode(&view)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
 		switch view.State {
-		case JobDone:
+		case apiclient.JobDone:
 			return view
-		case JobFailed:
+		case apiclient.JobFailed:
 			t.Fatalf("job %s failed: %s", id, view.Error)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("job %s did not finish", id)
-	return JobView{}
+	return apiclient.Job{}
 }
 
 func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
@@ -143,9 +144,7 @@ func TestSubmitPollFetchRoundTrip(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("shards status = %d: %s", status, body)
 	}
-	var shardsResp struct {
-		Shards []ShardProgress `json:"shards"`
-	}
+	var shardsResp apiclient.JobShards
 	if err := json.Unmarshal(body, &shardsResp); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +188,7 @@ func TestSubmitPollFetchRoundTrip(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("report status = %d", status)
 	}
-	var meta RunMeta
+	var meta apiclient.Report
 	if err := json.Unmarshal(body, &meta); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +225,7 @@ func TestCacheHit(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("cache-hit submit status = %d, want 200", status)
 	}
-	if !second.Cached || second.State != JobDone {
+	if !second.Cached || second.State != apiclient.JobDone {
 		t.Fatalf("second submit = %+v, want cached done job", second)
 	}
 	if second.Key != first.Key {
@@ -238,7 +237,7 @@ func TestCacheHit(t *testing.T) {
 		t.Fatal("cache hit served different bytes")
 	}
 
-	var meta1, meta2 RunMeta
+	var meta1, meta2 apiclient.Report
 	_, m1 := get(t, ts, "/v1/jobs/"+first.ID+"/report")
 	_, m2 := get(t, ts, "/v1/jobs/"+second.ID+"/report")
 	if err := json.Unmarshal(m1, &meta1); err != nil {
@@ -265,14 +264,14 @@ func TestCacheHit(t *testing.T) {
 func TestMalformedSpec(t *testing.T) {
 	_, ts := newTestServer(t)
 
-	post := func(body string) (int, ErrorBody) {
+	post := func(body string) (int, apiclient.ErrorEnvelope) {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", bytes.NewBufferString(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var envelope ErrorBody
+		var envelope apiclient.ErrorEnvelope
 		if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +283,7 @@ func TestMalformedSpec(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", status)
 	}
-	if envelope.Error.Code != "spec_invalid" || envelope.Error.Message == "" {
+	if envelope.Error.Code != apiclient.CodeSpecInvalid || envelope.Error.Message == "" {
 		t.Fatalf("invalid-spec envelope = %+v", envelope)
 	}
 	fields := map[string]bool{}
@@ -307,13 +306,13 @@ func TestMalformedSpec(t *testing.T) {
 	// Not JSON at all: still the envelope, but bad_request — the body
 	// never parsed far enough to be an invalid spec.
 	status, envelope = post(`this is not json`)
-	if status != http.StatusBadRequest || envelope.Error.Code != "bad_request" {
+	if status != http.StatusBadRequest || envelope.Error.Code != apiclient.CodeBadRequest {
 		t.Fatalf("non-JSON response: %d %+v", status, envelope)
 	}
 
 	// A plan that selects no vantages.
 	status, envelope = post(`{"spec": 1, "scale": "small", "trace_plan": {"Perkins home": 0}}`)
-	if status != http.StatusBadRequest || envelope.Error.Code != "spec_invalid" {
+	if status != http.StatusBadRequest || envelope.Error.Code != apiclient.CodeSpecInvalid {
 		t.Fatalf("empty-plan response: %d %+v", status, envelope)
 	}
 
@@ -336,7 +335,7 @@ func TestMalformedSpec(t *testing.T) {
 	} {
 		start := time.Now()
 		status, envelope = post(body)
-		if status != http.StatusBadRequest || envelope.Error.Code != "spec_invalid" ||
+		if status != http.StatusBadRequest || envelope.Error.Code != apiclient.CodeSpecInvalid ||
 			len(envelope.Error.Fields) != 1 || envelope.Error.Fields[0].Field != field {
 			t.Fatalf("oversized %s response: %d %+v", field, status, envelope)
 		}
@@ -359,7 +358,7 @@ func TestConcurrentSubmissionsRunOnce(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	const clients = 8
-	views := make([]JobView, clients)
+	views := make([]apiclient.Job, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
@@ -455,12 +454,12 @@ func TestStoreQuarantinesDamagedEntry(t *testing.T) {
 	pinned := goldentest.Small(t, campaign.ScenarioUncongested).Dataset
 	for _, row := range []struct {
 		name   string
-		damage func(entry string, meta RunMeta) error
+		damage func(entry string, meta apiclient.Report) error
 	}{
-		{"truncated-dataset", func(entry string, meta RunMeta) error {
+		{"truncated-dataset", func(entry string, meta apiclient.Report) error {
 			return os.Truncate(filepath.Join(entry, datasetFile), meta.DatasetBytes/2)
 		}},
-		{"unparsable-meta", func(entry string, _ RunMeta) error {
+		{"unparsable-meta", func(entry string, _ apiclient.Report) error {
 			return os.WriteFile(filepath.Join(entry, metaFile), []byte("{"), 0o644)
 		}},
 	} {

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/apiclient"
 )
 
 // metricValue pulls one sample line out of the Prometheus text
@@ -48,7 +50,7 @@ func TestSpeculationRaceFirstUploadWins(t *testing.T) {
 		w.Stats.Elapsed = 50 * time.Millisecond
 	}
 	s0 := first.Shards[0]
-	if ack, err := client.PushShardResult(ctx, job.ID, s0.Index, "wA", s0.Lease, wires[s0.Index]); err != nil || ack.Status != "accepted" {
+	if ack, err := client.PushShardResult(ctx, job.ID, s0.Index, "wA", s0.Lease, wires[s0.Index]); err != nil || ack.Status != apiclient.ResultAccepted {
 		t.Fatalf("seed upload = %v %v, want accepted", ack, err)
 	}
 
@@ -104,10 +106,10 @@ func TestSpeculationRaceFirstUploadWins(t *testing.T) {
 
 	// B wins the race; A's original lease is still live, and its upload
 	// must ack duplicate — the work was identical bytes.
-	if ack, err := client.PushShardResult(ctx, job.ID, spec.index, "wB", spec.lease, wires[spec.index]); err != nil || ack.Status != "accepted" {
+	if ack, err := client.PushShardResult(ctx, job.ID, spec.index, "wB", spec.lease, wires[spec.index]); err != nil || ack.Status != apiclient.ResultAccepted {
 		t.Fatalf("speculative upload = %v %v, want accepted", ack, err)
 	}
-	if ack, err := client.PushShardResult(ctx, job.ID, sA.Index, "wA", sA.Lease, wires[sA.Index]); err != nil || ack.Status != "duplicate" {
+	if ack, err := client.PushShardResult(ctx, job.ID, sA.Index, "wA", sA.Lease, wires[sA.Index]); err != nil || ack.Status != apiclient.ResultDuplicate {
 		t.Fatalf("straggler upload = %v %v, want duplicate", ack, err)
 	}
 
@@ -116,7 +118,7 @@ func TestSpeculationRaceFirstUploadWins(t *testing.T) {
 		if s.Speculative {
 			continue
 		}
-		if ack, err := client.PushShardResult(ctx, job.ID, s.Index, "wB", s.Lease, wires[s.Index]); err != nil || ack.Status != "accepted" {
+		if ack, err := client.PushShardResult(ctx, job.ID, s.Index, "wB", s.Lease, wires[s.Index]); err != nil || ack.Status != apiclient.ResultAccepted {
 			t.Fatalf("drain upload %d = %v %v, want accepted", s.Index, ack, err)
 		}
 	}
@@ -183,7 +185,7 @@ func TestSpeculationSurvivesRestart(t *testing.T) {
 		w.Stats.Elapsed = 50 * time.Millisecond
 	}
 	s0 := first.Shards[0]
-	if ack, err := client1.PushShardResult(ctx, job.ID, s0.Index, "wA", s0.Lease, wires[s0.Index]); err != nil || ack.Status != "accepted" {
+	if ack, err := client1.PushShardResult(ctx, job.ID, s0.Index, "wA", s0.Lease, wires[s0.Index]); err != nil || ack.Status != apiclient.ResultAccepted {
 		t.Fatalf("seed upload = %v %v, want accepted", ack, err)
 	}
 	straggle, err := client1.Claim(ctx, job.ID, "wA", 1)
@@ -211,10 +213,10 @@ func TestSpeculationSurvivesRestart(t *testing.T) {
 	crash(ts1, srv1)
 	_, _, client2 := startCrashServer(t, dir, fc)
 
-	if ack, err := client2.PushShardResult(ctx, job.ID, specIdx, "wB", specLease, wires[specIdx]); err != nil || ack.Status != "accepted" {
+	if ack, err := client2.PushShardResult(ctx, job.ID, specIdx, "wB", specLease, wires[specIdx]); err != nil || ack.Status != apiclient.ResultAccepted {
 		t.Fatalf("post-restart speculative upload = %v %v, want accepted", ack, err)
 	}
-	if ack, err := client2.PushShardResult(ctx, job.ID, sA.Index, "wA", sA.Lease, wires[sA.Index]); err != nil || ack.Status != "duplicate" {
+	if ack, err := client2.PushShardResult(ctx, job.ID, sA.Index, "wA", sA.Lease, wires[sA.Index]); err != nil || ack.Status != apiclient.ResultDuplicate {
 		t.Fatalf("post-restart straggler upload = %v %v, want duplicate", ack, err)
 	}
 	// B's pre-crash regular leases were journaled too: drain under the
@@ -223,7 +225,7 @@ func TestSpeculationSurvivesRestart(t *testing.T) {
 		if s.Speculative {
 			continue
 		}
-		if ack, err := client2.PushShardResult(ctx, job.ID, s.Index, "wB", s.Lease, wires[s.Index]); err != nil || ack.Status != "accepted" {
+		if ack, err := client2.PushShardResult(ctx, job.ID, s.Index, "wB", s.Lease, wires[s.Index]); err != nil || ack.Status != apiclient.ResultAccepted {
 			t.Fatalf("post-restart drain %d = %v %v, want accepted", s.Index, ack, err)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/apiclient"
 	"repro/internal/campaign"
 	"repro/internal/telemetry"
 )
@@ -96,14 +97,14 @@ func TestJobEventsEndpoint(t *testing.T) {
 				t.Fatalf("GET events = %d", status)
 			}
 			var resp struct {
-				ID     string            `json:"id"`
-				State  JobState          `json:"state"`
-				Events []telemetry.Event `json:"events"`
+				ID     string             `json:"id"`
+				State  apiclient.JobState `json:"state"`
+				Events []telemetry.Event  `json:"events"`
 			}
 			if err := json.Unmarshal(body, &resp); err != nil {
 				t.Fatal(err)
 			}
-			if resp.ID != done.ID || resp.State != JobDone {
+			if resp.ID != done.ID || resp.State != apiclient.JobDone {
 				t.Fatalf("events header = %+v", resp)
 			}
 			if len(resp.Events) != 3+2*done.ShardsTotal {

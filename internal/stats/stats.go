@@ -32,20 +32,6 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// Max returns the largest value (0 for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // StdDev returns the population standard deviation.
 func StdDev(xs []float64) float64 {
 	if len(xs) < 2 {

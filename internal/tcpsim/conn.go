@@ -197,9 +197,6 @@ func (c *Conn) release() {
 // ECNNegotiated reports whether the handshake agreed to use ECN.
 func (c *Conn) ECNNegotiated() bool { return c.ecnNegotiated }
 
-// State returns a human-readable connection state (for tests/logs).
-func (c *Conn) State() string { return c.st.String() }
-
 // OnData registers the receive callback (in-order stream bytes).
 func (c *Conn) OnData(fn func([]byte)) { c.onData = fn }
 

@@ -146,8 +146,8 @@ func TestConnAccessors(t *testing.T) {
 		if c.key.localPort < 49152 {
 			t.Errorf("local port = %d", c.key.localPort)
 		}
-		if c.State() != "ESTABLISHED" {
-			t.Errorf("State = %q", c.State())
+		if c.st.String() != "ESTABLISHED" {
+			t.Errorf("State = %q", c.st.String())
 		}
 		c.Close()
 	})

@@ -282,8 +282,8 @@ func TestStackResetDropsOpenConns(t *testing.T) {
 	if f.cs.SegmentsOut != 0 || f.ss.SegmentsIn != 0 || f.cs.ephemeral != 0 {
 		t.Error("counters or port cursor survived Reset")
 	}
-	if client.State() != "CLOSED" {
-		t.Errorf("stale holder sees state %s, want CLOSED", client.State())
+	if client.st.String() != "CLOSED" {
+		t.Errorf("stale holder sees state %s, want CLOSED", client.st.String())
 	}
 	client.Write([]byte("late"))
 	client.Close()

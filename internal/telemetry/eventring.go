@@ -118,13 +118,6 @@ func NewEventRing(size int) *EventRing {
 	return &EventRing{slots: make([]ringSlot, n), mask: uint64(n - 1)}
 }
 
-// Cap returns the ring's retention capacity in events.
-func (j *EventRing) Cap() int { return len(j.slots) }
-
-// Len returns the number of events appended so far (not the number
-// retained).
-func (j *EventRing) Len() uint64 { return j.head.Load() }
-
 // Append records one event. job and detail may be nil; when non-nil
 // they must point at strings that outlive the ring entry (a field
 // of a live object, a package constant — not a loop variable about to

@@ -50,8 +50,8 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []float64{0.5, 1, 5, 10, 50, 1000} {
 		h.Observe(v)
 	}
-	if h.Count() != 6 {
-		t.Fatalf("count = %d, want 6", h.Count())
+	if h.count.Load() != 6 {
+		t.Fatalf("count = %d, want 6", h.count.Load())
 	}
 	if h.Sum() != 1066.5 {
 		t.Fatalf("sum = %v, want 1066.5", h.Sum())
@@ -113,8 +113,8 @@ func TestConcurrentWriters(t *testing.T) {
 	if g.Value() != workers*perWorker {
 		t.Fatalf("gauge = %v, want %d", g.Value(), workers*perWorker)
 	}
-	if h.Count() != workers*perWorker {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*perWorker)
+	if h.count.Load() != workers*perWorker {
+		t.Fatalf("histogram count = %d, want %d", h.count.Load(), workers*perWorker)
 	}
 }
 

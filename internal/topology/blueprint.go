@@ -143,12 +143,6 @@ func (bp *Blueprint) TakeSpare(seed int64) *World {
 	return bp.spare.Swap(nil)
 }
 
-// Config returns the compiled world configuration.
-func (bp *Blueprint) Config() Config { return bp.cfg }
-
-// Seed returns the generation seed the blueprint was compiled from.
-func (bp *Blueprint) Seed() int64 { return bp.seed }
-
 // Instantiate builds a world on sim from the frozen blueprint: the same
 // construction sequence as Compile's generation run, but with recorded
 // decisions replayed (consuming none of sim's PRNG state) and the

@@ -98,7 +98,7 @@ func TestWorkerThroughChaosProxy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done.State != "done" {
+	if done.State != apiclient.JobDone {
 		t.Fatalf("job through chaos = %+v, want done", done)
 	}
 	served, err := direct.JobDataset(ctx, job.ID)
@@ -168,7 +168,7 @@ func TestDuplicatedUploadsAbsorbed(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The shadow send applied first; the visible one is its replay.
-		if ack.Status != "duplicate" {
+		if ack.Status != apiclient.ResultDuplicate {
 			t.Fatalf("upload shard %d through dup proxy = %+v, want duplicate ack", sh.Index, ack)
 		}
 	}
@@ -176,7 +176,7 @@ func TestDuplicatedUploadsAbsorbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done.State != "done" || done.ShardsDone != done.ShardsTotal {
+	if done.State != apiclient.JobDone || done.ShardsDone != done.ShardsTotal {
 		t.Fatalf("job after duplicated uploads = %+v, want done with each shard counted once", done)
 	}
 	served, err := direct.JobDataset(ctx, job.ID)

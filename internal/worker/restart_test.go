@@ -58,7 +58,7 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != "running" || got.ShardsDone != 2 {
+	if got.State != apiclient.JobRunning || got.ShardsDone != 2 {
 		t.Fatalf("recovered job = state %s done %d/%d, want running with A's 2 shards kept",
 			got.State, got.ShardsDone, got.ShardsTotal)
 	}
@@ -80,7 +80,7 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done.State != "done" || done.ShardsDone != done.ShardsTotal {
+	if done.State != apiclient.JobDone || done.ShardsDone != done.ShardsTotal {
 		t.Fatalf("job after restart drain = %+v, want done", done)
 	}
 	served, err := c2.JobDataset(ctx, job.ID)

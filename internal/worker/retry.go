@@ -20,8 +20,8 @@ import (
 // Every retried request is safe to re-send: claims grant whatever is
 // pending now, discovery is a read, and shard-result uploads are
 // idempotent by the coordinator's first-writer-wins dedup — the
-// ambiguous failure (request applied, response lost) resolves to a
-// "duplicate" ack on the re-send, never a double merge.
+// ambiguous failure (request applied, response lost) resolves to an
+// apiclient.ResultDuplicate ack on the re-send, never a double merge.
 //
 // Jitter is deterministic per worker ID rather than random: a fleet of
 // workers knocked back by the same coordinator restart de-synchronizes

@@ -93,7 +93,7 @@ func TestWedgedWorkerSpeculation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("job never finished: %v", err)
 	}
-	if final.State != "done" {
+	if final.State != apiclient.JobDone {
 		t.Fatalf("job state = %s, want done via speculation", final.State)
 	}
 

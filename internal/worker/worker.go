@@ -62,7 +62,7 @@ type Stats struct {
 	Claims    int `json:"claims"`
 	Executed  int `json:"executed"`
 	Accepted  int `json:"accepted"`
-	Duplicate int `json:"duplicate"`
+	Duplicate int `json:"duplicates"`
 	// Rejected counts uploads the coordinator refused (stale_result,
 	// lease_expired) — work lost to eviction, not an error.
 	Rejected int `json:"rejected"`
@@ -193,7 +193,7 @@ func discoverJobs(ctx context.Context, cfg Config) ([]string, error) {
 	cursor := ""
 	for {
 		page, err := cfg.Client.Jobs(ctx, apiclient.JobsOptions{
-			Limit: 200, Cursor: cursor, State: "running",
+			Limit: 200, Cursor: cursor, State: apiclient.JobRunning,
 		})
 		if err != nil {
 			return nil, err
@@ -222,7 +222,7 @@ func workJob(ctx context.Context, cfg Config, logger *slog.Logger, jobID string,
 	if err != nil {
 		// The job may have finished, or be a local-execution job named
 		// explicitly; neither ends the worker.
-		if apiclient.IsCode(err, "job_not_found") || apiclient.IsCode(err, "job_not_distributed") {
+		if apiclient.IsCode(err, apiclient.CodeJobNotFound) || apiclient.IsCode(err, apiclient.CodeJobNotDistributed) {
 			return 0, nil
 		}
 		return 0, err
@@ -335,7 +335,7 @@ func executeAndUpload(ctx context.Context, cfg Config, logger *slog.Logger, clai
 
 	// The upload retries through transient failures: it is idempotent
 	// under the coordinator's first-writer-wins dedup, so the ambiguous
-	// applied-but-unacked case resolves to a harmless "duplicate". The
+	// applied-but-unacked case resolves to a harmless duplicate ack. The
 	// body is encoded once; every attempt resends the same bytes.
 	up, err := cfg.Client.PrepareShardResult(claim.Job, sh.Index, cfg.ID, sh.Lease, wire)
 	if err != nil {
@@ -349,17 +349,16 @@ func executeAndUpload(ctx context.Context, cfg Config, logger *slog.Logger, clai
 		return uerr
 	})
 	if err != nil {
-		if apiclient.IsCode(err, "stale_result") || apiclient.IsCode(err, "lease_expired") {
+		if apiclient.IsCode(err, apiclient.CodeStaleResult) || apiclient.IsCode(err, apiclient.CodeLeaseExpired) {
 			stats.Rejected++
 			logger.Info("shard result rejected", "job", claim.Job, "shard", sh.Index, "err", err)
 			return nil
 		}
 		return err
 	}
-	switch ack.Status {
-	case "duplicate":
+	if ack.Status == apiclient.ResultDuplicate {
 		stats.Duplicate++
-	default:
+	} else {
 		stats.Accepted++
 	}
 	logger.Info("shard uploaded", "job", claim.Job, "shard", sh.Index,

@@ -47,7 +47,7 @@ func TestTwoWorkersWithMidRunCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !created || job.State != "running" {
+	if !created || job.State != apiclient.JobRunning {
 		t.Fatalf("submit = created %v state %s", created, job.State)
 	}
 
@@ -71,7 +71,7 @@ func TestTwoWorkersWithMidRunCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done.State != "done" || done.ShardsDone != done.ShardsTotal {
+	if done.State != apiclient.JobDone || done.ShardsDone != done.ShardsTotal {
 		t.Fatalf("job after both workers = %+v, want done", done)
 	}
 
@@ -136,7 +136,7 @@ func uploadThenVanish(t *testing.T, c *apiclient.Client, job, id string, n, k in
 		t.Fatal(err)
 	}
 	for _, ack := range acks {
-		if ack.Status != "accepted" {
+		if ack.Status != apiclient.ResultAccepted {
 			t.Fatalf("worker %s upload = %+v, want accepted", id, ack)
 		}
 	}
