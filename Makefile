@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race crash-stress fuzz-smoke bench bench-paper fmt vet lint perf-gate serve check
+.PHONY: all build test race crash-stress fuzz-smoke bench bench-paper profile fmt vet lint perf-gate serve check
 
 all: check
 
@@ -71,8 +71,9 @@ fuzz-smoke:
 	done
 
 # Benchmark smoke: one iteration of every go test benchmark (campaign
-# engine on the small world, world reset, packet path, codecs,
-# coordinator ingest) so none of them rots, and no test: `make test`
+# engine on the small world and, once, paper-direct's campaign, world
+# reset, packet path, codecs, coordinator ingest) so none of them rots,
+# and no test: `make test`
 # runs those. Performance numbers come from the declared benchmark
 # (bench-paper below, bench/README.md), not from this target.
 bench:
@@ -87,6 +88,17 @@ bench:
 bench-paper:
 	$(GO) run ./bench -workload paper-direct -seed 2015 -seconds 15 -trace 0
 	$(GO) run ./bench -workload paper-transit -seed 2015 -seconds 15 -trace 0
+
+# profile runs paper-direct's campaign once (BenchmarkCampaignPaper:
+# DefaultSpec on 2 workers) with a CPU profile and a rate-1 allocation
+# profile — every allocation sampled — and prints the top of each: CPU
+# time, then allocated bytes (alloc_space), by function. The profiles
+# and the test binary stay in internal/campaign/ for go tool pprof.
+profile:
+	cd internal/campaign && $(GO) test -run '^$$' -bench '^BenchmarkCampaignPaper$$' -benchtime 1x \
+		-cpuprofile cpu.pprof -memprofile mem.pprof -memprofilerate 1 -o campaign.test .
+	cd internal/campaign && $(GO) tool pprof -top -nodecount 25 campaign.test cpu.pprof
+	cd internal/campaign && $(GO) tool pprof -top -nodecount 25 -sample_index alloc_space campaign.test mem.pprof
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -133,7 +133,7 @@ func e2eService(t *testing.T, ctx context.Context, want string) {
 		t.Fatalf("job shards = %d, %v", len(shards), err)
 	}
 	for _, s := range shards {
-		if s.State != "done" {
+		if s.State != apiclient.ShardDone {
 			t.Fatalf("shard %+v not done", s)
 		}
 	}

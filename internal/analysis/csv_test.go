@@ -109,7 +109,7 @@ func TestWriteTable2CSV(t *testing.T) {
 func TestWriteFigure4CSV(t *testing.T) {
 	table := synthASNTable()
 	target := hop(1, 200)
-	obs := synthPath("v1", target, []packet.Addr{hop(0, 1), hop(1, 1)}, 1)
+	obs := synthPath(0, target, []packet.Addr{hop(0, 1), hop(1, 1)}, 1)
 	f4 := ComputeFigure4([][]traceroute.PathObservation{obs}, table)
 	var buf bytes.Buffer
 	if err := WriteFigure4CSV(&buf, f4); err != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ecn"
 	"repro/internal/packet"
 	"repro/internal/traceroute"
+	"repro/internal/vantage"
 )
 
 // Figure4 is the traceroute path-transparency analysis of Section 4.2.
@@ -48,8 +49,10 @@ type Figure4 struct {
 func ComputeFigure4(segs [][]traceroute.PathObservation, table *asn.Table) Figure4 {
 	var f Figure4
 
+	// Paths are grouped by the rows' vantage index and sorted by vantage
+	// name, so the sample paths come out in name order.
 	type pathKey struct {
-		vantage string
+		vantage uint8
 		target  packet.Addr
 	}
 	// Rebuild per-path hop sequences.
@@ -66,7 +69,7 @@ func ComputeFigure4(segs [][]traceroute.PathObservation, table *asn.Table) Figur
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].vantage != keys[j].vantage {
-			return keys[i].vantage < keys[j].vantage
+			return vantage.Name(keys[i].vantage) < vantage.Name(keys[j].vantage)
 		}
 		return keys[i].target.Less(keys[j].target)
 	})
@@ -175,14 +178,14 @@ func ComputeFigure4(segs [][]traceroute.PathObservation, table *asn.Table) Figur
 		sample = append(sample, k)
 	}
 	for _, k := range sample {
-		f.SamplePaths = append(f.SamplePaths, renderPath(k.vantage, k.target, paths[k]))
+		f.SamplePaths = append(f.SamplePaths, renderPath(vantage.Name(k.vantage), k.target, paths[k]))
 	}
 	return f
 }
 
 // renderPath draws one path as G/R/. glyphs (preserved / modified /
 // silent), hop by hop.
-func renderPath(vantage string, target packet.Addr, hops []traceroute.PathObservation) string {
+func renderPath(name string, target packet.Addr, hops []traceroute.PathObservation) string {
 	byTTL := map[uint8]traceroute.PathObservation{}
 	var maxTTL uint8
 	for _, h := range hops {
@@ -205,7 +208,7 @@ func renderPath(vantage string, target packet.Addr, hops []traceroute.PathObserv
 			glyphs = append(glyphs, 'R')
 		}
 	}
-	return fmt.Sprintf("%-22s -> %-14s %s", vantage, target, glyphs)
+	return fmt.Sprintf("%-22s -> %-14s %s", name, target, glyphs)
 }
 
 // RenderFigure4 prints the summary and sample paths.

@@ -10,12 +10,13 @@ import (
 	"repro/internal/iptable"
 	"repro/internal/packet"
 	"repro/internal/traceroute"
+	"repro/internal/vantage"
 )
 
 // synthPath builds observations for one vantage→target path where hops
 // at index >= stripAt (0-based) return a bleached quotation. Hop
 // addresses come from hopAddrs.
-func synthPath(vantage string, target packet.Addr, hopAddrs []packet.Addr, stripAt int) []traceroute.PathObservation {
+func synthPath(vantage uint8, target packet.Addr, hopAddrs []packet.Addr, stripAt int) []traceroute.PathObservation {
 	var out []traceroute.PathObservation
 	for i, hop := range hopAddrs {
 		tr := ecn.Preserved
@@ -25,16 +26,14 @@ func synthPath(vantage string, target packet.Addr, hopAddrs []packet.Addr, strip
 			quoted = ecn.NotECT
 		}
 		out = append(out, traceroute.PathObservation{
-			Vantage: vantage,
-			Target:  target,
-			Observation: traceroute.Observation{
-				TTL:        uint8(i + 1),
-				Responded:  true,
-				Hop:        hop,
-				SentECN:    ecn.ECT0,
-				QuotedECN:  quoted,
-				Transition: tr,
-			},
+			Vantage:    vantage,
+			Target:     target,
+			TTL:        uint8(i + 1),
+			Responded:  true,
+			Hop:        hop,
+			SentECN:    ecn.ECT0,
+			QuotedECN:  quoted,
+			Transition: tr,
 		})
 	}
 	return out
@@ -57,11 +56,11 @@ func TestComputeFigure4CleanAndStripped(t *testing.T) {
 
 	var obs []traceroute.PathObservation
 	// Clean path: 4 hops in AS 100 then AS 101.
-	obs = append(obs, synthPath("v1", target1,
+	obs = append(obs, synthPath(0, target1,
 		[]packet.Addr{hop(0, 1), hop(0, 2), hop(1, 1), hop(1, 2)}, -1)...)
 	// Stripped path: strip begins at hop 3 (first hop of AS 102 — an AS
 	// boundary strip location).
-	obs = append(obs, synthPath("v1", target2,
+	obs = append(obs, synthPath(0, target2,
 		[]packet.Addr{hop(0, 1), hop(0, 2), hop(2, 1), hop(2, 2)}, 2)...)
 
 	f := ComputeFigure4([][]traceroute.PathObservation{obs}, table)
@@ -96,8 +95,8 @@ func TestComputeFigure4SometimesStrip(t *testing.T) {
 	// Same path traced twice — from two vantages, so two sweep shards'
 	// segments: strips once at hop 2, clean the other time.
 	f := ComputeFigure4([][]traceroute.PathObservation{
-		synthPath("v1", target, hops, 1),
-		synthPath("v2", target, hops, -1),
+		synthPath(0, target, hops, 1),
+		synthPath(1, target, hops, -1),
 	}, table)
 	if f.StripLocationRouters != 1 {
 		t.Fatalf("strip locations = %d", f.StripLocationRouters)
@@ -111,7 +110,7 @@ func TestComputeFigure4InteriorStripNotBoundary(t *testing.T) {
 	table := synthASNTable()
 	target := packet.AddrFrom4(16, 1, 2, 1)
 	// Strip at the SECOND hop of AS 101: previous hop same AS.
-	obs := synthPath("v1", target,
+	obs := synthPath(0, target,
 		[]packet.Addr{hop(0, 1), hop(1, 1), hop(1, 2)}, 2)
 
 	f := ComputeFigure4([][]traceroute.PathObservation{obs}, table)
@@ -124,11 +123,8 @@ func TestComputeFigure4CEClassifiedSeparately(t *testing.T) {
 	table := synthASNTable()
 	target := packet.AddrFrom4(16, 1, 2, 1)
 	obs := []traceroute.PathObservation{{
-		Vantage: "v1", Target: target,
-		Observation: traceroute.Observation{
-			TTL: 1, Responded: true, Hop: hop(0, 1),
-			SentECN: ecn.ECT0, QuotedECN: ecn.CE, Transition: ecn.Marked,
-		},
+		Target: target, TTL: 1, Responded: true, Hop: hop(0, 1),
+		SentECN: ecn.ECT0, QuotedECN: ecn.CE, Transition: ecn.Marked,
 	}}
 	f := ComputeFigure4([][]traceroute.PathObservation{obs}, table)
 	if f.CEObservations != 1 {
@@ -143,8 +139,8 @@ func TestComputeFigure4SilentHops(t *testing.T) {
 	table := synthASNTable()
 	target := packet.AddrFrom4(16, 1, 2, 1)
 	obs := []traceroute.PathObservation{
-		{Vantage: "v1", Target: target, Observation: traceroute.Observation{TTL: 1, Responded: true, Hop: hop(0, 1), SentECN: ecn.ECT0, QuotedECN: ecn.ECT0, Transition: ecn.Preserved}},
-		{Vantage: "v1", Target: target, Observation: traceroute.Observation{TTL: 2, SentECN: ecn.ECT0}}, // silent
+		{Target: target, TTL: 1, Responded: true, Hop: hop(0, 1), SentECN: ecn.ECT0, QuotedECN: ecn.ECT0, Transition: ecn.Preserved},
+		{Target: target, TTL: 2, SentECN: ecn.ECT0}, // silent
 	}
 	f := ComputeFigure4([][]traceroute.PathObservation{obs}, table)
 	if f.TotalObservations != 2 || f.RespondedObservations != 1 {
@@ -155,7 +151,7 @@ func TestComputeFigure4SilentHops(t *testing.T) {
 func TestRenderFigure4(t *testing.T) {
 	table := synthASNTable()
 	target := packet.AddrFrom4(16, 1, 2, 1)
-	obs := synthPath("v1", target, []packet.Addr{hop(0, 1), hop(1, 1)}, 1)
+	obs := synthPath(0, target, []packet.Addr{hop(0, 1), hop(1, 1)}, 1)
 	f := ComputeFigure4([][]traceroute.PathObservation{obs}, table)
 	out := RenderFigure4(f)
 	if !strings.Contains(out, "GR") {
@@ -163,5 +159,27 @@ func TestRenderFigure4(t *testing.T) {
 	}
 	if !strings.Contains(out, "strip locations") {
 		t.Error("summary missing")
+	}
+}
+
+// TestFigure4SamplePathsInNameOrder: rows name their vantage by Table 2
+// index, but the sample paths come out sorted by vantage name, as they
+// did when rows carried the name — so Table 2's first vantage, "Perkins
+// home", renders after "EC2 California", its fifth.
+func TestFigure4SamplePathsInNameOrder(t *testing.T) {
+	table := synthASNTable()
+	target := packet.AddrFrom4(16, 1, 2, 1)
+	hops := []packet.Addr{hop(0, 1), hop(1, 1)}
+	f := ComputeFigure4([][]traceroute.PathObservation{
+		synthPath(0, target, hops, -1),
+		synthPath(4, target, hops, -1),
+	}, table)
+	if len(f.SamplePaths) != 2 {
+		t.Fatalf("sample paths = %q", f.SamplePaths)
+	}
+	for i, name := range []string{vantage.Name(4), vantage.Name(0)} {
+		if !strings.HasPrefix(f.SamplePaths[i], name+" ") {
+			t.Errorf("sample path %d = %q, want %s's", i, f.SamplePaths[i], name)
+		}
 	}
 }

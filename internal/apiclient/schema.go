@@ -22,6 +22,16 @@ const (
 	JobFailed  JobState = "failed"
 )
 
+// ShardState is a shard's phase in its job's lease table: pending →
+// leased → done, or back to pending when a lease lapses.
+type ShardState string
+
+const (
+	ShardPending ShardState = "pending"
+	ShardLeased  ShardState = "leased"
+	ShardDone    ShardState = "done"
+)
+
 // Job is one job snapshot: the body of POST /v1/campaigns and
 // GET /v1/jobs/{id}.
 type Job struct {
@@ -58,7 +68,7 @@ type JobsPage struct {
 // leased shards back to pending.
 type Shard struct {
 	campaign.ShardInfo
-	State string `json:"state"` // pending | leased | done
+	State ShardState `json:"state"`
 	// Worker is the worker holding (or having completed) the shard:
 	// a remote worker's ID, or "local" for the loopback goroutines.
 	Worker string `json:"worker,omitempty"`

@@ -109,6 +109,21 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkCampaignPaper runs the declared benchmark's paper-direct
+// campaign — DefaultSpec, paper scale, on 2 workers — for profiles:
+// `make profile` runs it once under -cpuprofile and a rate-1
+// -memprofile and prints where its CPU time and its allocated bytes go.
+// (go run ./bench times the same campaign plus writing its dataset.)
+func BenchmarkCampaignPaper(b *testing.B) {
+	s := DefaultSpec()
+	s.Workers = 2
+	cfg, err := s.Config()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRun(b, cfg)
+}
+
 // BenchmarkCampaignSlices holds the worker pool at GOMAXPROCS and varies
 // sub-vantage slicing: with more shards than vantages the pool packs
 // better (no long-tail shard pins a worker), at the price of more world

@@ -33,6 +33,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/topology"
 	"repro/internal/traceroute"
+	"repro/internal/vantage"
 )
 
 // ProbeServer runs the paper's four measurements from a vantage point
@@ -168,19 +169,12 @@ func (t *traceRun) observed(obs dataset.Observation) {
 // batches, EC2 only the later one. The exact split is not given in the
 // paper; this plan preserves the total and the batch structure.
 func PaperTracePlan() map[string]int {
-	plan := map[string]int{
-		"Perkins home":        25,
-		"McQuistin home":      25,
-		"U. Glasgow wired":    14,
-		"U. Glasgow wireless": 20,
+	plan := make(map[string]int, vantage.Count)
+	for i := range uint8(vantage.Count) {
+		plan[vantage.Name(i)] = 14 // Glasgow wired and the nine EC2 regions: 10 × 14 = 140
 	}
-	for _, name := range []string{
-		"EC2 California", "EC2 Frankfurt", "EC2 Ireland", "EC2 Oregon",
-		"EC2 Sao Paulo", "EC2 Singapore", "EC2 Sydney", "EC2 Tokyo",
-		"EC2 Virginia",
-	} {
-		plan[name] = 14 // 9 × 14 = 126; 126 + 84 = 210
-	}
+	plan["Perkins home"], plan["McQuistin home"] = 25, 25
+	plan["U. Glasgow wireless"] = 20 // 140 + 70 = 210
 	return plan
 }
 
@@ -221,7 +215,8 @@ const sweepParallelism = 64
 // slice handed to done is exactly sized and the caller's to keep.
 //
 // A steady-state sweep allocates that slice and nothing else: the
-// traces run on each vantage's own long-lived Mux (recycled sessions),
+// traces run on each vantage's own long-lived Mux, whose sessions come
+// from the one pool the world's Muxes share (traceroute.Pool),
 // targets are read off the world's server list by stride, and the sweep
 // shell — iteration state, bound-once callbacks and the buffer rows are
 // staged in until their count is known — waits on the world
@@ -268,8 +263,8 @@ func runSweep(w *topology.World, cfg TracerouteCampaignConfig, keep bool, done f
 	sw.nextVantage()
 }
 
-// stagingChunk is the sweep's staging granule in rows (48 KiB of
-// 48-byte rows): a paper-scale vantage sweep stages about ten of them.
+// stagingChunk is the sweep's staging granule in rows (24 KiB of
+// 24-byte rows): a paper-scale vantage sweep stages about ten of them.
 const stagingChunk = 1024
 
 // sweep is one traceroute campaign's iteration state.
@@ -279,7 +274,7 @@ type sweep struct {
 	keep bool // stage rows; a sweep that keeps none hands done no rows
 	done func([]PathObservation)
 
-	vi      int               // index into w.Vantages of the vantage being swept
+	vi      int               // index into w.Vantages of the vantage being swept: its Table 2 index
 	v       *topology.Vantage // w.Vantages[vi]
 	idx     int               // next target, an index into w.Servers
 	pending int               // traceroutes in flight from v
@@ -339,7 +334,8 @@ func (sw *sweep) pump() {
 
 // result flattens one finished path into the staging buffer, if the
 // sweep keeps its rows — the Result's observations are the session's, on
-// loan for this call — and starts the next.
+// loan for this call — with the vantage's index written in, and starts
+// the next.
 func (sw *sweep) result(r traceroute.Result) {
 	if sw.keep {
 		for i := range r.Observations {
@@ -347,7 +343,9 @@ func (sw *sweep) result(r traceroute.Result) {
 			if c == len(sw.chunks) {
 				sw.chunks = append(sw.chunks, make([]PathObservation, stagingChunk))
 			}
-			sw.chunks[c][at] = PathObservation{Vantage: sw.v.Name, Target: r.Target, Observation: r.Observations[i]}
+			row := &sw.chunks[c][at]
+			*row = r.Observations[i]
+			row.Vantage = uint8(sw.vi) // World.Vantages is Table 2, in order
 			sw.rows++
 		}
 	}

@@ -177,7 +177,7 @@ func TestTracerouteCampaign(t *testing.T) {
 		t.Fatal("no observations")
 	}
 	preserved, bleached := 0, 0
-	vantagesSeen := map[string]bool{}
+	vantagesSeen := map[uint8]bool{}
 	for _, o := range obs {
 		vantagesSeen[o.Vantage] = true
 		if !o.Responded {

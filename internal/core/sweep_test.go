@@ -151,3 +151,45 @@ func TestSweepSelectsNothing(t *testing.T) {
 		t.Error("shell not returned to the world")
 	}
 }
+
+// TestSweepSecondVantageBuildsNoShell: a world's vantages share one
+// pool of traceroute session shells (traceroute.Pool), so a vantage
+// swept for the first time on a world that has swept another builds no
+// session: its traceroutes run in the shells the first vantage's
+// finished in. Each shell it built would cost at least two allocations —
+// the session and its bound timeout callback — for each of the
+// sweepParallelism traceroutes in flight; what such a sweep may allocate
+// is its own vantage's session table and port bindings growing to that
+// many entries, a handful of allocations.
+func TestSweepSecondVantageBuildsNoShell(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the wire buffers' sync.Pool drops Puts under the race detector")
+	}
+	cfg := TracerouteCampaignConfig{
+		Vantages: []string{"EC2 Ireland"},
+		Config:   traceroute.Config{ProbesPerHop: 2, StopAfterSilent: 2},
+	}
+	w := smallWorld(t, 7)
+	if len(w.Servers) <= sweepParallelism {
+		t.Fatalf("%d servers: too few to keep %d traceroutes in flight", len(w.Servers), sweepParallelism)
+	}
+	sweepOnce(t, w, cfg)
+
+	cfg.Vantages = []string{"U. Glasgow wireless"}
+	swept := false
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	RunTracerouteCampaignNoRows(w, cfg, func() { swept = true })
+	w.Sim.Run()
+	runtime.ReadMemStats(&after)
+	if !swept {
+		t.Fatal("sweep did not complete")
+	}
+	allocs := after.Mallocs - before.Mallocs
+	if allocs >= sweepParallelism {
+		t.Errorf("sweeping a second vantage allocated %d times; %d shells would take ≥ %d, its own tables a handful",
+			allocs, sweepParallelism, 2*sweepParallelism)
+	}
+	t.Logf("second vantage's first sweep: %d allocs", allocs)
+}

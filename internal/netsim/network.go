@@ -106,14 +106,16 @@ func (n *Network) slot(a packet.Addr) *addrSlot {
 	return n.ownIndex().slotFor(a)
 }
 
-// AddRouter registers a router with its own address and AS number.
-func (n *Network) AddRouter(label string, addr packet.Addr, asn uint32) *Router {
+// AddRouter registers a router with its own address. The third
+// parameter, the router's AS number, is unused — AS attribution lives in
+// topology's asn.Table — and stays only because bench/kernels.go calls
+// AddRouter with three arguments; drop it with the next change to bench/.
+func (n *Network) AddRouter(label string, addr packet.Addr, _ uint32) *Router {
 	r := &Router{
 		net:   n,
 		id:    len(n.routers),
 		label: label,
 		addr:  addr,
-		asn:   asn,
 	}
 	n.routers = append(n.routers, r)
 	if e := n.slot(addr); e.router == 0 && e.host == 0 {

@@ -10,8 +10,6 @@ import (
 	"repro/internal/packet"
 )
 
-// Routers must drop corrupt packets without disturbing the simulation —
-// the forwarding-plane behaviour of real hardware.
 // bufOf copies wire into a pooled buffer.
 func bufOf(wire []byte) *packet.Buf {
 	b := packet.NewBuf()
@@ -19,6 +17,9 @@ func bufOf(wire []byte) *packet.Buf {
 	return b
 }
 
+// Routers must drop corrupt packets without disturbing the simulation —
+// the forwarding-plane behaviour of real hardware — and count every
+// packet they receive, dropped or not, in exactly one counter.
 func TestRouterDropsCorruptPackets(t *testing.T) {
 	sim := NewSim(1)
 	_, h1, h2, routers := lineTopology(t, sim, 2, 0)
@@ -50,6 +51,13 @@ func TestRouterDropsCorruptPackets(t *testing.T) {
 		wire, _ := packet.BuildUDP(h1.Addr(), h2.Addr(), 1, 7, 64, ecn.NotECT, 999, nil)
 		h1.SendBuf(bufOf(corrupt(wire)))
 	}
+	// Intact, but addressed to the first router itself, and arriving
+	// with no TTL left to decrement.
+	local, _ := packet.BuildUDP(h1.Addr(), routers[0].Addr(), 1, 7, 64, ecn.NotECT, 1000, nil)
+	h1.SendBuf(bufOf(local))
+	dead, _ := packet.BuildUDP(h1.Addr(), h2.Addr(), 1, 7, 0, ecn.NotECT, 1001, nil)
+	h1.SendBuf(bufOf(dead))
+	const sent = 200 + 6 + 2
 	sim.Run()
 	// All intact packets arrive; corrupt ones die at the first router
 	// (either checksum failure there or at the host). No panics, no
@@ -58,8 +66,14 @@ func TestRouterDropsCorruptPackets(t *testing.T) {
 		t.Errorf("delivered = %d of ~100 intact", delivered)
 	}
 	// A packet whose IP header the full parse rejects dies at the first
-	// router without moving a counter; every other packet is forwarded
-	// by both routers (payload corruption is the host's to catch).
+	// router as corrupt; every other packet but the two above is
+	// forwarded by both routers (payload corruption is the host's to
+	// catch).
+	r0, r1 := routers[0], routers[1]
+	if uint64(r0.CorruptDrops) != 200-validHeaders+6 || r0.LocalDrops != 1 || r0.ZeroTTLDrops != 1 {
+		t.Errorf("first router: CorruptDrops=%d LocalDrops=%d ZeroTTLDrops=%d, want %d, 1, 1",
+			r0.CorruptDrops, r0.LocalDrops, r0.ZeroTTLDrops, 200-validHeaders+6)
+	}
 	for i, r := range routers {
 		if r.Forwarded != validHeaders {
 			t.Errorf("router %d forwarded %d packets, want the %d with valid headers", i, r.Forwarded, validHeaders)
@@ -68,6 +82,21 @@ func TestRouterDropsCorruptPackets(t *testing.T) {
 			t.Errorf("router %d: PolicyDrops=%d TTLExpiries=%d NoRouteDrops=%d, want all 0",
 				i, r.PolicyDrops, r.TTLExpiries, r.NoRouteDrops)
 		}
+	}
+	if r1.CorruptDrops != 0 || r1.LocalDrops != 0 || r1.ZeroTTLDrops != 0 {
+		t.Errorf("second router dropped what the first forwarded: CorruptDrops=%d LocalDrops=%d ZeroTTLDrops=%d",
+			r1.CorruptDrops, r1.LocalDrops, r1.ZeroTTLDrops)
+	}
+	// The books close: what a router received is its counters' sum.
+	counted := func(r *Router) uint64 {
+		return r.Forwarded + r.PolicyDrops + r.TTLExpiries + r.NoRouteDrops +
+			uint64(r.CorruptDrops) + uint64(r.LocalDrops) + uint64(r.ZeroTTLDrops)
+	}
+	if got := counted(r0); got != sent {
+		t.Errorf("first router counted %d packets, received %d", got, sent)
+	}
+	if got := counted(r1); got != r0.Forwarded {
+		t.Errorf("second router counted %d packets, received %d", got, r0.Forwarded)
 	}
 	if validHeaders == 0 || validHeaders == 200 {
 		t.Fatalf("validHeaders = %d: the corruption loop is not exercising both outcomes", validHeaders)

@@ -527,7 +527,7 @@ func (m *jobMgr) newJobLocked(id, key string, spec campaign.Spec, plan []campaig
 		shards:    make([]apiclient.Shard, len(plan)),
 	}
 	for i, sh := range plan {
-		j.shards[i] = apiclient.Shard{ShardInfo: sh, State: "pending"}
+		j.shards[i] = apiclient.Shard{ShardInfo: sh, State: apiclient.ShardPending}
 		j.tracesTotal += sh.Traces
 	}
 	m.jobs[j.id] = j
@@ -551,7 +551,7 @@ func (j *job) finish(at time.Time) {
 	j.finished = at
 	j.results = nil
 	for i := range j.shards {
-		j.shards[i].State = "done"
+		j.shards[i].State = apiclient.ShardDone
 	}
 	j.shardsDone = len(j.shards)
 	j.tracesDone = j.tracesTotal

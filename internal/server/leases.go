@@ -114,7 +114,7 @@ func (m *jobMgr) internWorkerLocked(worker string) *string {
 // nextPending returns the first pending shard at or after from, or -1.
 func (j *job) nextPending(from int) int {
 	for i := from; i < len(j.shards); i++ {
-		if j.shards[i].State == "pending" {
+		if j.shards[i].State == apiclient.ShardPending {
 			return i
 		}
 	}
@@ -137,7 +137,7 @@ func (j *job) apply(rec walRecord, res *heldResult) {
 		j.results[rec.Idx] = *res
 		j.results[rec.Idx].Servers = servers
 		l.doneToken = rec.Token
-		sh.State, sh.Worker = "done", rec.Worker
+		sh.State, sh.Worker = apiclient.ShardDone, rec.Worker
 		sh.Events = res.Stats.Events
 		sh.ElapsedSeconds = res.Stats.Elapsed.Seconds()
 		j.shardsDone++
@@ -155,13 +155,13 @@ func (j *job) apply(rec walRecord, res *heldResult) {
 		}
 		j.durCount++
 	case rec.Event == walGrant:
-		sh.State, sh.Worker = "leased", rec.Worker
+		sh.State, sh.Worker = apiclient.ShardLeased, rec.Worker
 		l.token, l.worker, l.expires = rec.Token, rec.Worker, rec.Expires
 		l.granted, l.batchN = rec.Time, rec.BatchN
 	case rec.Event == walSpecGrant:
 		l.specToken, l.specWorker, l.specExpires = rec.Token, rec.Worker, rec.Expires
 	case rec.Event == walExpire && l.specToken == "":
-		sh.State, sh.Worker = "pending", ""
+		sh.State, sh.Worker = apiclient.ShardPending, ""
 	case rec.Event == walExpire:
 		// A live speculative twin is promoted to primary (no record of
 		// its own): the shard stays leased, to the speculating worker.
@@ -198,7 +198,7 @@ func (m *jobMgr) sweepExpiredLocked(j *job, now time.Time) {
 		return
 	}
 	for i := range j.shards {
-		if j.shards[i].State != "leased" {
+		if j.shards[i].State != apiclient.ShardLeased {
 			continue
 		}
 		l := &j.leases[i]
@@ -338,7 +338,7 @@ func (m *jobMgr) Claim(jobID, worker string, max int) (apiclient.Claim, error) {
 		// leased shards whose holders have straggled past the threshold.
 		for i := 0; i < len(j.shards) && len(resp.Shards) < max; i++ {
 			l := &j.leases[i]
-			if j.shards[i].State == "leased" && l.worker != worker && l.specToken == "" &&
+			if j.shards[i].State == apiclient.ShardLeased && l.worker != worker && l.specToken == "" &&
 				m.speculationDueLocked(j, i, now) {
 				resp.Shards = append(resp.Shards, m.grantLocked(j, i, worker, now, 0, true))
 			}
@@ -374,7 +374,7 @@ func (m *jobMgr) Heartbeat(jobID string, idx int, token string) (apiclient.Heart
 	}
 	sh := &j.shards[idx]
 	l := &j.leases[idx]
-	if sh.State != "leased" || (l.token != token && (l.specToken == "" || l.specToken != token)) {
+	if sh.State != apiclient.ShardLeased || (l.token != token && (l.specToken == "" || l.specToken != token)) {
 		return apiclient.Heartbeat{}, faultf(http.StatusConflict, apiclient.CodeLeaseExpired,
 			"lease is not current for shard %d of job %s", idx, jobID)
 	}
@@ -470,7 +470,7 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *h
 		return apiclient.ResultAck{}, false, f
 	}
 	resp := apiclient.ResultAck{Job: j.id, Index: idx, ShardsTotal: len(j.shards)}
-	if sh.State == "done" {
+	if sh.State == apiclient.ShardDone {
 		// Idempotent duplicates: the winning token, and either side of a
 		// settled speculation race (the tokens are left in place when the
 		// shard completes exactly so the loser's in-flight upload acks
@@ -488,7 +488,7 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *h
 			"shard %d of job %s already has a result from %s", idx, j.id, sh.Worker)
 	}
 	speculative := l.specToken != "" && token == l.specToken && token != l.token
-	if sh.State != "leased" || (l.token != token && !speculative) {
+	if sh.State != apiclient.ShardLeased || (l.token != token && !speculative) {
 		// Pending (evicted) or leased to a successor: the uploader lost
 		// its lease and someone else owns — or will own — the shard.
 		m.met.resultsStale.Inc()

@@ -208,12 +208,12 @@ func (m *jobMgr) replayLocked(j *job, recs []walRecord) error {
 		}
 		switch rec.Type {
 		case walLease:
-			if j.shards[rec.Idx].State == "done" {
+			if j.shards[rec.Idx].State == apiclient.ShardDone {
 				continue
 			}
 			j.apply(rec, nil)
 		case walResult:
-			if j.shards[rec.Idx].State == "done" {
+			if j.shards[rec.Idx].State == apiclient.ShardDone {
 				continue // duplicate append from a retried upload; first wins
 			}
 			// The body goes back through the upload path's own bounded

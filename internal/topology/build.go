@@ -16,6 +16,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/tcpsim"
 	"repro/internal/traceroute"
+	"repro/internal/vantage"
 )
 
 // Address plan: each autonomous system i owns the /16 at 16.0.0.0 +
@@ -429,9 +430,9 @@ func (b *builder) buildStub(region geo.Region, country string, stubNum, nServers
 	return nil
 }
 
-// vantageSpec describes one of the paper's 13 locations.
+// vantageSpec describes one of the paper's 13 locations; its name is
+// vantage.Name of its index.
 type vantageSpec struct {
-	name   string
 	kind   VantageKind
 	region geo.Region
 	// base loss and jitter calibrate the access network (DESIGN.md §6):
@@ -440,22 +441,22 @@ type vantageSpec struct {
 	baseLoss, lossJitter float64
 }
 
-// vantageSpecs lists the locations in the paper's Table 2 order (homes,
-// campus, then EC2 alphabetically by the paper's labels).
-var vantageSpecs = []vantageSpec{
-	{"Perkins home", KindHome, geo.Europe, 0.010, 0.010},
-	{"McQuistin home", KindHome, geo.Europe, 0.395, 0.025},
-	{"U. Glasgow wired", KindCampusWired, geo.Europe, 0.004, 0.004},
-	{"U. Glasgow wireless", KindCampusWireless, geo.Europe, 0.180, 0.200},
-	{"EC2 California", KindCloud, geo.NorthAmerica, 0.002, 0.002},
-	{"EC2 Frankfurt", KindCloud, geo.Europe, 0.002, 0.002},
-	{"EC2 Ireland", KindCloud, geo.Europe, 0.002, 0.002},
-	{"EC2 Oregon", KindCloud, geo.NorthAmerica, 0.002, 0.002},
-	{"EC2 Sao Paulo", KindCloud, geo.SouthAmerica, 0.002, 0.002},
-	{"EC2 Singapore", KindCloud, geo.Asia, 0.002, 0.002},
-	{"EC2 Sydney", KindCloud, geo.Australia, 0.002, 0.002},
-	{"EC2 Tokyo", KindCloud, geo.Asia, 0.002, 0.002},
-	{"EC2 Virginia", KindCloud, geo.NorthAmerica, 0.002, 0.002},
+// vantageSpecs lists the locations in the paper's Table 2 order, the
+// order package vantage declares their names in.
+var vantageSpecs = [vantage.Count]vantageSpec{
+	{KindHome, geo.Europe, 0.010, 0.010},           // Perkins home
+	{KindHome, geo.Europe, 0.395, 0.025},           // McQuistin home
+	{KindCampusWired, geo.Europe, 0.004, 0.004},    // U. Glasgow wired
+	{KindCampusWireless, geo.Europe, 0.180, 0.200}, // U. Glasgow wireless
+	{KindCloud, geo.NorthAmerica, 0.002, 0.002},    // EC2 California
+	{KindCloud, geo.Europe, 0.002, 0.002},          // EC2 Frankfurt
+	{KindCloud, geo.Europe, 0.002, 0.002},          // EC2 Ireland
+	{KindCloud, geo.NorthAmerica, 0.002, 0.002},    // EC2 Oregon
+	{KindCloud, geo.SouthAmerica, 0.002, 0.002},    // EC2 Sao Paulo
+	{KindCloud, geo.Asia, 0.002, 0.002},            // EC2 Singapore
+	{KindCloud, geo.Australia, 0.002, 0.002},       // EC2 Sydney
+	{KindCloud, geo.Asia, 0.002, 0.002},            // EC2 Tokyo
+	{KindCloud, geo.NorthAmerica, 0.002, 0.002},    // EC2 Virginia
 }
 
 // scopedECTVantages are the cloud locations whose sources trigger the
@@ -470,9 +471,9 @@ var scopedECTVantages = map[string]bool{
 // without building a world. The sharded campaign engine partitions its
 // probe plan on this order, so shard numbering is stable across runs.
 func VantageNames() []string {
-	out := make([]string, len(vantageSpecs))
-	for i, spec := range vantageSpecs {
-		out[i] = spec.name
+	out := make([]string, vantage.Count)
+	for i := range out {
+		out[i] = vantage.Name(uint8(i))
 	}
 	return out
 }
@@ -484,12 +485,16 @@ func (b *builder) buildVantages() error {
 	var campusBorder *netsim.Router
 	var campusASIdx int
 
-	for _, spec := range vantageSpecs {
+	// One free list of traceroute session shells for the whole world:
+	// its vantages sweep one after another on one goroutine.
+	sessions := new(traceroute.Pool)
+	for i, spec := range vantageSpecs {
+		name := vantage.Name(uint8(i))
 		var attachTo *netsim.Router
 		var asIdx int
 		switch spec.kind {
 		case KindHome:
-			idx, number := b.allocAS(0, func() string { return "isp-" + slug(spec.name) })
+			idx, number := b.allocAS(0, func() string { return "isp-" + slug(name) })
 			border := b.w.Net.AddRouter(fmt.Sprintf("isp-%d-border", idx), routerAddr(idx, 0), uint32(number))
 			access := b.w.Net.AddRouter(fmt.Sprintf("isp-%d-access", idx), routerAddr(idx, 1), uint32(number))
 			b.w.Net.Connect(border, access, b.cfg.EdgeDelay, 0)
@@ -511,7 +516,7 @@ func (b *builder) buildVantages() error {
 			b.w.Net.Connect(campusBorder, access, b.cfg.EdgeDelay/2, 0)
 			attachTo, asIdx = access, campusASIdx
 		case KindCloud:
-			idx, number := b.allocAS(0, func() string { return "cloud-" + slug(spec.name) })
+			idx, number := b.allocAS(0, func() string { return "cloud-" + slug(name) })
 			border := b.w.Net.AddRouter(fmt.Sprintf("cloud-%d-border", idx), routerAddr(idx, 0), uint32(number))
 			access := b.w.Net.AddRouter(fmt.Sprintf("cloud-%d-access", idx), routerAddr(idx, 1), uint32(number))
 			b.w.Net.Connect(border, access, b.cfg.AccessDelay, 0)
@@ -526,7 +531,7 @@ func (b *builder) buildVantages() error {
 			hostIdxInAS = 1 // wired host took slot 0
 		}
 		addr := hostAddr(asIdx, hostIdxInAS)
-		host, err := b.w.Net.AddHost("vp-"+slug(spec.name), addr)
+		host, err := b.w.Net.AddHost("vp-"+slug(name), addr)
 		if err != nil {
 			return err
 		}
@@ -534,12 +539,12 @@ func (b *builder) buildVantages() error {
 			return err
 		}
 		b.w.Vantages = append(b.w.Vantages, &Vantage{
-			Name:       spec.name,
+			Name:       name,
 			Kind:       spec.kind,
 			Region:     spec.region,
 			Host:       host,
 			Stack:      tcpsim.NewStack(host),
-			Mux:        traceroute.NewMux(host),
+			Mux:        traceroute.NewMux(host, sessions),
 			BaseLoss:   spec.baseLoss,
 			LossJitter: spec.lossJitter,
 		})

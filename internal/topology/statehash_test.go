@@ -64,9 +64,12 @@ var stateSkip = map[string]bool{
 	// Capacity: ntp's probe shells on the host, core's on the vantage.
 	"netsim.Host.UserData":      true,
 	"topology.Vantage.UserData": true,
-	// Capacity: each vantage mux's finished traceroute sessions, and
-	// core's sweep shell (iteration state, row staging) on the world.
-	"traceroute.Mux.free":     true,
+	// Capacity: the finished traceroute sessions every vantage's Mux
+	// shares, and core's sweep shell (iteration state, row staging) on
+	// the world. Run rewrites a session whole before anything reads it.
+	// The Pool itself is walked: each Mux must point at its world's one
+	// pool.
+	"traceroute.Pool.free":    true,
 	"topology.World.UserData": true,
 
 	// Blueprint: routes and the address index (netsim.RouteTable), the

@@ -60,8 +60,9 @@ type Vantage struct {
 	Stack  *tcpsim.Stack
 	// Mux is the host's traceroute demultiplexer — its ICMP handler from
 	// the moment the world is built, so part of the host's baseline. It
-	// lives as long as the world: the sessions it has recycled stay warm
-	// from one sweep (and one shard) to the next.
+	// lives as long as the world, and every vantage's Mux shares the
+	// world's one traceroute.Pool: the sessions recycled there stay warm
+	// from one vantage, sweep and shard to the next.
 	Mux *traceroute.Mux
 
 	// BaseLoss and LossJitter parameterise the per-trace access-link
@@ -84,7 +85,9 @@ type World struct {
 	Geo *geo.DB
 	ASN *asn.Table
 
-	Servers  []*Server
+	Servers []*Server
+	// Vantages are the 13 locations in Table 2 order: Vantages[i].Name
+	// is vantage.Name(i).
 	Vantages []*Vantage
 
 	// Pool DNS.

@@ -1,6 +1,7 @@
 package traceroute
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -15,7 +16,7 @@ func TestReachedDestViaPortUnreachable(t *testing.T) {
 	f := newChain(t, 8, 4)
 	f.server.RespondPortUnreachable = true
 
-	mux := NewMux(f.client)
+	mux := NewMux(f.client, new(Pool))
 	var got Result
 	mux.Run(f.server.Addr(), Config{}, keep(&got))
 	f.sim.Run()
@@ -42,7 +43,7 @@ func TestReachedDestViaPortUnreachable(t *testing.T) {
 // the stop-after-silence rule.
 func TestUnroutableTargetTerminates(t *testing.T) {
 	f := newChain(t, 9, 3)
-	mux := NewMux(f.client)
+	mux := NewMux(f.client, new(Pool))
 	var got Result
 	mux.Run(packet.AddrFrom4(203, 0, 113, 99), Config{
 		StopAfterSilent: 2,
@@ -75,7 +76,7 @@ func TestDeepConfigBoundedToTheTTLField(t *testing.T) {
 		t.Fatalf("withDefaults bounds ProbesPerHop 1000 to %d; want 255", c.ProbesPerHop)
 	}
 	f := newChain(t, 10, 3)
-	mux := NewMux(f.client)
+	mux := NewMux(f.client, new(Pool))
 	var got Result
 	mux.Run(packet.AddrFrom4(203, 0, 113, 99), Config{ProbesPerHop: 1000, StopAfterSilent: 1}, keep(&got))
 	f.sim.Run()
@@ -90,15 +91,37 @@ func TestDeepConfigBoundedToTheTTLField(t *testing.T) {
 	}
 }
 
-// TestRowWidths pins the hop rows' sizes. A sweep writes one row per
-// probe into its staging chunks, flattens them into the slab it hands
-// out and the merge copies them again, so one added int costs 8 bytes
-// per hop per copy: widen a field on purpose, and re-pin it here.
+// TestRowWidths pins the hop row's size. A sweep writes one row per
+// probe into its staging chunks and flattens them into the slab it hands
+// out, so one added int costs 8 bytes per hop per copy: widen a field on
+// purpose, and re-pin it here. The row also holds no pointer — the
+// vantage is an index, not a string — so a paper-scale sweep's slabs
+// are memory the collector never scans.
 func TestRowWidths(t *testing.T) {
-	if got := unsafe.Sizeof(Observation{}); got != 24 {
-		t.Errorf("traceroute.Observation is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(PathObservation{}); got != 24 {
+		t.Errorf("traceroute.PathObservation is %d bytes, want 24", got)
 	}
-	if got := unsafe.Sizeof(PathObservation{}); got != 48 {
-		t.Errorf("traceroute.PathObservation is %d bytes, want 48", got)
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Array:
+			return pointerFree(typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				if !pointerFree(typ.Field(i).Type) {
+					return false
+				}
+			}
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			return false
+		}
+		return true
+	}
+	row := reflect.TypeOf(PathObservation{})
+	for i := range row.NumField() {
+		if f := row.Field(i); !pointerFree(f.Type) {
+			t.Errorf("PathObservation.%s is a %s, which holds a pointer", f.Name, f.Type)
+		}
 	}
 }

@@ -17,13 +17,13 @@ import (
 // one path's state into the next: every run yields the same rows.
 func TestSessionsRecycled(t *testing.T) {
 	f := newChain(t, 11, 6)
-	mux := NewMux(f.client)
+	mux := NewMux(f.client, new(Pool))
 	var got Result
 	done := keep(&got)
 	mux.Run(f.server.Addr(), Config{}, done)
 	f.sim.Run()
 	first := got
-	shell := mux.free
+	shell := mux.pool.free
 	if shell == nil || shell.next != nil {
 		t.Fatal("after one trace the free list should hold exactly its session")
 	}
@@ -33,11 +33,11 @@ func TestSessionsRecycled(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		mux.Run(f.server.Addr(), Config{}, done)
-		if mux.free != nil {
+		if mux.pool.free != nil {
 			t.Fatal("the running trace did not take the free session")
 		}
 		f.sim.Run()
-		if mux.free != shell || shell.next != nil {
+		if mux.pool.free != shell || shell.next != nil {
 			t.Fatal("the trace did not return the one session to the free list")
 		}
 		if got.ReachedDest != first.ReachedDest || len(got.Observations) != len(first.Observations) {
@@ -66,6 +66,41 @@ func TestSessionsRecycled(t *testing.T) {
 	}
 }
 
+// TestPoolSharedByMuxes: the Muxes of one world share one Pool, so a
+// trace from a second host runs in the shell the first host's trace
+// finished in — a world holds as many session shells as it runs traces
+// at once, not that many per vantage — and the rows it lends name the
+// second trace's target.
+func TestPoolSharedByMuxes(t *testing.T) {
+	f := newChain(t, 17, 3)
+	pool := new(Pool)
+	there := NewMux(f.client, pool)
+	back := NewMux(f.server, pool)
+	var got Result
+	there.Run(f.server.Addr(), Config{}, keep(&got))
+	f.sim.Run()
+	shell := pool.free
+	if shell == nil || shell.next != nil {
+		t.Fatal("after one trace the pool should hold exactly its session")
+	}
+	back.Run(f.client.Addr(), Config{}, keep(&got))
+	if pool.free != nil {
+		t.Fatal("the second host's trace built a session instead of taking the pooled one")
+	}
+	f.sim.Run()
+	if pool.free != shell || shell.next != nil {
+		t.Fatal("the second host's trace did not return the one session to the pool")
+	}
+	if len(condense(&got)) != 3 {
+		t.Errorf("the trace back saw %d hops, want 3", len(condense(&got)))
+	}
+	for _, o := range got.Observations {
+		if o.Target != f.client.Addr() || o.Vantage != 0 {
+			t.Fatalf("row %+v: want target %v and no vantage index (the sweep writes that)", o, f.client.Addr())
+		}
+	}
+}
+
 // TestResultValidUntilDoneReturns states the ownership rule from the
 // other side: the Observations a done callback receives are the
 // session's buffer, and the next trace on the Mux reuses it. What a
@@ -73,9 +108,9 @@ func TestSessionsRecycled(t *testing.T) {
 func TestResultValidUntilDoneReturns(t *testing.T) {
 	f := newChain(t, 12, 4)
 	f.routers[1].AddPolicy(&middlebox.ECNBleacher{Probability: 1})
-	mux := NewMux(f.client)
-	var lent []Observation
-	var copied []Observation
+	mux := NewMux(f.client, new(Pool))
+	var lent []PathObservation
+	var copied []PathObservation
 	mux.Run(f.server.Addr(), Config{ProbesPerHop: 1}, func(r Result) {
 		lent = r.Observations
 		copied = slices.Clone(r.Observations)
@@ -102,7 +137,7 @@ func TestResultValidUntilDoneReturns(t *testing.T) {
 // packet through the pool will — cannot change what was recorded.
 func TestObservationOutlivesReceiveBuffer(t *testing.T) {
 	f := newChain(t, 13, 3)
-	mux := NewMux(f.client)
+	mux := NewMux(f.client, new(Pool))
 	finished := false
 	mux.Run(f.server.Addr(), Config{ProbesPerHop: 1}, func(Result) { finished = true })
 	s := mux.sessions[f.server.Addr()]
@@ -166,7 +201,7 @@ func TestObservationOutlivesReceiveBuffer(t *testing.T) {
 // Mux traces again from a clean table.
 func TestMuxResetDropsLiveSessions(t *testing.T) {
 	f := newChain(t, 14, 4)
-	mux := NewMux(f.client)
+	mux := NewMux(f.client, new(Pool))
 	f.net.MarkBaseline() // the Mux is the client's baseline ICMP handler, as on a topology vantage
 	var want Result
 	mux.Run(f.server.Addr(), Config{}, keep(&want))
@@ -200,7 +235,7 @@ func TestMuxResetDropsLiveSessions(t *testing.T) {
 // target.
 func TestMuxResetRetiresSessions(t *testing.T) {
 	f := newChain(t, 15, 4)
-	mux := NewMux(f.client)
+	mux := NewMux(f.client, new(Pool))
 	mux.Run(f.server.Addr(), Config{}, func(Result) { t.Error("a session dropped by Reset completed") })
 	f.sim.RunUntil(3 * time.Millisecond)
 	mux.Reset()
@@ -223,11 +258,11 @@ func TestMuxResetRetiresSessions(t *testing.T) {
 // time out one by one. NewMux panics instead.
 func TestNewMuxRefusesSecondInstall(t *testing.T) {
 	f := newChain(t, 16, 2)
-	NewMux(f.client)
+	NewMux(f.client, new(Pool))
 	defer func() {
 		if recover() == nil {
 			t.Error("a second NewMux on the same host did not panic")
 		}
 	}()
-	NewMux(f.client)
+	NewMux(f.client, new(Pool))
 }

@@ -4,14 +4,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
+
+	"repro/internal/vantage"
 )
 
 // HashRows is the canonical digest of a sweep's output: SHA-256 over one
 //
 //	vantage|target|ttl|attempt|responded|hop|sent|quoted|transition|rtt_ns|reached
 //
-// line per row, in row order (codepoints and the transition as their
-// numeric values, booleans as true/false). The rows may come in
+// line per row, in row order (the vantage by name, codepoints and the
+// transition as their numeric values, booleans as true/false). The rows may come in
 // segments — a campaign's PathObs is one per sweep shard — and hash as
 // their concatenation. Two sweeps hash equal exactly when they produced
 // the same rows in the same order; campaign's TestDeterminismGrid
@@ -23,7 +25,7 @@ func HashRows(segs ...[]PathObservation) string {
 	for _, rows := range segs {
 		for i := range rows {
 			r := &rows[i]
-			line = append(line[:0], r.Vantage...)
+			line = append(line[:0], vantage.Name(r.Vantage)...)
 			line = append(line, '|')
 			line = append(line, r.Target.String()...)
 			line = append(line, '|')

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/ecn"
 	"repro/internal/packet"
+	"repro/internal/vantage"
 )
 
 // TestHashRowsSegmented: HashRows over segments is HashRows over their
@@ -17,25 +18,22 @@ import (
 // per-shard PathObs hashes to the digest a flat slice of the same rows
 // did.
 func TestHashRowsSegmented(t *testing.T) {
-	vantages := []string{"EC2 Ireland", "U. Glasgow wireless", "Perkins home"}
 	split := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rows := make([]PathObservation, rng.Intn(40))
 		for i := range rows {
 			rows[i] = PathObservation{
-				Vantage: vantages[rng.Intn(len(vantages))],
-				Target:  packet.AddrFrom4(16, byte(rng.Intn(4)), 2, byte(rng.Intn(256))),
-				Observation: Observation{
-					TTL:         uint8(1 + rng.Intn(30)),
-					Attempt:     uint8(rng.Intn(3)),
-					Responded:   rng.Intn(2) == 0,
-					Hop:         packet.AddrFrom4(16, 1, byte(rng.Intn(256)), byte(rng.Intn(256))),
-					SentECN:     ecn.ECT0,
-					QuotedECN:   ecn.Codepoint(rng.Intn(4)),
-					Transition:  ecn.Transition(rng.Intn(4)),
-					ReachedDest: rng.Intn(8) == 0,
-					RTT:         time.Duration(rng.Int63n(int64(time.Second))),
-				},
+				Vantage:     uint8(rng.Intn(vantage.Count)),
+				Target:      packet.AddrFrom4(16, byte(rng.Intn(4)), 2, byte(rng.Intn(256))),
+				TTL:         uint8(1 + rng.Intn(30)),
+				Attempt:     uint8(rng.Intn(3)),
+				Responded:   rng.Intn(2) == 0,
+				Hop:         packet.AddrFrom4(16, 1, byte(rng.Intn(256)), byte(rng.Intn(256))),
+				SentECN:     ecn.ECT0,
+				QuotedECN:   ecn.Codepoint(rng.Intn(4)),
+				Transition:  ecn.Transition(rng.Intn(4)),
+				ReachedDest: rng.Intn(8) == 0,
+				RTT:         time.Duration(rng.Int63n(int64(time.Second))),
 			}
 		}
 		cuts := make([]int, rng.Intn(6))

@@ -55,47 +55,48 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Observation is a single probe's outcome: one (hop, probe) data point.
-// The paper's 155439 "IP level hops" are observations in this sense.
+// PathObservation is a single probe's outcome — one (hop, probe) data
+// point of one vantage→target path, the row a sweep keeps and the
+// Figure 4 analysis consumes. The paper's 155439 "IP level hops" are
+// rows in this sense.
 //
-// The row is 24 bytes: TTL and Attempt are as wide as the IP TTL field
-// (maxTTL and Config bound both to 255), and the byte-sized fields sit together
-// ahead of RTT. A sweep stages, flattens and merges a row per probe, so
-// one added int costs 8 bytes per hop per copy (TestRowWidths).
-type Observation struct {
-	TTL     uint8
-	Attempt uint8
-	// Responded reports whether an ICMP error came back for this probe.
-	Responded bool
+// The row is 24 bytes and holds no pointer: the vantage is its Table 2
+// index (vantage.Name turns it back into the name), TTL and Attempt are
+// as wide as the IP TTL field (maxTTL and Config bound both to 255), and
+// the byte-sized fields sit together after the two addresses. A sweep
+// stages and flattens a row per probe, so one added int costs 8 bytes
+// per hop per copy (TestRowWidths).
+type PathObservation struct {
+	RTT    time.Duration
+	Target packet.Addr
 	// Hop is the router that answered (ICMP source).
 	Hop packet.Addr
+	// Vantage is the probing vantage's Table 2 index. A Mux does not know
+	// it: the rows a Result lends carry 0, and the sweep that keeps them
+	// writes the index.
+	Vantage uint8
+	TTL     uint8
+	Attempt uint8
 	// SentECN and QuotedECN compare the codepoint transmitted with the
 	// codepoint quoted back; Transition classifies the difference.
 	SentECN    ecn.Codepoint
 	QuotedECN  ecn.Codepoint
 	Transition ecn.Transition
+	// Responded reports whether an ICMP error came back for this probe.
+	Responded bool
 	// ReachedDest marks a port-unreachable from the target itself.
 	ReachedDest bool
-	RTT         time.Duration
-}
-
-// PathObservation attributes one hop observation to a vantage point and
-// traceroute target — the row format the Figure 4 analysis consumes.
-type PathObservation struct {
-	Vantage string
-	Target  packet.Addr
-	Observation
 }
 
 // Result is a completed traceroute.
 //
 // Observations is the session's own buffer, lent to the done callback:
-// it is valid until done returns, after which the Mux reuses it for
+// it is valid until done returns, after which the Pool hands it to
 // another path. A callback that keeps the rows copies them (a sweep
-// flattens them into its PathObservation slab; a test clones the slice).
+// flattens them into its slab; a test clones the slice).
 type Result struct {
 	Target       packet.Addr
-	Observations []Observation
+	Observations []PathObservation
 	// ReachedDest reports whether any probe got a terminal answer from
 	// the target (rare here: pool hosts drop high-port UDP silently).
 	ReachedDest bool
@@ -106,24 +107,34 @@ type Result struct {
 // a topology vantage already carries its own (topology.Vantage.Mux).
 //
 // A Mux is meant to outlive the sweeps it serves: finished sessions wait
-// on a free list with their observation buffer, bound callbacks and
-// probe payload, so once as many sessions exist as ever run at once, a
+// on its Pool with their observation buffer, bound callbacks and probe
+// payload, so once as many sessions exist as ever run at once, a
 // traceroute allocates nothing.
 type Mux struct {
 	host     *netsim.Host
 	sessions map[packet.Addr]*session
-	// free is capacity, not state: Reset leaves it alone.
+	pool     *Pool
+}
+
+// Pool is the free list of finished sessions that every Mux of one world
+// shares — a world's vantages sweep one after another on one goroutine,
+// so a world holds as many session shells as it runs traceroutes at
+// once, not that many per vantage. It is capacity, not state: Mux.Reset
+// leaves it alone. The zero Pool is empty and ready; never share one
+// across goroutines.
+type Pool struct {
 	free *session
 }
 
-// NewMux installs the demultiplexer as the host's ICMP handler. The host
-// must not have one yet: a second Mux would silently take the first's
-// ICMP messages and leave its probes to time out, so NewMux panics.
-func NewMux(h *netsim.Host) *Mux {
+// NewMux installs the demultiplexer as the host's ICMP handler, taking
+// and returning session shells on pool. The host must not have one yet:
+// a second Mux would silently take the first's ICMP messages and leave
+// its probes to time out, so NewMux panics.
+func NewMux(h *netsim.Host, pool *Pool) *Mux {
 	if h.HandlesICMP() {
 		panic("traceroute: NewMux on a host that already has an ICMP handler")
 	}
-	m := &Mux{host: h, sessions: make(map[packet.Addr]*session)}
+	m := &Mux{host: h, sessions: make(map[packet.Addr]*session), pool: pool}
 	h.OnICMP(m.handle)
 	return m
 }
@@ -132,7 +143,7 @@ func NewMux(h *netsim.Host) *Mux {
 // half of a world reset (topology.World.Reset), which has already
 // discarded their timers and unbound their ports. The sessions are
 // retired, not recycled (a timer that does survive finds its session
-// finished and does nothing); the free list stays.
+// finished and does nothing); the pool stays.
 func (m *Mux) Reset() {
 	for _, s := range m.sessions {
 		s.finished = true
@@ -166,9 +177,9 @@ func (m *Mux) Run(target packet.Addr, cfg Config, done func(Result)) {
 		done(Result{Target: target})
 		return
 	}
-	s := m.free
+	s := m.pool.free
 	if s != nil {
-		m.free = s.next
+		m.pool.free = s.next
 	} else {
 		s = new(session)
 		s.onTimeoutFn = s.onTimeout
@@ -186,15 +197,15 @@ func (m *Mux) Run(target packet.Addr, cfg Config, done func(Result)) {
 	s.start()
 }
 
-// session is one in-flight traceroute — or, on a free list, the shell of
-// a finished one.
+// session is one in-flight traceroute — or, on a Pool, the shell of a
+// finished one.
 type session struct {
 	mux  *Mux
 	next *session // free-list link
 	// Created once per shell: the timeout callback, the observation
 	// buffer's backing array and the probe payload.
 	onTimeoutFn func()
-	obs         []Observation
+	obs         []PathObservation
 	payload     [2]byte
 
 	cfg     Config
@@ -274,7 +285,8 @@ func (s *session) onTimeout() {
 	if s.finished {
 		return
 	}
-	s.obs = append(s.obs, Observation{
+	s.obs = append(s.obs, PathObservation{
+		Target:  s.target,
 		TTL:     uint8(s.ttl), // exact: maxTTL and withDefaults bound both
 		Attempt: uint8(s.attempt),
 		SentECN: probeECN,
@@ -292,7 +304,8 @@ func (s *session) onICMP(ip packet.IPv4Header, msg packet.ICMPMessage, quoted pa
 		return // stale probe (earlier TTL): ignore
 	}
 	s.timer.Stop()
-	obs := Observation{
+	obs := PathObservation{
+		Target:     s.target,
 		TTL:        uint8(s.ttl),
 		Attempt:    uint8(s.attempt),
 		Responded:  true,
@@ -313,7 +326,7 @@ func (s *session) onICMP(ip packet.IPv4Header, msg packet.ICMPMessage, quoted pa
 
 // finish completes the session: off the Mux, port released, done called
 // with the observation buffer on loan, and only then — done may have
-// started the next trace — back on the free list.
+// started the next trace — back on the pool.
 func (s *session) finish() {
 	if s.finished {
 		return
@@ -326,5 +339,5 @@ func (s *session) finish() {
 	done := s.done
 	s.done = nil
 	done(Result{Target: s.target, Observations: s.obs, ReachedDest: s.reached})
-	s.next, m.free = m.free, s
+	s.next, m.pool.free = m.pool.free, s
 }

@@ -23,14 +23,14 @@ type chainFixture struct {
 // condense folds a trace into one entry per TTL (first responding probe
 // wins), up to the last responsive hop; a silent TTL's entry holds only
 // its TTL.
-func condense(r *Result) []Observation {
+func condense(r *Result) []PathObservation {
 	var maxTTL uint8
 	for _, o := range r.Observations {
 		if o.Responded {
 			maxTTL = max(maxTTL, o.TTL)
 		}
 	}
-	out := make([]Observation, maxTTL)
+	out := make([]PathObservation, maxTTL)
 	for i := range out {
 		out[i].TTL = uint8(i + 1)
 	}
@@ -76,7 +76,7 @@ func keep(dst *Result) func(Result) {
 
 func TestCleanPathAllPreserved(t *testing.T) {
 	f := newChain(t, 1, 6)
-	mux := NewMux(f.client)
+	mux := NewMux(f.client, new(Pool))
 	var got Result
 	mux.Run(f.server.Addr(), Config{}, keep(&got))
 	f.sim.Run()
@@ -109,7 +109,7 @@ func TestBleacherVisibleFromItsHopOnward(t *testing.T) {
 	f := newChain(t, 2, 7)
 	// Bleacher at router index 3 (hop 4).
 	f.routers[3].AddPolicy(&middlebox.ECNBleacher{Probability: 1})
-	mux := NewMux(f.client)
+	mux := NewMux(f.client, new(Pool))
 	var got Result
 	mux.Run(f.server.Addr(), Config{}, keep(&got))
 	f.sim.Run()
@@ -132,7 +132,7 @@ func TestBleacherVisibleFromItsHopOnward(t *testing.T) {
 func TestSometimesBleacherMixedVerdicts(t *testing.T) {
 	f := newChain(t, 3, 5)
 	f.routers[2].AddPolicy(&middlebox.ECNBleacher{Probability: 0.5, RNG: f.sim.RNG()})
-	mux := NewMux(f.client)
+	mux := NewMux(f.client, new(Pool))
 
 	bleached, preserved := 0, 0
 	doneCount := 0
@@ -171,7 +171,7 @@ func TestTraceStopsAfterSilence(t *testing.T) {
 	// A policy that silently eats the probes beyond hop 2: use an
 	// ECT-UDP dropper at router 2 (probes are ECT-marked UDP).
 	f.routers[2].AddPolicy(&middlebox.ECTUDPDropper{})
-	mux := NewMux(f.client)
+	mux := NewMux(f.client, new(Pool))
 	var got Result
 	start := f.sim.Now()
 	mux.Run(f.server.Addr(), Config{StopAfterSilent: 2}, keep(&got))
@@ -195,7 +195,7 @@ func TestTraceStopsAfterSilence(t *testing.T) {
 
 func TestObservationCountBookkeeping(t *testing.T) {
 	f := newChain(t, 5, 3)
-	mux := NewMux(f.client)
+	mux := NewMux(f.client, new(Pool))
 	var got Result
 	mux.Run(f.server.Addr(), Config{ProbesPerHop: 3, StopAfterSilent: 1}, keep(&got))
 	f.sim.Run()
@@ -240,7 +240,7 @@ func TestConcurrentSessions(t *testing.T) {
 	// Bleach only the right branch.
 	right.AddPolicy(&middlebox.ECNBleacher{Probability: 1})
 
-	mux := NewMux(client)
+	mux := NewMux(client, new(Pool))
 	var r1, r2 Result
 	mux.Run(s1.Addr(), Config{}, keep(&r1))
 	mux.Run(s2.Addr(), Config{}, keep(&r2))
@@ -286,7 +286,7 @@ func TestSixtyFourConcurrentSessions(t *testing.T) {
 			srcPorts[udp.SrcPort] = true
 		}
 	})
-	mux := NewMux(f.client)
+	mux := NewMux(f.client, new(Pool))
 	results := make([]Result, sessions)
 	for i, s := range servers {
 		mux.Run(s.Addr(), Config{}, keep(&results[i]))
@@ -315,7 +315,7 @@ func TestSixtyFourConcurrentSessions(t *testing.T) {
 
 func TestDuplicateTargetRejected(t *testing.T) {
 	f := newChain(t, 7, 3)
-	mux := NewMux(f.client)
+	mux := NewMux(f.client, new(Pool))
 	first := false
 	mux.Run(f.server.Addr(), Config{}, func(r Result) { first = true })
 	gotEmpty := false
