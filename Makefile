@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race crash-stress fuzz-smoke bench bench-paper profile fmt vet lint perf-gate serve check
+.PHONY: all build test test-repeat race crash-stress fuzz-smoke bench bench-paper profile fmt vet lint perf-gate serve check
 
 all: check
 
@@ -30,6 +30,14 @@ build:
 # with a cold build cache, under a second warm).
 test:
 	$(GO) test ./...
+
+# test-repeat runs the tier-1 suite three times over in one process per
+# package, without the test cache: a test whose reading depends on
+# timing, scheduling or the collector (the allocation ceilings, the
+# lease and speculation suites) shows up as a failure here, not as a
+# one-in-three flake later.
+test-repeat:
+	$(GO) test -count=3 ./...
 
 race:
 	$(GO) test -race ./...

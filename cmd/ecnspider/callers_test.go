@@ -22,6 +22,7 @@ import (
 // callerExempt are the test-support packages: imported only from
 // _test.go files, by design.
 var callerExempt = map[string]bool{
+	"internal/alloctest":           true,
 	"internal/campaign/goldentest": true,
 	"internal/worker/workertest":   true,
 	"internal/worker/chaos":        true,

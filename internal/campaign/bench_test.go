@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/netsim"
@@ -229,26 +230,30 @@ func TestWorldResetAllocFree(t *testing.T) {
 // TestWorldBuildBudget measures it, on the uncongested world and on the
 // congested-transit one (RED queues and their FIFOs included): the
 // readings with the address index shared by every world of a blueprint,
-// slices sized from the config and slice-held connections, plus about
-// 5 %. A route table in per-router rows, a map per host, listener or
-// stack, or a world that keeps more than it needs fails here.
+// slices sized from the config, slice-held connections, the packed
+// route table and the 112-byte Link, plus about 5 % on a compile and on
+// allocation counts and about 2.5 % on a world's bytes. A dense
+// routers² route table (+0.95 MB compiling), a Link with per-direction
+// delay, lane and loss (128-byte class, +52 KB a world), a map per
+// host, listener or stack, or a world that keeps more than it needs
+// fails here.
 var worldBuildBudget = []struct {
 	scenario                             string
 	compileMB, instantiateMB, retainedMB float64
 	compileAllocs, instantiateAllocs     uint64
 }{
-	// Readings: 3.17 MB and 36 528 allocs; 1.96 MB and 34 986 allocs;
-	// 1.93 MB retained.
+	// Readings: 1.982 MB and 29 009 allocs; 1.639 MB and 27 469 allocs;
+	// 1.619 MB retained.
 	{scenario: ScenarioUncongested,
-		compileMB: 3.33, compileAllocs: 38_350,
-		instantiateMB: 2.06, instantiateAllocs: 36_740,
-		retainedMB: 2.03},
-	// Readings: 3.43 MB and 37 079 allocs; 2.22 MB and 35 540 allocs;
-	// 2.19 MB retained.
+		compileMB: 2.08, compileAllocs: 30_480,
+		instantiateMB: 1.68, instantiateAllocs: 28_870,
+		retainedMB: 1.66},
+	// Readings: 2.237 MB and 29 520 allocs; 1.894 MB and 27 984 allocs;
+	// 1.873 MB retained.
 	{scenario: ScenarioCongestedTransit,
-		compileMB: 3.60, compileAllocs: 38_930,
-		instantiateMB: 2.33, instantiateAllocs: 37_320,
-		retainedMB: 2.30},
+		compileMB: 2.35, compileAllocs: 31_020,
+		instantiateMB: 1.94, instantiateAllocs: 29_410,
+		retainedMB: 1.92},
 }
 
 // maxScaffoldKB bounds a build's scaffolding: the bytes Compile and
@@ -260,14 +265,13 @@ const maxScaffoldKB = 64
 
 // TestWorldBuildBudget holds a paper-scale Compile and Instantiate to
 // worldBuildBudget and maxScaffoldKB: the bytes and allocations each
-// makes, what each keeps, and the heap one instantiated world retains
-// beyond its blueprint. The collector is held off while they run, as
-// in TestWorldResetAllocFree, and forced only to read the live heap.
+// makes after a warm-up run of its own (alloctest.Measure, which holds
+// the collector off), what each keeps, and the heap one instantiated
+// world retains beyond its blueprint.
 func TestWorldBuildBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds its own allocations; the budget is for the plain build")
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	heap := func() float64 {
 		runtime.GC()
 		runtime.GC() // and empty the sync.Pools' victim caches
@@ -275,38 +279,36 @@ func TestWorldBuildBudget(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return float64(ms.HeapAlloc) / 1e6
 	}
-	// measure runs f and returns the bytes and allocations it makes and
-	// the bytes still live after it.
-	measure := func(f func()) (mb float64, allocs uint64, keptMB float64) {
-		var before, after runtime.MemStats
+	// measure reads run after a warm-up run; setup drops what the
+	// warm-up kept, so the live heap grows by what the measured run
+	// keeps.
+	measure := func(setup, run func()) (mb float64, allocs uint64, keptMB float64) {
 		base := heap()
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / 1e6, after.Mallocs - before.Mallocs, heap() - base
+		r, _ := alloctest.Measure(1, setup, run)
+		return float64(r.Bytes) / 1e6, r.Allocs, heap() - base
 	}
 	for _, b := range worldBuildBudget {
 		t.Run(b.scenario, func(t *testing.T) {
 			cfg := Config{Spec: Spec{Scale: "paper", Scenario: b.scenario, Seed: 2015}}
 			var bp *topology.Blueprint
 			var err error
-			compileMB, compileAllocs, compileKept := measure(func() { bp, err = cfg.CompileBlueprint() })
+			compileMB, compileAllocs, compileKept := measure(func() { bp = nil }, func() { bp, err = cfg.CompileBlueprint() })
 			if err != nil {
 				t.Fatal(err)
 			}
 			var w *topology.World
-			instMB, instAllocs, retainedMB := measure(func() { w, err = bp.Instantiate(netsim.NewSim(cfg.Seed)) })
+			instMB, instAllocs, retainedMB := measure(func() { w = nil }, func() { w, err = bp.Instantiate(netsim.NewSim(cfg.Seed)) })
 			if err != nil {
 				t.Fatal(err)
 			}
 			runtime.KeepAlive(bp)
 			runtime.KeepAlive(w)
 
-			t.Logf("compile: %.2f MB, %d allocs, %.0f KB scaffolding (ceiling %.2f MB, %d, %d KB)",
+			t.Logf("compile: %.3f MB, %d allocs, %.0f KB scaffolding (ceiling %.2f MB, %d, %d KB)",
 				compileMB, compileAllocs, 1e3*(compileMB-compileKept), b.compileMB, b.compileAllocs, maxScaffoldKB)
-			t.Logf("instantiate: %.2f MB, %d allocs, %.0f KB scaffolding (ceiling %.2f MB, %d, %d KB)",
+			t.Logf("instantiate: %.3f MB, %d allocs, %.0f KB scaffolding (ceiling %.2f MB, %d, %d KB)",
 				instMB, instAllocs, 1e3*(instMB-retainedMB), b.instantiateMB, b.instantiateAllocs, maxScaffoldKB)
-			t.Logf("one world retains %.2f MB beyond its blueprint (ceiling %.2f MB)", retainedMB, b.retainedMB)
+			t.Logf("one world retains %.3f MB beyond its blueprint (ceiling %.2f MB)", retainedMB, b.retainedMB)
 			if compileMB > b.compileMB || compileAllocs > b.compileAllocs {
 				t.Errorf("compile: %.2f MB, %d allocs; want ≤ %.2f MB, %d", compileMB, compileAllocs, b.compileMB, b.compileAllocs)
 			}

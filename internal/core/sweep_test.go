@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/alloctest"
 	"repro/internal/topology"
 	"repro/internal/traceroute"
 )
@@ -159,37 +160,77 @@ func TestSweepSelectsNothing(t *testing.T) {
 // finished in. Each shell it built would cost at least two allocations —
 // the session and its bound timeout callback — for each of the
 // sweepParallelism traceroutes in flight; what such a sweep may allocate
-// is its own vantage's session table and port bindings growing to that
-// many entries, a handful of allocations.
+// is its own vantage's session list and port bindings growing to that
+// many entries, a handful of allocations. The count is read with the
+// collector held off from a warm-up on another world (alloctest.Measure):
+// a collection between the sweeps would empty the wire buffers'
+// sync.Pool, and the second sweep would count their refill.
 func TestSweepSecondVantageBuildsNoShell(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the wire buffers' sync.Pool drops Puts under the race detector")
 	}
-	cfg := TracerouteCampaignConfig{
+	first := TracerouteCampaignConfig{
 		Vantages: []string{"EC2 Ireland"},
 		Config:   traceroute.Config{ProbesPerHop: 2, StopAfterSilent: 2},
 	}
-	w := smallWorld(t, 7)
-	if len(w.Servers) <= sweepParallelism {
-		t.Fatalf("%d servers: too few to keep %d traceroutes in flight", len(w.Servers), sweepParallelism)
-	}
-	sweepOnce(t, w, cfg)
-
-	cfg.Vantages = []string{"U. Glasgow wireless"}
-	swept := false
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	RunTracerouteCampaignNoRows(w, cfg, func() { swept = true })
-	w.Sim.Run()
-	runtime.ReadMemStats(&after)
-	if !swept {
-		t.Fatal("sweep did not complete")
-	}
-	allocs := after.Mallocs - before.Mallocs
-	if allocs >= sweepParallelism {
+	second := first
+	second.Vantages = []string{"U. Glasgow wireless"}
+	var w *topology.World
+	r, _ := alloctest.Measure(1, func() {
+		w = smallWorld(t, 7)
+		if len(w.Servers) <= sweepParallelism {
+			t.Fatalf("%d servers: too few to keep %d traceroutes in flight", len(w.Servers), sweepParallelism)
+		}
+		sweepOnce(t, w, first)
+	}, func() {
+		swept := false
+		RunTracerouteCampaignNoRows(w, second, func() { swept = true })
+		w.Sim.Run()
+		if !swept {
+			t.Fatal("sweep did not complete")
+		}
+	})
+	if r.Allocs >= sweepParallelism {
 		t.Errorf("sweeping a second vantage allocated %d times; %d shells would take ≥ %d, its own tables a handful",
-			allocs, sweepParallelism, 2*sweepParallelism)
+			r.Allocs, sweepParallelism, 2*sweepParallelism)
 	}
-	t.Logf("second vantage's first sweep: %d allocs", allocs)
+	t.Logf("second vantage's first sweep: %d allocs", r.Allocs)
+}
+
+// coldSweepCeiling bounds what the first traceroute sweep of a
+// paper-scale world that has never swept allocates, rows apart
+// (RunTracerouteCampaignNoRows, the campaign's per-path probing, every
+// 3rd server from all 13 vantages): the reading, 304 KB, + 5 %. That
+// is its session shells, each with an observation buffer sized once
+// for a whole trace, each vantage's session list and port bindings
+// grown once to sweepParallelism, and the simulator's event storage
+// grown to the sweep's width. Session maps that rehash their way up
+// under the churn of targets, with observation buffers that double
+// their way up, read 416 KB and fail here.
+const coldSweepCeiling = 319_500
+
+// TestSweepColdWorld holds a cold world's first sweep to
+// coldSweepCeiling.
+func TestSweepColdWorld(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the wire buffers' sync.Pool drops Puts under the race detector")
+	}
+	bp, err := topology.Compile(topology.DefaultConfig(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := TracerouteCampaignConfig{TargetStride: 3, Config: traceroute.Config{ProbesPerHop: 1, StopAfterSilent: 2}}
+	var w *topology.World
+	r, _ := alloctest.Measure(1, func() {
+		if w, err = bp.Instantiate(bp.NewSim(7)); err != nil {
+			t.Fatal(err)
+		}
+	}, func() {
+		RunTracerouteCampaignNoRows(w, cfg, func() {})
+		w.Sim.Run()
+	})
+	t.Logf("a cold paper world's first sweep: %d B, %d allocs (ceiling %d B)", r.Bytes, r.Allocs, coldSweepCeiling)
+	if r.Bytes > coldSweepCeiling {
+		t.Errorf("a cold paper world's first sweep allocated %d B, want ≤ %d", r.Bytes, coldSweepCeiling)
+	}
 }

@@ -30,7 +30,7 @@ func newIndexOracle() *indexOracle {
 // route is the pre-index Router.route/Network.nextHopLink pair.
 func (o *indexOracle) route(n *Network, r *Router, dst packet.Addr) *Link {
 	hop := func(to *Router) *Link {
-		if i := n.nextHop[r.id*len(n.routers)+to.id]; i >= 0 {
+		if i := nextHop(n, r.ID(), to.ID()); i >= 0 {
 			return n.links[i>>1]
 		}
 		return nil

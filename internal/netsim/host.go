@@ -40,51 +40,47 @@ type TCPHandler func(h *Host, ip packet.IPv4Header, segment []byte)
 // Host is an end system: it owns an address, one access link, a set of
 // bound UDP ports, optional ICMP and TCP handlers, and packet taps.
 type Host struct {
-	sim    *Sim
 	net    *Network
 	label  string
-	addr   packet.Addr
 	uplink *Link
-
-	online bool
-	ipID   uint16
 
 	// udp holds the bound UDP ports, searched linearly: a server binds
 	// one, a vantage one per concurrent probe session.
-	udp       []udpBinding
-	icmp      ICMPHandler
-	tcp       TCPHandler
-	taps      []Tap
-	ephemeral uint16
-	// base is the socket surface Network.MarkBaseline recorded — what
-	// reset returns the host to.
-	base hostBaseline
+	udp  []udpBinding
+	icmp ICMPHandler
+	tcp  TCPHandler
+	taps []Tap
 	// UserData belongs to the protocol layer that probes from this host:
 	// ntp keeps its recycled probe shells here, as tcpsim and httpmin
 	// keep theirs on the simulator (Sim.UserData). Capacity, not state:
 	// reset leaves it alone.
 	UserData any
 
+	// Counters.
+	Sent     uint64
+	Received uint64
+
+	addr      packet.Addr
+	ipID      uint16
+	ephemeral uint16
+	online    bool
 	// RespondPortUnreachable controls whether UDP datagrams to unbound
 	// ports elicit ICMP port-unreachable errors. The study's NTP servers
 	// (or firewalls in front of them) do not respond to high-port
 	// traceroute probes — traces "generally stop one hop before the
 	// destination" — so the default is silent drop.
 	RespondPortUnreachable bool
-
-	// Counters.
-	Sent     uint64
-	Received uint64
 }
 
 // hostBaseline is the part of a host's socket surface that exists
-// before any traffic flows: the services bound while the world was
-// built (NTP, DNS), the ICMP handler and taps installed by then, and
-// the port-unreachable switch.
+// before any traffic flows, as Network.MarkBaseline records it: the
+// services bound while the world was built (NTP, DNS; Network.baseUDP
+// from udp[0] to udp[1]), the ICMP handler and the number of taps
+// installed by then, and the port-unreachable switch.
 type hostBaseline struct {
-	udp                    []udpBinding
 	icmp                   ICMPHandler
-	taps                   int
+	udp                    [2]int32
+	taps                   int32
 	respondPortUnreachable bool
 }
 
@@ -93,37 +89,23 @@ type udpBinding struct {
 	fn   UDPHandler
 }
 
-// markBaseline records the host's current socket surface, copying its
-// UDP bindings to the front of slab (one array serves the whole
-// network) and returning the rest.
-func (h *Host) markBaseline(slab []udpBinding) []udpBinding {
-	n := copy(slab, h.udp)
-	h.base = hostBaseline{
-		udp:                    slab[:n:n],
-		icmp:                   h.icmp,
-		taps:                   len(h.taps),
-		respondPortUnreachable: h.RespondPortUnreachable,
-	}
-	return slab[n:]
-}
-
-// reset returns the host's mutable state to the recorded baseline:
-// online, counters and ID/port cursors rewound, every UDP binding, ICMP
-// handler and tap added since the baseline gone. The TCP handler
-// (OnTCP) is part of the world's structure and stays. The binding
-// slice's capacity never falls below the baseline's length, so
-// restoring it copies in place.
-func (h *Host) reset() {
+// reset returns the host's mutable state to its baseline b: online,
+// counters and ID/port cursors rewound, every UDP binding, ICMP handler
+// and tap added since the baseline gone. The TCP handler (OnTCP) is
+// part of the world's structure and stays. The binding slice's capacity
+// never falls below the baseline's length, so restoring it copies in
+// place.
+func (h *Host) reset(b *hostBaseline) {
 	h.online = true
 	h.ipID = 0
 	h.ephemeral = 0
 	h.Sent, h.Received = 0, 0
-	h.RespondPortUnreachable = h.base.respondPortUnreachable
-	h.icmp = h.base.icmp
-	clear(h.taps[h.base.taps:])
-	h.taps = h.taps[:h.base.taps]
+	h.RespondPortUnreachable = b.respondPortUnreachable
+	h.icmp = b.icmp
+	clear(h.taps[b.taps:])
+	h.taps = h.taps[:b.taps]
 	clear(h.udp)
-	h.udp = append(h.udp[:0], h.base.udp...)
+	h.udp = append(h.udp[:0], h.net.baseUDP[b.udp[0]:b.udp[1]]...)
 }
 
 // Label implements Node.
@@ -133,7 +115,7 @@ func (h *Host) Label() string { return h.label }
 func (h *Host) Addr() packet.Addr { return h.addr }
 
 // Sim returns the simulation the host lives in, for protocol timers.
-func (h *Host) Sim() *Sim { return h.sim }
+func (h *Host) Sim() *Sim { return h.net.Sim }
 
 // Uplink exposes the host's access link so campaigns can vary its loss.
 func (h *Host) Uplink() *Link { return h.uplink }
@@ -236,7 +218,7 @@ func (h *Host) SendBuf(b *packet.Buf) {
 	if len(h.taps) > 0 {
 		wire := b.Bytes()
 		for _, t := range h.taps {
-			t(TapOut, h.sim.Now(), wire)
+			t(TapOut, h.net.Sim.Now(), wire)
 		}
 	}
 	if h.uplink != nil {
@@ -257,7 +239,7 @@ func (h *Host) Receive(b *packet.Buf, from *Link) {
 	h.Received++
 	wire := b.Bytes()
 	for _, t := range h.taps {
-		t(TapIn, h.sim.Now(), wire)
+		t(TapIn, h.net.Sim.Now(), wire)
 	}
 	ip, body, err := packet.ParseIPv4(wire)
 	if err != nil || ip.Dst != h.addr {

@@ -18,9 +18,9 @@ type Node interface {
 	Label() string
 }
 
-// Link is a bidirectional point-to-point link with independent delay and
-// loss in each direction. Loss is decided at transmission time from the
-// simulation PRNG, which keeps runs reproducible.
+// Link is a bidirectional point-to-point link with one delay and one
+// loss probability for both directions. Loss is decided at transmission
+// time from the simulation PRNG, which keeps runs reproducible.
 //
 // A direction is by default an infinite-rate pipe: packets depart
 // immediately and arrive after the propagation delay — the exact
@@ -30,37 +30,42 @@ type Node interface {
 // packets then queue when offered load exceeds capacity, and the queue's
 // discipline may CE-mark or drop them.
 type Link struct {
-	sim  *Sim
-	a, b Node
-	// Directional properties, indexed by direction (a→b = 0, b→a = 1).
-	delay [2]time.Duration
-	// lane is each direction's delivery lane on sim, fixed by delay.
-	lane [2]uint8
-	loss [2]float64
+	sim   *Sim
+	a, b  Node
+	delay time.Duration
+	loss  float64
 	// baseLoss is the loss the link was created with; reset restores it.
 	baseLoss float64
-	bneck    [2]*bottleneck
+	// bneck is each direction's bottleneck (a→b = 0, b→a = 1), if any:
+	// noBottlenecks until SetBottleneck attaches one.
+	bneck *[2]*bottleneck
 
-	// Counters for analysis and capacity tests: packets sent, and those
-	// of them the loss draw discarded.
+	// Counters for analysis and capacity tests, by direction: packets
+	// sent, and those of them the loss draw discarded.
 	sent [2]uint64
 	lost [2]uint64
+	// lane is the delivery lane on sim, fixed by delay.
+	lane uint8
 }
+
+// noBottlenecks is the bneck of every link none is attached to, so
+// that only a bottlenecked link holds an array of its own. Never written.
+var noBottlenecks [2]*bottleneck
 
 // newLink wires two nodes together. Use Network helpers instead of
 // constructing links directly. A negative delay is treated as zero: a
 // delivery lane stays sorted only if nothing arrives before now.
 func newLink(sim *Sim, a, b Node, delay time.Duration, loss float64) *Link {
 	delay = max(delay, 0)
-	ln := sim.laneFor(delay)
 	return &Link{
 		sim:      sim,
 		a:        a,
 		b:        b,
-		delay:    [2]time.Duration{delay, delay},
-		lane:     [2]uint8{ln, ln},
-		loss:     [2]float64{loss, loss},
+		delay:    delay,
+		lane:     sim.laneFor(delay),
+		loss:     loss,
 		baseLoss: loss,
+		bneck:    &noBottlenecks,
 	}
 }
 
@@ -68,7 +73,7 @@ func newLink(sim *Sim, a, b Node, delay time.Duration, loss float64) *Link {
 // counters zeroed, each bottleneck's transmitter idle and its queue
 // empty. Delay and the bottleneck placement are structure and stay.
 func (l *Link) reset() {
-	l.loss = [2]float64{l.baseLoss, l.baseLoss}
+	l.loss = l.baseLoss
 	l.sent = [2]uint64{}
 	l.lost = [2]uint64{}
 	for _, bn := range l.bneck {
@@ -89,12 +94,10 @@ func (l *Link) Peer(n Node) Node {
 // SetLossBoth sets the loss probability in both directions. The
 // campaign uses it to model per-trace variation (wireless jitter, the
 // congested home access link).
-func (l *Link) SetLossBoth(p float64) {
-	l.loss[0], l.loss[1] = p, p
-}
+func (l *Link) SetLossBoth(p float64) { l.loss = p }
 
-// Loss returns the loss probability for packets transmitted by from.
-func (l *Link) Loss(from Node) float64 { return l.loss[l.dir(from)] }
+// Loss returns the loss probability of either direction.
+func (l *Link) Loss() float64 { return l.loss }
 
 // Stats returns packets sent and dropped in the from→peer direction.
 // Dropped covers both random loss draws and AQM queue drops — at enqueue
@@ -139,7 +142,7 @@ func (l *Link) Send(from Node, b *packet.Buf) { l.send(l.dir(from), b) }
 // send is Send with the direction already resolved.
 func (l *Link) send(d int, b *packet.Buf) {
 	l.sent[d]++
-	if l.loss[d] > 0 && l.sim.rng.Float64() < l.loss[d] {
+	if l.loss > 0 && l.sim.rng.Float64() < l.loss {
 		l.lost[d]++
 		b.Release()
 		return
@@ -281,6 +284,9 @@ func (l *Link) SetBottleneck(from Node, rate, utilization float64, q aqm.Queue) 
 	}
 	bn.bgStep = bn.bgPeak * bn.bgTx.Seconds()
 	bn.txDone = func() { l.boundary(bn, l.sim.Now()) }
+	if l.bneck == &noBottlenecks {
+		l.bneck = new([2]*bottleneck)
+	}
 	l.bneck[d] = bn
 }
 

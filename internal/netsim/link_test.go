@@ -45,7 +45,7 @@ func TestLinkStatsFullLoss(t *testing.T) {
 	sim := NewSim(1)
 	a, b := &sinkNode{label: "a"}, &sinkNode{label: "b"}
 	l := newLink(sim, a, b, time.Millisecond, 0)
-	l.loss[l.dir(a)] = 1.0
+	l.loss = 1.0
 
 	const n = 50
 	for i := 0; i < n; i++ {
@@ -322,8 +322,8 @@ func TestNegativeLinkDelayClamped(t *testing.T) {
 	sink := &sinkNode{label: "sink", sim: s}
 	src := &sinkNode{label: "src"}
 	l := newLink(s, src, sink, -time.Second, 0)
-	if l.delay[l.dir(src)] != 0 {
-		t.Fatalf("delay = %v, want 0", l.delay[l.dir(src)])
+	if l.delay != 0 {
+		t.Fatalf("delay = %v, want 0", l.delay)
 	}
 	s.After(time.Millisecond, func() { l.Send(src, testWire(t, ecn.NotECT, 8)) })
 	s.Run()

@@ -17,6 +17,10 @@ type Network struct {
 	routers []*Router
 	hosts   []*Host
 	links   []*Link
+	// base is each host's socket surface as MarkBaseline recorded it,
+	// what Reset returns it to; baseUDP holds their UDP bindings.
+	base    []hostBaseline
+	baseUDP []udpBinding
 
 	// index resolves any address — host or router — to dense indices
 	// into routers and hosts (addrindex.go). indexShared marks it as
@@ -29,17 +33,11 @@ type Network struct {
 	replay      bool
 	scratch     addrSlot
 
-	// nextHop[src*len(routers)+dst] is the hop router #src takes
-	// toward router #dst: the egress link's index into links, shifted
-	// left once, with the direction src sends on it in the low bit; -1
-	// means unreachable. One flat table, so a link index must fit in 15
-	// bits (maxRoutedLinks). Built by ComputeRoutes or shared read-only
-	// across Networks via ExportRoutes/ImportRoutes — indices, not
-	// pointers, so networks instantiated from one frozen topology can
-	// share a single table.
-	nextHop []int16
-	routed  bool
-	// routesShared marks nextHop as shared with a RouteTable (exported
+	// hops is the forwarding table (routes.go), built by ComputeRoutes
+	// or shared read-only across Networks via ExportRoutes/ImportRoutes.
+	hops   *hopTable
+	routed bool
+	// routesShared marks hops as shared with a RouteTable (exported
 	// or imported): its link indices are the table's, so no link may
 	// leave the graph under them.
 	routesShared bool
@@ -48,12 +46,12 @@ type Network struct {
 // RouteTable is a frozen forwarding table: for every (source router,
 // destination router) pair, the egress link's index in the owning
 // Network's creation-order link slice and the direction the source
-// sends on it (Network.nextHop's encoding), plus the address index
+// sends on it (hopTable's encoding), plus the address index
 // that maps a destination to its router and host. It is immutable once
 // exported and safe to share across concurrently-running Networks whose
 // graphs were built by an identical construction sequence.
 type RouteTable struct {
-	nextHop []int16
+	hops    *hopTable
 	index   *addrIndex
 	routers int
 	links   int
@@ -113,13 +111,13 @@ func (n *Network) slot(a packet.Addr) *addrSlot {
 func (n *Network) AddRouter(label string, addr packet.Addr, _ uint32) *Router {
 	r := &Router{
 		net:   n,
-		id:    len(n.routers),
+		id:    int32(len(n.routers)),
 		label: label,
 		addr:  addr,
 	}
 	n.routers = append(n.routers, r)
 	if e := n.slot(addr); e.router == 0 && e.host == 0 {
-		e.router = int32(r.id) + 1
+		e.router = r.id + 1
 	}
 	n.routed = false
 	return r
@@ -132,7 +130,6 @@ func (n *Network) AddHost(label string, addr packet.Addr) (*Host, error) {
 		return nil, fmt.Errorf("netsim: duplicate host address %s", addr)
 	}
 	h := &Host{
-		sim:    n.Sim,
 		net:    n,
 		label:  label,
 		addr:   addr,
@@ -160,7 +157,7 @@ func (n *Network) Attach(h *Host, r *Router, delay time.Duration, loss float64) 
 	l := newLink(n.Sim, h, r, delay, loss)
 	h.uplink = l
 	n.links = append(n.links, l)
-	n.slot(h.addr).router = int32(r.id) + 1
+	n.slot(h.addr).router = r.id + 1
 	return l, nil
 }
 
@@ -198,9 +195,17 @@ func (n *Network) MarkBaseline() {
 	for _, h := range n.hosts {
 		bindings += len(h.udp)
 	}
-	slab := make([]udpBinding, bindings)
-	for _, h := range n.hosts {
-		slab = h.markBaseline(slab)
+	n.baseUDP = make([]udpBinding, 0, bindings)
+	n.base = make([]hostBaseline, len(n.hosts))
+	for i, h := range n.hosts {
+		from := int32(len(n.baseUDP))
+		n.baseUDP = append(n.baseUDP, h.udp...)
+		n.base[i] = hostBaseline{
+			icmp:                   h.icmp,
+			udp:                    [2]int32{from, int32(len(n.baseUDP))},
+			taps:                   int32(len(h.taps)),
+			respondPortUnreachable: h.RespondPortUnreachable,
+		}
 	}
 }
 
@@ -211,8 +216,8 @@ func (n *Network) MarkBaseline() {
 // network half of a world reset (Sim.Reset is the scheduler half; call
 // that first, so transmitters restart at time zero).
 func (n *Network) Reset() {
-	for _, h := range n.hosts {
-		h.reset()
+	for i, h := range n.hosts {
+		h.reset(&n.base[i])
 	}
 	for _, r := range n.routers {
 		r.reset()
@@ -225,75 +230,6 @@ func (n *Network) Reset() {
 // Routers returns the registered routers in creation order.
 func (n *Network) Routers() []*Router { return n.routers }
 
-// maxRoutedLinks is the most links ComputeRoutes routes over: a
-// nextHop entry holds a link index and a direction bit in an int16.
-const maxRoutedLinks = 1 << 14
-
-// ComputeRoutes builds shortest-path next-hop tables with one BFS per
-// router. Ties break toward the earliest-created neighbour link, which is
-// deterministic and stable — paths do not flap between runs, matching the
-// study's observation that the same servers fail from every vantage point.
-// A network of more than maxRoutedLinks links is refused. The table is
-// always fresh: one a RouteTable shares is never written.
-func (n *Network) ComputeRoutes() error {
-	if len(n.links) > maxRoutedLinks {
-		return fmt.Errorf("netsim: %d links, more than the %d a route table encodes", len(n.links), maxRoutedLinks)
-	}
-	nr := len(n.routers)
-	// Router #r's neighbours, in link order, are to[first[r]:first[r+1]],
-	// reached over hop[first[r]:first[r+1]] (link index<<1 | direction).
-	first := make([]int32, nr+1)
-	for _, l := range n.links {
-		if ra, rb, ok := routerEnds(l); ok {
-			first[ra.id+1]++
-			first[rb.id+1]++
-		}
-	}
-	for r := range nr {
-		first[r+1] += first[r]
-	}
-	to, hop := make([]int32, first[nr]), make([]int16, first[nr])
-	fill := slices.Clone(first[:nr])
-	for li, l := range n.links {
-		if ra, rb, ok := routerEnds(l); ok {
-			to[fill[ra.id]], hop[fill[ra.id]] = int32(rb.id), int16(li)<<1
-			fill[ra.id]++
-			to[fill[rb.id]], hop[fill[rb.id]] = int32(ra.id), int16(li)<<1|1
-			fill[rb.id]++
-		}
-	}
-
-	n.nextHop = make([]int16, nr*nr)
-	queue := fill[:0] // fill is spent: the BFS queue reuses it
-	for src := 0; src < nr; src++ {
-		// The row is the BFS's parent-link array: each router reached
-		// inherits the first hop out of src on its path, so a router
-		// other than src is visited once its entry is set.
-		row := n.nextHop[src*nr : (src+1)*nr]
-		for i := range row {
-			row[i] = -1
-		}
-		queue = append(queue[:0], int32(src))
-		for qi := 0; qi < len(queue); qi++ {
-			cur := queue[qi]
-			for e := first[cur]; e < first[cur+1]; e++ {
-				next := to[e]
-				if int(next) == src || row[next] >= 0 {
-					continue
-				}
-				if int(cur) == src {
-					row[next] = hop[e] // first hop out of src
-				} else {
-					row[next] = row[cur]
-				}
-				queue = append(queue, next)
-			}
-		}
-	}
-	n.routed = true
-	return nil
-}
-
 // ExportRoutes freezes the computed forwarding tables and the address
 // index for reuse. The returned table shares this Network's backing
 // arrays; neither side writes them afterwards — routes are only ever
@@ -305,7 +241,7 @@ func (n *Network) ExportRoutes() (*RouteTable, error) {
 	}
 	n.indexShared, n.routesShared = true, true
 	return &RouteTable{
-		nextHop: n.nextHop,
+		hops:    n.hops,
 		index:   n.index,
 		routers: len(n.routers),
 		links:   len(n.links),
@@ -339,7 +275,7 @@ func (n *Network) ImportRoutes(rt *RouteTable) error {
 	if err := n.checkIndex(rt.index); err != nil {
 		return err
 	}
-	n.nextHop = rt.nextHop
+	n.adoptRoutes(rt.hops)
 	n.index, n.indexShared, n.replay, n.scratch = rt.index, true, false, addrSlot{}
 	n.routed, n.routesShared = true, true
 	return nil
@@ -354,7 +290,7 @@ func (n *Network) checkIndex(ix *addrIndex) error {
 	for i, h := range n.hosts {
 		at := int32(0)
 		if h.uplink != nil {
-			at = int32(h.uplink.b.(*Router).id) + 1
+			at = h.uplink.b.(*Router).id + 1
 		}
 		if e := ix.lookup(h.addr); e.host != int32(i)+1 || e.router != at {
 			return fmt.Errorf("netsim: route table's index does not match host %s (%s)", h.label, h.addr)

@@ -146,12 +146,9 @@ func TestSetDelayAffectsLatency(t *testing.T) {
 	n.ComputeRoutes()
 
 	// A delay is fixed when the link is built, and with it the
-	// direction's delivery lane: change both.
-	la.delay[la.dir(a)] = 50 * time.Millisecond
-	la.lane[la.dir(a)] = sim.laneFor(50 * time.Millisecond)
-	if la.delay[la.dir(a)] != 50*time.Millisecond {
-		t.Fatalf("Delay = %v", la.delay[la.dir(a)])
-	}
+	// link's delivery lane: change both.
+	la.delay = 50 * time.Millisecond
+	la.lane = sim.laneFor(50 * time.Millisecond)
 	var arrived time.Duration
 	b.BindUDP(7, func(*Host, packet.IPv4Header, packet.UDPHeader, []byte) { arrived = sim.Now() })
 	a.SendUDP(b.Addr(), 1, 7, 64, ecn.NotECT, nil)
@@ -161,7 +158,10 @@ func TestSetDelayAffectsLatency(t *testing.T) {
 	}
 }
 
-func TestAsymmetricLoss(t *testing.T) {
+// TestSetLossBoth: a link has one loss probability, and SetLossBoth
+// sets it for both directions — traffic either way across the lossy
+// access link is counted on its sending side and dropped.
+func TestSetLossBoth(t *testing.T) {
 	sim := NewSim(5)
 	n := NewNetwork(sim)
 	r := n.AddRouter("r", packet.AddrFrom4(10, 255, 0, 1), 1)
@@ -171,24 +171,26 @@ func TestAsymmetricLoss(t *testing.T) {
 	n.Attach(b, r, 0, 0)
 	n.ComputeRoutes()
 
-	// Loss only in the a→r direction; replies are clean.
-	la.loss[la.dir(a)] = 1.0
-	if la.Loss(a) != 1.0 || la.Loss(r) != 0 {
-		t.Fatal("directional loss setters broken")
+	la.SetLossBoth(1.0)
+	if la.Loss() != 1.0 {
+		t.Fatalf("Loss() = %v after SetLossBoth(1)", la.Loss())
 	}
 	delivered := 0
-	b.BindUDP(7, func(*Host, packet.IPv4Header, packet.UDPHeader, []byte) { delivered++ })
+	count := func(*Host, packet.IPv4Header, packet.UDPHeader, []byte) { delivered++ }
+	a.BindUDP(1, count)
+	b.BindUDP(7, count)
 	for i := 0; i < 10; i++ {
 		a.SendUDP(b.Addr(), 1, 7, 64, ecn.NotECT, nil)
-		b.SendUDP(a.Addr(), 7, 1, 64, ecn.NotECT, nil) // other direction unaffected
+		b.SendUDP(a.Addr(), 7, 1, 64, ecn.NotECT, nil)
 	}
 	sim.Run()
 	if delivered != 0 {
-		t.Errorf("a→b delivered %d despite 100%% loss", delivered)
+		t.Errorf("%d datagrams crossed a link at 100%% loss", delivered)
 	}
-	sent, dropped := la.Stats(a)
-	if sent != 10 || dropped != 10 {
-		t.Errorf("stats = %d/%d", sent, dropped)
+	for _, from := range []Node{a, r} {
+		if sent, dropped := la.Stats(from); sent != 10 || dropped != 10 {
+			t.Errorf("Stats(%s) = %d sent, %d dropped; want 10, 10", from.Label(), sent, dropped)
+		}
 	}
 }
 

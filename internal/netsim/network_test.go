@@ -182,7 +182,7 @@ func TestPortUnreachableOptIn(t *testing.T) {
 func TestLinkLossDropsDeterministically(t *testing.T) {
 	sim := NewSim(12345)
 	_, h1, h2, _ := lineTopology(t, sim, 2, 0)
-	h1.uplink.loss[h1.uplink.dir(h1)] = 0.5
+	h1.uplink.loss = 0.5
 
 	delivered := 0
 	h2.BindUDP(7, func(h *Host, ip packet.IPv4Header, udp packet.UDPHeader, payload []byte) {

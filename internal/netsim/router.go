@@ -34,11 +34,24 @@ type Policy interface {
 // when it hits zero), and forwards along topology-computed routes.
 type Router struct {
 	net      *Network
-	id       int
 	label    string
 	policies []Policy
-	addr     packet.Addr
-	ipID     uint16
+	// hopWord, hopBase and hopWidth are the router's row of the
+	// forwarding table (hopRow's word, base and width), copied in with
+	// the table so that forwarding finds them with the router.
+	hopWord, hopBase uint32
+	id               int32
+	addr             packet.Addr
+	ipID             uint16
+	hopWidth         uint8
+
+	// CorruptDrops counts headers the peek rejects, LocalDrops packets
+	// addressed to the router itself (it terminates no transport), and
+	// ZeroTTLDrops packets that arrived with TTL 0 and cannot be
+	// decremented. Sinks this rare fit 32 bits, which with the fields'
+	// order keeps a Router in the 112-byte size class a world allocates
+	// a thousand of.
+	CorruptDrops uint32
 
 	// Telemetry for the traceroute analysis and tests: every packet the
 	// router receives moves exactly one of these.
@@ -46,12 +59,6 @@ type Router struct {
 	PolicyDrops  uint64
 	TTLExpiries  uint64
 	NoRouteDrops uint64
-	// CorruptDrops counts headers the peek rejects, LocalDrops packets
-	// addressed to the router itself (it terminates no transport), and
-	// ZeroTTLDrops packets that arrived with TTL 0 and cannot be
-	// decremented. Sinks this rare fit 32 bits, which keeps a Router in
-	// the 112-byte size class a world allocates a thousand of.
-	CorruptDrops uint32
 	LocalDrops   uint32
 	ZeroTTLDrops uint32
 }
@@ -74,7 +81,7 @@ func (r *Router) Label() string { return r.label }
 func (r *Router) Addr() packet.Addr { return r.addr }
 
 // ID returns the router's dense index within its Network.
-func (r *Router) ID() int { return r.id }
+func (r *Router) ID() int { return int(r.id) }
 
 // AddPolicy attaches a middlebox policy. Policies run in attachment order.
 func (r *Router) AddPolicy(p Policy) { r.policies = append(r.policies, p) }
@@ -154,7 +161,7 @@ func (r *Router) route(dst packet.Addr) (*Link, int) {
 	if e.router == 0 {
 		return nil, 0
 	}
-	if int(e.router-1) == r.id {
+	if e.router-1 == r.id {
 		if e.host == 0 {
 			return nil, 0
 		}
@@ -165,7 +172,7 @@ func (r *Router) route(dst packet.Addr) (*Link, int) {
 	if !n.routed {
 		panic("netsim: ComputeRoutes not called")
 	}
-	hop := n.nextHop[r.id*len(n.routers)+int(e.router-1)]
+	hop := n.hops.at(r.hopWord, r.hopBase, r.hopWidth, int(e.router-1))
 	if hop < 0 {
 		return nil, 0
 	}

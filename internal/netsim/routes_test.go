@@ -8,9 +8,10 @@ import (
 	"repro/internal/packet"
 )
 
-// referenceRoutes is the per-row BFS the flat route table replaced: one
-// []int32 row per source router, each a copy of the BFS's parent-link
-// array. ComputeRoutes must produce the same entries.
+// referenceRoutes is the dense per-row BFS the packed route table
+// replaced: one []int32 row per source router, each a copy of the BFS's
+// parent-link array. ComputeRoutes' table must answer every (source,
+// destination) pair alike.
 func referenceRoutes(n *Network) [][]int32 {
 	nr := len(n.routers)
 	type edge struct {
@@ -22,8 +23,8 @@ func referenceRoutes(n *Network) [][]int32 {
 		ra, aOK := l.a.(*Router)
 		rb, bOK := l.b.(*Router)
 		if aOK && bOK {
-			adj[ra.id] = append(adj[ra.id], edge{rb.id, int32(li) << 1})
-			adj[rb.id] = append(adj[rb.id], edge{ra.id, int32(li)<<1 | 1})
+			adj[ra.id] = append(adj[ra.id], edge{rb.ID(), int32(li) << 1})
+			adj[rb.id] = append(adj[rb.id], edge{ra.ID(), int32(li)<<1 | 1})
 		}
 	}
 	rows := make([][]int32, nr)
@@ -57,16 +58,25 @@ func referenceRoutes(n *Network) [][]int32 {
 	return rows
 }
 
-// routesMismatch compares n's route table with referenceRoutes entry for
-// entry, naming the first difference.
+// nextHop is n's table's hop from router #src toward router #dst, read
+// through the row src holds, as Router.route reads it.
+func nextHop(n *Network, src, dst int) int32 {
+	r := n.routers[src]
+	return n.hops.at(r.hopWord, r.hopBase, r.hopWidth, dst)
+}
+
+// routesMismatch compares n's route table with referenceRoutes for every
+// pair of distinct routers, naming the first difference.
 func routesMismatch(n *Network) error {
-	nr := len(n.routers)
-	if len(n.nextHop) != nr*nr {
-		return fmt.Errorf("route table holds %d entries, want %d routers² = %d", len(n.nextHop), nr, nr*nr)
+	if len(n.hops.rows) != len(n.routers) {
+		return fmt.Errorf("route table holds %d rows, want one per router, %d", len(n.hops.rows), len(n.routers))
 	}
 	for src, row := range referenceRoutes(n) {
 		for dst, want := range row {
-			if got := int32(n.nextHop[src*nr+dst]); got != want {
+			if dst == src {
+				continue // Router.route answers a router's own address
+			}
+			if got := nextHop(n, src, dst); got != want {
 				return fmt.Errorf("next hop %d → %d = %d, reference BFS %d", src, dst, got, want)
 			}
 		}
@@ -94,8 +104,8 @@ func TestRoutesMatchReferenceDisconnected(t *testing.T) {
 	if err := routesMismatch(n); err != nil {
 		t.Fatal(err)
 	}
-	for _, pair := range [][2]int{{0, 4}, {7, 3}, {8, 0}, {2, 8}, {8, 8}} {
-		if hop := n.nextHop[pair[0]*len(rs)+pair[1]]; hop != -1 {
+	for _, pair := range [][2]int{{0, 4}, {7, 3}, {8, 0}, {2, 8}} {
+		if hop := nextHop(n, pair[0], pair[1]); hop != -1 {
 			t.Errorf("r%d → r%d across islands: next hop %d, want -1", pair[0], pair[1], hop)
 		}
 	}
@@ -104,30 +114,43 @@ func TestRoutesMatchReferenceDisconnected(t *testing.T) {
 	}
 }
 
-// TestRoutesLinkLimit: the table's int16 entries hold a link index below
-// maxRoutedLinks. The last such index routes in both directions; one
-// link more and ComputeRoutes refuses the network.
+// TestRoutesLinkLimit: the table holds link indices past the 16 384 a
+// dense int16 table could encode, and codes as wide as a router's
+// links need. A hub of 300 router links and a pair of routers joined
+// by 16 200 parallel links (9 and 14 bits, each held in 16) route
+// every pair as the reference BFS does, and the last link routes in
+// both directions.
 func TestRoutesLinkLimit(t *testing.T) {
 	n := NewNetwork(NewSim(1))
-	a := n.AddRouter("a", packet.AddrFrom4(10, 255, 0, 1), 1)
-	b := n.AddRouter("b", packet.AddrFrom4(10, 255, 0, 2), 2)
-	c := n.AddRouter("c", packet.AddrFrom4(10, 255, 0, 3), 3)
-	for len(n.links) < maxRoutedLinks-1 {
-		n.Connect(a, c, 0, 0)
+	addr := func(i int) packet.Addr { return packet.AddrFrom4(10, 254, byte(i>>8), byte(i)) }
+	hub := n.AddRouter("hub", addr(0), 0)
+	var leaves []*Router
+	for i := 1; i <= 300; i++ {
+		leaves = append(leaves, n.AddRouter(fmt.Sprintf("leaf%d", i), addr(i), 0))
+		n.Connect(hub, leaves[i-1], 0, 0)
 	}
-	last := n.Connect(b, a, 0, 0) // index maxRoutedLinks-1
+	a := n.AddRouter("a", addr(301), 0)
+	b := n.AddRouter("b", addr(302), 0)
+	n.Connect(leaves[0], a, 0, 0)
+	for len(n.links) < 1<<14+200 {
+		n.Connect(a, b, 0, 0)
+	}
+	c := n.AddRouter("c", addr(303), 0)
+	last := n.Connect(b, c, 0, 0)
 	if err := n.ComputeRoutes(); err != nil {
 		t.Fatalf("%d links: %v", len(n.links), err)
 	}
-	if l, d := a.route(b.addr); l != last || d != 1 {
-		t.Errorf("a → b: link %p direction %d, want the last link %p, direction 1", l, d, last)
+	if w := hub.hopWidth; w != 16 {
+		t.Errorf("the hub's codes are %d bits wide, want 16", w)
 	}
-	if l, d := b.route(a.addr); l != last || d != 0 {
-		t.Errorf("b → a: link %p direction %d, want the last link %p, direction 0", l, d, last)
+	if err := routesMismatch(n); err != nil {
+		t.Fatal(err)
 	}
-	n.Connect(b, c, 0, 0)
-	if err := n.ComputeRoutes(); err == nil {
-		t.Fatalf("ComputeRoutes accepted %d links, more than %d", len(n.links), maxRoutedLinks)
+	if l, d := b.route(c.addr); l != last || d != 0 {
+		t.Errorf("b → c: link %p direction %d, want the last link %p, direction 0", l, d, last)
+	}
+	if l, d := c.route(hub.addr); l != last || d != 1 {
+		t.Errorf("c → hub: link %p direction %d, want the last link %p, direction 1", l, d, last)
 	}
 }
 
@@ -151,16 +174,17 @@ func TestRecomputeLeavesExportedRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen := slices.Clone(rt.nextHop)
+	frozen := *rt.hops
+	frozen.codes, frozen.rows, frozen.hops = slices.Clone(frozen.codes), slices.Clone(frozen.rows), slices.Clone(frozen.hops)
 	chord := n.Connect(rs[0], rs[5], 0, 0)
 	if err := n.ComputeRoutes(); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(rt.nextHop, frozen) {
+	if !slices.Equal(rt.hops.codes, frozen.codes) || !slices.Equal(rt.hops.rows, frozen.rows) || !slices.Equal(rt.hops.hops, frozen.hops) {
 		t.Fatal("recomputing routes wrote the exported table")
 	}
-	if &n.nextHop[0] == &rt.nextHop[0] {
-		t.Fatal("recomputed routes share the exported table's array")
+	if n.hops == rt.hops || &n.hops.codes[0] == &rt.hops.codes[0] {
+		t.Fatal("recomputed routes share the exported table")
 	}
 	if l, _ := rs[0].route(rs[5].addr); l != chord {
 		t.Errorf("r0 → r5 after the recompute: %v, want the new chord", l)

@@ -389,13 +389,13 @@ func (s *Sim) At(t time.Duration, fn func()) Timer {
 // touches the slab; the heap reference files it as a slab event.
 func (s *Sim) deliverAfter(l *Link, d int, b *packet.Buf) {
 	s.seq++
-	at := s.now + l.delay[d]
+	at := s.now + l.delay
 	if s.heapOnly {
 		ev := &s.slab[s.scheduleSeq(at, s.seq)]
 		ev.buf, ev.link, ev.dir = b, l, uint8(d)
 		return
 	}
-	e := s.lanes[l.lane[d]].push(at, s.seq)
+	e := s.lanes[l.lane].push(at, s.seq)
 	e.buf, e.link, e.dir = b, l, uint8(d)
 }
 

@@ -202,9 +202,9 @@ func TestSpareSharesOnlyTheBlueprint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The forwarding rows and the address index are the frozen table's:
+	// The forwarding table and the address index are the frozen ones:
 	// the spare's own, which ImportRoutes hands every instantiation.
-	for _, field := range []string{"nextHop", "index"} {
+	for _, field := range []string{"hops", "index"} {
 		routes := func(w *World) uintptr { return reflect.ValueOf(w.Net).Elem().FieldByName(field).Pointer() }
 		if routes(spare) != routes(fresh) {
 			t.Errorf("Network.%s: the spare's is not the blueprint's", field)

@@ -74,10 +74,10 @@ var stateSkip = map[string]bool{
 
 	// Blueprint: routes and the address index (netsim.RouteTable), the
 	// geo and ASN databases.
-	"netsim.Network.nextHop": true,
-	"netsim.Network.index":   true,
-	"topology.World.Geo":     true,
-	"topology.World.ASN":     true,
+	"netsim.Network.hops":  true,
+	"netsim.Network.index": true,
+	"topology.World.Geo":   true,
+	"topology.World.ASN":   true,
 }
 
 type stateDigest struct {

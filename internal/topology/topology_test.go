@@ -287,7 +287,7 @@ func TestApplyTraceConditions(t *testing.T) {
 		t.Errorf("batch1 online = %d of %d; churn not applied", online1, len(w.Servers))
 	}
 	// Vantage access loss must be within [base, base+jitter].
-	loss := v.Host.Uplink().Loss(v.Host)
+	loss := v.Host.Uplink().Loss()
 	if loss < v.BaseLoss || loss > v.BaseLoss+v.LossJitter+1e-9 {
 		t.Errorf("vantage loss = %v, want in [%v, %v]", loss, v.BaseLoss, v.BaseLoss+v.LossJitter)
 	}

@@ -140,10 +140,11 @@ func TestObservationOutlivesReceiveBuffer(t *testing.T) {
 	mux := NewMux(f.client, new(Pool))
 	finished := false
 	mux.Run(f.server.Addr(), Config{ProbesPerHop: 1}, func(Result) { finished = true })
-	s := mux.sessions[f.server.Addr()]
-	if s == nil {
+	i := mux.find(f.server.Addr())
+	if i < 0 {
 		t.Fatal("no session in flight")
 	}
+	s := mux.sessions[i]
 
 	// The reply router 0 would send for the first probe, built by hand so
 	// the test owns the buffer: the probe as it arrived there (TTL run

@@ -14,6 +14,7 @@ package traceroute
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/ecn"
@@ -111,8 +112,10 @@ type Result struct {
 // payload, so once as many sessions exist as ever run at once, a
 // traceroute allocates nothing.
 type Mux struct {
-	host     *netsim.Host
-	sessions map[packet.Addr]*session
+	host *netsim.Host
+	// sessions are the traces in flight, found by a scan for the target:
+	// no hash table to regrow under a sweep's churn of targets.
+	sessions []*session
 	pool     *Pool
 }
 
@@ -134,7 +137,7 @@ func NewMux(h *netsim.Host, pool *Pool) *Mux {
 	if h.HandlesICMP() {
 		panic("traceroute: NewMux on a host that already has an ICMP handler")
 	}
-	m := &Mux{host: h, sessions: make(map[packet.Addr]*session), pool: pool}
+	m := &Mux{host: h, pool: pool}
 	h.OnICMP(m.handle)
 	return m
 }
@@ -149,6 +152,12 @@ func (m *Mux) Reset() {
 		s.finished = true
 	}
 	clear(m.sessions)
+	m.sessions = m.sessions[:0]
+}
+
+// find returns the index in sessions of target's trace, or -1.
+func (m *Mux) find(target packet.Addr) int {
+	return slices.IndexFunc(m.sessions, func(s *session) bool { return s.target == target })
 }
 
 func (m *Mux) handle(h *netsim.Host, ip packet.IPv4Header, msg packet.ICMPMessage) {
@@ -161,11 +170,9 @@ func (m *Mux) handle(h *netsim.Host, ip packet.IPv4Header, msg packet.ICMPMessag
 	if err != nil || quoted.Src != h.Addr() {
 		return
 	}
-	s, ok := m.sessions[quoted.Dst]
-	if !ok {
-		return
+	if i := m.find(quoted.Dst); i >= 0 {
+		m.sessions[i].onICMP(ip, msg, quoted, transport)
 	}
-	s.onICMP(ip, msg, quoted, transport)
 }
 
 // Run traces one target, invoking done exactly once; the Result it
@@ -173,7 +180,7 @@ func (m *Mux) handle(h *netsim.Host, ip packet.IPv4Header, msg packet.ICMPMessag
 // target distinct addresses (a second session to the same target is
 // rejected with an immediate empty result).
 func (m *Mux) Run(target packet.Addr, cfg Config, done func(Result)) {
-	if _, busy := m.sessions[target]; busy {
+	if m.find(target) >= 0 {
 		done(Result{Target: target})
 		return
 	}
@@ -184,16 +191,20 @@ func (m *Mux) Run(target packet.Addr, cfg Config, done func(Result)) {
 		s = new(session)
 		s.onTimeoutFn = s.onTimeout
 	}
+	cfg = cfg.withDefaults()
+	if rows := maxTTL * cfg.ProbesPerHop; cap(s.obs) < rows {
+		s.obs = make([]PathObservation, 0, rows) // a whole trace's, once
+	}
 	// Everything but the shell's own capacity starts from zero.
 	*s = session{
 		mux:         m,
 		onTimeoutFn: s.onTimeoutFn,
 		obs:         s.obs[:0],
-		cfg:         cfg.withDefaults(),
+		cfg:         cfg,
 		target:      target,
 		done:        done,
 	}
-	m.sessions[target] = s
+	m.sessions = append(m.sessions, s)
 	s.start()
 }
 
@@ -335,7 +346,8 @@ func (s *session) finish() {
 	s.timer.Stop()
 	m := s.mux
 	m.host.UnbindUDP(s.srcPort)
-	delete(m.sessions, s.target)
+	i := m.find(s.target)
+	m.sessions = slices.Delete(m.sessions, i, i+1)
 	done := s.done
 	s.done = nil
 	done(Result{Target: s.target, Observations: s.obs, ReachedDest: s.reached})
