@@ -168,10 +168,7 @@ func e2eService(t *testing.T, ctx context.Context, want string) {
 	m.positive(t, "repro_campaign_traces_completed_total")
 	m.eq(t, `repro_http_requests_total{route="POST /v1/campaigns",code_class="2xx"}`, 2)
 
-	var events struct {
-		ID     string
-		Events []struct{ Kind, Job string }
-	}
+	var events apiclient.JobEvents
 	c.getJSON(t, ctx, "/v1/jobs/"+job.ID+"/events", &events)
 	kinds := make([]string, len(events.Events))
 	for i, e := range events.Events {
@@ -180,8 +177,9 @@ func e2eService(t *testing.T, ctx context.Context, want string) {
 			t.Fatalf("event %+v filed under job %s", e, job.ID)
 		}
 	}
-	leased, done := count(kinds, "shard-leased"), count(kinds, "shard-done")
-	if len(kinds) < 3 || kinds[0] != "queued" || kinds[1] != "running" || kinds[len(kinds)-1] != "done" ||
+	leased, done := count(kinds, apiclient.EventShardLeased), count(kinds, apiclient.EventShardDone)
+	if len(kinds) < 3 || kinds[0] != apiclient.EventQueued || kinds[1] != apiclient.EventRunning ||
+		kinds[len(kinds)-1] != apiclient.EventDone ||
 		leased == 0 || leased != done {
 		t.Fatalf("job events = %v, want queued, running, N × shard-leased/shard-done, done", kinds)
 	}

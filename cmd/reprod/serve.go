@@ -18,8 +18,8 @@ package main
 // The daemon carries its own flight recorder: GET /v1/metrics exposes
 // allocation-free engine, HTTP, and lease metrics in the Prometheus
 // text format, GET /v1/jobs/{id}/events replays a job's lifecycle from
-// the flight recorder's event ring, and -pprof mounts net/http/pprof
-// under /debug/pprof/.
+// the event log the job keeps, and -pprof mounts net/http/pprof under
+// /debug/pprof/.
 //
 // The "serving" log record carries the address actually bound, so
 // -addr 127.0.0.1:0 picks a free port. SIGINT/SIGTERM drain gracefully:

@@ -85,6 +85,44 @@ type JobShards struct {
 	State  JobState `json:"state"`
 }
 
+// The job event kinds (JobEvent.Kind): the job's lifecycle, then each
+// shard's lease transitions, each recorded as it happens.
+const (
+	EventQueued       = "queued"
+	EventRunning      = "running"
+	EventDone         = "done"
+	EventFailed       = "failed"
+	EventCacheHit     = "cache-hit"
+	EventJoined       = "joined"
+	EventShardLeased  = "shard-leased"
+	EventShardDone    = "shard-done"
+	EventLeaseExpired = "lease-expired"
+)
+
+// JobEvent is one transition in a job's event log.
+type JobEvent struct {
+	// Seq is the event's position in its job's log, from 0.
+	Seq  int       `json:"seq"`
+	Time time.Time `json:"time"`
+	Kind string    `json:"kind"`
+	Job  string    `json:"job,omitempty"`
+	// Shard and Slice identify the (vantage, slice) unit for shard
+	// events; both are -1 on job-level events.
+	Shard int `json:"shard,omitempty"`
+	Slice int `json:"slice,omitempty"`
+	// Detail is the worker on shard events and the error on a failure.
+	Detail string `json:"detail,omitempty"`
+}
+
+// JobEvents is GET /v1/jobs/{id}/events' body: the job's whole event
+// log, oldest first, and the state its last event leads to. Its keys
+// are in the order the route has always written them, sorted.
+type JobEvents struct {
+	Events []JobEvent `json:"events"`
+	ID     string     `json:"id"`
+	State  JobState   `json:"state"`
+}
+
 // Report describes one filed campaign run: what ran, the determinism
 // hash of its dataset, and its execution counters. It is the body of
 // GET /v1/jobs/{id}/report and of the store's meta.json.
@@ -113,7 +151,7 @@ type Report struct {
 
 // ClaimRequest is POST /v1/jobs/{id}/shards/claim's body.
 type ClaimRequest struct {
-	// Worker identifies the claiming worker; it labels leases, ring
+	// Worker identifies the claiming worker; it labels leases, job
 	// events and the per-worker shard-duration histogram.
 	Worker string `json:"worker"`
 	// MaxShards bounds the leased batch; zero or negative means 1.

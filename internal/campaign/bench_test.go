@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"testing"
 	"time"
 
@@ -50,17 +49,8 @@ func runCampaign(tb testing.TB, cfg Config) {
 	}
 }
 
-// mallocs returns the heap allocations f makes.
-func mallocs(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
-}
-
 // maxCampaignAllocs bounds one run of benchConfig at 4 workers: the
-// reading when the campaign path last changed (14.7k) + 5 %. With
+// least reading through alloctest.Measure (7.8k, on one P) + 5 %. With
 // probes, connections, the HTTP codec and the traceroute sweep
 // allocation-free in steady state (recycled sessions, ICMP quotations
 // read in place, one row slab per sweep), one world per worker reset
@@ -70,23 +60,20 @@ func mallocs(f func()) uint64 {
 // closure per probe, a copy per ICMP, garbage per exchange, a world per
 // shard, shells or a map per stack, or a private address index per
 // world fails here long before it shows as wall-clock.
-const maxCampaignAllocs = 15_450
+const maxCampaignAllocs = 8_200
 
 // TestCampaignAllocs holds BenchmarkCampaignWorkers/workers=4 under
-// maxCampaignAllocs a run, measured over two runs after a warm one.
+// maxCampaignAllocs a run: the least of three runs after a warm one
+// (alloctest.Measure), since the worker pool's goroutines share the
+// window.
 func TestCampaignAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops Puts; the count cannot hold")
 	}
 	cfg := benchConfig(t)
 	cfg.Workers = 4
-	runCampaign(t, cfg)
-	const runs = 2
-	n := mallocs(func() {
-		for i := 0; i < runs; i++ {
-			runCampaign(t, cfg)
-		}
-	}) / runs
+	least, _ := alloctest.Measure(3, nil, func() { runCampaign(t, cfg) })
+	n := least.Allocs
 	t.Logf("campaign at 4 workers: %d allocs a run (ceiling %d)", n, maxCampaignAllocs)
 	if n > maxCampaignAllocs {
 		t.Errorf("campaign at 4 workers: %d allocs a run, want ≤ %d", n, maxCampaignAllocs)
@@ -208,20 +195,20 @@ func BenchmarkWorldReset(b *testing.B) {
 
 // TestWorldResetAllocFree: resetting a paper-scale world that has just
 // run a trace allocates nothing — a reset that allocates is an
-// instantiation in disguise. The count is every malloc in the process,
-// and a GC between a trace and its Reset empties the packet and AQM
-// sync.Pools the reset refills from, so the collector is held off from
-// the first trace to the last measured Reset.
+// instantiation in disguise. A GC between a trace and its Reset would
+// empty the packet and AQM sync.Pools the reset refills from;
+// alloctest.Measure holds the collector off from each warm-up trace to
+// its measured Reset.
 func TestWorldResetAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops Puts; the count cannot hold")
 	}
 	w, runTrace := usedWorld(t)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	trace := 0
+	next := func() { runTrace(trace); trace++ }
 	for i := 0; i < 3; i++ {
-		runTrace(i)
-		if n := mallocs(w.Reset); n > 0 {
-			t.Fatalf("reset %d of a used paper-scale world: %d allocs, want 0", i, n)
+		if r, _ := alloctest.Measure(1, next, w.Reset); r.Allocs > 0 {
+			t.Fatalf("reset %d of a used paper-scale world: %d allocs (%d B), want 0", i, r.Allocs, r.Bytes)
 		}
 	}
 }

@@ -1,10 +1,10 @@
 package campaign
 
 import (
-	"runtime"
 	"testing"
 	"unsafe"
 
+	"repro/internal/alloctest"
 	"repro/internal/traceroute"
 )
 
@@ -79,22 +79,18 @@ func TestExecuteKeepsNoRows(t *testing.T) {
 	}
 	ex := NewExecutor(cfg, bp)
 	sh := cfg.Shards()[0]
-	for warm := 0; warm < 2; warm++ {
-		if _, err := ex.Execute(sh.Shard, sh.Slice); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := ex.Execute(sh.Shard, sh.Slice); err != nil { // and alloctest.Measure warms it again
+		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	w, err := ex.Execute(sh.Shard, sh.Slice)
-	runtime.ReadMemStats(&after)
+	var w *ShardResultWire
+	r, _ := alloctest.Measure(1, nil, func() { w, err = ex.Execute(sh.Shard, sh.Slice) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.Stats.Events != res.Shards[0].Events {
 		t.Errorf("Execute ran %d events, Run's shard %d", w.Stats.Events, res.Shards[0].Events)
 	}
-	allocated := after.TotalAlloc - before.TotalAlloc
+	allocated := r.Bytes
 	t.Logf("%d rows (a %d B slab); Execute allocated %d B", rows, slab, allocated)
 	if !raceEnabled && allocated >= slab/2 {
 		t.Errorf("Execute allocated %d B, want < %d B, half the %d-row slab it must not build", allocated, slab/2, rows)

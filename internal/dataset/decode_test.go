@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/alloctest"
 	"repro/internal/packet"
 )
 
@@ -372,15 +372,8 @@ func BenchmarkDatasetRead(b *testing.B) {
 // allocated per address.
 func TestDatasetReadAllocs(t *testing.T) {
 	_, read := paperRead(t)
-	read()
-	const runs = 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		read()
-	}
-	runtime.ReadMemStats(&after)
-	bytes, allocs := (after.TotalAlloc-before.TotalAlloc)/runs, (after.Mallocs-before.Mallocs)/runs
+	r, _ := alloctest.Measure(1, nil, read)
+	bytes, allocs := r.Bytes, r.Allocs
 	t.Logf("a paper-sized Read: %d B, %d allocs", bytes, allocs)
 	if bytes > 1_904_400 || allocs > 80 {
 		t.Errorf("a paper-sized Read: %d B and %d allocs, want ≤ 1904400 B and ≤ 80 allocs", bytes, allocs)

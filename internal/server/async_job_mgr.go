@@ -13,7 +13,6 @@ import (
 	"repro/internal/apiclient"
 	"repro/internal/campaign"
 	"repro/internal/dataset"
-	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -76,6 +75,10 @@ type job struct {
 	wal *jobWAL
 	// local is a local job's engine; nil for distributed and ended jobs.
 	local *localRun
+	// events is the job's event log, oldest first, appended under
+	// mgr.mu with the state changes it records. Entries are never
+	// rewritten, so a reader may keep the slice it read.
+	events []apiclient.JobEvent
 }
 
 // distributed reports whether remote workers execute the job's shards.
@@ -223,9 +226,6 @@ type jobMgr struct {
 	// + Retry-After while in-flight shard uploads still land — the
 	// graceful-shutdown window (BeginDrain).
 	draining bool
-	// workerNames interns worker IDs so event-ring appends can carry a
-	// heap-stable *string without allocating per event.
-	workerNames map[string]*string
 	// The admission watermark's halves: distributed shards submitted
 	// but not yet accepted, and local jobs not yet granted a shard.
 	openShards int
@@ -243,16 +243,15 @@ type jobMgr struct {
 // newJobMgr starts a manager with `loopbacks` loopback workers.
 func newJobMgr(store *Store, loopbacks int, met *serverMetrics, logger *slog.Logger) *jobMgr {
 	m := &jobMgr{
-		store:       store,
-		met:         met,
-		logger:      logger,
-		now:         time.Now,
-		leaseTTL:    defaultLeaseTTL,
-		watermark:   maxOpenShards,
-		jobs:        make(map[string]*job),
-		active:      make(map[string]*job),
-		workerNames: make(map[string]*string),
-		loopbacks:   loopbacks,
+		store:     store,
+		met:       met,
+		logger:    logger,
+		now:       time.Now,
+		leaseTTL:  defaultLeaseTTL,
+		watermark: maxOpenShards,
+		jobs:      make(map[string]*job),
+		active:    make(map[string]*job),
+		loopbacks: loopbacks,
 	}
 	m.wake.L = &m.mu
 	m.wg.Add(loopbacks)
@@ -447,7 +446,7 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view apiclient.Job, created bool, e
 
 	if j, ok := m.active[key]; ok {
 		m.met.jobsJoined.Inc()
-		m.met.events.Append(telemetry.EventJobJoined, &j.id, nil, -1, -1)
+		m.logLocked(j, apiclient.EventJoined, nil, "")
 		return j.view(), false, nil
 	}
 	if m.store.Has(key) {
@@ -455,7 +454,7 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view apiclient.Job, created bool, e
 		j := m.newJobLocked("", key, norm, plan)
 		j.cached = true
 		j.finish(m.now())
-		m.met.events.Append(telemetry.EventJobCacheHit, &j.id, nil, -1, -1)
+		m.logLocked(j, apiclient.EventCacheHit, nil, "")
 		return j.view(), false, nil
 	}
 	m.met.storeMisses.Inc()
@@ -478,6 +477,9 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view apiclient.Job, created bool, e
 	}
 
 	j := m.newJobLocked("", key, norm, plan)
+	// Room for the planned events — queued, running, a leased/done pair
+	// a shard, done — so the shard paths append without allocating.
+	j.events = make([]apiclient.JobEvent, 0, 3+2*len(plan))
 	if distributed {
 		// Durability before acceptance: the submission record (canonical
 		// spec + key — everything recovery needs to rebuild the plan) is
@@ -491,7 +493,7 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view apiclient.Job, created bool, e
 		}
 	}
 	m.active[key] = j
-	m.met.events.Append(telemetry.EventJobQueued, &j.id, nil, -1, -1)
+	m.logLocked(j, apiclient.EventQueued, nil, "")
 	if distributed {
 		// Running the moment it exists — workers look for running jobs.
 		m.openShards += len(j.shards)
@@ -535,12 +537,23 @@ func (m *jobMgr) newJobLocked(id, key string, spec campaign.Spec, plan []campaig
 	return j
 }
 
+// logLocked appends one event to j's log at the manager's clock: a
+// job-level event (sh nil) or shard sh's. Callers hold m.mu.
+func (m *jobMgr) logLocked(j *job, kind string, sh *apiclient.Shard, detail string) {
+	ev := apiclient.JobEvent{Seq: len(j.events), Time: m.now(), Kind: kind, Job: j.id,
+		Shard: -1, Slice: -1, Detail: detail}
+	if sh != nil {
+		ev.Shard, ev.Slice = sh.Shard, sh.Slice
+	}
+	j.events = append(j.events, ev)
+}
+
 // startLocked moves a job to running; callers hold m.mu.
 func (m *jobMgr) startLocked(j *job) {
 	j.start(m.now())
 	m.met.jobsStarted.Inc()
 	m.met.jobsRunning.Add(1)
-	m.met.events.Append(telemetry.EventJobRunning, &j.id, nil, -1, -1)
+	m.logLocked(j, apiclient.EventRunning, nil, "")
 	m.logger.Info("job start", "job", j.id, "key", j.key[:12], "execution", j.spec.Execution)
 }
 
@@ -615,10 +628,10 @@ func (m *jobMgr) failJob(j *job, err error) {
 		j.wal.close()
 		j.wal = nil
 	}
+	m.logLocked(j, apiclient.EventFailed, nil, j.err)
 	m.mu.Unlock()
 	m.met.jobsFailed.Inc()
 	m.met.jobsRunning.Add(-1)
-	m.met.events.Append(telemetry.EventJobFailed, &j.id, &j.err, -1, -1)
 	m.logger.Error("job failed", "job", j.id, "error", err)
 }
 
@@ -766,4 +779,16 @@ func (m *jobMgr) Shards(id string) ([]apiclient.Shard, bool) {
 	out := make([]apiclient.Shard, len(j.shards))
 	copy(out, j.shards)
 	return out, true
+}
+
+// Events returns one job's event log with its state, read under one
+// lock: the state is the one the log's last event leads to.
+func (m *jobMgr) Events(id string) (apiclient.JobEvents, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j, ok := m.jobs[id]
+	if !ok {
+		return apiclient.JobEvents{}, false
+	}
+	return apiclient.JobEvents{Events: j.events, ID: j.id, State: j.state}, true
 }

@@ -1,8 +1,12 @@
 package server
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"testing"
 	"unsafe"
 
+	"repro/internal/apiclient"
 	"repro/internal/dataset"
 	"repro/internal/packet"
 )
@@ -10,6 +14,19 @@ import (
 // Counter lends the /v1/metrics reader (server_test.go) to the
 // external test package.
 var Counter = counter
+
+// JobEventLog reads job id's GET /v1/jobs/{id}/events off srv and
+// holds the body to checkEventLog (telemetry_test.go), for the external
+// test package.
+func JobEventLog(t *testing.T, srv http.Handler, id string) apiclient.JobEvents {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/events", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET events of %s = %d: %s", id, rec.Code, rec.Body)
+	}
+	return checkEventLog(t, rec.Body.Bytes(), id)
+}
 
 // SetAdmissionWatermark lowers the submit shedding watermark, the
 // constant maxOpenShards, for a test that drives a coordinator past it.

@@ -360,16 +360,13 @@ func TestIngestBombIsBounded(t *testing.T) {
 
 	var pool ingestPool
 	b := pool.get()
-	wantBadRequest(t, func() error { _, err := b.acceptUpload(bomb, limit); return err }()) // warms the window
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := b.acceptUpload(bomb, limit)
-	runtime.ReadMemStats(&after)
+	var err error
+	r, _ := alloctest.Measure(1, nil, func() { _, err = b.acceptUpload(bomb, limit) }) // the warm-up grows the window
 	wantBadRequest(t, err)
 	if b.lim.N != 0 {
 		t.Fatalf("the scan stopped %d bytes short of the budget", b.lim.N)
 	}
-	alloc := after.TotalAlloc - before.TotalAlloc
+	alloc := r.Bytes
 	t.Logf("%d gzip bytes inflated to the %d-byte budget: %d bytes allocated, scan window %d bytes",
 		len(bomb), limit+1, alloc, b.scan.Cap())
 	if !raceEnabled && alloc > uint64(b.scan.Cap()) {

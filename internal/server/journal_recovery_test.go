@@ -417,6 +417,7 @@ func TestRecoveryCompletesJournaledMerge(t *testing.T) {
 
 	srv2, _, c2 := startCrashServer(t, dir, fc)
 	wantDatasetMatch(t, c2, job.ID)
+	server.JobEventLog(t, srv2, job.ID)
 	text := metricsText(t, srv2)
 	if !contains(text, `repro_recovery_jobs_total{outcome="completed"} 1`) {
 		t.Errorf("metrics missing the completed-recovery outcome:\n%s", text)
@@ -472,6 +473,7 @@ func TestRecoveryAlreadyDone(t *testing.T) {
 	if _, err := os.Stat(walPath(dir, job.ID)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("stale journal survived already-done recovery: %v", err)
 	}
+	server.JobEventLog(t, srv2, job.ID)
 	text := metricsText(t, srv2)
 	if !contains(text, `repro_recovery_jobs_total{outcome="already_done"} 1`) {
 		t.Errorf("metrics missing the already-done outcome:\n%s", text)
@@ -703,8 +705,9 @@ func TestRecoveryTruncatedJournal(t *testing.T) {
 }
 
 // wantRecoveryFailed asserts a restarted coordinator surfaced the job
-// as failed — job_failed on the artifact routes, counted as a failed
-// recovery — while staying up for other work.
+// as failed — its event log ending failed, job_failed on the artifact
+// routes, counted as a failed recovery — while staying up for other
+// work.
 func wantRecoveryFailed(t *testing.T, srv http.Handler, client *apiclient.Client, jobID string) {
 	t.Helper()
 	ctx := context.Background()
@@ -715,6 +718,7 @@ func wantRecoveryFailed(t *testing.T, srv http.Handler, client *apiclient.Client
 	if got.State != apiclient.JobFailed {
 		t.Fatalf("job state = %s, want failed", got.State)
 	}
+	server.JobEventLog(t, srv, jobID)
 	_, err = client.JobDataset(ctx, jobID)
 	wantCode(t, err, 502, apiclient.CodeJobFailed)
 	text := metricsText(t, srv)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/failpoint"
 	"repro/internal/packet"
-	"repro/internal/telemetry"
 )
 
 // The shard lease table: how a job hands its (vantage, slice) shards to
@@ -25,7 +24,7 @@ import (
 // Every transition is one journal record, and job.apply is what a
 // record does to the table: the live paths below build the record,
 // journal it, apply it, and add what only a live coordinator has
-// (metrics, logs, the event ring); replay (recovery.go) applies
+// (metrics, logs, the job's event log); replay (recovery.go) applies
 // the records it reads, so a restart cannot drift from what it restores.
 //
 // A lease is valid until evicted. Eviction happens when the TTL has
@@ -98,17 +97,6 @@ func (m *jobMgr) distributedJobLocked(jobID string) (*job, error) {
 			"job %s executes on the coordinator's loopback workers; its shards cannot be claimed", jobID)
 	}
 	return j, nil
-}
-
-// internWorkerLocked returns a heap-stable pointer to the worker's
-// name for allocation-free event-ring appends; callers hold m.mu.
-func (m *jobMgr) internWorkerLocked(worker string) *string {
-	if p, ok := m.workerNames[worker]; ok {
-		return p
-	}
-	p := &worker
-	m.workerNames[worker] = p
-	return p
 }
 
 // nextPending returns the first pending shard at or after from, or -1.
@@ -229,8 +217,7 @@ func (m *jobMgr) expireLocked(j *job, i int, event string) {
 	j.apply(rec, nil)
 	m.met.leaseExpiries.Inc()
 	if event == walExpire {
-		m.met.events.Append(telemetry.EventLeaseExpired, &j.id,
-			m.internWorkerLocked(lapsed), int32(sh.Shard), int32(sh.Slice))
+		m.logLocked(j, apiclient.EventLeaseExpired, sh, lapsed)
 	}
 	m.logger.Info("lease expired", "job", j.id, "shard", i, "event", event,
 		"worker", lapsed, "state", sh.State, "holder", sh.Worker)
@@ -291,8 +278,7 @@ func (m *jobMgr) grantLocked(j *job, i int, worker string, now time.Time, batch 
 	}
 	j.apply(rec, nil)
 	m.met.leaseGrants.Inc()
-	m.met.events.Append(telemetry.EventShardLeased, &j.id, m.internWorkerLocked(worker),
-		int32(sh.Shard), int32(sh.Slice))
+	m.logLocked(j, apiclient.EventShardLeased, sh, worker)
 	return apiclient.ClaimedShard{Index: i, ShardInfo: sh.ShardInfo, Lease: rec.Token, ExpiresAt: rec.Expires, Speculative: twin}
 }
 
@@ -544,8 +530,7 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *h
 	}
 	m.met.resultsAccepted.Inc()
 	m.met.workerShardSeconds(worker).Observe(res.Stats.Elapsed.Seconds())
-	m.met.events.Append(telemetry.EventShardDone, &j.id,
-		m.internWorkerLocked(worker), int32(sh.Shard), int32(sh.Slice))
+	m.logLocked(j, apiclient.EventShardDone, sh, worker)
 	resp.Status = apiclient.ResultAccepted
 	resp.ShardsDone = j.shardsDone
 	resp.State = j.state
@@ -596,10 +581,10 @@ func (m *jobMgr) finalize(j *job) {
 			m.logger.Error("journal remove", "job", j.id, "error", err)
 		}
 	}
+	m.logLocked(j, apiclient.EventDone, nil, "")
 	m.mu.Unlock()
 	m.met.jobsDone.Inc()
 	m.met.jobsRunning.Add(-1)
-	m.met.events.Append(telemetry.EventJobDone, &j.id, nil, -1, -1)
 	m.logger.Info("job done", "job", j.id, "key", j.key[:12],
 		"execution", j.spec.Execution, "dataset_bytes", n, "wall_seconds", wall.Seconds())
 }

@@ -478,6 +478,9 @@ func TestDistributedMergeFailureSurfaces(t *testing.T) {
 	if got.State != apiclient.JobFailed || got.Error == "" {
 		t.Fatalf("job after blocked merge = %+v, want failed", got)
 	}
+	if log := server.JobEventLog(t, srv, job.ID); log.Events[len(log.Events)-1].Detail != got.Error {
+		t.Errorf("the failed event carries %+v, want the job's error %q", log.Events[len(log.Events)-1], got.Error)
+	}
 	_, err = client.JobDataset(ctx, job.ID)
 	wantCode(t, err, 502, apiclient.CodeJobFailed)
 }

@@ -5,12 +5,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// eventRingSize bounds the flight-recorder event ring: at ~64 bytes a
-// slot this is a few hundred KiB of fixed memory for the last 4096
-// job/shard lifecycle transitions — enough to reconstruct any recent
-// job's timeline via GET /v1/jobs/{id}/events.
-const eventRingSize = 4096
-
 // serverMetrics is the control plane's instrument set: HTTP request
 // accounting (fed by the middleware in middleware.go), job lifecycle
 // counters (fed by the job manager), store traffic, and the shared
@@ -18,7 +12,6 @@ const eventRingSize = 4096
 // per Server; /v1/metrics renders its registry.
 type serverMetrics struct {
 	reg      *telemetry.Registry
-	events   *telemetry.EventRing
 	campaign *campaign.Metrics
 
 	httpInflight *telemetry.Gauge
@@ -72,7 +65,6 @@ type serverMetrics struct {
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	return &serverMetrics{
 		reg:      reg,
-		events:   telemetry.NewEventRing(eventRingSize),
 		campaign: campaign.NewMetrics(reg),
 		httpInflight: reg.Gauge("repro_http_requests_inflight",
 			"HTTP requests currently being served."),

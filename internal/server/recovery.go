@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/apiclient"
 	"repro/internal/campaign"
-	"repro/internal/telemetry"
 )
 
 // Restart recovery: replaying the write-ahead journal (journal.go)
@@ -144,7 +143,7 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 		j.err = cause.Error()
 		j.finished = m.now()
 		m.met.recoveryFailed.Inc()
-		m.met.events.Append(telemetry.EventJobFailed, &j.id, &j.err, -1, -1)
+		m.logLocked(j, apiclient.EventFailed, nil, j.err)
 		m.logger.Error("journal replay failed", "job", id, "error", cause)
 		return j, false, nil
 
@@ -152,6 +151,7 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 		// The run is filed — the crash hit between the store's atomic
 		// rename and journal removal. Nothing left to do but tidy.
 		j.finish(m.now())
+		m.logLocked(j, apiclient.EventDone, nil, "")
 		_ = m.wal.remove(id)
 		m.met.recoveryDone.Inc()
 		return j, false, nil
@@ -161,7 +161,7 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 	// and keeps journaling into its reopened file.
 	m.active[j.key] = j
 	m.met.jobsRunning.Add(1)
-	m.met.events.Append(telemetry.EventJobRunning, &j.id, nil, -1, -1)
+	m.logLocked(j, apiclient.EventRunning, nil, "")
 
 	if j.shardsDone == len(j.shards) {
 		// Every shard landed pre-crash; only the merge is missing.

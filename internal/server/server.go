@@ -16,7 +16,7 @@
 //	GET  /v1/jobs/{id}/report     apiclient.Report: determinism hash, counters, CE report
 //	GET  /v1/healthz              readiness: build info, store writability, queue depth
 //	GET  /v1/metrics              flight-recorder metrics, Prometheus text format
-//	GET  /v1/jobs/{id}/events     one job's event ring: lifecycle + shard transitions
+//	GET  /v1/jobs/{id}/events     one job's event log: lifecycle + shard transitions
 //	GET  /debug/pprof/...         run-time profiles (only with Config.EnablePprof)
 //
 // The worker protocol (distributed execution; see leases.go and
@@ -32,9 +32,10 @@
 // decodes (ingest.go); any other body is a 400, and a worker ID the
 // scan could not read is refused at claim.
 //
-// Every request, response and error body is a type internal/apiclient
-// declares (its schema.go); this package encodes and decodes exactly
-// those, so a client decodes what the server writes by construction.
+// Every request, response and error body but healthz's is a type
+// internal/apiclient declares (its schema.go); this package encodes and
+// decodes exactly those, so a client decodes what the server writes by
+// construction.
 // Errors are uniform across every endpoint: a non-2xx response body is
 // apiclient.ErrorEnvelope, {"error": {"code", "message", "fields"}},
 // with one of apiclient's stable Code* constants (errors.go).
@@ -217,21 +218,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = s.metrics.reg.WritePrometheus(w)
 }
 
-// handleJobEvents serves one job's slice of the flight-recorder event
-// ring: every lifecycle and shard transition the ring still holds,
-// oldest first. A long-retired job yields an empty list, not a 404 —
-// the ring is a bounded recorder, not a database.
+// handleJobEvents serves one job's event log: every lifecycle and
+// shard transition, oldest first, with the state the last one leads to.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.jobOr404(w, r)
+	events, ok := s.mgr.Events(r.PathValue("id"))
 	if !ok {
+		writeJobNotFound(w, r)
 		return
 	}
-	events := s.metrics.events.JobEvents(view.ID)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id":     view.ID,
-		"state":  view.State,
-		"events": events,
-	})
+	writeJSON(w, http.StatusOK, events)
 }
 
 // ServeHTTP implements http.Handler.
@@ -347,10 +342,14 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) jobOr404(w http.ResponseWriter, r *http.Request) (apiclient.Job, bool) {
 	view, ok := s.mgr.Get(r.PathValue("id"))
 	if !ok {
-		writeFault(w, faultf(http.StatusNotFound, apiclient.CodeJobNotFound,
-			"no such job %q", r.PathValue("id")))
+		writeJobNotFound(w, r)
 	}
 	return view, ok
+}
+
+func writeJobNotFound(w http.ResponseWriter, r *http.Request) {
+	writeFault(w, faultf(http.StatusNotFound, apiclient.CodeJobNotFound,
+		"no such job %q", r.PathValue("id")))
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -12,7 +13,7 @@ import (
 
 	"repro/internal/apiclient"
 	"repro/internal/campaign"
-	"repro/internal/telemetry"
+	"repro/internal/worker"
 )
 
 // TestMetricsEndpoints runs a job and checks the exposition and the
@@ -82,7 +83,7 @@ func TestWorldReuseMetrics(t *testing.T) {
 	}
 }
 
-// TestJobEventsEndpoint replays a finished job's event ring: whoever
+// TestJobEventsEndpoint replays a finished job's event log: whoever
 // executed the shards, the lifecycle reads queued → running → … →
 // done with every shard leased to a worker and then done.
 func TestJobEventsEndpoint(t *testing.T) {
@@ -96,46 +97,33 @@ func TestJobEventsEndpoint(t *testing.T) {
 			if status != http.StatusOK {
 				t.Fatalf("GET events = %d", status)
 			}
-			var resp struct {
-				ID     string             `json:"id"`
-				State  apiclient.JobState `json:"state"`
-				Events []telemetry.Event  `json:"events"`
-			}
-			if err := json.Unmarshal(body, &resp); err != nil {
-				t.Fatal(err)
-			}
-			if resp.ID != done.ID || resp.State != apiclient.JobDone {
+			resp := checkEventLog(t, body, done.ID)
+			if resp.State != apiclient.JobDone {
 				t.Fatalf("events header = %+v", resp)
 			}
 			if len(resp.Events) != 3+2*done.ShardsTotal {
 				t.Fatalf("%d events for a done job of %d shards", len(resp.Events), done.ShardsTotal)
 			}
-			if resp.Events[0].Kind != "queued" || resp.Events[1].Kind != "running" {
+			if resp.Events[0].Kind != apiclient.EventQueued || resp.Events[1].Kind != apiclient.EventRunning {
 				t.Errorf("lifecycle starts %q, %q; want queued, running", resp.Events[0].Kind, resp.Events[1].Kind)
-			}
-			if last := resp.Events[len(resp.Events)-1]; last.Kind != "done" {
-				t.Errorf("lifecycle ends %q, want done", last.Kind)
 			}
 			type shard struct{ shard, slice int }
 			leased, finished := map[shard]string{}, map[shard]bool{}
 			for _, ev := range resp.Events[2 : len(resp.Events)-1] {
 				sh := shard{ev.Shard, ev.Slice}
 				switch ev.Kind {
-				case "shard-leased":
+				case apiclient.EventShardLeased:
 					if ev.Detail == "" || leased[sh] != "" {
 						t.Errorf("shard-leased %+v: no worker, or leased twice", ev)
 					}
 					leased[sh] = ev.Detail
-				case "shard-done":
+				case apiclient.EventShardDone:
 					if leased[sh] != ev.Detail || finished[sh] {
 						t.Errorf("shard-done %+v: leased to %q, done already %v", ev, leased[sh], finished[sh])
 					}
 					finished[sh] = true
 				default:
 					t.Errorf("unexpected %q event mid-job", ev.Kind)
-				}
-				if ev.Job != done.ID {
-					t.Errorf("event for job %q leaked into %q's timeline", ev.Job, done.ID)
 				}
 			}
 			if len(finished) != done.ShardsTotal {
@@ -148,13 +136,146 @@ func TestJobEventsEndpoint(t *testing.T) {
 			if status != http.StatusOK {
 				t.Fatalf("GET dup events = %d", status)
 			}
-			if err := json.Unmarshal(body, &resp); err != nil {
-				t.Fatal(err)
-			}
-			if len(resp.Events) != 1 || resp.Events[0].Kind != "cache-hit" {
+			if resp := checkEventLog(t, body, dup.ID); len(resp.Events) != 1 || resp.Events[0].Kind != apiclient.EventCacheHit {
 				t.Errorf("cache-hit job events = %+v", resp.Events)
 			}
 		})
+	}
+}
+
+// checkEventLog decodes a GET /v1/jobs/{id}/events body and holds it to
+// what every log promises: its events are job id's, seq counts them
+// from 0, and the state is the one the last event leads to — a done
+// job's log ends with done (or is a cache hit), a failed one's with
+// failed, a running one's has started and not ended. It reports with
+// Errorf, so readers on other goroutines may call it.
+func checkEventLog(t testing.TB, body []byte, id string) apiclient.JobEvents {
+	t.Helper()
+	var log apiclient.JobEvents
+	if err := json.Unmarshal(body, &log); err != nil {
+		t.Errorf("events body %q: %v", body, err)
+		return log
+	}
+	if log.ID != id {
+		t.Errorf("events body for %s carries id %q", id, log.ID)
+	}
+	running := false
+	for i, ev := range log.Events {
+		if ev.Seq != i || ev.Job != id {
+			t.Errorf("event %d of %s is %+v", i, id, ev)
+		}
+		running = running || ev.Kind == apiclient.EventRunning
+	}
+	last := ""
+	if n := len(log.Events); n > 0 {
+		last = log.Events[n-1].Kind
+	}
+	ended := last == apiclient.EventDone || last == apiclient.EventFailed || last == apiclient.EventCacheHit
+	var agrees bool
+	switch log.State {
+	case apiclient.JobDone:
+		agrees = last == apiclient.EventDone || last == apiclient.EventCacheHit
+	case apiclient.JobFailed:
+		agrees = last == apiclient.EventFailed
+	case apiclient.JobRunning:
+		agrees = running && !ended
+	case apiclient.JobQueued:
+		agrees = !running && !ended
+	}
+	if !agrees {
+		t.Errorf("job %s is %s but its log ends %q (%d events)", id, log.State, last, len(log.Events))
+	}
+	return log
+}
+
+// TestJobEventLogOutlivesOtherJobs: a job's log is its own. After more
+// later jobs than a 4 096-event ring shared by every job would hold, a
+// finished job's timeline reads back byte for byte and still ends done.
+func TestJobEventLogOutlivesOtherJobs(t *testing.T) {
+	srv, ts := newTestServer(t)
+	first := driveJob(t, ts, testSpec)
+	path := "/v1/jobs/" + first.ID + "/events"
+	_, before := get(t, ts, path)
+	checkEventLog(t, before, first.ID)
+
+	spec, err := campaign.ParseSpec([]byte(testSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4097; i++ {
+		if view, created, err := srv.mgr.Submit(spec); err != nil || created || !view.Cached {
+			t.Fatalf("resubmission %d = %+v, created %v, %v; want a cache hit", i, view, created, err)
+		}
+	}
+	_, after := get(t, ts, path)
+	if !bytes.Equal(after, before) {
+		t.Fatalf("%s's log changed under 4097 later jobs:\nbefore %s\nafter  %s", first.ID, before, after)
+	}
+}
+
+// TestJobEventsTrackState reads a distributed job's log and its
+// snapshot over and over while two workers run it (run it under
+// -race): every log body counts seq up and agrees with its own state,
+// and once a snapshot reads the job ended, the log read after it ends
+// the same way.
+func TestJobEventsTrackState(t *testing.T) {
+	srv, ts := newPoolServer(t, Config{}, 0)
+	serve := func(path string) []byte {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("GET %s = %d", path, rec.Code)
+		}
+		return rec.Body.Bytes()
+	}
+	status, job := submit(t, ts, `{"spec": 1, "scale": "small", "traces": 2, "seed": 2015, "stride": 0,
+		"slices_per_vantage": 2, "execution": "distributed"}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status = %d", status)
+	}
+	var workers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for _, id := range []string{"w1", "w2"} {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			if _, err := worker.Run(context.Background(), worker.Config{
+				Client: apiclient.New(ts.URL), ID: id, Batch: 1, Jobs: []string{job.ID}, ExitWhenIdle: true,
+			}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				var view apiclient.Job
+				if err := json.Unmarshal(serve("/v1/jobs/"+job.ID), &view); err != nil {
+					t.Error(err)
+					return
+				}
+				log := checkEventLog(t, serve("/v1/jobs/"+job.ID+"/events"), job.ID)
+				if view.State == apiclient.JobDone || view.State == apiclient.JobFailed {
+					if log.State != view.State {
+						t.Errorf("the job read %s, then its log read %s", view.State, log.State)
+					}
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	workers.Wait()
+	close(stop)
+	readers.Wait()
+	if done := awaitDone(t, ts, job.ID); done.ShardsTotal != 26 {
+		t.Errorf("job has %d shards, want 26", done.ShardsTotal)
 	}
 }
 

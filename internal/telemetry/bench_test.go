@@ -5,19 +5,16 @@ import (
 )
 
 // hotPath is the instrumented write path: one counter add, one gauge
-// set, one histogram observation and one event-ring append per call.
+// set and one histogram observation per call.
 func hotPath() func(i int) {
 	r := NewRegistry()
 	c := r.Counter("repro_bench_total", "bench counter")
 	g := r.Gauge("repro_bench_gauge", "bench gauge")
 	h := r.Histogram("repro_bench_seconds", "bench histogram", DurationBuckets())
-	j := NewEventRing(4096)
-	job := "j-000001"
 	return func(i int) {
 		c.Add(1)
 		g.Set(float64(i))
 		h.Observe(float64(i%1000) * 1e-3)
-		j.Append(EventShardDone, &job, nil, int32(i&7), 0)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package telemetry is the engine's flight-recorder core: an
 // allocation-free metrics substrate (atomic counters, gauges and
-// fixed-bucket histograms behind a registry) plus a lock-free
-// ring buffer of recent events, with snapshot-based exposition in the
-// Prometheus text format.
+// fixed-bucket histograms behind a registry) with snapshot-based
+// exposition in the Prometheus text format. A job's event log is not
+// here: each job keeps its own, under its manager's lock
+// (internal/server).
 //
 // Two constraints shape the design (DESIGN.md §12):
 //
@@ -12,12 +13,12 @@
 //     exposition layer reads. The campaign determinism grid therefore
 //     hashes identically with telemetry attached or absent — the
 //     property internal/campaign's out-of-band test pins.
-//   - Zero allocation on the write path. Counter.Add, Gauge.Set,
-//     Histogram.Observe and EventRing.Append allocate nothing once the
-//     instrument exists (TestTelemetryHotPathAllocFree pins the write
-//     path at 0 allocations), so instrumentation can sit next to the
-//     packet hot path without re-introducing the allocations the pooled
-//     packet path removed.
+//   - Zero allocation on the write path. Counter.Add, Gauge.Set and
+//     Histogram.Observe allocate nothing once the instrument exists
+//     (TestTelemetryHotPathAllocFree pins the write path at 0
+//     allocations), so instrumentation can sit next to the packet hot
+//     path without re-introducing the allocations the pooled packet
+//     path removed.
 //
 // Exposition is snapshot-based: readers call Registry.Snapshot, which
 // loads every atomic once into plain values, and render from the
