@@ -64,6 +64,7 @@ FUZZ_TARGETS = \
 	internal/packet:FuzzWireRoundTrip \
 	internal/packet:FuzzPeekMatchesParseIPv4 \
 	internal/packet:FuzzParseICMPQuotation \
+	internal/netsim:FuzzComputeRoutes \
 	internal/dataset:FuzzAppendTrace \
 	internal/dataset:FuzzTraceUnmarshal \
 	internal/dataset:FuzzTraceScan \
@@ -100,13 +101,19 @@ bench-paper:
 # profile runs paper-direct's campaign once (BenchmarkCampaignPaper:
 # DefaultSpec on 2 workers) with a CPU profile and a rate-1 allocation
 # profile — every allocation sampled — and prints the top of each: CPU
-# time, then allocated bytes (alloc_space), by function. The profiles
-# and the test binary stay in internal/campaign/ for go tool pprof.
+# time, then allocated bytes (alloc_space), by function. Then it
+# compiles the paper world 200 times (BenchmarkWorldBuildPaper/compile,
+# the fixed cost before a campaign's first event) under a CPU profile
+# and prints its top. The profiles and the test binary stay in
+# internal/campaign/ for go tool pprof.
 profile:
 	cd internal/campaign && $(GO) test -run '^$$' -bench '^BenchmarkCampaignPaper$$' -benchtime 1x \
 		-cpuprofile cpu.pprof -memprofile mem.pprof -memprofilerate 1 -o campaign.test .
 	cd internal/campaign && $(GO) tool pprof -top -nodecount 25 campaign.test cpu.pprof
 	cd internal/campaign && $(GO) tool pprof -top -nodecount 25 -sample_index alloc_space campaign.test mem.pprof
+	cd internal/campaign && $(GO) test -run '^$$' -bench '^BenchmarkWorldBuildPaper$$/^compile$$' -benchtime 200x \
+		-cpuprofile compile.pprof -o campaign.test .
+	cd internal/campaign && $(GO) tool pprof -top -nodecount 25 campaign.test compile.pprof
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -49,34 +50,70 @@ func runCampaign(tb testing.TB, cfg Config) {
 	}
 }
 
-// maxCampaignAllocs bounds one run of benchConfig at 4 workers: the
-// least reading through alloctest.Measure (7.8k, on one P) + 5 %. With
+// maxCampaignAllocs bounds one run of benchConfig at 4 workers net of
+// the worlds it instantiates: the least net reading through
+// alloctest.Measure (3.2k, on one P, with 2 worlds or 3) + 5 %. With
 // probes, connections, the HTTP codec and the traceroute sweep
 // allocation-free in steady state (recycled sessions, ICMP quotations
-// read in place, one row slab per sweep), one world per worker reset
-// between shards — the first of them the world compiling built — and
-// one shell pool per world, what is left is 3 world instantiations, not
-// 13, and a shell per connection open at once, not per web server. A
-// closure per probe, a copy per ICMP, garbage per exchange, a world per
-// shard, shells or a map per stack, or a private address index per
-// world fails here long before it shows as wall-clock.
-const maxCampaignAllocs = 8_200
+// read in place, one row slab per sweep) and one world per worker reset
+// between shards, what is left is the compile and a shell per
+// connection open at once, not per web server. A closure per probe, a
+// copy per ICMP or garbage per exchange fails here long before it shows
+// as wall-clock; a world per shard fails TestCampaignAllocs' count, and
+// what a world costs is TestWorldBuildBudget's to hold.
+const maxCampaignAllocs = 3_400
 
-// TestCampaignAllocs holds BenchmarkCampaignWorkers/workers=4 under
-// maxCampaignAllocs a run: the least of three runs after a warm one
-// (alloctest.Measure), since the worker pool's goroutines share the
-// window.
+// TestCampaignAllocs holds BenchmarkCampaignWorkers/workers=4 to at
+// most min(workers, shards) − 1 world instantiations a run — a world
+// per shard fails — and to maxCampaignAllocs a run net of them. How
+// many workers get a shard, and so instantiate a world, depends on
+// scheduling, so the ceiling is held on what is left: the least of
+// three runs, each after a warm one (alloctest.Measure), since the
+// worker pool's goroutines share the window.
 func TestCampaignAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops Puts; the count cannot hold")
 	}
 	cfg := benchConfig(t)
 	cfg.Workers = 4
-	least, _ := alloctest.Measure(3, nil, func() { runCampaign(t, cfg) })
-	n := least.Allocs
-	t.Logf("campaign at 4 workers: %d allocs a run (ceiling %d)", n, maxCampaignAllocs)
-	if n > maxCampaignAllocs {
-		t.Errorf("campaign at 4 workers: %d allocs a run, want ≤ %d", n, maxCampaignAllocs)
+	bp, err := cfg.CompileBlueprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A world costs what an executor's first shard allocates beyond the
+	// same shard on its reset world: the instantiation and what hangs
+	// off a world (its server list, its shell pool).
+	sh := cfg.Shards()[0]
+	var ex *Executor
+	execute := func() {
+		if _, err := ex.Execute(sh.Shard, sh.Slice); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh, _ := alloctest.Measure(1, nil, func() { ex = NewExecutor(cfg, bp); execute() })
+	reset, _ := alloctest.Measure(1, nil, execute)
+	world := fresh.Allocs - reset.Allocs
+	cfg.Metrics = NewMetrics(telemetry.NewRegistry())
+	maxWorlds := uint64(min(cfg.Workers, len(cfg.Shards())) - 1)
+	var worlds uint64 // in the last run
+	run := func() {
+		before := cfg.Metrics.worldsInstantiated.Value()
+		runCampaign(t, cfg)
+		worlds = cfg.Metrics.worldsInstantiated.Value() - before
+	}
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		r, _ := alloctest.Measure(1, nil, run)
+		net := r.Allocs - worlds*world
+		t.Logf("campaign at 4 workers: %d allocs a run, %d worlds instantiated at %d allocs each: %d net (ceiling %d)",
+			r.Allocs, worlds, world, net, maxCampaignAllocs)
+		if worlds > maxWorlds {
+			t.Errorf("campaign at 4 workers instantiated %d worlds, want ≤ %d", worlds, maxWorlds)
+		}
+		least = min(least, net)
+	}
+	if least > maxCampaignAllocs {
+		t.Errorf("campaign at 4 workers: %d allocs a run net of its worlds, want ≤ %d", least, maxCampaignAllocs)
 	}
 }
 

@@ -4,6 +4,6 @@ package netsim
 // delay among the links built on it.
 func LaneCount(s *Sim) int { return len(s.lanes) }
 
-// RoutesMismatch compares n's route table with the per-row reference
-// BFS kept in routes_test.go, naming the first entry that differs.
+// RoutesMismatch compares n's route table with the reference BFSes kept
+// in routes_test.go, naming the first difference.
 func RoutesMismatch(n *Network) error { return routesMismatch(n) }

@@ -16,7 +16,9 @@ type Network struct {
 
 	routers []*Router
 	hosts   []*Host
-	links   []*Link
+	// links holds nil where ReplaceAttachment took a link out until
+	// routes are computed or imported, which close the holes.
+	links []*Link
 	// base is each host's socket surface as MarkBaseline recorded it,
 	// what Reset returns it to; baseUDP holds their UDP bindings.
 	base    []hostBaseline
@@ -164,9 +166,10 @@ func (n *Network) Attach(h *Host, r *Router, delay time.Duration, loss float64) 
 // ReplaceAttachment moves an already-attached host behind a different
 // router (the topology generator uses this to slot a dedicated firewall
 // router in front of selected servers). The old access link is removed,
-// which shifts every later link's index, so routes must be computed
-// again; a network whose routes a RouteTable shares (exported or
-// imported) refuses.
+// which shifts every later link's index, so routes must be computed or
+// imported again, and that is when the shift happens: until then the
+// link leaves a hole, so many rehomings shift the links once. A network
+// whose routes a RouteTable shares (exported or imported) refuses.
 func (n *Network) ReplaceAttachment(h *Host, to *Router, delay time.Duration) (*Link, error) {
 	if h.uplink == nil {
 		return nil, fmt.Errorf("netsim: host %s (%s) not attached", h.label, h.addr)
@@ -174,11 +177,8 @@ func (n *Network) ReplaceAttachment(h *Host, to *Router, delay time.Duration) (*
 	if n.routesShared {
 		return nil, fmt.Errorf("netsim: host %s (%s): ReplaceAttachment on a network sharing its routes", h.label, h.addr)
 	}
-	for i, l := range n.links {
-		if l == h.uplink {
-			n.links = append(n.links[:i], n.links[i+1:]...)
-			break
-		}
+	if i := slices.Index(n.links, h.uplink); i >= 0 {
+		n.links[i] = nil
 	}
 	h.uplink = nil
 	n.routed = false
@@ -268,6 +268,7 @@ func (n *Network) ImportRoutes(rt *RouteTable) error {
 	if rt == nil {
 		return fmt.Errorf("netsim: ImportRoutes with nil table")
 	}
+	n.links = slices.DeleteFunc(n.links, func(l *Link) bool { return l == nil }) // ReplaceAttachment's holes
 	if len(n.routers) != rt.routers || len(n.links) != rt.links {
 		return fmt.Errorf("netsim: route table shape mismatch: network has %d routers / %d links, table %d / %d",
 			len(n.routers), len(n.links), rt.routers, rt.links)

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -58,6 +59,85 @@ func referenceRoutes(n *Network) [][]int32 {
 	return rows
 }
 
+// bfsRoutes is the table ComputeRoutes built before it peeled the
+// graph's trees: one BFS over the whole graph from every router, in
+// link order. The peeled build must equal it byte for byte.
+func bfsRoutes(n *Network) *hopTable {
+	nr := len(n.routers)
+	first := make([]int32, nr+1)
+	for _, l := range n.links {
+		if ra, rb, ok := routerEnds(l); ok {
+			first[ra.id+1]++
+			first[rb.id+1]++
+		}
+	}
+	for r := range nr {
+		first[r+1] += first[r] + 1
+	}
+	to, hops := make([]int32, first[nr]), make([]int32, first[nr])
+	fill := slices.Clone(first[:nr])
+	for li, l := range n.links {
+		if ra, rb, ok := routerEnds(l); ok {
+			to[fill[ra.id]], hops[fill[ra.id]] = int32(rb.id), int32(li)<<1
+			fill[ra.id]++
+			to[fill[rb.id]], hops[fill[rb.id]] = int32(ra.id), int32(li)<<1|1
+			fill[rb.id]++
+		}
+	}
+	for _, end := range first[1:] {
+		hops[end-1] = -1
+	}
+	queue, code := fill[:0], make([]int32, nr)
+	bfs := func(src int) int {
+		for i := range code {
+			code[i] = -1
+		}
+		code[src] = 0
+		queue = append(queue[:0], int32(src))
+		for qi := 0; qi < len(queue); qi++ {
+			cur := queue[qi]
+			for e := first[cur]; e < first[cur+1]-1; e++ {
+				if next := to[e]; code[next] < 0 {
+					code[next] = code[cur]
+					if int(cur) == src {
+						code[next] = e - first[src]
+					}
+					queue = append(queue, next)
+				}
+			}
+		}
+		return len(queue)
+	}
+	unreachable := int32(1)
+	if nr > 0 && bfs(0) == nr {
+		unreachable = 0
+	}
+	t := &hopTable{rows: make([]hopRow, nr), hops: hops}
+	words := 0
+	for r := range t.rows {
+		codes := first[r+1] - first[r] - 1 + unreachable
+		w := bits.Len32(uint32(max(codes-1, 0)))
+		if w > 0 {
+			w = 1 << bits.Len(uint(w-1))
+		}
+		t.rows[r] = hopRow{word: uint32(words), base: uint32(first[r]), width: uint8(w)}
+		words += (nr*w + 63) / 64
+	}
+	t.codes = make([]uint64, words+1)
+	for src, r := range t.rows {
+		bfs(src)
+		w := uint(r.width)
+		for dst, c := range code {
+			if c < 0 {
+				c = first[src+1] - 1 - first[src]
+			}
+			bit := uint(dst) * w
+			t.codes[uint(r.word)+bit/64] |= uint64(c) << (bit % 64)
+		}
+	}
+	return t
+}
+
 // nextHop is n's table's hop from router #src toward router #dst, read
 // through the row src holds, as Router.route reads it.
 func nextHop(n *Network, src, dst int) int32 {
@@ -66,7 +146,8 @@ func nextHop(n *Network, src, dst int) int32 {
 }
 
 // routesMismatch compares n's route table with referenceRoutes for every
-// pair of distinct routers, naming the first difference.
+// pair of distinct routers, naming the first difference, and with
+// bfsRoutes' table byte for byte — codes, rows and hops.
 func routesMismatch(n *Network) error {
 	if len(n.hops.rows) != len(n.routers) {
 		return fmt.Errorf("route table holds %d rows, want one per router, %d", len(n.hops.rows), len(n.routers))
@@ -79,6 +160,19 @@ func routesMismatch(n *Network) error {
 			if got := nextHop(n, src, dst); got != want {
 				return fmt.Errorf("next hop %d → %d = %d, reference BFS %d", src, dst, got, want)
 			}
+		}
+	}
+	want := bfsRoutes(n)
+	for _, c := range []struct {
+		part string
+		same bool
+	}{
+		{"codes", slices.Equal(n.hops.codes, want.codes)},
+		{"rows", slices.Equal(n.hops.rows, want.rows)},
+		{"hops", slices.Equal(n.hops.hops, want.hops)},
+	} {
+		if !c.same {
+			return fmt.Errorf("route table %s differ from the whole-graph BFS's", c.part)
 		}
 	}
 	return nil
@@ -192,4 +286,90 @@ func TestRecomputeLeavesExportedRoutes(t *testing.T) {
 	if err := routesMismatch(n); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// graphFrom builds a network of routers only from data, whose first
+// byte sets the router count (1 to 32) and each later pair of bytes
+// links two of them, in order: a router paired with itself gets a
+// self-loop, a pair repeated a parallel link.
+func graphFrom(data []byte) *Network {
+	n := NewNetwork(NewSim(1))
+	if len(data) == 0 {
+		return n
+	}
+	var rs []*Router
+	for i := range int(data[0])%32 + 1 {
+		rs = append(rs, n.AddRouter(fmt.Sprintf("r%d", i), packet.AddrFrom4(10, 253, 0, byte(i)), 0))
+	}
+	for i := 1; i+1 < len(data); i += 2 {
+		n.Connect(rs[int(data[i])%len(rs)], rs[int(data[i+1])%len(rs)], 0, 0)
+	}
+	return n
+}
+
+// routeShapes are graphs whose trees, chains and parallel links
+// exercise every case of the peeled build, as graphFrom bytes.
+var routeShapes = []struct {
+	name string
+	data []byte
+}{
+	{"lone router", []byte{0}},
+	{"pair", []byte{1, 0, 1}},
+	{"chain", []byte{7, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7}},
+	// A ring of four, a star of three leaves off r0, and a chain of
+	// three off r2 whose middle router holds a chain of two.
+	{"pendant trees", []byte{11, 0, 1, 1, 2, 2, 3, 3, 0, 0, 4, 5, 0, 0, 6, 2, 7, 7, 8, 8, 9, 8, 10, 11, 10}},
+	// r4 hangs off the ring by two parallel links, so it stays in the
+	// core, and holds a chain of two; r7 hangs off r1 by one.
+	{"parallel links", []byte{7, 0, 1, 1, 2, 2, 3, 3, 0, 2, 4, 4, 2, 4, 5, 5, 6, 1, 7}},
+	// A ring with a leaf, and r5 on no link at all.
+	{"isolated router", []byte{5, 0, 1, 1, 2, 2, 3, 3, 0, 3, 4}},
+	// A triangle, and apart from it a tree: r3 holds r4 and r5, r5
+	// holds r6 and r7 — a component that peels away whole.
+	{"tree-only component", []byte{7, 0, 1, 1, 2, 2, 0, 3, 4, 5, 3, 5, 6, 7, 5}},
+	// A pair, a triangle, and a leaf on r5, whose only other link is a
+	// self-loop: it stays in the core.
+	{"self-loop", []byte{6, 0, 1, 2, 3, 3, 4, 4, 2, 5, 5, 6, 5}},
+	// Two components, and r1, a tree router with two links, off r2,
+	// a core router with four: marking r2's component for r1's row
+	// meets codes past r1's unreachable one.
+	{"wide attachment", []byte{7, 0, 0, 1, 2, 2, 3, 3, 0, 2, 4, 4, 2, 6, 5, 5, 6, 1, 7}},
+	// Links made against creation order: a ring of r3 to r6, and a
+	// chain r2–r1–r0 off r6.
+	{"reverse order", []byte{6, 6, 5, 5, 4, 4, 3, 3, 6, 2, 1, 1, 0, 0, 6}},
+}
+
+// TestRoutesMatchReferenceShapes: on every shape the peeled build's
+// table is the whole-graph BFS's, byte for byte.
+func TestRoutesMatchReferenceShapes(t *testing.T) {
+	for _, tc := range routeShapes {
+		n := graphFrom(tc.data)
+		if err := n.ComputeRoutes(); err != nil {
+			t.Fatal(err)
+		}
+		if err := routesMismatch(n); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// FuzzComputeRoutes: on any small graph of routers — trees, cycles,
+// self-loops, parallel links, several components — the peeled build's
+// table is the whole-graph BFS's, byte for byte.
+func FuzzComputeRoutes(f *testing.F) {
+	for _, tc := range routeShapes {
+		f.Add(tc.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 257 {
+			return // 128 links say all a 32-router graph can
+		}
+		n := graphFrom(data)
+		if err := n.ComputeRoutes(); err != nil {
+			t.Fatal(err)
+		}
+		if err := routesMismatch(n); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -3,25 +3,31 @@ package netsim_test
 import (
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/netsim"
 	"repro/internal/topology"
 )
 
-// TestWorldRoutesMatchReference: on both world scales, the flat route
-// table ComputeRoutes builds while compiling equals the per-row
-// reference BFS entry for entry.
+// TestWorldRoutesMatchReference: on both world scales of every
+// scenario, the route table ComputeRoutes builds while compiling equals
+// the whole-graph BFS's byte for byte.
 func TestWorldRoutesMatchReference(t *testing.T) {
-	for _, tc := range []struct {
+	for _, scale := range []struct {
 		name string
-		cfg  topology.Config
-	}{{"small", topology.SmallConfig()}, {"paper", topology.DefaultConfig()}} {
-		bp, err := topology.Compile(tc.cfg, 2015)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := bp.TakeSpare(2015)
-		if err := netsim.RoutesMismatch(w.Net); err != nil {
-			t.Errorf("%s world: %v", tc.name, err)
+		cfg  func() topology.Config
+	}{{"small", topology.SmallConfig}, {"paper", topology.DefaultConfig}} {
+		for _, scenario := range campaign.Scenarios() {
+			cfg := scale.cfg()
+			if err := campaign.ApplyScenario(&cfg, scenario); err != nil {
+				t.Fatal(err)
+			}
+			bp, err := topology.Compile(cfg, 2015)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := netsim.RoutesMismatch(bp.TakeSpare(2015).Net); err != nil {
+				t.Errorf("%s %s world: %v", scale.name, scenario, err)
+			}
 		}
 	}
 }

@@ -446,7 +446,7 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view apiclient.Job, created bool, e
 
 	if j, ok := m.active[key]; ok {
 		m.met.jobsJoined.Inc()
-		m.logLocked(j, apiclient.EventJoined, nil, "")
+		j.log(m.now(), apiclient.EventJoined, nil, "")
 		return j.view(), false, nil
 	}
 	if m.store.Has(key) {
@@ -454,7 +454,7 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view apiclient.Job, created bool, e
 		j := m.newJobLocked("", key, norm, plan)
 		j.cached = true
 		j.finish(m.now())
-		m.logLocked(j, apiclient.EventCacheHit, nil, "")
+		j.log(m.now(), apiclient.EventCacheHit, nil, "")
 		return j.view(), false, nil
 	}
 	m.met.storeMisses.Inc()
@@ -493,7 +493,7 @@ func (m *jobMgr) Submit(spec campaign.Spec) (view apiclient.Job, created bool, e
 		}
 	}
 	m.active[key] = j
-	m.logLocked(j, apiclient.EventQueued, nil, "")
+	j.log(m.now(), apiclient.EventQueued, nil, "")
 	if distributed {
 		// Running the moment it exists — workers look for running jobs.
 		m.openShards += len(j.shards)
@@ -537,10 +537,10 @@ func (m *jobMgr) newJobLocked(id, key string, spec campaign.Spec, plan []campaig
 	return j
 }
 
-// logLocked appends one event to j's log at the manager's clock: a
-// job-level event (sh nil) or shard sh's. Callers hold m.mu.
-func (m *jobMgr) logLocked(j *job, kind string, sh *apiclient.Shard, detail string) {
-	ev := apiclient.JobEvent{Seq: len(j.events), Time: m.now(), Kind: kind, Job: j.id,
+// log appends one event to j's log: a job-level event (sh nil) or shard
+// sh's. Callers hold mgr.mu.
+func (j *job) log(at time.Time, kind string, sh *apiclient.Shard, detail string) {
+	ev := apiclient.JobEvent{Seq: len(j.events), Time: at, Kind: kind, Job: j.id,
 		Shard: -1, Slice: -1, Detail: detail}
 	if sh != nil {
 		ev.Shard, ev.Slice = sh.Shard, sh.Slice
@@ -553,7 +553,7 @@ func (m *jobMgr) startLocked(j *job) {
 	j.start(m.now())
 	m.met.jobsStarted.Inc()
 	m.met.jobsRunning.Add(1)
-	m.logLocked(j, apiclient.EventRunning, nil, "")
+	j.log(m.now(), apiclient.EventRunning, nil, "")
 	m.logger.Info("job start", "job", j.id, "key", j.key[:12], "execution", j.spec.Execution)
 }
 
@@ -628,7 +628,7 @@ func (m *jobMgr) failJob(j *job, err error) {
 		j.wal.close()
 		j.wal = nil
 	}
-	m.logLocked(j, apiclient.EventFailed, nil, j.err)
+	j.log(m.now(), apiclient.EventFailed, nil, j.err)
 	m.mu.Unlock()
 	m.met.jobsFailed.Inc()
 	m.met.jobsRunning.Add(-1)

@@ -263,6 +263,69 @@ func TestRecoveryResumesPartialJob(t *testing.T) {
 	}
 }
 
+// TestRecoveryReplaysEventLog: a coordinator that dies after some
+// shards land comes back with the job's whole event log — queued,
+// running, every lease grant, expiry and accepted shard, each at the
+// time its record was journaled, exactly as the log read before the
+// crash — and then the restart's running, seq counting on without a
+// gap.
+func TestRecoveryReplaysEventLog(t *testing.T) {
+	dir := t.TempDir()
+	fc := newFakeClock()
+	ctx := context.Background()
+	srv1, ts1, c1 := startCrashServer(t, dir, fc)
+	job, _, err := c1.SubmitRaw(ctx, []byte(distSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	claim, err := c1.Claim(ctx, job.ID, "wA", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wires := execWires(t, distSpec, claim.SpecHash)
+	push := func(worker string, sh apiclient.ClaimedShard) {
+		fc.Advance(time.Second)
+		if ack, err := c1.PushShardResult(ctx, job.ID, sh.Index, worker, sh.Lease, wires[sh.Index]); err != nil || ack.Status != apiclient.ResultAccepted {
+			t.Fatalf("upload shard %d = %+v, %v", sh.Index, ack, err)
+		}
+	}
+	for _, sh := range claim.Shards[:3] {
+		push("wA", sh)
+	}
+	// wA's other leases lapse; wB's claim evicts them and takes two.
+	fc.Advance(31 * time.Second)
+	reclaim, err := c1.Claim(ctx, job.ID, "wB", 2)
+	if err != nil || len(reclaim.Shards) != 2 {
+		t.Fatalf("wB's claim = %+v, %v; want 2 shards", reclaim, err)
+	}
+	push("wB", reclaim.Shards[0])
+	before := server.JobEventLog(t, srv1, job.ID)
+	crash(ts1, srv1)
+
+	counts := map[string]int{}
+	for _, ev := range before.Events {
+		counts[ev.Kind]++
+	}
+	n := len(claim.Shards)
+	if counts[apiclient.EventShardLeased] != n+2 || counts[apiclient.EventShardDone] != 4 || counts[apiclient.EventLeaseExpired] != n-3 {
+		t.Fatalf("log before the crash counts %v; want %d leased, 4 done, %d expired", counts, n+2, n-3)
+	}
+	srv2, _, _ := startCrashServer(t, dir, fc)
+	after := server.JobEventLog(t, srv2, job.ID)
+	if len(after.Events) != len(before.Events)+1 {
+		t.Fatalf("recovered log holds %d events, want the %d before the crash and the restart", len(after.Events), len(before.Events))
+	}
+	for i, want := range before.Events {
+		if got := after.Events[i]; got.Kind != want.Kind || got.Shard != want.Shard || got.Slice != want.Slice ||
+			got.Detail != want.Detail || !got.Time.Equal(want.Time) {
+			t.Errorf("recovered event %d = %+v, want %+v", i, got, want)
+		}
+	}
+	if last := after.Events[len(before.Events)]; last.Kind != apiclient.EventRunning || !last.Time.Equal(fc.Now()) {
+		t.Errorf("recovered log ends %+v, want the restart's running at %v", last, fc.Now())
+	}
+}
+
 // TestRecoveryMergesReplayedBodies: a coordinator that dies holding k
 // of a job's 13 uploads as the bytes it journaled comes back holding the
 // journal's copies of them instead, takes the rest under the leases it

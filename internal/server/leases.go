@@ -109,16 +109,24 @@ func (j *job) nextPending(from int) int {
 	return -1
 }
 
-// apply makes the transition a lease or result record describes; res
-// is what a result record's shard keeps for the merge. It checks
-// nothing — whether the transition is due is the caller's business.
+// apply makes the transition a lease or result record describes, and
+// logs it at the record's time; res is what a result record's shard
+// keeps for the merge. It checks nothing — whether the transition is
+// due is the caller's business.
 func (j *job) apply(rec walRecord, res *heldResult) {
 	sh, l := &j.shards[rec.Idx], &j.leases[rec.Idx]
 	if rec.Seq > l.seq {
 		l.seq = rec.Seq
 	}
+	switch rec.Event {
+	case walGrant, walSpecGrant:
+		j.log(rec.Time, apiclient.EventShardLeased, sh, rec.Worker)
+	case walExpire:
+		j.log(rec.Time, apiclient.EventLeaseExpired, sh, l.worker)
+	}
 	switch {
 	case rec.Type == walResult:
+		j.log(rec.Time, apiclient.EventShardDone, sh, rec.Worker)
 		// The lease tokens stay: the loser of a speculation race must
 		// still ack "duplicate".
 		servers := j.internServers(res.Servers)
@@ -216,9 +224,6 @@ func (m *jobMgr) expireLocked(j *job, i int, event string) {
 	_ = m.walAppend(j, rec)
 	j.apply(rec, nil)
 	m.met.leaseExpiries.Inc()
-	if event == walExpire {
-		m.logLocked(j, apiclient.EventLeaseExpired, sh, lapsed)
-	}
 	m.logger.Info("lease expired", "job", j.id, "shard", i, "event", event,
 		"worker", lapsed, "state", sh.State, "holder", sh.Worker)
 }
@@ -278,7 +283,6 @@ func (m *jobMgr) grantLocked(j *job, i int, worker string, now time.Time, batch 
 	}
 	j.apply(rec, nil)
 	m.met.leaseGrants.Inc()
-	m.logLocked(j, apiclient.EventShardLeased, sh, worker)
 	return apiclient.ClaimedShard{Index: i, ShardInfo: sh.ShardInfo, Lease: rec.Token, ExpiresAt: rec.Expires, Speculative: twin}
 }
 
@@ -530,7 +534,6 @@ func (m *jobMgr) shardResultLocked(j *job, idx int, worker, token string, res *h
 	}
 	m.met.resultsAccepted.Inc()
 	m.met.workerShardSeconds(worker).Observe(res.Stats.Elapsed.Seconds())
-	m.logLocked(j, apiclient.EventShardDone, sh, worker)
 	resp.Status = apiclient.ResultAccepted
 	resp.ShardsDone = j.shardsDone
 	resp.State = j.state
@@ -581,7 +584,7 @@ func (m *jobMgr) finalize(j *job) {
 			m.logger.Error("journal remove", "job", j.id, "error", err)
 		}
 	}
-	m.logLocked(j, apiclient.EventDone, nil, "")
+	j.log(m.now(), apiclient.EventDone, nil, "")
 	m.mu.Unlock()
 	m.met.jobsDone.Inc()
 	m.met.jobsRunning.Add(-1)

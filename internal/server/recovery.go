@@ -119,6 +119,10 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 	j = m.newJobLocked(id, key, spec, plan)
 	j.start(m.now())
 	if cause == nil {
+		// The log replays too, each event at its journaled time.
+		at := rep.records[0].Time
+		j.log(at, apiclient.EventQueued, nil, "")
+		j.log(at, apiclient.EventRunning, nil, "")
 		cause = m.replayLocked(j, rep.records[1:])
 	}
 	if cause == nil {
@@ -143,7 +147,7 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 		j.err = cause.Error()
 		j.finished = m.now()
 		m.met.recoveryFailed.Inc()
-		m.logLocked(j, apiclient.EventFailed, nil, j.err)
+		j.log(m.now(), apiclient.EventFailed, nil, j.err)
 		m.logger.Error("journal replay failed", "job", id, "error", cause)
 		return j, false, nil
 
@@ -151,7 +155,7 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 		// The run is filed — the crash hit between the store's atomic
 		// rename and journal removal. Nothing left to do but tidy.
 		j.finish(m.now())
-		m.logLocked(j, apiclient.EventDone, nil, "")
+		j.log(m.now(), apiclient.EventDone, nil, "")
 		_ = m.wal.remove(id)
 		m.met.recoveryDone.Inc()
 		return j, false, nil
@@ -161,7 +165,7 @@ func (m *jobMgr) recoverJob(id string) (j *job, complete bool, err error) {
 	// and keeps journaling into its reopened file.
 	m.active[j.key] = j
 	m.met.jobsRunning.Add(1)
-	m.logLocked(j, apiclient.EventRunning, nil, "")
+	j.log(m.now(), apiclient.EventRunning, nil, "")
 
 	if j.shardsDone == len(j.shards) {
 		// Every shard landed pre-crash; only the merge is missing.
