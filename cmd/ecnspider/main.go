@@ -13,10 +13,10 @@
 //
 //	ecnspider [-seed N] [-scale paper|small] [-scenario name] [-traces N] [-workers N] [-slices N] [-discover] [-o dataset.jsonl]
 //
-// Campaign knobs come from the campaign flag surface
-// (campaign.BindSpecFlags): a flag the command line sets overrides the
-// tool defaults (small scale, 2 traces per vantage; -scale paper
-// without -traces runs the paper's 210-trace plan). -scenario selects
+// The campaign flags bind straight onto the tool's base campaign.Spec
+// (small scale, 2 traces per vantage, no traceroute sweep): a flag the
+// command line sets overrides it, and -scale paper without -traces
+// runs the paper's 210-trace plan. -scenario selects
 // the congestion scenario (uncongested, the default; congested-edge;
 // congested-transit) — congested runs append a CE-mark report to
 // stderr. -slices N lifts campaign parallelism past the 13 vantage
@@ -30,6 +30,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"repro/internal/analysis"
@@ -63,7 +64,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	s, err := resolveSpec(spec)
+	s, err := resolveSpec(flag.CommandLine, spec)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -170,26 +171,38 @@ func main() {
 // stopProfile flushes an active CPU profile before a fatal exit.
 var stopProfile func()
 
-// bindSpec registers the campaign flags over ecnspider's defaults: the
-// small world, 2 traces per vantage and no traceroute sweep (ecnspider
-// reproduces the dataset).
-func bindSpec(fs *flag.FlagSet) *campaign.SpecFlags {
-	base := campaign.DefaultSpec()
-	base.Scale = "small"
-	base.Traces = 2
-	base.Stride = 0
-	return campaign.BindSpecFlags(fs, base)
+// bindSpec registers the campaign flags straight onto ecnspider's base
+// spec — the small world, 2 traces per vantage and no traceroute sweep
+// (ecnspider reproduces the dataset) — so each flag's default is the
+// base value. Call resolveSpec after fs.Parse.
+func bindSpec(fs *flag.FlagSet) *campaign.Spec {
+	s := campaign.DefaultSpec()
+	s.Scale = "small"
+	s.Traces = 2
+	s.Stride = 0
+	fs.Int64Var(&s.Seed, "seed", s.Seed, "campaign seed (same seed → identical dataset)")
+	fs.StringVar(&s.Scale, "scale", s.Scale, "world scale: paper (2500 servers) or small (120)")
+	fs.StringVar(&s.Scenario, "scenario", s.Scenario,
+		"congestion scenario: "+strings.Join(campaign.Scenarios(), ", "))
+	fs.IntVar(&s.Traces, "traces", s.Traces, "traces per vantage; 0 = the paper 210-trace plan")
+	fs.IntVar(&s.Stride, "stride", s.Stride, "traceroute sampling: every Nth server, 0 disables")
+	fs.BoolVar(&s.Discover, "discover", s.Discover, "enumerate servers via pool DNS before probing")
+	fs.IntVar(&s.Workers, "workers", s.Workers, "parallel shard workers, 0 = GOMAXPROCS")
+	fs.IntVar(&s.SlicesPerVantage, "slices", s.SlicesPerVantage, "sub-vantage slices per vantage")
+	return &s
 }
 
-// resolveSpec resolves the parsed flags. The 2-traces default belongs
-// to the small world: at paper scale an untouched -traces means the
-// paper's full 210-trace plan.
-func resolveSpec(spec *campaign.SpecFlags) (campaign.Spec, error) {
-	s, err := spec.Resolve()
-	if err == nil && !spec.Set("traces") && s.Scale == "paper" {
+// resolveSpec validates the spec fs was parsed onto. The 2-traces
+// default belongs to the small world: at paper scale an untouched
+// -traces means the paper's full 210-trace plan.
+func resolveSpec(fs *flag.FlagSet, spec *campaign.Spec) (campaign.Spec, error) {
+	s := *spec
+	tracesSet := false
+	fs.Visit(func(f *flag.Flag) { tracesSet = tracesSet || f.Name == "traces" })
+	if !tracesSet && s.Scale == "paper" {
 		s.Traces = 0
 	}
-	return s, err
+	return s, s.Validate()
 }
 
 func fatal(format string, args ...any) {

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -95,7 +96,7 @@ func TestPaperScaleMeansPaperPlan(t *testing.T) {
 		if err := fs.Parse(row.args); err != nil {
 			t.Fatal(err)
 		}
-		s, err := resolveSpec(spec)
+		s, err := resolveSpec(fs, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,6 +110,126 @@ func TestPaperScaleMeansPaperPlan(t *testing.T) {
 		}
 		if total != row.traces {
 			t.Errorf("ecnspider %s plans %d traces, want %d", strings.Join(row.args, " "), total, row.traces)
+		}
+	}
+}
+
+// parseSpec parses args onto a fresh ecnspider flag set and resolves
+// the campaign spec.
+func parseSpec(args ...string) (campaign.Spec, error) {
+	fs := flag.NewFlagSet("ecnspider", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	spec := bindSpec(fs)
+	if err := fs.Parse(args); err != nil {
+		return campaign.Spec{}, err
+	}
+	return resolveSpec(fs, spec)
+}
+
+// TestSpecFlagsPrecedence is table-driven over the campaign flags: a
+// flag the command line sets overrides ecnspider's base spec — even when
+// it repeats the base value — a flag it leaves alone does not, and a
+// bad value is refused by the flag parser or by spec validation.
+func TestSpecFlagsPrecedence(t *testing.T) {
+	cases := []struct {
+		name    string
+		args    []string
+		wantErr string // substring; empty = success
+		check   func(s campaign.Spec) bool
+	}{
+		{name: "base defaults stand", check: func(s campaign.Spec) bool {
+			return s.Scale == "small" && s.Traces == 2 && s.Seed == 2015 &&
+				s.Scenario == campaign.ScenarioUncongested && s.Stride == 0 &&
+				s.Workers == 0 && s.SlicesPerVantage == 1 && !s.Discover
+		}},
+		{name: "flags override base",
+			args: []string{"-scenario", "congested-transit", "-traces", "7", "-stride", "3",
+				"-slices", "2", "-workers", "9", "-seed", "-1", "-discover"},
+			check: func(s campaign.Spec) bool {
+				return s.Scenario == campaign.ScenarioCongestedTransit && s.Traces == 7 && s.Stride == 3 &&
+					s.SlicesPerVantage == 2 && s.Workers == 9 && s.Seed == -1 && s.Discover
+			}},
+		{name: "flag repeating the base value still counts as set",
+			args:  []string{"-scale", "paper", "-traces", "2"},
+			check: func(s campaign.Spec) bool { return s.Scale == "paper" && s.Traces == 2 }},
+		{name: "list value rejected by single-valued tool", args: []string{"-workers", "1,4,13"}, wantErr: "invalid value"},
+		{name: "bad flag scenario caught by validation", args: []string{"-scenario", "congested"}, wantErr: "scenario"},
+		{name: "bad flag scale caught by validation", args: []string{"-scale", "medium"}, wantErr: "scale"},
+		{name: "negative flag traces caught by validation", args: []string{"-traces", "-2"}, wantErr: "traces"},
+		{name: "negative flag stride caught by validation", args: []string{"-stride", "-1"}, wantErr: "stride"},
+		{name: "negative flag workers rejected", args: []string{"-workers", "-2"}, wantErr: "workers"},
+		{name: "garbage flag workers rejected", args: []string{"-workers", "all"}, wantErr: "workers"},
+		{name: "negative flag slices rejected", args: []string{"-slices", "-1"}, wantErr: "slices"},
+		{name: "garbage flag slices rejected", args: []string{"-slices", "many"}, wantErr: "slices"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := parseSpec(tc.args...)
+			switch {
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("ecnspider %s: err %v, want one mentioning %q", strings.Join(tc.args, " "), err, tc.wantErr)
+			case tc.wantErr == "" && err != nil:
+				t.Fatal(err)
+			case tc.wantErr == "" && !tc.check(s):
+				t.Fatalf("ecnspider %s: spec %+v", strings.Join(tc.args, " "), s)
+			}
+		})
+	}
+}
+
+// TestFromEnv resolves ecnspider's campaign with every former REPRO_*
+// campaign variable set to a value that would change or break it: the
+// command line over the base spec is the whole configuration, so the
+// defaults arrive untouched and a bad flag is refused whatever the
+// environment holds.
+func TestFromEnv(t *testing.T) {
+	stale := map[string]string{"REPRO_SCALE": "paper", "REPRO_SCENARIO": "congested-edge",
+		"REPRO_TRACES": "4", "REPRO_STRIDE": "5", "REPRO_SEED": "-99",
+		"REPRO_WORKERS": "3", "REPRO_SLICES": "4"}
+	cases := []struct {
+		name    string
+		args    []string
+		wantErr string // substring of the error; empty = success expected
+	}{
+		{name: "defaults"},
+		{name: "bad scenario", args: []string{"-scenario", "congested"}, wantErr: "scenario"},
+		{name: "workers negative", args: []string{"-workers", "-4"}, wantErr: "workers"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for k, v := range stale {
+				t.Setenv(k, v)
+			}
+			s, err := parseSpec(tc.args...)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err %v, want one mentioning %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := s.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Scale != "small" || cfg.Scenario != campaign.ScenarioUncongested || cfg.Traces != 2 ||
+				cfg.Stride != 0 || cfg.Seed != 2015 || cfg.Workers != 0 || cfg.SlicesPerVantage != 1 {
+				t.Fatalf("defaults under a stale environment = %+v", cfg)
+			}
+		})
+	}
+}
+
+// TestNoRetiredSpecFlags: the reference scheduler and cross-traffic
+// drive have no flag.
+func TestNoRetiredSpecFlags(t *testing.T) {
+	fs := flag.NewFlagSet("ecnspider", flag.ContinueOnError)
+	bindSpec(fs)
+	for _, name := range []string{"sched", "xtraffic"} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("flag -%s is registered", name)
 		}
 	}
 }

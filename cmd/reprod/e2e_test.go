@@ -221,9 +221,7 @@ func e2eDistributed(t *testing.T, ctx context.Context, want string) {
 	if acks, err := w1.Upload(ctx, 1); err != nil || acks[0].Status != apiclient.ResultAccepted {
 		t.Fatalf("w1 upload = %+v, %v; want accepted", acks, err)
 	}
-	var health struct {
-		JobsRunning int `json:"jobs_running"`
-	}
+	var health apiclient.Health
 	c.getJSON(t, ctx, "/v1/healthz", &health)
 	if health.JobsRunning < 1 {
 		t.Fatalf("healthz jobs_running = %d with a distributed job open", health.JobsRunning)
@@ -231,7 +229,7 @@ func e2eDistributed(t *testing.T, ctx context.Context, want string) {
 
 	// w1 is gone; its three other leases lapse on the coordinator clock.
 	time.Sleep(time.Until(w1.Shards[3].ExpiresAt) + 100*time.Millisecond)
-	w2 := reprod(t, "", "worker", "-coordinator", c.url, "-id", "w2", "-batch", "4", "-exit-when-idle")
+	w2 := reprod(t, "", "worker", "-coordinator", c.url, "-id", "w2", "-exit-when-idle")
 	if code := w2.wait(t); code != 0 {
 		t.Fatalf("worker w2 exited %d", code)
 	}
@@ -285,8 +283,7 @@ func e2eCrash(t *testing.T, ctx context.Context, want string) {
 
 	var workers []*proc
 	for _, id := range []string{"w1", "w2"} {
-		workers = append(workers, reprod(t, "", "worker", "-coordinator", c1.url, "-id", id,
-			"-batch", "2", "-poll", "100ms", "-retry-max", "40", "-retry-base", "100ms", "-retry-cap", "1s"))
+		workers = append(workers, reprod(t, "", "worker", "-coordinator", c1.url, "-id", id, "-poll", "100ms"))
 	}
 	if code := c1.wait(t); code != 137 {
 		t.Fatalf("doomed coordinator exited %d, want 137", code)
@@ -349,7 +346,7 @@ func e2eChaos(t *testing.T, ctx context.Context, want string) {
 
 	var workers []*proc
 	for _, id := range []string{"w1", "w2"} {
-		workers = append(workers, reprod(t, "", "worker", "-coordinator", front.URL, "-id", id, "-batch", "4", "-poll", "100ms"))
+		workers = append(workers, reprod(t, "", "worker", "-coordinator", front.URL, "-id", id, "-poll", "100ms"))
 	}
 	if code := run.wait(t); code != 0 {
 		t.Fatalf("reprod run exited %d", code)

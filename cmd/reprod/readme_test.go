@@ -93,6 +93,21 @@ func readmeFlags(snippets []readmeSnippet) map[string][]string {
 	return flags
 }
 
+// usageFlags returns the flags reprod sub -h lists.
+func usageFlags(t *testing.T, sub string) map[string]bool {
+	t.Helper()
+	p := reprod(t, "", sub, "-h")
+	p.wait(t)
+	flags := make(map[string]bool)
+	for _, m := range usageFlagRE.FindAllStringSubmatch(p.stderr.String(), -1) {
+		flags[m[1]] = true
+	}
+	if len(flags) == 0 {
+		t.Fatalf("reprod %s -h lists no flags:\n%s", sub, p.stderr.String())
+	}
+	return flags
+}
+
 // TestREADMENamesLiveSurface: every flag README.md shows for a reprod
 // subcommand appears in that subcommand's -h output (a bare flag in the
 // service walkthrough in reprod serve's or reprod worker's), and every
@@ -104,15 +119,7 @@ func TestREADMENamesLiveSurface(t *testing.T) {
 	t.Run("flags", func(t *testing.T) {
 		usage := make(map[string]map[string]bool)
 		for _, sub := range []string{"serve", "worker", "run"} {
-			p := reprod(t, "", sub, "-h")
-			p.wait(t)
-			usage[sub] = make(map[string]bool)
-			for _, m := range usageFlagRE.FindAllStringSubmatch(p.stderr.String(), -1) {
-				usage[sub][m[1]] = true
-			}
-			if len(usage[sub]) == 0 {
-				t.Fatalf("reprod %s -h lists no flags:\n%s", sub, p.stderr.String())
-			}
+			usage[sub] = usageFlags(t, sub)
 		}
 		shown := readmeFlags(snippets)
 		if len(shown["serve"]) == 0 || len(shown[""]) == 0 {

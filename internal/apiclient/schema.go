@@ -149,6 +149,30 @@ type Report struct {
 	Congestion *analysis.CEMarkReport `json:"congestion,omitempty"`
 }
 
+// Health is GET /v1/healthz's body: a readiness probe rather than a
+// bare liveness ping. Status is "ok" (200) when the store is writable
+// and the job queue has headroom, "degraded" (503) otherwise — so a
+// load balancer can drain a node whose disk went read-only or whose
+// queue is saturated before submissions start failing — and "draining"
+// (503, Draining set) while the coordinator shuts down.
+type Health struct {
+	Status        string  `json:"status"`
+	Draining      bool    `json:"draining,omitempty"`
+	Version       string  `json:"version,omitempty"`
+	GoVersion     string  `json:"go_version,omitempty"`
+	VCSRevision   string  `json:"vcs_revision,omitempty"`
+	VCSTime       string  `json:"vcs_time,omitempty"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+
+	StoreDir      string `json:"store_dir"`
+	StoreWritable bool   `json:"store_writable"`
+	CachedRuns    int    `json:"cached_runs"`
+
+	QueueDepth  int `json:"queue_depth"`
+	QueueCap    int `json:"queue_cap"`
+	JobsRunning int `json:"jobs_running"`
+}
+
 // ClaimRequest is POST /v1/jobs/{id}/shards/claim's body.
 type ClaimRequest struct {
 	// Worker identifies the claiming worker; it labels leases, job

@@ -266,16 +266,16 @@ var worldBuildBudget = []struct {
 	compileMB, instantiateMB, retainedMB float64
 	compileAllocs, instantiateAllocs     uint64
 }{
-	// Readings: 1.982 MB and 29 009 allocs; 1.639 MB and 27 469 allocs;
+	// Readings: 1.962 MB and 29 005 allocs; 1.639 MB and 27 469 allocs;
 	// 1.619 MB retained.
 	{scenario: ScenarioUncongested,
-		compileMB: 2.08, compileAllocs: 30_480,
+		compileMB: 2.06, compileAllocs: 30_480,
 		instantiateMB: 1.68, instantiateAllocs: 28_870,
 		retainedMB: 1.66},
-	// Readings: 2.237 MB and 29 520 allocs; 1.894 MB and 27 984 allocs;
+	// Readings: 2.217 MB and 29 520 allocs; 1.894 MB and 27 984 allocs;
 	// 1.873 MB retained.
 	{scenario: ScenarioCongestedTransit,
-		compileMB: 2.35, compileAllocs: 31_020,
+		compileMB: 2.33, compileAllocs: 31_020,
 		instantiateMB: 1.94, instantiateAllocs: 29_410,
 		retainedMB: 1.92},
 }

@@ -3,7 +3,6 @@ package campaign
 import (
 	"encoding/json"
 	"errors"
-	"flag"
 	"reflect"
 	"slices"
 	"strings"
@@ -283,8 +282,8 @@ func TestConfigShards(t *testing.T) {
 // TestSpecSurfaceIsTheExperiment pins the public spec surface: the
 // canonical default spec is exactly README's, and the differential
 // oracles (heap scheduler, event-per-boundary cross-traffic) are not
-// among them — not as JSON fields, not as flags. Only tests reach
-// them, through topology.Blueprint.WithSims.
+// among them as JSON fields (ecnspider's TestNoRetiredSpecFlags holds
+// the flags). Only tests reach them, through topology.Blueprint.WithSims.
 func TestSpecSurfaceIsTheExperiment(t *testing.T) {
 	b, err := DefaultSpec().Canonical()
 	if err != nil {
@@ -305,13 +304,6 @@ func TestSpecSurfaceIsTheExperiment(t *testing.T) {
 		}
 	}
 
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	BindSpecFlags(fs, DefaultSpec())
-	for _, name := range []string{"sched", "xtraffic"} {
-		if fs.Lookup(name) != nil {
-			t.Errorf("flag -%s is registered", name)
-		}
-	}
 }
 
 // TestSpecValidateBounds: per-vantage trace and slice counts are

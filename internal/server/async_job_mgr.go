@@ -639,10 +639,6 @@ func (m *jobMgr) failJob(j *job, err error) {
 // store: the run report from res (MergeHeaders of the shards' headers),
 // the dataset from the held results. Returns the dataset size.
 func (m *jobMgr) fileRun(j *job, res *campaign.Result, wall time.Duration) (int64, error) {
-	specBytes, err := j.spec.Canonical()
-	if err != nil {
-		return 0, err
-	}
 	meta := apiclient.Report{
 		Key:                j.key,
 		Spec:               j.spec,
@@ -661,7 +657,7 @@ func (m *jobMgr) fileRun(j *job, res *campaign.Result, wall time.Duration) (int6
 	}
 	// The dataset streams a chunk of trace lines at a time into the
 	// store's temp file; Put hashes and sizes it on the way through.
-	n, err := m.store.Put(j.key, specBytes, meta, func(w io.Writer) error {
+	n, err := m.store.Put(j.key, meta, func(w io.Writer) error {
 		return m.writeDataset(w, j.results)
 	})
 	if err != nil {

@@ -6,30 +6,9 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"time"
+
+	"repro/internal/apiclient"
 )
-
-// healthResponse is GET /v1/healthz's body: a readiness probe rather
-// than a bare liveness ping. Status is "ok" (200) when the store is
-// writable and the job queue has headroom, "degraded" (503) otherwise —
-// so a load balancer can drain a node whose disk went read-only or
-// whose queue is saturated before submissions start failing.
-type healthResponse struct {
-	Status        string  `json:"status"`
-	Draining      bool    `json:"draining,omitempty"`
-	Version       string  `json:"version,omitempty"`
-	GoVersion     string  `json:"go_version,omitempty"`
-	VCSRevision   string  `json:"vcs_revision,omitempty"`
-	VCSTime       string  `json:"vcs_time,omitempty"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
-
-	StoreDir      string `json:"store_dir"`
-	StoreWritable bool   `json:"store_writable"`
-	CachedRuns    int    `json:"cached_runs"`
-
-	QueueDepth  int `json:"queue_depth"`
-	QueueCap    int `json:"queue_cap"`
-	JobsRunning int `json:"jobs_running"`
-}
 
 // buildVersion reads the binary's module version and VCS stamp; all
 // fields degrade to empty outside a module build (e.g. plain go test).
@@ -65,7 +44,7 @@ func storeWritable(dir string) bool {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	version, goVersion, vcsRev, vcsTime := buildVersion()
 	queued, draining := s.mgr.Health()
-	resp := healthResponse{
+	resp := apiclient.Health{
 		Status:        "ok",
 		Version:       version,
 		GoVersion:     goVersion,

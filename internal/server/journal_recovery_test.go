@@ -1445,9 +1445,11 @@ func TestDrainRejectsNewWorkAcceptsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var health apiclient.Health
+	err = json.NewDecoder(resp.Body).Decode(&health)
 	resp.Body.Close()
-	if resp.StatusCode != 503 {
-		t.Fatalf("healthz during drain = %d, want 503", resp.StatusCode)
+	if err != nil || resp.StatusCode != 503 || health.Status != "draining" || !health.Draining {
+		t.Fatalf("healthz during drain = %d %+v, %v; want 503 draining", resp.StatusCode, health, err)
 	}
 
 	srv.Close()

@@ -18,11 +18,13 @@ import (
 // Store is the control plane's disk-backed, content-addressed result
 // store. A completed campaign is filed under its spec's cache key (hex
 // SHA-256 of the canonical spec with execution-shape knobs stripped —
-// campaign.Spec.CacheKey) as a directory of three artifacts:
+// campaign.Spec.CacheKey) as a directory of two artifacts:
 //
-//	<data dir>/<key[:2]>/<key>/spec.json     canonical submitted spec
-//	<data dir>/<key[:2]>/<key>/meta.json     apiclient.Report: determinism hash, counters, CE report
+//	<data dir>/<key[:2]>/<key>/meta.json     apiclient.Report: the spec, determinism hash, counters, CE report
 //	<data dir>/<key[:2]>/<key>/dataset.jsonl merged dataset, canonical JSON lines
+//
+// Entries filed by older builds also hold a spec.json, which nothing
+// reads.
 //
 // Writes are atomic and durable: artifacts land in a temp directory,
 // fsynced, that is renamed into place, and the rename is fsynced too, so
@@ -39,7 +41,6 @@ type Store struct {
 }
 
 const (
-	specFile      = "spec.json"
 	metaFile      = "meta.json"
 	datasetFile   = "dataset.jsonl"
 	quarantineDir = "quarantine"
@@ -154,7 +155,7 @@ func (st *Store) Len() int {
 	return len(st.keys)
 }
 
-// Put files a completed run under key, atomically: the three artifacts
+// Put files a completed run under key, atomically: the two artifacts
 // are written to a temp directory which is renamed into place. If the
 // key is already present (a concurrent writer won), the new copy is
 // discarded — content addressing guarantees the bytes are equivalent.
@@ -164,7 +165,7 @@ func (st *Store) Len() int {
 // dataset in memory, and Put — the only party that sees the bytes that
 // actually land — fills meta.DatasetSHA256 and meta.DatasetBytes from
 // them. It returns the dataset's size.
-func (st *Store) Put(key string, spec []byte, meta apiclient.Report, writeDataset func(io.Writer) error) (int64, error) {
+func (st *Store) Put(key string, meta apiclient.Report, writeDataset func(io.Writer) error) (int64, error) {
 	if len(key) < 3 {
 		return 0, fmt.Errorf("server: store: malformed key %q", key)
 	}
@@ -203,16 +204,8 @@ func (st *Store) Put(key string, spec []byte, meta apiclient.Report, writeDatase
 	if err != nil {
 		return 0, fmt.Errorf("server: store: marshal meta: %w", err)
 	}
-	for _, a := range []struct {
-		name string
-		data []byte
-	}{
-		{specFile, spec},
-		{metaFile, metaBytes},
-	} {
-		if err := writeFileSync(filepath.Join(tmp, a.name), a.data); err != nil {
-			return 0, fmt.Errorf("server: store: %w", err)
-		}
+	if err := writeFileSync(filepath.Join(tmp, metaFile), metaBytes); err != nil {
+		return 0, fmt.Errorf("server: store: %w", err)
 	}
 	if err := syncDir(tmp); err != nil {
 		return 0, fmt.Errorf("server: store: %w", err)

@@ -66,7 +66,7 @@ func driveJob(t *testing.T, ts *httptest.Server, spec string) apiclient.Job {
 	}
 	if view.Spec.Execution == campaign.ExecutionDistributed {
 		if _, err := worker.Run(context.Background(), worker.Config{
-			Client: apiclient.New(ts.URL), ID: "w1", Jobs: []string{view.ID}, ExitWhenIdle: true,
+			Client: apiclient.New(ts.URL), ID: "w1", ExitWhenIdle: true,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestLoopbackLeaseNeverLapses(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict || fault.Error.Code != apiclient.CodeJobNotDistributed {
 		t.Fatalf("HTTP claim on a local job = %d %+v, want 409 %s", resp.StatusCode, fault, apiclient.CodeJobNotDistributed)
 	}
-	if _, body := get(t, ts, "/v1/healthz"); !strings.Contains(string(body), `"jobs_running": 1`+"\n") {
+	if _, body := get(t, ts, "/v1/healthz"); decodeHealth(t, body).JobsRunning != 1 {
 		t.Errorf("healthz = %s, want jobs_running 1", body)
 	}
 

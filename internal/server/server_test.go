@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -441,6 +442,61 @@ func TestStoreReopen(t *testing.T) {
 	_, bytes2 := get(t, ts2, "/v1/jobs/"+second.ID+"/dataset")
 	if !bytes.Equal(bytes1, bytes2) {
 		t.Fatal("reopened store served different bytes")
+	}
+}
+
+// TestStoreServesEntryWithSpecFile: a filed entry holds meta.json and
+// dataset.jsonl only, and an entry an older build filed with a
+// spec.json beside them is indexed and served as before.
+func TestStoreServesEntryWithSpecFile(t *testing.T) {
+	dir := t.TempDir()
+	srv1, err := New(Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1)
+	_, first := submit(t, ts1, testSpec)
+	awaitDone(t, ts1, first.ID)
+	meta := jobReport(t, ts1, first.ID)
+	_, bytes1 := get(t, ts1, "/v1/jobs/"+first.ID+"/dataset")
+	ts1.Close()
+	srv1.Close()
+
+	entry := filepath.Join(dir, meta.Key[:2], meta.Key)
+	files, err := os.ReadDir(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range files {
+		names = append(names, f.Name())
+	}
+	if !slices.Equal(names, []string{datasetFile, metaFile}) {
+		t.Fatalf("filed entry holds %v, want [%s %s]", names, datasetFile, metaFile)
+	}
+	spec, err := meta.Spec.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(entry, "spec.json"), spec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, err := New(Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(srv2)
+	defer func() {
+		ts2.Close()
+		srv2.Close()
+	}()
+	status, second := submit(t, ts2, testSpec)
+	if status != http.StatusOK || !second.Cached {
+		t.Fatalf("entry with a spec.json not served: status=%d view=%+v", status, second)
+	}
+	if _, bytes2 := get(t, ts2, "/v1/jobs/"+second.ID+"/dataset"); !bytes.Equal(bytes1, bytes2) {
+		t.Fatal("entry with a spec.json served different bytes")
 	}
 }
 

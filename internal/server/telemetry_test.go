@@ -240,7 +240,7 @@ func TestJobEventsTrackState(t *testing.T) {
 		go func() {
 			defer workers.Done()
 			if _, err := worker.Run(context.Background(), worker.Config{
-				Client: apiclient.New(ts.URL), ID: id, Batch: 1, Jobs: []string{job.ID}, ExitWhenIdle: true,
+				Client: apiclient.New(ts.URL), ID: id, ExitWhenIdle: true,
 			}); err != nil {
 				t.Error(err)
 			}
@@ -291,10 +291,7 @@ func TestHealthzReadiness(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("GET /v1/healthz = %d: %s", status, body)
 	}
-	var h healthResponse
-	if err := json.Unmarshal(body, &h); err != nil {
-		t.Fatal(err)
-	}
+	h := decodeHealth(t, body)
 	if h.Status != "ok" {
 		t.Errorf("status = %q", h.Status)
 	}
@@ -315,6 +312,29 @@ func TestHealthzReadiness(t *testing.T) {
 		t.Errorf("jobs_running = %d, queue_depth = %d with one distributed job open; want 1, 0 and the gauge at 1",
 			h.JobsRunning, h.QueueDepth)
 	}
+}
+
+// decodeHealth decodes a healthz body strictly into apiclient.Health
+// and fails unless encoding it again gives the same bytes: the schema
+// type is the body, key for key, omitempty for omitempty.
+func decodeHealth(t *testing.T, body []byte) apiclient.Health {
+	t.Helper()
+	var h apiclient.Health
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&h); err != nil {
+		t.Fatalf("healthz body %s: %v", body, err)
+	}
+	var again bytes.Buffer
+	enc := json.NewEncoder(&again)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(h); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), body) {
+		t.Fatalf("healthz body re-encodes differently:\nserved %s\nagain  %s", body, again.Bytes())
+	}
+	return h
 }
 
 // TestPprofGating: the profile routes exist only when asked for.

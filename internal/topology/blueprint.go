@@ -53,7 +53,7 @@ type Blueprint struct {
 
 // decisionTrace records the stochastic choices of one generation run.
 type decisionTrace struct {
-	perm  []int        // firewall placement permutation
+	perm  []int        // the firewall placement permutation's prefix placeFirewalls takes
 	roles []serverRole // each server's role draws' outcome
 }
 

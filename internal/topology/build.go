@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand"
 	"slices"
 
 	"repro/internal/aqm"
@@ -153,15 +155,35 @@ func (b *builder) run() (*World, error) {
 	return b.w, nil
 }
 
-// drawPerm returns the firewall-placement permutation: a fresh draw from
-// the simulation PRNG (recorded when compiling a blueprint), or the
-// recorded one on replay.
-func (b *builder) drawPerm(n int) []int {
+// drawPerm returns the first k entries of the firewall-placement
+// permutation of n servers: a fresh draw from the simulation PRNG
+// (recorded when compiling a blueprint), or the recorded ones on
+// replay.
+func (b *builder) drawPerm(n, k int) []int {
 	if b.rep != nil {
 		return b.rep.perm
 	}
-	b.rec.perm = b.sim.RNG().Perm(n)
+	b.rec.perm = permPrefix(b.sim.RNG(), n, k)
 	return b.rec.perm
+}
+
+// permPrefix returns rng.Perm(n)[:k], for k ≤ n, holding k ints rather
+// than n, and leaves rng where Perm would: it makes Perm's n draws in
+// Perm's order. Perm fills its array inside out (j = Intn(i+1), then
+// m[i] = m[j] and m[j] = i), so an entry below k is only ever set to i
+// or to another entry below k — the entries from k on never flow back.
+func permPrefix(rng *rand.Rand, n, k int) []int {
+	m := make([]int, k)
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		if i < k {
+			m[i] = m[j]
+		}
+		if j < k {
+			m[j] = i
+		}
+	}
+	return m
 }
 
 // drawRole returns server i's roles: drawn from the simulation PRNG —
@@ -606,7 +628,9 @@ func (b *builder) cloudPrefixes(names map[string]bool) []iptable.Prefix {
 // placeFirewalls selects the special servers and inserts their dedicated
 // site-firewall routers.
 func (b *builder) placeFirewalls() {
-	perm := b.drawPerm(len(b.w.Servers))
+	special := b.cfg.ECTUDPFirewalledServers + b.cfg.NotECTFirewalledServers +
+		b.cfg.SourceScopedNotECTServers + b.cfg.SourceScopedECTServers + b.cfg.FlakyServers
+	perm := b.drawPerm(len(b.w.Servers), min(special, len(b.w.Servers)))
 	take := func(n int) []*Server {
 		out := make([]*Server, 0, n)
 		for len(out) < n && len(perm) > 0 {
@@ -683,13 +707,17 @@ func (b *builder) markQuirk(s *Server) {
 	}
 }
 
+// stubOf returns the stub whose AS holds s, or nil. The address plan
+// gives the AS index, and stubs are appended in AS order.
 func (b *builder) stubOf(s *Server) *stubInfo {
-	for i := range b.stubs {
-		if st := &b.stubs[i]; asPrefix(int(st.asIdx)).Contains(s.Addr) {
-			return st
-		}
+	as := int32((s.Addr.Uint32() - addrBase) >> 16)
+	i, ok := slices.BinarySearchFunc(b.stubs, as, func(st stubInfo, as int32) int {
+		return cmp.Compare(st.asIdx, as)
+	})
+	if !ok {
+		return nil
 	}
-	return nil
+	return &b.stubs[i]
 }
 
 // placeBleachers attaches ECN bleaching policies to stub routers:

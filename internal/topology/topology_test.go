@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -505,6 +507,26 @@ func TestBuildSizeExact(t *testing.T) {
 			if !sizedOnce(v) {
 				t.Errorf("%s: %s holds %d with capacity %d: grown, not sized once", name, what, v.Len(), v.Cap())
 			}
+		}
+	}
+}
+
+// TestPermPrefixMatchesPerm: permPrefix(n, k) is rand.Perm(n)'s first k
+// entries, and leaves the generator where Perm does, so the draws after
+// firewall placement — the role rolls — are unchanged.
+func TestPermPrefixMatchesPerm(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		n, k int
+	}{{1, 0, 0}, {2, 1, 1}, {3, 10, 0}, {4, 10, 3}, {5, 10, 10}, {6, 120, 17}, {7, 2500, 95}, {8, 2500, 2500}} {
+		want, got := rand.New(rand.NewSource(c.seed)), rand.New(rand.NewSource(c.seed))
+		perm := want.Perm(c.n)[:c.k]
+		prefix := permPrefix(got, c.n, c.k)
+		if !slices.Equal(prefix, perm) {
+			t.Errorf("permPrefix(%d, %d) = %v, want %v", c.n, c.k, prefix, perm)
+		}
+		if a, b := got.Int63(), want.Int63(); a != b {
+			t.Errorf("permPrefix(%d, %d) left the generator at %d, Perm at %d", c.n, c.k, a, b)
 		}
 	}
 }

@@ -75,14 +75,11 @@ func TestWorkerThroughChaosProxy(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	defer worker.SetBackoff(10*time.Millisecond, 100*time.Millisecond)()
 	stats, err := worker.Run(ctx, worker.Config{
 		Client:       apiclient.New(front.URL),
 		ID:           "chaos-w",
-		Batch:        4,
 		ExitWhenIdle: true,
-		MaxRetries:   20,
-		RetryBase:    10 * time.Millisecond,
-		RetryCap:     100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ func TestCompiledEntriesEvicted(t *testing.T) {
 	defer ts.Close()
 	defer srv.Close()
 	ctx := context.Background()
-	cfg := Config{Client: apiclient.New(ts.URL), ID: "w", Batch: 4, Poll: time.Millisecond}
+	cfg := Config{Client: apiclient.New(ts.URL), ID: "w", Poll: time.Millisecond}
 	logger := slog.New(slog.DiscardHandler)
 
 	compiled := make(map[string]*compiledJob)

@@ -66,7 +66,7 @@ func TestCoordinatorRestartMidCampaign(t *testing.T) {
 	// Let A's restored leases lapse, then drain with worker B.
 	time.Sleep(ttl + 200*time.Millisecond)
 	statsB, err := worker.Run(ctx, worker.Config{
-		Client: c2, ID: "wB", Batch: 4, ExitWhenIdle: true,
+		Client: c2, ID: "wB", ExitWhenIdle: true,
 	})
 	if err != nil {
 		t.Fatal(err)

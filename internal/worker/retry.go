@@ -29,11 +29,16 @@ import (
 // retry schedule reproduces exactly — in keeping with a repo where
 // even the chaos is deterministic.
 
-// Retry policy defaults (Config overrides).
-const (
-	defaultMaxRetries = 8
-	defaultRetryBase  = 100 * time.Millisecond
-	defaultRetryCap   = 5 * time.Second
+// The retry schedule: up to maxRetries retries of each transient
+// failure, backing off from retryBase and doubling up to retryCap. The
+// values are judgement, not read off a measured curve; the backoff pair
+// is a variable only so this package's tests can shorten it
+// (export_test.go).
+const maxRetries = 8
+
+var (
+	retryBase = 100 * time.Millisecond
+	retryCap  = 5 * time.Second
 )
 
 // jitterFrac hashes a worker ID to a deterministic fraction in [0, 1)
@@ -46,52 +51,31 @@ func jitterFrac(workerID string) float64 {
 	return float64(h.Sum64()%1024) / 1024
 }
 
-// backoff computes the delay schedule: base·2^attempt, capped, scaled
-// by the worker's jitter factor in [0.5, 1.0).
-type backoff struct {
-	base, cap time.Duration
-	jitter    float64
-}
-
-func newBackoff(workerID string, base, ceil time.Duration) backoff {
-	if base <= 0 {
-		base = defaultRetryBase
-	}
-	if ceil <= 0 {
-		ceil = defaultRetryCap
-	}
-	return backoff{base: base, cap: ceil, jitter: 0.5 + jitterFrac(workerID)/2}
-}
-
-func (b backoff) delay(attempt int) time.Duration {
-	d := b.base
-	for i := 0; i < attempt && d < b.cap; i++ {
+// backoff is the delay before retry attempt+1: retryBase·2^attempt,
+// capped at retryCap, scaled by the worker's jitter factor in
+// [0.5, 1.0).
+func backoff(attempt int, jitter float64) time.Duration {
+	d := retryBase
+	for i := 0; i < attempt && d < retryCap; i++ {
 		d *= 2
 	}
-	if d > b.cap {
-		d = b.cap
-	}
-	return time.Duration(float64(d) * b.jitter)
+	return time.Duration(float64(min(d, retryCap)) * jitter)
 }
 
 // retry runs op until it succeeds, fails terminally, or exhausts the
 // budget. The server's Retry-After hint, when longer than the computed
 // backoff, wins — the coordinator knows its own drain window.
 func retry(ctx context.Context, cfg Config, logger *slog.Logger, stats *Stats, what string, op func() error) error {
-	bo := newBackoff(cfg.ID, cfg.RetryBase, cfg.RetryCap)
-	budget := cfg.MaxRetries
-	if budget <= 0 {
-		budget = defaultMaxRetries
-	}
+	jitter := 0.5 + jitterFrac(cfg.ID)/2
 	for attempt := 0; ; attempt++ {
 		err := op()
-		if err == nil || !apiclient.IsTransient(err) || attempt >= budget {
+		if err == nil || !apiclient.IsTransient(err) || attempt >= maxRetries {
 			return err
 		}
 		stats.Retries++
-		d := max(bo.delay(attempt), apiclient.RetryAfter(err))
+		d := max(backoff(attempt, jitter), apiclient.RetryAfter(err))
 		logger.Warn("transient failure; backing off",
-			"op", what, "attempt", attempt+1, "max", budget, "delay", d, "err", err)
+			"op", what, "attempt", attempt+1, "max", maxRetries, "delay", d, "err", err)
 		select {
 		case <-ctx.Done():
 			return ctx.Err()

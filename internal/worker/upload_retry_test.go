@@ -70,13 +70,11 @@ func TestUploadEncodedOncePerShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer worker.SetBackoff(time.Millisecond, 5*time.Millisecond)()
 	stats, err := worker.Run(ctx, worker.Config{
 		Client:       client,
 		ID:           "retry-w",
-		Batch:        4,
 		ExitWhenIdle: true,
-		RetryBase:    time.Millisecond,
-		RetryCap:     5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

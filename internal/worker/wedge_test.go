@@ -82,7 +82,7 @@ func TestWedgedWorkerSpeculation(t *testing.T) {
 	healthyDone := make(chan worker.Stats, 1)
 	go func() {
 		stats, _ := worker.Run(wctx, worker.Config{
-			Client: client, ID: "healthy", Batch: 4, Poll: 50 * time.Millisecond,
+			Client: client, ID: "healthy", Poll: 50 * time.Millisecond,
 		})
 		healthyDone <- stats
 	}()

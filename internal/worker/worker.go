@@ -26,36 +26,31 @@ import (
 	"repro/internal/dataset"
 )
 
-// Config parameterizes one worker run.
+// Config parameterizes one worker run. Everything else a worker does
+// is fixed: each claim asks for claimBatch shards, each coordinator
+// request is bounded by requestTimeout, and transient failures back off
+// on retry.go's schedule.
 type Config struct {
 	// Client speaks to the coordinator.
 	Client *apiclient.Client
 	// ID names this worker in leases, metrics and journal events.
 	ID string
-	// Batch bounds shards claimed per request. Zero means 2.
-	Batch int
 	// Poll is the idle re-scan interval. Zero means 500ms.
 	Poll time.Duration
-	// Jobs restricts the worker to explicit job IDs; empty discovers
-	// running distributed jobs from the listing.
-	Jobs []string
 	// ExitWhenIdle returns from Run once a scan finds no distributed
 	// work anywhere, instead of polling forever.
 	ExitWhenIdle bool
 	// Logger receives per-shard progress. Nil discards.
 	Logger *slog.Logger
-
-	// Resilience knobs (retry.go). MaxRetries bounds transparent
-	// retries of each transient failure (zero means 8); RetryBase and
-	// RetryCap shape the capped exponential backoff (zero means
-	// 100ms/5s); RequestTimeout bounds each coordinator request so a
-	// hung connection becomes a retryable error (zero means no
-	// per-request bound beyond the caller's context).
-	MaxRetries     int
-	RetryBase      time.Duration
-	RetryCap       time.Duration
-	RequestTimeout time.Duration
 }
+
+const (
+	// claimBatch is how many shards each claim asks for.
+	claimBatch = 2
+	// requestTimeout bounds each coordinator request, so a hung
+	// connection becomes a retryable error instead of a stuck worker.
+	requestTimeout = 30 * time.Second
+)
 
 // Stats summarizes one worker run.
 type Stats struct {
@@ -101,15 +96,10 @@ func Run(ctx context.Context, cfg Config) (Stats, error) {
 		// ID out of an upload.
 		return Stats{}, fmt.Errorf("worker: ID %q must be printable ASCII without \" \\ < > &", cfg.ID)
 	}
-	if cfg.Batch < 1 {
-		cfg.Batch = 2
-	}
 	if cfg.Poll <= 0 {
 		cfg.Poll = 500 * time.Millisecond
 	}
-	if cfg.RequestTimeout > 0 {
-		cfg.Client = cfg.Client.WithTimeout(cfg.RequestTimeout)
-	}
+	cfg.Client = cfg.Client.WithTimeout(requestTimeout)
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
@@ -172,9 +162,8 @@ func scanOnce(ctx context.Context, cfg Config, logger *slog.Logger, compiled map
 // evictIdle drops every compiled entry whose job is not in the latest
 // scan. A blueprint holds an O(routers²) route table and its executor a
 // warmed world; a worker that kept one per job it ever served would
-// grow without bound. An explicit Config.Jobs list is its own scan, so
-// it bounds itself; a job that reappears (a speculative re-issue after
-// it left the listing) simply recompiles.
+// grow without bound. A job that reappears (a speculative re-issue
+// after it left the listing) simply recompiles.
 func evictIdle(compiled map[string]*compiledJob, jobs []string) {
 	for hash, cj := range compiled {
 		if !slices.Contains(jobs, cj.job) {
@@ -183,12 +172,9 @@ func evictIdle(compiled map[string]*compiledJob, jobs []string) {
 	}
 }
 
-// discoverJobs resolves the job IDs to work on: the explicit list, or
-// every running distributed job in the (paginated) listing.
+// discoverJobs lists the job IDs to work on: every running
+// distributed job in the (paginated) listing.
 func discoverJobs(ctx context.Context, cfg Config) ([]string, error) {
-	if len(cfg.Jobs) > 0 {
-		return cfg.Jobs, nil
-	}
 	var ids []string
 	cursor := ""
 	for {
@@ -216,13 +202,13 @@ func workJob(ctx context.Context, cfg Config, logger *slog.Logger, jobID string,
 	var claim apiclient.Claim
 	err := retry(ctx, cfg, logger, stats, "claim", func() error {
 		var cerr error
-		claim, cerr = cfg.Client.Claim(ctx, jobID, cfg.ID, cfg.Batch)
+		claim, cerr = cfg.Client.Claim(ctx, jobID, cfg.ID, claimBatch)
 		return cerr
 	})
 	if err != nil {
-		// The job may have finished, or be a local-execution job named
-		// explicitly; neither ends the worker.
-		if apiclient.IsCode(err, apiclient.CodeJobNotFound) || apiclient.IsCode(err, apiclient.CodeJobNotDistributed) {
+		// The job may have finished since the scan listed it; that does
+		// not end the worker.
+		if apiclient.IsCode(err, apiclient.CodeJobNotFound) {
 			return 0, nil
 		}
 		return 0, err

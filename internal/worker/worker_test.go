@@ -58,7 +58,7 @@ func TestTwoWorkersWithMidRunCrash(t *testing.T) {
 	// Let A's orphaned leases lapse, then drain the job with worker B.
 	time.Sleep(ttl + 200*time.Millisecond)
 	statsB, err := worker.Run(ctx, worker.Config{
-		Client: client, ID: "wB", Batch: 4, ExitWhenIdle: true,
+		Client: client, ID: "wB", ExitWhenIdle: true,
 	})
 	if err != nil {
 		t.Fatal(err)
